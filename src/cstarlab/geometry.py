@@ -6,6 +6,9 @@ The distance between unit balls is estimated from both sides.  Upper bounds
 come from explicit witnesses found by projected subgradient descent on the
 convex problem min ||x - b|| over b in a subspace (optionally intersected
 with the unit ball); lower bounds come from trace-norm dual certificates.
+One solver, ``nearest_in_span``, serves every witness search: it takes a
+stack of targets and advances them together with batched SVDs, so a near
+inclusion solves all of its unit-ball samples in one call.
 Suprema over the unit ball are sampled (basis elements, random self-adjoint
 contractions, random unitaries), so the reported gamma_hi is an honest
 sampled estimate with stored witnesses, not a proof of the supremum.
@@ -71,6 +74,7 @@ class NearInclusionCert:
     witnesses: list[Witness]
     sample_spec: SampleSpec
     direction: str = ""
+    n_samples: int = 0
 
     def __post_init__(self):
         if self.gamma_lo > self.gamma_hi + 1e-12:
@@ -104,14 +108,9 @@ class DistanceInterval:
 # convex witness search
 # ---------------------------------------------------------------------------
 
-def _top_singular_pair(m: np.ndarray):
-    u, s, vh = np.linalg.svd(m)
-    return u[:, 0], vh[0, :].conj(), float(s[0])
-
-
 def nearest_in_span(x: np.ndarray, span: _Span | ConcreteAlgebra,
                     ball: bool = False, iters: int = 500,
-                    tol: float = 1e-12) -> tuple[np.ndarray, float]:
+                    tol: float = 1e-12) -> tuple[np.ndarray, float | np.ndarray]:
     """Minimize ||x - b||_op over b in the given subspace (intersected with
     the operator-norm unit ball when requested).
 
@@ -119,38 +118,60 @@ def nearest_in_span(x: np.ndarray, span: _Span | ConcreteAlgebra,
     the operator norm at the residual is the top singular dyad u v*, which is
     HS-projected onto the subspace; steps shrink like c/sqrt(k); the best
     feasible iterate is tracked.  Warm start at the HS projection of x.
+
+    x is one (R, C) matrix or a stack (S, R, C) of targets solved at once,
+    each with its own step scale c and best iterate.  Every iteration takes
+    one batched SVD of the residuals: its top singular value is the objective
+    and its top dyad the next subgradient.  A target whose residual falls to
+    tol leaves the stack.  Returns the witnesses (shaped like x) and the
+    distances ||x - b|| (a float, or an (S,) array for a stack).  The span
+    may be any object whose rows Q are HS-orthonormal in flattened (R, C)
+    coordinates.
     """
     sp = span.span() if isinstance(span, ConcreteAlgebra) else span
-    y = sp.project(x)
-    if ball:
-        nrm = opnorm(y)
-        if nrm > 1.0:
-            y = y / nrm
-    best, best_val = y, opnorm(x - y)
-    if best_val <= tol:
-        return best, float(best_val)
-    c = max(best_val, 10 * tol)
+    single = np.ndim(x) == 2
+    X = np.reshape(x, (-1,) + np.shape(x)[-2:])
+    Q, Qc = sp.Q, sp.Q.conj()
+
+    def project(m):
+        # a matrix-vector product per target, so that stacking changes no bit
+        return (Q.T @ (Qc @ m.reshape(len(m), -1, 1))).reshape(m.shape)
+
+    def rescale(y):
+        if not ball:
+            return y
+        nrm = np.linalg.svd(y, compute_uv=False)[:, 0]
+        return y / np.maximum(nrm, 1.0)[:, None, None]
+
+    best = rescale(project(X))
+    best_val = np.linalg.svd(X - best, compute_uv=False)[:, 0]
+    c = np.maximum(best_val, 10 * tol)
+    live = np.flatnonzero(best_val > tol)
+    y = best[live]
+    u, _, vh = np.linalg.svd(X[live] - y)
+    u, v = u[:, :, 0], vh[:, 0, :]
     for k in range(1, iters + 1):
-        r = x - y
-        u, v, s = _top_singular_pair(r)
-        if s <= tol:
-            return y, float(s)
-        g = sp.project(np.outer(u, v.conj()))
-        y = y + (c / np.sqrt(k)) * g
-        if ball:
-            nrm = opnorm(y)
-            if nrm > 1.0:
-                y = y / nrm
-        val = opnorm(x - y)
-        if val < best_val:
-            best, best_val = y, val
-    return best, float(best_val)
+        if not live.size:
+            break
+        g = project(u[:, :, None] * v[:, None, :])
+        y = rescale(y + (c[live] / np.sqrt(k))[:, None, None] * g)
+        u, s, vh = np.linalg.svd(X[live] - y)
+        better = s[:, 0] < best_val[live]
+        best[live[better]] = y[better]
+        best_val[live[better]] = s[better, 0]
+        keep = s[:, 0] > tol
+        live, y, u, v = live[keep], y[keep], u[keep, :, 0], vh[keep, 0, :]
+    # the values-only SVD opnorm takes, so that a recheck reproduces each value
+    best_val = np.linalg.svd(X - best, compute_uv=False)[:, 0]
+    if single:
+        return best[0], float(best_val[0])
+    return best, best_val
 
 
 def nearest_in_ball(x: np.ndarray, B: ConcreteAlgebra, iters: int = 500,
-                    tol: float = 1e-12) -> tuple[np.ndarray, float]:
+                    tol: float = 1e-12) -> tuple[np.ndarray, float | np.ndarray]:
     """Witness in the unit ball of span(B) nearly closest to x in operator
-    norm, with its certified distance ||x - b||."""
+    norm, with its certified distance ||x - b||; x may be a stack."""
     return nearest_in_span(x, B, ball=True, iters=iters, tol=tol)
 
 
@@ -209,16 +230,18 @@ def near_inclusion(A: ConcreteAlgebra, B: ConcreteAlgebra,
     spec = spec or SampleSpec()
     samples = sample_unit_ball(A, spec)
     wits: list[Witness] = []
-    for label, x in samples:
-        b, ub = nearest_in_span(x, B, ball=ball, iters=spec.iters)
-        lb = span_distance_lower(x, B)
-        wits.append(Witness(label=label, x=x, b=b, ub=ub, lb=lb))
+    if samples:
+        bs, ubs = nearest_in_span(np.array([x for _, x in samples]), B,
+                                  ball=ball, iters=spec.iters)
+        wits = [Witness(label=label, x=x, b=b, ub=float(ub),
+                        lb=span_distance_lower(x, B))
+                for (label, x), b, ub in zip(samples, bs, ubs)]
     gamma_hi = max((w.ub for w in wits), default=0.0)
     gamma_lo = max((w.lb for w in wits), default=0.0)
     wits.sort(key=lambda w: -w.ub)
     return NearInclusionCert(gamma_hi=float(gamma_hi), gamma_lo=float(gamma_lo),
                              witnesses=wits[:keep_witnesses], sample_spec=spec,
-                             direction="A->B")
+                             direction="A->B", n_samples=len(samples))
 
 
 def kk_distance(A: ConcreteAlgebra, B: ConcreteAlgebra,
@@ -241,7 +264,7 @@ def kk_distance(A: ConcreteAlgebra, B: ConcreteAlgebra,
         lo_wit = max(pool, key=lambda w: w.lb).x
     assignment = {
         "direction_hi": "A->B" if cert_ab.gamma_hi >= cert_ba.gamma_hi else "B->A",
-        "n_samples_per_direction": len(sample_unit_ball(A, spec)),
+        "n_samples_per_direction": cert_ab.n_samples,
         "sample_spec": spec.to_dict(),
     }
     return DistanceInterval(lo=float(min(lo, hi)), hi=float(hi), lo_witness=lo_wit,
@@ -254,28 +277,12 @@ def kk_distance(A: ConcreteAlgebra, B: ConcreteAlgebra,
 
 class _TensorSpan:
     """Span of span(B) (x) M_n inside M_{mn}, optionally as a 1 x r block row
-    of such spaces for rectangular witnesses."""
+    of such spaces for rectangular witnesses, as HS-orthonormal rows Q."""
 
     def __init__(self, B: ConcreteAlgebra, n: int, r: int = 1):
-        self.B, self.n, self.r = B, n, r
-        N = B.ambient_dim
-        self.rows = N * n
-        self.cols = N * n * r
-        Q = []
-        for blk in range(r):
-            for b in B.basis:
-                for i in range(n):
-                    for j in range(n):
-                        m = np.zeros((self.rows, self.cols), dtype=complex)
-                        e = np.zeros((n, n))
-                        e[i, j] = 1.0
-                        m[:, blk * N * n:(blk + 1) * N * n] = np.kron(b, e)
-                        Q.append(m.reshape(-1))
-        self.Q = np.array(Q)
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        c = self.Q.conj() @ x.reshape(-1)
-        return (self.Q.T @ c).reshape(self.rows, self.cols)
+        # row (blk, b, i, j) is the block row with kron(b, e_ij) in slot blk
+        self.Q = np.einsum("ab,kpq,ix,jy->akxypibqj", np.eye(r), np.array(B.basis),
+                           np.eye(n), np.eye(n)).reshape(r * len(B.basis) * n * n, -1)
 
 
 def tensor_lift(X, B: ConcreteAlgebra, n: int, gamma: float,
@@ -290,32 +297,20 @@ def tensor_lift(X, B: ConcreteAlgebra, n: int, gamma: float,
     if not X:
         raise ValueError("empty witness request")
     N = B.ambient_dim
-    worst = 0.0
-    witnesses = []
-    spans: dict[int, _TensorSpan] = {}
     for x in X:
         rows, cols = x.shape
         if rows != N * n or cols % (N * n):
             raise ValueError("element shape incompatible with the amplification")
-        r = cols // (N * n)
-        sp = spans.get(r)
-        if sp is None:
-            sp = spans[r] = _TensorSpan(B, n, r)
-        y = sp.project(x)
-        best, best_val = y, opnorm(x - y)
-        c = max(best_val, 1e-10)
-        for k in range(1, iters + 1):
-            if best_val <= 1e-13:
-                break
-            rmat = x - y
-            u, s, vh = np.linalg.svd(rmat)
-            g = sp.project(np.outer(u[:, 0], vh[0, :]))
-            y = y + (c / np.sqrt(k)) * g
-            val = opnorm(x - y)
-            if val < best_val:
-                best, best_val = y, val
-        witnesses.append(best)
-        worst = max(worst, best_val)
+    witnesses: list = [None] * len(X)
+    worst = 0.0
+    for cols in {x.shape[1] for x in X}:
+        idx = [i for i, x in enumerate(X) if x.shape[1] == cols]
+        bs, vals = nearest_in_span(np.array([X[i] for i in idx]),
+                                   _TensorSpan(B, n, cols // (N * n)),
+                                   iters=iters, tol=1e-13)
+        for i, b in zip(idx, bs):
+            witnesses[i] = b
+        worst = max(worst, float(vals.max()))
     ceiling = 2.0 * gamma + gamma * gamma
     cert = Certificate.build(
         name="tensor-amplified-witnesses",

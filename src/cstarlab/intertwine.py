@@ -211,9 +211,8 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
         _add_unique(X, seen_X, [a_n])
         if surjectivity_delta is not None:
             # track codomain basis elements through the accumulated conjugators
-            for b in B_norm_basis:
-                pulled = dagger(accumulated) @ b @ accumulated
-                x, dist = nearest_in_ball(pulled, A, iters=80)
+            pulled = dagger(accumulated) @ np.array(B_norm_basis) @ accumulated
+            for x, dist in zip(*nearest_in_ball(pulled, A, iters=80)):
                 pull_worst = max(pull_worst, dist)
                 if dist <= 2.0 / 5.0 + budget.tol_alg:
                     _add_unique(X, seen_X, [x])
@@ -394,11 +393,9 @@ def close_isomorphism(A: ConcreteAlgebra, B: ConcreteAlgebra, dist_cert,
         Y = [b / max(opnorm(b), 1e-300) for b in B.basis]
     else:
         Y = [np.asarray(y, dtype=complex) for y in Y]
-    pairs = []
-    for y in Y:
-        x, dist = nearest_in_ball(y, A, iters=200)
-        pairs.append((y, x, dist))
-        X.append(x)
+    Xs, dists = nearest_in_ball(np.array(Y), A, iters=200)
+    pairs = list(zip(Y, Xs, dists))
+    X += list(Xs)
 
     surj_delta = gamma if gamma <= 1.0 / 5.0 else None
     res = intertwining_iso(A, B, eta=2.0 * gamma, X_A=X, mu=mu,

@@ -55,7 +55,7 @@ def opnorm(x: np.ndarray) -> float:
     """Operator norm (largest singular value)."""
     if x.size == 0:
         return 0.0
-    return float(np.linalg.norm(x, 2))
+    return float(np.linalg.svd(x, compute_uv=False)[0])
 
 
 def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:

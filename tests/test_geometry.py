@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from cstarlab.algebra import dagger, opnorm
+from cstarlab.algebra import ConcreteAlgebra, dagger, opnorm
 from cstarlab.certs import ContradictionError
 from cstarlab.geometry import (
     SampleSpec,
@@ -60,6 +60,71 @@ def test_nearest_in_ball_respects_norm():
     b, d = nearest_in_ball(3.0 * g / opnorm(g), A)
     assert opnorm(b) <= 1.0 + 1e-9
     assert d >= 2.0 - 1e-6  # the target has norm 3, the ball caps at 1
+
+
+def scalars(N: int) -> ConcreteAlgebra:
+    return ConcreteAlgebra.from_basis([np.eye(N)], N)
+
+
+@pytest.mark.parametrize("ball", [False, True])
+def test_stacked_targets_match_single_solves(ball):
+    # a member (done at the warm start), a target stopping on tol partway
+    # and ordinary ones of different sizes, so that each has its own step
+    # scale c, solved together
+    S, tol = scalars(4), 0.6
+    rng = rng_for(21, "stack")
+    stopper = np.diag([0.0, 0.0, 0.0, 1.0]).astype(complex)
+    X = np.array([0.3 * np.eye(4), stopper]
+                 + [scale * (rng.standard_normal((4, 4))
+                             + 1j * rng.standard_normal((4, 4)))
+                    for scale in (10.0, 20.0, 40.0, 80.0)])
+    bs, vals = nearest_in_span(X, S, ball=ball, iters=200, tol=tol)
+    assert bs.shape == X.shape and vals.shape == (len(X),)
+    # the stopper's iterates are m_k 1 with residual max(m_k, 1 - m_k): the
+    # step c / sqrt(k), c = 10 tol, moves m by a quarter of it toward 1/2
+    m, k = 0.25, 0
+    while max(m, 1.0 - m) > tol:
+        k += 1
+        m += (0.25 if m < 0.5 else -0.25) * 10 * tol / np.sqrt(k)
+        m = min(max(m, -1.0), 1.0) if ball else m
+    assert vals[0] < 1e-12 and abs(vals[1] - max(m, 1.0 - m)) < 1e-12 and k > 1
+    assert np.all(vals[2:] > 10 * tol)
+    for x, b, v in zip(X, bs, vals):
+        b1, v1 = nearest_in_span(x, S, ball=ball, iters=200, tol=tol)
+        assert isinstance(v1, float)
+        assert abs(v1 - v) <= 1e-12
+        assert opnorm(b1 - b) <= 1e-12
+
+
+def test_nearest_in_span_scalar_distance_closed_form():
+    # dist(x, C 1) = (lambda_max - lambda_min) / 2 for hermitian x
+    rng = rng_for(22, "scalar-oracle")
+    X = []
+    for _ in range(8):
+        g = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        X.append(g + dagger(g))
+    X = np.array(X)
+    _, vals = nearest_in_span(X, scalars(5), iters=200)
+    lam = np.linalg.eigvalsh(X)
+    exact = (lam[:, -1] - lam[:, 0]) / 2.0
+    assert np.all(vals >= exact - 1e-12)
+    assert np.all(vals <= 1.01 * exact)
+
+
+@pytest.mark.parametrize("ball", [False, True])
+def test_stacked_witnesses_are_feasible_and_exact(ball):
+    A = block_algebra((2, 1), 4)
+    B = A.conjugated(small_rotation(4, 0.3, 23))
+    rng = rng_for(23, "feasible")
+    spec = SampleSpec(seed=23, n_selfadjoint=3, n_unitary=3)
+    X = np.array([x for _, x in sample_unit_ball(A, spec)]
+                 + [2.0 * rng.standard_normal((4, 4)) for _ in range(3)])
+    bs, vals = nearest_in_span(X, B, ball=ball, iters=100)
+    for x, b, v in zip(X, bs, vals):
+        assert B.residual(b) <= 1e-12
+        if ball:
+            assert opnorm(b) <= 1.0 + 1e-12
+        assert abs(opnorm(x - b) - v) <= 1e-15
 
 
 def test_span_distance_lower_is_lower():
