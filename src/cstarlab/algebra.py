@@ -451,7 +451,7 @@ def _center_basis(A: ConcreteAlgebra) -> list[np.ndarray]:
         block = np.array([(bi @ b - b @ bi).reshape(-1) for bi in A.basis]).T
         rows.append(block)
     op = np.vstack(rows)  # (dim*N^2) x dim acting on coefficient vectors
-    _, s, vh = np.linalg.svd(op, full_matrices=True)
+    _, s, vh = np.linalg.svd(op, full_matrices=False)
     tol = max(op.shape) * np.finfo(float).eps * (s[0] if len(s) else 1.0)
     null_dim = int(np.sum(s <= max(tol, 1e-12))) + (op.shape[1] - len(s))
     coeffs = vh.conj()[A.dim - null_dim:, :] if null_dim else np.zeros((0, A.dim))

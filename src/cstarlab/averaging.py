@@ -3,18 +3,22 @@ on it: twirls onto commutants, polar/projection conjugation unitaries, the
 multiplicativity repair of nearly multiplicative cpc maps, intertwining
 unitaries between close nearly multiplicative maps, and commutant lifts.
 
-The central object is a finite family of unitaries u_t in an algebra A with
-weights summing to one such that w = sum_t lambda_t u_t (x) u_t* equals the
-canonical separability element of A exactly (not just approximately).  With
-such a family, every averaged quantity below lands exactly where the theory
-places its limit object: twirled projections commute with the representation
-to machine precision, intertwiners of exact homomorphisms intertwine exactly,
-and lifted elements sit exactly in the commutant.
+The central object is the canonical separability element
+w = sum_k (1/n_k) sum_ij e_ij (x) e_ji of A = (+)_k M_{n_k}, the amenability
+average (Johnson 1988).  Every average below is linear in u (x) u* over a
+unitary family averaging to w, so it is evaluated on the sum_k n_k^2 matrix
+units: the twirl sum_k (1/n_k) sum_ij e_ji y e_ij, the averaged intertwiner
+sum_k (1/n_k) sum_ij f(e_ij) g(e_ji), and the repair's twirled compression.
+Where actual unitaries are needed (the tracked set of the staged
+intertwining, the commutation estimate of a lift), ``exact_diagonal`` gives
+r * lcm(n_k^2) unitaries averaging to w exactly.  Twirled projections thus
+commute with the representation to machine precision, intertwiners of exact
+homomorphisms intertwine exactly, and lifts sit exactly in the commutant.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,19 +61,25 @@ def weyl_unitaries(n: int) -> list[np.ndarray]:
     S is the cyclic shift, D the diagonal of n-th roots of unity; the family
     is an HS-orthogonal unitary basis of M_n.
     """
-    S = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        S[(i + 1) % n, i] = 1.0
-    D = np.diag(np.exp(2j * np.pi * np.arange(n) / n))
-    out = []
-    Sa = np.eye(n, dtype=complex)
-    for _ in range(n):
-        M = Sa.copy()
-        for _ in range(n):
-            out.append(M.copy())
-            M = M @ D
-        Sa = Sa @ S
-    return out
+    S = np.roll(np.eye(n, dtype=complex), 1, axis=0)
+    return [np.linalg.matrix_power(S, a) @ np.diag(np.exp(2j * np.pi * b * np.arange(n) / n))
+            for a in range(n) for b in range(n)]
+
+
+def _canonical_index(block_sizes) -> tuple[np.ndarray, np.ndarray]:
+    """For the matrix units e_ij of block k in (k, i, j) order: the weight
+    1/n_k of each, and the position of its transpose e_ji."""
+    scale, flip, pos = [], [], 0
+    for n in block_sizes:
+        scale += [1.0 / n] * (n * n)
+        flip += list(pos + np.arange(n * n).reshape(n, n).T.reshape(-1))
+        pos += n * n
+    return np.array(scale), np.array(flip, dtype=int)
+
+
+def _canonical_sum(scale: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """sum_p scale[p] left[p] @ right[p] over two stacks of matrices."""
+    return np.matmul(scale[:, None, None] * left, right).sum(axis=0)
 
 
 @dataclass
@@ -78,48 +88,52 @@ class AveragingSet:
 
     terms[t] are unitaries of the algebra (relative to its unit), weights sum
     to one, and sum_t weights[t] * (terms[t] (x) terms[t]*) equals the
-    canonical separability element sum_k (1/n_k) sum_ij e_ij (x) e_ji.
+    canonical separability element sum_k (1/n_k) sum_ij e_ij (x) e_ji, whose
+    matrix units are units[p] in (k, i, j) order.  Averages linear in
+    u (x) u* (twirl, pair) are evaluated on the units, not on the terms.
     """
 
     weights: np.ndarray
-    terms: tuple[np.ndarray, ...]
+    terms: np.ndarray
     unit: np.ndarray
     block_sizes: tuple[int, ...]
-    basis: tuple[np.ndarray, ...] = field(repr=False)
-    units_flat: tuple[np.ndarray, ...] = field(repr=False)
+    units: np.ndarray = field(repr=False)
+    scale: np.ndarray = field(init=False, repr=False)
+    flip: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.scale, self.flip = _canonical_index(self.block_sizes)
 
     def __len__(self) -> int:
         return len(self.terms)
 
     def twirl(self, y: np.ndarray) -> np.ndarray:
-        """sum_t lambda_t u_t* y u_t; the trace-preserving conditional
+        """sum_k (1/n_k) sum_ij e_ji y e_ij; the trace-preserving conditional
         expectation onto the relative commutant of the algebra."""
-        out = np.zeros_like(np.asarray(y, dtype=complex))
-        for lam, u in zip(self.weights, self.terms):
-            out += lam * (dagger(u) @ y @ u)
-        return out
+        return _canonical_sum(self.scale, self.units[self.flip] @ y, self.units)
+
+    def _values(self, f) -> np.ndarray:
+        if isinstance(f, LinMap) and isinstance(f.domain, FDAlgebra):
+            if tuple(f.domain.block_sizes) != self.block_sizes:
+                raise ValueError("map domain does not match the averaged algebra")
+            return np.array(f.images)
+        return np.array([f(e) for e in self.units])
 
     def pair(self, f, g) -> np.ndarray:
-        """sum_t lambda_t f(u_t*) g(u_t) for matrix-valued f, g."""
-        acc = None
-        for lam, u in zip(self.weights, self.terms):
-            v = lam * (f(dagger(u)) @ g(u))
-            acc = v if acc is None else acc + v
-        return acc
+        """sum_k (1/n_k) sum_ij f(e_ij) g(e_ji) = sum_t lambda_t f(u_t*) g(u_t)
+        for linear matrix-valued f, g; a LinMap on the block algebra is read
+        off its stored images."""
+        return _canonical_sum(self.scale, self._values(f), self._values(g)[self.flip])
 
     def canonical_residual(self) -> float:
         """Distance of sum lambda u (x) u* from the canonical element."""
         m = self.unit.shape[0]
-        W = np.zeros((m * m, m * m), dtype=complex)
-        for lam, u in zip(self.weights, self.terms):
-            W += lam * np.kron(u, dagger(u))
-        C = np.zeros_like(W)
-        pos = 0
-        for n in self.block_sizes:
-            for i in range(n * n):
-                e = self.units_flat[pos + i]
-                C += np.kron(e, dagger(e)) / n
-            pos += n * n
+
+        def tensor_average(w, left, right):
+            return np.einsum("t,tab,tcd->acbd", w, left, right).reshape(m * m, m * m)
+
+        W = tensor_average(self.weights, self.terms, self.terms.conj().transpose(0, 2, 1))
+        C = tensor_average(self.scale, self.units, self.units[self.flip])
         return opnorm(W - C)
 
     def verify(self, tol: float = TOL_CONV) -> Certificate:
@@ -140,57 +154,43 @@ class AveragingSet:
             ceiling=tol, achieved=float(worst), provenance=provenance_stamp())
 
 
-def _realize(coeff_blocks, signs, basis_units, block_sizes, shape):
-    u = np.zeros(shape, dtype=complex)
-    pos = 0
-    for k, n in enumerate(block_sizes):
-        W = coeff_blocks[k]
-        for i in range(n):
-            for j in range(n):
-                c = signs[k] * W[i, j]
-                if c != 0:
-                    u += c * basis_units[pos + n * i + j]
-        pos += n * n
-    return u
-
-
 def exact_diagonal(A: FDAlgebra | ConcreteAlgebra, seed: int = 0) -> AveragingSet:
     """Averaging family of A whose tensor average is exactly the canonical
     separability element.
 
-    Terms are signed direct sums of per-block shift-and-phase unitaries: one
-    term for every choice of a Weyl unitary in each block and every sign
-    vector in {+-1}^r with first sign +1, all with equal weight
-    1 / (2^{r-1} prod n_k^2).  Equal-block pairs average to the per-block
-    canonical element; the signs cancel the cross-block terms exactly.
+    With r blocks, L = lcm(n_k^2) and omega = exp(2 pi i / r), the terms are
+    u_{c,t} = (+)_k omega^{ck} W_k(t mod n_k^2) for c in Z_r and t in Z_L, all
+    with weight 1/(rL), where W_k(a) is the a-th shift-and-phase unitary of
+    block k.  The phase sum over c cancels every cross-block term of
+    sum u (x) u*; inside block k, t mod n_k^2 runs L/n_k^2 times over the
+    HS-orthogonal basis W_k, which averages to (1/n_k) times the flip, the
+    block's canonical element.  So r * lcm(n_k^2) terms are exact.
     """
     if isinstance(A, ConcreteAlgebra):
         struct = A.structure(seed=seed)
         block_sizes = struct.block_sizes
-        units_flat = tuple(struct.matrix_units[k][i][j]
-                           for k, n in enumerate(block_sizes)
-                           for i in range(n) for j in range(n))
+        units = np.array([struct.matrix_units[k][i][j]
+                          for k, n in enumerate(block_sizes)
+                          for i in range(n) for j in range(n)], dtype=complex)
         unit = A.support
-        shape = (A.ambient_dim, A.ambient_dim)
     else:
         block_sizes = tuple(A.block_sizes)
-        units_flat = tuple(A.units())
+        units = np.array(A.units())
         unit = A.unit()
-        shape = (A.d, A.d)
     r = len(block_sizes)
-    weyl = [weyl_unitaries(n) for n in block_sizes]
-    n_terms = (2 ** (r - 1)) * int(np.prod([n * n for n in block_sizes]))
-    lam = 1.0 / n_terms
-    terms = []
-    sign_space = [(1,)] + [(1, -1)] * (r - 1)
-    for signs in itertools.product(*sign_space):
-        for choice in itertools.product(*[range(n * n) for n in block_sizes]):
-            blocks = [weyl[k][choice[k]] for k in range(r)]
-            terms.append(_realize(blocks, signs, units_flat, block_sizes, shape))
-    return AveragingSet(weights=np.full(n_terms, lam), terms=tuple(terms),
+    L = math.lcm(*(n * n for n in block_sizes))
+    c = np.arange(r)[:, None, None]
+    t = np.arange(L)
+    # coefficient of the unit e_ij of block k in the term (c, t)
+    coeffs = np.concatenate(
+        [np.exp(2j * np.pi * (c * k % r) / r)
+         * np.array(weyl_unitaries(n)).reshape(n * n, n * n)[t % (n * n)]
+         for k, n in enumerate(block_sizes)], axis=2).reshape(r * L, -1)
+    m = units.shape[-1]
+    terms = (coeffs @ units.reshape(len(units), m * m)).reshape(r * L, m, m)
+    return AveragingSet(weights=np.full(r * L, 1.0 / (r * L)), terms=terms,
                         unit=np.asarray(unit, dtype=complex),
-                        block_sizes=block_sizes, basis=units_flat,
-                        units_flat=units_flat)
+                        block_sizes=block_sizes, units=units)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +315,7 @@ def improve_multiplicativity(phi: LinMap, gamma: float | None = None,
     gamma^{1/2} on the unit ball (paper track requires gamma <= 1/17).
 
     Construction: extend to a ucp map on the unitized domain, dilate, twirl
-    the compression projection p over an exact averaging family (the twirl
+    the compression projection p over the represented matrix units (the twirl
     p0 then commutes with the representation exactly and ||p0 - p|| <=
     2 gamma^{1/2}), cut at the spectral gap around 1/2, conjugate p onto the
     resulting commutant projection q, and compress the representation.
@@ -339,13 +339,12 @@ def improve_multiplicativity(phi: LinMap, gamma: float | None = None,
     K = dil.dilation_dim
     p = dil.compression
 
-    avg = exact_diagonal(fd_ext)
-    p0 = np.zeros((K, K), dtype=complex)
-    for lam, u in zip(avg.weights, avg.terms):
-        pu = dil.rep(u)
-        p0 += lam * (dagger(pu) @ p @ pu)
-    p0 = herm(p0)
-    comm = max(opnorm(dil.rep(g) @ p0 - p0 @ dil.rep(g)) for g in fd_ext.units())
+    # p0 = sum_k (1/n_k) sum_ij pi(e_ji) p pi(e_ij), the twirl of p over the
+    # represented matrix units
+    scale, flip = _canonical_index(fd_ext.block_sizes)
+    rep_units = np.array(dil.rep_images)
+    p0 = herm(_canonical_sum(scale, rep_units[flip] @ p, rep_units))
+    comm = max(opnorm(g @ p0 - p0 @ g) for g in rep_units)
     drift = opnorm(p0 - p)
     cert_drift = Certificate.build(
         name="twirled-projection-drift",

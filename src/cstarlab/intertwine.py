@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import ConcreteAlgebra
+from .algebra import ConcreteAlgebra, FDAlgebra
 from .certs import (TOL_ALG, TOL_CONV, Certificate, ContradictionError,
                     SpectralGapError, ToleranceBudget, DEFAULT_BUDGET,
                     WINDOW_ISO_ETA, WINDOW_ISO_GAMMA, WINDOW_ISO_MU,
@@ -131,16 +131,10 @@ def _averaging_parts(A: ConcreteAlgebra, seed: int) -> list[np.ndarray]:
     block model: for each term u~ = (block part, scalar), the element
     (block part - scalar * 1) / 2 mapped back into A."""
     bm = A.block_model(seed=seed)
-    from .algebra import FDAlgebra
     fd_ext = FDAlgebra(tuple(bm.fd.block_sizes) + (1,))
-    avg = exact_diagonal(fd_ext)
     d = bm.fd.d
-    parts = []
-    for u in avg.terms:
-        scalar = u[d, d]
-        inner = (u[:d, :d] - scalar * np.eye(d)) / 2.0
-        parts.append(bm.to_concrete(inner))
-    return parts
+    return [bm.to_concrete((u[:d, :d] - u[d, d] * np.eye(d)) / 2.0)
+            for u in exact_diagonal(fd_ext).terms]
 
 
 def _hom_defect(phi: LinMap, seed: int, n_pairs: int = 16) -> float:
@@ -166,8 +160,9 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
     """Staged construction of an injective *-homomorphism alpha: A -> B with
     ||alpha(x) - x|| <= 8 sqrt(6) eta^{1/2} + eta + mu for x in X_A.
 
-    Requires a producer Z -> (cpc map eta-close to the inclusion on Z, cert);
-    defaults to the expectation onto B.  Each stage repairs the produced map
+    Requires a producer Z -> (cpc map eta-close to the inclusion on Z, cert
+    whose achieved value is max ||phi(z) - z|| over Z); defaults to the
+    expectation onto B.  Each stage repairs the produced map
     to a homomorphism and aligns it with the previous stage by a unitary
     close to one; the loop stops when the aligned maps agree on the basis to
     tol_conv twice in a row.  When surjectivity_delta is given (B inside A to
@@ -229,7 +224,7 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
         _add_unique(Zp, seen_Z, [z @ dagger(z) for z in list(Zp)])
 
         phi, prod_cert = producer(Zp)
-        closeness = max(opnorm(phi(z) - z) for z in Zp)
+        closeness = prod_cert.achieved
         phi_defect = mult_defect(phi, Z).defect
         gamma_repair = max(3.0 * eta, phi_defect)
 

@@ -8,7 +8,7 @@ from cstarlab.algebra import (BlockModel, ConcreteAlgebra, FDAlgebra,
                               support_projection, unitize_dagger,
                               unitize_tilde, verify_algebra,
                               wedderburn_decompose)
-from cstarlab.instances import block_algebra
+from cstarlab.instances import block_algebra, gen_instance
 from cstarlab.linalg import (dagger, expm_i, hs_inner, opnorm,
                              random_hermitian, random_unitary, rng_for)
 
@@ -69,6 +69,21 @@ def test_wedderburn_recovers_block_sizes(profile):
     st = Au.structure()
     assert sorted(st.block_sizes) == sorted(profile)
     assert sum(n * n for n in st.block_sizes) == Au.dim
+
+
+def test_wedderburn_full_block_in_large_ambient():
+    # M_8 in M_16: the commutator operator of the center search is 16384 x 64,
+    # whose full left singular factor alone would take about 4.3 GB
+    inst = gen_instance("block-rotation", {"algebra": "8", "ambient": 16,
+                                           "eps": 1e-6}, seed=0)
+    B = inst.B
+    st = B.structure()
+    assert st.summands == ((8, 1),)
+    assert opnorm(st.central_projections[0] - B.support) < 1e-10
+    E = np.array(st.matrix_units[0])  # E[i, j] = e_ij
+    prods = np.einsum("ijab,klbc->ijklac", E, E)
+    expect = np.einsum("jk,ilac->ijklac", np.eye(8), E)
+    assert np.abs(prods - expect).max() < 1e-10
 
 
 def test_block_model_round_trip():

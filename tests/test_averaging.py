@@ -1,5 +1,7 @@
 """Exact averaging families and the constructions built on them."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -7,6 +9,8 @@ from scipy.linalg import expm
 from cstarlab.algebra import FDAlgebra
 from cstarlab.linalg import dagger, hs_inner, opnorm
 from cstarlab.averaging import (
+    _canonical_index,
+    _canonical_sum,
     commutant_lift,
     exact_diagonal,
     improve_multiplicativity,
@@ -19,9 +23,9 @@ from cstarlab.averaging import (
 from cstarlab.certs import PAPER_BUDGET, SpectralGapError, WindowError
 from cstarlab.cpmaps import LinMap
 from cstarlab.instances import block_algebra
-from cstarlab.linalg import rng_for
+from cstarlab.linalg import random_unitary, rng_for
 
-PROFILES = [(1,), (2,), (1, 1), (2, 1), (3,), (2, 2), (2, 1, 1)]
+PROFILES = [(1,), (2,), (1, 1), (2, 1), (3,), (2, 2), (2, 1, 1), (2, 3, 1)]
 
 
 def inclusion_map(sizes, N: int) -> LinMap:
@@ -58,11 +62,77 @@ def test_weyl_unitaries_orthogonal_basis():
 def test_exact_diagonal_verifies(sizes):
     fd = FDAlgebra(sizes)
     avg = exact_diagonal(fd)
-    r = len(sizes)
-    expected = 2 ** (r - 1) * int(np.prod([n * n for n in sizes]))
-    assert len(avg) == expected
+    # r phases times lcm(n_k^2) Weyl shifts
+    assert len(avg) == len(sizes) * math.lcm(*(n * n for n in sizes))
     cert = avg.verify()
     assert cert.verdict == "pass"
+
+
+def commutant_projection(A) -> np.ndarray:
+    """HS-orthogonal projection onto e M_N e \\cap A' as an N^2 x N^2 matrix
+    on row-major vec(y), from the null space of the commutator map."""
+    N = A.ambient_dim
+    e = A.support
+    # orthonormal basis of e M_N e: the range of y -> e y e
+    vals, vecs = np.linalg.eigh(np.kron(e, e.T))
+    V = vecs[:, vals > 0.5]
+    comm = np.vstack([np.array([(v.reshape(N, N) @ b - b @ v.reshape(N, N)).reshape(-1)
+                                for v in V.T]).T for b in A.basis])
+    _, s, vh = np.linalg.svd(comm)
+    null = vh[np.sum(s > 1e-9):].conj().T
+    Q = V @ null
+    return Q @ dagger(Q)
+
+
+@pytest.mark.parametrize("sizes", [(2, 1), (2, 2, 1), (3, 3)])
+def test_twirl_is_commutant_projection(sizes):
+    N = sum(sizes) + 2
+    rng = rng_for(11, "twirl-oracle", *sizes)
+    A = block_algebra(sizes, N).conjugated(random_unitary(rng, N))
+    P = commutant_projection(A)
+    avg = exact_diagonal(A)
+    for _ in range(3):
+        y = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+        expect = (P @ y.reshape(-1)).reshape(N, N)
+        assert opnorm(avg.twirl(y) - expect) < 1e-12
+
+
+def random_map(fd: FDAlgebra, N: int, rng) -> LinMap:
+    return LinMap(fd, N, tuple(rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+                               for _ in range(fd.dim_linear)))
+
+
+@pytest.mark.parametrize("sizes", [(2, 1), (2, 2, 1), (2, 3, 1)])
+def test_pair_matches_phase_family_sum(sizes):
+    fd = FDAlgebra(sizes)
+    rng = rng_for(12, "pair-family", *sizes)
+    f, g = random_map(fd, 3, rng), random_map(fd, 3, rng)
+    avg = exact_diagonal(fd)
+    explicit = sum(w * (f(dagger(u)) @ g(u)) for w, u in zip(avg.weights, avg.terms))
+    assert opnorm(avg.pair(f, g) - explicit) < 1e-13
+    # plain callables are evaluated on the matrix units
+    assert opnorm(avg.pair(lambda x: f(x), lambda x: g(x)) - explicit) < 1e-13
+
+
+def test_repair_twirl_matches_phase_family_sum():
+    fd = FDAlgebra((2, 1))
+    hom = embedded(fd, 4)
+    v = expm(1j * 0.05 * np.diag([0.0, 1.0, 0.0, -1.0]))
+    phi = LinMap(fd, 4, tuple(0.5 * a + 0.5 * (v @ a @ dagger(v)) for a in hom.images))
+    rep = improve_multiplicativity(phi, seed=0)
+    dil = rep.dilation
+    p = dil.compression
+    avg = exact_diagonal(dil.fd)
+    explicit = sum(w * (dagger(dil.rep(u)) @ p @ dil.rep(u))
+                   for w, u in zip(avg.weights, avg.terms))
+    R = np.array(dil.rep_images)
+    scale, flip = _canonical_index(dil.fd.block_sizes)
+    p0 = _canonical_sum(scale, R[flip] @ p, R)
+    assert opnorm(p0 - explicit) < 1e-13
+    # the repair's drift certificate measures the same twirled projection
+    drift = rep.certificates["drift"].achieved
+    assert drift > 1e-3
+    assert abs(drift - opnorm(explicit - p)) < 1e-13
 
 
 def test_twirl_lands_in_commutant():
