@@ -15,6 +15,7 @@ that elements can be multiplied directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -77,7 +78,12 @@ def orthonormalize(mats, tol: float = 1e-10) -> list[np.ndarray]:
 
 
 class _Span:
-    """Orthonormal span with fast projection."""
+    """Orthonormal span with fast projection.
+
+    coeffs and project take one N x N matrix or a stack (..., N, N) and use
+    one matrix-vector product per matrix, so a stacked call gives the same
+    bits as single calls.
+    """
 
     def __init__(self, basis: list[np.ndarray], N: int):
         self.N = N
@@ -89,13 +95,20 @@ class _Span:
         return len(self.basis)
 
     def coeffs(self, x: np.ndarray) -> np.ndarray:
-        return self.Q.conj() @ x.reshape(-1)
+        return (self.Q.conj() @ x.reshape(x.shape[:-2] + (-1, 1)))[..., 0]
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        return (self.Q.T @ self.coeffs(x)).reshape(self.N, self.N)
+        return (self.Q.T @ self.coeffs(x)[..., None]).reshape(x.shape)
 
     def residual(self, x: np.ndarray) -> float:
         return hs_norm(x - self.project(x))
+
+
+def _combine(coeffs: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """sum_i coeffs[..., i] mats[i] as one contraction; coeffs may carry
+    leading stack axes, which the result keeps."""
+    n = mats.shape[-1]
+    return (coeffs @ mats.reshape(len(mats), -1)).reshape(coeffs.shape[:-1] + (n, n))
 
 
 # ---------------------------------------------------------------------------
@@ -125,13 +138,16 @@ class FDAlgebra:
     def dim_linear(self) -> int:
         return int(sum(n * n for n in self.block_sizes))
 
-    @property
+    @cached_property
     def offsets(self) -> tuple[int, ...]:
-        off, res = 0, []
-        for n in self.block_sizes:
-            res.append(off)
-            off += n
-        return tuple(res)
+        return tuple(int(o) for o in np.cumsum((0,) + self.block_sizes[:-1]))
+
+    @cached_property
+    def unit_positions(self) -> np.ndarray:
+        """Flat index into a d x d matrix of each matrix unit, in (k, i, j)
+        order."""
+        return np.array([(self.offsets[k] + i) * self.d + self.offsets[k] + j
+                         for (k, i, j) in self.unit_labels()])
 
     def unit(self) -> np.ndarray:
         return np.eye(self.d, dtype=complex)
@@ -153,27 +169,31 @@ class FDAlgebra:
         m[o + i, o + j] = 1.0
         return m
 
-    def units(self) -> list[np.ndarray]:
-        return [self.matrix_unit(k, i, j) for (k, i, j) in self.unit_labels()]
+    def units(self) -> np.ndarray:
+        """The matrix units as a (dim_linear, d, d) stack."""
+        return self.from_coeffs(np.eye(self.dim_linear))
 
     def coeffs(self, x: np.ndarray) -> np.ndarray:
-        """Coefficients of x over the canonical matrix-unit basis."""
-        return np.array([x[self.offsets[k] + i, self.offsets[k] + j]
-                         for (k, i, j) in self.unit_labels()])
+        """Coefficients of x, or of each matrix of a stack (..., d, d), over
+        the canonical matrix-unit basis."""
+        return x.reshape(x.shape[:-2] + (-1,))[..., self.unit_positions]
 
     def from_coeffs(self, c: np.ndarray) -> np.ndarray:
-        x = np.zeros((self.d, self.d), dtype=complex)
-        for (k, i, j), v in zip(self.unit_labels(), c):
-            x[self.offsets[k] + i, self.offsets[k] + j] = v
-        return x
+        """Block-diagonal element(s) with the given coefficients (..., dim)."""
+        c = np.asarray(c)
+        x = np.zeros(c.shape[:-1] + (self.d * self.d,), dtype=complex)
+        x[..., self.unit_positions] = c
+        return x.reshape(c.shape[:-1] + (self.d, self.d))
 
     def blocks_of(self, x: np.ndarray) -> list[np.ndarray]:
-        return [x[o:o + n, o:o + n] for o, n in zip(self.offsets, self.block_sizes)]
+        """Diagonal blocks of x, or of each matrix of a stack (..., d, d)."""
+        return [x[..., o:o + n, o:o + n] for o, n in zip(self.offsets, self.block_sizes)]
 
     def embed_blocks(self, blocks) -> np.ndarray:
-        x = np.zeros((self.d, self.d), dtype=complex)
+        """Block-diagonal matrix (or stack) with the given diagonal blocks."""
+        x = np.zeros(np.shape(blocks[0])[:-2] + (self.d, self.d), dtype=complex)
         for o, n, b in zip(self.offsets, self.block_sizes, blocks):
-            x[o:o + n, o:o + n] = b
+            x[..., o:o + n, o:o + n] = b
         return x
 
     def pinch(self, x: np.ndarray) -> np.ndarray:
@@ -647,18 +667,16 @@ class BlockModel:
         self.A = A
         self.struct = struct
         self.fd = struct.fd_model()
-        self._units_flat = [struct.matrix_units[k][i][j]
-                            for (k, i, j) in self.fd.unit_labels()]
-        self._mults = [struct.summands[k][1] for (k, i, j) in self.fd.unit_labels()]
+        labels = self.fd.unit_labels()
+        self._units = np.array([struct.matrix_units[k][i][j] for (k, i, j) in labels])
+        self._mults = np.array([struct.summands[k][1] for (k, i, j) in labels])
 
     def to_abstract(self, y: np.ndarray) -> np.ndarray:
-        c = np.array([np.vdot(u, y) / m for u, m in zip(self._units_flat, self._mults)])
+        """Block model of y, or of each matrix of a stack (..., N, N)."""
+        flat = self._units.reshape(len(self._units), -1)
+        c = (y.reshape(y.shape[:-2] + (-1,)) @ flat.conj().T) / self._mults
         return self.fd.from_coeffs(c)
 
     def to_concrete(self, m: np.ndarray) -> np.ndarray:
-        c = self.fd.coeffs(m)
-        out = np.zeros((self.A.ambient_dim, self.A.ambient_dim), dtype=complex)
-        for v, u in zip(c, self._units_flat):
-            if v != 0:
-                out = out + v * u
-        return out
+        """Concrete element of m, or of each matrix of a stack (..., d, d)."""
+        return _combine(self.fd.coeffs(m), self._units)

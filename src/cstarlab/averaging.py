@@ -28,8 +28,8 @@ from .certs import (TOL_CONV, TOL_EXACT, Certificate, SpectralGapError,
                     ToleranceBudget, DEFAULT_BUDGET, WINDOW_DEFECT_REPAIR,
                     WINDOW_INTERTWINE, provenance_stamp)
 from .cpmaps import LinMap, classify, mult_defect, stinespring, ucp_extension
-from .linalg import (clip_spectrum, dagger, expm_i, herm, opnorm, polar_factor,
-                     principal_log_unitary, psd_sqrt, rng_for)
+from .linalg import (clip_spectrum, dagger, expm_i, herm, opnorm, opnorms,
+                     polar_factor, principal_log_unitary, psd_sqrt, rng_for)
 
 __all__ = [
     "AveragingSet",
@@ -116,7 +116,7 @@ class AveragingSet:
         if isinstance(f, LinMap) and isinstance(f.domain, FDAlgebra):
             if tuple(f.domain.block_sizes) != self.block_sizes:
                 raise ValueError("map domain does not match the averaged algebra")
-            return np.array(f.images)
+            return f.images
         return np.array([f(e) for e in self.units])
 
     def pair(self, f, g) -> np.ndarray:
@@ -175,7 +175,7 @@ def exact_diagonal(A: FDAlgebra | ConcreteAlgebra, seed: int = 0) -> AveragingSe
         unit = A.support
     else:
         block_sizes = tuple(A.block_sizes)
-        units = np.array(A.units())
+        units = A.units()
         unit = A.unit()
     r = len(block_sizes)
     L = math.lcm(*(n * n for n in block_sizes))
@@ -253,34 +253,30 @@ def projection_conjugator(p: np.ndarray, q: np.ndarray,
 # multiplicativity repair
 # ---------------------------------------------------------------------------
 
-def _fd_unit_ball(fd: FDAlgebra, n_sa: int, n_unitary: int, seed: int):
-    """Sampled unit-ball elements of a block algebra plus its matrix units."""
-    out = [(f"e{k}{i}{j}", fd.matrix_unit(k, i, j)) for (k, i, j) in fd.unit_labels()]
+def _fd_unit_ball(fd: FDAlgebra, n_sa: int, n_unitary: int, seed: int) -> np.ndarray:
+    """Stack of the matrix units of a block algebra, n_sa sampled self-adjoint
+    contractions and n_unitary sampled unitaries, drawn in that order."""
     rng = rng_for(seed, "fd-unit-ball", fd.d)
-    for t in range(n_sa):
-        h = fd.random_element(rng, hermitian=True)
-        out.append((f"sa[{t}]", clip_spectrum(h, -1.0, 1.0)))
-    for t in range(n_unitary):
-        h = fd.random_element(rng, hermitian=True)
-        nrm = opnorm(h)
-        if nrm > 1e-14:
-            h = h / nrm
-        out.append((f"u[{t}]", expm_i(np.pi * 0.5 * h)))
-    return out
+    h = np.array([fd.random_element(rng, hermitian=True)
+                  for _ in range(n_sa + n_unitary)]).reshape((-1, fd.d, fd.d))
+    sa, g = h[:n_sa], h[n_sa:]
+    nrm = opnorms(g)
+    g = g / np.where(nrm > 1e-14, nrm, 1.0)[:, None, None]
+    return np.concatenate([fd.units(), clip_spectrum(sa, -1.0, 1.0),
+                           expm_i(np.pi * 0.5 * g)])
 
 
 def _estimate_mult_defect(phi: LinMap, seed: int = 0, n_samples: int = 32) -> float:
     fd = phi.domain
     if not isinstance(fd, FDAlgebra):
         raise ValueError("defect estimation expects a block domain")
-    samples = _fd_unit_ball(fd, n_samples, 0, seed)
     rng = rng_for(seed, "defect-pairs", fd.d)
-    worst = mult_defect(phi, [x for _, x in samples]).defect
-    for _ in range(n_samples):
-        x = clip_spectrum(fd.random_element(rng, hermitian=True), -1.0, 1.0)
-        y = clip_spectrum(fd.random_element(rng, hermitian=True), -1.0, 1.0)
-        worst = max(worst, opnorm(phi(x @ y) - phi(x) @ phi(y)))
-    return float(worst)
+    worst = mult_defect(phi, _fd_unit_ball(fd, n_samples, 0, seed)).defect
+    # pairs (x, y) drawn in turn, then clipped in one batch
+    xy = clip_spectrum(np.array([fd.random_element(rng, hermitian=True)
+                                 for _ in range(2 * n_samples)]), -1.0, 1.0)
+    x, y = xy[0::2], xy[1::2]
+    return float(max(worst, opnorms(phi(x @ y) - phi(x) @ phi(y)).max(initial=0.0)))
 
 
 @dataclass
@@ -342,9 +338,9 @@ def improve_multiplicativity(phi: LinMap, gamma: float | None = None,
     # p0 = sum_k (1/n_k) sum_ij pi(e_ji) p pi(e_ij), the twirl of p over the
     # represented matrix units
     scale, flip = _canonical_index(fd_ext.block_sizes)
-    rep_units = np.array(dil.rep_images)
+    rep_units = dil.rep_images
     p0 = herm(_canonical_sum(scale, rep_units[flip] @ p, rep_units))
-    comm = max(opnorm(g @ p0 - p0 @ g) for g in rep_units)
+    comm = opnorms(rep_units @ p0 - p0 @ rep_units).max()
     drift = opnorm(p0 - p)
     cert_drift = Certificate.build(
         name="twirled-projection-drift",
@@ -365,25 +361,18 @@ def improve_multiplicativity(phi: LinMap, gamma: float | None = None,
     q = (vecs[:, keep] @ dagger(vecs[:, keep])) if keep.any() else np.zeros((K, K), dtype=complex)
 
     w, cert_conj = projection_conjugator(p, q)
-    # psi on the extended domain: compress the conjugated representation
+    # psi: compress the conjugated representation, restricted to the original
+    # block domain, whose matrix units come first in the extended order
     V = dil.isometry
     E = dil.embed
-    def compressed(x):
-        return E @ (dagger(V) @ dagger(w) @ dil.rep(x) @ w @ V) @ dagger(E)
-
-    ext_units = fd_ext.units()
-    labels = fd_ext.unit_labels()
-    # restriction to the original block domain (drop the adjoined block)
     fd0: FDAlgebra = abstract.domain
-    images = []
-    for (k, i, j) in fd0.unit_labels():
-        pos = labels.index((k, i, j))
-        images.append(compressed(ext_units[pos]))
-    psi_abs = LinMap(fd0, abstract.codomain_dim, tuple(images),
+    rep0 = dil.rep_images[:fd0.dim_linear]
+    images = E @ (dagger(V) @ dagger(w) @ rep0 @ w @ V) @ dagger(E)
+    psi_abs = LinMap(fd0, abstract.codomain_dim, images,
                      codomain_algebra=abstract.codomain_algebra)
 
     samples = _fd_unit_ball(fd0, n_check, n_check // 2, seed + 1)
-    dist = max(opnorm(abstract(x) - psi_abs(x)) for _, x in samples)
+    dist = opnorms(abstract(samples) - psi_abs(samples)).max()
     cert_dist = Certificate.build(
         name="multiplicativity-repair",
         formula="sup_{||x||<=1} ||phi(x) - psi(x)|| <= 8 sqrt(2) gamma^{1/2}",
@@ -401,7 +390,7 @@ def improve_multiplicativity(phi: LinMap, gamma: float | None = None,
 
     if model is not None:
         conc = phi.domain
-        images_c = tuple(psi_abs(model.to_abstract(b)) for b in conc.basis)
+        images_c = psi_abs(model.to_abstract(np.array(conc.basis)))
         psi = LinMap(conc, phi.codomain_dim, images_c,
                      codomain_algebra=phi.codomain_algebra)
     else:
@@ -428,7 +417,7 @@ def _paired_block_maps(phi1: LinMap, phi2: LinMap, seed: int):
     if phi1.domain is not phi2.domain:
         raise ValueError("concrete domains must be the same algebra object")
     a1, model = phi1.to_block_model(seed=seed)
-    images2 = tuple(phi2(model.to_concrete(u)) for u in model.fd.units())
+    images2 = phi2(model.to_concrete(model.fd.units()))
     a2 = LinMap(model.fd, phi2.codomain_dim, images2,
                 codomain_algebra=phi2.codomain_algebra)
     return a1, a2, model
@@ -472,11 +461,10 @@ def intertwining_unitary(phi1: LinMap, phi2: LinMap,
         delta = max(_estimate_mult_defect(a1, seed=seed),
                     _estimate_mult_defect(a2, seed=seed))
     if gamma is None:
-        gamma = a1.basis_distance(a2)
         rng = rng_for(seed, "intertwine-gamma", fd.d)
-        for _ in range(16):
-            x = clip_spectrum(fd.random_element(rng, hermitian=True), -1.0, 1.0)
-            gamma = max(gamma, opnorm(a1(x) - a2(x)))
+        X = clip_spectrum(np.array([fd.random_element(rng, hermitian=True)
+                                    for _ in range(16)]), -1.0, 1.0)
+        gamma = max(a1.basis_distance(a2), opnorms(a1(X) - a2(X)).max())
     budget.require_window("intertwining", gamma, WINDOW_INTERTWINE)
 
     # extend against the ambient unit: the averaged s must be invertible on
@@ -503,13 +491,11 @@ def intertwining_unitary(phi1: LinMap, phi2: LinMap,
 
     abs_s = psd_sqrt(dagger(s) @ s)
     inv_norm = float(1.0 / sing[-1])
-    worst_res, worst_chain = 0.0, 0.0
-    for g in fd.units():
-        x1, x2 = a1(g), a2(g)
-        res = opnorm(u @ x2 @ dagger(u) - x1)
-        chain = (opnorm(x1 @ s - s @ x2) + opnorm(abs_s @ x2 - x2 @ abs_s)) * inv_norm
-        worst_res = max(worst_res, res)
-        worst_chain = max(worst_chain, chain)
+    units = fd.units()
+    x1, x2 = a1(units), a2(units)
+    worst_res = opnorms(u @ x2 @ dagger(u) - x1).max()
+    worst_chain = ((opnorms(x1 @ s - s @ x2) + opnorms(abs_s @ x2 - x2 @ abs_s))
+                   * inv_norm).max()
     cert_res = Certificate.build(
         name="intertwining-residual",
         formula="||u phi2(x) u* - phi1(x)|| <= "
@@ -536,6 +522,12 @@ class LiftResult:
         return all(c.passed for c in self.certificates.values())
 
 
+def _relative_commutator(a: np.ndarray, A: ConcreteAlgebra) -> float:
+    """max over the basis b of A of ||[a, b]|| / ||b||."""
+    B = np.array(A.basis)
+    return float((opnorms(a @ B - B @ a) / np.maximum(opnorms(B), 1e-300)).max())
+
+
 def commutant_lift(m: np.ndarray, A: ConcreteAlgebra,
                    delta: float | None = None, seed: int = 0,
                    avg: AveragingSet | None = None,
@@ -553,10 +545,8 @@ def commutant_lift(m: np.ndarray, A: ConcreteAlgebra,
     eye = np.eye(A.ambient_dim)
     a = avg.twirl(m) + (eye - e) @ m @ (eye - e)
     if delta is None:
-        delta = opnorm(m @ e - e @ m)
-        for u in avg.terms:
-            delta = max(delta, opnorm(m @ u - u @ m))
-    comm = max(opnorm(a @ b - b @ a) / max(opnorm(b), 1e-300) for b in A.basis)
+        delta = max(opnorm(m @ e - e @ m), opnorms(m @ avg.terms - avg.terms @ m).max())
+    comm = _relative_commutator(a, A)
     cert_comm = Certificate.build(
         name="commutant-membership",
         formula="max_b ||[a, b]|| / ||b|| <= tol_alg over the basis of A",
@@ -593,7 +583,7 @@ def unitary_commutant_lift(u: np.ndarray, A: ConcreteAlgebra, seed: int = 0,
     lift = commutant_lift(h, A, seed=seed, budget=budget)
     k = herm(lift.value)
     v = expm_i(np.pi * k)
-    comm = max(opnorm(v @ b - b @ v) / max(opnorm(b), 1e-300) for b in A.basis)
+    comm = _relative_commutator(v, A)
     eye = np.eye(A.ambient_dim)
     cert_comm = Certificate.build(
         name="unitary-lift-commutation",

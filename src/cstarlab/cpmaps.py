@@ -2,12 +2,15 @@
 Kraus and Stinespring forms, defects, expectations, and cb-norm brackets.
 
 Conventions.  A :class:`LinMap` stores the images of the canonical basis of
-its domain: matrix units (lexicographic in (block, row, column)) for an
-:class:`~cstarlab.algebra.FDAlgebra` domain, the HS-orthonormal basis for a
-:class:`~cstarlab.algebra.ConcreteAlgebra` domain.  The Choi matrix of a map
-with block domain is the block-diagonal sum over summands of
+its domain as one (d, N, N) array: matrix units (lexicographic in (block,
+row, column)) for an :class:`~cstarlab.algebra.FDAlgebra` domain, the
+HS-orthonormal basis for a :class:`~cstarlab.algebra.ConcreteAlgebra`
+domain.  A map evaluates by one contraction of the domain coefficients with
+that array, on one element or on a stack (S, n, n) of them.  The Choi matrix
+of a map with block domain is the block-diagonal sum over summands of
 C_k = sum_ij e_ij (x) phi(e_ij^(k)), an (n_k N) x (n_k N) matrix; the map is
-completely positive iff every block is positive semidefinite.
+completely positive iff every block is positive semidefinite.  Choi blocks
+and the reshuffle are reshapes and transposes of the image array.
 """
 
 from __future__ import annotations
@@ -15,8 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
-from .algebra import BlockModel, ConcreteAlgebra, FDAlgebra
+from .algebra import BlockModel, ConcreteAlgebra, FDAlgebra, _combine
 from .certs import (
     TOL_ALG,
     TOL_PSD,
@@ -24,7 +28,7 @@ from .certs import (
     Certificate,
     provenance_stamp,
 )
-from .linalg import dagger, herm, hs_norm, opnorm, psd_part
+from .linalg import dagger, herm, opnorm, opnorms
 
 __all__ = [
     "LinMap",
@@ -62,44 +66,35 @@ class LinMap:
     """Linear map from a finite-dimensional C*-algebra into M_N.
 
     domain: FDAlgebra (abstract blocks) or ConcreteAlgebra (subalgebra of an
-    ambient matrix algebra).  images[i] = value on the i-th canonical basis
-    element.  codomain_algebra, when set, declares that images are expected
-    to lie in that subalgebra; certificates can then measure the residual.
+    ambient matrix algebra).  images is a (d, N, N) array whose i-th matrix
+    is the value on the i-th canonical basis element; iterating over it
+    yields the N x N images.  phi(x) takes one domain element or a stack
+    (S, n, n) and returns phi of each.  codomain_algebra, when set, declares
+    that images are expected to lie in that subalgebra; certificates can
+    then measure the residual.
     """
 
     domain: FDAlgebra | ConcreteAlgebra
     codomain_dim: int
-    images: tuple[np.ndarray, ...]
+    images: np.ndarray
     codomain_algebra: ConcreteAlgebra | None = None
     _choi: list[np.ndarray] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        imgs = []
-        for m in self.images:
-            m = np.asarray(m, dtype=complex)
-            if m.shape != (self.codomain_dim, self.codomain_dim):
-                raise ValueError("image has wrong codomain shape")
-            imgs.append(m)
+        N = self.codomain_dim
+        imgs = np.asarray(self.images, dtype=complex)
+        if imgs.ndim != 3 or imgs.shape[1:] != (N, N):
+            raise ValueError("image has wrong codomain shape")
         n_basis = (self.domain.dim_linear if isinstance(self.domain, FDAlgebra)
                    else self.domain.dim)
         if len(imgs) != n_basis:
             raise ValueError("action matrix shape does not match the domain dimension")
-        object.__setattr__(self, "images", tuple(imgs))
+        self.images = imgs
 
     # -- evaluation ----------------------------------------------------------
 
-    def domain_coeffs(self, x: np.ndarray) -> np.ndarray:
-        if isinstance(self.domain, FDAlgebra):
-            return self.domain.coeffs(x)
-        return self.domain.coeffs(x)
-
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        c = self.domain_coeffs(x)
-        out = np.zeros((self.codomain_dim, self.codomain_dim), dtype=complex)
-        for ci, im in zip(c, self.images):
-            if ci != 0:
-                out = out + ci * im
-        return out
+        return _combine(self.domain.coeffs(x), self.images)
 
     def domain_unit(self) -> np.ndarray:
         if isinstance(self.domain, FDAlgebra):
@@ -124,35 +119,29 @@ class LinMap:
 
     def __sub__(self, other: "LinMap") -> "LinMap":
         self._same_domain(other)
-        return LinMap(self.domain, self.codomain_dim,
-                      tuple(a - b for a, b in zip(self.images, other.images)))
+        return LinMap(self.domain, self.codomain_dim, self.images - other.images)
 
     def __add__(self, other: "LinMap") -> "LinMap":
         self._same_domain(other)
-        return LinMap(self.domain, self.codomain_dim,
-                      tuple(a + b for a, b in zip(self.images, other.images)))
+        return LinMap(self.domain, self.codomain_dim, self.images + other.images)
 
     def scaled(self, c: float) -> "LinMap":
-        return LinMap(self.domain, self.codomain_dim,
-                      tuple(c * a for a in self.images),
+        return LinMap(self.domain, self.codomain_dim, c * self.images,
                       codomain_algebra=self.codomain_algebra)
 
     def conjugated(self, u: np.ndarray) -> "LinMap":
         """Ad(u) composed after the map."""
-        return LinMap(self.domain, self.codomain_dim,
-                      tuple(u @ a @ dagger(u) for a in self.images))
+        return LinMap(self.domain, self.codomain_dim, u @ self.images @ dagger(u))
 
     def basis_distance(self, other: "LinMap", normalize: bool = True) -> float:
         """max over canonical basis elements b of ||phi(b) - psi(b)||, with b
         rescaled to operator norm one when normalize is set."""
         self._same_domain(other)
-        worst = 0.0
         basis = (self.domain.units() if isinstance(self.domain, FDAlgebra)
-                 else list(self.domain.basis))
-        for b, x, y in zip(basis, self.images, other.images):
-            scale = opnorm(b) if normalize else 1.0
-            worst = max(worst, opnorm(x - y) / max(scale, 1e-300))
-        return worst
+                 else np.array(self.domain.basis))
+        scale = opnorms(basis) if normalize else 1.0
+        return float(np.max(opnorms(self.images - other.images)
+                            / np.maximum(scale, 1e-300)))
 
     # -- block model ----------------------------------------------------------
 
@@ -161,8 +150,7 @@ class LinMap:
         if isinstance(self.domain, FDAlgebra):
             return self, None  # already abstract
         bm = self.domain.block_model(seed=seed)
-        images = tuple(self(bm.to_concrete(u)) for u in bm.fd.units())
-        return LinMap(bm.fd, self.codomain_dim, images,
+        return LinMap(bm.fd, self.codomain_dim, self(bm.to_concrete(bm.fd.units())),
                       codomain_algebra=self.codomain_algebra), bm
 
 
@@ -186,26 +174,17 @@ def choi_blocks(phi: LinMap) -> list[np.ndarray]:
     blocks = []
     pos = 0
     for n in fd.block_sizes:
-        C = np.zeros((n * N, n * N), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                C[i * N:(i + 1) * N, j * N:(j + 1) * N] = phi.images[pos]
-                pos += 1
-        blocks.append(C)
-    object.__setattr__(phi, "_choi", blocks)
+        # block (i, j) of C_k is the image of e_ij
+        imgs = phi.images[pos:pos + n * n].reshape(n, n, N, N)
+        blocks.append(imgs.transpose(0, 2, 1, 3).reshape(n * N, n * N))
+        pos += n * n
+    phi._choi = blocks
     return blocks
 
 
 def choi(phi: LinMap) -> np.ndarray:
     """Full Choi matrix: block-diagonal sum of the per-summand blocks."""
-    blocks = choi_blocks(phi)
-    size = sum(b.shape[0] for b in blocks)
-    C = np.zeros((size, size), dtype=complex)
-    off = 0
-    for b in blocks:
-        C[off:off + b.shape[0], off:off + b.shape[0]] = b
-        off += b.shape[0]
-    return C
+    return scipy.linalg.block_diag(*choi_blocks(phi))
 
 
 def from_choi(C: np.ndarray, block_sizes, codomain_dim: int) -> LinMap:
@@ -216,11 +195,9 @@ def from_choi(C: np.ndarray, block_sizes, codomain_dim: int) -> LinMap:
     off = 0
     for n in fd.block_sizes:
         blk = C[off:off + n * N, off:off + n * N]
-        for i in range(n):
-            for j in range(n):
-                images.append(np.array(blk[i * N:(i + 1) * N, j * N:(j + 1) * N]))
+        images.append(blk.reshape(n, N, n, N).transpose(0, 2, 1, 3).reshape(n * n, N, N))
         off += n * N
-    return LinMap(fd, N, tuple(images))
+    return LinMap(fd, N, np.concatenate(images))
 
 
 def classify(phi: LinMap, tol_psd: float = TOL_PSD, tol_alg: float = TOL_ALG) -> Ternary:
@@ -280,17 +257,12 @@ class StinespringDilation:
 
     fd: FDAlgebra
     dilation_dim: int
-    rep_images: tuple[np.ndarray, ...]
+    rep_images: np.ndarray      # (dim_linear, K, K)
     isometry: np.ndarray        # K x d'
     embed: np.ndarray           # N x d'
 
     def rep(self, x: np.ndarray) -> np.ndarray:
-        c = self.fd.coeffs(x)
-        out = np.zeros((self.dilation_dim, self.dilation_dim), dtype=complex)
-        for ci, im in zip(c, self.rep_images):
-            if ci != 0:
-                out = out + ci * im
-        return out
+        return _combine(self.fd.coeffs(x), self.rep_images)
 
     @property
     def compression(self) -> np.ndarray:
@@ -355,30 +327,24 @@ def stinespring(phi: LinMap, tol_psd: float = TOL_PSD) -> StinespringDilation:
     if K_total == 0:
         raise ValueError("zero map cannot be ucp")
     V = np.zeros((K_total, dprime), dtype=complex)
-    rep_images = [np.zeros((K_total, K_total), dtype=complex) for _ in range(fd.dim_linear)]
+    rep_images = np.zeros((fd.dim_linear, K_total, K_total), dtype=complex)
     labels = fd.unit_labels()
     off = 0
     for k, (n, ops) in enumerate(zip(fd.block_sizes, comp_ops)):
         r = len(ops)
         if r == 0:
             continue
-        size = n * r
         # V_k xi = sum_alpha (K_alpha^H xi) tensor e_alpha, K ordering (i, alpha)
-        for alpha, Kop in enumerate(ops):
-            KH = dagger(Kop)  # n x d'
-            for i in range(n):
-                V[off + i * r + alpha, :] = KH[i, :]
+        KH = dagger(np.array(ops))  # (alpha, i, :) = row i of K_alpha^H
+        V[off:off + n * r] = KH.transpose(1, 0, 2).reshape(n * r, dprime)
+        # pi(e_ij) = e_ij (x) 1_r on the block
         for pos, (kk, i, j) in enumerate(labels):
-            if kk != k:
-                continue
-            blockimg = np.zeros((size, size), dtype=complex)
-            for alpha in range(r):
-                blockimg[i * r + alpha, j * r + alpha] = 1.0
-            rep_images[pos][off:off + size, off:off + size] = blockimg
-        off += size
+            if kk == k:
+                rep_images[pos, off + i * r:off + (i + 1) * r,
+                           off + j * r:off + (j + 1) * r] = np.eye(r)
+        off += n * r
 
-    dil = StinespringDilation(fd=fd, dilation_dim=K_total,
-                              rep_images=tuple(rep_images),
+    dil = StinespringDilation(fd=fd, dilation_dim=K_total, rep_images=rep_images,
                               isometry=V, embed=E)
     return dil
 
@@ -401,16 +367,20 @@ class DefectReport:
 
 
 def mult_defect(phi: LinMap, X, labels=None) -> DefectReport:
-    """Defect over X union X*; X elements live in the domain's ambient."""
-    rows = []
-    worst = 0.0
+    """Defect over X union X*; X elements live in the domain's ambient.  The
+    table lists each x and then x*, in the order of X."""
     labels = labels or [f"x{i}" for i in range(len(X))]
-    for lbl, x in zip(labels, X):
-        for tag, y in ((lbl, x), (lbl + "*", dagger(x))):
-            val = opnorm(phi(y) @ phi(dagger(y)) - phi(y @ dagger(y)))
-            rows.append((tag, float(val)))
-            worst = max(worst, val)
-    return DefectReport(defect=float(worst), table=rows)
+    # Y = x0, x0*, x1, x1*, ...; Y[swap] is the stack of adjoints
+    Y = np.asarray(X, dtype=complex)
+    Y = np.stack([Y, dagger(Y)], axis=1).reshape((-1,) + Y.shape[1:])
+    swap = np.arange(len(Y)) ^ 1
+    images = phi(Y)
+    defects = images @ images[swap]
+    defects -= phi(Y @ Y[swap])
+    vals = opnorms(defects)
+    tags = [tag for lbl in labels for tag in (lbl, lbl + "*")]
+    return DefectReport(defect=float(vals.max()),
+                        table=[(tag, float(v)) for tag, v in zip(tags, vals)])
 
 
 def check_stinespring_inequality(phi: LinMap, x: np.ndarray, y: np.ndarray,
@@ -446,12 +416,7 @@ def conditional_expectation(A: ConcreteAlgebra) -> LinMap:
     """
     N = A.ambient_dim
     fd = FDAlgebra((N,))
-    images = []
-    for (k, i, j) in fd.unit_labels():
-        e = np.zeros((N, N), dtype=complex)
-        e[i, j] = 1.0
-        images.append(A.project(e))
-    return LinMap(fd, N, tuple(images), codomain_algebra=A)
+    return LinMap(fd, N, A.project(fd.units()), codomain_algebra=A)
 
 
 def arveson_restrict(A: ConcreteAlgebra, B: ConcreteAlgebra, X,
@@ -463,12 +428,11 @@ def arveson_restrict(A: ConcreteAlgebra, B: ConcreteAlgebra, X,
     operator norm (the expectation is a contraction fixing B).
     """
     E = conditional_expectation(B)
-    images = tuple(E(b) for b in A.basis)
-    phi = LinMap(A, A.ambient_dim, images, codomain_algebra=B)
-    X = list(X)
-    worst = 0.0
-    for x in X:
-        worst = max(worst, opnorm(phi(x) - x))
+    phi = LinMap(A, A.ambient_dim, E(np.array(A.basis)), codomain_algebra=B)
+    X = np.array(list(X), dtype=complex)
+    moves = phi(X)
+    moves -= X
+    worst = float(opnorms(moves).max(initial=0.0))
     cert = Certificate.build(
         name="expectation-restriction",
         formula="||phi(x) - x|| <= 2*gamma + tol on X",
@@ -504,8 +468,7 @@ def ucp_extension(phi: LinMap, mode: str = "tilde") -> LinMap:
     fd = work.domain
     fd2 = FDAlgebra(tuple(fd.block_sizes) + (1,))
     slack = work.codomain_unit() - work.value_on_unit()
-    images = list(work.images) + [slack]
-    return LinMap(fd2, work.codomain_dim, tuple(images),
+    return LinMap(fd2, work.codomain_dim, np.concatenate([work.images, slack[None]]),
                   codomain_algebra=work.codomain_algebra)
 
 
@@ -513,22 +476,27 @@ def ucp_extension(phi: LinMap, mode: str = "tilde") -> LinMap:
 # completely bounded norm brackets
 # ---------------------------------------------------------------------------
 
-def _reshuffle(phi: LinMap) -> np.ndarray:
-    """R[(a,i),(j,b)] = phi(e_ij)[a,b] over the pinched full-matrix domain.
+def _pinched_images(phi: LinMap) -> np.ndarray:
+    """(d, d, N, N) array F with F[i, j] = phi(e_ij) for the matrix units e_ij
+    of M_d: the map composed with the block pinching (zero off the blocks).
 
-    Composing with the block pinching is a complete isometry for the cb norm,
-    so the bracket may be computed on the full matrix algebra M_d.
+    Composing with the pinching is a complete isometry for the cb norm, so
+    the bracket may be computed on the full matrix algebra M_d.  The Choi
+    matrix C[(i,a),(j,b)] and the reshuffle R[(a,i),(j,b)], both equal to
+    phi(e_ij)[a,b], are transposes of F.
     """
-    work = phi if isinstance(phi.domain, FDAlgebra) else phi.to_block_model()[0]
-    fd, N = work.domain, work.codomain_dim
-    d = fd.d
-    R = np.zeros((N * d, d * N), dtype=complex)
-    for (k, i, j), img in zip(fd.unit_labels(), work.images):
-        gi = fd.offsets[k] + i
-        gj = fd.offsets[k] + j
-        for a in range(N):
-            R[a * d + gi, gj * N:(gj + 1) * N] = img[a, :]
-    return R
+    fd, N = phi.domain, phi.codomain_dim
+    F = np.zeros((fd.d * fd.d, N, N), dtype=complex)
+    F[fd.unit_positions] = phi.images
+    return F.reshape(fd.d, fd.d, N, N)
+
+
+def _choi_and_reshuffle(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Choi matrix and reshuffle from the pinched images F (see
+    _pinched_images)."""
+    d, N = F.shape[0], F.shape[2]
+    return (F.transpose(0, 2, 1, 3).reshape(d * N, d * N),
+            F.transpose(2, 0, 1, 3).reshape(N * d, d * N))
 
 
 def _pair_bound(As, Bs) -> float:
@@ -575,12 +543,9 @@ def cb_bracket(phi: LinMap, samples: int = 12, seed: int = 0,
 
     # upper bounds from factorizations of the pinched-domain Choi
     candidates = []
+    F = _pinched_images(work)
+    Cfull, R = _choi_and_reshuffle(F)
     # (1) Hermitian eigendecomposition when the Choi is Hermitian
-    Cfull = np.zeros((d * N, d * N), dtype=complex)
-    labels = fd.unit_labels()
-    for (k, i, j), img in zip(labels, work.images):
-        gi, gj = fd.offsets[k] + i, fd.offsets[k] + j
-        Cfull[gi * N:(gi + 1) * N, gj * N:(gj + 1) * N] = img
     if opnorm(Cfull - dagger(Cfull)) <= 1e-10 * max(opnorm(Cfull), 1.0):
         vals, vecs = np.linalg.eigh(herm(Cfull))
         As, Bs = [], []
@@ -595,7 +560,6 @@ def cb_bracket(phi: LinMap, samples: int = 12, seed: int = 0,
             As, Bs = _balance(As, Bs)
             candidates.append(("choi-eig", _pair_bound(As, Bs)))
     # (2) SVD of the reshuffle
-    R = _reshuffle(work)
     u, s, vh = np.linalg.svd(R)
     As, Bs = [], []
     for sv, uc, vr in zip(s, u.T, vh):
@@ -613,15 +577,11 @@ def cb_bracket(phi: LinMap, samples: int = 12, seed: int = 0,
     # lower bound: sampled amplified norms
     from .linalg import random_contraction, rng_for
     rng = rng_for(seed, "cb-bracket")
-    lo = 0.0
     amp = N
-    for _ in range(samples):
-        x = random_contraction(rng, d * amp)
-        out = np.zeros((N * amp, N * amp), dtype=complex)
-        for (k, i, j), img in zip(labels, work.images):
-            gi, gj = fd.offsets[k] + i, fd.offsets[k] + j
-            xij = x[gi * amp:(gi + 1) * amp, gj * amp:(gj + 1) * amp]
-            out += np.kron(img, xij)
-        lo = max(lo, opnorm(out))
-    lo = min(lo, hi)
-    return float(lo), float(hi)
+    X = np.array([random_contraction(rng, d * amp) for _ in range(samples)])
+    # (phi (x) id)(x) = sum_ij phi(e_ij) (x) x_ij as one contraction over (i, j)
+    Xij = X.reshape(samples, d, amp, d, amp).transpose(0, 1, 3, 2, 4)
+    out = F.reshape(d * d, N * N).T @ Xij.reshape(samples, d * d, amp * amp)
+    out = out.reshape(samples, N, N, amp, amp).transpose(0, 1, 3, 2, 4)
+    lo = opnorms(out.reshape(samples, N * amp, N * amp)).max(initial=0.0)
+    return float(min(lo, hi)), float(hi)

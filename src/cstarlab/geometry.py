@@ -125,17 +125,13 @@ def nearest_in_span(x: np.ndarray, span: _Span | ConcreteAlgebra,
     and its top dyad the next subgradient.  A target whose residual falls to
     tol leaves the stack.  Returns the witnesses (shaped like x) and the
     distances ||x - b|| (a float, or an (S,) array for a stack).  The span
-    may be any object whose rows Q are HS-orthonormal in flattened (R, C)
-    coordinates.
+    supplies the projection: its ``project`` maps a stack (S, R, C) to the
+    HS-orthogonal projections onto the subspace.
     """
     sp = span.span() if isinstance(span, ConcreteAlgebra) else span
     single = np.ndim(x) == 2
     X = np.reshape(x, (-1,) + np.shape(x)[-2:])
-    Q, Qc = sp.Q, sp.Q.conj()
-
-    def project(m):
-        # a matrix-vector product per target, so that stacking changes no bit
-        return (Q.T @ (Qc @ m.reshape(len(m), -1, 1))).reshape(m.shape)
+    project = sp.project
 
     def rescale(y):
         if not ball:
@@ -276,13 +272,27 @@ def kk_distance(A: ConcreteAlgebra, B: ConcreteAlgebra,
 # ---------------------------------------------------------------------------
 
 class _TensorSpan:
-    """Span of span(B) (x) M_n inside M_{mn}, optionally as a 1 x r block row
-    of such spaces for rectangular witnesses, as HS-orthonormal rows Q."""
+    """Span of span(B) (x) M_n inside M_{Nn}, optionally as a 1 x r block row
+    of such spaces for rectangular witnesses.
+
+    The space is spanned by kron(b, e_ij) in each slot, so the projection of
+    an Nn x rNn matrix projects each of its r n^2 N x N slices (fixed slot
+    and i, j) onto span(B): a reshape, a transpose and two GEMMs with B's
+    HS-orthonormal basis Q.
+    """
 
     def __init__(self, B: ConcreteAlgebra, n: int, r: int = 1):
-        # row (blk, b, i, j) is the block row with kron(b, e_ij) in slot blk
-        self.Q = np.einsum("ab,kpq,ix,jy->akxypibqj", np.eye(r), np.array(B.basis),
-                           np.eye(n), np.eye(n)).reshape(r * len(B.basis) * n * n, -1)
+        self.N, self.n, self.r = B.ambient_dim, n, r
+        self.Q = B.span().Q
+        self.Qc = self.Q.conj()
+
+    def project(self, m: np.ndarray) -> np.ndarray:
+        N, n, r = self.N, self.n, self.r
+        # m[s, a, i, slot, c, j] is entry (a, c) of slice (slot, i, j)
+        slices = m.reshape(-1, N, n, r, N, n).transpose(0, 2, 3, 5, 1, 4)
+        proj = (slices.reshape(-1, N * N) @ self.Qc.T) @ self.Q
+        proj = proj.reshape(-1, n, r, n, N, N).transpose(0, 4, 1, 2, 5, 3)
+        return proj.reshape(m.shape)
 
 
 def tensor_lift(X, B: ConcreteAlgebra, n: int, gamma: float,

@@ -16,7 +16,7 @@ from .algebra import ConcreteAlgebra, FDAlgebra, generate_algebra
 from .cpmaps import LinMap, choi_blocks, from_choi
 from .geometry import DistanceInterval
 from .linalg import (clip_spectrum, dagger, expm_i, herm, hs_norm, opnorm,
-                     psd_part, random_hermitian, random_unitary, rng_for)
+                     opnorms, psd_part, random_hermitian, random_unitary, rng_for)
 from .orderzero import NucDimDecomposition, OrderZeroMap
 from .serialize import matrix_to_json, to_jsonable
 
@@ -153,7 +153,7 @@ def gen_instance(recipe: str, params: dict, seed: int = 0) -> Instance:
     # choi-noise
     bm = A.block_model(seed=seed)
     fd = bm.fd
-    rho = LinMap(fd, N, tuple(bm.to_concrete(u) for u in fd.units()))
+    rho = LinMap(fd, N, bm.to_concrete(fd.units()))
     noisy_blocks = []
     for C in choi_blocks(rho):
         noise = random_hermitian(rng, C.shape[0])
@@ -237,5 +237,6 @@ def hat_decomposition(n_grid: int, step: int = 2):
     X = [np.diag(grid.astype(complex)),
          np.diag((grid ** 2).astype(complex)),
          np.diag((grid * (1.0 - grid)).astype(complex))]
-    dec.defect = float(max(opnorm(dec.compose(x) - x) for x in X))
+    stack = np.array(X)
+    dec.defect = float(opnorms(dec.compose(stack) - stack).max())
     return A, dec, X

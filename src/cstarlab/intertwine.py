@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import ConcreteAlgebra, FDAlgebra
+from .algebra import ConcreteAlgebra, FDAlgebra, _combine
 from .certs import (TOL_ALG, TOL_CONV, Certificate, ContradictionError,
                     SpectralGapError, ToleranceBudget, DEFAULT_BUDGET,
                     WINDOW_ISO_ETA, WINDOW_ISO_GAMMA, WINDOW_ISO_MU,
@@ -27,7 +27,7 @@ from .cpmaps import LinMap, arveson_restrict, classify, mult_defect
 from .averaging import (exact_diagonal, improve_multiplicativity,
                         intertwining_unitary, projection_conjugator)
 from .geometry import DistanceInterval, NearInclusionCert, nearest_in_ball
-from .linalg import clip_spectrum, dagger, hs_norm, opnorm, rng_for
+from .linalg import clip_spectrum, dagger, hs_norm, opnorm, opnorms, rng_for
 
 __all__ = [
     "StageRecord",
@@ -126,30 +126,41 @@ def _add_unique(pool: list, seen: set, elements) -> None:
             pool.append(np.asarray(x, dtype=complex))
 
 
-def _averaging_parts(A: ConcreteAlgebra, seed: int) -> list[np.ndarray]:
+def _averaging_parts(A: ConcreteAlgebra, seed: int) -> np.ndarray:
     """Unit-ball elements of A carrying the averaging family of the unitized
     block model: for each term u~ = (block part, scalar), the element
     (block part - scalar * 1) / 2 mapped back into A."""
     bm = A.block_model(seed=seed)
     fd_ext = FDAlgebra(tuple(bm.fd.block_sizes) + (1,))
     d = bm.fd.d
-    return [bm.to_concrete((u[:d, :d] - u[d, d] * np.eye(d)) / 2.0)
-            for u in exact_diagonal(fd_ext).terms]
+    u = exact_diagonal(fd_ext).terms
+    return bm.to_concrete((u[:, :d, :d] - u[:, d, d, None, None] * np.eye(d)) / 2.0)
 
 
 def _hom_defect(phi: LinMap, seed: int, n_pairs: int = 16) -> float:
     """Multiplicativity and adjoint defect on the basis and sampled pairs."""
     A = phi.domain
-    basis = [b / max(opnorm(b), 1e-300) for b in A.basis]
-    worst = mult_defect(phi, basis).defect
-    for b in basis:
-        worst = max(worst, opnorm(phi(dagger(b)) - dagger(phi(b))))
+    basis = _normalized(A.basis)
+    worst = max(mult_defect(phi, basis).defect,
+                opnorms(phi(dagger(basis)) - dagger(phi(basis))).max())
     rng = rng_for(seed, "hom-defect", A.ambient_dim)
-    for _ in range(n_pairs):
-        x = clip_spectrum(A.random_selfadjoint(rng), -1.0, 1.0)
-        y = clip_spectrum(A.random_selfadjoint(rng), -1.0, 1.0)
-        worst = max(worst, opnorm(phi(x @ y) - phi(x) @ phi(y)))
-    return float(worst)
+    # pairs (x, y) drawn in turn, then clipped in one batch
+    xy = clip_spectrum(np.array([A.random_selfadjoint(rng) for _ in range(2 * n_pairs)]),
+                       -1.0, 1.0)
+    x, y = xy[0::2], xy[1::2]
+    return float(max(worst, opnorms(phi(x @ y) - phi(x) @ phi(y)).max(initial=0.0)))
+
+
+def _normalized(mats) -> np.ndarray:
+    """The matrices rescaled to operator norm one, as a stack."""
+    mats = np.array(mats, dtype=complex)
+    return mats / np.maximum(opnorms(mats), 1e-300)[:, None, None]
+
+
+def _worst_move(phi, X) -> float:
+    """max over x in X of ||phi(x) - x||, evaluated on the stack."""
+    X = np.array(X, dtype=complex)
+    return float(opnorms(phi(X) - X).max())
 
 
 def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
@@ -175,7 +186,7 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
     nu = mu / 2.0
     if producer is None:
         producer = expectation_producer(A, B, eta)
-    norm_basis = [b / max(opnorm(b), 1e-300) for b in A.basis]
+    norm_basis = _normalized(A.basis)
     if X_A is None:
         X_A = list(norm_basis)
     else:
@@ -184,7 +195,7 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
     bound_nu = 8.0 * np.sqrt(6.0) * np.sqrt(eta) + eta + nu
 
     avg_parts = _averaging_parts(A, seed)
-    B_norm_basis = [b / max(opnorm(b), 1e-300) for b in B.basis]
+    B_norm_basis = _normalized(B.basis)
 
     X: list[np.ndarray] = []
     seen_X: set = set()
@@ -206,7 +217,7 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
         _add_unique(X, seen_X, [a_n])
         if surjectivity_delta is not None:
             # track codomain basis elements through the accumulated conjugators
-            pulled = dagger(accumulated) @ np.array(B_norm_basis) @ accumulated
+            pulled = dagger(accumulated) @ B_norm_basis @ accumulated
             for x, dist in zip(*nearest_in_ball(pulled, A, iters=80)):
                 pull_worst = max(pull_worst, dist)
                 if dist <= 2.0 / 5.0 + budget.tol_alg:
@@ -234,8 +245,7 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
         residual = max(B.residual(img) / max(hs_norm(img), 1e-300)
                        for img in theta_raw.images)
         worst_membership = max(worst_membership, residual)
-        theta = LinMap(A, A.ambient_dim,
-                       tuple(B.project(img) for img in theta_raw.images),
+        theta = LinMap(A, A.ambient_dim, B.project(theta_raw.images),
                        codomain_algebra=B)
         theta_defect = _hom_defect(theta, seed + n)
 
@@ -250,7 +260,8 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
             u = res.u
             u_norm = float(opnorm(u - np.eye(A.ambient_dim)))
             aligned = theta.conjugated(u)
-            drift = max(opnorm(aligned(x) - theta_prev(x)) for x in X)
+            X_stack = np.array(X)
+            drift = opnorms(aligned(X_stack) - theta_prev(X_stack)).max()
             accumulated = accumulated @ u
             alpha = theta.conjugated(accumulated)
         conjugators.append(u)
@@ -277,10 +288,9 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
     final_residual = max(B.residual(img) / max(hs_norm(img), 1e-300)
                          for img in alpha.images)
     worst_membership = max(worst_membership, final_residual)
-    alpha = LinMap(A, A.ambient_dim, tuple(B.project(img) for img in alpha.images),
-                   codomain_algebra=B)
+    alpha = LinMap(A, A.ambient_dim, B.project(alpha.images), codomain_algebra=B)
 
-    achieved = max(opnorm(alpha(x) - x) for x in X_A)
+    achieved = _worst_move(alpha, X_A)
     cert_close = Certificate.build(
         name="iso-closeness",
         formula="||alpha(x) - x|| <= 8 sqrt(6) eta^{1/2} + eta + mu on X_A",
@@ -299,10 +309,10 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
         inputs={}, ceiling=budget.tol_alg, achieved=float(worst_membership),
         provenance=provenance_stamp(seed))
 
-    action = np.array([B.coeffs(img) for img in alpha.images]).T
+    action = B.coeffs(alpha.images).T
     svals = np.linalg.svd(action, compute_uv=False)
     sigma_min = float(svals[-1]) if svals.size else 0.0
-    margins = [max(0.0, 1.0 - opnorm(alpha(x))) for x in norm_basis]
+    margins = np.maximum(0.0, 1.0 - opnorms(alpha(norm_basis)))
     cert_inj = Certificate.build(
         name="injectivity",
         formula="||alpha(x)|| >= ||x|| - (8 sqrt(6) eta^{1/2} + eta + nu)",
@@ -325,12 +335,8 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
     inverse = None
     if sigma_min > budget.tol_alg and A.dim == B.dim:
         surjective = True
-        Minv = np.linalg.inv(action)
-        inv_images = []
-        for j in range(B.dim):
-            coeffs = Minv[:, j]
-            inv_images.append(sum(c * a for c, a in zip(coeffs, A.basis)))
-        inverse = LinMap(B, B.ambient_dim, tuple(inv_images), codomain_algebra=A)
+        inv_images = _combine(np.linalg.inv(action).T, np.array(A.basis))
+        inverse = LinMap(B, B.ambient_dim, inv_images, codomain_algebra=A)
     if surjectivity_delta is not None:
         margin = (8.0 * np.sqrt(2.0) * bound_nu + 2.0 * nu + bound_nu
                   + 2.0 * surjectivity_delta)
@@ -383,13 +389,9 @@ def close_isomorphism(A: ConcreteAlgebra, B: ConcreteAlgebra, dist_cert,
     if mu is None:
         mu = min(np.sqrt(gamma), 1.0 / 4000.0)
     X = [np.asarray(x, dtype=complex) for x in (X or [])]
-    X += [b / max(opnorm(b), 1e-300) for b in A.basis]
-    if Y is None:
-        Y = [b / max(opnorm(b), 1e-300) for b in B.basis]
-    else:
-        Y = [np.asarray(y, dtype=complex) for y in Y]
-    Xs, dists = nearest_in_ball(np.array(Y), A, iters=200)
-    pairs = list(zip(Y, Xs, dists))
+    X += list(_normalized(A.basis))
+    Y = _normalized(B.basis) if Y is None else np.array(Y, dtype=complex)
+    Xs, dists = nearest_in_ball(Y, A, iters=200)
     X += list(Xs)
 
     surj_delta = gamma if gamma <= 1.0 / 5.0 else None
@@ -399,7 +401,7 @@ def close_isomorphism(A: ConcreteAlgebra, B: ConcreteAlgebra, dist_cert,
                            budget=budget)
     theta = res.map
     ceiling = 28.0 * np.sqrt(gamma)
-    fwd = max(opnorm(theta(x) - x) for x in X)
+    fwd = _worst_move(theta, X)
     res.certificates["forward-closeness"] = Certificate.build(
         name="forward-closeness",
         formula="||theta(x) - x|| <= 28 gamma^{1/2} on X",
@@ -409,15 +411,13 @@ def close_isomorphism(A: ConcreteAlgebra, B: ConcreteAlgebra, dist_cert,
     if res.inverse is None:
         raise SpectralGapError("constructed map is not invertible; "
                                "cannot certify the reverse bound")
-    bwd, chain_worst = 0.0, 0.0
-    for y, x, dist in pairs:
-        bwd = max(bwd, opnorm(res.inverse(y) - y))
-        chain_worst = max(chain_worst, 2.0 * dist + opnorm(theta(x) - y))
+    bwd = _worst_move(res.inverse, Y)
+    chain_worst = (2.0 * dists + opnorms(theta(Xs) - Y)).max()
     res.certificates["backward-closeness"] = Certificate.build(
         name="backward-closeness",
         formula="||theta^{-1}(y) - y|| <= 2 ||x - y|| + ||theta(x) - y|| "
                 "<= 28 gamma^{1/2} on Y",
-        inputs={"gamma": gamma, "n_points": len(pairs)},
+        inputs={"gamma": gamma, "n_points": len(Y)},
         ceiling=float(ceiling), achieved=float(bwd),
         details={"chain_bound": float(chain_worst)},
         provenance=provenance_stamp(seed))
@@ -435,13 +435,13 @@ def near_embedding_nuclear(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma_cert,
     if mu is None:
         mu = min(np.sqrt(gamma), 1.0 / 4000.0)
     if X is None:
-        X = [b / max(opnorm(b), 1e-300) for b in A.basis]
+        X = list(_normalized(A.basis))
     else:
         X = [np.asarray(x, dtype=complex) for x in X]
     res = intertwining_iso(A, B, eta=2.0 * gamma, X_A=X, mu=mu,
                            producer=expectation_producer(A, B, 2.0 * gamma),
                            seed=seed, budget=budget)
-    achieved = max(opnorm(res.map(x) - x) for x in X)
+    achieved = _worst_move(res.map, X)
     cert = Certificate.build(
         name="near-embedding",
         formula="||theta(x) - x|| <= 28 gamma^{1/2} on X",
@@ -499,10 +499,7 @@ def half_flip_cpc(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma_cert, X=None,
     n_blk = struct.summands[0][0]
     N = A.ambient_dim
     e = A.support
-    if X is None:
-        X = [b / max(opnorm(b), 1e-300) for b in A.basis]
-    else:
-        X = [np.asarray(x, dtype=complex) for x in X]
+    X = _normalized(A.basis) if X is None else np.array(X, dtype=complex)
 
     p = _projection_near_unit(e, B, gamma, budget.tol_alg)
     u, cert_u = projection_conjugator(p, e)
@@ -537,7 +534,7 @@ def half_flip_cpc(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma_cert, X=None,
         images.append(dagger(u) @ slice_map(mid) @ u)
     phi = LinMap(A, N, tuple(images), codomain_algebra=B)
 
-    worst = max(opnorm(phi(x) - x) for x in X)
+    worst = _worst_move(phi, X)
     member = max(B.residual(img) / max(hs_norm(img), 1e-300) for img in phi.images)
     ceiling = 8.0 * alpha + 4.0 * alpha ** 2 + 4.0 * np.sqrt(2.0) * gamma
     cls = classify(phi)
@@ -596,8 +593,9 @@ def implement_unitarily(alpha: IsoResult, mode: str = "exact", seed: int = 0,
             f"singular for block sizes {sizes} ({exc})") from exc
     u = res.u
     N = A.ambient_dim
-    worst_conj = max(opnorm(u @ b @ dagger(u) - theta(b)) / max(opnorm(b), 1e-300)
-                     for b in A.basis)
+    basis = np.array(A.basis)
+    worst_conj = (opnorms(u @ basis @ dagger(u) - theta(basis))
+                  / np.maximum(opnorms(basis), 1e-300)).max()
     unitary_defect = opnorm(dagger(u) @ u - np.eye(N))
     subspace = 0.0
     if B is not None:

@@ -1,10 +1,11 @@
 """Dense complex linear algebra helpers shared by all modules.
 
-Matrices are numpy complex128 arrays.  Norm conventions: ``opnorm`` is the
-operator (spectral) norm, ``hs_inner``/``hs_norm`` the Hilbert-Schmidt ones
-with inner product tr(a* b).  All randomness flows through counter-based
-Philox generators derived from explicit integer seeds, so every computation
-in the package replays bit-identically from its seed.
+Matrices are numpy complex128 arrays; ``dagger``, ``herm``, ``opnorms`` and
+the functional calculus also take stacks (S, n, n).  Norm conventions:
+``opnorm`` is the operator (spectral) norm, ``hs_inner``/``hs_norm`` the
+Hilbert-Schmidt ones with inner product tr(a* b).  All randomness flows
+through counter-based Philox generators derived from explicit integer seeds,
+so every computation in the package replays bit-identically from its seed.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ __all__ = [
     "dagger",
     "herm",
     "opnorm",
+    "opnorms",
     "hs_inner",
     "hs_norm",
     "tracenorm",
@@ -42,8 +44,8 @@ __all__ = [
 
 
 def dagger(x: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return x.conj().T
+    """Conjugate transpose (of each matrix of a stack)."""
+    return x.conj().swapaxes(-1, -2)
 
 
 def herm(x: np.ndarray) -> np.ndarray:
@@ -56,6 +58,15 @@ def opnorm(x: np.ndarray) -> float:
     if x.size == 0:
         return 0.0
     return float(np.linalg.svd(x, compute_uv=False)[0])
+
+
+def opnorms(stack: np.ndarray) -> np.ndarray:
+    """Operator norm of each matrix of a stack (..., R, C); the batched
+    values-only SVD, equal per matrix to ``opnorm``."""
+    stack = np.asarray(stack)
+    if stack.size == 0:
+        return np.zeros(stack.shape[:-2])
+    return np.linalg.svd(stack, compute_uv=False)[..., 0]
 
 
 def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
@@ -121,9 +132,10 @@ def random_contraction(rng: np.random.Generator, rows: int, cols: int | None = N
 # ---------------------------------------------------------------------------
 
 def eigh_fun(h: np.ndarray, f) -> np.ndarray:
-    """Apply a scalar function to a Hermitian matrix by eigendecomposition."""
+    """Apply a scalar function to a Hermitian matrix, or to each matrix of a
+    stack, by eigendecomposition."""
     vals, vecs = np.linalg.eigh(herm(h))
-    return (vecs * f(vals)) @ dagger(vecs)
+    return (vecs * f(vals)[..., None, :]) @ dagger(vecs)
 
 
 def psd_sqrt(h: np.ndarray) -> np.ndarray:
@@ -157,7 +169,7 @@ def range_projection(h: np.ndarray, rel_cutoff: float = 1e-8) -> np.ndarray:
 
 
 def clip_spectrum(h: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Spectral clipping of a Hermitian matrix into [lo, hi].
+    """Spectral clipping of a Hermitian matrix (or a stack) into [lo, hi].
 
     The clipping function fixes 0, so elements of a non-unital subalgebra
     stay inside it.
@@ -166,9 +178,10 @@ def clip_spectrum(h: np.ndarray, lo: float, hi: float) -> np.ndarray:
 
 
 def expm_i(h: np.ndarray) -> np.ndarray:
-    """exp(i h) for Hermitian h, exactly unitary up to eigh accuracy."""
+    """exp(i h) for Hermitian h (or a stack), exactly unitary up to eigh
+    accuracy."""
     vals, vecs = np.linalg.eigh(herm(h))
-    return (vecs * np.exp(1j * vals)) @ dagger(vecs)
+    return (vecs * np.exp(1j * vals)[..., None, :]) @ dagger(vecs)
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,9 @@ from .certs import (TOL_ALG, TOL_RANK, Certificate, ContradictionError,
 from .cpmaps import LinMap, cb_bracket, classify, mult_defect
 from .averaging import commutant_lift
 from .geometry import tensor_lift
-from .intertwine import _distance_hi, intertwining_iso
+from .intertwine import _distance_hi, _normalized, _worst_move, intertwining_iso
 from .linalg import (clip_spectrum, dagger, eigh_fun, herm, hs_norm, opnorm,
-                     psd_pinv, psd_sqrt)
+                     opnorms, psd_pinv, psd_sqrt)
 
 __all__ = [
     "OrderZeroMap",
@@ -72,32 +72,24 @@ class OrderZeroMap:
         if not isinstance(fd, FDAlgebra):
             raise ValueError("the structure pair needs a block domain")
         h_eff = herm(pi(fd.unit()) @ np.asarray(h, dtype=complex))
-        worst = max(opnorm(h_eff @ img - img @ h_eff) for img in pi.images)
+        worst = opnorms(h_eff @ pi.images - pi.images @ h_eff).max()
         if worst > tol:
             raise ValueError(
                 f"h does not commute with the representation (residual {worst:.3g})")
-        images = tuple(img @ h_eff for img in pi.images)
-        m = LinMap(fd, pi.codomain_dim, images, codomain_algebra=codomain_algebra)
+        m = LinMap(fd, pi.codomain_dim, pi.images @ h_eff,
+                   codomain_algebra=codomain_algebra)
         return cls(map=m, pi=pi, h=h_eff)
 
     def structure_residual(self) -> float:
-        worst = 0.0
-        for x, p in zip(self.map.images, self.pi.images):
-            worst = max(worst, opnorm(x - p @ self.h))
-            worst = max(worst, opnorm(self.h @ p - p @ self.h))
-        return float(worst)
+        return _structure_residual(self.map.images, self.pi.images, self.h)
 
     def orthogonality_residual(self) -> float:
         """Largest ||phi(e) phi(f)|| over orthogonal diagonal matrix units."""
         fd = self.fd
-        diag = [(k, i) for k, n in enumerate(fd.block_sizes) for i in range(n)]
-        worst = 0.0
-        for a, (k, i) in enumerate(diag):
-            fa = self.map(fd.matrix_unit(k, i, i))
-            for (l, j) in diag[a + 1:]:
-                fb = self.map(fd.matrix_unit(l, j, j))
-                worst = max(worst, opnorm(fa @ fb))
-        return float(worst)
+        diag = self.map(np.array([fd.matrix_unit(k, i, i)
+                                  for k, n in enumerate(fd.block_sizes) for i in range(n)]))
+        first, second = np.triu_indices(len(diag), 1)
+        return float(opnorms(diag[first] @ diag[second]).max(initial=0.0))
 
     def verify(self, tol: float = TOL_ALG) -> dict:
         cls = classify(self.map)
@@ -112,14 +104,17 @@ class OrderZeroMap:
 def _hom_residual(pi: LinMap) -> float:
     """Multiplicativity and adjoint defect of a candidate representation on
     the matrix-unit basis."""
-    fd = pi.domain
-    units = fd.units()
-    worst = 0.0
-    for u in units:
-        worst = max(worst, opnorm(pi(dagger(u)) - dagger(pi(u))))
-        for v in units:
-            worst = max(worst, opnorm(pi(u @ v) - pi(u) @ pi(v)))
-    return float(worst)
+    units = pi.domain.units()
+    images = pi(units)
+    adjoint = opnorms(pi(dagger(units)) - dagger(images)).max()
+    products = pi(units[:, None] @ units[None]) - images[:, None] @ images[None]
+    return float(max(adjoint, opnorms(products).max()))
+
+
+def _structure_residual(images, pi_images, h) -> float:
+    """Residual of phi(x) = pi(x) h = h pi(x) on the basis images."""
+    return float(max(opnorms(images - pi_images @ h).max(),
+                     opnorms(h @ pi_images - pi_images @ h).max()))
 
 
 def structure_decompose(phi: LinMap, tol: float = TOL_ALG) -> tuple[LinMap, np.ndarray]:
@@ -135,10 +130,8 @@ def structure_decompose(phi: LinMap, tol: float = TOL_ALG) -> tuple[LinMap, np.n
         raise ValueError("structure decomposition needs a block domain")
     h = herm(phi(fd.unit()))
     hp = psd_pinv(h, rel_cutoff=TOL_RANK)
-    pi = LinMap(fd, phi.codomain_dim, tuple(img @ hp for img in phi.images))
-    worst = _hom_residual(pi)
-    for x, p in zip(phi.images, pi.images):
-        worst = max(worst, opnorm(x - p @ h), opnorm(h @ p - p @ h))
+    pi = LinMap(fd, phi.codomain_dim, phi.images @ hp)
+    worst = max(_hom_residual(pi), _structure_residual(phi.images, pi.images, h))
     if worst > tol:
         raise ValueError(
             f"not order zero: structural residual {worst:.3g} exceeds {tol:.3g}")
@@ -191,11 +184,10 @@ def perturb_order_zero(oz: OrderZeroMap, B: ConcreteAlgebra, gamma_cert,
     if B.ambient_dim != N:
         raise ValueError("B must live on the same space as the image of phi")
     labels = fd.unit_labels()
-    block_norm = {}
-    for (k, i, j), img in zip(labels, oz.map.images):
-        block_norm[k] = max(block_norm.get(k, 0.0), opnorm(img))
+    block_of = np.array([k for (k, i, j) in labels])
+    norms = opnorms(oz.map.images)
     kept = [k for k in range(len(fd.block_sizes))
-            if block_norm.get(k, 0.0) > budget.tol_alg]
+            if norms[block_of == k].max() > budget.tol_alg]
     zero = np.zeros((N, N), dtype=complex)
     if not kept:
         psi = LinMap(fd, N, tuple(zero for _ in labels), codomain_algebra=B)
@@ -322,11 +314,9 @@ class NucDimDecomposition:
         return self.piece_algebra(i).embed_blocks([blocks[k] for k in self.pieces[i]])
 
     def compose(self, x: np.ndarray) -> np.ndarray:
+        """sum_i ups[i](down(x) restricted to F_i), for one x or a stack."""
         y = self.down(x)
-        out = np.zeros((self.ups[0].codomain_dim,) * 2, dtype=complex)
-        for i in range(len(self.ups)):
-            out = out + self.ups[i](self.restrict(i, y))
-        return out
+        return sum(up(self.restrict(i, y)) for i, up in enumerate(self.ups))
 
 
 def identity_decomposition(A: ConcreteAlgebra, seed: int = 0) -> NucDimDecomposition:
@@ -334,11 +324,11 @@ def identity_decomposition(A: ConcreteAlgebra, seed: int = 0) -> NucDimDecomposi
     own block model (finite-dimensional algebras need no colors)."""
     bm = A.block_model(seed=seed)
     fd = bm.fd
-    down = LinMap(A, fd.d, tuple(bm.to_abstract(b) for b in A.basis))
-    up_map = LinMap(fd, A.ambient_dim, tuple(bm.to_concrete(u) for u in fd.units()),
-                    codomain_algebra=A)
+    basis = np.array(A.basis)
+    down = LinMap(A, fd.d, bm.to_abstract(basis))
+    up_map = LinMap(fd, A.ambient_dim, bm.to_concrete(fd.units()), codomain_algebra=A)
     up = OrderZeroMap(map=up_map, pi=up_map, h=np.array(A.support))
-    defect = max(opnorm(up(down(b)) - b) for b in A.basis)
+    defect = opnorms(up(down(basis)) - basis).max()
     return NucDimDecomposition(F=fd, pieces=(tuple(range(len(fd.block_sizes))),),
                                down=down, ups=(up,), defect=float(defect))
 
@@ -355,7 +345,7 @@ def split_decomposition(A: ConcreteAlgebra, parts: int = 2,
         raise ValueError(f"cannot split {r} blocks into {parts} nonempty colors")
     groups = tuple(tuple(k for k in range(r) if k % parts == i)
                    for i in range(parts))
-    down = LinMap(A, fd.d, tuple(bm.to_abstract(b) for b in A.basis))
+    down = LinMap(A, fd.d, bm.to_abstract(np.array(A.basis)))
     ups = []
     for group in groups:
         sub = FDAlgebra(tuple(fd.block_sizes[k] for k in group))
@@ -367,7 +357,8 @@ def split_decomposition(A: ConcreteAlgebra, parts: int = 2,
         ups.append(OrderZeroMap(map=up_map, pi=up_map, h=herm(h)))
     dec = NucDimDecomposition(F=fd, pieces=groups, down=down, ups=tuple(ups),
                               defect=0.0)
-    dec.defect = float(max(opnorm(dec.compose(b) - b) for b in A.basis))
+    basis = np.array(A.basis)
+    dec.defect = float(opnorms(dec.compose(basis) - basis).max())
     return dec
 
 
@@ -384,12 +375,11 @@ def verify_nucdim_decomposition(A: ConcreteAlgebra, X, eps: float,
         ok, _ = is_order_zero(up.map, tol=budget.tol_alg)
         if not ok:
             failures.append(f"up-{i}-not-order-zero")
-    comp = LinMap(A, dec.ups[0].codomain_dim,
-                  tuple(dec.compose(b) for b in A.basis))
+    comp = LinMap(A, dec.ups[0].codomain_dim, dec.compose(np.array(A.basis)))
     if dec.composite_cpc and not classify(comp).cpc:
         failures.append("composite-not-cpc")
-    X = [np.asarray(x, dtype=complex) for x in X]
-    defect = max((opnorm(dec.compose(x) - x) for x in X), default=0.0)
+    X = np.array(X, dtype=complex)
+    defect = float(opnorms(dec.compose(X) - X).max(initial=0.0))
     cert = Certificate.build(
         name="nucdim-decomposition",
         formula="sup_X ||psi(phi(x)) - x|| <= eps; down cpc, ups order zero, "
@@ -424,8 +414,7 @@ def nucdim_cpc_transfer(D: ConcreteAlgebra, dec: NucDimDecomposition, theta,
         if theta is None:
             omega = up.map
         else:
-            omega = LinMap(up.fd, theta.codomain_dim,
-                           tuple(theta.map(img) for img in up.map.images))
+            omega = LinMap(up.fd, theta.codomain_dim, theta.map(up.map.images))
         pi_i, h_i = structure_decompose(omega, tol=100 * budget.tol_alg)
         oz_i = OrderZeroMap(map=omega, pi=pi_i, h=h_i)
         psi_i, cert_i = perturb_order_zero(oz_i, B, gamma, seed=seed + i,
@@ -433,14 +422,9 @@ def nucdim_cpc_transfer(D: ConcreteAlgebra, dec: NucDimDecomposition, theta,
         perturbed.append(psi_i)
         summand_certs.append(cert_i)
 
-    images = []
-    for b in D.basis:
-        y = dec.down(b)
-        acc = np.zeros((N, N), dtype=complex)
-        for i, psi_i in enumerate(perturbed):
-            acc = acc + psi_i(dec.restrict(i, y))
-        images.append(acc)
-    raw = LinMap(D, N, tuple(images), codomain_algebra=B)
+    y = dec.down(np.array(D.basis))
+    images = sum(psi_i(dec.restrict(i, y)) for i, psi_i in enumerate(perturbed))
+    raw = LinMap(D, N, images, codomain_algebra=B)
     lo, hi = cb_bracket(raw, seed=seed)
     scale = max(1.0, hi)
     phi = raw.scaled(1.0 / scale) if scale > 1.0 else raw
@@ -448,8 +432,8 @@ def nucdim_cpc_transfer(D: ConcreteAlgebra, dec: NucDimDecomposition, theta,
     def target(x):
         return x if theta is None else theta.map(x)
 
-    X = [np.asarray(x, dtype=complex) for x in X]
-    achieved = max((opnorm(phi(x) - target(x)) for x in X), default=0.0)
+    X = np.array(X, dtype=complex)
+    achieved = float(opnorms(phi(X) - target(X)).max(initial=0.0))
     mu = 2.0 * gamma + gamma ** 2
     ceiling = 2.0 * (dec.n + 1) * mu * (2.0 + mu) + eps
     cls = classify(phi)
@@ -480,10 +464,7 @@ def near_embed_nucdim(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma_cert,
     mu = 2.0 * gamma + gamma ** 2
     eta = 2.0 * (dec.n + 1) * mu * (2.0 + mu) + dec.defect
     budget.require_window("nucdim-embedding", eta, WINDOW_ISO_ETA)
-    if X is None:
-        X = [b / max(opnorm(b), 1e-300) for b in A.basis]
-    else:
-        X = [np.asarray(x, dtype=complex) for x in X]
+    X = _normalized(A.basis) if X is None else np.array(X, dtype=complex)
 
     # route the decomposition evidence through the transfer certificate; the
     # stage maps themselves come from the expectation producer, which keeps a
@@ -494,7 +475,7 @@ def near_embed_nucdim(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma_cert,
     res = intertwining_iso(A, B, eta=eta, X_A=X,
                            mu=min(0.2 * np.sqrt(eta), 1.0 / 4000.0),
                            producer=None, seed=seed, budget=budget)
-    achieved = max(opnorm(res.map(x) - x) for x in X)
+    achieved = _worst_move(res.map, X)
     cert = Certificate.build(
         name="nucdim-near-embedding",
         formula="||theta(x) - x|| <= 20 eta^{1/2}, "

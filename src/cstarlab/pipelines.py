@@ -13,7 +13,7 @@ from .cpmaps import LinMap
 from .geometry import SampleSpec, kk_distance
 from .instances import Instance
 from .intertwine import IsoResult, close_isomorphism, implement_unitarily
-from .linalg import dagger, opnorm, rng_for
+from .linalg import dagger, opnorm, opnorms, rng_for
 from .orderzero import (OrderZeroMap, identity_decomposition,
                         near_embed_nucdim, perturb_order_zero)
 
@@ -51,12 +51,12 @@ def conjugation_iso(instance: Instance) -> IsoResult:
     if u is None:
         raise ValueError("instance carries no generating unitary")
     A, B = instance.A, instance.B
-    theta = LinMap(A, A.ambient_dim, tuple(u @ b @ dagger(u) for b in A.basis),
-                   codomain_algebra=B)
-    inverse = LinMap(B, B.ambient_dim, tuple(dagger(u) @ b @ u for b in B.basis),
+    basis = np.array(A.basis)
+    theta = LinMap(A, A.ambient_dim, u @ basis @ dagger(u), codomain_algebra=B)
+    inverse = LinMap(B, B.ambient_dim, dagger(u) @ np.array(B.basis) @ u,
                      codomain_algebra=A)
     bound = 2.0 * opnorm(u - np.eye(A.ambient_dim))
-    achieved = max(opnorm(theta(b) - b) / max(opnorm(b), 1e-300) for b in A.basis)
+    achieved = (opnorms(theta(basis) - basis) / np.maximum(opnorms(basis), 1e-300)).max()
     cert = Certificate.build(
         name="conjugation-closeness",
         formula="||u x u* - x|| <= 2 ||u - 1|| on the unit ball",
@@ -144,9 +144,7 @@ def run_pipeline(instance: Instance, pipeline: str,
     if pipeline == "oz-perturb":
         bm = A.block_model(seed=seed)
         fd = bm.fd
-        pi = LinMap(fd, A.ambient_dim,
-                    tuple(bm.to_concrete(un) for un in fd.units()),
-                    codomain_algebra=A)
+        pi = LinMap(fd, A.ambient_dim, bm.to_concrete(fd.units()), codomain_algebra=A)
         rng = rng_for(seed, "oz-damping")
         h = np.zeros((A.ambient_dim,) * 2, dtype=complex)
         for k in range(len(fd.block_sizes)):

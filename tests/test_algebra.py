@@ -33,6 +33,21 @@ def test_fd_algebra_unit_table():
             assert opnorm(prod - expect) < 1e-14
 
 
+@pytest.mark.parametrize("profile", [(2, 1), (3, 3), (2, 3, 1)])
+def test_fd_coeffs_round_trip_pinches(profile):
+    fd = FDAlgebra(profile)
+    d = fd.d
+    rng = rng_for(0, "test-pinch")
+    X = rng.standard_normal((5, d, d)) + 1j * rng.standard_normal((5, d, d))
+    mask = np.zeros((d, d), dtype=bool)
+    off = 0
+    for n in profile:
+        mask[off:off + n, off:off + n] = True
+        off += n
+    assert np.array_equal(fd.from_coeffs(fd.coeffs(X)), np.where(mask, X, 0))
+    assert np.array_equal(fd.coeffs(X[2]), fd.coeffs(X)[2])
+
+
 def test_fd_unit_is_identity():
     fd = FDAlgebra((2, 2))
     assert np.allclose(fd.unit(), np.eye(4))

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cstarlab.algebra import FDAlgebra, dagger, opnorm
+from cstarlab.algebra import ConcreteAlgebra, FDAlgebra, dagger, opnorm
 from cstarlab.cpmaps import (
     LinMap,
+    _choi_and_reshuffle,
+    _pinched_images,
     arveson_restrict,
     cb_bracket,
     check_stinespring_inequality,
@@ -21,7 +23,7 @@ from cstarlab.cpmaps import (
     ucp_extension,
 )
 from cstarlab.instances import block_algebra
-from cstarlab.linalg import rng_for
+from cstarlab.linalg import random_complex, random_unitary, rng_for
 
 
 def random_ucp(fd: FDAlgebra, N: int, seed: int = 0) -> LinMap:
@@ -56,6 +58,25 @@ def test_choi_round_trip(seed):
     back = from_choi(choi(phi), fd.block_sizes, 3)
     for a, b in zip(phi.images, back.images):
         assert opnorm(a - b) < 1e-12
+
+
+def test_choi_blocks_are_copies_of_the_images():
+    # reference: the index loop C_k[iN:(i+1)N, jN:(j+1)N] = phi(e_ij^(k))
+    fd = FDAlgebra((2, 3, 1))
+    N = 3
+    phi = random_selfadjoint_map(fd, N, seed=5)
+    C = choi(phi)
+    expect = np.zeros_like(C)
+    off, pos = 0, 0
+    for n in fd.block_sizes:
+        for i in range(n):
+            for j in range(n):
+                expect[off + i * N:off + (i + 1) * N,
+                       off + j * N:off + (j + 1) * N] = phi.images[pos]
+                pos += 1
+        off += n * N
+    assert np.array_equal(C, expect)
+    assert np.array_equal(from_choi(C, fd.block_sizes, N).images, phi.images)
 
 
 def test_choi_of_ucp_is_psd():
@@ -139,6 +160,69 @@ def test_schwarz_inequality_for_cpc():
         assert ok, f"Schwarz defect bound violated by {margin:.3g}"
 
 
+# ---------------------------------------------------------------------------
+# stacked evaluation
+# ---------------------------------------------------------------------------
+
+def _random_map(domain, N: int, dim: int, seed: int) -> LinMap:
+    rng = rng_for(seed, "test-stack-map")
+    return LinMap(domain, N, np.array([random_complex(rng, N) for _ in range(dim)]))
+
+
+@pytest.mark.parametrize("profile", [(2, 1), (3, 3), (2, 3, 1)])
+def test_stacked_evaluation_block_domain(profile):
+    fd = FDAlgebra(profile)
+    phi = _random_map(fd, 4, fd.dim_linear, seed=sum(profile))
+    rng = rng_for(1, "test-stack-x")
+    X = np.array([fd.random_element(rng) for _ in range(7)])
+    stacked = phi(X)
+    assert stacked.shape == (7, 4, 4)
+    # independent oracle: sum over the matrix units e_ij^(k) of x's entry at
+    # (o_k + i, o_k + j) times the stored image
+    offsets = np.concatenate([[0], np.cumsum(profile)[:-1]])
+    for x, y in zip(X, stacked):
+        assert opnorm(y - phi(x)) < 1e-13
+        oracle = sum(x[offsets[k] + i, offsets[k] + j] * img
+                     for (k, i, j), img in zip(fd.unit_labels(), phi.images))
+        assert opnorm(y - oracle) < 1e-13
+
+
+def test_stacked_evaluation_concrete_domain():
+    A = block_algebra((2, 1), 4).conjugated(random_unitary(rng_for(2, "test-u"), 4))
+    phi = _random_map(A, 3, A.dim, seed=3)
+    rng = rng_for(4, "test-stack-x")
+    X = np.array([A.random_selfadjoint(rng) + 1j * A.random_selfadjoint(rng)
+                  for _ in range(6)])
+    stacked = phi(X)
+    for x, y in zip(X, stacked):
+        assert opnorm(y - phi(x)) < 1e-13
+        oracle = sum(np.vdot(b, x) * img for b, img in zip(A.basis, phi.images))
+        assert opnorm(y - oracle) < 1e-13
+
+
+def test_linmap_rejects_bad_images():
+    fd = FDAlgebra((2,))
+    with pytest.raises(ValueError):
+        LinMap(fd, 3, np.zeros((4, 2, 2)))
+    with pytest.raises(ValueError):
+        LinMap(fd, 3, np.zeros((3, 3, 3)))
+    with pytest.raises(ValueError):
+        LinMap(ConcreteAlgebra.full(2), 2, np.zeros((3, 2, 2)))
+
+
+def test_mult_defect_table_order():
+    fd = FDAlgebra((2, 1))
+    phi = random_ucp(fd, 3, seed=8)
+    rng = rng_for(8, "test-defect")
+    X = [fd.random_element(rng) for _ in range(3)]
+    rep = mult_defect(phi, X, labels=["a", "b", "c"])
+    assert [tag for tag, _ in rep.table] == ["a", "a*", "b", "b*", "c", "c*"]
+    expect = [opnorm(phi(y) @ phi(dagger(y)) - phi(y @ dagger(y)))
+              for x in X for y in (x, dagger(x))]
+    assert np.allclose([v for _, v in rep.table], expect, rtol=0, atol=1e-13)
+    assert rep.defect == max(v for _, v in rep.table)
+
+
 def test_mult_defect_zero_for_hom():
     fd = FDAlgebra((2,))
     images = tuple(fd.matrix_unit(k, i, j) for (k, i, j) in fd.unit_labels())
@@ -160,6 +244,23 @@ def test_cb_bracket_cp_is_exact():
     lo, hi = cb_bracket(phi)
     assert lo == hi
     assert abs(hi - 1.0) < 1e-10
+
+
+def test_pinched_choi_and_reshuffle_are_copies():
+    # reference: the index loops over the matrix units at global offsets
+    fd = FDAlgebra((2, 1, 3))
+    N, d = 2, fd.d
+    phi = random_selfadjoint_map(fd, N, seed=12)
+    C, R = _choi_and_reshuffle(_pinched_images(phi))
+    C_ref = np.zeros((d * N, d * N), dtype=complex)
+    R_ref = np.zeros((N * d, d * N), dtype=complex)
+    for (k, i, j), img in zip(fd.unit_labels(), phi.images):
+        gi, gj = fd.offsets[k] + i, fd.offsets[k] + j
+        C_ref[gi * N:(gi + 1) * N, gj * N:(gj + 1) * N] = img
+        for a in range(N):
+            R_ref[a * d + gi, gj * N:(gj + 1) * N] = img[a, :]
+    assert np.array_equal(C, C_ref)
+    assert np.array_equal(R, R_ref)
 
 
 def test_cb_bracket_transpose():

@@ -10,6 +10,7 @@ from cstarlab.algebra import ConcreteAlgebra, dagger, opnorm
 from cstarlab.certs import ContradictionError
 from cstarlab.geometry import (
     SampleSpec,
+    _TensorSpan,
     equality_criterion,
     kk_distance,
     near_inclusion,
@@ -209,6 +210,36 @@ def test_tensor_lift_certifies_amplified_distance():
     wits, cert = tensor_lift(X, B, n, gamma)
     assert cert.verdict == "pass"
     assert len(wits) == 3
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("r", [1, 2])
+def test_tensor_span_projection_matches_kronecker_basis(n, r):
+    # a non-diagonal basis: M2 + M1 rotated inside M_3
+    N = 3
+    B = block_algebra((2, 1), N).conjugated(small_rotation(N, 0.7, 11))
+    rows = []
+    for slot in range(r):
+        for b in B.basis:
+            for i in range(n):
+                for j in range(n):
+                    e = np.zeros((n, n))
+                    e[i, j] = 1.0
+                    row = np.zeros((N * n, r * N * n), dtype=complex)
+                    row[:, slot * N * n:(slot + 1) * N * n] = np.kron(b, e)
+                    rows.append(row.reshape(-1))
+    Q = np.array(rows)
+    assert np.allclose(Q.conj() @ Q.T, np.eye(len(Q)), atol=1e-13)
+    rng = rng_for(n + 10 * r, "tensor-span")
+    shape = (4, N * n, r * N * n)
+    X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    Y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    P = _TensorSpan(B, n, r).project
+    dense = (Q.conj() @ X.reshape(4, -1).T).T @ Q
+    assert np.abs(P(X) - dense.reshape(shape)).max() < 1e-13
+    assert np.abs(P(P(X)) - P(X)).max() < 1e-13
+    for x, y, px, py in zip(X, Y, P(X), P(Y)):
+        assert abs(np.vdot(px, y) - np.vdot(x, py)) < 1e-13
 
 
 def test_tensor_lift_rejects_bad_shape():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from cstarlab.linalg import (clip_spectrum, cluster_values, dagger, eigh_fun,
                              expm_i, herm, hs_norm, is_projection_residual,
-                             opnorm, partial_isometry_polar, polar_factor,
+                             opnorm, opnorms, partial_isometry_polar, polar_factor,
                              principal_log_unitary, psd_part, psd_pinv,
                              psd_sqrt, random_complex, random_contraction,
                              random_hermitian, random_unitary,
@@ -129,3 +129,14 @@ def test_tracenorm_vs_hsnorm():
     s = np.linalg.svd(x, compute_uv=False)
     assert abs(tracenorm(x) - s.sum()) < 1e-12
     assert abs(hs_norm(x) - np.sqrt((s * s).sum())) < 1e-12
+
+
+def test_opnorms_equal_opnorm_per_matrix():
+    rng = rng_for(5, "opnorms")
+    for shape in [(9, 4, 4), (6, 3, 5), (2, 3, 8, 8)]:
+        S = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        vals = opnorms(S)
+        assert vals.shape == shape[:-2]
+        flat = S.reshape((-1,) + shape[-2:])
+        assert np.array_equal(vals.reshape(-1), [opnorm(s) for s in flat])
+    assert opnorms(np.zeros((0, 3, 3))).shape == (0,)
