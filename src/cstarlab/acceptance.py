@@ -18,11 +18,11 @@ from .averaging import (exact_diagonal, improve_multiplicativity,
                         intertwining_unitary, polar_unitary,
                         projection_conjugator)
 from .certs import PAPER_BUDGET, WindowError
-from .cpmaps import LinMap, choi_blocks, classify, from_choi, stinespring
+from .cpmaps import LinMap, classify, perturb_choi, stinespring
 from .instances import gen_instance, hat_decomposition, random_order_zero
 from .intertwine import close_isomorphism, implement_unitarily
-from .linalg import (dagger, expm_i, herm, hs_norm, opnorm, psd_part,
-                     random_complex, random_hermitian, random_unitary, rng_for)
+from .linalg import (dagger, expm_i, opnorm, random_complex, random_hermitian,
+                     random_unitary, rng_for)
 from .orderzero import (identity_decomposition, near_embed_nucdim,
                         nucdim_cpc_transfer, perturb_order_zero,
                         split_decomposition, verify_nucdim_decomposition)
@@ -184,18 +184,7 @@ def _noisy_cpc_hom(profile, N: int, eps: float, rng) -> LinMap:
         m = np.zeros((N, N), dtype=complex)
         m[:fd.d, :fd.d] = u
         images.append(v @ m @ dagger(v))
-    rho = LinMap(fd, N, tuple(images))
-    noisy = []
-    for C in choi_blocks(rho):
-        g = random_hermitian(rng, C.shape[0])
-        noisy.append(psd_part(herm(C + (eps / max(hs_norm(g), 1e-300)) * g)))
-    size = sum(b.shape[0] for b in noisy)
-    Cfull = np.zeros((size, size), dtype=complex)
-    off = 0
-    for b in noisy:
-        Cfull[off:off + b.shape[0], off:off + b.shape[0]] = b
-        off += b.shape[0]
-    psi = from_choi(Cfull, fd.block_sizes, N)
+    psi = perturb_choi(LinMap(fd, N, tuple(images)), eps, rng)
     nrm = opnorm(psi(fd.unit()))
     if nrm > 1.0:
         psi = psi.scaled(1.0 / nrm)

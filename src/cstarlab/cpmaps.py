@@ -28,13 +28,14 @@ from .certs import (
     Certificate,
     provenance_stamp,
 )
-from .linalg import dagger, herm, opnorm, opnorms
+from .linalg import dagger, herm, hs_norm, opnorm, opnorms, psd_part, random_hermitian
 
 __all__ = [
     "LinMap",
     "Ternary",
     "choi",
     "from_choi",
+    "perturb_choi",
     "classify",
     "kraus_operators",
     "StinespringDilation",
@@ -187,17 +188,30 @@ def choi(phi: LinMap) -> np.ndarray:
     return scipy.linalg.block_diag(*choi_blocks(phi))
 
 
+def _from_choi_blocks(fd: FDAlgebra, N: int, blocks) -> LinMap:
+    """The map into M_N whose per-summand Choi blocks are ``blocks``."""
+    return LinMap(fd, N, np.concatenate([
+        C.reshape(n, N, n, N).transpose(0, 2, 1, 3).reshape(n * n, N, N)
+        for n, C in zip(fd.block_sizes, blocks)]))
+
+
 def from_choi(C: np.ndarray, block_sizes, codomain_dim: int) -> LinMap:
     """Inverse of :func:`choi` for the given block sizes."""
-    fd = FDAlgebra(tuple(block_sizes))
-    N = codomain_dim
-    images = []
-    off = 0
-    for n in fd.block_sizes:
-        blk = C[off:off + n * N, off:off + n * N]
-        images.append(blk.reshape(n, N, n, N).transpose(0, 2, 1, 3).reshape(n * n, N, N))
-        off += n * N
-    return LinMap(fd, N, np.concatenate(images))
+    fd, N = FDAlgebra(tuple(block_sizes)), codomain_dim
+    cuts = np.cumsum([0] + [n * N for n in fd.block_sizes])
+    return _from_choi_blocks(fd, N, [C[a:b, a:b] for a, b in zip(cuts, cuts[1:])])
+
+
+def perturb_choi(phi: LinMap, eps: float, rng: np.random.Generator) -> LinMap:
+    """The cp map whose Choi blocks are the psd parts of C_k + eps g_k /
+    ||g_k||_HS, C_k those of phi and g_k = random_hermitian(rng, n_k N) drawn
+    summand by summand; its norm is not controlled."""
+    fd = _require_fd(phi)
+    noisy = []
+    for C in choi_blocks(phi):
+        g = random_hermitian(rng, C.shape[0])
+        noisy.append(psd_part(C + (eps / max(hs_norm(g), 1e-300)) * g))
+    return _from_choi_blocks(fd, phi.codomain_dim, noisy)
 
 
 def classify(phi: LinMap, tol_psd: float = TOL_PSD, tol_alg: float = TOL_ALG) -> Ternary:

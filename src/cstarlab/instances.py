@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import ConcreteAlgebra, FDAlgebra, generate_algebra
-from .cpmaps import LinMap, choi_blocks, from_choi
+from .cpmaps import LinMap, perturb_choi
 from .geometry import DistanceInterval
-from .linalg import (clip_spectrum, dagger, expm_i, herm, hs_norm, opnorm,
-                     opnorms, psd_part, random_hermitian, random_unitary, rng_for)
+from .linalg import (dagger, expm_i, herm, opnorm, opnorms, random_hermitian,
+                     random_unitary, rng_for)
 from .orderzero import NucDimDecomposition, OrderZeroMap
 from .serialize import matrix_to_json, to_jsonable
 
@@ -152,20 +152,7 @@ def gen_instance(recipe: str, params: dict, seed: int = 0) -> Instance:
 
     # choi-noise
     bm = A.block_model(seed=seed)
-    fd = bm.fd
-    rho = LinMap(fd, N, bm.to_concrete(fd.units()))
-    noisy_blocks = []
-    for C in choi_blocks(rho):
-        noise = random_hermitian(rng, C.shape[0])
-        noise = noise / max(hs_norm(noise), 1e-300)
-        noisy_blocks.append(psd_part(herm(C + eps * noise)))
-    size = sum(b.shape[0] for b in noisy_blocks)
-    Cfull = np.zeros((size, size), dtype=complex)
-    off = 0
-    for b in noisy_blocks:
-        Cfull[off:off + b.shape[0], off:off + b.shape[0]] = b
-        off += b.shape[0]
-    psi = from_choi(Cfull, fd.block_sizes, N)
+    psi = perturb_choi(LinMap(bm.fd, N, bm.to_concrete(bm.fd.units())), eps, rng)
     B = generate_algebra(list(psi.images), N)
     return Instance(A=A, B=B, recipe=recipe, params=params,
                     true_unitary=None, seed=seed)

@@ -14,11 +14,13 @@ from cstarlab.cpmaps import (
     cb_bracket,
     check_stinespring_inequality,
     choi,
+    choi_blocks,
     classify,
     conditional_expectation,
     from_choi,
     kraus_operators,
     mult_defect,
+    perturb_choi,
     stinespring,
     ucp_extension,
 )
@@ -77,6 +79,19 @@ def test_choi_blocks_are_copies_of_the_images():
         off += n * N
     assert np.array_equal(C, expect)
     assert np.array_equal(from_choi(C, fd.block_sizes, N).images, phi.images)
+
+
+def test_perturb_choi_moves_each_block_by_at_most_eps():
+    # the psd part is the HS-nearest psd matrix, a 1-Lipschitz projection
+    # fixing the psd blocks of a cp map: each block moves by <= eps in HS
+    fd = FDAlgebra((2, 1))
+    phi, eps = random_ucp(fd, 3, seed=4), 1e-3
+    psi = perturb_choi(phi, eps, rng_for(4, "choi-noise"))
+    assert classify(psi).cp
+    for C, D in zip(choi_blocks(phi), choi_blocks(psi)):
+        assert 0.0 < np.linalg.norm(D - C) <= eps * (1 + 1e-9)
+    again = perturb_choi(phi, eps, rng_for(4, "choi-noise"))
+    assert np.array_equal(again.images, psi.images)
 
 
 def test_choi_of_ucp_is_psd():
