@@ -5,8 +5,8 @@ order-zero perturbation), every quantitative bound backed by a Certificate.
 """
 
 from .algebra import (BlockModel, BlockStructure, ConcreteAlgebra, FDAlgebra,
-                      generate_algebra, unitize_dagger, unitize_tilde,
-                      verify_algebra, wedderburn_decompose)
+                      generate_algebra, unitize_tilde, verify_algebra,
+                      wedderburn_decompose)
 from .averaging import (AveragingSet, IntertwinerResult, LiftResult,
                         RepairResult, commutant_lift, exact_diagonal,
                         improve_multiplicativity, intertwining_unitary,
@@ -63,6 +63,6 @@ __all__ = [
     "provenance_stamp", "random_order_zero", "render_report",
     "run_pipeline", "save", "split_decomposition", "stinespring",
     "structure_decompose", "tensor_lift", "ucp_extension", "unit_match",
-    "unitary_commutant_lift", "unitize_dagger", "unitize_tilde",
+    "unitary_commutant_lift", "unitize_tilde",
     "verify_algebra", "verify_nucdim_decomposition", "wedderburn_decompose",
 ]

@@ -40,7 +40,6 @@ __all__ = [
     "verify_algebra",
     "wedderburn_decompose",
     "support_projection",
-    "unitize_dagger",
     "unitize_tilde",
     "orthonormalize",
     "BlockModel",
@@ -350,10 +349,6 @@ class ConcreteAlgebra:
         """Unit of A as an algebra (= support projection)."""
         return self.support
 
-    @property
-    def is_unital_in_ambient(self) -> bool:
-        return opnorm(self.support - np.eye(self.ambient_dim)) <= TOL_ALG
-
     def random_selfadjoint(self, rng) -> np.ndarray:
         from .linalg import random_complex
         g = sum(c * b for c, b in zip(random_complex(rng, self.dim, 1)[:, 0], self.basis))
@@ -622,16 +617,6 @@ def _units_from_diagonal(qs, sub, span_k, rng, m_k):
 # ---------------------------------------------------------------------------
 # unitizations
 # ---------------------------------------------------------------------------
-
-def unitize_dagger(A: ConcreteAlgebra) -> ConcreteAlgebra:
-    """C*(A, e_A) inside the same ambient algebra.
-
-    A finite-dimensional *-algebra already contains its own unit, so this
-    returns an algebra equal to A whenever A was product-closed; it exists to
-    normalise inputs that were handed over as spans of generators.
-    """
-    return generate_algebra(list(A.basis) + [A.support], ambient_dim=A.ambient_dim)
-
 
 def unitize_tilde(A: ConcreteAlgebra) -> ConcreteAlgebra:
     """Embed M_N -> M_{N+1} via x -> x + 0 and adjoin the full identity.

@@ -327,7 +327,7 @@ def improve_multiplicativity(phi: LinMap, gamma: float | None = None,
     budget.require_window("multiplicativity-repair", gamma, WINDOW_DEFECT_REPAIR)
     root = float(np.sqrt(max(gamma, 0.0)))
 
-    ext = ucp_extension(abstract, mode="tilde")
+    ext = ucp_extension(abstract)
     fd_ext: FDAlgebra = ext.domain
     # cut the Kraus rank at rounding scale, not at the cp-validation slack:
     # discarded Choi mass reappears verbatim as homomorphism defect of psi
@@ -469,8 +469,8 @@ def intertwining_unitary(phi1: LinMap, phi2: LinMap,
 
     # extend against the ambient unit: the averaged s must be invertible on
     # the whole ambient space, not just under the codomain support
-    e1 = ucp_extension(LinMap(a1.domain, a1.codomain_dim, a1.images), mode="tilde")
-    e2 = ucp_extension(LinMap(a2.domain, a2.codomain_dim, a2.images), mode="tilde")
+    e1 = ucp_extension(LinMap(a1.domain, a1.codomain_dim, a1.images))
+    e2 = ucp_extension(LinMap(a2.domain, a2.codomain_dim, a2.images))
     fd_ext: FDAlgebra = e1.domain
     avg = exact_diagonal(fd_ext)
     s = avg.pair(e1, e2)

@@ -21,7 +21,7 @@ from .certs import (DEFAULT_BUDGET, PAPER_BUDGET, ContradictionError,
                     SpectralGapError, WindowError)
 from .instances import RECIPES, Instance, gen_instance
 from .pipelines import PIPELINES, render_report, run_pipeline
-from .serialize import SchemaError, dumps, load, save
+from .serialize import SchemaError, load, save
 
 _DEFAULTS = {
     "seed": 0,

@@ -21,13 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from .algebra import BlockModel, ConcreteAlgebra, FDAlgebra, _combine
-from .certs import (
-    TOL_ALG,
-    TOL_PSD,
-    TOL_RANK,
-    Certificate,
-    provenance_stamp,
-)
+from .certs import TOL_ALG, TOL_PSD, Certificate, provenance_stamp
 from .linalg import dagger, herm, hs_norm, opnorm, opnorms, psd_part, random_hermitian
 
 __all__ = [
@@ -456,25 +450,13 @@ def arveson_restrict(A: ConcreteAlgebra, B: ConcreteAlgebra, X,
     return phi, cert
 
 
-def ucp_extension(phi: LinMap, mode: str = "tilde") -> LinMap:
-    """Extend a cpc map to a ucp map on the unitized domain.
-
-    mode "tilde": the domain gains a one-dimensional block and the new
-    block's unit is sent to (codomain unit) - phi(1); this is always ucp for
-    cpc phi.  mode "dagger": a finite-dimensional algebra already contains
-    its unit, so the extension-by-unit degenerates: the map is returned
-    unchanged when it is already ucp and an error is raised otherwise.
+def ucp_extension(phi: LinMap) -> LinMap:
+    """Extend a cpc map to a ucp map on the unitized domain: the domain gains
+    a one-dimensional block and the new block's unit is sent to (codomain
+    unit) - phi(1), which is always ucp for cpc phi.
     """
     work = phi if isinstance(phi.domain, FDAlgebra) else phi.to_block_model()[0]
     cls = classify(work)
-    if mode == "dagger":
-        if cls.ucp:
-            return work
-        raise ValueError(
-            "dagger extension needs a non-unital domain; finite-dimensional "
-            "algebras are unital, so only already-ucp maps pass through")
-    if mode != "tilde":
-        raise ValueError(f"unknown mode {mode!r}")
     if not cls.cpc:
         raise ValueError(
             f"ucp_extension requires a cpc map (||phi(1)|| = {cls.norm_of_unit:.6g}, "

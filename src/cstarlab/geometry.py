@@ -8,15 +8,18 @@ convex problem min ||x - b|| over b in a subspace (optionally intersected
 with the unit ball); lower bounds come from trace-norm dual certificates.
 One solver, ``nearest_in_span``, serves every witness search: it takes a
 stack of targets and advances them together by batched eigensolves of small
-Gram matrices, so a near inclusion solves all of its samples in one call.
-Suprema over the unit ball are sampled (basis elements, random self-adjoint
-contractions, random unitaries), so the reported gamma_hi is an honest
-sampled estimate with stored witnesses, not a proof of the supremum.
+Gram matrices, so a near inclusion solves all of its samples in one call;
+as it reports only the largest distance, a sample whose best value is below
+a proven lower bound of another (an HS dual, or a trace-norm dual built from
+the solver's own subgradients) stops early.  Suprema over the unit ball are
+sampled (basis elements, random self-adjoint contractions, random
+unitaries), so the reported gamma_hi is an honest sampled estimate with
+stored witnesses, not a proof of the supremum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,6 +61,10 @@ class SampleSpec:
 
 @dataclass
 class Witness:
+    """Sample x, point b of the target, achieved ub = ||x - b|| and dual lb.
+    A witness with ub below gamma_lo (or another sample's dual bound) may
+    have stopped early; its ub is still an achieved distance."""
+
     label: str
     x: np.ndarray
     b: np.ndarray
@@ -75,6 +82,7 @@ class NearInclusionCert:
     sample_spec: SampleSpec
     direction: str = ""
     n_samples: int = 0
+    lo_witness: np.ndarray | None = None  # the sample attaining gamma_lo
 
     def __post_init__(self):
         if self.gamma_lo > self.gamma_hi + 1e-12:
@@ -121,9 +129,21 @@ def _top_dyad(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (w, z, s) if wide else (z, w, s)
 
 
+def _subgradient_dual(D: np.ndarray, R: np.ndarray, project) -> np.ndarray:
+    """Lower bounds for dist(x, span) from sums D of subgradient dyads and
+    residuals R = x - b, b in the span: Y = D - P(D) vanishes on the span, so
+    Re<Y, R> = Re<Y, x - b'> <= ||Y||_1 ||x - b'|| for every b' in it and
+    lo = Re<Y, R> / ||Y||_1 (0 where Y = 0).  R rather than x keeps the
+    rounding relative to the distance."""
+    Y = D - project(D)
+    nrm = np.linalg.svd(Y, compute_uv=False).sum(axis=1)
+    inner = np.einsum("sij,sij->s", Y.conj(), R).real
+    return np.where(nrm > 0.0, inner, 0.0) / np.where(nrm > 0.0, nrm, 1.0)
+
+
 def nearest_in_span(x: np.ndarray, span: _Span | ConcreteAlgebra,
-                    ball: bool = False, iters: int = 500,
-                    tol: float = 1e-12) -> tuple[np.ndarray, float | np.ndarray]:
+                    ball: bool = False, iters: int = 500, tol: float = 1e-12,
+                    *, floor: float | None = None) -> tuple[np.ndarray, float | np.ndarray]:
     """Minimize ||x - b||_op over b in the given subspace (intersected with
     the operator-norm unit ball when requested).
 
@@ -142,6 +162,14 @@ def nearest_in_span(x: np.ndarray, span: _Span | ConcreteAlgebra,
     (S,) array for a stack), taken by the values-only SVD of ``opnorm`` so
     that opnorm(x - b) reproduces each bit for bit.  The span's ``project``
     maps a stack (S, R, C) to its HS-orthogonal projections.
+
+    A ``floor``, a proven lower bound for some target's distance, asks only
+    for the largest distance: a target leaves the stack once its best value
+    is below floor (1 - 1e-6), and at k = 16, 32, 64, ... the floor rises to
+    the largest ``_subgradient_dual`` bound of the live targets over the dyads
+    of iterations (k/2, k].  The target setting the floor has best value >=
+    distance >= floor, so it stays; a dropped target ends below the floor:
+    the maximum and every target that can reach it are as without a floor.
     """
     sp = span.span() if isinstance(span, ConcreteAlgebra) else span
     single = np.ndim(x) == 2
@@ -159,20 +187,33 @@ def nearest_in_span(x: np.ndarray, span: _Span | ConcreteAlgebra,
     best_val = np.linalg.svd(X - best, compute_uv=False)[:, 0]
     c = np.maximum(best_val, 10 * tol)
     live = np.flatnonzero(best_val > tol)
+    if floor is not None:
+        live = live[best_val[live] >= floor * (1.0 - 1e-6)]
     Xl, cl, y = X[live], c[live], best[live]
+    D, check = (None, 0) if floor is None else (np.zeros_like(Xl), 16)
     u, v, _ = _top_dyad(Xl - y)
     for k in range(1, iters + 1):
         if not live.size:
             break
-        g = project(u[:, :, None] * v.conj()[:, None, :])
+        dyad = u[:, :, None] * v.conj()[:, None, :]
+        g = project(dyad)
         y = rescale(y + (cl / np.sqrt(k))[:, None, None] * g)
         u, v, s = _top_dyad(Xl - y)
         better = s < best_val[live]
         best[live[better]] = y[better]
         best_val[live[better]] = s[better]
         keep = s > tol
+        if floor is not None:
+            if k > check // 2:
+                D += dyad
+            if k == check:
+                lo = _subgradient_dual(D, Xl - best[live], project)
+                floor, check = max(floor, float(lo.max())), 2 * check
+                D[:] = 0.0
+            keep &= best_val[live] >= floor * (1.0 - 1e-6)
         if not keep.all():
             live, Xl, cl, y, u, v = (a[keep] for a in (live, Xl, cl, y, u, v))
+            D = None if D is None else D[keep]
     best_val = np.linalg.svd(X - best, compute_uv=False)[:, 0]
     if single:
         return best[0], float(best_val[0])
@@ -241,22 +282,27 @@ def near_inclusion(A: ConcreteAlgebra, B: ConcreteAlgebra,
                    keep_witnesses: int = 8) -> NearInclusionCert:
     """Sampled estimate of the one-sided constant sup dist(x, B) over the
     unit ball of A.  Witnesses are unconstrained in B by default (set ball
-    for unit-ball witnesses as in the two-sided distance)."""
+    for unit-ball witnesses as in the two-sided distance).  The HS dual
+    bounds come first and gamma_lo is the solve's ``floor``: samples proven
+    below the supremum stop early, and gamma_hi is as in the full solve."""
     spec = spec or SampleSpec()
     samples = sample_unit_ball(A, spec)
     wits: list[Witness] = []
     if samples:
         X = np.array([x for _, x in samples])
-        bs, ubs = nearest_in_span(X, B, ball=ball, iters=spec.iters)
         lbs = span_distance_lower(X, B)
+        bs, ubs = nearest_in_span(X, B, ball=ball, iters=spec.iters,
+                                  floor=float(lbs.max()))
         wits = [Witness(label=label, x=x, b=b, ub=float(ub), lb=float(lb))
                 for (label, x), b, ub, lb in zip(samples, bs, ubs, lbs)]
     gamma_hi = max((w.ub for w in wits), default=0.0)
-    gamma_lo = max((w.lb for w in wits), default=0.0)
+    lo_wit = max(wits, key=lambda w: w.lb, default=None)
+    gamma_lo = lo_wit.lb if lo_wit else 0.0
     wits.sort(key=lambda w: -w.ub)
     return NearInclusionCert(gamma_hi=float(gamma_hi), gamma_lo=float(gamma_lo),
                              witnesses=wits[:keep_witnesses], sample_spec=spec,
-                             direction="A->B", n_samples=len(samples))
+                             direction="A->B", n_samples=len(samples),
+                             lo_witness=lo_wit.x if lo_wit else None)
 
 
 def kk_distance(A: ConcreteAlgebra, B: ConcreteAlgebra,
@@ -265,24 +311,21 @@ def kk_distance(A: ConcreteAlgebra, B: ConcreteAlgebra,
 
     Witnesses are constrained to the unit ball of the target algebra, one
     sampled sup per direction; lo is the best dual lower bound over all
-    samples, hi the worst achieved witness distance.
+    samples, attained by lo_witness, hi the worst achieved witness distance.
     """
     spec = spec or SampleSpec()
     cert_ab = near_inclusion(A, B, spec=spec, ball=True)
     cert_ba = near_inclusion(B, A, spec=spec, ball=True)
     cert_ba.direction = "B->A"
     hi = max(cert_ab.gamma_hi, cert_ba.gamma_hi)
-    lo = max(cert_ab.gamma_lo, cert_ba.gamma_lo)
-    lo_wit = None
-    pool = cert_ab.witnesses + cert_ba.witnesses
-    if pool:
-        lo_wit = max(pool, key=lambda w: w.lb).x
+    lo_cert = cert_ab if cert_ab.gamma_lo >= cert_ba.gamma_lo else cert_ba
     assignment = {
         "direction_hi": "A->B" if cert_ab.gamma_hi >= cert_ba.gamma_hi else "B->A",
         "n_samples_per_direction": cert_ab.n_samples,
         "sample_spec": spec.to_dict(),
     }
-    return DistanceInterval(lo=float(min(lo, hi)), hi=float(hi), lo_witness=lo_wit,
+    return DistanceInterval(lo=float(min(lo_cert.gamma_lo, hi)), hi=float(hi),
+                            lo_witness=lo_cert.lo_witness,
                             hi_assignment=assignment, cert_ab=cert_ab, cert_ba=cert_ba)
 
 

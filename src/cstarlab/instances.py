@@ -8,7 +8,7 @@ counter-based generator, so re-execution reproduces bit-identical matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -14,12 +14,12 @@ stages; all stated drift budgets are still tracked and certified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import ConcreteAlgebra, FDAlgebra, _combine
-from .certs import (TOL_ALG, TOL_CONV, Certificate, ContradictionError,
+from .certs import (TOL_ALG, Certificate, ContradictionError,
                     SpectralGapError, ToleranceBudget, DEFAULT_BUDGET,
                     WINDOW_ISO_ETA, WINDOW_ISO_GAMMA, WINDOW_ISO_MU,
                     provenance_stamp)

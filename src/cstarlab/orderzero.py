@@ -15,7 +15,7 @@ from .algebra import ConcreteAlgebra, FDAlgebra
 from .certs import (TOL_ALG, TOL_RANK, Certificate, ContradictionError,
                     ToleranceBudget, DEFAULT_BUDGET, WINDOW_ISO_ETA,
                     WINDOW_OZ_PROJECTION, provenance_stamp)
-from .cpmaps import LinMap, cb_bracket, classify, mult_defect
+from .cpmaps import LinMap, cb_bracket, classify
 from .averaging import commutant_lift
 from .geometry import tensor_lift
 from .intertwine import _distance_hi, _normalized, _worst_move, intertwining_iso

@@ -5,9 +5,8 @@ from hypothesis import strategies as st
 
 from cstarlab.algebra import (BlockModel, ConcreteAlgebra, FDAlgebra,
                               generate_algebra, orthonormalize,
-                              support_projection, unitize_dagger,
-                              unitize_tilde, verify_algebra,
-                              wedderburn_decompose)
+                              support_projection, unitize_tilde,
+                              verify_algebra, wedderburn_decompose)
 from cstarlab.instances import block_algebra, gen_instance
 from cstarlab.linalg import (dagger, expm_i, hs_inner, opnorm,
                              random_hermitian, random_unitary, rng_for)
@@ -133,16 +132,6 @@ def test_unitize_tilde_adds_one_dim():
         m = np.zeros((4, 4), dtype=complex)
         m[:3, :3] = b
         assert At.residual(m) < 1e-10
-
-
-def test_unitize_dagger_degenerate():
-    # a product-closed matrix algebra already contains its own unit, so the
-    # in-ambient unitization never grows the dimension
-    for profile, N in [((2, 1), 3), ((2,), 3)]:
-        A = block_algebra(profile, N)
-        Ad = unitize_dagger(A)
-        assert Ad.dim == A.dim
-        assert opnorm(Ad.support - A.support) < 1e-12
 
 
 def test_orthonormalize_drops_dependent():

@@ -327,7 +327,7 @@ def test_ucp_extension_unital():
     fd = FDAlgebra((2,))
     # a cpc map that is not unital: scale a ucp compression
     phi = random_ucp(fd, 3, seed=9).scaled(0.7)
-    ext = ucp_extension(phi, mode="tilde")
+    ext = ucp_extension(phi)
     assert ext.domain.block_sizes == (2, 1)
     val = ext(ext.domain_unit())
     assert opnorm(val - np.eye(3)) < 1e-10

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from cstarlab import geometry
 from cstarlab.algebra import ConcreteAlgebra, dagger, opnorm
 from cstarlab.certs import ContradictionError
 from cstarlab.geometry import (
@@ -21,7 +22,7 @@ from cstarlab.geometry import (
     span_distance_lower,
     tensor_lift,
 )
-from cstarlab.instances import block_algebra
+from cstarlab.instances import block_algebra, gen_instance
 from cstarlab.linalg import random_unitary, rng_for
 
 
@@ -190,6 +191,112 @@ def test_span_distance_lower_is_lower():
 
 
 # ---------------------------------------------------------------------------
+# the floor: solving only for the supremum
+# ---------------------------------------------------------------------------
+
+PAIRS = [("M2", 4), ("M2+M1", 4), ("3,3", 8), ("2,2,2", 8)]
+
+
+def conjugation_pair(profile: str, N: int, seed: int = 3):
+    inst = gen_instance("conjugation", {"algebra": profile, "ambient": N,
+                                        "eps": 1e-6}, seed=seed)
+    return inst.A, inst.B
+
+
+def unit_ball_stack(A, n: int = 16, seed: int = 3) -> np.ndarray:
+    spec = SampleSpec(seed=seed, n_selfadjoint=n, n_unitary=n)
+    return np.array([x for _, x in sample_unit_ball(A, spec)])
+
+
+def record_duals(monkeypatch) -> list:
+    """Record (R, lo) of every checkpoint dual the solver computes."""
+    calls, dual = [], geometry._subgradient_dual
+    monkeypatch.setattr(geometry, "_subgradient_dual",
+                        lambda D, R, project: calls.append((R, dual(D, R, project)))
+                        or calls[-1][1])
+    return calls
+
+
+@pytest.mark.parametrize("ball", [False, True])
+@pytest.mark.parametrize("profile, N", PAIRS)
+def test_floor_keeps_the_supremum(profile, N, ball, monkeypatch):
+    A, B = conjugation_pair(profile, N)
+    spec = SampleSpec(seed=3, n_selfadjoint=16, n_unitary=16, iters=200)
+    X = unit_ball_stack(A)
+    _, full = nearest_in_span(X, B, ball=ball, iters=200)
+    lbs = span_distance_lower(X, B)
+    cert = near_inclusion(A, B, spec=spec, ball=ball)
+    assert cert.gamma_hi == full.max() and cert.gamma_lo == lbs.max()
+    duals = record_duals(monkeypatch)
+    _, vals = nearest_in_span(X, B, ball=ball, iters=200, floor=lbs.max())
+    floor = max([lbs.max()] + [lo.max() for _, lo in duals])
+    assert duals and floor > lbs.max()
+    top = vals >= floor
+    # targets that can reach the supremum ran the full solve, bit for bit;
+    # the others stopped below the floor, at a best iterate of the same path
+    assert top.any() and not top.all()
+    assert np.array_equal(vals[top], full[top])
+    assert np.all(vals[~top] < floor) and np.all(vals >= full)
+    # each dual bound lies below its target's achieved distance; a residual
+    # R = x - b, b in span(B), is matched to x by the HS residual of x - R
+    project = B.span().project
+    for R, lo in duals:
+        Z = (X[None] - R[:, None]).reshape((-1,) + X.shape[1:])
+        off = np.linalg.norm(Z - project(Z), axis=(1, 2)).reshape(len(R), len(X))
+        assert np.all(lo <= full[off.argmin(axis=1)] * (1.0 + 1e-13))
+
+
+def test_subgradient_dual_is_below_the_scalar_distance(monkeypatch):
+    # dist(x, C 1) = (lambda_max - lambda_min) / 2 for hermitian x, and the
+    # residual R = x - b, b in C 1, has the same distance
+    rng = rng_for(24, "dual-oracle")
+    g = rng.standard_normal((8, 5, 5)) + 1j * rng.standard_normal((8, 5, 5))
+    duals = record_duals(monkeypatch)
+    nearest_in_span(g + dagger(g), scalars(5), iters=200, floor=0.0)
+    assert len(duals) == 4  # checkpoints 16, 32, 64, 128
+    for R, lo in duals:
+        lam = np.linalg.eigvalsh((R + dagger(R)) / 2.0)
+        exact = (lam[:, -1] - lam[:, 0]) / 2.0
+        assert np.all(lo <= exact * (1.0 + 1e-14))
+        assert lo.max() >= 0.9 * exact.max()
+
+
+def test_floor_drops_exactly_the_targets_below_it(monkeypatch):
+    # replay the rule from the unfloored solve, whose first k iterations are
+    # the same bits as a k-iteration solve: during iteration k the stack
+    # holds the targets whose best value after k - 1 iterations is at least
+    # (1 - 1e-6) times the floor then
+    A, B = conjugation_pair("M2", 4)
+    X = unit_ball_stack(A)
+    K, floor0 = 40, span_distance_lower(X, B).max()
+    prefix = [nearest_in_span(X, B, iters=k)[1] for k in range(K)]
+    sizes, top_dyad = [], geometry._top_dyad
+    monkeypatch.setattr(geometry, "_top_dyad",
+                        lambda r: sizes.append(len(r)) or top_dyad(r))
+    duals = record_duals(monkeypatch)
+    nearest_in_span(X, B, iters=K, floor=floor0)
+    assert len(sizes) == K + 1 and len(duals) == 2
+    for k in range(1, K + 1):
+        floor = max([floor0] + [lo.max() for (_, lo), c in zip(duals, (16, 32))
+                                if c <= k - 1])
+        assert sizes[k] == np.count_nonzero(prefix[k - 1] >= floor * (1.0 - 1e-6))
+    assert sizes[17] < sizes[16] and sizes[-1] >= 1
+
+
+def test_floor_never_drops_the_target_that_sets_it(monkeypatch):
+    # x = diag(1, -1, 0, 0) is at distance 1 from C 1 and the warm start
+    # b = 0 attains it; the subgradients alternate between e_11 and -e_22,
+    # whose averages give the dual bound 1: the one target must run on
+    x = np.diag([1.0, -1.0, 0.0, 0.0]).astype(complex)
+    calls, top_dyad = [], geometry._top_dyad
+    monkeypatch.setattr(geometry, "_top_dyad", lambda r: calls.append(1) or top_dyad(r))
+    duals = record_duals(monkeypatch)
+    _, d = nearest_in_span(x, scalars(4), iters=40, floor=0.0)
+    assert d == 1.0 and len(calls) == 41
+    assert abs(duals[-1][1][0] - 1.0) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
 # sampling and two-sided distance
 # ---------------------------------------------------------------------------
 
@@ -230,6 +337,17 @@ def test_kk_distance_conjugation_bound(seed):
     iv = kk_distance(A, B, spec=SampleSpec(seed=seed, n_selfadjoint=4, n_unitary=4))
     assert iv.lo <= iv.hi + 1e-12
     assert iv.hi <= 2.0 * opnorm(u - np.eye(3)) + 1e-9
+
+
+@pytest.mark.parametrize("profile, N", PAIRS[:3])
+def test_kk_distance_lo_witness_attains_lo(profile, N):
+    for seed in range(6):
+        A, B = conjugation_pair(profile, N, seed)
+        iv = kk_distance(A, B, spec=SampleSpec(seed=seed, n_selfadjoint=32,
+                                               n_unitary=32, iters=20))
+        target = B if iv.cert_ab.gamma_lo >= iv.cert_ba.gamma_lo else A
+        lb = span_distance_lower(iv.lo_witness, target)
+        assert abs(lb - iv.lo) <= 1e-14 * iv.lo
 
 
 def test_near_inclusion_direction_tag():
