@@ -119,8 +119,7 @@ def criterion_2(per_profile: int = 100, seed: int = 0) -> CriterionResult:
             dil = stinespring(phi)
             for u, img in zip(fd.units(), phi.images):
                 worst_recon = max(worst_recon, opnorm(dil.reconstruct(u) - img))
-            for _ in range(3):
-                a = fd.random_element(rng)
+            for a in fd.random_elements(rng, 3):
                 a = a / max(opnorm(a), 1e-300)
                 worst_defect = max(worst_defect,
                                    dil.defect_identity_residual(phi, a))
@@ -160,8 +159,7 @@ def criterion_3(seed: int = 0) -> CriterionResult:
             m_img = sum(w * (dagger(u) @ u) for w, u in zip(avg.weights, avg.terms))
             worst_mult = max(worst_mult, opnorm(m_img - fd.unit()))
             rng = rng_for(seed, "acceptance-3", *profile)
-            xs = [fd.random_element(rng) for _ in range(3)]
-            for x in xs:
+            for x in fd.random_elements(rng, 3):
                 x = x / max(opnorm(x), 1e-300)
                 tw = avg.twirl(x)
                 for b in fd.units():

@@ -199,11 +199,23 @@ class FDAlgebra:
         """Block-diagonal compression of an arbitrary d x d matrix."""
         return self.embed_blocks(self.blocks_of(x))
 
-    def random_element(self, rng, hermitian: bool = False) -> np.ndarray:
-        from .linalg import random_complex
-        blocks = [random_complex(rng, n) for n in self.block_sizes]
+    def random_elements(self, rng, count: int, hermitian: bool = False) -> np.ndarray:
+        """Stack (count, d, d) of standard complex Gaussian elements (their
+        Hermitian parts when asked) from one draw, sliced per sample and
+        block as real then imaginary n_k^2 values: the stream order, and the
+        bits, of one ``linalg.random_complex`` call per block and sample."""
+        sq = [n * n for n in self.block_sizes]
+        g = rng.standard_normal((count, 2 * sum(sq)))
+        blocks, pos = [], 0
+        for n, m in zip(self.block_sizes, sq):
+            re, im = g[:, pos:pos + m], g[:, pos + m:pos + 2 * m]
+            blocks.append(((re + 1j * im) / np.sqrt(2.0)).reshape(count, n, n))
+            pos += 2 * m
         x = self.embed_blocks(blocks)
         return herm(x) if hermitian else x
+
+    def random_element(self, rng, hermitian: bool = False) -> np.ndarray:
+        return self.random_elements(rng, 1, hermitian)[0]
 
 
 # ---------------------------------------------------------------------------

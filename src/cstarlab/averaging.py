@@ -257,8 +257,7 @@ def _fd_unit_ball(fd: FDAlgebra, n_sa: int, n_unitary: int, seed: int) -> np.nda
     """Stack of the matrix units of a block algebra, n_sa sampled self-adjoint
     contractions and n_unitary sampled unitaries, drawn in that order."""
     rng = rng_for(seed, "fd-unit-ball", fd.d)
-    h = np.array([fd.random_element(rng, hermitian=True)
-                  for _ in range(n_sa + n_unitary)]).reshape((-1, fd.d, fd.d))
+    h = fd.random_elements(rng, n_sa + n_unitary, hermitian=True)
     sa, g = h[:n_sa], h[n_sa:]
     nrm = opnorms(g)
     g = g / np.where(nrm > 1e-14, nrm, 1.0)[:, None, None]
@@ -272,9 +271,9 @@ def _estimate_mult_defect(phi: LinMap, seed: int = 0, n_samples: int = 32) -> fl
         raise ValueError("defect estimation expects a block domain")
     rng = rng_for(seed, "defect-pairs", fd.d)
     worst = mult_defect(phi, _fd_unit_ball(fd, n_samples, 0, seed)).defect
-    # pairs (x, y) drawn in turn, then clipped in one batch
-    xy = clip_spectrum(np.array([fd.random_element(rng, hermitian=True)
-                                 for _ in range(2 * n_samples)]), -1.0, 1.0)
+    # pairs (x, y) drawn in turn
+    xy = clip_spectrum(fd.random_elements(rng, 2 * n_samples, hermitian=True),
+                       -1.0, 1.0)
     x, y = xy[0::2], xy[1::2]
     return float(max(worst, opnorms(phi(x @ y) - phi(x) @ phi(y)).max(initial=0.0)))
 
@@ -462,8 +461,7 @@ def intertwining_unitary(phi1: LinMap, phi2: LinMap,
                     _estimate_mult_defect(a2, seed=seed))
     if gamma is None:
         rng = rng_for(seed, "intertwine-gamma", fd.d)
-        X = clip_spectrum(np.array([fd.random_element(rng, hermitian=True)
-                                    for _ in range(16)]), -1.0, 1.0)
+        X = clip_spectrum(fd.random_elements(rng, 16, hermitian=True), -1.0, 1.0)
         gamma = max(a1.basis_distance(a2), opnorms(a1(X) - a2(X)).max())
     budget.require_window("intertwining", gamma, WINDOW_INTERTWINE)
 

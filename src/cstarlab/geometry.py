@@ -8,10 +8,13 @@ convex problem min ||x - b|| over b in a subspace (optionally intersected
 with the unit ball); lower bounds come from trace-norm dual certificates.
 One solver, ``nearest_in_span``, serves every witness search: it takes a
 stack of targets and advances them together by batched eigensolves of small
-Gram matrices, so a near inclusion solves all of its samples in one call;
-as it reports only the largest distance, a sample whose best value is below
-a proven lower bound of another (an HS dual, or a trace-norm dual built from
-the solver's own subgradients) stops early.  Suprema over the unit ball are
+Gram matrices, so a near inclusion solves all of its samples in one call.
+Each target leaves the stack on its own, and the solver says when and why:
+``tol`` (its residual vanished), ``gap`` (a trace-norm dual built from the
+solver's own subgradients proves its value to 1e-6 relative), ``floor`` (a
+near inclusion reports only the largest distance, so a sample whose best
+value is below a proven lower bound of another stops early) or ``cap`` (the
+iteration budget ran out).  Suprema over the unit ball are
 sampled (basis elements, random self-adjoint contractions, random
 unitaries), so the reported gamma_hi is an honest sampled estimate with
 stored witnesses, not a proof of the supremum.
@@ -61,15 +64,18 @@ class SampleSpec:
 
 @dataclass
 class Witness:
-    """Sample x, point b of the target, achieved ub = ||x - b|| and dual lb.
-    A witness with ub below gamma_lo (or another sample's dual bound) may
-    have stopped early; its ub is still an achieved distance."""
+    """Sample x, point b of the target, achieved ub = ||x - b|| and dual lb,
+    with the solver's iterations and stop reason (see ``nearest_in_span``).
+    A witness stopped on the floor may have ub below the supremum; its ub is
+    still an achieved distance."""
 
     label: str
     x: np.ndarray
     b: np.ndarray
     ub: float
     lb: float
+    stop: str = ""
+    iters: int = 0
 
 
 @dataclass
@@ -141,9 +147,15 @@ def _subgradient_dual(D: np.ndarray, R: np.ndarray, project) -> np.ndarray:
     return np.where(nrm > 0.0, inner, 0.0) / np.where(nrm > 0.0, nrm, 1.0)
 
 
+# relative margin of the stopping rules: a target leaves once its best value
+# is within it of a proven lower bound (gap) or below a floor by more than it
+_MARGIN = 1e-6
+_STOPS = ("tol", "gap", "floor", "cap")
+
+
 def nearest_in_span(x: np.ndarray, span: _Span | ConcreteAlgebra,
                     ball: bool = False, iters: int = 500, tol: float = 1e-12,
-                    *, floor: float | None = None) -> tuple[np.ndarray, float | np.ndarray]:
+                    *, floor: float | None = None) -> tuple:
     """Minimize ||x - b||_op over b in the given subspace (intersected with
     the operator-norm unit ball when requested).
 
@@ -156,20 +168,28 @@ def nearest_in_span(x: np.ndarray, span: _Span | ConcreteAlgebra,
     each with its own step scale c and best iterate.  Every iteration takes
     one batched Hermitian eigensolve of the residuals' smaller Gram matrices
     (``_top_dyad``): its top eigenpair is the objective and the next
-    subgradient; the ball's rescale reads the norm from eigvalsh(y* y).  A
-    target whose residual falls to tol leaves the stack.  Returns the
-    witnesses (shaped like x) and the distances ||x - b|| (a float, or an
-    (S,) array for a stack), taken by the values-only SVD of ``opnorm`` so
-    that opnorm(x - b) reproduces each bit for bit.  The span's ``project``
-    maps a stack (S, R, C) to its HS-orthogonal projections.
+    subgradient; the ball's rescale reads the norm from eigvalsh(y* y).  The
+    span's ``project`` maps a stack (S, R, C) to its HS-orthogonal
+    projections.
 
-    A ``floor``, a proven lower bound for some target's distance, asks only
-    for the largest distance: a target leaves the stack once its best value
-    is below floor (1 - 1e-6), and at k = 16, 32, 64, ... the floor rises to
-    the largest ``_subgradient_dual`` bound of the live targets over the dyads
-    of iterations (k/2, k].  The target setting the floor has best value >=
-    distance >= floor, so it stays; a dropped target ends below the floor:
-    the maximum and every target that can reach it are as without a floor.
+    A target leaves the stack on the first of these that holds:
+      tol    its residual fell to tol;
+      gap    at k = 16, 32, 64, ... the ``_subgradient_dual`` bound lo from
+             the dyads of iterations (k/2, k] gives best - lo <= 1e-6 best.
+             lo bounds the distance to the span, so also to its unit ball,
+             from below: the value is within 1e-6 of the optimum either way
+             (a ball solve whose constraint binds runs to the cap);
+      floor  its best value is below floor (1 - 1e-6), where ``floor`` is a
+             proven lower bound for the largest distance, raised to the
+             largest lo at each checkpoint: only the maximum is asked for,
+             and the target setting the floor has best >= distance >= floor;
+      cap    it ran all iters iterations.
+
+    Returns the witnesses (shaped like x), the distances ||x - b||, the
+    iteration each target stopped at (0 when the warm start decided it) and
+    its stop reason: floats, ints and strings for one matrix, (S,) arrays for
+    a stack.  The distances are taken by the values-only SVD of ``opnorm``,
+    so that opnorm(x - b) reproduces each bit for bit.
     """
     sp = span.span() if isinstance(span, ConcreteAlgebra) else span
     single = np.ndim(x) == 2
@@ -183,14 +203,25 @@ def nearest_in_span(x: np.ndarray, span: _Span | ConcreteAlgebra,
         nrm = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
         return y / np.maximum(nrm, 1.0)[:, None, None]
 
+    def stops(s, best_s, lo=None):
+        """Index into _STOPS of each live target's stop, 3 where it goes on;
+        None when every target goes on."""
+        is_tol = s <= tol
+        is_gap = lo is not None and best_s - lo <= _MARGIN * best_s
+        is_floor = floor is not None and best_s < floor * (1.0 - _MARGIN)
+        if not (is_tol | is_gap | is_floor).any():
+            return None
+        return np.where(is_tol, 0, np.where(is_gap, 1, np.where(is_floor, 2, 3)))
+
     best = rescale(project(X))
     best_val = np.linalg.svd(X - best, compute_uv=False)[:, 0]
     c = np.maximum(best_val, 10 * tol)
-    live = np.flatnonzero(best_val > tol)
-    if floor is not None:
-        live = live[best_val[live] >= floor * (1.0 - 1e-6)]
+    stop = stops(best_val, best_val)
+    stop = np.full(len(X), 3) if stop is None else stop
+    at = np.where(stop < 3, 0, iters)
+    live = np.flatnonzero(stop == 3)
     Xl, cl, y = X[live], c[live], best[live]
-    D, check = (None, 0) if floor is None else (np.zeros_like(Xl), 16)
+    D, check = np.zeros_like(Xl), 16
     u, v, _ = _top_dyad(Xl - y)
     for k in range(1, iters + 1):
         if not live.size:
@@ -202,28 +233,32 @@ def nearest_in_span(x: np.ndarray, span: _Span | ConcreteAlgebra,
         better = s < best_val[live]
         best[live[better]] = y[better]
         best_val[live[better]] = s[better]
-        keep = s > tol
-        if floor is not None:
-            if k > check // 2:
-                D += dyad
-            if k == check:
-                lo = _subgradient_dual(D, Xl - best[live], project)
-                floor, check = max(floor, float(lo.max())), 2 * check
-                D[:] = 0.0
-            keep &= best_val[live] >= floor * (1.0 - 1e-6)
-        if not keep.all():
-            live, Xl, cl, y, u, v = (a[keep] for a in (live, Xl, cl, y, u, v))
-            D = None if D is None else D[keep]
+        lo = None
+        if k > check // 2:
+            D += dyad
+        if k == check:
+            lo = _subgradient_dual(D, Xl - best[live], project)
+            if floor is not None:
+                floor = max(floor, float(lo.max()))
+            check *= 2
+            D[:] = 0.0
+        why = stops(s, best_val[live], lo)
+        if why is not None:
+            out = why < 3
+            stop[live[out]], at[live[out]] = why[out], k
+            live, Xl, cl, y, u, v, D = (a[~out] for a in (live, Xl, cl, y, u, v, D))
     best_val = np.linalg.svd(X - best, compute_uv=False)[:, 0]
+    stop = np.array(_STOPS)[stop]
     if single:
-        return best[0], float(best_val[0])
-    return best, best_val
+        return best[0], float(best_val[0]), int(at[0]), str(stop[0])
+    return best, best_val, at, stop
 
 
 def nearest_in_ball(x: np.ndarray, B: ConcreteAlgebra, iters: int = 500,
-                    tol: float = 1e-12) -> tuple[np.ndarray, float | np.ndarray]:
+                    tol: float = 1e-12) -> tuple:
     """Witness in the unit ball of span(B) nearly closest to x in operator
-    norm, with its certified distance ||x - b||; x may be a stack."""
+    norm, with its certified distance ||x - b||, iterations and stop reason
+    as ``nearest_in_span``; x may be a stack."""
     return nearest_in_span(x, B, ball=True, iters=iters, tol=tol)
 
 
@@ -284,17 +319,21 @@ def near_inclusion(A: ConcreteAlgebra, B: ConcreteAlgebra,
     unit ball of A.  Witnesses are unconstrained in B by default (set ball
     for unit-ball witnesses as in the two-sided distance).  The HS dual
     bounds come first and gamma_lo is the solve's ``floor``: samples proven
-    below the supremum stop early, and gamma_hi is as in the full solve."""
+    below the supremum stop early, so gamma_hi is decided by the samples
+    that can set it.  Each witness keeps its solver stop reason and
+    iterations."""
     spec = spec or SampleSpec()
     samples = sample_unit_ball(A, spec)
     wits: list[Witness] = []
     if samples:
         X = np.array([x for _, x in samples])
         lbs = span_distance_lower(X, B)
-        bs, ubs = nearest_in_span(X, B, ball=ball, iters=spec.iters,
-                                  floor=float(lbs.max()))
-        wits = [Witness(label=label, x=x, b=b, ub=float(ub), lb=float(lb))
-                for (label, x), b, ub, lb in zip(samples, bs, ubs, lbs)]
+        bs, ubs, its, stops = nearest_in_span(X, B, ball=ball, iters=spec.iters,
+                                              floor=float(lbs.max()))
+        wits = [Witness(label=label, x=x, b=b, ub=float(ub), lb=float(lb),
+                        stop=str(stop), iters=int(it))
+                for (label, x), b, ub, lb, it, stop
+                in zip(samples, bs, ubs, lbs, its, stops)]
     gamma_hi = max((w.ub for w in wits), default=0.0)
     lo_wit = max(wits, key=lambda w: w.lb, default=None)
     gamma_lo = lo_wit.lb if lo_wit else 0.0
@@ -377,9 +416,9 @@ def tensor_lift(X, B: ConcreteAlgebra, n: int, gamma: float,
     worst = 0.0
     for cols in {x.shape[1] for x in X}:
         idx = [i for i, x in enumerate(X) if x.shape[1] == cols]
-        bs, vals = nearest_in_span(np.array([X[i] for i in idx]),
-                                   _TensorSpan(B, n, cols // (N * n)),
-                                   iters=iters, tol=1e-13)
+        bs, vals, _, _ = nearest_in_span(np.array([X[i] for i in idx]),
+                                         _TensorSpan(B, n, cols // (N * n)),
+                                         iters=iters, tol=1e-13)
         for i, b in zip(idx, bs):
             witnesses[i] = b
         worst = max(worst, float(vals.max()))

@@ -211,14 +211,18 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
     worst_membership = 0.0
     tracking_ok = surjectivity_delta is not None
     pull_worst = 0.0
+    pulled_for = pull = None
 
     for n in range(1, max_iter + 1):
         a_n = norm_basis[(n - 1) % len(norm_basis)]
         _add_unique(X, seen_X, [a_n])
         if surjectivity_delta is not None:
-            # track codomain basis elements through the accumulated conjugators
-            pulled = dagger(accumulated) @ B_norm_basis @ accumulated
-            for x, dist in zip(*nearest_in_ball(pulled, A, iters=80)):
+            # track codomain basis elements through the accumulated
+            # conjugators, solving again only after the conjugator changed
+            if not np.array_equal(pulled_for, accumulated):
+                pulled = dagger(accumulated) @ B_norm_basis @ accumulated
+                pulled_for, pull = accumulated, nearest_in_ball(pulled, A, iters=80)[:2]
+            for x, dist in zip(*pull):
                 pull_worst = max(pull_worst, dist)
                 if dist <= 2.0 / 5.0 + budget.tol_alg:
                     _add_unique(X, seen_X, [x])
@@ -388,10 +392,10 @@ def close_isomorphism(A: ConcreteAlgebra, B: ConcreteAlgebra, dist_cert,
             f"different dimensions {A.dim} != {B.dim}")
     if mu is None:
         mu = min(np.sqrt(gamma), 1.0 / 4000.0)
-    X = [np.asarray(x, dtype=complex) for x in (X or [])]
+    X = [np.asarray(x, dtype=complex) for x in ([] if X is None else X)]
     X += list(_normalized(A.basis))
     Y = _normalized(B.basis) if Y is None else np.array(Y, dtype=complex)
-    Xs, dists = nearest_in_ball(Y, A, iters=200)
+    Xs, dists, _, _ = nearest_in_ball(Y, A, iters=200)
     X += list(Xs)
 
     surj_delta = gamma if gamma <= 1.0 / 5.0 else None
@@ -460,7 +464,7 @@ def _projection_near_unit(e: np.ndarray, B: ConcreteAlgebra, gamma: float,
                           tol: float) -> np.ndarray:
     """Projection p in B with ||p - e|| <= 2 gamma, from the spectral cut of
     a hermitian near-best approximant of the support projection e."""
-    y, dist = nearest_in_ball(e, B, iters=300)
+    y = nearest_in_ball(e, B, iters=300)[0]
     h = (y + dagger(y)) / 2.0
     vals, vecs = np.linalg.eigh(h)
     if np.any((vals > 0.45) & (vals < 0.55)):
@@ -516,7 +520,7 @@ def half_flip_cpc(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma_cert, X=None,
     pair_basis = [np.kron(b, a) for b in B0.basis for a in A.basis]
     from .algebra import ConcreteAlgebra as _CA
     tensor_span = _CA.from_basis(pair_basis, N * N)
-    w, wdist = nearest_in_span(v, tensor_span.span(), ball=True, iters=300)
+    w, wdist, _, _ = nearest_in_span(v, tensor_span.span(), ball=True, iters=300)
     alpha = (4.0 * np.sqrt(2.0) + 1.0) * gamma + 4.0 * np.sqrt(2.0) * gamma ** 2
     alpha_prime = gamma + 4.0 * np.sqrt(2.0) * gamma * (1.0 + gamma)
     w_ceiling = 2.0 * (2.0 * alpha_prime + alpha_prime ** 2)

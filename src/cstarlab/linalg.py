@@ -13,7 +13,6 @@ from __future__ import annotations
 import zlib
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "dagger",
@@ -215,6 +214,7 @@ def principal_log_unitary(u: np.ndarray, gap_tol: float = 1e-6) -> np.ndarray:
     vals = np.linalg.eigvals(u)
     if np.abs(vals + 1.0).min(initial=2.0) < gap_tol:
         raise ValueError("principal_log_unitary: spectrum touches -1, no principal branch")
+    import scipy.linalg  # deferred: loading scipy costs 0.2 s in every process
     logu = scipy.linalg.logm(u)
     h = herm(logu / 1j)
     if opnorm(expm_i(h) - u) > 1e-8:

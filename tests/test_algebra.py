@@ -8,10 +8,30 @@ from cstarlab.algebra import (BlockModel, ConcreteAlgebra, FDAlgebra,
                               support_projection, unitize_tilde,
                               verify_algebra, wedderburn_decompose)
 from cstarlab.instances import block_algebra, gen_instance
-from cstarlab.linalg import (dagger, expm_i, hs_inner, opnorm,
+from cstarlab.linalg import (dagger, expm_i, hs_inner, opnorm, random_complex,
                              random_hermitian, random_unitary, rng_for)
 
 PROFILES = [(2,), (1, 1), (2, 1), (3,), (2, 2), (1, 1, 1)]
+
+
+@pytest.mark.parametrize("hermitian", [False, True])
+@pytest.mark.parametrize("sizes", [(2, 1), (3, 3), (2, 3, 1)])
+def test_random_elements_equal_the_per_block_draws(sizes, hermitian):
+    # one draw for the stack gives the bits of one random_complex call per
+    # block and sample, and leaves the stream where those calls leave it
+    fd = FDAlgebra(sizes)
+    rng, ref = rng_for(41, "batch", *sizes), rng_for(41, "batch", *sizes)
+    got = fd.random_elements(rng, 5, hermitian=hermitian)
+    want = np.zeros((5, fd.d, fd.d), dtype=complex)
+    for x in want:
+        o = 0
+        for n in sizes:
+            x[o:o + n, o:o + n] = random_complex(ref, n)
+            o += n
+    if hermitian:
+        want = 0.5 * (want + want.conj().swapaxes(1, 2))
+    assert got.tobytes() == want.tobytes()
+    assert rng.standard_normal() == ref.standard_normal()
 
 
 def test_fd_algebra_unit_table():

@@ -41,7 +41,7 @@ def test_nearest_in_span_member_is_exact():
     A = block_algebra((2, 1), 4)
     rng = rng_for(5, "member")
     x = A.random_selfadjoint(rng)
-    b, d = nearest_in_span(x, A)
+    b, d, *_ = nearest_in_span(x, A)
     assert d < 1e-10
     assert opnorm(b - x) < 1e-10
 
@@ -52,7 +52,7 @@ def test_nearest_in_span_beats_hs_projection():
     rng = rng_for(8, "warmstart")
     g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     y0 = A.project(g)
-    _, d = nearest_in_span(g, A)
+    _, d, *_ = nearest_in_span(g, A)
     assert d <= opnorm(g - y0) + 1e-12
 
 
@@ -60,7 +60,7 @@ def test_nearest_in_ball_respects_norm():
     A = block_algebra((2,), 3)
     rng = rng_for(9, "ball")
     g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    b, d = nearest_in_ball(3.0 * g / opnorm(g), A)
+    b, d, *_ = nearest_in_ball(3.0 * g / opnorm(g), A)
     assert opnorm(b) <= 1.0 + 1e-9
     assert d >= 2.0 - 1e-6  # the target has norm 3, the ball caps at 1
 
@@ -81,7 +81,7 @@ def test_stacked_targets_match_single_solves(ball):
                  + [scale * (rng.standard_normal((4, 4))
                              + 1j * rng.standard_normal((4, 4)))
                     for scale in (10.0, 20.0, 40.0, 80.0)])
-    bs, vals = nearest_in_span(X, S, ball=ball, iters=200, tol=tol)
+    bs, vals, *_ = nearest_in_span(X, S, ball=ball, iters=200, tol=tol)
     assert bs.shape == X.shape and vals.shape == (len(X),)
     # the stopper's iterates are m_k 1 with residual max(m_k, 1 - m_k): the
     # step c / sqrt(k), c = 10 tol, moves m by a quarter of it toward 1/2
@@ -93,7 +93,7 @@ def test_stacked_targets_match_single_solves(ball):
     assert vals[0] < 1e-12 and abs(vals[1] - max(m, 1.0 - m)) < 1e-12 and k > 1
     assert np.all(vals[2:] > 10 * tol)
     for x, b, v in zip(X, bs, vals):
-        b1, v1 = nearest_in_span(x, S, ball=ball, iters=200, tol=tol)
+        b1, v1, *_ = nearest_in_span(x, S, ball=ball, iters=200, tol=tol)
         assert isinstance(v1, float)
         assert abs(v1 - v) <= 1e-12
         assert opnorm(b1 - b) <= 1e-12
@@ -144,7 +144,7 @@ def test_nearest_in_ball_stack_is_feasible():
     rng = rng_for(32, "ball-stack")
     inside = np.array([b / opnorm(b) for b in B.basis[:3]])
     X = np.concatenate([3.0 * inside, 3.0 * rng.standard_normal((4, 4, 4))])
-    bs, vals = nearest_in_ball(X, B, iters=100)
+    bs, vals, *_ = nearest_in_ball(X, B, iters=100)
     assert all(opnorm(b) <= 1.0 + 1e-12 for b in bs)
     assert np.abs(vals[:3] - 2.0).max() <= 1e-12
 
@@ -157,7 +157,7 @@ def test_nearest_in_span_scalar_distance_closed_form():
         g = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         X.append(g + dagger(g))
     X = np.array(X)
-    _, vals = nearest_in_span(X, scalars(5), iters=200)
+    _, vals, *_ = nearest_in_span(X, scalars(5), iters=200)
     lam = np.linalg.eigvalsh(X)
     exact = (lam[:, -1] - lam[:, 0]) / 2.0
     assert np.all(vals >= exact - 1e-12)
@@ -172,7 +172,7 @@ def test_stacked_witnesses_are_feasible_and_exact(ball):
     spec = SampleSpec(seed=23, n_selfadjoint=3, n_unitary=3)
     X = np.array([x for _, x in sample_unit_ball(A, spec)]
                  + [2.0 * rng.standard_normal((4, 4)) for _ in range(3)])
-    bs, vals = nearest_in_span(X, B, ball=ball, iters=100)
+    bs, vals, *_ = nearest_in_span(X, B, ball=ball, iters=100)
     for x, b, v in zip(X, bs, vals):
         assert B.residual(b) <= 1e-12
         if ball:
@@ -186,7 +186,7 @@ def test_span_distance_lower_is_lower():
     for _ in range(6):
         g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         lb = span_distance_lower(g, A)
-        _, ub = nearest_in_span(g, A)
+        _, ub, *_ = nearest_in_span(g, A)
         assert lb <= ub + 1e-10
 
 
@@ -223,12 +223,12 @@ def test_floor_keeps_the_supremum(profile, N, ball, monkeypatch):
     A, B = conjugation_pair(profile, N)
     spec = SampleSpec(seed=3, n_selfadjoint=16, n_unitary=16, iters=200)
     X = unit_ball_stack(A)
-    _, full = nearest_in_span(X, B, ball=ball, iters=200)
+    _, full, *_ = nearest_in_span(X, B, ball=ball, iters=200)
     lbs = span_distance_lower(X, B)
     cert = near_inclusion(A, B, spec=spec, ball=ball)
     assert cert.gamma_hi == full.max() and cert.gamma_lo == lbs.max()
     duals = record_duals(monkeypatch)
-    _, vals = nearest_in_span(X, B, ball=ball, iters=200, floor=lbs.max())
+    _, vals, *_ = nearest_in_span(X, B, ball=ball, iters=200, floor=lbs.max())
     floor = max([lbs.max()] + [lo.max() for _, lo in duals])
     assert duals and floor > lbs.max()
     top = vals >= floor
@@ -262,38 +262,111 @@ def test_subgradient_dual_is_below_the_scalar_distance(monkeypatch):
 
 
 def test_floor_drops_exactly_the_targets_below_it(monkeypatch):
-    # replay the rule from the unfloored solve, whose first k iterations are
-    # the same bits as a k-iteration solve: during iteration k the stack
-    # holds the targets whose best value after k - 1 iterations is at least
-    # (1 - 1e-6) times the floor then
+    # replay the stop rules from the solver's own per-iteration values: the
+    # stack of iteration k holds the targets stopped at k or later, in order;
+    # a target leaves on the gap exactly when a checkpoint dual proves
+    # best - lo <= 1e-6 best, else on the floor exactly when its best value
+    # is below (1 - 1e-6) times the floor then
     A, B = conjugation_pair("M2", 4)
     X = unit_ball_stack(A)
-    K, floor0 = 40, span_distance_lower(X, B).max()
-    prefix = [nearest_in_span(X, B, iters=k)[1] for k in range(K)]
-    sizes, top_dyad = [], geometry._top_dyad
+    K, floor0 = 130, span_distance_lower(X, B).max()
+    best = nearest_in_span(X, B, iters=0)[1]
+    values, top_dyad = [], geometry._top_dyad
     monkeypatch.setattr(geometry, "_top_dyad",
-                        lambda r: sizes.append(len(r)) or top_dyad(r))
+                        lambda r: values.append(top_dyad(r)[2]) or top_dyad(r))
     duals = record_duals(monkeypatch)
-    nearest_in_span(X, B, iters=K, floor=floor0)
-    assert len(sizes) == K + 1 and len(duals) == 2
-    for k in range(1, K + 1):
-        floor = max([floor0] + [lo.max() for (_, lo), c in zip(duals, (16, 32))
-                                if c <= k - 1])
-        assert sizes[k] == np.count_nonzero(prefix[k - 1] >= floor * (1.0 - 1e-6))
-    assert sizes[17] < sizes[16] and sizes[-1] >= 1
+    _, vals, at, stop = nearest_in_span(X, B, iters=K, floor=floor0)
+    # the last targets close their gaps at k = 128
+    assert len(duals) == 4 and at.max() == 128 and len(values) == 129
+    assert np.array_equal(at == 0, best < floor0 * (1.0 - 1e-6))
+    assert np.all(stop[at == 0] == "floor")
+    lows, floor = dict(zip((16, 32, 64, 128), (lo for _, lo in duals))), floor0
+    for k in range(1, 129):
+        live = np.flatnonzero(at >= k)
+        assert len(live) == len(values[k])
+        best[live] = np.minimum(best[live], values[k])
+        gap = np.zeros(len(live), dtype=bool)
+        if k in lows:
+            gap = best[live] - lows[k] <= 1e-6 * best[live]
+            floor = max(floor, lows[k].max())
+        below = ~gap & (best[live] < floor * (1.0 - 1e-6))
+        assert np.all(at[live[gap | below]] == k)
+        assert np.all(stop[live[gap]] == "gap") and np.all(stop[live[below]] == "floor")
+        assert np.all(at[live[~gap & ~below]] > k)
+    assert {"floor", "gap"} <= set(stop)
+    # the returned values are the tracked best ones, and a gap stop's too
+    assert np.all(np.abs(vals - best) <= 1e-15 * best)
+    assert np.all(vals[stop == "floor"] < floor * (1.0 - 1e-6))
 
 
 def test_floor_never_drops_the_target_that_sets_it(monkeypatch):
     # x = diag(1, -1, 0, 0) is at distance 1 from C 1 and the warm start
     # b = 0 attains it; the subgradients alternate between e_11 and -e_22,
-    # whose averages give the dual bound 1: the one target must run on
+    # whose averages give the dual bound 1 at the first checkpoint: the floor
+    # rises to 1 there, and the one target leaves on its closed gap, not on
+    # the floor it set
     x = np.diag([1.0, -1.0, 0.0, 0.0]).astype(complex)
     calls, top_dyad = [], geometry._top_dyad
     monkeypatch.setattr(geometry, "_top_dyad", lambda r: calls.append(1) or top_dyad(r))
     duals = record_duals(monkeypatch)
-    _, d = nearest_in_span(x, scalars(4), iters=40, floor=0.0)
-    assert d == 1.0 and len(calls) == 41
-    assert abs(duals[-1][1][0] - 1.0) <= 1e-15
+    _, d, at, stop = nearest_in_span(x, scalars(4), iters=40, floor=0.0)
+    assert d == 1.0 and (at, stop) == (16, "gap") and len(calls) == 17
+    assert len(duals) == 1 and abs(duals[0][1][0] - 1.0) <= 1e-15
+
+
+def test_a_closed_gap_stops_before_the_floor():
+    # diag(1, -1, 0, 0) and 0.9 times it both close their gaps at k = 16,
+    # where the floor rises from 0.5 to 1: the second is then below the
+    # floor too, and its stop is the proven one, the gap
+    x = np.diag([1.0, -1.0, 0.0, 0.0]).astype(complex)
+    _, vals, at, stop = nearest_in_span(np.array([x, 0.9 * x]), scalars(4),
+                                        iters=40, floor=0.5)
+    assert list(vals) == [1.0, 0.9] and list(at) == [16, 16]
+    assert list(stop) == ["gap", "gap"]
+
+
+def test_gap_stop_is_within_the_margin_of_the_scalar_distance(monkeypatch):
+    # dist(x, C 1) = (lambda_max - lambda_min) / 2 for hermitian x; a gap
+    # stop at 1e-6 puts the value within 1e-6 relative of it
+    rng = rng_for(22, "scalar-oracle")
+    g = rng.standard_normal((8, 5, 5)) + 1j * rng.standard_normal((8, 5, 5))
+    X = g + dagger(g)
+    duals = record_duals(monkeypatch)
+    _, vals, at, stop = nearest_in_span(X, scalars(5), iters=1000)
+    lam = np.linalg.eigvalsh(X)
+    exact = (lam[:, -1] - lam[:, 0]) / 2.0
+    assert np.all(stop == "gap") and np.all(at < 1000)
+    assert np.all(vals >= exact * (1.0 - 1e-14))
+    assert np.all(vals <= exact / (1.0 - 1e-6))
+    # each target left at the first checkpoint k = 16, 32, ... whose dual
+    # closed its gap against the best value then, ||R|| for R = x - best
+    assert len(duals) == 6 and at.max() == 16 * 2 ** 5
+    for k, (R, lo) in zip(16 * 2 ** np.arange(6), duals):
+        hi = np.linalg.svd(R, compute_uv=False)[:, 0]
+        assert np.array_equal(hi - lo <= 1e-6 * hi, at[at >= k] == k)
+
+
+def test_ball_solve_never_stops_on_the_unconstrained_gap():
+    # x = 3 e_11 in M_2 against C 1: the ball optimum is b = 1 at distance 2,
+    # the unconstrained one b = 3/2 at 3/2, so the span's dual (at most 3/2)
+    # never closes the ball's gap and the solve runs to the cap
+    x = np.diag([3.0, 0.0]).astype(complex)
+    b, d, at, stop = nearest_in_ball(x, scalars(2), iters=200)
+    assert (d, at, stop) == (2.0, 200, "cap") and opnorm(b) <= 1.0
+    _, d, at, stop = nearest_in_span(x, scalars(2), iters=200)
+    assert stop == "gap" and at < 200 and 1.5 <= d <= 1.5 / (1.0 - 1e-6)
+
+
+def test_stack_reports_each_stop_reason():
+    # in the ball of C 1 with tol 0.6: 0.3 * 1 is a member (tol at the warm
+    # start), diag(1, -1, 0, 0) closes its gap at 1 at k = 16, 3 e_11 is
+    # held at 2 by the ball (cap) and e_44 falls to tol partway
+    e11, e44 = np.diag([3.0, 0, 0, 0]), np.diag([0, 0, 0, 1.0])
+    X = np.array([0.3 * np.eye(4), np.diag([1.0, -1.0, 0, 0]), e11, e44], dtype=complex)
+    _, vals, at, stop = nearest_in_ball(X, scalars(4), iters=100, tol=0.6)
+    assert list(stop) == ["tol", "gap", "cap", "tol"]
+    assert at[0] == 0 and at[1] == 16 and at[2] == 100 and 0 < at[3] < 100
+    assert vals[0] < 1e-15 and vals[1] == 1.0 and vals[2] == 2.0 and vals[3] <= 0.6
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +410,17 @@ def test_kk_distance_conjugation_bound(seed):
     iv = kk_distance(A, B, spec=SampleSpec(seed=seed, n_selfadjoint=4, n_unitary=4))
     assert iv.lo <= iv.hi + 1e-12
     assert iv.hi <= 2.0 * opnorm(u - np.eye(3)) + 1e-9
+    # the sample setting each direction's sup closes its duality gap at a
+    # checkpoint or runs to the cap (in about 2% of directions); it is never
+    # dropped by the floor, which only drops samples below the sup
+    for cert in (iv.cert_ab, iv.cert_ba):
+        top = cert.witnesses[0]
+        assert top.stop in ("gap", "cap") and top.ub == cert.gamma_hi
+        for w in cert.witnesses:
+            assert w.stop in ("gap", "floor", "cap")
+            assert w.iters <= 500 and (w.stop != "cap" or w.iters == 500)
+            assert w.stop != "gap" or w.iters in (16, 32, 64, 128, 256)
+            assert w.stop != "floor" or w.ub < top.ub
 
 
 @pytest.mark.parametrize("profile, N", PAIRS[:3])

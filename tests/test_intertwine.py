@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from cstarlab import intertwine
 from cstarlab.algebra import ConcreteAlgebra
 from cstarlab.certs import (
     PAPER_BUDGET,
@@ -60,6 +61,38 @@ def test_close_isomorphism_conjugated_pair():
                 "backward-closeness"):
         assert key in res.certificates, key
         assert res.certificates[key].passed, key
+
+
+def test_close_isomorphism_takes_a_stack():
+    # X may be a (k, N, N) array, as for near_embedding_nuclear and
+    # half_flip_cpc, and gives the result of the same matrices as a list
+    A, B, u = conjugated_pair((2, 1), 3, 1e-5, 4)
+    gamma = 2.0 * opnorm(u - np.eye(3))
+    X = np.array([b / opnorm(b) for b in A.basis[:2]])
+    stacked = close_isomorphism(A, B, gamma, X=X, seed=4)
+    listed = close_isomorphism(A, B, gamma, X=list(X), seed=4)
+    assert np.array_equal(stacked.map.images, listed.map.images)
+    assert {k: c.achieved for k, c in stacked.certificates.items()} == \
+        {k: c.achieved for k, c in listed.certificates.items()}
+
+
+def test_pull_back_is_solved_once_per_conjugator(monkeypatch):
+    # stages 1 and 2 both pull the codomain basis back through the identity,
+    # so stage 2 reuses stage 1's solve; every later stage has a new
+    # accumulated conjugator and solves again
+    pulls, solve = [], intertwine.nearest_in_ball
+
+    def recorded(x, A, iters):
+        if iters == 80:  # the pull-back solves; close_isomorphism's own is 200
+            pulls.append(x)
+        return solve(x, A, iters=iters)
+
+    monkeypatch.setattr(intertwine, "nearest_in_ball", recorded)
+    A, B, u = conjugated_pair((2, 1), 3, 1e-5, 4)
+    res = close_isomorphism(A, B, 2.0 * opnorm(u - np.eye(3)), seed=4)
+    assert res.surjective and len(res.trace) >= 3
+    assert len(pulls) == len(res.trace) - 1
+    assert not any(np.array_equal(a, b) for a, b in zip(pulls, pulls[1:]))
 
 
 def test_close_isomorphism_inverse_round_trip():

@@ -1,6 +1,10 @@
 """End-to-end pipeline runs and report rendering."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +27,24 @@ def test_pipeline_runs_green(pipeline):
     assert report.ok, {k: c.verdict for k, c in report.certificates.items()
                        if not c.passed}
     assert report.certificates
+
+
+def test_iso_run_loads_no_scipy():
+    # scipy takes about 0.2 s and 20 MB to import; only choi and
+    # principal_log_unitary use it, and they import it when called
+    code = ("import sys, cstarlab\n"
+            "from cstarlab.instances import gen_instance\n"
+            "from cstarlab.pipelines import run_pipeline\n"
+            "inst = gen_instance('conjugation', {'algebra': 'M2', 'ambient': 4,"
+            " 'eps': 1e-6}, seed=1)\n"
+            "assert run_pipeline(inst, 'iso', seed=1).ok\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=300).stdout
+    assert out.strip().splitlines()[-1] == "[]"
 
 
 def test_unknown_pipeline_rejected():
