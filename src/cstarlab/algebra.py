@@ -27,6 +27,7 @@ from .linalg import (
     hs_norm,
     is_projection_residual,
     opnorm,
+    opnorms,
     partial_isometry_polar,
     range_projection,
     rng_for,
@@ -244,19 +245,19 @@ class BlockStructure:
         return FDAlgebra(self.block_sizes)
 
     def relation_residual(self) -> float:
-        """Worst residual of the matrix-unit relations."""
+        """Worst residual of the matrix-unit relations: ||e_ij* - e_ji|| and
+        ||e_ij e_kl - delta_jk e_il||, the products taken one row i at a time
+        (an (n, n, n) stack of N x N matrices) with one batched norm each."""
         worst = 0.0
         for units in self.matrix_units:
-            n = len(units)
-            for i in range(n):
-                for j in range(n):
-                    worst = max(worst, opnorm(dagger(units[i][j]) - units[j][i]))
-                    for k in range(n):
-                        for l in range(n):
-                            prod = units[i][j] @ units[k][l]
-                            target = units[i][l] if j == k else 0.0 * prod
-                            worst = max(worst, opnorm(prod - target))
-        return worst
+            e = np.array(units)
+            worst = max(worst, opnorms(dagger(e) - e.swapaxes(0, 1)).max())
+            for i in range(len(e)):
+                resid = e[i][:, None, None] @ e[None]  # e_ij e_kl at [j, k, l]
+                for j in range(len(e)):
+                    resid[j, j] -= e[i]
+                worst = max(worst, opnorms(resid).max())
+        return float(worst)
 
 
 # ---------------------------------------------------------------------------
@@ -361,13 +362,23 @@ class ConcreteAlgebra:
         """Unit of A as an algebra (= support projection)."""
         return self.support
 
+    def random_selfadjoints(self, rng, count: int) -> np.ndarray:
+        """Stack (count, N, N) of Hermitian parts of standard complex Gaussian
+        combinations of the basis, from one draw: the stream, and the bits, of
+        ``count`` calls of ``linalg.random_complex(rng, dim, 1)``, each sample
+        summed over the basis in basis order."""
+        g = rng.standard_normal((count, 2, self.dim))
+        c = (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0)
+        x = np.zeros((count, self.ambient_dim, self.ambient_dim), dtype=complex)
+        for j, b in enumerate(self.basis):
+            x = x + c[:, j, None, None] * b
+        return herm(x)
+
     def random_selfadjoint(self, rng) -> np.ndarray:
-        from .linalg import random_complex
-        g = sum(c * b for c, b in zip(random_complex(rng, self.dim, 1)[:, 0], self.basis))
-        return herm(g)
+        return self.random_selfadjoints(rng, 1)[0]
 
     def unitary_from(self, h: np.ndarray) -> np.ndarray:
-        """exp(i h) computed inside A for self-adjoint h in A.
+        """exp(i h) computed inside A for self-adjoint h in A (or a stack).
 
         Returns u in A with u*u = uu* = support; equals exp(i h) minus the
         identity on the ambient kernel of A.

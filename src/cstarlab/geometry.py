@@ -10,11 +10,15 @@ One solver, ``nearest_in_span``, serves every witness search: it takes a
 stack of targets and advances them together by batched eigensolves of small
 Gram matrices, so a near inclusion solves all of its samples in one call.
 Each target leaves the stack on its own, and the solver says when and why:
-``tol`` (its residual vanished), ``gap`` (a trace-norm dual built from the
-solver's own subgradients proves its value to 1e-6 relative), ``floor`` (a
-near inclusion reports only the largest distance, so a sample whose best
-value is below a proven lower bound of another stops early) or ``cap`` (the
-iteration budget ran out).  Suprema over the unit ball are
+``tol`` (its residual vanished), ``gap`` (a trace-norm dual proves its value
+to 1e-6 relative), ``floor`` (a near inclusion reports only the largest
+distance, so a sample whose best value is below a proven lower bound of
+another stops early) or ``cap`` (the iteration budget ran out).  The duals
+are built at checkpoints from the top singular dyads of the residuals at the
+best points (the best-point dual) and, from k = 16 on, also from the
+solver's own subgradients; the first checkpoint is the warm start itself,
+k = 0, so a warm start that is already optimal is certified and returned
+without an iteration.  Suprema over the unit ball are
 sampled (basis elements, random self-adjoint contractions, random
 unitaries), so the reported gamma_hi is an honest sampled estimate with
 stored witnesses, not a proof of the supremum.
@@ -141,10 +145,28 @@ def _subgradient_dual(D: np.ndarray, R: np.ndarray, project) -> np.ndarray:
     Re<Y, R> = Re<Y, x - b'> <= ||Y||_1 ||x - b'|| for every b' in it and
     lo = Re<Y, R> / ||Y||_1 (0 where Y = 0).  R rather than x keeps the
     rounding relative to the distance."""
-    Y = D - project(D)
+    return _trace_dual(D - project(D), R)
+
+
+def _trace_dual(Y: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Re<Y, R> / ||Y||_1 for each matrix of the stacks, 0 where Y = 0."""
     nrm = np.linalg.svd(Y, compute_uv=False).sum(axis=1)
     inner = np.einsum("sij,sij->s", Y.conj(), R).real
     return np.where(nrm > 0.0, inner, 0.0) / np.where(nrm > 0.0, nrm, 1.0)
+
+
+def _best_point_dual(R: np.ndarray, project) -> np.ndarray:
+    """Lower bounds for dist(x, span) read off the residuals R = x - b at the
+    best points alone: G averages the top singular dyads u_i v_i* over the
+    singular values within _MARGIN of the largest, and Y = G - P(G) gives
+    lo = Re<Y, R> / ||Y||_1 as in ``_subgradient_dual`` (any G does).  G is
+    a subgradient of the norm at R (Re<G, R> = ||R||, ||G||_1 = 1), so where
+    P(G) = 0 the bound is ||R|| itself: a best point that is optimal this way,
+    such as a warm start no step improves, is proven so at once."""
+    U, s, Vh = np.linalg.svd(R, full_matrices=False)
+    top = (s >= s[:, :1] * (1.0 - _MARGIN)).astype(float)
+    G = (U * (top / top.sum(axis=1, keepdims=True))[:, None, :]) @ Vh
+    return _trace_dual(G - project(G), R)
 
 
 # relative margin of the stopping rules: a target leaves once its best value
@@ -174,21 +196,27 @@ def nearest_in_span(x: np.ndarray, span: _Span | ConcreteAlgebra,
 
     A target leaves the stack on the first of these that holds:
       tol    its residual fell to tol;
-      gap    at k = 16, 32, 64, ... the ``_subgradient_dual`` bound lo from
-             the dyads of iterations (k/2, k] gives best - lo <= 1e-6 best.
-             lo bounds the distance to the span, so also to its unit ball,
-             from below: the value is within 1e-6 of the optimum either way
-             (a ball solve whose constraint binds runs to the cap);
+      gap    a checkpoint's dual bound lo gives best - lo <= 1e-6 best.  At
+             k = 0 (the warm start) lo is the ``_best_point_dual`` of the
+             residuals x - best; at k = 16, 32, 64, ... it is the larger of
+             that and the ``_subgradient_dual`` from the dyads of iterations
+             (k/2, k].  lo bounds the distance to the span, so also to its
+             unit ball, from below: the value is within 1e-6 of the optimum
+             either way (a ball solve whose constraint binds runs to the
+             cap);
       floor  its best value is below floor (1 - 1e-6), where ``floor`` is a
              proven lower bound for the largest distance, raised to the
-             largest lo at each checkpoint: only the maximum is asked for,
-             and the target setting the floor has best >= distance >= floor;
+             largest lo at each checkpoint, k = 0 included: only the maximum
+             is asked for, and the target setting the floor has best >=
+             distance >= floor;
       cap    it ran all iters iterations.
 
     Returns the witnesses (shaped like x), the distances ||x - b||, the
-    iteration each target stopped at (0 when the warm start decided it) and
-    its stop reason: floats, ints and strings for one matrix, (S,) arrays for
-    a stack.  The distances are taken by the values-only SVD of ``opnorm``,
+    iteration each target stopped at and its stop reason: floats, ints and
+    strings for one matrix, (S,) arrays for a stack.  The iteration is 0 when
+    the warm start decided it (its residual was within tol, or the k = 0 dual
+    closed its gap or put it below the floor), and then no eigensolve ran for
+    it.  The distances are taken by the values-only SVD of ``opnorm``,
     so that opnorm(x - b) reproduces each bit for bit.
     """
     sp = span.span() if isinstance(span, ConcreteAlgebra) else span
@@ -213,16 +241,28 @@ def nearest_in_span(x: np.ndarray, span: _Span | ConcreteAlgebra,
             return None
         return np.where(is_tol, 0, np.where(is_gap, 1, np.where(is_floor, 2, 3)))
 
+    def dual(R, D=None):
+        """The larger of the checkpoint duals at residuals R, and the floor
+        raised to the largest of them."""
+        nonlocal floor
+        lo = _best_point_dual(R, project)
+        if D is not None:
+            lo = np.maximum(_subgradient_dual(D, R, project), lo)
+        if floor is not None:
+            floor = float(lo.max(initial=floor))
+        return lo
+
     best = rescale(project(X))
     best_val = np.linalg.svd(X - best, compute_uv=False)[:, 0]
     c = np.maximum(best_val, 10 * tol)
-    stop = stops(best_val, best_val)
+    stop = stops(best_val, best_val, dual(X - best))
     stop = np.full(len(X), 3) if stop is None else stop
     at = np.where(stop < 3, 0, iters)
     live = np.flatnonzero(stop == 3)
     Xl, cl, y = X[live], c[live], best[live]
     D, check = np.zeros_like(Xl), 16
-    u, v, _ = _top_dyad(Xl - y)
+    if live.size:
+        u, v, _ = _top_dyad(Xl - y)
     for k in range(1, iters + 1):
         if not live.size:
             break
@@ -237,9 +277,7 @@ def nearest_in_span(x: np.ndarray, span: _Span | ConcreteAlgebra,
         if k > check // 2:
             D += dyad
         if k == check:
-            lo = _subgradient_dual(D, Xl - best[live], project)
-            if floor is not None:
-                floor = max(floor, float(lo.max()))
+            lo = dual(Xl - best[live], D)
             check *= 2
             D[:] = 0.0
         why = stops(s, best_val[live], lo)
@@ -296,15 +334,12 @@ def sample_unit_ball(A: ConcreteAlgebra, spec: SampleSpec) -> list[tuple[str, np
             if nrm > 1e-14:
                 out.append((f"basis[{idx}]", b / nrm))
     rng = rng_for(spec.seed, "unit-ball", A.ambient_dim, A.dim)
-    for t in range(spec.n_selfadjoint):
-        h = A.random_selfadjoint(rng)
-        out.append((f"sa[{t}]", clip_spectrum(h, -1.0, 1.0)))
-    for t in range(spec.n_unitary):
-        h = A.random_selfadjoint(rng)
-        nrm = opnorm(h)
-        if nrm > 1e-14:
-            h = h / nrm
-        out.append((f"u[{t}]", A.unitary_from(np.pi * 0.5 * h)))
+    h = A.random_selfadjoints(rng, spec.n_selfadjoint)
+    out += [(f"sa[{t}]", x) for t, x in enumerate(clip_spectrum(h, -1.0, 1.0))]
+    h = A.random_selfadjoints(rng, spec.n_unitary)
+    nrm = opnorms(h)[:, None, None]
+    h = h / np.where(nrm > 1e-14, nrm, 1.0)
+    out += [(f"u[{t}]", u) for t, u in enumerate(A.unitary_from(np.pi * 0.5 * h))]
     return out
 
 

@@ -144,9 +144,8 @@ def _hom_defect(phi: LinMap, seed: int, n_pairs: int = 16) -> float:
     worst = max(mult_defect(phi, basis).defect,
                 opnorms(phi(dagger(basis)) - dagger(phi(basis))).max())
     rng = rng_for(seed, "hom-defect", A.ambient_dim)
-    # pairs (x, y) drawn in turn, then clipped in one batch
-    xy = clip_spectrum(np.array([A.random_selfadjoint(rng) for _ in range(2 * n_pairs)]),
-                       -1.0, 1.0)
+    # pairs (x, y) are consecutive draws of one stack, clipped in one batch
+    xy = clip_spectrum(A.random_selfadjoints(rng, 2 * n_pairs), -1.0, 1.0)
     x, y = xy[0::2], xy[1::2]
     return float(max(worst, opnorms(phi(x @ y) - phi(x) @ phi(y)).max(initial=0.0)))
 

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cstarlab.algebra import (BlockModel, ConcreteAlgebra, FDAlgebra,
-                              generate_algebra, orthonormalize,
+from cstarlab.algebra import (BlockModel, BlockStructure, ConcreteAlgebra,
+                              FDAlgebra, generate_algebra, orthonormalize,
                               support_projection, unitize_tilde,
                               verify_algebra, wedderburn_decompose)
 from cstarlab.instances import block_algebra, gen_instance
@@ -31,6 +31,27 @@ def test_random_elements_equal_the_per_block_draws(sizes, hermitian):
     if hermitian:
         want = 0.5 * (want + want.conj().swapaxes(1, 2))
     assert got.tobytes() == want.tobytes()
+    assert rng.standard_normal() == ref.standard_normal()
+
+
+@pytest.mark.parametrize("case", ["M2+M1/4", "3,3/8", "full M3"])
+def test_random_selfadjoints_equal_the_per_sample_draws(case):
+    # one draw for the stack gives the bits of one random_complex(rng, dim, 1)
+    # call per sample, each summed over the basis in order, and leaves the
+    # stream where those calls leave it
+    A = {"M2+M1/4": lambda: gen_instance("conjugation", {"algebra": "M2+M1", "ambient": 4,
+                                                         "eps": 1e-6}, seed=2).B,
+         "3,3/8": lambda: gen_instance("conjugation", {"algebra": "3,3", "ambient": 8,
+                                                       "eps": 1e-6}, seed=2).B,
+         "full M3": lambda: ConcreteAlgebra.full(3)}[case]()
+    rng, ref = rng_for(42, "batch", case), rng_for(42, "batch", case)
+    assert A.random_selfadjoints(rng, 0).shape == (0, A.ambient_dim, A.ambient_dim)
+    got = A.random_selfadjoints(rng, 6)
+    want = []
+    for _ in range(6):
+        g = sum(c * b for c, b in zip(random_complex(ref, A.dim, 1)[:, 0], A.basis))
+        want.append(0.5 * (g + dagger(g)))
+    assert got.tobytes() == np.array(want).tobytes()
     assert rng.standard_normal() == ref.standard_normal()
 
 
@@ -118,6 +139,41 @@ def test_wedderburn_full_block_in_large_ambient():
     prods = np.einsum("ijab,klbc->ijklac", E, E)
     expect = np.einsum("jk,ilac->ijklac", np.eye(8), E)
     assert np.abs(prods - expect).max() < 1e-10
+
+
+def units_structure(units, w) -> BlockStructure:
+    """Matrix units E[i, j] (x) 1_2 of M_3 plus a one-dimensional summand,
+    in M_7 and conjugated by w."""
+    n = len(units)
+    emb = np.zeros((n, n, 7, 7), dtype=complex)
+    emb[:, :, :6, :6] = np.kron(units, np.eye(2))
+    last = np.zeros((7, 7), dtype=complex)
+    last[6, 6] = 1.0
+    emb, last = w @ emb @ dagger(w), w @ last @ dagger(w)
+    return BlockStructure(summands=((n, 2), (1, 1)),
+                          central_projections=(sum(emb[i, i] for i in range(n)), last),
+                          matrix_units=(tuple(tuple(row) for row in emb), ((last,),)))
+
+
+@pytest.mark.parametrize("t", [1e-3, 0.25])
+@pytest.mark.parametrize("rotate", [False, True])
+def test_relation_residual_closed_form(t, rotate):
+    # exact matrix units satisfy every relation; (1 + t) e_00 breaks
+    # e_00 e_00 = e_00 by (1 + t)^2 - (1 + t) = t (1 + t) and no relation by
+    # more, and (1 + i t) e_00 breaks e_00* = e_00 by 2 t while its products
+    # are off by at most t (1 + t^2)^(1/2)
+    w = random_unitary(rng_for(43, "units"), 7) if rotate else np.eye(7)
+    E = np.zeros((3, 3, 3, 3))
+    for i in range(3):
+        for j in range(3):
+            E[i, j, i, j] = 1.0
+    exact = units_structure(E, w).relation_residual()
+    assert exact <= 1e-14 if rotate else exact == 0.0
+    for scale, residual in ((1.0 + t, t * (1.0 + t)), (1.0 + 1j * t, 2.0 * t)):
+        F = E.astype(complex)
+        F[0, 0] *= scale
+        got = units_structure(F, w).relation_residual()
+        assert abs(got - residual) <= 1e-14
 
 
 def test_block_model_round_trip():

@@ -23,7 +23,7 @@ from cstarlab.geometry import (
     tensor_lift,
 )
 from cstarlab.instances import block_algebra, gen_instance
-from cstarlab.linalg import random_unitary, rng_for
+from cstarlab.linalg import clip_spectrum, random_unitary, rng_for
 
 
 def small_rotation(N: int, eps: float, seed: int) -> np.ndarray:
@@ -208,12 +208,24 @@ def unit_ball_stack(A, n: int = 16, seed: int = 3) -> np.ndarray:
     return np.array([x for _, x in sample_unit_ball(A, spec)])
 
 
-def record_duals(monkeypatch) -> list:
-    """Record (R, lo) of every checkpoint dual the solver computes."""
-    calls, dual = [], geometry._subgradient_dual
-    monkeypatch.setattr(geometry, "_subgradient_dual",
-                        lambda D, R, project: calls.append((R, dual(D, R, project)))
-                        or calls[-1][1])
+def record_duals(monkeypatch, names=("_best_point_dual", "_subgradient_dual")) -> list:
+    """Record (R, lo) of every checkpoint the solver computes, k = 0 first:
+    the duals of one checkpoint share the residuals R, and lo is the largest
+    of them, the bound the solver stops on."""
+    calls = []
+
+    def recorded(dual):
+        def call(*args):
+            R, lo = args[-2], dual(*args)
+            if calls and calls[-1][0] is R:
+                calls[-1] = (R, np.maximum(calls[-1][1], lo))
+            else:
+                calls.append((R, lo))
+            return lo
+        return call
+
+    for name in names:
+        monkeypatch.setattr(geometry, name, recorded(getattr(geometry, name)))
     return calls
 
 
@@ -251,7 +263,7 @@ def test_subgradient_dual_is_below_the_scalar_distance(monkeypatch):
     # residual R = x - b, b in C 1, has the same distance
     rng = rng_for(24, "dual-oracle")
     g = rng.standard_normal((8, 5, 5)) + 1j * rng.standard_normal((8, 5, 5))
-    duals = record_duals(monkeypatch)
+    duals = record_duals(monkeypatch, ("_subgradient_dual",))
     nearest_in_span(g + dagger(g), scalars(5), iters=200, floor=0.0)
     assert len(duals) == 4  # checkpoints 16, 32, 64, 128
     for R, lo in duals:
@@ -261,67 +273,83 @@ def test_subgradient_dual_is_below_the_scalar_distance(monkeypatch):
         assert lo.max() >= 0.9 * exact.max()
 
 
+# targets of unit_ball_stack that leave at k = 0 on the gap and on the floor;
+# on M2/4 every warm start is proven optimal there
+EARLY = {("M2", 4): (36, 0), ("M2+M1", 4): (5, 22), ("3,3", 8): (18, 14),
+         ("2,2,2", 8): (10, 12)}
+
+
 def test_floor_drops_exactly_the_targets_below_it(monkeypatch):
     # replay the stop rules from the solver's own per-iteration values: the
     # stack of iteration k holds the targets stopped at k or later, in order;
-    # a target leaves on the gap exactly when a checkpoint dual proves
-    # best - lo <= 1e-6 best, else on the floor exactly when its best value
-    # is below (1 - 1e-6) times the floor then
-    A, B = conjugation_pair("M2", 4)
-    X = unit_ball_stack(A)
-    K, floor0 = 130, span_distance_lower(X, B).max()
-    best = nearest_in_span(X, B, iters=0)[1]
+    # a target leaves on the gap exactly when a checkpoint dual (k = 0, 16,
+    # 32, ...) proves best - lo <= 1e-6 best, else on the floor exactly when
+    # its best value is below (1 - 1e-6) times the floor then
     values, top_dyad = [], geometry._top_dyad
     monkeypatch.setattr(geometry, "_top_dyad",
                         lambda r: values.append(top_dyad(r)[2]) or top_dyad(r))
     duals = record_duals(monkeypatch)
-    _, vals, at, stop = nearest_in_span(X, B, iters=K, floor=floor0)
-    # the last targets close their gaps at k = 128
-    assert len(duals) == 4 and at.max() == 128 and len(values) == 129
-    assert np.array_equal(at == 0, best < floor0 * (1.0 - 1e-6))
-    assert np.all(stop[at == 0] == "floor")
-    lows, floor = dict(zip((16, 32, 64, 128), (lo for _, lo in duals))), floor0
-    for k in range(1, 129):
-        live = np.flatnonzero(at >= k)
-        assert len(live) == len(values[k])
-        best[live] = np.minimum(best[live], values[k])
-        gap = np.zeros(len(live), dtype=bool)
-        if k in lows:
-            gap = best[live] - lows[k] <= 1e-6 * best[live]
-            floor = max(floor, lows[k].max())
-        below = ~gap & (best[live] < floor * (1.0 - 1e-6))
-        assert np.all(at[live[gap | below]] == k)
-        assert np.all(stop[live[gap]] == "gap") and np.all(stop[live[below]] == "floor")
-        assert np.all(at[live[~gap & ~below]] > k)
-    assert {"floor", "gap"} <= set(stop)
-    # the returned values are the tracked best ones, and a gap stop's too
-    assert np.all(np.abs(vals - best) <= 1e-15 * best)
-    assert np.all(vals[stop == "floor"] < floor * (1.0 - 1e-6))
+    for profile, N in PAIRS:
+        A, B = conjugation_pair(profile, N)
+        X = unit_ball_stack(A)
+        K, floor0 = 130, span_distance_lower(X, B).max()
+        best = nearest_in_span(X, B, iters=0)[1]
+        values.clear()
+        duals.clear()
+        _, vals, at, stop = nearest_in_span(X, B, iters=K, floor=floor0)
+        gaps, floors = EARLY[profile, N]
+        assert (stop[at == 0] == "gap").sum() == gaps
+        assert (stop[at == 0] == "floor").sum() == floors
+        if gaps == len(X):
+            # decided at the warm start: no eigensolve, one checkpoint
+            assert len(values) == 0 and len(duals) == 1
+        else:
+            # one target runs to the cap, past every checkpoint; the others
+            # stop on the floor, some of them after k = 0
+            assert len(values) == K + 1 and len(duals) == 5
+            assert list(stop[at == K]) == ["cap"] and "floor" in stop[(at > 0) & (at < K)]
+        lows, floor = dict(zip((0, 16, 32, 64, 128), (lo for _, lo in duals))), floor0
+        for k in range(at.max() + 1):
+            live = np.flatnonzero(at >= k)
+            if k:
+                assert len(live) == len(values[k])
+                best[live] = np.minimum(best[live], values[k])
+            gap = np.zeros(len(live), dtype=bool)
+            if k in lows:
+                gap = best[live] - lows[k] <= 1e-6 * best[live]
+                floor = max(floor, lows[k].max())
+            below = ~gap & (best[live] < floor * (1.0 - 1e-6))
+            assert np.all(at[live[gap | below]] == k)
+            assert np.all(stop[live[gap]] == "gap") and np.all(stop[live[below]] == "floor")
+            assert np.all(at[live[~gap & ~below]] > k) or k == K
+        # the returned values are the tracked best ones, and a gap stop's too
+        assert np.all(np.abs(vals - best) <= 1e-15 * best)
+        assert np.all(vals[stop == "floor"] < floor * (1.0 - 1e-6))
 
 
 def test_floor_never_drops_the_target_that_sets_it(monkeypatch):
     # x = diag(1, -1, 0, 0) is at distance 1 from C 1 and the warm start
-    # b = 0 attains it; the subgradients alternate between e_11 and -e_22,
-    # whose averages give the dual bound 1 at the first checkpoint: the floor
-    # rises to 1 there, and the one target leaves on its closed gap, not on
-    # the floor it set
+    # b = 0 attains it; its top singular cluster {1, 1} has the dyads e_11
+    # and -e_22, whose average (e_11 - e_22) / 2 has trace 0 and gives the
+    # dual bound 1 at k = 0: the floor rises to 1 there, and the one target
+    # leaves on its closed gap, not on the floor it set, before any eigensolve
     x = np.diag([1.0, -1.0, 0.0, 0.0]).astype(complex)
     calls, top_dyad = [], geometry._top_dyad
     monkeypatch.setattr(geometry, "_top_dyad", lambda r: calls.append(1) or top_dyad(r))
     duals = record_duals(monkeypatch)
     _, d, at, stop = nearest_in_span(x, scalars(4), iters=40, floor=0.0)
-    assert d == 1.0 and (at, stop) == (16, "gap") and len(calls) == 17
+    assert d == 1.0 and (at, stop) == (0, "gap") and len(calls) == 0
     assert len(duals) == 1 and abs(duals[0][1][0] - 1.0) <= 1e-15
 
 
 def test_a_closed_gap_stops_before_the_floor():
-    # diag(1, -1, 0, 0) and 0.9 times it both close their gaps at k = 16,
+    # diag(1, -1, 0, 0) and 0.9 times it both close their gaps at k = 0,
     # where the floor rises from 0.5 to 1: the second is then below the
     # floor too, and its stop is the proven one, the gap
     x = np.diag([1.0, -1.0, 0.0, 0.0]).astype(complex)
     _, vals, at, stop = nearest_in_span(np.array([x, 0.9 * x]), scalars(4),
                                         iters=40, floor=0.5)
-    assert list(vals) == [1.0, 0.9] and list(at) == [16, 16]
+    assert list(vals) == [1.0, 0.9] and list(at) == [0, 0]
     assert list(stop) == ["gap", "gap"]
 
 
@@ -338,10 +366,10 @@ def test_gap_stop_is_within_the_margin_of_the_scalar_distance(monkeypatch):
     assert np.all(stop == "gap") and np.all(at < 1000)
     assert np.all(vals >= exact * (1.0 - 1e-14))
     assert np.all(vals <= exact / (1.0 - 1e-6))
-    # each target left at the first checkpoint k = 16, 32, ... whose dual
+    # each target left at the first checkpoint k = 0, 16, 32, ... whose dual
     # closed its gap against the best value then, ||R|| for R = x - best
-    assert len(duals) == 6 and at.max() == 16 * 2 ** 5
-    for k, (R, lo) in zip(16 * 2 ** np.arange(6), duals):
+    assert len(duals) == 6 and at.max() == 16 * 2 ** 4
+    for k, (R, lo) in zip([0] + list(16 * 2 ** np.arange(5)), duals):
         hi = np.linalg.svd(R, compute_uv=False)[:, 0]
         assert np.array_equal(hi - lo <= 1e-6 * hi, at[at >= k] == k)
 
@@ -357,15 +385,78 @@ def test_ball_solve_never_stops_on_the_unconstrained_gap():
     assert stop == "gap" and at < 200 and 1.5 <= d <= 1.5 / (1.0 - 1e-6)
 
 
+def hermitian_stack(seed: int, N: int = 5, count: int = 8) -> np.ndarray:
+    rng = rng_for(seed, "hermitian-stack")
+    g = rng.standard_normal((count, N, N)) + 1j * rng.standard_normal((count, N, N))
+    return g + dagger(g)
+
+
+def test_best_point_dual_is_below_the_scalar_distance():
+    # dist(x, C 1) = (lambda_max - lambda_min) / 2 for hermitian x; R = x - c 1
+    # has the same distance for every c, and at the midpoint c of the spectrum
+    # the top singular cluster is {lambda_max - c, c - lambda_min}, whose
+    # averaged dyad has trace 0: there the bound is the distance itself
+    X = hermitian_stack(25)
+    lam = np.linalg.eigvalsh(X)
+    exact = (lam[:, -1] - lam[:, 0]) / 2.0
+    project = scalars(5).span().project
+    rng = rng_for(25, "scalar-shifts")
+    shifts = [np.trace(X, axis1=1, axis2=2).real / 5.0,  # the warm start
+              rng.standard_normal(len(X)), lam[:, 0], lam[:, -1]]
+    for c in shifts:
+        lo = geometry._best_point_dual(X - c[:, None, None] * np.eye(5), project)
+        assert np.all(lo <= exact * (1.0 + 1e-14)) and np.all(lo > 0.0)
+    mid = (lam[:, -1] + lam[:, 0]) / 2.0
+    lo = geometry._best_point_dual(X - mid[:, None, None] * np.eye(5), project)
+    assert np.all(np.abs(lo - exact) <= 1e-14 * exact)
+
+
+@pytest.mark.parametrize("ball", [False, True])
+def test_optimal_warm_start_leaves_before_any_iteration(ball, monkeypatch):
+    # x = diag(1, -1, 0, 0): the warm start b = 0 is optimal in C 1 and in its
+    # ball, and the best-point dual proves it at k = 0
+    x = np.diag([1.0, -1.0, 0.0, 0.0]).astype(complex)
+    calls, top_dyad = [], geometry._top_dyad
+    monkeypatch.setattr(geometry, "_top_dyad", lambda r: calls.append(1) or top_dyad(r))
+    b, d, at, stop = nearest_in_span(x, scalars(4), ball=ball, iters=40)
+    assert (d, at, stop) == (1.0, 0, "gap") and not calls and not b.any()
+    # 3 e_11 in the ball of C 1: the best-point dual at the ball optimum
+    # b = 1, R = diag(2, -1, -1, -1), is Re<Y, R> / ||Y||_1 for
+    # Y = e_11 - 1 / 4, that is (9/4) / (3/2) = 3/2 < 2, so the solve still
+    # runs to the cap
+    if ball:
+        b, d, at, stop = nearest_in_span(3.0 * np.diag([1.0, 0, 0, 0]).astype(complex),
+                                         scalars(4), ball=True, iters=200)
+        assert (d, at, stop) == (2.0, 200, "cap") and opnorm(b) <= 1.0
+
+
+@pytest.mark.parametrize("ball", [False, True])
+def test_stack_with_warm_start_stops_matches_single_solves(ball):
+    # targets decided at k = 0 (diag(1, -1, 0, 0) and 0.9 times it) leave a
+    # stack whose other targets, hermitian and not, then go on: each target's
+    # witness, value, iterations and stop are those of its own solve, bit for
+    # bit
+    x = np.diag([1.0, -1.0, 0.0, 0.0]).astype(complex)
+    rng = rng_for(26, "mixed-stack")
+    X = np.concatenate([[x, 0.9 * x, 3.0 * np.diag([1.0, 0, 0, 0])],
+                        hermitian_stack(26, 4, 3) / 4.0,
+                        rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))])
+    bs, vals, at, stop = nearest_in_span(X, scalars(4), ball=ball, iters=150)
+    assert list(at[:2]) == [0, 0] and list(stop[:2]) == ["gap", "gap"] and at.max() > 16
+    for x, b, v, k, why in zip(X, bs, vals, at, stop):
+        b1, v1, k1, why1 = nearest_in_span(x, scalars(4), ball=ball, iters=150)
+        assert (k1, why1) == (k, why) and v1 == v and np.array_equal(b1, b)
+
+
 def test_stack_reports_each_stop_reason():
     # in the ball of C 1 with tol 0.6: 0.3 * 1 is a member (tol at the warm
-    # start), diag(1, -1, 0, 0) closes its gap at 1 at k = 16, 3 e_11 is
-    # held at 2 by the ball (cap) and e_44 falls to tol partway
+    # start), diag(1, -1, 0, 0) closes its gap at 1 at the warm start, 3 e_11
+    # is held at 2 by the ball (cap) and e_44 falls to tol partway
     e11, e44 = np.diag([3.0, 0, 0, 0]), np.diag([0, 0, 0, 1.0])
     X = np.array([0.3 * np.eye(4), np.diag([1.0, -1.0, 0, 0]), e11, e44], dtype=complex)
     _, vals, at, stop = nearest_in_ball(X, scalars(4), iters=100, tol=0.6)
     assert list(stop) == ["tol", "gap", "cap", "tol"]
-    assert at[0] == 0 and at[1] == 16 and at[2] == 100 and 0 < at[3] < 100
+    assert at[0] == 0 and at[1] == 0 and at[2] == 100 and 0 < at[3] < 100
     assert vals[0] < 1e-15 and vals[1] == 1.0 and vals[2] == 2.0 and vals[3] <= 0.6
 
 
@@ -381,6 +472,23 @@ def test_sample_unit_ball_contractions():
     for label, x in samples:
         assert opnorm(x) <= 1.0 + 1e-9
         assert A.residual(x) < 1e-10
+
+
+@pytest.mark.parametrize("profile, N", PAIRS[1:3])
+def test_sample_unit_ball_equals_the_per_sample_loop(profile, N):
+    # normalised basis, then clipped self-adjoint draws, then unitaries
+    # exp(i pi/2 h / ||h||), one sample at a time from the same stream
+    B = conjugation_pair(profile, N)[1]
+    spec = SampleSpec(seed=5, n_selfadjoint=6, n_unitary=6)
+    rng = rng_for(spec.seed, "unit-ball", B.ambient_dim, B.dim)
+    want = [b / opnorm(b) for b in B.basis]
+    want += [clip_spectrum(B.random_selfadjoint(rng), -1.0, 1.0) for _ in range(6)]
+    for _ in range(6):
+        h = B.random_selfadjoint(rng)
+        want.append(B.unitary_from(np.pi * 0.5 * (h / opnorm(h))))
+    got = sample_unit_ball(B, spec)
+    assert [label for label, _ in got][-7:-5] == ["sa[5]", "u[0]"]
+    assert np.array([x for _, x in got]).tobytes() == np.array(want).tobytes()
 
 
 def test_sample_unit_ball_deterministic():
@@ -410,16 +518,16 @@ def test_kk_distance_conjugation_bound(seed):
     iv = kk_distance(A, B, spec=SampleSpec(seed=seed, n_selfadjoint=4, n_unitary=4))
     assert iv.lo <= iv.hi + 1e-12
     assert iv.hi <= 2.0 * opnorm(u - np.eye(3)) + 1e-9
-    # the sample setting each direction's sup closes its duality gap at a
-    # checkpoint or runs to the cap (in about 2% of directions); it is never
-    # dropped by the floor, which only drops samples below the sup
+    # the sample setting each direction's sup closes its duality gap at the
+    # warm start, k = 0 (so in both directions of every seed from 0 to 10^4);
+    # it is never dropped by the floor, which only drops samples below the sup
     for cert in (iv.cert_ab, iv.cert_ba):
         top = cert.witnesses[0]
-        assert top.stop in ("gap", "cap") and top.ub == cert.gamma_hi
+        assert (top.stop, top.iters) == ("gap", 0) and top.ub == cert.gamma_hi
         for w in cert.witnesses:
             assert w.stop in ("gap", "floor", "cap")
             assert w.iters <= 500 and (w.stop != "cap" or w.iters == 500)
-            assert w.stop != "gap" or w.iters in (16, 32, 64, 128, 256)
+            assert w.stop != "gap" or w.iters in (0, 16, 32, 64, 128, 256)
             assert w.stop != "floor" or w.ub < top.ub
 
 
