@@ -27,7 +27,7 @@ from .linalg import (
     hs_norm,
     is_projection_residual,
     opnorm,
-    opnorms,
+    opnorm_max,
     partial_isometry_polar,
     range_projection,
     rng_for,
@@ -95,7 +95,8 @@ class _Span:
         return len(self.basis)
 
     def coeffs(self, x: np.ndarray) -> np.ndarray:
-        return (self.Q.conj() @ x.reshape(x.shape[:-2] + (-1, 1)))[..., 0]
+        n2 = x.shape[-2] * x.shape[-1]  # not -1, which an empty stack leaves open
+        return (self.Q.conj() @ x.reshape(x.shape[:-2] + (n2, 1)))[..., 0]
 
     def project(self, x: np.ndarray) -> np.ndarray:
         return (self.Q.T @ self.coeffs(x)[..., None]).reshape(x.shape)
@@ -251,12 +252,12 @@ class BlockStructure:
         worst = 0.0
         for units in self.matrix_units:
             e = np.array(units)
-            worst = max(worst, opnorms(dagger(e) - e.swapaxes(0, 1)).max())
+            worst = max(worst, opnorm_max(dagger(e) - e.swapaxes(0, 1)))
             for i in range(len(e)):
                 resid = e[i][:, None, None] @ e[None]  # e_ij e_kl at [j, k, l]
                 for j in range(len(e)):
                     resid[j, j] -= e[i]
-                worst = max(worst, opnorms(resid).max())
+                worst = max(worst, opnorm_max(resid))
         return float(worst)
 
 

@@ -27,9 +27,9 @@ from .algebra import ConcreteAlgebra, FDAlgebra
 from .certs import (TOL_CONV, TOL_EXACT, Certificate, SpectralGapError,
                     ToleranceBudget, DEFAULT_BUDGET, WINDOW_DEFECT_REPAIR,
                     WINDOW_INTERTWINE, provenance_stamp)
-from .cpmaps import LinMap, classify, mult_defect, stinespring, ucp_extension
-from .linalg import (clip_spectrum, dagger, expm_i, herm, opnorm, opnorms,
-                     polar_factor, principal_log_unitary, psd_sqrt, rng_for)
+from .cpmaps import LinMap, _mult_defects, classify, stinespring, ucp_extension
+from .linalg import (clip_spectrum, dagger, expm_i, herm, opnorm, opnorm_max,
+                     opnorms, polar_factor, principal_log_unitary, psd_sqrt, rng_for)
 
 __all__ = [
     "AveragingSet",
@@ -270,12 +270,12 @@ def _estimate_mult_defect(phi: LinMap, seed: int = 0, n_samples: int = 32) -> fl
     if not isinstance(fd, FDAlgebra):
         raise ValueError("defect estimation expects a block domain")
     rng = rng_for(seed, "defect-pairs", fd.d)
-    worst = mult_defect(phi, _fd_unit_ball(fd, n_samples, 0, seed)).defect
+    worst = opnorm_max(_mult_defects(phi, _fd_unit_ball(fd, n_samples, 0, seed)))
     # pairs (x, y) drawn in turn
     xy = clip_spectrum(fd.random_elements(rng, 2 * n_samples, hermitian=True),
                        -1.0, 1.0)
     x, y = xy[0::2], xy[1::2]
-    return float(max(worst, opnorms(phi(x @ y) - phi(x) @ phi(y)).max(initial=0.0)))
+    return float(max(worst, opnorm_max(phi(x @ y) - phi(x) @ phi(y))))
 
 
 @dataclass
@@ -339,7 +339,7 @@ def improve_multiplicativity(phi: LinMap, gamma: float | None = None,
     scale, flip = _canonical_index(fd_ext.block_sizes)
     rep_units = dil.rep_images
     p0 = herm(_canonical_sum(scale, rep_units[flip] @ p, rep_units))
-    comm = opnorms(rep_units @ p0 - p0 @ rep_units).max()
+    comm = opnorm_max(rep_units @ p0 - p0 @ rep_units)
     drift = opnorm(p0 - p)
     cert_drift = Certificate.build(
         name="twirled-projection-drift",
@@ -371,7 +371,7 @@ def improve_multiplicativity(phi: LinMap, gamma: float | None = None,
                      codomain_algebra=abstract.codomain_algebra)
 
     samples = _fd_unit_ball(fd0, n_check, n_check // 2, seed + 1)
-    dist = opnorms(abstract(samples) - psi_abs(samples)).max()
+    dist = opnorm_max(abstract(samples) - psi_abs(samples))
     cert_dist = Certificate.build(
         name="multiplicativity-repair",
         formula="sup_{||x||<=1} ||phi(x) - psi(x)|| <= 8 sqrt(2) gamma^{1/2}",
@@ -462,7 +462,7 @@ def intertwining_unitary(phi1: LinMap, phi2: LinMap,
     if gamma is None:
         rng = rng_for(seed, "intertwine-gamma", fd.d)
         X = clip_spectrum(fd.random_elements(rng, 16, hermitian=True), -1.0, 1.0)
-        gamma = max(a1.basis_distance(a2), opnorms(a1(X) - a2(X)).max())
+        gamma = max(a1.basis_distance(a2), opnorm_max(a1(X) - a2(X)))
     budget.require_window("intertwining", gamma, WINDOW_INTERTWINE)
 
     # extend against the ambient unit: the averaged s must be invertible on
@@ -491,7 +491,7 @@ def intertwining_unitary(phi1: LinMap, phi2: LinMap,
     inv_norm = float(1.0 / sing[-1])
     units = fd.units()
     x1, x2 = a1(units), a2(units)
-    worst_res = opnorms(u @ x2 @ dagger(u) - x1).max()
+    worst_res = opnorm_max(u @ x2 @ dagger(u) - x1)
     worst_chain = ((opnorms(x1 @ s - s @ x2) + opnorms(abs_s @ x2 - x2 @ abs_s))
                    * inv_norm).max()
     cert_res = Certificate.build(
@@ -543,7 +543,7 @@ def commutant_lift(m: np.ndarray, A: ConcreteAlgebra,
     eye = np.eye(A.ambient_dim)
     a = avg.twirl(m) + (eye - e) @ m @ (eye - e)
     if delta is None:
-        delta = max(opnorm(m @ e - e @ m), opnorms(m @ avg.terms - avg.terms @ m).max())
+        delta = max(opnorm(m @ e - e @ m), opnorm_max(m @ avg.terms - avg.terms @ m))
     comm = _relative_commutator(a, A)
     cert_comm = Certificate.build(
         name="commutant-membership",

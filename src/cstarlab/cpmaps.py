@@ -21,7 +21,8 @@ import numpy as np
 
 from .algebra import BlockModel, ConcreteAlgebra, FDAlgebra, _combine
 from .certs import TOL_ALG, TOL_PSD, Certificate, provenance_stamp
-from .linalg import dagger, herm, hs_norm, opnorm, opnorms, psd_part, random_hermitian
+from .linalg import (dagger, herm, hs_norm, opnorm, opnorm_max, opnorms, psd_part,
+                     random_hermitian)
 
 __all__ = [
     "LinMap",
@@ -213,12 +214,15 @@ def classify(phi: LinMap, tol_psd: float = TOL_PSD, tol_alg: float = TOL_ALG) ->
     ||phi(1)|| <= 1 + tol_psd; ucp instead requires phi(1) to equal the
     codomain unit up to tol_alg."""
     work = phi if isinstance(phi.domain, FDAlgebra) else phi.to_block_model()[0]
+    blocks = choi_blocks(work)
     min_eig = np.inf
     herm_resid = 0.0
-    for C in choi_blocks(work):
-        herm_resid = max(herm_resid, opnorm(C - dagger(C)))
-        vals = np.linalg.eigvalsh(herm(C))
-        min_eig = min(min_eig, float(vals.min(initial=np.inf)))
+    # one stack per block size: batched SVDs and eigensolves give each block
+    # the values its own call would
+    for size in sorted({len(C) for C in blocks}):
+        Cs = np.stack([C for C in blocks if len(C) == size])
+        herm_resid = max(herm_resid, opnorm_max(Cs - dagger(Cs)))
+        min_eig = min(min_eig, float(np.linalg.eigvalsh(herm(Cs)).min(initial=np.inf)))
     if not np.isfinite(min_eig):
         min_eig = 0.0
     unit_img = phi.value_on_unit()
@@ -374,18 +378,24 @@ class DefectReport:
                 "defect": self.defect, "table": [[n, v] for n, v in self.table]}
 
 
-def mult_defect(phi: LinMap, X, labels=None) -> DefectReport:
-    """Defect over X union X*; X elements live in the domain's ambient.  The
-    table lists each x and then x*, in the order of X."""
-    labels = labels or [f"x{i}" for i in range(len(X))]
-    # Y = x0, x0*, x1, x1*, ...; Y[swap] is the stack of adjoints
+def _mult_defects(phi: LinMap, X) -> np.ndarray:
+    """The stack phi(y)phi(y*) - phi(yy*) over y = x0, x0*, x1, x1*, ...; its
+    largest operator norm is ``mult_defect(phi, X).defect``."""
+    # Y[swap] is the stack of adjoints
     Y = np.asarray(X, dtype=complex)
     Y = np.stack([Y, dagger(Y)], axis=1).reshape((-1,) + Y.shape[1:])
     swap = np.arange(len(Y)) ^ 1
     images = phi(Y)
     defects = images @ images[swap]
     defects -= phi(Y @ Y[swap])
-    vals = opnorms(defects)
+    return defects
+
+
+def mult_defect(phi: LinMap, X, labels=None) -> DefectReport:
+    """Defect over X union X*; X elements live in the domain's ambient.  The
+    table lists each x and then x*, in the order of X."""
+    labels = labels or [f"x{i}" for i in range(len(X))]
+    vals = opnorms(_mult_defects(phi, X))
     tags = [tag for lbl in labels for tag in (lbl, lbl + "*")]
     return DefectReport(defect=float(vals.max()),
                         table=[(tag, float(v)) for tag, v in zip(tags, vals)])
@@ -440,7 +450,7 @@ def arveson_restrict(A: ConcreteAlgebra, B: ConcreteAlgebra, X,
     X = np.array(list(X), dtype=complex)
     moves = phi(X)
     moves -= X
-    worst = float(opnorms(moves).max(initial=0.0))
+    worst = opnorm_max(moves)
     cert = Certificate.build(
         name="expectation-restriction",
         formula="||phi(x) - x|| <= 2*gamma + tol on X",
@@ -579,5 +589,5 @@ def cb_bracket(phi: LinMap, samples: int = 12, seed: int = 0,
     Xij = X.reshape(samples, d, amp, d, amp).transpose(0, 1, 3, 2, 4)
     out = F.reshape(d * d, N * N).T @ Xij.reshape(samples, d * d, amp * amp)
     out = out.reshape(samples, N, N, amp, amp).transpose(0, 1, 3, 2, 4)
-    lo = opnorms(out.reshape(samples, N * amp, N * amp)).max(initial=0.0)
+    lo = opnorm_max(out.reshape(samples, N * amp, N * amp))
     return float(min(lo, hi)), float(hi)

@@ -15,7 +15,7 @@ import numpy as np
 from .algebra import ConcreteAlgebra, FDAlgebra, generate_algebra
 from .cpmaps import LinMap, perturb_choi
 from .geometry import DistanceInterval
-from .linalg import (dagger, expm_i, herm, opnorm, opnorms, random_hermitian,
+from .linalg import (dagger, expm_i, herm, opnorm, opnorm_max, random_hermitian,
                      random_unitary, rng_for)
 from .orderzero import NucDimDecomposition, OrderZeroMap
 from .serialize import matrix_to_json, to_jsonable
@@ -225,5 +225,5 @@ def hat_decomposition(n_grid: int, step: int = 2):
          np.diag((grid ** 2).astype(complex)),
          np.diag((grid * (1.0 - grid)).astype(complex))]
     stack = np.array(X)
-    dec.defect = float(opnorms(dec.compose(stack) - stack).max())
+    dec.defect = opnorm_max(dec.compose(stack) - stack)
     return A, dec, X

@@ -23,11 +23,12 @@ from .certs import (TOL_ALG, Certificate, ContradictionError,
                     SpectralGapError, ToleranceBudget, DEFAULT_BUDGET,
                     WINDOW_ISO_ETA, WINDOW_ISO_GAMMA, WINDOW_ISO_MU,
                     provenance_stamp)
-from .cpmaps import LinMap, arveson_restrict, classify, mult_defect
+from .cpmaps import LinMap, _mult_defects, arveson_restrict, classify
 from .averaging import (exact_diagonal, improve_multiplicativity,
                         intertwining_unitary, projection_conjugator)
 from .geometry import DistanceInterval, NearInclusionCert, nearest_in_ball
-from .linalg import clip_spectrum, dagger, hs_norm, opnorm, opnorms, rng_for
+from .linalg import (clip_spectrum, dagger, hs_norm, opnorm, opnorm_max, opnorms,
+                     rng_for)
 
 __all__ = [
     "StageRecord",
@@ -141,13 +142,13 @@ def _hom_defect(phi: LinMap, seed: int, n_pairs: int = 16) -> float:
     """Multiplicativity and adjoint defect on the basis and sampled pairs."""
     A = phi.domain
     basis = _normalized(A.basis)
-    worst = max(mult_defect(phi, basis).defect,
-                opnorms(phi(dagger(basis)) - dagger(phi(basis))).max())
+    worst = max(opnorm_max(_mult_defects(phi, basis)),
+                opnorm_max(phi(dagger(basis)) - dagger(phi(basis))))
     rng = rng_for(seed, "hom-defect", A.ambient_dim)
     # pairs (x, y) are consecutive draws of one stack, clipped in one batch
     xy = clip_spectrum(A.random_selfadjoints(rng, 2 * n_pairs), -1.0, 1.0)
     x, y = xy[0::2], xy[1::2]
-    return float(max(worst, opnorms(phi(x @ y) - phi(x) @ phi(y)).max(initial=0.0)))
+    return float(max(worst, opnorm_max(phi(x @ y) - phi(x) @ phi(y))))
 
 
 def _normalized(mats) -> np.ndarray:
@@ -157,9 +158,11 @@ def _normalized(mats) -> np.ndarray:
 
 
 def _worst_move(phi, X) -> float:
-    """max over x in X of ||phi(x) - x||, evaluated on the stack."""
-    X = np.array(X, dtype=complex)
-    return float(opnorms(phi(X) - X).max())
+    """max over x in X of ||phi(x) - x||, evaluated on the stack; 0.0 for an
+    empty X."""
+    N = phi.codomain_dim
+    X = np.array(X, dtype=complex).reshape((len(X), N, N))
+    return opnorm_max(phi(X) - X)
 
 
 def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
@@ -239,7 +242,7 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
 
         phi, prod_cert = producer(Zp)
         closeness = prod_cert.achieved
-        phi_defect = mult_defect(phi, Z).defect
+        phi_defect = opnorm_max(_mult_defects(phi, Z))
         gamma_repair = max(3.0 * eta, phi_defect)
 
         repair = improve_multiplicativity(phi, gamma=gamma_repair,
@@ -264,7 +267,7 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
             u_norm = float(opnorm(u - np.eye(A.ambient_dim)))
             aligned = theta.conjugated(u)
             X_stack = np.array(X)
-            drift = opnorms(aligned(X_stack) - theta_prev(X_stack)).max()
+            drift = opnorm_max(aligned(X_stack) - theta_prev(X_stack))
             accumulated = accumulated @ u
             alpha = theta.conjugated(accumulated)
         conjugators.append(u)

@@ -1,15 +1,20 @@
 """Dense complex linear algebra helpers shared by all modules.
 
-Matrices are numpy complex128 arrays; ``dagger``, ``herm``, ``opnorms`` and
-the functional calculus also take stacks (S, n, n).  Norm conventions:
-``opnorm`` is the operator (spectral) norm, ``hs_inner``/``hs_norm`` the
-Hilbert-Schmidt ones with inner product tr(a* b).  All randomness flows
-through counter-based Philox generators derived from explicit integer seeds,
-so every computation in the package replays bit-identically from its seed.
+Matrices are numpy complex128 arrays; ``dagger``, ``herm``, ``opnorms``,
+``opnorm_max`` and the functional calculus also take stacks (S, n, n).  Norm
+conventions: ``opnorm`` is the operator (spectral) norm, ``hs_inner``/``hs_norm``
+the Hilbert-Schmidt ones with inner product tr(a* b).  The largest operator
+norm in a stack is ``opnorm_max``, equal bit for bit to
+``opnorms(stack).max(initial=0.0)``: every matrix that could hold the maximum
+still gets its own values-only SVD, and only those the Hilbert-Schmidt bound
+rules out are skipped.  All randomness flows through counter-based Philox
+generators derived from explicit integer seeds, so every computation in the
+package replays bit-identically from its seed.
 """
 
 from __future__ import annotations
 
+import math
 import zlib
 
 import numpy as np
@@ -19,6 +24,7 @@ __all__ = [
     "herm",
     "opnorm",
     "opnorms",
+    "opnorm_max",
     "hs_inner",
     "hs_norm",
     "tracenorm",
@@ -61,11 +67,56 @@ def opnorm(x: np.ndarray) -> float:
 
 def opnorms(stack: np.ndarray) -> np.ndarray:
     """Operator norm of each matrix of a stack (..., R, C); the batched
-    values-only SVD, equal per matrix to ``opnorm``."""
+    values-only SVD, equal per matrix to ``opnorm``.  For the largest of them
+    use ``opnorm_max``, which returns ``opnorms(stack).max(initial=0.0)`` bit
+    for bit without the SVDs the Hilbert-Schmidt bound rules out."""
     stack = np.asarray(stack)
     if stack.size == 0:
         return np.zeros(stack.shape[:-2])
     return np.linalg.svd(stack, compute_uv=False)[..., 0]
+
+
+# Slack on the bound ||x|| <= ||x||_HS, so that the computed HS norm stays
+# above the computed top singular value: the relative part covers the
+# rounding of both (far below 1e-8 for matrices of up to 10^7 entries), the
+# absolute part the squares that underflow below the smallest normal number.
+_HS_REL_SLACK = 1e-8
+_HS_ABS_SLACK = 1e-150
+# Largest gathered batch in opnorm_max: the gather copies the matrices it
+# takes, and a copy of a whole large stack would raise the peak memory.
+_BATCH_BYTES = 1 << 18
+
+
+def opnorm_max(stack: np.ndarray) -> float:
+    """Largest operator norm in a stack (..., R, C), 0.0 for an empty one;
+    equal bit for bit to ``opnorms(stack).max(initial=0.0)``.
+
+    The HS norm bounds the operator norm from above.  The matrices of largest
+    HS norm are SVD'd first; then, in batches of at most _BATCH_BYTES, every
+    other matrix whose HS norm exceeds the largest norm found so far.  Each
+    matrix taken gets its own values-only SVD, as in ``opnorms``.  A stack
+    with a non-finite HS norm takes ``opnorms`` whole.
+    """
+    stack = np.asarray(stack)
+    mats = stack.reshape((math.prod(stack.shape[:-2]),) + stack.shape[-2:])
+    hs = np.einsum("kij,kij->k", mats.real, mats.real)
+    if np.iscomplexobj(mats):
+        hs += np.einsum("kij,kij->k", mats.imag, mats.imag)
+    hs = np.sqrt(hs)
+    largest = hs.max(initial=0.0)
+    if not np.isfinite(largest):
+        return float(opnorms(stack).max(initial=0.0))
+    top = hs == largest
+    best = float(opnorms(mats[top]).max(initial=0.0))
+    bound = hs * (1.0 + _HS_REL_SLACK) + _HS_ABS_SLACK
+    rest = np.flatnonzero((bound > best) & ~top)
+    batch = max(1, _BATCH_BYTES // max(mats[:1].nbytes, 1))
+    for start in range(0, len(rest), batch):
+        take = rest[start:start + batch]
+        take = take[bound[take] > best]  # the norm found so far may rule out more
+        if len(take):
+            best = max(best, float(opnorms(mats[take]).max()))
+    return best
 
 
 def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:

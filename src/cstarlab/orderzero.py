@@ -20,7 +20,7 @@ from .averaging import commutant_lift
 from .geometry import tensor_lift
 from .intertwine import _distance_hi, _normalized, _worst_move, intertwining_iso
 from .linalg import (clip_spectrum, dagger, eigh_fun, herm, hs_norm, opnorm,
-                     opnorms, psd_pinv, psd_sqrt)
+                     opnorm_max, opnorms, psd_pinv, psd_sqrt)
 
 __all__ = [
     "OrderZeroMap",
@@ -72,7 +72,7 @@ class OrderZeroMap:
         if not isinstance(fd, FDAlgebra):
             raise ValueError("the structure pair needs a block domain")
         h_eff = herm(pi(fd.unit()) @ np.asarray(h, dtype=complex))
-        worst = opnorms(h_eff @ pi.images - pi.images @ h_eff).max()
+        worst = opnorm_max(h_eff @ pi.images - pi.images @ h_eff)
         if worst > tol:
             raise ValueError(
                 f"h does not commute with the representation (residual {worst:.3g})")
@@ -89,7 +89,7 @@ class OrderZeroMap:
         diag = self.map(np.array([fd.matrix_unit(k, i, i)
                                   for k, n in enumerate(fd.block_sizes) for i in range(n)]))
         first, second = np.triu_indices(len(diag), 1)
-        return float(opnorms(diag[first] @ diag[second]).max(initial=0.0))
+        return opnorm_max(diag[first] @ diag[second])
 
     def verify(self, tol: float = TOL_ALG) -> dict:
         cls = classify(self.map)
@@ -106,15 +106,15 @@ def _hom_residual(pi: LinMap) -> float:
     the matrix-unit basis."""
     units = pi.domain.units()
     images = pi(units)
-    adjoint = opnorms(pi(dagger(units)) - dagger(images)).max()
+    adjoint = opnorm_max(pi(dagger(units)) - dagger(images))
     products = pi(units[:, None] @ units[None]) - images[:, None] @ images[None]
-    return float(max(adjoint, opnorms(products).max()))
+    return float(max(adjoint, opnorm_max(products)))
 
 
 def _structure_residual(images, pi_images, h) -> float:
     """Residual of phi(x) = pi(x) h = h pi(x) on the basis images."""
-    return float(max(opnorms(images - pi_images @ h).max(),
-                     opnorms(h @ pi_images - pi_images @ h).max()))
+    return float(max(opnorm_max(images - pi_images @ h),
+                     opnorm_max(h @ pi_images - pi_images @ h)))
 
 
 def structure_decompose(phi: LinMap, tol: float = TOL_ALG) -> tuple[LinMap, np.ndarray]:
@@ -328,7 +328,7 @@ def identity_decomposition(A: ConcreteAlgebra, seed: int = 0) -> NucDimDecomposi
     down = LinMap(A, fd.d, bm.to_abstract(basis))
     up_map = LinMap(fd, A.ambient_dim, bm.to_concrete(fd.units()), codomain_algebra=A)
     up = OrderZeroMap(map=up_map, pi=up_map, h=np.array(A.support))
-    defect = opnorms(up(down(basis)) - basis).max()
+    defect = opnorm_max(up(down(basis)) - basis)
     return NucDimDecomposition(F=fd, pieces=(tuple(range(len(fd.block_sizes))),),
                                down=down, ups=(up,), defect=float(defect))
 
@@ -358,7 +358,7 @@ def split_decomposition(A: ConcreteAlgebra, parts: int = 2,
     dec = NucDimDecomposition(F=fd, pieces=groups, down=down, ups=tuple(ups),
                               defect=0.0)
     basis = np.array(A.basis)
-    dec.defect = float(opnorms(dec.compose(basis) - basis).max())
+    dec.defect = opnorm_max(dec.compose(basis) - basis)
     return dec
 
 
@@ -379,7 +379,7 @@ def verify_nucdim_decomposition(A: ConcreteAlgebra, X, eps: float,
     if dec.composite_cpc and not classify(comp).cpc:
         failures.append("composite-not-cpc")
     X = np.array(X, dtype=complex)
-    defect = float(opnorms(dec.compose(X) - X).max(initial=0.0))
+    defect = opnorm_max(dec.compose(X) - X)
     cert = Certificate.build(
         name="nucdim-decomposition",
         formula="sup_X ||psi(phi(x)) - x|| <= eps; down cpc, ups order zero, "
@@ -433,7 +433,7 @@ def nucdim_cpc_transfer(D: ConcreteAlgebra, dec: NucDimDecomposition, theta,
         return x if theta is None else theta.map(x)
 
     X = np.array(X, dtype=complex)
-    achieved = float(opnorms(phi(X) - target(X)).max(initial=0.0))
+    achieved = opnorm_max(phi(X) - target(X))
     mu = 2.0 * gamma + gamma ** 2
     ceiling = 2.0 * (dec.n + 1) * mu * (2.0 + mu) + eps
     cls = classify(phi)

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cstarlab.algebra import ConcreteAlgebra, FDAlgebra, dagger, opnorm
+from cstarlab.certs import TOL_ALG, TOL_PSD
 from cstarlab.cpmaps import (
     LinMap,
     _choi_and_reshuffle,
+    _mult_defects,
     _pinched_images,
     arveson_restrict,
     cb_bracket,
@@ -25,7 +27,7 @@ from cstarlab.cpmaps import (
     ucp_extension,
 )
 from cstarlab.instances import block_algebra
-from cstarlab.linalg import random_complex, random_unitary, rng_for
+from cstarlab.linalg import herm, opnorm_max, random_complex, random_unitary, rng_for
 
 
 def random_ucp(fd: FDAlgebra, N: int, seed: int = 0) -> LinMap:
@@ -118,6 +120,36 @@ def test_classify_transpose_not_cp():
     cls = classify(phi)
     assert not cls.cp
     assert cls.choi_min_eig < -0.5
+
+
+@pytest.mark.parametrize("sizes", [(2, 1), (3, 3), (2, 3, 1)])
+def test_classify_equals_the_per_block_loop(sizes):
+    # reference: one operator norm and one eigensolve per Choi block
+    fd, N = FDAlgebra(sizes), 3
+    ucp = random_ucp(fd, N, seed=2)
+    rng = rng_for(2, "test-classify-blocks")
+    skew = random_complex(rng, N * fd.dim_linear, N).reshape(fd.dim_linear, N, N)
+    # i 1e-6 on phi(e_ii) of the last block adds an anti-Hermitian part to
+    # that Choi block alone and leaves its Hermitian part psd
+    last = ucp.images.copy()
+    for pos, (k, i, j) in enumerate(fd.unit_labels()):
+        if k == len(sizes) - 1 and i == j:
+            last[pos] += 1e-6j * np.eye(N)
+    maps = [ucp, ucp.scaled(1.5), random_selfadjoint_map(fd, N, seed=2), LinMap(fd, N, last),
+            LinMap(fd, N, ucp.images + 1e-12 * skew), LinMap(fd, N, ucp.images + 1e-3 * skew)]
+    verdicts = set()
+    for phi in maps:
+        herm_resid, min_eig = 0.0, np.inf
+        for C in choi_blocks(phi):
+            herm_resid = max(herm_resid, opnorm(C - dagger(C)))
+            min_eig = min(min_eig, float(np.linalg.eigvalsh(herm(C)).min()))
+        cp = herm_resid <= TOL_PSD and min_eig >= -TOL_PSD
+        cls = classify(phi)
+        assert cls.choi_min_eig == min_eig
+        assert (cls.cp, cls.cpc, cls.ucp) == (
+            cp, cp and cls.norm_of_unit <= 1.0 + TOL_PSD, cp and cls.unit_defect <= TOL_ALG)
+        verdicts.add((cls.cp, cls.cpc, cls.ucp))
+    assert verdicts == {(True, True, True), (True, False, False), (False, False, False)}
 
 
 def test_classify_cp_not_contractive():
@@ -236,6 +268,8 @@ def test_mult_defect_table_order():
               for x in X for y in (x, dagger(x))]
     assert np.allclose([v for _, v in rep.table], expect, rtol=0, atol=1e-13)
     assert rep.defect == max(v for _, v in rep.table)
+    # the max-only path internal callers take gives the same defect
+    assert opnorm_max(_mult_defects(phi, X)) == rep.defect
 
 
 def test_mult_defect_zero_for_hom():

@@ -119,6 +119,17 @@ def test_close_isomorphism_window_on_paper_track():
         close_isomorphism(A, B, 1e-3, budget=PAPER_BUDGET)
 
 
+def _assert_empty_closeness(cert):
+    assert cert.inputs["n_points"] == 0
+    assert cert.achieved == 0.0 and cert.passed
+
+
+def test_intertwining_iso_on_no_points():
+    A, B, u = conjugated_pair((2, 1), 3, 1e-5, 4)
+    res = intertwine.intertwining_iso(A, B, 2.0 * opnorm(u - np.eye(3)), X_A=[], seed=4)
+    _assert_empty_closeness(res.certificates["closeness"])
+
+
 # ---------------------------------------------------------------------------
 # one-sided near embeddings
 # ---------------------------------------------------------------------------
@@ -137,6 +148,13 @@ def test_near_embedding_into_larger_algebra():
         assert opnorm(theta(xn) - xn) <= cert.ceiling + 1e-12
 
 
+def test_near_embedding_on_no_points():
+    B = block_algebra((2, 2), 4)
+    A = block_algebra((2,), 4).conjugated(small_rotation(4, 1e-6, 7))
+    _, cert = near_embedding_nuclear(A, B, near_inclusion(A, B), X=[], seed=7)
+    _assert_empty_closeness(cert)
+
+
 # ---------------------------------------------------------------------------
 # half flip transport
 # ---------------------------------------------------------------------------
@@ -149,6 +167,12 @@ def test_half_flip_cpc_close_to_identity():
     for x in A.basis:
         xn = x / opnorm(x)
         assert opnorm(phi(xn) - xn) <= cert.ceiling + 1e-12
+
+
+def test_half_flip_cpc_on_no_points():
+    A, B, u = conjugated_pair((2,), 3, 1e-4, 11)
+    _, cert = half_flip_cpc(A, B, 2.0 * opnorm(u - np.eye(3)), X=[], seed=11)
+    _assert_empty_closeness(cert)
 
 
 def test_half_flip_needs_single_block():

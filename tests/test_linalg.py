@@ -1,13 +1,17 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cstarlab import linalg
 from cstarlab.linalg import (clip_spectrum, cluster_values, dagger, eigh_fun,
                              expm_i, herm, hs_norm, is_projection_residual,
-                             opnorm, opnorms, partial_isometry_polar, polar_factor,
-                             principal_log_unitary, psd_part, psd_pinv,
+                             opnorm, opnorm_max, opnorms, partial_isometry_polar,
+                             polar_factor, principal_log_unitary, psd_part, psd_pinv,
                              psd_sqrt, random_complex, random_contraction,
                              random_hermitian, random_unitary,
                              range_projection, rng_for, tracenorm)
@@ -140,3 +144,134 @@ def test_opnorms_equal_opnorm_per_matrix():
         flat = S.reshape((-1,) + shape[-2:])
         assert np.array_equal(vals.reshape(-1), [opnorm(s) for s in flat])
     assert opnorms(np.zeros((0, 3, 3))).shape == (0,)
+
+
+def _hs_order_differs(rng, k: int, n: int, rows: int | None = None) -> np.ndarray:
+    """k matrices, shuffled: rank-one ones (HS norm = operator norm) among
+    scaled identities (HS norm = sqrt(n) x operator norm), with repeats and
+    zeros, so decreasing HS norm is not decreasing operator norm."""
+    rows = n if rows is None else rows
+    kinds = rng.integers(0, 4, size=k)
+    mats = np.zeros((k, rows, n), dtype=complex)
+    for i, kind in enumerate(kinds):
+        if kind == 0:
+            u, v = random_complex(rng, rows, 1), random_complex(rng, n, 1)
+            mats[i] = rng.uniform(0.5, 2.0) * u @ dagger(v)
+        elif kind == 1:
+            mats[i, :min(rows, n), :min(rows, n)] = rng.uniform(0.5, 2.0) * np.eye(min(rows, n))
+        elif kind == 2 and i > 0:
+            mats[i] = mats[rng.integers(0, i)]  # a tie with an earlier matrix
+    return mats[rng.permutation(k)]
+
+
+@given(k=st.integers(min_value=0, max_value=24), n=DIMS, rows=DIMS, seed=SEEDS)
+@settings(max_examples=200, deadline=None)
+def test_opnorm_max_equals_the_full_stack_maximum(k, n, rows, seed):
+    rng = rng_for(seed, "opnorm-max")
+    for S in (_hs_order_differs(rng, k, n), _hs_order_differs(rng, k, n, rows),
+              rng.standard_normal((k, rows, n)) * rng.uniform(0, 1, (k, 1, 1)) ** 6):
+        assert opnorm_max(S) == opnorms(S).max(initial=0.0)
+
+
+def test_opnorm_max_on_special_stacks():
+    rng = rng_for(6, "opnorm-max-special")
+    S = _hs_order_differs(rng, 24, 4)
+    # the identity 0.6 * 1_4 leads in HS norm (1.2) but not in operator norm,
+    # and the rank-one matrix of norm 1 has HS norm 1 > 0.6 > 1 / sqrt(4)
+    lead = np.stack([0.6 * np.eye(4), np.outer(np.eye(4)[0], np.eye(4)[1])])
+    for stack in (S, S.reshape(2, 3, 4, 4, 4), S[:1], S[0], lead, lead[::-1],
+                  np.zeros((5, 3, 3)), np.zeros((3, 0, 0)),
+                  np.concatenate([np.zeros((4, 4, 4)), S[:3]]), 1e-170 * S,
+                  rng.standard_normal((7, 2, 6)), rng.standard_normal((2, 7, 6, 2))):
+        assert opnorm_max(stack) == opnorms(stack).max(initial=0.0)
+    assert opnorm_max(lead) == 1.0
+    # squares below the smallest normal number round away: the second HS
+    # norm reads 2.2e-162, below the first matrix's operator norm 2.65e-162
+    tiny = np.stack([np.diag([2.65e-162] * 4), np.diag([2.7e-162, 0, 0, 0])])
+    assert opnorm_max(tiny) == 2.7e-162
+    assert opnorm_max(np.zeros((0, 3, 3))) == 0.0
+    # non-finite stacks take the full path: an infinite entry gives nan, and a
+    # NaN entry raises opnorms' LinAlgError
+    S[5, 0, 0] = np.inf
+    assert np.isnan(opnorm_max(S)) and np.isnan(opnorms(S).max())
+    S[5, 0, 0] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        opnorms(S)
+    with pytest.raises(np.linalg.LinAlgError):
+        opnorm_max(S)
+
+
+def test_opnorm_max_of_diagonal_matrices_is_the_largest_entry():
+    d = random_complex(rng_for(7, "opnorm-max-diag"), 40, 5)
+    S = np.einsum("ki,ij->kij", d, np.eye(5))
+    assert abs(opnorm_max(S) - np.abs(d).max()) <= 4 * np.finfo(float).eps * np.abs(d).max()
+
+
+def test_opnorm_max_bound_covers_rounding():
+    # a rank-one r has HS norm = operator norm, and its computed top singular
+    # value exceeds its computed HS norm h by rounding about a third of the
+    # time; behind diag(h, 1e-7 h), whose HS norm is larger and whose
+    # operator norm is h, r can only be skipped by a bound without slack
+    rng = rng_for(9, "opnorm-max-rounding")
+    u, v = random_complex(rng, 60 * 4, 2).reshape(2, 60, 4, 1)
+    r = u @ dagger(v)
+    h = np.linalg.norm(r, axis=(1, 2))
+    assert (opnorms(r) > h).sum() >= 5
+    for x, hx in zip(r, h):
+        t = np.diag([hx, 1e-7 * hx, 0.0, 0.0]).astype(complex)
+        assert opnorm_max(np.stack([t, x])) == opnorms(np.stack([t, x])).max()
+
+
+def _svd_counter(monkeypatch) -> list[int]:
+    """Records the number of matrices of each opnorms call."""
+    taken, full = [], linalg.opnorms
+
+    def counted(stack):
+        taken.append(int(np.prod(np.shape(stack)[:-2])))
+        return full(stack)
+
+    monkeypatch.setattr(linalg, "opnorms", counted)
+    return taken
+
+
+def test_opnorm_max_skips_what_the_hs_bound_rules_out(monkeypatch):
+    taken = _svd_counter(monkeypatch)
+    rng = rng_for(8, "opnorm-max-skip")
+    small = rng.standard_normal((20, 4, 4))
+    small /= 2.0 * np.linalg.norm(small, axis=(1, 2), keepdims=True)
+    S = np.concatenate([small[:9], 2.0 * np.outer(np.eye(4)[0], np.eye(4)[2])[None], small[9:]])
+    assert opnorm_max(S) == 2.0 and taken == [1]
+    # one matrix per batch: the rank-one matrix's norm 1 rules out 0.45 * 1_4
+    # (HS norm 0.9), which the first matrix's norm 0.6 did not
+    monkeypatch.setattr(linalg, "_BATCH_BYTES", 1)
+    taken.clear()
+    e = np.eye(4)
+    assert opnorm_max(np.stack([0.6 * e, np.outer(e[0], e[1]), 0.45 * e])) == 1.0
+    assert taken == [1, 1]
+
+
+def test_opnorm_max_stops_when_the_norm_found_equals_the_bound(monkeypatch):
+    # the second matrix's bound, its HS norm 1 with the slack, equals the
+    # first matrix's operator norm exactly, so it cannot exceed it
+    taken = _svd_counter(monkeypatch)
+    top = 1.0 * (1.0 + linalg._HS_REL_SLACK) + linalg._HS_ABS_SLACK
+    S = np.zeros((2, 2, 2))
+    S[0, 0, 0], S[1, 0, 0] = top, 1.0
+    assert opnorm_max(S) == top and taken == [1]
+
+
+def test_stack_maxima_go_through_opnorm_max():
+    # one implementation of the largest operator norm in a stack: a call
+    # opnorms(...).max(...) anywhere but in opnorm_max's own body fails
+    found = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "cstarlab").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            if path.name == "linalg.py" and getattr(top, "name", None) == "opnorm_max":
+                continue
+            found += [f"{path.name}:{node.lineno}" for node in ast.walk(top)
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and node.func.attr == "max" and isinstance(node.func.value, ast.Call)
+                      and isinstance(node.func.value.func, ast.Name)
+                      and node.func.value.func.id == "opnorms"]
+    assert not found, f"take opnorm_max(stack) in place of opnorms(stack).max() at {found}"
