@@ -19,10 +19,11 @@ from .averaging import (exact_diagonal, improve_multiplicativity,
                         projection_conjugator)
 from .certs import PAPER_BUDGET, WindowError
 from .cpmaps import LinMap, classify, perturb_choi, stinespring
-from .instances import gen_instance, hat_decomposition, random_order_zero
+from .instances import (_rotated_embedding, gen_instance, hat_decomposition,
+                        random_order_zero)
 from .intertwine import close_isomorphism, implement_unitarily
 from .linalg import (dagger, expm_i, opnorm, random_complex, random_hermitian,
-                     random_unitary, rng_for)
+                     rng_for)
 from .orderzero import (identity_decomposition, near_embed_nucdim,
                         nucdim_cpc_transfer, perturb_order_zero,
                         split_decomposition, verify_nucdim_decomposition)
@@ -176,13 +177,7 @@ def criterion_3(seed: int = 0) -> CriterionResult:
 
 def _noisy_cpc_hom(profile, N: int, eps: float, rng) -> LinMap:
     fd = FDAlgebra(profile)
-    v = random_unitary(rng, N)
-    images = []
-    for u in fd.units():
-        m = np.zeros((N, N), dtype=complex)
-        m[:fd.d, :fd.d] = u
-        images.append(v @ m @ dagger(v))
-    psi = perturb_choi(LinMap(fd, N, tuple(images)), eps, rng)
+    psi = perturb_choi(_rotated_embedding(fd, N, rng), eps, rng)
     nrm = opnorm(psi(fd.unit()))
     if nrm > 1.0:
         psi = psi.scaled(1.0 / nrm)
@@ -216,14 +211,7 @@ def criterion_4(seeds: int = 50) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 def _conjugated_hom_pair(profile, N: int, gamma: float, rng):
-    fd = FDAlgebra(profile)
-    v = random_unitary(rng, N)
-    images = []
-    for u in fd.units():
-        m = np.zeros((N, N), dtype=complex)
-        m[:fd.d, :fd.d] = u
-        images.append(v @ m @ dagger(v))
-    rho = LinMap(fd, N, tuple(images))
+    rho = _rotated_embedding(FDAlgebra(profile), N, rng)
     h = random_hermitian(rng, N)
     u0 = expm_i(gamma * h / max(opnorm(h), 1e-300))
     return rho.conjugated(u0), rho

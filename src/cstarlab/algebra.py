@@ -23,6 +23,7 @@ from .certs import CLUSTER_REL, TOL_ALG, Certificate, provenance_stamp
 from .linalg import (
     cluster_values,
     dagger,
+    expm_i,
     herm,
     hs_norm,
     is_projection_residual,
@@ -201,11 +202,19 @@ class FDAlgebra:
         """Block-diagonal compression of an arbitrary d x d matrix."""
         return self.embed_blocks(self.blocks_of(x))
 
-    def random_elements(self, rng, count: int, hermitian: bool = False) -> np.ndarray:
-        """Stack (count, d, d) of standard complex Gaussian elements (their
-        Hermitian parts when asked) from one draw, sliced per sample and
-        block as real then imaginary n_k^2 values: the stream order, and the
-        bits, of one ``linalg.random_complex`` call per block and sample."""
+    def corner_units(self, N: int) -> np.ndarray:
+        """The matrix units placed in the upper-left d x d corner of M_N, as a
+        (dim_linear, N, N) stack: the block embedding of the algebra into
+        M_N."""
+        if self.d > N:
+            raise ValueError(f"blocks of total size {self.d} do not fit in M_{N}")
+        return np.pad(self.units(), ((0, 0), (0, N - self.d), (0, N - self.d)))
+
+    def random_elements(self, rng, count: int) -> np.ndarray:
+        """Stack (count, d, d) of standard complex Gaussian elements from one
+        draw, sliced per sample and block as real then imaginary n_k^2
+        values: the stream order, and the bits, of one
+        ``linalg.random_complex`` call per block and sample."""
         sq = [n * n for n in self.block_sizes]
         g = rng.standard_normal((count, 2 * sum(sq)))
         blocks, pos = [], 0
@@ -213,11 +222,42 @@ class FDAlgebra:
             re, im = g[:, pos:pos + m], g[:, pos + m:pos + 2 * m]
             blocks.append(((re + 1j * im) / np.sqrt(2.0)).reshape(count, n, n))
             pos += 2 * m
-        x = self.embed_blocks(blocks)
-        return herm(x) if hermitian else x
+        return self.embed_blocks(blocks)
 
-    def random_element(self, rng, hermitian: bool = False) -> np.ndarray:
-        return self.random_elements(rng, 1, hermitian)[0]
+    def random_element(self, rng) -> np.ndarray:
+        return self.random_elements(rng, 1)[0]
+
+    def random_selfadjoints(self, rng, count: int) -> np.ndarray:
+        """Hermitian parts of ``random_elements(rng, count)``; the draw that
+        ``geometry.sample_unit_ball`` reads, as on a concrete algebra."""
+        return herm(self.random_elements(rng, count))
+
+    def unitary_from(self, h: np.ndarray) -> np.ndarray:
+        """exp(i h) for self-adjoint h in the algebra (or a stack)."""
+        return expm_i(h)
+
+    def relation_residual(self, images: np.ndarray) -> float:
+        """Worst residual of the matrix-unit relations on images E of the
+        matrix units, a (dim_linear, N, N) stack in (k, i, j) order:
+        ||E_ji - E_ij*|| and ||delta_jk E_il - E_ij E_kl|| over every pair of
+        units, pairs from different blocks included (their products must
+        vanish).  Zero exactly when the images define a *-homomorphism.  The
+        products are taken one row (k, i) of units at a time, an
+        (n_k, dim_linear, N, N) stack with one batched norm each."""
+        E = np.asarray(images)
+        worst, base = 0.0, 0
+        for n in self.block_sizes:
+            block = E[base:base + n * n].reshape((n, n) + E.shape[1:])  # E_ij at [i, j]
+            worst = max(worst, opnorm_max(block.swapaxes(0, 1) - dagger(block)))
+            for i in range(n):
+                row = block[i]
+                resid = row[:, None] @ E[None]  # E_ij E_b at [j, b]
+                np.negative(resid, out=resid)
+                for j in range(n):
+                    resid[j, base + j * n:base + (j + 1) * n] += row
+                worst = max(worst, opnorm_max(resid))
+            base += n * n
+        return float(worst)
 
 
 # ---------------------------------------------------------------------------
@@ -244,21 +284,6 @@ class BlockStructure:
 
     def fd_model(self) -> FDAlgebra:
         return FDAlgebra(self.block_sizes)
-
-    def relation_residual(self) -> float:
-        """Worst residual of the matrix-unit relations: ||e_ij* - e_ji|| and
-        ||e_ij e_kl - delta_jk e_il||, the products taken one row i at a time
-        (an (n, n, n) stack of N x N matrices) with one batched norm each."""
-        worst = 0.0
-        for units in self.matrix_units:
-            e = np.array(units)
-            worst = max(worst, opnorm_max(dagger(e) - e.swapaxes(0, 1)))
-            for i in range(len(e)):
-                resid = e[i][:, None, None] @ e[None]  # e_ij e_kl at [j, k, l]
-                for j in range(len(e)):
-                    resid[j, j] -= e[i]
-                worst = max(worst, opnorm_max(resid))
-        return float(worst)
 
 
 # ---------------------------------------------------------------------------
@@ -310,26 +335,15 @@ class ConcreteAlgebra:
 
     @classmethod
     def full(cls, N: int) -> "ConcreteAlgebra":
-        basis = []
-        for i in range(N):
-            for j in range(N):
-                m = np.zeros((N, N), dtype=complex)
-                m[i, j] = 1.0
-                basis.append(m)
-        return cls(ambient_dim=N, basis=tuple(basis), support=np.eye(N, dtype=complex))
+        return cls(ambient_dim=N, basis=tuple(FDAlgebra((N,)).units()),
+                   support=np.eye(N, dtype=complex))
 
     @classmethod
     def diagonal(cls, N: int, ambient_dim: int | None = None) -> "ConcreteAlgebra":
         """Diagonal matrices on the first N coordinates of M_ambient."""
         amb = ambient_dim or N
-        basis = []
-        for i in range(N):
-            m = np.zeros((amb, amb), dtype=complex)
-            m[i, i] = 1.0
-            basis.append(m)
-        supp = np.zeros((amb, amb), dtype=complex)
-        supp[:N, :N] = np.eye(N)
-        return cls(ambient_dim=amb, basis=tuple(basis), support=supp)
+        basis = FDAlgebra((1,) * N).corner_units(amb)
+        return cls(ambient_dim=amb, basis=tuple(basis), support=basis.sum(axis=0))
 
     # -- linear span --------------------------------------------------------
 
@@ -384,9 +398,7 @@ class ConcreteAlgebra:
         Returns u in A with u*u = uu* = support; equals exp(i h) minus the
         identity on the ambient kernel of A.
         """
-        from .linalg import expm_i
-        full = expm_i(h)
-        return full - (np.eye(self.ambient_dim) - self.support)
+        return expm_i(h) - (np.eye(self.ambient_dim) - self.support)
 
     # -- structure -----------------------------------------------------------
 
@@ -559,7 +571,8 @@ def wedderburn_decompose(A: ConcreteAlgebra, seed: int = 0,
                 summands=tuple(summands),
                 central_projections=tuple(projections),
                 matrix_units=tuple(tuple(tuple(row) for row in u) for u in all_units))
-            resid = struct.relation_residual()
+            resid = struct.fd_model().relation_residual(
+                np.array([e for u in all_units for row in u for e in row]))
             if resid > 1e-7:
                 raise SpectralGapError(f"matrix unit relations residual {resid:.2e}")
             return struct
@@ -648,12 +661,8 @@ def unitize_tilde(A: ConcreteAlgebra) -> ConcreteAlgebra:
     The image of A is a proper ideal and the dimension grows by exactly one.
     """
     N = A.ambient_dim
-    emb = []
-    for b in A.basis:
-        m = np.zeros((N + 1, N + 1), dtype=complex)
-        m[:N, :N] = b
-        emb.append(m)
-    basis = orthonormalize(emb + [np.eye(N + 1, dtype=complex)])
+    emb = np.pad(np.array(A.basis), ((0, 0), (0, 1), (0, 1)))
+    basis = orthonormalize(list(emb) + [np.eye(N + 1, dtype=complex)])
     if len(basis) != A.dim + 1:
         raise RuntimeError("tilde unitization must grow the dimension by one")
     return ConcreteAlgebra(ambient_dim=N + 1, basis=tuple(basis),

@@ -27,9 +27,10 @@ from .algebra import ConcreteAlgebra, FDAlgebra
 from .certs import (TOL_CONV, TOL_EXACT, Certificate, SpectralGapError,
                     ToleranceBudget, DEFAULT_BUDGET, WINDOW_DEFECT_REPAIR,
                     WINDOW_INTERTWINE, provenance_stamp)
-from .cpmaps import LinMap, _mult_defects, classify, stinespring, ucp_extension
-from .linalg import (clip_spectrum, dagger, expm_i, herm, opnorm, opnorm_max,
-                     opnorms, polar_factor, principal_log_unitary, psd_sqrt, rng_for)
+from .cpmaps import LinMap, classify, hom_defect, stinespring, ucp_extension
+from .geometry import SampleSpec, sample_unit_ball
+from .linalg import (dagger, expm_i, herm, opnorm, opnorm_max, opnorms, polar_factor,
+                     principal_log_unitary, psd_sqrt)
 
 __all__ = [
     "AveragingSet",
@@ -253,31 +254,6 @@ def projection_conjugator(p: np.ndarray, q: np.ndarray,
 # multiplicativity repair
 # ---------------------------------------------------------------------------
 
-def _fd_unit_ball(fd: FDAlgebra, n_sa: int, n_unitary: int, seed: int) -> np.ndarray:
-    """Stack of the matrix units of a block algebra, n_sa sampled self-adjoint
-    contractions and n_unitary sampled unitaries, drawn in that order."""
-    rng = rng_for(seed, "fd-unit-ball", fd.d)
-    h = fd.random_elements(rng, n_sa + n_unitary, hermitian=True)
-    sa, g = h[:n_sa], h[n_sa:]
-    nrm = opnorms(g)
-    g = g / np.where(nrm > 1e-14, nrm, 1.0)[:, None, None]
-    return np.concatenate([fd.units(), clip_spectrum(sa, -1.0, 1.0),
-                           expm_i(np.pi * 0.5 * g)])
-
-
-def _estimate_mult_defect(phi: LinMap, seed: int = 0, n_samples: int = 32) -> float:
-    fd = phi.domain
-    if not isinstance(fd, FDAlgebra):
-        raise ValueError("defect estimation expects a block domain")
-    rng = rng_for(seed, "defect-pairs", fd.d)
-    worst = opnorm_max(_mult_defects(phi, _fd_unit_ball(fd, n_samples, 0, seed)))
-    # pairs (x, y) drawn in turn
-    xy = clip_spectrum(fd.random_elements(rng, 2 * n_samples, hermitian=True),
-                       -1.0, 1.0)
-    x, y = xy[0::2], xy[1::2]
-    return float(max(worst, opnorm_max(phi(x @ y) - phi(x) @ phi(y))))
-
-
 @dataclass
 class RepairResult:
     """Outcome of the multiplicativity repair.
@@ -322,7 +298,7 @@ def improve_multiplicativity(phi: LinMap, gamma: float | None = None,
             f"repair requires a cpc map (||phi(1)|| = {cls.norm_of_unit:.6g}, "
             f"choi min eig {cls.choi_min_eig:.2e})")
     if gamma is None:
-        gamma = _estimate_mult_defect(abstract, seed=seed)
+        gamma = hom_defect(abstract, seed=seed)
     budget.require_window("multiplicativity-repair", gamma, WINDOW_DEFECT_REPAIR)
     root = float(np.sqrt(max(gamma, 0.0)))
 
@@ -370,7 +346,8 @@ def improve_multiplicativity(phi: LinMap, gamma: float | None = None,
     psi_abs = LinMap(fd0, abstract.codomain_dim, images,
                      codomain_algebra=abstract.codomain_algebra)
 
-    samples = _fd_unit_ball(fd0, n_check, n_check // 2, seed + 1)
+    spec = SampleSpec(seed=seed + 1, n_selfadjoint=n_check, n_unitary=n_check // 2)
+    samples = np.array([x for _, x in sample_unit_ball(fd0, spec)])
     dist = opnorm_max(abstract(samples) - psi_abs(samples))
     cert_dist = Certificate.build(
         name="multiplicativity-repair",
@@ -379,7 +356,8 @@ def improve_multiplicativity(phi: LinMap, gamma: float | None = None,
         ceiling=8.0 * np.sqrt(2.0) * root, achieved=float(dist),
         slack=budget.tol_alg, provenance=provenance_stamp(seed))
 
-    new_defect = _estimate_mult_defect(psi_abs, seed=seed + 2, n_samples=n_check // 2)
+    # n_check // 2 sampled contractions, as the certificate says
+    new_defect = hom_defect(psi_abs, seed=seed + 2, n_pairs=n_check // 4)
     cert_mult = Certificate.build(
         name="repaired-multiplicativity",
         formula="psi is a *-homomorphism: defect <= tol_alg",
@@ -457,11 +435,11 @@ def intertwining_unitary(phi1: LinMap, phi2: LinMap,
     if a1.codomain_dim != a2.codomain_dim:
         raise ValueError("codomain mismatch")
     if delta is None:
-        delta = max(_estimate_mult_defect(a1, seed=seed),
-                    _estimate_mult_defect(a2, seed=seed))
+        delta = max(hom_defect(a1, seed=seed),
+                    hom_defect(a2, seed=seed))
     if gamma is None:
-        rng = rng_for(seed, "intertwine-gamma", fd.d)
-        X = clip_spectrum(fd.random_elements(rng, 16, hermitian=True), -1.0, 1.0)
+        spec = SampleSpec(seed=seed, n_selfadjoint=16, n_unitary=0, include_basis=False)
+        X = np.array([x for _, x in sample_unit_ball(fd, spec)])
         gamma = max(a1.basis_distance(a2), opnorm_max(a1(X) - a2(X)))
     budget.require_window("intertwining", gamma, WINDOW_INTERTWINE)
 

@@ -11,6 +11,12 @@ of a map with block domain is the block-diagonal sum over summands of
 C_k = sum_ij e_ij (x) phi(e_ij^(k)), an (n_k N) x (n_k N) matrix; the map is
 completely positive iff every block is positive semidefinite.  Choi blocks
 and the reshuffle are reshapes and transposes of the image array.
+
+A map is tested for being a homomorphism in one of two ways.  Exactly, on
+the images of the matrix units: ``FDAlgebra.relation_residual``.  Or by
+sampling, on any domain: ``hom_defect`` evaluates the multiplicativity and
+adjoint defects at points drawn by ``geometry.sample_unit_ball``, the one
+unit-ball sampler.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ import numpy as np
 
 from .algebra import BlockModel, ConcreteAlgebra, FDAlgebra, _combine
 from .certs import TOL_ALG, TOL_PSD, Certificate, provenance_stamp
+from .geometry import SampleSpec, sample_unit_ball
 from .linalg import (dagger, herm, hs_norm, opnorm, opnorm_max, opnorms, psd_part,
                      random_hermitian)
 
@@ -36,6 +43,7 @@ __all__ = [
     "stinespring",
     "DefectReport",
     "mult_defect",
+    "hom_defect",
     "check_stinespring_inequality",
     "conditional_expectation",
     "arveson_restrict",
@@ -295,22 +303,6 @@ class StinespringDilation:
         rhs = E @ inner @ dagger(E)
         return opnorm(lhs - rhs)
 
-    def rep_hom_residual(self) -> float:
-        """Worst multiplicativity/adjoint residual of pi on matrix units."""
-        fd = self.fd
-        worst = 0.0
-        labels = fd.unit_labels()
-        img = {lbl: im for lbl, im in zip(labels, self.rep_images)}
-        unit = sum(img[(k, i, i)] for (k, i, j) in labels if i == j)
-        worst = max(worst, opnorm(unit - np.eye(self.dilation_dim)))
-        for (k, i, j) in labels:
-            worst = max(worst, opnorm(dagger(img[(k, i, j)]) - img[(k, j, i)]))
-            for (k2, a, b) in labels:
-                prod = img[(k, i, j)] @ img[(k2, a, b)]
-                target = img[(k, i, b)] if (k == k2 and j == a) else np.zeros_like(prod)
-                worst = max(worst, opnorm(prod - target))
-        return worst
-
 
 def stinespring(phi: LinMap, tol_psd: float = TOL_PSD) -> StinespringDilation:
     """Minimal Stinespring dilation of a ucp map with block domain.
@@ -399,6 +391,22 @@ def mult_defect(phi: LinMap, X, labels=None) -> DefectReport:
     tags = [tag for lbl in labels for tag in (lbl, lbl + "*")]
     return DefectReport(defect=float(vals.max()),
                         table=[(tag, float(v)) for tag, v in zip(tags, vals)])
+
+
+def hom_defect(phi: LinMap, seed: int = 0, n_pairs: int = 16) -> float:
+    """Sampled homomorphism defect of phi, on a block or a concrete domain:
+    the largest of ||phi(y)phi(y*) - phi(yy*)|| over the operator-normalised
+    basis and 2 n_pairs self-adjoint contractions, ||phi(b*) - phi(b)*|| over
+    that basis, and ||phi(xy) - phi(x)phi(y)|| over consecutive pairs (x, y)
+    of the contractions.  The points come from ``sample_unit_ball`` with this
+    seed; the value is a sampled estimate of the supremum, not a bound."""
+    spec = SampleSpec(seed=seed, n_selfadjoint=2 * n_pairs, n_unitary=0)
+    X = np.array([x for _, x in sample_unit_ball(phi.domain, spec)])
+    basis, sa = X[:len(X) - 2 * n_pairs], X[len(X) - 2 * n_pairs:]
+    x, y = sa[0::2], sa[1::2]
+    return float(max(opnorm_max(_mult_defects(phi, X)),
+                     opnorm_max(phi(dagger(basis)) - dagger(phi(basis))),
+                     opnorm_max(phi(x @ y) - phi(x) @ phi(y))))
 
 
 def check_stinespring_inequality(phi: LinMap, x: np.ndarray, y: np.ndarray,

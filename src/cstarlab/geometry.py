@@ -21,7 +21,10 @@ k = 0, so a warm start that is already optimal is certified and returned
 without an iteration.  Suprema over the unit ball are
 sampled (basis elements, random self-adjoint contractions, random
 unitaries), so the reported gamma_hi is an honest sampled estimate with
-stored witnesses, not a proof of the supremum.
+stored witnesses, not a proof of the supremum.  ``sample_unit_ball`` draws
+those points on a concrete or a block algebra, and it is the only unit-ball
+sampler: the sampled defect checks of ``cpmaps`` and ``averaging`` take
+their points from it too.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import ConcreteAlgebra, _Span
+from .algebra import ConcreteAlgebra, FDAlgebra, _Span
 from .certs import TOL_ALG, Certificate, ContradictionError, provenance_stamp
 from .linalg import clip_spectrum, opnorm, opnorms, rng_for
 
@@ -323,20 +326,30 @@ def span_distance_lower(x: np.ndarray, span: _Span | ConcreteAlgebra) -> float |
 # sampling
 # ---------------------------------------------------------------------------
 
-def sample_unit_ball(A: ConcreteAlgebra, spec: SampleSpec) -> list[tuple[str, np.ndarray]]:
-    """Deterministic sample of the unit ball of A: operator-normalised basis
-    elements, random self-adjoint contractions (spectral clipping), and
+def sample_unit_ball(A: ConcreteAlgebra | FDAlgebra,
+                     spec: SampleSpec) -> list[tuple[str, np.ndarray]]:
+    """Deterministic sample of the unit ball of A, a concrete or a block
+    algebra: operator-normalised basis elements (the matrix units of a block
+    algebra), random self-adjoint contractions (spectral clipping), and
     random unitaries exp(i h) of A (relative to its support)."""
     out: list[tuple[str, np.ndarray]] = []
-    if spec.include_basis:
-        for idx, b in enumerate(A.basis):
-            nrm = opnorm(b)
-            if nrm > 1e-14:
-                out.append((f"basis[{idx}]", b / nrm))
-    rng = rng_for(spec.seed, "unit-ball", A.ambient_dim, A.dim)
-    h = A.random_selfadjoints(rng, spec.n_selfadjoint)
-    out += [(f"sa[{t}]", x) for t, x in enumerate(clip_spectrum(h, -1.0, 1.0))]
-    h = A.random_selfadjoints(rng, spec.n_unitary)
+    if isinstance(A, FDAlgebra):
+        key = (A.d, A.dim_linear)
+        if spec.include_basis:  # the matrix units have norm one
+            out += [(f"basis[{idx}]", e) for idx, e in enumerate(A.units())]
+    else:
+        key = (A.ambient_dim, A.dim)
+        if spec.include_basis:
+            for idx, b in enumerate(A.basis):
+                nrm = opnorm(b)
+                if nrm > 1e-14:
+                    out.append((f"basis[{idx}]", b / nrm))
+    # one draw, in stream order the self-adjoint samples and then the
+    # generators of the unitaries
+    h = A.random_selfadjoints(rng_for(spec.seed, "unit-ball", *key),
+                              spec.n_selfadjoint + spec.n_unitary)
+    sa, h = h[:spec.n_selfadjoint], h[spec.n_selfadjoint:]
+    out += [(f"sa[{t}]", x) for t, x in enumerate(clip_spectrum(sa, -1.0, 1.0))]
     nrm = opnorms(h)[:, None, None]
     h = h / np.where(nrm > 1e-14, nrm, 1.0)
     out += [(f"u[{t}]", u) for t, u in enumerate(A.unitary_from(np.pi * 0.5 * h))]

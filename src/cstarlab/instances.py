@@ -73,18 +73,9 @@ class Instance:
 
 def block_algebra(sizes, ambient: int | None = None) -> ConcreteAlgebra:
     """Blocks of the given sizes placed consecutively on the diagonal."""
-    sizes = tuple(int(n) for n in sizes)
-    d = sum(sizes)
-    N = ambient if ambient is not None else d
-    if d > N:
-        raise ValueError(f"blocks of total size {d} do not fit in M_{N}")
-    fd = FDAlgebra(sizes)
-    basis = []
-    for u in fd.units():
-        m = np.zeros((N, N), dtype=complex)
-        m[:d, :d] = u
-        basis.append(m)
-    return ConcreteAlgebra.from_basis(basis, N)
+    fd = FDAlgebra(tuple(int(n) for n in sizes))
+    N = ambient if ambient is not None else fd.d
+    return ConcreteAlgebra.from_basis(list(fd.corner_units(N)), N)
 
 
 def base_algebra(name, ambient: int | None = None) -> ConcreteAlgebra:
@@ -158,28 +149,27 @@ def gen_instance(recipe: str, params: dict, seed: int = 0) -> Instance:
                     true_unitary=None, seed=seed)
 
 
+def _rotated_embedding(fd: FDAlgebra, N: int, rng) -> LinMap:
+    """The block embedding of fd into the corner of M_N conjugated by a
+    unitary v drawn from rng: the exact *-homomorphism x -> v x v*."""
+    v = random_unitary(rng, N)
+    return LinMap(fd, N, v @ fd.corner_units(N) @ dagger(v))
+
+
 def random_order_zero(sizes, N: int, seed: int = 0,
                       damping=(0.4, 1.0)) -> OrderZeroMap:
     """Random order-zero map from the block algebra of the given sizes into
     M_N: a conjugated block embedding pi damped by a positive contraction
     h = sum c_k pi(1_k) in the commutant of pi."""
     fd = FDAlgebra(tuple(int(n) for n in sizes))
-    if fd.d > N:
-        raise ValueError(f"blocks of total size {fd.d} do not embed in M_{N}")
     rng = rng_for(seed, "order-zero", fd.d, N)
-    v = random_unitary(rng, N)
-    images = []
-    for u in fd.units():
-        m = np.zeros((N, N), dtype=complex)
-        m[:fd.d, :fd.d] = u
-        images.append(v @ m @ dagger(v))
-    pi = LinMap(fd, N, tuple(images))
+    pi = _rotated_embedding(fd, N, rng)
     h = np.zeros((N, N), dtype=complex)
     lo, hi = damping
     for k in range(len(fd.block_sizes)):
         c = float(rng.uniform(lo, hi))
         h = h + c * pi(fd.block_unit(k))
-    carrier = ConcreteAlgebra.from_basis(list(images), N)
+    carrier = ConcreteAlgebra.from_basis(list(pi.images), N)
     return OrderZeroMap.from_pair(pi, herm(h), codomain_algebra=carrier)
 
 

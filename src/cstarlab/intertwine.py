@@ -23,12 +23,12 @@ from .certs import (TOL_ALG, Certificate, ContradictionError,
                     SpectralGapError, ToleranceBudget, DEFAULT_BUDGET,
                     WINDOW_ISO_ETA, WINDOW_ISO_GAMMA, WINDOW_ISO_MU,
                     provenance_stamp)
-from .cpmaps import LinMap, _mult_defects, arveson_restrict, classify
+from .cpmaps import LinMap, _mult_defects, arveson_restrict, classify, hom_defect
 from .averaging import (exact_diagonal, improve_multiplicativity,
                         intertwining_unitary, projection_conjugator)
-from .geometry import DistanceInterval, NearInclusionCert, nearest_in_ball
-from .linalg import (clip_spectrum, dagger, hs_norm, opnorm, opnorm_max, opnorms,
-                     rng_for)
+from .geometry import (DistanceInterval, NearInclusionCert, nearest_in_ball,
+                       nearest_in_span)
+from .linalg import dagger, hs_norm, opnorm, opnorm_max, opnorms
 
 __all__ = [
     "StageRecord",
@@ -119,14 +119,6 @@ def expectation_producer(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float):
 # the staged intertwining
 # ---------------------------------------------------------------------------
 
-def _add_unique(pool: list, seen: set, elements) -> None:
-    for x in elements:
-        key = np.asarray(x, dtype=complex).tobytes()
-        if key not in seen:
-            seen.add(key)
-            pool.append(np.asarray(x, dtype=complex))
-
-
 def _averaging_parts(A: ConcreteAlgebra, seed: int) -> np.ndarray:
     """Unit-ball elements of A carrying the averaging family of the unitized
     block model: for each term u~ = (block part, scalar), the element
@@ -136,19 +128,6 @@ def _averaging_parts(A: ConcreteAlgebra, seed: int) -> np.ndarray:
     d = bm.fd.d
     u = exact_diagonal(fd_ext).terms
     return bm.to_concrete((u[:, :d, :d] - u[:, d, d, None, None] * np.eye(d)) / 2.0)
-
-
-def _hom_defect(phi: LinMap, seed: int, n_pairs: int = 16) -> float:
-    """Multiplicativity and adjoint defect on the basis and sampled pairs."""
-    A = phi.domain
-    basis = _normalized(A.basis)
-    worst = max(opnorm_max(_mult_defects(phi, basis)),
-                opnorm_max(phi(dagger(basis)) - dagger(phi(basis))))
-    rng = rng_for(seed, "hom-defect", A.ambient_dim)
-    # pairs (x, y) are consecutive draws of one stack, clipped in one batch
-    xy = clip_spectrum(A.random_selfadjoints(rng, 2 * n_pairs), -1.0, 1.0)
-    x, y = xy[0::2], xy[1::2]
-    return float(max(worst, opnorm_max(phi(x @ y) - phi(x) @ phi(y))))
 
 
 def _normalized(mats) -> np.ndarray:
@@ -199,9 +178,7 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
     avg_parts = _averaging_parts(A, seed)
     B_norm_basis = _normalized(B.basis)
 
-    X: list[np.ndarray] = []
-    seen_X: set = set()
-    _add_unique(X, seen_X, X_A)
+    X = list(X_A)
     trace: list[StageRecord] = []
     conjugators: list[np.ndarray] = []
     theta_prev: LinMap | None = None
@@ -213,32 +190,27 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
     worst_membership = 0.0
     tracking_ok = surjectivity_delta is not None
     pull_worst = 0.0
-    pulled_for = pull = None
+    pulled_for = None
 
     for n in range(1, max_iter + 1):
-        a_n = norm_basis[(n - 1) % len(norm_basis)]
-        _add_unique(X, seen_X, [a_n])
-        if surjectivity_delta is not None:
-            # track codomain basis elements through the accumulated
-            # conjugators, solving again only after the conjugator changed
-            if not np.array_equal(pulled_for, accumulated):
-                pulled = dagger(accumulated) @ B_norm_basis @ accumulated
-                pulled_for, pull = accumulated, nearest_in_ball(pulled, A, iters=80)[:2]
-            for x, dist in zip(*pull):
+        X.append(norm_basis[(n - 1) % len(norm_basis)])
+        # track codomain basis elements through the accumulated conjugators,
+        # solving and adding the pulled points again only after the
+        # conjugator changed
+        if surjectivity_delta is not None and not np.array_equal(pulled_for, accumulated):
+            pulled = dagger(accumulated) @ B_norm_basis @ accumulated
+            pulled_for = accumulated
+            for x, dist in zip(*nearest_in_ball(pulled, A, iters=80)[:2]):
                 pull_worst = max(pull_worst, dist)
                 if dist <= 2.0 / 5.0 + budget.tol_alg:
-                    _add_unique(X, seen_X, [x])
+                    X.append(x)
                 else:
                     tracking_ok = False
         delta_target = min(delta_target, 2.0 ** (-n), nu / (5.0 * np.sqrt(2.0)))
-        Y = list(X)
-        seen_Y = set(seen_X)
-        _add_unique(Y, seen_Y, avg_parts)
-        Z = Y
-        Zp = list(Z)
-        seen_Z = set(seen_Y)
-        _add_unique(Zp, seen_Z, [dagger(z) for z in Z])
-        _add_unique(Zp, seen_Z, [z @ dagger(z) for z in list(Zp)])
+        Y = X + list(avg_parts)
+        Z = np.array(Y)
+        Zp = np.concatenate([Z, dagger(Z)])
+        Zp = np.concatenate([Zp, Zp @ dagger(Zp)])
 
         phi, prod_cert = producer(Zp)
         closeness = prod_cert.achieved
@@ -253,7 +225,7 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
         worst_membership = max(worst_membership, residual)
         theta = LinMap(A, A.ambient_dim, B.project(theta_raw.images),
                        codomain_algebra=B)
-        theta_defect = _hom_defect(theta, seed + n)
+        theta_defect = hom_defect(theta, seed + n)
 
         drift, u_norm = 0.0, 0.0
         drift_ceiling = 2.0 ** (-(n - 1)) * nu
@@ -307,7 +279,7 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
         name="homomorphism",
         formula="multiplicativity and adjoint defect <= tol_alg",
         inputs={}, ceiling=budget.tol_alg,
-        achieved=float(_hom_defect(alpha, seed + 101)),
+        achieved=float(hom_defect(alpha, seed + 101)),
         provenance=provenance_stamp(seed))
     cert_member = Certificate.build(
         name="image-membership",
@@ -497,7 +469,6 @@ def half_flip_cpc(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma_cert, X=None,
     8 alpha + 4 alpha^2 + 4 sqrt(2) gamma with
     alpha = (4 sqrt(2) + 1) gamma + 4 sqrt(2) gamma^2.
     """
-    from .geometry import nearest_in_span
     gamma = _distance_hi(gamma_cert)
     struct = A.structure(seed=seed)
     if len(struct.summands) != 1:
@@ -520,8 +491,7 @@ def half_flip_cpc(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma_cert, X=None,
 
     # witness for the flip inside span(B0) (x) span(A)
     pair_basis = [np.kron(b, a) for b in B0.basis for a in A.basis]
-    from .algebra import ConcreteAlgebra as _CA
-    tensor_span = _CA.from_basis(pair_basis, N * N)
+    tensor_span = ConcreteAlgebra.from_basis(pair_basis, N * N)
     w, wdist, _, _ = nearest_in_span(v, tensor_span.span(), ball=True, iters=300)
     alpha = (4.0 * np.sqrt(2.0) + 1.0) * gamma + 4.0 * np.sqrt(2.0) * gamma ** 2
     alpha_prime = gamma + 4.0 * np.sqrt(2.0) * gamma * (1.0 + gamma)
@@ -564,7 +534,7 @@ def half_flip_cpc(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma_cert, X=None,
 # unitary implementation
 # ---------------------------------------------------------------------------
 
-def implement_unitarily(alpha: IsoResult, mode: str = "exact", seed: int = 0,
+def implement_unitarily(alpha: IsoResult, seed: int = 0,
                         budget: ToleranceBudget = DEFAULT_BUDGET
                         ) -> tuple[np.ndarray, Certificate]:
     """Unitary u with u x u* = alpha.map(x) for all x in the domain, so the
@@ -582,8 +552,8 @@ def implement_unitarily(alpha: IsoResult, mode: str = "exact", seed: int = 0,
     B = theta.codomain_algebra
     if B is not None and B.ambient_dim != A.ambient_dim:
         raise ValueError("domain and codomain must share the ambient dimension")
-    defect = _hom_defect(theta, seed)
-    if mode == "exact" and defect > budget.tol_alg:
+    defect = hom_defect(theta, seed)
+    if defect > budget.tol_alg:
         raise ValueError(
             f"map is not a homomorphism to tol_alg (defect {defect:.3g}); "
             "repair it before implementing unitarily")

@@ -92,23 +92,14 @@ class OrderZeroMap:
         return opnorm_max(diag[first] @ diag[second])
 
     def verify(self, tol: float = TOL_ALG) -> dict:
-        cls = classify(self.map)
-        return {"cpc": cls.cpc,
-                "structure_residual": self.structure_residual(),
+        cpc = classify(self.map).cpc
+        structure = self.structure_residual()
+        pi_defect = self.pi.domain.relation_residual(self.pi.images)
+        return {"cpc": cpc,
+                "structure_residual": structure,
                 "orthogonality_residual": self.orthogonality_residual(),
-                "pi_defect": _hom_residual(self.pi),
-                "ok": bool(cls.cpc and self.structure_residual() <= tol
-                           and _hom_residual(self.pi) <= tol)}
-
-
-def _hom_residual(pi: LinMap) -> float:
-    """Multiplicativity and adjoint defect of a candidate representation on
-    the matrix-unit basis."""
-    units = pi.domain.units()
-    images = pi(units)
-    adjoint = opnorm_max(pi(dagger(units)) - dagger(images))
-    products = pi(units[:, None] @ units[None]) - images[:, None] @ images[None]
-    return float(max(adjoint, opnorm_max(products)))
+                "pi_defect": pi_defect,
+                "ok": bool(cpc and structure <= tol and pi_defect <= tol)}
 
 
 def _structure_residual(images, pi_images, h) -> float:
@@ -131,7 +122,8 @@ def structure_decompose(phi: LinMap, tol: float = TOL_ALG) -> tuple[LinMap, np.n
     h = herm(phi(fd.unit()))
     hp = psd_pinv(h, rel_cutoff=TOL_RANK)
     pi = LinMap(fd, phi.codomain_dim, phi.images @ hp)
-    worst = max(_hom_residual(pi), _structure_residual(phi.images, pi.images, h))
+    worst = max(fd.relation_residual(pi.images),
+                _structure_residual(phi.images, pi.images, h))
     if worst > tol:
         raise ValueError(
             f"not order zero: structural residual {worst:.3g} exceeds {tol:.3g}")
@@ -230,15 +222,14 @@ def perturb_order_zero(oz: OrderZeroMap, B: ConcreteAlgebra, gamma_cert,
             f"contraction (got {dist:.3g}); the near-inclusion certificate "
             "understates the distance")
 
-    def theta(x: np.ndarray) -> np.ndarray:
-        blocks = fd.blocks_of(x)
+    # theta(e_ij^(k)) = 1_N (x) e_ij in the slot of block k, with e_ij the
+    # matrix unit of M_{n_k} in the corner of M_m
+    corner = {k: FDAlgebra((fd.block_sizes[k],)).corner_units(m) for k in kept}
+
+    def theta(k: int, i: int, j: int) -> np.ndarray:
         out = np.zeros((len(kept) * N * m, len(kept) * N * m), dtype=complex)
-        for slot, k in enumerate(kept):
-            n = fd.block_sizes[k]
-            pad = np.zeros((m, m), dtype=complex)
-            pad[:n, :n] = blocks[k]
-            s = slot * N * m
-            out[s:s + N * m, s:s + N * m] = np.kron(np.eye(N), pad)
+        s = kept.index(k) * N * m
+        out[s:s + N * m, s:s + N * m] = np.kron(np.eye(N), corner[k][i * fd.block_sizes[k] + j])
         return out
 
     images = []
@@ -247,7 +238,7 @@ def perturb_order_zero(oz: OrderZeroMap, B: ConcreteAlgebra, gamma_cert,
         if k not in kept:
             images.append(zero)
             continue
-        th = theta(fd.matrix_unit(k, i, j))
+        th = theta(k, i, j)
         images.append((u @ th @ dagger(u))[::m, ::m])
         recon = max(recon, opnorm((t @ th @ dagger(t))[::m, ::m] - img))
     psi = LinMap(fd, N, tuple(images), codomain_algebra=B)
@@ -556,7 +547,7 @@ def order_zero_projection(psi: LinMap, tol: float = 1e-8,
             break
 
     pi = LinMap(fd, N, tuple(pi_imgs[lab] for lab in fd.unit_labels()))
-    pi_defect = _hom_residual(pi)
+    pi_defect = fd.relation_residual(pi.images)
     if pi_defect > tol:
         raise ValueError(
             f"fit residual {pi_defect:.3g} above {tol:.3g}; "

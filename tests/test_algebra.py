@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cstarlab.algebra import (BlockModel, BlockStructure, ConcreteAlgebra,
-                              FDAlgebra, generate_algebra, orthonormalize,
-                              support_projection, unitize_tilde,
-                              verify_algebra, wedderburn_decompose)
+from cstarlab.algebra import (BlockModel, ConcreteAlgebra, FDAlgebra,
+                              generate_algebra, orthonormalize, support_projection,
+                              unitize_tilde, verify_algebra, wedderburn_decompose)
 from cstarlab.instances import block_algebra, gen_instance
 from cstarlab.linalg import (dagger, expm_i, hs_inner, opnorm, random_complex,
                              random_hermitian, random_unitary, rng_for)
@@ -18,10 +17,11 @@ PROFILES = [(2,), (1, 1), (2, 1), (3,), (2, 2), (1, 1, 1)]
 @pytest.mark.parametrize("sizes", [(2, 1), (3, 3), (2, 3, 1)])
 def test_random_elements_equal_the_per_block_draws(sizes, hermitian):
     # one draw for the stack gives the bits of one random_complex call per
-    # block and sample, and leaves the stream where those calls leave it
+    # block and sample (their Hermitian parts for the self-adjoint draw), and
+    # leaves the stream where those calls leave it
     fd = FDAlgebra(sizes)
     rng, ref = rng_for(41, "batch", *sizes), rng_for(41, "batch", *sizes)
-    got = fd.random_elements(rng, 5, hermitian=hermitian)
+    got = fd.random_selfadjoints(rng, 5) if hermitian else fd.random_elements(rng, 5)
     want = np.zeros((5, fd.d, fd.d), dtype=complex)
     for x in want:
         o = 0
@@ -141,18 +141,15 @@ def test_wedderburn_full_block_in_large_ambient():
     assert np.abs(prods - expect).max() < 1e-10
 
 
-def units_structure(units, w) -> BlockStructure:
-    """Matrix units E[i, j] (x) 1_2 of M_3 plus a one-dimensional summand,
-    in M_7 and conjugated by w."""
+def unit_images(units, w) -> np.ndarray:
+    """Images of the matrix units of M_3 + C: E[i, j] (x) 1_2 and a
+    one-dimensional summand, in M_7 and conjugated by w, as one stack in
+    (k, i, j) order."""
     n = len(units)
-    emb = np.zeros((n, n, 7, 7), dtype=complex)
-    emb[:, :, :6, :6] = np.kron(units, np.eye(2))
-    last = np.zeros((7, 7), dtype=complex)
-    last[6, 6] = 1.0
-    emb, last = w @ emb @ dagger(w), w @ last @ dagger(w)
-    return BlockStructure(summands=((n, 2), (1, 1)),
-                          central_projections=(sum(emb[i, i] for i in range(n)), last),
-                          matrix_units=(tuple(tuple(row) for row in emb), ((last,),)))
+    emb = np.zeros((n * n + 1, 7, 7), dtype=complex)
+    emb[:n * n, :6, :6] = np.kron(units, np.eye(2)).reshape(n * n, 6, 6)
+    emb[n * n, 6, 6] = 1.0
+    return w @ emb @ dagger(w)
 
 
 @pytest.mark.parametrize("t", [1e-3, 0.25])
@@ -163,17 +160,31 @@ def test_relation_residual_closed_form(t, rotate):
     # more, and (1 + i t) e_00 breaks e_00* = e_00 by 2 t while its products
     # are off by at most t (1 + t^2)^(1/2)
     w = random_unitary(rng_for(43, "units"), 7) if rotate else np.eye(7)
+    fd = FDAlgebra((3, 1))
     E = np.zeros((3, 3, 3, 3))
     for i in range(3):
         for j in range(3):
             E[i, j, i, j] = 1.0
-    exact = units_structure(E, w).relation_residual()
+    exact = fd.relation_residual(unit_images(E, w))
     assert exact <= 1e-14 if rotate else exact == 0.0
     for scale, residual in ((1.0 + t, t * (1.0 + t)), (1.0 + 1j * t, 2.0 * t)):
         F = E.astype(complex)
         F[0, 0] *= scale
-        got = units_structure(F, w).relation_residual()
+        got = fd.relation_residual(unit_images(F, w))
         assert abs(got - residual) <= 1e-14
+
+
+def test_relation_residual_counts_cross_block_products():
+    # two one-dimensional summands sent to the same projection p: each unit
+    # alone is a homomorphism, but e_1 e_2 = 0 is sent to p p = p, of norm 1
+    p = np.zeros((3, 3), dtype=complex)
+    p[0, 0] = p[1, 1] = 1.0
+    w = random_unitary(rng_for(44, "units"), 3)
+    fd = FDAlgebra((1, 1))
+    assert fd.relation_residual(np.array([p, p])) == 1.0
+    assert abs(fd.relation_residual(w @ np.array([p, p]) @ dagger(w)) - 1.0) <= 1e-14
+    q = np.diag([0.0, 0.0, 1.0]).astype(complex)
+    assert fd.relation_residual(np.array([p, q])) == 0.0
 
 
 def test_block_model_round_trip():

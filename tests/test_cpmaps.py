@@ -20,12 +20,14 @@ from cstarlab.cpmaps import (
     classify,
     conditional_expectation,
     from_choi,
+    hom_defect,
     kraus_operators,
     mult_defect,
     perturb_choi,
     stinespring,
     ucp_extension,
 )
+from cstarlab.geometry import SampleSpec, sample_unit_ball
 from cstarlab.instances import block_algebra
 from cstarlab.linalg import herm, opnorm_max, random_complex, random_unitary, rng_for
 
@@ -172,7 +174,10 @@ def test_stinespring_reconstructs(sizes):
     for _ in range(4):
         x = fd.random_element(rng)
         assert opnorm(dil.reconstruct(x) - phi(x)) < 1e-10
-    assert dil.rep_hom_residual() < 1e-10
+    # pi is a unital *-representation: exact matrix-unit relations, and the
+    # diagonal units sum to the identity of the dilation space
+    assert fd.relation_residual(dil.rep_images) < 1e-10
+    assert opnorm(dil.rep(fd.unit()) - np.eye(dil.dilation_dim)) < 1e-10
 
 
 def test_stinespring_isometry_for_ucp():
@@ -281,6 +286,50 @@ def test_mult_defect_zero_for_hom():
     rep = mult_defect(phi, X)
     assert rep.defect < 1e-12
     assert len(rep.table) == 8  # each element and its adjoint
+
+
+@pytest.mark.parametrize("t", [0.3, 0.9])
+@pytest.mark.parametrize("domain", ["block (2,1)", "concrete (2,1)/4"])
+def test_hom_defect_of_a_scaled_identity(domain, t):
+    # phi = t id: phi(y)phi(y*) - phi(yy*) = (t^2 - t) yy*, of norm t(1 - t)
+    # on the normalised basis and at most that on contractions; the pair
+    # terms are t(1 - t) ||xy|| <= t(1 - t) and the adjoint terms vanish
+    if domain.startswith("block"):
+        fd = FDAlgebra((2, 1))
+        phi = LinMap(fd, fd.d, t * fd.units())
+    else:
+        A = block_algebra((2, 1), 4)
+        phi = LinMap(A, 4, t * np.array(A.basis))
+    assert abs(hom_defect(phi, seed=3) - t * (1.0 - t)) <= 1e-14
+
+
+@pytest.mark.parametrize("domain", ["block (2,1)", "concrete (2,1)/4"])
+def test_hom_defect_is_the_largest_term_over_its_samples(domain):
+    # the three terms over the points sample_unit_ball draws, one opnorm at a
+    # time: yy* over the normalised basis and the 2 n self-adjoint
+    # contractions, the adjoint on the basis, and the consecutive pairs
+    if domain.startswith("block"):
+        fd = FDAlgebra((2, 1))
+        phi = perturb_choi(random_ucp(fd, 4, seed=21), 0.05, rng_for(21, "noise"))
+        dom = fd
+    else:
+        A = block_algebra((2, 1), 4).conjugated(random_unitary(rng_for(22, "test-u"), 4))
+        dom = A
+        phi = LinMap(A, 4, np.array(A.basis) + 0.05 * herm(np.array(
+            [random_complex(rng_for(22, "noise", i), 4) for i in range(A.dim)])))
+    n = 5
+    points = [x for _, x in sample_unit_ball(dom, SampleSpec(seed=9, n_selfadjoint=2 * n,
+                                                             n_unitary=0))]
+    basis, sa = points[:-2 * n], points[-2 * n:]
+    square = [opnorm(phi(y) @ phi(dagger(y)) - phi(y @ dagger(y)))
+              for x in points for y in (x, dagger(x))]
+    adjoint = [opnorm(phi(dagger(b)) - dagger(phi(b))) for b in basis]
+    pairs = [opnorm(phi(x @ y) - phi(x) @ phi(y)) for x, y in zip(sa[0::2], sa[1::2])]
+    got = hom_defect(phi, seed=9, n_pairs=n)
+    assert abs(got - max(square + adjoint + pairs)) <= 1e-14
+    # the sampled yy* terms set the maximum here, clear of the other terms
+    rest = max(square[:2 * len(basis)] + adjoint + pairs)
+    assert abs(max(square[2 * len(basis):]) - got) <= 1e-14 and got > 1.1 * rest
 
 
 # ---------------------------------------------------------------------------

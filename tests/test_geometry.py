@@ -1,5 +1,8 @@
 """Distance between subalgebras: witnesses, near inclusions, brackets."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from cstarlab import geometry
-from cstarlab.algebra import ConcreteAlgebra, dagger, opnorm
+from cstarlab.algebra import ConcreteAlgebra, FDAlgebra, dagger, opnorm
 from cstarlab.certs import ContradictionError
 from cstarlab.geometry import (
     SampleSpec,
@@ -499,6 +502,51 @@ def test_sample_unit_ball_deterministic():
     for (l1, x1), (l2, x2) in zip(s1, s2):
         assert l1 == l2
         assert opnorm(x1 - x2) == 0.0
+
+
+def test_sample_unit_ball_on_a_block_algebra():
+    # matrix units, then self-adjoint contractions, then unitaries, all
+    # block diagonal, and the same points on a second call
+    fd = FDAlgebra((2, 1))
+    spec = SampleSpec(seed=6, n_selfadjoint=5, n_unitary=4)
+    samples = sample_unit_ball(fd, spec)
+    labels = [label for label, _ in samples]
+    assert labels == ([f"basis[{i}]" for i in range(5)] + [f"sa[{t}]" for t in range(5)]
+                      + [f"u[{t}]" for t in range(4)])
+    X = np.array([x for _, x in samples])
+    assert X[:5].tobytes() == fd.units().tobytes()
+    assert all(opnorm(x) <= 1.0 + 1e-12 for x in X)
+    assert np.abs(fd.pinch(X) - X).max() == 0.0
+    for label, x in samples[5:10]:
+        assert opnorm(x - dagger(x)) <= 1e-14
+    for label, u in samples[10:]:
+        assert opnorm(dagger(u) @ u - np.eye(fd.d)) <= 1e-14
+    again = sample_unit_ball(fd, spec)
+    assert np.array([x for _, x in again]).tobytes() == X.tobytes()
+
+
+def test_unit_ball_draws_go_through_sample_unit_ball():
+    # one unit-ball sampler: a self-adjoint contraction drawn as
+    # clip_spectrum(h, -1.0, 1.0) anywhere but in sample_unit_ball's own body
+    # fails
+    def literal(node):
+        try:
+            return ast.literal_eval(node)
+        except ValueError:
+            return None
+
+    found = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "cstarlab").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            if path.name == "geometry.py" and getattr(top, "name", None) == "sample_unit_ball":
+                continue
+            found += [f"{path.name}:{node.lineno}" for node in ast.walk(top)
+                      if isinstance(node, ast.Call)
+                      and getattr(node.func, "id", getattr(node.func, "attr", None))
+                      == "clip_spectrum"
+                      and [literal(a) for a in node.args[1:3]] == [-1.0, 1.0]]
+    assert not found, f"draw unit-ball points with sample_unit_ball, not at {found}"
 
 
 def test_kk_distance_self_is_zero():

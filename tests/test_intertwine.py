@@ -130,6 +130,22 @@ def test_intertwining_iso_on_no_points():
     _assert_empty_closeness(res.certificates["closeness"])
 
 
+def test_intertwining_iso_ignores_repeated_points():
+    # the tracked sets are plain lists and every consumer takes a maximum
+    # over them, so listing each point of X_A twice changes no certificate
+    # beyond the count of points given
+    A, B, u = conjugated_pair((2, 1), 3, 1e-5, 4)
+    gamma = 2.0 * opnorm(u - np.eye(3))
+    X_A = [A.random_selfadjoint(rng_for(5, "repeat")) / 2.0, *A.basis]
+    runs = [intertwine.intertwining_iso(A, B, 2.0 * gamma, X_A=X, seed=4,
+                                        surjectivity_delta=gamma)
+            for X in (X_A, X_A + X_A)]
+    certs = [{k: c.to_dict() for k, c in r.certificates.items()} for r in runs]
+    assert [c["closeness"]["inputs"].pop("n_points") for c in certs] == [6, 12]
+    assert certs[0] == certs[1]
+    assert runs[0].map.images.tobytes() == runs[1].map.images.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # one-sided near embeddings
 # ---------------------------------------------------------------------------
@@ -227,7 +243,7 @@ def test_implement_unitarily_rejects_non_homomorphism():
                       certificates={}, eta=0.0, mu=0.0, nu=0.0,
                       converged=True, surjective=False)
     with pytest.raises(ValueError):
-        implement_unitarily(alpha, mode="exact")
+        implement_unitarily(alpha)
 
 
 # ---------------------------------------------------------------------------
