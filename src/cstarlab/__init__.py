@@ -13,7 +13,7 @@ from .averaging import (AveragingSet, IntertwinerResult, LiftResult,
                         polar_unitary, projection_conjugator,
                         unitary_commutant_lift)
 from .certs import (DEFAULT_BUDGET, PAPER_BUDGET, Certificate,
-                    ContradictionError, SpectralGapError, ToleranceBudget,
+                    ContradictionError, SchemaError, SpectralGapError, ToleranceBudget,
                     WindowError, provenance_stamp)
 from .cpmaps import (DefectReport, LinMap, StinespringDilation, Ternary,
                      arveson_restrict, cb_bracket, choi, choi_blocks,
@@ -36,7 +36,7 @@ from .orderzero import (NucDimDecomposition, OrderZeroMap, cone_evaluate,
                         split_decomposition, structure_decompose,
                         verify_nucdim_decomposition)
 from .pipelines import Report, conjugation_iso, render_report, run_pipeline
-from .serialize import SchemaError, dumps, load, loads, save
+from .serialize import dumps, load, loads, save
 
 __version__ = "0.1.0"
 

@@ -5,7 +5,12 @@ Hilbert-Schmidt-orthonormal basis together with its support projection.  Every
 finite-dimensional C*-algebra is a direct sum of full matrix blocks with
 multiplicities; :func:`wedderburn_decompose` recovers that structure
 numerically (minimal central projections, block sizes, multiplicities, and a
-full system of matrix units) from nothing but the basis.
+full system of matrix units) from nothing but the basis.  It finds the centre
+as A ∩ {h_0, h_1}' for two generic self-adjoint elements of A, which
+generate A as h_0 + i h_1: one 2N^2 x dim commutator operator, with no
+products over pairs of basis elements.  The result is a
+:class:`BlockStructure` whose matrix units are one (dim_linear, N, N) stack
+in the order of ``FDAlgebra.unit_labels()``.
 
 :class:`FDAlgebra` is the abstract model: a direct sum of full matrix
 algebras, realised concretely as block-diagonal matrices of size sum(n_k) so
@@ -19,7 +24,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .certs import CLUSTER_REL, TOL_ALG, Certificate, provenance_stamp
+from .certs import (CLUSTER_REL, TOL_ALG, Certificate, SpectralGapError, provenance_stamp,
+                    require_finite)
 from .linalg import (
     cluster_values,
     dagger,
@@ -52,13 +58,6 @@ __all__ = [
 # span utilities
 # ---------------------------------------------------------------------------
 
-def _stack(mats, N) -> np.ndarray:
-    """Rows = flattened matrices."""
-    if not mats:
-        return np.zeros((0, N * N), dtype=complex)
-    return np.array([m.reshape(-1) for m in mats], dtype=complex)
-
-
 def orthonormalize(mats, tol: float = 1e-10) -> list[np.ndarray]:
     """HS-orthonormalize, dropping dependent elements.
 
@@ -89,7 +88,8 @@ class _Span:
     def __init__(self, basis: list[np.ndarray], N: int):
         self.N = N
         self.basis = basis
-        self.Q = _stack(basis, N)  # dim x N^2, orthonormal rows
+        # dim x N^2, orthonormal rows
+        self.Q = np.array(basis, dtype=complex).reshape(len(basis), N * N)
 
     @property
     def dim(self) -> int:
@@ -264,19 +264,26 @@ class FDAlgebra:
 # block structure of a concrete algebra
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockStructure:
     """Wedderburn data of a concrete algebra.
 
-    summands[k] = (n_k, m_k): block size and multiplicity.  central_projections
-    are the minimal central projections as ambient matrices, and
-    matrix_units[k][i][j] realizes e_ij^(k) in the ambient, satisfying
-    e_ij e_kl = delta_jk e_il and e_ij* = e_ji.
+    summands[k] = (n_k, m_k): block size and multiplicity.
+    central_projections is the (r, N, N) stack of minimal central
+    projections, one per summand.  matrix_units is one read-only
+    (dim_linear, N, N) stack in ``FDAlgebra.unit_labels()`` order (k, i, j):
+    the images in the ambient of the matrix units e_ij^(k) of
+    ``fd_model()``, satisfying e_ij e_kl = delta_jk e_il and e_ij* = e_ji;
+    the units of summand k reshape to (n_k, n_k, N, N).
     """
 
     summands: tuple[tuple[int, int], ...]
-    central_projections: tuple[np.ndarray, ...]
-    matrix_units: tuple[tuple[tuple[np.ndarray, ...], ...], ...]
+    central_projections: np.ndarray
+    matrix_units: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.central_projections, self.matrix_units):
+            a.flags.writeable = False
 
     @property
     def block_sizes(self) -> tuple[int, ...]:
@@ -310,11 +317,13 @@ class ConcreteAlgebra:
             b = np.asarray(b, dtype=complex)
             if b.shape != (self.ambient_dim, self.ambient_dim):
                 raise ValueError("basis element has wrong shape")
+            require_finite(b, "basis element")
             b = b.copy()
             b.flags.writeable = False
             basis.append(b)
         object.__setattr__(self, "basis", tuple(basis))
         s = np.asarray(self.support, dtype=complex).copy()
+        require_finite(s, "support")
         s.flags.writeable = False
         object.__setattr__(self, "support", s)
 
@@ -328,6 +337,7 @@ class ConcreteAlgebra:
         mats = [np.asarray(m, dtype=complex) for m in mats]
         if not mats:
             raise ValueError("empty basis")
+        require_finite(mats, "spanning set")
         N = ambient_dim or mats[0].shape[0]
         basis = orthonormalize(mats)
         supp = support_projection(basis, N)
@@ -367,10 +377,6 @@ class ConcreteAlgebra:
 
     def contains(self, x: np.ndarray, tol: float = TOL_ALG) -> bool:
         return self.residual(x) <= tol * max(1.0, hs_norm(x))
-
-    def element(self, coeffs: np.ndarray) -> np.ndarray:
-        return (self.span().Q.T @ np.asarray(coeffs, dtype=complex)).reshape(
-            self.ambient_dim, self.ambient_dim)
 
     @property
     def unit(self) -> np.ndarray:
@@ -451,6 +457,7 @@ def generate_algebra(generators, ambient_dim: int | None = None,
     for g in gens:
         if g.shape != (N, N):
             raise ValueError("generators must be square matrices of the ambient dimension")
+    require_finite(gens, "generators")
     seed_set = gens + [dagger(g) for g in gens]
     basis = orthonormalize(seed_set, tol=tol)
     if not basis:
@@ -493,99 +500,97 @@ def verify_algebra(A: ConcreteAlgebra, tol: float = TOL_ALG) -> Certificate:
 # Wedderburn decomposition
 # ---------------------------------------------------------------------------
 
-def _center_basis(A: ConcreteAlgebra) -> list[np.ndarray]:
-    """Orthonormal basis of the center {z in A : zx = xz for all x in A}."""
-    d, N = A.dim, A.ambient_dim
-    rows = []
-    for b in A.basis:
-        # c |-> [sum_i c_i basis_i, b], flattened; stack over all b
-        block = np.array([(bi @ b - b @ bi).reshape(-1) for bi in A.basis]).T
-        rows.append(block)
-    op = np.vstack(rows)  # (dim*N^2) x dim acting on coefficient vectors
+# fresh draws wedderburn_decompose makes before it gives up
+_RETRIES = 3
+
+
+def _center_basis(A: ConcreteAlgebra, h: np.ndarray) -> np.ndarray:
+    """A basis of A ∩ {h_0, h_1}' as an (r, N, N) stack, for a pair h of
+    self-adjoint elements of A: the centre Z(A) when h_0 + i h_1 generates A.
+    c -> ([sum_i c_i b_i, h_0], [.., h_1]) is one batched commutator per h_k,
+    a 2N^2 x dim operator whose null space holds the coefficients."""
+    Q = np.array(A.basis)
+    op = (Q[None] @ h[:, None] - h[:, None] @ Q[None]).transpose(0, 2, 3, 1).reshape(-1, A.dim)
     _, s, vh = np.linalg.svd(op, full_matrices=False)
-    tol = max(op.shape) * np.finfo(float).eps * (s[0] if len(s) else 1.0)
-    null_dim = int(np.sum(s <= max(tol, 1e-12))) + (op.shape[1] - len(s))
-    coeffs = vh.conj()[A.dim - null_dim:, :] if null_dim else np.zeros((0, A.dim))
-    return [A.element(c) for c in coeffs]
+    rank = int(np.sum(s > max(len(op) * np.finfo(float).eps * s[0], 1e-12)))
+    return _combine(vh[rank:].conj(), Q)
 
 
-def _spectral_projection(vals, vecs, idx) -> np.ndarray:
+def _spectral_projection(vecs, idx) -> np.ndarray:
     v = vecs[:, idx]
     return v @ dagger(v)
 
 
-def wedderburn_decompose(A: ConcreteAlgebra, seed: int = 0,
-                         retries: int = 3, cluster_rel: float = CLUSTER_REL) -> BlockStructure:
+def _clusters_off_zero(vals):
+    """Eigenvalue clusters of a self-adjoint element, split into those away
+    from 0 and those at 0 (relative gap CLUSTER_REL)."""
+    clusters = cluster_values(vals, rel_gap=CLUSTER_REL)
+    cut = CLUSTER_REL * float(np.abs(vals).max(initial=1.0))
+    return ([c for c in clusters if abs(vals[c[0]]) > cut],
+            [c for c in clusters if abs(vals[c[0]]) <= cut])
+
+
+def wedderburn_decompose(A: ConcreteAlgebra, seed: int = 0) -> BlockStructure:
     """Recover summands, multiplicities, central projections and matrix units.
 
-    Minimal central projections are the spectral projections of a generic
-    self-adjoint central element, grouped by eigenvalue clusters; inside each
-    summand a generic self-adjoint element yields the diagonal matrix units
-    and polar parts of compressions give the off-diagonal partial isometries.
-    Fully seeded and deterministic; draws are retried (fresh stream) when an
-    eigenvalue collision defeats the clustering.
+    Each attempt draws two self-adjoint elements h_0, h_1 of A; the centre is
+    A ∩ {h_0, h_1}', which is Z(A) when they are generic (h_0 + i h_1 then
+    generates A).  The minimal central projections are the spectral
+    projections of a generic self-adjoint central element, grouped by
+    eigenvalue clusters; inside each summand a generic self-adjoint element
+    yields the diagonal matrix units and polar parts of compressions give the
+    off-diagonal partial isometries.  Fully seeded and deterministic; a draw
+    that is not generic fails a dimension or relation check and is retried
+    on a fresh stream, up to _RETRIES attempts.
     """
     N = A.ambient_dim
-    e = A.support
-    rank_e = int(round(float(np.real(np.trace(e)))))
-    center = _center_basis(A)
-    r = len(center)
-    if r == 0:
-        raise ValueError("algebra has zero center (is the basis a *-algebra?)")
-
+    kernel_rank = N - int(round(float(np.real(np.trace(A.support)))))
     last_err = None
-    for attempt in range(retries):
+    for attempt in range(_RETRIES):
         rng = rng_for(seed, "wedderburn", attempt)
-        g = rng.standard_normal(r)
-        z = herm(sum(gi * c for gi, c in zip(g, center)))
+        center = _center_basis(A, A.random_selfadjoints(rng, 2))
+        r = len(center)
+        if r == 0:
+            raise ValueError("algebra has zero center (is the basis a *-algebra?)")
+        z = herm(_combine(rng.standard_normal(r), center))
         vals, vecs = np.linalg.eigh(z)
-        clusters = cluster_values(vals, rel_gap=cluster_rel)
-        scale = float(np.abs(vals).max(initial=1.0))
-        nonzero = [c for c in clusters if abs(vals[c[0]]) > cluster_rel * scale]
-        zero = [c for c in clusters if abs(vals[c[0]]) <= cluster_rel * scale]
-        kernel_rank = N - rank_e
+        nonzero, zero = _clusters_off_zero(vals)
         if len(nonzero) != r or sum(len(c) for c in zero) != kernel_rank:
             last_err = SpectralGapError(
                 "central element eigenvalues failed to separate; retrying")
             continue
         try:
-            projections = []
+            parts = []
             for c in nonzero:
-                p = _spectral_projection(vals, vecs, c)
+                p = _spectral_projection(vecs, c)
                 if A.residual(p) > 1e-7:
                     raise SpectralGapError("spectral projection left the algebra span")
-                projections.append(p)
-            summands, all_units = [], []
-            for p in projections:
                 n_k, m_k, units = _matrix_units_in_summand(A, p, rng)
-                summands.append((n_k, m_k))
-                all_units.append(units)
-            order = sorted(range(len(summands)),
-                           key=lambda k: (-summands[k][0], -summands[k][1]))
-            summands = [summands[k] for k in order]
-            projections = [projections[k] for k in order]
-            all_units = [all_units[k] for k in order]
+                parts.append(((n_k, m_k), p, units))
+            summands, projections, units = zip(
+                *sorted(parts, key=lambda part: (-part[0][0], -part[0][1])))
             if sum(n * n for n, _ in summands) != A.dim:
                 raise SpectralGapError("block dimensions do not add up to dim(A)")
-            struct = BlockStructure(
-                summands=tuple(summands),
-                central_projections=tuple(projections),
-                matrix_units=tuple(tuple(tuple(row) for row in u) for u in all_units))
-            resid = struct.fd_model().relation_residual(
-                np.array([e for u in all_units for row in u for e in row]))
+            struct = BlockStructure(summands=summands,
+                                    central_projections=np.array(projections),
+                                    matrix_units=np.concatenate(units))
+            resid = struct.fd_model().relation_residual(struct.matrix_units)
             if resid > 1e-7:
                 raise SpectralGapError(f"matrix unit relations residual {resid:.2e}")
             return struct
         except SpectralGapError as err:  # fresh random draw
             last_err = err
-            continue
-    raise last_err or RuntimeError("wedderburn decomposition failed")
+    raise last_err
 
 
 def _matrix_units_in_summand(A: ConcreteAlgebra, p: np.ndarray, rng):
-    """Matrix units of the summand pAp (a full block with multiplicity)."""
-    comp = [p @ b @ p for b in A.basis]
-    sub = orthonormalize(comp, tol=1e-9)
+    """Matrix units of the summand pAp (a full block with multiplicity), as
+    (n_k, m_k, (n_k^2, N, N) stack in (i, j) order)."""
+    # b -> pbp is the HS-orthogonal projection of A onto pAp (p is central),
+    # so the compressed basis has singular values 1 (dim pAp times) and 0
+    comp = (p @ np.array(A.basis) @ p).reshape(A.dim, -1)
+    _, s, vh = np.linalg.svd(comp, full_matrices=False)
+    sub = vh[:int(np.sum(s > 1e-9 * max(float(s[0]), 1.0)))].reshape(-1, *p.shape)
     dim_k = len(sub)
     n_k = int(round(np.sqrt(dim_k)))
     if n_k * n_k != dim_k:
@@ -594,61 +599,48 @@ def _matrix_units_in_summand(A: ConcreteAlgebra, p: np.ndarray, rng):
     if rank_p % n_k:
         raise SpectralGapError("summand rank incompatible with block size")
     m_k = rank_p // n_k
-    span_k = _Span(sub, A.ambient_dim)
 
     if n_k == 1:
-        return 1, m_k, [[p]]
+        return 1, m_k, p[None]
 
-    # diagonal units from a generic self-adjoint element of the summand
+    span_k = _Span(list(sub), A.ambient_dim)
+    # diagonal units from a generic self-adjoint element of the summand; the
+    # eigenvalue 0 of multiplicity N - rank(p) belongs to the ambient kernel
     for _ in range(4):
-        g = herm(sum(c * b for c, b in zip(
-            (rng.standard_normal(dim_k) + 1j * rng.standard_normal(dim_k)), sub)))
+        g = herm(_combine(rng.standard_normal(dim_k) + 1j * rng.standard_normal(dim_k), sub))
         vals, vecs = np.linalg.eigh(g)
-        # restrict attention to the range of p: eigenvalue 0 of multiplicity
-        # N - rank(p) belongs to the ambient kernel
-        clusters = cluster_values(vals, rel_gap=CLUSTER_REL)
-        scale = float(np.abs(vals).max(initial=1.0))
-        live = [c for c in clusters if abs(vals[c[0]]) > CLUSTER_REL * scale]
+        live, _ = _clusters_off_zero(vals)
         if len(live) != n_k or any(len(c) != m_k for c in live):
             continue
-        qs = [_spectral_projection(vals, vecs, c) for c in live]
+        qs = [_spectral_projection(vecs, c) for c in live]
         if any(span_k.residual(q) > 1e-7 for q in qs):
             continue
-        units = _units_from_diagonal(qs, sub, span_k, rng, m_k)
+        units = _units_from_diagonal(qs, sub, rng, m_k)
         if units is not None:
             return n_k, m_k, units
     raise SpectralGapError("failed to extract matrix units in a summand")
 
 
-def _units_from_diagonal(qs, sub, span_k, rng, m_k):
-    n_k = len(qs)
-    f1 = [None] * n_k
-    f1[0] = qs[0]
-    for j in range(1, n_k):
-        got = None
+def _units_from_diagonal(qs, sub, rng, m_k):
+    """Matrix units e_ij = f_i* f_j, an (n^2, N, N) stack, from diagonal
+    units q_j and partial isometries f_j from q_j onto q_0 (f_0 = q_0), or
+    None when a compression q_0 a q_j is not of rank m_k."""
+    f = [qs[0]]
+    for q in qs[1:]:
         for _ in range(4):
-            a = sum(c * b for c, b in zip(
-                (rng.standard_normal(len(sub)) + 1j * rng.standard_normal(len(sub))), sub))
-            w = qs[0] @ a @ qs[j]
+            a = _combine(rng.standard_normal(len(sub)) + 1j * rng.standard_normal(len(sub)), sub)
+            w = qs[0] @ a @ q
             s = np.linalg.svd(w, compute_uv=False)
-            live = s[s > 1e-8 * max(float(s.max(initial=0.0)), 1e-300)]
-            if len(live) != m_k:
+            if np.sum(s > 1e-8 * max(float(s.max(initial=0.0)), 1e-300)) != m_k:
                 continue
             v = partial_isometry_polar(w)
-            if opnorm(dagger(v) @ v - qs[j]) < 1e-7 and opnorm(v @ dagger(v) - qs[0]) < 1e-7:
-                got = v
+            if opnorm(dagger(v) @ v - q) < 1e-7 and opnorm(v @ dagger(v) - qs[0]) < 1e-7:
+                f.append(v)
                 break
-        if got is None:
+        else:
             return None
-        f1[j] = got
-    units = [[None] * n_k for _ in range(n_k)]
-    for i in range(n_k):
-        for j in range(n_k):
-            if i == 0:
-                units[0][j] = f1[j]
-            else:
-                units[i][j] = dagger(f1[i]) @ f1[j]
-    return units
+    f = np.array(f)
+    return (dagger(f)[:, None] @ f[None]).reshape((-1,) + f.shape[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -685,9 +677,8 @@ class BlockModel:
         self.A = A
         self.struct = struct
         self.fd = struct.fd_model()
-        labels = self.fd.unit_labels()
-        self._units = np.array([struct.matrix_units[k][i][j] for (k, i, j) in labels])
-        self._mults = np.array([struct.summands[k][1] for (k, i, j) in labels])
+        self._units = struct.matrix_units
+        self._mults = np.array([struct.summands[k][1] for (k, _, _) in self.fd.unit_labels()])
 
     def to_abstract(self, y: np.ndarray) -> np.ndarray:
         """Block model of y, or of each matrix of a stack (..., N, N)."""

@@ -170,9 +170,7 @@ def exact_diagonal(A: FDAlgebra | ConcreteAlgebra, seed: int = 0) -> AveragingSe
     if isinstance(A, ConcreteAlgebra):
         struct = A.structure(seed=seed)
         block_sizes = struct.block_sizes
-        units = np.array([struct.matrix_units[k][i][j]
-                          for k, n in enumerate(block_sizes)
-                          for i in range(n) for j in range(n)], dtype=complex)
+        units = struct.matrix_units
         unit = A.support
     else:
         block_sizes = tuple(A.block_sizes)

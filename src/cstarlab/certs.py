@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, asdict
 
+import numpy as np
+
 
 class WindowError(ValueError):
     """A hypothesis window required by the selected track is violated."""
@@ -30,6 +32,19 @@ class SpectralGapError(RuntimeError):
 class ContradictionError(ValueError):
     """Numerically impossible configuration: the supplied certificates are
     mutually inconsistent."""
+
+
+class SchemaError(ValueError):
+    """Malformed input data: a JSON document that does not match the
+    expected schema (the message names the path of the offending field), or
+    matrices with NaN or infinite entries."""
+
+
+def require_finite(x, what: str) -> None:
+    """Raise SchemaError unless every entry of x is finite; for the places
+    where matrix data enters the package."""
+    if not np.isfinite(x).all():
+        raise SchemaError(f"{what} has a NaN or infinite entry")
 
 
 # numeric tolerances (shared defaults)
@@ -104,7 +119,6 @@ class Certificate:
 
 
 def _plain(v):
-    import numpy as np
     if isinstance(v, (np.floating,)):
         return float(v)
     if isinstance(v, (np.integer,)):
@@ -120,16 +134,16 @@ class ToleranceBudget:
 
     track "paper": hypothesis windows are enforced and violations raise
     :class:`WindowError`.  track "experimental": windows are recorded but not
-    enforced; all output bounds are still certified a posteriori.
+    enforced; all output bounds are still certified a posteriori.  The
+    Choi positivity slack, the rank cutoff and the eigenvalue clustering gap
+    are the module constants TOL_PSD, TOL_RANK and CLUSTER_REL, which the
+    routines read directly.
     """
 
     track: str = "experimental"
     tol_alg: float = TOL_ALG
     tol_exact: float = TOL_EXACT
-    tol_psd: float = TOL_PSD
-    tol_rank: float = TOL_RANK
     tol_conv: float = TOL_CONV
-    cluster_rel: float = CLUSTER_REL
 
     def __post_init__(self):
         if self.track not in ("paper", "experimental"):
@@ -141,19 +155,6 @@ class ToleranceBudget:
             raise WindowError(
                 f"{name}: value {value:.6g} exceeds the paper-track window {window:.6g}")
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["kind"] = "tolerance_budget"
-        d["schema_version"] = 1
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ToleranceBudget":
-        d = dict(d)
-        d.pop("kind", None)
-        d.pop("schema_version", None)
-        return cls(**d)
-
 
 DEFAULT_BUDGET = ToleranceBudget()
 PAPER_BUDGET = ToleranceBudget(track="paper")
@@ -161,8 +162,7 @@ PAPER_BUDGET = ToleranceBudget(track="paper")
 
 def provenance_stamp(seed=None, **extra) -> dict:
     """Uniform provenance payload for certificates (no timestamps)."""
-    import numpy
-    out = {"package": "cstarlab-0.1.0", "numpy": numpy.__version__}
+    out = {"package": "cstarlab-0.1.0", "numpy": np.__version__}
     if seed is not None:
         out["seed"] = int(seed)
     out.update(extra)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import BlockModel, ConcreteAlgebra, FDAlgebra, _combine
-from .certs import TOL_ALG, TOL_PSD, Certificate, provenance_stamp
+from .certs import TOL_ALG, TOL_PSD, Certificate, provenance_stamp, require_finite
 from .geometry import SampleSpec, sample_unit_ball
 from .linalg import (dagger, herm, hs_norm, opnorm, opnorm_max, opnorms, psd_part,
                      random_hermitian)
@@ -92,6 +92,7 @@ class LinMap:
                    else self.domain.dim)
         if len(imgs) != n_basis:
             raise ValueError("action matrix shape does not match the domain dimension")
+        require_finite(imgs, "map images")
         self.images = imgs
 
     # -- evaluation ----------------------------------------------------------
@@ -396,17 +397,21 @@ def mult_defect(phi: LinMap, X, labels=None) -> DefectReport:
 def hom_defect(phi: LinMap, seed: int = 0, n_pairs: int = 16) -> float:
     """Sampled homomorphism defect of phi, on a block or a concrete domain:
     the largest of ||phi(y)phi(y*) - phi(yy*)|| over the operator-normalised
-    basis and 2 n_pairs self-adjoint contractions, ||phi(b*) - phi(b)*|| over
-    that basis, and ||phi(xy) - phi(x)phi(y)|| over consecutive pairs (x, y)
-    of the contractions.  The points come from ``sample_unit_ball`` with this
-    seed; the value is a sampled estimate of the supremum, not a bound."""
+    basis and its adjoints, ||phi(y)^2 - phi(y^2)|| over 2 n_pairs
+    self-adjoint contractions (each its own adjoint, so entered once),
+    ||phi(b*) - phi(b)*|| over that basis, and ||phi(xy) - phi(x)phi(y)||
+    over consecutive pairs (x, y) of the contractions.  The points come from
+    ``sample_unit_ball`` with this seed; the value is a sampled estimate of
+    the supremum, not a bound."""
     spec = SampleSpec(seed=seed, n_selfadjoint=2 * n_pairs, n_unitary=0)
     X = np.array([x for _, x in sample_unit_ball(phi.domain, spec)])
     basis, sa = X[:len(X) - 2 * n_pairs], X[len(X) - 2 * n_pairs:]
     x, y = sa[0::2], sa[1::2]
-    return float(max(opnorm_max(_mult_defects(phi, X)),
+    phi_sa = phi(sa)
+    return float(max(opnorm_max(_mult_defects(phi, basis)),
+                     opnorm_max(phi_sa @ phi_sa - phi(sa @ sa)),
                      opnorm_max(phi(dagger(basis)) - dagger(phi(basis))),
-                     opnorm_max(phi(x @ y) - phi(x) @ phi(y))))
+                     opnorm_max(phi(x @ y) - phi_sa[0::2] @ phi_sa[1::2])))
 
 
 def check_stinespring_inequality(phi: LinMap, x: np.ndarray, y: np.ndarray,

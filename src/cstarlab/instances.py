@@ -132,8 +132,7 @@ def gen_instance(recipe: str, params: dict, seed: int = 0) -> Instance:
         k = int(params.get("block", 0))
         if not 0 <= k < len(struct.summands):
             raise ValueError(f"block index {k} out of range")
-        units = struct.matrix_units[k]
-        z = sum(units[i][i] for i in range(len(units)))
+        z = struct.central_projections[k]
         h = herm(z @ random_hermitian(rng, N) @ z)
         h = h / max(opnorm(h), 1e-300)
         u = expm_i(eps * h)

@@ -136,6 +136,15 @@ def _normalized(mats) -> np.ndarray:
     return mats / np.maximum(opnorms(mats), 1e-300)[:, None, None]
 
 
+def _distinct(stack: np.ndarray) -> np.ndarray:
+    """The matrices of a stack without repeats, first occurrences in order.
+    Adding 0.0 turns -0.0 into 0.0, so equal matrices have equal bytes."""
+    first: dict[bytes, int] = {}
+    for i, z in enumerate(stack + 0.0):
+        first.setdefault(z.tobytes(), i)
+    return stack[list(first.values())]
+
+
 def _worst_move(phi, X) -> float:
     """max over x in X of ||phi(x) - x||, evaluated on the stack; 0.0 for an
     empty X."""
@@ -208,9 +217,9 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
                     tracking_ok = False
         delta_target = min(delta_target, 2.0 ** (-n), nu / (5.0 * np.sqrt(2.0)))
         Y = X + list(avg_parts)
-        Z = np.array(Y)
+        Z = _distinct(np.array(Y))
         Zp = np.concatenate([Z, dagger(Z)])
-        Zp = np.concatenate([Zp, Zp @ dagger(Zp)])
+        Zp = _distinct(np.concatenate([Zp, Zp @ dagger(Zp)]))
 
         phi, prod_cert = producer(Zp)
         closeness = prod_cert.achieved
@@ -483,11 +492,9 @@ def half_flip_cpc(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma_cert, X=None,
     b0_raw = [e @ (u @ b @ dagger(u)) @ e for b in B.basis]
     B0 = ConcreteAlgebra.from_basis(b0_raw, N)
 
-    units = struct.matrix_units[0]
-    v = np.zeros((N * N, N * N), dtype=complex)
-    for i in range(n_blk):
-        for j in range(n_blk):
-            v += np.kron(units[i][j], units[j][i])
+    # v = sum_ij e_ij (x) e_ji
+    units = struct.matrix_units.reshape(n_blk, n_blk, N, N)
+    v = np.einsum("ijac,jibd->abcd", units, units).reshape(N * N, N * N)
 
     # witness for the flip inside span(B0) (x) span(A)
     pair_basis = [np.kron(b, a) for b in B0.basis for a in A.basis]

@@ -14,7 +14,7 @@ import json
 import numpy as np
 
 from .algebra import ConcreteAlgebra, FDAlgebra
-from .certs import Certificate
+from .certs import Certificate, SchemaError, require_finite
 from .cpmaps import LinMap
 from .geometry import DistanceInterval, NearInclusionCert, SampleSpec
 from .orderzero import NucDimDecomposition, OrderZeroMap
@@ -30,11 +30,6 @@ __all__ = [
     "dumps",
     "loads",
 ]
-
-
-class SchemaError(ValueError):
-    """A JSON document that does not match the expected schema; the message
-    names the path of the offending field."""
 
 
 def _need(d: dict, key: str, path: str):
@@ -63,8 +58,10 @@ def matrix_from_json(d: dict, path: str = "$") -> np.ndarray:
         raise SchemaError(f"{path}.re has {len(re)} entries, expected {rows * cols}")
     if len(im) != rows * cols:
         raise SchemaError(f"{path}.im has {len(im)} entries, expected {rows * cols}")
-    m = np.array(re, dtype=float) + 1j * np.array(im, dtype=float)
-    return m.reshape(rows, cols)
+    re, im = np.array(re, dtype=float), np.array(im, dtype=float)
+    require_finite(re, f"{path}.re")
+    require_finite(im, f"{path}.im")
+    return (re + 1j * im).reshape(rows, cols)
 
 
 # ---------------------------------------------------------------------------

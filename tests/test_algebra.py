@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +11,8 @@ from cstarlab.algebra import (BlockModel, ConcreteAlgebra, FDAlgebra,
                               generate_algebra, orthonormalize, support_projection,
                               unitize_tilde, verify_algebra, wedderburn_decompose)
 from cstarlab.instances import block_algebra, gen_instance
-from cstarlab.linalg import (dagger, expm_i, hs_inner, opnorm, random_complex,
+import cstarlab
+from cstarlab.linalg import (dagger, expm_i, hs_inner, opnorm, opnorm_max, random_complex,
                              random_hermitian, random_unitary, rng_for)
 
 PROFILES = [(2,), (1, 1), (2, 1), (3,), (2, 2), (1, 1, 1)]
@@ -135,12 +140,88 @@ def test_wedderburn_full_block_in_large_ambient():
     st = B.structure()
     assert st.summands == ((8, 1),)
     assert opnorm(st.central_projections[0] - B.support) < 1e-10
-    E = np.array(st.matrix_units[0])  # E[i, j] = e_ij
+    E = st.matrix_units.reshape(8, 8, 16, 16)  # E[i, j] = e_ij
     prods = np.einsum("ijab,klbc->ijklac", E, E)
     expect = np.einsum("jk,ilac->ijklac", np.eye(8), E)
     assert np.abs(prods - expect).max() < 1e-10
 
 
+def test_wedderburn_of_two_large_blocks_stays_in_bounded_memory():
+    # M12 + M12 in M24, dim 288, under a 1 GiB address-space cap: the centre
+    # search may not stack commutators over pairs of basis elements, whose
+    # (dim N^2) x dim operator alone takes 729 MiB
+    code = ("import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+            "from cstarlab.instances import block_algebra; "
+            "from cstarlab.algebra import wedderburn_decompose; "
+            "print(wedderburn_decompose(block_algebra((12, 12), 24)).summands)")
+    src = os.path.dirname(os.path.dirname(cstarlab.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=300)
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert out.stdout.strip() == "((12, 1), (12, 1))"
+
+
+def test_wedderburn_retries_a_draw_that_is_not_generic(monkeypatch):
+    # h_0 = h_1 = 0 commute with all of A, so that draw's "centre" is A itself
+    # and fails the cluster count: the next attempt draws afresh, and a run
+    # of such draws ends in a typed error
+    from cstarlab.certs import SpectralGapError
+    A = block_algebra((2, 1), 4)
+    draws, real = [], ConcreteAlgebra.random_selfadjoints
+
+    def zero_first(self, rng, count):
+        draws.append(real(self, rng, count))
+        return 0.0 * draws[-1] if len(draws) == 1 else draws[-1]
+
+    monkeypatch.setattr(ConcreteAlgebra, "random_selfadjoints", zero_first)
+    assert sorted(wedderburn_decompose(A).block_sizes) == [1, 2]
+    assert len(draws) == 2
+    monkeypatch.setattr(ConcreteAlgebra, "random_selfadjoints",
+                        lambda self, rng, count: 0.0 * real(self, rng, count))
+    with pytest.raises(SpectralGapError):
+        wedderburn_decompose(A)
+
+
+def multiplicity_algebra(summands, N, seed):
+    """(+)_k M_{n_k} (x) 1_{m_k} on consecutive diagonal blocks of M_N,
+    conjugated by a random unitary w: the algebra and its unit."""
+    units, o = [], 0
+    for n, m in summands:
+        amp = np.kron(FDAlgebra((n,)).units(), np.eye(m))
+        units.append(np.pad(amp, ((0, 0), (o, N - o - n * m), (o, N - o - n * m))))
+        o += n * m
+    w = random_unitary(rng_for(seed, "mult-units"), N)
+    unit = w @ np.diag([1.0] * o + [0.0] * (N - o)) @ dagger(w)
+    return ConcreteAlgebra.from_basis(list(w @ np.concatenate(units) @ dagger(w)), N), unit
+
+
+@pytest.mark.parametrize("summands, N", [
+    (((2, 2), (1, 1)), 6),
+    (((2, 1), (2, 2)), 7),
+    (((3, 2),), 7),
+    (((1, 2), (1, 1), (2, 1)), 6),
+])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_wedderburn_with_multiplicities(summands, N, seed):
+    # the summands are known by construction; the projections must add up to
+    # the unit and commute with A, the units must satisfy the matrix-unit
+    # relations, and the block model must invert on A and on its blocks
+    A, unit = multiplicity_algebra(summands, N, seed)
+    st = wedderburn_decompose(A, seed=seed)
+    assert sorted(st.summands) == sorted(summands)
+    assert st.matrix_units.shape == (A.dim, N, N)
+    P = st.central_projections
+    assert opnorm(P.sum(axis=0) - unit) < 1e-9
+    basis = np.array(A.basis)
+    assert opnorm_max(P[:, None] @ basis[None] - basis[None] @ P[:, None]) < 1e-9
+    assert [round(np.trace(p).real) for p in P] == [n * m for n, m in st.summands]
+    assert st.fd_model().relation_residual(st.matrix_units) <= 1e-9
+    bm = BlockModel(A, st)
+    assert opnorm_max(bm.to_concrete(bm.to_abstract(basis)) - basis) < 1e-9
+    x = bm.fd.random_elements(rng_for(seed, "mult-model"), 3)
+    assert opnorm_max(bm.to_abstract(bm.to_concrete(x)) - x) < 1e-9
 def unit_images(units, w) -> np.ndarray:
     """Images of the matrix units of M_3 + C: E[i, j] (x) 1_2 and a
     one-dimensional summand, in M_7 and conjugated by w, as one stack in
@@ -245,3 +326,20 @@ def test_conjugated_algebra_is_algebra(seed):
     Au = A.conjugated(u)
     assert verify_algebra(Au).passed
     assert Au.dim == A.dim
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_algebra_data_is_a_schema_error(bad):
+    # the error is typed at the constructor, before a kernel turns it into an
+    # untyped LinAlgError or a nan certificate
+    from cstarlab.certs import SchemaError
+    x = np.eye(2, dtype=complex)
+    x[0, 1] = bad
+    with pytest.raises(SchemaError):
+        ConcreteAlgebra(ambient_dim=2, basis=(x,), support=np.eye(2))
+    with pytest.raises(SchemaError):
+        ConcreteAlgebra(ambient_dim=2, basis=(np.eye(2),), support=x)
+    with pytest.raises(SchemaError):
+        ConcreteAlgebra.from_basis([np.eye(2), x])
+    with pytest.raises(SchemaError):
+        generate_algebra([x])

@@ -416,3 +416,13 @@ def test_ucp_extension_unital():
     assert opnorm(val - np.eye(3)) < 1e-10
     cls = classify(ext)
     assert cls.ucp
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_non_finite_images_are_a_schema_error(bad):
+    from cstarlab.certs import SchemaError
+    fd = FDAlgebra((2, 1))
+    images = fd.units()
+    images[3, 0, 0] = bad
+    with pytest.raises(SchemaError):
+        LinMap(fd, fd.d, images)

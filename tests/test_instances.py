@@ -82,7 +82,7 @@ def test_block_rotation_moves_only_one_block():
     # the generator is compressed to the first block, so the second block's
     # unit is fixed by the rotation
     struct = inst.A.structure()
-    fixed = struct.matrix_units[1][0][0]
+    fixed = struct.matrix_units[4]  # e_00 of block 1, after the 2 x 2 units of block 0
     u = inst.true_unitary
     assert opnorm(u @ fixed @ u.conj().T - fixed) < 1e-12
     assert inst.B.residual(fixed) < 1e-12

@@ -146,6 +146,28 @@ def test_intertwining_iso_ignores_repeated_points():
     assert runs[0].map.images.tobytes() == runs[1].map.images.tobytes()
 
 
+def test_intertwining_iso_passes_each_tracked_point_once():
+    # matrix units repeat under * (e_ij* = e_ji) and under yy* (e_ii once per
+    # j), and the stage point is already in X_A: the producer must still see
+    # every point once, and each stage record counts what it saw
+    A, B, u = conjugated_pair((2, 1), 4, 1e-5, 6)
+    gamma = 2.0 * opnorm(u - np.eye(4))
+    inner = intertwine.expectation_producer(A, B, 2.0 * gamma)
+    seen = []
+
+    def recording(Z):
+        seen.append(np.array(Z))
+        return inner(Z)
+
+    res = intertwine.intertwining_iso(A, B, 2.0 * gamma, producer=recording, seed=6,
+                                      surjectivity_delta=gamma)
+    assert res.converged
+    assert [len(Z) for Z in seen] == [r.n_Z for r in res.trace]
+    for Z in seen:
+        same = (Z[:, None] == Z[None]).all(axis=(2, 3))
+        assert np.array_equal(same, np.eye(len(Z), dtype=bool))
+
+
 # ---------------------------------------------------------------------------
 # one-sided near embeddings
 # ---------------------------------------------------------------------------

@@ -159,3 +159,24 @@ def test_nested_path_in_error():
 def test_unserializable_type_rejected():
     with pytest.raises(TypeError):
         dumps(object())
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_matrix_entries_rejected(bad):
+    # json reads NaN and Infinity literals, so the decoder must refuse them
+    import json
+    d = json.loads(dumps(np.eye(2)))
+    text = json.dumps(d).replace('"im": [0.0', f'"im": [{bad}', 1)
+    assert bad in text
+    with pytest.raises(SchemaError) as err:
+        loads(text)
+    assert "$.im" in str(err.value)
+    with pytest.raises(SchemaError):
+        matrix_from_json(json.loads(text))
+
+
+def test_schema_error_is_one_class_everywhere():
+    import cstarlab
+    from cstarlab import certs
+    assert SchemaError is certs.SchemaError is cstarlab.SchemaError
+    assert issubclass(SchemaError, ValueError)
