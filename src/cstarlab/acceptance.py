@@ -357,7 +357,7 @@ def criterion_9(seeds: int = 20) -> CriterionResult:
                             seed=s)
         dec = identity_decomposition(inst.A, seed=s)
         gamma = inst.dist_hint()
-        X = [b / max(opnorm(b), 1e-300) for b in inst.A.basis]
+        X = inst.A.normalized_basis
         phi, cert_t = nucdim_cpc_transfer(inst.A, dec, None, X, inst.B, gamma,
                                           seed=s)
         all_ok = all_ok and cert_t.passed and classify(phi).cpc
@@ -404,7 +404,7 @@ def criterion_10() -> CriterionResult:
         pi=dec.ups[1].pi, h=dec.ups[1].h)
     broken = type(dec)(F=dec.F, pieces=dec.pieces, down=dec.down,
                        ups=(dec.ups[0], bad_up), defect=dec.defect)
-    X = [b / max(opnorm(b), 1e-300) for b in A.basis]
+    X = A.normalized_basis
     cert = verify_nucdim_decomposition(A, X, 1e-9, broken)
     checks.append(("broken summand named",
                    cert.verdict == "fail"

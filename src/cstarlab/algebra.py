@@ -1,7 +1,11 @@
 """Concrete *-subalgebras of matrix algebras and their block structure.
 
 A :class:`ConcreteAlgebra` is a *-subalgebra A of M_N stored as a
-Hilbert-Schmidt-orthonormal basis together with its support projection.  Every
+Hilbert-Schmidt-orthonormal basis, one read-only (dim, N, N) stack, together
+with its support projection.  The algebra itself projects onto its span, and
+it holds the two quantities the other modules take over its basis: the
+operator-normalised basis (``normalized_basis``) and the relative membership
+residual of a stack (``membership_residual``).  Every
 finite-dimensional C*-algebra is a direct sum of full matrix blocks with
 multiplicities; :func:`wedderburn_decompose` recovers that structure
 numerically (minimal central projections, block sizes, multiplicities, and a
@@ -35,6 +39,7 @@ from .linalg import (
     is_projection_residual,
     opnorm,
     opnorm_max,
+    opnorms,
     partial_isometry_polar,
     range_projection,
     rng_for,
@@ -75,35 +80,6 @@ def orthonormalize(mats, tol: float = 1e-10) -> list[np.ndarray]:
         if nrm > tol * max(scale, 1.0):
             out.append(v / nrm)
     return out
-
-
-class _Span:
-    """Orthonormal span with fast projection.
-
-    coeffs and project take one N x N matrix or a stack (..., N, N) and use
-    one matrix-vector product per matrix, so a stacked call gives the same
-    bits as single calls.
-    """
-
-    def __init__(self, basis: list[np.ndarray], N: int):
-        self.N = N
-        self.basis = basis
-        # dim x N^2, orthonormal rows
-        self.Q = np.array(basis, dtype=complex).reshape(len(basis), N * N)
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def coeffs(self, x: np.ndarray) -> np.ndarray:
-        n2 = x.shape[-2] * x.shape[-1]  # not -1, which an empty stack leaves open
-        return (self.Q.conj() @ x.reshape(x.shape[:-2] + (n2, 1)))[..., 0]
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        return (self.Q.T @ self.coeffs(x)[..., None]).reshape(x.shape)
-
-    def residual(self, x: np.ndarray) -> float:
-        return hs_norm(x - self.project(x))
 
 
 def _combine(coeffs: np.ndarray, mats: np.ndarray) -> np.ndarray:
@@ -297,35 +273,40 @@ class BlockStructure:
 # concrete algebras
 # ---------------------------------------------------------------------------
 
-@dataclass
+def _frozen(x) -> np.ndarray:
+    """A write-protected complex copy of x."""
+    x = np.array(x, dtype=complex)
+    x.flags.writeable = False
+    return x
+
+
+@dataclass(eq=False)
 class ConcreteAlgebra:
     """*-subalgebra of M_N given by an HS-orthonormal basis.
 
-    Instances are immutable: basis matrices are write-protected and the block
-    structure is cached after its first computation.
+    The basis is one read-only (dim, N, N) stack, and the quantities over
+    the algebra are stacked computations on it: ``coeffs`` and ``project``
+    take one matrix-vector product per matrix against its (dim, N^2)
+    flattening, ``normalized_basis`` is the basis rescaled to operator norm
+    one (from one cached ``opnorms`` call, ``basis_norms``) and
+    ``membership_residual`` the worst relative HS distance of a stack to the
+    span.  Instances are immutable: basis and support are write-protected
+    and the block structure is cached after its first computation.
     """
 
     ambient_dim: int
-    basis: tuple[np.ndarray, ...]
+    basis: np.ndarray
     support: np.ndarray
-    _structure: BlockStructure | None = field(default=None, repr=False, compare=False)
-    _span: _Span | None = field(default=None, repr=False, compare=False)
+    _structure: BlockStructure | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        basis = []
-        for b in self.basis:
-            b = np.asarray(b, dtype=complex)
-            if b.shape != (self.ambient_dim, self.ambient_dim):
-                raise ValueError("basis element has wrong shape")
-            require_finite(b, "basis element")
-            b = b.copy()
-            b.flags.writeable = False
-            basis.append(b)
-        object.__setattr__(self, "basis", tuple(basis))
-        s = np.asarray(self.support, dtype=complex).copy()
-        require_finite(s, "support")
-        s.flags.writeable = False
-        object.__setattr__(self, "support", s)
+        N = self.ambient_dim
+        if any(np.shape(b) != (N, N) for b in self.basis):
+            raise ValueError("basis element has wrong shape")
+        self.basis = _frozen(self.basis).reshape(-1, N, N)
+        require_finite(self.basis, "basis element")
+        self.support = _frozen(self.support)
+        require_finite(self.support, "support")
 
     # -- construction -------------------------------------------------------
 
@@ -341,11 +322,11 @@ class ConcreteAlgebra:
         N = ambient_dim or mats[0].shape[0]
         basis = orthonormalize(mats)
         supp = support_projection(basis, N)
-        return cls(ambient_dim=N, basis=tuple(basis), support=supp)
+        return cls(ambient_dim=N, basis=basis, support=supp)
 
     @classmethod
     def full(cls, N: int) -> "ConcreteAlgebra":
-        return cls(ambient_dim=N, basis=tuple(FDAlgebra((N,)).units()),
+        return cls(ambient_dim=N, basis=FDAlgebra((N,)).units(),
                    support=np.eye(N, dtype=complex))
 
     @classmethod
@@ -353,7 +334,7 @@ class ConcreteAlgebra:
         """Diagonal matrices on the first N coordinates of M_ambient."""
         amb = ambient_dim or N
         basis = FDAlgebra((1,) * N).corner_units(amb)
-        return cls(ambient_dim=amb, basis=tuple(basis), support=basis.sum(axis=0))
+        return cls(ambient_dim=amb, basis=basis, support=basis.sum(axis=0))
 
     # -- linear span --------------------------------------------------------
 
@@ -361,22 +342,53 @@ class ConcreteAlgebra:
     def dim(self) -> int:
         return len(self.basis)
 
-    def span(self) -> _Span:
-        if self._span is None:
-            object.__setattr__(self, "_span", _Span(list(self.basis), self.ambient_dim))
-        return self._span
-
     def coeffs(self, x: np.ndarray) -> np.ndarray:
-        return self.span().coeffs(x)
+        """Coefficients over the basis of x, or of each matrix of a stack
+        (..., N, N): one matrix-vector product per matrix, so a stacked call
+        gives the bits of single calls."""
+        n2 = x.shape[-2] * x.shape[-1]  # not -1, which an empty stack leaves open
+        Q = self.basis.reshape(self.dim, n2)
+        return (Q.conj() @ x.reshape(x.shape[:-2] + (n2, 1)))[..., 0]
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        return self.span().project(x)
+        """HS-orthogonal projection onto the span, of x or of each matrix of a
+        stack (..., N, N)."""
+        Q = self.basis.reshape(self.dim, -1)
+        return (Q.T @ self.coeffs(x)[..., None]).reshape(x.shape)
 
-    def residual(self, x: np.ndarray) -> float:
-        return self.span().residual(x)
+    def residual(self, x: np.ndarray) -> float | np.ndarray:
+        """HS distance ||x - Px||_2 to the span: a float for one matrix, an
+        (S,) array for a stack (S, N, N).  One projection of the stack, then
+        one ``hs_norm`` per matrix, so each value has the bits of a single
+        call."""
+        X = np.reshape(x, (-1,) + np.shape(x)[-2:])
+        r = np.array([hs_norm(d) for d in X - self.project(X)])
+        return float(r[0]) if np.ndim(x) == 2 else r
+
+    def membership_residual(self, x: np.ndarray) -> float:
+        """Worst relative HS distance ||x - Px||_2 / ||x||_2 to the span over
+        one matrix or a stack (S, N, N); 0 for zero matrices and for an empty
+        stack."""
+        X = np.reshape(x, (-1,) + np.shape(x)[-2:])
+        scale = np.array([max(hs_norm(y), 1e-300) for y in X])
+        return float((self.residual(X) / scale).max(initial=0.0))
 
     def contains(self, x: np.ndarray, tol: float = TOL_ALG) -> bool:
         return self.residual(x) <= tol * max(1.0, hs_norm(x))
+
+    @cached_property
+    def basis_norms(self) -> np.ndarray:
+        """Operator norms of the basis elements, floored at 1e-300: one
+        ``opnorms`` call, cached."""
+        norms = np.maximum(opnorms(self.basis), 1e-300)
+        norms.flags.writeable = False
+        return norms
+
+    @cached_property
+    def normalized_basis(self) -> np.ndarray:
+        """The basis rescaled to operator norm one, a read-only (dim, N, N)
+        stack, cached: each element is b / opnorm(b) bit for bit."""
+        return _frozen(self.basis / self.basis_norms[:, None, None])
 
     @property
     def unit(self) -> np.ndarray:
@@ -410,7 +422,7 @@ class ConcreteAlgebra:
 
     def structure(self, seed: int = 0) -> BlockStructure:
         if self._structure is None:
-            object.__setattr__(self, "_structure", wedderburn_decompose(self, seed=seed))
+            self._structure = wedderburn_decompose(self, seed=seed)
         return self._structure
 
     def block_model(self, seed: int = 0) -> "BlockModel":
@@ -419,9 +431,9 @@ class ConcreteAlgebra:
     def conjugated(self, u: np.ndarray) -> "ConcreteAlgebra":
         """u A u* as a new algebra (u unitary); the conjugated basis is again
         HS-orthonormal."""
-        basis = tuple(u @ b @ dagger(u) for b in self.basis)
-        supp = u @ self.support @ dagger(u)
-        return ConcreteAlgebra(ambient_dim=self.ambient_dim, basis=basis, support=supp)
+        return ConcreteAlgebra(ambient_dim=self.ambient_dim,
+                               basis=u @ self.basis @ dagger(u),
+                               support=u @ self.support @ dagger(u))
 
 
 # ---------------------------------------------------------------------------
@@ -434,9 +446,8 @@ def support_projection(basis, N: int) -> np.ndarray:
     Basis-independent for HS-orthonormal bases; equals the unit of the
     algebra when the basis spans a *-subalgebra.
     """
-    m = np.zeros((N, N), dtype=complex)
-    for b in basis:
-        m += b @ dagger(b)
+    stack = np.reshape(basis, (-1, N, N))
+    m = (stack @ dagger(stack)).sum(axis=0)
     if opnorm(m) < 1e-300:
         raise ValueError("zero algebra has no support projection")
     return range_projection(m, rel_cutoff=1e-10)
@@ -469,25 +480,20 @@ def generate_algebra(generators, ambient_dim: int | None = None,
         basis = orthonormalize(basis + products, tol=tol)
         if len(basis) == dim0:
             supp = support_projection(basis, N)
-            return ConcreteAlgebra(ambient_dim=N, basis=tuple(basis), support=supp)
+            return ConcreteAlgebra(ambient_dim=N, basis=basis, support=supp)
     raise RuntimeError("span growth failed to stabilise")
 
 
 def verify_algebra(A: ConcreteAlgebra, tol: float = TOL_ALG) -> Certificate:
     """Check orthonormality, *-closure, product closure, and the support
     projection identities.  Returns a certificate with the worst residual."""
-    worst = 0.0
-    Q = A.span().Q
-    gram = Q.conj() @ Q.T
-    worst = max(worst, float(np.abs(gram - np.eye(A.dim)).max()))
-    for b in A.basis:
-        worst = max(worst, A.residual(dagger(b)))
-        for c in A.basis:
-            worst = max(worst, A.residual(b @ c))
-    e = A.support
-    worst = max(worst, is_projection_residual(e))
-    for b in A.basis:
-        worst = max(worst, opnorm(e @ b - b), opnorm(b @ e - b))
+    Q, e = A.basis.reshape(A.dim, -1), A.support
+    worst = max(float(np.abs(Q.conj() @ Q.T - np.eye(A.dim)).max(initial=0.0)),
+                A.residual(dagger(A.basis)).max(initial=0.0),
+                is_projection_residual(e),
+                opnorm_max(e @ A.basis - A.basis), opnorm_max(A.basis @ e - A.basis))
+    for b in A.basis:  # the products b c, one row at a time
+        worst = max(worst, A.residual(b @ A.basis).max())
     return Certificate.build(
         name="algebra-invariants",
         formula="max residual of orthonormality, *-closure, product closure, support identities",
@@ -509,7 +515,7 @@ def _center_basis(A: ConcreteAlgebra, h: np.ndarray) -> np.ndarray:
     self-adjoint elements of A: the centre Z(A) when h_0 + i h_1 generates A.
     c -> ([sum_i c_i b_i, h_0], [.., h_1]) is one batched commutator per h_k,
     a 2N^2 x dim operator whose null space holds the coefficients."""
-    Q = np.array(A.basis)
+    Q = A.basis
     op = (Q[None] @ h[:, None] - h[:, None] @ Q[None]).transpose(0, 2, 3, 1).reshape(-1, A.dim)
     _, s, vh = np.linalg.svd(op, full_matrices=False)
     rank = int(np.sum(s > max(len(op) * np.finfo(float).eps * s[0], 1e-12)))
@@ -588,7 +594,7 @@ def _matrix_units_in_summand(A: ConcreteAlgebra, p: np.ndarray, rng):
     (n_k, m_k, (n_k^2, N, N) stack in (i, j) order)."""
     # b -> pbp is the HS-orthogonal projection of A onto pAp (p is central),
     # so the compressed basis has singular values 1 (dim pAp times) and 0
-    comp = (p @ np.array(A.basis) @ p).reshape(A.dim, -1)
+    comp = (p @ A.basis @ p).reshape(A.dim, -1)
     _, s, vh = np.linalg.svd(comp, full_matrices=False)
     sub = vh[:int(np.sum(s > 1e-9 * max(float(s[0]), 1.0)))].reshape(-1, *p.shape)
     dim_k = len(sub)
@@ -603,7 +609,6 @@ def _matrix_units_in_summand(A: ConcreteAlgebra, p: np.ndarray, rng):
     if n_k == 1:
         return 1, m_k, p[None]
 
-    span_k = _Span(list(sub), A.ambient_dim)
     # diagonal units from a generic self-adjoint element of the summand; the
     # eigenvalue 0 of multiplicity N - rank(p) belongs to the ambient kernel
     for _ in range(4):
@@ -613,7 +618,8 @@ def _matrix_units_in_summand(A: ConcreteAlgebra, p: np.ndarray, rng):
         if len(live) != n_k or any(len(c) != m_k for c in live):
             continue
         qs = [_spectral_projection(vecs, c) for c in live]
-        if any(span_k.residual(q) > 1e-7 for q in qs):
+        # q = p q p, so its distance to A is its distance to pAp
+        if (A.residual(np.array(qs)) > 1e-7).any():
             continue
         units = _units_from_diagonal(qs, sub, rng, m_k)
         if units is not None:
@@ -653,11 +659,11 @@ def unitize_tilde(A: ConcreteAlgebra) -> ConcreteAlgebra:
     The image of A is a proper ideal and the dimension grows by exactly one.
     """
     N = A.ambient_dim
-    emb = np.pad(np.array(A.basis), ((0, 0), (0, 1), (0, 1)))
+    emb = np.pad(A.basis, ((0, 0), (0, 1), (0, 1)))
     basis = orthonormalize(list(emb) + [np.eye(N + 1, dtype=complex)])
     if len(basis) != A.dim + 1:
         raise RuntimeError("tilde unitization must grow the dimension by one")
-    return ConcreteAlgebra(ambient_dim=N + 1, basis=tuple(basis),
+    return ConcreteAlgebra(ambient_dim=N + 1, basis=basis,
                            support=np.eye(N + 1, dtype=complex))
 
 

@@ -365,7 +365,7 @@ def improve_multiplicativity(phi: LinMap, gamma: float | None = None,
 
     if model is not None:
         conc = phi.domain
-        images_c = psi_abs(model.to_abstract(np.array(conc.basis)))
+        images_c = psi_abs(model.to_abstract(conc.basis))
         psi = LinMap(conc, phi.codomain_dim, images_c,
                      codomain_algebra=phi.codomain_algebra)
     else:
@@ -498,8 +498,8 @@ class LiftResult:
 
 def _relative_commutator(a: np.ndarray, A: ConcreteAlgebra) -> float:
     """max over the basis b of A of ||[a, b]|| / ||b||."""
-    B = np.array(A.basis)
-    return float((opnorms(a @ B - B @ a) / np.maximum(opnorms(B), 1e-300)).max())
+    B = A.basis
+    return float((opnorms(a @ B - B @ a) / A.basis_norms).max())
 
 
 def commutant_lift(m: np.ndarray, A: ConcreteAlgebra,

@@ -141,11 +141,11 @@ class LinMap:
         """max over canonical basis elements b of ||phi(b) - psi(b)||, with b
         rescaled to operator norm one when normalize is set."""
         self._same_domain(other)
-        basis = (self.domain.units() if isinstance(self.domain, FDAlgebra)
-                 else np.array(self.domain.basis))
-        scale = opnorms(basis) if normalize else 1.0
-        return float(np.max(opnorms(self.images - other.images)
-                            / np.maximum(scale, 1e-300)))
+        scale = 1.0
+        if normalize:
+            scale = (np.maximum(opnorms(self.domain.units()), 1e-300)
+                     if isinstance(self.domain, FDAlgebra) else self.domain.basis_norms)
+        return float(np.max(opnorms(self.images - other.images) / scale))
 
     # -- block model ----------------------------------------------------------
 
@@ -459,7 +459,7 @@ def arveson_restrict(A: ConcreteAlgebra, B: ConcreteAlgebra, X,
     operator norm (the expectation is a contraction fixing B).
     """
     E = conditional_expectation(B)
-    phi = LinMap(A, A.ambient_dim, E(np.array(A.basis)), codomain_algebra=B)
+    phi = LinMap(A, A.ambient_dim, E(A.basis), codomain_algebra=B)
     X = np.array(list(X), dtype=complex)
     moves = phi(X)
     moves -= X

@@ -33,9 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import ConcreteAlgebra, FDAlgebra, _Span
+from .algebra import ConcreteAlgebra, FDAlgebra
 from .certs import TOL_ALG, Certificate, ContradictionError, provenance_stamp
-from .linalg import clip_spectrum, opnorm, opnorms, rng_for
+# opnorm has no caller here; it stays bound because perfbench's tracer test
+# reads geometry.opnorm to check that wrappers reach names a module rebinds
+from .linalg import clip_spectrum, opnorm, opnorms, rng_for  # noqa: F401
 
 __all__ = [
     "SampleSpec",
@@ -178,7 +180,7 @@ _MARGIN = 1e-6
 _STOPS = ("tol", "gap", "floor", "cap")
 
 
-def nearest_in_span(x: np.ndarray, span: _Span | ConcreteAlgebra,
+def nearest_in_span(x: np.ndarray, span: ConcreteAlgebra | _TensorSpan,
                     ball: bool = False, iters: int = 500, tol: float = 1e-12,
                     *, floor: float | None = None) -> tuple:
     """Minimize ||x - b||_op over b in the given subspace (intersected with
@@ -194,8 +196,8 @@ def nearest_in_span(x: np.ndarray, span: _Span | ConcreteAlgebra,
     one batched Hermitian eigensolve of the residuals' smaller Gram matrices
     (``_top_dyad``): its top eigenpair is the objective and the next
     subgradient; the ball's rescale reads the norm from eigvalsh(y* y).  The
-    span's ``project`` maps a stack (S, R, C) to its HS-orthogonal
-    projections.
+    subspace is a concrete algebra or a ``_TensorSpan``, whose ``project``
+    maps a stack (S, R, C) to its HS-orthogonal projections.
 
     A target leaves the stack on the first of these that holds:
       tol    its residual fell to tol;
@@ -222,10 +224,9 @@ def nearest_in_span(x: np.ndarray, span: _Span | ConcreteAlgebra,
     it.  The distances are taken by the values-only SVD of ``opnorm``,
     so that opnorm(x - b) reproduces each bit for bit.
     """
-    sp = span.span() if isinstance(span, ConcreteAlgebra) else span
     single = np.ndim(x) == 2
     X = np.reshape(x, (-1,) + np.shape(x)[-2:])
-    project = sp.project
+    project = span.project
 
     def rescale(y):
         if not ball:
@@ -303,8 +304,10 @@ def nearest_in_ball(x: np.ndarray, B: ConcreteAlgebra, iters: int = 500,
     return nearest_in_span(x, B, ball=True, iters=iters, tol=tol)
 
 
-def span_distance_lower(x: np.ndarray, span: _Span | ConcreteAlgebra) -> float | np.ndarray:
-    """Certified lower bound for dist_op(x, span) by trace-norm duality.
+def span_distance_lower(x: np.ndarray, span: ConcreteAlgebra | _TensorSpan
+                        ) -> float | np.ndarray:
+    """Certified lower bound for dist_op(x, span) by trace-norm duality,
+    for a concrete algebra or a ``_TensorSpan`` (through its ``project``).
 
     The HS-orthogonal residual r = x - P(x), normalised in trace norm, is a
     dual functional vanishing on the subspace, so |tr(W* x)| = ||r||_HS^2 /
@@ -312,9 +315,8 @@ def span_distance_lower(x: np.ndarray, span: _Span | ConcreteAlgebra) -> float |
     (a float is returned) or a stack (S, R, C) (an (S,) array): one
     projection and one batched values-only SVD for the trace norms.
     """
-    sp = span.span() if isinstance(span, ConcreteAlgebra) else span
     X = np.reshape(x, (-1,) + np.shape(x)[-2:])
-    r = X - sp.project(X)
+    r = X - span.project(X)
     nrm_hs = np.linalg.norm(r, axis=(1, 2))
     # ||r||_tr >= ||r||_HS, so the floor only guards the zero residual
     nrm_tr = np.maximum(np.linalg.svd(r, compute_uv=False).sum(axis=1), 1e-14)
@@ -331,28 +333,24 @@ def sample_unit_ball(A: ConcreteAlgebra | FDAlgebra,
     """Deterministic sample of the unit ball of A, a concrete or a block
     algebra: operator-normalised basis elements (the matrix units of a block
     algebra), random self-adjoint contractions (spectral clipping), and
-    random unitaries exp(i h) of A (relative to its support)."""
+    random unitaries exp(i h) of A (relative to its support), drawn and
+    exponentiated only when spec.n_unitary > 0."""
+    concrete = isinstance(A, ConcreteAlgebra)
+    key = (A.ambient_dim, A.dim) if concrete else (A.d, A.dim_linear)
     out: list[tuple[str, np.ndarray]] = []
-    if isinstance(A, FDAlgebra):
-        key = (A.d, A.dim_linear)
-        if spec.include_basis:  # the matrix units have norm one
-            out += [(f"basis[{idx}]", e) for idx, e in enumerate(A.units())]
-    else:
-        key = (A.ambient_dim, A.dim)
-        if spec.include_basis:
-            for idx, b in enumerate(A.basis):
-                nrm = opnorm(b)
-                if nrm > 1e-14:
-                    out.append((f"basis[{idx}]", b / nrm))
+    if spec.include_basis:  # the matrix units of a block algebra have norm one
+        basis = A.normalized_basis if concrete else A.units()
+        out = [(f"basis[{idx}]", b) for idx, b in enumerate(basis)]
     # one draw, in stream order the self-adjoint samples and then the
     # generators of the unitaries
     h = A.random_selfadjoints(rng_for(spec.seed, "unit-ball", *key),
                               spec.n_selfadjoint + spec.n_unitary)
     sa, h = h[:spec.n_selfadjoint], h[spec.n_selfadjoint:]
     out += [(f"sa[{t}]", x) for t, x in enumerate(clip_spectrum(sa, -1.0, 1.0))]
-    nrm = opnorms(h)[:, None, None]
-    h = h / np.where(nrm > 1e-14, nrm, 1.0)
-    out += [(f"u[{t}]", u) for t, u in enumerate(A.unitary_from(np.pi * 0.5 * h))]
+    if spec.n_unitary:
+        nrm = opnorms(h)[:, None, None]
+        h = h / np.where(nrm > 1e-14, nrm, 1.0)
+        out += [(f"u[{t}]", u) for t, u in enumerate(A.unitary_from(np.pi * 0.5 * h))]
     return out
 
 
@@ -427,12 +425,12 @@ class _TensorSpan:
     The space is spanned by kron(b, e_ij) in each slot, so the projection of
     an Nn x rNn matrix projects each of its r n^2 N x N slices (fixed slot
     and i, j) onto span(B): a reshape, a transpose and two GEMMs with B's
-    HS-orthonormal basis Q.
+    HS-orthonormal basis, flattened to Q of shape (dim, N^2).
     """
 
     def __init__(self, B: ConcreteAlgebra, n: int, r: int = 1):
         self.N, self.n, self.r = B.ambient_dim, n, r
-        self.Q = B.span().Q
+        self.Q = B.basis.reshape(B.dim, -1)
         self.Qc = self.Q.conj()
 
     def project(self, m: np.ndarray) -> np.ndarray:
@@ -494,10 +492,7 @@ def equality_criterion(A: ConcreteAlgebra, B: ConcreteAlgebra,
     certifies equality; gamma_hi < 1 with differing dimensions is impossible
     and raises :class:`ContradictionError` (the certificate under-sampled).
     """
-    for b in A.basis:
-        if B.residual(b) > tol:
-            return False
-    if cert.gamma_hi >= 1.0:
+    if (B.residual(A.basis) > tol).any() or cert.gamma_hi >= 1.0:
         return False
     if A.dim != B.dim:
         raise ContradictionError(

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import ConcreteAlgebra, FDAlgebra, generate_algebra
+from .certs import require_finite
 from .cpmaps import LinMap, perturb_choi
 from .geometry import DistanceInterval
 from .linalg import (dagger, expm_i, herm, opnorm, opnorm_max, random_hermitian,
@@ -113,6 +114,7 @@ def gen_instance(recipe: str, params: dict, seed: int = 0) -> Instance:
     params = dict(params)
     ambient = int(params.get("ambient", 4))
     eps = float(params.get("eps", 1e-4))
+    require_finite(eps, "eps")  # before any eigensolve turns it into a LinAlgError
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     A = base_algebra(params.get("algebra", "M2"), ambient)

@@ -28,7 +28,7 @@ from .averaging import (exact_diagonal, improve_multiplicativity,
                         intertwining_unitary, projection_conjugator)
 from .geometry import (DistanceInterval, NearInclusionCert, nearest_in_ball,
                        nearest_in_span)
-from .linalg import dagger, hs_norm, opnorm, opnorm_max, opnorms
+from .linalg import dagger, opnorm, opnorm_max, opnorms
 
 __all__ = [
     "StageRecord",
@@ -130,12 +130,6 @@ def _averaging_parts(A: ConcreteAlgebra, seed: int) -> np.ndarray:
     return bm.to_concrete((u[:, :d, :d] - u[:, d, d, None, None] * np.eye(d)) / 2.0)
 
 
-def _normalized(mats) -> np.ndarray:
-    """The matrices rescaled to operator norm one, as a stack."""
-    mats = np.array(mats, dtype=complex)
-    return mats / np.maximum(opnorms(mats), 1e-300)[:, None, None]
-
-
 def _distinct(stack: np.ndarray) -> np.ndarray:
     """The matrices of a stack without repeats, first occurrences in order.
     Adding 0.0 turns -0.0 into 0.0, so equal matrices have equal bytes."""
@@ -176,7 +170,7 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
     nu = mu / 2.0
     if producer is None:
         producer = expectation_producer(A, B, eta)
-    norm_basis = _normalized(A.basis)
+    norm_basis = A.normalized_basis
     if X_A is None:
         X_A = list(norm_basis)
     else:
@@ -185,7 +179,7 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
     bound_nu = 8.0 * np.sqrt(6.0) * np.sqrt(eta) + eta + nu
 
     avg_parts = _averaging_parts(A, seed)
-    B_norm_basis = _normalized(B.basis)
+    B_norm_basis = B.normalized_basis
 
     X = list(X_A)
     trace: list[StageRecord] = []
@@ -229,8 +223,7 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
         repair = improve_multiplicativity(phi, gamma=gamma_repair,
                                           seed=seed + n, budget=budget)
         theta_raw = repair.psi
-        residual = max(B.residual(img) / max(hs_norm(img), 1e-300)
-                       for img in theta_raw.images)
+        residual = B.membership_residual(theta_raw.images)
         worst_membership = max(worst_membership, residual)
         theta = LinMap(A, A.ambient_dim, B.project(theta_raw.images),
                        codomain_algebra=B)
@@ -272,9 +265,7 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
             f"intertwining did not converge within {max_iter} stages ({rows})")
 
     # final map: re-project the accumulated conjugation into the codomain span
-    final_residual = max(B.residual(img) / max(hs_norm(img), 1e-300)
-                         for img in alpha.images)
-    worst_membership = max(worst_membership, final_residual)
+    worst_membership = max(worst_membership, B.membership_residual(alpha.images))
     alpha = LinMap(A, A.ambient_dim, B.project(alpha.images), codomain_algebra=B)
 
     achieved = _worst_move(alpha, X_A)
@@ -322,7 +313,7 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
     inverse = None
     if sigma_min > budget.tol_alg and A.dim == B.dim:
         surjective = True
-        inv_images = _combine(np.linalg.inv(action).T, np.array(A.basis))
+        inv_images = _combine(np.linalg.inv(action).T, A.basis)
         inverse = LinMap(B, B.ambient_dim, inv_images, codomain_algebra=A)
     if surjectivity_delta is not None:
         margin = (8.0 * np.sqrt(2.0) * bound_nu + 2.0 * nu + bound_nu
@@ -376,8 +367,8 @@ def close_isomorphism(A: ConcreteAlgebra, B: ConcreteAlgebra, dist_cert,
     if mu is None:
         mu = min(np.sqrt(gamma), 1.0 / 4000.0)
     X = [np.asarray(x, dtype=complex) for x in ([] if X is None else X)]
-    X += list(_normalized(A.basis))
-    Y = _normalized(B.basis) if Y is None else np.array(Y, dtype=complex)
+    X += list(A.normalized_basis)
+    Y = B.normalized_basis if Y is None else np.array(Y, dtype=complex)
     Xs, dists, _, _ = nearest_in_ball(Y, A, iters=200)
     X += list(Xs)
 
@@ -422,7 +413,7 @@ def near_embedding_nuclear(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma_cert,
     if mu is None:
         mu = min(np.sqrt(gamma), 1.0 / 4000.0)
     if X is None:
-        X = list(_normalized(A.basis))
+        X = list(A.normalized_basis)
     else:
         X = [np.asarray(x, dtype=complex) for x in X]
     res = intertwining_iso(A, B, eta=2.0 * gamma, X_A=X, mu=mu,
@@ -485,12 +476,11 @@ def half_flip_cpc(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma_cert, X=None,
     n_blk = struct.summands[0][0]
     N = A.ambient_dim
     e = A.support
-    X = _normalized(A.basis) if X is None else np.array(X, dtype=complex)
+    X = A.normalized_basis if X is None else np.array(X, dtype=complex)
 
     p = _projection_near_unit(e, B, gamma, budget.tol_alg)
     u, cert_u = projection_conjugator(p, e)
-    b0_raw = [e @ (u @ b @ dagger(u)) @ e for b in B.basis]
-    B0 = ConcreteAlgebra.from_basis(b0_raw, N)
+    B0 = ConcreteAlgebra.from_basis(e @ (u @ B.basis @ dagger(u)) @ e, N)
 
     # v = sum_ij e_ij (x) e_ji
     units = struct.matrix_units.reshape(n_blk, n_blk, N, N)
@@ -499,7 +489,7 @@ def half_flip_cpc(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma_cert, X=None,
     # witness for the flip inside span(B0) (x) span(A)
     pair_basis = [np.kron(b, a) for b in B0.basis for a in A.basis]
     tensor_span = ConcreteAlgebra.from_basis(pair_basis, N * N)
-    w, wdist, _, _ = nearest_in_span(v, tensor_span.span(), ball=True, iters=300)
+    w, wdist, _, _ = nearest_in_span(v, tensor_span, ball=True, iters=300)
     alpha = (4.0 * np.sqrt(2.0) + 1.0) * gamma + 4.0 * np.sqrt(2.0) * gamma ** 2
     alpha_prime = gamma + 4.0 * np.sqrt(2.0) * gamma * (1.0 + gamma)
     w_ceiling = 2.0 * (2.0 * alpha_prime + alpha_prime ** 2)
@@ -518,7 +508,7 @@ def half_flip_cpc(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma_cert, X=None,
     phi = LinMap(A, N, tuple(images), codomain_algebra=B)
 
     worst = _worst_move(phi, X)
-    member = max(B.residual(img) / max(hs_norm(img), 1e-300) for img in phi.images)
+    member = B.membership_residual(phi.images)
     ceiling = 8.0 * alpha + 4.0 * alpha ** 2 + 4.0 * np.sqrt(2.0) * gamma
     cls = classify(phi)
     cert = Certificate.build(
@@ -564,7 +554,7 @@ def implement_unitarily(alpha: IsoResult, seed: int = 0,
         raise ValueError(
             f"map is not a homomorphism to tol_alg (defect {defect:.3g}); "
             "repair it before implementing unitarily")
-    inclusion = LinMap(A, A.ambient_dim, tuple(A.basis), codomain_algebra=A)
+    inclusion = LinMap(A, A.ambient_dim, A.basis, codomain_algebra=A)
     gamma_basis = theta.basis_distance(inclusion)
     try:
         res = intertwining_unitary(theta, inclusion, gamma=gamma_basis,
@@ -576,18 +566,11 @@ def implement_unitarily(alpha: IsoResult, seed: int = 0,
             f"singular for block sizes {sizes} ({exc})") from exc
     u = res.u
     N = A.ambient_dim
-    basis = np.array(A.basis)
-    worst_conj = (opnorms(u @ basis @ dagger(u) - theta(basis))
-                  / np.maximum(opnorms(basis), 1e-300)).max()
+    conj = u @ A.basis @ dagger(u)
+    worst_conj = (opnorms(conj - theta(A.basis)) / A.basis_norms).max()
     unitary_defect = opnorm(dagger(u) @ u - np.eye(N))
-    subspace = 0.0
-    if B is not None:
-        for b in A.basis:
-            img = u @ b @ dagger(u)
-            subspace = max(subspace, B.residual(img) / max(hs_norm(img), 1e-300))
-        for b in B.basis:
-            back = dagger(u) @ b @ u
-            subspace = max(subspace, A.residual(back) / max(hs_norm(back), 1e-300))
+    subspace = 0.0 if B is None else max(B.membership_residual(conj),
+                                         A.membership_residual(dagger(u) @ B.basis @ u))
     cert = Certificate.build(
         name="unitary-implementation",
         formula="u x u* = alpha(x) on the basis; ||u - 1|| <= 2 sqrt(2) gamma "

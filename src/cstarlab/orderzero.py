@@ -18,8 +18,8 @@ from .certs import (TOL_ALG, TOL_RANK, Certificate, ContradictionError,
 from .cpmaps import LinMap, cb_bracket, classify
 from .averaging import commutant_lift
 from .geometry import tensor_lift
-from .intertwine import _distance_hi, _normalized, _worst_move, intertwining_iso
-from .linalg import (clip_spectrum, dagger, eigh_fun, herm, hs_norm, opnorm,
+from .intertwine import _distance_hi, _worst_move, intertwining_iso
+from .linalg import (clip_spectrum, dagger, eigh_fun, herm, opnorm,
                      opnorm_max, opnorms, psd_pinv, psd_sqrt)
 
 __all__ = [
@@ -243,8 +243,7 @@ def perturb_order_zero(oz: OrderZeroMap, B: ConcreteAlgebra, gamma_cert,
         recon = max(recon, opnorm((t @ th @ dagger(t))[::m, ::m] - img))
     psi = LinMap(fd, N, tuple(images), codomain_algebra=B)
 
-    member = max((B.residual(img) / max(hs_norm(img), 1e-300)
-                  for img in psi.images if hs_norm(img) > 1e-14), default=0.0)
+    member = B.membership_residual(psi.images)
     cls = classify(psi)
     lo, hi = cb_bracket(oz.map - psi, seed=seed)
     structural = dist * (t_norm + opnorm(u))
@@ -315,11 +314,10 @@ def identity_decomposition(A: ConcreteAlgebra, seed: int = 0) -> NucDimDecomposi
     own block model (finite-dimensional algebras need no colors)."""
     bm = A.block_model(seed=seed)
     fd = bm.fd
-    basis = np.array(A.basis)
-    down = LinMap(A, fd.d, bm.to_abstract(basis))
+    down = LinMap(A, fd.d, bm.to_abstract(A.basis))
     up_map = LinMap(fd, A.ambient_dim, bm.to_concrete(fd.units()), codomain_algebra=A)
     up = OrderZeroMap(map=up_map, pi=up_map, h=np.array(A.support))
-    defect = opnorm_max(up(down(basis)) - basis)
+    defect = opnorm_max(up(down(A.basis)) - A.basis)
     return NucDimDecomposition(F=fd, pieces=(tuple(range(len(fd.block_sizes))),),
                                down=down, ups=(up,), defect=float(defect))
 
@@ -336,7 +334,7 @@ def split_decomposition(A: ConcreteAlgebra, parts: int = 2,
         raise ValueError(f"cannot split {r} blocks into {parts} nonempty colors")
     groups = tuple(tuple(k for k in range(r) if k % parts == i)
                    for i in range(parts))
-    down = LinMap(A, fd.d, bm.to_abstract(np.array(A.basis)))
+    down = LinMap(A, fd.d, bm.to_abstract(A.basis))
     ups = []
     for group in groups:
         sub = FDAlgebra(tuple(fd.block_sizes[k] for k in group))
@@ -348,8 +346,7 @@ def split_decomposition(A: ConcreteAlgebra, parts: int = 2,
         ups.append(OrderZeroMap(map=up_map, pi=up_map, h=herm(h)))
     dec = NucDimDecomposition(F=fd, pieces=groups, down=down, ups=tuple(ups),
                               defect=0.0)
-    basis = np.array(A.basis)
-    dec.defect = opnorm_max(dec.compose(basis) - basis)
+    dec.defect = opnorm_max(dec.compose(A.basis) - A.basis)
     return dec
 
 
@@ -366,7 +363,7 @@ def verify_nucdim_decomposition(A: ConcreteAlgebra, X, eps: float,
         ok, _ = is_order_zero(up.map, tol=budget.tol_alg)
         if not ok:
             failures.append(f"up-{i}-not-order-zero")
-    comp = LinMap(A, dec.ups[0].codomain_dim, dec.compose(np.array(A.basis)))
+    comp = LinMap(A, dec.ups[0].codomain_dim, dec.compose(A.basis))
     if dec.composite_cpc and not classify(comp).cpc:
         failures.append("composite-not-cpc")
     X = np.array(X, dtype=complex)
@@ -413,7 +410,7 @@ def nucdim_cpc_transfer(D: ConcreteAlgebra, dec: NucDimDecomposition, theta,
         perturbed.append(psi_i)
         summand_certs.append(cert_i)
 
-    y = dec.down(np.array(D.basis))
+    y = dec.down(D.basis)
     images = sum(psi_i(dec.restrict(i, y)) for i, psi_i in enumerate(perturbed))
     raw = LinMap(D, N, images, codomain_algebra=B)
     lo, hi = cb_bracket(raw, seed=seed)
@@ -455,7 +452,7 @@ def near_embed_nucdim(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma_cert,
     mu = 2.0 * gamma + gamma ** 2
     eta = 2.0 * (dec.n + 1) * mu * (2.0 + mu) + dec.defect
     budget.require_window("nucdim-embedding", eta, WINDOW_ISO_ETA)
-    X = _normalized(A.basis) if X is None else np.array(X, dtype=complex)
+    X = A.normalized_basis if X is None else np.array(X, dtype=complex)
 
     # route the decomposition evidence through the transfer certificate; the
     # stage maps themselves come from the expectation producer, which keeps a

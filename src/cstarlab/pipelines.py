@@ -51,12 +51,10 @@ def conjugation_iso(instance: Instance) -> IsoResult:
     if u is None:
         raise ValueError("instance carries no generating unitary")
     A, B = instance.A, instance.B
-    basis = np.array(A.basis)
-    theta = LinMap(A, A.ambient_dim, u @ basis @ dagger(u), codomain_algebra=B)
-    inverse = LinMap(B, B.ambient_dim, dagger(u) @ np.array(B.basis) @ u,
-                     codomain_algebra=A)
+    theta = LinMap(A, A.ambient_dim, u @ A.basis @ dagger(u), codomain_algebra=B)
+    inverse = LinMap(B, B.ambient_dim, dagger(u) @ B.basis @ u, codomain_algebra=A)
     bound = 2.0 * opnorm(u - np.eye(A.ambient_dim))
-    achieved = (opnorms(theta(basis) - basis) / np.maximum(opnorms(basis), 1e-300)).max()
+    achieved = (opnorms(theta(A.basis) - A.basis) / A.basis_norms).max()
     cert = Certificate.build(
         name="conjugation-closeness",
         formula="||u x u* - x|| <= 2 ||u - 1|| on the unit ball",

@@ -1,6 +1,8 @@
+import ast
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -343,3 +345,90 @@ def test_non_finite_algebra_data_is_a_schema_error(bad):
         ConcreteAlgebra.from_basis([np.eye(2), x])
     with pytest.raises(SchemaError):
         generate_algebra([x])
+
+
+def conjugated_blocks(sizes=(2, 1), N=5, seed=9):
+    """A block algebra in M_N conjugated by a random unitary v, with v."""
+    v = random_unitary(rng_for(seed, "blocks-conj"), N)
+    return block_algebra(sizes, N).conjugated(v), v
+
+
+def test_membership_residual_closed_form():
+    # x = a + r with a in A and r off the blocks, so r is HS-orthogonal to A
+    # (conjugation keeps HS inner products): the residual is ||r|| / ||x||
+    A, v = conjugated_blocks()
+    fd = FDAlgebra((2, 1))
+    rng = rng_for(10, "membership")
+    off = np.ones((5, 5))
+    off[:2, :2] = off[2, 2] = 0.0
+    xs = []
+    for scale_a, scale_r in [(1.0, 1e-3), (3.0, 0.5), (1e-4, 2.0), (0.0, 1.0)]:
+        a0 = np.zeros((5, 5), dtype=complex)
+        a0[:3, :3] = fd.random_element(rng)
+        r0 = off * random_complex(rng, 5)
+        a, r = v @ (scale_a * a0) @ dagger(v), v @ (scale_r * r0) @ dagger(v)
+        x = a + r
+        want = np.linalg.norm(r) / np.linalg.norm(x)
+        assert abs(A.membership_residual(x) - want) <= 1e-14
+        assert A.membership_residual(a) <= 1e-14
+        xs.append(x)
+    stack = np.array(xs)
+    # a stacked call gives the bits of single calls
+    assert A.residual(stack).tolist() == [A.residual(x) for x in xs]
+    assert A.membership_residual(stack) == max(A.membership_residual(x) for x in xs)
+    assert A.membership_residual(np.zeros((5, 5))) == 0.0
+    assert A.membership_residual(np.zeros((3, 5, 5))) == 0.0
+    assert A.membership_residual(np.zeros((0, 5, 5))) == 0.0
+    assert A.membership_residual(A.basis) <= 1e-14
+
+
+def test_normalized_basis_is_the_per_element_quotient():
+    A, _ = conjugated_blocks((2, 2), 6)
+    nb = A.normalized_basis
+    assert nb.shape == A.basis.shape and not nb.flags.writeable
+    assert not A.basis.flags.writeable
+    for b, n in zip(A.basis, nb):
+        assert abs(opnorm(n) - 1.0) <= 1e-15
+        assert n.tobytes() == (b / opnorm(b)).tobytes()
+    assert A.normalized_basis is nb  # cached
+
+
+def _basis_sites(tree, name):
+    """(line, call) of each call in the tree that stacks a ``.basis``
+    expression with np.array/np.asarray, or takes opnorm/opnorms of one."""
+    def is_basis(node):
+        while isinstance(node, ast.Subscript):
+            node = node.value
+        return isinstance(node, ast.Attribute) and node.attr == "basis"
+
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and node.args and is_basis(node.args[0])):
+            continue
+        func = node.func
+        fname = getattr(func, "id", getattr(func, "attr", None))
+        stacked = (fname in ("array", "asarray") and isinstance(func, ast.Attribute)
+                   and getattr(func.value, "id", None) == "np")
+        normed = fname in ("opnorm", "opnorms") and name != "algebra.py"
+        if stacked or normed:
+            found.append(f"{name}:{node.lineno}")
+    return found
+
+
+def test_basis_is_read_as_the_stack_it_is():
+    # the basis is one (dim, N, N) array: re-stacking it anywhere, or taking
+    # the operator norms of its elements outside algebra.py (which caches
+    # them as basis_norms and normalized_basis), fails
+    found = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "cstarlab").glob("*.py")):
+        found += _basis_sites(ast.parse(path.read_text(), filename=str(path)), path.name)
+    assert not found, f"read A.basis, A.basis_norms or A.normalized_basis at {found}"
+
+
+def test_basis_guard_sees_each_form():
+    src = ("np.array(A.basis)\nnp.asarray(self.domain.basis, dtype=complex)\n"
+           "opnorms(B.basis)\nopnorm(A.basis[0])\nnp.array(basis)\n"
+           "opnorms(theta(A.basis) - A.basis)\n")
+    assert _basis_sites(ast.parse(src), "geometry.py") == [
+        "geometry.py:1", "geometry.py:2", "geometry.py:3", "geometry.py:4"]
+    assert _basis_sites(ast.parse(src), "algebra.py") == ["algebra.py:1", "algebra.py:2"]

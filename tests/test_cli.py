@@ -130,6 +130,14 @@ def test_paper_track_window_violation_exits_2(capsys):
     assert "WindowError" in err
 
 
+@pytest.mark.parametrize("eps", ["nan", "inf", "-inf"])
+def test_non_finite_eps_exits_2(eps, capsys):
+    rc = main(["dist", f"--eps={eps}"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "SchemaError" in err and "eps" in err
+
+
 def test_unknown_algebra_exits_2(capsys):
     rc = main(["gen", "--algebra", "M17"])
     assert rc == 2

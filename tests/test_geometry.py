@@ -254,7 +254,7 @@ def test_floor_keeps_the_supremum(profile, N, ball, monkeypatch):
     assert np.all(vals[~top] < floor) and np.all(vals >= full)
     # each dual bound lies below its target's achieved distance; a residual
     # R = x - b, b in span(B), is matched to x by the HS residual of x - R
-    project = B.span().project
+    project = B.project
     for R, lo in duals:
         Z = (X[None] - R[:, None]).reshape((-1,) + X.shape[1:])
         off = np.linalg.norm(Z - project(Z), axis=(1, 2)).reshape(len(R), len(X))
@@ -402,7 +402,7 @@ def test_best_point_dual_is_below_the_scalar_distance():
     X = hermitian_stack(25)
     lam = np.linalg.eigvalsh(X)
     exact = (lam[:, -1] - lam[:, 0]) / 2.0
-    project = scalars(5).span().project
+    project = scalars(5).project
     rng = rng_for(25, "scalar-shifts")
     shifts = [np.trace(X, axis1=1, axis2=2).real / 5.0,  # the warm start
               rng.standard_normal(len(X)), lam[:, 0], lam[:, -1]]
@@ -523,6 +523,27 @@ def test_sample_unit_ball_on_a_block_algebra():
         assert opnorm(dagger(u) @ u - np.eye(fd.d)) <= 1e-14
     again = sample_unit_ball(fd, spec)
     assert np.array([x for _, x in again]).tobytes() == X.tobytes()
+
+
+@pytest.mark.parametrize("concrete", [True, False])
+def test_sample_unit_ball_without_unitaries_exponentiates_nothing(concrete, monkeypatch):
+    # n_unitary = 0 (hom_defect, the gamma probe of intertwining_unitary)
+    # calls no expm_i, and the points are those of the per-sample loop
+    from cstarlab import algebra
+    calls, expm_i = [], algebra.expm_i
+    monkeypatch.setattr(algebra, "expm_i", lambda h: calls.append(len(h)) or expm_i(h))
+    A = conjugation_pair("M2+M1", 4)[1] if concrete else FDAlgebra((2, 1))
+    key = (A.ambient_dim, A.dim) if concrete else (A.d, A.dim_linear)
+    spec = SampleSpec(seed=5, n_selfadjoint=6, n_unitary=0)
+    got = sample_unit_ball(A, spec)
+    assert calls == []
+    rng = rng_for(spec.seed, "unit-ball", *key)
+    want = [b / opnorm(b) for b in A.basis] if concrete else list(A.units())
+    want += list(clip_spectrum(A.random_selfadjoints(rng, 6), -1.0, 1.0))
+    assert [label for label, _ in got][-2:] == ["sa[4]", "sa[5]"]
+    assert np.array([x for _, x in got]).tobytes() == np.array(want).tobytes()
+    sample_unit_ball(A, SampleSpec(seed=5, n_selfadjoint=6, n_unitary=2))
+    assert calls == [2]
 
 
 def test_unit_ball_draws_go_through_sample_unit_ball():

@@ -40,6 +40,21 @@ def test_negative_eps_rejected():
         gen_instance("conjugation", {"eps": -1.0}, seed=0)
 
 
+@pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("recipe", sorted(RECIPES))
+def test_non_finite_eps_is_a_schema_error(recipe, eps, monkeypatch):
+    # typed before any eigensolve, which would raise an untyped LinAlgError
+    from cstarlab.certs import SchemaError
+
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("an eigensolve ran before eps was checked")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigensolve)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+    with pytest.raises(SchemaError, match="eps"):
+        gen_instance(recipe, {"algebra": "M2+M1", "eps": eps}, seed=0)
+
+
 @pytest.mark.parametrize("recipe", sorted(RECIPES))
 def test_instance_regeneration_is_bit_identical(recipe):
     params = {"algebra": "M2+M1", "eps": 1e-4}
