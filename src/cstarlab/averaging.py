@@ -141,11 +141,11 @@ class AveragingSet:
         """Certify the defining properties: weights sum to one, every term is
         a unitary of the algebra, and the averaged tensor is exactly the
         canonical separability element (hence exactly central)."""
-        worst = abs(float(np.sum(self.weights)) - 1.0)
-        for u in self.terms:
-            worst = max(worst, opnorm(dagger(u) @ u - self.unit))
-            worst = max(worst, opnorm(u @ dagger(u) - self.unit))
-        mw = sum(lam * (u @ dagger(u)) for lam, u in zip(self.weights, self.terms))
+        uu = self.terms @ dagger(self.terms)
+        worst = max(abs(float(np.sum(self.weights)) - 1.0),
+                    opnorm_max(np.concatenate([dagger(self.terms) @ self.terms, uu])
+                               - self.unit))
+        mw = sum(lam * p for lam, p in zip(self.weights, uu))
         worst = max(worst, opnorm(mw - self.unit))
         worst = max(worst, self.canonical_residual())
         return Certificate.build(

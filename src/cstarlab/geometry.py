@@ -3,22 +3,26 @@ Hausdorff distance between unit balls, tensor-amplified witness lifts, and
 the subspace equality criterion.
 
 The distance between unit balls is estimated from both sides.  Upper bounds
-come from explicit witnesses found by projected subgradient descent on the
-convex problem min ||x - b|| over b in a subspace (optionally intersected
-with the unit ball); lower bounds come from trace-norm dual certificates.
-One solver, ``nearest_in_span``, serves every witness search: it takes a
-stack of targets and advances them together by batched eigensolves of small
-Gram matrices, so a near inclusion solves all of its samples in one call.
-Each target leaves the stack on its own, and the solver says when and why:
-``tol`` (its residual vanished), ``gap`` (a trace-norm dual proves its value
-to 1e-6 relative), ``floor`` (a near inclusion reports only the largest
-distance, so a sample whose best value is below a proven lower bound of
-another stops early) or ``cap`` (the iteration budget ran out).  The duals
+come from explicit witnesses of the convex problem min ||x - b|| over b in a
+subspace (optionally intersected with the unit ball); lower bounds come from
+trace-norm dual certificates.  One solver, ``nearest_in_span``, serves every
+witness search: it takes a stack of targets and advances them together by
+batched eigensolves of small Gram matrices, so a near inclusion solves all of
+its samples in one call.  Its ``ball`` argument selects the iteration: span
+solves (``tensor_lift``'s lifts) run a Chambolle-Pock primal-dual iteration
+whose dual iterate proves the value it converges to; ball solves
+(``kk_distance`` and the solves of ``intertwine``) keep projected subgradient
+descent until a dual for the ball constraint pays for its cost.  Each target
+leaves the stack on its own, and the solver says when and why: ``tol`` (its
+residual vanished), ``gap`` (a trace-norm dual proves its value to 1e-6
+relative), ``floor`` (a near inclusion reports only the largest distance, so
+a sample whose best value is below a proven lower bound of another stops
+early) or ``cap`` (the iteration budget ran out).  The duals
 are built at checkpoints from the top singular dyads of the residuals at the
-best points (the best-point dual) and, from k = 16 on, also from the
-solver's own subgradients; the first checkpoint is the warm start itself,
-k = 0, so a warm start that is already optimal is certified and returned
-without an iteration.  Suprema over the unit ball are
+best points (the best-point dual) and from the iteration's own dual: the
+primal-dual iterate, or the sum of the subgradients.  The first checkpoint is
+the warm start itself, k = 0, so a warm start that is already optimal is
+certified and returned without an iteration.  Suprema over the unit ball are
 sampled (basis elements, random self-adjoint contractions, random
 unitaries), so the reported gamma_hi is an honest sampled estimate with
 stored witnesses, not a proof of the supremum.  ``sample_unit_ball`` draws
@@ -144,13 +148,33 @@ def _top_dyad(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (w, z, s) if wide else (z, w, s)
 
 
-def _subgradient_dual(D: np.ndarray, R: np.ndarray, project) -> np.ndarray:
-    """Lower bounds for dist(x, span) from sums D of subgradient dyads and
-    residuals R = x - b, b in the span: Y = D - P(D) vanishes on the span, so
-    Re<Y, R> = Re<Y, x - b'> <= ||Y||_1 ||x - b'|| for every b' in it and
-    lo = Re<Y, R> / ||Y||_1 (0 where Y = 0).  R rather than x keeps the
-    rounding relative to the distance."""
-    return _trace_dual(D - project(D), R)
+def _trace_ball(z: np.ndarray) -> np.ndarray:
+    """Projection of each matrix of a stack onto the trace-norm unit ball:
+    its singular values s, read from one eigensolve of the smaller Gram
+    matrix as in ``_top_dyad``, shrink to max(s - theta, 0), theta the shift
+    that projects s onto the l1 unit ball (read off the cumulative sums of s,
+    which the eigensolve sorts).  A matrix with sum(s) <= 1 is kept as is."""
+    wide, zh = z.shape[-2] < z.shape[-1], z.conj().swapaxes(1, 2)
+    lam, w = np.linalg.eigh(z @ zh if wide else zh @ z)
+    s = np.sqrt(np.maximum(lam, 0.0))
+    desc = s[:, ::-1]
+    excess = np.cumsum(desc, axis=1) - 1.0
+    rank = np.arange(1, s.shape[1] + 1)
+    rho = (desc * rank > excess).sum(axis=1)  # the largest j with s_j > theta_j
+    theta = np.maximum(excess[np.arange(len(s)), rho - 1] / rho, 0.0)
+    f = np.maximum(1.0 - theta[:, None] / np.where(s > 0.0, s, 1.0), 0.0)
+    m = (w * f[:, None, :]) @ w.conj().swapaxes(1, 2)
+    inside = (excess[:, -1] <= 0.0)[:, None, None]
+    return np.where(inside, z, m @ z if wide else z @ m)
+
+
+def _span_dual(Y: np.ndarray, R: np.ndarray, project) -> np.ndarray:
+    """Lower bounds for dist(x, span) from any Y and residuals R = x - b, b in
+    the span: Y - P(Y) vanishes on the span, so Re<Y - P(Y), R> =
+    Re<Y - P(Y), x - b'> <= ||Y - P(Y)||_1 ||x - b'|| for every b' in it and
+    lo = Re<Y - P(Y), R> / ||Y - P(Y)||_1 (0 where it vanishes).  R rather
+    than x keeps the rounding relative to the distance."""
+    return _trace_dual(Y - project(Y), R)
 
 
 def _trace_dual(Y: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -164,7 +188,7 @@ def _best_point_dual(R: np.ndarray, project) -> np.ndarray:
     """Lower bounds for dist(x, span) read off the residuals R = x - b at the
     best points alone: G averages the top singular dyads u_i v_i* over the
     singular values within _MARGIN of the largest, and Y = G - P(G) gives
-    lo = Re<Y, R> / ||Y||_1 as in ``_subgradient_dual`` (any G does).  G is
+    lo = Re<Y, R> / ||Y||_1 as in ``_span_dual`` (any G does).  G is
     a subgradient of the norm at R (Re<G, R> = ||R||, ||G||_1 = 1), so where
     P(G) = 0 the bound is ||R|| itself: a best point that is optimal this way,
     such as a warm start no step improves, is proven so at once."""
@@ -178,6 +202,10 @@ def _best_point_dual(R: np.ndarray, project) -> np.ndarray:
 # is within it of a proven lower bound (gap) or below a floor by more than it
 _MARGIN = 1e-6
 _STOPS = ("tol", "gap", "floor", "cap")
+# the primal-dual iteration measures its iterates every _PD_CHECK steps;
+# sigma tau = _PD_STEP < 1 keeps it convergent, P having norm one
+_PD_CHECK = 16
+_PD_STEP = 0.99
 
 
 def nearest_in_span(x: np.ndarray, span: ConcreteAlgebra | _TensorSpan,
@@ -186,29 +214,48 @@ def nearest_in_span(x: np.ndarray, span: ConcreteAlgebra | _TensorSpan,
     """Minimize ||x - b||_op over b in the given subspace (intersected with
     the operator-norm unit ball when requested).
 
-    Projected subgradient descent on a convex objective: the subgradient of
-    the operator norm at the residual is the top singular dyad u v*, which is
-    HS-projected onto the subspace; steps shrink like c/sqrt(k); the best
-    feasible iterate is tracked.  Warm start at the HS projection of x.
+    Both iterations warm start at the HS projection of x (rescaled into the
+    ball) and track the best point; ``ball`` selects the iteration.
+
+    Without the ball, a Chambolle-Pock primal-dual iteration on the saddle
+    problem min_{b in S} max_{||Y||_1 <= 1} Re<Y, x - b>, with dual Y = 0 at
+    the start: Y <- the trace-norm ball projection (``_trace_ball``) of
+    Y + sigma (x - b'), then b <- b + tau P(Y) and b' = 2 b_new - b_old.  The
+    step tau is the target's warm-start distance (at least 10 tol) and
+    sigma = 0.99 / tau.  The iterates are measured at the checkpoints, every
+    16 iterations and at the last one, by the values-only SVD of x - b.
+    Y - P(Y) vanishes on the span, so the dual iterate bounds the distance
+    from below directly.
+
+    With the ball, projected subgradient descent: the subgradient of the
+    operator norm at the residual is the top singular dyad u v*, HS-projected
+    onto the subspace; steps shrink like c / sqrt(k), c the warm-start
+    distance; each iterate is rescaled into the ball (its norm read from
+    eigvalsh(y* y)) and measured.  Every iteration takes one batched
+    Hermitian eigensolve of the residuals' smaller Gram matrices
+    (``_top_dyad``): its top eigenpair is the objective and the next
+    subgradient.  A dual for the ball needs a second dual variable for
+    ||b|| <= 1; such a primal-dual version lowered sampled ``dist`` suprema by
+    0.25-1.2% but took 1.65 times the solver time, so ball solves keep this
+    iteration for now.
 
     x is one (R, C) matrix or a stack (S, R, C) of targets solved at once,
-    each with its own step scale c and best iterate.  Every iteration takes
-    one batched Hermitian eigensolve of the residuals' smaller Gram matrices
-    (``_top_dyad``): its top eigenpair is the objective and the next
-    subgradient; the ball's rescale reads the norm from eigvalsh(y* y).  The
-    subspace is a concrete algebra or a ``_TensorSpan``, whose ``project``
-    maps a stack (S, R, C) to its HS-orthogonal projections.
+    each with its own steps and best point.  The subspace is a concrete
+    algebra or a ``_TensorSpan``, whose ``project`` maps a stack (S, R, C) to
+    its HS-orthogonal projections.
 
     A target leaves the stack on the first of these that holds:
-      tol    its residual fell to tol;
+      tol    its residual fell to tol (measured every subgradient iteration,
+             at each primal-dual checkpoint);
       gap    a checkpoint's dual bound lo gives best - lo <= 1e-6 best.  At
              k = 0 (the warm start) lo is the ``_best_point_dual`` of the
-             residuals x - best; at k = 16, 32, 64, ... it is the larger of
-             that and the ``_subgradient_dual`` from the dyads of iterations
-             (k/2, k].  lo bounds the distance to the span, so also to its
-             unit ball, from below: the value is within 1e-6 of the optimum
-             either way (a ball solve whose constraint binds runs to the
-             cap);
+             residuals x - best.  At the later checkpoints it is the larger
+             of that and a ``_span_dual``: of the dual iterate Y (primal-dual,
+             k = 16, 32, 48, ...) or of the sum of the subgradient dyads of
+             iterations (k/2, k] (subgradient, k = 16, 32, 64, ...).  lo
+             bounds the distance to the span, so also to its unit ball, from
+             below: the value is within 1e-6 of the optimum either way (a
+             ball solve whose constraint binds runs to the cap);
       floor  its best value is below floor (1 - 1e-6), where ``floor`` is a
              proven lower bound for the largest distance, raised to the
              largest lo at each checkpoint, k = 0 included: only the maximum
@@ -220,7 +267,7 @@ def nearest_in_span(x: np.ndarray, span: ConcreteAlgebra | _TensorSpan,
     iteration each target stopped at and its stop reason: floats, ints and
     strings for one matrix, (S,) arrays for a stack.  The iteration is 0 when
     the warm start decided it (its residual was within tol, or the k = 0 dual
-    closed its gap or put it below the floor), and then no eigensolve ran for
+    closed its gap or put it below the floor), and then no iteration ran for
     it.  The distances are taken by the values-only SVD of ``opnorm``,
     so that opnorm(x - b) reproduces each bit for bit.
     """
@@ -245,13 +292,13 @@ def nearest_in_span(x: np.ndarray, span: ConcreteAlgebra | _TensorSpan,
             return None
         return np.where(is_tol, 0, np.where(is_gap, 1, np.where(is_floor, 2, 3)))
 
-    def dual(R, D=None):
+    def dual(R, Y=None):
         """The larger of the checkpoint duals at residuals R, and the floor
         raised to the largest of them."""
         nonlocal floor
         lo = _best_point_dual(R, project)
-        if D is not None:
-            lo = np.maximum(_subgradient_dual(D, R, project), lo)
+        if Y is not None:
+            lo = np.maximum(_span_dual(Y, R, project), lo)
         if floor is not None:
             floor = float(lo.max(initial=floor))
         return lo
@@ -264,31 +311,49 @@ def nearest_in_span(x: np.ndarray, span: ConcreteAlgebra | _TensorSpan,
     at = np.where(stop < 3, 0, iters)
     live = np.flatnonzero(stop == 3)
     Xl, cl, y = X[live], c[live], best[live]
-    D, check = np.zeros_like(Xl), 16
-    if live.size:
-        u, v, _ = _top_dyad(Xl - y)
+    if ball:  # the subgradient dyad u v* and the sum D of the recent ones
+        D, check = np.zeros_like(Xl), 16
+        if live.size:
+            u, v, _ = _top_dyad(Xl - y)
+    else:  # the dual iterate Y and the extrapolated point y_bar
+        Y, y_bar = np.zeros_like(Xl), y
     for k in range(1, iters + 1):
         if not live.size:
             break
-        dyad = u[:, :, None] * v.conj()[:, None, :]
-        g = project(dyad)
-        y = rescale(y + (cl / np.sqrt(k))[:, None, None] * g)
-        u, v, s = _top_dyad(Xl - y)
+        if ball:
+            dyad = u[:, :, None] * v.conj()[:, None, :]
+            g = project(dyad)
+            y = rescale(y + (cl / np.sqrt(k))[:, None, None] * g)
+            u, v, s = _top_dyad(Xl - y)
+            if k > check // 2:
+                D += dyad
+            at_check = k == check
+        else:
+            Y = _trace_ball(Y + (_PD_STEP / cl)[:, None, None] * (Xl - y_bar))
+            y_new = y + cl[:, None, None] * project(Y)
+            y_bar, y = 2.0 * y_new - y, y_new
+            at_check = k % _PD_CHECK == 0 or k == iters
+            if not at_check:
+                continue
+            s = np.linalg.svd(Xl - y, compute_uv=False)[:, 0]
         better = s < best_val[live]
         best[live[better]] = y[better]
         best_val[live[better]] = s[better]
         lo = None
-        if k > check // 2:
-            D += dyad
-        if k == check:
-            lo = dual(Xl - best[live], D)
-            check *= 2
-            D[:] = 0.0
+        if at_check:
+            lo = dual(Xl - best[live], D if ball else Y)
+            if ball:
+                check *= 2
+                D[:] = 0.0
         why = stops(s, best_val[live], lo)
         if why is not None:
-            out = why < 3
-            stop[live[out]], at[live[out]] = why[out], k
-            live, Xl, cl, y, u, v, D = (a[~out] for a in (live, Xl, cl, y, u, v, D))
+            keep = why == 3
+            stop[live[~keep]], at[live[~keep]] = why[~keep], k
+            live, Xl, cl, y = live[keep], Xl[keep], cl[keep], y[keep]
+            if ball:
+                u, v, D = u[keep], v[keep], D[keep]
+            else:
+                Y, y_bar = Y[keep], y_bar[keep]
     best_val = np.linalg.svd(X - best, compute_uv=False)[:, 0]
     stop = np.array(_STOPS)[stop]
     if single:
@@ -448,7 +513,10 @@ def tensor_lift(X, B: ConcreteAlgebra, n: int, gamma: float,
     A (x) M_n (rectangular block rows allowed), certified against the
     amplification-stable ceiling 2*gamma + gamma^2 valid for A subset_gamma B.
 
-    Returns the witnesses and a certificate with the worst achieved distance.
+    Returns the witnesses and a certificate with the worst achieved distance;
+    its details give each witness's solver iterations and stop reason (see
+    ``nearest_in_span``), so a distance proven to 1e-6 shows as ``gap`` and
+    one left at the iteration budget as ``cap``.
     """
     X = [np.asarray(x, dtype=complex) for x in X]
     if not X:
@@ -459,14 +527,15 @@ def tensor_lift(X, B: ConcreteAlgebra, n: int, gamma: float,
         if rows != N * n or cols % (N * n):
             raise ValueError("element shape incompatible with the amplification")
     witnesses: list = [None] * len(X)
+    its, stops = [0] * len(X), [""] * len(X)
     worst = 0.0
     for cols in {x.shape[1] for x in X}:
         idx = [i for i, x in enumerate(X) if x.shape[1] == cols]
-        bs, vals, _, _ = nearest_in_span(np.array([X[i] for i in idx]),
-                                         _TensorSpan(B, n, cols // (N * n)),
-                                         iters=iters, tol=1e-13)
-        for i, b in zip(idx, bs):
-            witnesses[i] = b
+        bs, vals, at, why = nearest_in_span(np.array([X[i] for i in idx]),
+                                            _TensorSpan(B, n, cols // (N * n)),
+                                            iters=iters, tol=1e-13)
+        for i, b, k, w in zip(idx, bs, at, why):
+            witnesses[i], its[i], stops[i] = b, int(k), str(w)
         worst = max(worst, float(vals.max()))
     ceiling = 2.0 * gamma + gamma * gamma
     cert = Certificate.build(
@@ -474,6 +543,7 @@ def tensor_lift(X, B: ConcreteAlgebra, n: int, gamma: float,
         formula="dist(x, B (x) M_n) <= 2*gamma + gamma^2 on the unit ball",
         inputs={"gamma": gamma, "n": n, "count": len(X)},
         ceiling=ceiling + tol, achieved=worst,
+        details={"iters": its, "stops": stops},
         provenance=provenance_stamp())
     return witnesses, cert
 

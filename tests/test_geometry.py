@@ -27,6 +27,7 @@ from cstarlab.geometry import (
 )
 from cstarlab.instances import block_algebra, gen_instance
 from cstarlab.linalg import clip_spectrum, random_unitary, rng_for
+from cstarlab.pipelines import run_pipeline
 
 
 def small_rotation(N: int, eps: float, seed: int) -> np.ndarray:
@@ -50,7 +51,7 @@ def test_nearest_in_span_member_is_exact():
 
 
 def test_nearest_in_span_beats_hs_projection():
-    # subgradient refinement must not be worse than the HS warm start
+    # the iteration must not end worse than the HS warm start
     A = block_algebra((2,), 3)
     rng = rng_for(8, "warmstart")
     g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
@@ -72,6 +73,15 @@ def scalars(N: int) -> ConcreteAlgebra:
     return ConcreteAlgebra.from_basis([np.eye(N)], N)
 
 
+def l1_ball(y: np.ndarray) -> np.ndarray:
+    """Projection of a real vector onto the l1 unit ball: |y| shrunk by
+    theta = max(0, max_j (S_j - 1) / j), S_j the sum of its j largest
+    entries."""
+    a = np.sort(np.abs(y))[::-1]
+    theta = max([0.0] + [(a[:j].sum() - 1.0) / j for j in range(1, len(a) + 1)])
+    return np.sign(y) * np.maximum(np.abs(y) - theta, 0.0)
+
+
 @pytest.mark.parametrize("ball", [False, True])
 def test_stacked_targets_match_single_solves(ball):
     # a member (done at the warm start), a target stopping on tol partway
@@ -84,16 +94,31 @@ def test_stacked_targets_match_single_solves(ball):
                  + [scale * (rng.standard_normal((4, 4))
                              + 1j * rng.standard_normal((4, 4)))
                     for scale in (10.0, 20.0, 40.0, 80.0)])
-    bs, vals, *_ = nearest_in_span(X, S, ball=ball, iters=200, tol=tol)
+    bs, vals, at, stop = nearest_in_span(X, S, ball=ball, iters=200, tol=tol)
     assert bs.shape == X.shape and vals.shape == (len(X),)
-    # the stopper's iterates are m_k 1 with residual max(m_k, 1 - m_k): the
-    # step c / sqrt(k), c = 10 tol, moves m by a quarter of it toward 1/2
-    m, k = 0.25, 0
-    while max(m, 1.0 - m) > tol:
-        k += 1
-        m += (0.25 if m < 0.5 else -0.25) * 10 * tol / np.sqrt(k)
-        m = min(max(m, -1.0), 1.0) if ball else m
-    assert vals[0] < 1e-12 and abs(vals[1] - max(m, 1.0 - m)) < 1e-12 and k > 1
+    # the stopper's iterates are m_k 1 with residual max(|m_k|, |1 - m_k|),
+    # from m_0 = 1/4 with step scale c = 10 tol
+    m, k, c = 0.25, 0, 10 * tol
+    if ball:
+        # the subgradient step c / sqrt(k) moves m by a quarter of it toward
+        # 1/2, and the residual is measured at every iteration
+        while max(m, 1.0 - m) > tol:
+            k += 1
+            m += (0.25 if m < 0.5 else -0.25) * c / np.sqrt(k)
+            m = min(max(m, -1.0), 1.0)
+    else:
+        # the primal-dual steps keep the dual iterate Y_k a real diagonal
+        # matrix y, whose trace-norm ball is the l1 ball of y: tau = c,
+        # sigma = 0.99 / c, P(Y) = mean(y) 1, and the residual is measured
+        # every 16 iterations
+        d, m_bar, y = np.array([0.0, 0.0, 0.0, 1.0]), m, np.zeros(4)
+        while k % 16 or max(abs(m), abs(1.0 - m)) > tol:
+            k += 1
+            y = l1_ball(y + 0.99 / c * (d - m_bar))
+            m_new = m + c * y.mean()
+            m_bar, m = 2.0 * m_new - m, m_new
+    assert vals[0] < 1e-12 and abs(vals[1] - max(abs(m), abs(1.0 - m))) < 1e-12 and k > 1
+    assert (at[1], stop[1]) == (k, "tol")
     assert np.all(vals[2:] > 10 * tol)
     for x, b, v in zip(X, bs, vals):
         b1, v1, *_ = nearest_in_span(x, S, ball=ball, iters=200, tol=tol)
@@ -211,7 +236,7 @@ def unit_ball_stack(A, n: int = 16, seed: int = 3) -> np.ndarray:
     return np.array([x for _, x in sample_unit_ball(A, spec)])
 
 
-def record_duals(monkeypatch, names=("_best_point_dual", "_subgradient_dual")) -> list:
+def record_duals(monkeypatch, names=("_best_point_dual", "_span_dual")) -> list:
     """Record (R, lo) of every checkpoint the solver computes, k = 0 first:
     the duals of one checkpoint share the residuals R, and lo is the largest
     of them, the bound the solver stops on."""
@@ -263,11 +288,13 @@ def test_floor_keeps_the_supremum(profile, N, ball, monkeypatch):
 
 def test_subgradient_dual_is_below_the_scalar_distance(monkeypatch):
     # dist(x, C 1) = (lambda_max - lambda_min) / 2 for hermitian x, and the
-    # residual R = x - b, b in C 1, has the same distance
+    # residual R = x - b, b in C 1, has the same distance; the subgradient
+    # iteration runs on ball solves, and its dual, from the dyad sums, bounds
+    # the distance to the span
     rng = rng_for(24, "dual-oracle")
     g = rng.standard_normal((8, 5, 5)) + 1j * rng.standard_normal((8, 5, 5))
-    duals = record_duals(monkeypatch, ("_subgradient_dual",))
-    nearest_in_span(g + dagger(g), scalars(5), iters=200, floor=0.0)
+    duals = record_duals(monkeypatch, ("_span_dual",))
+    nearest_in_span(g + dagger(g), scalars(5), ball=True, iters=200, floor=0.0)
     assert len(duals) == 4  # checkpoints 16, 32, 64, 128
     for R, lo in duals:
         lam = np.linalg.eigvalsh((R + dagger(R)) / 2.0)
@@ -276,14 +303,17 @@ def test_subgradient_dual_is_below_the_scalar_distance(monkeypatch):
         assert lo.max() >= 0.9 * exact.max()
 
 
-# targets of unit_ball_stack that leave at k = 0 on the gap and on the floor;
-# on M2/4 every warm start is proven optimal there
+# targets of unit_ball_stack that leave at k = 0 on the gap and on the floor,
+# with or without the ball; on M2/4 every warm start is proven optimal there
 EARLY = {("M2", 4): (36, 0), ("M2+M1", 4): (5, 22), ("3,3", 8): (18, 14),
          ("2,2,2", 8): (10, 12)}
+# targets of the ball solves of unit_ball_stack that run all 130 iterations
+CAPPED = {("M2+M1", 4): 2, ("3,3", 8): 4, ("2,2,2", 8): 4}
 
 
 def test_floor_drops_exactly_the_targets_below_it(monkeypatch):
-    # replay the stop rules from the solver's own per-iteration values: the
+    # replay the stop rules of a ball solve, whose subgradient iteration
+    # measures every iterate, from the solver's own per-iteration values: the
     # stack of iteration k holds the targets stopped at k or later, in order;
     # a target leaves on the gap exactly when a checkpoint dual (k = 0, 16,
     # 32, ...) proves best - lo <= 1e-6 best, else on the floor exactly when
@@ -296,10 +326,10 @@ def test_floor_drops_exactly_the_targets_below_it(monkeypatch):
         A, B = conjugation_pair(profile, N)
         X = unit_ball_stack(A)
         K, floor0 = 130, span_distance_lower(X, B).max()
-        best = nearest_in_span(X, B, iters=0)[1]
+        best = nearest_in_span(X, B, ball=True, iters=0)[1]
         values.clear()
         duals.clear()
-        _, vals, at, stop = nearest_in_span(X, B, iters=K, floor=floor0)
+        _, vals, at, stop = nearest_in_span(X, B, ball=True, iters=K, floor=floor0)
         gaps, floors = EARLY[profile, N]
         assert (stop[at == 0] == "gap").sum() == gaps
         assert (stop[at == 0] == "floor").sum() == floors
@@ -307,10 +337,11 @@ def test_floor_drops_exactly_the_targets_below_it(monkeypatch):
             # decided at the warm start: no eigensolve, one checkpoint
             assert len(values) == 0 and len(duals) == 1
         else:
-            # one target runs to the cap, past every checkpoint; the others
+            # some targets run to the cap, past every checkpoint; the others
             # stop on the floor, some of them after k = 0
             assert len(values) == K + 1 and len(duals) == 5
-            assert list(stop[at == K]) == ["cap"] and "floor" in stop[(at > 0) & (at < K)]
+            assert list(stop[at == K]) == ["cap"] * CAPPED[profile, N]
+            assert "floor" in stop[(at > 0) & (at < K)]
         lows, floor = dict(zip((0, 16, 32, 64, 128), (lo for _, lo in duals))), floor0
         for k in range(at.max() + 1):
             live = np.flatnonzero(at >= k)
@@ -369,10 +400,10 @@ def test_gap_stop_is_within_the_margin_of_the_scalar_distance(monkeypatch):
     assert np.all(stop == "gap") and np.all(at < 1000)
     assert np.all(vals >= exact * (1.0 - 1e-14))
     assert np.all(vals <= exact / (1.0 - 1e-6))
-    # each target left at the first checkpoint k = 0, 16, 32, ... whose dual
-    # closed its gap against the best value then, ||R|| for R = x - best
-    assert len(duals) == 6 and at.max() == 16 * 2 ** 4
-    for k, (R, lo) in zip([0] + list(16 * 2 ** np.arange(5)), duals):
+    # each target left at the first checkpoint k = 0, 16, 32, 48, ... whose
+    # dual closed its gap against the best value then, ||R|| for R = x - best
+    assert at.max() % 16 == 0 and len(duals) == at.max() // 16 + 1
+    for k, (R, lo) in zip(range(0, 1000, 16), duals):
         hi = np.linalg.svd(R, compute_uv=False)[:, 0]
         assert np.array_equal(hi - lo <= 1e-6 * hi, at[at >= k] == k)
 
@@ -670,6 +701,72 @@ def test_tensor_span_projection_matches_kronecker_basis(n, r):
     assert np.abs(P(P(X)) - P(X)).max() < 1e-13
     for x, y, px, py in zip(X, Y, P(X), P(Y)):
         assert abs(np.vdot(px, y) - np.vdot(x, py)) < 1e-13
+
+
+def test_primal_dual_solve_meets_the_tensor_oracle(monkeypatch):
+    # x = h (x) 1_n, h hermitian, is at distance (lambda_max - lambda_min) / 2
+    # from C 1_N (x) M_n: b = mid 1 attains it, and Y = (P_max - P_min) / 2
+    # (x) 1_n / n, of trace norm one, vanishes on the span and proves it
+    N, n = 4, 3
+    h = hermitian_stack(27, N, 6)
+    lam, vecs = np.linalg.eigh(h)
+    exact = (lam[:, -1] - lam[:, 0]) / 2.0
+    X = np.array([np.kron(a, np.eye(n)) for a in h])
+    span = _TensorSpan(scalars(N), n)
+    top, bottom = vecs[:, :, -1:], vecs[:, :, :1]
+    Y = np.array([np.kron(p, np.eye(n) / n) / 2.0
+                  for p in top @ dagger(top) - bottom @ dagger(bottom)])
+    assert np.all(np.abs(geometry._span_dual(Y, X, span.project) - exact) <= 1e-14 * exact)
+    # the span solve closes its gap on every target, and no checkpoint dual
+    # exceeds the distance: the stack at checkpoint k = 0, 16, 32, ... holds
+    # the targets stopped at k or later
+    duals = record_duals(monkeypatch)
+    bs, vals, at, stop = nearest_in_span(X, span, iters=400)
+    assert np.all(stop == "gap") and np.all((at > 0) & (at < 400))
+    assert np.all(vals >= exact * (1.0 - 1e-14)) and np.all(vals <= exact / (1.0 - 1e-6))
+    assert len(duals) == at.max() // 16 + 1
+    for k, (R, lo) in zip(range(0, 400, 16), duals):
+        assert np.all(lo <= exact[at >= k] * (1.0 + 1e-14))
+    for x, b, v in zip(X, bs, vals):
+        b1, v1, *_ = nearest_in_span(x, span, iters=400)
+        assert abs(v1 - v) <= 1e-12 and opnorm(b1 - b) <= 1e-12
+
+
+def test_tensor_lift_witness_distance_is_reproducible(monkeypatch):
+    # the ladder benchmark's op "oz-perturb conjugation 2,2,2/8" of workload
+    # seed 7373, pass 0, whose instance seed is 145953875: reversing the rows
+    # of _TensorSpan's orthonormal basis keeps the projection but sums it in
+    # another order, and the lift's witness distance, proven by its gap,
+    # moves by no more than the gap's margin
+    seed = 145953875
+
+    def witness() -> dict:
+        inst = gen_instance("conjugation", {"algebra": "2,2,2", "ambient": 8,
+                                            "eps": 1e-6}, seed=seed)
+        report = run_pipeline(inst, "oz-perturb", seed=seed)
+        return report.certificates["order-zero-perturbation"].details
+
+    def reverse_rows(span):
+        span.Q = span.Q[::-1].copy()
+        span.Qc = span.Q.conj()
+
+    # the same projection up to rounding, not bit for bit
+    B = block_algebra((2, 1), 4).conjugated(small_rotation(4, 0.3, 28))
+    rng = rng_for(28, "summation-order")
+    m = rng.standard_normal((3, 8, 16)) + 1j * rng.standard_normal((3, 8, 16))
+    span = _TensorSpan(B, 2, 2)
+    p_plain = span.project(m)
+    reverse_rows(span)
+    p_rev = span.project(m)
+    assert np.abs(p_rev - p_plain).max() <= 1e-14 and not np.array_equal(p_rev, p_plain)
+    plain, init = witness(), _TensorSpan.__init__
+    monkeypatch.setattr(_TensorSpan, "__init__",
+                        lambda self, *args: init(self, *args) or reverse_rows(self))
+    flipped = witness()
+    assert plain["witness_stop"] == flipped["witness_stop"] == "gap"
+    assert 0 < plain["witness_iters"] < 400
+    d0, d1 = plain["witness_distance"], flipped["witness_distance"]
+    assert abs(d1 - d0) <= 1e-6 * d0
 
 
 def test_tensor_lift_rejects_bad_shape():

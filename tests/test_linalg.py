@@ -260,9 +260,30 @@ def test_opnorm_max_stops_when_the_norm_found_equals_the_bound(monkeypatch):
     assert opnorm_max(S) == top and taken == [1]
 
 
+def _loop_maxima(tree: ast.AST) -> list[int]:
+    """Lines of acc = max(acc, opnorm(...)) inside a loop: a stack maximum
+    taken one operator norm at a time."""
+    lines = set()
+    for loop in (n for n in ast.walk(tree) if isinstance(n, (ast.For, ast.While))):
+        for node in ast.walk(loop):
+            if not (isinstance(node, ast.Assign) and len(node.targets) == 1
+                    and isinstance(node.targets[0], ast.Name)
+                    and isinstance(node.value, ast.Call)
+                    and isinstance(node.value.func, ast.Name)
+                    and node.value.func.id == "max"):
+                continue
+            args = node.value.args
+            if (any(isinstance(a, ast.Name) and a.id == node.targets[0].id for a in args)
+                    and any(isinstance(a, ast.Call) and isinstance(a.func, ast.Name)
+                            and a.func.id == "opnorm" for a in args)):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
 def test_stack_maxima_go_through_opnorm_max():
     # one implementation of the largest operator norm in a stack: a call
-    # opnorms(...).max(...) anywhere but in opnorm_max's own body fails
+    # opnorms(...).max(...) anywhere but in opnorm_max's own body fails, and
+    # so does a loop that accumulates acc = max(acc, opnorm(...))
     found = []
     for path in sorted((Path(__file__).resolve().parents[1] / "src" / "cstarlab").glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -274,4 +295,6 @@ def test_stack_maxima_go_through_opnorm_max():
                       and node.func.attr == "max" and isinstance(node.func.value, ast.Call)
                       and isinstance(node.func.value.func, ast.Name)
                       and node.func.value.func.id == "opnorms"]
-    assert not found, f"take opnorm_max(stack) in place of opnorms(stack).max() at {found}"
+        found += [f"{path.name}:{line}" for line in _loop_maxima(tree)]
+    assert not found, ("take opnorm_max(stack) in place of opnorms(stack).max() "
+                       f"or a loop of opnorm maxima at {found}")
