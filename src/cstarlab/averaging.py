@@ -392,9 +392,7 @@ def _paired_block_maps(phi1: LinMap, phi2: LinMap, seed: int):
     if phi1.domain is not phi2.domain:
         raise ValueError("concrete domains must be the same algebra object")
     a1, model = phi1.to_block_model(seed=seed)
-    images2 = phi2(model.to_concrete(model.fd.units()))
-    a2 = LinMap(model.fd, phi2.codomain_dim, images2,
-                codomain_algebra=phi2.codomain_algebra)
+    a2 = a1 if phi2 is phi1 else phi2.to_block_model(seed=seed)[0]
     return a1, a2, model
 
 
@@ -434,7 +432,7 @@ def intertwining_unitary(phi1: LinMap, phi2: LinMap,
         raise ValueError("codomain mismatch")
     if delta is None:
         delta = max(hom_defect(a1, seed=seed),
-                    hom_defect(a2, seed=seed))
+                    hom_defect(a2, seed=seed) if a2 is not a1 else 0.0)
     if gamma is None:
         spec = SampleSpec(seed=seed, n_selfadjoint=16, n_unitary=0, include_basis=False)
         X = np.array([x for _, x in sample_unit_ball(fd, spec)])
@@ -444,10 +442,10 @@ def intertwining_unitary(phi1: LinMap, phi2: LinMap,
     # extend against the ambient unit: the averaged s must be invertible on
     # the whole ambient space, not just under the codomain support
     e1 = ucp_extension(LinMap(a1.domain, a1.codomain_dim, a1.images))
-    e2 = ucp_extension(LinMap(a2.domain, a2.codomain_dim, a2.images))
-    fd_ext: FDAlgebra = e1.domain
-    avg = exact_diagonal(fd_ext)
-    s = avg.pair(e1, e2)
+    e2 = e1 if a2 is a1 else ucp_extension(LinMap(a2.domain, a2.codomain_dim, a2.images))
+    # s = sum_k (1/n_k) sum_ij e1(e_ij) e2(e_ji), paired on the stored images
+    scale, flip = _canonical_index(e1.domain.block_sizes)
+    s = _canonical_sum(scale, e1.images, e2.images[flip])
     K = a1.codomain_dim
     sing = np.linalg.svd(s, compute_uv=False)
     if sing[-1] <= 1e-6:

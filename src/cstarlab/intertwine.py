@@ -9,7 +9,9 @@ repairs it to a homomorphism, and aligns it with the previous stage by a
 unitary close to one.  With the exact averaging machinery every stage's
 repaired map is a homomorphism to machine precision and consecutive aligned
 stages agree to machine precision, so the iteration settles in two or three
-stages; all stated drift budgets are still tracked and certified.
+stages; all stated drift budgets are still tracked and certified.  A repair
+depends on the map alone, so a stage given the previous map bit for bit keeps
+the previous repair (and its unitary with itself) and re-measures the rest.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ import numpy as np
 from .algebra import ConcreteAlgebra, FDAlgebra, _combine
 from .certs import (TOL_ALG, Certificate, ContradictionError,
                     SpectralGapError, ToleranceBudget, DEFAULT_BUDGET,
-                    WINDOW_ISO_ETA, WINDOW_ISO_GAMMA, WINDOW_ISO_MU,
-                    provenance_stamp)
+                    WINDOW_DEFECT_REPAIR, WINDOW_ISO_ETA, WINDOW_ISO_GAMMA,
+                    WINDOW_ISO_MU, provenance_stamp)
 from .cpmaps import LinMap, _mult_defects, arveson_restrict, classify, hom_defect
 from .averaging import (exact_diagonal, improve_multiplicativity,
                         intertwining_unitary, projection_conjugator)
@@ -61,6 +63,7 @@ class StageRecord:
     drift: float
     drift_ceiling: float
     u_norm: float
+    repaired: bool
 
     def to_dict(self) -> dict:
         return {"kind": "stage_record", "schema_version": 1, **self.__dict__}
@@ -139,6 +142,12 @@ def _distinct(stack: np.ndarray) -> np.ndarray:
     return stack[list(first.values())]
 
 
+def _same_map(phi: LinMap, prev: LinMap | None) -> bool:
+    """Whether phi has prev's domain and bit for bit prev's images."""
+    return (prev is not None and phi.domain is prev.domain
+            and np.array_equal(phi.images, prev.images))
+
+
 def _worst_move(phi, X) -> float:
     """max over x in X of ||phi(x) - x||, evaluated on the stack; 0.0 for an
     empty X."""
@@ -157,13 +166,15 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
 
     Requires a producer Z -> (cpc map eta-close to the inclusion on Z, cert
     whose achieved value is max ||phi(z) - z|| over Z); defaults to the
-    expectation onto B.  Each stage repairs the produced map
-    to a homomorphism and aligns it with the previous stage by a unitary
-    close to one; the loop stops when the aligned maps agree on the basis to
-    tol_conv twice in a row.  When surjectivity_delta is given (B inside A to
-    that level, at most 1/5), codomain basis elements are pulled through the
-    accumulated conjugators and tracked, and the result is certified onto B
-    by dimension count.
+    expectation onto B.  Each stage repairs the produced map to a
+    homomorphism and aligns it with the previous stage by a unitary close to
+    one; a map equal bit for bit to the previous stage's keeps that stage's
+    repair, and its unitary too if that stage kept its own repair, with
+    repaired=False in the trace row.  The loop stops when the aligned maps
+    agree on the basis to tol_conv twice in a row.  When surjectivity_delta
+    is given (B inside A to that level, at most 1/5), codomain basis
+    elements are pulled through the accumulated conjugators and tracked, and
+    the result is certified onto B by dimension count.
     """
     budget.require_window("iso-eta", eta, WINDOW_ISO_ETA)
     budget.require_window("iso-mu", mu, WINDOW_ISO_MU)
@@ -185,6 +196,7 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
     trace: list[StageRecord] = []
     conjugators: list[np.ndarray] = []
     theta_prev: LinMap | None = None
+    phi_prev: LinMap | None = None
     alpha: LinMap | None = None
     accumulated = np.eye(A.ambient_dim, dtype=complex)
     delta_target = 1.0
@@ -220,13 +232,16 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
         phi_defect = opnorm_max(_mult_defects(phi, Z))
         gamma_repair = max(3.0 * eta, phi_defect)
 
-        repair = improve_multiplicativity(phi, gamma=gamma_repair,
-                                          seed=seed + n, budget=budget)
-        theta_raw = repair.psi
+        repaired = not _same_map(phi, phi_prev)
+        if repaired:
+            theta_raw = improve_multiplicativity(phi, gamma=gamma_repair,
+                                                 seed=seed + n, budget=budget).psi
+            theta = LinMap(A, A.ambient_dim, B.project(theta_raw.images),
+                           codomain_algebra=B)
+        else:
+            budget.require_window("multiplicativity-repair", gamma_repair, WINDOW_DEFECT_REPAIR)
         residual = B.membership_residual(theta_raw.images)
         worst_membership = max(worst_membership, residual)
-        theta = LinMap(A, A.ambient_dim, B.project(theta_raw.images),
-                       codomain_algebra=B)
         theta_defect = hom_defect(theta, seed + n)
 
         drift, u_norm = 0.0, 0.0
@@ -235,9 +250,9 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
             alpha = theta
             u = np.eye(A.ambient_dim, dtype=complex)
         else:
-            res = intertwining_unitary(theta_prev, theta, seed=seed + n,
-                                       budget=budget)
-            u = res.u
+            # when this stage and the last kept theta, the last unitary is theta's with itself
+            u = (intertwining_unitary(theta_prev, theta, seed=seed + n, budget=budget).u
+                 if repaired or trace[-1].repaired else conjugators[-1])
             u_norm = float(opnorm(u - np.eye(A.ambient_dim)))
             aligned = theta.conjugated(u)
             X_stack = np.array(X)
@@ -245,14 +260,15 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
             accumulated = accumulated @ u
             alpha = theta.conjugated(accumulated)
         conjugators.append(u)
-        theta_prev = theta
+        theta_prev, phi_prev = theta, phi
         trace.append(StageRecord(
             stage=n, n_X=len(X), n_Y=len(Y), n_Z=len(Zp),
             delta_target=float(delta_target),
             producer_closeness=float(closeness),
             phi_defect=float(phi_defect), theta_defect=float(theta_defect),
             image_residual=float(residual), drift=float(drift),
-            drift_ceiling=float(drift_ceiling), u_norm=float(u_norm)))
+            drift_ceiling=float(drift_ceiling), u_norm=float(u_norm),
+            repaired=repaired))
         if n >= 2:
             streak = streak + 1 if drift < budget.tol_conv else 0
             if streak >= 2:

@@ -21,8 +21,8 @@ from cstarlab.averaging import (
     weyl_unitaries,
 )
 from cstarlab.certs import PAPER_BUDGET, SpectralGapError, WindowError
-from cstarlab.cpmaps import LinMap
-from cstarlab.instances import block_algebra
+from cstarlab.cpmaps import LinMap, arveson_restrict
+from cstarlab.instances import block_algebra, gen_instance
 from cstarlab.linalg import random_unitary, rng_for
 
 PROFILES = [(1,), (2,), (1, 1), (2, 1), (3,), (2, 2), (2, 1, 1), (2, 3, 1)]
@@ -253,6 +253,30 @@ def test_intertwining_window_enforced_on_paper_track():
     with pytest.raises(WindowError):
         intertwining_unitary(phi, phi, gamma=0.1, delta=0.0,
                              budget=PAPER_BUDGET)
+
+
+@pytest.mark.parametrize("algebra,ambient", [("M2+M1", 4), ("3,3", 8), ("2,2,2", 8)])
+def test_repair_and_self_intertwiner_depend_on_the_map_alone(algebra, ambient):
+    # the staged intertwining keeps a stage's repair, and the unitary of that
+    # repair with itself, when the next stage produces the same map; that is
+    # only sound while neither result depends on the seed or the gamma given
+    inst = gen_instance("conjugation", {"algebra": algebra, "ambient": ambient,
+                                        "eps": 1e-6}, seed=7)
+    A, B = inst.A, inst.B
+    eta = 2.0 * inst.dist_hint().hi
+    phi, _ = arveson_restrict(A, B, A.normalized_basis, gamma=eta / 2.0)
+    repairs = [improve_multiplicativity(phi, gamma=g, seed=s).psi
+               for g in (3.0 * eta, 1e-3) for s in (0, 3, 11)]
+    assert len({psi.images.tobytes() for psi in repairs}) == 1
+    theta = LinMap(A, ambient, B.project(repairs[0].images), codomain_algebra=B)
+    units = [intertwining_unitary(theta, theta, seed=s) for s in (0, 3, 11)]
+    assert len({res.u.tobytes() for res in units}) == 1
+    # pairing theta with itself gives what pairing it with an equal copy gives
+    copy = LinMap(A, ambient, theta.images.copy(), codomain_algebra=B)
+    other = intertwining_unitary(theta, copy, seed=0)
+    for key in ("u", "s"):
+        assert getattr(other, key).tobytes() == getattr(units[0], key).tobytes()
+    assert (other.gamma, other.delta) == (units[0].gamma, units[0].delta)
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,12 @@ from cstarlab.certs import (
     PAPER_BUDGET,
     ContradictionError,
     SpectralGapError,
+    ToleranceBudget,
     WindowError,
 )
 from cstarlab.cpmaps import LinMap, mult_defect
 from cstarlab.geometry import near_inclusion
-from cstarlab.instances import block_algebra
+from cstarlab.instances import block_algebra, gen_instance
 from cstarlab.intertwine import (
     IsoResult,
     close_isomorphism,
@@ -24,6 +25,7 @@ from cstarlab.intertwine import (
     unit_match,
 )
 from cstarlab.linalg import dagger, opnorm, rng_for
+from cstarlab.serialize import dumps
 
 
 def small_rotation(N: int, eps: float, seed: int) -> np.ndarray:
@@ -166,6 +168,93 @@ def test_intertwining_iso_passes_each_tracked_point_once():
     for Z in seen:
         same = (Z[:, None] == Z[None]).all(axis=(2, 3))
         assert np.array_equal(same, np.eye(len(Z), dtype=bool))
+
+
+# ---------------------------------------------------------------------------
+# reuse of a stage's repair and unitary
+# ---------------------------------------------------------------------------
+
+REUSE_PROFILES = [("M2+M1", 4), ("3,3", 8)]
+
+
+def conjugation_instance(algebra, ambient):
+    inst = gen_instance("conjugation", {"algebra": algebra, "ambient": ambient,
+                                        "eps": 1e-6}, seed=5)
+    return inst.A, inst.B, inst.dist_hint().hi
+
+
+# the default staged intertwining, and close_isomorphism, which also tracks
+# the codomain basis for surjectivity
+DEFAULT_RUNS = (lambda A, B, gamma: intertwine.intertwining_iso(A, B, 2.0 * gamma, seed=5),
+                lambda A, B, gamma: close_isomorphism(A, B, gamma, seed=5))
+
+
+def count_calls(monkeypatch):
+    counts = {"improve_multiplicativity": 0, "intertwining_unitary": 0}
+    for name in counts:
+        def counted(*args, _name=name, _fn=getattr(intertwine, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(intertwine, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("algebra,ambient", REUSE_PROFILES)
+def test_stage_reuse_matches_repairing_every_stage(monkeypatch, algebra, ambient):
+    # the oracle recomputes the repair and the unitary at every stage
+    A, B, gamma = conjugation_instance(algebra, ambient)
+    kept = [run(A, B, gamma) for run in DEFAULT_RUNS]
+    monkeypatch.setattr(intertwine, "_same_map", lambda phi, prev: False)
+    redone = [run(A, B, gamma) for run in DEFAULT_RUNS]
+    for a, b in zip(kept, redone):
+        da, db = a.to_dict(), b.to_dict()
+        assert [r.pop("repaired") for r in da["trace"]] == [True, False, False]
+        assert [r.pop("repaired") for r in db["trace"]] == [True, True, True]
+        assert dumps(da) == dumps(db)
+        assert a.map.images.tobytes() == b.map.images.tobytes()
+        assert [u.tobytes() for u in a.conjugators] == \
+            [u.tobytes() for u in b.conjugators]
+
+
+def test_expectation_producer_is_repaired_once_per_run(monkeypatch):
+    counts = count_calls(monkeypatch)
+    windows, require = [], ToleranceBudget.require_window
+
+    def recorded(budget, name, value, window):
+        if name == "multiplicativity-repair":
+            windows.append(value)
+        return require(budget, name, value, window)
+
+    monkeypatch.setattr(ToleranceBudget, "require_window", recorded)
+    for algebra, ambient in REUSE_PROFILES:
+        A, B, gamma = conjugation_instance(algebra, ambient)
+        for run in DEFAULT_RUNS:
+            res = run(A, B, gamma)
+            assert [r.repaired for r in res.trace] == [True, False, False]
+            assert counts == {"improve_multiplicativity": 1, "intertwining_unitary": 1}
+            # every stage checks the repair window on its own gamma
+            assert windows == [max(3.0 * res.eta, r.phi_defect) for r in res.trace]
+            counts.update(dict.fromkeys(counts, 0))
+            windows.clear()
+
+
+def test_a_changing_map_is_repaired_at_every_stage(monkeypatch):
+    counts = count_calls(monkeypatch)
+    A, B, gamma = conjugation_instance("M2+M1", 4)
+    inner = intertwine.expectation_producer(A, B, 2.0 * gamma)
+    stages = []
+
+    def drifting(Z):
+        phi, cert = inner(Z)
+        stages.append(len(stages) + 1)
+        return LinMap(A, A.ambient_dim, phi.images * (1.0 - 1e-12 * stages[-1]),
+                      codomain_algebra=B), cert
+
+    res = intertwine.intertwining_iso(A, B, 2.0 * gamma, producer=drifting, seed=5)
+    assert res.converged and len(res.trace) >= 3
+    assert all(r.repaired for r in res.trace)
+    assert counts == {"improve_multiplicativity": len(res.trace),
+                      "intertwining_unitary": len(res.trace) - 1}
 
 
 # ---------------------------------------------------------------------------
