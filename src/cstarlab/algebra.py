@@ -151,6 +151,13 @@ class FDAlgebra:
         """The matrix units as a (dim_linear, d, d) stack."""
         return self.from_coeffs(np.eye(self.dim_linear))
 
+    def unit_blocks(self, stack: np.ndarray) -> list[np.ndarray]:
+        """Views of a (dim_linear, ...) stack in (k, i, j) order, one per
+        block k, shaped (n_k, n_k, ...): [i, j] is the entry of e_ij^(k)."""
+        cuts = np.cumsum([n * n for n in self.block_sizes])[:-1]
+        return [part.reshape((n, n) + part.shape[1:])
+                for n, part in zip(self.block_sizes, np.split(stack, cuts))]
+
     def coeffs(self, x: np.ndarray) -> np.ndarray:
         """Coefficients of x, or of each matrix of a stack (..., d, d), over
         the canonical matrix-unit basis."""
@@ -421,6 +428,9 @@ class ConcreteAlgebra:
     # -- structure -----------------------------------------------------------
 
     def structure(self, seed: int = 0) -> BlockStructure:
+        """The Wedderburn structure, computed on the first call and cached:
+        seed only matters on that call, and later calls return the cached
+        structure whatever seed they pass."""
         if self._structure is None:
             self._structure = wedderburn_decompose(self, seed=seed)
         return self._structure

@@ -502,7 +502,6 @@ def _relative_commutator(a: np.ndarray, A: ConcreteAlgebra) -> float:
 
 def commutant_lift(m: np.ndarray, A: ConcreteAlgebra,
                    delta: float | None = None, seed: int = 0,
-                   avg: AveragingSet | None = None,
                    budget: ToleranceBudget = DEFAULT_BUDGET) -> LiftResult:
     """Exact element of the relative commutant A' near an approximately
     commuting m.
@@ -512,7 +511,7 @@ def commutant_lift(m: np.ndarray, A: ConcreteAlgebra,
     ||a - m|| <= 2 delta when ||[m, x]|| <= delta ||x|| for x in A.
     """
     m = np.asarray(m, dtype=complex)
-    avg = avg or exact_diagonal(A, seed=seed)
+    avg = exact_diagonal(A, seed=seed)
     e = A.support
     eye = np.eye(A.ambient_dim)
     a = avg.twirl(m) + (eye - e) @ m @ (eye - e)

@@ -10,7 +10,11 @@ that array, on one element or on a stack (S, n, n) of them.  The Choi matrix
 of a map with block domain is the block-diagonal sum over summands of
 C_k = sum_ij e_ij (x) phi(e_ij^(k)), an (n_k N) x (n_k N) matrix; the map is
 completely positive iff every block is positive semidefinite.  Choi blocks
-and the reshuffle are reshapes and transposes of the image array.
+and the reshuffle are reshapes and transposes of the image array, and so are
+the constructions read off them: the Kraus operators of a block are its Choi
+eigenvectors reshaped, the Stinespring isometry stacks those, and the
+order-zero fit (``orderzero.order_zero_projection``) rounds the Choi blocks
+and reads the images back by the inverse reshape.
 
 A map is tested for being a homomorphism in one of two ways.  Exactly, on
 the images of the matrix units: ``FDAlgebra.relation_residual``.  Or by
@@ -29,7 +33,7 @@ from .algebra import BlockModel, ConcreteAlgebra, FDAlgebra, _combine
 from .certs import TOL_ALG, TOL_PSD, Certificate, provenance_stamp, require_finite
 from .geometry import SampleSpec, sample_unit_ball
 from .linalg import (dagger, herm, hs_norm, opnorm, opnorm_max, opnorms, psd_part,
-                     random_hermitian)
+                     random_contraction, random_hermitian, rng_for)
 
 __all__ = [
     "LinMap",
@@ -137,14 +141,12 @@ class LinMap:
         """Ad(u) composed after the map."""
         return LinMap(self.domain, self.codomain_dim, u @ self.images @ dagger(u))
 
-    def basis_distance(self, other: "LinMap", normalize: bool = True) -> float:
+    def basis_distance(self, other: "LinMap") -> float:
         """max over canonical basis elements b of ||phi(b) - psi(b)||, with b
-        rescaled to operator norm one when normalize is set."""
+        rescaled to operator norm one."""
         self._same_domain(other)
-        scale = 1.0
-        if normalize:
-            scale = (np.maximum(opnorms(self.domain.units()), 1e-300)
-                     if isinstance(self.domain, FDAlgebra) else self.domain.basis_norms)
+        scale = (np.maximum(opnorms(self.domain.units()), 1e-300)
+                 if isinstance(self.domain, FDAlgebra) else self.domain.basis_norms)
         return float(np.max(opnorms(self.images - other.images) / scale))
 
     # -- block model ----------------------------------------------------------
@@ -171,19 +173,12 @@ def _require_fd(phi: LinMap) -> FDAlgebra:
 
 def choi_blocks(phi: LinMap) -> list[np.ndarray]:
     """Per-summand Choi matrices C_k = sum_ij e_ij (x) phi(e_ij^(k))."""
-    if phi._choi is not None:
-        return phi._choi
-    fd = _require_fd(phi)
-    N = phi.codomain_dim
-    blocks = []
-    pos = 0
-    for n in fd.block_sizes:
+    if phi._choi is None:
+        fd, N = _require_fd(phi), phi.codomain_dim
         # block (i, j) of C_k is the image of e_ij
-        imgs = phi.images[pos:pos + n * n].reshape(n, n, N, N)
-        blocks.append(imgs.transpose(0, 2, 1, 3).reshape(n * N, n * N))
-        pos += n * n
-    phi._choi = blocks
-    return blocks
+        phi._choi = [E.transpose(0, 2, 1, 3).reshape(n * N, n * N)
+                     for n, E in zip(fd.block_sizes, fd.unit_blocks(phi.images))]
+    return phi._choi
 
 
 def choi(phi: LinMap) -> np.ndarray:
@@ -218,10 +213,10 @@ def perturb_choi(phi: LinMap, eps: float, rng: np.random.Generator) -> LinMap:
     return _from_choi_blocks(fd, phi.codomain_dim, noisy)
 
 
-def classify(phi: LinMap, tol_psd: float = TOL_PSD, tol_alg: float = TOL_ALG) -> Ternary:
-    """cp iff the Choi blocks are Hermitian psd up to tol_psd; cpc adds
-    ||phi(1)|| <= 1 + tol_psd; ucp instead requires phi(1) to equal the
-    codomain unit up to tol_alg."""
+def classify(phi: LinMap) -> Ternary:
+    """cp iff the Choi blocks are Hermitian psd up to TOL_PSD; cpc adds
+    ||phi(1)|| <= 1 + TOL_PSD; ucp instead requires phi(1) to equal the
+    codomain unit up to TOL_ALG."""
     work = phi if isinstance(phi.domain, FDAlgebra) else phi.to_block_model()[0]
     blocks = choi_blocks(work)
     min_eig = np.inf
@@ -237,29 +232,31 @@ def classify(phi: LinMap, tol_psd: float = TOL_PSD, tol_alg: float = TOL_ALG) ->
     unit_img = phi.value_on_unit()
     nrm1 = opnorm(unit_img)
     unit_defect = opnorm(unit_img - phi.codomain_unit())
-    cp = (herm_resid <= tol_psd) and (min_eig >= -tol_psd)
-    cpc = cp and nrm1 <= 1.0 + tol_psd
-    ucp = cp and unit_defect <= tol_alg
+    cp = (herm_resid <= TOL_PSD) and (min_eig >= -TOL_PSD)
+    cpc = cp and nrm1 <= 1.0 + TOL_PSD
+    ucp = cp and unit_defect <= TOL_ALG
     return Ternary(cp=cp, cpc=cpc, ucp=ucp, choi_min_eig=min_eig,
                    norm_of_unit=nrm1, unit_defect=unit_defect)
 
 
-def kraus_operators(phi: LinMap, tol_psd: float = TOL_PSD) -> list[list[np.ndarray]]:
-    """Per-block Kraus operators of a cp map from the eigendecomposition of
-    its Choi blocks (eigenvalues below tol_psd are discarded)."""
+def kraus_operators(phi: LinMap, tol_psd: float = TOL_PSD) -> list[np.ndarray]:
+    """Per-block Kraus operators of a cp map, one (r_k, N, n_k) stack per
+    block, from the eigendecomposition of its Choi blocks (eigenvalues below
+    tol_psd are discarded): K e_j = sqrt(lam) v[(j, :)] for each kept
+    eigenpair (lam, v)."""
     fd = _require_fd(phi)
-    N = phi.codomain_dim
     out = []
     for n, C in zip(fd.block_sizes, choi_blocks(phi)):
         vals, vecs = np.linalg.eigh(herm(C))
-        ops = []
-        for lam, v in zip(vals, vecs.T):
-            if lam < tol_psd:
-                continue
-            M = v.reshape(n, N)  # rows indexed by the domain block
-            ops.append(np.sqrt(lam) * M.T)  # N x n, K e_j = sqrt(lam) M[j,:]
-        out.append(ops)
+        keep = vals >= tol_psd
+        out.append(_kraus_stack(np.sqrt(vals[keep]) * vecs[:, keep], n, phi.codomain_dim))
     return out
+
+
+def _kraus_stack(vecs: np.ndarray, n: int, N: int) -> np.ndarray:
+    """The (r, N, n) stack of the columns of an (n N, r) matrix, each read
+    as an n x N matrix (rows indexed by the domain block) and transposed."""
+    return vecs.T.reshape(vecs.shape[1], n, N).swapaxes(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +294,9 @@ class StinespringDilation:
         """Residual of phi(aa*) - phi(a)phi(a*) = p pi(a)(1-p) pi(a)* p read
         through the embedding."""
         V, E = self.isometry, self.embed
-        K = self.dilation_dim
         pa = self.rep(a)
         lhs = phi(a @ dagger(a)) - phi(a) @ phi(dagger(a))
-        inner = dagger(V) @ pa @ (np.eye(K) - self.compression) @ dagger(pa) @ V
+        inner = dagger(V) @ pa @ (np.eye(self.dilation_dim) - self.compression) @ dagger(pa) @ V
         rhs = E @ inner @ dagger(E)
         return opnorm(lhs - rhs)
 
@@ -313,45 +309,32 @@ def stinespring(phi: LinMap, tol_psd: float = TOL_PSD) -> StinespringDilation:
     compression.
     """
     fd = _require_fd(phi)
-    N = phi.codomain_dim
     cls = classify(phi)
     if not cls.ucp:
         raise ValueError(
             f"stinespring requires a ucp map (unit defect {cls.unit_defect:.2e}, "
             f"choi min eig {cls.choi_min_eig:.2e})")
-    unit_img = herm(phi.value_on_unit())
-    vals, vecs = np.linalg.eigh(unit_img)
-    keep = vals > 0.5
-    E = vecs[:, keep]  # N x d'
-    dprime = E.shape[1]
+    vals, vecs = np.linalg.eigh(herm(phi.value_on_unit()))
+    E = vecs[:, vals > 0.5]  # N x d'
 
-    ops_per_block = kraus_operators(phi, tol_psd=tol_psd)
-    comp_ops = [[dagger(E) @ K for K in ops] for ops in ops_per_block]
-
-    K_total = sum(n * len(ops) for n, ops in zip(fd.block_sizes, comp_ops))
+    # compressed Kraus stacks (r_k, d', n_k)
+    ops = [dagger(E) @ K for K in kraus_operators(phi, tol_psd=tol_psd)]
+    K_total = sum(n * len(K) for n, K in zip(fd.block_sizes, ops))
     if K_total == 0:
         raise ValueError("zero map cannot be ucp")
-    V = np.zeros((K_total, dprime), dtype=complex)
+    # V_k xi = sum_alpha (K_alpha^H xi) tensor e_alpha, K ordering (i, alpha):
+    # row (i, alpha) of V_k is row i of K_alpha^H
+    V = np.concatenate([dagger(K).swapaxes(0, 1).reshape(-1, E.shape[1]) for K in ops])
     rep_images = np.zeros((fd.dim_linear, K_total, K_total), dtype=complex)
-    labels = fd.unit_labels()
     off = 0
-    for k, (n, ops) in enumerate(zip(fd.block_sizes, comp_ops)):
-        r = len(ops)
-        if r == 0:
-            continue
-        # V_k xi = sum_alpha (K_alpha^H xi) tensor e_alpha, K ordering (i, alpha)
-        KH = dagger(np.array(ops))  # (alpha, i, :) = row i of K_alpha^H
-        V[off:off + n * r] = KH.transpose(1, 0, 2).reshape(n * r, dprime)
-        # pi(e_ij) = e_ij (x) 1_r on the block
-        for pos, (kk, i, j) in enumerate(labels):
-            if kk == k:
-                rep_images[pos, off + i * r:off + (i + 1) * r,
-                           off + j * r:off + (j + 1) * r] = np.eye(r)
+    for n, K, rep in zip(fd.block_sizes, ops, fd.unit_blocks(rep_images)):
+        # pi(e_ij) = e_ij (x) 1_r on the block: ones at [i, j, (i, a), (j, a)]
+        r = len(K)
+        i, j, a = np.ogrid[:n, :n, :r]
+        rep[i, j, off + i * r + a, off + j * r + a] = 1.0
         off += n * r
-
-    dil = StinespringDilation(fd=fd, dilation_dim=K_total, rep_images=rep_images,
-                              isometry=V, embed=E)
-    return dil
+    return StinespringDilation(fd=fd, dilation_dim=K_total, rep_images=rep_images,
+                               isometry=V, embed=E)
 
 
 # ---------------------------------------------------------------------------
@@ -518,32 +501,22 @@ def _choi_and_reshuffle(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             F.transpose(2, 0, 1, 3).reshape(N * d, d * N))
 
 
-def _pair_bound(As, Bs) -> float:
-    P = sum(a @ dagger(a) for a in As)
-    Q = sum(dagger(b) @ b for b in Bs)
+def _factor_bound(As: np.ndarray, Bs: np.ndarray) -> float:
+    """||sum A A*||^{1/2} ||sum B* B||^{1/2} over the factor terms phi(x) =
+    sum_t A_t x B_t, after rescaling each term to ||A_t|| = ||B_t|| where that
+    moves its scale by more than 1e-3.  A balanced term stays balanced, so one
+    pass settles every term."""
+    na, nb = opnorms(As), opnorms(Bs)
+    live = (na >= 1e-300) & (nb >= 1e-300)
+    s = np.sqrt(np.divide(na, nb, out=np.ones_like(na), where=live))
+    s[np.abs(s - 1.0) <= 1e-3] = 1.0
+    As, Bs = As / s[:, None, None], Bs * s[:, None, None]
+    P = np.matmul(As, dagger(As)).sum(axis=0)
+    Q = np.matmul(dagger(Bs), Bs).sum(axis=0)
     return float(np.sqrt(max(opnorm(P), 0.0) * max(opnorm(Q), 0.0)))
 
 
-def _balance(As, Bs, rounds: int = 3):
-    As, Bs = list(As), list(Bs)
-    for _ in range(rounds):
-        changed = False
-        for idx in range(len(As)):
-            na, nb = opnorm(As[idx]), opnorm(Bs[idx])
-            if na < 1e-300 or nb < 1e-300:
-                continue
-            s = np.sqrt(na / nb)
-            if abs(s - 1.0) > 1e-3:
-                As[idx] = As[idx] / s
-                Bs[idx] = Bs[idx] * s
-                changed = True
-        if not changed:
-            break
-    return As, Bs
-
-
-def cb_bracket(phi: LinMap, samples: int = 12, seed: int = 0,
-               tol_psd: float = TOL_PSD) -> tuple[float, float]:
+def cb_bracket(phi: LinMap, samples: int = 12, seed: int = 0) -> tuple[float, float]:
     """Certified bracket lo <= ||phi||_cb <= hi.
 
     Verified-cp maps give the exact value ||phi(1)||.  Otherwise the upper
@@ -553,48 +526,34 @@ def cb_bracket(phi: LinMap, samples: int = 12, seed: int = 0,
     ||(phi (x) id_N)(x)|| over random contractions (exact at amplification N).
     """
     work = phi if isinstance(phi.domain, FDAlgebra) else phi.to_block_model()[0]
-    fd, N = work.domain, work.codomain_dim
-    d = fd.d
-    cls = classify(work, tol_psd=tol_psd)
+    d, N = work.domain.d, work.codomain_dim
+    cls = classify(work)
     if cls.cp:
-        val = cls.norm_of_unit
-        return val, val
+        return cls.norm_of_unit, cls.norm_of_unit
 
     # upper bounds from factorizations of the pinched-domain Choi
-    candidates = []
+    factors = []
     F = _pinched_images(work)
     Cfull, R = _choi_and_reshuffle(F)
-    # (1) Hermitian eigendecomposition when the Choi is Hermitian
+    # (1) Hermitian eigendecomposition when the Choi is Hermitian:
+    # A = sign(lam) K, B = K* with K the Kraus-type operator of (lam, v)
     if opnorm(Cfull - dagger(Cfull)) <= 1e-10 * max(opnorm(Cfull), 1.0):
         vals, vecs = np.linalg.eigh(herm(Cfull))
-        As, Bs = [], []
-        for lam, v in zip(vals, vecs.T):
-            if abs(lam) < 1e-14:
-                continue
-            M = v.reshape(d, N)
-            K = np.sqrt(abs(lam)) * M.T  # N x d
-            As.append(np.sign(lam) * K)
-            Bs.append(dagger(K))
-        if As:
-            As, Bs = _balance(As, Bs)
-            candidates.append(("choi-eig", _pair_bound(As, Bs)))
-    # (2) SVD of the reshuffle
+        keep = np.abs(vals) >= 1e-14
+        K = _kraus_stack(np.sqrt(np.abs(vals[keep])) * vecs[:, keep], d, N)
+        factors.append((np.sign(vals[keep])[:, None, None] * K, dagger(K)))
+    # (2) SVD of the reshuffle: A = sqrt(s) u reshaped, B = sqrt(s) v* reshaped
     u, s, vh = np.linalg.svd(R)
-    As, Bs = [], []
-    for sv, uc, vr in zip(s, u.T, vh):
-        if sv < 1e-14:
-            continue
-        As.append(np.sqrt(sv) * uc.reshape(N, d))
-        Bs.append(np.sqrt(sv) * vr.reshape(d, N))
-    if As:
-        As, Bs = _balance(As, Bs)
-        candidates.append(("reshuffle-svd", _pair_bound(As, Bs)))
-    if not candidates:
+    keep = s >= 1e-14
+    root = np.sqrt(s[keep])
+    factors.append(((root * u[:, keep]).T.reshape(len(root), N, d),
+                    (root[:, None] * vh[keep]).reshape(len(root), d, N)))
+    bounds = [_factor_bound(As, Bs) for As, Bs in factors if len(As)]
+    if not bounds:
         return 0.0, 0.0
-    hi = min(v for _, v in candidates)
+    hi = min(bounds)
 
     # lower bound: sampled amplified norms
-    from .linalg import random_contraction, rng_for
     rng = rng_for(seed, "cb-bracket")
     amp = N
     X = np.array([random_contraction(rng, d * amp) for _ in range(samples)])

@@ -3,6 +3,14 @@ pair (pi, h), cone functional calculus, the constructive perturbation of
 order-zero maps into a nearby algebra, nuclear-dimension decompositions with
 their verifier and cpc transfer, the finite-nuclear-dimension near-embedding
 driver, and a labeled heuristic projection back onto order-zero maps.
+
+Everything reads the (d, N, N) image stacks of the maps, block by block
+(``FDAlgebra.unit_blocks``).  The perturbation's partial isometry s_k =
+sum_ij pi(e_ij) (x) f_ji is a transpose of block k's pi images,
+s_k[(a, p), (b, q)] = pi(e_qp)[a, b] zero-padded to M_m, and the perturbed
+map is a corner of the lifted witness w: psi(e_ij) = W_i W_j* with W_i[a, c]
+= w[(a, 0), (k, c, i)].  The order-zero fit rounds the Choi blocks of its
+candidate representation and reads the images back by the inverse reshape.
 """
 
 from __future__ import annotations
@@ -15,12 +23,12 @@ from .algebra import ConcreteAlgebra, FDAlgebra
 from .certs import (TOL_ALG, TOL_RANK, Certificate, ContradictionError,
                     ToleranceBudget, DEFAULT_BUDGET, WINDOW_ISO_ETA,
                     WINDOW_OZ_PROJECTION, provenance_stamp)
-from .cpmaps import LinMap, cb_bracket, classify
-from .averaging import commutant_lift
+from .averaging import _canonical_index, _canonical_sum
+from .cpmaps import LinMap, _from_choi_blocks, cb_bracket, choi_blocks, classify
 from .geometry import tensor_lift
 from .intertwine import _distance_hi, _worst_move, intertwining_iso
 from .linalg import (clip_spectrum, dagger, eigh_fun, herm, opnorm,
-                     opnorm_max, opnorms, psd_pinv, psd_sqrt)
+                     opnorm_max, psd_pinv, psd_sqrt)
 
 __all__ = [
     "OrderZeroMap",
@@ -85,9 +93,8 @@ class OrderZeroMap:
 
     def orthogonality_residual(self) -> float:
         """Largest ||phi(e) phi(f)|| over orthogonal diagonal matrix units."""
-        fd = self.fd
-        diag = self.map(np.array([fd.matrix_unit(k, i, i)
-                                  for k, n in enumerate(fd.block_sizes) for i in range(n)]))
+        diag = np.concatenate([E[np.arange(len(E)), np.arange(len(E))]
+                               for E in self.fd.unit_blocks(self.map.images)])
         first, second = np.triu_indices(len(diag), 1)
         return opnorm_max(diag[first] @ diag[second])
 
@@ -156,17 +163,29 @@ def cone_evaluate(oz: OrderZeroMap, f, x: np.ndarray) -> np.ndarray:
 # perturbation into a nearby algebra
 # ---------------------------------------------------------------------------
 
+def _unit_images(W: np.ndarray) -> np.ndarray:
+    """The (n^2, N, N) stack of W_i W_j* in (i, j) order for a stack W of n
+    N x r matrices; matrix units of M_n when the columns of all the W_i are
+    orthonormal together."""
+    return (W[:, None] @ dagger(W[None])).reshape(-1, W.shape[1], W.shape[1])
+
+
 def perturb_order_zero(oz: OrderZeroMap, B: ConcreteAlgebra, gamma_cert,
-                       seed: int = 0, iters: int = 400,
+                       seed: int = 0,
                        budget: ToleranceBudget = DEFAULT_BUDGET
                        ) -> tuple[LinMap, Certificate]:
     """cp map psi into B with ||phi - psi||_cb <= (2g + g^2)(2 + 2g + g^2)
     for an order-zero phi whose row contraction is within the near-inclusion
     distance g of B.
 
-    Builds the self-adjoint partial isometries s_k = sum_ij pi(e_ij) (x) f_ji,
-    the row contraction t with entries t_k = (h_k^{1/2} (x) 1) s_k, lifts t
-    into span(B) (x) M_m, and reads psi off the f_11 corner of u theta(x) u*.
+    Builds the self-adjoint partial isometries s_k = sum_ij pi(e_ij) (x) f_ji
+    in M_N (x) M_m, m the largest kept block size.  Each is a transpose of
+    block k's pi images: s_k[(a, p), (b, q)] = pi(e_qp)[a, b], zero-padded
+    to m.  The row contraction t with entries t_k = (h_k^{1/2} (x) 1) s_k is
+    lifted to a witness w in span(B) (x) M_m, and psi is read off the f_11
+    corner of w theta(x) w*, with theta(e_ij^(k)) = 1_N (x) f_ij in slot k:
+    psi(e_ij^(k)) = W_i W_j*, W_i[a, c] = w[(a, 0), (k, c, i)].  The same
+    corner of t gives back phi; its misfit is the reconstruction residual.
     Summands on which phi vanishes are dropped first, so the representation
     used is injective.  The certificate's details carry the lift's witness
     distance with its solver stop reason and iterations (``witness_stop``,
@@ -177,14 +196,10 @@ def perturb_order_zero(oz: OrderZeroMap, B: ConcreteAlgebra, gamma_cert,
     N = oz.codomain_dim
     if B.ambient_dim != N:
         raise ValueError("B must live on the same space as the image of phi")
-    labels = fd.unit_labels()
-    block_of = np.array([k for (k, i, j) in labels])
-    norms = opnorms(oz.map.images)
-    kept = [k for k in range(len(fd.block_sizes))
-            if norms[block_of == k].max() > budget.tol_alg]
-    zero = np.zeros((N, N), dtype=complex)
+    kept = [k for k, E in enumerate(fd.unit_blocks(oz.map.images))
+            if opnorm_max(E) > budget.tol_alg]
     if not kept:
-        psi = LinMap(fd, N, tuple(zero for _ in labels), codomain_algebra=B)
+        psi = LinMap(fd, N, np.zeros((fd.dim_linear, N, N)), codomain_algebra=B)
         cert = Certificate.build(
             name="order-zero-perturbation",
             formula="||phi - psi||_cb <= (2 gamma + gamma^2)(2 + 2 gamma + gamma^2)",
@@ -193,27 +208,20 @@ def perturb_order_zero(oz: OrderZeroMap, B: ConcreteAlgebra, gamma_cert,
             achieved=0.0, provenance=provenance_stamp(seed))
         return psi, cert
 
-    m = max(fd.block_sizes[k] for k in kept)
-    eye_m = np.eye(m)
-
-    def f_unit(i, j):
-        e = np.zeros((m, m))
-        e[i, j] = 1.0
-        return e
-
-    t_entries = []
-    for k in kept:
-        n = fd.block_sizes[k]
-        s_k = np.zeros((N * m, N * m), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                s_k += np.kron(oz.pi(fd.matrix_unit(k, i, j)), f_unit(j, i))
+    sizes = [fd.block_sizes[k] for k in kept]
+    m = max(sizes)
+    pi_blocks = fd.unit_blocks(oz.pi.images)
+    t = np.zeros((N * m, len(kept), N * m), dtype=complex)
+    for slot, (k, n) in enumerate(zip(kept, sizes)):
+        # s_k[(a, p), (b, q)] = pi(e_qp)[a, b]
+        s_k = np.zeros((N, m, N, m), dtype=complex)
+        s_k[:, :n, :, :n] = pi_blocks[k].transpose(2, 1, 3, 0)
         h_k = herm(oz.map(fd.block_unit(k)))
-        t_entries.append(np.kron(psd_sqrt(h_k), eye_m) @ s_k)
-    t = np.hstack(t_entries)
+        t[:, slot] = np.kron(psd_sqrt(h_k), np.eye(m)) @ s_k.reshape(N * m, N * m)
+    t = t.reshape(N * m, len(kept) * N * m)
     t_norm = float(opnorm(t))
 
-    witnesses, lift_cert = tensor_lift([t], B, m, gamma, iters=iters,
+    witnesses, lift_cert = tensor_lift([t], B, m, gamma, iters=400,
                                        tol=budget.tol_alg)
     u = witnesses[0]
     mu = 2.0 * gamma + gamma ** 2
@@ -224,26 +232,17 @@ def perturb_order_zero(oz: OrderZeroMap, B: ConcreteAlgebra, gamma_cert,
             f"contraction (got {dist:.3g}); the near-inclusion certificate "
             "understates the distance")
 
-    # theta(e_ij^(k)) = 1_N (x) e_ij in the slot of block k, with e_ij the
-    # matrix unit of M_{n_k} in the corner of M_m
-    corner = {k: FDAlgebra((fd.block_sizes[k],)).corner_units(m) for k in kept}
+    def corners(x):
+        """W_i W_j* over the kept blocks, in (k, i, j) order."""
+        W = x.reshape(N, m, len(kept), N, m)[:, 0].transpose(1, 3, 0, 2)  # [k, i, a, c]
+        return np.concatenate([_unit_images(W[slot, :n]) for slot, n in enumerate(sizes)])
 
-    def theta(k: int, i: int, j: int) -> np.ndarray:
-        out = np.zeros((len(kept) * N * m, len(kept) * N * m), dtype=complex)
-        s = kept.index(k) * N * m
-        out[s:s + N * m, s:s + N * m] = np.kron(np.eye(N), corner[k][i * fd.block_sizes[k] + j])
-        return out
-
-    images, misfits = [], []
-    for (k, i, j), img in zip(labels, oz.map.images):
-        if k not in kept:
-            images.append(zero)
-            continue
-        th = theta(k, i, j)
-        images.append((u @ th @ dagger(u))[::m, ::m])
-        misfits.append((t @ th @ dagger(t))[::m, ::m] - img)
-    recon = opnorm_max(np.array(misfits))
-    psi = LinMap(fd, N, tuple(images), codomain_algebra=B)
+    # positions of the kept blocks' units in the (k, i, j) order
+    at = np.concatenate([fd.unit_blocks(np.arange(fd.dim_linear))[k].ravel() for k in kept])
+    images = np.zeros((fd.dim_linear, N, N), dtype=complex)
+    images[at] = corners(u)
+    recon = opnorm_max(corners(t) - oz.map.images[at])
+    psi = LinMap(fd, N, images, codomain_algebra=B)
 
     member = B.membership_residual(psi.images)
     cls = classify(psi)
@@ -339,15 +338,13 @@ def split_decomposition(A: ConcreteAlgebra, parts: int = 2,
     groups = tuple(tuple(k for k in range(r) if k % parts == i)
                    for i in range(parts))
     down = LinMap(A, fd.d, bm.to_abstract(A.basis))
+    blocks = fd.unit_blocks(bm.to_concrete(fd.units()))
     ups = []
     for group in groups:
         sub = FDAlgebra(tuple(fd.block_sizes[k] for k in group))
-        images = []
-        for (kl, i, j) in sub.unit_labels():
-            images.append(bm.to_concrete(fd.matrix_unit(group[kl], i, j)))
-        up_map = LinMap(sub, A.ambient_dim, tuple(images), codomain_algebra=A)
-        h = sum(bm.to_concrete(fd.block_unit(k)) for k in group)
-        ups.append(OrderZeroMap(map=up_map, pi=up_map, h=herm(h)))
+        images = np.concatenate([blocks[k].reshape((-1,) + blocks[k].shape[2:]) for k in group])
+        up_map = LinMap(sub, A.ambient_dim, images, codomain_algebra=A)
+        ups.append(OrderZeroMap(map=up_map, pi=up_map, h=herm(up_map.value_on_unit())))
     dec = NucDimDecomposition(F=fd, pieces=groups, down=down, ups=tuple(ups),
                               defect=0.0)
     dec.defect = opnorm_max(dec.compose(A.basis) - A.basis)
@@ -421,11 +418,8 @@ def nucdim_cpc_transfer(D: ConcreteAlgebra, dec: NucDimDecomposition, theta,
     scale = max(1.0, hi)
     phi = raw.scaled(1.0 / scale) if scale > 1.0 else raw
 
-    def target(x):
-        return x if theta is None else theta.map(x)
-
     X = np.array(X, dtype=complex)
-    achieved = opnorm_max(phi(X) - target(X))
+    achieved = opnorm_max(phi(X) - (X if theta is None else theta.map(X)))
     mu = 2.0 * gamma + gamma ** 2
     ceiling = 2.0 * (dec.n + 1) * mu * (2.0 + mu) + eps
     cls = classify(phi)
@@ -488,10 +482,6 @@ def near_embed_nucdim(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma_cert,
 # heuristic projection back onto order-zero maps
 # ---------------------------------------------------------------------------
 
-def _trace_out_first(M: np.ndarray, n: int, N: int) -> np.ndarray:
-    return np.einsum("sasb->ab", M.reshape(n, N, n, N))
-
-
 def order_zero_projection(psi: LinMap, tol: float = 1e-8,
                           gamma: float | None = None, seed: int = 0,
                           budget: ToleranceBudget = DEFAULT_BUDGET
@@ -499,11 +489,15 @@ def order_zero_projection(psi: LinMap, tol: float = 1e-8,
     """Nearest-order-zero fit for a cp map that is close to one; an explicitly
     labeled heuristic, verified a posteriori.
 
-    Alternating fit: h from psi(1); a candidate representation from the
-    pseudoinverse identity, polished by rounding the spectrum of the averaged
-    block projectors to genuine projections and re-reading the representation
-    off them; h re-averaged into the commutant of the result.  The certificate
-    reports the cb bracket of psi minus the fit, compared against
+    Alternating fit: h0 from psi(1); a candidate representation pi from the
+    pseudoinverse identity, polished by rounding: the spectrum of each Choi
+    block C_k / n_k is cut at 1/2, n_k times the cut projection is read back
+    as the images, and these are symmetrised under e_ij -> e_ji.  The rounded
+    pi must satisfy the matrix-unit relations to tol (its residual is the
+    certificate's ``pi_defect``); exact matrix units are then read off it by
+    a polar decomposition, and h is h0 twirled over them, sum_k (1/n_k)
+    sum_ij pi(e_ji) h0 pi(e_ij), which commutes with pi exactly.  The
+    certificate reports the cb bracket of psi minus the fit, compared against
     493 gamma^{1/2} when gamma is supplied.
     """
     fd = psi.domain
@@ -514,47 +508,44 @@ def order_zero_projection(psi: LinMap, tol: float = 1e-8,
                               WINDOW_OZ_PROJECTION)
     N = psi.codomain_dim
     h0 = clip_spectrum(herm(psi(fd.unit())), 0.0, 1.0)
-    hp = psd_pinv(h0, rel_cutoff=TOL_RANK)
-    pi_imgs = {lab: psi.images[idx] @ hp
-               for idx, lab in enumerate(fd.unit_labels())}
+    pi = LinMap(fd, N, psi.images @ psd_pinv(h0, rel_cutoff=TOL_RANK))
+    scale, flip = _canonical_index(fd.block_sizes)
 
     rounds = []
     for _ in range(3):
-        new_imgs = {}
-        for k, n in enumerate(fd.block_sizes):
-            K = np.zeros((n * N, n * N), dtype=complex)
-            for i in range(n):
-                for j in range(n):
-                    e = np.zeros((n, n))
-                    e[i, j] = 1.0
-                    K += np.kron(e, pi_imgs[(k, i, j)])
-            vals, vecs = np.linalg.eigh(herm(K / n))
+        cut = []
+        for n, C in zip(fd.block_sizes, choi_blocks(pi)):
+            vals, vecs = np.linalg.eigh(herm(C / n))
             keep = vecs[:, vals >= 0.5]
-            P = keep @ dagger(keep)
-            for i in range(n):
-                for j in range(n):
-                    e = np.zeros((n, n))
-                    e[j, i] = 1.0
-                    new_imgs[(k, i, j)] = n * _trace_out_first(np.kron(e, np.eye(N)) @ P, n, N)
-        drift = opnorm_max(np.array([new_imgs[lab] - pi_imgs[lab] for lab in new_imgs]))
-        for (k, i, j) in list(new_imgs):
-            sym = (new_imgs[(k, i, j)] + dagger(new_imgs[(k, j, i)])) / 2.0
-            new_imgs[(k, i, j)] = sym
-        pi_imgs = new_imgs
+            cut.append(n * (keep @ dagger(keep)))
+        new = _from_choi_blocks(fd, N, cut).images
+        drift = opnorm_max(new - pi.images)
+        pi = LinMap(fd, N, (new + dagger(new[flip])) / 2.0)
         rounds.append(float(drift))
         if drift < budget.tol_exact:
             break
 
-    pi = LinMap(fd, N, tuple(pi_imgs[lab] for lab in fd.unit_labels()))
     pi_defect = fd.relation_residual(pi.images)
     if pi_defect > tol:
-        raise ValueError(
+        raise ContradictionError(
             f"fit residual {pi_defect:.3g} above {tol:.3g}; "
             "the input is not close enough to an order-zero map")
-    carrier = ConcreteAlgebra.from_basis(list(pi.images), N)
-    lifted = commutant_lift(h0, carrier, seed=seed, budget=budget)
-    h = clip_spectrum(herm(lifted.value), 0.0, 1.0)
-    fit = OrderZeroMap.from_pair(pi, h, tol=100 * tol,
+    # exact matrix units from the rounded ones.  Per block, X_k is an
+    # orthonormal basis of the range of pi(e_11^(k)) and pi(e_i1^(k)) X_k its
+    # image under e_i1; the columns of every block are made orthonormal
+    # together by the polar part W of their row, and pi(e_ij^(k)) = W_ki
+    # W_kj*.  h0 twirled over exact matrix units commutes with them exactly
+    cols = []
+    for E in fd.unit_blocks(pi.images):
+        vals, vecs = np.linalg.eigh(herm(E[0, 0]))
+        cols.append((E[:, 0] @ vecs[:, vals >= 0.5]).swapaxes(0, 1))  # (N, n_k, r_k)
+    u, _, vh = np.linalg.svd(np.concatenate([c.reshape(N, -1) for c in cols], axis=1),
+                             full_matrices=False)
+    W = np.split(u @ vh, np.cumsum([c[0].size for c in cols])[:-1], axis=1)
+    pi = LinMap(fd, N, np.concatenate([_unit_images(w.reshape(c.shape).swapaxes(0, 1))
+                                       for w, c in zip(W, cols)]))
+    h = _canonical_sum(scale, pi.images[flip] @ h0, pi.images)
+    fit = OrderZeroMap.from_pair(pi, clip_spectrum(herm(h), 0.0, 1.0), tol=100 * tol,
                                  codomain_algebra=psi.codomain_algebra)
 
     lo, hi = cb_bracket(psi - fit.map, seed=seed)

@@ -372,6 +372,32 @@ def test_cb_bracket_transpose():
     assert lo >= 1.0 - 1e-9
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cb_bracket_of_a_two_sided_multiplication(seed):
+    # phi(x) = a x b from M_3 into M_4 has cb norm ||a|| ||b|| (one factor
+    # term); its Choi matrix is rank one and not Hermitian, so the bound comes
+    # from the reshuffle SVD
+    rng = rng_for(seed, "test-cb-axb")
+    a, b = random_complex(rng, 4, 3), random_complex(rng, 3, 4)
+    fd = FDAlgebra((3,))
+    phi = LinMap(fd, 4, a @ fd.units() @ b)
+    lo, hi = cb_bracket(phi, seed=seed)
+    exact = opnorm(a) * opnorm(b)
+    assert abs(hi - exact) <= 1e-12 * exact
+    assert lo <= hi
+
+
+def test_cb_bracket_of_the_transpose_on_m3_contains_three():
+    # the transpose on M_n has cb norm n.  The factor bound is computed in
+    # floating point and not rounded outward: here it is 2.9999999999999996,
+    # one unit in the last place below 3, so hi is compared with that slack
+    fd = FDAlgebra((3,))
+    phi = LinMap(fd, 3, fd.units().swapaxes(1, 2))
+    lo, hi = cb_bracket(phi)
+    assert lo <= 3.0 <= hi * (1.0 + 2.0 * np.finfo(float).eps)
+    assert lo >= 1.0
+
+
 # ---------------------------------------------------------------------------
 # expectations, restrictions, extensions
 # ---------------------------------------------------------------------------

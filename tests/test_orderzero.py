@@ -1,5 +1,8 @@
 """Order-zero maps, their perturbations, and decomposition transfer."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -8,7 +11,9 @@ from cstarlab.algebra import ConcreteAlgebra, FDAlgebra
 from cstarlab.certs import ContradictionError
 from cstarlab.cpmaps import LinMap, classify
 from cstarlab.instances import block_algebra, hat_decomposition, random_order_zero
-from cstarlab.linalg import dagger, opnorm, rng_for
+from cstarlab import orderzero
+from cstarlab.geometry import tensor_lift
+from cstarlab.linalg import dagger, herm, opnorm, psd_sqrt, rng_for
 from cstarlab.orderzero import (
     OrderZeroMap,
     cone_evaluate,
@@ -245,3 +250,84 @@ def test_order_zero_projection_recovers_noisy_map():
     worst = max(opnorm(fit.map.images[i] - oz.map.images[i])
                 for i in range(len(noisy)))
     assert worst < 1e-6
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-12])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("sizes", [(2,), (3,), (2, 1), (1, 1), (2, 2), (3, 1), (2, 1, 1)])
+def test_order_zero_projection_fits_noisy_maps(sizes, seed, eps):
+    # complex Gaussian noise of operator norm eps on each image of a random
+    # order-zero map into M_{d+1}; multi-block domains included
+    N = sum(sizes) + 1
+    oz = random_order_zero(sizes, N, seed=seed)
+    rng = rng_for(seed, "oz-noise")
+    g = (rng.standard_normal(oz.map.images.shape)
+         + 1j * rng.standard_normal(oz.map.images.shape))
+    g /= np.linalg.norm(g, 2, axis=(1, 2))[:, None, None]
+    psi = LinMap(oz.fd, N, oz.map.images + eps * g)
+    fit, cert = order_zero_projection(psi, gamma=1e-8, seed=seed)
+    assert fit.verify()["ok"]
+    assert np.linalg.norm(fit.map.images - oz.map.images, 2, axis=(1, 2)).max() < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# closed forms against the Kronecker constructions they replace
+# ---------------------------------------------------------------------------
+
+def test_perturb_order_zero_matches_the_kronecker_construction(monkeypatch):
+    # (2, 1) in M_4: m = 2 > n_1 = 1 pads the second block.  Reference: the
+    # row contraction as sums of Kronecker products, and psi(e_ij) as the
+    # f_11 corner of w theta(e_ij) w*, theta(e_ij^(k)) = 1_N (x) f_ij in slot k
+    oz = random_order_zero((2, 1), 4, seed=2)
+    u = small_rotation(4, 1e-4, 2)
+    B = oz.map.codomain_algebra.conjugated(u)
+    seen = {}
+
+    def spy(X, *args, **kwargs):
+        witnesses, cert = tensor_lift(X, *args, **kwargs)
+        seen["t"], seen["w"] = X[0], witnesses[0]
+        return witnesses, cert
+
+    monkeypatch.setattr(orderzero, "tensor_lift", spy)
+    psi, cert = perturb_order_zero(oz, B, 2.0 * opnorm(u - np.eye(4)), seed=2)
+    fd, N, m, slots = oz.fd, 4, 2, 2
+
+    def f(i, j):
+        e = np.zeros((m, m))
+        e[i, j] = 1.0
+        return e
+
+    entries = []
+    for k, n in enumerate(fd.block_sizes):
+        s_k = sum(np.kron(oz.pi(fd.matrix_unit(k, i, j)), f(j, i))
+                  for i in range(n) for j in range(n))
+        h_k = herm(oz.map(fd.block_unit(k)))
+        entries.append(np.kron(psd_sqrt(h_k), np.eye(m)) @ s_k)
+    assert np.array_equal(seen["t"], np.hstack(entries))
+
+    w = seen["w"]
+    for p, (k, i, j) in enumerate(fd.unit_labels()):
+        theta = np.zeros((slots * N * m, slots * N * m))
+        theta[k * N * m:(k + 1) * N * m, k * N * m:(k + 1) * N * m] = np.kron(np.eye(N), f(i, j))
+        ref = (w @ theta @ dagger(w))[::m, ::m]
+        assert opnorm(psi.images[p] - ref) <= 1e-15 * opnorm(w) ** 2
+
+
+def test_no_label_loops_or_nested_kronecker_loops():
+    # the order-zero and cp-map constructions read the image stack by
+    # reshapes: no loop over unit_labels(), and no np.kron inside a for loop
+    # nested in another
+    found = []
+    for name in ("orderzero.py", "cpmaps.py"):
+        path = Path(orderzero.__file__).with_name(name)
+        tree = ast.parse(path.read_text(), filename=str(path))
+        loops = [n for n in ast.walk(tree) if isinstance(n, (ast.For, ast.comprehension))]
+        found += [f"{name}:{getattr(loop, 'lineno', loop.iter.lineno)}" for loop in loops
+                  if any(isinstance(c, ast.Call) and isinstance(c.func, ast.Attribute)
+                         and c.func.attr == "unit_labels" for c in ast.walk(loop.iter))]
+        for outer in (n for n in ast.walk(tree) if isinstance(n, ast.For)):
+            for inner in (n for n in ast.walk(outer) if isinstance(n, ast.For) and n is not outer):
+                found += [f"{name}:{c.lineno}" for c in ast.walk(inner)
+                          if isinstance(c, ast.Call) and isinstance(c.func, ast.Attribute)
+                          and c.func.attr == "kron"]
+    assert not found, f"label loops or nested Kronecker loops at {sorted(set(found))}"
