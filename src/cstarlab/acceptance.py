@@ -354,7 +354,7 @@ def criterion_9(seeds: int = 20) -> CriterionResult:
         inst = gen_instance("conjugation",
                             {"algebra": "M2+M1", "ambient": 4, "eps": 1e-6},
                             seed=s)
-        dec = identity_decomposition(inst.A, seed=s)
+        dec = identity_decomposition(inst.A)
         gamma = inst.dist_hint()
         X = inst.A.normalized_basis
         phi, cert_t = nucdim_cpc_transfer(inst.A, dec, None, X, inst.B, gamma,

@@ -5,11 +5,12 @@ Hilbert-Schmidt-orthonormal basis, one read-only (dim, N, N) stack, together
 with its support projection.  The algebra itself projects onto its span, and
 it holds the two quantities the other modules take over its basis: the
 operator-normalised basis (``normalized_basis``) and the relative membership
-residual of a stack (``membership_residual``).  Every
+residual of a stack (``membership_residual``), one array operation per
+stack, not the bits of single calls.  Every
 finite-dimensional C*-algebra is a direct sum of full matrix blocks with
 multiplicities; :func:`wedderburn_decompose` recovers that structure
 numerically (minimal central projections, block sizes, multiplicities, and a
-full system of matrix units) from nothing but the basis.  It finds the centre
+full system of matrix units) from the algebra alone.  It finds the centre
 as A ∩ {h_0, h_1}' for two generic self-adjoint elements of A, which
 generate A as h_0 + i h_1: one 2N^2 x dim commutator operator, with no
 products over pairs of basis elements.  The result is a
@@ -23,7 +24,7 @@ that elements can be multiplied directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -83,10 +84,10 @@ def orthonormalize(mats, tol: float = 1e-10) -> list[np.ndarray]:
 
 
 def _combine(coeffs: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """sum_i coeffs[..., i] mats[i] as one contraction; coeffs may carry
-    leading stack axes, which the result keeps."""
-    n = mats.shape[-1]
-    return (coeffs @ mats.reshape(len(mats), -1)).reshape(coeffs.shape[:-1] + (n, n))
+    """sum_i coeffs[..., i] mats[i] as one GEMM; coeffs may carry leading
+    stack axes, which the result keeps."""
+    flat = coeffs.reshape(-1, len(mats)) @ mats.reshape(len(mats), -1)
+    return flat.reshape(coeffs.shape[:-1] + mats.shape[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -292,19 +293,17 @@ class ConcreteAlgebra:
     """*-subalgebra of M_N given by an HS-orthonormal basis.
 
     The basis is one read-only (dim, N, N) stack, and the quantities over
-    the algebra are stacked computations on it: ``coeffs`` and ``project``
-    take one matrix-vector product per matrix against its (dim, N^2)
-    flattening, ``normalized_basis`` is the basis rescaled to operator norm
-    one (from one cached ``opnorms`` call, ``basis_norms``) and
-    ``membership_residual`` the worst relative HS distance of a stack to the
-    span.  Instances are immutable: basis and support are write-protected
-    and the block structure is cached after its first computation.
+    the algebra are one array operation per stack: ``coeffs`` and
+    ``project`` a GEMM against its (dim, N^2) flattening, ``residual`` and
+    ``membership_residual`` a batched norm, ``normalized_basis`` the basis
+    rescaled by one cached ``opnorms`` call (``basis_norms``).  Instances
+    are immutable: basis and support are write-protected and the block
+    structure is cached after its first computation.
     """
 
     ambient_dim: int
     basis: np.ndarray
     support: np.ndarray
-    _structure: BlockStructure | None = field(default=None, repr=False)
 
     def __post_init__(self):
         N = self.ambient_dim
@@ -349,39 +348,37 @@ class ConcreteAlgebra:
     def dim(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def _dual(self) -> np.ndarray:  # the flattened basis, conjugate transposed
+        return _frozen(self.basis.reshape(self.dim, -1).conj().T)
+
     def coeffs(self, x: np.ndarray) -> np.ndarray:
         """Coefficients over the basis of x, or of each matrix of a stack
-        (..., N, N): one matrix-vector product per matrix, so a stacked call
-        gives the bits of single calls."""
+        (..., N, N): one array operation per stack, a GEMM against the
+        flattened basis."""
         n2 = x.shape[-2] * x.shape[-1]  # not -1, which an empty stack leaves open
-        Q = self.basis.reshape(self.dim, n2)
-        return (Q.conj() @ x.reshape(x.shape[:-2] + (n2, 1)))[..., 0]
+        return (x.reshape(-1, n2) @ self._dual).reshape(x.shape[:-2] + (self.dim,))
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """HS-orthogonal projection onto the span, of x or of each matrix of a
         stack (..., N, N)."""
-        Q = self.basis.reshape(self.dim, -1)
-        return (Q.T @ self.coeffs(x)[..., None]).reshape(x.shape)
+        return _combine(self.coeffs(x), self.basis)
 
     def residual(self, x: np.ndarray) -> float | np.ndarray:
         """HS distance ||x - Px||_2 to the span: a float for one matrix, an
-        (S,) array for a stack (S, N, N).  One projection of the stack, then
-        one ``hs_norm`` per matrix, so each value has the bits of a single
-        call."""
-        X = np.reshape(x, (-1,) + np.shape(x)[-2:])
-        r = np.array([hs_norm(d) for d in X - self.project(X)])
-        return float(r[0]) if np.ndim(x) == 2 else r
+        (S,) array for a stack (S, N, N).  One array operation per stack:
+        one projection and one batched norm."""
+        x = np.asarray(x)
+        r = np.linalg.norm(x - self.project(x), axis=(-2, -1))
+        return float(r) if np.ndim(x) == 2 else r
 
     def membership_residual(self, x: np.ndarray) -> float:
         """Worst relative HS distance ||x - Px||_2 / ||x||_2 to the span over
         one matrix or a stack (S, N, N); 0 for zero matrices and for an empty
         stack."""
         X = np.reshape(x, (-1,) + np.shape(x)[-2:])
-        scale = np.array([max(hs_norm(y), 1e-300) for y in X])
+        scale = np.maximum(np.linalg.norm(X, axis=(1, 2)), 1e-300)
         return float((self.residual(X) / scale).max(initial=0.0))
-
-    def contains(self, x: np.ndarray, tol: float = TOL_ALG) -> bool:
-        return self.residual(x) <= tol * max(1.0, hs_norm(x))
 
     @cached_property
     def basis_norms(self) -> np.ndarray:
@@ -404,15 +401,11 @@ class ConcreteAlgebra:
 
     def random_selfadjoints(self, rng, count: int) -> np.ndarray:
         """Stack (count, N, N) of Hermitian parts of standard complex Gaussian
-        combinations of the basis, from one draw: the stream, and the bits, of
-        ``count`` calls of ``linalg.random_complex(rng, dim, 1)``, each sample
-        summed over the basis in basis order."""
+        combinations of the basis: the stream of ``count`` calls of
+        ``linalg.random_complex(rng, dim, 1)``, combined in one array
+        operation per stack (``_combine``)."""
         g = rng.standard_normal((count, 2, self.dim))
-        c = (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0)
-        x = np.zeros((count, self.ambient_dim, self.ambient_dim), dtype=complex)
-        for j, b in enumerate(self.basis):
-            x = x + c[:, j, None, None] * b
-        return herm(x)
+        return herm(_combine((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0), self.basis))
 
     def random_selfadjoint(self, rng) -> np.ndarray:
         return self.random_selfadjoints(rng, 1)[0]
@@ -427,16 +420,17 @@ class ConcreteAlgebra:
 
     # -- structure -----------------------------------------------------------
 
-    def structure(self, seed: int = 0) -> BlockStructure:
-        """The Wedderburn structure, computed on the first call and cached:
-        seed only matters on that call, and later calls return the cached
-        structure whatever seed they pass."""
-        if self._structure is None:
-            self._structure = wedderburn_decompose(self, seed=seed)
+    @cached_property
+    def _structure(self) -> BlockStructure:
+        return wedderburn_decompose(self)
+
+    def structure(self) -> BlockStructure:
+        """The Wedderburn structure, a function of the algebra alone, computed
+        once and cached: no caller's order changes it."""
         return self._structure
 
-    def block_model(self, seed: int = 0) -> "BlockModel":
-        return BlockModel(self, self.structure(seed=seed))
+    def block_model(self) -> "BlockModel":
+        return BlockModel(self, self.structure())
 
     def conjugated(self, u: np.ndarray) -> "ConcreteAlgebra":
         """u A u* as a new algebra (u unitary); the conjugated basis is again
@@ -479,8 +473,7 @@ def generate_algebra(generators, ambient_dim: int | None = None,
         if g.shape != (N, N):
             raise ValueError("generators must be square matrices of the ambient dimension")
     require_finite(gens, "generators")
-    seed_set = gens + [dagger(g) for g in gens]
-    basis = orthonormalize(seed_set, tol=tol)
+    basis = orthonormalize(gens + [dagger(g) for g in gens], tol=tol)
     if not basis:
         raise ValueError("generators span only zero")
     rounds = max_rounds or (N * N + 1)
@@ -546,7 +539,7 @@ def _clusters_off_zero(vals):
             [c for c in clusters if abs(vals[c[0]]) <= cut])
 
 
-def wedderburn_decompose(A: ConcreteAlgebra, seed: int = 0) -> BlockStructure:
+def wedderburn_decompose(A: ConcreteAlgebra) -> BlockStructure:
     """Recover summands, multiplicities, central projections and matrix units.
 
     Each attempt draws two self-adjoint elements h_0, h_1 of A; the centre is
@@ -555,15 +548,16 @@ def wedderburn_decompose(A: ConcreteAlgebra, seed: int = 0) -> BlockStructure:
     projections of a generic self-adjoint central element, grouped by
     eigenvalue clusters; inside each summand a generic self-adjoint element
     yields the diagonal matrix units and polar parts of compressions give the
-    off-diagonal partial isometries.  Fully seeded and deterministic; a draw
-    that is not generic fails a dimension or relation check and is retried
-    on a fresh stream, up to _RETRIES attempts.
+    off-diagonal partial isometries.  Attempt t draws from the one stream
+    keyed on (N, dim, t); a draw that is not generic fails a dimension or
+    relation check and is retried on the next stream, up to _RETRIES
+    attempts.
     """
     N = A.ambient_dim
     kernel_rank = N - int(round(float(np.real(np.trace(A.support)))))
     last_err = None
     for attempt in range(_RETRIES):
-        rng = rng_for(seed, "wedderburn", attempt)
+        rng = rng_for(0, "wedderburn", N, A.dim, attempt)
         center = _center_basis(A, A.random_selfadjoints(rng, 2))
         r = len(center)
         if r == 0:

@@ -155,7 +155,7 @@ class AveragingSet:
             ceiling=tol, achieved=float(worst), provenance=provenance_stamp())
 
 
-def exact_diagonal(A: FDAlgebra | ConcreteAlgebra, seed: int = 0) -> AveragingSet:
+def exact_diagonal(A: FDAlgebra | ConcreteAlgebra) -> AveragingSet:
     """Averaging family of A whose tensor average is exactly the canonical
     separability element.
 
@@ -168,14 +168,10 @@ def exact_diagonal(A: FDAlgebra | ConcreteAlgebra, seed: int = 0) -> AveragingSe
     block's canonical element.  So r * lcm(n_k^2) terms are exact.
     """
     if isinstance(A, ConcreteAlgebra):
-        struct = A.structure(seed=seed)
-        block_sizes = struct.block_sizes
-        units = struct.matrix_units
-        unit = A.support
+        struct = A.structure()
+        block_sizes, units, unit = struct.block_sizes, struct.matrix_units, A.support
     else:
-        block_sizes = tuple(A.block_sizes)
-        units = A.units()
-        unit = A.unit()
+        block_sizes, units, unit = tuple(A.block_sizes), A.units(), A.unit()
     r = len(block_sizes)
     L = math.lcm(*(n * n for n in block_sizes))
     c = np.arange(r)[:, None, None]
@@ -289,7 +285,7 @@ def improve_multiplicativity(phi: LinMap, gamma: float | None = None,
     2 gamma^{1/2}), cut at the spectral gap around 1/2, conjugate p onto the
     resulting commutant projection q, and compress the representation.
     """
-    abstract, model = phi.to_block_model(seed=seed)
+    abstract, model = phi.to_block_model()
     cls = classify(abstract)
     if not cls.cpc:
         raise ValueError(
@@ -383,7 +379,7 @@ def improve_multiplicativity(phi: LinMap, gamma: float | None = None,
 # intertwining unitaries
 # ---------------------------------------------------------------------------
 
-def _paired_block_maps(phi1: LinMap, phi2: LinMap, seed: int):
+def _paired_block_maps(phi1: LinMap, phi2: LinMap):
     """Convert both maps to a common block domain (same model)."""
     if isinstance(phi1.domain, FDAlgebra) and isinstance(phi2.domain, FDAlgebra):
         if tuple(phi1.domain.block_sizes) != tuple(phi2.domain.block_sizes):
@@ -391,8 +387,8 @@ def _paired_block_maps(phi1: LinMap, phi2: LinMap, seed: int):
         return phi1, phi2, None
     if phi1.domain is not phi2.domain:
         raise ValueError("concrete domains must be the same algebra object")
-    a1, model = phi1.to_block_model(seed=seed)
-    a2 = a1 if phi2 is phi1 else phi2.to_block_model(seed=seed)[0]
+    a1, model = phi1.to_block_model()
+    a2 = a1 if phi2 is phi1 else phi2.to_block_model()[0]
     return a1, a2, model
 
 
@@ -426,7 +422,7 @@ def intertwining_unitary(phi1: LinMap, phi2: LinMap,
     against the measured chain bound
     (||phi1(x) s - s phi2(x)|| + ||[|s|, phi2(x)]||) * |||s|^{-1}||.
     """
-    a1, a2, _ = _paired_block_maps(phi1, phi2, seed)
+    a1, a2, _ = _paired_block_maps(phi1, phi2)
     fd: FDAlgebra = a1.domain
     if a1.codomain_dim != a2.codomain_dim:
         raise ValueError("codomain mismatch")
@@ -511,7 +507,7 @@ def commutant_lift(m: np.ndarray, A: ConcreteAlgebra,
     ||a - m|| <= 2 delta when ||[m, x]|| <= delta ||x|| for x in A.
     """
     m = np.asarray(m, dtype=complex)
-    avg = exact_diagonal(A, seed=seed)
+    avg = exact_diagonal(A)
     e = A.support
     eye = np.eye(A.ambient_dim)
     a = avg.twirl(m) + (eye - e) @ m @ (eye - e)

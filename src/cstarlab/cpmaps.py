@@ -151,11 +151,11 @@ class LinMap:
 
     # -- block model ----------------------------------------------------------
 
-    def to_block_model(self, seed: int = 0) -> tuple["LinMap", BlockModel]:
+    def to_block_model(self) -> tuple["LinMap", BlockModel]:
         """Equivalent map with FDAlgebra domain (multiplicities squashed)."""
         if isinstance(self.domain, FDAlgebra):
             return self, None  # already abstract
-        bm = self.domain.block_model(seed=seed)
+        bm = self.domain.block_model()
         return LinMap(bm.fd, self.codomain_dim, self(bm.to_concrete(bm.fd.units())),
                       codomain_algebra=self.codomain_algebra), bm
 
@@ -501,35 +501,49 @@ def _choi_and_reshuffle(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             F.transpose(2, 0, 1, 3).reshape(N * d, d * N))
 
 
+_EPS = float(np.finfo(float).eps)
+
+
+def _gram_norm_up(F: np.ndarray) -> float:
+    """||sum_t F_t F_t*|| for a (T, n, k) stack, rounded up: the sums of
+    m = T k products err by at most (m + 2) eps ||F||_F^2 in norm, the SVD by
+    2 n eps ||F||_F^2 (its backward error), and the margin doubles both."""
+    m, n = F.shape[0] * F.shape[2], F.shape[1]
+    margin = 2.0 * (m + 2 * n + 2) * _EPS * float(np.sum(np.abs(F) ** 2))
+    return opnorm(np.matmul(F, dagger(F)).sum(axis=0)) + margin
+
+
 def _factor_bound(As: np.ndarray, Bs: np.ndarray) -> float:
     """||sum A A*||^{1/2} ||sum B* B||^{1/2} over the factor terms phi(x) =
     sum_t A_t x B_t, after rescaling each term to ||A_t|| = ||B_t|| where that
     moves its scale by more than 1e-3.  A balanced term stays balanced, so one
-    pass settles every term."""
+    pass settles every term.  Rounded outward: both norms by
+    ``_gram_norm_up``, and their product and root by 4 eps."""
     na, nb = opnorms(As), opnorms(Bs)
     live = (na >= 1e-300) & (nb >= 1e-300)
     s = np.sqrt(np.divide(na, nb, out=np.ones_like(na), where=live))
     s[np.abs(s - 1.0) <= 1e-3] = 1.0
     As, Bs = As / s[:, None, None], Bs * s[:, None, None]
-    P = np.matmul(As, dagger(As)).sum(axis=0)
-    Q = np.matmul(dagger(Bs), Bs).sum(axis=0)
-    return float(np.sqrt(max(opnorm(P), 0.0) * max(opnorm(Q), 0.0)))
+    return float(np.sqrt(_gram_norm_up(As) * _gram_norm_up(dagger(Bs))) * (1.0 + 4.0 * _EPS))
 
 
 def cb_bracket(phi: LinMap, samples: int = 12, seed: int = 0) -> tuple[float, float]:
     """Certified bracket lo <= ||phi||_cb <= hi.
 
-    Verified-cp maps give the exact value ||phi(1)||.  Otherwise the upper
-    bound is the best factorization bound ||sum A A*||^{1/2} ||sum B* B||^{1/2}
-    over Kraus-type decompositions obtained from the Choi eigendecomposition
-    and the reshuffled SVD, with per-term rebalancing; the lower bound samples
-    ||(phi (x) id_N)(x)|| over random contractions (exact at amplification N).
+    Verified-cp maps give the exact value ||phi(1)||, and hi rounds it up:
+    the sum of d positive images errs by at most (d + 2) N eps ||phi(1)||,
+    the SVD by 2 N eps ||phi(1)||, and the margin doubles both.  Otherwise
+    the upper bound is the best factorization bound ||sum A A*||^{1/2}
+    ||sum B* B||^{1/2}, rounded up, over Kraus-type decompositions obtained
+    from the Choi eigendecomposition and the reshuffled SVD, with per-term
+    rebalancing; the lower bound samples ||(phi (x) id_N)(x)|| over random
+    contractions (exact at amplification N).
     """
     work = phi if isinstance(phi.domain, FDAlgebra) else phi.to_block_model()[0]
     d, N = work.domain.d, work.codomain_dim
     cls = classify(work)
     if cls.cp:
-        return cls.norm_of_unit, cls.norm_of_unit
+        return cls.norm_of_unit, cls.norm_of_unit * (1.0 + 2.0 * (d + 2 * N + 2) * N * _EPS)
 
     # upper bounds from factorizations of the pinched-domain Choi
     factors = []

@@ -485,26 +485,19 @@ def kk_distance(A: ConcreteAlgebra, B: ConcreteAlgebra,
 
 class _TensorSpan:
     """Span of span(B) (x) M_n inside M_{Nn}, optionally as a 1 x r block row
-    of such spaces for rectangular witnesses.
-
-    The space is spanned by kron(b, e_ij) in each slot, so the projection of
-    an Nn x rNn matrix projects each of its r n^2 N x N slices (fixed slot
-    and i, j) onto span(B): a reshape, a transpose and two GEMMs with B's
-    HS-orthonormal basis, flattened to Q of shape (dim, N^2).
+    of such spaces for rectangular witnesses.  It is spanned by kron(b, e_ij)
+    in each slot, so its projection delegates to ``B.project`` on the
+    r n^2 N x N slices (fixed slot and i, j), a reshape and a transpose away.
     """
 
     def __init__(self, B: ConcreteAlgebra, n: int, r: int = 1):
-        self.N, self.n, self.r = B.ambient_dim, n, r
-        self.Q = B.basis.reshape(B.dim, -1)
-        self.Qc = self.Q.conj()
+        self.B, self.n, self.r = B, n, r
 
     def project(self, m: np.ndarray) -> np.ndarray:
-        N, n, r = self.N, self.n, self.r
+        N, n, r = self.B.ambient_dim, self.n, self.r
         # m[s, a, i, slot, c, j] is entry (a, c) of slice (slot, i, j)
         slices = m.reshape(-1, N, n, r, N, n).transpose(0, 2, 3, 5, 1, 4)
-        proj = (slices.reshape(-1, N * N) @ self.Qc.T) @ self.Q
-        proj = proj.reshape(-1, n, r, n, N, N).transpose(0, 4, 1, 2, 5, 3)
-        return proj.reshape(m.shape)
+        return self.B.project(slices).transpose(0, 4, 1, 2, 5, 3).reshape(m.shape)
 
 
 def tensor_lift(X, B: ConcreteAlgebra, n: int, gamma: float,

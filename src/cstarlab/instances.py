@@ -130,7 +130,7 @@ def gen_instance(recipe: str, params: dict, seed: int = 0) -> Instance:
                         true_unitary=u, seed=seed)
 
     if recipe == "block-rotation":
-        struct = A.structure(seed=seed)
+        struct = A.structure()
         k = int(params.get("block", 0))
         if not 0 <= k < len(struct.summands):
             raise ValueError(f"block index {k} out of range")
@@ -143,7 +143,7 @@ def gen_instance(recipe: str, params: dict, seed: int = 0) -> Instance:
                         true_unitary=u, seed=seed)
 
     # choi-noise
-    bm = A.block_model(seed=seed)
+    bm = A.block_model()
     psi = perturb_choi(LinMap(bm.fd, N, bm.to_concrete(bm.fd.units())), eps, rng)
     B = generate_algebra(list(psi.images), N)
     return Instance(A=A, B=B, recipe=recipe, params=params,

@@ -11,7 +11,8 @@ repaired map is a homomorphism to machine precision and consecutive aligned
 stages agree to machine precision, so the iteration settles in two or three
 stages; all stated drift budgets are still tracked and certified.  A repair
 depends on the map alone, so a stage given the previous map bit for bit keeps
-the previous repair (and its unitary with itself) and re-measures the rest.
+the previous repair and its sampled defect (and its unitary with itself) and
+re-measures the rest.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import ConcreteAlgebra, FDAlgebra, _combine
+from .algebra import ConcreteAlgebra, FDAlgebra, _combine, support_projection
 from .certs import (TOL_ALG, Certificate, ContradictionError,
                     SpectralGapError, ToleranceBudget, DEFAULT_BUDGET,
                     WINDOW_DEFECT_REPAIR, WINDOW_ISO_ETA, WINDOW_ISO_GAMMA,
@@ -122,11 +123,11 @@ def expectation_producer(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float):
 # the staged intertwining
 # ---------------------------------------------------------------------------
 
-def _averaging_parts(A: ConcreteAlgebra, seed: int) -> np.ndarray:
+def _averaging_parts(A: ConcreteAlgebra) -> np.ndarray:
     """Unit-ball elements of A carrying the averaging family of the unitized
     block model: for each term u~ = (block part, scalar), the element
     (block part - scalar * 1) / 2 mapped back into A."""
-    bm = A.block_model(seed=seed)
+    bm = A.block_model()
     fd_ext = FDAlgebra(tuple(bm.fd.block_sizes) + (1,))
     d = bm.fd.d
     u = exact_diagonal(fd_ext).terms
@@ -169,9 +170,9 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
     expectation onto B.  Each stage repairs the produced map to a
     homomorphism and aligns it with the previous stage by a unitary close to
     one; a map equal bit for bit to the previous stage's keeps that stage's
-    repair, and its unitary too if that stage kept its own repair, with
-    repaired=False in the trace row.  The loop stops when the aligned maps
-    agree on the basis to tol_conv twice in a row.  When surjectivity_delta
+    repair and theta_defect, and its unitary too if that stage kept its own
+    repair, with repaired=False in the trace row.  The loop stops when the
+    aligned maps agree on the basis to tol_conv twice in a row.  When surjectivity_delta
     is given (B inside A to that level, at most 1/5), codomain basis
     elements are pulled through the accumulated conjugators and tracked, and
     the result is certified onto B by dimension count.
@@ -189,7 +190,7 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
     bound_main = 8.0 * np.sqrt(6.0) * np.sqrt(eta) + eta + mu
     bound_nu = 8.0 * np.sqrt(6.0) * np.sqrt(eta) + eta + nu
 
-    avg_parts = _averaging_parts(A, seed)
+    avg_parts = _averaging_parts(A)
     B_norm_basis = B.normalized_basis
 
     X = list(X_A)
@@ -242,7 +243,8 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
             budget.require_window("multiplicativity-repair", gamma_repair, WINDOW_DEFECT_REPAIR)
         residual = B.membership_residual(theta_raw.images)
         worst_membership = max(worst_membership, residual)
-        theta_defect = hom_defect(theta, seed + n)
+        # the same sample points at every stage, so a kept theta keeps its defect
+        theta_defect = hom_defect(theta, seed) if repaired else trace[-1].theta_defect
 
         drift, u_norm = 0.0, 0.0
         drift_ceiling = 2.0 ** (-(n - 1)) * nu
@@ -486,7 +488,7 @@ def half_flip_cpc(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma_cert, X=None,
     alpha = (4 sqrt(2) + 1) gamma + 4 sqrt(2) gamma^2.
     """
     gamma = _distance_hi(gamma_cert)
-    struct = A.structure(seed=seed)
+    struct = A.structure()
     if len(struct.summands) != 1:
         raise ValueError("the flip construction needs a single full matrix block")
     n_blk = struct.summands[0][0]
@@ -502,9 +504,11 @@ def half_flip_cpc(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma_cert, X=None,
     units = struct.matrix_units.reshape(n_blk, n_blk, N, N)
     v = np.einsum("ijac,jibd->abcd", units, units).reshape(N * N, N * N)
 
-    # witness for the flip inside span(B0) (x) span(A)
-    pair_basis = [np.kron(b, a) for b in B0.basis for a in A.basis]
-    tensor_span = ConcreteAlgebra.from_basis(pair_basis, N * N)
+    # witness for the flip inside span(B0) (x) span(A): the Kronecker
+    # products of two HS-orthonormal bases are HS-orthonormal already
+    pairs = np.einsum("bij,akl->baikjl", B0.basis, A.basis).reshape(-1, N * N, N * N)
+    tensor_span = ConcreteAlgebra(ambient_dim=N * N, basis=pairs,
+                                  support=support_projection(pairs, N * N))
     w, wdist, _, _ = nearest_in_span(v, tensor_span, ball=True, iters=300)
     alpha = (4.0 * np.sqrt(2.0) + 1.0) * gamma + 4.0 * np.sqrt(2.0) * gamma ** 2
     alpha_prime = gamma + 4.0 * np.sqrt(2.0) * gamma * (1.0 + gamma)
@@ -513,15 +517,11 @@ def half_flip_cpc(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma_cert, X=None,
     vals, vecs = np.linalg.eigh(e)
     xi = vecs[:, vals > 0.5][:, 0]
 
-    def slice_map(m: np.ndarray) -> np.ndarray:
-        m4 = m.reshape(N, N, N, N)
-        return np.einsum("ikjl,k,l->ij", m4, xi.conj(), xi)
-
-    images = []
-    for b in A.basis:
-        mid = w @ np.kron(e, b) @ dagger(w)
-        images.append(dagger(u) @ slice_map(mid) @ u)
-    phi = LinMap(A, N, tuple(images), codomain_algebra=B)
+    # phi(b) = u* R(w (e (x) b) w*) u for each basis element b, with R the
+    # slice by the vector state of xi
+    mid = w @ np.einsum("ij,bkl->bikjl", e, A.basis).reshape(-1, N * N, N * N) @ dagger(w)
+    images = np.einsum("bikjl,k,l->bij", mid.reshape(-1, N, N, N, N), xi.conj(), xi)
+    phi = LinMap(A, N, dagger(u) @ images @ u, codomain_algebra=B)
 
     worst = _worst_move(phi, X)
     member = B.membership_residual(phi.images)

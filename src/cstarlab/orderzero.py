@@ -312,10 +312,10 @@ class NucDimDecomposition:
         return sum(up(self.restrict(i, y)) for i, up in enumerate(self.ups))
 
 
-def identity_decomposition(A: ConcreteAlgebra, seed: int = 0) -> NucDimDecomposition:
+def identity_decomposition(A: ConcreteAlgebra) -> NucDimDecomposition:
     """The exact single-color decomposition of a block algebra through its
     own block model (finite-dimensional algebras need no colors)."""
-    bm = A.block_model(seed=seed)
+    bm = A.block_model()
     fd = bm.fd
     down = LinMap(A, fd.d, bm.to_abstract(A.basis))
     up_map = LinMap(fd, A.ambient_dim, bm.to_concrete(fd.units()), codomain_algebra=A)
@@ -325,12 +325,11 @@ def identity_decomposition(A: ConcreteAlgebra, seed: int = 0) -> NucDimDecomposi
                                down=down, ups=(up,), defect=float(defect))
 
 
-def split_decomposition(A: ConcreteAlgebra, parts: int = 2,
-                        seed: int = 0) -> NucDimDecomposition:
+def split_decomposition(A: ConcreteAlgebra, parts: int = 2) -> NucDimDecomposition:
     """Exact decomposition with the blocks of A dealt round-robin into the
     given number of colors; a forced n = parts - 1 presentation of a
     finite-dimensional algebra."""
-    bm = A.block_model(seed=seed)
+    bm = A.block_model()
     fd = bm.fd
     r = len(fd.block_sizes)
     if r < parts:

@@ -140,7 +140,7 @@ def run_pipeline(instance: Instance, pipeline: str,
                       certificates=certs, notes=notes)
 
     if pipeline == "oz-perturb":
-        bm = A.block_model(seed=seed)
+        bm = A.block_model()
         fd = bm.fd
         pi = LinMap(fd, A.ambient_dim, bm.to_concrete(fd.units()), codomain_algebra=A)
         rng = rng_for(seed, "oz-damping")
@@ -156,7 +156,7 @@ def run_pipeline(instance: Instance, pipeline: str,
                       certificates=certs, notes=notes)
 
     # oz-embed
-    dec = identity_decomposition(A, seed=seed)
+    dec = identity_decomposition(A)
     theta, cert = near_embed_nucdim(A, B, gamma_cert, dec, seed=seed,
                                     budget=budget)
     certs["nucdim-near-embedding"] = cert

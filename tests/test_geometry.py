@@ -26,7 +26,7 @@ from cstarlab.geometry import (
     tensor_lift,
 )
 from cstarlab.instances import block_algebra, gen_instance
-from cstarlab.linalg import clip_spectrum, random_unitary, rng_for
+from cstarlab.linalg import clip_spectrum, opnorms, random_unitary, rng_for
 from cstarlab.pipelines import run_pipeline
 
 
@@ -522,7 +522,14 @@ def test_sample_unit_ball_equals_the_per_sample_loop(profile, N):
         want.append(B.unitary_from(np.pi * 0.5 * (h / opnorm(h))))
     got = sample_unit_ball(B, spec)
     assert [label for label, _ in got][-7:-5] == ["sa[5]", "u[0]"]
-    assert np.array([x for _, x in got]).tobytes() == np.array(want).tobytes()
+    got = np.array([x for _, x in got])
+    # the basis part is the per-element quotient, bit for bit; the drawn part
+    # reads the same stream, but the stacked draw sums its basis combination
+    # in one GEMM, so it matches the loop to a rounding of that sum (about
+    # dim eps), which the spectral clip and the exponential carry to at most
+    # 1e-13 in operator norm
+    assert got[:B.dim].tobytes() == np.array(want[:B.dim]).tobytes()
+    assert opnorms(got[B.dim:] - np.array(want[B.dim:])).max() <= 1e-13
 
 
 def test_sample_unit_ball_deterministic():
@@ -639,7 +646,9 @@ def test_kk_distance_lo_witness_attains_lo(profile, N):
                                                n_unitary=32, iters=20))
         target = B if iv.cert_ab.gamma_lo >= iv.cert_ba.gamma_lo else A
         lb = span_distance_lower(iv.lo_witness, target)
-        assert abs(lb - iv.lo) <= 1e-14 * iv.lo
+        # the stacked and the single projection may sum in different orders,
+        # and r = x - P(x) cancels, so the bound is absolute in ||x||_HS
+        assert abs(lb - iv.lo) <= 1e-13 * np.linalg.norm(iv.lo_witness)
 
 
 def test_near_inclusion_direction_tag():
@@ -734,10 +743,10 @@ def test_primal_dual_solve_meets_the_tensor_oracle(monkeypatch):
 
 def test_tensor_lift_witness_distance_is_reproducible(monkeypatch):
     # the ladder benchmark's op "oz-perturb conjugation 2,2,2/8" of workload
-    # seed 7373, pass 0, whose instance seed is 145953875: reversing the rows
-    # of _TensorSpan's orthonormal basis keeps the projection but sums it in
-    # another order, and the lift's witness distance, proven by its gap,
-    # moves by no more than the gap's margin
+    # seed 7373, pass 0, whose instance seed is 145953875: reversing the
+    # order of B's orthonormal basis keeps _TensorSpan's projection but sums
+    # it in another order, and the lift's witness distance, proven by its
+    # gap, moves by no more than the gap's margin
     seed = 145953875
 
     def witness() -> dict:
@@ -746,22 +755,20 @@ def test_tensor_lift_witness_distance_is_reproducible(monkeypatch):
         report = run_pipeline(inst, "oz-perturb", seed=seed)
         return report.certificates["order-zero-perturbation"].details
 
-    def reverse_rows(span):
-        span.Q = span.Q[::-1].copy()
-        span.Qc = span.Q.conj()
+    def reversed_basis(B):
+        return ConcreteAlgebra(ambient_dim=B.ambient_dim, basis=B.basis[::-1],
+                               support=B.support)
 
     # the same projection up to rounding, not bit for bit
     B = block_algebra((2, 1), 4).conjugated(small_rotation(4, 0.3, 28))
     rng = rng_for(28, "summation-order")
     m = rng.standard_normal((3, 8, 16)) + 1j * rng.standard_normal((3, 8, 16))
-    span = _TensorSpan(B, 2, 2)
-    p_plain = span.project(m)
-    reverse_rows(span)
-    p_rev = span.project(m)
+    p_plain = _TensorSpan(B, 2, 2).project(m)
+    p_rev = _TensorSpan(reversed_basis(B), 2, 2).project(m)
     assert np.abs(p_rev - p_plain).max() <= 1e-14 and not np.array_equal(p_rev, p_plain)
     plain, init = witness(), _TensorSpan.__init__
     monkeypatch.setattr(_TensorSpan, "__init__",
-                        lambda self, *args: init(self, *args) or reverse_rows(self))
+                        lambda self, B, *args: init(self, reversed_basis(B), *args))
     flipped = witness()
     assert plain["witness_stop"] == flipped["witness_stop"] == "gap"
     assert 0 < plain["witness_iters"] < 400

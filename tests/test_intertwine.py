@@ -238,6 +238,28 @@ def test_expectation_producer_is_repaired_once_per_run(monkeypatch):
             windows.clear()
 
 
+def test_a_kept_theta_keeps_its_sampled_defect(monkeypatch):
+    # a stage that keeps theta takes the previous row's theta_defect and
+    # samples the defect of no map: one hom_defect call less per reuse stage
+    # than a run that repairs every stage
+    calls, real = [], intertwine.hom_defect
+    monkeypatch.setattr(intertwine, "hom_defect",
+                        lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    A, B, gamma = conjugation_instance("3,3", 8)
+    kept = intertwine.intertwining_iso(A, B, 2.0 * gamma, seed=5)
+    kept_calls = len(calls)
+    monkeypatch.setattr(intertwine, "_same_map", lambda phi, prev: False)
+    calls.clear()
+    redone = intertwine.intertwining_iso(A, B, 2.0 * gamma, seed=5)
+    reuse = [r.stage for r in kept.trace if not r.repaired]
+    assert reuse and len(kept.trace) == len(redone.trace)
+    for prev, row in zip(kept.trace, kept.trace[1:]):
+        assert row.repaired or row.theta_defect == prev.theta_defect
+    assert kept_calls == len(calls) - len(reuse)
+    # the kept defect is the one a new sample of the same map gives
+    assert [r.theta_defect for r in kept.trace] == [r.theta_defect for r in redone.trace]
+
+
 def test_a_changing_map_is_repaired_at_every_stage(monkeypatch):
     counts = count_calls(monkeypatch)
     A, B, gamma = conjugation_instance("M2+M1", 4)
@@ -294,6 +316,20 @@ def test_half_flip_cpc_close_to_identity():
     for x in A.basis:
         xn = x / opnorm(x)
         assert opnorm(phi(xn) - xn) <= cert.ceiling + 1e-12
+
+
+def test_half_flip_tensor_basis_is_orthonormal_without_gram_schmidt(monkeypatch):
+    # the Kronecker products of the HS-orthonormal bases of B0 and A, taken
+    # as they are, are HS-orthonormal: their Gram matrix is the identity
+    spans, solve = [], intertwine.nearest_in_span
+    monkeypatch.setattr(intertwine, "nearest_in_span",
+                        lambda x, span, **kw: spans.append(span) or solve(x, span, **kw))
+    A, B, u = conjugated_pair((2,), 3, 1e-4, 11)
+    half_flip_cpc(A, B, 2.0 * opnorm(u - np.eye(3)), seed=11)
+    (span,) = spans
+    Q = span.basis.reshape(span.dim, -1)
+    assert span.dim % A.dim == 0
+    assert np.abs(Q.conj() @ Q.T - np.eye(span.dim)).max() <= 1e-13
 
 
 def test_half_flip_cpc_on_no_points():

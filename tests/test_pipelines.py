@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from cstarlab.averaging import exact_diagonal
+from cstarlab.cpmaps import LinMap
 from cstarlab.instances import gen_instance
 from cstarlab.pipelines import PIPELINES, Report, render_report, run_pipeline
 from cstarlab.serialize import dumps, loads
@@ -16,6 +18,27 @@ from cstarlab.serialize import dumps, loads
 def make_instance(seed=7, eps=1e-5, algebra="M2+M1"):
     return gen_instance("conjugation", {"algebra": algebra, "eps": eps},
                         seed=seed)
+
+
+def _block_model_map(A):
+    return LinMap(A, A.ambient_dim, A.basis).to_block_model()
+
+
+@pytest.mark.parametrize("pipeline", ["iso", "oz-perturb"])
+def test_reports_do_not_depend_on_which_caller_asks_for_the_structure_first(pipeline):
+    # the Wedderburn structure is a function of the algebra alone: on fresh
+    # copies of one instance, asking for it through exact_diagonal before
+    # to_block_model, the reverse, or not at all before the pipeline (which
+    # asks with its own seed, 3) gives the same report bytes
+    def report(first):
+        inst = make_instance(seed=3, eps=1e-6)
+        for ask in first:
+            ask(inst.A)
+            ask(inst.B)
+        return dumps(run_pipeline(inst, pipeline, seed=3))
+
+    orders = ((), (exact_diagonal, _block_model_map), (_block_model_map, exact_diagonal))
+    assert len({report(first) for first in orders}) == 1
 
 
 @pytest.mark.parametrize("pipeline", PIPELINES)
