@@ -32,8 +32,8 @@ import numpy as np
 from .algebra import BlockModel, ConcreteAlgebra, FDAlgebra, _combine
 from .certs import TOL_ALG, TOL_PSD, Certificate, provenance_stamp, require_finite
 from .geometry import SampleSpec, sample_unit_ball
-from .linalg import (dagger, herm, hs_norm, opnorm, opnorm_max, opnorms, psd_part,
-                     random_contraction, random_hermitian, rng_for)
+from .linalg import (dagger, herm, hs_norm, opnorm, opnorm_max, opnorm_max_of, opnorms,
+                     psd_part, random_contraction, random_hermitian, rng_for)
 
 __all__ = [
     "LinMap",
@@ -357,14 +357,13 @@ class DefectReport:
 def _mult_defects(phi: LinMap, X) -> np.ndarray:
     """The stack phi(y)phi(y*) - phi(yy*) over y = x0, x0*, x1, x1*, ...; its
     largest operator norm is ``mult_defect(phi, X).defect``."""
-    # Y[swap] is the stack of adjoints
+    # Y[:, ::-1] pairs each point with its adjoint, as a view
     Y = np.asarray(X, dtype=complex)
-    Y = np.stack([Y, dagger(Y)], axis=1).reshape((-1,) + Y.shape[1:])
-    swap = np.arange(len(Y)) ^ 1
-    images = phi(Y)
-    defects = images @ images[swap]
-    defects -= phi(Y @ Y[swap])
-    return defects
+    Y = np.stack([Y, dagger(Y)], axis=1)
+    defects = phi(Y)
+    defects = defects @ defects[:, ::-1]
+    defects -= phi(Y @ Y[:, ::-1])
+    return defects.reshape((-1,) + defects.shape[2:])
 
 
 def mult_defect(phi: LinMap, X, labels=None) -> DefectReport:
@@ -441,19 +440,18 @@ def arveson_restrict(A: ConcreteAlgebra, B: ConcreteAlgebra, X,
     every x in X, valid whenever each x in X lies within gamma of B in
     operator norm (the expectation is a contraction fixing B).
     """
-    E = conditional_expectation(B)
-    phi = LinMap(A, A.ambient_dim, E(A.basis), codomain_algebra=B)
-    X = np.array(list(X), dtype=complex)
-    moves = phi(X)
-    moves -= X
-    worst = opnorm_max(moves)
-    cert = Certificate.build(
+    phi = LinMap(A, A.ambient_dim, conditional_expectation(B)(A.basis), codomain_algebra=B)
+    return phi, _restriction_cert(phi, list(X), gamma, tol)
+
+
+def _restriction_cert(phi: LinMap, X, gamma: float, tol: float = TOL_ALG) -> Certificate:
+    """arveson_restrict's certificate for its map phi on the points X."""
+    return Certificate.build(
         name="expectation-restriction",
         formula="||phi(x) - x|| <= 2*gamma + tol on X",
         inputs={"gamma": gamma, "n_points": len(X)},
-        ceiling=2.0 * gamma + tol, achieved=worst,
+        ceiling=2.0 * gamma + tol, achieved=opnorm_max_of(lambda b: phi(b) - b, X),
         provenance=provenance_stamp())
-    return phi, cert
 
 
 def ucp_extension(phi: LinMap) -> LinMap:
@@ -513,37 +511,49 @@ def _gram_norm_up(F: np.ndarray) -> float:
     return opnorm(np.matmul(F, dagger(F)).sum(axis=0)) + margin
 
 
-def _factor_bound(As: np.ndarray, Bs: np.ndarray) -> float:
-    """||sum A A*||^{1/2} ||sum B* B||^{1/2} over the factor terms phi(x) =
+def _factor_bound(As: np.ndarray, Bs: np.ndarray, C: np.ndarray) -> float:
+    """||sum A A*||^{1/2} ||sum B* B||^{1/2} over the factor terms phi(x) ~
     sum_t A_t x B_t, after rescaling each term to ||A_t|| = ||B_t|| where that
-    moves its scale by more than 1e-3.  A balanced term stays balanced, so one
-    pass settles every term.  Rounded outward: both norms by
-    ``_gram_norm_up``, and their product and root by 4 eps."""
+    moves its scale by more than 1e-3, plus their miss sum_ij ||phi(e_ij) -
+    sum_t A_t e_ij B_t||_F against phi's Choi matrix C.  A balanced term stays
+    balanced, so one pass settles every term.  Rounded outward: both norms by
+    ``_gram_norm_up``, their product and root by 4 eps, and the miss for its
+    sums and the factors' T-term Choi matrix (2 (T + 2) eps d ||A||_F ||B||_F)."""
     na, nb = opnorms(As), opnorms(Bs)
     live = (na >= 1e-300) & (nb >= 1e-300)
     s = np.sqrt(np.divide(na, nb, out=np.ones_like(na), where=live))
     s[np.abs(s - 1.0) <= 1e-3] = 1.0
     As, Bs = As / s[:, None, None], Bs * s[:, None, None]
-    return float(np.sqrt(_gram_norm_up(As) * _gram_norm_up(dagger(Bs))) * (1.0 + 4.0 * _EPS))
+    T, N, d = As.shape
+    G = As.transpose(0, 2, 1).reshape(T, d * N).T @ Bs.reshape(T, d * N)
+    miss = np.sqrt((np.abs(C - G) ** 2).reshape(d, N, d, N).sum(axis=(1, 3))).sum()
+    miss = (miss * (1.0 + 2.0 * (N * N + d * d + 2) * _EPS)
+            + 2.0 * (T + 2) * _EPS * d * np.linalg.norm(As) * np.linalg.norm(Bs))
+    return float(np.sqrt(_gram_norm_up(As) * _gram_norm_up(dagger(Bs))) * (1.0 + 4.0 * _EPS) + miss)
 
 
 def cb_bracket(phi: LinMap, samples: int = 12, seed: int = 0) -> tuple[float, float]:
     """Certified bracket lo <= ||phi||_cb <= hi.
 
-    Verified-cp maps give the exact value ||phi(1)||, and hi rounds it up:
-    the sum of d positive images errs by at most (d + 2) N eps ||phi(1)||,
-    the SVD by 2 N eps ||phi(1)||, and the margin doubles both.  Otherwise
-    the upper bound is the best factorization bound ||sum A A*||^{1/2}
-    ||sum B* B||^{1/2}, rounded up, over Kraus-type decompositions obtained
-    from the Choi eigendecomposition and the reshuffled SVD, with per-term
-    rebalancing; the lower bound samples ||(phi (x) id_N)(x)|| over random
-    contractions (exact at amplification N).
+    Maps that pass as cp have lo = ||phi(1)|| and hi = ||phi(1)|| + 2 tr H- +
+    2 d^2 ||K|| for the Choi matrix H+ - H- + K, K skew (what classify's
+    TOL_PSD lets through; eigenvalues within 2 n eps ||C|| of zero are
+    rounding), rounded up: the sum of d positive images errs by at most
+    (d + 2) N eps ||phi(1)||, the SVD by 2 N eps ||phi(1)||, and the margin
+    doubles both.  Otherwise hi is the best factorization bound
+    (``_factor_bound``) over Kraus-type decompositions from the Choi
+    eigendecomposition and the reshuffled SVD, and lo samples
+    ||(phi (x) id_N)(x)|| over random contractions (exact at amplification N).
     """
     work = phi if isinstance(phi.domain, FDAlgebra) else phi.to_block_model()[0]
     d, N = work.domain.d, work.codomain_dim
     cls = classify(work)
     if cls.cp:
-        return cls.norm_of_unit, cls.norm_of_unit * (1.0 + 2.0 * (d + 2 * N + 2) * N * _EPS)
+        blocks = choi_blocks(work)
+        neg = -sum(v[v < -2.0 * len(v) * _EPS * np.abs(v).max()].sum()
+                   for v in map(np.linalg.eigvalsh, map(herm, blocks)))
+        hi = cls.norm_of_unit + 2.0 * neg + d * d * max(opnorm(C - dagger(C)) for C in blocks)
+        return cls.norm_of_unit, float(hi * (1.0 + 2.0 * (d + 2 * N + 2) * N * _EPS))
 
     # upper bounds from factorizations of the pinched-domain Choi
     factors = []
@@ -562,10 +572,7 @@ def cb_bracket(phi: LinMap, samples: int = 12, seed: int = 0) -> tuple[float, fl
     root = np.sqrt(s[keep])
     factors.append(((root * u[:, keep]).T.reshape(len(root), N, d),
                     (root[:, None] * vh[keep]).reshape(len(root), d, N)))
-    bounds = [_factor_bound(As, Bs) for As, Bs in factors if len(As)]
-    if not bounds:
-        return 0.0, 0.0
-    hi = min(bounds)
+    hi = min(_factor_bound(As, Bs, Cfull) for As, Bs in factors)
 
     # lower bound: sampled amplified norms
     rng = rng_for(seed, "cb-bracket")

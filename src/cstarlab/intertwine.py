@@ -9,14 +9,15 @@ repairs it to a homomorphism, and aligns it with the previous stage by a
 unitary close to one.  With the exact averaging machinery every stage's
 repaired map is a homomorphism to machine precision and consecutive aligned
 stages agree to machine precision, so the iteration settles in two or three
-stages; all stated drift budgets are still tracked and certified.  A repair
-depends on the map alone, so a stage given the previous map bit for bit keeps
-the previous repair and its sampled defect (and its unitary with itself) and
-re-measures the rest.
+stages; all stated drift budgets are still tracked and certified.  The set
+only grows, so a stage hashes only its new points; a stage given the previous
+map bit for bit keeps its repair and sampled defect (and its unitary with
+itself) and checks that map's defect, and a kept unitary's drift, on them only.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,12 +27,12 @@ from .certs import (TOL_ALG, Certificate, ContradictionError,
                     SpectralGapError, ToleranceBudget, DEFAULT_BUDGET,
                     WINDOW_DEFECT_REPAIR, WINDOW_ISO_ETA, WINDOW_ISO_GAMMA,
                     WINDOW_ISO_MU, provenance_stamp)
-from .cpmaps import LinMap, _mult_defects, arveson_restrict, classify, hom_defect
+from .cpmaps import LinMap, _mult_defects, _restriction_cert, arveson_restrict, classify, hom_defect
 from .averaging import (exact_diagonal, improve_multiplicativity,
                         intertwining_unitary, projection_conjugator)
 from .geometry import (DistanceInterval, NearInclusionCert, nearest_in_ball,
                        nearest_in_span)
-from .linalg import dagger, opnorm, opnorm_max, opnorms
+from .linalg import dagger, opnorm, opnorm_max_of, opnorms
 
 __all__ = [
     "StageRecord",
@@ -110,13 +111,12 @@ class IsoResult:
 def expectation_producer(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float):
     """Producer callback backed by the expectation onto B.
 
-    Returns a function Z -> (phi, cert) where phi is the restriction of the
-    expectation onto B to A, certified eta-close to the inclusion on Z;
-    valid whenever A sits inside B to eta/2 in operator norm.
+    Returns a function Z -> (phi, cert) where phi, built once, is the
+    restriction of the expectation onto B to A, certified eta-close to the
+    inclusion on Z; valid whenever A sits inside B to eta/2 in operator norm.
     """
-    def produce(Z):
-        return arveson_restrict(A, B, Z, gamma=eta / 2.0)
-    return produce
+    phi = arveson_restrict(A, B, (), gamma=eta / 2.0)[0]
+    return lambda Z: (phi, _restriction_cert(phi, Z, eta / 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -134,13 +134,25 @@ def _averaging_parts(A: ConcreteAlgebra) -> np.ndarray:
     return bm.to_concrete((u[:, :d, :d] - u[:, d, d, None, None] * np.eye(d)) / 2.0)
 
 
-def _distinct(stack: np.ndarray) -> np.ndarray:
-    """The matrices of a stack without repeats, first occurrences in order.
-    Adding 0.0 turns -0.0 into 0.0, so equal matrices have equal bytes."""
-    first: dict[bytes, int] = {}
-    for i, z in enumerate(stack + 0.0):
-        first.setdefault(z.tobytes(), i)
-    return stack[list(first.values())]
+class _TrackedSet:
+    """Distinct matrices in order of first appearance: ``points``, rows of one
+    array per ``add``.  Each is keyed once by a 16-byte digest of its bytes
+    (-0.0 read as 0.0) and compared exactly on a key hit."""
+
+    def __init__(self, N: int):
+        self.N, self.points, self.keys = N, [], {}
+
+    def add(self, mats, size: int) -> np.ndarray:
+        """Append those of the (at most size) matrices mats not in the set; return them."""
+        new, old = np.empty((size, self.N, self.N), dtype=complex), len(self.points)
+        for z in mats:
+            hits = self.keys.setdefault(
+                hashlib.blake2b((z + 0.0).tobytes(), digest_size=16).digest(), [])
+            if not any(np.array_equal(self.points[i], z) for i in hits):
+                hits.append(len(self.points))
+                new[len(self.points) - old] = z
+                self.points.append(new[len(self.points) - old])
+        return new[:len(self.points) - old]
 
 
 def _same_map(phi: LinMap, prev: LinMap | None) -> bool:
@@ -150,11 +162,8 @@ def _same_map(phi: LinMap, prev: LinMap | None) -> bool:
 
 
 def _worst_move(phi, X) -> float:
-    """max over x in X of ||phi(x) - x||, evaluated on the stack; 0.0 for an
-    empty X."""
-    N = phi.codomain_dim
-    X = np.array(X, dtype=complex).reshape((len(X), N, N))
-    return opnorm_max(phi(X) - X)
+    """max over x in X of ||phi(x) - x||, in bounded batches; 0.0 for no X."""
+    return opnorm_max_of(lambda b: phi(b) - b, X)
 
 
 def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
@@ -166,16 +175,16 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
     ||alpha(x) - x|| <= 8 sqrt(6) eta^{1/2} + eta + mu for x in X_A.
 
     Requires a producer Z -> (cpc map eta-close to the inclusion on Z, cert
-    whose achieved value is max ||phi(z) - z|| over Z); defaults to the
-    expectation onto B.  Each stage repairs the produced map to a
-    homomorphism and aligns it with the previous stage by a unitary close to
-    one; a map equal bit for bit to the previous stage's keeps that stage's
-    repair and theta_defect, and its unitary too if that stage kept its own
-    repair, with repaired=False in the trace row.  The loop stops when the
-    aligned maps agree on the basis to tol_conv twice in a row.  When surjectivity_delta
-    is given (B inside A to that level, at most 1/5), codomain basis
-    elements are pulled through the accumulated conjugators and tracked, and
-    the result is certified onto B by dimension count.
+    whose achieved value is max ||phi(z) - z|| over Z), Z the list of tracked
+    points; defaults to the expectation onto B.  Each stage repairs the
+    produced map to a homomorphism and aligns it with the previous stage by a
+    unitary close to one; a map equal bit for bit to the previous stage's
+    keeps that stage's repair and theta_defect, and its unitary too if that
+    stage kept its own repair, with repaired=False in the trace row.  The loop
+    stops when the aligned maps agree on the basis to tol_conv twice in a row.
+    When surjectivity_delta is given (B inside A to that level, at most 1/5),
+    codomain basis elements are pulled through the accumulated conjugators
+    and tracked, and the result is certified onto B by dimension count.
     """
     budget.require_window("iso-eta", eta, WINDOW_ISO_ETA)
     budget.require_window("iso-mu", mu, WINDOW_ISO_MU)
@@ -190,10 +199,12 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
     bound_main = 8.0 * np.sqrt(6.0) * np.sqrt(eta) + eta + mu
     bound_nu = 8.0 * np.sqrt(6.0) * np.sqrt(eta) + eta + nu
 
-    avg_parts = _averaging_parts(A)
+    avg_parts = list(_averaging_parts(A))
     B_norm_basis = B.normalized_basis
-
-    X = list(X_A)
+    # Z: the distinct points of Y = X + avg_parts; Zp, which the producer sees:
+    # those of Z, Z* and w w* for w in them, formed 64 points at a time.
+    Z, Zp = _TrackedSet(A.ambient_dim), _TrackedSet(A.ambient_dim)
+    X, n_seen = list(X_A), 0
     trace: list[StageRecord] = []
     conjugators: list[np.ndarray] = []
     theta_prev: LinMap | None = None
@@ -223,17 +234,19 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
                 else:
                     tracking_ok = False
         delta_target = min(delta_target, 2.0 ** (-n), nu / (5.0 * np.sqrt(2.0)))
-        Y = X + list(avg_parts)
-        Z = _distinct(np.array(Y))
-        Zp = np.concatenate([Z, dagger(Z)])
-        Zp = _distinct(np.concatenate([Zp, Zp @ dagger(Zp)]))
+        new_X, n_seen = X[n_seen:], len(X)
+        new_Z = Z.add(new_X + avg_parts if n == 1 else new_X, len(new_X) + len(avg_parts))
+        W = (np.concatenate([c, dagger(c)]) for c in np.split(new_Z, range(64, len(new_Z), 64)))
+        Zp.add((z for w in W for z in (*w, *(w @ dagger(w)))), 4 * len(new_Z))
 
-        phi, prod_cert = producer(Zp)
+        phi, prod_cert = producer(Zp.points)
         closeness = prod_cert.achieved
-        phi_defect = opnorm_max(_mult_defects(phi, Z))
+        repaired = not _same_map(phi, phi_prev)
+        # the last stage's map keeps its defect on the points checked there
+        phi_defect = opnorm_max_of(lambda b: _mult_defects(phi, b), Z.points if repaired else new_Z)
+        phi_defect = phi_defect if repaired else max(trace[-1].phi_defect, phi_defect)
         gamma_repair = max(3.0 * eta, phi_defect)
 
-        repaired = not _same_map(phi, phi_prev)
         if repaired:
             theta_raw = improve_multiplicativity(phi, gamma=gamma_repair,
                                                  seed=seed + n, budget=budget).psi
@@ -252,19 +265,21 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
             alpha = theta
             u = np.eye(A.ambient_dim, dtype=complex)
         else:
-            # when this stage and the last kept theta, the last unitary is theta's with itself
-            u = (intertwining_unitary(theta_prev, theta, seed=seed + n, budget=budget).u
-                 if repaired or trace[-1].repaired else conjugators[-1])
+            # when this stage and the last kept theta, the last unitary is
+            # theta's with itself, and the drift map is the last stage's
+            kept = not (repaired or trace[-1].repaired)
+            u = (conjugators[-1] if kept else
+                 intertwining_unitary(theta_prev, theta, seed=seed + n, budget=budget).u)
             u_norm = float(opnorm(u - np.eye(A.ambient_dim)))
             aligned = theta.conjugated(u)
-            X_stack = np.array(X)
-            drift = opnorm_max(aligned(X_stack) - theta_prev(X_stack))
+            drift = opnorm_max_of(lambda b: aligned(b) - theta_prev(b), new_X if kept else X)
+            drift = max(trace[-1].drift, drift) if kept else drift
             accumulated = accumulated @ u
             alpha = theta.conjugated(accumulated)
         conjugators.append(u)
         theta_prev, phi_prev = theta, phi
         trace.append(StageRecord(
-            stage=n, n_X=len(X), n_Y=len(Y), n_Z=len(Zp),
+            stage=n, n_X=len(X), n_Y=len(X) + len(avg_parts), n_Z=len(Zp.points),
             delta_target=float(delta_target),
             producer_closeness=float(closeness),
             phi_defect=float(phi_defect), theta_defect=float(theta_defect),

@@ -25,6 +25,7 @@ __all__ = [
     "opnorm",
     "opnorms",
     "opnorm_max",
+    "opnorm_max_of",
     "hs_inner",
     "hs_norm",
     "tracenorm",
@@ -82,8 +83,8 @@ def opnorms(stack: np.ndarray) -> np.ndarray:
 # absolute part the squares that underflow below the smallest normal number.
 _HS_REL_SLACK = 1e-8
 _HS_ABS_SLACK = 1e-150
-# Largest gathered batch in opnorm_max: the gather copies the matrices it
-# takes, and a copy of a whole large stack would raise the peak memory.
+# Largest gathered batch in opnorm_max, and 4 times opnorm_max_of's: a copy
+# or images of a whole large stack would raise the peak memory.
 _BATCH_BYTES = 1 << 18
 
 
@@ -116,6 +117,18 @@ def opnorm_max(stack: np.ndarray) -> float:
         take = take[bound[take] > best]  # the norm found so far may rule out more
         if len(take):
             best = max(best, float(opnorms(mats[take]).max()))
+    return best
+
+
+def opnorm_max_of(f, points) -> float:
+    """opnorm_max(f(points)) for an f that maps each point of a stack or list on
+    its own, f taking 32 points or _BATCH_BYTES / 4 of them at a time, whichever
+    is more; the norm found so far rules out matrices by their HS bound."""
+    best, batch = 0.0, max(32, _BATCH_BYTES // 4 // max(np.asarray(points[:1]).nbytes, 1))
+    for i in range(0, len(points), batch):
+        out = f(np.asarray(points[i:i + batch], dtype=complex))
+        hs = np.linalg.norm(out, axis=(-2, -1)) * (1.0 + _HS_REL_SLACK) + _HS_ABS_SLACK
+        best = max(best, opnorm_max(out[~(hs <= best)]))
     return best
 
 

@@ -10,6 +10,7 @@ from cstarlab.certs import TOL_ALG, TOL_PSD
 from cstarlab.cpmaps import (
     LinMap,
     _choi_and_reshuffle,
+    _factor_bound,
     _mult_defects,
     _pinched_images,
     arveson_restrict,
@@ -398,6 +399,43 @@ def test_cb_bracket_of_the_transpose_on_m3_contains_three():
     lo, hi = cb_bracket(phi)
     assert lo <= 3.0 <= hi
     assert lo >= 1.0
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("c", [1.0, 1e-6, 1e-10, 1e-15])
+def test_cb_bracket_of_a_scaled_transpose_contains_n_c(n, c):
+    # c T on M_n has cb norm n c.  For c <= 1e-10 its Choi eigenvalues -c
+    # pass classify's TOL_PSD, so the cp branch must add what it let through
+    fd = FDAlgebra((n,))
+    lo, hi = cb_bracket(LinMap(fd, n, c * fd.units().swapaxes(1, 2)))
+    assert lo <= n * c <= hi
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-9, 1e-12, 1e-15])
+def test_cb_bracket_of_a_scaled_transpose_minus_identity(c):
+    # c (T - id) on M_2 sends 1 to 0 and e_12 to c (e_21 - e_12), of norm c,
+    # so its cb norm is at least c; the cp branch read ||phi(1)|| = 0 as hi
+    fd = FDAlgebra((2,))
+    lo, hi = cb_bracket(LinMap(fd, 2, c * (fd.units().swapaxes(1, 2) - fd.units())))
+    assert lo <= hi and hi >= c > 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_factor_bound_adds_the_terms_it_misses(seed):
+    # phi(x) = a x b has cb norm ||a|| ||b||.  Factors that miss part of the
+    # map, or all of it, must add the miss sum_ij ||a e_ij b||_F =
+    # (sum_i ||a_i||) (sum_j ||b_j||) over a's columns and b's rows
+    rng = rng_for(seed, "test-cb-miss")
+    a, b = random_complex(rng, 4, 3), random_complex(rng, 3, 4)
+    fd = FDAlgebra((3,))
+    C = _choi_and_reshuffle(_pinched_images(LinMap(fd, 4, a @ fd.units() @ b)))[0]
+    exact = opnorm(a) * opnorm(b)
+    miss = np.linalg.norm(a, axis=0).sum() * np.linalg.norm(b, axis=1).sum()
+    full = _factor_bound(a[None], b[None], C)
+    assert exact <= full <= exact * (1.0 + 1e-12)
+    assert _factor_bound(a[None] / 2.0, b[None], C) >= max(exact, exact / 2.0 + miss / 2.0)
+    none = _factor_bound(np.zeros((0, 4, 3)), np.zeros((0, 3, 4)), C)
+    assert miss <= none <= miss * (1.0 + 1e-12) and none >= exact
 
 
 # ---------------------------------------------------------------------------

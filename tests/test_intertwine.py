@@ -1,12 +1,16 @@
 """Staged isomorphisms between close algebras and their implementations."""
 
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from cstarlab import intertwine
+from cstarlab import cpmaps, intertwine
 from cstarlab.algebra import ConcreteAlgebra
 from cstarlab.certs import (
+    DEFAULT_BUDGET,
     PAPER_BUDGET,
     ContradictionError,
     SpectralGapError,
@@ -24,7 +28,7 @@ from cstarlab.intertwine import (
     near_embedding_nuclear,
     unit_match,
 )
-from cstarlab.linalg import dagger, opnorm, rng_for
+from cstarlab.linalg import dagger, opnorm, opnorms, rng_for
 from cstarlab.serialize import dumps
 
 
@@ -277,6 +281,155 @@ def test_a_changing_map_is_repaired_at_every_stage(monkeypatch):
     assert all(r.repaired for r in res.trace)
     assert counts == {"improve_multiplicativity": len(res.trace),
                       "intertwining_unitary": len(res.trace) - 1}
+
+
+# ---------------------------------------------------------------------------
+# the tracked sets, against whole-set evaluations
+# ---------------------------------------------------------------------------
+
+def test_tracked_set_keeps_each_point_once(monkeypatch):
+    # -0.0 and 0.0 are one point, and on a digest hit the exact comparison
+    # decides, also when every digest is the same
+    z = np.array([[0.0, 1.0], [-0.0, 2.0]], dtype=complex)
+
+    def check():
+        tracked = intertwine._TrackedSet(2)
+        assert np.array_equal(tracked.add([z, -z, z + 0.0, z.copy()], 4), [z, -z])
+        assert np.array_equal(tracked.add([2 * z, z], 2), [2 * z])
+        assert len(tracked.points) == 3
+
+    check()
+    monkeypatch.setattr(intertwine.hashlib, "blake2b",
+                        lambda *args, **kwargs: SimpleNamespace(digest=lambda: bytes(16)))
+    check()
+
+
+def _distinct(mats) -> np.ndarray:
+    """The matrices without repeats, first occurrences in order, keyed on
+    their full bytes (-0.0 read as 0.0) in a plain loop."""
+    first = {}
+    for z in mats:
+        first.setdefault((z + 0.0).tobytes(), z)
+    return np.array(list(first.values()))
+
+
+def _recorded_close_isomorphism(monkeypatch, inst, drift_map=False):
+    """close_isomorphism with its tracked points given, and its produced and
+    repaired maps and pulled points recorded per stage; with drift_map the
+    produced map changes at every stage."""
+    A, B, gamma = inst.A, inst.B, inst.dist_hint().hi
+    rec = {"X_A": None, "phi": [], "theta": {}, "pulled": []}
+    iso, ball = intertwine.intertwining_iso, intertwine.nearest_in_ball
+    improve, producer = intertwine.improve_multiplicativity, intertwine.expectation_producer
+
+    def recording_iso(*args, **kwargs):
+        rec["X_A"] = list(kwargs["X_A"])
+        return iso(*args, **kwargs)
+
+    def recording_ball(x, A_, iters):
+        out = ball(x, A_, iters=iters)
+        if iters == 80:  # the pull-back solves, before the stage's producer call
+            rec["pulled"] += [(len(rec["phi"]) + 1, y) for y, d in zip(*out[:2])
+                              if d <= 2.0 / 5.0 + DEFAULT_BUDGET.tol_alg]
+        return out
+
+    def recording_improve(phi, **kwargs):
+        res = improve(phi, **kwargs)
+        rec["theta"][len(rec["phi"])] = LinMap(A, A.ambient_dim, B.project(res.psi.images),
+                                               codomain_algebra=B)
+        return res
+
+    def recording_producer(A_, B_, eta):
+        inner = producer(A_, B_, eta)
+
+        def produce(Z):
+            phi, cert = inner(Z)
+            if drift_map:
+                phi = LinMap(A, A.ambient_dim, phi.images * (1.0 - 1e-12 * (len(rec["phi"]) + 1)),
+                             codomain_algebra=B)
+                cert = cpmaps._restriction_cert(phi, Z, eta / 2.0)
+            rec["phi"].append(phi)
+            return phi, cert
+        return produce
+
+    for name, fn in (("intertwining_iso", recording_iso), ("nearest_in_ball", recording_ball),
+                     ("improve_multiplicativity", recording_improve),
+                     ("expectation_producer", recording_producer)):
+        monkeypatch.setattr(intertwine, name, fn)
+    return close_isomorphism(A, B, gamma, seed=5), rec
+
+
+def _assert_stages_match_whole_sets(res, rec, A):
+    """Each trace row against a whole-set evaluation of its stage."""
+    norm_basis, avg = A.normalized_basis, list(intertwine._averaging_parts(A))
+    thetas = [None]
+    for n, row in enumerate(res.trace, start=1):
+        X = rec["X_A"] + [norm_basis[(k - 1) % len(norm_basis)] for k in range(1, n + 1)]
+        X = np.array(X + [y for stage, y in rec["pulled"] if stage <= n])
+        Z = _distinct(list(X) + avg)
+        Zp = _distinct(list(Z) + list(dagger(Z)) + list(Z @ dagger(Z)) + list(dagger(Z) @ Z))
+        phi = rec["phi"][n - 1]
+        P, Q = phi(Z), phi(dagger(Z))
+        defect = max(opnorms(P @ Q - phi(Z @ dagger(Z))).max(),
+                     opnorms(Q @ P - phi(dagger(Z) @ Z)).max())
+        thetas.append(rec["theta"].get(n, thetas[-1]))
+        drift = 0.0
+        if n > 1:
+            aligned = thetas[n].conjugated(res.conjugators[n - 1])
+            drift = opnorms(aligned(X) - thetas[n - 1](X)).max()
+        assert row.n_X == len(X) and row.n_Z == len(Zp)
+        assert row.producer_closeness == opnorms(phi(Zp) - Zp).max()
+        assert row.phi_defect == defect
+        assert row.drift == drift
+
+
+STAGE_PROFILES = [("conjugation", "M2+M1", 4), ("conjugation", "3,3", 8),
+                  ("conjugation", "2,2,2,2", 8), ("block-rotation", "6", 12)]
+
+
+@pytest.mark.parametrize("recipe,algebra,ambient", STAGE_PROFILES)
+def test_stage_values_equal_whole_set_evaluations(monkeypatch, recipe, algebra, ambient):
+    # stages that keep the map check its defect and drift on their new points
+    # only; the rows must still hold the maxima over the whole tracked sets
+    inst = gen_instance(recipe, {"algebra": algebra, "ambient": ambient, "eps": 1e-6}, seed=5)
+    res, rec = _recorded_close_isomorphism(monkeypatch, inst)
+    assert [r.repaired for r in res.trace] == [True, False, False]
+    assert len(rec["pulled"]) > 0
+    _assert_stages_match_whole_sets(res, rec, inst.A)
+
+
+@pytest.mark.parametrize("algebra,ambient", [("M2+M1", 4), ("3,3", 8)])
+def test_stage_values_of_a_map_that_changes_every_stage(monkeypatch, algebra, ambient):
+    # every stage takes the full path: a new map is checked on the whole set
+    inst = gen_instance("conjugation", {"algebra": algebra, "ambient": ambient, "eps": 1e-6},
+                        seed=5)
+    res, rec = _recorded_close_isomorphism(monkeypatch, inst, drift_map=True)
+    assert len(res.trace) >= 3 and all(r.repaired for r in res.trace)
+    _assert_stages_match_whole_sets(res, rec, inst.A)
+
+
+def test_expectation_producer_builds_its_map_once(monkeypatch):
+    calls, real = [], cpmaps.conditional_expectation
+    monkeypatch.setattr(cpmaps, "conditional_expectation",
+                        lambda B: calls.append(B) or real(B))
+    A, B, gamma = conjugation_instance("3,3", 8)
+    res = close_isomorphism(A, B, gamma, seed=5)
+    assert len(res.trace) == 3 and len(calls) == 1
+
+
+def test_close_isomorphism_memory_on_block_rotation():
+    # the tracked sets grow one stage at a time and every check runs in
+    # bounded batches; rebuilding and checking the whole sets at every stage
+    # peaked at 8.2 MiB here
+    inst = gen_instance("block-rotation", {"algebra": "6", "ambient": 12, "eps": 1e-6}, seed=7)
+    tracemalloc.start()
+    try:
+        res = close_isomorphism(inst.A, inst.B, inst.dist_hint().hi, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.passed
+    assert peak < 6 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
