@@ -444,13 +444,14 @@ def arveson_restrict(A: ConcreteAlgebra, B: ConcreteAlgebra, X,
     return phi, _restriction_cert(phi, list(X), gamma, tol)
 
 
-def _restriction_cert(phi: LinMap, X, gamma: float, tol: float = TOL_ALG) -> Certificate:
-    """arveson_restrict's certificate for its map phi on the points X."""
+def _restriction_cert(phi: LinMap, X, gamma: float, tol: float = TOL_ALG,
+                      achieved: float | None = None) -> Certificate:
+    """arveson_restrict's certificate for phi on X: achieved, or else measured."""
     return Certificate.build(
         name="expectation-restriction",
         formula="||phi(x) - x|| <= 2*gamma + tol on X",
-        inputs={"gamma": gamma, "n_points": len(X)},
-        ceiling=2.0 * gamma + tol, achieved=opnorm_max_of(lambda b: phi(b) - b, X),
+        inputs={"gamma": gamma, "n_points": len(X)}, ceiling=2.0 * gamma + tol,
+        achieved=opnorm_max_of(lambda b: phi(b) - b, X) if achieved is None else achieved,
         provenance=provenance_stamp())
 
 

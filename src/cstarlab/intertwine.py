@@ -10,9 +10,10 @@ unitary close to one.  With the exact averaging machinery every stage's
 repaired map is a homomorphism to machine precision and consecutive aligned
 stages agree to machine precision, so the iteration settles in two or three
 stages; all stated drift budgets are still tracked and certified.  The set
-only grows, so a stage hashes only its new points; a stage given the previous
-map bit for bit keeps its repair and sampled defect (and its unitary with
-itself) and checks that map's defect, and a kept unitary's drift, on them only.
+only grows, so a stage hashes, and the expectation producer measures, only its
+new points; a stage given the previous map bit for bit keeps its repair and
+checks that map's defect on them only, and an unchanged homomorphism takes the
+unitary 1, so the codomain basis is pulled back once per call.
 """
 
 from __future__ import annotations
@@ -90,6 +91,7 @@ class IsoResult:
     nu: float
     converged: bool
     surjective: bool
+    pull_back: tuple | None = None  # stage 1's codomain witnesses and distances
 
     @property
     def passed(self) -> bool:
@@ -114,9 +116,17 @@ def expectation_producer(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float):
     Returns a function Z -> (phi, cert) where phi, built once, is the
     restriction of the expectation onto B to A, certified eta-close to the
     inclusion on Z; valid whenever A sits inside B to eta/2 in operator norm.
+    Given its last list again, which must only have grown, it measures the new
+    points and keeps the maximum; any other list is measured whole.
     """
     phi = arveson_restrict(A, B, (), gamma=eta / 2.0)[0]
-    return lambda Z: (phi, _restriction_cert(phi, Z, eta / 2.0))
+    last = [None, 0, 0.0]  # the last list, how many of its points are measured, their worst
+
+    def produce(Z):
+        n, worst = last[1:] if Z is last[0] else (0, 0.0)
+        last[:] = [Z, len(Z), max(worst, _worst_move(phi, Z[n:]))]
+        return phi, _restriction_cert(phi, Z, eta / 2.0, achieved=last[2])
+    return produce
 
 
 # ---------------------------------------------------------------------------
@@ -176,15 +186,18 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
 
     Requires a producer Z -> (cpc map eta-close to the inclusion on Z, cert
     whose achieved value is max ||phi(z) - z|| over Z), Z the list of tracked
-    points; defaults to the expectation onto B.  Each stage repairs the
-    produced map to a homomorphism and aligns it with the previous stage by a
-    unitary close to one; a map equal bit for bit to the previous stage's
-    keeps that stage's repair and theta_defect, and its unitary too if that
-    stage kept its own repair, with repaired=False in the trace row.  The loop
-    stops when the aligned maps agree on the basis to tol_conv twice in a row.
-    When surjectivity_delta is given (B inside A to that level, at most 1/5),
-    codomain basis elements are pulled through the accumulated conjugators
-    and tracked, and the result is certified onto B by dimension count.
+    points, which only grows; defaults to the expectation onto B, which then
+    measures new points only.  Each stage repairs the produced map to a
+    homomorphism and aligns it with the previous one by a unitary close to 1;
+    a map equal bit for bit to the previous stage's keeps that stage's repair
+    and theta_defect (repaired=False), and a theta equal to the last takes
+    u = 1 and drift 0.0.  The loop stops when the aligned maps agree on the
+    basis to tol_conv twice in a row.  When surjectivity_delta is given (B
+    inside A to that level, at most 1/5), codomain basis elements are pulled
+    through the accumulated conjugator (solved once per conjugator, at 200
+    iterations at stage 1: pull_back) and tracked, closeness covers stage 1's
+    accepted witnesses too, and the result is certified onto B by dimension
+    count.
     """
     budget.require_window("iso-eta", eta, WINDOW_ISO_ETA)
     budget.require_window("iso-mu", mu, WINDOW_ISO_MU)
@@ -216,23 +229,21 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
     converged = False
     worst_membership = 0.0
     tracking_ok = surjectivity_delta is not None
-    pull_worst = 0.0
-    pulled_for = None
+    pull_worst, pulled_for, pull_back, X_close = 0.0, None, None, X_A
 
     for n in range(1, max_iter + 1):
         X.append(norm_basis[(n - 1) % len(norm_basis)])
         # track codomain basis elements through the accumulated conjugators,
         # solving and adding the pulled points again only after the
-        # conjugator changed
+        # conjugator changed; closeness covers stage 1's accepted witnesses
         if surjectivity_delta is not None and not np.array_equal(pulled_for, accumulated):
-            pulled = dagger(accumulated) @ B_norm_basis @ accumulated
-            pulled_for = accumulated
-            for x, dist in zip(*nearest_in_ball(pulled, A, iters=80)[:2]):
-                pull_worst = max(pull_worst, dist)
-                if dist <= 2.0 / 5.0 + budget.tol_alg:
-                    X.append(x)
-                else:
-                    tracking_ok = False
+            pulled, pulled_for = dagger(accumulated) @ B_norm_basis @ accumulated, accumulated
+            xs, dists = nearest_in_ball(pulled, A, iters=80 if pull_back else 200)[:2]
+            ok = dists <= 2.0 / 5.0 + budget.tol_alg
+            X += list(xs[ok])
+            pull_worst, tracking_ok = max(pull_worst, *dists), tracking_ok and ok.all()
+            if pull_back is None:
+                pull_back, X_close = (xs, dists), X_A + list(xs[ok])
         delta_target = min(delta_target, 2.0 ** (-n), nu / (5.0 * np.sqrt(2.0)))
         new_X, n_seen = X[n_seen:], len(X)
         new_Z = Z.add(new_X + avg_parts if n == 1 else new_X, len(new_X) + len(avg_parts))
@@ -254,28 +265,24 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
                            codomain_algebra=B)
         else:
             budget.require_window("multiplicativity-repair", gamma_repair, WINDOW_DEFECT_REPAIR)
-        residual = B.membership_residual(theta_raw.images)
-        worst_membership = max(worst_membership, residual)
         # the same sample points at every stage, so a kept theta keeps its defect
         theta_defect = hom_defect(theta, seed) if repaired else trace[-1].theta_defect
 
-        drift, u_norm = 0.0, 0.0
+        # a theta equal to the last one keeps its residual and alpha, with u = 1
+        same = theta_prev is not None and np.array_equal(theta.images, theta_prev.images)
+        residual = trace[-1].image_residual if same else B.membership_residual(theta_raw.images)
+        u, drift, u_norm = np.eye(A.ambient_dim, dtype=complex), 0.0, 0.0
         drift_ceiling = 2.0 ** (-(n - 1)) * nu
         if theta_prev is None:
             alpha = theta
-            u = np.eye(A.ambient_dim, dtype=complex)
-        else:
-            # when this stage and the last kept theta, the last unitary is
-            # theta's with itself, and the drift map is the last stage's
-            kept = not (repaired or trace[-1].repaired)
-            u = (conjugators[-1] if kept else
-                 intertwining_unitary(theta_prev, theta, seed=seed + n, budget=budget).u)
+        elif not same:
+            u = intertwining_unitary(theta_prev, theta, seed=seed + n, budget=budget).u
             u_norm = float(opnorm(u - np.eye(A.ambient_dim)))
             aligned = theta.conjugated(u)
-            drift = opnorm_max_of(lambda b: aligned(b) - theta_prev(b), new_X if kept else X)
-            drift = max(trace[-1].drift, drift) if kept else drift
+            drift = opnorm_max_of(lambda b: aligned(b) - theta_prev(b), X)
             accumulated = accumulated @ u
             alpha = theta.conjugated(accumulated)
+        worst_membership = max(worst_membership, residual)
         conjugators.append(u)
         theta_prev, phi_prev = theta, phi
         trace.append(StageRecord(
@@ -301,11 +308,11 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
     worst_membership = max(worst_membership, B.membership_residual(alpha.images))
     alpha = LinMap(A, A.ambient_dim, B.project(alpha.images), codomain_algebra=B)
 
-    achieved = _worst_move(alpha, X_A)
+    achieved = _worst_move(alpha, X_close)
     cert_close = Certificate.build(
         name="iso-closeness",
         formula="||alpha(x) - x|| <= 8 sqrt(6) eta^{1/2} + eta + mu on X_A",
-        inputs={"eta": eta, "mu": mu, "n_points": len(X_A)},
+        inputs={"eta": eta, "mu": mu, "n_points": len(X_close)},
         ceiling=float(bound_main), achieved=float(achieved),
         provenance=provenance_stamp(seed))
     cert_hom = Certificate.build(
@@ -364,7 +371,7 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
     return IsoResult(map=alpha, inverse=inverse, conjugators=conjugators,
                      trace=trace, certificates=certs, eta=float(eta),
                      mu=float(mu), nu=float(nu), converged=converged,
-                     surjective=surjective)
+                     surjective=surjective, pull_back=pull_back)
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +393,9 @@ def close_isomorphism(A: ConcreteAlgebra, B: ConcreteAlgebra, dist_cert,
     certificate, with ||theta(x) - x|| and ||theta^{-1}(y) - y|| at most
     28 gamma^{1/2} on the requested sets.
 
-    Enlarges X with near-best unit-ball approximants of each y in Y, runs the
-    staged intertwining with eta = 2 gamma, and certifies both directional
+    Enlarges X with near-best unit-ball approximants of each y in Y (for the
+    default Y, B's basis, the staged intertwining's stage-1 pull-back), runs
+    the staged intertwining with eta = 2 gamma, and certifies both directional
     bounds (the reverse direction through the chain
     ||theta^{-1}(y) - y|| <= 2 ||x - y|| + ||theta(x) - y||).
     """
@@ -401,23 +409,26 @@ def close_isomorphism(A: ConcreteAlgebra, B: ConcreteAlgebra, dist_cert,
         mu = min(np.sqrt(gamma), 1.0 / 4000.0)
     X = [np.asarray(x, dtype=complex) for x in ([] if X is None else X)]
     X += list(A.normalized_basis)
-    Y = B.normalized_basis if Y is None else np.array(Y, dtype=complex)
-    Xs, dists, _, _ = nearest_in_ball(Y, A, iters=200)
-    X += list(Xs)
-
     surj_delta = gamma if gamma <= 1.0 / 5.0 else None
+    # else the staged intertwining pulls B's basis back and measures
+    # closeness on X and the accepted witnesses
+    own = Y is not None or surj_delta is None
+    Y = B.normalized_basis if Y is None else np.array(Y, dtype=complex)
+    if own:
+        Xs, dists, _, _ = nearest_in_ball(Y, A, iters=200)
+        X += list(Xs)
     res = intertwining_iso(A, B, eta=2.0 * gamma, X_A=X, mu=mu,
                            producer=expectation_producer(A, B, 2.0 * gamma),
                            surjectivity_delta=surj_delta, seed=seed,
                            budget=budget)
-    theta = res.map
+    theta, close = res.map, res.certificates["closeness"]
+    Xs, dists = (Xs, dists) if own else res.pull_back
     ceiling = 28.0 * np.sqrt(gamma)
-    fwd = _worst_move(theta, X)
     res.certificates["forward-closeness"] = Certificate.build(
         name="forward-closeness",
         formula="||theta(x) - x|| <= 28 gamma^{1/2} on X",
-        inputs={"gamma": gamma, "n_points": len(X)},
-        ceiling=float(ceiling), achieved=float(fwd),
+        inputs={"gamma": gamma, "n_points": len(X) if own else close.inputs["n_points"]},
+        ceiling=float(ceiling), achieved=_worst_move(theta, X) if own else close.achieved,
         provenance=provenance_stamp(seed))
     if res.inverse is None:
         raise SpectralGapError("constructed map is not invertible; "
@@ -452,13 +463,12 @@ def near_embedding_nuclear(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma_cert,
     res = intertwining_iso(A, B, eta=2.0 * gamma, X_A=X, mu=mu,
                            producer=expectation_producer(A, B, 2.0 * gamma),
                            seed=seed, budget=budget)
-    achieved = _worst_move(res.map, X)
     cert = Certificate.build(
         name="near-embedding",
         formula="||theta(x) - x|| <= 28 gamma^{1/2} on X",
         inputs={"gamma": gamma, "n_points": len(X),
                 "sigma_min": res.certificates["injectivity"].details["action_sigma_min"]},
-        ceiling=float(28.0 * np.sqrt(gamma)), achieved=float(achieved),
+        ceiling=float(28.0 * np.sqrt(gamma)), achieved=res.certificates["closeness"].achieved,
         provenance=provenance_stamp(seed))
     return res.map, cert
 

@@ -26,7 +26,7 @@ from .certs import (TOL_ALG, TOL_RANK, Certificate, ContradictionError,
 from .averaging import _canonical_index, _canonical_sum
 from .cpmaps import LinMap, _from_choi_blocks, cb_bracket, choi_blocks, classify
 from .geometry import tensor_lift
-from .intertwine import _distance_hi, _worst_move, intertwining_iso
+from .intertwine import _distance_hi, intertwining_iso
 from .linalg import (clip_spectrum, dagger, eigh_fun, herm, opnorm,
                      opnorm_max, psd_pinv, psd_sqrt)
 
@@ -460,14 +460,13 @@ def near_embed_nucdim(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma_cert,
     res = intertwining_iso(A, B, eta=eta, X_A=X,
                            mu=min(0.2 * np.sqrt(eta), 1.0 / 4000.0),
                            producer=None, seed=seed, budget=budget)
-    achieved = _worst_move(res.map, X)
     cert = Certificate.build(
         name="nucdim-near-embedding",
         formula="||theta(x) - x|| <= 20 eta^{1/2}, "
                 "eta = 2 (n+1) (2 gamma + gamma^2)(2 + 2 gamma + gamma^2)",
         inputs={"gamma": gamma, "eta": float(eta), "n": dec.n,
                 "n_points": len(X)},
-        ceiling=float(20.0 * np.sqrt(eta)), achieved=float(achieved),
+        ceiling=float(20.0 * np.sqrt(eta)), achieved=res.certificates["closeness"].achieved,
         details={"sigma_min": res.certificates["injectivity"].details["action_sigma_min"],
                  "stages": len(res.trace),
                  "transfer_achieved": cert_t.achieved,

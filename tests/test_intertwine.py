@@ -29,6 +29,7 @@ from cstarlab.intertwine import (
     unit_match,
 )
 from cstarlab.linalg import dagger, opnorm, opnorms, rng_for
+from cstarlab.orderzero import identity_decomposition, near_embed_nucdim
 from cstarlab.serialize import dumps
 
 
@@ -83,22 +84,51 @@ def test_close_isomorphism_takes_a_stack():
 
 
 def test_pull_back_is_solved_once_per_conjugator(monkeypatch):
-    # stages 1 and 2 both pull the codomain basis back through the identity,
-    # so stage 2 reuses stage 1's solve; every later stage has a new
-    # accumulated conjugator and solves again
+    # the expectation producer gives every stage the same map, so every stage
+    # keeps the identity conjugator: the codomain basis is solved once per
+    # call, at stage 1 and at 200 iterations, and close_isomorphism takes its
+    # witnesses from that solve instead of solving the basis again
     pulls, solve = [], intertwine.nearest_in_ball
 
     def recorded(x, A, iters):
-        if iters == 80:  # the pull-back solves; close_isomorphism's own is 200
-            pulls.append(x)
+        pulls.append((x, iters))
         return solve(x, A, iters=iters)
 
     monkeypatch.setattr(intertwine, "nearest_in_ball", recorded)
     A, B, u = conjugated_pair((2, 1), 3, 1e-5, 4)
     res = close_isomorphism(A, B, 2.0 * opnorm(u - np.eye(3)), seed=4)
     assert res.surjective and len(res.trace) >= 3
-    assert len(pulls) == len(res.trace) - 1
-    assert not any(np.array_equal(a, b) for a, b in zip(pulls, pulls[1:]))
+    assert [iters for _, iters in pulls] == [200]
+    assert np.array_equal(pulls[0][0], B.normalized_basis)
+    assert all(np.array_equal(c, np.eye(3)) for c in res.conjugators)
+
+
+def test_a_changing_map_is_pulled_back_through_its_new_conjugator(monkeypatch):
+    # a producer whose map changes at stage 2 gets a fresh intertwining
+    # unitary there, u != 1, and the codomain basis is pulled back again
+    # through the new accumulated conjugator
+    pulls, solve = [], intertwine.nearest_in_ball
+    monkeypatch.setattr(intertwine, "nearest_in_ball",
+                        lambda x, A, iters: pulls.append((x, iters)) or solve(x, A, iters=iters))
+    counts = count_calls(monkeypatch)
+    A, B, gamma = conjugation_instance("M2+M1", 4)
+    inner = intertwine.expectation_producer(A, B, 2.0 * gamma)
+    calls = []
+
+    def changing(Z):
+        phi, cert = inner(Z)
+        calls.append(1)
+        scale = 1.0 - 1e-7 if len(calls) >= 2 else 1.0
+        return LinMap(A, A.ambient_dim, phi.images * scale, codomain_algebra=B), cert
+
+    res = intertwine.intertwining_iso(A, B, 2.0 * gamma, producer=changing, seed=5,
+                                      surjectivity_delta=gamma)
+    assert res.converged and [r.repaired for r in res.trace][:3] == [True, True, False]
+    assert counts == {"improve_multiplicativity": 2, "intertwining_unitary": 1}
+    u = res.conjugators[1]
+    assert res.trace[1].u_norm > 0.0 and not np.array_equal(u, np.eye(4))
+    assert [iters for _, iters in pulls][:2] == [200, 80]
+    assert np.array_equal(pulls[1][0], dagger(u) @ B.normalized_basis @ u)
 
 
 def test_close_isomorphism_inverse_round_trip():
@@ -147,7 +177,8 @@ def test_intertwining_iso_ignores_repeated_points():
                                         surjectivity_delta=gamma)
             for X in (X_A, X_A + X_A)]
     certs = [{k: c.to_dict() for k, c in r.certificates.items()} for r in runs]
-    assert [c["closeness"]["inputs"].pop("n_points") for c in certs] == [6, 12]
+    # closeness also covers the B.dim codomain witnesses stage 1 accepts
+    assert [c["closeness"]["inputs"].pop("n_points") for c in certs] == [6 + B.dim, 12 + B.dim]
     assert certs[0] == certs[1]
     assert runs[0].map.images.tobytes() == runs[1].map.images.tobytes()
 
@@ -205,7 +236,8 @@ def count_calls(monkeypatch):
 
 @pytest.mark.parametrize("algebra,ambient", REUSE_PROFILES)
 def test_stage_reuse_matches_repairing_every_stage(monkeypatch, algebra, ambient):
-    # the oracle recomputes the repair and the unitary at every stage
+    # the oracle repairs at every stage; the repair gives the same theta bit
+    # for bit, so both runs align no stage and keep the conjugator 1
     A, B, gamma = conjugation_instance(algebra, ambient)
     kept = [run(A, B, gamma) for run in DEFAULT_RUNS]
     monkeypatch.setattr(intertwine, "_same_map", lambda phi, prev: False)
@@ -235,7 +267,8 @@ def test_expectation_producer_is_repaired_once_per_run(monkeypatch):
         for run in DEFAULT_RUNS:
             res = run(A, B, gamma)
             assert [r.repaired for r in res.trace] == [True, False, False]
-            assert counts == {"improve_multiplicativity": 1, "intertwining_unitary": 1}
+            # every stage's theta is stage 1's, so no stage aligns it
+            assert counts == {"improve_multiplicativity": 1, "intertwining_unitary": 0}
             # every stage checks the repair window on its own gamma
             assert windows == [max(3.0 * res.eta, r.phi_defect) for r in res.trace]
             counts.update(dict.fromkeys(counts, 0))
@@ -262,6 +295,81 @@ def test_a_kept_theta_keeps_its_sampled_defect(monkeypatch):
     assert kept_calls == len(calls) - len(reuse)
     # the kept defect is the one a new sample of the same map gives
     assert [r.theta_defect for r in kept.trace] == [r.theta_defect for r in redone.trace]
+
+
+@pytest.mark.parametrize("algebra,ambient", REUSE_PROFILES)
+def test_a_kept_theta_takes_the_unitary_one(algebra, ambient):
+    # stages 2 and 3 repair nothing and align nothing: their conjugator is
+    # exactly the identity and their drift exactly 0.0
+    A, B, gamma = conjugation_instance(algebra, ambient)
+    for run in DEFAULT_RUNS:
+        res = run(A, B, gamma)
+        assert len(res.trace) == 3
+        for u, row in zip(res.conjugators, res.trace):
+            assert np.array_equal(u, np.eye(A.ambient_dim)) and u.dtype == complex
+            assert row.drift == 0.0 and row.u_norm == 0.0
+        assert res.certificates["drift"].achieved == 0.0
+
+
+def test_expectation_producer_measures_new_points_only(monkeypatch):
+    # at every stage the producer's closeness is the whole set's, though it
+    # measures only the points added since its last call; a new list is
+    # measured from its first point
+    A, B, gamma = conjugation_instance("3,3", 8)
+    inner = intertwine.expectation_producer(A, B, 2.0 * gamma)
+    measured, worst = [], intertwine._worst_move
+    monkeypatch.setattr(intertwine, "_worst_move",
+                        lambda phi, X: measured.append(len(X)) or worst(phi, X))
+    seen = []
+
+    def recording(Z):
+        phi, cert = inner(Z)
+        whole = cpmaps._restriction_cert(phi, list(Z), gamma)
+        seen.append((len(Z), cert.achieved, whole.achieved, cert.inputs["n_points"]))
+        return phi, cert
+
+    # with no X_A, every stage's basis point is new
+    res = intertwine.intertwining_iso(A, B, 2.0 * gamma, X_A=[], producer=recording,
+                                      seed=5, surjectivity_delta=gamma)
+    sizes = [n for n, *_ in seen]
+    assert len(seen) == len(res.trace) == 3 and sizes[0] < sizes[1] < sizes[2]
+    assert all(mine == whole and count == n for n, mine, whole, count in seen)
+    assert [r.producer_closeness for r in res.trace] == [mine for _, mine, *_ in seen]
+    assert measured[:3] == [sizes[0], sizes[1] - sizes[0], sizes[2] - sizes[1]]
+    # a new list starts again: an empty one reads 0.0, not the last maximum
+    phi, cert = inner([])
+    assert cert.achieved == 0.0 and measured[-1] == 0
+    Z = [np.eye(A.ambient_dim, dtype=complex) / 2.0, *A.normalized_basis]
+    assert inner(Z)[1].achieved == cpmaps._restriction_cert(phi, Z, gamma).achieved
+    assert measured[-1] == len(Z)
+
+
+def test_close_isomorphism_reads_its_closeness():
+    # forward-closeness, near-embedding and nucdim-near-embedding read the
+    # staged closeness; it equals a fresh measurement on the same points
+    A, B, gamma = conjugation_instance("3,3", 8)
+    res = close_isomorphism(A, B, gamma, seed=5)
+    Xs, dists = res.pull_back
+    X = list(A.normalized_basis) + list(Xs[dists <= 2.0 / 5.0 + DEFAULT_BUDGET.tol_alg])
+    fwd = res.certificates["forward-closeness"]
+    assert fwd.achieved == intertwine._worst_move(res.map, X)
+    assert fwd.achieved == res.certificates["closeness"].achieved
+    assert fwd.inputs["n_points"] == len(X) == A.dim + B.dim
+    theta, cert = near_embedding_nuclear(A, B, gamma, seed=5)
+    assert cert.achieved == intertwine._worst_move(theta, list(A.normalized_basis))
+    theta, cert = near_embed_nucdim(A, B, gamma, identity_decomposition(A), seed=5)
+    assert cert.achieved == intertwine._worst_move(theta, list(A.normalized_basis))
+
+
+def test_close_isomorphism_with_its_own_codomain_points():
+    # a Y given explicitly is solved by close_isomorphism itself, and forward
+    # closeness is measured on X and those witnesses
+    A, B, gamma = conjugation_instance("M2+M1", 4)
+    Y = B.normalized_basis[:2]
+    res = close_isomorphism(A, B, gamma, Y=Y, seed=5)
+    assert res.passed
+    assert res.certificates["backward-closeness"].inputs["n_points"] == 2
+    assert res.certificates["forward-closeness"].inputs["n_points"] == A.dim + 2
 
 
 def test_a_changing_map_is_repaired_at_every_stage(monkeypatch):
@@ -327,10 +435,10 @@ def _recorded_close_isomorphism(monkeypatch, inst, drift_map=False):
         return iso(*args, **kwargs)
 
     def recording_ball(x, A_, iters):
+        # the pull-back solves, before the stage's producer call
         out = ball(x, A_, iters=iters)
-        if iters == 80:  # the pull-back solves, before the stage's producer call
-            rec["pulled"] += [(len(rec["phi"]) + 1, y) for y, d in zip(*out[:2])
-                              if d <= 2.0 / 5.0 + DEFAULT_BUDGET.tol_alg]
+        rec["pulled"] += [(len(rec["phi"]) + 1, y) for y, d in zip(*out[:2])
+                          if d <= 2.0 / 5.0 + DEFAULT_BUDGET.tol_alg]
         return out
 
     def recording_improve(phi, **kwargs):

@@ -15,19 +15,29 @@ import sys
 from pathlib import Path
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-sys.path[:0] = [str(Path(sys.argv[1]).resolve()),
-                str(Path(__file__).resolve().parents[1] / "perfbench")]
 
-from cstarlab import instances, pipelines, serialize  # noqa: E402
-from workloads import WORKLOADS, op_seed  # noqa: E402
 
-for name, workload in WORKLOADS.items():
-    for i, op in enumerate(workload.ops):
-        seed = op_seed(name, 3000, 0, i)
-        try:
-            inst = instances.gen_instance(op.recipe, op.params, seed=seed)
-            text = serialize.dumps(pipelines.run_pipeline(inst, op.pipeline, seed=seed))
-            digest = hashlib.sha256(text.encode()).hexdigest()
-        except Exception as exc:  # a failing op is a result too
-            digest = f"raised {type(exc).__name__}"
-        print(f"{name} #{i} {op.label}: {digest}")
+def reports(src):
+    """Yield (label, serialized report or None, exception name or None) for
+    every op, running cstarlab from the tree src."""
+    sys.path[:0] = [str(Path(src).resolve()),
+                    str(Path(__file__).resolve().parents[1] / "perfbench")]
+    from cstarlab import instances, pipelines, serialize
+    from workloads import WORKLOADS, op_seed
+
+    for name, workload in WORKLOADS.items():
+        for i, op in enumerate(workload.ops):
+            seed = op_seed(name, 3000, 0, i)
+            try:
+                inst = instances.gen_instance(op.recipe, op.params, seed=seed)
+                text = serialize.dumps(pipelines.run_pipeline(inst, op.pipeline, seed=seed))
+            except Exception as exc:  # a failing op is a result too
+                yield f"{name} #{i} {op.label}", None, type(exc).__name__
+            else:
+                yield f"{name} #{i} {op.label}", text, None
+
+
+if __name__ == "__main__":
+    for label, text, error in reports(sys.argv[1]):
+        digest = f"raised {error}" if text is None else hashlib.sha256(text.encode()).hexdigest()
+        print(f"{label}: {digest}")
