@@ -15,11 +15,10 @@ from .averaging import (AveragingSet, IntertwinerResult, LiftResult,
 from .certs import (DEFAULT_BUDGET, PAPER_BUDGET, Certificate,
                     ContradictionError, SchemaError, SpectralGapError, ToleranceBudget,
                     WindowError, provenance_stamp)
-from .cpmaps import (DefectReport, LinMap, StinespringDilation, Ternary,
-                     arveson_restrict, cb_bracket, choi, choi_blocks,
-                     classify, conditional_expectation, from_choi,
-                     kraus_operators, mult_defect, stinespring,
-                     ucp_extension)
+from .cpmaps import (LinMap, StinespringDilation, Ternary, arveson_restrict,
+                     cb_bracket, choi, choi_blocks, classify,
+                     conditional_expectation, from_choi, kraus_operators,
+                     stinespring, ucp_extension)
 from .geometry import (DistanceInterval, NearInclusionCert, SampleSpec,
                        equality_criterion, kk_distance, near_inclusion,
                        nearest_in_ball, nearest_in_span, tensor_lift)
@@ -43,7 +42,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AveragingSet", "BlockModel", "BlockStructure", "Certificate",
     "ConcreteAlgebra", "ContradictionError", "DEFAULT_BUDGET",
-    "DefectReport", "DistanceInterval", "FDAlgebra", "Instance",
+    "DistanceInterval", "FDAlgebra", "Instance",
     "IntertwinerResult", "IsoResult", "LiftResult", "LinMap",
     "NearInclusionCert", "NucDimDecomposition", "OrderZeroMap",
     "PAPER_BUDGET", "RepairResult", "Report", "SampleSpec", "SchemaError",
@@ -56,7 +55,7 @@ __all__ = [
     "half_flip_cpc", "hat_decomposition", "identity_decomposition",
     "implement_unitarily", "improve_multiplicativity", "intertwining_iso",
     "intertwining_unitary", "is_order_zero", "kk_distance",
-    "kraus_operators", "load", "loads", "mult_defect", "near_embed_nucdim",
+    "kraus_operators", "load", "loads", "near_embed_nucdim",
     "near_embedding_nuclear", "near_inclusion", "nearest_in_ball",
     "nearest_in_span", "nucdim_cpc_transfer", "order_zero_projection",
     "perturb_order_zero", "polar_unitary", "projection_conjugator",

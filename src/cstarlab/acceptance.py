@@ -59,9 +59,10 @@ def _result(number: int, name: str, passed: bool, detail: str,
 # 1. polar and projection bounds
 # ---------------------------------------------------------------------------
 
-def criterion_1(count: int = 10_000, seed: int = 0) -> CriterionResult:
+def criterion_1() -> CriterionResult:
     t0 = time.perf_counter()
-    rng = rng_for(seed, "acceptance-1")
+    count = 10_000
+    rng = rng_for(0, "acceptance-1")
     worst_polar = worst_proj_norm = worst_conj = 0.0
     for i in range(count):
         n = 2 + int(rng.integers(0, 15))
@@ -108,13 +109,14 @@ def _random_ucp(fd: FDAlgebra, N: int, rng) -> LinMap:
     return LinMap(fd, N, images)
 
 
-def criterion_2(per_profile: int = 100, seed: int = 0) -> CriterionResult:
+def criterion_2() -> CriterionResult:
     t0 = time.perf_counter()
+    per_profile = 100
     profiles = [(2,), (1, 1), (2, 1), (3,)]
     worst_recon = worst_defect = 0.0
     for profile in profiles:
         fd = FDAlgebra(profile)
-        rng = rng_for(seed, "acceptance-2", *profile)
+        rng = rng_for(0, "acceptance-2", *profile)
         for _ in range(per_profile):
             phi = _random_ucp(fd, 4, rng)
             dil = stinespring(phi)
@@ -148,7 +150,7 @@ def _partitions(total: int):
     return out
 
 
-def criterion_3(seed: int = 0) -> CriterionResult:
+def criterion_3() -> CriterionResult:
     t0 = time.perf_counter()
     mult_defects, worst_central = [], 0.0
     for total in range(1, 7):
@@ -157,7 +159,7 @@ def criterion_3(seed: int = 0) -> CriterionResult:
             avg = exact_diagonal(fd)
             m_img = sum(w * (dagger(u) @ u) for w, u in zip(avg.weights, avg.terms))
             mult_defects.append(opnorm(m_img - fd.unit()))
-            rng = rng_for(seed, "acceptance-3", *profile)
+            rng = rng_for(0, "acceptance-3", *profile)
             units = fd.units()
             for x in fd.random_elements(rng, 3):
                 x = x / max(opnorm(x), 1e-300)
@@ -183,8 +185,9 @@ def _noisy_cpc_hom(profile, N: int, eps: float, rng) -> LinMap:
     return psi
 
 
-def criterion_4(seeds: int = 50) -> CriterionResult:
+def criterion_4() -> CriterionResult:
     t0 = time.perf_counter()
+    seeds = 50
     profiles = [(2,), (2, 1), (1, 1, 1), (3,)]
     worst_defect = worst_gamma = 0.0
     all_ok = True
@@ -216,8 +219,9 @@ def _conjugated_hom_pair(profile, N: int, gamma: float, rng):
     return rho.conjugated(u0), rho
 
 
-def criterion_5(seeds: int = 50) -> CriterionResult:
+def criterion_5() -> CriterionResult:
     t0 = time.perf_counter()
+    seeds = 50
     profiles = [(2,), (2, 1), (1, 1)]
     worst_resid = 0.0
     all_ok = True
@@ -259,8 +263,9 @@ ISO_GRID = [(eps, alg) for eps in (1e-4, 1e-5, 1e-6)
             for alg in ("M2", "M2+M1", "diag3")]
 
 
-def criterion_6(seeds: int = 20) -> CriterionResult:
+def criterion_6() -> CriterionResult:
     t0 = time.perf_counter()
+    seeds = 20
     runs = 0
     all_ok = True
     worst_drift = worst_hom = 0.0
@@ -287,8 +292,9 @@ def criterion_6(seeds: int = 20) -> CriterionResult:
 # 7. unitary implementation
 # ---------------------------------------------------------------------------
 
-def criterion_7(seeds: int = 20) -> CriterionResult:
+def criterion_7() -> CriterionResult:
     t0 = time.perf_counter()
+    seeds = 20
     runs = 0
     all_ok = True
     worst_conj = worst_sub = 0.0
@@ -314,8 +320,9 @@ def criterion_7(seeds: int = 20) -> CriterionResult:
 # 8. order-zero perturbation
 # ---------------------------------------------------------------------------
 
-def criterion_8(seeds: int = 50) -> CriterionResult:
+def criterion_8() -> CriterionResult:
     t0 = time.perf_counter()
+    seeds = 50
     profiles = [(2,), (2, 1), (1, 1)]
     all_ok = True
     worst_exact = 0.0
@@ -345,8 +352,9 @@ def criterion_8(seeds: int = 50) -> CriterionResult:
 # 9. decomposition transfer and embedding
 # ---------------------------------------------------------------------------
 
-def criterion_9(seeds: int = 20) -> CriterionResult:
+def criterion_9() -> CriterionResult:
     t0 = time.perf_counter()
+    seeds = 20
     all_ok = True
     runs = 0
     half = seeds // 2
@@ -357,8 +365,7 @@ def criterion_9(seeds: int = 20) -> CriterionResult:
         dec = identity_decomposition(inst.A)
         gamma = inst.dist_hint()
         X = inst.A.normalized_basis
-        phi, cert_t = nucdim_cpc_transfer(inst.A, dec, None, X, inst.B, gamma,
-                                          seed=s)
+        phi, cert_t = nucdim_cpc_transfer(inst.A, dec, X, inst.B, gamma, seed=s)
         all_ok = all_ok and cert_t.passed and classify(phi).cpc
         _, cert_e = near_embed_nucdim(inst.A, inst.B, gamma, dec, seed=s)
         all_ok = all_ok and cert_e.passed
@@ -372,7 +379,7 @@ def criterion_9(seeds: int = 20) -> CriterionResult:
         gamma = 2.0 * opnorm(u - np.eye(9))
         vc = verify_nucdim_decomposition(A, X1, dec1.defect + 1e-12, dec1)
         all_ok = all_ok and vc.passed
-        phi, cert_t = nucdim_cpc_transfer(A, dec1, None, X1, B, gamma, seed=s)
+        phi, cert_t = nucdim_cpc_transfer(A, dec1, X1, B, gamma, seed=s)
         all_ok = all_ok and cert_t.passed and classify(phi).cpc
         _, cert_e = near_embed_nucdim(A, B, gamma, dec1, X=X1, seed=s)
         all_ok = all_ok and cert_e.passed and cert_e.details["transfer_ok"]
@@ -426,8 +433,9 @@ def criterion_10() -> CriterionResult:
 # 11. determinism
 # ---------------------------------------------------------------------------
 
-def criterion_11(seed: int = 7) -> CriterionResult:
+def criterion_11() -> CriterionResult:
     t0 = time.perf_counter()
+    seed = 7
 
     def snapshot() -> str:
         inst = gen_instance("conjugation",
@@ -450,7 +458,7 @@ CRITERIA = {1: criterion_1, 2: criterion_2, 3: criterion_3, 4: criterion_4,
             9: criterion_9, 10: criterion_10, 11: criterion_11}
 
 
-def run_all(numbers=None, echo: bool = True) -> list[CriterionResult]:
+def run_all(numbers=None) -> list[CriterionResult]:
     numbers = sorted(numbers or CRITERIA)
     unknown = [k for k in numbers if k not in CRITERIA]
     if unknown:
@@ -460,6 +468,5 @@ def run_all(numbers=None, echo: bool = True) -> list[CriterionResult]:
     for k in numbers:
         res = CRITERIA[k]()
         results.append(res)
-        if echo:
-            print(res.line(), flush=True)
+        print(res.line(), flush=True)
     return results

@@ -64,11 +64,13 @@ __all__ = [
 # span utilities
 # ---------------------------------------------------------------------------
 
-def orthonormalize(mats, tol: float = 1e-10) -> list[np.ndarray]:
+def orthonormalize(mats) -> list[np.ndarray]:
     """HS-orthonormalize, dropping dependent elements.
 
     Modified Gram-Schmidt with one re-orthogonalization pass, which keeps the
     Gram residual near machine precision even for nearly dependent inputs.
+    An element is dependent when its residual is at most 1e-10 times the
+    largest HS norm among mats (or 1e-10, if that is below one).
     """
     out: list[np.ndarray] = []
     scale = max((hs_norm(m) for m in mats), default=1.0)
@@ -78,7 +80,7 @@ def orthonormalize(mats, tol: float = 1e-10) -> list[np.ndarray]:
             for b in out:
                 v -= np.vdot(b, v) * b
         nrm = hs_norm(v)
-        if nrm > tol * max(scale, 1.0):
+        if nrm > 1e-10 * max(scale, 1.0):
             out.append(v / nrm)
     return out
 
@@ -336,11 +338,10 @@ class ConcreteAlgebra:
                    support=np.eye(N, dtype=complex))
 
     @classmethod
-    def diagonal(cls, N: int, ambient_dim: int | None = None) -> "ConcreteAlgebra":
-        """Diagonal matrices on the first N coordinates of M_ambient."""
-        amb = ambient_dim or N
-        basis = FDAlgebra((1,) * N).corner_units(amb)
-        return cls(ambient_dim=amb, basis=basis, support=basis.sum(axis=0))
+    def diagonal(cls, N: int) -> "ConcreteAlgebra":
+        """The diagonal matrices of M_N."""
+        basis = FDAlgebra((1,) * N).units()
+        return cls(ambient_dim=N, basis=basis, support=basis.sum(axis=0))
 
     # -- linear span --------------------------------------------------------
 
@@ -457,8 +458,7 @@ def support_projection(basis, N: int) -> np.ndarray:
     return range_projection(m, rel_cutoff=1e-10)
 
 
-def generate_algebra(generators, ambient_dim: int | None = None,
-                     tol: float = 1e-10, max_rounds: int | None = None) -> ConcreteAlgebra:
+def generate_algebra(generators, ambient_dim: int | None = None) -> ConcreteAlgebra:
     """Smallest *-subalgebra of M_N containing the generators.
 
     Span growth: start from the *-closed span of the generators, repeatedly
@@ -473,21 +473,20 @@ def generate_algebra(generators, ambient_dim: int | None = None,
         if g.shape != (N, N):
             raise ValueError("generators must be square matrices of the ambient dimension")
     require_finite(gens, "generators")
-    basis = orthonormalize(gens + [dagger(g) for g in gens], tol=tol)
+    basis = orthonormalize(gens + [dagger(g) for g in gens])
     if not basis:
         raise ValueError("generators span only zero")
-    rounds = max_rounds or (N * N + 1)
-    for _ in range(rounds):
+    for _ in range(N * N + 1):
         dim0 = len(basis)
         products = [a @ b for a in basis for b in basis]
-        basis = orthonormalize(basis + products, tol=tol)
+        basis = orthonormalize(basis + products)
         if len(basis) == dim0:
             supp = support_projection(basis, N)
             return ConcreteAlgebra(ambient_dim=N, basis=basis, support=supp)
     raise RuntimeError("span growth failed to stabilise")
 
 
-def verify_algebra(A: ConcreteAlgebra, tol: float = TOL_ALG) -> Certificate:
+def verify_algebra(A: ConcreteAlgebra) -> Certificate:
     """Check orthonormality, *-closure, product closure, and the support
     projection identities.  Returns a certificate with the worst residual."""
     Q, e = A.basis.reshape(A.dim, -1), A.support
@@ -501,7 +500,7 @@ def verify_algebra(A: ConcreteAlgebra, tol: float = TOL_ALG) -> Certificate:
         name="algebra-invariants",
         formula="max residual of orthonormality, *-closure, product closure, support identities",
         inputs={"dim": A.dim, "ambient_dim": A.ambient_dim},
-        ceiling=tol, achieved=worst,
+        ceiling=TOL_ALG, achieved=worst,
         provenance=provenance_stamp())
 
 
@@ -533,7 +532,7 @@ def _spectral_projection(vecs, idx) -> np.ndarray:
 def _clusters_off_zero(vals):
     """Eigenvalue clusters of a self-adjoint element, split into those away
     from 0 and those at 0 (relative gap CLUSTER_REL)."""
-    clusters = cluster_values(vals, rel_gap=CLUSTER_REL)
+    clusters = cluster_values(vals)
     cut = CLUSTER_REL * float(np.abs(vals).max(initial=1.0))
     return ([c for c in clusters if abs(vals[c[0]]) > cut],
             [c for c in clusters if abs(vals[c[0]]) <= cut])

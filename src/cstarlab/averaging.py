@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import ConcreteAlgebra, FDAlgebra
-from .certs import (TOL_CONV, TOL_EXACT, Certificate, SpectralGapError,
+from .certs import (TOL_ALG, TOL_CONV, TOL_EXACT, Certificate, SpectralGapError,
                     ToleranceBudget, DEFAULT_BUDGET, WINDOW_DEFECT_REPAIR,
                     WINDOW_INTERTWINE, provenance_stamp)
 from .cpmaps import LinMap, classify, hom_defect, stinespring, ucp_extension
@@ -137,7 +137,7 @@ class AveragingSet:
         C = tensor_average(self.scale, self.units, self.units[self.flip])
         return opnorm(W - C)
 
-    def verify(self, tol: float = TOL_CONV) -> Certificate:
+    def verify(self) -> Certificate:
         """Certify the defining properties: weights sum to one, every term is
         a unitary of the algebra, and the averaged tensor is exactly the
         canonical separability element (hence exactly central)."""
@@ -152,7 +152,7 @@ class AveragingSet:
             name="averaging-set",
             formula="max(|sum(w)-1|, ||u*u - 1||, ||sum w u(x)u* - canonical||) <= tol",
             inputs={"n_terms": len(self.terms), "block_sizes": list(self.block_sizes)},
-            ceiling=tol, achieved=float(worst), provenance=provenance_stamp())
+            ceiling=TOL_CONV, achieved=float(worst), provenance=provenance_stamp())
 
 
 def exact_diagonal(A: FDAlgebra | ConcreteAlgebra) -> AveragingSet:
@@ -192,7 +192,7 @@ def exact_diagonal(A: FDAlgebra | ConcreteAlgebra) -> AveragingSet:
 # polar and projection conjugators
 # ---------------------------------------------------------------------------
 
-def polar_unitary(t: np.ndarray, tol: float = TOL_EXACT) -> tuple[np.ndarray, Certificate]:
+def polar_unitary(t: np.ndarray) -> tuple[np.ndarray, Certificate]:
     """Unitary polar part u of t with the closeness certificate
     ||u - 1|| <= sqrt(2) ||t - 1||, valid when ||t - 1|| < 1."""
     t = np.asarray(t, dtype=complex)
@@ -204,13 +204,12 @@ def polar_unitary(t: np.ndarray, tol: float = TOL_EXACT) -> tuple[np.ndarray, Ce
         name="polar-unitary",
         formula="||u - 1|| <= sqrt(2) * ||t - 1||   (||t - 1|| < 1; else <= 2)",
         inputs={"beta": beta},
-        ceiling=float(ceiling), achieved=float(achieved), slack=tol,
+        ceiling=float(ceiling), achieved=float(achieved), slack=TOL_EXACT,
         provenance=provenance_stamp())
     return u, cert
 
 
-def projection_conjugator(p: np.ndarray, q: np.ndarray,
-                          tol: float = TOL_EXACT) -> tuple[np.ndarray, Certificate]:
+def projection_conjugator(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, Certificate]:
     """Unitary w with w p w* = q and ||w - 1|| <= sqrt(2) ||p - q||.
 
     w is the polar part of x = q p + (1 - q)(1 - p), which intertwines p and
@@ -234,7 +233,7 @@ def projection_conjugator(p: np.ndarray, q: np.ndarray,
         name="projection-conjugator",
         formula="||w - 1|| <= sqrt(2) * ||p - q||, w p w* = q",
         inputs={"beta": beta},
-        ceiling=float(np.sqrt(2.0) * beta), achieved=float(achieved), slack=tol,
+        ceiling=float(np.sqrt(2.0) * beta), achieved=float(achieved), slack=TOL_EXACT,
         details={"conjugation_defect": float(conj_defect)},
         provenance=provenance_stamp())
     if conj_defect > 1e-8:
@@ -271,8 +270,7 @@ class RepairResult:
 
 def improve_multiplicativity(phi: LinMap, gamma: float | None = None,
                              seed: int = 0,
-                             budget: ToleranceBudget = DEFAULT_BUDGET,
-                             n_check: int = 32) -> RepairResult:
+                             budget: ToleranceBudget = DEFAULT_BUDGET) -> RepairResult:
     """Repair a nearly multiplicative cpc map into an exact homomorphism.
 
     Given cpc phi: A -> M_K with multiplicativity defect gamma on the unit
@@ -315,7 +313,7 @@ def improve_multiplicativity(phi: LinMap, gamma: float | None = None,
         name="twirled-projection-drift",
         formula="||p0 - p|| <= 2 * gamma^{1/2}",
         inputs={"gamma": gamma},
-        ceiling=2.0 * root, achieved=float(drift), slack=budget.tol_alg,
+        ceiling=2.0 * root, achieved=float(drift), slack=TOL_ALG,
         details={"commutant_residual": float(comm)},
         provenance=provenance_stamp(seed))
 
@@ -340,7 +338,7 @@ def improve_multiplicativity(phi: LinMap, gamma: float | None = None,
     psi_abs = LinMap(fd0, abstract.codomain_dim, images,
                      codomain_algebra=abstract.codomain_algebra)
 
-    spec = SampleSpec(seed=seed + 1, n_selfadjoint=n_check, n_unitary=n_check // 2)
+    spec = SampleSpec(seed=seed + 1, n_selfadjoint=32, n_unitary=16)
     samples = np.array([x for _, x in sample_unit_ball(fd0, spec)])
     dist = opnorm_max(abstract(samples) - psi_abs(samples))
     cert_dist = Certificate.build(
@@ -348,15 +346,15 @@ def improve_multiplicativity(phi: LinMap, gamma: float | None = None,
         formula="sup_{||x||<=1} ||phi(x) - psi(x)|| <= 8 sqrt(2) gamma^{1/2}",
         inputs={"gamma": gamma, "n_samples": len(samples)},
         ceiling=8.0 * np.sqrt(2.0) * root, achieved=float(dist),
-        slack=budget.tol_alg, provenance=provenance_stamp(seed))
+        slack=TOL_ALG, provenance=provenance_stamp(seed))
 
-    # n_check // 2 sampled contractions, as the certificate says
-    new_defect = hom_defect(psi_abs, seed=seed + 2, n_pairs=n_check // 4)
+    # 8 pairs: 16 sampled contractions, as the certificate says
+    new_defect = hom_defect(psi_abs, seed=seed + 2, n_pairs=8)
     cert_mult = Certificate.build(
         name="repaired-multiplicativity",
         formula="psi is a *-homomorphism: defect <= tol_alg",
-        inputs={"n_samples": n_check // 2},
-        ceiling=budget.tol_alg, achieved=float(new_defect),
+        inputs={"n_samples": 16},
+        ceiling=TOL_ALG, achieved=float(new_defect),
         provenance=provenance_stamp(seed))
 
     if model is not None:
@@ -455,7 +453,7 @@ def intertwining_unitary(phi1: LinMap, phi2: LinMap,
         formula="||u - 1|| <= 2 sqrt(2) gamma + 5 sqrt(2) delta",
         inputs={"gamma": gamma, "delta": delta},
         ceiling=float(ceiling_u), achieved=float(opnorm(u - np.eye(K))),
-        slack=budget.tol_alg, provenance=provenance_stamp(seed))
+        slack=TOL_ALG, provenance=provenance_stamp(seed))
 
     abs_s = psd_sqrt(dagger(s) @ s)
     inv_norm = float(1.0 / sing[-1])
@@ -470,7 +468,7 @@ def intertwining_unitary(phi1: LinMap, phi2: LinMap,
                 "(||phi1(x)s - s phi2(x)|| + ||[|s|, phi2(x)]||) * |||s|^{-1}||",
         inputs={"s_min": float(sing[-1])},
         ceiling=float(worst_chain), achieved=float(worst_res),
-        slack=budget.tol_alg, provenance=provenance_stamp(seed))
+        slack=TOL_ALG, provenance=provenance_stamp(seed))
     return IntertwinerResult(u=u, s=s, gamma=float(gamma), delta=float(delta),
                              certificates={"norm": cert_u, "residual": cert_res})
 
@@ -496,47 +494,44 @@ def _relative_commutator(a: np.ndarray, A: ConcreteAlgebra) -> float:
     return float((opnorms(a @ B - B @ a) / A.basis_norms).max())
 
 
-def commutant_lift(m: np.ndarray, A: ConcreteAlgebra,
-                   delta: float | None = None, seed: int = 0,
-                   budget: ToleranceBudget = DEFAULT_BUDGET) -> LiftResult:
+def commutant_lift(m: np.ndarray, A: ConcreteAlgebra, seed: int = 0) -> LiftResult:
     """Exact element of the relative commutant A' near an approximately
     commuting m.
 
     a = twirl(m) + (1 - e) m (1 - e) with e the unit of A commutes with A
     exactly, satisfies ||a|| <= ||m||, is self-adjoint when m is, and
-    ||a - m|| <= 2 delta when ||[m, x]|| <= delta ||x|| for x in A.
+    ||a - m|| <= 2 delta, with delta the measured commutator of m with the
+    unit of A and with the terms of its exact averaging family.
     """
     m = np.asarray(m, dtype=complex)
     avg = exact_diagonal(A)
     e = A.support
     eye = np.eye(A.ambient_dim)
     a = avg.twirl(m) + (eye - e) @ m @ (eye - e)
-    if delta is None:
-        delta = max(opnorm(m @ e - e @ m), opnorm_max(m @ avg.terms - avg.terms @ m))
+    delta = max(opnorm(m @ e - e @ m), opnorm_max(m @ avg.terms - avg.terms @ m))
     comm = _relative_commutator(a, A)
     cert_comm = Certificate.build(
         name="commutant-membership",
         formula="max_b ||[a, b]|| / ||b|| <= tol_alg over the basis of A",
-        inputs={}, ceiling=budget.tol_alg, achieved=float(comm),
+        inputs={}, ceiling=TOL_ALG, achieved=float(comm),
         provenance=provenance_stamp(seed))
     cert_dist = Certificate.build(
         name="commutant-lift-distance",
         formula="||a - m|| <= 2 * delta",
         inputs={"delta": float(delta)},
         ceiling=2.0 * float(delta), achieved=float(opnorm(a - m)),
-        slack=budget.tol_exact, provenance=provenance_stamp(seed))
+        slack=TOL_EXACT, provenance=provenance_stamp(seed))
     cert_norm = Certificate.build(
         name="commutant-lift-norm",
         formula="||a|| <= ||m||",
         inputs={"norm_m": float(opnorm(m))},
         ceiling=float(opnorm(m)), achieved=float(opnorm(a)),
-        slack=budget.tol_exact, provenance=provenance_stamp(seed))
+        slack=TOL_EXACT, provenance=provenance_stamp(seed))
     certs = {"commutation": cert_comm, "distance": cert_dist, "norm": cert_norm}
     return LiftResult(value=a, delta=float(delta), certificates=certs)
 
 
-def unitary_commutant_lift(u: np.ndarray, A: ConcreteAlgebra, seed: int = 0,
-                           budget: ToleranceBudget = DEFAULT_BUDGET) -> LiftResult:
+def unitary_commutant_lift(u: np.ndarray, A: ConcreteAlgebra, seed: int = 0) -> LiftResult:
     """Unitary v in the relative commutant A' with ||v - 1|| <= ||u - 1||.
 
     Takes the principal logarithm u = exp(i pi h) with ||h|| <= 1 (rejected
@@ -547,7 +542,7 @@ def unitary_commutant_lift(u: np.ndarray, A: ConcreteAlgebra, seed: int = 0,
     u = np.asarray(u, dtype=complex)
     H = principal_log_unitary(u)
     h = H / np.pi
-    lift = commutant_lift(h, A, seed=seed, budget=budget)
+    lift = commutant_lift(h, A, seed=seed)
     k = herm(lift.value)
     v = expm_i(np.pi * k)
     comm = _relative_commutator(v, A)
@@ -555,20 +550,20 @@ def unitary_commutant_lift(u: np.ndarray, A: ConcreteAlgebra, seed: int = 0,
     cert_comm = Certificate.build(
         name="unitary-lift-commutation",
         formula="max_b ||[v, b]|| / ||b|| <= tol_alg over the basis of A",
-        inputs={}, ceiling=budget.tol_alg, achieved=float(comm),
+        inputs={}, ceiling=TOL_ALG, achieved=float(comm),
         provenance=provenance_stamp(seed))
     cert_norm = Certificate.build(
         name="unitary-lift-norm",
         formula="||v - 1|| <= ||u - 1||",
         inputs={"norm_u": float(opnorm(u - eye))},
         ceiling=float(opnorm(u - eye)), achieved=float(opnorm(v - eye)),
-        slack=budget.tol_exact, provenance=provenance_stamp(seed))
+        slack=TOL_EXACT, provenance=provenance_stamp(seed))
     cert_drift = Certificate.build(
         name="unitary-lift-drift",
         formula="||v - u|| <= pi * ||k - h|| <= 2 pi delta",
         inputs={"delta": lift.delta},
         ceiling=float(2.0 * np.pi * lift.delta), achieved=float(opnorm(v - u)),
-        slack=budget.tol_exact, provenance=provenance_stamp(seed))
+        slack=TOL_EXACT, provenance=provenance_stamp(seed))
     certs = {"commutation": cert_comm, "norm": cert_norm, "drift": cert_drift,
              "generator": lift.certificates["distance"]}
     return LiftResult(value=v, delta=lift.delta, certificates=certs)

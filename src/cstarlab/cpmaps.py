@@ -45,8 +45,6 @@ __all__ = [
     "kraus_operators",
     "StinespringDilation",
     "stinespring",
-    "DefectReport",
-    "mult_defect",
     "hom_defect",
     "check_stinespring_inequality",
     "conditional_expectation",
@@ -341,22 +339,10 @@ def stinespring(phi: LinMap, tol_psd: float = TOL_PSD) -> StinespringDilation:
 # defects and inequalities
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DefectReport:
-    """Multiplicativity defect of a map over a test set closed under
-    adjoints: defect = max ||phi(x)phi(x*) - phi(xx*)||."""
-
-    defect: float
-    table: list[tuple[str, float]]
-
-    def to_dict(self) -> dict:
-        return {"kind": "defect_report", "schema_version": 1,
-                "defect": self.defect, "table": [[n, v] for n, v in self.table]}
-
-
 def _mult_defects(phi: LinMap, X) -> np.ndarray:
     """The stack phi(y)phi(y*) - phi(yy*) over y = x0, x0*, x1, x1*, ...; its
-    largest operator norm is ``mult_defect(phi, X).defect``."""
+    largest operator norm is the multiplicativity defect of phi over X and
+    X*, the X elements living in the domain's ambient."""
     # Y[:, ::-1] pairs each point with its adjoint, as a view
     Y = np.asarray(X, dtype=complex)
     Y = np.stack([Y, dagger(Y)], axis=1)
@@ -364,16 +350,6 @@ def _mult_defects(phi: LinMap, X) -> np.ndarray:
     defects = defects @ defects[:, ::-1]
     defects -= phi(Y @ Y[:, ::-1])
     return defects.reshape((-1,) + defects.shape[2:])
-
-
-def mult_defect(phi: LinMap, X, labels=None) -> DefectReport:
-    """Defect over X union X*; X elements live in the domain's ambient.  The
-    table lists each x and then x*, in the order of X."""
-    labels = labels or [f"x{i}" for i in range(len(X))]
-    vals = opnorms(_mult_defects(phi, X))
-    tags = [tag for lbl in labels for tag in (lbl, lbl + "*")]
-    return DefectReport(defect=float(vals.max()),
-                        table=[(tag, float(v)) for tag, v in zip(tags, vals)])
 
 
 def hom_defect(phi: LinMap, seed: int = 0, n_pairs: int = 16) -> float:
@@ -396,15 +372,15 @@ def hom_defect(phi: LinMap, seed: int = 0, n_pairs: int = 16) -> float:
                      opnorm_max(phi(x @ y) - phi_sa[0::2] @ phi_sa[1::2])))
 
 
-def check_stinespring_inequality(phi: LinMap, x: np.ndarray, y: np.ndarray,
-                                 tol: float = 1e-10) -> tuple[bool, float]:
+def check_stinespring_inequality(phi: LinMap, x: np.ndarray,
+                                 y: np.ndarray) -> tuple[bool, float]:
     """Schwarz-type inequality for cpc maps:
     ||phi(x)phi(y) - phi(xy)|| <= gap(x) + gap(y) + cross terms, verified in
     the two-sided defect form
 
         ||phi(xy) - phi(x)phi(y)|| <= ||phi(xx*) - phi(x)phi(x*)||^{1/2}
                                       * ||phi(y*y) - phi(y*)phi(y)||^{1/2}
-                                      (+ tol)
+                                      (+ 1e-10)
 
     which is the defect estimate used throughout the averaging arguments.
     """
@@ -412,7 +388,7 @@ def check_stinespring_inequality(phi: LinMap, x: np.ndarray, y: np.ndarray,
     dx = opnorm(phi(x @ dagger(x)) - phi(x) @ phi(dagger(x)))
     dy = opnorm(phi(dagger(y) @ y) - phi(dagger(y)) @ phi(y))
     rhs = np.sqrt(max(dx, 0.0)) * np.sqrt(max(dy, 0.0))
-    return lhs <= rhs + tol, float(lhs - rhs)
+    return lhs <= rhs + 1e-10, float(lhs - rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -433,24 +409,24 @@ def conditional_expectation(A: ConcreteAlgebra) -> LinMap:
 
 
 def arveson_restrict(A: ConcreteAlgebra, B: ConcreteAlgebra, X,
-                     gamma: float, tol: float = TOL_ALG) -> tuple[LinMap, Certificate]:
+                     gamma: float) -> tuple[LinMap, Certificate]:
     """Restrict the expectation onto B to the subalgebra A.
 
-    Produces a cpc map phi: A -> B with ||phi(x) - x|| <= 2 gamma + tol for
+    Produces a cpc map phi: A -> B with ||phi(x) - x|| <= 2 gamma + TOL_ALG for
     every x in X, valid whenever each x in X lies within gamma of B in
     operator norm (the expectation is a contraction fixing B).
     """
     phi = LinMap(A, A.ambient_dim, conditional_expectation(B)(A.basis), codomain_algebra=B)
-    return phi, _restriction_cert(phi, list(X), gamma, tol)
+    return phi, _restriction_cert(phi, list(X), gamma)
 
 
-def _restriction_cert(phi: LinMap, X, gamma: float, tol: float = TOL_ALG,
+def _restriction_cert(phi: LinMap, X, gamma: float,
                       achieved: float | None = None) -> Certificate:
     """arveson_restrict's certificate for phi on X: achieved, or else measured."""
     return Certificate.build(
         name="expectation-restriction",
-        formula="||phi(x) - x|| <= 2*gamma + tol on X",
-        inputs={"gamma": gamma, "n_points": len(X)}, ceiling=2.0 * gamma + tol,
+        formula="||phi(x) - x|| <= 2*gamma + tol_alg on X",
+        inputs={"gamma": gamma, "n_points": len(X)}, ceiling=2.0 * gamma + TOL_ALG,
         achieved=opnorm_max_of(lambda b: phi(b) - b, X) if achieved is None else achieved,
         provenance=provenance_stamp())
 

@@ -424,15 +424,14 @@ def sample_unit_ball(A: ConcreteAlgebra | FDAlgebra,
 # ---------------------------------------------------------------------------
 
 def near_inclusion(A: ConcreteAlgebra, B: ConcreteAlgebra,
-                   spec: SampleSpec | None = None, ball: bool = False,
-                   keep_witnesses: int = 8) -> NearInclusionCert:
+                   spec: SampleSpec | None = None, ball: bool = False) -> NearInclusionCert:
     """Sampled estimate of the one-sided constant sup dist(x, B) over the
     unit ball of A.  Witnesses are unconstrained in B by default (set ball
     for unit-ball witnesses as in the two-sided distance).  The HS dual
     bounds come first and gamma_lo is the solve's ``floor``: samples proven
     below the supremum stop early, so gamma_hi is decided by the samples
-    that can set it.  Each witness keeps its solver stop reason and
-    iterations."""
+    that can set it.  The certificate keeps the 8 witnesses of largest
+    distance, each with its solver stop reason and iterations."""
     spec = spec or SampleSpec()
     samples = sample_unit_ball(A, spec)
     wits: list[Witness] = []
@@ -450,7 +449,7 @@ def near_inclusion(A: ConcreteAlgebra, B: ConcreteAlgebra,
     gamma_lo = lo_wit.lb if lo_wit else 0.0
     wits.sort(key=lambda w: -w.ub)
     return NearInclusionCert(gamma_hi=float(gamma_hi), gamma_lo=float(gamma_lo),
-                             witnesses=wits[:keep_witnesses], sample_spec=spec,
+                             witnesses=wits[:8], sample_spec=spec,
                              direction="A->B", n_samples=len(samples),
                              lo_witness=lo_wit.x if lo_wit else None)
 
@@ -501,7 +500,7 @@ class _TensorSpan:
 
 
 def tensor_lift(X, B: ConcreteAlgebra, n: int, gamma: float,
-                iters: int = 500, tol: float = TOL_ALG) -> tuple[list[np.ndarray], Certificate]:
+                iters: int = 500) -> tuple[list[np.ndarray], Certificate]:
     """Witnesses in span(B) (x) M_n for elements of the unit ball of
     A (x) M_n (rectangular block rows allowed), certified against the
     amplification-stable ceiling 2*gamma + gamma^2 valid for A subset_gamma B.
@@ -535,7 +534,7 @@ def tensor_lift(X, B: ConcreteAlgebra, n: int, gamma: float,
         name="tensor-amplified-witnesses",
         formula="dist(x, B (x) M_n) <= 2*gamma + gamma^2 on the unit ball",
         inputs={"gamma": gamma, "n": n, "count": len(X)},
-        ceiling=ceiling + tol, achieved=worst,
+        ceiling=ceiling + TOL_ALG, achieved=worst,
         details={"iters": its, "stops": stops},
         provenance=provenance_stamp())
     return witnesses, cert
@@ -546,7 +545,7 @@ def tensor_lift(X, B: ConcreteAlgebra, n: int, gamma: float,
 # ---------------------------------------------------------------------------
 
 def equality_criterion(A: ConcreteAlgebra, B: ConcreteAlgebra,
-                       cert: NearInclusionCert, tol: float = TOL_ALG) -> bool:
+                       cert: NearInclusionCert) -> bool:
     """Decide A = B from: A a verified subspace of span(B), plus a sampled
     near-inclusion certificate B subset_gamma A with gamma_hi < 1.
 
@@ -555,7 +554,7 @@ def equality_criterion(A: ConcreteAlgebra, B: ConcreteAlgebra,
     certifies equality; gamma_hi < 1 with differing dimensions is impossible
     and raises :class:`ContradictionError` (the certificate under-sampled).
     """
-    if (B.residual(A.basis) > tol).any() or cert.gamma_hi >= 1.0:
+    if (B.residual(A.basis) > TOL_ALG).any() or cert.gamma_hi >= 1.0:
         return False
     if A.dim != B.dim:
         raise ContradictionError(

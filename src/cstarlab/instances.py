@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import ConcreteAlgebra, FDAlgebra, generate_algebra
-from .certs import require_finite
+from .certs import SchemaError, require_finite
 from .cpmaps import LinMap, perturb_choi
 from .geometry import DistanceInterval
 from .linalg import (dagger, expm_i, herm, opnorm, opnorm_max, random_hermitian,
@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 RECIPES = ("conjugation", "choi-noise", "block-rotation")
+PARAMS = ("algebra", "ambient", "eps", "block")
 
 _NAMED = {
     "M2": (2,),
@@ -107,11 +108,15 @@ def gen_instance(recipe: str, params: dict, seed: int = 0) -> Instance:
     Choi blocks by Hermitian HS noise of size eps, clip back to psd, and
     generate B from the perturbed images.  block-rotation: conjugation with a
     generator supported on one structural block of A, so the other blocks do
-    not move.
+    not move.  The params keys are PARAMS; any other key is a SchemaError.
     """
     if recipe not in RECIPES:
         raise ValueError(f"unknown recipe {recipe!r}; choose one of {RECIPES}")
     params = dict(params)
+    unknown = [key for key in params if key not in PARAMS]
+    if unknown:
+        raise SchemaError(f"unknown instance parameter {', '.join(map(repr, unknown))}; "
+                          f"the parameters are {', '.join(PARAMS)}")
     ambient = int(params.get("ambient", 4))
     eps = float(params.get("eps", 1e-4))
     require_finite(eps, "eps")  # before any eigensolve turns it into a LinAlgError
@@ -157,19 +162,17 @@ def _rotated_embedding(fd: FDAlgebra, N: int, rng) -> LinMap:
     return LinMap(fd, N, v @ fd.corner_units(N) @ dagger(v))
 
 
-def random_order_zero(sizes, N: int, seed: int = 0,
-                      damping=(0.4, 1.0)) -> OrderZeroMap:
+def random_order_zero(sizes, N: int, seed: int = 0) -> OrderZeroMap:
     """Random order-zero map from the block algebra of the given sizes into
     M_N: a conjugated block embedding pi damped by a positive contraction
-    h = sum c_k pi(1_k) in the commutant of pi."""
+    h = sum c_k pi(1_k) in the commutant of pi, each c_k uniform in
+    [0.4, 1)."""
     fd = FDAlgebra(tuple(int(n) for n in sizes))
     rng = rng_for(seed, "order-zero", fd.d, N)
     pi = _rotated_embedding(fd, N, rng)
     h = np.zeros((N, N), dtype=complex)
-    lo, hi = damping
     for k in range(len(fd.block_sizes)):
-        c = float(rng.uniform(lo, hi))
-        h = h + c * pi(fd.block_unit(k))
+        h = h + float(rng.uniform(0.4, 1.0)) * pi(fd.block_unit(k))
     carrier = ConcreteAlgebra.from_basis(list(pi.images), N)
     return OrderZeroMap.from_pair(pi, herm(h), codomain_algebra=carrier)
 

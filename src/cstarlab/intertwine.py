@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import ConcreteAlgebra, FDAlgebra, _combine, support_projection
-from .certs import (TOL_ALG, Certificate, ContradictionError,
+from .certs import (TOL_ALG, TOL_CONV, TOL_EXACT, Certificate, ContradictionError,
                     SpectralGapError, ToleranceBudget, DEFAULT_BUDGET,
                     WINDOW_DEFECT_REPAIR, WINDOW_ISO_ETA, WINDOW_ISO_GAMMA,
                     WINDOW_ISO_MU, provenance_stamp)
@@ -176,10 +176,13 @@ def _worst_move(phi, X) -> float:
     return opnorm_max_of(lambda b: phi(b) - b, X)
 
 
+# stages the staged intertwining runs before it gives up
+_MAX_STAGES = 12
+
+
 def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
-                     X_A=None, mu: float = 1e-4, max_iter: int = 12,
-                     producer=None, surjectivity_delta: float | None = None,
-                     seed: int = 0,
+                     X_A=None, mu: float = 1e-4, producer=None,
+                     surjectivity_delta: float | None = None, seed: int = 0,
                      budget: ToleranceBudget = DEFAULT_BUDGET) -> IsoResult:
     """Staged construction of an injective *-homomorphism alpha: A -> B with
     ||alpha(x) - x|| <= 8 sqrt(6) eta^{1/2} + eta + mu for x in X_A.
@@ -192,12 +195,12 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
     a map equal bit for bit to the previous stage's keeps that stage's repair
     and theta_defect (repaired=False), and a theta equal to the last takes
     u = 1 and drift 0.0.  The loop stops when the aligned maps agree on the
-    basis to tol_conv twice in a row.  When surjectivity_delta is given (B
-    inside A to that level, at most 1/5), codomain basis elements are pulled
-    through the accumulated conjugator (solved once per conjugator, at 200
-    iterations at stage 1: pull_back) and tracked, closeness covers stage 1's
-    accepted witnesses too, and the result is certified onto B by dimension
-    count.
+    basis to tol_conv twice in a row, and raises after _MAX_STAGES stages.
+    When surjectivity_delta is given (B inside A to that level, at most 1/5),
+    codomain basis elements are pulled through the accumulated conjugator
+    (solved once per conjugator, at 200 iterations at stage 1: pull_back) and
+    tracked, closeness covers stage 1's accepted witnesses too, and the result
+    is certified onto B by dimension count.
     """
     budget.require_window("iso-eta", eta, WINDOW_ISO_ETA)
     budget.require_window("iso-mu", mu, WINDOW_ISO_MU)
@@ -231,7 +234,7 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
     tracking_ok = surjectivity_delta is not None
     pull_worst, pulled_for, pull_back, X_close = 0.0, None, None, X_A
 
-    for n in range(1, max_iter + 1):
+    for n in range(1, _MAX_STAGES + 1):
         X.append(norm_basis[(n - 1) % len(norm_basis)])
         # track codomain basis elements through the accumulated conjugators,
         # solving and adding the pulled points again only after the
@@ -239,7 +242,7 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
         if surjectivity_delta is not None and not np.array_equal(pulled_for, accumulated):
             pulled, pulled_for = dagger(accumulated) @ B_norm_basis @ accumulated, accumulated
             xs, dists = nearest_in_ball(pulled, A, iters=80 if pull_back else 200)[:2]
-            ok = dists <= 2.0 / 5.0 + budget.tol_alg
+            ok = dists <= 2.0 / 5.0 + TOL_ALG
             X += list(xs[ok])
             pull_worst, tracking_ok = max(pull_worst, *dists), tracking_ok and ok.all()
             if pull_back is None:
@@ -294,7 +297,7 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
             drift_ceiling=float(drift_ceiling), u_norm=float(u_norm),
             repaired=repaired))
         if n >= 2:
-            streak = streak + 1 if drift < budget.tol_conv else 0
+            streak = streak + 1 if drift < TOL_CONV else 0
             if streak >= 2:
                 converged = True
                 break
@@ -302,7 +305,7 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
     if not converged:
         rows = "; ".join(f"stage {r.stage}: drift {r.drift:.3g}" for r in trace)
         raise RuntimeError(
-            f"intertwining did not converge within {max_iter} stages ({rows})")
+            f"intertwining did not converge within {_MAX_STAGES} stages ({rows})")
 
     # final map: re-project the accumulated conjugation into the codomain span
     worst_membership = max(worst_membership, B.membership_residual(alpha.images))
@@ -318,13 +321,13 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
     cert_hom = Certificate.build(
         name="homomorphism",
         formula="multiplicativity and adjoint defect <= tol_alg",
-        inputs={}, ceiling=budget.tol_alg,
+        inputs={}, ceiling=TOL_ALG,
         achieved=float(hom_defect(alpha, seed + 101)),
         provenance=provenance_stamp(seed))
     cert_member = Certificate.build(
         name="image-membership",
         formula="relative HS residual of images in span(B) <= tol_alg before snapping",
-        inputs={}, ceiling=budget.tol_alg, achieved=float(worst_membership),
+        inputs={}, ceiling=TOL_ALG, achieved=float(worst_membership),
         provenance=provenance_stamp(seed))
 
     action = B.coeffs(alpha.images).T
@@ -351,7 +354,7 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
 
     surjective = False
     inverse = None
-    if sigma_min > budget.tol_alg and A.dim == B.dim:
+    if sigma_min > TOL_ALG and A.dim == B.dim:
         surjective = True
         inv_images = _combine(np.linalg.inv(action).T, A.basis)
         inverse = LinMap(B, B.ambient_dim, inv_images, codomain_algebra=A)
@@ -387,7 +390,7 @@ def _distance_hi(dist_cert) -> float:
 
 
 def close_isomorphism(A: ConcreteAlgebra, B: ConcreteAlgebra, dist_cert,
-                      X=None, Y=None, mu: float | None = None, seed: int = 0,
+                      X=None, Y=None, seed: int = 0,
                       budget: ToleranceBudget = DEFAULT_BUDGET) -> IsoResult:
     """Surjective *-isomorphism theta: A -> B from a two-sided distance
     certificate, with ||theta(x) - x|| and ||theta^{-1}(y) - y|| at most
@@ -395,9 +398,9 @@ def close_isomorphism(A: ConcreteAlgebra, B: ConcreteAlgebra, dist_cert,
 
     Enlarges X with near-best unit-ball approximants of each y in Y (for the
     default Y, B's basis, the staged intertwining's stage-1 pull-back), runs
-    the staged intertwining with eta = 2 gamma, and certifies both directional
-    bounds (the reverse direction through the chain
-    ||theta^{-1}(y) - y|| <= 2 ||x - y|| + ||theta(x) - y||).
+    the staged intertwining with eta = 2 gamma and mu = min(gamma^{1/2},
+    1/4000), and certifies both directional bounds (the reverse direction
+    through the chain ||theta^{-1}(y) - y|| <= 2 ||x - y|| + ||theta(x) - y||).
     """
     gamma = _distance_hi(dist_cert)
     budget.require_window("close-isomorphism", gamma, WINDOW_ISO_GAMMA)
@@ -405,8 +408,7 @@ def close_isomorphism(A: ConcreteAlgebra, B: ConcreteAlgebra, dist_cert,
         raise ContradictionError(
             f"distance certificate {gamma:.3g} < 1 between algebras of "
             f"different dimensions {A.dim} != {B.dim}")
-    if mu is None:
-        mu = min(np.sqrt(gamma), 1.0 / 4000.0)
+    mu = min(np.sqrt(gamma), 1.0 / 4000.0)
     X = [np.asarray(x, dtype=complex) for x in ([] if X is None else X)]
     X += list(A.normalized_basis)
     surj_delta = gamma if gamma <= 1.0 / 5.0 else None
@@ -447,15 +449,16 @@ def close_isomorphism(A: ConcreteAlgebra, B: ConcreteAlgebra, dist_cert,
 
 
 def near_embedding_nuclear(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma_cert,
-                           X=None, mu: float | None = None, seed: int = 0,
+                           X=None, seed: int = 0,
                            budget: ToleranceBudget = DEFAULT_BUDGET
                            ) -> tuple[LinMap, Certificate]:
     """Injective *-homomorphism theta: A -> B with ||theta(x) - x|| <=
-    28 gamma^{1/2} on X, from a one-sided near inclusion A in B at gamma."""
+    28 gamma^{1/2} on X, from a one-sided near inclusion A in B at gamma; the
+    staged intertwining runs with eta = 2 gamma and mu = min(gamma^{1/2},
+    1/4000)."""
     gamma = _distance_hi(gamma_cert)
     budget.require_window("near-embedding", gamma, WINDOW_ISO_GAMMA)
-    if mu is None:
-        mu = min(np.sqrt(gamma), 1.0 / 4000.0)
+    mu = min(np.sqrt(gamma), 1.0 / 4000.0)
     if X is None:
         X = list(A.normalized_basis)
     else:
@@ -477,8 +480,7 @@ def near_embedding_nuclear(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma_cert,
 # half flip transport
 # ---------------------------------------------------------------------------
 
-def _projection_near_unit(e: np.ndarray, B: ConcreteAlgebra, gamma: float,
-                          tol: float) -> np.ndarray:
+def _projection_near_unit(e: np.ndarray, B: ConcreteAlgebra, gamma: float) -> np.ndarray:
     """Projection p in B with ||p - e|| <= 2 gamma, from the spectral cut of
     a hermitian near-best approximant of the support projection e."""
     y = nearest_in_ball(e, B, iters=300)[0]
@@ -490,7 +492,7 @@ def _projection_near_unit(e: np.ndarray, B: ConcreteAlgebra, gamma: float,
             "the near-inclusion certificate looks invalid")
     keep = vals >= 0.55
     p = vecs[:, keep] @ dagger(vecs[:, keep])
-    if opnorm(p - e) > 2.0 * gamma + 10 * tol:
+    if opnorm(p - e) > 2.0 * gamma + 10 * TOL_ALG:
         raise SpectralGapError(
             f"no projection within 2*gamma = {2 * gamma:.3g} of the unit "
             f"(got {opnorm(p - e):.3g}); the certificate looks invalid")
@@ -498,9 +500,7 @@ def _projection_near_unit(e: np.ndarray, B: ConcreteAlgebra, gamma: float,
 
 
 def half_flip_cpc(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma_cert, X=None,
-                  seed: int = 0,
-                  budget: ToleranceBudget = DEFAULT_BUDGET
-                  ) -> tuple[LinMap, Certificate]:
+                  seed: int = 0) -> tuple[LinMap, Certificate]:
     """Transport cpc map phi: A -> B for a single full matrix block A near B,
     built through the exact tensor flip of A.
 
@@ -521,7 +521,7 @@ def half_flip_cpc(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma_cert, X=None,
     e = A.support
     X = A.normalized_basis if X is None else np.array(X, dtype=complex)
 
-    p = _projection_near_unit(e, B, gamma, budget.tol_alg)
+    p = _projection_near_unit(e, B, gamma)
     u, cert_u = projection_conjugator(p, e)
     B0 = ConcreteAlgebra.from_basis(e @ (u @ B.basis @ dagger(u)) @ e, N)
 
@@ -591,7 +591,7 @@ def implement_unitarily(alpha: IsoResult, seed: int = 0,
     if B is not None and B.ambient_dim != A.ambient_dim:
         raise ValueError("domain and codomain must share the ambient dimension")
     defect = hom_defect(theta, seed)
-    if defect > budget.tol_alg:
+    if defect > TOL_ALG:
         raise ValueError(
             f"map is not a homomorphism to tol_alg (defect {defect:.3g}); "
             "repair it before implementing unitarily")
@@ -617,7 +617,7 @@ def implement_unitarily(alpha: IsoResult, seed: int = 0,
         formula="u x u* = alpha(x) on the basis; ||u - 1|| <= 2 sqrt(2) gamma "
                 "+ 5 sqrt(2) delta; u A u* = B as subspaces",
         inputs={"gamma_basis": float(gamma_basis), "defect": float(defect)},
-        ceiling=budget.tol_alg, achieved=float(worst_conj),
+        ceiling=TOL_ALG, achieved=float(worst_conj),
         details={"u_norm": float(opnorm(u - np.eye(N))),
                  "u_norm_ceiling": res.certificates["norm"].ceiling,
                  "unitary_defect": float(unitary_defect),
@@ -627,8 +627,7 @@ def implement_unitarily(alpha: IsoResult, seed: int = 0,
     return u, cert
 
 
-def unit_match(A: ConcreteAlgebra, B: ConcreteAlgebra, dist_cert,
-               budget: ToleranceBudget = DEFAULT_BUDGET
+def unit_match(A: ConcreteAlgebra, B: ConcreteAlgebra, dist_cert
                ) -> tuple[np.ndarray, Certificate]:
     """Unitary u with u 1_A u* = 1_B and ||u - 1|| <= 2 sqrt(2) gamma, valid
     for d(A, B) < gamma < 1/4."""
@@ -643,7 +642,7 @@ def unit_match(A: ConcreteAlgebra, B: ConcreteAlgebra, dist_cert,
         formula="||u - 1|| <= 2 sqrt(2) gamma, u 1_A u* = 1_B",
         inputs={"gamma": gamma, "beta": float(beta)},
         ceiling=float(2.0 * np.sqrt(2.0) * gamma), achieved=cert_c.achieved,
-        slack=budget.tol_exact,
+        slack=TOL_EXACT,
         details={"conjugation_defect": cert_c.details.get("conjugation_defect", 0.0)},
         provenance=provenance_stamp())
     return u, cert

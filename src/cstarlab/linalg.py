@@ -19,6 +19,8 @@ import zlib
 
 import numpy as np
 
+from .certs import CLUSTER_REL, TOL_RANK
+
 __all__ = [
     "dagger",
     "herm",
@@ -184,8 +186,10 @@ def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * ph
 
 
-def random_contraction(rng: np.random.Generator, rows: int, cols: int | None = None) -> np.ndarray:
-    g = random_complex(rng, rows, cols)
+def random_contraction(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Standard complex Gaussian n x n matrix, scaled down to norm one when
+    its norm exceeds one."""
+    g = random_complex(rng, n)
     nrm = opnorm(g)
     return g if nrm <= 1.0 else g / nrm
 
@@ -210,12 +214,12 @@ def psd_part(h: np.ndarray) -> np.ndarray:
     return eigh_fun(h, lambda t: np.clip(t, 0.0, None))
 
 
-def psd_pinv(h: np.ndarray, rel_cutoff: float = 1e-8) -> np.ndarray:
+def psd_pinv(h: np.ndarray) -> np.ndarray:
     """Spectral pseudoinverse of a psd matrix, zeroing eigenvalues below
-    rel_cutoff times the largest."""
+    TOL_RANK times the largest."""
     vals, vecs = np.linalg.eigh(herm(h))
     top = float(vals.max(initial=0.0))
-    cut = rel_cutoff * max(top, 1e-300)
+    cut = TOL_RANK * max(top, 1e-300)
     inv = np.where(vals > cut, 1.0 / np.where(vals > cut, vals, 1.0), 0.0)
     return (vecs * inv) @ dagger(vecs)
 
@@ -257,26 +261,26 @@ def polar_factor(x: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-def partial_isometry_polar(x: np.ndarray, rel_cutoff: float = 1e-8) -> np.ndarray:
+def partial_isometry_polar(x: np.ndarray) -> np.ndarray:
     """Partial isometry part of x: singular vectors with singular value above
-    rel_cutoff times the largest are kept, the rest are zeroed."""
+    TOL_RANK times the largest are kept, the rest are zeroed."""
     u, s, vh = np.linalg.svd(x)
     top = float(s.max(initial=0.0))
-    keep = s > rel_cutoff * max(top, 1e-300)
+    keep = s > TOL_RANK * max(top, 1e-300)
     return u[:, keep] @ vh[keep, :]
 
 
-def principal_log_unitary(u: np.ndarray, gap_tol: float = 1e-6) -> np.ndarray:
+def principal_log_unitary(u: np.ndarray) -> np.ndarray:
     """Hermitian h with exp(i h) = u and spectrum in (-pi, pi).
 
-    Rejects unitaries with spectrum within gap_tol of -1, where the principal
+    Rejects unitaries with spectrum within 1e-6 of -1, where the principal
     branch is discontinuous.
     """
     n = u.shape[0]
     if opnorm(dagger(u) @ u - np.eye(n)) > 1e-8:
         raise ValueError("principal_log_unitary: input is not unitary")
     vals = np.linalg.eigvals(u)
-    if np.abs(vals + 1.0).min(initial=2.0) < gap_tol:
+    if np.abs(vals + 1.0).min(initial=2.0) < 1e-6:
         raise ValueError("principal_log_unitary: spectrum touches -1, no principal branch")
     import scipy.linalg  # deferred: loading scipy costs 0.2 s in every process
     logu = scipy.linalg.logm(u)
@@ -290,14 +294,14 @@ def principal_log_unitary(u: np.ndarray, gap_tol: float = 1e-6) -> np.ndarray:
 # spectra
 # ---------------------------------------------------------------------------
 
-def cluster_values(vals: np.ndarray, rel_gap: float = 1e-6) -> list[np.ndarray]:
+def cluster_values(vals: np.ndarray) -> list[np.ndarray]:
     """Group sorted real values into clusters separated by gaps larger than
-    rel_gap times the overall spread.  Returns index arrays per cluster."""
+    CLUSTER_REL times the overall spread.  Returns index arrays per cluster."""
     vals = np.asarray(vals, dtype=float)
     order = np.argsort(vals)
     sv = vals[order]
     spread = max(float(sv[-1] - sv[0]), 1e-300) if len(sv) else 0.0
-    thresh = rel_gap * max(spread, 1.0)
+    thresh = CLUSTER_REL * max(spread, 1.0)
     groups: list[list[int]] = []
     for pos, idx in enumerate(order):
         if groups and sv[pos] - vals[groups[-1][-1]] <= thresh:

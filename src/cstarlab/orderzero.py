@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import ConcreteAlgebra, FDAlgebra
-from .certs import (TOL_ALG, TOL_RANK, Certificate, ContradictionError,
+from .certs import (TOL_ALG, TOL_EXACT, Certificate, ContradictionError,
                     ToleranceBudget, DEFAULT_BUDGET, WINDOW_ISO_ETA,
                     WINDOW_OZ_PROJECTION, provenance_stamp)
 from .averaging import _canonical_index, _canonical_sum
@@ -98,7 +98,7 @@ class OrderZeroMap:
         first, second = np.triu_indices(len(diag), 1)
         return opnorm_max(diag[first] @ diag[second])
 
-    def verify(self, tol: float = TOL_ALG) -> dict:
+    def verify(self) -> dict:
         cpc = classify(self.map).cpc
         structure = self.structure_residual()
         pi_defect = self.pi.domain.relation_residual(self.pi.images)
@@ -106,7 +106,7 @@ class OrderZeroMap:
                 "structure_residual": structure,
                 "orthogonality_residual": self.orthogonality_residual(),
                 "pi_defect": pi_defect,
-                "ok": bool(cpc and structure <= tol and pi_defect <= tol)}
+                "ok": bool(cpc and structure <= TOL_ALG and pi_defect <= TOL_ALG)}
 
 
 def _structure_residual(images, pi_images, h) -> float:
@@ -127,7 +127,7 @@ def structure_decompose(phi: LinMap, tol: float = TOL_ALG) -> tuple[LinMap, np.n
     if not isinstance(fd, FDAlgebra):
         raise ValueError("structure decomposition needs a block domain")
     h = herm(phi(fd.unit()))
-    hp = psd_pinv(h, rel_cutoff=TOL_RANK)
+    hp = psd_pinv(h)
     pi = LinMap(fd, phi.codomain_dim, phi.images @ hp)
     worst = max(fd.relation_residual(pi.images),
                 _structure_residual(phi.images, pi.images, h))
@@ -137,13 +137,13 @@ def structure_decompose(phi: LinMap, tol: float = TOL_ALG) -> tuple[LinMap, np.n
     return pi, h
 
 
-def is_order_zero(phi: LinMap, tol: float = TOL_ALG):
+def is_order_zero(phi: LinMap):
     """(True, (pi, h)) when phi is cpc and the structure identities hold to
-    tol, else (False, None)."""
+    TOL_ALG, else (False, None)."""
     if not classify(phi).cpc:
         return False, None
     try:
-        pi, h = structure_decompose(phi, tol=tol)
+        pi, h = structure_decompose(phi)
     except ValueError:
         return False, None
     return True, (pi, h)
@@ -171,9 +171,7 @@ def _unit_images(W: np.ndarray) -> np.ndarray:
 
 
 def perturb_order_zero(oz: OrderZeroMap, B: ConcreteAlgebra, gamma_cert,
-                       seed: int = 0,
-                       budget: ToleranceBudget = DEFAULT_BUDGET
-                       ) -> tuple[LinMap, Certificate]:
+                       seed: int = 0) -> tuple[LinMap, Certificate]:
     """cp map psi into B with ||phi - psi||_cb <= (2g + g^2)(2 + 2g + g^2)
     for an order-zero phi whose row contraction is within the near-inclusion
     distance g of B.
@@ -197,7 +195,7 @@ def perturb_order_zero(oz: OrderZeroMap, B: ConcreteAlgebra, gamma_cert,
     if B.ambient_dim != N:
         raise ValueError("B must live on the same space as the image of phi")
     kept = [k for k, E in enumerate(fd.unit_blocks(oz.map.images))
-            if opnorm_max(E) > budget.tol_alg]
+            if opnorm_max(E) > TOL_ALG]
     if not kept:
         psi = LinMap(fd, N, np.zeros((fd.dim_linear, N, N)), codomain_algebra=B)
         cert = Certificate.build(
@@ -221,12 +219,11 @@ def perturb_order_zero(oz: OrderZeroMap, B: ConcreteAlgebra, gamma_cert,
     t = t.reshape(N * m, len(kept) * N * m)
     t_norm = float(opnorm(t))
 
-    witnesses, lift_cert = tensor_lift([t], B, m, gamma, iters=400,
-                                       tol=budget.tol_alg)
+    witnesses, lift_cert = tensor_lift([t], B, m, gamma, iters=400)
     u = witnesses[0]
     mu = 2.0 * gamma + gamma ** 2
     dist = lift_cert.achieved
-    if dist > mu + 100 * budget.tol_alg:
+    if dist > mu + 100 * TOL_ALG:
         raise ContradictionError(
             f"no witness within 2*gamma + gamma^2 = {mu:.3g} of the row "
             f"contraction (got {dist:.3g}); the near-inclusion certificate "
@@ -256,7 +253,7 @@ def perturb_order_zero(oz: OrderZeroMap, B: ConcreteAlgebra, gamma_cert,
         inputs={"gamma": gamma, "mu": float(mu), "m": m,
                 "blocks_kept": len(kept)},
         ceiling=float(ceiling), achieved=float(achieved),
-        slack=budget.tol_alg,
+        slack=TOL_ALG,
         details={"cb_lo": float(lo), "cb_hi": float(hi),
                  "structural_bound": float(structural),
                  "witness_distance": float(dist),
@@ -351,16 +348,14 @@ def split_decomposition(A: ConcreteAlgebra, parts: int = 2) -> NucDimDecompositi
 
 
 def verify_nucdim_decomposition(A: ConcreteAlgebra, X, eps: float,
-                                dec: NucDimDecomposition,
-                                budget: ToleranceBudget = DEFAULT_BUDGET
-                                ) -> Certificate:
+                                dec: NucDimDecomposition) -> Certificate:
     """Check every invariant of the decomposition and the defect claim
     sup_X ||psi(phi(x)) - x|| <= eps; failures are named in the details."""
     failures = []
     if not classify(dec.down).cpc:
         failures.append("down-not-cpc")
     for i, up in enumerate(dec.ups):
-        ok, _ = is_order_zero(up.map, tol=budget.tol_alg)
+        ok, _ = is_order_zero(up.map)
         if not ok:
             failures.append(f"up-{i}-not-order-zero")
     comp = LinMap(A, dec.ups[0].codomain_dim, dec.compose(A.basis))
@@ -382,31 +377,22 @@ def verify_nucdim_decomposition(A: ConcreteAlgebra, X, eps: float,
     return cert
 
 
-def nucdim_cpc_transfer(D: ConcreteAlgebra, dec: NucDimDecomposition, theta,
-                        X, B: ConcreteAlgebra, gamma_cert, eps: float | None = None,
-                        seed: int = 0,
-                        budget: ToleranceBudget = DEFAULT_BUDGET
-                        ) -> tuple[LinMap, Certificate]:
-    """cpc map phi: D -> B with ||phi(x) - theta(x)|| <=
-    2 (n+1) (2g + g^2)(2 + 2g + g^2) + eps on X, by perturbing each colored
-    summand of theta composed with the decomposition into B and rescaling the
-    sum by its cb norm when that exceeds one.  theta = None means the
-    identity embedding of D."""
+def nucdim_cpc_transfer(D: ConcreteAlgebra, dec: NucDimDecomposition,
+                        X, B: ConcreteAlgebra, gamma_cert,
+                        seed: int = 0) -> tuple[LinMap, Certificate]:
+    """cpc map phi: D -> B with ||phi(x) - x|| <=
+    2 (n+1) (2g + g^2)(2 + 2g + g^2) + eps on X, eps the decomposition's
+    defect, by perturbing each colored summand of the decomposition into B
+    and rescaling the sum by its cb norm when that exceeds one."""
     gamma = _distance_hi(gamma_cert)
-    if eps is None:
-        eps = dec.defect
+    eps = dec.defect
     N = B.ambient_dim
     summand_certs = []
     perturbed = []
     for i, up in enumerate(dec.ups):
-        if theta is None:
-            omega = up.map
-        else:
-            omega = LinMap(up.fd, theta.codomain_dim, theta.map(up.map.images))
-        pi_i, h_i = structure_decompose(omega, tol=100 * budget.tol_alg)
-        oz_i = OrderZeroMap(map=omega, pi=pi_i, h=h_i)
-        psi_i, cert_i = perturb_order_zero(oz_i, B, gamma, seed=seed + i,
-                                           budget=budget)
+        pi_i, h_i = structure_decompose(up.map, tol=100 * TOL_ALG)
+        oz_i = OrderZeroMap(map=up.map, pi=pi_i, h=h_i)
+        psi_i, cert_i = perturb_order_zero(oz_i, B, gamma, seed=seed + i)
         perturbed.append(psi_i)
         summand_certs.append(cert_i)
 
@@ -418,18 +404,18 @@ def nucdim_cpc_transfer(D: ConcreteAlgebra, dec: NucDimDecomposition, theta,
     phi = raw.scaled(1.0 / scale) if scale > 1.0 else raw
 
     X = np.array(X, dtype=complex)
-    achieved = opnorm_max(phi(X) - (X if theta is None else theta.map(X)))
+    achieved = opnorm_max(phi(X) - X)
     mu = 2.0 * gamma + gamma ** 2
     ceiling = 2.0 * (dec.n + 1) * mu * (2.0 + mu) + eps
     cls = classify(phi)
     cert = Certificate.build(
         name="nucdim-transfer",
-        formula="||phi(x) - theta(x)|| <= 2 (n+1) (2 gamma + gamma^2)"
+        formula="||phi(x) - x|| <= 2 (n+1) (2 gamma + gamma^2)"
                 "(2 + 2 gamma + gamma^2) + eps on X",
         inputs={"gamma": gamma, "n": dec.n, "eps": float(eps),
                 "n_points": len(X)},
         ceiling=float(ceiling), achieved=float(achieved),
-        slack=budget.tol_alg,
+        slack=TOL_ALG,
         details={"rescale": float(scale), "cb_bracket": [float(lo), float(hi)],
                  "cpc": bool(cls.cpc),
                  "summand_achieved": [c.achieved for c in summand_certs],
@@ -455,8 +441,7 @@ def near_embed_nucdim(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma_cert,
     # stage maps themselves come from the expectation producer, which keeps a
     # small multiplicative defect on every tracked set (the transfer map is
     # close to the identity only on X, so it cannot drive the repair)
-    _, cert_t = nucdim_cpc_transfer(A, dec, None, X, B, gamma,
-                                    eps=dec.defect, seed=seed, budget=budget)
+    _, cert_t = nucdim_cpc_transfer(A, dec, X, B, gamma, seed=seed)
     res = intertwining_iso(A, B, eta=eta, X_A=X,
                            mu=min(0.2 * np.sqrt(eta), 1.0 / 4000.0),
                            producer=None, seed=seed, budget=budget)
@@ -480,8 +465,11 @@ def near_embed_nucdim(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma_cert,
 # heuristic projection back onto order-zero maps
 # ---------------------------------------------------------------------------
 
-def order_zero_projection(psi: LinMap, tol: float = 1e-8,
-                          gamma: float | None = None, seed: int = 0,
+# the matrix-unit residual the order-zero fit's rounded pi must meet
+_FIT_TOL = 1e-8
+
+
+def order_zero_projection(psi: LinMap, gamma: float | None = None, seed: int = 0,
                           budget: ToleranceBudget = DEFAULT_BUDGET
                           ) -> tuple[OrderZeroMap, Certificate]:
     """Nearest-order-zero fit for a cp map that is close to one; an explicitly
@@ -491,7 +479,7 @@ def order_zero_projection(psi: LinMap, tol: float = 1e-8,
     pseudoinverse identity, polished by rounding: the spectrum of each Choi
     block C_k / n_k is cut at 1/2, n_k times the cut projection is read back
     as the images, and these are symmetrised under e_ij -> e_ji.  The rounded
-    pi must satisfy the matrix-unit relations to tol (its residual is the
+    pi must satisfy the matrix-unit relations to _FIT_TOL (its residual is the
     certificate's ``pi_defect``); exact matrix units are then read off it by
     a polar decomposition, and h is h0 twirled over them, sum_k (1/n_k)
     sum_ij pi(e_ji) h0 pi(e_ij), which commutes with pi exactly.  The
@@ -506,7 +494,7 @@ def order_zero_projection(psi: LinMap, tol: float = 1e-8,
                               WINDOW_OZ_PROJECTION)
     N = psi.codomain_dim
     h0 = clip_spectrum(herm(psi(fd.unit())), 0.0, 1.0)
-    pi = LinMap(fd, N, psi.images @ psd_pinv(h0, rel_cutoff=TOL_RANK))
+    pi = LinMap(fd, N, psi.images @ psd_pinv(h0))
     scale, flip = _canonical_index(fd.block_sizes)
 
     rounds = []
@@ -520,13 +508,13 @@ def order_zero_projection(psi: LinMap, tol: float = 1e-8,
         drift = opnorm_max(new - pi.images)
         pi = LinMap(fd, N, (new + dagger(new[flip])) / 2.0)
         rounds.append(float(drift))
-        if drift < budget.tol_exact:
+        if drift < TOL_EXACT:
             break
 
     pi_defect = fd.relation_residual(pi.images)
-    if pi_defect > tol:
+    if pi_defect > _FIT_TOL:
         raise ContradictionError(
-            f"fit residual {pi_defect:.3g} above {tol:.3g}; "
+            f"fit residual {pi_defect:.3g} above {_FIT_TOL:.3g}; "
             "the input is not close enough to an order-zero map")
     # exact matrix units from the rounded ones.  Per block, X_k is an
     # orthonormal basis of the range of pi(e_11^(k)) and pi(e_i1^(k)) X_k its
@@ -543,7 +531,7 @@ def order_zero_projection(psi: LinMap, tol: float = 1e-8,
     pi = LinMap(fd, N, np.concatenate([_unit_images(w.reshape(c.shape).swapaxes(0, 1))
                                        for w, c in zip(W, cols)]))
     h = _canonical_sum(scale, pi.images[flip] @ h0, pi.images)
-    fit = OrderZeroMap.from_pair(pi, clip_spectrum(herm(h), 0.0, 1.0), tol=100 * tol,
+    fit = OrderZeroMap.from_pair(pi, clip_spectrum(herm(h), 0.0, 1.0), tol=100 * _FIT_TOL,
                                  codomain_algebra=psi.codomain_algebra)
 
     lo, hi = cb_bracket(psi - fit.map, seed=seed)
@@ -552,7 +540,7 @@ def order_zero_projection(psi: LinMap, tol: float = 1e-8,
         name="order-zero-projection",
         formula="cb distance from the fitted order-zero map, compared "
                 "against 493 gamma^{1/2}",
-        inputs={"gamma": gamma, "tol": tol},
+        inputs={"gamma": gamma, "tol": _FIT_TOL},
         ceiling=float(ceiling), achieved=float(hi),
         heuristic=True,
         details={"cb_lo": float(lo), "pi_defect": float(pi_defect),

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certs import Certificate, ToleranceBudget, DEFAULT_BUDGET, provenance_stamp
+from .certs import TOL_ALG, Certificate, ToleranceBudget, DEFAULT_BUDGET, provenance_stamp
 from .cpmaps import LinMap
 from .geometry import SampleSpec, kk_distance
 from .instances import Instance
@@ -107,7 +107,7 @@ def run_pipeline(instance: Instance, pipeline: str,
             formula="sampled d(A, B) within the constructive recipe bound",
             inputs={"samples": samples},
             ceiling=float(ceiling), achieved=float(interval.hi),
-            slack=budget.tol_alg,
+            slack=TOL_ALG,
             details={"lo": interval.lo, "hi": interval.hi,
                      "gamma_ab": interval.cert_ab.gamma_hi,
                      "gamma_ba": interval.cert_ba.gamma_hi},
@@ -148,8 +148,7 @@ def run_pipeline(instance: Instance, pipeline: str,
         for k in range(len(fd.block_sizes)):
             h = h + float(rng.uniform(0.4, 1.0)) * pi(fd.block_unit(k))
         oz = OrderZeroMap.from_pair(pi, h, codomain_algebra=A)
-        psi, cert = perturb_order_zero(oz, B, gamma_cert, seed=seed,
-                                       budget=budget)
+        psi, cert = perturb_order_zero(oz, B, gamma_cert, seed=seed)
         certs["order-zero-perturbation"] = cert
         notes["cb_achieved"] = cert.achieved
         return Report(pipeline=pipeline, seed=seed, recipe=instance.recipe,

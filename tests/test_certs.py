@@ -1,6 +1,10 @@
+import ast
 import dataclasses
+from pathlib import Path
 
 import pytest
+
+import cstarlab
 
 from cstarlab.certs import (DEFAULT_BUDGET, PAPER_BUDGET, Certificate,
                             ToleranceBudget, WindowError, provenance_stamp,
@@ -46,11 +50,50 @@ def test_heuristic_verdicts():
 def test_budget_tracks():
     assert DEFAULT_BUDGET.track == "experimental"
     assert PAPER_BUDGET.track == "paper"
-    # experimental track records but does not raise
+    # the experimental track neither raises nor records (ROADMAP item 10)
     DEFAULT_BUDGET.require_window("x", 10.0, 1.0)
     with pytest.raises(WindowError):
         PAPER_BUDGET.require_window("x", 10.0, 1.0)
     PAPER_BUDGET.require_window("x", 0.5, 1.0)
+
+
+def test_budget_is_only_the_track():
+    assert tuple(f.name for f in dataclasses.fields(ToleranceBudget)) == ("track",)
+
+
+PACKAGE = {path.stem: ast.parse(path.read_text())
+           for path in sorted(Path(cstarlab.__file__).parent.glob("*.py"))}
+
+
+def test_no_tolerance_is_read_from_a_budget():
+    # the tolerances are the certs constants; a budget carries no tolerance
+    reads = [f"{module}:{node.lineno} .{node.attr}" for module, tree in PACKAGE.items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr.startswith("tol_")]
+    assert reads == []
+
+
+def test_every_budget_parameter_is_used_for_a_window():
+    # a function that takes a budget checks a window with it, or hands it to
+    # a call that may
+    def uses_budget(fn) -> bool:
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if (isinstance(f, ast.Attribute) and f.attr == "require_window"
+                    and isinstance(f.value, ast.Name) and f.value.id == "budget"):
+                return True
+            if any(isinstance(a, ast.Name) and a.id == "budget"
+                   for a in node.args + [k.value for k in node.keywords]):
+                return True
+        return False
+
+    takers = [(module, fn) for module, tree in PACKAGE.items() for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef)
+              and "budget" in [a.arg for a in fn.args.args + fn.args.kwonlyargs]]
+    assert len(takers) >= 5
+    assert [f"{module}.{fn.name}" for module, fn in takers if not uses_budget(fn)] == []
 
 
 def test_budget_frozen():

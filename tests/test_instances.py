@@ -35,6 +35,16 @@ def test_unknown_recipe_rejected():
         gen_instance("rotation13", {}, seed=0)
 
 
+@pytest.mark.parametrize("recipe", sorted(RECIPES))
+def test_unknown_parameter_is_a_schema_error(recipe):
+    # a misspelt key would otherwise build a default instance without a word
+    from cstarlab.certs import SchemaError
+    with pytest.raises(SchemaError, match="'dim', 'epsilon'"):
+        gen_instance(recipe, {"algebra": "M2", "dim": 8, "epsilon": 1e-3}, seed=0)
+    # every key the command line passes is accepted
+    gen_instance(recipe, {"algebra": "M2", "ambient": 4, "eps": 1e-4, "block": 0}, seed=0)
+
+
 def test_negative_eps_rejected():
     with pytest.raises(ValueError):
         gen_instance("conjugation", {"eps": -1.0}, seed=0)

@@ -10,14 +10,14 @@ from scipy.linalg import expm
 from cstarlab import cpmaps, intertwine
 from cstarlab.algebra import ConcreteAlgebra
 from cstarlab.certs import (
-    DEFAULT_BUDGET,
     PAPER_BUDGET,
+    TOL_ALG,
     ContradictionError,
     SpectralGapError,
     ToleranceBudget,
     WindowError,
 )
-from cstarlab.cpmaps import LinMap, mult_defect
+from cstarlab.cpmaps import LinMap, _mult_defects
 from cstarlab.geometry import near_inclusion
 from cstarlab.instances import block_algebra, gen_instance
 from cstarlab.intertwine import (
@@ -28,7 +28,7 @@ from cstarlab.intertwine import (
     near_embedding_nuclear,
     unit_match,
 )
-from cstarlab.linalg import dagger, opnorm, opnorms, rng_for
+from cstarlab.linalg import dagger, opnorm, opnorm_max, opnorms, rng_for
 from cstarlab.orderzero import identity_decomposition, near_embed_nucdim
 from cstarlab.serialize import dumps
 
@@ -350,7 +350,7 @@ def test_close_isomorphism_reads_its_closeness():
     A, B, gamma = conjugation_instance("3,3", 8)
     res = close_isomorphism(A, B, gamma, seed=5)
     Xs, dists = res.pull_back
-    X = list(A.normalized_basis) + list(Xs[dists <= 2.0 / 5.0 + DEFAULT_BUDGET.tol_alg])
+    X = list(A.normalized_basis) + list(Xs[dists <= 2.0 / 5.0 + TOL_ALG])
     fwd = res.certificates["forward-closeness"]
     assert fwd.achieved == intertwine._worst_move(res.map, X)
     assert fwd.achieved == res.certificates["closeness"].achieved
@@ -438,7 +438,7 @@ def _recorded_close_isomorphism(monkeypatch, inst, drift_map=False):
         # the pull-back solves, before the stage's producer call
         out = ball(x, A_, iters=iters)
         rec["pulled"] += [(len(rec["phi"]) + 1, y) for y, d in zip(*out[:2])
-                          if d <= 2.0 / 5.0 + DEFAULT_BUDGET.tol_alg]
+                          if d <= 2.0 / 5.0 + TOL_ALG]
         return out
 
     def recording_improve(phi, **kwargs):
@@ -645,7 +645,7 @@ def test_implement_unitarily_rejects_non_homomorphism():
         g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         images.append(b + 0.05 * g / opnorm(g))
     theta = LinMap(A, 3, tuple(images), codomain_algebra=A)
-    defect = mult_defect(theta, list(A.basis)).defect
+    defect = opnorm_max(_mult_defects(theta, list(A.basis)))
     assert defect > 1e-3  # the perturbation really breaks multiplicativity
     alpha = IsoResult(map=theta, inverse=None, conjugators=[], trace=[],
                       certificates={}, eta=0.0, mu=0.0, nu=0.0,

@@ -201,7 +201,7 @@ def test_nucdim_transfer_exact_identity():
     A = block_algebra((2, 1, 1), 4)
     dec = split_decomposition(A, parts=2)
     X = [b / max(opnorm(b), 1e-300) for b in A.basis]
-    phi, cert = nucdim_cpc_transfer(A, dec, None, X, A, 0.0)
+    phi, cert = nucdim_cpc_transfer(A, dec, X, A, 0.0)
     assert cert.verdict == "pass"
     assert cert.details["cpc"]
     assert cert.achieved < 1e-9
@@ -212,7 +212,7 @@ def test_nucdim_transfer_rotated_target():
     u = small_rotation(9, 1e-5, 3)
     B = A.conjugated(u)
     gamma = 2.0 * opnorm(u - np.eye(9))
-    phi, cert = nucdim_cpc_transfer(A, dec, None, X, B, gamma, seed=3)
+    phi, cert = nucdim_cpc_transfer(A, dec, X, B, gamma, seed=3)
     assert cert.verdict == "pass"
     for x in X:
         assert opnorm(phi(x) - x) <= cert.ceiling + 1e-9
