@@ -6,7 +6,9 @@ environment variable mirroring the flag, then the [lab] section of an INI
 config file (--config or CSTARLAB_CONFIG), then the built-in default.  Exit
 status is 0 on success, 1 when a paper-track certificate fails (or the
 selftest fails), 2 on a structural error such as a violated hypothesis
-window or a malformed input file.
+window or a malformed input file, and 141 (128 + SIGPIPE, what a shell
+reports for a writer stopped by a closed pipe) when the reader of standard
+output closes it early, as ``| head`` does.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from . import acceptance
 from .certs import (DEFAULT_BUDGET, PAPER_BUDGET, ContradictionError,
                     SpectralGapError, WindowError)
 from .instances import RECIPES, Instance, gen_instance
-from .pipelines import PIPELINES, render_report, run_pipeline
+from .pipelines import PIPELINES, Report, render_report, run_pipeline
 from .serialize import SchemaError, load, save
 
 _DEFAULTS = {
@@ -125,7 +127,7 @@ def _instance_from_settings(args, cfg) -> Instance:
 
 def _emit(text: str, out: str | None) -> None:
     if out is None:
-        print(text)
+        print(text, flush=True)  # a closed pipe raises here, inside main
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
@@ -164,14 +166,12 @@ def _cmd_pipeline(args, cfg) -> int:
 def _cmd_report(args, cfg) -> int:
     report = load(args.path)
     if isinstance(report, dict) and "certificates" in report:
-        from .pipelines import Report
         report = Report(pipeline=report.get("pipeline", "?"),
                         seed=int(report.get("seed", 0)),
                         recipe=report.get("recipe", "?"),
                         certificates=report["certificates"],
                         notes=report.get("notes", {}))
-    from .pipelines import Report as _Report
-    if not isinstance(report, _Report):
+    if not isinstance(report, Report):
         raise SchemaError(f"{args.path} does not contain a pipeline report")
     _emit(render_report(report, _setting("format", args, cfg)),
           _setting("out", args, cfg))
@@ -201,6 +201,11 @@ def main(argv=None) -> int:
             FileNotFoundError, ValueError) as exc:
         print(f"cstarlab: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the recipe of Python's signal docs: with stdout on os.devnull the
+        # flush at exit has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -215,7 +215,7 @@ def classify(phi: LinMap) -> Ternary:
     """cp iff the Choi blocks are Hermitian psd up to TOL_PSD; cpc adds
     ||phi(1)|| <= 1 + TOL_PSD; ucp instead requires phi(1) to equal the
     codomain unit up to TOL_ALG."""
-    work = phi if isinstance(phi.domain, FDAlgebra) else phi.to_block_model()[0]
+    work = phi.to_block_model()[0]
     blocks = choi_blocks(work)
     min_eig = np.inf
     herm_resid = 0.0
@@ -417,18 +417,11 @@ def arveson_restrict(A: ConcreteAlgebra, B: ConcreteAlgebra, X,
     operator norm (the expectation is a contraction fixing B).
     """
     phi = LinMap(A, A.ambient_dim, conditional_expectation(B)(A.basis), codomain_algebra=B)
-    return phi, _restriction_cert(phi, list(X), gamma)
-
-
-def _restriction_cert(phi: LinMap, X, gamma: float,
-                      achieved: float | None = None) -> Certificate:
-    """arveson_restrict's certificate for phi on X: achieved, or else measured."""
-    return Certificate.build(
+    return phi, Certificate.build(
         name="expectation-restriction",
         formula="||phi(x) - x|| <= 2*gamma + tol_alg on X",
         inputs={"gamma": gamma, "n_points": len(X)}, ceiling=2.0 * gamma + TOL_ALG,
-        achieved=opnorm_max_of(lambda b: phi(b) - b, X) if achieved is None else achieved,
-        provenance=provenance_stamp())
+        achieved=opnorm_max_of(lambda b: phi(b) - b, X), provenance=provenance_stamp())
 
 
 def ucp_extension(phi: LinMap) -> LinMap:
@@ -436,7 +429,7 @@ def ucp_extension(phi: LinMap) -> LinMap:
     a one-dimensional block and the new block's unit is sent to (codomain
     unit) - phi(1), which is always ucp for cpc phi.
     """
-    work = phi if isinstance(phi.domain, FDAlgebra) else phi.to_block_model()[0]
+    work = phi.to_block_model()[0]
     cls = classify(work)
     if not cls.cpc:
         raise ValueError(
@@ -522,7 +515,7 @@ def cb_bracket(phi: LinMap, samples: int = 12, seed: int = 0) -> tuple[float, fl
     eigendecomposition and the reshuffled SVD, and lo samples
     ||(phi (x) id_N)(x)|| over random contractions (exact at amplification N).
     """
-    work = phi if isinstance(phi.domain, FDAlgebra) else phi.to_block_model()[0]
+    work = phi.to_block_model()[0]
     d, N = work.domain.d, work.codomain_dim
     cls = classify(work)
     if cls.cp:

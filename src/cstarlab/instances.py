@@ -15,7 +15,6 @@ import numpy as np
 from .algebra import ConcreteAlgebra, FDAlgebra, generate_algebra
 from .certs import SchemaError, require_finite
 from .cpmaps import LinMap, perturb_choi
-from .geometry import DistanceInterval
 from .linalg import (dagger, expm_i, herm, opnorm, opnorm_max, random_hermitian,
                      random_unitary, rng_for)
 from .orderzero import NucDimDecomposition, OrderZeroMap
@@ -55,14 +54,12 @@ class Instance:
     true_unitary: np.ndarray | None
     seed: int
 
-    def dist_hint(self) -> DistanceInterval | None:
-        """Constructive distance bound d(A, B) <= 2 ||u - I|| when the
-        instance was produced by conjugation with a known unitary."""
+    def dist_hint(self) -> float | None:
+        """Constructive distance bound d(A, B) <= min(2 ||u - I||, 2) when
+        the instance was produced by conjugation with a known unitary."""
         if self.true_unitary is None:
             return None
-        hi = min(2.0 * opnorm(self.true_unitary - np.eye(self.A.ambient_dim)), 2.0)
-        return DistanceInterval(lo=0.0, hi=float(hi), lo_witness=None,
-                                hi_assignment={"method": "conjugation-bound"})
+        return float(min(2.0 * opnorm(self.true_unitary - np.eye(self.A.ambient_dim)), 2.0))
 
     def to_dict(self) -> dict:
         return {"kind": "instance", "schema_version": 1,

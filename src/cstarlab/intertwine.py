@@ -9,11 +9,12 @@ repairs it to a homomorphism, and aligns it with the previous stage by a
 unitary close to one.  With the exact averaging machinery every stage's
 repaired map is a homomorphism to machine precision and consecutive aligned
 stages agree to machine precision, so the iteration settles in two or three
-stages; all stated drift budgets are still tracked and certified.  The set
-only grows, so a stage hashes, and the expectation producer measures, only its
-new points; a stage given the previous map bit for bit keeps its repair and
-checks that map's defect on them only, and an unchanged homomorphism takes the
-unitary 1, so the codomain basis is pulled back once per call.
+stages; all stated drift budgets are still tracked and certified.  A
+producer returns a map; the set only grows, so a stage hashes only its new
+points, and a stage given the previous map bit for bit measures that map's
+closeness and defect on them only, keeps its repair and takes the unitary 1,
+so the codomain basis is pulled back once per call.  close_isomorphism reads
+B's witnesses and its forward closeness from that one pull-back.
 """
 
 from __future__ import annotations
@@ -28,11 +29,10 @@ from .certs import (TOL_ALG, TOL_CONV, TOL_EXACT, Certificate, ContradictionErro
                     SpectralGapError, ToleranceBudget, DEFAULT_BUDGET,
                     WINDOW_DEFECT_REPAIR, WINDOW_ISO_ETA, WINDOW_ISO_GAMMA,
                     WINDOW_ISO_MU, provenance_stamp)
-from .cpmaps import LinMap, _mult_defects, _restriction_cert, arveson_restrict, classify, hom_defect
+from .cpmaps import LinMap, _mult_defects, arveson_restrict, classify, hom_defect
 from .averaging import (exact_diagonal, improve_multiplicativity,
                         intertwining_unitary, projection_conjugator)
-from .geometry import (DistanceInterval, NearInclusionCert, nearest_in_ball,
-                       nearest_in_span)
+from .geometry import nearest_in_ball, nearest_in_span
 from .linalg import dagger, opnorm, opnorm_max_of, opnorms
 
 __all__ = [
@@ -110,23 +110,13 @@ class IsoResult:
 # producers
 # ---------------------------------------------------------------------------
 
-def expectation_producer(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float):
-    """Producer callback backed by the expectation onto B.
-
-    Returns a function Z -> (phi, cert) where phi, built once, is the
-    restriction of the expectation onto B to A, certified eta-close to the
-    inclusion on Z; valid whenever A sits inside B to eta/2 in operator norm.
-    Given its last list again, which must only have grown, it measures the new
-    points and keeps the maximum; any other list is measured whole.
-    """
-    phi = arveson_restrict(A, B, (), gamma=eta / 2.0)[0]
-    last = [None, 0, 0.0]  # the last list, how many of its points are measured, their worst
-
-    def produce(Z):
-        n, worst = last[1:] if Z is last[0] else (0, 0.0)
-        last[:] = [Z, len(Z), max(worst, _worst_move(phi, Z[n:]))]
-        return phi, _restriction_cert(phi, Z, eta / 2.0, achieved=last[2])
-    return produce
+def expectation_producer(A: ConcreteAlgebra, B: ConcreteAlgebra):
+    """Producer callback backed by the expectation onto B: every Z gets phi,
+    the restriction of the expectation onto B to A, built once; it is
+    2 gamma-close to the inclusion on any Z within gamma of B
+    (``arveson_restrict``)."""
+    phi = arveson_restrict(A, B, (), gamma=0.0)[0]
+    return lambda Z: phi
 
 
 # ---------------------------------------------------------------------------
@@ -187,26 +177,27 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
     """Staged construction of an injective *-homomorphism alpha: A -> B with
     ||alpha(x) - x|| <= 8 sqrt(6) eta^{1/2} + eta + mu for x in X_A.
 
-    Requires a producer Z -> (cpc map eta-close to the inclusion on Z, cert
-    whose achieved value is max ||phi(z) - z|| over Z), Z the list of tracked
-    points, which only grows; defaults to the expectation onto B, which then
-    measures new points only.  Each stage repairs the produced map to a
-    homomorphism and aligns it with the previous one by a unitary close to 1;
-    a map equal bit for bit to the previous stage's keeps that stage's repair
-    and theta_defect (repaired=False), and a theta equal to the last takes
-    u = 1 and drift 0.0.  The loop stops when the aligned maps agree on the
-    basis to tol_conv twice in a row, and raises after _MAX_STAGES stages.
-    When surjectivity_delta is given (B inside A to that level, at most 1/5),
-    codomain basis elements are pulled through the accumulated conjugator
-    (solved once per conjugator, at 200 iterations at stage 1: pull_back) and
-    tracked, closeness covers stage 1's accepted witnesses too, and the result
-    is certified onto B by dimension count.
+    Requires a producer Z -> cpc map eta-close to the inclusion on Z, Z the
+    list of tracked points, which only grows; defaults to the expectation
+    onto B.  Each stage measures the produced map's closeness (the stage
+    record's producer_closeness) and defect, repairs it to a homomorphism and
+    aligns that with the previous one by a unitary close to 1.  A map with the
+    previous stage's domain and, bit for bit, its images is kept: it is
+    measured on the new points only and keeps that stage's repair,
+    theta_defect and image residual (repaired=False), with u = 1 and drift
+    0.0.  The loop stops when the aligned maps agree on the basis to tol_conv
+    twice in a row, and raises after _MAX_STAGES stages.  When
+    surjectivity_delta is given (B inside A to that level; the paper's window
+    is at most 1/5), codomain basis elements are pulled through the
+    accumulated conjugator (solved once per conjugator, at 200 iterations at
+    stage 1: pull_back) and tracked, closeness covers stage 1's accepted
+    witnesses too, and the result is certified onto B by dimension count.
     """
     budget.require_window("iso-eta", eta, WINDOW_ISO_ETA)
     budget.require_window("iso-mu", mu, WINDOW_ISO_MU)
     nu = mu / 2.0
     if producer is None:
-        producer = expectation_producer(A, B, eta)
+        producer = expectation_producer(A, B)
     norm_basis = A.normalized_basis
     if X_A is None:
         X_A = list(norm_basis)
@@ -251,40 +242,41 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
         new_X, n_seen = X[n_seen:], len(X)
         new_Z = Z.add(new_X + avg_parts if n == 1 else new_X, len(new_X) + len(avg_parts))
         W = (np.concatenate([c, dagger(c)]) for c in np.split(new_Z, range(64, len(new_Z), 64)))
-        Zp.add((z for w in W for z in (*w, *(w @ dagger(w)))), 4 * len(new_Z))
+        new_Zp = Zp.add((z for w in W for z in (*w, *(w @ dagger(w)))), 4 * len(new_Z))
 
-        phi, prod_cert = producer(Zp.points)
-        closeness = prod_cert.achieved
-        repaired = not _same_map(phi, phi_prev)
-        # the last stage's map keeps its defect on the points checked there
-        phi_defect = opnorm_max_of(lambda b: _mult_defects(phi, b), Z.points if repaired else new_Z)
-        phi_defect = phi_defect if repaired else max(trace[-1].phi_defect, phi_defect)
+        phi = producer(Zp.points)
+        # a kept map keeps its repair, theta's defect and residual, and alpha
+        # (u = 1); its closeness and defect need checking on the new points only
+        kept = _same_map(phi, phi_prev)
+        closeness = _worst_move(phi, new_Zp if kept else Zp.points)
+        phi_defect = opnorm_max_of(lambda b: _mult_defects(phi, b), new_Z if kept else Z.points)
+        if kept:
+            closeness = max(trace[-1].producer_closeness, closeness)
+            phi_defect = max(trace[-1].phi_defect, phi_defect)
         gamma_repair = max(3.0 * eta, phi_defect)
 
-        if repaired:
+        u, drift, u_norm = np.eye(A.ambient_dim, dtype=complex), 0.0, 0.0
+        drift_ceiling = 2.0 ** (-(n - 1)) * nu
+        if kept:
+            budget.require_window("multiplicativity-repair", gamma_repair, WINDOW_DEFECT_REPAIR)
+            theta_defect, residual = trace[-1].theta_defect, trace[-1].image_residual
+        else:
             theta_raw = improve_multiplicativity(phi, gamma=gamma_repair,
                                                  seed=seed + n, budget=budget).psi
             theta = LinMap(A, A.ambient_dim, B.project(theta_raw.images),
                            codomain_algebra=B)
-        else:
-            budget.require_window("multiplicativity-repair", gamma_repair, WINDOW_DEFECT_REPAIR)
-        # the same sample points at every stage, so a kept theta keeps its defect
-        theta_defect = hom_defect(theta, seed) if repaired else trace[-1].theta_defect
-
-        # a theta equal to the last one keeps its residual and alpha, with u = 1
-        same = theta_prev is not None and np.array_equal(theta.images, theta_prev.images)
-        residual = trace[-1].image_residual if same else B.membership_residual(theta_raw.images)
-        u, drift, u_norm = np.eye(A.ambient_dim, dtype=complex), 0.0, 0.0
-        drift_ceiling = 2.0 ** (-(n - 1)) * nu
-        if theta_prev is None:
-            alpha = theta
-        elif not same:
-            u = intertwining_unitary(theta_prev, theta, seed=seed + n, budget=budget).u
-            u_norm = float(opnorm(u - np.eye(A.ambient_dim)))
-            aligned = theta.conjugated(u)
-            drift = opnorm_max_of(lambda b: aligned(b) - theta_prev(b), X)
-            accumulated = accumulated @ u
-            alpha = theta.conjugated(accumulated)
+            # sampled at the same points every stage, so a kept theta keeps it
+            theta_defect = hom_defect(theta, seed)
+            residual = B.membership_residual(theta_raw.images)
+            if theta_prev is None:
+                alpha = theta
+            else:
+                u = intertwining_unitary(theta_prev, theta, seed=seed + n, budget=budget).u
+                u_norm = float(opnorm(u - np.eye(A.ambient_dim)))
+                aligned = theta.conjugated(u)
+                drift = opnorm_max_of(lambda b: aligned(b) - theta_prev(b), X)
+                accumulated = accumulated @ u
+                alpha = theta.conjugated(accumulated)
         worst_membership = max(worst_membership, residual)
         conjugators.append(u)
         theta_prev, phi_prev = theta, phi
@@ -295,7 +287,7 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
             phi_defect=float(phi_defect), theta_defect=float(theta_defect),
             image_residual=float(residual), drift=float(drift),
             drift_ceiling=float(drift_ceiling), u_norm=float(u_norm),
-            repaired=repaired))
+            repaired=not kept))
         if n >= 2:
             streak = streak + 1 if drift < TOL_CONV else 0
             if streak >= 2:
@@ -381,74 +373,54 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
 # two-sided driver
 # ---------------------------------------------------------------------------
 
-def _distance_hi(dist_cert) -> float:
-    if isinstance(dist_cert, DistanceInterval):
-        return float(dist_cert.hi)
-    if isinstance(dist_cert, NearInclusionCert):
-        return float(dist_cert.gamma_hi)
-    return float(dist_cert)
-
-
-def close_isomorphism(A: ConcreteAlgebra, B: ConcreteAlgebra, dist_cert,
-                      X=None, Y=None, seed: int = 0,
+def close_isomorphism(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma: float,
+                      X=None, seed: int = 0,
                       budget: ToleranceBudget = DEFAULT_BUDGET) -> IsoResult:
-    """Surjective *-isomorphism theta: A -> B from a two-sided distance
-    certificate, with ||theta(x) - x|| and ||theta^{-1}(y) - y|| at most
-    28 gamma^{1/2} on the requested sets.
+    """Surjective *-isomorphism theta: A -> B from a two-sided distance bound
+    d(A, B) <= gamma, with ||theta(x) - x|| and ||theta^{-1}(y) - y|| at most
+    28 gamma^{1/2} for x in X and A's basis and for y in B's basis.
 
-    Enlarges X with near-best unit-ball approximants of each y in Y (for the
-    default Y, B's basis, the staged intertwining's stage-1 pull-back), runs
-    the staged intertwining with eta = 2 gamma and mu = min(gamma^{1/2},
-    1/4000), and certifies both directional bounds (the reverse direction
-    through the chain ||theta^{-1}(y) - y|| <= 2 ||x - y|| + ||theta(x) - y||).
+    Runs the staged intertwining with eta = 2 gamma, mu = min(gamma^{1/2},
+    1/4000) and surjectivity_delta = gamma, so that B's basis is pulled back
+    into A's unit ball (pull_back) and forward closeness, read from the staged
+    certificate, covers the accepted witnesses too; certifies the reverse
+    direction through the chain ||theta^{-1}(y) - y|| <= 2 ||x - y|| +
+    ||theta(x) - y|| over those witnesses.
     """
-    gamma = _distance_hi(dist_cert)
     budget.require_window("close-isomorphism", gamma, WINDOW_ISO_GAMMA)
     if A.dim != B.dim:
         raise ContradictionError(
             f"distance certificate {gamma:.3g} < 1 between algebras of "
             f"different dimensions {A.dim} != {B.dim}")
-    mu = min(np.sqrt(gamma), 1.0 / 4000.0)
     X = [np.asarray(x, dtype=complex) for x in ([] if X is None else X)]
-    X += list(A.normalized_basis)
-    surj_delta = gamma if gamma <= 1.0 / 5.0 else None
-    # else the staged intertwining pulls B's basis back and measures
-    # closeness on X and the accepted witnesses
-    own = Y is not None or surj_delta is None
-    Y = B.normalized_basis if Y is None else np.array(Y, dtype=complex)
-    if own:
-        Xs, dists, _, _ = nearest_in_ball(Y, A, iters=200)
-        X += list(Xs)
-    res = intertwining_iso(A, B, eta=2.0 * gamma, X_A=X, mu=mu,
-                           producer=expectation_producer(A, B, 2.0 * gamma),
-                           surjectivity_delta=surj_delta, seed=seed,
-                           budget=budget)
+    res = intertwining_iso(A, B, eta=2.0 * gamma, X_A=X + list(A.normalized_basis),
+                           mu=min(np.sqrt(gamma), 1.0 / 4000.0),
+                           surjectivity_delta=gamma, seed=seed, budget=budget)
     theta, close = res.map, res.certificates["closeness"]
-    Xs, dists = (Xs, dists) if own else res.pull_back
     ceiling = 28.0 * np.sqrt(gamma)
     res.certificates["forward-closeness"] = Certificate.build(
         name="forward-closeness",
         formula="||theta(x) - x|| <= 28 gamma^{1/2} on X",
-        inputs={"gamma": gamma, "n_points": len(X) if own else close.inputs["n_points"]},
-        ceiling=float(ceiling), achieved=_worst_move(theta, X) if own else close.achieved,
+        inputs={"gamma": gamma, "n_points": close.inputs["n_points"]},
+        ceiling=float(ceiling), achieved=close.achieved,
         provenance=provenance_stamp(seed))
     if res.inverse is None:
         raise SpectralGapError("constructed map is not invertible; "
                                "cannot certify the reverse bound")
-    bwd = _worst_move(res.inverse, Y)
+    Y, (Xs, dists) = B.normalized_basis, res.pull_back
     chain_worst = (2.0 * dists + opnorms(theta(Xs) - Y)).max()
     res.certificates["backward-closeness"] = Certificate.build(
         name="backward-closeness",
         formula="||theta^{-1}(y) - y|| <= 2 ||x - y|| + ||theta(x) - y|| "
                 "<= 28 gamma^{1/2} on Y",
         inputs={"gamma": gamma, "n_points": len(Y)},
-        ceiling=float(ceiling), achieved=float(bwd),
+        ceiling=float(ceiling), achieved=float(_worst_move(res.inverse, Y)),
         details={"chain_bound": float(chain_worst)},
         provenance=provenance_stamp(seed))
     return res
 
 
-def near_embedding_nuclear(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma_cert,
+def near_embedding_nuclear(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma: float,
                            X=None, seed: int = 0,
                            budget: ToleranceBudget = DEFAULT_BUDGET
                            ) -> tuple[LinMap, Certificate]:
@@ -456,16 +428,13 @@ def near_embedding_nuclear(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma_cert,
     28 gamma^{1/2} on X, from a one-sided near inclusion A in B at gamma; the
     staged intertwining runs with eta = 2 gamma and mu = min(gamma^{1/2},
     1/4000)."""
-    gamma = _distance_hi(gamma_cert)
     budget.require_window("near-embedding", gamma, WINDOW_ISO_GAMMA)
     mu = min(np.sqrt(gamma), 1.0 / 4000.0)
     if X is None:
         X = list(A.normalized_basis)
     else:
         X = [np.asarray(x, dtype=complex) for x in X]
-    res = intertwining_iso(A, B, eta=2.0 * gamma, X_A=X, mu=mu,
-                           producer=expectation_producer(A, B, 2.0 * gamma),
-                           seed=seed, budget=budget)
+    res = intertwining_iso(A, B, eta=2.0 * gamma, X_A=X, mu=mu, seed=seed, budget=budget)
     cert = Certificate.build(
         name="near-embedding",
         formula="||theta(x) - x|| <= 28 gamma^{1/2} on X",
@@ -499,7 +468,7 @@ def _projection_near_unit(e: np.ndarray, B: ConcreteAlgebra, gamma: float) -> np
     return p
 
 
-def half_flip_cpc(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma_cert, X=None,
+def half_flip_cpc(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma: float, X=None,
                   seed: int = 0) -> tuple[LinMap, Certificate]:
     """Transport cpc map phi: A -> B for a single full matrix block A near B,
     built through the exact tensor flip of A.
@@ -512,7 +481,6 @@ def half_flip_cpc(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma_cert, X=None,
     8 alpha + 4 alpha^2 + 4 sqrt(2) gamma with
     alpha = (4 sqrt(2) + 1) gamma + 4 sqrt(2) gamma^2.
     """
-    gamma = _distance_hi(gamma_cert)
     struct = A.structure()
     if len(struct.summands) != 1:
         raise ValueError("the flip construction needs a single full matrix block")
@@ -572,10 +540,10 @@ def half_flip_cpc(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma_cert, X=None,
 # unitary implementation
 # ---------------------------------------------------------------------------
 
-def implement_unitarily(alpha: IsoResult, seed: int = 0,
+def implement_unitarily(theta: LinMap, seed: int = 0,
                         budget: ToleranceBudget = DEFAULT_BUDGET
                         ) -> tuple[np.ndarray, Certificate]:
-    """Unitary u with u x u* = alpha.map(x) for all x in the domain, so the
+    """Unitary u with u x u* = theta(x) for all x in the domain, so the
     domain algebra is carried onto its image as a subspace.
 
     Uses the averaged intertwiner between the inclusion and the map, both
@@ -583,7 +551,6 @@ def implement_unitarily(alpha: IsoResult, seed: int = 0,
     precision; ||u - I|| <= 2 sqrt(2) gamma where gamma is the measured basis
     deviation of the map from the inclusion.
     """
-    theta = alpha.map
     A = theta.domain
     if not isinstance(A, ConcreteAlgebra):
         raise ValueError("unitary implementation needs a concrete domain")
@@ -627,11 +594,10 @@ def implement_unitarily(alpha: IsoResult, seed: int = 0,
     return u, cert
 
 
-def unit_match(A: ConcreteAlgebra, B: ConcreteAlgebra, dist_cert
+def unit_match(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma: float
                ) -> tuple[np.ndarray, Certificate]:
     """Unitary u with u 1_A u* = 1_B and ||u - 1|| <= 2 sqrt(2) gamma, valid
     for d(A, B) < gamma < 1/4."""
-    gamma = _distance_hi(dist_cert)
     beta = opnorm(A.support - B.support)
     if beta >= 1.0:
         raise SpectralGapError(

@@ -26,7 +26,7 @@ from .certs import (TOL_ALG, TOL_EXACT, Certificate, ContradictionError,
 from .averaging import _canonical_index, _canonical_sum
 from .cpmaps import LinMap, _from_choi_blocks, cb_bracket, choi_blocks, classify
 from .geometry import tensor_lift
-from .intertwine import _distance_hi, intertwining_iso
+from .intertwine import intertwining_iso
 from .linalg import (clip_spectrum, dagger, eigh_fun, herm, opnorm,
                      opnorm_max, psd_pinv, psd_sqrt)
 
@@ -170,7 +170,7 @@ def _unit_images(W: np.ndarray) -> np.ndarray:
     return (W[:, None] @ dagger(W[None])).reshape(-1, W.shape[1], W.shape[1])
 
 
-def perturb_order_zero(oz: OrderZeroMap, B: ConcreteAlgebra, gamma_cert,
+def perturb_order_zero(oz: OrderZeroMap, B: ConcreteAlgebra, gamma: float,
                        seed: int = 0) -> tuple[LinMap, Certificate]:
     """cp map psi into B with ||phi - psi||_cb <= (2g + g^2)(2 + 2g + g^2)
     for an order-zero phi whose row contraction is within the near-inclusion
@@ -189,7 +189,6 @@ def perturb_order_zero(oz: OrderZeroMap, B: ConcreteAlgebra, gamma_cert,
     distance with its solver stop reason and iterations (``witness_stop``,
     ``witness_iters``): ``gap`` proves it optimal to 1e-6 relative.
     """
-    gamma = _distance_hi(gamma_cert)
     fd = oz.fd
     N = oz.codomain_dim
     if B.ambient_dim != N:
@@ -378,13 +377,12 @@ def verify_nucdim_decomposition(A: ConcreteAlgebra, X, eps: float,
 
 
 def nucdim_cpc_transfer(D: ConcreteAlgebra, dec: NucDimDecomposition,
-                        X, B: ConcreteAlgebra, gamma_cert,
+                        X, B: ConcreteAlgebra, gamma: float,
                         seed: int = 0) -> tuple[LinMap, Certificate]:
     """cpc map phi: D -> B with ||phi(x) - x|| <=
     2 (n+1) (2g + g^2)(2 + 2g + g^2) + eps on X, eps the decomposition's
     defect, by perturbing each colored summand of the decomposition into B
     and rescaling the sum by its cb norm when that exceeds one."""
-    gamma = _distance_hi(gamma_cert)
     eps = dec.defect
     N = B.ambient_dim
     summand_certs = []
@@ -424,14 +422,13 @@ def nucdim_cpc_transfer(D: ConcreteAlgebra, dec: NucDimDecomposition,
     return phi, cert
 
 
-def near_embed_nucdim(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma_cert,
+def near_embed_nucdim(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma: float,
                       dec: NucDimDecomposition, X=None, seed: int = 0,
                       budget: ToleranceBudget = DEFAULT_BUDGET
                       ) -> tuple[LinMap, Certificate]:
     """Injective *-homomorphism theta: A -> B with ||theta(x) - x|| <=
     20 eta^{1/2} on X, where eta = 2 (n+1) (2g + g^2)(2 + 2g + g^2) comes
     from transferring the decomposition of A into B."""
-    gamma = _distance_hi(gamma_cert)
     mu = 2.0 * gamma + gamma ** 2
     eta = 2.0 * (dec.n + 1) * mu * (2.0 + mu) + dec.defect
     budget.require_window("nucdim-embedding", eta, WINDOW_ISO_ETA)
@@ -444,7 +441,7 @@ def near_embed_nucdim(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma_cert,
     _, cert_t = nucdim_cpc_transfer(A, dec, X, B, gamma, seed=seed)
     res = intertwining_iso(A, B, eta=eta, X_A=X,
                            mu=min(0.2 * np.sqrt(eta), 1.0 / 4000.0),
-                           producer=None, seed=seed, budget=budget)
+                           seed=seed, budget=budget)
     cert = Certificate.build(
         name="nucdim-near-embedding",
         formula="||theta(x) - x|| <= 20 eta^{1/2}, "

@@ -12,8 +12,8 @@ from .certs import TOL_ALG, Certificate, ToleranceBudget, DEFAULT_BUDGET, proven
 from .cpmaps import LinMap
 from .geometry import SampleSpec, kk_distance
 from .instances import Instance
-from .intertwine import IsoResult, close_isomorphism, implement_unitarily
-from .linalg import dagger, opnorm, opnorms, rng_for
+from .intertwine import close_isomorphism, implement_unitarily
+from .linalg import dagger, opnorm, rng_for
 from .orderzero import (OrderZeroMap, identity_decomposition,
                         near_embed_nucdim, perturb_order_zero)
 
@@ -44,39 +44,25 @@ class Report:
                 "notes": to_jsonable(self.notes)}
 
 
-def conjugation_iso(instance: Instance) -> IsoResult:
-    """The exact isomorphism x -> u x u* carried by a conjugation instance,
-    wrapped with the closeness certificate its generating unitary implies."""
+def conjugation_iso(instance: Instance) -> LinMap:
+    """The exact isomorphism x -> u x u* carried by a conjugation instance."""
     u = instance.true_unitary
     if u is None:
         raise ValueError("instance carries no generating unitary")
-    A, B = instance.A, instance.B
-    theta = LinMap(A, A.ambient_dim, u @ A.basis @ dagger(u), codomain_algebra=B)
-    inverse = LinMap(B, B.ambient_dim, dagger(u) @ B.basis @ u, codomain_algebra=A)
-    bound = 2.0 * opnorm(u - np.eye(A.ambient_dim))
-    achieved = (opnorms(theta(A.basis) - A.basis) / A.basis_norms).max()
-    cert = Certificate.build(
-        name="conjugation-closeness",
-        formula="||u x u* - x|| <= 2 ||u - 1|| on the unit ball",
-        inputs={"u_norm": float(bound / 2.0)},
-        ceiling=float(bound), achieved=float(achieved),
-        provenance=provenance_stamp(instance.seed))
-    return IsoResult(map=theta, inverse=inverse, conjugators=[u], trace=[],
-                     certificates={"closeness": cert}, eta=0.0, mu=0.0, nu=0.0,
-                     converged=True, surjective=True)
+    A = instance.A
+    return LinMap(A, A.ambient_dim, u @ A.basis @ dagger(u), codomain_algebra=instance.B)
 
 
 def _gamma_source(instance: Instance, seed: int, samples: int,
-                  notes: dict):
+                  notes: dict) -> float:
     hint = instance.dist_hint()
     if hint is not None:
         notes["gamma_source"] = "conjugation-bound"
         return hint
     spec = SampleSpec(seed=seed, n_selfadjoint=samples, n_unitary=samples,
                       iters=200)
-    interval = kk_distance(instance.A, instance.B, spec=spec)
     notes["gamma_source"] = "sampled-distance"
-    return interval
+    return float(kk_distance(instance.A, instance.B, spec=spec).hi)
 
 
 def run_pipeline(instance: Instance, pipeline: str,
@@ -101,7 +87,7 @@ def run_pipeline(instance: Instance, pipeline: str,
                           iters=200)
         interval = kk_distance(A, B, spec=spec)
         hint = instance.dist_hint()
-        ceiling = hint.hi if hint is not None else 2.0
+        ceiling = hint if hint is not None else 2.0
         certs["distance-interval"] = Certificate.build(
             name="distance-interval",
             formula="sampled d(A, B) within the constructive recipe bound",
@@ -116,10 +102,10 @@ def run_pipeline(instance: Instance, pipeline: str,
         return Report(pipeline=pipeline, seed=seed, recipe=instance.recipe,
                       certificates=certs, notes=notes)
 
-    gamma_cert = _gamma_source(instance, seed, samples, notes)
+    gamma = _gamma_source(instance, seed, samples, notes)
 
     if pipeline == "iso":
-        res = close_isomorphism(A, B, gamma_cert, seed=seed, budget=budget)
+        res = close_isomorphism(A, B, gamma, seed=seed, budget=budget)
         certs.update(res.certificates)
         notes["stages"] = len(res.trace)
         notes["eta"], notes["mu"], notes["nu"] = res.eta, res.mu, res.nu
@@ -129,11 +115,12 @@ def run_pipeline(instance: Instance, pipeline: str,
 
     if pipeline == "unitary":
         if instance.true_unitary is not None:
-            alpha = conjugation_iso(instance)
+            theta = conjugation_iso(instance)
         else:
-            alpha = close_isomorphism(A, B, gamma_cert, seed=seed, budget=budget)
-            certs.update(alpha.certificates)
-        u, cert = implement_unitarily(alpha, seed=seed, budget=budget)
+            res = close_isomorphism(A, B, gamma, seed=seed, budget=budget)
+            certs.update(res.certificates)
+            theta = res.map
+        u, cert = implement_unitarily(theta, seed=seed, budget=budget)
         certs["unitary-implementation"] = cert
         notes["u_norm"] = float(opnorm(u - np.eye(A.ambient_dim)))
         return Report(pipeline=pipeline, seed=seed, recipe=instance.recipe,
@@ -148,7 +135,7 @@ def run_pipeline(instance: Instance, pipeline: str,
         for k in range(len(fd.block_sizes)):
             h = h + float(rng.uniform(0.4, 1.0)) * pi(fd.block_unit(k))
         oz = OrderZeroMap.from_pair(pi, h, codomain_algebra=A)
-        psi, cert = perturb_order_zero(oz, B, gamma_cert, seed=seed)
+        psi, cert = perturb_order_zero(oz, B, gamma, seed=seed)
         certs["order-zero-perturbation"] = cert
         notes["cb_achieved"] = cert.achieved
         return Report(pipeline=pipeline, seed=seed, recipe=instance.recipe,
@@ -156,7 +143,7 @@ def run_pipeline(instance: Instance, pipeline: str,
 
     # oz-embed
     dec = identity_decomposition(A)
-    theta, cert = near_embed_nucdim(A, B, gamma_cert, dec, seed=seed,
+    theta, cert = near_embed_nucdim(A, B, gamma, dec, seed=seed,
                                     budget=budget)
     certs["nucdim-near-embedding"] = cert
     notes["n_colors"] = dec.n + 1

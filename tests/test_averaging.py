@@ -263,7 +263,7 @@ def test_repair_and_self_intertwiner_depend_on_the_map_alone(algebra, ambient):
     inst = gen_instance("conjugation", {"algebra": algebra, "ambient": ambient,
                                         "eps": 1e-6}, seed=7)
     A, B = inst.A, inst.B
-    eta = 2.0 * inst.dist_hint().hi
+    eta = 2.0 * inst.dist_hint()
     phi, _ = arveson_restrict(A, B, A.normalized_basis, gamma=eta / 2.0)
     repairs = [improve_multiplicativity(phi, gamma=g, seed=s).psi
                for g in (3.0 * eta, 1e-3) for s in (0, 3, 11)]

@@ -1,9 +1,14 @@
 """Command-line interface: subcommands, settings precedence, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cstarlab
 from cstarlab.cli import main
 from cstarlab.instances import Instance, base_algebra
 from cstarlab.serialize import load
@@ -156,3 +161,19 @@ def test_selftest_unknown_criterion(capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "unknown criterion 99" in err
+
+
+def test_a_closed_pipe_ends_quietly():
+    # as in `cstarlab iso --format json | head -1`: the reader takes one line
+    # and closes the pipe; the writer exits with 141, or with 0 when all of
+    # its output was in the pipe before the reader closed it, and never
+    # prints a traceback
+    env = dict(os.environ, PYTHONPATH=str(Path(cstarlab.__file__).resolve().parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cstarlab.cli", "iso", "--eps", "1e-5", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.communicate(timeout=120)[1]
+    assert proc.returncode in (0, 141)
+    assert err == b""

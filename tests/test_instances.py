@@ -92,12 +92,12 @@ def test_conjugation_distance_hint():
     u = inst.true_unitary
     assert abs(opnorm(u - np.eye(4)) - 2.0 * np.sin(eps / 2.0)) < 1e-10
     hint = inst.dist_hint()
-    assert hint is not None
-    assert hint.hi <= 2.0 * eps
+    assert type(hint) is float
+    assert hint <= 2.0 * eps
     # every element of B is within the hint of A
     for b in inst.B.basis:
         bn = b / opnorm(b)
-        assert inst.A.residual(bn) <= hint.hi + 1e-12
+        assert inst.A.residual(bn) <= hint + 1e-12
 
 
 def test_block_rotation_moves_only_one_block():

@@ -21,7 +21,6 @@ from cstarlab.cpmaps import LinMap, _mult_defects
 from cstarlab.geometry import near_inclusion
 from cstarlab.instances import block_algebra, gen_instance
 from cstarlab.intertwine import (
-    IsoResult,
     close_isomorphism,
     half_flip_cpc,
     implement_unitarily,
@@ -30,6 +29,7 @@ from cstarlab.intertwine import (
 )
 from cstarlab.linalg import dagger, opnorm, opnorm_max, opnorms, rng_for
 from cstarlab.orderzero import identity_decomposition, near_embed_nucdim
+from cstarlab.pipelines import run_pipeline
 from cstarlab.serialize import dumps
 
 
@@ -112,14 +112,13 @@ def test_a_changing_map_is_pulled_back_through_its_new_conjugator(monkeypatch):
                         lambda x, A, iters: pulls.append((x, iters)) or solve(x, A, iters=iters))
     counts = count_calls(monkeypatch)
     A, B, gamma = conjugation_instance("M2+M1", 4)
-    inner = intertwine.expectation_producer(A, B, 2.0 * gamma)
+    inner = intertwine.expectation_producer(A, B)
     calls = []
 
     def changing(Z):
-        phi, cert = inner(Z)
         calls.append(1)
         scale = 1.0 - 1e-7 if len(calls) >= 2 else 1.0
-        return LinMap(A, A.ambient_dim, phi.images * scale, codomain_algebra=B), cert
+        return LinMap(A, A.ambient_dim, inner(Z).images * scale, codomain_algebra=B)
 
     res = intertwine.intertwining_iso(A, B, 2.0 * gamma, producer=changing, seed=5,
                                       surjectivity_delta=gamma)
@@ -189,7 +188,7 @@ def test_intertwining_iso_passes_each_tracked_point_once():
     # every point once, and each stage record counts what it saw
     A, B, u = conjugated_pair((2, 1), 4, 1e-5, 6)
     gamma = 2.0 * opnorm(u - np.eye(4))
-    inner = intertwine.expectation_producer(A, B, 2.0 * gamma)
+    inner = intertwine.expectation_producer(A, B)
     seen = []
 
     def recording(Z):
@@ -215,7 +214,7 @@ REUSE_PROFILES = [("M2+M1", 4), ("3,3", 8)]
 def conjugation_instance(algebra, ambient):
     inst = gen_instance("conjugation", {"algebra": algebra, "ambient": ambient,
                                         "eps": 1e-6}, seed=5)
-    return inst.A, inst.B, inst.dist_hint().hi
+    return inst.A, inst.B, inst.dist_hint()
 
 
 # the default staged intertwining, and close_isomorphism, which also tracks
@@ -236,20 +235,33 @@ def count_calls(monkeypatch):
 
 @pytest.mark.parametrize("algebra,ambient", REUSE_PROFILES)
 def test_stage_reuse_matches_repairing_every_stage(monkeypatch, algebra, ambient):
-    # the oracle repairs at every stage; the repair gives the same theta bit
-    # for bit, so both runs align no stage and keep the conjugator 1
+    # the oracle repairs and aligns at every stage; the repair gives the same
+    # theta bit for bit, so its rows hold the kept run's defect and residual,
+    # and aligning theta with itself moves nothing beyond rounding
     A, B, gamma = conjugation_instance(algebra, ambient)
     kept = [run(A, B, gamma) for run in DEFAULT_RUNS]
+    repairs, improve = [], intertwine.improve_multiplicativity
     monkeypatch.setattr(intertwine, "_same_map", lambda phi, prev: False)
+    monkeypatch.setattr(intertwine, "improve_multiplicativity",
+                        lambda phi, **kw: repairs.append(improve(phi, **kw)) or repairs[-1])
     redone = [run(A, B, gamma) for run in DEFAULT_RUNS]
+    assert len(repairs) == 6 and len({r.psi.images.tobytes() for r in repairs}) == 1
     for a, b in zip(kept, redone):
-        da, db = a.to_dict(), b.to_dict()
-        assert [r.pop("repaired") for r in da["trace"]] == [True, False, False]
-        assert [r.pop("repaired") for r in db["trace"]] == [True, True, True]
-        assert dumps(da) == dumps(db)
-        assert a.map.images.tobytes() == b.map.images.tobytes()
-        assert [u.tobytes() for u in a.conjugators] == \
-            [u.tobytes() for u in b.conjugators]
+        assert [r.repaired for r in a.trace] == [True, False, False]
+        assert [r.repaired for r in b.trace] == [True, True, True]
+        for ra, rb in zip(a.trace, b.trace):
+            assert (ra.theta_defect, ra.image_residual) == (rb.theta_defect, rb.image_residual)
+            assert ra.drift == ra.u_norm == 0.0
+            assert rb.drift <= 1e-13 and rb.u_norm <= 1e-13
+        assert np.abs(a.map.images - b.map.images).max() <= 1e-13
+        assert all(np.array_equal(u, np.eye(ambient)) for u in a.conjugators)
+    # without the pull-back both runs track the same points, so every other
+    # value of a row is the same too
+    for ra, rb in zip(kept[0].trace, redone[0].trace):
+        da, db = ra.to_dict(), rb.to_dict()
+        for key in ("repaired", "drift", "u_norm"):
+            da.pop(key), db.pop(key)
+        assert da == db
 
 
 def test_expectation_producer_is_repaired_once_per_run(monkeypatch):
@@ -311,37 +323,49 @@ def test_a_kept_theta_takes_the_unitary_one(algebra, ambient):
         assert res.certificates["drift"].achieved == 0.0
 
 
-def test_expectation_producer_measures_new_points_only(monkeypatch):
-    # at every stage the producer's closeness is the whole set's, though it
-    # measures only the points added since its last call; a new list is
-    # measured from its first point
+def test_a_kept_map_is_measured_on_new_points_only(monkeypatch):
+    # at every stage the recorded closeness is the whole set's, though a kept
+    # map is measured only on the points added since the last stage
     A, B, gamma = conjugation_instance("3,3", 8)
-    inner = intertwine.expectation_producer(A, B, 2.0 * gamma)
+    inner = intertwine.expectation_producer(A, B)
     measured, worst = [], intertwine._worst_move
     monkeypatch.setattr(intertwine, "_worst_move",
                         lambda phi, X: measured.append(len(X)) or worst(phi, X))
     seen = []
 
     def recording(Z):
-        phi, cert = inner(Z)
-        whole = cpmaps._restriction_cert(phi, list(Z), gamma)
-        seen.append((len(Z), cert.achieved, whole.achieved, cert.inputs["n_points"]))
-        return phi, cert
+        seen.append(np.array(Z))
+        return inner(Z)
 
     # with no X_A, every stage's basis point is new
     res = intertwine.intertwining_iso(A, B, 2.0 * gamma, X_A=[], producer=recording,
                                       seed=5, surjectivity_delta=gamma)
-    sizes = [n for n, *_ in seen]
+    sizes = [len(Z) for Z in seen]
     assert len(seen) == len(res.trace) == 3 and sizes[0] < sizes[1] < sizes[2]
-    assert all(mine == whole and count == n for n, mine, whole, count in seen)
-    assert [r.producer_closeness for r in res.trace] == [mine for _, mine, *_ in seen]
+    assert [r.producer_closeness for r in res.trace] == [worst(inner(Z), Z) for Z in seen]
     assert measured[:3] == [sizes[0], sizes[1] - sizes[0], sizes[2] - sizes[1]]
-    # a new list starts again: an empty one reads 0.0, not the last maximum
-    phi, cert = inner([])
-    assert cert.achieved == 0.0 and measured[-1] == 0
-    Z = [np.eye(A.ambient_dim, dtype=complex) / 2.0, *A.normalized_basis]
-    assert inner(Z)[1].achieved == cpmaps._restriction_cert(phi, Z, gamma).achieved
-    assert measured[-1] == len(Z)
+    # the producer keeps no state: every list, the empty one too, gets one map
+    phi = inner([])
+    assert inner(seen[0]) is phi and inner(list(seen[-1])) is phi
+
+
+def test_a_fresh_map_with_equal_images_is_kept():
+    # a producer that builds a new LinMap at every stage, with the same images,
+    # is kept as the same map, and its closeness is still the whole set's
+    A, B, gamma = conjugation_instance("M2+M1", 4)
+    inner = intertwine.expectation_producer(A, B)
+    seen = []
+
+    def fresh(Z):
+        seen.append(np.array(Z))
+        return LinMap(A, A.ambient_dim, inner(Z).images.copy(), codomain_algebra=B)
+
+    res = intertwine.intertwining_iso(A, B, 2.0 * gamma, producer=fresh, seed=5)
+    assert [r.repaired for r in res.trace] == [True, False, False]
+    phi = inner([])
+    assert [r.producer_closeness for r in res.trace] == \
+        [intertwine._worst_move(phi, Z) for Z in seen]
+    assert res.certificates["drift"].achieved == 0.0
 
 
 def test_close_isomorphism_reads_its_closeness():
@@ -361,28 +385,32 @@ def test_close_isomorphism_reads_its_closeness():
     assert cert.achieved == intertwine._worst_move(theta, list(A.normalized_basis))
 
 
-def test_close_isomorphism_with_its_own_codomain_points():
-    # a Y given explicitly is solved by close_isomorphism itself, and forward
-    # closeness is measured on X and those witnesses
-    A, B, gamma = conjugation_instance("M2+M1", 4)
-    Y = B.normalized_basis[:2]
-    res = close_isomorphism(A, B, gamma, Y=Y, seed=5)
-    assert res.passed
-    assert res.certificates["backward-closeness"].inputs["n_points"] == 2
-    assert res.certificates["forward-closeness"].inputs["n_points"] == A.dim + 2
+def test_iso_past_one_fifth_passes_every_certificate():
+    # at eps 0.3 gamma is past 1/5, and close_isomorphism still takes its one
+    # pull-back: the iso report carries a passing surjectivity certificate,
+    # and the backward chain bound is that of the staged pull-back's witnesses
+    inst = gen_instance("conjugation", {"algebra": "M2+M1", "ambient": 4, "eps": 0.3}, seed=0)
+    gamma = inst.dist_hint()
+    assert gamma > 1.0 / 5.0
+    report = run_pipeline(inst, "iso", seed=0)
+    assert report.ok and report.certificates["surjectivity"].passed
+    res = close_isomorphism(inst.A, inst.B, gamma, seed=0)
+    assert dumps(report.certificates) == dumps(res.certificates)
+    Xs, dists = res.pull_back
+    chain = (2.0 * dists + opnorms(res.map(Xs) - inst.B.normalized_basis)).max()
+    assert res.certificates["backward-closeness"].details["chain_bound"] == chain
 
 
 def test_a_changing_map_is_repaired_at_every_stage(monkeypatch):
     counts = count_calls(monkeypatch)
     A, B, gamma = conjugation_instance("M2+M1", 4)
-    inner = intertwine.expectation_producer(A, B, 2.0 * gamma)
+    inner = intertwine.expectation_producer(A, B)
     stages = []
 
     def drifting(Z):
-        phi, cert = inner(Z)
         stages.append(len(stages) + 1)
-        return LinMap(A, A.ambient_dim, phi.images * (1.0 - 1e-12 * stages[-1]),
-                      codomain_algebra=B), cert
+        return LinMap(A, A.ambient_dim, inner(Z).images * (1.0 - 1e-12 * stages[-1]),
+                      codomain_algebra=B)
 
     res = intertwine.intertwining_iso(A, B, 2.0 * gamma, producer=drifting, seed=5)
     assert res.converged and len(res.trace) >= 3
@@ -425,7 +453,7 @@ def _recorded_close_isomorphism(monkeypatch, inst, drift_map=False):
     """close_isomorphism with its tracked points given, and its produced and
     repaired maps and pulled points recorded per stage; with drift_map the
     produced map changes at every stage."""
-    A, B, gamma = inst.A, inst.B, inst.dist_hint().hi
+    A, B, gamma = inst.A, inst.B, inst.dist_hint()
     rec = {"X_A": None, "phi": [], "theta": {}, "pulled": []}
     iso, ball = intertwine.intertwining_iso, intertwine.nearest_in_ball
     improve, producer = intertwine.improve_multiplicativity, intertwine.expectation_producer
@@ -447,17 +475,16 @@ def _recorded_close_isomorphism(monkeypatch, inst, drift_map=False):
                                                codomain_algebra=B)
         return res
 
-    def recording_producer(A_, B_, eta):
-        inner = producer(A_, B_, eta)
+    def recording_producer(A_, B_):
+        inner = producer(A_, B_)
 
         def produce(Z):
-            phi, cert = inner(Z)
+            phi = inner(Z)
             if drift_map:
                 phi = LinMap(A, A.ambient_dim, phi.images * (1.0 - 1e-12 * (len(rec["phi"]) + 1)),
                              codomain_algebra=B)
-                cert = cpmaps._restriction_cert(phi, Z, eta / 2.0)
             rec["phi"].append(phi)
-            return phi, cert
+            return phi
         return produce
 
     for name, fn in (("intertwining_iso", recording_iso), ("nearest_in_ball", recording_ball),
@@ -532,7 +559,7 @@ def test_close_isomorphism_memory_on_block_rotation():
     inst = gen_instance("block-rotation", {"algebra": "6", "ambient": 12, "eps": 1e-6}, seed=7)
     tracemalloc.start()
     try:
-        res = close_isomorphism(inst.A, inst.B, inst.dist_hint().hi, seed=7)
+        res = close_isomorphism(inst.A, inst.B, inst.dist_hint(), seed=7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -550,7 +577,7 @@ def test_near_embedding_into_larger_algebra():
     u = small_rotation(4, 1e-6, 7)
     A = A0.conjugated(u)
     cert_inc = near_inclusion(A, B)
-    theta, cert = near_embedding_nuclear(A, B, cert_inc, seed=7)
+    theta, cert = near_embedding_nuclear(A, B, cert_inc.gamma_hi, seed=7)
     assert cert.verdict == "pass"
     for x in A.basis:
         xn = x / opnorm(x)
@@ -561,7 +588,7 @@ def test_near_embedding_into_larger_algebra():
 def test_near_embedding_on_no_points():
     B = block_algebra((2, 2), 4)
     A = block_algebra((2,), 4).conjugated(small_rotation(4, 1e-6, 7))
-    _, cert = near_embedding_nuclear(A, B, near_inclusion(A, B), X=[], seed=7)
+    _, cert = near_embedding_nuclear(A, B, near_inclusion(A, B).gamma_hi, X=[], seed=7)
     _assert_empty_closeness(cert)
 
 
@@ -613,7 +640,7 @@ def test_implement_unitarily_conjugates_exactly():
     A, B, u0 = conjugated_pair((2, 1), 3, 1e-5, 13)
     gamma = 2.0 * opnorm(u0 - np.eye(3))
     alpha = close_isomorphism(A, B, gamma, seed=13)
-    u, cert = implement_unitarily(alpha, seed=13)
+    u, cert = implement_unitarily(alpha.map, seed=13)
     assert cert.verdict == "pass"
     assert opnorm(dagger(u) @ u - np.eye(3)) < 1e-10
     for b in A.basis:
@@ -630,11 +657,8 @@ def test_implement_unitarily_rejects_ambient_mismatch():
         m[:3, :3] = b
         images.append(m)
     theta = LinMap(A, 4, tuple(images), codomain_algebra=B)
-    alpha = IsoResult(map=theta, inverse=None, conjugators=[], trace=[],
-                      certificates={}, eta=0.0, mu=0.0, nu=0.0,
-                      converged=True, surjective=False)
     with pytest.raises(ValueError):
-        implement_unitarily(alpha)
+        implement_unitarily(theta)
 
 
 def test_implement_unitarily_rejects_non_homomorphism():
@@ -647,11 +671,8 @@ def test_implement_unitarily_rejects_non_homomorphism():
     theta = LinMap(A, 3, tuple(images), codomain_algebra=A)
     defect = opnorm_max(_mult_defects(theta, list(A.basis)))
     assert defect > 1e-3  # the perturbation really breaks multiplicativity
-    alpha = IsoResult(map=theta, inverse=None, conjugators=[], trace=[],
-                      certificates={}, eta=0.0, mu=0.0, nu=0.0,
-                      converged=True, surjective=False)
     with pytest.raises(ValueError):
-        implement_unitarily(alpha)
+        implement_unitarily(theta)
 
 
 # ---------------------------------------------------------------------------
