@@ -336,11 +336,11 @@ def criterion_8() -> CriterionResult:
         u = expm_i(eps * h / max(opnorm(h), 1e-300))
         B = C.conjugated(u)
         gamma = 2.0 * opnorm(u - np.eye(4))
-        _, cert = perturb_order_zero(oz, B, gamma, seed=s)
+        _, cert = perturb_order_zero(oz, B, gamma)
         all_ok = all_ok and cert.passed
     for s in range(3):
         oz = random_order_zero(profiles[s], 4, seed=100 + s)
-        _, cert0 = perturb_order_zero(oz, oz.map.codomain_algebra, 0.0, seed=s)
+        _, cert0 = perturb_order_zero(oz, oz.map.codomain_algebra, 0.0)
         worst_exact = max(worst_exact, cert0.achieved)
     ok = all_ok and worst_exact <= 1e-10
     detail = (f"{seeds} seeds, cb ceiling {'met' if all_ok else 'violated'}, "
@@ -365,7 +365,7 @@ def criterion_9() -> CriterionResult:
         dec = identity_decomposition(inst.A)
         gamma = inst.dist_hint()
         X = inst.A.normalized_basis
-        phi, cert_t = nucdim_cpc_transfer(inst.A, dec, X, inst.B, gamma, seed=s)
+        phi, cert_t = nucdim_cpc_transfer(inst.A, dec, X, inst.B, gamma)
         all_ok = all_ok and cert_t.passed and classify(phi).cpc
         _, cert_e = near_embed_nucdim(inst.A, inst.B, gamma, dec, seed=s)
         all_ok = all_ok and cert_e.passed
@@ -379,7 +379,7 @@ def criterion_9() -> CriterionResult:
         gamma = 2.0 * opnorm(u - np.eye(9))
         vc = verify_nucdim_decomposition(A, X1, dec1.defect + 1e-12, dec1)
         all_ok = all_ok and vc.passed
-        phi, cert_t = nucdim_cpc_transfer(A, dec1, X1, B, gamma, seed=s)
+        phi, cert_t = nucdim_cpc_transfer(A, dec1, X1, B, gamma)
         all_ok = all_ok and cert_t.passed and classify(phi).cpc
         _, cert_e = near_embed_nucdim(A, B, gamma, dec1, X=X1, seed=s)
         all_ok = all_ok and cert_e.passed and cert_e.details["transfer_ok"]

@@ -494,7 +494,7 @@ def _relative_commutator(a: np.ndarray, A: ConcreteAlgebra) -> float:
     return float((opnorms(a @ B - B @ a) / A.basis_norms).max())
 
 
-def commutant_lift(m: np.ndarray, A: ConcreteAlgebra, seed: int = 0) -> LiftResult:
+def commutant_lift(m: np.ndarray, A: ConcreteAlgebra) -> LiftResult:
     """Exact element of the relative commutant A' near an approximately
     commuting m.
 
@@ -514,24 +514,24 @@ def commutant_lift(m: np.ndarray, A: ConcreteAlgebra, seed: int = 0) -> LiftResu
         name="commutant-membership",
         formula="max_b ||[a, b]|| / ||b|| <= tol_alg over the basis of A",
         inputs={}, ceiling=TOL_ALG, achieved=float(comm),
-        provenance=provenance_stamp(seed))
+        provenance=provenance_stamp())
     cert_dist = Certificate.build(
         name="commutant-lift-distance",
         formula="||a - m|| <= 2 * delta",
         inputs={"delta": float(delta)},
         ceiling=2.0 * float(delta), achieved=float(opnorm(a - m)),
-        slack=TOL_EXACT, provenance=provenance_stamp(seed))
+        slack=TOL_EXACT, provenance=provenance_stamp())
     cert_norm = Certificate.build(
         name="commutant-lift-norm",
         formula="||a|| <= ||m||",
         inputs={"norm_m": float(opnorm(m))},
         ceiling=float(opnorm(m)), achieved=float(opnorm(a)),
-        slack=TOL_EXACT, provenance=provenance_stamp(seed))
+        slack=TOL_EXACT, provenance=provenance_stamp())
     certs = {"commutation": cert_comm, "distance": cert_dist, "norm": cert_norm}
     return LiftResult(value=a, delta=float(delta), certificates=certs)
 
 
-def unitary_commutant_lift(u: np.ndarray, A: ConcreteAlgebra, seed: int = 0) -> LiftResult:
+def unitary_commutant_lift(u: np.ndarray, A: ConcreteAlgebra) -> LiftResult:
     """Unitary v in the relative commutant A' with ||v - 1|| <= ||u - 1||.
 
     Takes the principal logarithm u = exp(i pi h) with ||h|| <= 1 (rejected
@@ -542,7 +542,7 @@ def unitary_commutant_lift(u: np.ndarray, A: ConcreteAlgebra, seed: int = 0) -> 
     u = np.asarray(u, dtype=complex)
     H = principal_log_unitary(u)
     h = H / np.pi
-    lift = commutant_lift(h, A, seed=seed)
+    lift = commutant_lift(h, A)
     k = herm(lift.value)
     v = expm_i(np.pi * k)
     comm = _relative_commutator(v, A)
@@ -551,19 +551,19 @@ def unitary_commutant_lift(u: np.ndarray, A: ConcreteAlgebra, seed: int = 0) -> 
         name="unitary-lift-commutation",
         formula="max_b ||[v, b]|| / ||b|| <= tol_alg over the basis of A",
         inputs={}, ceiling=TOL_ALG, achieved=float(comm),
-        provenance=provenance_stamp(seed))
+        provenance=provenance_stamp())
     cert_norm = Certificate.build(
         name="unitary-lift-norm",
         formula="||v - 1|| <= ||u - 1||",
         inputs={"norm_u": float(opnorm(u - eye))},
         ceiling=float(opnorm(u - eye)), achieved=float(opnorm(v - eye)),
-        slack=TOL_EXACT, provenance=provenance_stamp(seed))
+        slack=TOL_EXACT, provenance=provenance_stamp())
     cert_drift = Certificate.build(
         name="unitary-lift-drift",
         formula="||v - u|| <= pi * ||k - h|| <= 2 pi delta",
         inputs={"delta": lift.delta},
         ceiling=float(2.0 * np.pi * lift.delta), achieved=float(opnorm(v - u)),
-        slack=TOL_EXACT, provenance=provenance_stamp(seed))
+        slack=TOL_EXACT, provenance=provenance_stamp())
     certs = {"commutation": cert_comm, "norm": cert_norm, "drift": cert_drift,
              "generator": lift.certificates["distance"]}
     return LiftResult(value=v, delta=lift.delta, certificates=certs)

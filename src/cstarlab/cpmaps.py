@@ -33,7 +33,7 @@ from .algebra import BlockModel, ConcreteAlgebra, FDAlgebra, _combine
 from .certs import TOL_ALG, TOL_PSD, Certificate, provenance_stamp, require_finite
 from .geometry import SampleSpec, sample_unit_ball
 from .linalg import (dagger, herm, hs_norm, opnorm, opnorm_max, opnorm_max_of, opnorms,
-                     psd_part, random_contraction, random_hermitian, rng_for)
+                     psd_part, random_hermitian)
 
 __all__ = [
     "LinMap",
@@ -502,18 +502,21 @@ def _factor_bound(As: np.ndarray, Bs: np.ndarray, C: np.ndarray) -> float:
     return float(np.sqrt(_gram_norm_up(As) * _gram_norm_up(dagger(Bs))) * (1.0 + 4.0 * _EPS) + miss)
 
 
-def cb_bracket(phi: LinMap, samples: int = 12, seed: int = 0) -> tuple[float, float]:
-    """Certified bracket lo <= ||phi||_cb <= hi.
+def cb_bracket(phi: LinMap) -> tuple[float, float]:
+    """Certified bracket lo <= ||phi||_cb <= hi, a function of the map alone.
 
     Maps that pass as cp have lo = ||phi(1)|| and hi = ||phi(1)|| + 2 tr H- +
     2 d^2 ||K|| for the Choi matrix H+ - H- + K, K skew (what classify's
     TOL_PSD lets through; eigenvalues within 2 n eps ||C|| of zero are
-    rounding), rounded up: the sum of d positive images errs by at most
-    (d + 2) N eps ||phi(1)||, the SVD by 2 N eps ||phi(1)||, and the margin
-    doubles both.  Otherwise hi is the best factorization bound
-    (``_factor_bound``) over Kraus-type decompositions from the Choi
-    eigendecomposition and the reshuffled SVD, and lo samples
-    ||(phi (x) id_N)(x)|| over random contractions (exact at amplification N).
+    rounding), both rounded outward by one margin: the sum of d positive
+    images errs by at most (d + 2) N eps ||phi(1)||, the SVD by 2 N eps
+    ||phi(1)||, and the margin doubles both.  Otherwise hi is the best
+    factorization bound (``_factor_bound``) over Kraus-type decompositions
+    from the Choi eigendecomposition and the reshuffled SVD, and lo is the
+    swap witness ||(phi (x) id_d)(W)||, W = sum_ij e_ij (x) e_ji a unitary of
+    M_d (x) M_d (exact for the transpose, whose cb norm is d); its image is a
+    transpose of the pinched images, so only its SVD rounds, and lo is
+    rounded down by twice that SVD's backward error, 4 N d eps.
     """
     work = phi.to_block_model()[0]
     d, N = work.domain.d, work.codomain_dim
@@ -523,7 +526,8 @@ def cb_bracket(phi: LinMap, samples: int = 12, seed: int = 0) -> tuple[float, fl
         neg = -sum(v[v < -2.0 * len(v) * _EPS * np.abs(v).max()].sum()
                    for v in map(np.linalg.eigvalsh, map(herm, blocks)))
         hi = cls.norm_of_unit + 2.0 * neg + d * d * max(opnorm(C - dagger(C)) for C in blocks)
-        return cls.norm_of_unit, float(hi * (1.0 + 2.0 * (d + 2 * N + 2) * N * _EPS))
+        margin = 2.0 * (d + 2 * N + 2) * N * _EPS
+        return float(cls.norm_of_unit * (1.0 - margin)), float(hi * (1.0 + margin))
 
     # upper bounds from factorizations of the pinched-domain Choi
     factors = []
@@ -544,13 +548,6 @@ def cb_bracket(phi: LinMap, samples: int = 12, seed: int = 0) -> tuple[float, fl
                     (root[:, None] * vh[keep]).reshape(len(root), d, N)))
     hi = min(_factor_bound(As, Bs, Cfull) for As, Bs in factors)
 
-    # lower bound: sampled amplified norms
-    rng = rng_for(seed, "cb-bracket")
-    amp = N
-    X = np.array([random_contraction(rng, d * amp) for _ in range(samples)])
-    # (phi (x) id)(x) = sum_ij phi(e_ij) (x) x_ij as one contraction over (i, j)
-    Xij = X.reshape(samples, d, amp, d, amp).transpose(0, 1, 3, 2, 4)
-    out = F.reshape(d * d, N * N).T @ Xij.reshape(samples, d * d, amp * amp)
-    out = out.reshape(samples, N, N, amp, amp).transpose(0, 1, 3, 2, 4)
-    lo = opnorm_max(out.reshape(samples, N * amp, N * amp))
-    return float(min(lo, hi)), float(hi)
+    # lower bound: the swap witness, (phi (x) id_d)(W)[(a, p), (b, q)] = phi(e_qp)[a, b]
+    lo = opnorm(F.transpose(2, 1, 3, 0).reshape(N * d, N * d)) * (1.0 - 4.0 * N * d * _EPS)
+    return float(lo), float(hi)

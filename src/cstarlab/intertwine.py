@@ -191,7 +191,9 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
     is at most 1/5), codomain basis elements are pulled through the
     accumulated conjugator (solved once per conjugator, at 200 iterations at
     stage 1: pull_back) and tracked, closeness covers stage 1's accepted
-    witnesses too, and the result is certified onto B by dimension count.
+    witnesses too, and the result is certified onto B by dimension count (an
+    injective alpha into B with dim A = dim B is onto; the paper's density
+    margin is reported, not checked).
     """
     budget.require_window("iso-eta", eta, WINDOW_ISO_ETA)
     budget.require_window("iso-mu", mu, WINDOW_ISO_MU)
@@ -355,8 +357,9 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
                   + 2.0 * surjectivity_delta)
         certs["surjectivity"] = Certificate.build(
             name="surjectivity",
-            formula="dim alpha(A) = dim B with alpha(A) in B; "
-                    "density margin 8 sqrt(2) b + 2 nu + b + 2 delta < 1",
+            formula="sigma_min(alpha) > tol_alg and dim A = dim B with alpha(A) in B, "
+                    "so alpha is onto B; density_margin (8 sqrt(2) b + 2 nu + b + "
+                    "2 delta, the paper's window quantity) is not checked",
             inputs={"delta": surjectivity_delta, "dim_A": A.dim, "dim_B": B.dim},
             ceiling=0.0, achieved=0.0 if surjective else 1.0,
             details={"density_margin": float(margin), "pullback_worst": float(pull_worst),
@@ -468,8 +471,8 @@ def _projection_near_unit(e: np.ndarray, B: ConcreteAlgebra, gamma: float) -> np
     return p
 
 
-def half_flip_cpc(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma: float, X=None,
-                  seed: int = 0) -> tuple[LinMap, Certificate]:
+def half_flip_cpc(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma: float,
+                  X=None) -> tuple[LinMap, Certificate]:
     """Transport cpc map phi: A -> B for a single full matrix block A near B,
     built through the exact tensor flip of A.
 
@@ -532,7 +535,7 @@ def half_flip_cpc(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma: float, X=None,
                  "conjugator_norm": cert_u.achieved,
                  "image_residual": float(member),
                  "cpc": bool(cls.cpc)},
-        provenance=provenance_stamp(seed))
+        provenance=provenance_stamp())
     return phi, cert
 
 

@@ -35,7 +35,6 @@ __all__ = [
     "random_complex",
     "random_hermitian",
     "random_unitary",
-    "random_contraction",
     "eigh_fun",
     "psd_sqrt",
     "psd_pinv",
@@ -184,14 +183,6 @@ def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     d = np.diagonal(r)
     ph = d / np.abs(np.where(np.abs(d) < 1e-300, 1.0, d))
     return q * ph
-
-
-def random_contraction(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Standard complex Gaussian n x n matrix, scaled down to norm one when
-    its norm exceeds one."""
-    g = random_complex(rng, n)
-    nrm = opnorm(g)
-    return g if nrm <= 1.0 else g / nrm
 
 
 # ---------------------------------------------------------------------------

@@ -170,8 +170,8 @@ def _unit_images(W: np.ndarray) -> np.ndarray:
     return (W[:, None] @ dagger(W[None])).reshape(-1, W.shape[1], W.shape[1])
 
 
-def perturb_order_zero(oz: OrderZeroMap, B: ConcreteAlgebra, gamma: float,
-                       seed: int = 0) -> tuple[LinMap, Certificate]:
+def perturb_order_zero(oz: OrderZeroMap, B: ConcreteAlgebra,
+                       gamma: float) -> tuple[LinMap, Certificate]:
     """cp map psi into B with ||phi - psi||_cb <= (2g + g^2)(2 + 2g + g^2)
     for an order-zero phi whose row contraction is within the near-inclusion
     distance g of B.
@@ -202,7 +202,7 @@ def perturb_order_zero(oz: OrderZeroMap, B: ConcreteAlgebra, gamma: float,
             formula="||phi - psi||_cb <= (2 gamma + gamma^2)(2 + 2 gamma + gamma^2)",
             inputs={"gamma": gamma, "blocks_kept": 0},
             ceiling=(2 * gamma + gamma ** 2) * (2 + 2 * gamma + gamma ** 2),
-            achieved=0.0, provenance=provenance_stamp(seed))
+            achieved=0.0, provenance=provenance_stamp())
         return psi, cert
 
     sizes = [fd.block_sizes[k] for k in kept]
@@ -242,7 +242,7 @@ def perturb_order_zero(oz: OrderZeroMap, B: ConcreteAlgebra, gamma: float,
 
     member = B.membership_residual(psi.images)
     cls = classify(psi)
-    lo, hi = cb_bracket(oz.map - psi, seed=seed)
+    lo, hi = cb_bracket(oz.map - psi)
     structural = dist * (t_norm + opnorm(u))
     achieved = min(hi, structural)
     ceiling = mu * (2.0 + mu)
@@ -260,7 +260,7 @@ def perturb_order_zero(oz: OrderZeroMap, B: ConcreteAlgebra, gamma: float,
                  "witness_iters": lift_cert.details["iters"][0], "t_norm": t_norm,
                  "reconstruction_residual": float(recon),
                  "membership_residual": float(member), "cp": bool(cls.cp)},
-        provenance=provenance_stamp(seed))
+        provenance=provenance_stamp())
     return psi, cert
 
 
@@ -377,8 +377,7 @@ def verify_nucdim_decomposition(A: ConcreteAlgebra, X, eps: float,
 
 
 def nucdim_cpc_transfer(D: ConcreteAlgebra, dec: NucDimDecomposition,
-                        X, B: ConcreteAlgebra, gamma: float,
-                        seed: int = 0) -> tuple[LinMap, Certificate]:
+                        X, B: ConcreteAlgebra, gamma: float) -> tuple[LinMap, Certificate]:
     """cpc map phi: D -> B with ||phi(x) - x|| <=
     2 (n+1) (2g + g^2)(2 + 2g + g^2) + eps on X, eps the decomposition's
     defect, by perturbing each colored summand of the decomposition into B
@@ -387,17 +386,17 @@ def nucdim_cpc_transfer(D: ConcreteAlgebra, dec: NucDimDecomposition,
     N = B.ambient_dim
     summand_certs = []
     perturbed = []
-    for i, up in enumerate(dec.ups):
+    for up in dec.ups:
         pi_i, h_i = structure_decompose(up.map, tol=100 * TOL_ALG)
         oz_i = OrderZeroMap(map=up.map, pi=pi_i, h=h_i)
-        psi_i, cert_i = perturb_order_zero(oz_i, B, gamma, seed=seed + i)
+        psi_i, cert_i = perturb_order_zero(oz_i, B, gamma)
         perturbed.append(psi_i)
         summand_certs.append(cert_i)
 
     y = dec.down(D.basis)
     images = sum(psi_i(dec.restrict(i, y)) for i, psi_i in enumerate(perturbed))
     raw = LinMap(D, N, images, codomain_algebra=B)
-    lo, hi = cb_bracket(raw, seed=seed)
+    lo, hi = cb_bracket(raw)
     scale = max(1.0, hi)
     phi = raw.scaled(1.0 / scale) if scale > 1.0 else raw
 
@@ -418,7 +417,7 @@ def nucdim_cpc_transfer(D: ConcreteAlgebra, dec: NucDimDecomposition,
                  "cpc": bool(cls.cpc),
                  "summand_achieved": [c.achieved for c in summand_certs],
                  "summand_ceiling": summand_certs[0].ceiling if summand_certs else 0.0},
-        provenance=provenance_stamp(seed))
+        provenance=provenance_stamp())
     return phi, cert
 
 
@@ -438,7 +437,7 @@ def near_embed_nucdim(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma: float,
     # stage maps themselves come from the expectation producer, which keeps a
     # small multiplicative defect on every tracked set (the transfer map is
     # close to the identity only on X, so it cannot drive the repair)
-    _, cert_t = nucdim_cpc_transfer(A, dec, X, B, gamma, seed=seed)
+    _, cert_t = nucdim_cpc_transfer(A, dec, X, B, gamma)
     res = intertwining_iso(A, B, eta=eta, X_A=X,
                            mu=min(0.2 * np.sqrt(eta), 1.0 / 4000.0),
                            seed=seed, budget=budget)
@@ -466,7 +465,7 @@ def near_embed_nucdim(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma: float,
 _FIT_TOL = 1e-8
 
 
-def order_zero_projection(psi: LinMap, gamma: float | None = None, seed: int = 0,
+def order_zero_projection(psi: LinMap, gamma: float | None = None,
                           budget: ToleranceBudget = DEFAULT_BUDGET
                           ) -> tuple[OrderZeroMap, Certificate]:
     """Nearest-order-zero fit for a cp map that is close to one; an explicitly
@@ -531,7 +530,7 @@ def order_zero_projection(psi: LinMap, gamma: float | None = None, seed: int = 0
     fit = OrderZeroMap.from_pair(pi, clip_spectrum(herm(h), 0.0, 1.0), tol=100 * _FIT_TOL,
                                  codomain_algebra=psi.codomain_algebra)
 
-    lo, hi = cb_bracket(psi - fit.map, seed=seed)
+    lo, hi = cb_bracket(psi - fit.map)
     ceiling = 493.0 * np.sqrt(gamma) if gamma is not None else np.inf
     cert = Certificate.build(
         name="order-zero-projection",
@@ -543,5 +542,5 @@ def order_zero_projection(psi: LinMap, gamma: float | None = None, seed: int = 0
         details={"cb_lo": float(lo), "pi_defect": float(pi_defect),
                  "rounding_drift": rounds,
                  "structure_residual": fit.structure_residual()},
-        provenance=provenance_stamp(seed))
+        provenance=provenance_stamp())
     return fit, cert

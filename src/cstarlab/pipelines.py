@@ -135,7 +135,7 @@ def run_pipeline(instance: Instance, pipeline: str,
         for k in range(len(fd.block_sizes)):
             h = h + float(rng.uniform(0.4, 1.0)) * pi(fd.block_unit(k))
         oz = OrderZeroMap.from_pair(pi, h, codomain_algebra=A)
-        psi, cert = perturb_order_zero(oz, B, gamma, seed=seed)
+        psi, cert = perturb_order_zero(oz, B, gamma)
         certs["order-zero-perturbation"] = cert
         notes["cb_achieved"] = cert.achieved
         return Report(pipeline=pipeline, seed=seed, recipe=instance.recipe,

@@ -96,6 +96,39 @@ def test_every_budget_parameter_is_used_for_a_window():
     assert [f"{module}.{fn.name}" for module, fn in takers if not uses_budget(fn)] == []
 
 
+def test_every_seed_parameter_reaches_a_draw():
+    # a seed that only labels provenance changes no value.  Every function
+    # that takes one hands it, alone or in an expression, to a call other
+    # than provenance_stamp, and not only to functions whose own seed is
+    # idle in this sense
+    def callee(call) -> str:
+        f = call.func
+        return f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", "")
+
+    def outside_calls(node):
+        """node and what it contains, short of the calls inside it"""
+        yield node
+        if not isinstance(node, ast.Call):
+            for child in ast.iter_child_nodes(node):
+                yield from outside_calls(child)
+
+    def seed_callees(fn) -> set:
+        return {callee(call) for call in ast.walk(fn) if isinstance(call, ast.Call)
+                and any(isinstance(node, ast.Name) and node.id == "seed"
+                        for arg in call.args + [k.value for k in call.keywords]
+                        for node in outside_calls(arg))}
+
+    takers = [(f"{module}.{fn.name}", fn.name, seed_callees(fn))
+              for module, tree in PACKAGE.items() for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name != "provenance_stamp"
+              and "seed" in [a.arg for a in fn.args.args + fn.args.kwonlyargs]]
+    assert len(takers) >= 5
+    idle = {"provenance_stamp"}
+    while more := {name for _, name, callees in takers if callees <= idle} - idle:
+        idle |= more
+    assert [label for label, name, _ in takers if name in idle] == []
+
+
 def test_budget_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
         DEFAULT_BUDGET.track = "paper"

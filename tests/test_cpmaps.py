@@ -338,8 +338,10 @@ def test_cb_bracket_cp_is_exact():
     fd = FDAlgebra((2, 1))
     phi = random_ucp(fd, 4, seed=4)
     lo, hi = cb_bracket(phi)
-    # hi is ||phi(1)|| rounded outward, by 2 (d + 2 N + 2) N eps = 104 eps here
-    assert lo <= hi <= lo * (1.0 + 104.0 * np.finfo(float).eps)
+    # lo and hi are ||phi(1)|| rounded outward, each by 2 (d + 2 N + 2) N eps
+    # = 104 eps here
+    r = 104.0 * np.finfo(float).eps
+    assert lo <= hi <= lo * (1.0 + r) / (1.0 - r)
     assert abs(hi - 1.0) < 1e-10
 
 
@@ -361,14 +363,15 @@ def test_pinched_choi_and_reshuffle_are_copies():
 
 
 def test_cb_bracket_transpose():
-    # cb norm of the transpose on M_2 equals 2; the bracket must contain it,
-    # with no slack now that hi is rounded outward
+    # cb norm of the transpose on M_2 equals 2; both ends are rounded
+    # outward, so the bracket holds it with no slack, and the swap witness
+    # attains it
     fd = FDAlgebra((2,))
     images = tuple(fd.matrix_unit(k, i, j).T for (k, i, j) in fd.unit_labels())
     phi = LinMap(fd, 2, images)
-    lo, hi = cb_bracket(phi, samples=24, seed=1)
+    lo, hi = cb_bracket(phi)
     assert lo <= 2.0 <= hi
-    assert lo >= 1.0 - 1e-9
+    assert lo >= 2.0 * (1.0 - 1e-12)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -380,7 +383,7 @@ def test_cb_bracket_of_a_two_sided_multiplication(seed):
     a, b = random_complex(rng, 4, 3), random_complex(rng, 3, 4)
     fd = FDAlgebra((3,))
     phi = LinMap(fd, 4, a @ fd.units() @ b)
-    lo, hi = cb_bracket(phi, seed=seed)
+    lo, hi = cb_bracket(phi)
     exact = opnorm(a) * opnorm(b)
     assert abs(hi - exact) <= 1e-12 * exact
     assert hi >= exact  # rounded outward
@@ -406,6 +409,19 @@ def test_cb_bracket_of_a_scaled_transpose_contains_n_c(n, c):
     fd = FDAlgebra((n,))
     lo, hi = cb_bracket(LinMap(fd, n, c * fd.units().swapaxes(1, 2)))
     assert lo <= n * c <= hi
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("c", [1.0, 1.0 / 3.0, 1e-6])
+def test_cb_bracket_swap_witness_attains_a_scaled_transpose(n, c):
+    # (c T (x) id_n)(W) = c sum_ij e_ji (x) e_ji has norm n c, the cb norm of
+    # c T, so lo attains it up to its inward rounding.  Unrounded, the SVD
+    # returns more than n c on some of these (n = 5 at c = 1, n = 4 at
+    # c = 1e-6), so lo <= n c checks the rounding too
+    fd = FDAlgebra((n,))
+    lo, hi = cb_bracket(LinMap(fd, n, c * fd.units().swapaxes(1, 2)))
+    assert lo <= n * c <= hi
+    assert lo >= (1.0 - 1e-12) * n * c
 
 
 @pytest.mark.parametrize("c", [1.0, 1e-9, 1e-12, 1e-15])

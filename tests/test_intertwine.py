@@ -401,6 +401,19 @@ def test_iso_past_one_fifth_passes_every_certificate():
     assert res.certificates["backward-closeness"].details["chain_bound"] == chain
 
 
+def test_surjectivity_is_the_dimension_count():
+    # M2 embeds injectively into M2 + M2, but not onto it: the certificate
+    # fails on the dimension count, although the density margin it reports
+    # (and does not check) is below 1
+    A, B = block_algebra((2,), 4), block_algebra((2, 2), 4)
+    res = intertwine.intertwining_iso(A, B, 1e-7, surjectivity_delta=1e-7)
+    cert = res.certificates["surjectivity"]
+    assert res.certificates["injectivity"].details["action_sigma_min"] > TOL_ALG
+    assert not cert.passed and not res.surjective
+    assert cert.details["density_margin"] < 1.0
+    assert cert.inputs["dim_A"] == 4 and cert.inputs["dim_B"] == 8
+
+
 def test_a_changing_map_is_repaired_at_every_stage(monkeypatch):
     counts = count_calls(monkeypatch)
     A, B, gamma = conjugation_instance("M2+M1", 4)
@@ -599,7 +612,7 @@ def test_near_embedding_on_no_points():
 def test_half_flip_cpc_close_to_identity():
     A, B, u = conjugated_pair((2,), 3, 1e-4, 11)
     gamma = 2.0 * opnorm(u - np.eye(3))
-    phi, cert = half_flip_cpc(A, B, gamma, seed=11)
+    phi, cert = half_flip_cpc(A, B, gamma)
     assert cert.verdict == "pass"
     for x in A.basis:
         xn = x / opnorm(x)
@@ -613,7 +626,7 @@ def test_half_flip_tensor_basis_is_orthonormal_without_gram_schmidt(monkeypatch)
     monkeypatch.setattr(intertwine, "nearest_in_span",
                         lambda x, span, **kw: spans.append(span) or solve(x, span, **kw))
     A, B, u = conjugated_pair((2,), 3, 1e-4, 11)
-    half_flip_cpc(A, B, 2.0 * opnorm(u - np.eye(3)), seed=11)
+    half_flip_cpc(A, B, 2.0 * opnorm(u - np.eye(3)))
     (span,) = spans
     Q = span.basis.reshape(span.dim, -1)
     assert span.dim % A.dim == 0
@@ -622,7 +635,7 @@ def test_half_flip_tensor_basis_is_orthonormal_without_gram_schmidt(monkeypatch)
 
 def test_half_flip_cpc_on_no_points():
     A, B, u = conjugated_pair((2,), 3, 1e-4, 11)
-    _, cert = half_flip_cpc(A, B, 2.0 * opnorm(u - np.eye(3)), X=[], seed=11)
+    _, cert = half_flip_cpc(A, B, 2.0 * opnorm(u - np.eye(3)), X=[])
     _assert_empty_closeness(cert)
 
 

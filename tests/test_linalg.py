@@ -12,7 +12,7 @@ from cstarlab.linalg import (clip_spectrum, cluster_values, dagger, eigh_fun,
                              expm_i, herm, hs_norm, is_projection_residual,
                              opnorm, opnorm_max, opnorms, partial_isometry_polar,
                              polar_factor, principal_log_unitary, psd_part, psd_pinv,
-                             psd_sqrt, random_complex, random_contraction,
+                             psd_sqrt, random_complex,
                              random_hermitian, random_unitary,
                              range_projection, rng_for, tracenorm)
 
@@ -33,13 +33,6 @@ def test_rng_determinism():
 def test_random_unitary_is_unitary(n, seed):
     u = random_unitary(rng_for(seed, "u"), n)
     assert opnorm(dagger(u) @ u - np.eye(n)) < 1e-12
-
-
-@given(n=DIMS, seed=SEEDS)
-@settings(max_examples=40, deadline=None)
-def test_random_contraction_norm(n, seed):
-    c = random_contraction(rng_for(seed, "c"), n)
-    assert opnorm(c) <= 1.0 + 1e-12
 
 
 @given(n=DIMS, seed=SEEDS)
