@@ -21,7 +21,7 @@ from .cpmaps import (LinMap, StinespringDilation, Ternary, arveson_restrict,
                      stinespring, ucp_extension)
 from .geometry import (DistanceInterval, NearInclusionCert, SampleSpec,
                        equality_criterion, kk_distance, near_inclusion,
-                       nearest_in_ball, nearest_in_span, tensor_lift)
+                       nearest_in_span, tensor_lift)
 from .instances import (Instance, block_algebra, gen_instance,
                         hat_decomposition, random_order_zero)
 from .intertwine import (IsoResult, StageRecord, close_isomorphism,
@@ -56,7 +56,7 @@ __all__ = [
     "implement_unitarily", "improve_multiplicativity", "intertwining_iso",
     "intertwining_unitary", "is_order_zero", "kk_distance",
     "kraus_operators", "load", "loads", "near_embed_nucdim",
-    "near_embedding_nuclear", "near_inclusion", "nearest_in_ball",
+    "near_embedding_nuclear", "near_inclusion",
     "nearest_in_span", "nucdim_cpc_transfer", "order_zero_projection",
     "perturb_order_zero", "polar_unitary", "projection_conjugator",
     "provenance_stamp", "random_order_zero", "render_report",

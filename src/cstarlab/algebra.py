@@ -210,9 +210,6 @@ class FDAlgebra:
             pos += 2 * m
         return self.embed_blocks(blocks)
 
-    def random_element(self, rng) -> np.ndarray:
-        return self.random_elements(rng, 1)[0]
-
     def random_selfadjoints(self, rng, count: int) -> np.ndarray:
         """Hermitian parts of ``random_elements(rng, count)``; the draw that
         ``geometry.sample_unit_ball`` reads, as on a concrete algebra."""
@@ -228,19 +225,18 @@ class FDAlgebra:
         ||E_ji - E_ij*|| and ||delta_jk E_il - E_ij E_kl|| over every pair of
         units, pairs from different blocks included (their products must
         vanish).  Zero exactly when the images define a *-homomorphism.  The
-        products are taken one row (k, i) of units at a time, an
-        (n_k, dim_linear, N, N) stack with one batched norm each."""
+        products are taken one row (k, i) of units at a time, an (n_k,
+        dim_linear, N, N) stack with one indexed add and one batched norm."""
         E = np.asarray(images)
         worst, base = 0.0, 0
         for n in self.block_sizes:
             block = E[base:base + n * n].reshape((n, n) + E.shape[1:])  # E_ij at [i, j]
             worst = max(worst, opnorm_max(block.swapaxes(0, 1) - dagger(block)))
+            j = np.arange(n)[:, None]
             for i in range(n):
-                row = block[i]
-                resid = row[:, None] @ E[None]  # E_ij E_b at [j, b]
+                resid = block[i][:, None] @ E[None]  # E_ij E_b at [j, b]
                 np.negative(resid, out=resid)
-                for j in range(n):
-                    resid[j, base + j * n:base + (j + 1) * n] += row
+                resid[j, base + j * n + j.T] += block[i]
                 worst = max(worst, opnorm_max(resid))
             base += n * n
         return float(worst)
@@ -407,9 +403,6 @@ class ConcreteAlgebra:
         operation per stack (``_combine``)."""
         g = rng.standard_normal((count, 2, self.dim))
         return herm(_combine((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0), self.basis))
-
-    def random_selfadjoint(self, rng) -> np.ndarray:
-        return self.random_selfadjoints(rng, 1)[0]
 
     def unitary_from(self, h: np.ndarray) -> np.ndarray:
         """exp(i h) computed inside A for self-adjoint h in A (or a stack).

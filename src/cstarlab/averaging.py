@@ -339,7 +339,7 @@ def improve_multiplicativity(phi: LinMap, gamma: float | None = None,
                      codomain_algebra=abstract.codomain_algebra)
 
     spec = SampleSpec(seed=seed + 1, n_selfadjoint=32, n_unitary=16)
-    samples = np.array([x for _, x in sample_unit_ball(fd0, spec)])
+    samples = sample_unit_ball(fd0, spec)
     dist = opnorm_max(abstract(samples) - psi_abs(samples))
     cert_dist = Certificate.build(
         name="multiplicativity-repair",
@@ -429,7 +429,7 @@ def intertwining_unitary(phi1: LinMap, phi2: LinMap,
                     hom_defect(a2, seed=seed) if a2 is not a1 else 0.0)
     if gamma is None:
         spec = SampleSpec(seed=seed, n_selfadjoint=16, n_unitary=0, include_basis=False)
-        X = np.array([x for _, x in sample_unit_ball(fd, spec)])
+        X = sample_unit_ball(fd, spec)
         gamma = max(a1.basis_distance(a2), opnorm_max(a1(X) - a2(X)))
     budget.require_window("intertwining", gamma, WINDOW_INTERTWINE)
 

@@ -362,7 +362,7 @@ def hom_defect(phi: LinMap, seed: int = 0, n_pairs: int = 16) -> float:
     ``sample_unit_ball`` with this seed; the value is a sampled estimate of
     the supremum, not a bound."""
     spec = SampleSpec(seed=seed, n_selfadjoint=2 * n_pairs, n_unitary=0)
-    X = np.array([x for _, x in sample_unit_ball(phi.domain, spec)])
+    X = sample_unit_ball(phi.domain, spec)
     basis, sa = X[:len(X) - 2 * n_pairs], X[len(X) - 2 * n_pairs:]
     x, y = sa[0::2], sa[1::2]
     phi_sa = phi(sa)
@@ -414,9 +414,10 @@ def arveson_restrict(A: ConcreteAlgebra, B: ConcreteAlgebra, X,
 
     Produces a cpc map phi: A -> B with ||phi(x) - x|| <= 2 gamma + TOL_ALG for
     every x in X, valid whenever each x in X lies within gamma of B in
-    operator norm (the expectation is a contraction fixing B).
+    operator norm (the expectation is a contraction fixing B).  Its images
+    B.project(A.basis) need no ``conditional_expectation(B)`` on all of M_N.
     """
-    phi = LinMap(A, A.ambient_dim, conditional_expectation(B)(A.basis), codomain_algebra=B)
+    phi = LinMap(A, A.ambient_dim, B.project(A.basis), codomain_algebra=B)
     return phi, Certificate.build(
         name="expectation-restriction",
         formula="||phi(x) - x|| <= 2*gamma + tol_alg on X",

@@ -5,30 +5,31 @@ the subspace equality criterion.
 The distance between unit balls is estimated from both sides.  Upper bounds
 come from explicit witnesses of the convex problem min ||x - b|| over b in a
 subspace (optionally intersected with the unit ball); lower bounds come from
-trace-norm dual certificates.  One solver, ``nearest_in_span``, serves every
-witness search: it takes a stack of targets and advances them together by
-batched eigensolves of small Gram matrices, so a near inclusion solves all of
-its samples in one call.  Its ``ball`` argument selects the iteration: span
-solves (``tensor_lift``'s lifts) run a Chambolle-Pock primal-dual iteration
-whose dual iterate proves the value it converges to; ball solves
-(``kk_distance`` and the solves of ``intertwine``) keep projected subgradient
-descent until a dual for the ball constraint pays for its cost.  Each target
-leaves the stack on its own, and the solver says when and why: ``tol`` (its
-residual vanished), ``gap`` (a trace-norm dual proves its value to 1e-6
-relative), ``floor`` (a near inclusion reports only the largest distance, so
-a sample whose best value is below a proven lower bound of another stops
-early) or ``cap`` (the iteration budget ran out).  The duals
-are built at checkpoints from the top singular dyads of the residuals at the
-best points (the best-point dual) and from the iteration's own dual: the
-primal-dual iterate, or the sum of the subgradients.  The first checkpoint is
-the warm start itself, k = 0, so a warm start that is already optimal is
-certified and returned without an iteration.  Suprema over the unit ball are
-sampled (basis elements, random self-adjoint contractions, random
-unitaries), so the reported gamma_hi is an honest sampled estimate with
-stored witnesses, not a proof of the supremum.  ``sample_unit_ball`` draws
-those points on a concrete or a block algebra, and it is the only unit-ball
-sampler: the sampled defect checks of ``cpmaps`` and ``averaging`` take
-their points from it too.
+trace-norm dual certificates, all read by one function, ``_trace_dual``.  One
+solver, ``nearest_in_span``, serves every witness search: it takes a stack of
+targets and advances them together by batched eigensolves of small Gram
+matrices, so a near inclusion solves all of its samples in one call.  Its
+``ball`` argument selects the iteration: span solves (``tensor_lift``'s
+lifts) run a Chambolle-Pock primal-dual iteration whose dual iterate proves
+the value it converges to; ball solves (``kk_distance`` and the solves of
+``intertwine``, which pass ``ball=True``) keep projected subgradient descent
+until a dual for the ball constraint pays for its cost.  Each target leaves
+the stack on its own, and the solver says when and why: ``tol`` (its residual
+vanished), ``gap`` (a trace-norm dual proves its value to 1e-6 relative),
+``floor`` (a near inclusion reports only the largest distance, so a sample
+whose best value is below a proven lower bound of another stops early) or
+``cap`` (the iteration budget ran out).  The duals are built at checkpoints
+from the top singular dyads of the residuals at the best points (the
+best-point dual) and from the iteration's own dual: the primal-dual iterate,
+or the sum of the subgradients.  The first checkpoint is the warm start
+itself, k = 0, so a warm start that is already optimal is certified and
+returned without an iteration.  Suprema over the unit ball are sampled (basis
+elements, random self-adjoint contractions, random unitaries), so the
+reported gamma_hi is an honest sampled estimate with stored witnesses, not a
+proof of the supremum.  ``sample_unit_ball`` draws those points on a concrete
+or a block algebra as one (S, N, N) stack, and it is the only unit-ball
+sampler: the sampled defect checks of ``cpmaps`` and ``averaging`` take their
+points from it too.  A witness names its sample by its index in that stack.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ __all__ = [
     "Witness",
     "NearInclusionCert",
     "DistanceInterval",
-    "nearest_in_ball",
     "nearest_in_span",
     "span_distance_lower",
     "near_inclusion",
@@ -77,12 +77,12 @@ class SampleSpec:
 
 @dataclass
 class Witness:
-    """Sample x, point b of the target, achieved ub = ||x - b|| and dual lb,
-    with the solver's iterations and stop reason (see ``nearest_in_span``).
-    A witness stopped on the floor may have ub below the supremum; its ub is
-    still an achieved distance."""
+    """Sample x (index into the ``sample_unit_ball`` stack), point b of the
+    target, achieved ub = ||x - b|| and dual lb, with the solver's iterations
+    and stop reason (see ``nearest_in_span``).  A witness stopped on the floor
+    may have ub below the supremum; its ub is still an achieved distance."""
 
-    label: str
+    index: int
     x: np.ndarray
     b: np.ndarray
     ub: float
@@ -361,31 +361,20 @@ def nearest_in_span(x: np.ndarray, span: ConcreteAlgebra | _TensorSpan,
     return best, best_val, at, stop
 
 
-def nearest_in_ball(x: np.ndarray, B: ConcreteAlgebra, iters: int = 500,
-                    tol: float = 1e-12) -> tuple:
-    """Witness in the unit ball of span(B) nearly closest to x in operator
-    norm, with its certified distance ||x - b||, iterations and stop reason
-    as ``nearest_in_span``; x may be a stack."""
-    return nearest_in_span(x, B, ball=True, iters=iters, tol=tol)
-
-
 def span_distance_lower(x: np.ndarray, span: ConcreteAlgebra | _TensorSpan
                         ) -> float | np.ndarray:
     """Certified lower bound for dist_op(x, span) by trace-norm duality,
     for a concrete algebra or a ``_TensorSpan`` (through its ``project``).
 
-    The HS-orthogonal residual r = x - P(x), normalised in trace norm, is a
-    dual functional vanishing on the subspace, so |tr(W* x)| = ||r||_HS^2 /
-    ||r||_tr bounds the operator-norm distance from below.  x is one matrix
-    (a float is returned) or a stack (S, R, C) (an (S,) array): one
-    projection and one batched values-only SVD for the trace norms.
+    The HS-orthogonal residual r = x - P(x) vanishes on the subspace, so it
+    is the dual Y of ``_span_dual`` with R = r: lo = ||r||_HS^2 / ||r||_1
+    (``_trace_dual(r, r)``).  x is one matrix (a float is returned) or a
+    stack (S, R, C) (an (S,) array): one projection and one batched
+    values-only SVD for the trace norms.
     """
     X = np.reshape(x, (-1,) + np.shape(x)[-2:])
     r = X - span.project(X)
-    nrm_hs = np.linalg.norm(r, axis=(1, 2))
-    # ||r||_tr >= ||r||_HS, so the floor only guards the zero residual
-    nrm_tr = np.maximum(np.linalg.svd(r, compute_uv=False).sum(axis=1), 1e-14)
-    lb = np.where(nrm_hs > 1e-14, nrm_hs ** 2 / nrm_tr, 0.0)
+    lb = _trace_dual(r, r)
     return float(lb[0]) if np.ndim(x) == 2 else lb
 
 
@@ -393,30 +382,27 @@ def span_distance_lower(x: np.ndarray, span: ConcreteAlgebra | _TensorSpan
 # sampling
 # ---------------------------------------------------------------------------
 
-def sample_unit_ball(A: ConcreteAlgebra | FDAlgebra,
-                     spec: SampleSpec) -> list[tuple[str, np.ndarray]]:
+def sample_unit_ball(A: ConcreteAlgebra | FDAlgebra, spec: SampleSpec) -> np.ndarray:
     """Deterministic sample of the unit ball of A, a concrete or a block
-    algebra: operator-normalised basis elements (the matrix units of a block
-    algebra), random self-adjoint contractions (spectral clipping), and
-    random unitaries exp(i h) of A (relative to its support), drawn and
-    exponentiated only when spec.n_unitary > 0."""
+    algebra, as one (S, N, N) stack in this order: the dim operator-normalised
+    basis elements (the matrix units of a block algebra) when
+    spec.include_basis, spec.n_selfadjoint random self-adjoint contractions
+    (spectral clipping), and spec.n_unitary random unitaries exp(i h) of A
+    (relative to its support), exponentiated only when there are any."""
     concrete = isinstance(A, ConcreteAlgebra)
     key = (A.ambient_dim, A.dim) if concrete else (A.d, A.dim_linear)
-    out: list[tuple[str, np.ndarray]] = []
-    if spec.include_basis:  # the matrix units of a block algebra have norm one
-        basis = A.normalized_basis if concrete else A.units()
-        out = [(f"basis[{idx}]", b) for idx, b in enumerate(basis)]
     # one draw, in stream order the self-adjoint samples and then the
     # generators of the unitaries
     h = A.random_selfadjoints(rng_for(spec.seed, "unit-ball", *key),
                               spec.n_selfadjoint + spec.n_unitary)
     sa, h = h[:spec.n_selfadjoint], h[spec.n_selfadjoint:]
-    out += [(f"sa[{t}]", x) for t, x in enumerate(clip_spectrum(sa, -1.0, 1.0))]
+    parts = [clip_spectrum(sa, -1.0, 1.0)]
+    if spec.include_basis:  # the matrix units of a block algebra have norm one
+        parts.insert(0, A.normalized_basis if concrete else A.units())
     if spec.n_unitary:
         nrm = opnorms(h)[:, None, None]
-        h = h / np.where(nrm > 1e-14, nrm, 1.0)
-        out += [(f"u[{t}]", u) for t, u in enumerate(A.unitary_from(np.pi * 0.5 * h))]
-    return out
+        parts.append(A.unitary_from(np.pi * 0.5 * (h / np.where(nrm > 1e-14, nrm, 1.0))))
+    return np.concatenate(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -430,28 +416,22 @@ def near_inclusion(A: ConcreteAlgebra, B: ConcreteAlgebra,
     for unit-ball witnesses as in the two-sided distance).  The HS dual
     bounds come first and gamma_lo is the solve's ``floor``: samples proven
     below the supremum stop early, so gamma_hi is decided by the samples
-    that can set it.  The certificate keeps the 8 witnesses of largest
-    distance, each with its solver stop reason and iterations."""
+    that can set it.  The certificate keeps copies of the 8 witnesses of
+    largest distance, with their stop reasons and iterations, not the stacks."""
     spec = spec or SampleSpec()
-    samples = sample_unit_ball(A, spec)
-    wits: list[Witness] = []
-    if samples:
-        X = np.array([x for _, x in samples])
-        lbs = span_distance_lower(X, B)
-        bs, ubs, its, stops = nearest_in_span(X, B, ball=ball, iters=spec.iters,
-                                              floor=float(lbs.max()))
-        wits = [Witness(label=label, x=x, b=b, ub=float(ub), lb=float(lb),
-                        stop=str(stop), iters=int(it))
-                for (label, x), b, ub, lb, it, stop
-                in zip(samples, bs, ubs, lbs, its, stops)]
-    gamma_hi = max((w.ub for w in wits), default=0.0)
-    lo_wit = max(wits, key=lambda w: w.lb, default=None)
-    gamma_lo = lo_wit.lb if lo_wit else 0.0
-    wits.sort(key=lambda w: -w.ub)
-    return NearInclusionCert(gamma_hi=float(gamma_hi), gamma_lo=float(gamma_lo),
-                             witnesses=wits[:8], sample_spec=spec,
-                             direction="A->B", n_samples=len(samples),
-                             lo_witness=lo_wit.x if lo_wit else None)
+    X = sample_unit_ball(A, spec)
+    if not len(X):
+        return NearInclusionCert(0.0, 0.0, [], spec, direction="A->B")
+    lbs = span_distance_lower(X, B)
+    bs, ubs, its, stops = nearest_in_span(X, B, ball=ball, iters=spec.iters,
+                                          floor=float(lbs.max()))
+    lo = int(np.argmax(lbs))
+    wits = [Witness(index=int(i), x=X[i].copy(), b=bs[i].copy(), ub=float(ubs[i]),
+                    lb=float(lbs[i]), stop=str(stops[i]), iters=int(its[i]))
+            for i in np.argsort(-ubs, kind="stable")[:8]]
+    return NearInclusionCert(gamma_hi=float(ubs.max()), gamma_lo=float(lbs[lo]),
+                             witnesses=wits, sample_spec=spec, direction="A->B",
+                             n_samples=len(X), lo_witness=X[lo].copy())
 
 
 def kk_distance(A: ConcreteAlgebra, B: ConcreteAlgebra,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import ConcreteAlgebra, FDAlgebra, generate_algebra
+from .algebra import ConcreteAlgebra, FDAlgebra, generate_algebra, support_projection
 from .certs import SchemaError, require_finite
 from .cpmaps import LinMap, perturb_choi
 from .linalg import (dagger, expm_i, herm, opnorm, opnorm_max, random_hermitian,
@@ -71,10 +71,12 @@ class Instance:
 
 
 def block_algebra(sizes, ambient: int | None = None) -> ConcreteAlgebra:
-    """Blocks of the given sizes placed consecutively on the diagonal."""
+    """Blocks of the given sizes placed consecutively on the diagonal; the
+    basis is the corner matrix units, HS-orthonormal as they are."""
     fd = FDAlgebra(tuple(int(n) for n in sizes))
     N = ambient if ambient is not None else fd.d
-    return ConcreteAlgebra.from_basis(list(fd.corner_units(N)), N)
+    units = fd.corner_units(N)
+    return ConcreteAlgebra(ambient_dim=N, basis=units, support=support_projection(units, N))
 
 
 def base_algebra(name, ambient: int | None = None) -> ConcreteAlgebra:

@@ -10,8 +10,8 @@ unitary close to one.  With the exact averaging machinery every stage's
 repaired map is a homomorphism to machine precision and consecutive aligned
 stages agree to machine precision, so the iteration settles in two or three
 stages; all stated drift budgets are still tracked and certified.  A
-producer returns a map; the set only grows, so a stage hashes only its new
-points, and a stage given the previous map bit for bit measures that map's
+producer returns a map; the set only grows, so a stage fingerprints only its
+new points, and a stage given the previous map bit for bit measures that map's
 closeness and defect on them only, keeps its repair and takes the unitary 1,
 so the codomain basis is pulled back once per call.  close_isomorphism reads
 B's witnesses and its forward closeness from that one pull-back.
@@ -19,8 +19,8 @@ B's witnesses and its forward closeness from that one pull-back.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -32,8 +32,8 @@ from .certs import (TOL_ALG, TOL_CONV, TOL_EXACT, Certificate, ContradictionErro
 from .cpmaps import LinMap, _mult_defects, arveson_restrict, classify, hom_defect
 from .averaging import (exact_diagonal, improve_multiplicativity,
                         intertwining_unitary, projection_conjugator)
-from .geometry import nearest_in_ball, nearest_in_span
-from .linalg import dagger, opnorm, opnorm_max_of, opnorms
+from .geometry import nearest_in_span
+from .linalg import dagger, opnorm, opnorm_max_of, opnorms, rng_for
 
 __all__ = [
     "StageRecord",
@@ -134,24 +134,35 @@ def _averaging_parts(A: ConcreteAlgebra) -> np.ndarray:
     return bm.to_concrete((u[:, :d, :d] - u[:, d, d, None, None] * np.eye(d)) / 2.0)
 
 
+def _fingerprints(mats: np.ndarray, weights: np.ndarray) -> list[int]:
+    """One integer per matrix of a complex stack: its uint64 words times the
+    odd weights, summed with wraparound.  -0.0 is the word 2^63, which adds
+    2^63 under any odd weight: the parity of their count flips the top bit
+    back, so -0.0 counts as 0.0."""
+    w = np.ascontiguousarray(mats, dtype=complex).view(np.uint64).reshape(-1, len(weights))
+    odd = np.count_nonzero(w == 2 ** 63, axis=1) % 2
+    return (w @ weights ^ odd.astype(np.uint64) << np.uint64(63)).tolist()
+
+
 class _TrackedSet:
     """Distinct matrices in order of first appearance: ``points``, rows of one
-    array per ``add``.  Each is keyed once by a 16-byte digest of its bytes
-    (-0.0 read as 0.0) and compared exactly on a key hit."""
+    array per ``add``.  Each stack given to ``add`` is keyed at once by its
+    ``_fingerprints`` under fixed odd weights; a key hit compares exactly."""
 
     def __init__(self, N: int):
         self.N, self.points, self.keys = N, [], {}
+        self.weights = rng_for(0, "keys", N).integers(2**64, size=2 * N * N, dtype=np.uint64) | 1
 
-    def add(self, mats, size: int) -> np.ndarray:
-        """Append those of the (at most size) matrices mats not in the set; return them."""
+    def add(self, stacks, size: int) -> np.ndarray:
+        """Append the matrices of the stacks (size at most) not in the set; return them."""
         new, old = np.empty((size, self.N, self.N), dtype=complex), len(self.points)
-        for z in mats:
-            hits = self.keys.setdefault(
-                hashlib.blake2b((z + 0.0).tobytes(), digest_size=16).digest(), [])
-            if not any(np.array_equal(self.points[i], z) for i in hits):
-                hits.append(len(self.points))
-                new[len(self.points) - old] = z
-                self.points.append(new[len(self.points) - old])
+        for mats in stacks:
+            for z, key in zip(mats, _fingerprints(mats, self.weights)):
+                hits = self.keys.setdefault(key, [])
+                if not any(np.array_equal(self.points[i], z) for i in hits):
+                    hits.append(len(self.points))
+                    new[len(self.points) - old] = z
+                    self.points.append(new[len(self.points) - old])
         return new[:len(self.points) - old]
 
 
@@ -208,7 +219,7 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
     bound_main = 8.0 * np.sqrt(6.0) * np.sqrt(eta) + eta + mu
     bound_nu = 8.0 * np.sqrt(6.0) * np.sqrt(eta) + eta + nu
 
-    avg_parts = list(_averaging_parts(A))
+    avg_parts = _averaging_parts(A)
     B_norm_basis = B.normalized_basis
     # Z: the distinct points of Y = X + avg_parts; Zp, which the producer sees:
     # those of Z, Z* and w w* for w in them, formed 64 points at a time.
@@ -234,7 +245,7 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
         # conjugator changed; closeness covers stage 1's accepted witnesses
         if surjectivity_delta is not None and not np.array_equal(pulled_for, accumulated):
             pulled, pulled_for = dagger(accumulated) @ B_norm_basis @ accumulated, accumulated
-            xs, dists = nearest_in_ball(pulled, A, iters=80 if pull_back else 200)[:2]
+            xs, dists = nearest_in_span(pulled, A, ball=True, iters=80 if pull_back else 200)[:2]
             ok = dists <= 2.0 / 5.0 + TOL_ALG
             X += list(xs[ok])
             pull_worst, tracking_ok = max(pull_worst, *dists), tracking_ok and ok.all()
@@ -242,9 +253,10 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
                 pull_back, X_close = (xs, dists), X_A + list(xs[ok])
         delta_target = min(delta_target, 2.0 ** (-n), nu / (5.0 * np.sqrt(2.0)))
         new_X, n_seen = X[n_seen:], len(X)
-        new_Z = Z.add(new_X + avg_parts if n == 1 else new_X, len(new_X) + len(avg_parts))
+        stacks = (np.array(new_X[i:i + 64]) for i in range(0, len(new_X), 64))
+        new_Z = Z.add(chain(stacks, [avg_parts] if n == 1 else []), len(new_X) + len(avg_parts))
         W = (np.concatenate([c, dagger(c)]) for c in np.split(new_Z, range(64, len(new_Z), 64)))
-        new_Zp = Zp.add((z for w in W for z in (*w, *(w @ dagger(w)))), 4 * len(new_Z))
+        new_Zp = Zp.add((m for w in W for m in (w, w @ dagger(w))), 4 * len(new_Z))
 
         phi = producer(Zp.points)
         # a kept map keeps its repair, theta's defect and residual, and alpha
@@ -455,7 +467,7 @@ def near_embedding_nuclear(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma: float,
 def _projection_near_unit(e: np.ndarray, B: ConcreteAlgebra, gamma: float) -> np.ndarray:
     """Projection p in B with ||p - e|| <= 2 gamma, from the spectral cut of
     a hermitian near-best approximant of the support projection e."""
-    y = nearest_in_ball(e, B, iters=300)[0]
+    y = nearest_in_span(e, B, ball=True, iters=300)[0]
     h = (y + dagger(y)) / 2.0
     vals, vecs = np.linalg.eigh(h)
     if np.any((vals > 0.45) & (vals < 0.55)):

@@ -30,7 +30,6 @@ __all__ = [
     "opnorm_max_of",
     "hs_inner",
     "hs_norm",
-    "tracenorm",
     "rng_for",
     "random_complex",
     "random_hermitian",
@@ -140,11 +139,6 @@ def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
 
 def hs_norm(x: np.ndarray) -> float:
     return float(np.linalg.norm(x))
-
-
-def tracenorm(x: np.ndarray) -> float:
-    """Trace norm (sum of singular values)."""
-    return float(np.linalg.svd(x, compute_uv=False).sum())
 
 
 # ---------------------------------------------------------------------------

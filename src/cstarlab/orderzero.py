@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import ConcreteAlgebra, FDAlgebra
-from .certs import (TOL_ALG, TOL_EXACT, Certificate, ContradictionError,
-                    ToleranceBudget, DEFAULT_BUDGET, WINDOW_ISO_ETA,
+from .certs import (TOL_ALG, TOL_EXACT, TOL_RANK, Certificate, ContradictionError,
+                    SpectralGapError, ToleranceBudget, DEFAULT_BUDGET, WINDOW_ISO_ETA,
                     WINDOW_OZ_PROJECTION, provenance_stamp)
 from .averaging import _canonical_index, _canonical_sum
 from .cpmaps import LinMap, _from_choi_blocks, cb_bracket, choi_blocks, classify
@@ -461,8 +461,9 @@ def near_embed_nucdim(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma: float,
 # heuristic projection back onto order-zero maps
 # ---------------------------------------------------------------------------
 
-# the matrix-unit residual the order-zero fit's rounded pi must meet
-_FIT_TOL = 1e-8
+# the fit's rounded pi meets the matrix-unit relations to _FIT_TOL + _FIT_NOISE
+# times the noise carried into pi; h0's kept spectrum clears the noise by _FIT_GAP
+_FIT_TOL, _FIT_NOISE, _FIT_GAP = 1e-8, 10.0, 1e3
 
 
 def order_zero_projection(psi: LinMap, gamma: float | None = None,
@@ -471,26 +472,41 @@ def order_zero_projection(psi: LinMap, gamma: float | None = None,
     """Nearest-order-zero fit for a cp map that is close to one; an explicitly
     labeled heuristic, verified a posteriori.
 
-    Alternating fit: h0 from psi(1); a candidate representation pi from the
-    pseudoinverse identity, polished by rounding: the spectrum of each Choi
-    block C_k / n_k is cut at 1/2, n_k times the cut projection is read back
-    as the images, and these are symmetrised under e_ij -> e_ji.  The rounded
-    pi must satisfy the matrix-unit relations to _FIT_TOL (its residual is the
-    certificate's ``pi_defect``); exact matrix units are then read off it by
-    a polar decomposition, and h is h0 twirled over them, sum_k (1/n_k)
-    sum_ij pi(e_ji) h0 pi(e_ij), which commutes with pi exactly.  The
-    certificate reports the cb bracket of psi minus the fit, compared against
-    493 gamma^{1/2} when gamma is supplied.
+    Alternating fit: h0 is psi(1) clipped to a positive contraction, and
+    the noise level f is max(||psi(1) - h0||, TOL_RANK lam_1) for h0's
+    eigenvalues lam_1 >= lam_2 >= ...  A candidate representation pi =
+    psi(.) h0^+ inverts lam_1 ... lam_r for the largest r with lam_r >=
+    _FIT_GAP max(lam_{r+1}, f) (lam_{N+1} = 0), none when every lam is at
+    most f; a spectrum above f with no such gap raises SpectralGapError.  pi
+    is polished by rounding: the spectrum of each Choi block C_k / n_k is
+    cut at 1/2, n_k times the cut projection is read back as the images, and
+    these are symmetrised under e_ij -> e_ji.  The rounded pi must satisfy
+    the matrix-unit relations to tol = _FIT_TOL + _FIT_NOISE ||psi(1) - h0||
+    / lam_r (its residual is the certificate's ``pi_defect``); exact matrix
+    units are then read off it by a polar decomposition, and h is h0 twirled
+    over them, sum_k (1/n_k) sum_ij pi(e_ji) h0 pi(e_ij), which commutes
+    with pi exactly.  The certificate reports the cb bracket of psi minus
+    the fit, compared against 493 gamma^{1/2} when gamma is supplied.
     """
     fd = psi.domain
     if not isinstance(fd, FDAlgebra):
         raise ValueError("the fit needs a block domain")
     if gamma is not None:
-        budget.require_window("order-zero-projection", gamma,
-                              WINDOW_OZ_PROJECTION)
+        budget.require_window("order-zero-projection", gamma, WINDOW_OZ_PROJECTION)
     N = psi.codomain_dim
-    h0 = clip_spectrum(herm(psi(fd.unit())), 0.0, 1.0)
-    pi = LinMap(fd, N, psi.images @ psd_pinv(h0))
+    psi1 = psi(fd.unit())
+    h0 = clip_spectrum(herm(psi1), 0.0, 1.0)
+    noise = opnorm(psi1 - h0)
+    vals, vecs = np.linalg.eigh(herm(h0))  # as psd_pinv had it: the same bits where it cut
+    lam = vals[::-1]
+    floor = max(noise, TOL_RANK * max(float(lam[0]), 1e-300))
+    gaps = np.flatnonzero(lam >= _FIT_GAP * np.maximum(np.append(lam[1:], 0.0), floor))
+    if lam[0] > floor and not gaps.size:
+        raise SpectralGapError(f"no gap of {_FIT_GAP:.0e} above the noise level {floor:.3g} "
+                               f"in the spectrum {lam} of psi(1)")
+    keep = np.arange(N) >= N - (gaps[-1] + 1 if gaps.size else 0)
+    inv = np.where(keep, 1.0 / np.where(keep, vals, 1.0), 0.0)
+    pi = LinMap(fd, N, psi.images @ ((vecs * inv) @ dagger(vecs)))
     scale, flip = _canonical_index(fd.block_sizes)
 
     rounds = []
@@ -508,9 +524,10 @@ def order_zero_projection(psi: LinMap, gamma: float | None = None,
             break
 
     pi_defect = fd.relation_residual(pi.images)
-    if pi_defect > _FIT_TOL:
+    tol = _FIT_TOL + _FIT_NOISE * noise * float(inv.max(initial=0.0))
+    if pi_defect > tol:
         raise ContradictionError(
-            f"fit residual {pi_defect:.3g} above {_FIT_TOL:.3g}; "
+            f"fit residual {pi_defect:.3g} above {tol:.3g}; "
             "the input is not close enough to an order-zero map")
     # exact matrix units from the rounded ones.  Per block, X_k is an
     # orthonormal basis of the range of pi(e_11^(k)) and pi(e_i1^(k)) X_k its
@@ -536,7 +553,7 @@ def order_zero_projection(psi: LinMap, gamma: float | None = None,
         name="order-zero-projection",
         formula="cb distance from the fitted order-zero map, compared "
                 "against 493 gamma^{1/2}",
-        inputs={"gamma": gamma, "tol": _FIT_TOL},
+        inputs={"gamma": gamma, "tol": tol, "noise": noise},
         ceiling=float(ceiling), achieved=float(hi),
         heuristic=True,
         details={"cb_lo": float(lo), "pi_defect": float(pi_defect),

@@ -263,6 +263,33 @@ def test_relation_residual_closed_form(t, rotate):
         assert abs(got - residual) <= 1e-14
 
 
+def _relation_residual_by_rows(fd, E):
+    # the residual with E_il added at [j, (k, j, l)] one j at a time
+    worst, base = 0.0, 0
+    for n in fd.block_sizes:
+        block = E[base:base + n * n].reshape((n, n) + E.shape[1:])
+        worst = max(worst, opnorm_max(block.swapaxes(0, 1) - dagger(block)))
+        for i in range(n):
+            resid = -(block[i][:, None] @ E[None])
+            for j in range(n):
+                resid[j, base + j * n:base + (j + 1) * n] += block[i]
+            worst = max(worst, opnorm_max(resid))
+        base += n * n
+    return float(worst)
+
+
+@pytest.mark.parametrize("sizes", [(1,), (3, 1), (2, 2, 1), (4,)])
+def test_relation_residual_equals_the_per_row_loop(sizes):
+    # noisy rotated matrix units: one indexed add per row gives the sums of
+    # the per-j loop bit for bit
+    fd = FDAlgebra(sizes)
+    rng = rng_for(45, "units", *sizes)
+    w = random_unitary(rng, fd.d + 1)
+    E = np.pad(fd.units(), ((0, 0), (0, 1), (0, 1)))
+    E = w @ (E + 1e-3 * random_complex(rng, fd.d + 1)) @ dagger(w)
+    assert fd.relation_residual(E) == _relation_residual_by_rows(fd, E) > 1e-4
+
+
 def test_relation_residual_counts_cross_block_products():
     # two one-dimensional summands sent to the same projection p: each unit
     # alone is a homomorphism, but e_1 e_2 = 0 is sent to p p = p, of norm 1
@@ -319,7 +346,7 @@ def test_block_model_round_trip():
         assert opnorm(back - b) < 1e-10
     # multiplicativity of the model
     rng = rng_for(1, "bm")
-    x, y = bm.fd.random_element(rng), bm.fd.random_element(rng)
+    x, y = bm.fd.random_elements(rng, 2)
     assert opnorm(bm.to_concrete(x @ y) - bm.to_concrete(x) @ bm.to_concrete(y)) < 1e-10
 
 
@@ -404,7 +431,7 @@ def test_membership_residual_closed_form():
     xs = []
     for scale_a, scale_r in [(1.0, 1e-3), (3.0, 0.5), (1e-4, 2.0), (0.0, 1.0)]:
         a0 = np.zeros((5, 5), dtype=complex)
-        a0[:3, :3] = fd.random_element(rng)
+        a0[:3, :3] = fd.random_elements(rng, 1)[0]
         r0 = off * random_complex(rng, 5)
         a, r = v @ (scale_a * a0) @ dagger(v), v @ (scale_r * r0) @ dagger(v)
         x = a + r

@@ -205,8 +205,7 @@ def test_repair_of_exact_hom_is_exact():
     assert rep.passed
     rng = rng_for(0, "repair-check")
     for _ in range(5):
-        x = fd.random_element(rng)
-        y = fd.random_element(rng)
+        x, y = fd.random_elements(rng, 2)
         d = opnorm(rep.psi(x @ y) - rep.psi(x) @ rep.psi(y))
         assert d < 1e-9
     assert rep.gamma < 1e-7

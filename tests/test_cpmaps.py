@@ -28,7 +28,7 @@ from cstarlab.cpmaps import (
     ucp_extension,
 )
 from cstarlab.geometry import SampleSpec, sample_unit_ball
-from cstarlab.instances import block_algebra
+from cstarlab.instances import block_algebra, gen_instance
 from cstarlab.linalg import herm, opnorm_max, random_complex, random_unitary, rng_for
 
 
@@ -171,8 +171,7 @@ def test_stinespring_reconstructs(sizes):
     phi = random_ucp(fd, 4, seed=sum(sizes))
     dil = stinespring(phi)
     rng = rng_for(99, "stinespring-check")
-    for _ in range(4):
-        x = fd.random_element(rng)
+    for x in fd.random_elements(rng, 4):
         assert opnorm(dil.reconstruct(x) - phi(x)) < 1e-10
     # pi is a unital *-representation: exact matrix-unit relations, and the
     # diagonal units sum to the identity of the dilation space
@@ -207,7 +206,7 @@ def test_schwarz_inequality_for_cpc():
     phi = random_ucp(fd, 4, seed=13)
     rng = rng_for(13, "schwarz")
     for _ in range(5):
-        x, y = fd.random_element(rng), fd.random_element(rng)
+        x, y = fd.random_elements(rng, 2)
         ok, margin = check_stinespring_inequality(phi, x, y)
         assert ok, f"Schwarz defect bound violated by {margin:.3g}"
 
@@ -226,7 +225,7 @@ def test_stacked_evaluation_block_domain(profile):
     fd = FDAlgebra(profile)
     phi = _random_map(fd, 4, fd.dim_linear, seed=sum(profile))
     rng = rng_for(1, "test-stack-x")
-    X = np.array([fd.random_element(rng) for _ in range(7)])
+    X = fd.random_elements(rng, 7)
     stacked = phi(X)
     assert stacked.shape == (7, 4, 4)
     # independent oracle: sum over the matrix units e_ij^(k) of x's entry at
@@ -243,8 +242,8 @@ def test_stacked_evaluation_concrete_domain():
     A = block_algebra((2, 1), 4).conjugated(random_unitary(rng_for(2, "test-u"), 4))
     phi = _random_map(A, 3, A.dim, seed=3)
     rng = rng_for(4, "test-stack-x")
-    X = np.array([A.random_selfadjoint(rng) + 1j * A.random_selfadjoint(rng)
-                  for _ in range(6)])
+    h = A.random_selfadjoints(rng, 12)
+    X = h[0::2] + 1j * h[1::2]
     stacked = phi(X)
     for x, y in zip(X, stacked):
         assert opnorm(y - phi(x)) < 1e-13
@@ -266,7 +265,7 @@ def test_mult_defect_table_order():
     fd = FDAlgebra((2, 1))
     phi = random_ucp(fd, 3, seed=8)
     rng = rng_for(8, "test-defect")
-    X = [fd.random_element(rng) for _ in range(3)]
+    X = fd.random_elements(rng, 3)
     defects = _mult_defects(phi, X)
     # each x, then x*, in the order of X
     expect = [opnorm(phi(y) @ phi(dagger(y)) - phi(y @ dagger(y)))
@@ -280,7 +279,7 @@ def test_mult_defect_zero_for_hom():
     images = tuple(fd.matrix_unit(k, i, j) for (k, i, j) in fd.unit_labels())
     phi = LinMap(fd, 2, images)
     rng = rng_for(0, "defect")
-    X = [fd.random_element(rng) for _ in range(4)]
+    X = fd.random_elements(rng, 4)
     defects = _mult_defects(phi, X)
     assert opnorm_max(defects) < 1e-12
     assert len(defects) == 8  # each element and its adjoint
@@ -316,8 +315,7 @@ def test_hom_defect_is_the_largest_term_over_its_samples(domain):
         phi = LinMap(A, 4, np.array(A.basis) + 0.05 * herm(np.array(
             [random_complex(rng_for(22, "noise", i), 4) for i in range(A.dim)])))
     n = 5
-    points = [x for _, x in sample_unit_ball(dom, SampleSpec(seed=9, n_selfadjoint=2 * n,
-                                                             n_unitary=0))]
+    points = sample_unit_ball(dom, SampleSpec(seed=9, n_selfadjoint=2 * n, n_unitary=0))
     basis, sa = points[:-2 * n], points[-2 * n:]
     square = [opnorm(phi(y) @ phi(dagger(y)) - phi(y @ dagger(y)))
               for x in points for y in (x, dagger(x))]
@@ -483,6 +481,18 @@ def test_arveson_restrict_close_on_window():
     assert cert.verdict == "pass"
     for x in X:
         assert B.residual(psi(x)) < 1e-8
+
+
+@pytest.mark.parametrize("profile, N", [("M2", 4), ("M2+M1", 4), ("diag3", 4), ("M2+M2", 6),
+                                        ("3,3", 8), ("2,2,2", 8)])
+def test_arveson_restrict_is_the_expectation_on_a(profile, N):
+    # the images B.project(A.basis) are the expectation onto B, formed on
+    # all of M_N, applied to A's basis, to rounding
+    inst = gen_instance("conjugation", {"algebra": profile, "ambient": N, "eps": 1e-6}, seed=3)
+    phi = arveson_restrict(inst.A, inst.B, [], gamma=0.0)[0]
+    want = conditional_expectation(inst.B)(inst.A.basis)
+    err = np.linalg.norm(phi.images - want, axis=(1, 2))
+    assert (err <= 1e-14 * np.linalg.norm(want, axis=(1, 2))).all()
 
 
 def test_ucp_extension_unital():

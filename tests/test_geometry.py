@@ -19,7 +19,6 @@ from cstarlab.geometry import (
     equality_criterion,
     kk_distance,
     near_inclusion,
-    nearest_in_ball,
     nearest_in_span,
     sample_unit_ball,
     span_distance_lower,
@@ -44,7 +43,7 @@ def small_rotation(N: int, eps: float, seed: int) -> np.ndarray:
 def test_nearest_in_span_member_is_exact():
     A = block_algebra((2, 1), 4)
     rng = rng_for(5, "member")
-    x = A.random_selfadjoint(rng)
+    x = A.random_selfadjoints(rng, 1)[0]
     b, d, *_ = nearest_in_span(x, A)
     assert d < 1e-10
     assert opnorm(b - x) < 1e-10
@@ -64,7 +63,7 @@ def test_nearest_in_ball_respects_norm():
     A = block_algebra((2,), 3)
     rng = rng_for(9, "ball")
     g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    b, d, *_ = nearest_in_ball(3.0 * g / opnorm(g), A)
+    b, d, *_ = nearest_in_span(3.0 * g / opnorm(g), A, ball=True)
     assert opnorm(b) <= 1.0 + 1e-9
     assert d >= 2.0 - 1e-6  # the target has norm 3, the ball caps at 1
 
@@ -172,7 +171,7 @@ def test_nearest_in_ball_stack_is_feasible():
     rng = rng_for(32, "ball-stack")
     inside = np.array([b / opnorm(b) for b in B.basis[:3]])
     X = np.concatenate([3.0 * inside, 3.0 * rng.standard_normal((4, 4, 4))])
-    bs, vals, *_ = nearest_in_ball(X, B, iters=100)
+    bs, vals, *_ = nearest_in_span(X, B, ball=True, iters=100)
     assert all(opnorm(b) <= 1.0 + 1e-12 for b in bs)
     assert np.abs(vals[:3] - 2.0).max() <= 1e-12
 
@@ -198,8 +197,7 @@ def test_stacked_witnesses_are_feasible_and_exact(ball):
     B = A.conjugated(small_rotation(4, 0.3, 23))
     rng = rng_for(23, "feasible")
     spec = SampleSpec(seed=23, n_selfadjoint=3, n_unitary=3)
-    X = np.array([x for _, x in sample_unit_ball(A, spec)]
-                 + [2.0 * rng.standard_normal((4, 4)) for _ in range(3)])
+    X = np.concatenate([sample_unit_ball(A, spec), 2.0 * rng.standard_normal((3, 4, 4))])
     bs, vals, *_ = nearest_in_span(X, B, ball=ball, iters=100)
     for x, b, v in zip(X, bs, vals):
         assert B.residual(b) <= 1e-12
@@ -233,7 +231,7 @@ def conjugation_pair(profile: str, N: int, seed: int = 3):
 
 def unit_ball_stack(A, n: int = 16, seed: int = 3) -> np.ndarray:
     spec = SampleSpec(seed=seed, n_selfadjoint=n, n_unitary=n)
-    return np.array([x for _, x in sample_unit_ball(A, spec)])
+    return sample_unit_ball(A, spec)
 
 
 def record_duals(monkeypatch, names=("_best_point_dual", "_span_dual")) -> list:
@@ -413,7 +411,7 @@ def test_ball_solve_never_stops_on_the_unconstrained_gap():
     # the unconstrained one b = 3/2 at 3/2, so the span's dual (at most 3/2)
     # never closes the ball's gap and the solve runs to the cap
     x = np.diag([3.0, 0.0]).astype(complex)
-    b, d, at, stop = nearest_in_ball(x, scalars(2), iters=200)
+    b, d, at, stop = nearest_in_span(x, scalars(2), ball=True, iters=200)
     assert (d, at, stop) == (2.0, 200, "cap") and opnorm(b) <= 1.0
     _, d, at, stop = nearest_in_span(x, scalars(2), iters=200)
     assert stop == "gap" and at < 200 and 1.5 <= d <= 1.5 / (1.0 - 1e-6)
@@ -488,7 +486,7 @@ def test_stack_reports_each_stop_reason():
     # is held at 2 by the ball (cap) and e_44 falls to tol partway
     e11, e44 = np.diag([3.0, 0, 0, 0]), np.diag([0, 0, 0, 1.0])
     X = np.array([0.3 * np.eye(4), np.diag([1.0, -1.0, 0, 0]), e11, e44], dtype=complex)
-    _, vals, at, stop = nearest_in_ball(X, scalars(4), iters=100, tol=0.6)
+    _, vals, at, stop = nearest_in_span(X, scalars(4), ball=True, iters=100, tol=0.6)
     assert list(stop) == ["tol", "gap", "cap", "tol"]
     assert at[0] == 0 and at[1] == 0 and at[2] == 100 and 0 < at[3] < 100
     assert vals[0] < 1e-15 and vals[1] == 1.0 and vals[2] == 2.0 and vals[3] <= 0.6
@@ -502,10 +500,9 @@ def test_sample_unit_ball_contractions():
     A = block_algebra((2, 1), 4)
     spec = SampleSpec(seed=4, n_selfadjoint=5, n_unitary=5)
     samples = sample_unit_ball(A, spec)
-    assert len(samples) == A.dim + 10
-    for label, x in samples:
-        assert opnorm(x) <= 1.0 + 1e-9
-        assert A.residual(x) < 1e-10
+    assert samples.shape == (A.dim + 10, 4, 4)
+    assert opnorms(samples).max() <= 1.0 + 1e-9
+    assert A.residual(samples).max() < 1e-10
 
 
 @pytest.mark.parametrize("profile, N", PAIRS[1:3])
@@ -516,13 +513,12 @@ def test_sample_unit_ball_equals_the_per_sample_loop(profile, N):
     spec = SampleSpec(seed=5, n_selfadjoint=6, n_unitary=6)
     rng = rng_for(spec.seed, "unit-ball", B.ambient_dim, B.dim)
     want = [b / opnorm(b) for b in B.basis]
-    want += [clip_spectrum(B.random_selfadjoint(rng), -1.0, 1.0) for _ in range(6)]
+    want += [clip_spectrum(B.random_selfadjoints(rng, 1)[0], -1.0, 1.0) for _ in range(6)]
     for _ in range(6):
-        h = B.random_selfadjoint(rng)
+        h = B.random_selfadjoints(rng, 1)[0]
         want.append(B.unitary_from(np.pi * 0.5 * (h / opnorm(h))))
     got = sample_unit_ball(B, spec)
-    assert [label for label, _ in got][-7:-5] == ["sa[5]", "u[0]"]
-    got = np.array([x for _, x in got])
+    assert got.shape == (B.dim + 12, N, N)
     # the basis part is the per-element quotient, bit for bit; the drawn part
     # reads the same stream, but the stacked draw sums its basis combination
     # in one GEMM, so it matches the loop to a rounding of that sum (about
@@ -537,9 +533,8 @@ def test_sample_unit_ball_deterministic():
     spec = SampleSpec(seed=7)
     s1 = sample_unit_ball(A, spec)
     s2 = sample_unit_ball(A, spec)
-    for (l1, x1), (l2, x2) in zip(s1, s2):
-        assert l1 == l2
-        assert opnorm(x1 - x2) == 0.0
+    assert s1.shape == (A.dim + 128, 3, 3)
+    assert s1.tobytes() == s2.tobytes()
 
 
 def test_sample_unit_ball_on_a_block_algebra():
@@ -547,20 +542,14 @@ def test_sample_unit_ball_on_a_block_algebra():
     # block diagonal, and the same points on a second call
     fd = FDAlgebra((2, 1))
     spec = SampleSpec(seed=6, n_selfadjoint=5, n_unitary=4)
-    samples = sample_unit_ball(fd, spec)
-    labels = [label for label, _ in samples]
-    assert labels == ([f"basis[{i}]" for i in range(5)] + [f"sa[{t}]" for t in range(5)]
-                      + [f"u[{t}]" for t in range(4)])
-    X = np.array([x for _, x in samples])
+    X = sample_unit_ball(fd, spec)
+    assert X.shape == (5 + 5 + 4, 3, 3)
     assert X[:5].tobytes() == fd.units().tobytes()
-    assert all(opnorm(x) <= 1.0 + 1e-12 for x in X)
+    assert opnorms(X).max() <= 1.0 + 1e-12
     assert np.abs(fd.pinch(X) - X).max() == 0.0
-    for label, x in samples[5:10]:
-        assert opnorm(x - dagger(x)) <= 1e-14
-    for label, u in samples[10:]:
-        assert opnorm(dagger(u) @ u - np.eye(fd.d)) <= 1e-14
-    again = sample_unit_ball(fd, spec)
-    assert np.array([x for _, x in again]).tobytes() == X.tobytes()
+    assert opnorms(X[5:10] - dagger(X[5:10])).max() <= 1e-14
+    assert opnorms(dagger(X[10:]) @ X[10:] - np.eye(fd.d)).max() <= 1e-14
+    assert sample_unit_ball(fd, spec).tobytes() == X.tobytes()
 
 
 @pytest.mark.parametrize("concrete", [True, False])
@@ -578,8 +567,8 @@ def test_sample_unit_ball_without_unitaries_exponentiates_nothing(concrete, monk
     rng = rng_for(spec.seed, "unit-ball", *key)
     want = [b / opnorm(b) for b in A.basis] if concrete else list(A.units())
     want += list(clip_spectrum(A.random_selfadjoints(rng, 6), -1.0, 1.0))
-    assert [label for label, _ in got][-2:] == ["sa[4]", "sa[5]"]
-    assert np.array([x for _, x in got]).tobytes() == np.array(want).tobytes()
+    assert len(got) == len(want) == (A.dim if concrete else A.dim_linear) + 6
+    assert got.tobytes() == np.array(want).tobytes()
     sample_unit_ball(A, SampleSpec(seed=5, n_selfadjoint=6, n_unitary=2))
     assert calls == [2]
 
@@ -659,6 +648,13 @@ def test_near_inclusion_direction_tag():
     assert cert.gamma_lo <= cert.gamma_hi + 1e-12
     assert cert.witnesses
     assert cert.recheck() == 0.0
+    # each witness names its sample by its index in the sampler's stack, and
+    # the 8 kept are those of largest distance, largest first
+    X = sample_unit_ball(A, cert.sample_spec)
+    assert cert.n_samples == len(X) and len(cert.witnesses) == 8
+    assert all(np.array_equal(w.x, X[w.index]) for w in cert.witnesses)
+    ubs = [w.ub for w in cert.witnesses]
+    assert ubs == sorted(ubs, reverse=True) and ubs[0] == cert.gamma_hi
 
 
 # ---------------------------------------------------------------------------
@@ -673,8 +669,7 @@ def test_tensor_lift_certifies_amplified_distance():
     n = 2
     rng = rng_for(6, "tensor")
     X = []
-    for _ in range(3):
-        x = A.random_selfadjoint(rng)
+    for x in A.random_selfadjoints(rng, 3):
         amp = np.kron(x, np.eye(n))
         X.append(amp / max(opnorm(amp), 1e-12))
     wits, cert = tensor_lift(X, B, n, gamma)

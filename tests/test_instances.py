@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from cstarlab.algebra import verify_algebra
+from cstarlab.algebra import ConcreteAlgebra, FDAlgebra, verify_algebra
 from cstarlab.instances import (
+    _NAMED,
     RECIPES,
     base_algebra,
     block_algebra,
@@ -18,6 +19,17 @@ from cstarlab.serialize import dumps
 
 def test_recipes_enumerated():
     assert set(RECIPES) == {"conjugation", "choi-noise", "block-rotation"}
+
+
+@pytest.mark.parametrize("sizes, N", [(s, N) for s in _NAMED.values() for N in (sum(s), 6)]
+                         + [((12, 12), 24), ((8, 8, 8, 8), 32)])
+def test_block_algebra_equals_the_gram_schmidt_basis(sizes, N):
+    # the corner matrix units are HS-orthonormal, so Gram-Schmidt returns
+    # them bit for bit: block_algebra takes them as they are
+    got = block_algebra(sizes, N)
+    want = ConcreteAlgebra.from_basis(list(FDAlgebra(sizes).corner_units(N)), N)
+    assert got.basis.tobytes() == want.basis.tobytes()
+    assert got.support.tobytes() == want.support.tobytes()
 
 
 def test_base_algebra_named_profiles():

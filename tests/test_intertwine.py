@@ -1,13 +1,12 @@
 """Staged isomorphisms between close algebras and their implementations."""
 
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from cstarlab import cpmaps, intertwine
+from cstarlab import intertwine
 from cstarlab.algebra import ConcreteAlgebra
 from cstarlab.certs import (
     PAPER_BUDGET,
@@ -59,8 +58,7 @@ def test_close_isomorphism_conjugated_pair():
     theta = res.map
     rng = rng_for(4, "iso-check")
     for _ in range(4):
-        x = A.random_selfadjoint(rng)
-        y = A.random_selfadjoint(rng)
+        x, y = A.random_selfadjoints(rng, 2)
         assert opnorm(theta(x @ y) - theta(x) @ theta(y)) < 1e-9
         assert B.residual(theta(x)) < 1e-8
     for key in ("closeness", "homomorphism", "image-membership",
@@ -88,13 +86,13 @@ def test_pull_back_is_solved_once_per_conjugator(monkeypatch):
     # keeps the identity conjugator: the codomain basis is solved once per
     # call, at stage 1 and at 200 iterations, and close_isomorphism takes its
     # witnesses from that solve instead of solving the basis again
-    pulls, solve = [], intertwine.nearest_in_ball
+    pulls, solve = [], intertwine.nearest_in_span
 
-    def recorded(x, A, iters):
+    def recorded(x, A, ball, iters):
         pulls.append((x, iters))
-        return solve(x, A, iters=iters)
+        return solve(x, A, ball=ball, iters=iters)
 
-    monkeypatch.setattr(intertwine, "nearest_in_ball", recorded)
+    monkeypatch.setattr(intertwine, "nearest_in_span", recorded)
     A, B, u = conjugated_pair((2, 1), 3, 1e-5, 4)
     res = close_isomorphism(A, B, 2.0 * opnorm(u - np.eye(3)), seed=4)
     assert res.surjective and len(res.trace) >= 3
@@ -107,9 +105,9 @@ def test_a_changing_map_is_pulled_back_through_its_new_conjugator(monkeypatch):
     # a producer whose map changes at stage 2 gets a fresh intertwining
     # unitary there, u != 1, and the codomain basis is pulled back again
     # through the new accumulated conjugator
-    pulls, solve = [], intertwine.nearest_in_ball
-    monkeypatch.setattr(intertwine, "nearest_in_ball",
-                        lambda x, A, iters: pulls.append((x, iters)) or solve(x, A, iters=iters))
+    pulls, solve = [], intertwine.nearest_in_span
+    monkeypatch.setattr(intertwine, "nearest_in_span", lambda x, A, ball, iters: pulls.append(
+        (x, iters)) or solve(x, A, ball=ball, iters=iters))
     counts = count_calls(monkeypatch)
     A, B, gamma = conjugation_instance("M2+M1", 4)
     inner = intertwine.expectation_producer(A, B)
@@ -136,8 +134,7 @@ def test_close_isomorphism_inverse_round_trip():
     res = close_isomorphism(A, B, gamma, seed=9)
     assert res.inverse is not None
     rng = rng_for(9, "inverse-check")
-    for _ in range(4):
-        x = A.random_selfadjoint(rng)
+    for x in A.random_selfadjoints(rng, 4):
         assert opnorm(res.inverse(res.map(x)) - x) < 1e-8
 
 
@@ -171,7 +168,7 @@ def test_intertwining_iso_ignores_repeated_points():
     # beyond the count of points given
     A, B, u = conjugated_pair((2, 1), 3, 1e-5, 4)
     gamma = 2.0 * opnorm(u - np.eye(3))
-    X_A = [A.random_selfadjoint(rng_for(5, "repeat")) / 2.0, *A.basis]
+    X_A = [A.random_selfadjoints(rng_for(5, "repeat"), 1)[0] / 2.0, *A.basis]
     runs = [intertwine.intertwining_iso(A, B, 2.0 * gamma, X_A=X, seed=4,
                                         surjectivity_delta=gamma)
             for X in (X_A, X_A + X_A)]
@@ -437,19 +434,27 @@ def test_a_changing_map_is_repaired_at_every_stage(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_tracked_set_keeps_each_point_once(monkeypatch):
-    # -0.0 and 0.0 are one point, and on a digest hit the exact comparison
-    # decides, also when every digest is the same
+    # -0.0 and 0.0 are one point, and on a fingerprint hit the exact
+    # comparison decides, also when every fingerprint is the same
     z = np.array([[0.0, 1.0], [-0.0, 2.0]], dtype=complex)
 
     def check():
         tracked = intertwine._TrackedSet(2)
-        assert np.array_equal(tracked.add([z, -z, z + 0.0, z.copy()], 4), [z, -z])
-        assert np.array_equal(tracked.add([2 * z, z], 2), [2 * z])
+        assert np.array_equal(tracked.add([np.array([z, -z, z + 0.0, z.copy()])], 4), [z, -z])
+        assert np.array_equal(tracked.add([np.array([2 * z]), np.array([z, 2 * z])], 3),
+                              [2 * z])
         assert len(tracked.points) == 3
 
     check()
-    monkeypatch.setattr(intertwine.hashlib, "blake2b",
-                        lambda *args, **kwargs: SimpleNamespace(digest=lambda: bytes(16)))
+    # -0.0 and 0.0 keep one fingerprint, for one to four words of -0.0
+    weights = intertwine._TrackedSet(2).weights
+    for k in range(1, 5):
+        m = np.ones(8)
+        m[:k] = -0.0
+        m = m.view(complex).reshape(1, 2, 2)
+        assert intertwine._fingerprints(m, weights) == intertwine._fingerprints(m + 0.0, weights)
+        assert intertwine._fingerprints(m, weights) != intertwine._fingerprints(2 * m, weights)
+    monkeypatch.setattr(intertwine, "_fingerprints", lambda mats, weights: [0] * len(mats))
     check()
 
 
@@ -468,16 +473,16 @@ def _recorded_close_isomorphism(monkeypatch, inst, drift_map=False):
     produced map changes at every stage."""
     A, B, gamma = inst.A, inst.B, inst.dist_hint()
     rec = {"X_A": None, "phi": [], "theta": {}, "pulled": []}
-    iso, ball = intertwine.intertwining_iso, intertwine.nearest_in_ball
+    iso, solve = intertwine.intertwining_iso, intertwine.nearest_in_span
     improve, producer = intertwine.improve_multiplicativity, intertwine.expectation_producer
 
     def recording_iso(*args, **kwargs):
         rec["X_A"] = list(kwargs["X_A"])
         return iso(*args, **kwargs)
 
-    def recording_ball(x, A_, iters):
+    def recording_ball(x, A_, ball, iters):
         # the pull-back solves, before the stage's producer call
-        out = ball(x, A_, iters=iters)
+        out = solve(x, A_, ball=ball, iters=iters)
         rec["pulled"] += [(len(rec["phi"]) + 1, y) for y, d in zip(*out[:2])
                           if d <= 2.0 / 5.0 + TOL_ALG]
         return out
@@ -500,7 +505,7 @@ def _recorded_close_isomorphism(monkeypatch, inst, drift_map=False):
             return phi
         return produce
 
-    for name, fn in (("intertwining_iso", recording_iso), ("nearest_in_ball", recording_ball),
+    for name, fn in (("intertwining_iso", recording_iso), ("nearest_in_span", recording_ball),
                      ("improve_multiplicativity", recording_improve),
                      ("expectation_producer", recording_producer)):
         monkeypatch.setattr(intertwine, name, fn)
@@ -557,9 +562,9 @@ def test_stage_values_of_a_map_that_changes_every_stage(monkeypatch, algebra, am
 
 
 def test_expectation_producer_builds_its_map_once(monkeypatch):
-    calls, real = [], cpmaps.conditional_expectation
-    monkeypatch.setattr(cpmaps, "conditional_expectation",
-                        lambda B: calls.append(B) or real(B))
+    calls, real = [], intertwine.arveson_restrict
+    monkeypatch.setattr(intertwine, "arveson_restrict",
+                        lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
     A, B, gamma = conjugation_instance("3,3", 8)
     res = close_isomorphism(A, B, gamma, seed=5)
     assert len(res.trace) == 3 and len(calls) == 1
@@ -627,7 +632,8 @@ def test_half_flip_tensor_basis_is_orthonormal_without_gram_schmidt(monkeypatch)
                         lambda x, span, **kw: spans.append(span) or solve(x, span, **kw))
     A, B, u = conjugated_pair((2,), 3, 1e-4, 11)
     half_flip_cpc(A, B, 2.0 * opnorm(u - np.eye(3)))
-    (span,) = spans
+    (unit_span, span) = spans  # the first solve cuts the unit's projection in B
+    assert unit_span is B
     Q = span.basis.reshape(span.dim, -1)
     assert span.dim % A.dim == 0
     assert np.abs(Q.conj() @ Q.T - np.eye(span.dim)).max() <= 1e-13

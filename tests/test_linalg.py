@@ -14,7 +14,7 @@ from cstarlab.linalg import (clip_spectrum, cluster_values, dagger, eigh_fun,
                              polar_factor, principal_log_unitary, psd_part, psd_pinv,
                              psd_sqrt, random_complex,
                              random_hermitian, random_unitary,
-                             range_projection, rng_for, tracenorm)
+                             range_projection, rng_for)
 
 DIMS = st.integers(min_value=1, max_value=6)
 SEEDS = st.integers(min_value=0, max_value=10_000)
@@ -121,10 +121,9 @@ def test_cluster_values_groups():
     assert [len(g) for g in groups] == [2, 2, 1]
 
 
-def test_tracenorm_vs_hsnorm():
+def test_hs_norm_vs_singular_values():
     x = random_complex(rng_for(3, "t"), 4)
     s = np.linalg.svd(x, compute_uv=False)
-    assert abs(tracenorm(x) - s.sum()) < 1e-12
     assert abs(hs_norm(x) - np.sqrt((s * s).sum())) < 1e-12
 
 
