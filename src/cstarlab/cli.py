@@ -3,12 +3,13 @@ rendering, and the acceptance selftest.
 
 Settings resolve in precedence order: explicit CLI flag, then a CSTARLAB_*
 environment variable mirroring the flag, then the [lab] section of an INI
-config file (--config or CSTARLAB_CONFIG), then the built-in default.  Exit
-status is 0 on success, 1 when a paper-track certificate fails (or the
-selftest fails), 2 on a structural error such as a violated hypothesis
-window or a malformed input file, and 141 (128 + SIGPIPE, what a shell
-reports for a writer stopped by a closed pipe) when the reader of standard
-output closes it early, as ``| head`` does.
+config file (--config or CSTARLAB_CONFIG), then the built-in default; a
+variable or key takes only the values its flag takes.  Exit status is 0 on
+success, 1 when a paper-track certificate fails (or the selftest fails), 2
+on a structural error such as a violated hypothesis window, a malformed
+input file or a setting outside its choices, and 141 (128 + SIGPIPE, what
+a shell reports for a writer stopped by a closed pipe) when the reader of
+standard output closes it early, as ``| head`` does.
 """
 
 from __future__ import annotations
@@ -39,6 +40,9 @@ _DEFAULTS = {
 }
 
 _CASTS = {"seed": int, "dim": int, "eps": float, "samples": int, "block": int}
+# the values a flag, its environment variable and its config key may take
+_CHOICES = {"recipe": RECIPES, "track": ("paper", "experimental"),
+            "format": ("table", "json", "csv")}
 
 
 def _read_config(path: str | None) -> dict:
@@ -55,16 +59,20 @@ def _read_config(path: str | None) -> dict:
 
 
 def _setting(name: str, args: argparse.Namespace, cfg: dict):
-    """CLI flag > CSTARLAB_<NAME> env var > config file > default."""
+    """CLI flag > CSTARLAB_<NAME> env var > config file > default.  An
+    environment or config value outside its flag's choices raises
+    ``SchemaError`` naming the variable or key."""
     cast = _CASTS.get(name, str)
     val = getattr(args, name, None)
     if val is not None:
         return cast(val)
-    env = os.environ.get("CSTARLAB_" + name.upper())
-    if env is not None:
-        return cast(env)
-    if name in cfg:
-        return cast(cfg[name])
+    env, key = "CSTARLAB_" + name.upper(), f"config key [lab] {name}"
+    for source, val in ((env, os.environ.get(env)), (key, cfg.get(name))):
+        if val is None:
+            continue
+        if name in _CHOICES and val not in _CHOICES[name]:
+            raise SchemaError(f"{source} = {val!r}; choose one of {_CHOICES[name]}")
+        return cast(val)
     return _DEFAULTS[name]
 
 
@@ -72,14 +80,14 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--dim", type=int, default=None,
                    help="ambient matrix dimension for generated instances")
-    p.add_argument("--recipe", choices=RECIPES, default=None)
+    p.add_argument("--recipe", choices=_CHOICES["recipe"], default=None)
     p.add_argument("--eps", type=float, default=None,
                    help="perturbation scale for generated instances")
-    p.add_argument("--track", choices=("paper", "experimental"), default=None)
+    p.add_argument("--track", choices=_CHOICES["track"], default=None)
     p.add_argument("--samples", type=int, default=None,
                    help="sample count for distance estimation")
     p.add_argument("--out", default=None, help="write output to this path")
-    p.add_argument("--format", choices=("table", "json", "csv"), default=None)
+    p.add_argument("--format", choices=_CHOICES["format"], default=None)
     p.add_argument("--algebra", default=None,
                    help="base algebra: M2, M3, M2+M1, M2+M2, diag2..diag4, "
                         "fullN, or comma-separated block sizes")
@@ -151,13 +159,12 @@ def _cmd_pipeline(args, cfg) -> int:
             raise SchemaError(f"{args.instance} does not contain an instance")
     else:
         inst = _instance_from_settings(args, cfg)
-    track = _setting("track", args, cfg)
+    track, fmt = _setting("track", args, cfg), _setting("format", args, cfg)
     budget = PAPER_BUDGET if track == "paper" else DEFAULT_BUDGET
     report = run_pipeline(inst, args.command, budget=budget,
                           seed=_setting("seed", args, cfg),
                           samples=_setting("samples", args, cfg))
-    _emit(render_report(report, _setting("format", args, cfg)),
-          _setting("out", args, cfg))
+    _emit(render_report(report, fmt), _setting("out", args, cfg))
     if track == "paper" and not report.ok:
         return 1
     return 0

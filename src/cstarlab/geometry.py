@@ -8,22 +8,22 @@ subspace (optionally intersected with the unit ball); lower bounds come from
 trace-norm dual certificates, all read by one function, ``_trace_dual``.  One
 solver, ``nearest_in_span``, serves every witness search: it takes a stack of
 targets and advances them together by batched eigensolves of small Gram
-matrices, so a near inclusion solves all of its samples in one call.  Its
-``ball`` argument selects the iteration: span solves (``tensor_lift``'s
-lifts) run a Chambolle-Pock primal-dual iteration whose dual iterate proves
-the value it converges to; ball solves (``kk_distance`` and the solves of
-``intertwine``, which pass ``ball=True``) keep projected subgradient descent
-until a dual for the ball constraint pays for its cost.  Each target leaves
-the stack on its own, and the solver says when and why: ``tol`` (its residual
-vanished), ``gap`` (a trace-norm dual proves its value to 1e-6 relative),
-``floor`` (a near inclusion reports only the largest distance, so a sample
-whose best value is below a proven lower bound of another stops early) or
-``cap`` (the iteration budget ran out).  The duals are built at checkpoints
-from the top singular dyads of the residuals at the best points (the
-best-point dual) and from the iteration's own dual: the primal-dual iterate,
-or the sum of the subgradients.  The first checkpoint is the warm start
-itself, k = 0, so a warm start that is already optimal is certified and
-returned without an iteration.  Suprema over the unit ball are sampled (basis
+matrices, so a near inclusion solves all of its samples in one call.  Every
+solve runs one Chambolle-Pock primal-dual iteration, whose dual iterate
+proves the value it converges to; ``ball=True`` (``kk_distance`` and the
+solves of ``intertwine``) adds a second dual Z for ||b|| <= 1 and, at each
+checkpoint, the ball bound Re<Y, x> - ||P(Y - Z) + Z||_1, which proves
+values where the ball binds.  Span solves are measured every 16 iterations,
+ball solves at k = 1, 2, 4, 8, ...  Each target leaves the stack on its own,
+and the solver says when and why: ``tol`` (its residual vanished), ``gap`` (a
+trace-norm dual proves its value to 1e-6 relative), ``floor`` (a near
+inclusion reports only the largest distance, so a sample whose best value is
+below a proven lower bound of another stops early) or ``cap`` (the iteration
+budget ran out).  The duals are built at checkpoints from the top singular
+dyads of the residuals at the best points (the best-point dual) and from the
+iteration's own duals.  The first checkpoint is the warm start itself,
+k = 0, so a warm start that is already optimal is certified and returned
+without an iteration.  Suprema over the unit ball are sampled (basis
 elements, random self-adjoint contractions, random unitaries), so the
 reported gamma_hi is an honest sampled estimate with stored witnesses, not a
 proof of the supremum.  ``sample_unit_ball`` draws those points on a concrete
@@ -134,26 +134,14 @@ class DistanceInterval:
 # convex witness search
 # ---------------------------------------------------------------------------
 
-def _top_dyad(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Top singular vectors u, v and value s of each matrix of a stack r from
-    one eigensolve of its smaller Gram matrix: r* r for tall or square r (top
-    eigenvector v, u = r v / s), r r* for wide r (u, v = r* u / s).  Then
-    Re tr((u v*)* r) = s even at a degenerate top: u v* is a subgradient."""
-    # r* inline rather than by linalg.dagger, so the loop makes no traced call
-    wide, rh = r.shape[-2] < r.shape[-1], r.conj().swapaxes(1, 2)
-    a, ah = (rh, r) if wide else (r, rh)  # the Gram matrix is a* a
-    lam, w = np.linalg.eigh(ah @ a)
-    s, w = np.sqrt(np.maximum(lam[:, -1], 0.0)), w[:, :, -1]
-    z = (a @ w[:, :, None])[:, :, 0] / np.where(s > 0.0, s, 1.0)[:, None]
-    return (w, z, s) if wide else (z, w, s)
-
-
-def _trace_ball(z: np.ndarray) -> np.ndarray:
-    """Projection of each matrix of a stack onto the trace-norm unit ball:
-    its singular values s, read from one eigensolve of the smaller Gram
-    matrix as in ``_top_dyad``, shrink to max(s - theta, 0), theta the shift
+def _shrink(z: np.ndarray, t: np.ndarray | None) -> np.ndarray:
+    """Shrink the singular values s of each matrix of a stack z to
+    max(s - theta, 0), with s read from one eigensolve of its smaller Gram
+    matrix (z* z for tall or square z, z z* for wide z).  theta is the shift
     that projects s onto the l1 unit ball (read off the cumulative sums of s,
-    which the eigensolve sorts).  A matrix with sum(s) <= 1 is kept as is."""
+    which the eigensolve sorts), so z goes to its projection onto the
+    trace-norm unit ball and a matrix with sum(s) <= 1 is kept as is; where
+    the (S,) array t is not nan, theta is t instead, the prox of t ||.||_1."""
     wide, zh = z.shape[-2] < z.shape[-1], z.conj().swapaxes(1, 2)
     lam, w = np.linalg.eigh(z @ zh if wide else zh @ z)
     s = np.sqrt(np.maximum(lam, 0.0))
@@ -162,10 +150,20 @@ def _trace_ball(z: np.ndarray) -> np.ndarray:
     rank = np.arange(1, s.shape[1] + 1)
     rho = (desc * rank > excess).sum(axis=1)  # the largest j with s_j > theta_j
     theta = np.maximum(excess[np.arange(len(s)), rho - 1] / rho, 0.0)
+    keep = excess[:, -1] <= 0.0
+    if t is not None:
+        theta, keep = np.where(np.isnan(t), theta, t), keep & np.isnan(t)
     f = np.maximum(1.0 - theta[:, None] / np.where(s > 0.0, s, 1.0), 0.0)
     m = (w * f[:, None, :]) @ w.conj().swapaxes(1, 2)
-    inside = (excess[:, -1] <= 0.0)[:, None, None]
-    return np.where(inside, z, m @ z if wide else z @ m)
+    return np.where(keep[:, None, None], z, m @ z if wide else z @ m)
+
+
+def _into_ball(y: np.ndarray) -> np.ndarray:
+    """Each matrix of a stack divided by its operator norm where that
+    exceeds one (read from eigvalsh(y* y))."""
+    gram = y.conj().swapaxes(1, 2) @ y
+    nrm = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
+    return y / np.maximum(nrm, 1.0)[:, None, None]
 
 
 def _span_dual(Y: np.ndarray, R: np.ndarray, project) -> np.ndarray:
@@ -175,6 +173,15 @@ def _span_dual(Y: np.ndarray, R: np.ndarray, project) -> np.ndarray:
     lo = Re<Y - P(Y), R> / ||Y - P(Y)||_1 (0 where it vanishes).  R rather
     than x keeps the rounding relative to the distance."""
     return _trace_dual(Y - project(Y), R)
+
+
+def _ball_dual(Y: np.ndarray, W: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Lower bounds for dist(x, span ∩ unit ball) from ||Y||_1 <= 1 and
+    W = P(Y - Z) + Z for any Z: for b' in the span with ||b'|| <= 1,
+    Re<Y, b'> = Re<P(Y), b'> = Re<W, b'> <= ||W||_1, as Z - P(Z) vanishes on
+    the span, so ||x - b'|| >= Re<Y, x - b'> >= Re<Y, x> - ||W||_1."""
+    inner = np.einsum("sij,sij->s", Y.conj(), X).real
+    return inner - np.linalg.svd(W, compute_uv=False).sum(axis=1)
 
 
 def _trace_dual(Y: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -202,10 +209,13 @@ def _best_point_dual(R: np.ndarray, project) -> np.ndarray:
 # is within it of a proven lower bound (gap) or below a floor by more than it
 _MARGIN = 1e-6
 _STOPS = ("tol", "gap", "floor", "cap")
-# the primal-dual iteration measures its iterates every _PD_CHECK steps;
-# sigma tau = _PD_STEP < 1 keeps it convergent, P having norm one
+# span solves measure their iterates every _PD_CHECK steps, ball solves at
+# k = 1, 2, 4, 8, ...; the steps are tau = c and sigma = _PD_STEP / c, or
+# sigma_Y = 0.85 / c and sigma_Z = 0.14 / c with the ball: tau times the sum
+# of the sigmas below one keeps the iteration convergent, P having norm one
 _PD_CHECK = 16
 _PD_STEP = 0.99
+_PD_BALL = (0.85, 0.14)
 
 
 def nearest_in_span(x: np.ndarray, span: ConcreteAlgebra | _TensorSpan,
@@ -214,30 +224,20 @@ def nearest_in_span(x: np.ndarray, span: ConcreteAlgebra | _TensorSpan,
     """Minimize ||x - b||_op over b in the given subspace (intersected with
     the operator-norm unit ball when requested).
 
-    Both iterations warm start at the HS projection of x (rescaled into the
-    ball) and track the best point; ``ball`` selects the iteration.
-
-    Without the ball, a Chambolle-Pock primal-dual iteration on the saddle
-    problem min_{b in S} max_{||Y||_1 <= 1} Re<Y, x - b>, with dual Y = 0 at
-    the start: Y <- the trace-norm ball projection (``_trace_ball``) of
-    Y + sigma (x - b'), then b <- b + tau P(Y) and b' = 2 b_new - b_old.  The
-    step tau is the target's warm-start distance (at least 10 tol) and
-    sigma = 0.99 / tau.  The iterates are measured at the checkpoints, every
-    16 iterations and at the last one, by the values-only SVD of x - b.
-    Y - P(Y) vanishes on the span, so the dual iterate bounds the distance
-    from below directly.
-
-    With the ball, projected subgradient descent: the subgradient of the
-    operator norm at the residual is the top singular dyad u v*, HS-projected
-    onto the subspace; steps shrink like c / sqrt(k), c the warm-start
-    distance; each iterate is rescaled into the ball (its norm read from
-    eigvalsh(y* y)) and measured.  Every iteration takes one batched
-    Hermitian eigensolve of the residuals' smaller Gram matrices
-    (``_top_dyad``): its top eigenpair is the objective and the next
-    subgradient.  A dual for the ball needs a second dual variable for
-    ||b|| <= 1; such a primal-dual version lowered sampled ``dist`` suprema by
-    0.25-1.2% but took 1.65 times the solver time, so ball solves keep this
-    iteration for now.
+    A Chambolle-Pock primal-dual iteration on the saddle problem
+    min_{b in S} max_{||Y||_1 <= 1} Re<Y, x - b>, warm started at the HS
+    projection of x (rescaled into the ball), with dual Y = 0: Y <- the
+    trace-norm ball projection of Y + sigma (x - b'), then
+    b <- b + tau P(Y) and b' = 2 b_new - b_old.  The step tau is the target's
+    warm-start distance c (at least 10 tol) and sigma = 0.99 / c.  The ball
+    ||b|| <= 1 adds a second dual Z, which starts at 0: Z <- Z + sigma_Z b'
+    with its singular values shrunk by sigma_Z, and b <- b + tau P(Y - Z),
+    with sigma_Y = 0.85 / c and sigma_Z = 0.14 / c.  Both shrinks come from
+    one batched eigensolve of small Gram matrices (``_shrink``).  The iterates
+    are measured at the checkpoints by the values-only SVD of x - b, after
+    dividing b by its norm where that exceeds one in a ball solve, and the
+    best point is tracked: every 16 iterations for span solves, at
+    k = 1, 2, 4, 8, ... for ball solves, and at the last iteration.
 
     x is one (R, C) matrix or a stack (S, R, C) of targets solved at once,
     each with its own steps and best point.  The subspace is a concrete
@@ -245,23 +245,22 @@ def nearest_in_span(x: np.ndarray, span: ConcreteAlgebra | _TensorSpan,
     its HS-orthogonal projections.
 
     A target leaves the stack on the first of these that holds:
-      tol    its residual fell to tol (measured every subgradient iteration,
-             at each primal-dual checkpoint);
+      tol    its residual fell to tol;
       gap    a checkpoint's dual bound lo gives best - lo <= 1e-6 best.  At
              k = 0 (the warm start) lo is the ``_best_point_dual`` of the
-             residuals x - best.  At the later checkpoints it is the larger
-             of that and a ``_span_dual``: of the dual iterate Y (primal-dual,
-             k = 16, 32, 48, ...) or of the sum of the subgradient dyads of
-             iterations (k/2, k] (subgradient, k = 16, 32, 64, ...).  lo
-             bounds the distance to the span, so also to its unit ball, from
-             below: the value is within 1e-6 of the optimum either way (a
-             ball solve whose constraint binds runs to the cap);
+             residuals x - best.  At the later checkpoints it is the largest
+             of that, the ``_span_dual`` of the dual iterate Y and, with the
+             ball, the ball bound Re<Y, x> - ||P(Y - Z) + Z||_1
+             (``_ball_dual``).  The first two bound the distance to the span,
+             so also to its unit ball, the third the distance to the ball
+             itself: a ball solve whose constraint binds closes its gap too;
       floor  its best value is below floor (1 - 1e-6), where ``floor`` is a
              proven lower bound for the largest distance, raised to the
              largest lo at each checkpoint, k = 0 included: only the maximum
              is asked for, and the target setting the floor has best >=
              distance >= floor;
       cap    it ran all iters iterations.
+    The duals feed only these stops and the floor, never a returned value.
 
     Returns the witnesses (shaped like x), the distances ||x - b||, the
     iteration each target stopped at and its stop reason: floats, ints and
@@ -275,85 +274,62 @@ def nearest_in_span(x: np.ndarray, span: ConcreteAlgebra | _TensorSpan,
     X = np.reshape(x, (-1,) + np.shape(x)[-2:])
     project = span.project
 
-    def rescale(y):
-        if not ball:
-            return y
-        gram = y.conj().swapaxes(1, 2) @ y
-        nrm = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
-        return y / np.maximum(nrm, 1.0)[:, None, None]
-
-    def stops(s, best_s, lo=None):
+    def stops(s, best_s, lo):
         """Index into _STOPS of each live target's stop, 3 where it goes on;
-        None when every target goes on."""
+        None when every target goes on.  lo is the checkpoint's dual bound,
+        and the floor is raised to the largest of it."""
+        nonlocal floor
+        if floor is not None:
+            floor = float(lo.max(initial=floor))
         is_tol = s <= tol
-        is_gap = lo is not None and best_s - lo <= _MARGIN * best_s
+        is_gap = best_s - lo <= _MARGIN * best_s
         is_floor = floor is not None and best_s < floor * (1.0 - _MARGIN)
         if not (is_tol | is_gap | is_floor).any():
             return None
         return np.where(is_tol, 0, np.where(is_gap, 1, np.where(is_floor, 2, 3)))
 
-    def dual(R, Y=None):
-        """The larger of the checkpoint duals at residuals R, and the floor
-        raised to the largest of them."""
-        nonlocal floor
-        lo = _best_point_dual(R, project)
-        if Y is not None:
-            lo = np.maximum(_span_dual(Y, R, project), lo)
-        if floor is not None:
-            floor = float(lo.max(initial=floor))
-        return lo
-
-    best = rescale(project(X))
+    best = _into_ball(project(X)) if ball else project(X)
     best_val = np.linalg.svd(X - best, compute_uv=False)[:, 0]
     c = np.maximum(best_val, 10 * tol)
-    stop = stops(best_val, best_val, dual(X - best))
+    stop = stops(best_val, best_val, _best_point_dual(X - best, project))
     stop = np.full(len(X), 3) if stop is None else stop
     at = np.where(stop < 3, 0, iters)
     live = np.flatnonzero(stop == 3)
     Xl, cl, y = X[live], c[live], best[live]
-    if ball:  # the subgradient dyad u v* and the sum D of the recent ones
-        D, check = np.zeros_like(Xl), 16
-        if live.size:
-            u, v, _ = _top_dyad(Xl - y)
-    else:  # the dual iterate Y and the extrapolated point y_bar
-        Y, y_bar = np.zeros_like(Xl), y
+    Y, Z, y_bar, check = np.zeros_like(Xl), np.zeros_like(Xl), y, 1 if ball else _PD_CHECK
     for k in range(1, iters + 1):
         if not live.size:
             break
-        if ball:
-            dyad = u[:, :, None] * v.conj()[:, None, :]
-            g = project(dyad)
-            y = rescale(y + (cl / np.sqrt(k))[:, None, None] * g)
-            u, v, s = _top_dyad(Xl - y)
-            if k > check // 2:
-                D += dyad
-            at_check = k == check
+        if ball:  # Y and Z from one eigensolve; nan asks for Y's projection
+            sy, sz = (f / cl for f in _PD_BALL)
+            t = np.concatenate([np.full(len(live), np.nan), sz])
+            YZ = _shrink(np.concatenate([Y + sy[:, None, None] * (Xl - y_bar),
+                                         Z + sz[:, None, None] * y_bar]), t)
+            Y, Z = YZ[:len(live)], YZ[len(live):]
+            step = project(Y - Z)
         else:
-            Y = _trace_ball(Y + (_PD_STEP / cl)[:, None, None] * (Xl - y_bar))
-            y_new = y + cl[:, None, None] * project(Y)
-            y_bar, y = 2.0 * y_new - y, y_new
-            at_check = k % _PD_CHECK == 0 or k == iters
-            if not at_check:
-                continue
-            s = np.linalg.svd(Xl - y, compute_uv=False)[:, 0]
+            Y = _shrink(Y + (_PD_STEP / cl)[:, None, None] * (Xl - y_bar), None)
+            step = project(Y)
+        y_new = y + cl[:, None, None] * step
+        y_bar, y = 2.0 * y_new - y, y_new
+        if k != check and k != iters:
+            continue
+        check = 2 * check if ball else check + _PD_CHECK
+        point = _into_ball(y) if ball else y
+        s = np.linalg.svd(Xl - point, compute_uv=False)[:, 0]
         better = s < best_val[live]
-        best[live[better]] = y[better]
+        best[live[better]] = point[better]
         best_val[live[better]] = s[better]
-        lo = None
-        if at_check:
-            lo = dual(Xl - best[live], D if ball else Y)
-            if ball:
-                check *= 2
-                D[:] = 0.0
-        why = stops(s, best_val[live], lo)
+        R = Xl - best[live]
+        lo = _span_dual(Y, R, project)
+        if ball:
+            lo = np.maximum(lo, _ball_dual(Y, step + Z, Xl))
+        why = stops(s, best_val[live], np.maximum(lo, _best_point_dual(R, project)))
         if why is not None:
             keep = why == 3
             stop[live[~keep]], at[live[~keep]] = why[~keep], k
             live, Xl, cl, y = live[keep], Xl[keep], cl[keep], y[keep]
-            if ball:
-                u, v, D = u[keep], v[keep], D[keep]
-            else:
-                Y, y_bar = Y[keep], y_bar[keep]
+            Y, Z, y_bar = Y[keep], Z[keep], y_bar[keep]
     best_val = np.linalg.svd(X - best, compute_uv=False)[:, 0]
     stop = np.array(_STOPS)[stop]
     if single:

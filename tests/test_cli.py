@@ -16,8 +16,8 @@ from cstarlab.serialize import load
 
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch):
-    for var in ("CSTARLAB_SEED", "CSTARLAB_EPS", "CSTARLAB_ALGEBRA",
-                "CSTARLAB_CONFIG", "CSTARLAB_FORMAT", "CSTARLAB_TRACK"):
+    for var in ("CSTARLAB_SEED", "CSTARLAB_EPS", "CSTARLAB_ALGEBRA", "CSTARLAB_CONFIG",
+                "CSTARLAB_FORMAT", "CSTARLAB_TRACK", "CSTARLAB_RECIPE"):
         monkeypatch.delenv(var, raising=False)
 
 
@@ -133,6 +133,26 @@ def test_paper_track_window_violation_exits_2(capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "WindowError" in err
+
+
+@pytest.mark.parametrize("name, value", [("track", "Paper"), ("format", "xml"),
+                                         ("recipe", "rotation")])
+def test_bad_choice_from_env_or_config_exits_2(name, value, tmp_path, monkeypatch, capsys):
+    # the choices of --track, --format and --recipe hold for the environment
+    # variable and the config key too, and fail before any pipeline runs
+    calls = []
+    monkeypatch.setattr("cstarlab.cli.run_pipeline", lambda *a, **k: calls.append(a))
+    var, cfg = f"CSTARLAB_{name.upper()}", tmp_path / "lab.ini"
+    cfg.write_text(f"[lab]\n{name} = {value}\n")
+    monkeypatch.setenv(var, value)
+    assert main(["iso", "--eps", "1e-3"]) == 2
+    err = capsys.readouterr().err
+    assert "SchemaError" in err and var in err and repr(value) in err
+    monkeypatch.delenv(var)
+    assert main(["iso", "--eps", "1e-3", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "SchemaError" in err and f"[lab] {name}" in err and repr(value) in err
+    assert calls == []
 
 
 @pytest.mark.parametrize("eps", ["nan", "inf", "-inf"])
