@@ -11,9 +11,10 @@ units: the twirl sum_k (1/n_k) sum_ij e_ji y e_ij, the averaged intertwiner
 sum_k (1/n_k) sum_ij f(e_ij) g(e_ji), and the repair's twirled compression.
 Where actual unitaries are needed (the tracked set of the staged
 intertwining, the commutation estimate of a lift), ``exact_diagonal`` gives
-r * lcm(n_k^2) unitaries averaging to w exactly.  Twirled projections thus
-commute with the representation to machine precision, intertwiners of exact
-homomorphisms intertwine exactly, and lifts sit exactly in the commutant.
+at most r (sum n_k^2 - r + 1) unitaries averaging to w exactly.  Twirled
+projections thus commute with the representation to machine precision,
+intertwiners of exact homomorphisms intertwine exactly, and lifts sit
+exactly in the commutant.
 """
 
 from __future__ import annotations
@@ -159,13 +160,17 @@ def exact_diagonal(A: FDAlgebra | ConcreteAlgebra) -> AveragingSet:
     """Averaging family of A whose tensor average is exactly the canonical
     separability element.
 
-    With r blocks, L = lcm(n_k^2) and omega = exp(2 pi i / r), the terms are
-    u_{c,t} = (+)_k omega^{ck} W_k(t mod n_k^2) for c in Z_r and t in Z_L, all
-    with weight 1/(rL), where W_k(a) is the a-th shift-and-phase unitary of
-    block k.  The phase sum over c cancels every cross-block term of
-    sum u (x) u*; inside block k, t mod n_k^2 runs L/n_k^2 times over the
-    HS-orthogonal basis W_k, which averages to (1/n_k) times the flip, the
-    block's canonical element.  So r * lcm(n_k^2) terms are exact.
+    With r blocks, L = lcm(n_k^2) and omega = exp(2 pi i / r), cut [0, L) at
+    every multiple of L / n_k^2 for every k.  Each interval [s, e) and c in
+    Z_r give the term u_{c,s} = (+)_k omega^{ck} W_k(floor(s n_k^2 / L)) of
+    weight (e - s) / (rL), where W_k(a) is the a-th shift-and-phase unitary
+    of block k: the comonotone coupling of the uniform laws on the Z_{n_k^2}.
+    The phase sum over c cancels every cross-block term of sum u (x) u*;
+    inside block k every index a carries weight 1/n_k^2, so the block
+    averages the HS-orthogonal basis W_k to (1/n_k) times the flip, its
+    canonical element.  So at most r (sum n_k^2 - r + 1) terms are exact;
+    where every n_k^2 is 1 or L they are the r L terms of weight 1/(rL)
+    u_{c,t} = (+)_k omega^{ck} W_k(t mod n_k^2), t in Z_L.
     """
     if isinstance(A, ConcreteAlgebra):
         struct = A.structure()
@@ -174,17 +179,18 @@ def exact_diagonal(A: FDAlgebra | ConcreteAlgebra) -> AveragingSet:
         block_sizes, units, unit = tuple(A.block_sizes), A.units(), A.unit()
     r = len(block_sizes)
     L = math.lcm(*(n * n for n in block_sizes))
+    cuts = np.array(sorted({a * L // (n * n) for n in block_sizes for a in range(n * n)} | {L}))
+    start = cuts[:-1]
     c = np.arange(r)[:, None, None]
-    t = np.arange(L)
-    # coefficient of the unit e_ij of block k in the term (c, t)
+    # coefficient of the unit e_ij of block k in the term (c, s)
     coeffs = np.concatenate(
         [np.exp(2j * np.pi * (c * k % r) / r)
-         * np.array(weyl_unitaries(n)).reshape(n * n, n * n)[t % (n * n)]
-         for k, n in enumerate(block_sizes)], axis=2).reshape(r * L, -1)
+         * np.array(weyl_unitaries(n)).reshape(n * n, n * n)[start * (n * n) // L]
+         for k, n in enumerate(block_sizes)], axis=2).reshape(r * len(start), -1)
     m = units.shape[-1]
-    terms = (coeffs @ units.reshape(len(units), m * m)).reshape(r * L, m, m)
-    return AveragingSet(weights=np.full(r * L, 1.0 / (r * L)), terms=terms,
-                        unit=np.asarray(unit, dtype=complex),
+    terms = (coeffs @ units.reshape(len(units), m * m)).reshape(-1, m, m)
+    weights = np.tile(np.diff(cuts) / (r * L), r)
+    return AveragingSet(weights=weights, terms=terms, unit=np.asarray(unit, dtype=complex),
                         block_sizes=block_sizes, units=units)
 
 
@@ -274,8 +280,9 @@ def improve_multiplicativity(phi: LinMap, gamma: float | None = None,
     """Repair a nearly multiplicative cpc map into an exact homomorphism.
 
     Given cpc phi: A -> M_K with multiplicativity defect gamma on the unit
-    ball, produces a *-homomorphism psi with ||phi - psi|| <= 8 sqrt(2)
-    gamma^{1/2} on the unit ball (paper track requires gamma <= 1/17).
+    ball (by default ``hom_defect(phi)``, its defect at the matrix units, an
+    estimate from below), produces a *-homomorphism psi with ||phi - psi|| <=
+    8 sqrt(2) gamma^{1/2} on the unit ball (paper track: gamma <= 1/17).
 
     Construction: extend to a ucp map on the unitized domain, dilate, twirl
     the compression projection p over the represented matrix units (the twirl
@@ -290,7 +297,7 @@ def improve_multiplicativity(phi: LinMap, gamma: float | None = None,
             f"repair requires a cpc map (||phi(1)|| = {cls.norm_of_unit:.6g}, "
             f"choi min eig {cls.choi_min_eig:.2e})")
     if gamma is None:
-        gamma = hom_defect(abstract, seed=seed)
+        gamma = hom_defect(abstract)
     budget.require_window("multiplicativity-repair", gamma, WINDOW_DEFECT_REPAIR)
     root = float(np.sqrt(max(gamma, 0.0)))
 
@@ -348,13 +355,10 @@ def improve_multiplicativity(phi: LinMap, gamma: float | None = None,
         ceiling=8.0 * np.sqrt(2.0) * root, achieved=float(dist),
         slack=TOL_ALG, provenance=provenance_stamp(seed))
 
-    # 8 pairs: 16 sampled contractions, as the certificate says
-    new_defect = hom_defect(psi_abs, seed=seed + 2, n_pairs=8)
     cert_mult = Certificate.build(
         name="repaired-multiplicativity",
-        formula="psi is a *-homomorphism: defect <= tol_alg",
-        inputs={"n_samples": 16},
-        ceiling=TOL_ALG, achieved=float(new_defect),
+        formula="psi is a *-homomorphism: matrix-unit relation residual <= tol_alg",
+        inputs={}, ceiling=TOL_ALG, achieved=hom_defect(psi_abs),
         provenance=provenance_stamp(seed))
 
     if model is not None:
@@ -416,8 +420,8 @@ def intertwining_unitary(phi1: LinMap, phi2: LinMap,
     intertwiner s = sum_t lambda_t phi1~(u_t*) phi2~(u_t) satisfies
     phi1(x) s = s phi2(x) exactly, and the polar part u of s is a unitary
     with ||u - 1|| <= 2 sqrt(2) gamma + 5 sqrt(2) delta, where delta bounds
-    the multiplicativity defects.  The conjugation residual is certified
-    against the measured chain bound
+    the multiplicativity defects (by default their ``hom_defect``).  The
+    conjugation residual is certified against the measured chain bound
     (||phi1(x) s - s phi2(x)|| + ||[|s|, phi2(x)]||) * |||s|^{-1}||.
     """
     a1, a2, _ = _paired_block_maps(phi1, phi2)
@@ -425,8 +429,7 @@ def intertwining_unitary(phi1: LinMap, phi2: LinMap,
     if a1.codomain_dim != a2.codomain_dim:
         raise ValueError("codomain mismatch")
     if delta is None:
-        delta = max(hom_defect(a1, seed=seed),
-                    hom_defect(a2, seed=seed) if a2 is not a1 else 0.0)
+        delta = max(hom_defect(a1), hom_defect(a2) if a2 is not a1 else 0.0)
     if gamma is None:
         spec = SampleSpec(seed=seed, n_selfadjoint=16, n_unitary=0, include_basis=False)
         X = sample_unit_ball(fd, spec)

@@ -16,11 +16,9 @@ eigenvectors reshaped, the Stinespring isometry stacks those, and the
 order-zero fit (``orderzero.order_zero_projection``) rounds the Choi blocks
 and reads the images back by the inverse reshape.
 
-A map is tested for being a homomorphism in one of two ways.  Exactly, on
-the images of the matrix units: ``FDAlgebra.relation_residual``.  Or by
-sampling, on any domain: ``hom_defect`` evaluates the multiplicativity and
-adjoint defects at points drawn by ``geometry.sample_unit_ball``, the one
-unit-ball sampler.
+A map is tested for being a homomorphism one way: ``hom_defect`` reads
+``FDAlgebra.relation_residual`` on its images of the domain's matrix units,
+on a block or a concrete domain alike.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ import numpy as np
 
 from .algebra import BlockModel, ConcreteAlgebra, FDAlgebra, _combine
 from .certs import TOL_ALG, TOL_PSD, Certificate, provenance_stamp, require_finite
-from .geometry import SampleSpec, sample_unit_ball
 from .linalg import (dagger, herm, hs_norm, opnorm, opnorm_max, opnorm_max_of, opnorms,
                      psd_part, random_hermitian)
 
@@ -352,24 +349,15 @@ def _mult_defects(phi: LinMap, X) -> np.ndarray:
     return defects.reshape((-1,) + defects.shape[2:])
 
 
-def hom_defect(phi: LinMap, seed: int = 0, n_pairs: int = 16) -> float:
-    """Sampled homomorphism defect of phi, on a block or a concrete domain:
-    the largest of ||phi(y)phi(y*) - phi(yy*)|| over the operator-normalised
-    basis and its adjoints, ||phi(y)^2 - phi(y^2)|| over 2 n_pairs
-    self-adjoint contractions (each its own adjoint, so entered once),
-    ||phi(b*) - phi(b)*|| over that basis, and ||phi(xy) - phi(x)phi(y)||
-    over consecutive pairs (x, y) of the contractions.  The points come from
-    ``sample_unit_ball`` with this seed; the value is a sampled estimate of
-    the supremum, not a bound."""
-    spec = SampleSpec(seed=seed, n_selfadjoint=2 * n_pairs, n_unitary=0)
-    X = sample_unit_ball(phi.domain, spec)
-    basis, sa = X[:len(X) - 2 * n_pairs], X[len(X) - 2 * n_pairs:]
-    x, y = sa[0::2], sa[1::2]
-    phi_sa = phi(sa)
-    return float(max(opnorm_max(_mult_defects(phi, basis)),
-                     opnorm_max(phi_sa @ phi_sa - phi(sa @ sa)),
-                     opnorm_max(phi(dagger(basis)) - dagger(phi(basis))),
-                     opnorm_max(phi(x @ y) - phi_sa[0::2] @ phi_sa[1::2])))
+def hom_defect(phi: LinMap) -> float:
+    """Homomorphism defect of phi, on a block or a concrete domain: the
+    generating matrix-unit relation residual (``FDAlgebra.relation_residual``)
+    of its images of the domain's matrix units, through ``to_block_model``.
+    Zero exactly when phi is a *-homomorphism.  Otherwise it is phi's defect
+    at those units, a deterministic lower estimate of the unit-ball defect,
+    not a bound."""
+    work = phi.to_block_model()[0]
+    return work.domain.relation_residual(work.images)
 
 
 def check_stinespring_inequality(phi: LinMap, x: np.ndarray,

@@ -28,8 +28,9 @@ elements, random self-adjoint contractions, random unitaries), so the
 reported gamma_hi is an honest sampled estimate with stored witnesses, not a
 proof of the supremum.  ``sample_unit_ball`` draws those points on a concrete
 or a block algebra as one (S, N, N) stack, and it is the only unit-ball
-sampler: the sampled defect checks of ``cpmaps`` and ``averaging`` take their
-points from it too.  A witness names its sample by its index in that stack.
+sampler: the sampled checks of ``averaging`` (the repair's distance and the
+intertwiner's gamma probe) take their points from it too.  A witness names
+its sample by its index in that stack.
 """
 
 from __future__ import annotations

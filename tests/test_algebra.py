@@ -264,7 +264,8 @@ def test_relation_residual_closed_form(t, rotate):
 
 
 def _relation_residual_by_rows(fd, E):
-    # the residual with E_il added at [j, (k, j, l)] one j at a time
+    # the all-pairs residual: ||E_ji - E_ij*|| and ||delta_jk E_il - E_ij E_kl||
+    # over every pair of units of all blocks, E_il added one j at a time
     worst, base = 0.0, 0
     for n in fd.block_sizes:
         block = E[base:base + n * n].reshape((n, n) + E.shape[1:])
@@ -278,16 +279,41 @@ def _relation_residual_by_rows(fd, E):
     return float(worst)
 
 
+def _assert_generators_bound_every_pair(fd, E):
+    # the generating relations are some of the pairs, and with r1 = E_ij E_jj
+    # - E_ij, r2 = E_kk E_kl - E_kl they bound every other product by
+    # (M^2 + 2M) eps + 3 eps^2
+    eps, oracle = fd.relation_residual(E), _relation_residual_by_rows(fd, E)
+    M = float(np.linalg.norm(E, ord=2, axis=(-2, -1)).max())
+    assert eps <= oracle <= (M * M + 2.0 * M) * eps + 3.0 * eps * eps + 1e-13
+    return eps, oracle
+
+
 @pytest.mark.parametrize("sizes", [(1,), (3, 1), (2, 2, 1), (4,)])
-def test_relation_residual_equals_the_per_row_loop(sizes):
-    # noisy rotated matrix units: one indexed add per row gives the sums of
-    # the per-j loop bit for bit
+def test_relation_residual_bounds_every_pair_through_the_generators(sizes):
+    # noisy rotated matrix units: the generating residual is at most the
+    # all-pairs oracle and bounds it through the implication
     fd = FDAlgebra(sizes)
     rng = rng_for(45, "units", *sizes)
     w = random_unitary(rng, fd.d + 1)
     E = np.pad(fd.units(), ((0, 0), (0, 1), (0, 1)))
     E = w @ (E + 1e-3 * random_complex(rng, fd.d + 1)) @ dagger(w)
-    assert fd.relation_residual(E) == _relation_residual_by_rows(fd, E) > 1e-4
+    assert _assert_generators_bound_every_pair(fd, E)[0] > 1e-4
+
+
+def test_relation_residual_bounds_cross_block_products_through_the_diagonal():
+    # the unit of the one-dimensional summand of M_2 + C leans into the range
+    # of e_00: every cross-block product is off, and the generating relations
+    # see it only through e_00 e_22 and e_22 e_00
+    fd = FDAlgebra((2, 1))
+    E = np.pad(fd.units(), ((0, 0), (0, 1), (0, 1)))
+    v = np.array([np.sin(0.3), 0.0, 0.0, np.cos(0.3)])
+    E[4] = np.outer(v, v)
+    rng = rng_for(46, "units")
+    w = random_unitary(rng, 4)
+    E = w @ (E + 1e-4 * random_complex(rng, 4)) @ dagger(w)
+    eps, oracle = _assert_generators_bound_every_pair(fd, E)
+    assert eps > 0.25 and oracle > eps
 
 
 def test_relation_residual_counts_cross_block_products():

@@ -58,12 +58,16 @@ def test_weyl_unitaries_orthogonal_basis():
                 assert abs(hs_inner(u, v)) < 1e-12
 
 
-@pytest.mark.parametrize("sizes", PROFILES)
+@pytest.mark.parametrize("sizes", PROFILES + [(3, 2), (3, 2, 1), (7, 5, 3)])
 def test_exact_diagonal_verifies(sizes):
     fd = FDAlgebra(sizes)
     avg = exact_diagonal(fd)
-    # r phases times lcm(n_k^2) Weyl shifts
-    assert len(avg) == len(sizes) * math.lcm(*(n * n for n in sizes))
+    # r phases times the intervals between the distinct multiples of
+    # L / n_k^2 in [0, L), L = lcm(n_k^2)
+    L = math.lcm(*(n * n for n in sizes))
+    cuts = {a * L // (n * n) for n in sizes for a in range(n * n)}
+    assert len(avg) == len(sizes) * len(cuts) <= len(sizes) * (sum(n * n for n in sizes)
+                                                               - len(sizes) + 1)
     cert = avg.verify()
     assert cert.verdict == "pass"
 

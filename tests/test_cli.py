@@ -48,6 +48,15 @@ def test_dist_pipeline_json_output(tmp_path):
     assert data["ok"] is True
 
 
+def test_iso_at_eps_zero_meets_its_zero_drift_ceilings(tmp_path):
+    # B = A: nu = 0, so every per-stage drift ceiling is 0.0, and the zero
+    # drifts meet them
+    out = tmp_path / "report.json"
+    assert main(["iso", "--eps", "0", "--format", "json", "--out", str(out)]) == 0
+    drift = json.loads(out.read_text())["certificates"]["drift"]
+    assert drift["verdict"] == "pass" and drift["achieved"] == 0.0
+
+
 def test_pipeline_accepts_saved_instance(tmp_path):
     inst_path = tmp_path / "inst.json"
     rep_path = tmp_path / "report.json"

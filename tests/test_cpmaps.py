@@ -27,7 +27,6 @@ from cstarlab.cpmaps import (
     stinespring,
     ucp_extension,
 )
-from cstarlab.geometry import SampleSpec, sample_unit_ball
 from cstarlab.instances import block_algebra, gen_instance
 from cstarlab.linalg import herm, opnorm_max, random_complex, random_unitary, rng_for
 
@@ -288,44 +287,34 @@ def test_mult_defect_zero_for_hom():
 @pytest.mark.parametrize("t", [0.3, 0.9])
 @pytest.mark.parametrize("domain", ["block (2,1)", "concrete (2,1)/4"])
 def test_hom_defect_of_a_scaled_identity(domain, t):
-    # phi = t id: phi(y)phi(y*) - phi(yy*) = (t^2 - t) yy*, of norm t(1 - t)
-    # on the normalised basis and at most that on contractions; the pair
-    # terms are t(1 - t) ||xy|| <= t(1 - t) and the adjoint terms vanish
+    # phi = t id: E_ij E_jl - E_il goes to (t^2 - t) e_il, of norm t(1 - t);
+    # the adjoint terms and the products of distinct diagonal units vanish
     if domain.startswith("block"):
         fd = FDAlgebra((2, 1))
         phi = LinMap(fd, fd.d, t * fd.units())
     else:
         A = block_algebra((2, 1), 4)
         phi = LinMap(A, 4, t * np.array(A.basis))
-    assert abs(hom_defect(phi, seed=3) - t * (1.0 - t)) <= 1e-14
+    assert abs(hom_defect(phi) - t * (1.0 - t)) <= 1e-14
 
 
-@pytest.mark.parametrize("domain", ["block (2,1)", "concrete (2,1)/4"])
-def test_hom_defect_is_the_largest_term_over_its_samples(domain):
-    # the three terms over the points sample_unit_ball draws, one opnorm at a
-    # time: yy* over the normalised basis and the 2 n self-adjoint
-    # contractions, the adjoint on the basis, and the consecutive pairs
-    if domain.startswith("block"):
-        fd = FDAlgebra((2, 1))
-        phi = perturb_choi(random_ucp(fd, 4, seed=21), 0.05, rng_for(21, "noise"))
-        dom = fd
-    else:
-        A = block_algebra((2, 1), 4).conjugated(random_unitary(rng_for(22, "test-u"), 4))
-        dom = A
-        phi = LinMap(A, 4, np.array(A.basis) + 0.05 * herm(np.array(
-            [random_complex(rng_for(22, "noise", i), 4) for i in range(A.dim)])))
-    n = 5
-    points = sample_unit_ball(dom, SampleSpec(seed=9, n_selfadjoint=2 * n, n_unitary=0))
-    basis, sa = points[:-2 * n], points[-2 * n:]
-    square = [opnorm(phi(y) @ phi(dagger(y)) - phi(y @ dagger(y)))
-              for x in points for y in (x, dagger(x))]
-    adjoint = [opnorm(phi(dagger(b)) - dagger(phi(b))) for b in basis]
-    pairs = [opnorm(phi(x @ y) - phi(x) @ phi(y)) for x, y in zip(sa[0::2], sa[1::2])]
-    got = hom_defect(phi, seed=9, n_pairs=n)
-    assert abs(got - max(square + adjoint + pairs)) <= 1e-14
-    # the sampled yy* terms set the maximum here, clear of the other terms
-    rest = max(square[:2 * len(basis)] + adjoint + pairs)
-    assert abs(max(square[2 * len(basis):]) - got) <= 1e-14 and got > 1.1 * rest
+def test_hom_defect_is_the_relation_residual_of_the_block_model_images():
+    # on a concrete domain: phi's images of the Wedderburn matrix units, read
+    # by the relation residual of the block model
+    A = block_algebra((2, 1), 4).conjugated(random_unitary(rng_for(22, "test-u"), 4))
+    phi = LinMap(A, 4, np.array(A.basis) + 0.05 * herm(np.array(
+        [random_complex(rng_for(22, "noise", i), 4) for i in range(A.dim)])))
+    st = A.structure()
+    expected = st.fd_model().relation_residual(phi(st.matrix_units))
+    assert hom_defect(phi) == expected > 1e-2
+
+
+def test_hom_defect_of_the_transpose_on_m2_is_one():
+    # e_01 e_10 = e_00 goes to e_10 e_01 = e_11, which misses e_00 by 1; the
+    # transpose keeps the adjoint relations and the diagonal units' products
+    fd = FDAlgebra((2,))
+    phi = LinMap(fd, 2, fd.units().swapaxes(1, 2))
+    assert hom_defect(phi) == 1.0
 
 
 # ---------------------------------------------------------------------------

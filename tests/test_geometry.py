@@ -590,7 +590,7 @@ def test_sample_unit_ball_on_a_block_algebra():
 
 @pytest.mark.parametrize("concrete", [True, False])
 def test_sample_unit_ball_without_unitaries_exponentiates_nothing(concrete, monkeypatch):
-    # n_unitary = 0 (hom_defect, the gamma probe of intertwining_unitary)
+    # n_unitary = 0 (the gamma probe of intertwining_unitary)
     # calls no expm_i, and the points are those of the per-sample loop
     from cstarlab import algebra
     calls, expm_i = [], algebra.expm_i

@@ -286,7 +286,7 @@ def test_expectation_producer_is_repaired_once_per_run(monkeypatch):
 
 def test_a_kept_theta_keeps_its_sampled_defect(monkeypatch):
     # a stage that keeps theta takes the previous row's theta_defect and
-    # samples the defect of no map: one hom_defect call less per reuse stage
+    # measures the defect of no map: one hom_defect call less per reuse stage
     # than a run that repairs every stage
     calls, real = [], intertwine.hom_defect
     monkeypatch.setattr(intertwine, "hom_defect",
@@ -302,7 +302,7 @@ def test_a_kept_theta_keeps_its_sampled_defect(monkeypatch):
     for prev, row in zip(kept.trace, kept.trace[1:]):
         assert row.repaired or row.theta_defect == prev.theta_defect
     assert kept_calls == len(calls) - len(reuse)
-    # the kept defect is the one a new sample of the same map gives
+    # the kept defect is the one a new measurement of the same map gives
     assert [r.theta_defect for r in kept.trace] == [r.theta_defect for r in redone.trace]
 
 
