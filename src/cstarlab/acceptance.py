@@ -303,7 +303,7 @@ def criterion_7() -> CriterionResult:
             inst = gen_instance("conjugation",
                                 {"algebra": alg, "ambient": 4, "eps": eps},
                                 seed=s)
-            u, cert = implement_unitarily(conjugation_iso(inst), seed=s)
+            u, cert = implement_unitarily(conjugation_iso(inst))
             runs += 1
             worst_conj = max(worst_conj, cert.achieved)
             worst_sub = max(worst_sub, cert.details["subspace_residual"])

@@ -345,8 +345,9 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
         ceiling=float(bound_nu), achieved=float(max(margins)),
         details={"action_sigma_min": sigma_min},
         provenance=provenance_stamp(seed))
-    # at nu = 0 (gamma = 0) a zero drift meets its zero ceiling
-    drift_ratio = max((r.drift / r.drift_ceiling if r.drift or r.drift_ceiling else 0.0
+    # at nu = 0 every ceiling is 0: a zero drift meets it, any other fails it
+    drift_ratio = max((r.drift / r.drift_ceiling if r.drift_ceiling
+                       else np.inf if r.drift else 0.0
                        for r in trace if r.stage >= 2), default=0.0)
     cert_drift = Certificate.build(
         name="drift-telescoping",
@@ -554,8 +555,7 @@ def half_flip_cpc(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma: float,
 # unitary implementation
 # ---------------------------------------------------------------------------
 
-def implement_unitarily(theta: LinMap, seed: int = 0,
-                        budget: ToleranceBudget = DEFAULT_BUDGET
+def implement_unitarily(theta: LinMap, budget: ToleranceBudget = DEFAULT_BUDGET
                         ) -> tuple[np.ndarray, Certificate]:
     """Unitary u with u x u* = theta(x) for all x in the domain, so the
     domain algebra is carried onto its image as a subspace.
@@ -580,7 +580,7 @@ def implement_unitarily(theta: LinMap, seed: int = 0,
     gamma_basis = theta.basis_distance(inclusion)
     try:
         res = intertwining_unitary(theta, inclusion, gamma=gamma_basis,
-                                   delta=defect, seed=seed, budget=budget)
+                                   delta=defect, budget=budget)
     except SpectralGapError as exc:
         sizes = A.structure().block_sizes
         raise SpectralGapError(
@@ -604,7 +604,7 @@ def implement_unitarily(theta: LinMap, seed: int = 0,
                  "unitary_defect": float(unitary_defect),
                  "subspace_residual": float(subspace),
                  "subspace_ceiling": 10.0 * TOL_ALG},
-        provenance=provenance_stamp(seed))
+        provenance=provenance_stamp())
     return u, cert
 
 

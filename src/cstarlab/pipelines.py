@@ -120,7 +120,7 @@ def run_pipeline(instance: Instance, pipeline: str,
             res = close_isomorphism(A, B, gamma, seed=seed, budget=budget)
             certs.update(res.certificates)
             theta = res.map
-        u, cert = implement_unitarily(theta, seed=seed, budget=budget)
+        u, cert = implement_unitarily(theta, budget=budget)
         certs["unitary-implementation"] = cert
         notes["u_norm"] = float(opnorm(u - np.eye(A.ambient_dim)))
         return Report(pipeline=pipeline, seed=seed, recipe=instance.recipe,

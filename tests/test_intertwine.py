@@ -429,6 +429,26 @@ def test_a_changing_map_is_repaired_at_every_stage(monkeypatch):
                       "intertwining_unitary": len(res.trace) - 1}
 
 
+def test_a_rounding_drift_fails_a_zero_drift_ceiling():
+    # at mu = 0 (nu = 0) every drift ceiling is 0.0; a producer that changes
+    # by one ulp a stage leaves drifts at rounding level, which fail the
+    # drift certificate instead of dividing by zero
+    A = block_algebra((2, 1), 4)
+    inner = intertwine.expectation_producer(A, A)
+    stages = []
+
+    def drifting(Z):
+        stages.append(len(stages) + 1)
+        return LinMap(A, A.ambient_dim, inner(Z).images * (1.0 - 2.0 ** -52 * stages[-1]),
+                      codomain_algebra=A)
+
+    res = intertwine.intertwining_iso(A, A, 0.0, mu=0.0, producer=drifting)
+    drifts = [r.drift for r in res.trace[1:]]
+    assert all(r.drift_ceiling == 0.0 for r in res.trace) and 0.0 < max(drifts) < 1e-13
+    cert = res.certificates["drift"]
+    assert cert.verdict == "fail" and cert.achieved == np.inf
+
+
 # ---------------------------------------------------------------------------
 # the tracked sets, against whole-set evaluations
 # ---------------------------------------------------------------------------
@@ -659,7 +679,7 @@ def test_implement_unitarily_conjugates_exactly():
     A, B, u0 = conjugated_pair((2, 1), 3, 1e-5, 13)
     gamma = 2.0 * opnorm(u0 - np.eye(3))
     alpha = close_isomorphism(A, B, gamma, seed=13)
-    u, cert = implement_unitarily(alpha.map, seed=13)
+    u, cert = implement_unitarily(alpha.map)
     assert cert.verdict == "pass"
     assert opnorm(dagger(u) @ u - np.eye(3)) < 1e-10
     for b in A.basis:
