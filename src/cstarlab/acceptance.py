@@ -196,7 +196,7 @@ def criterion_4() -> CriterionResult:
         profile = profiles[s % len(profiles)]
         eps = float(rng.uniform(1e-4, 1e-3))
         phi = _noisy_cpc_hom(profile, sum(profile) + 1, eps, rng)
-        repair = improve_multiplicativity(phi, seed=s)
+        repair = improve_multiplicativity(phi)
         worst_gamma = max(worst_gamma, repair.gamma)
         worst_defect = max(worst_defect,
                            repair.certificates["multiplicativity"].achieved)
@@ -230,7 +230,7 @@ def criterion_5() -> CriterionResult:
         profile = profiles[s % len(profiles)]
         phi1, phi2 = _conjugated_hom_pair(profile, sum(profile) + 1,
                                           float(rng.uniform(1e-3, 4e-2)), rng)
-        res = intertwining_unitary(phi1, phi2, seed=s)
+        res = intertwining_unitary(phi1, phi2)
         conj = max(opnorm(res.u @ b @ dagger(res.u) - a)
                    for a, b in zip(phi1.images, phi2.images))
         worst_resid = max(worst_resid, conj)
@@ -246,7 +246,7 @@ def criterion_5() -> CriterionResult:
                                float(rng.uniform(1e-4, 1e-3)), rng)
         mix = 0.98 * np.asarray(phi1.images) + 0.02 * np.asarray(noisy.images)
         phi1n = LinMap(phi1.domain, phi1.codomain_dim, tuple(mix))
-        res = intertwining_unitary(phi1n, phi2, seed=s)
+        res = intertwining_unitary(phi1n, phi2)
         all_ok = all_ok and res.certificates["norm"].passed
     ok = all_ok and worst_resid <= 1e-10
     detail = (f"{seeds} exact + {seeds} approximate pairs, exact intertwining "
@@ -274,7 +274,7 @@ def criterion_6() -> CriterionResult:
             inst = gen_instance("conjugation",
                                 {"algebra": alg, "ambient": 4, "eps": eps},
                                 seed=s)
-            res = close_isomorphism(inst.A, inst.B, inst.dist_hint(), seed=s)
+            res = close_isomorphism(inst.A, inst.B, inst.dist_hint())
             runs += 1
             worst_drift = max(worst_drift, res.trace[-1].drift)
             worst_hom = max(worst_hom, res.certificates["homomorphism"].achieved)
@@ -367,7 +367,7 @@ def criterion_9() -> CriterionResult:
         X = inst.A.normalized_basis
         phi, cert_t = nucdim_cpc_transfer(inst.A, dec, X, inst.B, gamma)
         all_ok = all_ok and cert_t.passed and classify(phi).cpc
-        _, cert_e = near_embed_nucdim(inst.A, inst.B, gamma, dec, seed=s)
+        _, cert_e = near_embed_nucdim(inst.A, inst.B, gamma, dec)
         all_ok = all_ok and cert_e.passed
         runs += 1
     A, dec1, X1 = hat_decomposition(9, 2)
@@ -381,7 +381,7 @@ def criterion_9() -> CriterionResult:
         all_ok = all_ok and vc.passed
         phi, cert_t = nucdim_cpc_transfer(A, dec1, X1, B, gamma)
         all_ok = all_ok and cert_t.passed and classify(phi).cpc
-        _, cert_e = near_embed_nucdim(A, B, gamma, dec1, X=X1, seed=s)
+        _, cert_e = near_embed_nucdim(A, B, gamma, dec1, X=X1)
         all_ok = all_ok and cert_e.passed and cert_e.details["transfer_ok"]
         runs += 1
     detail = (f"{runs} runs across colors n = 0 and n = 1, transfer cpc and "

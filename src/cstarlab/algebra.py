@@ -144,12 +144,6 @@ class FDAlgebra:
                 for k, n in enumerate(self.block_sizes)
                 for i in range(n) for j in range(n)]
 
-    def matrix_unit(self, k: int, i: int, j: int) -> np.ndarray:
-        m = np.zeros((self.d, self.d), dtype=complex)
-        o = self.offsets[k]
-        m[o + i, o + j] = 1.0
-        return m
-
     def units(self) -> np.ndarray:
         """The matrix units as a (dim_linear, d, d) stack."""
         return self.from_coeffs(np.eye(self.dim_linear))
@@ -184,10 +178,6 @@ class FDAlgebra:
             x[..., o:o + n, o:o + n] = b
         return x
 
-    def pinch(self, x: np.ndarray) -> np.ndarray:
-        """Block-diagonal compression of an arbitrary d x d matrix."""
-        return self.embed_blocks(self.blocks_of(x))
-
     def corner_units(self, N: int) -> np.ndarray:
         """The matrix units placed in the upper-left d x d corner of M_N, as a
         (dim_linear, N, N) stack: the block embedding of the algebra into
@@ -209,15 +199,6 @@ class FDAlgebra:
             blocks.append(((re + 1j * im) / np.sqrt(2.0)).reshape(count, n, n))
             pos += 2 * m
         return self.embed_blocks(blocks)
-
-    def random_selfadjoints(self, rng, count: int) -> np.ndarray:
-        """Hermitian parts of ``random_elements(rng, count)``; the draw that
-        ``geometry.sample_unit_ball`` reads, as on a concrete algebra."""
-        return herm(self.random_elements(rng, count))
-
-    def unitary_from(self, h: np.ndarray) -> np.ndarray:
-        """exp(i h) for self-adjoint h in the algebra (or a stack)."""
-        return expm_i(h)
 
     def relation_residual(self, images: np.ndarray) -> float:
         """Worst residual eps of the generating matrix-unit relations on

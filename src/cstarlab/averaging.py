@@ -15,6 +15,11 @@ at most r (sum n_k^2 - r + 1) unitaries averaging to w exactly.  Twirled
 projections thus commute with the representation to machine precision,
 intertwiners of exact homomorphisms intertwine exactly, and lifts sit
 exactly in the commutant.
+
+The averaging layer draws no samples.  The two suprema over the unit ball
+that it certifies, the repair's ||phi - psi|| and the intertwiner's default
+gamma, are the upper end of ``cpmaps.cb_bracket`` of the difference map,
+rounded outward, so each is a proven upper bound (||.|| <= ||.||_cb).
 """
 
 from __future__ import annotations
@@ -28,8 +33,7 @@ from .algebra import ConcreteAlgebra, FDAlgebra
 from .certs import (TOL_ALG, TOL_CONV, TOL_EXACT, Certificate, SpectralGapError,
                     ToleranceBudget, DEFAULT_BUDGET, WINDOW_DEFECT_REPAIR,
                     WINDOW_INTERTWINE, provenance_stamp)
-from .cpmaps import LinMap, classify, hom_defect, stinespring, ucp_extension
-from .geometry import SampleSpec, sample_unit_ball
+from .cpmaps import LinMap, cb_bracket, classify, hom_defect, stinespring, ucp_extension
 from .linalg import (dagger, expm_i, herm, opnorm, opnorm_max, opnorms, polar_factor,
                      principal_log_unitary, psd_sqrt)
 
@@ -259,8 +263,8 @@ class RepairResult:
 
     psi is the repaired map on the original domain, exactly multiplicative up
     to floating point, with ||phi - psi|| <= 8 sqrt(2) gamma^{1/2} on the
-    unit ball.  certificates: defect (input), drift (twirled projection),
-    conjugator, distance (headline), multiplicativity (output defect).
+    unit ball.  certificates: drift (twirled projection), conjugator,
+    distance (headline), multiplicativity (output defect).
     """
 
     psi: LinMap
@@ -275,7 +279,6 @@ class RepairResult:
 
 
 def improve_multiplicativity(phi: LinMap, gamma: float | None = None,
-                             seed: int = 0,
                              budget: ToleranceBudget = DEFAULT_BUDGET) -> RepairResult:
     """Repair a nearly multiplicative cpc map into an exact homomorphism.
 
@@ -289,6 +292,10 @@ def improve_multiplicativity(phi: LinMap, gamma: float | None = None,
     p0 then commutes with the representation exactly and ||p0 - p|| <=
     2 gamma^{1/2}), cut at the spectral gap around 1/2, conjugate p onto the
     resulting commutant projection q, and compress the representation.
+
+    The ``multiplicativity-repair`` certificate's achieved value is the hi of
+    ``cb_bracket(phi - psi)``, a proven bound on sup ||phi(x) - psi(x)|| over
+    the unit ball; the bracket's lo is in its details as ``cb_lo``.
     """
     abstract, model = phi.to_block_model()
     cls = classify(abstract)
@@ -322,7 +329,7 @@ def improve_multiplicativity(phi: LinMap, gamma: float | None = None,
         inputs={"gamma": gamma},
         ceiling=2.0 * root, achieved=float(drift), slack=TOL_ALG,
         details={"commutant_residual": float(comm)},
-        provenance=provenance_stamp(seed))
+        provenance=provenance_stamp())
 
     vals, vecs = np.linalg.eigh(p0)
     lo, hi = GAP_WINDOW
@@ -345,21 +352,20 @@ def improve_multiplicativity(phi: LinMap, gamma: float | None = None,
     psi_abs = LinMap(fd0, abstract.codomain_dim, images,
                      codomain_algebra=abstract.codomain_algebra)
 
-    spec = SampleSpec(seed=seed + 1, n_selfadjoint=32, n_unitary=16)
-    samples = sample_unit_ball(fd0, spec)
-    dist = opnorm_max(abstract(samples) - psi_abs(samples))
+    # ||phi - psi|| <= ||phi - psi||_cb, so the bracket's hi bounds the sup
+    cb_lo, cb_hi = cb_bracket(abstract - psi_abs)
     cert_dist = Certificate.build(
         name="multiplicativity-repair",
         formula="sup_{||x||<=1} ||phi(x) - psi(x)|| <= 8 sqrt(2) gamma^{1/2}",
-        inputs={"gamma": gamma, "n_samples": len(samples)},
-        ceiling=8.0 * np.sqrt(2.0) * root, achieved=float(dist),
-        slack=TOL_ALG, provenance=provenance_stamp(seed))
+        inputs={"gamma": gamma},
+        ceiling=8.0 * np.sqrt(2.0) * root, achieved=cb_hi,
+        slack=TOL_ALG, details={"cb_lo": cb_lo}, provenance=provenance_stamp())
 
     cert_mult = Certificate.build(
         name="repaired-multiplicativity",
         formula="psi is a *-homomorphism: matrix-unit relation residual <= tol_alg",
         inputs={}, ceiling=TOL_ALG, achieved=hom_defect(psi_abs),
-        provenance=provenance_stamp(seed))
+        provenance=provenance_stamp())
 
     if model is not None:
         conc = phi.domain
@@ -412,7 +418,6 @@ class IntertwinerResult:
 def intertwining_unitary(phi1: LinMap, phi2: LinMap,
                          gamma: float | None = None,
                          delta: float | None = None,
-                         seed: int = 0,
                          budget: ToleranceBudget = DEFAULT_BUDGET) -> IntertwinerResult:
     """Unitary u close to 1 with u phi2(x) u* ~ phi1(x).
 
@@ -420,7 +425,9 @@ def intertwining_unitary(phi1: LinMap, phi2: LinMap,
     intertwiner s = sum_t lambda_t phi1~(u_t*) phi2~(u_t) satisfies
     phi1(x) s = s phi2(x) exactly, and the polar part u of s is a unitary
     with ||u - 1|| <= 2 sqrt(2) gamma + 5 sqrt(2) delta, where delta bounds
-    the multiplicativity defects (by default their ``hom_defect``).  The
+    the multiplicativity defects (by default their ``hom_defect``).  gamma
+    defaults to the hi of ``cb_bracket(phi1 - phi2)``, a proven bound on the
+    unit-ball distance (0.0 for a map paired with itself).  The
     conjugation residual is certified against the measured chain bound
     (||phi1(x) s - s phi2(x)|| + ||[|s|, phi2(x)]||) * |||s|^{-1}||.
     """
@@ -431,9 +438,7 @@ def intertwining_unitary(phi1: LinMap, phi2: LinMap,
     if delta is None:
         delta = max(hom_defect(a1), hom_defect(a2) if a2 is not a1 else 0.0)
     if gamma is None:
-        spec = SampleSpec(seed=seed, n_selfadjoint=16, n_unitary=0, include_basis=False)
-        X = sample_unit_ball(fd, spec)
-        gamma = max(a1.basis_distance(a2), opnorm_max(a1(X) - a2(X)))
+        gamma = cb_bracket(a1 - a2)[1]
     budget.require_window("intertwining", gamma, WINDOW_INTERTWINE)
 
     # extend against the ambient unit: the averaged s must be invertible on
@@ -456,7 +461,7 @@ def intertwining_unitary(phi1: LinMap, phi2: LinMap,
         formula="||u - 1|| <= 2 sqrt(2) gamma + 5 sqrt(2) delta",
         inputs={"gamma": gamma, "delta": delta},
         ceiling=float(ceiling_u), achieved=float(opnorm(u - np.eye(K))),
-        slack=TOL_ALG, provenance=provenance_stamp(seed))
+        slack=TOL_ALG, provenance=provenance_stamp())
 
     abs_s = psd_sqrt(dagger(s) @ s)
     inv_norm = float(1.0 / sing[-1])
@@ -471,7 +476,7 @@ def intertwining_unitary(phi1: LinMap, phi2: LinMap,
                 "(||phi1(x)s - s phi2(x)|| + ||[|s|, phi2(x)]||) * |||s|^{-1}||",
         inputs={"s_min": float(sing[-1])},
         ceiling=float(worst_chain), achieved=float(worst_res),
-        slack=TOL_ALG, provenance=provenance_stamp(seed))
+        slack=TOL_ALG, provenance=provenance_stamp())
     return IntertwinerResult(u=u, s=s, gamma=float(gamma), delta=float(delta),
                              certificates={"norm": cert_u, "residual": cert_res})
 

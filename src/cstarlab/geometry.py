@@ -27,10 +27,10 @@ without an iteration.  Suprema over the unit ball are sampled (basis
 elements, random self-adjoint contractions, random unitaries), so the
 reported gamma_hi is an honest sampled estimate with stored witnesses, not a
 proof of the supremum.  ``sample_unit_ball`` draws those points on a concrete
-or a block algebra as one (S, N, N) stack, and it is the only unit-ball
-sampler: the sampled checks of ``averaging`` (the repair's distance and the
-intertwiner's gamma probe) take their points from it too.  A witness names
-its sample by its index in that stack.
+algebra as one (S, N, N) stack, and it is the only unit-ball sampler; it
+serves the distance brackets only (the unit-ball suprema of ``averaging``
+are proven by ``cpmaps.cb_bracket`` instead).  A witness names its sample by
+its index in that stack.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import ConcreteAlgebra, FDAlgebra
+from .algebra import ConcreteAlgebra
 from .certs import TOL_ALG, Certificate, ContradictionError, provenance_stamp
 # opnorm has no caller here; it stays bound because perfbench's tracer test
 # reads geometry.opnorm to check that wrappers reach names a module rebinds
@@ -67,13 +67,12 @@ class SampleSpec:
     seed: int = 0
     n_selfadjoint: int = 64
     n_unitary: int = 64
-    include_basis: bool = True
     iters: int = 500
 
     def to_dict(self) -> dict:
         return {"kind": "sample_spec", "schema_version": 1, "seed": self.seed,
                 "n_selfadjoint": self.n_selfadjoint, "n_unitary": self.n_unitary,
-                "include_basis": self.include_basis, "iters": self.iters}
+                "iters": self.iters}
 
 
 @dataclass
@@ -107,12 +106,6 @@ class NearInclusionCert:
     def __post_init__(self):
         if self.gamma_lo > self.gamma_hi + 1e-12:
             raise ValueError("inconsistent bracket: gamma_lo > gamma_hi")
-
-    def recheck(self) -> float:
-        """Worst deviation between stored witness bounds and recomputation."""
-        ubs = [w.ub for w in self.witnesses]
-        dev = np.abs(opnorms(np.array([w.x - w.b for w in self.witnesses])) - ubs)
-        return float(dev.max(initial=0.0))
 
 
 @dataclass
@@ -359,23 +352,19 @@ def span_distance_lower(x: np.ndarray, span: ConcreteAlgebra | _TensorSpan
 # sampling
 # ---------------------------------------------------------------------------
 
-def sample_unit_ball(A: ConcreteAlgebra | FDAlgebra, spec: SampleSpec) -> np.ndarray:
-    """Deterministic sample of the unit ball of A, a concrete or a block
-    algebra, as one (S, N, N) stack in this order: the dim operator-normalised
-    basis elements (the matrix units of a block algebra) when
-    spec.include_basis, spec.n_selfadjoint random self-adjoint contractions
-    (spectral clipping), and spec.n_unitary random unitaries exp(i h) of A
-    (relative to its support), exponentiated only when there are any."""
-    concrete = isinstance(A, ConcreteAlgebra)
-    key = (A.ambient_dim, A.dim) if concrete else (A.d, A.dim_linear)
+def sample_unit_ball(A: ConcreteAlgebra, spec: SampleSpec) -> np.ndarray:
+    """Deterministic sample of the unit ball of a concrete algebra A, the
+    points of the sampled distance brackets (``near_inclusion``), as one
+    (S, N, N) stack in this order: the dim operator-normalised basis
+    elements, spec.n_selfadjoint random self-adjoint contractions (spectral
+    clipping), and spec.n_unitary random unitaries exp(i h) of A (relative to
+    its support), exponentiated only when there are any."""
     # one draw, in stream order the self-adjoint samples and then the
     # generators of the unitaries
-    h = A.random_selfadjoints(rng_for(spec.seed, "unit-ball", *key),
+    h = A.random_selfadjoints(rng_for(spec.seed, "unit-ball", A.ambient_dim, A.dim),
                               spec.n_selfadjoint + spec.n_unitary)
     sa, h = h[:spec.n_selfadjoint], h[spec.n_selfadjoint:]
-    parts = [clip_spectrum(sa, -1.0, 1.0)]
-    if spec.include_basis:  # the matrix units of a block algebra have norm one
-        parts.insert(0, A.normalized_basis if concrete else A.units())
+    parts = [A.normalized_basis, clip_spectrum(sa, -1.0, 1.0)]
     if spec.n_unitary:
         nrm = opnorms(h)[:, None, None]
         parts.append(A.unitary_from(np.pi * 0.5 * (h / np.where(nrm > 1e-14, nrm, 1.0))))

@@ -183,7 +183,7 @@ _MAX_STAGES = 12
 
 def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
                      X_A=None, mu: float = 1e-4, producer=None,
-                     surjectivity_delta: float | None = None, seed: int = 0,
+                     surjectivity_delta: float | None = None,
                      budget: ToleranceBudget = DEFAULT_BUDGET) -> IsoResult:
     """Staged construction of an injective *-homomorphism alpha: A -> B with
     ||alpha(x) - x|| <= 8 sqrt(6) eta^{1/2} + eta + mu for x in X_A.
@@ -275,8 +275,7 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
             budget.require_window("multiplicativity-repair", gamma_repair, WINDOW_DEFECT_REPAIR)
             theta_defect, residual = trace[-1].theta_defect, trace[-1].image_residual
         else:
-            theta_raw = improve_multiplicativity(phi, gamma=gamma_repair,
-                                                 seed=seed + n, budget=budget).psi
+            theta_raw = improve_multiplicativity(phi, gamma=gamma_repair, budget=budget).psi
             theta = LinMap(A, A.ambient_dim, B.project(theta_raw.images),
                            codomain_algebra=B)
             theta_defect = hom_defect(theta)
@@ -284,7 +283,7 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
             if theta_prev is None:
                 alpha = theta
             else:
-                u = intertwining_unitary(theta_prev, theta, seed=seed + n, budget=budget).u
+                u = intertwining_unitary(theta_prev, theta, budget=budget).u
                 u_norm = float(opnorm(u - np.eye(A.ambient_dim)))
                 aligned = theta.conjugated(u)
                 drift = opnorm_max_of(lambda b: aligned(b) - theta_prev(b), X)
@@ -322,17 +321,17 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
         formula="||alpha(x) - x|| <= 8 sqrt(6) eta^{1/2} + eta + mu on X_A",
         inputs={"eta": eta, "mu": mu, "n_points": len(X_close)},
         ceiling=float(bound_main), achieved=float(achieved),
-        provenance=provenance_stamp(seed))
+        provenance=provenance_stamp())
     cert_hom = Certificate.build(
         name="homomorphism",
         formula="matrix-unit relation residual <= tol_alg",
         inputs={}, ceiling=TOL_ALG, achieved=hom_defect(alpha),
-        provenance=provenance_stamp(seed))
+        provenance=provenance_stamp())
     cert_member = Certificate.build(
         name="image-membership",
         formula="relative HS residual of images in span(B) <= tol_alg before snapping",
         inputs={}, ceiling=TOL_ALG, achieved=float(worst_membership),
-        provenance=provenance_stamp(seed))
+        provenance=provenance_stamp())
 
     action = B.coeffs(alpha.images).T
     svals = np.linalg.svd(action, compute_uv=False)
@@ -344,7 +343,7 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
         inputs={"eta": eta, "nu": nu},
         ceiling=float(bound_nu), achieved=float(max(margins)),
         details={"action_sigma_min": sigma_min},
-        provenance=provenance_stamp(seed))
+        provenance=provenance_stamp())
     # at nu = 0 every ceiling is 0: a zero drift meets it, any other fails it
     drift_ratio = max((r.drift / r.drift_ceiling if r.drift_ceiling
                        else np.inf if r.drift else 0.0
@@ -353,7 +352,7 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
         name="drift-telescoping",
         formula="||alpha_{n+1}(x) - alpha_n(x)|| <= 2^{-n} nu per stage",
         inputs={"nu": nu}, ceiling=1.0, achieved=float(drift_ratio),
-        provenance=provenance_stamp(seed))
+        provenance=provenance_stamp())
     certs = {"closeness": cert_close, "homomorphism": cert_hom,
              "image-membership": cert_member, "injectivity": cert_inj,
              "drift": cert_drift}
@@ -376,7 +375,7 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
             ceiling=0.0, achieved=0.0 if surjective else 1.0,
             details={"density_margin": float(margin), "pullback_worst": float(pull_worst),
                      "tracking_ok": bool(tracking_ok)},
-            provenance=provenance_stamp(seed))
+            provenance=provenance_stamp())
 
     return IsoResult(map=alpha, inverse=inverse, conjugators=conjugators,
                      trace=trace, certificates=certs, eta=float(eta),
@@ -389,8 +388,7 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
 # ---------------------------------------------------------------------------
 
 def close_isomorphism(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma: float,
-                      X=None, seed: int = 0,
-                      budget: ToleranceBudget = DEFAULT_BUDGET) -> IsoResult:
+                      X=None, budget: ToleranceBudget = DEFAULT_BUDGET) -> IsoResult:
     """Surjective *-isomorphism theta: A -> B from a two-sided distance bound
     d(A, B) <= gamma, with ||theta(x) - x|| and ||theta^{-1}(y) - y|| at most
     28 gamma^{1/2} for x in X and A's basis and for y in B's basis.
@@ -410,7 +408,7 @@ def close_isomorphism(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma: float,
     X = [np.asarray(x, dtype=complex) for x in ([] if X is None else X)]
     res = intertwining_iso(A, B, eta=2.0 * gamma, X_A=X + list(A.normalized_basis),
                            mu=min(np.sqrt(gamma), 1.0 / 4000.0),
-                           surjectivity_delta=gamma, seed=seed, budget=budget)
+                           surjectivity_delta=gamma, budget=budget)
     theta, close = res.map, res.certificates["closeness"]
     ceiling = 28.0 * np.sqrt(gamma)
     res.certificates["forward-closeness"] = Certificate.build(
@@ -418,7 +416,7 @@ def close_isomorphism(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma: float,
         formula="||theta(x) - x|| <= 28 gamma^{1/2} on X",
         inputs={"gamma": gamma, "n_points": close.inputs["n_points"]},
         ceiling=float(ceiling), achieved=close.achieved,
-        provenance=provenance_stamp(seed))
+        provenance=provenance_stamp())
     if res.inverse is None:
         raise SpectralGapError("constructed map is not invertible; "
                                "cannot certify the reverse bound")
@@ -431,13 +429,12 @@ def close_isomorphism(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma: float,
         inputs={"gamma": gamma, "n_points": len(Y)},
         ceiling=float(ceiling), achieved=float(_worst_move(res.inverse, Y)),
         details={"chain_bound": float(chain_worst)},
-        provenance=provenance_stamp(seed))
+        provenance=provenance_stamp())
     return res
 
 
 def near_embedding_nuclear(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma: float,
-                           X=None, seed: int = 0,
-                           budget: ToleranceBudget = DEFAULT_BUDGET
+                           X=None, budget: ToleranceBudget = DEFAULT_BUDGET
                            ) -> tuple[LinMap, Certificate]:
     """Injective *-homomorphism theta: A -> B with ||theta(x) - x|| <=
     28 gamma^{1/2} on X, from a one-sided near inclusion A in B at gamma; the
@@ -449,14 +446,14 @@ def near_embedding_nuclear(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma: float,
         X = list(A.normalized_basis)
     else:
         X = [np.asarray(x, dtype=complex) for x in X]
-    res = intertwining_iso(A, B, eta=2.0 * gamma, X_A=X, mu=mu, seed=seed, budget=budget)
+    res = intertwining_iso(A, B, eta=2.0 * gamma, X_A=X, mu=mu, budget=budget)
     cert = Certificate.build(
         name="near-embedding",
         formula="||theta(x) - x|| <= 28 gamma^{1/2} on X",
         inputs={"gamma": gamma, "n_points": len(X),
                 "sigma_min": res.certificates["injectivity"].details["action_sigma_min"]},
         ceiling=float(28.0 * np.sqrt(gamma)), achieved=res.certificates["closeness"].achieved,
-        provenance=provenance_stamp(seed))
+        provenance=provenance_stamp())
     return res.map, cert
 
 

@@ -422,7 +422,7 @@ def nucdim_cpc_transfer(D: ConcreteAlgebra, dec: NucDimDecomposition,
 
 
 def near_embed_nucdim(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma: float,
-                      dec: NucDimDecomposition, X=None, seed: int = 0,
+                      dec: NucDimDecomposition, X=None,
                       budget: ToleranceBudget = DEFAULT_BUDGET
                       ) -> tuple[LinMap, Certificate]:
     """Injective *-homomorphism theta: A -> B with ||theta(x) - x|| <=
@@ -439,8 +439,7 @@ def near_embed_nucdim(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma: float,
     # close to the identity only on X, so it cannot drive the repair)
     _, cert_t = nucdim_cpc_transfer(A, dec, X, B, gamma)
     res = intertwining_iso(A, B, eta=eta, X_A=X,
-                           mu=min(0.2 * np.sqrt(eta), 1.0 / 4000.0),
-                           seed=seed, budget=budget)
+                           mu=min(0.2 * np.sqrt(eta), 1.0 / 4000.0), budget=budget)
     cert = Certificate.build(
         name="nucdim-near-embedding",
         formula="||theta(x) - x|| <= 20 eta^{1/2}, "
@@ -453,7 +452,7 @@ def near_embed_nucdim(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma: float,
                  "transfer_achieved": cert_t.achieved,
                  "transfer_ceiling": cert_t.ceiling,
                  "transfer_ok": cert_t.passed},
-        provenance=provenance_stamp(seed))
+        provenance=provenance_stamp())
     return res.map, cert
 
 

@@ -105,7 +105,7 @@ def run_pipeline(instance: Instance, pipeline: str,
     gamma = _gamma_source(instance, seed, samples, notes)
 
     if pipeline == "iso":
-        res = close_isomorphism(A, B, gamma, seed=seed, budget=budget)
+        res = close_isomorphism(A, B, gamma, budget=budget)
         certs.update(res.certificates)
         notes["stages"] = len(res.trace)
         notes["eta"], notes["mu"], notes["nu"] = res.eta, res.mu, res.nu
@@ -117,7 +117,7 @@ def run_pipeline(instance: Instance, pipeline: str,
         if instance.true_unitary is not None:
             theta = conjugation_iso(instance)
         else:
-            res = close_isomorphism(A, B, gamma, seed=seed, budget=budget)
+            res = close_isomorphism(A, B, gamma, budget=budget)
             certs.update(res.certificates)
             theta = res.map
         u, cert = implement_unitarily(theta, budget=budget)
@@ -143,8 +143,7 @@ def run_pipeline(instance: Instance, pipeline: str,
 
     # oz-embed
     dec = identity_decomposition(A)
-    theta, cert = near_embed_nucdim(A, B, gamma, dec, seed=seed,
-                                    budget=budget)
+    theta, cert = near_embed_nucdim(A, B, gamma, dec, budget=budget)
     certs["nucdim-near-embedding"] = cert
     notes["n_colors"] = dec.n + 1
     return Report(pipeline=pipeline, seed=seed, recipe=instance.recipe,

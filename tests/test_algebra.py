@@ -16,27 +16,24 @@ from cstarlab.instances import block_algebra, gen_instance
 import cstarlab
 from cstarlab.linalg import (dagger, expm_i, hs_inner, opnorm, opnorm_max, random_complex,
                              random_hermitian, random_unitary, rng_for)
+from helpers import matrix_unit
 
 PROFILES = [(2,), (1, 1), (2, 1), (3,), (2, 2), (1, 1, 1)]
 
 
-@pytest.mark.parametrize("hermitian", [False, True])
 @pytest.mark.parametrize("sizes", [(2, 1), (3, 3), (2, 3, 1)])
-def test_random_elements_equal_the_per_block_draws(sizes, hermitian):
+def test_random_elements_equal_the_per_block_draws(sizes):
     # one draw for the stack gives the bits of one random_complex call per
-    # block and sample (their Hermitian parts for the self-adjoint draw), and
-    # leaves the stream where those calls leave it
+    # block and sample, and leaves the stream where those calls leave it
     fd = FDAlgebra(sizes)
     rng, ref = rng_for(41, "batch", *sizes), rng_for(41, "batch", *sizes)
-    got = fd.random_selfadjoints(rng, 5) if hermitian else fd.random_elements(rng, 5)
+    got = fd.random_elements(rng, 5)
     want = np.zeros((5, fd.d, fd.d), dtype=complex)
     for x in want:
         o = 0
         for n in sizes:
             x[o:o + n, o:o + n] = random_complex(ref, n)
             o += n
-    if hermitian:
-        want = 0.5 * (want + want.conj().swapaxes(1, 2))
     assert got.tobytes() == want.tobytes()
     assert rng.standard_normal() == ref.standard_normal()
 
@@ -80,7 +77,7 @@ def test_fd_algebra_unit_table():
         for (k2, i2, j2), u2 in zip(labels, units):
             prod = u1 @ u2
             if k1 == k2 and j1 == i2:
-                expect = fd.matrix_unit(k1, i1, j2)
+                expect = matrix_unit(fd, k1, i1, j2)
             else:
                 expect = np.zeros_like(prod)
             assert opnorm(prod - expect) < 1e-14

@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import expm
 
 from cstarlab.algebra import FDAlgebra
-from cstarlab.linalg import dagger, hs_inner, opnorm
+from cstarlab.linalg import dagger, hs_inner, opnorm, opnorm_max
 from cstarlab.averaging import (
     _canonical_index,
     _canonical_sum,
@@ -22,8 +22,9 @@ from cstarlab.averaging import (
 )
 from cstarlab.certs import PAPER_BUDGET, SpectralGapError, WindowError
 from cstarlab.cpmaps import LinMap, arveson_restrict
-from cstarlab.instances import block_algebra, gen_instance
+from cstarlab.instances import _rotated_embedding, block_algebra, gen_instance
 from cstarlab.linalg import random_unitary, rng_for
+from helpers import matrix_unit
 
 PROFILES = [(1,), (2,), (1, 1), (2, 1), (3,), (2, 2), (2, 1, 1), (2, 3, 1)]
 
@@ -39,7 +40,7 @@ def embedded(fd: FDAlgebra, N: int) -> LinMap:
     images = []
     for (k, i, j) in fd.unit_labels():
         m = np.zeros((N, N), dtype=complex)
-        m[:fd.d, :fd.d] = fd.matrix_unit(k, i, j)
+        m[:fd.d, :fd.d] = matrix_unit(fd, k, i, j)
         images.append(m)
     return LinMap(fd, N, tuple(images))
 
@@ -123,7 +124,7 @@ def test_repair_twirl_matches_phase_family_sum():
     hom = embedded(fd, 4)
     v = expm(1j * 0.05 * np.diag([0.0, 1.0, 0.0, -1.0]))
     phi = LinMap(fd, 4, tuple(0.5 * a + 0.5 * (v @ a @ dagger(v)) for a in hom.images))
-    rep = improve_multiplicativity(phi, seed=0)
+    rep = improve_multiplicativity(phi)
     dil = rep.dilation
     p = dil.compression
     avg = exact_diagonal(dil.fd)
@@ -205,7 +206,7 @@ def test_projection_conjugator_orthogonal_ranges():
 def test_repair_of_exact_hom_is_exact():
     fd = FDAlgebra((2, 1))
     phi = embedded(fd, 4)
-    rep = improve_multiplicativity(phi, seed=0)
+    rep = improve_multiplicativity(phi)
     assert rep.passed
     rng = rng_for(0, "repair-check")
     for _ in range(5):
@@ -218,10 +219,27 @@ def test_repair_of_exact_hom_is_exact():
 def test_repair_certificates_reported():
     fd = FDAlgebra((2,))
     phi = embedded(fd, 3)
-    rep = improve_multiplicativity(phi, seed=1)
+    rep = improve_multiplicativity(phi)
     for key in ("drift", "conjugator", "distance", "multiplicativity"):
         assert key in rep.certificates
         assert rep.certificates[key].passed
+
+
+@pytest.mark.parametrize("profile", [(2,), (2, 1), (1, 1, 1), (3,)])
+@pytest.mark.parametrize("t", [1e-3, 1e-2])
+def test_repair_of_a_scaled_homomorphism_has_its_closed_form(profile, t):
+    # phi = (1 - t) rho for an exact homomorphism rho repairs to rho, and
+    # phi - rho = -t rho has norm and cb norm exactly t, so the repair's
+    # distance, cb_bracket's hi of phi - psi, is in [t, t (1 + 1e-9)]: at
+    # least t, since it is a proven upper bound, and not far above it
+    fd = FDAlgebra(profile)
+    rho = _rotated_embedding(fd, sum(profile) + 1, rng_for(0, "repair-closed-form", *profile))
+    rep = improve_multiplicativity(rho.scaled(1.0 - t))
+    assert rep.passed
+    assert opnorm_max(rep.psi.images - rho.images) <= 1e-13
+    dist = rep.certificates["distance"]
+    assert t <= dist.achieved <= t * (1.0 + 1e-9)
+    assert dist.details["cb_lo"] <= dist.achieved
 
 
 def test_repair_window_enforced_on_paper_track():
@@ -243,11 +261,30 @@ def test_intertwining_unitary_exact_pair():
     h = (g + dagger(g)) / opnorm(g + dagger(g))
     u0 = expm(1j * 2e-2 * h)
     phi2 = phi1.conjugated(u0)
-    res = intertwining_unitary(phi1, phi2, seed=5)
+    res = intertwining_unitary(phi1, phi2)
     assert res.passed
     assert res.certificates["residual"].achieved < 1e-10
     bound = 2.0 * np.sqrt(2.0) * res.gamma + 5.0 * np.sqrt(2.0) * res.delta
     assert opnorm(res.u - np.eye(4)) <= bound + 1e-9
+
+
+@pytest.mark.parametrize("profile", [(2, 1), (1, 1, 1), (3,)])
+def test_default_intertwiner_gamma_bounds_every_drawn_distance(profile):
+    # the default gamma is cb_bracket's hi of phi1 - phi2, a proven bound on
+    # the unit-ball distance: at least ||phi1(x) - phi2(x)|| at the matrix
+    # units and at 32 block-diagonal unitaries drawn here, and exactly 0.0
+    # for a map paired with itself
+    fd = FDAlgebra(profile)
+    N = fd.d + 1
+    rng = rng_for(6, "intertwiner-gamma", *profile)
+    phi1 = _rotated_embedding(fd, N, rng)
+    g = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    phi2 = phi1.conjugated(expm(1j * 1e-2 * (g + dagger(g)) / opnorm(g + dagger(g))))
+    X = np.concatenate([fd.units(), [fd.embed_blocks([random_unitary(rng, n) for n in profile])
+                                     for _ in range(32)]])
+    res = intertwining_unitary(phi1, phi2)
+    assert res.gamma >= opnorm_max(phi1(X) - phi2(X)) > 0.0
+    assert intertwining_unitary(phi1, phi1).gamma == 0.0
 
 
 def test_intertwining_window_enforced_on_paper_track():
@@ -262,24 +299,22 @@ def test_intertwining_window_enforced_on_paper_track():
 def test_repair_and_self_intertwiner_depend_on_the_map_alone(algebra, ambient):
     # the staged intertwining keeps a stage's repair, and the unitary of that
     # repair with itself, when the next stage produces the same map; that is
-    # only sound while neither result depends on the seed or the gamma given
+    # only sound while neither result depends on the gamma given
     inst = gen_instance("conjugation", {"algebra": algebra, "ambient": ambient,
                                         "eps": 1e-6}, seed=7)
     A, B = inst.A, inst.B
     eta = 2.0 * inst.dist_hint()
     phi, _ = arveson_restrict(A, B, A.normalized_basis, gamma=eta / 2.0)
-    repairs = [improve_multiplicativity(phi, gamma=g, seed=s).psi
-               for g in (3.0 * eta, 1e-3) for s in (0, 3, 11)]
+    repairs = [improve_multiplicativity(phi, gamma=g).psi for g in (3.0 * eta, 1e-3)]
     assert len({psi.images.tobytes() for psi in repairs}) == 1
     theta = LinMap(A, ambient, B.project(repairs[0].images), codomain_algebra=B)
-    units = [intertwining_unitary(theta, theta, seed=s) for s in (0, 3, 11)]
-    assert len({res.u.tobytes() for res in units}) == 1
+    unit = intertwining_unitary(theta, theta)
     # pairing theta with itself gives what pairing it with an equal copy gives
     copy = LinMap(A, ambient, theta.images.copy(), codomain_algebra=B)
-    other = intertwining_unitary(theta, copy, seed=0)
+    other = intertwining_unitary(theta, copy)
     for key in ("u", "s"):
-        assert getattr(other, key).tobytes() == getattr(units[0], key).tobytes()
-    assert (other.gamma, other.delta) == (units[0].gamma, units[0].delta)
+        assert getattr(other, key).tobytes() == getattr(unit, key).tobytes()
+    assert (other.gamma, other.delta) == (unit.gamma, unit.delta)
 
 
 # ---------------------------------------------------------------------------

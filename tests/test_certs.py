@@ -129,6 +129,34 @@ def test_every_seed_parameter_reaches_a_draw():
     assert [label for label, name, _ in takers if name in idle] == []
 
 
+def test_every_seed_changes_an_output():
+    # the runtime side of the test above, which reads only the source: every
+    # function that takes a seed gives a different output at seeds 0 and 1.
+    # The list is the set of seed-taking functions in the package, so a new
+    # seed parameter must join it
+    from cstarlab.instances import gen_instance, random_order_zero
+    from cstarlab.linalg import rng_for
+    from cstarlab.pipelines import _gamma_source, run_pipeline
+
+    params = {"algebra": "M2+M1", "ambient": 4, "eps": 1e-5}
+    conj = gen_instance("conjugation", params, seed=3)
+    noisy = gen_instance("choi-noise", {"algebra": "M2", "eps": 1e-6}, seed=2)
+    outputs = {
+        "rng_for": lambda s: rng_for(s, "seed-test").standard_normal(),
+        "gen_instance": lambda s: gen_instance("conjugation", params, seed=s).B.basis.tobytes(),
+        "random_order_zero": lambda s: random_order_zero((2, 1), 4, seed=s).map.images.tobytes(),
+        # the interval's values, not the report, which also records the seed
+        "run_pipeline": lambda s: run_pipeline(conj, "dist", seed=s)
+        .certificates["distance-interval"].details,
+        "_gamma_source": lambda s: _gamma_source(noisy, s, 32, {}),
+    }
+    takers = {fn.name for tree in PACKAGE.values() for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name != "provenance_stamp"
+              and "seed" in [a.arg for a in fn.args.args + fn.args.kwonlyargs]}
+    assert set(outputs) == takers
+    assert [name for name, out in outputs.items() if out(0) == out(1)] == []
+
+
 def test_budget_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
         DEFAULT_BUDGET.track = "paper"

@@ -29,6 +29,7 @@ from cstarlab.cpmaps import (
 )
 from cstarlab.instances import block_algebra, gen_instance
 from cstarlab.linalg import herm, opnorm_max, random_complex, random_unitary, rng_for
+from helpers import matrix_unit
 
 
 def random_ucp(fd: FDAlgebra, N: int, seed: int = 0) -> LinMap:
@@ -37,7 +38,7 @@ def random_ucp(fd: FDAlgebra, N: int, seed: int = 0) -> LinMap:
     D = fd.d * N
     g = rng.standard_normal((D, N)) + 1j * rng.standard_normal((D, N))
     v, _ = np.linalg.qr(g)
-    images = tuple(dagger(v) @ np.kron(fd.matrix_unit(k, i, j), np.eye(N)) @ v
+    images = tuple(dagger(v) @ np.kron(matrix_unit(fd, k, i, j), np.eye(N)) @ v
                    for (k, i, j) in fd.unit_labels())
     return LinMap(fd, N, images)
 
@@ -116,7 +117,7 @@ def test_classify_ucp():
 def test_classify_transpose_not_cp():
     # the transpose map on M_2 is positive but not completely positive
     fd = FDAlgebra((2,))
-    images = tuple(fd.matrix_unit(k, i, j).T for (k, i, j) in fd.unit_labels())
+    images = tuple(matrix_unit(fd, k, i, j).T for (k, i, j) in fd.unit_labels())
     phi = LinMap(fd, 2, images)
     cls = classify(phi)
     assert not cls.cp
@@ -275,7 +276,7 @@ def test_mult_defect_table_order():
 
 def test_mult_defect_zero_for_hom():
     fd = FDAlgebra((2,))
-    images = tuple(fd.matrix_unit(k, i, j) for (k, i, j) in fd.unit_labels())
+    images = tuple(matrix_unit(fd, k, i, j) for (k, i, j) in fd.unit_labels())
     phi = LinMap(fd, 2, images)
     rng = rng_for(0, "defect")
     X = fd.random_elements(rng, 4)
@@ -353,7 +354,7 @@ def test_cb_bracket_transpose():
     # outward, so the bracket holds it with no slack, and the swap witness
     # attains it
     fd = FDAlgebra((2,))
-    images = tuple(fd.matrix_unit(k, i, j).T for (k, i, j) in fd.unit_labels())
+    images = tuple(matrix_unit(fd, k, i, j).T for (k, i, j) in fd.unit_labels())
     phi = LinMap(fd, 2, images)
     lo, hi = cb_bracket(phi)
     assert lo <= 2.0 <= hi

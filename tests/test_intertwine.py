@@ -52,7 +52,7 @@ def conjugated_pair(sizes, N, eps, seed):
 def test_close_isomorphism_conjugated_pair():
     A, B, u = conjugated_pair((2, 1), 3, 1e-5, 4)
     gamma = 2.0 * opnorm(u - np.eye(3))
-    res = close_isomorphism(A, B, gamma, seed=4)
+    res = close_isomorphism(A, B, gamma)
     assert res.converged and res.surjective
     assert res.passed
     theta = res.map
@@ -74,8 +74,8 @@ def test_close_isomorphism_takes_a_stack():
     A, B, u = conjugated_pair((2, 1), 3, 1e-5, 4)
     gamma = 2.0 * opnorm(u - np.eye(3))
     X = np.array([b / opnorm(b) for b in A.basis[:2]])
-    stacked = close_isomorphism(A, B, gamma, X=X, seed=4)
-    listed = close_isomorphism(A, B, gamma, X=list(X), seed=4)
+    stacked = close_isomorphism(A, B, gamma, X=X)
+    listed = close_isomorphism(A, B, gamma, X=list(X))
     assert np.array_equal(stacked.map.images, listed.map.images)
     assert {k: c.achieved for k, c in stacked.certificates.items()} == \
         {k: c.achieved for k, c in listed.certificates.items()}
@@ -94,7 +94,7 @@ def test_pull_back_is_solved_once_per_conjugator(monkeypatch):
 
     monkeypatch.setattr(intertwine, "nearest_in_span", recorded)
     A, B, u = conjugated_pair((2, 1), 3, 1e-5, 4)
-    res = close_isomorphism(A, B, 2.0 * opnorm(u - np.eye(3)), seed=4)
+    res = close_isomorphism(A, B, 2.0 * opnorm(u - np.eye(3)))
     assert res.surjective and len(res.trace) >= 3
     assert [iters for _, iters in pulls] == [200]
     assert np.array_equal(pulls[0][0], B.normalized_basis)
@@ -118,7 +118,7 @@ def test_a_changing_map_is_pulled_back_through_its_new_conjugator(monkeypatch):
         scale = 1.0 - 1e-7 if len(calls) >= 2 else 1.0
         return LinMap(A, A.ambient_dim, inner(Z).images * scale, codomain_algebra=B)
 
-    res = intertwine.intertwining_iso(A, B, 2.0 * gamma, producer=changing, seed=5,
+    res = intertwine.intertwining_iso(A, B, 2.0 * gamma, producer=changing,
                                       surjectivity_delta=gamma)
     assert res.converged and [r.repaired for r in res.trace][:3] == [True, True, False]
     assert counts == {"improve_multiplicativity": 2, "intertwining_unitary": 1}
@@ -131,7 +131,7 @@ def test_a_changing_map_is_pulled_back_through_its_new_conjugator(monkeypatch):
 def test_close_isomorphism_inverse_round_trip():
     A, B, u = conjugated_pair((2,), 3, 1e-6, 9)
     gamma = 2.0 * opnorm(u - np.eye(3))
-    res = close_isomorphism(A, B, gamma, seed=9)
+    res = close_isomorphism(A, B, gamma)
     assert res.inverse is not None
     rng = rng_for(9, "inverse-check")
     for x in A.random_selfadjoints(rng, 4):
@@ -158,7 +158,7 @@ def _assert_empty_closeness(cert):
 
 def test_intertwining_iso_on_no_points():
     A, B, u = conjugated_pair((2, 1), 3, 1e-5, 4)
-    res = intertwine.intertwining_iso(A, B, 2.0 * opnorm(u - np.eye(3)), X_A=[], seed=4)
+    res = intertwine.intertwining_iso(A, B, 2.0 * opnorm(u - np.eye(3)), X_A=[])
     _assert_empty_closeness(res.certificates["closeness"])
 
 
@@ -169,7 +169,7 @@ def test_intertwining_iso_ignores_repeated_points():
     A, B, u = conjugated_pair((2, 1), 3, 1e-5, 4)
     gamma = 2.0 * opnorm(u - np.eye(3))
     X_A = [A.random_selfadjoints(rng_for(5, "repeat"), 1)[0] / 2.0, *A.basis]
-    runs = [intertwine.intertwining_iso(A, B, 2.0 * gamma, X_A=X, seed=4,
+    runs = [intertwine.intertwining_iso(A, B, 2.0 * gamma, X_A=X,
                                         surjectivity_delta=gamma)
             for X in (X_A, X_A + X_A)]
     certs = [{k: c.to_dict() for k, c in r.certificates.items()} for r in runs]
@@ -192,7 +192,7 @@ def test_intertwining_iso_passes_each_tracked_point_once():
         seen.append(np.array(Z))
         return inner(Z)
 
-    res = intertwine.intertwining_iso(A, B, 2.0 * gamma, producer=recording, seed=6,
+    res = intertwine.intertwining_iso(A, B, 2.0 * gamma, producer=recording,
                                       surjectivity_delta=gamma)
     assert res.converged
     assert [len(Z) for Z in seen] == [r.n_Z for r in res.trace]
@@ -216,8 +216,8 @@ def conjugation_instance(algebra, ambient):
 
 # the default staged intertwining, and close_isomorphism, which also tracks
 # the codomain basis for surjectivity
-DEFAULT_RUNS = (lambda A, B, gamma: intertwine.intertwining_iso(A, B, 2.0 * gamma, seed=5),
-                lambda A, B, gamma: close_isomorphism(A, B, gamma, seed=5))
+DEFAULT_RUNS = (lambda A, B, gamma: intertwine.intertwining_iso(A, B, 2.0 * gamma),
+                lambda A, B, gamma: close_isomorphism(A, B, gamma))
 
 
 def count_calls(monkeypatch):
@@ -292,11 +292,11 @@ def test_a_kept_theta_keeps_its_sampled_defect(monkeypatch):
     monkeypatch.setattr(intertwine, "hom_defect",
                         lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
     A, B, gamma = conjugation_instance("3,3", 8)
-    kept = intertwine.intertwining_iso(A, B, 2.0 * gamma, seed=5)
+    kept = intertwine.intertwining_iso(A, B, 2.0 * gamma)
     kept_calls = len(calls)
     monkeypatch.setattr(intertwine, "_same_map", lambda phi, prev: False)
     calls.clear()
-    redone = intertwine.intertwining_iso(A, B, 2.0 * gamma, seed=5)
+    redone = intertwine.intertwining_iso(A, B, 2.0 * gamma)
     reuse = [r.stage for r in kept.trace if not r.repaired]
     assert reuse and len(kept.trace) == len(redone.trace)
     for prev, row in zip(kept.trace, kept.trace[1:]):
@@ -336,7 +336,7 @@ def test_a_kept_map_is_measured_on_new_points_only(monkeypatch):
 
     # with no X_A, every stage's basis point is new
     res = intertwine.intertwining_iso(A, B, 2.0 * gamma, X_A=[], producer=recording,
-                                      seed=5, surjectivity_delta=gamma)
+                                      surjectivity_delta=gamma)
     sizes = [len(Z) for Z in seen]
     assert len(seen) == len(res.trace) == 3 and sizes[0] < sizes[1] < sizes[2]
     assert [r.producer_closeness for r in res.trace] == [worst(inner(Z), Z) for Z in seen]
@@ -357,7 +357,7 @@ def test_a_fresh_map_with_equal_images_is_kept():
         seen.append(np.array(Z))
         return LinMap(A, A.ambient_dim, inner(Z).images.copy(), codomain_algebra=B)
 
-    res = intertwine.intertwining_iso(A, B, 2.0 * gamma, producer=fresh, seed=5)
+    res = intertwine.intertwining_iso(A, B, 2.0 * gamma, producer=fresh)
     assert [r.repaired for r in res.trace] == [True, False, False]
     phi = inner([])
     assert [r.producer_closeness for r in res.trace] == \
@@ -369,16 +369,16 @@ def test_close_isomorphism_reads_its_closeness():
     # forward-closeness, near-embedding and nucdim-near-embedding read the
     # staged closeness; it equals a fresh measurement on the same points
     A, B, gamma = conjugation_instance("3,3", 8)
-    res = close_isomorphism(A, B, gamma, seed=5)
+    res = close_isomorphism(A, B, gamma)
     Xs, dists = res.pull_back
     X = list(A.normalized_basis) + list(Xs[dists <= 2.0 / 5.0 + TOL_ALG])
     fwd = res.certificates["forward-closeness"]
     assert fwd.achieved == intertwine._worst_move(res.map, X)
     assert fwd.achieved == res.certificates["closeness"].achieved
     assert fwd.inputs["n_points"] == len(X) == A.dim + B.dim
-    theta, cert = near_embedding_nuclear(A, B, gamma, seed=5)
+    theta, cert = near_embedding_nuclear(A, B, gamma)
     assert cert.achieved == intertwine._worst_move(theta, list(A.normalized_basis))
-    theta, cert = near_embed_nucdim(A, B, gamma, identity_decomposition(A), seed=5)
+    theta, cert = near_embed_nucdim(A, B, gamma, identity_decomposition(A))
     assert cert.achieved == intertwine._worst_move(theta, list(A.normalized_basis))
 
 
@@ -391,7 +391,7 @@ def test_iso_past_one_fifth_passes_every_certificate():
     assert gamma > 1.0 / 5.0
     report = run_pipeline(inst, "iso", seed=0)
     assert report.ok and report.certificates["surjectivity"].passed
-    res = close_isomorphism(inst.A, inst.B, gamma, seed=0)
+    res = close_isomorphism(inst.A, inst.B, gamma)
     assert dumps(report.certificates) == dumps(res.certificates)
     Xs, dists = res.pull_back
     chain = (2.0 * dists + opnorms(res.map(Xs) - inst.B.normalized_basis)).max()
@@ -422,7 +422,7 @@ def test_a_changing_map_is_repaired_at_every_stage(monkeypatch):
         return LinMap(A, A.ambient_dim, inner(Z).images * (1.0 - 1e-12 * stages[-1]),
                       codomain_algebra=B)
 
-    res = intertwine.intertwining_iso(A, B, 2.0 * gamma, producer=drifting, seed=5)
+    res = intertwine.intertwining_iso(A, B, 2.0 * gamma, producer=drifting)
     assert res.converged and len(res.trace) >= 3
     assert all(r.repaired for r in res.trace)
     assert counts == {"improve_multiplicativity": len(res.trace),
@@ -529,7 +529,7 @@ def _recorded_close_isomorphism(monkeypatch, inst, drift_map=False):
                      ("improve_multiplicativity", recording_improve),
                      ("expectation_producer", recording_producer)):
         monkeypatch.setattr(intertwine, name, fn)
-    return close_isomorphism(A, B, gamma, seed=5), rec
+    return close_isomorphism(A, B, gamma), rec
 
 
 def _assert_stages_match_whole_sets(res, rec, A):
@@ -586,7 +586,7 @@ def test_expectation_producer_builds_its_map_once(monkeypatch):
     monkeypatch.setattr(intertwine, "arveson_restrict",
                         lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
     A, B, gamma = conjugation_instance("3,3", 8)
-    res = close_isomorphism(A, B, gamma, seed=5)
+    res = close_isomorphism(A, B, gamma)
     assert len(res.trace) == 3 and len(calls) == 1
 
 
@@ -597,7 +597,7 @@ def test_close_isomorphism_memory_on_block_rotation():
     inst = gen_instance("block-rotation", {"algebra": "6", "ambient": 12, "eps": 1e-6}, seed=7)
     tracemalloc.start()
     try:
-        res = close_isomorphism(inst.A, inst.B, inst.dist_hint(), seed=7)
+        res = close_isomorphism(inst.A, inst.B, inst.dist_hint())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -615,7 +615,7 @@ def test_near_embedding_into_larger_algebra():
     u = small_rotation(4, 1e-6, 7)
     A = A0.conjugated(u)
     cert_inc = near_inclusion(A, B)
-    theta, cert = near_embedding_nuclear(A, B, cert_inc.gamma_hi, seed=7)
+    theta, cert = near_embedding_nuclear(A, B, cert_inc.gamma_hi)
     assert cert.verdict == "pass"
     for x in A.basis:
         xn = x / opnorm(x)
@@ -626,7 +626,7 @@ def test_near_embedding_into_larger_algebra():
 def test_near_embedding_on_no_points():
     B = block_algebra((2, 2), 4)
     A = block_algebra((2,), 4).conjugated(small_rotation(4, 1e-6, 7))
-    _, cert = near_embedding_nuclear(A, B, near_inclusion(A, B).gamma_hi, X=[], seed=7)
+    _, cert = near_embedding_nuclear(A, B, near_inclusion(A, B).gamma_hi, X=[])
     _assert_empty_closeness(cert)
 
 
@@ -678,7 +678,7 @@ def test_half_flip_needs_single_block():
 def test_implement_unitarily_conjugates_exactly():
     A, B, u0 = conjugated_pair((2, 1), 3, 1e-5, 13)
     gamma = 2.0 * opnorm(u0 - np.eye(3))
-    alpha = close_isomorphism(A, B, gamma, seed=13)
+    alpha = close_isomorphism(A, B, gamma)
     u, cert = implement_unitarily(alpha.map)
     assert cert.verdict == "pass"
     assert opnorm(dagger(u) @ u - np.eye(3)) < 1e-10

@@ -14,6 +14,7 @@ from cstarlab.instances import block_algebra, hat_decomposition, random_order_ze
 from cstarlab import orderzero
 from cstarlab.geometry import tensor_lift
 from cstarlab.linalg import dagger, herm, opnorm, psd_sqrt, rng_for
+from helpers import matrix_unit
 from cstarlab.orderzero import (
     OrderZeroMap,
     cone_evaluate,
@@ -75,8 +76,8 @@ def test_is_order_zero_rejects_generic_cp_map():
                       + 1j * rng.standard_normal((4, 4)))[0][:, :2]
     v2 = np.linalg.qr(rng.standard_normal((4, 4))
                       + 1j * rng.standard_normal((4, 4)))[0][:, :2]
-    images = tuple(0.5 * (v1 @ fd.matrix_unit(k, i, j) @ dagger(v1)
-                          + v2 @ fd.matrix_unit(k, i, j) @ dagger(v2))
+    images = tuple(0.5 * (v1 @ matrix_unit(fd, k, i, j) @ dagger(v1)
+                          + v2 @ matrix_unit(fd, k, i, j) @ dagger(v2))
                    for (k, i, j) in fd.unit_labels())
     phi = LinMap(fd, 4, images)
     assert classify(phi).cpc
@@ -222,7 +223,7 @@ def test_near_embed_nucdim_one_color():
     A = A0.conjugated(u)
     dec = identity_decomposition(A)
     gamma = 2.0 * opnorm(u - np.eye(3))
-    theta, cert = near_embed_nucdim(A, A0, gamma, dec, seed=12)
+    theta, cert = near_embed_nucdim(A, A0, gamma, dec)
     assert cert.verdict == "pass"
     assert cert.details["transfer_ok"]
     for b in A.basis:
@@ -309,7 +310,7 @@ def test_perturb_order_zero_matches_the_kronecker_construction(monkeypatch):
 
     entries = []
     for k, n in enumerate(fd.block_sizes):
-        s_k = sum(np.kron(oz.pi(fd.matrix_unit(k, i, j)), f(j, i))
+        s_k = sum(np.kron(oz.pi(matrix_unit(fd, k, i, j)), f(j, i))
                   for i in range(n) for j in range(n))
         h_k = herm(oz.map(fd.block_unit(k)))
         entries.append(np.kron(psd_sqrt(h_k), np.eye(m)) @ s_k)
