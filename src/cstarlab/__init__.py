@@ -25,8 +25,7 @@ from .geometry import (DistanceInterval, NearInclusionCert, SampleSpec,
 from .instances import (Instance, block_algebra, gen_instance,
                         hat_decomposition, random_order_zero)
 from .intertwine import (IsoResult, StageRecord, close_isomorphism,
-                         expectation_producer, half_flip_cpc,
-                         implement_unitarily, intertwining_iso,
+                         half_flip_cpc, implement_unitarily, intertwining_iso,
                          near_embedding_nuclear, unit_match)
 from .orderzero import (NucDimDecomposition, OrderZeroMap, cone_evaluate,
                         identity_decomposition, is_order_zero,
@@ -51,7 +50,7 @@ __all__ = [
     "cb_bracket", "choi", "choi_blocks", "classify", "close_isomorphism",
     "commutant_lift", "conditional_expectation", "cone_evaluate",
     "conjugation_iso", "dumps", "equality_criterion", "exact_diagonal",
-    "expectation_producer", "from_choi", "gen_instance", "generate_algebra",
+    "from_choi", "gen_instance", "generate_algebra",
     "half_flip_cpc", "hat_decomposition", "identity_decomposition",
     "implement_unitarily", "improve_multiplicativity", "intertwining_iso",
     "intertwining_unitary", "is_order_zero", "kk_distance",

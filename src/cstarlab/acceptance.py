@@ -268,7 +268,7 @@ def criterion_6() -> CriterionResult:
     seeds = 20
     runs = 0
     all_ok = True
-    worst_drift = worst_hom = 0.0
+    worst_ratio = worst_hom = 0.0
     for eps, alg in ISO_GRID:
         for s in range(seeds):
             inst = gen_instance("conjugation",
@@ -276,14 +276,15 @@ def criterion_6() -> CriterionResult:
                                 seed=s)
             res = close_isomorphism(inst.A, inst.B, inst.dist_hint())
             runs += 1
-            worst_drift = max(worst_drift, res.trace[-1].drift)
+            for key in ("forward-closeness", "backward-closeness"):
+                c = res.certificates[key]
+                worst_ratio = max(worst_ratio, c.achieved / c.ceiling)
             worst_hom = max(worst_hom, res.certificates["homomorphism"].achieved)
-            all_ok = all_ok and res.converged and res.surjective
-            all_ok = all_ok and all(c.passed for c in res.certificates.values())
+            all_ok = all_ok and res.surjective and res.passed
     ok = all_ok and worst_hom <= 1e-9
-    detail = (f"{runs} runs over {len(ISO_GRID)} (eps, algebra) pairs, final "
-              f"drift {worst_drift:.2e}, homomorphism defect {worst_hom:.2e}, "
-              f"28 gamma^(1/2) both directions "
+    detail = (f"{runs} runs over {len(ISO_GRID)} (eps, algebra) pairs, "
+              f"homomorphism defect {worst_hom:.2e}, closeness at most "
+              f"{worst_ratio:.2e} of 28 gamma^(1/2), both directions "
               f"{'certified' if all_ok else 'violated'}")
     return _result(6, "close-isomorphism pipeline", ok, detail, t0)
 

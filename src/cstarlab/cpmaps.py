@@ -336,19 +336,6 @@ def stinespring(phi: LinMap, tol_psd: float = TOL_PSD) -> StinespringDilation:
 # defects and inequalities
 # ---------------------------------------------------------------------------
 
-def _mult_defects(phi: LinMap, X) -> np.ndarray:
-    """The stack phi(y)phi(y*) - phi(yy*) over y = x0, x0*, x1, x1*, ...; its
-    largest operator norm is the multiplicativity defect of phi over X and
-    X*, the X elements living in the domain's ambient."""
-    # Y[:, ::-1] pairs each point with its adjoint, as a view
-    Y = np.asarray(X, dtype=complex)
-    Y = np.stack([Y, dagger(Y)], axis=1)
-    defects = phi(Y)
-    defects = defects @ defects[:, ::-1]
-    defects -= phi(Y @ Y[:, ::-1])
-    return defects.reshape((-1,) + defects.shape[2:])
-
-
 def hom_defect(phi: LinMap) -> float:
     """Homomorphism defect of phi, on a block or a concrete domain: the
     generating matrix-unit relation residual (``FDAlgebra.relation_residual``)

@@ -434,9 +434,9 @@ def near_embed_nucdim(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma: float,
     X = A.normalized_basis if X is None else np.array(X, dtype=complex)
 
     # route the decomposition evidence through the transfer certificate; the
-    # stage maps themselves come from the expectation producer, which keeps a
-    # small multiplicative defect on every tracked set (the transfer map is
-    # close to the identity only on X, so it cannot drive the repair)
+    # repaired map itself comes from the expectation onto B, which is close to
+    # the inclusion on all of A (the transfer map is close to the identity
+    # only on X, so it cannot drive the repair)
     _, cert_t = nucdim_cpc_transfer(A, dec, X, B, gamma)
     res = intertwining_iso(A, B, eta=eta, X_A=X,
                            mu=min(0.2 * np.sqrt(eta), 1.0 / 4000.0), budget=budget)
@@ -447,8 +447,8 @@ def near_embed_nucdim(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma: float,
         inputs={"gamma": gamma, "eta": float(eta), "n": dec.n,
                 "n_points": len(X)},
         ceiling=float(20.0 * np.sqrt(eta)), achieved=res.certificates["closeness"].achieved,
+        slack=TOL_EXACT,
         details={"sigma_min": res.certificates["injectivity"].details["action_sigma_min"],
-                 "stages": len(res.trace),
                  "transfer_achieved": cert_t.achieved,
                  "transfer_ceiling": cert_t.ceiling,
                  "transfer_ok": cert_t.passed},

@@ -107,9 +107,7 @@ def run_pipeline(instance: Instance, pipeline: str,
     if pipeline == "iso":
         res = close_isomorphism(A, B, gamma, budget=budget)
         certs.update(res.certificates)
-        notes["stages"] = len(res.trace)
         notes["eta"], notes["mu"], notes["nu"] = res.eta, res.mu, res.nu
-        notes["converged"] = res.converged
         return Report(pipeline=pipeline, seed=seed, recipe=instance.recipe,
                       certificates=certs, notes=notes)
 

@@ -48,13 +48,17 @@ def test_dist_pipeline_json_output(tmp_path):
     assert data["ok"] is True
 
 
-def test_iso_at_eps_zero_meets_its_zero_drift_ceilings(tmp_path):
-    # B = A: nu = 0, so every per-stage drift ceiling is 0.0, and the zero
-    # drifts meet them
+@pytest.mark.parametrize("algebra,dim", [("2", "4"), ("3,3", "8"), ("2,2,2,2", "8")])
+def test_iso_at_eps_zero_passes_every_certificate(tmp_path, algebra, dim):
+    # B = A: gamma = 0, so the closeness and injectivity ceilings, powers of
+    # gamma, are 0.0, and the rounding of a map that moves nothing meets them
     out = tmp_path / "report.json"
-    assert main(["iso", "--eps", "0", "--format", "json", "--out", str(out)]) == 0
-    drift = json.loads(out.read_text())["certificates"]["drift"]
-    assert drift["verdict"] == "pass" and drift["achieved"] == 0.0
+    assert main(["iso", "--eps", "0", "--algebra", algebra, "--dim", dim,
+                 "--format", "json", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    certs = report["certificates"]
+    assert {k: c["verdict"] for k, c in certs.items()} == dict.fromkeys(certs, "pass")
+    assert certs["closeness"]["ceiling"] == 0.0 and report["ok"] is True
 
 
 def test_pipeline_accepts_saved_instance(tmp_path):

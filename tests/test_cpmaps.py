@@ -11,7 +11,6 @@ from cstarlab.cpmaps import (
     LinMap,
     _choi_and_reshuffle,
     _factor_bound,
-    _mult_defects,
     _pinched_images,
     arveson_restrict,
     cb_bracket,
@@ -29,7 +28,7 @@ from cstarlab.cpmaps import (
 )
 from cstarlab.instances import block_algebra, gen_instance
 from cstarlab.linalg import herm, opnorm_max, random_complex, random_unitary, rng_for
-from helpers import matrix_unit
+from helpers import matrix_unit, mult_defects
 
 
 def random_ucp(fd: FDAlgebra, N: int, seed: int = 0) -> LinMap:
@@ -266,7 +265,7 @@ def test_mult_defect_table_order():
     phi = random_ucp(fd, 3, seed=8)
     rng = rng_for(8, "test-defect")
     X = fd.random_elements(rng, 3)
-    defects = _mult_defects(phi, X)
+    defects = mult_defects(phi, X)
     # each x, then x*, in the order of X
     expect = [opnorm(phi(y) @ phi(dagger(y)) - phi(y @ dagger(y)))
               for x in X for y in (x, dagger(x))]
@@ -280,7 +279,7 @@ def test_mult_defect_zero_for_hom():
     phi = LinMap(fd, 2, images)
     rng = rng_for(0, "defect")
     X = fd.random_elements(rng, 4)
-    defects = _mult_defects(phi, X)
+    defects = mult_defects(phi, X)
     assert opnorm_max(defects) < 1e-12
     assert len(defects) == 8  # each element and its adjoint
 
