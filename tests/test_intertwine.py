@@ -141,10 +141,12 @@ def conjugation_instance(algebra, ambient):
     return inst.A, inst.B, inst.dist_hint()
 
 
-def test_close_isomorphism_repairs_the_expectation_once(monkeypatch):
-    # per call: one restriction of the expectation onto B, one repair at the
-    # paper-track window max(3 eta, hom_defect(phi)), no intertwining unitary,
-    # and one pull-back of B's normalised basis at 200 iterations
+def _recorded_runs(monkeypatch):
+    """close_isomorphism at the paper track on two conjugation instances,
+    with the calls it makes to the expectation's restriction, the repair,
+    the intertwining unitary and the pull-back recorded, and the windows it
+    asks of the multiplicativity repair; one (A, B, result, calls, windows)
+    per instance."""
     calls = {name: [] for name in ("arveson_restrict", "improve_multiplicativity",
                                    "intertwining_unitary", "nearest_in_span")}
     for name, log in calls.items():
@@ -160,29 +162,50 @@ def test_close_isomorphism_repairs_the_expectation_once(monkeypatch):
         return require(budget, name, value, window)
 
     monkeypatch.setattr(ToleranceBudget, "require_window", recorded_window)
+    runs = []
     for algebra, ambient in [("M2+M1", 4), ("3,3", 8)]:
         A, B, gamma = conjugation_instance(algebra, ambient)
         res = close_isomorphism(A, B, gamma, budget=PAPER_BUDGET)
         assert res.passed
-        assert {k: len(v) for k, v in calls.items()} == {
-            "arveson_restrict": 1, "improve_multiplicativity": 1,
-            "intertwining_unitary": 0, "nearest_in_span": 1}
-        (pulled, span), kw = calls["nearest_in_span"][0]
-        assert np.array_equal(pulled, B.normalized_basis) and span is A
-        assert kw == {"ball": True, "iters": 200}
+        runs.append((A, B, res, {k: list(v) for k, v in calls.items()}, list(windows)))
+        for log in (*calls.values(), windows):
+            log.clear()
+    return runs
+
+
+def test_expectation_producer_builds_its_map_once(monkeypatch):
+    # per call, the expectation onto B is restricted to A once; the one stage
+    # record holds the points certified, and phi's closeness on them and defect
+    for A, B, res, calls, _ in _recorded_runs(monkeypatch):
+        assert len(calls["arveson_restrict"]) == 1
         (phi,), _ = calls["improve_multiplicativity"][0]
         assert np.array_equal(phi.images, B.project(A.basis))
-        assert windows == [max(3.0 * res.eta, hom_defect(phi))]
-        # the one stage record: the points certified, and phi's closeness on
-        # them and defect
         (row,) = res.trace
         Xs, dists = res.pull_back
         X = list(A.normalized_basis) + list(Xs[dists <= 2.0 / 5.0 + TOL_ALG])
         assert row.n_Z == len(X) == res.certificates["closeness"].inputs["n_points"]
         assert row.phi_closeness == intertwine._worst_move(phi, X)
         assert row.phi_defect == hom_defect(phi)
-        for log in (*calls.values(), windows):
-            log.clear()
+
+
+def test_expectation_producer_is_repaired_once_per_run(monkeypatch):
+    # per call, one repair at the paper-track window max(3 eta, hom_defect(phi))
+    # and no intertwining unitary
+    for _, _, res, calls, windows in _recorded_runs(monkeypatch):
+        assert len(calls["improve_multiplicativity"]) == 1
+        assert calls["intertwining_unitary"] == []
+        (phi,), _ = calls["improve_multiplicativity"][0]
+        assert windows == [max(3.0 * res.eta, hom_defect(phi))]
+
+
+def test_pull_back_is_solved_once_per_conjugator(monkeypatch):
+    # per call, B's normalised basis is pulled back into A once, at 200
+    # iterations
+    for A, B, _, calls, _ in _recorded_runs(monkeypatch):
+        assert len(calls["nearest_in_span"]) == 1
+        (pulled, span), kw = calls["nearest_in_span"][0]
+        assert np.array_equal(pulled, B.normalized_basis) and span is A
+        assert kw == {"ball": True, "iters": 200}
 
 
 def test_close_isomorphism_reads_its_closeness():
