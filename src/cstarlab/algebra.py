@@ -26,12 +26,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
 from .certs import (CLUSTER_REL, TOL_ALG, Certificate, SpectralGapError, provenance_stamp,
                     require_finite)
 from .linalg import (
+    _BATCH_BYTES,
     cluster_values,
     dagger,
     expm_i,
@@ -40,6 +42,7 @@ from .linalg import (
     is_projection_residual,
     opnorm,
     opnorm_max,
+    opnorm_max_over,
     opnorms,
     partial_isometry_polar,
     range_projection,
@@ -214,20 +217,26 @@ class FDAlgebra:
         ||delta_jk E_il - E_ij E_kl|| is at most (M^2 + 2M) eps + 3 eps^2 for
         M = max ||E||.  For images that are not a homomorphism the value is
         the defect at the units, a lower estimate of the unit-ball defect,
-        not a bound.  The products are one batched stack per row i of a block
-        (n_k^2 of them) and one per diagonal unit (d - 1 of them): sum n_k^3 +
-        d (d - 1) products in all."""
+        not a bound.  The sum n_k^3 + d (d - 1) products are gathered by index
+        into E and measured in chunks, each at most ``linalg._BATCH_BYTES``
+        with its operands."""
         E = np.asarray(images)
-        worst, diagonal = 0.0, []
-        for n, block in zip(self.block_sizes, self.unit_blocks(E)):  # E_ij at [i, j]
-            worst = max(worst, opnorm_max(block.swapaxes(0, 1) - dagger(block)))
-            for row in block:  # E_ij at [j]; E_ij E_jl - E_il at [j, l]
-                worst = max(worst, opnorm_max(row[:, None] @ block - row[None]))
-            diagonal.append(block[np.arange(n), np.arange(n)])
-        diagonal = np.concatenate(diagonal)
-        for a, e in enumerate(diagonal):
-            worst = max(worst, opnorm_max(e @ np.delete(diagonal, a, axis=0)))
-        return float(worst)
+        index = self.unit_blocks(np.arange(self.dim_linear))  # that of E_ij at [i, j]
+        triples = []
+        for n, u in zip(self.block_sizes, index):
+            i, j, l = np.indices((n, n, n)).reshape(3, -1)
+            triples.append((u[i, j], u[j, l], u[i, l]))  # E_ij E_jl - E_il
+        d = np.concatenate([np.diagonal(u) for u in index])
+        a, b = np.nonzero(~np.eye(len(d), dtype=bool))
+        triples.append((d[a], d[b], np.full(len(a), -1)))  # E_ii E_jj, nothing subtracted
+        left, right, minus = (np.concatenate(t) for t in zip(*triples))
+        step = max(1, _BATCH_BYTES // 4 // max(E[:1].nbytes, 1))  # with 3 gathered operands
+
+        def products(s):  # one chunk; where minus is -1 nothing is subtracted
+            prod, sub = E[left[s:s + step]] @ E[right[s:s + step]], minus[s:s + step]
+            return np.subtract(prod, E[sub], out=prod, where=(sub >= 0)[:, None, None])
+        adjoints = (block.swapaxes(0, 1) - dagger(block) for block in self.unit_blocks(E))
+        return float(opnorm_max_over(chain(adjoints, map(products, range(0, len(left), step)))))
 
 
 # ---------------------------------------------------------------------------

@@ -6,31 +6,17 @@ The distance between unit balls is estimated from both sides.  Upper bounds
 come from explicit witnesses of the convex problem min ||x - b|| over b in a
 subspace (optionally intersected with the unit ball); lower bounds come from
 trace-norm dual certificates, all read by one function, ``_trace_dual``.  One
-solver, ``nearest_in_span``, serves every witness search: it takes a stack of
-targets and advances them together by batched eigensolves of small Gram
-matrices, so a near inclusion solves all of its samples in one call.  Every
-solve runs one Chambolle-Pock primal-dual iteration, whose dual iterate
-proves the value it converges to; ``ball=True`` (``kk_distance`` and the
-solves of ``intertwine``) adds a second dual Z for ||b|| <= 1 and, at each
-checkpoint, the ball bound Re<Y, x> - ||P(Y - Z) + Z||_1, which proves
-values where the ball binds.  Span solves are measured every 16 iterations,
-ball solves at k = 1, 2, 4, 8, ...  Each target leaves the stack on its own,
-and the solver says when and why: ``tol`` (its residual vanished), ``gap`` (a
-trace-norm dual proves its value to 1e-6 relative), ``floor`` (a near
-inclusion reports only the largest distance, so a sample whose best value is
-below a proven lower bound of another stops early) or ``cap`` (the iteration
-budget ran out).  The duals are built at checkpoints from the top singular
-dyads of the residuals at the best points (the best-point dual) and from the
-iteration's own duals.  The first checkpoint is the warm start itself,
-k = 0, so a warm start that is already optimal is certified and returned
-without an iteration.  Suprema over the unit ball are sampled (basis
-elements, random self-adjoint contractions, random unitaries), so the
-reported gamma_hi is an honest sampled estimate with stored witnesses, not a
-proof of the supremum.  ``sample_unit_ball`` draws those points on a concrete
-algebra as one (S, N, N) stack, and it is the only unit-ball sampler; it
-serves the distance brackets only (the unit-ball suprema of ``averaging``
-are proven by ``cpmaps.cb_bracket`` instead).  A witness names its sample by
-its index in that stack.
+solver, ``nearest_in_span``, serves every witness search: one Chambolle-Pock
+primal-dual iteration that advances a stack of targets together by batched
+eigensolves of small Gram matrices, each target leaving with its stop reason.
+A near inclusion solves its samples in one call, and ``kk_distance`` both
+directions: as two families, with their own warm starts, spans and floors,
+that share one stack, one eigensolve per iteration and the checkpoints, so
+each direction's witnesses are its near inclusion's, bit for bit.  Suprema
+over the unit ball are sampled by ``sample_unit_ball``, the only unit-ball
+sampler, so the reported gamma_hi is an honest sampled estimate with stored
+witnesses, not a proof of the supremum (the unit-ball suprema of
+``averaging`` are proven by ``cpmaps.cb_bracket`` instead).
 """
 
 from __future__ import annotations
@@ -43,7 +29,7 @@ from .algebra import ConcreteAlgebra
 from .certs import TOL_ALG, Certificate, ContradictionError, provenance_stamp
 # opnorm has no caller here; it stays bound because perfbench's tracer test
 # reads geometry.opnorm to check that wrappers reach names a module rebinds
-from .linalg import clip_spectrum, opnorm, opnorms, rng_for  # noqa: F401
+from .linalg import clip_spectrum, dagger, opnorm, opnorms, rng_for  # noqa: F401
 
 __all__ = [
     "SampleSpec",
@@ -136,8 +122,8 @@ def _shrink(z: np.ndarray, t: np.ndarray | None) -> np.ndarray:
     which the eigensolve sorts), so z goes to its projection onto the
     trace-norm unit ball and a matrix with sum(s) <= 1 is kept as is; where
     the (S,) array t is not nan, theta is t instead, the prox of t ||.||_1."""
-    wide, zh = z.shape[-2] < z.shape[-1], z.conj().swapaxes(1, 2)
-    lam, w = np.linalg.eigh(z @ zh if wide else zh @ z)
+    wide = z.shape[-2] < z.shape[-1]
+    lam, w = np.linalg.eigh(z @ dagger(z) if wide else dagger(z) @ z)
     s = np.sqrt(np.maximum(lam, 0.0))
     desc = s[:, ::-1]
     excess = np.cumsum(desc, axis=1) - 1.0
@@ -148,7 +134,10 @@ def _shrink(z: np.ndarray, t: np.ndarray | None) -> np.ndarray:
     if t is not None:
         theta, keep = np.where(np.isnan(t), theta, t), keep & np.isnan(t)
     f = np.maximum(1.0 - theta[:, None] / np.where(s > 0.0, s, 1.0), 0.0)
-    m = (w * f[:, None, :]) @ w.conj().swapaxes(1, 2)
+    m = dagger(w)  # w*, then w diag(f) w*: w is scaled in place and freed
+    w *= f[:, None, :]  # early, so that few stacks are alive at the peak
+    m = w @ m
+    del w
     return np.where(keep[:, None, None], z, m @ z if wide else z @ m)
 
 
@@ -196,7 +185,9 @@ def _best_point_dual(R: np.ndarray, project) -> np.ndarray:
     U, s, Vh = np.linalg.svd(R, full_matrices=False)
     top = (s >= s[:, :1] * (1.0 - _MARGIN)).astype(float)
     G = (U * (top / top.sum(axis=1, keepdims=True))[:, None, :]) @ Vh
-    return _trace_dual(G - project(G), R)
+    del U, Vh  # then G - P(G) in place: few stacks at once
+    G -= project(G)
+    return _trace_dual(G, R)
 
 
 # relative margin of the stopping rules: a target leaves once its best value
@@ -236,7 +227,11 @@ def nearest_in_span(x: np.ndarray, span: ConcreteAlgebra | _TensorSpan,
     x is one (R, C) matrix or a stack (S, R, C) of targets solved at once,
     each with its own steps and best point.  The subspace is a concrete
     algebra or a ``_TensorSpan``, whose ``project`` maps a stack (S, R, C) to
-    its HS-orthogonal projections.
+    its HS-orthogonal projections.  Tuples x, span and floor solve families
+    of one matrix shape, one entry each: each takes its own warm start,
+    then all live targets share one stack, eigensolve and checkpoints, each
+    family projected by its own span and floored by its own duals, so each
+    result is bit for bit that of the family's own call.
 
     A target leaves the stack on the first of these that holds:
       tol    its residual fell to tol;
@@ -258,53 +253,61 @@ def nearest_in_span(x: np.ndarray, span: ConcreteAlgebra | _TensorSpan,
 
     Returns the witnesses (shaped like x), the distances ||x - b||, the
     iteration each target stopped at and its stop reason: floats, ints and
-    strings for one matrix, (S,) arrays for a stack.  The iteration is 0 when
-    the warm start decided it (its residual was within tol, or the k = 0 dual
-    closed its gap or put it below the floor), and then no iteration ran for
-    it.  The distances are taken by the values-only SVD of ``opnorm``,
-    so that opnorm(x - b) reproduces each bit for bit.
+    strings for one matrix, (S,) arrays for a stack; for families, a tuple of
+    these per family.  The iteration is 0 when the warm start decided it (its
+    residual was within tol, or the k = 0 dual closed its gap or put it below
+    the floor), and then no iteration ran for it.  Each distance is the
+    values-only SVD of x - b for the returned b, as ``opnorm`` takes it, so
+    opnorm(x - b) reproduces it bit for bit.
     """
-    single = np.ndim(x) == 2
-    X = np.reshape(x, (-1,) + np.shape(x)[-2:])
-    project = span.project
+    families = isinstance(x, tuple)
+    xs, spans, floors = (x, span, floor) if families else ((x,), (span,), (floor,))
+    xs, floors = [np.reshape(v, (-1,) + np.shape(v)[-2:]) for v in xs], np.array(floors, float)
+    cuts = np.cumsum([0] + [len(X) for X in xs])
+    fam = np.repeat(np.arange(len(xs)), np.diff(cuts))  # each target's family
 
-    def stops(s, best_s, lo):
-        """Index into _STOPS of each live target's stop, 3 where it goes on;
-        None when every target goes on.  lo is the checkpoint's dual bound,
-        and the floor is raised to the largest of it."""
-        nonlocal floor
-        if floor is not None:
-            floor = float(lo.max(initial=floor))
-        is_tol = s <= tol
-        is_gap = best_s - lo <= _MARGIN * best_s
-        is_floor = floor is not None and best_s < floor * (1.0 - _MARGIN)
-        if not (is_tol | is_gap | is_floor).any():
-            return None
-        return np.where(is_tol, 0, np.where(is_gap, 1, np.where(is_floor, 2, 3)))
+    def stops(s, best_s, lo, f):
+        """Index into _STOPS of each live target's stop, 3 where it goes on; lo,
+        the checkpoint's dual bound, raises the floor of each target's family f."""
+        has = ~np.isnan(floors[f])
+        np.maximum.at(floors, f[has], lo[has])
+        below = best_s < floors[f] * (1.0 - _MARGIN)
+        return np.where(s <= tol, 0, np.where(best_s - lo <= _MARGIN * best_s, 1,
+                                              np.where(below, 2, 3)))
 
-    best = _into_ball(project(X)) if ball else project(X)
-    best_val = np.linalg.svd(X - best, compute_uv=False)[:, 0]
+    def grouped(f):  # the projection of a stack of the (sorted) families f, by family
+        e = np.searchsorted(f, np.arange(len(spans) + 1))
+        ps = [(S.project, a, b) for S, a, b in zip(spans, e, e[1:]) if b > a]
+        return ps[0][0] if len(ps) == 1 else lambda m: np.concatenate([p(m[a:b]) for p, a, b in ps])
+
+    best = np.empty((cuts[-1],) + xs[0].shape[1:], dtype=complex)
+    best_val, stop = np.empty(cuts[-1]), np.empty(cuts[-1], dtype=int)
+    for f, X in enumerate(xs):  # each family's warm start, k = 0
+        part, project = slice(cuts[f], cuts[f + 1]), spans[f].project
+        best[part] = _into_ball(project(X)) if ball else project(X)
+        best_val[part] = np.linalg.svd(X - best[part], compute_uv=False)[:, 0]
+        stop[part] = stops(best_val[part], best_val[part],
+                           _best_point_dual(X - best[part], project), fam[part])
     c = np.maximum(best_val, 10 * tol)
-    stop = stops(best_val, best_val, _best_point_dual(X - best, project))
-    stop = np.full(len(X), 3) if stop is None else stop
     at = np.where(stop < 3, 0, iters)
     live = np.flatnonzero(stop == 3)
-    Xl, cl, y = X[live], c[live], best[live]
-    Y, Z, y_bar, check = np.zeros_like(Xl), np.zeros_like(Xl), y, 1 if ball else _PD_CHECK
+    Xl = np.concatenate([X[stop[a:b] == 3] for X, a, b in zip(xs, cuts, cuts[1:])])
+    cl, y, project = c[live], best[live], grouped(fam[live])
+    YZ = np.zeros(((1 + ball) * len(Xl),) + Xl.shape[1:], complex)  # Y, over Z with the ball
+    y_bar, check = y, 1 if ball else _PD_CHECK
     for k in range(1, iters + 1):
-        if not live.size:
+        if not (n := len(live)):
             break
         if ball:  # Y and Z from one eigensolve; nan asks for Y's projection
             sy, sz = (f / cl for f in _PD_BALL)
-            t = np.concatenate([np.full(len(live), np.nan), sz])
-            YZ = _shrink(np.concatenate([Y + sy[:, None, None] * (Xl - y_bar),
-                                         Z + sz[:, None, None] * y_bar]), t)
-            Y, Z = YZ[:len(live)], YZ[len(live):]
-            step = project(Y - Z)
+            YZ[:n] += sy[:, None, None] * (Xl - y_bar)
+            YZ[n:] += sz[:, None, None] * y_bar
+            YZ = _shrink(YZ, np.concatenate([np.full(n, np.nan), sz]))
+            Y, Z = YZ[:n], YZ[n:]
         else:
-            Y = _shrink(Y + (_PD_STEP / cl)[:, None, None] * (Xl - y_bar), None)
-            step = project(Y)
-        y_new = y + cl[:, None, None] * step
+            YZ += (_PD_STEP / cl)[:, None, None] * (Xl - y_bar)
+            Y = YZ = _shrink(YZ, None)
+        y_new = y + cl[:, None, None] * project(Y - Z if ball else Y)
         y_bar, y = 2.0 * y_new - y, y_new
         if k != check and k != iters:
             continue
@@ -312,23 +315,24 @@ def nearest_in_span(x: np.ndarray, span: ConcreteAlgebra | _TensorSpan,
         point = _into_ball(y) if ball else y
         s = np.linalg.svd(Xl - point, compute_uv=False)[:, 0]
         better = s < best_val[live]
-        best[live[better]] = point[better]
-        best_val[live[better]] = s[better]
-        R = Xl - best[live]
-        lo = _span_dual(Y, R, project)
+        best[live[better]], best_val[live[better]] = point[better], s[better]
+        del point  # freed before the duals, for a lower peak memory
+        lo = _span_dual(Y, Xl - best[live], project)
         if ball:
-            lo = np.maximum(lo, _ball_dual(Y, step + Z, Xl))
-        why = stops(s, best_val[live], np.maximum(lo, _best_point_dual(R, project)))
-        if why is not None:
-            keep = why == 3
+            lo = np.maximum(lo, _ball_dual(Y, project(Y - Z) + Z, Xl))
+        lo = np.maximum(lo, _best_point_dual(Xl - best[live], project))
+        why = stops(s, best_val[live], lo, fam[live])
+        keep = why == 3
+        if not keep.all():
             stop[live[~keep]], at[live[~keep]] = why[~keep], k
-            live, Xl, cl, y = live[keep], Xl[keep], cl[keep], y[keep]
-            Y, Z, y_bar = Y[keep], Z[keep], y_bar[keep]
-    best_val = np.linalg.svd(X - best, compute_uv=False)[:, 0]
+            live, Xl, cl, y, y_bar = live[keep], Xl[keep], cl[keep], y[keep], y_bar[keep]
+            YZ = YZ[np.tile(keep, len(YZ) // n)]
+            project = grouped(fam[live]) if live.size else None
     stop = np.array(_STOPS)[stop]
-    if single:
-        return best[0], float(best_val[0]), int(at[0]), str(stop[0])
-    return best, best_val, at, stop
+    out = [(best[a:b], best_val[a:b], at[a:b], stop[a:b]) if np.ndim(v) == 3
+           else (best[a], float(best_val[a]), int(at[a]), str(stop[a]))
+           for v, a, b in zip(x if families else (x,), cuts, cuts[1:])]
+    return tuple(out) if families else out[0]
 
 
 def span_distance_lower(x: np.ndarray, span: ConcreteAlgebra | _TensorSpan
@@ -384,20 +388,26 @@ def near_inclusion(A: ConcreteAlgebra, B: ConcreteAlgebra,
     below the supremum stop early, so gamma_hi is decided by the samples
     that can set it.  The certificate keeps copies of the 8 witnesses of
     largest distance, with their stop reasons and iterations, not the stacks."""
-    spec = spec or SampleSpec()
-    X = sample_unit_ball(A, spec)
-    if not len(X):
-        return NearInclusionCert(0.0, 0.0, [], spec, direction="A->B")
-    lbs = span_distance_lower(X, B)
-    bs, ubs, its, stops = nearest_in_span(X, B, ball=ball, iters=spec.iters,
-                                          floor=float(lbs.max()))
-    lo = int(np.argmax(lbs))
-    wits = [Witness(index=int(i), x=X[i].copy(), b=bs[i].copy(), ub=float(ubs[i]),
-                    lb=float(lbs[i]), stop=str(stops[i]), iters=int(its[i]))
-            for i in np.argsort(-ubs, kind="stable")[:8]]
-    return NearInclusionCert(gamma_hi=float(ubs.max()), gamma_lo=float(lbs[lo]),
-                             witnesses=wits, sample_spec=spec, direction="A->B",
-                             n_samples=len(X), lo_witness=X[lo].copy())
+    return _near_inclusions([(A, B)], spec or SampleSpec(), ball)[0]
+
+
+def _near_inclusions(pairs, spec: SampleSpec, ball: bool) -> list[NearInclusionCert]:
+    """The certificates of A in B for the pairs (A, B), all their samples
+    solved in one ``nearest_in_span`` call, one family per pair."""
+    X = [sample_unit_ball(A, spec) for A, _ in pairs]
+    lbs = [span_distance_lower(x, B) for x, (_, B) in zip(X, pairs)]
+    solved = nearest_in_span(tuple(X), tuple(B for _, B in pairs), ball=ball, iters=spec.iters,
+                             floor=tuple(float(lb.max()) for lb in lbs))
+    certs = []
+    for x, lb, (bs, ubs, its, stops) in zip(X, lbs, solved):
+        lo = int(np.argmax(lb))
+        wits = [Witness(index=int(i), x=x[i].copy(), b=bs[i].copy(), ub=float(ubs[i]),
+                        lb=float(lb[i]), stop=str(stops[i]), iters=int(its[i]))
+                for i in np.argsort(-ubs, kind="stable")[:8]]
+        certs.append(NearInclusionCert(gamma_hi=float(ubs.max()), gamma_lo=float(lb[lo]),
+                                       witnesses=wits, sample_spec=spec, direction="A->B",
+                                       n_samples=len(x), lo_witness=x[lo].copy()))
+    return certs
 
 
 def kk_distance(A: ConcreteAlgebra, B: ConcreteAlgebra,
@@ -407,10 +417,10 @@ def kk_distance(A: ConcreteAlgebra, B: ConcreteAlgebra,
     Witnesses are constrained to the unit ball of the target algebra, one
     sampled sup per direction; lo is the best dual lower bound over all
     samples, attained by lo_witness, hi the worst achieved witness distance.
+    One ``nearest_in_span`` call solves both, each as ``near_inclusion`` would.
     """
     spec = spec or SampleSpec()
-    cert_ab = near_inclusion(A, B, spec=spec, ball=True)
-    cert_ba = near_inclusion(B, A, spec=spec, ball=True)
+    cert_ab, cert_ba = _near_inclusions([(A, B), (B, A)], spec, ball=True)
     cert_ba.direction = "B->A"
     hi = max(cert_ab.gamma_hi, cert_ba.gamma_hi)
     lo_cert = cert_ab if cert_ab.gamma_lo >= cert_ba.gamma_lo else cert_ba

@@ -112,7 +112,8 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
     pulled back into A's unit ball once, at 200 iterations (pull_back),
     closeness covers the accepted witnesses too, and the result is certified
     onto B by dimension count (an injective alpha into B with dim A = dim B is
-    onto; the paper's density margin is reported, not checked).
+    onto; the paper's density margin is reported, not checked).  A failed
+    ``expectation-restriction`` certificate raises ContradictionError.
     """
     budget.require_window("iso-eta", eta, WINDOW_ISO_ETA)
     budget.require_window("iso-mu", mu, WINDOW_ISO_MU)
@@ -134,6 +135,8 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
                         "tracking_ok": bool(accepted.all())}
 
     phi, cert_phi = arveson_restrict(A, B, X_close, gamma=eta / 2.0)
+    if not cert_phi.passed:
+        raise ContradictionError(f"E_B moves X by {cert_phi.achieved:.3g}: d(A, B) > eta/2")
     phi_defect = hom_defect(phi)
     theta_raw = improve_multiplicativity(phi, gamma=max(3.0 * eta, phi_defect),
                                          budget=budget).psi

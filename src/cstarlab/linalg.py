@@ -28,6 +28,7 @@ __all__ = [
     "opnorms",
     "opnorm_max",
     "opnorm_max_of",
+    "opnorm_max_over",
     "hs_inner",
     "hs_norm",
     "rng_for",
@@ -122,11 +123,18 @@ def opnorm_max(stack: np.ndarray) -> float:
 
 def opnorm_max_of(f, points) -> float:
     """opnorm_max(f(points)) for an f that maps each point of a stack or list on
-    its own, f taking 32 points or _BATCH_BYTES / 4 of them at a time, whichever
-    is more; the norm found so far rules out matrices by their HS bound."""
-    best, batch = 0.0, max(32, _BATCH_BYTES // 4 // max(np.asarray(points[:1]).nbytes, 1))
-    for i in range(0, len(points), batch):
-        out = f(np.asarray(points[i:i + batch], dtype=complex))
+    its own, by ``opnorm_max_over`` of f on 32 points or _BATCH_BYTES / 4 of them
+    at a time, whichever is more."""
+    batch = max(32, _BATCH_BYTES // 4 // max(np.asarray(points[:1]).nbytes, 1))
+    return opnorm_max_over(f(np.asarray(points[i:i + batch], dtype=complex))
+                           for i in range(0, len(points), batch))
+
+
+def opnorm_max_over(stacks) -> float:
+    """Largest operator norm over an iterable of stacks, one stack at a time;
+    the norm found so far rules out matrices by their HS bound."""
+    best = 0.0
+    for out in stacks:
         hs = np.linalg.norm(out, axis=(-2, -1)) * (1.0 + _HS_REL_SLACK) + _HS_ABS_SLACK
         best = max(best, opnorm_max(out[~(hs <= best)]))
     return best

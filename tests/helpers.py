@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from cstarlab.linalg import dagger
+from cstarlab.linalg import dagger, opnorm_max
 
 
 def matrix_unit(fd, k: int, i: int, j: int) -> np.ndarray:
@@ -25,3 +25,21 @@ def mult_defects(phi, X) -> np.ndarray:
     defects = defects @ defects[:, ::-1]
     defects -= phi(Y @ Y[:, ::-1])
     return defects.reshape((-1,) + defects.shape[2:])
+
+
+def relation_residual_by_rows(fd, E) -> float:
+    """The generating relation residual of ``FDAlgebra.relation_residual``
+    taken one row at a time: ||E_ji - E_ij*|| per block, ||E_ij E_jl - E_il||
+    as one stack per row i of a block, and ||E_ii E_jj|| as one stack per
+    diagonal unit against every other, each stack measured by its own
+    ``opnorm_max`` call."""
+    worst, diagonal = 0.0, []
+    for n, block in zip(fd.block_sizes, fd.unit_blocks(E)):  # E_ij at [i, j]
+        worst = max(worst, opnorm_max(block.swapaxes(0, 1) - dagger(block)))
+        for row in block:  # E_ij at [j]; E_ij E_jl - E_il at [j, l]
+            worst = max(worst, opnorm_max(row[:, None] @ block - row[None]))
+        diagonal.append(block[np.arange(n), np.arange(n)])
+    diagonal = np.concatenate(diagonal)
+    for a, e in enumerate(diagonal):
+        worst = max(worst, opnorm_max(e @ np.delete(diagonal, a, axis=0)))
+    return float(worst)

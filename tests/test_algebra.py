@@ -16,7 +16,8 @@ from cstarlab.instances import block_algebra, gen_instance
 import cstarlab
 from cstarlab.linalg import (dagger, expm_i, hs_inner, opnorm, opnorm_max, random_complex,
                              random_hermitian, random_unitary, rng_for)
-from helpers import matrix_unit
+from cstarlab import algebra
+from helpers import matrix_unit, relation_residual_by_rows
 
 PROFILES = [(2,), (1, 1), (2, 1), (3,), (2, 2), (1, 1, 1)]
 
@@ -311,6 +312,23 @@ def test_relation_residual_bounds_cross_block_products_through_the_diagonal():
     E = w @ (E + 1e-4 * random_complex(rng, 4)) @ dagger(w)
     eps, oracle = _assert_generators_bound_every_pair(fd, E)
     assert eps > 0.25 and oracle > eps
+
+
+@pytest.mark.parametrize("noise", [0.0, 1e-3])
+@pytest.mark.parametrize("sizes", [(1,), (1, 1), (3, 1), (2, 2, 1), (4,), (2, 2, 2, 2), (7, 5, 3)])
+def test_relation_residual_equals_the_row_at_a_time_oracle(sizes, noise, monkeypatch):
+    # rotated matrix units, exact (a rounding-level residual) and noisy: the
+    # gathered products are the row-at-a-time ones, so the largest norm has
+    # the oracle's bits, in the default chunks and in chunks of one product
+    fd = FDAlgebra(sizes)
+    rng = rng_for(47, "units", *sizes)
+    w = random_unitary(rng, fd.d + 1)
+    E = np.pad(fd.units(), ((0, 0), (0, 1), (0, 1)))
+    E = w @ (E + noise * random_complex(rng, fd.d + 1)) @ dagger(w)
+    want = relation_residual_by_rows(fd, E)
+    assert fd.relation_residual(E) == want
+    monkeypatch.setattr(algebra, "_BATCH_BYTES", 1)
+    assert fd.relation_residual(E) == want
 
 
 def test_relation_residual_counts_cross_block_products():

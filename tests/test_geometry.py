@@ -218,7 +218,9 @@ def test_stacked_witnesses_are_feasible_and_exact(ball):
         assert B.residual(b) <= 1e-12
         if ball:
             assert opnorm(b) <= 1.0 + 1e-12
-        assert abs(opnorm(x - b) - v) <= 1e-15
+        # each distance is the SVD of the x - b bytes returned, single or stacked
+        b1, v1, *_ = nearest_in_span(x, B, ball=ball, iters=100)
+        assert opnorm(x - b) == v and opnorm(x - b1) == v1
 
 
 def test_span_distance_lower_is_lower():
@@ -677,6 +679,47 @@ def test_ball_witness_values_do_not_hinge_on_the_summation_order(profile, N):
                     for S in (dst, rev)]
             assert np.all(np.abs(vals[1] - vals[0]) <= 1e-8 * vals[0])
             assert abs(vals[1].max() - vals[0].max()) <= 1e-9 * vals[0].max()
+
+
+def near_inclusion_plus_a_corner():
+    # A = M_2 in M_4 and B = u(A + C (1 - e))u*, e the unit of A: dim B = dim A + 1
+    A = block_algebra((2,), 4)
+    B = ConcreteAlgebra.from_basis(list(A.basis) + [np.eye(4) - A.support], 4)
+    return A, B.conjugated(small_rotation(4, 1e-3, 7))
+
+
+# (pair, sample seed, iterations, the largest iterations among each
+# direction's kept witnesses: A->B, B->A); the M2+M1/4 instance seed is one
+# whose B->A targets all leave the shared stack by 128 while A->B caps at 200
+KK_CASES = {
+    "M2+M1/4": (lambda: conjugation_pair("M2+M1", 4, 620566276), 620566276, 200, (200, 128)),
+    "3,3/8": (lambda: conjugation_pair("3,3", 8), 3, 200, (32, 200)),
+    "M2/4 in M2+C/4": (near_inclusion_plus_a_corner, 5, 200, (16, 0)),
+    "3,3/8 capped": (lambda: conjugation_pair("3,3", 8), 3, 4, (4, 4)),
+}
+
+
+@pytest.mark.parametrize("case", list(KK_CASES))
+def test_kk_distance_equals_two_near_inclusions(case):
+    # kk_distance solves both directions in one call, as two families; each
+    # certificate is the one near_inclusion(..., ball=True) gives alone,
+    # field by field and witness by witness, bit for bit
+    pair, seed, iters, last = KK_CASES[case]
+    A, B = pair()
+    spec = SampleSpec(seed=seed, n_selfadjoint=32, n_unitary=32, iters=iters)
+    iv = kk_distance(A, B, spec=spec)
+    alone = near_inclusion(A, B, spec=spec, ball=True), near_inclusion(B, A, spec=spec, ball=True)
+    for got, want, direction in zip((iv.cert_ab, iv.cert_ba), alone, ("A->B", "B->A")):
+        assert got.direction == direction
+        assert (got.gamma_hi, got.gamma_lo, got.n_samples, got.sample_spec) == \
+            (want.gamma_hi, want.gamma_lo, want.n_samples, want.sample_spec)
+        assert got.lo_witness.tobytes() == want.lo_witness.tobytes()
+        assert len(got.witnesses) == len(want.witnesses) == 8
+        for g, w in zip(got.witnesses, want.witnesses):
+            assert (g.index, g.ub, g.lb, g.stop, g.iters) == (w.index, w.ub, w.lb, w.stop, w.iters)
+            assert g.x.tobytes() == w.x.tobytes() and g.b.tobytes() == w.b.tobytes()
+    assert tuple(max(w.iters for w in c.witnesses) for c in alone) == last
+    assert iv.hi == max(c.gamma_hi for c in alone) and iv.lo == max(c.gamma_lo for c in alone)
 
 
 def test_near_inclusion_direction_tag():

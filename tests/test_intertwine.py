@@ -98,6 +98,18 @@ def test_close_isomorphism_dim_mismatch_contradicts():
         close_isomorphism(A, B, 1e-6)
 
 
+def test_close_isomorphism_rejects_a_gamma_far_below_the_distance():
+    # ||u - 1|| is about 1e-3, so the expectation onto B moves A's basis by
+    # about that much, far above eta + TOL_ALG = 2 gamma + 1e-9 at gamma =
+    # 1e-9: the expectation-restriction certificate fails, and with it the
+    # hypothesis d(A, B) <= gamma; at gamma = 2 ||u - 1||, which bounds the
+    # distance, every certificate passes
+    A, B, u = conjugated_pair((2, 1), 3, 1e-3, 4)
+    with pytest.raises(ContradictionError, match=r"d\(A, B\) > eta/2"):
+        close_isomorphism(A, B, 1e-9)
+    assert close_isomorphism(A, B, 2.0 * opnorm(u - np.eye(3))).passed
+
+
 def test_close_isomorphism_window_on_paper_track():
     A, B, _ = conjugated_pair((2,), 3, 1e-4, 1)
     with pytest.raises(WindowError):
