@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import FDAlgebra
-from .averaging import (exact_diagonal, improve_multiplicativity,
+from .averaging import (canonical_average, exact_diagonal, improve_multiplicativity,
                         intertwining_unitary, polar_unitary,
                         projection_conjugator)
 from .certs import PAPER_BUDGET, WindowError
@@ -163,7 +163,7 @@ def criterion_3() -> CriterionResult:
             units = fd.units()
             for x in fd.random_elements(rng, 3):
                 x = x / max(opnorm(x), 1e-300)
-                tw = avg.twirl(x)
+                tw = canonical_average(profile, units @ x, units)
                 worst_central = max(worst_central, opnorm_max(tw @ units - units @ tw))
     n_profiles, worst_mult = len(mult_defects), max(mult_defects)
     ok = worst_mult <= 1e-12 and worst_central <= 1e-11

@@ -42,7 +42,6 @@ from .linalg import (
     is_projection_residual,
     opnorm,
     opnorm_max,
-    opnorm_max_over,
     opnorms,
     partial_isometry_polar,
     range_projection,
@@ -236,7 +235,7 @@ class FDAlgebra:
             prod, sub = E[left[s:s + step]] @ E[right[s:s + step]], minus[s:s + step]
             return np.subtract(prod, E[sub], out=prod, where=(sub >= 0)[:, None, None])
         adjoints = (block.swapaxes(0, 1) - dagger(block) for block in self.unit_blocks(E))
-        return float(opnorm_max_over(chain(adjoints, map(products, range(0, len(left), step)))))
+        return opnorm_max(chain(adjoints, map(products, range(0, len(left), step))))
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,12 @@ unitaries between close nearly multiplicative maps, and commutant lifts.
 The central object is the canonical separability element
 w = sum_k (1/n_k) sum_ij e_ij (x) e_ji of A = (+)_k M_{n_k}, the amenability
 average (Johnson 1988).  Every average below is linear in u (x) u* over a
-unitary family averaging to w, so it is evaluated on the sum_k n_k^2 matrix
-units: the twirl sum_k (1/n_k) sum_ij e_ji y e_ij, the averaged intertwiner
-sum_k (1/n_k) sum_ij f(e_ij) g(e_ji), and the repair's twirled compression.
-Where actual unitaries are needed (the tracked set of the staged
-intertwining, the commutation estimate of a lift), ``exact_diagonal`` gives
-at most r (sum n_k^2 - r + 1) unitaries averaging to w exactly.  Twirled
+unitary family averaging to w, so it is ``canonical_average`` on the
+sum_k n_k^2 matrix units: the twirl sum_k (1/n_k) sum_ij e_ij y e_ji, the
+averaged intertwiner sum_k (1/n_k) sum_ij f(e_ij) g(e_ji), the repair's
+twirled compression and the order-zero fit's twirled h.  Where actual
+unitaries are needed (the commutation estimate of a lift), ``exact_diagonal``
+gives at most r (sum n_k^2 - r + 1) unitaries averaging to w exactly.  Twirled
 projections thus commute with the representation to machine precision,
 intertwiners of exact homomorphisms intertwine exactly, and lifts sit
 exactly in the commutant.
@@ -39,6 +39,7 @@ from .linalg import (dagger, expm_i, herm, opnorm, opnorm_max, opnorms, polar_fa
 
 __all__ = [
     "AveragingSet",
+    "canonical_average",
     "weyl_unitaries",
     "exact_diagonal",
     "polar_unitary",
@@ -83,9 +84,14 @@ def _canonical_index(block_sizes) -> tuple[np.ndarray, np.ndarray]:
     return np.array(scale), np.array(flip, dtype=int)
 
 
-def _canonical_sum(scale: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """sum_p scale[p] left[p] @ right[p] over two stacks of matrices."""
-    return np.matmul(scale[:, None, None] * left, right).sum(axis=0)
+def canonical_average(block_sizes, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """sum_k (1/n_k) sum_ij left[e_ij] @ right[e_ji] over two stacks indexed
+    by the matrix units e_ij of (+)_k M_{n_k} in (k, i, j) order: the
+    canonical separability element evaluated on left (x) right.  The twirl of
+    y over unit images E, sum_k (1/n_k) sum_ij E_ij y E_ji, is
+    canonical_average(block_sizes, E @ y, E)."""
+    scale, flip = _canonical_index(block_sizes)
+    return np.matmul(scale[:, None, None] * left, right[flip]).sum(axis=0)
 
 
 @dataclass
@@ -96,7 +102,7 @@ class AveragingSet:
     to one, and sum_t weights[t] * (terms[t] (x) terms[t]*) equals the
     canonical separability element sum_k (1/n_k) sum_ij e_ij (x) e_ji, whose
     matrix units are units[p] in (k, i, j) order.  Averages linear in
-    u (x) u* (twirl, pair) are evaluated on the units, not on the terms.
+    u (x) u* are ``canonical_average`` on the units, not sums over the terms.
     """
 
     weights: np.ndarray
@@ -104,32 +110,9 @@ class AveragingSet:
     unit: np.ndarray
     block_sizes: tuple[int, ...]
     units: np.ndarray = field(repr=False)
-    scale: np.ndarray = field(init=False, repr=False)
-    flip: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.scale, self.flip = _canonical_index(self.block_sizes)
 
     def __len__(self) -> int:
         return len(self.terms)
-
-    def twirl(self, y: np.ndarray) -> np.ndarray:
-        """sum_k (1/n_k) sum_ij e_ji y e_ij; the trace-preserving conditional
-        expectation onto the relative commutant of the algebra."""
-        return _canonical_sum(self.scale, self.units[self.flip] @ y, self.units)
-
-    def _values(self, f) -> np.ndarray:
-        if isinstance(f, LinMap) and isinstance(f.domain, FDAlgebra):
-            if tuple(f.domain.block_sizes) != self.block_sizes:
-                raise ValueError("map domain does not match the averaged algebra")
-            return f.images
-        return np.array([f(e) for e in self.units])
-
-    def pair(self, f, g) -> np.ndarray:
-        """sum_k (1/n_k) sum_ij f(e_ij) g(e_ji) = sum_t lambda_t f(u_t*) g(u_t)
-        for linear matrix-valued f, g; a LinMap on the block algebra is read
-        off its stored images."""
-        return _canonical_sum(self.scale, self._values(f), self._values(g)[self.flip])
 
     def canonical_residual(self) -> float:
         """Distance of sum lambda u (x) u* from the canonical element."""
@@ -138,8 +121,9 @@ class AveragingSet:
         def tensor_average(w, left, right):
             return np.einsum("t,tab,tcd->acbd", w, left, right).reshape(m * m, m * m)
 
+        scale, flip = _canonical_index(self.block_sizes)
         W = tensor_average(self.weights, self.terms, self.terms.conj().transpose(0, 2, 1))
-        C = tensor_average(self.scale, self.units, self.units[self.flip])
+        C = tensor_average(scale, self.units, self.units[flip])
         return opnorm(W - C)
 
     def verify(self) -> Certificate:
@@ -316,11 +300,10 @@ def improve_multiplicativity(phi: LinMap, gamma: float | None = None,
     K = dil.dilation_dim
     p = dil.compression
 
-    # p0 = sum_k (1/n_k) sum_ij pi(e_ji) p pi(e_ij), the twirl of p over the
+    # p0 = sum_k (1/n_k) sum_ij pi(e_ij) p pi(e_ji), the twirl of p over the
     # represented matrix units
-    scale, flip = _canonical_index(fd_ext.block_sizes)
     rep_units = dil.rep_images
-    p0 = herm(_canonical_sum(scale, rep_units[flip] @ p, rep_units))
+    p0 = herm(canonical_average(fd_ext.block_sizes, rep_units @ p, rep_units))
     comm = opnorm_max(rep_units @ p0 - p0 @ rep_units)
     drift = opnorm(p0 - p)
     cert_drift = Certificate.build(
@@ -446,8 +429,7 @@ def intertwining_unitary(phi1: LinMap, phi2: LinMap,
     e1 = ucp_extension(LinMap(a1.domain, a1.codomain_dim, a1.images))
     e2 = e1 if a2 is a1 else ucp_extension(LinMap(a2.domain, a2.codomain_dim, a2.images))
     # s = sum_k (1/n_k) sum_ij e1(e_ij) e2(e_ji), paired on the stored images
-    scale, flip = _canonical_index(e1.domain.block_sizes)
-    s = _canonical_sum(scale, e1.images, e2.images[flip])
+    s = canonical_average(e1.domain.block_sizes, e1.images, e2.images)
     K = a1.codomain_dim
     sing = np.linalg.svd(s, compute_uv=False)
     if sing[-1] <= 1e-6:
@@ -515,7 +497,7 @@ def commutant_lift(m: np.ndarray, A: ConcreteAlgebra) -> LiftResult:
     avg = exact_diagonal(A)
     e = A.support
     eye = np.eye(A.ambient_dim)
-    a = avg.twirl(m) + (eye - e) @ m @ (eye - e)
+    a = canonical_average(avg.block_sizes, avg.units @ m, avg.units) + (eye - e) @ m @ (eye - e)
     delta = max(opnorm(m @ e - e @ m), opnorm_max(m @ avg.terms - avg.terms @ m))
     comm = _relative_commutator(a, A)
     cert_comm = Certificate.build(

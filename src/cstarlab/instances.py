@@ -14,9 +14,8 @@ import numpy as np
 
 from .algebra import ConcreteAlgebra, FDAlgebra, generate_algebra, support_projection
 from .certs import SchemaError, require_finite
-from .cpmaps import LinMap, perturb_choi
-from .linalg import (dagger, expm_i, herm, opnorm, opnorm_max, random_hermitian,
-                     random_unitary, rng_for)
+from .cpmaps import LinMap, perturb_choi, worst_move
+from .linalg import dagger, expm_i, herm, opnorm, random_hermitian, random_unitary, rng_for
 from .orderzero import NucDimDecomposition, OrderZeroMap
 from .serialize import matrix_to_json, to_jsonable
 
@@ -26,6 +25,7 @@ __all__ = [
     "base_algebra",
     "gen_instance",
     "random_order_zero",
+    "damping",
     "hat_decomposition",
 ]
 
@@ -163,17 +163,21 @@ def _rotated_embedding(fd: FDAlgebra, N: int, rng) -> LinMap:
 
 def random_order_zero(sizes, N: int, seed: int = 0) -> OrderZeroMap:
     """Random order-zero map from the block algebra of the given sizes into
-    M_N: a conjugated block embedding pi damped by a positive contraction
-    h = sum c_k pi(1_k) in the commutant of pi, each c_k uniform in
-    [0.4, 1)."""
+    M_N: a conjugated block embedding pi damped by ``damping(pi, rng)``."""
     fd = FDAlgebra(tuple(int(n) for n in sizes))
     rng = rng_for(seed, "order-zero", fd.d, N)
     pi = _rotated_embedding(fd, N, rng)
-    h = np.zeros((N, N), dtype=complex)
-    for k in range(len(fd.block_sizes)):
-        h = h + float(rng.uniform(0.4, 1.0)) * pi(fd.block_unit(k))
     carrier = ConcreteAlgebra.from_basis(list(pi.images), N)
-    return OrderZeroMap.from_pair(pi, herm(h), codomain_algebra=carrier)
+    return OrderZeroMap.from_pair(pi, herm(damping(pi, rng)), codomain_algebra=carrier)
+
+
+def damping(pi: LinMap, rng) -> np.ndarray:
+    """h = sum_k c_k pi(1_k) for a homomorphism pi on a block algebra, each
+    c_k uniform in [0.4, 1) drawn from rng in block order: a positive
+    contraction in the commutant of pi."""
+    fd = pi.domain
+    return sum(float(rng.uniform(0.4, 1.0)) * pi(fd.block_unit(k))
+               for k in range(len(fd.block_sizes)))
 
 
 def hat_decomposition(n_grid: int, step: int = 2):
@@ -217,6 +221,5 @@ def hat_decomposition(n_grid: int, step: int = 2):
     X = [np.diag(grid.astype(complex)),
          np.diag((grid ** 2).astype(complex)),
          np.diag((grid * (1.0 - grid)).astype(complex))]
-    stack = np.array(X)
-    dec.defect = opnorm_max(dec.compose(stack) - stack)
+    dec.defect = worst_move(dec.compose, X)
     return A, dec, X

@@ -22,11 +22,11 @@ from .certs import (TOL_ALG, TOL_EXACT, Certificate, ContradictionError,
                     SpectralGapError, ToleranceBudget, DEFAULT_BUDGET,
                     WINDOW_ISO_ETA, WINDOW_ISO_GAMMA, WINDOW_ISO_MU,
                     provenance_stamp)
-from .cpmaps import LinMap, arveson_restrict, classify, hom_defect
+from .cpmaps import LinMap, arveson_restrict, classify, hom_defect, worst_move
 from .averaging import (improve_multiplicativity, intertwining_unitary,
                         projection_conjugator)
 from .geometry import nearest_in_span
-from .linalg import dagger, opnorm, opnorm_max_of, opnorms
+from .linalg import dagger, opnorm, opnorms
 
 __all__ = [
     "StageRecord",
@@ -92,11 +92,6 @@ class IsoResult:
 # the intertwining
 # ---------------------------------------------------------------------------
 
-def _worst_move(phi, X) -> float:
-    """max over x in X of ||phi(x) - x||, in bounded batches; 0.0 for no X."""
-    return opnorm_max_of(lambda b: phi(b) - b, X)
-
-
 def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
                      X_A=None, mu: float = 1e-4,
                      surjectivity_delta: float | None = None,
@@ -151,7 +146,7 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
 
     # the ceilings below vanish with eta and mu: a rounding slack keeps the
     # exact case, eta = mu = 0, passing
-    achieved = _worst_move(alpha, X_close)
+    achieved = worst_move(alpha, X_close)
     cert_close = Certificate.build(
         name="iso-closeness",
         formula="||alpha(x) - x|| <= 8 sqrt(6) eta^{1/2} + eta + mu on X_A",
@@ -252,7 +247,7 @@ def close_isomorphism(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma: float,
         formula="||theta^{-1}(y) - y|| <= 2 ||x - y|| + ||theta(x) - y|| "
                 "<= 28 gamma^{1/2} on Y",
         inputs={"gamma": gamma, "n_points": len(Y)},
-        ceiling=float(ceiling), achieved=float(_worst_move(res.inverse, Y)),
+        ceiling=float(ceiling), achieved=float(worst_move(res.inverse, Y)),
         slack=TOL_EXACT, details={"chain_bound": float(chain_worst)},
         provenance=provenance_stamp())
     return res
@@ -353,7 +348,7 @@ def half_flip_cpc(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma: float,
     images = np.einsum("bikjl,k,l->bij", mid.reshape(-1, N, N, N, N), xi.conj(), xi)
     phi = LinMap(A, N, dagger(u) @ images @ u, codomain_algebra=B)
 
-    worst = _worst_move(phi, X)
+    worst = worst_move(phi, X)
     member = B.membership_residual(phi.images)
     ceiling = 8.0 * alpha + 4.0 * alpha ** 2 + 4.0 * np.sqrt(2.0) * gamma
     cls = classify(phi)
@@ -394,7 +389,7 @@ def implement_unitarily(theta: LinMap, budget: ToleranceBudget = DEFAULT_BUDGET
     if B is not None and B.ambient_dim != A.ambient_dim:
         raise ValueError("domain and codomain must share the ambient dimension")
     defect = hom_defect(theta)
-    if defect > TOL_ALG:
+    if not defect <= TOL_ALG:  # a nan defect certifies nothing either
         raise ValueError(
             f"map is not a homomorphism to tol_alg (defect {defect:.3g}); "
             "repair it before implementing unitarily")

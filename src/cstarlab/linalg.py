@@ -4,12 +4,12 @@ Matrices are numpy complex128 arrays; ``dagger``, ``herm``, ``opnorms``,
 ``opnorm_max`` and the functional calculus also take stacks (S, n, n).  Norm
 conventions: ``opnorm`` is the operator (spectral) norm, ``hs_inner``/``hs_norm``
 the Hilbert-Schmidt ones with inner product tr(a* b).  The largest operator
-norm in a stack is ``opnorm_max``, equal bit for bit to
+norm in a stack or a stream of stacks is ``opnorm_max``, equal bit for bit to
 ``opnorms(stack).max(initial=0.0)``: every matrix that could hold the maximum
-still gets its own values-only SVD, and only those the Hilbert-Schmidt bound
-rules out are skipped.  All randomness flows through counter-based Philox
-generators derived from explicit integer seeds, so every computation in the
-package replays bit-identically from its seed.
+gets its own values-only SVD; those the Hilbert-Schmidt bound rules out are
+skipped.  All randomness flows through counter-based Philox generators
+derived from explicit integer seeds, so every computation in the package
+replays bit-identically from its seed.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ __all__ = [
     "opnorm",
     "opnorms",
     "opnorm_max",
-    "opnorm_max_of",
-    "opnorm_max_over",
     "hs_inner",
     "hs_norm",
     "rng_for",
@@ -84,59 +82,49 @@ def opnorms(stack: np.ndarray) -> np.ndarray:
 # absolute part the squares that underflow below the smallest normal number.
 _HS_REL_SLACK = 1e-8
 _HS_ABS_SLACK = 1e-150
-# Largest gathered batch in opnorm_max, and 4 times opnorm_max_of's: a copy
+# Largest gathered batch in opnorm_max, 4 times cpmaps.worst_move's: a copy
 # or images of a whole large stack would raise the peak memory.
 _BATCH_BYTES = 1 << 18
 
 
-def opnorm_max(stack: np.ndarray) -> float:
-    """Largest operator norm in a stack (..., R, C), 0.0 for an empty one;
-    equal bit for bit to ``opnorms(stack).max(initial=0.0)``.
+def opnorm_max(stacks) -> float:
+    """Largest operator norm over one stack (..., R, C), or over any other
+    iterable read as a stream of stacks, 0.0 for none; equal bit for bit to
+    ``opnorms`` of their concatenation ``.max(initial=0.0)``.
 
-    The HS norm bounds the operator norm from above.  The matrices of largest
-    HS norm are SVD'd first; then, in batches of at most _BATCH_BYTES, every
-    other matrix whose HS norm exceeds the largest norm found so far.  Each
-    matrix taken gets its own values-only SVD, as in ``opnorms``.  A stack
-    with a non-finite HS norm takes ``opnorms`` whole.
+    The HS norm bounds the operator norm from above; each stack's HS norms
+    are taken once.  Its matrices of largest HS norm are SVD'd first, unless
+    their bound is at or below the norm found so far; then, in batches of at
+    most _BATCH_BYTES, every other matrix whose bound exceeds the norm found
+    so far.  Each matrix taken gets its own values-only SVD, as in
+    ``opnorms``.  A stack with a non-finite HS norm takes ``opnorms`` whole:
+    an infinite entry makes the result nan, and a NaN entry makes it nan or
+    raises ``LinAlgError``, as the SVD does.
     """
-    stack = np.asarray(stack)
-    mats = stack.reshape((math.prod(stack.shape[:-2]),) + stack.shape[-2:])
-    hs = np.einsum("kij,kij->k", mats.real, mats.real)
-    if np.iscomplexobj(mats):
-        hs += np.einsum("kij,kij->k", mats.imag, mats.imag)
-    hs = np.sqrt(hs)
-    largest = hs.max(initial=0.0)
-    if not np.isfinite(largest):
-        return float(opnorms(stack).max(initial=0.0))
-    top = hs == largest
-    best = float(opnorms(mats[top]).max(initial=0.0))
-    bound = hs * (1.0 + _HS_REL_SLACK) + _HS_ABS_SLACK
-    rest = np.flatnonzero((bound > best) & ~top)
-    batch = max(1, _BATCH_BYTES // max(mats[:1].nbytes, 1))
-    for start in range(0, len(rest), batch):
-        take = rest[start:start + batch]
-        take = take[bound[take] > best]  # the norm found so far may rule out more
-        if len(take):
-            best = max(best, float(opnorms(mats[take]).max()))
-    return best
-
-
-def opnorm_max_of(f, points) -> float:
-    """opnorm_max(f(points)) for an f that maps each point of a stack or list on
-    its own, by ``opnorm_max_over`` of f on 32 points or _BATCH_BYTES / 4 of them
-    at a time, whichever is more."""
-    batch = max(32, _BATCH_BYTES // 4 // max(np.asarray(points[:1]).nbytes, 1))
-    return opnorm_max_over(f(np.asarray(points[i:i + batch], dtype=complex))
-                           for i in range(0, len(points), batch))
-
-
-def opnorm_max_over(stacks) -> float:
-    """Largest operator norm over an iterable of stacks, one stack at a time;
-    the norm found so far rules out matrices by their HS bound."""
     best = 0.0
-    for out in stacks:
-        hs = np.linalg.norm(out, axis=(-2, -1)) * (1.0 + _HS_REL_SLACK) + _HS_ABS_SLACK
-        best = max(best, opnorm_max(out[~(hs <= best)]))
+    for stack in (stacks,) if isinstance(stacks, np.ndarray) else stacks:
+        stack = np.asarray(stack)
+        mats = stack.reshape((math.prod(stack.shape[:-2]),) + stack.shape[-2:])
+        hs = np.einsum("kij,kij->k", mats.real, mats.real)
+        if np.iscomplexobj(mats):
+            hs += np.einsum("kij,kij->k", mats.imag, mats.imag)
+        hs = np.sqrt(hs)
+        largest = hs.max(initial=0.0)
+        if not np.isfinite(largest):  # nan from here on, or a LinAlgError
+            best = float(np.maximum(best, opnorms(mats).max()))
+            continue
+        if not largest * (1.0 + _HS_REL_SLACK) + _HS_ABS_SLACK > best:
+            continue  # the bound rules the whole stack out, as it does once best is nan
+        bound = hs * (1.0 + _HS_REL_SLACK) + _HS_ABS_SLACK
+        top = hs == largest
+        best = max(best, float(opnorms(mats[top]).max(initial=0.0)))
+        rest = np.flatnonzero((bound > best) & ~top)
+        batch = max(1, _BATCH_BYTES // max(mats[:1].nbytes, 1))
+        for start in range(0, len(rest), batch):
+            take = rest[start:start + batch]
+            take = take[bound[take] > best]  # the norm found so far may rule out more
+            if len(take):
+                best = max(best, float(opnorms(mats[take]).max()))
     return best
 
 

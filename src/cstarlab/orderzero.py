@@ -23,8 +23,8 @@ from .algebra import ConcreteAlgebra, FDAlgebra
 from .certs import (TOL_ALG, TOL_EXACT, TOL_RANK, Certificate, ContradictionError,
                     SpectralGapError, ToleranceBudget, DEFAULT_BUDGET, WINDOW_ISO_ETA,
                     WINDOW_OZ_PROJECTION, provenance_stamp)
-from .averaging import _canonical_index, _canonical_sum
-from .cpmaps import LinMap, _from_choi_blocks, cb_bracket, choi_blocks, classify
+from .averaging import _canonical_index, canonical_average
+from .cpmaps import LinMap, _from_choi_blocks, cb_bracket, choi_blocks, classify, worst_move
 from .geometry import tensor_lift
 from .intertwine import intertwining_iso
 from .linalg import (clip_spectrum, dagger, eigh_fun, herm, opnorm,
@@ -316,9 +316,9 @@ def identity_decomposition(A: ConcreteAlgebra) -> NucDimDecomposition:
     down = LinMap(A, fd.d, bm.to_abstract(A.basis))
     up_map = LinMap(fd, A.ambient_dim, bm.to_concrete(fd.units()), codomain_algebra=A)
     up = OrderZeroMap(map=up_map, pi=up_map, h=np.array(A.support))
-    defect = opnorm_max(up(down(A.basis)) - A.basis)
+    defect = worst_move(lambda x: up(down(x)), A.basis)
     return NucDimDecomposition(F=fd, pieces=(tuple(range(len(fd.block_sizes))),),
-                               down=down, ups=(up,), defect=float(defect))
+                               down=down, ups=(up,), defect=defect)
 
 
 def split_decomposition(A: ConcreteAlgebra, parts: int = 2) -> NucDimDecomposition:
@@ -342,7 +342,7 @@ def split_decomposition(A: ConcreteAlgebra, parts: int = 2) -> NucDimDecompositi
         ups.append(OrderZeroMap(map=up_map, pi=up_map, h=herm(up_map.value_on_unit())))
     dec = NucDimDecomposition(F=fd, pieces=groups, down=down, ups=tuple(ups),
                               defect=0.0)
-    dec.defect = opnorm_max(dec.compose(A.basis) - A.basis)
+    dec.defect = worst_move(dec.compose, A.basis)
     return dec
 
 
@@ -360,8 +360,7 @@ def verify_nucdim_decomposition(A: ConcreteAlgebra, X, eps: float,
     comp = LinMap(A, dec.ups[0].codomain_dim, dec.compose(A.basis))
     if dec.composite_cpc and not classify(comp).cpc:
         failures.append("composite-not-cpc")
-    X = np.array(X, dtype=complex)
-    defect = opnorm_max(dec.compose(X) - X)
+    defect = worst_move(dec.compose, X)
     cert = Certificate.build(
         name="nucdim-decomposition",
         formula="sup_X ||psi(phi(x)) - x|| <= eps; down cpc, ups order zero, "
@@ -400,8 +399,7 @@ def nucdim_cpc_transfer(D: ConcreteAlgebra, dec: NucDimDecomposition,
     scale = max(1.0, hi)
     phi = raw.scaled(1.0 / scale) if scale > 1.0 else raw
 
-    X = np.array(X, dtype=complex)
-    achieved = opnorm_max(phi(X) - X)
+    achieved = worst_move(phi, X)
     mu = 2.0 * gamma + gamma ** 2
     ceiling = 2.0 * (dec.n + 1) * mu * (2.0 + mu) + eps
     cls = classify(phi)
@@ -506,7 +504,7 @@ def order_zero_projection(psi: LinMap, gamma: float | None = None,
     keep = np.arange(N) >= N - (gaps[-1] + 1 if gaps.size else 0)
     inv = np.where(keep, 1.0 / np.where(keep, vals, 1.0), 0.0)
     pi = LinMap(fd, N, psi.images @ ((vecs * inv) @ dagger(vecs)))
-    scale, flip = _canonical_index(fd.block_sizes)
+    flip = _canonical_index(fd.block_sizes)[1]
 
     rounds = []
     for _ in range(3):
@@ -542,7 +540,7 @@ def order_zero_projection(psi: LinMap, gamma: float | None = None,
     W = np.split(u @ vh, np.cumsum([c[0].size for c in cols])[:-1], axis=1)
     pi = LinMap(fd, N, np.concatenate([_unit_images(w.reshape(c.shape).swapaxes(0, 1))
                                        for w, c in zip(W, cols)]))
-    h = _canonical_sum(scale, pi.images[flip] @ h0, pi.images)
+    h = canonical_average(fd.block_sizes, pi.images @ h0, pi.images)
     fit = OrderZeroMap.from_pair(pi, clip_spectrum(herm(h), 0.0, 1.0), tol=100 * _FIT_TOL,
                                  codomain_algebra=psi.codomain_algebra)
 

@@ -11,7 +11,7 @@ import numpy as np
 from .certs import TOL_ALG, Certificate, ToleranceBudget, DEFAULT_BUDGET, provenance_stamp
 from .cpmaps import LinMap
 from .geometry import SampleSpec, kk_distance
-from .instances import Instance
+from .instances import Instance, damping
 from .intertwine import close_isomorphism, implement_unitarily
 from .linalg import dagger, opnorm, rng_for
 from .orderzero import (OrderZeroMap, identity_decomposition,
@@ -128,10 +128,7 @@ def run_pipeline(instance: Instance, pipeline: str,
         bm = A.block_model()
         fd = bm.fd
         pi = LinMap(fd, A.ambient_dim, bm.to_concrete(fd.units()), codomain_algebra=A)
-        rng = rng_for(seed, "oz-damping")
-        h = np.zeros((A.ambient_dim,) * 2, dtype=complex)
-        for k in range(len(fd.block_sizes)):
-            h = h + float(rng.uniform(0.4, 1.0)) * pi(fd.block_unit(k))
+        h = damping(pi, rng_for(seed, "oz-damping"))
         oz = OrderZeroMap.from_pair(pi, h, codomain_algebra=A)
         psi, cert = perturb_order_zero(oz, B, gamma)
         certs["order-zero-perturbation"] = cert

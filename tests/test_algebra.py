@@ -344,6 +344,42 @@ def test_relation_residual_counts_cross_block_products():
     assert fd.relation_residual(np.array([p, q])) == 0.0
 
 
+def test_relation_residual_reads_both_products_of_distinct_diagonal_units():
+    # E_1 = |psi><phi|, psi = cos t e_1 + sin t e_0, phi = psi + d chi,
+    # chi = cos t e_0 - sin t e_1, is an idempotent but not self-adjoint.
+    # Beside E_0 = e_00 it breaks three relations: ||E_1 - E_1*|| = d,
+    # ||E_0 E_1|| = sin t (1 + d^2)^(1/2) and, the largest, ||E_1 E_0|| =
+    # sin t + d cos t, which a residual over the pairs a < b alone misses
+    t, d = 0.1, 0.01
+    e = np.eye(3)
+    psi = np.cos(t) * e[1] + np.sin(t) * e[0]
+    chi = np.cos(t) * e[0] - np.sin(t) * e[1]
+    E = np.array([np.outer(e[0], e[0]), np.outer(psi, psi + d * chi)], dtype=complex)
+    want = np.sin(t) + d * np.cos(t)
+    assert want > np.sin(t) * np.hypot(1.0, d) + 1e-3
+    fd = FDAlgebra((1, 1))
+    assert abs(fd.relation_residual(E) - want) <= 1e-15
+    assert abs(fd.relation_residual(E[::-1]) - want) <= 1e-15
+
+
+@pytest.mark.parametrize("batch", [None, 1])
+@pytest.mark.parametrize("sizes", [(2, 1), (1, 2)])
+def test_relation_residual_of_overflowing_products_is_nan(sizes, batch, monkeypatch):
+    # the one-dimensional summand's unit sent to 1e200 times itself squares
+    # to inf, so no finite residual certifies the relations, whether its
+    # product comes after the finite ones, (2, 1), or before them, (1, 2),
+    # and in one chunk or one product per chunk
+    fd = FDAlgebra(sizes)
+    index = fd.unit_blocks(np.arange(fd.dim_linear))
+    E = fd.corner_units(3)
+    E[index[sizes.index(1)][0, 0]] *= 1e200
+    E[index[sizes.index(2)][0, 0]] *= 1.0 + 1e-3  # a finite residual of 1e-3
+    if batch is not None:
+        monkeypatch.setattr(algebra, "_BATCH_BYTES", batch)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(fd.relation_residual(E))
+
+
 # the benchmark's and the tests' instance profiles, with and without a unit
 ORACLE_CASES = ([("conjugation", alg, n) for alg, n in (
     ("M2", 4), ("M2+M1", 4), ("diag3", 4), ("M2+M2", 6), ("3,3", 8), ("2,2,2", 8),

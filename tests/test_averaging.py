@@ -9,8 +9,7 @@ from scipy.linalg import expm
 from cstarlab.algebra import FDAlgebra
 from cstarlab.linalg import dagger, hs_inner, opnorm, opnorm_max
 from cstarlab.averaging import (
-    _canonical_index,
-    _canonical_sum,
+    canonical_average,
     commutant_lift,
     exact_diagonal,
     improve_multiplicativity,
@@ -99,7 +98,8 @@ def test_twirl_is_commutant_projection(sizes):
     for _ in range(3):
         y = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
         expect = (P @ y.reshape(-1)).reshape(N, N)
-        assert opnorm(avg.twirl(y) - expect) < 1e-12
+        twirl = canonical_average(avg.block_sizes, avg.units @ y, avg.units)
+        assert opnorm(twirl - expect) < 1e-12
 
 
 def random_map(fd: FDAlgebra, N: int, rng) -> LinMap:
@@ -114,9 +114,7 @@ def test_pair_matches_phase_family_sum(sizes):
     f, g = random_map(fd, 3, rng), random_map(fd, 3, rng)
     avg = exact_diagonal(fd)
     explicit = sum(w * (f(dagger(u)) @ g(u)) for w, u in zip(avg.weights, avg.terms))
-    assert opnorm(avg.pair(f, g) - explicit) < 1e-13
-    # plain callables are evaluated on the matrix units
-    assert opnorm(avg.pair(lambda x: f(x), lambda x: g(x)) - explicit) < 1e-13
+    assert opnorm(canonical_average(sizes, f.images, g.images) - explicit) < 1e-13
 
 
 def test_repair_twirl_matches_phase_family_sum():
@@ -131,8 +129,7 @@ def test_repair_twirl_matches_phase_family_sum():
     explicit = sum(w * (dagger(dil.rep(u)) @ p @ dil.rep(u))
                    for w, u in zip(avg.weights, avg.terms))
     R = np.array(dil.rep_images)
-    scale, flip = _canonical_index(dil.fd.block_sizes)
-    p0 = _canonical_sum(scale, R[flip] @ p, R)
+    p0 = canonical_average(dil.fd.block_sizes, R @ p, R)
     assert opnorm(p0 - explicit) < 1e-13
     # the repair's drift certificate measures the same twirled projection
     drift = rep.certificates["drift"].achieved
@@ -145,18 +142,18 @@ def test_twirl_lands_in_commutant():
     avg = exact_diagonal(A)
     rng = rng_for(3, "twirl")
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    t = avg.twirl(g)
+    E = avg.units
+    t = canonical_average(avg.block_sizes, E @ g, E)
     for b in A.basis:
         assert opnorm(t @ b - b @ t) < 1e-11
     # expectation property: twirling twice changes nothing
-    assert opnorm(avg.twirl(t) - t) < 1e-11
+    assert opnorm(canonical_average(avg.block_sizes, E @ t, E) - t) < 1e-11
 
 
 def test_pair_of_inclusion_is_unit():
     fd = FDAlgebra((2, 1))
     phi = embedded(fd, 3)
-    avg = exact_diagonal(fd)
-    s = avg.pair(phi, phi)
+    s = canonical_average(fd.block_sizes, phi.images, phi.images)
     assert opnorm(s - phi(fd.unit())) < 1e-11
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cstarlab import cpmaps
 from cstarlab.algebra import ConcreteAlgebra, FDAlgebra, dagger, opnorm
 from cstarlab.certs import TOL_ALG, TOL_PSD
 from cstarlab.cpmaps import (
@@ -25,9 +26,10 @@ from cstarlab.cpmaps import (
     perturb_choi,
     stinespring,
     ucp_extension,
+    worst_move,
 )
 from cstarlab.instances import block_algebra, gen_instance
-from cstarlab.linalg import herm, opnorm_max, random_complex, random_unitary, rng_for
+from cstarlab.linalg import herm, opnorm_max, opnorms, random_complex, random_unitary, rng_for
 from helpers import matrix_unit, mult_defects
 
 
@@ -451,6 +453,19 @@ def test_conditional_expectation_idempotent():
         assert A.residual(E(g)) < 1e-10
     cls = classify(E)
     assert cls.cp and cls.ucp
+
+
+def test_worst_move_equals_the_one_stack_maximum(monkeypatch):
+    # 70 points in one batch and, with the smallest batch bytes, in batches
+    # of 32: the largest ||f(x) - x|| has the bits of the one-stack maximum
+    rng = rng_for(5, "worst-move")
+    u = random_unitary(rng, 3)
+    X = random_complex(rng, 70 * 3, 3).reshape(70, 3, 3)
+    want = opnorms(u @ X @ dagger(u) - X).max()
+    assert worst_move(lambda x: u @ x @ dagger(u), X) == want
+    monkeypatch.setattr(cpmaps, "_BATCH_BYTES", 1)
+    assert worst_move(lambda x: u @ x @ dagger(u), list(X)) == want
+    assert worst_move(lambda x: u @ x @ dagger(u), []) == 0.0
 
 
 def test_arveson_restrict_close_on_window():

@@ -16,7 +16,7 @@ from cstarlab.certs import (
     ToleranceBudget,
     WindowError,
 )
-from cstarlab.cpmaps import LinMap, hom_defect
+from cstarlab.cpmaps import LinMap, hom_defect, worst_move
 from cstarlab.geometry import near_inclusion
 from cstarlab.instances import block_algebra, gen_instance
 from cstarlab.intertwine import (
@@ -196,7 +196,7 @@ def test_expectation_producer_builds_its_map_once(monkeypatch):
         Xs, dists = res.pull_back
         X = list(A.normalized_basis) + list(Xs[dists <= 2.0 / 5.0 + TOL_ALG])
         assert row.n_Z == len(X) == res.certificates["closeness"].inputs["n_points"]
-        assert row.phi_closeness == intertwine._worst_move(phi, X)
+        assert row.phi_closeness == worst_move(phi, X)
         assert row.phi_defect == hom_defect(phi)
 
 
@@ -228,13 +228,13 @@ def test_close_isomorphism_reads_its_closeness():
     Xs, dists = res.pull_back
     X = list(A.normalized_basis) + list(Xs[dists <= 2.0 / 5.0 + TOL_ALG])
     fwd = res.certificates["forward-closeness"]
-    assert fwd.achieved == intertwine._worst_move(res.map, X)
+    assert fwd.achieved == worst_move(res.map, X)
     assert fwd.achieved == res.certificates["closeness"].achieved
     assert fwd.inputs["n_points"] == len(X) == A.dim + B.dim
     theta, cert = near_embedding_nuclear(A, B, gamma)
-    assert cert.achieved == intertwine._worst_move(theta, list(A.normalized_basis))
+    assert cert.achieved == worst_move(theta, list(A.normalized_basis))
     theta, cert = near_embed_nucdim(A, B, gamma, identity_decomposition(A))
-    assert cert.achieved == intertwine._worst_move(theta, list(A.normalized_basis))
+    assert cert.achieved == worst_move(theta, list(A.normalized_basis))
 
 
 def test_iso_past_one_fifth_passes_every_certificate():
@@ -385,6 +385,17 @@ def test_implement_unitarily_rejects_non_homomorphism():
     defect = opnorm_max(mult_defects(theta, list(A.basis)))
     assert defect > 1e-3  # the perturbation really breaks multiplicativity
     with pytest.raises(ValueError):
+        implement_unitarily(theta)
+
+
+def test_implement_unitarily_rejects_a_nan_defect(monkeypatch):
+    # a defect that is not a number, as from products that overflow, does
+    # not show the map is a homomorphism; the inclusion itself would pass
+    A = block_algebra((2, 1), 3)
+    theta = LinMap(A, 3, A.basis, codomain_algebra=A)
+    assert implement_unitarily(theta)[1].verdict == "pass"
+    monkeypatch.setattr(intertwine, "hom_defect", lambda phi: float("nan"))
+    with pytest.raises(ValueError, match="not a homomorphism"):
         implement_unitarily(theta)
 
 

@@ -193,6 +193,40 @@ def test_opnorm_max_on_special_stacks():
         opnorm_max(S)
 
 
+@given(sizes=st.lists(st.integers(min_value=0, max_value=8), max_size=5), n=DIMS,
+       rows=DIMS, seed=SEEDS)
+@settings(max_examples=200, deadline=None)
+def test_opnorm_max_of_a_stream_equals_the_concatenated_maximum(sizes, n, rows, seed):
+    # chunks of a stack at scales apart, so a chunk's largest HS norm can
+    # fall below the norm found in the chunks before it; read as a list, an
+    # iterator, or one matrix per stack
+    rng = rng_for(seed, "opnorm-max-stream")
+    S = _hs_order_differs(rng, sum(sizes), n, rows)
+    S *= rng.choice([1e-3, 1.0, 1e3], size=(len(S), 1, 1))
+    chunks = np.split(S, np.cumsum(sizes, dtype=int)[:-1])
+    want = opnorms(S).max(initial=0.0)
+    assert opnorm_max(chunks) == want
+    assert opnorm_max(iter(chunks)) == want
+    assert opnorm_max(list(S)) == want
+
+
+def test_opnorm_max_of_a_stream_with_a_non_finite_stack():
+    # as for the concatenation, whichever stack of the stream holds it: an
+    # infinite entry gives nan, a NaN entry raises
+    a = np.stack([np.eye(3), 0.5 * np.eye(3)])
+    b = np.zeros((2, 3, 3))
+    b[1, 0, 0] = np.inf
+    assert np.isnan(opnorms(np.concatenate([a, b])).max())
+    for stream in ([b, a], [a, b]):
+        assert np.isnan(opnorm_max(stream))
+        assert np.isnan(opnorm_max(iter(stream)))
+    c = b.copy()
+    c[1, 0, 0] = np.nan
+    for stream in ([c, a], [a, c], [b, c]):
+        with pytest.raises(np.linalg.LinAlgError):
+            opnorm_max(stream)
+
+
 def test_opnorm_max_of_diagonal_matrices_is_the_largest_entry():
     d = random_complex(rng_for(7, "opnorm-max-diag"), 40, 5)
     S = np.einsum("ki,ij->kij", d, np.eye(5))
