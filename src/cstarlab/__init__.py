@@ -5,34 +5,29 @@ order-zero perturbation), every quantitative bound backed by a Certificate.
 """
 
 from .algebra import (BlockModel, BlockStructure, ConcreteAlgebra, FDAlgebra,
-                      generate_algebra, unitize_tilde, verify_algebra,
-                      wedderburn_decompose)
-from .averaging import (AveragingSet, IntertwinerResult, LiftResult,
-                        RepairResult, commutant_lift, exact_diagonal,
-                        improve_multiplicativity, intertwining_unitary,
-                        polar_unitary, projection_conjugator,
-                        unitary_commutant_lift)
+                      generate_algebra, wedderburn_decompose)
+from .averaging import (AveragingSet, IntertwinerResult, RepairResult,
+                        exact_diagonal, improve_multiplicativity,
+                        intertwining_unitary, polar_unitary,
+                        projection_conjugator)
 from .certs import (DEFAULT_BUDGET, PAPER_BUDGET, Certificate,
                     ContradictionError, SchemaError, SpectralGapError, ToleranceBudget,
                     WindowError, provenance_stamp)
 from .cpmaps import (LinMap, StinespringDilation, Ternary, arveson_restrict,
-                     cb_bracket, choi, choi_blocks, classify,
-                     conditional_expectation, from_choi, kraus_operators,
+                     cb_bracket, choi_blocks, classify, kraus_operators,
                      stinespring, ucp_extension)
 from .geometry import (DistanceInterval, NearInclusionCert, SampleSpec,
-                       equality_criterion, kk_distance, near_inclusion,
-                       nearest_in_span, tensor_lift)
+                       kk_distance, nearest_in_span, tensor_lift)
 from .instances import (Instance, block_algebra, gen_instance,
                         hat_decomposition, random_order_zero)
 from .intertwine import (IsoResult, StageRecord, close_isomorphism,
                          half_flip_cpc, implement_unitarily, intertwining_iso,
-                         near_embedding_nuclear, unit_match)
-from .orderzero import (NucDimDecomposition, OrderZeroMap, cone_evaluate,
+                         near_embedding_nuclear)
+from .orderzero import (NucDimDecomposition, OrderZeroMap,
                         identity_decomposition, is_order_zero,
                         near_embed_nucdim, nucdim_cpc_transfer,
-                        order_zero_projection, perturb_order_zero,
-                        split_decomposition, structure_decompose,
-                        verify_nucdim_decomposition)
+                        perturb_order_zero, split_decomposition,
+                        structure_decompose, verify_nucdim_decomposition)
 from .pipelines import Report, conjugation_iso, render_report, run_pipeline
 from .serialize import dumps, load, loads, save
 
@@ -41,26 +36,21 @@ __version__ = "0.1.0"
 __all__ = [
     "AveragingSet", "BlockModel", "BlockStructure", "Certificate",
     "ConcreteAlgebra", "ContradictionError", "DEFAULT_BUDGET",
-    "DistanceInterval", "FDAlgebra", "Instance",
-    "IntertwinerResult", "IsoResult", "LiftResult", "LinMap",
-    "NearInclusionCert", "NucDimDecomposition", "OrderZeroMap",
-    "PAPER_BUDGET", "RepairResult", "Report", "SampleSpec", "SchemaError",
-    "SpectralGapError", "StageRecord", "StinespringDilation", "Ternary",
-    "ToleranceBudget", "WindowError", "arveson_restrict", "block_algebra",
-    "cb_bracket", "choi", "choi_blocks", "classify", "close_isomorphism",
-    "commutant_lift", "conditional_expectation", "cone_evaluate",
-    "conjugation_iso", "dumps", "equality_criterion", "exact_diagonal",
-    "from_choi", "gen_instance", "generate_algebra",
-    "half_flip_cpc", "hat_decomposition", "identity_decomposition",
-    "implement_unitarily", "improve_multiplicativity", "intertwining_iso",
-    "intertwining_unitary", "is_order_zero", "kk_distance",
-    "kraus_operators", "load", "loads", "near_embed_nucdim",
-    "near_embedding_nuclear", "near_inclusion",
-    "nearest_in_span", "nucdim_cpc_transfer", "order_zero_projection",
-    "perturb_order_zero", "polar_unitary", "projection_conjugator",
-    "provenance_stamp", "random_order_zero", "render_report",
-    "run_pipeline", "save", "split_decomposition", "stinespring",
-    "structure_decompose", "tensor_lift", "ucp_extension", "unit_match",
-    "unitary_commutant_lift", "unitize_tilde",
-    "verify_algebra", "verify_nucdim_decomposition", "wedderburn_decompose",
+    "DistanceInterval", "FDAlgebra", "Instance", "IntertwinerResult",
+    "IsoResult", "LinMap", "NearInclusionCert", "NucDimDecomposition",
+    "OrderZeroMap", "PAPER_BUDGET", "RepairResult", "Report", "SampleSpec",
+    "SchemaError", "SpectralGapError", "StageRecord", "StinespringDilation",
+    "Ternary", "ToleranceBudget", "WindowError", "arveson_restrict",
+    "block_algebra", "cb_bracket", "choi_blocks", "classify",
+    "close_isomorphism", "conjugation_iso", "dumps", "exact_diagonal",
+    "gen_instance", "generate_algebra", "half_flip_cpc", "hat_decomposition",
+    "identity_decomposition", "implement_unitarily",
+    "improve_multiplicativity", "intertwining_iso", "intertwining_unitary",
+    "is_order_zero", "kk_distance", "kraus_operators", "load", "loads",
+    "near_embed_nucdim", "near_embedding_nuclear", "nearest_in_span",
+    "nucdim_cpc_transfer", "perturb_order_zero", "polar_unitary",
+    "projection_conjugator", "provenance_stamp", "random_order_zero",
+    "render_report", "run_pipeline", "save", "split_decomposition",
+    "stinespring", "structure_decompose", "tensor_lift", "ucp_extension",
+    "verify_nucdim_decomposition", "wedderburn_decompose",
 ]

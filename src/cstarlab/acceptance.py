@@ -371,7 +371,7 @@ def criterion_9() -> CriterionResult:
         _, cert_e = near_embed_nucdim(inst.A, inst.B, gamma, dec)
         all_ok = all_ok and cert_e.passed
         runs += 1
-    A, dec1, X1 = hat_decomposition(9, 2)
+    A, dec1, X1 = hat_decomposition(9)
     for s in range(seeds - half):
         rng = rng_for(s, "acceptance-9-hat")
         h = random_hermitian(rng, 9)
@@ -403,7 +403,7 @@ def criterion_10() -> CriterionResult:
 
     from .instances import block_algebra
     A = block_algebra((2, 2), 4)
-    dec = split_decomposition(A, parts=2)
+    dec = split_decomposition(A)
     bad_imgs = tuple(dec.ups[1].map.images[0].copy()
                      for _ in dec.ups[1].map.images)
     bad_up = type(dec.ups[1])(

@@ -30,8 +30,7 @@ from itertools import chain
 
 import numpy as np
 
-from .certs import (CLUSTER_REL, TOL_ALG, Certificate, SpectralGapError, provenance_stamp,
-                    require_finite)
+from .certs import CLUSTER_REL, SpectralGapError, require_finite
 from .linalg import (
     _BATCH_BYTES,
     cluster_values,
@@ -39,7 +38,6 @@ from .linalg import (
     expm_i,
     herm,
     hs_norm,
-    is_projection_residual,
     opnorm,
     opnorm_max,
     opnorms,
@@ -53,10 +51,8 @@ __all__ = [
     "BlockStructure",
     "ConcreteAlgebra",
     "generate_algebra",
-    "verify_algebra",
     "wedderburn_decompose",
     "support_projection",
-    "unitize_tilde",
     "orthonormalize",
     "BlockModel",
 ]
@@ -314,7 +310,7 @@ class ConcreteAlgebra:
     def from_basis(cls, mats, ambient_dim: int | None = None) -> "ConcreteAlgebra":
         """Build from a spanning set of an (assumed) *-closed, product-closed
         span.  The set is orthonormalized; closure is not enforced here, use
-        verify_algebra afterwards or generate_algebra instead."""
+        generate_algebra for that."""
         mats = [np.asarray(m, dtype=complex) for m in mats]
         if not mats:
             raise ValueError("empty basis")
@@ -444,7 +440,7 @@ def support_projection(basis, N: int) -> np.ndarray:
     m = (stack @ dagger(stack)).sum(axis=0)
     if opnorm(m) < 1e-300:
         raise ValueError("zero algebra has no support projection")
-    return range_projection(m, rel_cutoff=1e-10)
+    return range_projection(m)
 
 
 def generate_algebra(generators, ambient_dim: int | None = None) -> ConcreteAlgebra:
@@ -473,24 +469,6 @@ def generate_algebra(generators, ambient_dim: int | None = None) -> ConcreteAlge
             supp = support_projection(basis, N)
             return ConcreteAlgebra(ambient_dim=N, basis=basis, support=supp)
     raise RuntimeError("span growth failed to stabilise")
-
-
-def verify_algebra(A: ConcreteAlgebra) -> Certificate:
-    """Check orthonormality, *-closure, product closure, and the support
-    projection identities.  Returns a certificate with the worst residual."""
-    Q, e = A.basis.reshape(A.dim, -1), A.support
-    worst = max(float(np.abs(Q.conj() @ Q.T - np.eye(A.dim)).max(initial=0.0)),
-                A.residual(dagger(A.basis)).max(initial=0.0),
-                is_projection_residual(e),
-                opnorm_max(e @ A.basis - A.basis), opnorm_max(A.basis @ e - A.basis))
-    for b in A.basis:  # the products b c, one row at a time
-        worst = max(worst, A.residual(b @ A.basis).max())
-    return Certificate.build(
-        name="algebra-invariants",
-        formula="max residual of orthonormality, *-closure, product closure, support identities",
-        inputs={"dim": A.dim, "ambient_dim": A.ambient_dim},
-        ceiling=TOL_ALG, achieved=worst,
-        provenance=provenance_stamp())
 
 
 # ---------------------------------------------------------------------------
@@ -639,24 +617,6 @@ def _units_from_diagonal(qs, sub, rng, m_k):
             return None
     f = np.array(f)
     return (dagger(f)[:, None] @ f[None]).reshape((-1,) + f.shape[1:])
-
-
-# ---------------------------------------------------------------------------
-# unitizations
-# ---------------------------------------------------------------------------
-
-def unitize_tilde(A: ConcreteAlgebra) -> ConcreteAlgebra:
-    """Embed M_N -> M_{N+1} via x -> x + 0 and adjoin the full identity.
-
-    The image of A is a proper ideal and the dimension grows by exactly one.
-    """
-    N = A.ambient_dim
-    emb = np.pad(A.basis, ((0, 0), (0, 1), (0, 1)))
-    basis = orthonormalize(list(emb) + [np.eye(N + 1, dtype=complex)])
-    if len(basis) != A.dim + 1:
-        raise RuntimeError("tilde unitization must grow the dimension by one")
-    return ConcreteAlgebra(ambient_dim=N + 1, basis=basis,
-                           support=np.eye(N + 1, dtype=complex))
 
 
 # ---------------------------------------------------------------------------

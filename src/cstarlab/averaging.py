@@ -1,7 +1,7 @@
 """Exact averaging over finite unitary families and the constructions built
 on it: twirls onto commutants, polar/projection conjugation unitaries, the
-multiplicativity repair of nearly multiplicative cpc maps, intertwining
-unitaries between close nearly multiplicative maps, and commutant lifts.
+multiplicativity repair of nearly multiplicative cpc maps, and intertwining
+unitaries between close nearly multiplicative maps.
 
 The central object is the canonical separability element
 w = sum_k (1/n_k) sum_ij e_ij (x) e_ji of A = (+)_k M_{n_k}, the amenability
@@ -9,12 +9,10 @@ average (Johnson 1988).  Every average below is linear in u (x) u* over a
 unitary family averaging to w, so it is ``canonical_average`` on the
 sum_k n_k^2 matrix units: the twirl sum_k (1/n_k) sum_ij e_ij y e_ji, the
 averaged intertwiner sum_k (1/n_k) sum_ij f(e_ij) g(e_ji), the repair's
-twirled compression and the order-zero fit's twirled h.  Where actual
-unitaries are needed (the commutation estimate of a lift), ``exact_diagonal``
+twirled compression.  Where actual unitaries are needed, ``exact_diagonal``
 gives at most r (sum n_k^2 - r + 1) unitaries averaging to w exactly.  Twirled
-projections thus commute with the representation to machine precision,
-intertwiners of exact homomorphisms intertwine exactly, and lifts sit
-exactly in the commutant.
+projections thus commute with the representation to machine precision, and
+intertwiners of exact homomorphisms intertwine exactly.
 
 The averaging layer draws no samples.  The two suprema over the unit ball
 that it certifies, the repair's ||phi - psi|| and the intertwiner's default
@@ -30,12 +28,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import ConcreteAlgebra, FDAlgebra
-from .certs import (TOL_ALG, TOL_CONV, TOL_EXACT, Certificate, SpectralGapError,
+from .certs import (TOL_ALG, TOL_EXACT, Certificate, SpectralGapError,
                     ToleranceBudget, DEFAULT_BUDGET, WINDOW_DEFECT_REPAIR,
                     WINDOW_INTERTWINE, provenance_stamp)
 from .cpmaps import LinMap, cb_bracket, classify, hom_defect, stinespring, ucp_extension
-from .linalg import (dagger, expm_i, herm, opnorm, opnorm_max, opnorms, polar_factor,
-                     principal_log_unitary, psd_sqrt)
+from .linalg import dagger, herm, opnorm, opnorm_max, opnorms, polar_factor, psd_sqrt
 
 __all__ = [
     "AveragingSet",
@@ -48,9 +45,6 @@ __all__ = [
     "improve_multiplicativity",
     "IntertwinerResult",
     "intertwining_unitary",
-    "LiftResult",
-    "commutant_lift",
-    "unitary_commutant_lift",
     "GAP_WINDOW",
 ]
 
@@ -113,35 +107,6 @@ class AveragingSet:
 
     def __len__(self) -> int:
         return len(self.terms)
-
-    def canonical_residual(self) -> float:
-        """Distance of sum lambda u (x) u* from the canonical element."""
-        m = self.unit.shape[0]
-
-        def tensor_average(w, left, right):
-            return np.einsum("t,tab,tcd->acbd", w, left, right).reshape(m * m, m * m)
-
-        scale, flip = _canonical_index(self.block_sizes)
-        W = tensor_average(self.weights, self.terms, self.terms.conj().transpose(0, 2, 1))
-        C = tensor_average(scale, self.units, self.units[flip])
-        return opnorm(W - C)
-
-    def verify(self) -> Certificate:
-        """Certify the defining properties: weights sum to one, every term is
-        a unitary of the algebra, and the averaged tensor is exactly the
-        canonical separability element (hence exactly central)."""
-        uu = self.terms @ dagger(self.terms)
-        worst = max(abs(float(np.sum(self.weights)) - 1.0),
-                    opnorm_max(np.concatenate([dagger(self.terms) @ self.terms, uu])
-                               - self.unit))
-        mw = sum(lam * p for lam, p in zip(self.weights, uu))
-        worst = max(worst, opnorm(mw - self.unit))
-        worst = max(worst, self.canonical_residual())
-        return Certificate.build(
-            name="averaging-set",
-            formula="max(|sum(w)-1|, ||u*u - 1||, ||sum w u(x)u* - canonical||) <= tol",
-            inputs={"n_terms": len(self.terms), "block_sizes": list(self.block_sizes)},
-            ceiling=TOL_CONV, achieved=float(worst), provenance=provenance_stamp())
 
 
 def exact_diagonal(A: FDAlgebra | ConcreteAlgebra) -> AveragingSet:
@@ -419,7 +384,7 @@ def intertwining_unitary(phi1: LinMap, phi2: LinMap,
     if a1.codomain_dim != a2.codomain_dim:
         raise ValueError("codomain mismatch")
     if delta is None:
-        delta = max(hom_defect(a1), hom_defect(a2) if a2 is not a1 else 0.0)
+        delta = float(np.maximum(hom_defect(a1), hom_defect(a2) if a2 is not a1 else 0.0))
     if gamma is None:
         gamma = cb_bracket(a1 - a2)[1]
     budget.require_window("intertwining", gamma, WINDOW_INTERTWINE)
@@ -461,99 +426,3 @@ def intertwining_unitary(phi1: LinMap, phi2: LinMap,
         slack=TOL_ALG, provenance=provenance_stamp())
     return IntertwinerResult(u=u, s=s, gamma=float(gamma), delta=float(delta),
                              certificates={"norm": cert_u, "residual": cert_res})
-
-
-# ---------------------------------------------------------------------------
-# commutant lifts
-# ---------------------------------------------------------------------------
-
-@dataclass
-class LiftResult:
-    value: np.ndarray
-    delta: float
-    certificates: dict
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.certificates.values())
-
-
-def _relative_commutator(a: np.ndarray, A: ConcreteAlgebra) -> float:
-    """max over the basis b of A of ||[a, b]|| / ||b||."""
-    B = A.basis
-    return float((opnorms(a @ B - B @ a) / A.basis_norms).max())
-
-
-def commutant_lift(m: np.ndarray, A: ConcreteAlgebra) -> LiftResult:
-    """Exact element of the relative commutant A' near an approximately
-    commuting m.
-
-    a = twirl(m) + (1 - e) m (1 - e) with e the unit of A commutes with A
-    exactly, satisfies ||a|| <= ||m||, is self-adjoint when m is, and
-    ||a - m|| <= 2 delta, with delta the measured commutator of m with the
-    unit of A and with the terms of its exact averaging family.
-    """
-    m = np.asarray(m, dtype=complex)
-    avg = exact_diagonal(A)
-    e = A.support
-    eye = np.eye(A.ambient_dim)
-    a = canonical_average(avg.block_sizes, avg.units @ m, avg.units) + (eye - e) @ m @ (eye - e)
-    delta = max(opnorm(m @ e - e @ m), opnorm_max(m @ avg.terms - avg.terms @ m))
-    comm = _relative_commutator(a, A)
-    cert_comm = Certificate.build(
-        name="commutant-membership",
-        formula="max_b ||[a, b]|| / ||b|| <= tol_alg over the basis of A",
-        inputs={}, ceiling=TOL_ALG, achieved=float(comm),
-        provenance=provenance_stamp())
-    cert_dist = Certificate.build(
-        name="commutant-lift-distance",
-        formula="||a - m|| <= 2 * delta",
-        inputs={"delta": float(delta)},
-        ceiling=2.0 * float(delta), achieved=float(opnorm(a - m)),
-        slack=TOL_EXACT, provenance=provenance_stamp())
-    cert_norm = Certificate.build(
-        name="commutant-lift-norm",
-        formula="||a|| <= ||m||",
-        inputs={"norm_m": float(opnorm(m))},
-        ceiling=float(opnorm(m)), achieved=float(opnorm(a)),
-        slack=TOL_EXACT, provenance=provenance_stamp())
-    certs = {"commutation": cert_comm, "distance": cert_dist, "norm": cert_norm}
-    return LiftResult(value=a, delta=float(delta), certificates=certs)
-
-
-def unitary_commutant_lift(u: np.ndarray, A: ConcreteAlgebra) -> LiftResult:
-    """Unitary v in the relative commutant A' with ||v - 1|| <= ||u - 1||.
-
-    Takes the principal logarithm u = exp(i pi h) with ||h|| <= 1 (rejected
-    when the spectrum of u touches -1), lifts h into A' by the exact twirl,
-    and exponentiates.  The lift contracts both the norm distance to 1 and
-    preserves self-adjointness of the generator.
-    """
-    u = np.asarray(u, dtype=complex)
-    H = principal_log_unitary(u)
-    h = H / np.pi
-    lift = commutant_lift(h, A)
-    k = herm(lift.value)
-    v = expm_i(np.pi * k)
-    comm = _relative_commutator(v, A)
-    eye = np.eye(A.ambient_dim)
-    cert_comm = Certificate.build(
-        name="unitary-lift-commutation",
-        formula="max_b ||[v, b]|| / ||b|| <= tol_alg over the basis of A",
-        inputs={}, ceiling=TOL_ALG, achieved=float(comm),
-        provenance=provenance_stamp())
-    cert_norm = Certificate.build(
-        name="unitary-lift-norm",
-        formula="||v - 1|| <= ||u - 1||",
-        inputs={"norm_u": float(opnorm(u - eye))},
-        ceiling=float(opnorm(u - eye)), achieved=float(opnorm(v - eye)),
-        slack=TOL_EXACT, provenance=provenance_stamp())
-    cert_drift = Certificate.build(
-        name="unitary-lift-drift",
-        formula="||v - u|| <= pi * ||k - h|| <= 2 pi delta",
-        inputs={"delta": lift.delta},
-        ceiling=float(2.0 * np.pi * lift.delta), achieved=float(opnorm(v - u)),
-        slack=TOL_EXACT, provenance=provenance_stamp())
-    certs = {"commutation": cert_comm, "norm": cert_norm, "drift": cert_drift,
-             "generator": lift.certificates["distance"]}
-    return LiftResult(value=v, delta=lift.delta, certificates=certs)

@@ -1,20 +1,20 @@
-"""Linear maps between matrix algebras: Choi matrices, positivity classes,
-Kraus and Stinespring forms, defects, expectations, and cb-norm brackets.
+"""Linear maps between matrix algebras: Choi blocks, positivity classes,
+Kraus and Stinespring forms, defects, restricted expectations, and cb-norm
+brackets.
 
 Conventions.  A :class:`LinMap` stores the images of the canonical basis of
 its domain as one (d, N, N) array: matrix units (lexicographic in (block,
 row, column)) for an :class:`~cstarlab.algebra.FDAlgebra` domain, the
 HS-orthonormal basis for a :class:`~cstarlab.algebra.ConcreteAlgebra`
 domain.  A map evaluates by one contraction of the domain coefficients with
-that array, on one element or on a stack (S, n, n) of them.  The Choi matrix
-of a map with block domain is the block-diagonal sum over summands of
-C_k = sum_ij e_ij (x) phi(e_ij^(k)), an (n_k N) x (n_k N) matrix; the map is
-completely positive iff every block is positive semidefinite.  Choi blocks
-and the reshuffle are reshapes and transposes of the image array, and so are
-the constructions read off them: the Kraus operators of a block are its Choi
-eigenvectors reshaped, the Stinespring isometry stacks those, and the
-order-zero fit (``orderzero.order_zero_projection``) rounds the Choi blocks
-and reads the images back by the inverse reshape.
+that array, on one element or on a stack (S, n, n) of them.  A map with
+block domain has one Choi block per summand, C_k = sum_ij e_ij (x)
+phi(e_ij^(k)), an (n_k N) x (n_k N) matrix; the map is completely positive
+iff every block is positive semidefinite.  Choi blocks and the reshuffle are
+reshapes and transposes of the image array, and so are the constructions
+read off them: the Kraus operators of a block are its Choi eigenvectors
+reshaped, the Stinespring isometry stacks those, and the Choi noise of
+``perturb_choi`` reads its noisy blocks back by the inverse reshape.
 
 A map is tested for being a homomorphism one way: ``hom_defect`` reads
 ``FDAlgebra.relation_residual`` on its images of the domain's matrix units,
@@ -35,8 +35,6 @@ from .linalg import (_BATCH_BYTES, dagger, herm, hs_norm, opnorm, opnorm_max, op
 __all__ = [
     "LinMap",
     "Ternary",
-    "choi",
-    "from_choi",
     "perturb_choi",
     "classify",
     "kraus_operators",
@@ -44,8 +42,6 @@ __all__ = [
     "stinespring",
     "hom_defect",
     "worst_move",
-    "check_stinespring_inequality",
-    "conditional_expectation",
     "arveson_restrict",
     "ucp_extension",
     "cb_bracket",
@@ -177,24 +173,11 @@ def choi_blocks(phi: LinMap) -> list[np.ndarray]:
     return phi._choi
 
 
-def choi(phi: LinMap) -> np.ndarray:
-    """Full Choi matrix: block-diagonal sum of the per-summand blocks."""
-    import scipy.linalg  # deferred: loading scipy costs 0.2 s in every process
-    return scipy.linalg.block_diag(*choi_blocks(phi))
-
-
 def _from_choi_blocks(fd: FDAlgebra, N: int, blocks) -> LinMap:
     """The map into M_N whose per-summand Choi blocks are ``blocks``."""
     return LinMap(fd, N, np.concatenate([
         C.reshape(n, N, n, N).transpose(0, 2, 1, 3).reshape(n * n, N, N)
         for n, C in zip(fd.block_sizes, blocks)]))
-
-
-def from_choi(C: np.ndarray, block_sizes, codomain_dim: int) -> LinMap:
-    """Inverse of :func:`choi` for the given block sizes."""
-    fd, N = FDAlgebra(tuple(block_sizes)), codomain_dim
-    cuts = np.cumsum([0] + [n * N for n in fd.block_sizes])
-    return _from_choi_blocks(fd, N, [C[a:b, a:b] for a, b in zip(cuts, cuts[1:])])
 
 
 def perturb_choi(phi: LinMap, eps: float, rng: np.random.Generator) -> LinMap:
@@ -221,7 +204,7 @@ def classify(phi: LinMap) -> Ternary:
     # the values its own call would
     for size in sorted({len(C) for C in blocks}):
         Cs = np.stack([C for C in blocks if len(C) == size])
-        herm_resid = max(herm_resid, opnorm_max(Cs - dagger(Cs)))
+        herm_resid = np.maximum(herm_resid, opnorm_max(Cs - dagger(Cs)))
         min_eig = min(min_eig, float(np.linalg.eigvalsh(herm(Cs)).min(initial=np.inf)))
     if not np.isfinite(min_eig):
         min_eig = 0.0
@@ -334,7 +317,7 @@ def stinespring(phi: LinMap, tol_psd: float = TOL_PSD) -> StinespringDilation:
 
 
 # ---------------------------------------------------------------------------
-# defects and inequalities
+# defects
 # ---------------------------------------------------------------------------
 
 def hom_defect(phi: LinMap) -> float:
@@ -357,41 +340,9 @@ def worst_move(f, X) -> float:
     return opnorm_max(f(x) - x for x in points)
 
 
-def check_stinespring_inequality(phi: LinMap, x: np.ndarray,
-                                 y: np.ndarray) -> tuple[bool, float]:
-    """Schwarz-type inequality for cpc maps:
-    ||phi(x)phi(y) - phi(xy)|| <= gap(x) + gap(y) + cross terms, verified in
-    the two-sided defect form
-
-        ||phi(xy) - phi(x)phi(y)|| <= ||phi(xx*) - phi(x)phi(x*)||^{1/2}
-                                      * ||phi(y*y) - phi(y*)phi(y)||^{1/2}
-                                      (+ 1e-10)
-
-    which is the defect estimate used throughout the averaging arguments.
-    """
-    lhs = opnorm(phi(x @ y) - phi(x) @ phi(y))
-    dx = opnorm(phi(x @ dagger(x)) - phi(x) @ phi(dagger(x)))
-    dy = opnorm(phi(dagger(y) @ y) - phi(dagger(y)) @ phi(y))
-    rhs = np.sqrt(max(dx, 0.0)) * np.sqrt(max(dy, 0.0))
-    return lhs <= rhs + 1e-10, float(lhs - rhs)
-
-
 # ---------------------------------------------------------------------------
 # expectations and extensions
 # ---------------------------------------------------------------------------
-
-def conditional_expectation(A: ConcreteAlgebra) -> LinMap:
-    """HS-orthogonal projection of M_N onto span(A) as a map on the full
-    matrix algebra.
-
-    For A unital in the ambient this is the trace-preserving conditional
-    expectation (ucp, A-bimodular).  For a non-unital A it equals that
-    expectation composed with the support compression and is still cpc.
-    """
-    N = A.ambient_dim
-    fd = FDAlgebra((N,))
-    return LinMap(fd, N, A.project(fd.units()), codomain_algebra=A)
-
 
 def arveson_restrict(A: ConcreteAlgebra, B: ConcreteAlgebra, X,
                      gamma: float) -> tuple[LinMap, Certificate]:
@@ -400,7 +351,7 @@ def arveson_restrict(A: ConcreteAlgebra, B: ConcreteAlgebra, X,
     Produces a cpc map phi: A -> B with ||phi(x) - x|| <= 2 gamma + TOL_ALG for
     every x in X, valid whenever each x in X lies within gamma of B in
     operator norm (the expectation is a contraction fixing B).  Its images
-    B.project(A.basis) need no ``conditional_expectation(B)`` on all of M_N.
+    are B.project(A.basis): the expectation is never formed on all of M_N.
     """
     phi = LinMap(A, A.ambient_dim, B.project(A.basis), codomain_algebra=B)
     return phi, Certificate.build(

@@ -1,6 +1,5 @@
 """Operator-norm geometry between subalgebras: near inclusions, the
-Hausdorff distance between unit balls, tensor-amplified witness lifts, and
-the subspace equality criterion.
+Hausdorff distance between unit balls, and tensor-amplified witness lifts.
 
 The distance between unit balls is estimated from both sides.  Upper bounds
 come from explicit witnesses of the convex problem min ||x - b|| over b in a
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import ConcreteAlgebra
-from .certs import TOL_ALG, Certificate, ContradictionError, provenance_stamp
+from .certs import TOL_ALG, Certificate, provenance_stamp
 # opnorm has no caller here; it stays bound because perfbench's tracer test
 # reads geometry.opnorm to check that wrappers reach names a module rebinds
 from .linalg import clip_spectrum, dagger, opnorm, opnorms, rng_for  # noqa: F401
@@ -38,10 +37,8 @@ __all__ = [
     "DistanceInterval",
     "nearest_in_span",
     "span_distance_lower",
-    "near_inclusion",
     "kk_distance",
     "tensor_lift",
-    "equality_criterion",
     "sample_unit_ball",
 ]
 
@@ -358,7 +355,7 @@ def span_distance_lower(x: np.ndarray, span: ConcreteAlgebra | _TensorSpan
 
 def sample_unit_ball(A: ConcreteAlgebra, spec: SampleSpec) -> np.ndarray:
     """Deterministic sample of the unit ball of a concrete algebra A, the
-    points of the sampled distance brackets (``near_inclusion``), as one
+    points of the sampled distance brackets (``_near_inclusions``), as one
     (S, N, N) stack in this order: the dim operator-normalised basis
     elements, spec.n_selfadjoint random self-adjoint contractions (spectral
     clipping), and spec.n_unitary random unitaries exp(i h) of A (relative to
@@ -379,21 +376,15 @@ def sample_unit_ball(A: ConcreteAlgebra, spec: SampleSpec) -> np.ndarray:
 # near inclusions and distance
 # ---------------------------------------------------------------------------
 
-def near_inclusion(A: ConcreteAlgebra, B: ConcreteAlgebra,
-                   spec: SampleSpec | None = None, ball: bool = False) -> NearInclusionCert:
-    """Sampled estimate of the one-sided constant sup dist(x, B) over the
-    unit ball of A.  Witnesses are unconstrained in B by default (set ball
-    for unit-ball witnesses as in the two-sided distance).  The HS dual
-    bounds come first and gamma_lo is the solve's ``floor``: samples proven
-    below the supremum stop early, so gamma_hi is decided by the samples
-    that can set it.  The certificate keeps copies of the 8 witnesses of
-    largest distance, with their stop reasons and iterations, not the stacks."""
-    return _near_inclusions([(A, B)], spec or SampleSpec(), ball)[0]
-
-
 def _near_inclusions(pairs, spec: SampleSpec, ball: bool) -> list[NearInclusionCert]:
-    """The certificates of A in B for the pairs (A, B), all their samples
-    solved in one ``nearest_in_span`` call, one family per pair."""
+    """Sampled estimates of the one-sided constants sup dist(x, B) over the
+    unit ball of A, for the pairs (A, B): all their samples solved in one
+    ``nearest_in_span`` call, one family per pair, with unit-ball witnesses
+    when ball is set.  The HS dual bounds come first and gamma_lo is the
+    solve's ``floor``: samples proven below the supremum stop early, so
+    gamma_hi is decided by the samples that can set it.  Each certificate
+    keeps copies of the 8 witnesses of largest distance, with their stop
+    reasons and iterations, not the stacks."""
     X = [sample_unit_ball(A, spec) for A, _ in pairs]
     lbs = [span_distance_lower(x, B) for x, (_, B) in zip(X, pairs)]
     solved = nearest_in_span(tuple(X), tuple(B for _, B in pairs), ball=ball, iters=spec.iters,
@@ -417,7 +408,8 @@ def kk_distance(A: ConcreteAlgebra, B: ConcreteAlgebra,
     Witnesses are constrained to the unit ball of the target algebra, one
     sampled sup per direction; lo is the best dual lower bound over all
     samples, attained by lo_witness, hi the worst achieved witness distance.
-    One ``nearest_in_span`` call solves both, each as ``near_inclusion`` would.
+    One ``_near_inclusions`` call solves both, each as a call on its pair alone
+    would.
     """
     spec = spec or SampleSpec()
     cert_ab, cert_ba = _near_inclusions([(A, B), (B, A)], spec, ball=True)
@@ -494,27 +486,3 @@ def tensor_lift(X, B: ConcreteAlgebra, n: int, gamma: float,
         details={"iters": its, "stops": stops},
         provenance=provenance_stamp())
     return witnesses, cert
-
-
-# ---------------------------------------------------------------------------
-# equality criterion
-# ---------------------------------------------------------------------------
-
-def equality_criterion(A: ConcreteAlgebra, B: ConcreteAlgebra,
-                       cert: NearInclusionCert) -> bool:
-    """Decide A = B from: A a verified subspace of span(B), plus a sampled
-    near-inclusion certificate B subset_gamma A with gamma_hi < 1.
-
-    At finite dimension a proper subalgebra misses some unit-ball element of
-    B by at least distance one, so gamma_hi < 1 with matching dimensions
-    certifies equality; gamma_hi < 1 with differing dimensions is impossible
-    and raises :class:`ContradictionError` (the certificate under-sampled).
-    """
-    if (B.residual(A.basis) > TOL_ALG).any() or cert.gamma_hi >= 1.0:
-        return False
-    if A.dim != B.dim:
-        raise ContradictionError(
-            f"B subset_{cert.gamma_hi:.3g} A certified but dim A = {A.dim} != "
-            f"dim B = {B.dim}; a proper inclusion forces distance >= 1, so the "
-            "sampled certificate missed its witness")
-    return True

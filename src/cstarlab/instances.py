@@ -180,9 +180,13 @@ def damping(pi: LinMap, rng) -> np.ndarray:
                for k in range(len(fd.block_sizes)))
 
 
-def hat_decomposition(n_grid: int, step: int = 2):
+# the grid spacing of hat_decomposition's nodes
+_HAT_STEP = 2
+
+
+def hat_decomposition(n_grid: int):
     """Two-color decomposition of the diagonal algebra on a grid through
-    piecewise-linear hat functions at every step-th grid point.
+    piecewise-linear hat functions at every _HAT_STEP-th grid point.
 
     Same-color hats have disjoint grid supports, so both upward maps are
     exactly order zero, while the composite reproduces only the nodal
@@ -190,14 +194,14 @@ def hat_decomposition(n_grid: int, step: int = 2):
     (A, decomposition, X) with X the smooth test functions used to measure
     the defect.
     """
-    if n_grid < 3 or (n_grid - 1) % step:
-        raise ValueError("need a grid with (n_grid - 1) divisible by step")
+    if n_grid < 3 or (n_grid - 1) % _HAT_STEP:
+        raise ValueError(f"need a grid with (n_grid - 1) divisible by {_HAT_STEP}")
     A = ConcreteAlgebra.diagonal(n_grid)
-    nodes = list(range(0, n_grid, step))
+    nodes = list(range(0, n_grid, _HAT_STEP))
     grid = np.arange(n_grid) / (n_grid - 1)
 
     def hat(center: int) -> np.ndarray:
-        vals = np.maximum(0.0, 1.0 - np.abs(np.arange(n_grid) - center) / step)
+        vals = np.maximum(0.0, 1.0 - np.abs(np.arange(n_grid) - center) / _HAT_STEP)
         return np.diag(vals.astype(complex))
 
     fd = FDAlgebra((1,) * len(nodes))

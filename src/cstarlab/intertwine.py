@@ -36,7 +36,6 @@ __all__ = [
     "near_embedding_nuclear",
     "half_flip_cpc",
     "implement_unitarily",
-    "unit_match",
 ]
 
 
@@ -133,8 +132,8 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
     if not cert_phi.passed:
         raise ContradictionError(f"E_B moves X by {cert_phi.achieved:.3g}: d(A, B) > eta/2")
     phi_defect = hom_defect(phi)
-    theta_raw = improve_multiplicativity(phi, gamma=max(3.0 * eta, phi_defect),
-                                         budget=budget).psi
+    repair_gamma = float(np.maximum(3.0 * eta, phi_defect))  # a nan defect stays nan
+    theta_raw = improve_multiplicativity(phi, gamma=repair_gamma, budget=budget).psi
     theta = LinMap(A, A.ambient_dim, B.project(theta_raw.images), codomain_algebra=B)
     trace = [StageRecord(n_Z=len(X_close), phi_closeness=cert_phi.achieved,
                          phi_defect=phi_defect)]
@@ -424,22 +423,3 @@ def implement_unitarily(theta: LinMap, budget: ToleranceBudget = DEFAULT_BUDGET
         provenance=provenance_stamp())
     return u, cert
 
-
-def unit_match(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma: float
-               ) -> tuple[np.ndarray, Certificate]:
-    """Unitary u with u 1_A u* = 1_B and ||u - 1|| <= 2 sqrt(2) gamma, valid
-    for d(A, B) < gamma < 1/4."""
-    beta = opnorm(A.support - B.support)
-    if beta >= 1.0:
-        raise SpectralGapError(
-            f"support projections at distance {beta:.3g} >= 1 cannot be matched")
-    u, cert_c = projection_conjugator(A.support, B.support)
-    cert = Certificate.build(
-        name="unit-match",
-        formula="||u - 1|| <= 2 sqrt(2) gamma, u 1_A u* = 1_B",
-        inputs={"gamma": gamma, "beta": float(beta)},
-        ceiling=float(2.0 * np.sqrt(2.0) * gamma), achieved=cert_c.achieved,
-        slack=TOL_EXACT,
-        details={"conjugation_defect": cert_c.details.get("conjugation_defect", 0.0)},
-        provenance=provenance_stamp())
-    return u, cert

@@ -2,14 +2,14 @@
 
 Matrices are numpy complex128 arrays; ``dagger``, ``herm``, ``opnorms``,
 ``opnorm_max`` and the functional calculus also take stacks (S, n, n).  Norm
-conventions: ``opnorm`` is the operator (spectral) norm, ``hs_inner``/``hs_norm``
-the Hilbert-Schmidt ones with inner product tr(a* b).  The largest operator
-norm in a stack or a stream of stacks is ``opnorm_max``, equal bit for bit to
-``opnorms(stack).max(initial=0.0)``: every matrix that could hold the maximum
-gets its own values-only SVD; those the Hilbert-Schmidt bound rules out are
-skipped.  All randomness flows through counter-based Philox generators
-derived from explicit integer seeds, so every computation in the package
-replays bit-identically from its seed.
+conventions: ``opnorm`` is the operator (spectral) norm, ``hs_norm`` the
+Hilbert-Schmidt one.  The largest operator norm in a stack or a stream of
+stacks is ``opnorm_max``, equal bit for bit to
+``opnorms(stack).max(initial=0.0)`` on stacks of finite HS norm: every matrix
+that could hold the maximum gets its own values-only SVD; those the
+Hilbert-Schmidt bound rules out are skipped.  All randomness flows through
+counter-based Philox generators derived from explicit integer seeds, so every
+computation in the package replays bit-identically from its seed.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
     "opnorm",
     "opnorms",
     "opnorm_max",
-    "hs_inner",
     "hs_norm",
     "rng_for",
     "random_complex",
@@ -42,9 +41,7 @@ __all__ = [
     "expm_i",
     "polar_factor",
     "partial_isometry_polar",
-    "principal_log_unitary",
     "cluster_values",
-    "is_projection_residual",
 ]
 
 
@@ -89,17 +86,18 @@ _BATCH_BYTES = 1 << 18
 
 def opnorm_max(stacks) -> float:
     """Largest operator norm over one stack (..., R, C), or over any other
-    iterable read as a stream of stacks, 0.0 for none; equal bit for bit to
-    ``opnorms`` of their concatenation ``.max(initial=0.0)``.
+    iterable read as a stream of stacks, 0.0 for none; for stacks of finite
+    HS norm equal bit for bit to ``opnorms`` of their concatenation
+    ``.max(initial=0.0)``.
 
     The HS norm bounds the operator norm from above; each stack's HS norms
     are taken once.  Its matrices of largest HS norm are SVD'd first, unless
     their bound is at or below the norm found so far; then, in batches of at
     most _BATCH_BYTES, every other matrix whose bound exceeds the norm found
     so far.  Each matrix taken gets its own values-only SVD, as in
-    ``opnorms``.  A stack with a non-finite HS norm takes ``opnorms`` whole:
-    an infinite entry makes the result nan, and a NaN entry makes it nan or
-    raises ``LinAlgError``, as the SVD does.
+    ``opnorms``.  A stack with a non-finite HS norm (an infinite or NaN
+    entry, or entries whose squares overflow) makes the result nan, with no
+    SVD.
     """
     best = 0.0
     for stack in (stacks,) if isinstance(stacks, np.ndarray) else stacks:
@@ -110,11 +108,10 @@ def opnorm_max(stacks) -> float:
             hs += np.einsum("kij,kij->k", mats.imag, mats.imag)
         hs = np.sqrt(hs)
         largest = hs.max(initial=0.0)
-        if not np.isfinite(largest):  # nan from here on, or a LinAlgError
-            best = float(np.maximum(best, opnorms(mats).max()))
-            continue
+        if not np.isfinite(largest):
+            return math.nan
         if not largest * (1.0 + _HS_REL_SLACK) + _HS_ABS_SLACK > best:
-            continue  # the bound rules the whole stack out, as it does once best is nan
+            continue  # the bound rules the whole stack out
         bound = hs * (1.0 + _HS_REL_SLACK) + _HS_ABS_SLACK
         top = hs == largest
         best = max(best, float(opnorms(mats[top]).max(initial=0.0)))
@@ -126,11 +123,6 @@ def opnorm_max(stacks) -> float:
             if len(take):
                 best = max(best, float(opnorms(mats[take]).max()))
     return best
-
-
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product tr(a* b), antilinear in the first slot."""
-    return complex(np.vdot(a, b))
 
 
 def hs_norm(x: np.ndarray) -> float:
@@ -205,12 +197,17 @@ def psd_pinv(h: np.ndarray) -> np.ndarray:
     return (vecs * inv) @ dagger(vecs)
 
 
-def range_projection(h: np.ndarray, rel_cutoff: float = 1e-8) -> np.ndarray:
+# relative eigenvalue cutoff of range_projection: the support of an algebra
+# keeps every eigenvalue of its basis Gram sum above 1e-10 of the largest
+_RANGE_REL_CUTOFF = 1e-10
+
+
+def range_projection(h: np.ndarray) -> np.ndarray:
     """Projection onto the span of eigenvectors with eigenvalue above
-    rel_cutoff times the largest (h psd)."""
+    _RANGE_REL_CUTOFF times the largest (h psd)."""
     vals, vecs = np.linalg.eigh(herm(h))
     top = float(vals.max(initial=0.0))
-    cut = rel_cutoff * max(top, 1e-300)
+    cut = _RANGE_REL_CUTOFF * max(top, 1e-300)
     keep = vals > cut
     v = vecs[:, keep]
     return v @ dagger(v)
@@ -233,7 +230,7 @@ def expm_i(h: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# polar decompositions and logarithms
+# polar decompositions
 # ---------------------------------------------------------------------------
 
 def polar_factor(x: np.ndarray) -> np.ndarray:
@@ -249,26 +246,6 @@ def partial_isometry_polar(x: np.ndarray) -> np.ndarray:
     top = float(s.max(initial=0.0))
     keep = s > TOL_RANK * max(top, 1e-300)
     return u[:, keep] @ vh[keep, :]
-
-
-def principal_log_unitary(u: np.ndarray) -> np.ndarray:
-    """Hermitian h with exp(i h) = u and spectrum in (-pi, pi).
-
-    Rejects unitaries with spectrum within 1e-6 of -1, where the principal
-    branch is discontinuous.
-    """
-    n = u.shape[0]
-    if opnorm(dagger(u) @ u - np.eye(n)) > 1e-8:
-        raise ValueError("principal_log_unitary: input is not unitary")
-    vals = np.linalg.eigvals(u)
-    if np.abs(vals + 1.0).min(initial=2.0) < 1e-6:
-        raise ValueError("principal_log_unitary: spectrum touches -1, no principal branch")
-    import scipy.linalg  # deferred: loading scipy costs 0.2 s in every process
-    logu = scipy.linalg.logm(u)
-    h = herm(logu / 1j)
-    if opnorm(expm_i(h) - u) > 1e-8:
-        raise ValueError("principal_log_unitary: reconstruction failed")
-    return h
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +268,3 @@ def cluster_values(vals: np.ndarray) -> list[np.ndarray]:
             groups.append([int(idx)])
     return [np.array(g) for g in groups]
 
-
-def is_projection_residual(p: np.ndarray) -> float:
-    """max(||p^2 - p||, ||p - p*||)."""
-    return max(opnorm(p @ p - p), opnorm(p - dagger(p)))

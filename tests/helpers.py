@@ -1,8 +1,16 @@
-"""Constructions the tests share that the package itself does not need."""
+"""Constructions the tests share that the package itself does not need: the
+oracles that tests of the package's run paths compare against."""
 
 import numpy as np
+import scipy.linalg
 
-from cstarlab.linalg import dagger, opnorm_max
+from cstarlab.algebra import ConcreteAlgebra, FDAlgebra
+from cstarlab.averaging import AveragingSet, _canonical_index
+from cstarlab.certs import TOL_ALG, TOL_CONV, Certificate, provenance_stamp
+from cstarlab.cpmaps import LinMap, _from_choi_blocks, choi_blocks, classify
+from cstarlab.geometry import NearInclusionCert, SampleSpec, _near_inclusions
+from cstarlab.linalg import dagger, opnorm, opnorm_max
+from cstarlab.orderzero import OrderZeroMap, _structure_residual
 
 
 def matrix_unit(fd, k: int, i: int, j: int) -> np.ndarray:
@@ -43,3 +51,115 @@ def relation_residual_by_rows(fd, E) -> float:
     for a, e in enumerate(diagonal):
         worst = max(worst, opnorm_max(e @ np.delete(diagonal, a, axis=0)))
     return float(worst)
+
+
+def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
+    """Hilbert-Schmidt inner product tr(a* b), antilinear in the first slot."""
+    return complex(np.vdot(a, b))
+
+
+def is_projection_residual(p: np.ndarray) -> float:
+    """max(||p^2 - p||, ||p - p*||)."""
+    return max(opnorm(p @ p - p), opnorm(p - dagger(p)))
+
+
+def verify_algebra(A: ConcreteAlgebra) -> Certificate:
+    """Check orthonormality, *-closure, product closure, and the support
+    projection identities.  Returns a certificate with the worst residual."""
+    Q, e = A.basis.reshape(A.dim, -1), A.support
+    worst = max(float(np.abs(Q.conj() @ Q.T - np.eye(A.dim)).max(initial=0.0)),
+                A.residual(dagger(A.basis)).max(initial=0.0),
+                is_projection_residual(e),
+                opnorm_max(e @ A.basis - A.basis), opnorm_max(A.basis @ e - A.basis))
+    for b in A.basis:  # the products b c, one row at a time
+        worst = max(worst, A.residual(b @ A.basis).max())
+    return Certificate.build(
+        name="algebra-invariants",
+        formula="max residual of orthonormality, *-closure, product closure, support identities",
+        inputs={"dim": A.dim, "ambient_dim": A.ambient_dim},
+        ceiling=TOL_ALG, achieved=worst,
+        provenance=provenance_stamp())
+
+
+def choi(phi: LinMap) -> np.ndarray:
+    """Full Choi matrix: block-diagonal sum of the per-summand blocks."""
+    return scipy.linalg.block_diag(*choi_blocks(phi))
+
+
+def from_choi(C: np.ndarray, block_sizes, codomain_dim: int) -> LinMap:
+    """Inverse of :func:`choi` for the given block sizes."""
+    fd, N = FDAlgebra(tuple(block_sizes)), codomain_dim
+    cuts = np.cumsum([0] + [n * N for n in fd.block_sizes])
+    return _from_choi_blocks(fd, N, [C[a:b, a:b] for a, b in zip(cuts, cuts[1:])])
+
+
+def conditional_expectation(A: ConcreteAlgebra) -> LinMap:
+    """HS-orthogonal projection of M_N onto span(A) as a map on the full
+    matrix algebra.
+
+    For A unital in the ambient this is the trace-preserving conditional
+    expectation (ucp, A-bimodular).  For a non-unital A it equals that
+    expectation composed with the support compression and is still cpc.
+    """
+    N = A.ambient_dim
+    fd = FDAlgebra((N,))
+    return LinMap(fd, N, A.project(fd.units()), codomain_algebra=A)
+
+
+def near_inclusion(A: ConcreteAlgebra, B: ConcreteAlgebra,
+                   spec: SampleSpec | None = None, ball: bool = False) -> NearInclusionCert:
+    """The sampled near-inclusion certificate of A in B alone: one pair of
+    ``geometry._near_inclusions``, unconstrained witnesses unless ball."""
+    return _near_inclusions([(A, B)], spec or SampleSpec(), ball)[0]
+
+
+def canonical_residual(avg: AveragingSet) -> float:
+    """Distance of sum lambda u (x) u* from the canonical element."""
+    m = avg.unit.shape[0]
+
+    def tensor_average(w, left, right):
+        return np.einsum("t,tab,tcd->acbd", w, left, right).reshape(m * m, m * m)
+
+    scale, flip = _canonical_index(avg.block_sizes)
+    W = tensor_average(avg.weights, avg.terms, avg.terms.conj().transpose(0, 2, 1))
+    C = tensor_average(scale, avg.units, avg.units[flip])
+    return opnorm(W - C)
+
+
+def verify_averaging_set(avg: AveragingSet) -> Certificate:
+    """Certify the defining properties: weights sum to one, every term is
+    a unitary of the algebra, and the averaged tensor is exactly the
+    canonical separability element (hence exactly central)."""
+    uu = avg.terms @ dagger(avg.terms)
+    worst = max(abs(float(np.sum(avg.weights)) - 1.0),
+                opnorm_max(np.concatenate([dagger(avg.terms) @ avg.terms, uu])
+                           - avg.unit))
+    mw = sum(lam * p for lam, p in zip(avg.weights, uu))
+    worst = max(worst, opnorm(mw - avg.unit))
+    worst = max(worst, canonical_residual(avg))
+    return Certificate.build(
+        name="averaging-set",
+        formula="max(|sum(w)-1|, ||u*u - 1||, ||sum w u(x)u* - canonical||) <= tol",
+        inputs={"n_terms": len(avg.terms), "block_sizes": list(avg.block_sizes)},
+        ceiling=TOL_CONV, achieved=float(worst), provenance=provenance_stamp())
+
+
+def orthogonality_residual(oz: OrderZeroMap) -> float:
+    """Largest ||phi(e) phi(f)|| over orthogonal diagonal matrix units."""
+    diag = np.concatenate([E[np.arange(len(E)), np.arange(len(E))]
+                           for E in oz.fd.unit_blocks(oz.map.images)])
+    first, second = np.triu_indices(len(diag), 1)
+    return opnorm_max(diag[first] @ diag[second])
+
+
+def verify_order_zero(oz: OrderZeroMap) -> dict:
+    """The checks of an order-zero map: cpc, the structure identities
+    phi(x) = pi(x) h = h pi(x), orthogonality and pi's relation residual."""
+    cpc = classify(oz.map).cpc
+    structure = _structure_residual(oz.map.images, oz.pi.images, oz.h)
+    pi_defect = oz.pi.domain.relation_residual(oz.pi.images)
+    return {"cpc": cpc,
+            "structure_residual": structure,
+            "orthogonality_residual": orthogonality_residual(oz),
+            "pi_defect": pi_defect,
+            "ok": bool(cpc and structure <= TOL_ALG and pi_defect <= TOL_ALG)}

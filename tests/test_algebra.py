@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 
 from cstarlab.algebra import (BlockModel, ConcreteAlgebra, FDAlgebra,
                               generate_algebra, orthonormalize, support_projection,
-                              unitize_tilde, verify_algebra, wedderburn_decompose)
+                              wedderburn_decompose)
 from cstarlab.instances import block_algebra, gen_instance
 import cstarlab
-from cstarlab.linalg import (dagger, expm_i, hs_inner, opnorm, opnorm_max, random_complex,
+from cstarlab.linalg import (dagger, expm_i, opnorm, opnorm_max, random_complex,
                              random_hermitian, random_unitary, rng_for)
 from cstarlab import algebra
-from helpers import matrix_unit, relation_residual_by_rows
+from helpers import hs_inner, matrix_unit, relation_residual_by_rows, verify_algebra
 
 PROFILES = [(2,), (1, 1), (2, 1), (3,), (2, 2), (1, 1, 1)]
 
@@ -433,19 +433,6 @@ def test_support_projection():
     assert opnorm(p - np.diag([1.0, 1.0, 0.0, 0.0])) < 1e-12
     assert opnorm(A.support - p) < 1e-12
     assert np.allclose(A.unit, A.support)
-
-
-def test_unitize_tilde_adds_one_dim():
-    # the ambient grows by one and the adjoined unit is the full identity
-    A = block_algebra((2,), 3)
-    At = unitize_tilde(A)
-    assert At.ambient_dim == 4
-    assert At.dim == A.dim + 1
-    assert opnorm(At.support - np.eye(4)) < 1e-12
-    for b in A.basis:
-        m = np.zeros((4, 4), dtype=complex)
-        m[:3, :3] = b
-        assert At.residual(m) < 1e-10
 
 
 def test_orthonormalize_drops_dependent():

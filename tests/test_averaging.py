@@ -6,24 +6,23 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from cstarlab import averaging
 from cstarlab.algebra import FDAlgebra
-from cstarlab.linalg import dagger, hs_inner, opnorm, opnorm_max
+from cstarlab.linalg import dagger, opnorm, opnorm_max
 from cstarlab.averaging import (
     canonical_average,
-    commutant_lift,
     exact_diagonal,
     improve_multiplicativity,
     intertwining_unitary,
     polar_unitary,
     projection_conjugator,
-    unitary_commutant_lift,
     weyl_unitaries,
 )
 from cstarlab.certs import PAPER_BUDGET, SpectralGapError, WindowError
-from cstarlab.cpmaps import LinMap, arveson_restrict
+from cstarlab.cpmaps import LinMap, arveson_restrict, hom_defect
 from cstarlab.instances import _rotated_embedding, block_algebra, gen_instance
 from cstarlab.linalg import random_unitary, rng_for
-from helpers import matrix_unit
+from helpers import hs_inner, matrix_unit, verify_averaging_set
 
 PROFILES = [(1,), (2,), (1, 1), (2, 1), (3,), (2, 2), (2, 1, 1), (2, 3, 1)]
 
@@ -68,7 +67,7 @@ def test_exact_diagonal_verifies(sizes):
     cuts = {a * L // (n * n) for n in sizes for a in range(n * n)}
     assert len(avg) == len(sizes) * len(cuts) <= len(sizes) * (sum(n * n for n in sizes)
                                                                - len(sizes) + 1)
-    cert = avg.verify()
+    cert = verify_averaging_set(avg)
     assert cert.verdict == "pass"
 
 
@@ -284,6 +283,23 @@ def test_default_intertwiner_gamma_bounds_every_drawn_distance(profile):
     assert intertwining_unitary(phi1, phi1).gamma == 0.0
 
 
+def test_default_intertwiner_delta_keeps_a_nan_defect(monkeypatch):
+    # the default delta is the larger defect of the two maps, the same float
+    # as Python's max for finite defects; a nan defect in either slot stays
+    # nan (Python's max drops it from the second), and the norm certificate
+    # fails
+    fd = FDAlgebra((2, 1))
+    phi1 = embedded(fd, 4)
+    phi2 = phi1.conjugated(expm(1j * 1e-2 * np.diag([0.0, 1.0, 0.0, -1.0])))
+    res = intertwining_unitary(phi1, phi2)
+    assert res.delta == max(hom_defect(phi1), hom_defect(phi2))
+    for defects in ([float("nan"), 0.0], [0.0, float("nan")]):
+        calls = iter(defects)
+        monkeypatch.setattr(averaging, "hom_defect", lambda phi: next(calls))
+        res = intertwining_unitary(phi1, phi2)
+        assert np.isnan(res.delta) and not res.certificates["norm"].passed
+
+
 def test_intertwining_window_enforced_on_paper_track():
     fd = FDAlgebra((2,))
     phi = embedded(fd, 3)
@@ -312,55 +328,3 @@ def test_repair_and_self_intertwiner_depend_on_the_map_alone(algebra, ambient):
     for key in ("u", "s"):
         assert getattr(other, key).tobytes() == getattr(unit, key).tobytes()
     assert (other.gamma, other.delta) == (unit.gamma, unit.delta)
-
-
-# ---------------------------------------------------------------------------
-# commutant lifts
-# ---------------------------------------------------------------------------
-
-def commutant_element(rng) -> np.ndarray:
-    # the commutant of M_2 (+) 0 inside M_4 is scalars (+) M_2
-    lam = rng.standard_normal()
-    m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    out = np.zeros((4, 4), dtype=complex)
-    out[0, 0] = out[1, 1] = lam
-    out[2:, 2:] = m
-    return out
-
-
-def test_commutant_lift_exact_commutation():
-    A = block_algebra((2,), 4)
-    rng = rng_for(7, "comm-lift")
-    c = commutant_element(rng)
-    noise = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    m = c + 1e-3 * noise / opnorm(noise)
-    lift = commutant_lift(m, A)
-    assert lift.passed
-    for b in A.basis:
-        assert opnorm(lift.value @ b - b @ lift.value) < 1e-11
-    assert opnorm(lift.value - m) <= 2.0 * lift.delta + 1e-10
-
-
-def test_commutant_lift_preserves_selfadjoint():
-    A = block_algebra((2,), 4)
-    rng = rng_for(8, "comm-lift-sa")
-    c = commutant_element(rng)
-    m = c + dagger(c)
-    lift = commutant_lift(m, A)
-    assert opnorm(lift.value - dagger(lift.value)) < 1e-12
-
-
-def test_unitary_commutant_lift():
-    A = block_algebra((2,), 4)
-    rng = rng_for(9, "u-lift")
-    c = commutant_element(rng)
-    h = (c + dagger(c)) / opnorm(c + dagger(c))
-    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    hn = h + 1e-3 * (g + dagger(g)) / opnorm(g + dagger(g))
-    u = expm(1j * 0.5 * hn)
-    lift = unitary_commutant_lift(u, A)
-    assert lift.passed
-    v = lift.value
-    assert opnorm(dagger(v) @ v - np.eye(4)) < 1e-10
-    for b in A.basis:
-        assert opnorm(v @ b - b @ v) < 1e-9

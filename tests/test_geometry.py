@@ -11,13 +11,10 @@ from scipy.linalg import expm
 
 from cstarlab import geometry
 from cstarlab.algebra import ConcreteAlgebra, dagger, opnorm
-from cstarlab.certs import ContradictionError
 from cstarlab.geometry import (
     SampleSpec,
     _TensorSpan,
-    equality_criterion,
     kk_distance,
-    near_inclusion,
     nearest_in_span,
     sample_unit_ball,
     span_distance_lower,
@@ -26,6 +23,7 @@ from cstarlab.geometry import (
 from cstarlab.instances import block_algebra, gen_instance
 from cstarlab.linalg import clip_spectrum, opnorms, random_unitary, rng_for
 from cstarlab.pipelines import run_pipeline
+from helpers import near_inclusion
 
 
 def small_rotation(N: int, eps: float, seed: int) -> np.ndarray:
@@ -858,28 +856,3 @@ def test_tensor_lift_rejects_bad_shape():
     A = block_algebra((2,), 3)
     with pytest.raises(ValueError):
         tensor_lift([np.eye(5)], A, 2, 0.1)
-
-
-def test_equality_criterion_accepts_self():
-    A = block_algebra((2, 1), 4)
-    cert = near_inclusion(A, A)
-    assert equality_criterion(A, A, cert)
-
-
-def test_equality_criterion_rejects_far_algebra():
-    A = block_algebra((2, 1), 4)
-    u = small_rotation(4, 0.5, 3)
-    B = A.conjugated(u)
-    # basis of A is not inside span(B), so equality must be rejected
-    cert = near_inclusion(B, A)
-    assert not equality_criterion(A, B, cert)
-
-
-def test_equality_criterion_contradiction():
-    # proper subalgebra with a certificate claiming gamma < 1 is contradictory
-    A = block_algebra((2, 1), 4)   # dim 5
-    B = block_algebra((2, 2), 4)   # dim 8, contains a (2,1) copy? no; force via fake cert
-    cert = near_inclusion(A, A)    # gamma ~ 0 but dims differ below
-    cert.direction = "B->A"
-    with pytest.raises(ContradictionError):
-        equality_criterion(A, B, cert)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cstarlab.algebra import ConcreteAlgebra, FDAlgebra, verify_algebra
+from cstarlab.algebra import ConcreteAlgebra, FDAlgebra
 from cstarlab.instances import (
     _NAMED,
     RECIPES,
@@ -15,6 +15,7 @@ from cstarlab.instances import (
 )
 from cstarlab.linalg import opnorm
 from cstarlab.serialize import dumps
+from helpers import verify_algebra, verify_order_zero
 
 
 def test_recipes_enumerated():
@@ -142,13 +143,13 @@ def test_random_order_zero_embeds():
     with pytest.raises(ValueError):
         random_order_zero((3, 2), 4, seed=0)
     oz = random_order_zero((2, 1), 4, seed=8)
-    assert oz.verify()["ok"]
+    assert verify_order_zero(oz)["ok"]
 
 
 def test_hat_decomposition_grid_validated():
     with pytest.raises(ValueError):
-        hat_decomposition(8, 2)  # (8 - 1) not divisible by 2
-    A, dec, X = hat_decomposition(9, 2)
+        hat_decomposition(8)  # (8 - 1) not divisible by the node step 2
+    A, dec, X = hat_decomposition(9)
     assert A.ambient_dim == 9
     assert len(dec.ups) == 2
     assert X

@@ -7,7 +7,6 @@ import pytest
 from scipy.linalg import expm
 
 from cstarlab import intertwine
-from cstarlab.algebra import ConcreteAlgebra
 from cstarlab.certs import (
     PAPER_BUDGET,
     TOL_ALG,
@@ -17,17 +16,16 @@ from cstarlab.certs import (
     WindowError,
 )
 from cstarlab.cpmaps import LinMap, hom_defect, worst_move
-from cstarlab.geometry import near_inclusion
 from cstarlab.instances import block_algebra, gen_instance
 from cstarlab.intertwine import (
     close_isomorphism,
     half_flip_cpc,
     implement_unitarily,
     near_embedding_nuclear,
-    unit_match,
 )
 from cstarlab.linalg import dagger, opnorm, opnorm_max, opnorms, rng_for
 from cstarlab.orderzero import identity_decomposition, near_embed_nucdim
+from helpers import near_inclusion
 from cstarlab.pipelines import run_pipeline
 from cstarlab.serialize import dumps
 from helpers import mult_defects
@@ -208,6 +206,23 @@ def test_expectation_producer_is_repaired_once_per_run(monkeypatch):
         assert calls["intertwining_unitary"] == []
         (phi,), _ = calls["improve_multiplicativity"][0]
         assert windows == [max(3.0 * res.eta, hom_defect(phi))]
+
+
+def test_repair_gamma_keeps_a_nan_defect(monkeypatch):
+    # max(3 eta, nan) in Python is 3 eta; the repair's gamma stays nan, so a
+    # defect that is not a number cannot pass for one below 3 eta
+    A, B, u = conjugated_pair((2, 1), 3, 1e-5, 4)
+    gammas = []
+
+    def repair(phi, gamma, budget):
+        gammas.append(gamma)
+        raise SpectralGapError("stop after the repair's inputs")
+
+    monkeypatch.setattr(intertwine, "hom_defect", lambda phi: float("nan"))
+    monkeypatch.setattr(intertwine, "improve_multiplicativity", repair)
+    with pytest.raises(SpectralGapError):
+        intertwine.intertwining_iso(A, B, 2.0 * opnorm(u - np.eye(3)))
+    assert len(gammas) == 1 and np.isnan(gammas[0])
 
 
 def test_pull_back_is_solved_once_per_conjugator(monkeypatch):
@@ -398,25 +413,3 @@ def test_implement_unitarily_rejects_a_nan_defect(monkeypatch):
     with pytest.raises(ValueError, match="not a homomorphism"):
         implement_unitarily(theta)
 
-
-# ---------------------------------------------------------------------------
-# unit matching
-# ---------------------------------------------------------------------------
-
-def test_unit_match_conjugates_supports():
-    A, B, u0 = conjugated_pair((2,), 4, 1e-3, 17)
-    gamma = 2.0 * opnorm(u0 - np.eye(4))
-    u, cert = unit_match(A, B, gamma)
-    assert cert.verdict == "pass"
-    assert opnorm(u @ A.support @ dagger(u) - B.support) < 1e-10
-
-
-def test_unit_match_orthogonal_supports():
-    e00 = np.zeros((2, 2), dtype=complex)
-    e00[0, 0] = 1.0
-    e11 = np.zeros((2, 2), dtype=complex)
-    e11[1, 1] = 1.0
-    A = ConcreteAlgebra.from_basis([e00], 2)
-    B = ConcreteAlgebra.from_basis([e11], 2)
-    with pytest.raises(SpectralGapError):
-        unit_match(A, B, 0.3)

@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 
 from cstarlab import linalg
 from cstarlab.linalg import (clip_spectrum, cluster_values, dagger, eigh_fun,
-                             expm_i, herm, hs_norm, is_projection_residual,
-                             opnorm, opnorm_max, opnorms, partial_isometry_polar,
-                             polar_factor, principal_log_unitary, psd_part, psd_pinv,
-                             psd_sqrt, random_complex,
-                             random_hermitian, random_unitary,
+                             expm_i, hs_norm, opnorm, opnorm_max, opnorms,
+                             partial_isometry_polar, polar_factor, psd_part, psd_pinv,
+                             psd_sqrt, random_complex, random_hermitian, random_unitary,
                              range_projection, rng_for)
+from helpers import is_projection_residual
 
 DIMS = st.integers(min_value=1, max_value=6)
 SEEDS = st.integers(min_value=0, max_value=10_000)
@@ -100,14 +99,6 @@ def test_eigh_fun_polynomial():
     assert opnorm(sq - h @ h) < 1e-12
 
 
-def test_principal_log_roundtrip():
-    h = 0.4 * random_hermitian(rng_for(2, "log"), 3)
-    h = herm(h / max(opnorm(h), 1e-300))
-    u = expm_i(0.3 * h)
-    g = principal_log_unitary(u)
-    assert opnorm(expm_i(g) - u) < 1e-11
-
-
 def test_partial_isometry_polar():
     x = np.zeros((3, 3), dtype=complex)
     x[0, 1] = 2.0
@@ -182,15 +173,14 @@ def test_opnorm_max_on_special_stacks():
     tiny = np.stack([np.diag([2.65e-162] * 4), np.diag([2.7e-162, 0, 0, 0])])
     assert opnorm_max(tiny) == 2.7e-162
     assert opnorm_max(np.zeros((0, 3, 3))) == 0.0
-    # non-finite stacks take the full path: an infinite entry gives nan, and a
-    # NaN entry raises opnorms' LinAlgError
+    # a non-finite stack gives nan with no SVD: an infinite entry, as
+    # opnorms does, and a NaN entry, where opnorms raises LinAlgError
     S[5, 0, 0] = np.inf
     assert np.isnan(opnorm_max(S)) and np.isnan(opnorms(S).max())
     S[5, 0, 0] = np.nan
     with pytest.raises(np.linalg.LinAlgError):
         opnorms(S)
-    with pytest.raises(np.linalg.LinAlgError):
-        opnorm_max(S)
+    assert np.isnan(opnorm_max(S))
 
 
 @given(sizes=st.lists(st.integers(min_value=0, max_value=8), max_size=5), n=DIMS,
@@ -211,8 +201,8 @@ def test_opnorm_max_of_a_stream_equals_the_concatenated_maximum(sizes, n, rows, 
 
 
 def test_opnorm_max_of_a_stream_with_a_non_finite_stack():
-    # as for the concatenation, whichever stack of the stream holds it: an
-    # infinite entry gives nan, a NaN entry raises
+    # whichever stack of the stream holds it, an infinite or a NaN entry
+    # gives nan
     a = np.stack([np.eye(3), 0.5 * np.eye(3)])
     b = np.zeros((2, 3, 3))
     b[1, 0, 0] = np.inf
@@ -223,8 +213,8 @@ def test_opnorm_max_of_a_stream_with_a_non_finite_stack():
     c = b.copy()
     c[1, 0, 0] = np.nan
     for stream in ([c, a], [a, c], [b, c]):
-        with pytest.raises(np.linalg.LinAlgError):
-            opnorm_max(stream)
+        assert np.isnan(opnorm_max(stream))
+        assert np.isnan(opnorm_max(iter(stream)))
 
 
 def test_opnorm_max_of_diagonal_matrices_is_the_largest_entry():

@@ -7,22 +7,20 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from cstarlab.algebra import ConcreteAlgebra, FDAlgebra
-from cstarlab.certs import ContradictionError, SpectralGapError
+from cstarlab.algebra import FDAlgebra
+from cstarlab.certs import ContradictionError
 from cstarlab.cpmaps import LinMap, classify
 from cstarlab.instances import block_algebra, hat_decomposition, random_order_zero
 from cstarlab import orderzero
 from cstarlab.geometry import tensor_lift
 from cstarlab.linalg import dagger, herm, opnorm, psd_sqrt, rng_for
-from helpers import matrix_unit
+from helpers import matrix_unit, verify_order_zero
 from cstarlab.orderzero import (
     OrderZeroMap,
-    cone_evaluate,
     identity_decomposition,
     is_order_zero,
     near_embed_nucdim,
     nucdim_cpc_transfer,
-    order_zero_projection,
     perturb_order_zero,
     split_decomposition,
     structure_decompose,
@@ -44,7 +42,7 @@ def small_rotation(N: int, eps: float, seed: int) -> np.ndarray:
 @pytest.mark.parametrize("sizes", [(2,), (1, 1), (2, 1)])
 def test_random_order_zero_verifies(sizes):
     oz = random_order_zero(sizes, 4, seed=3)
-    report = oz.verify()
+    report = verify_order_zero(oz)
     assert report["ok"]
     assert report["orthogonality_residual"] < 1e-10
 
@@ -83,24 +81,6 @@ def test_is_order_zero_rejects_generic_cp_map():
     assert classify(phi).cpc
     ok, _ = is_order_zero(phi)
     assert not ok
-
-
-def test_cone_evaluate_polynomial():
-    oz = random_order_zero((2,), 4, seed=4)
-    fd = oz.fd
-    rng = rng_for(4, "cone")
-    x = fd.random_elements(rng, 1)[0]
-    # f(t) = t reproduces the map itself
-    assert opnorm(cone_evaluate(oz, [0.0, 1.0], x) - oz(x)) < 1e-11
-    # f(t) = t^2 squares the damping
-    val = cone_evaluate(oz, [0.0, 0.0, 1.0], x)
-    assert opnorm(val - oz.h @ oz.h @ oz.pi(x)) < 1e-11
-
-
-def test_cone_evaluate_requires_vanishing_at_zero():
-    oz = random_order_zero((2,), 4, seed=5)
-    with pytest.raises(ValueError):
-        cone_evaluate(oz, [1.0, 1.0], oz.fd.unit())
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +136,7 @@ def test_identity_decomposition_exact():
 
 def test_split_decomposition_two_colors():
     A = block_algebra((2, 1, 1), 4)
-    dec = split_decomposition(A, parts=2)
+    dec = split_decomposition(A)
     assert dec.n == 1
     assert dec.defect < 1e-12
     cert = verify_nucdim_decomposition(A, list(A.basis), 1e-10, dec)
@@ -166,12 +146,12 @@ def test_split_decomposition_two_colors():
 def test_split_decomposition_needs_enough_blocks():
     A = block_algebra((2,), 3)
     with pytest.raises(ValueError):
-        split_decomposition(A, parts=2)
+        split_decomposition(A)
 
 
 def test_verify_decomposition_names_broken_invariant():
     A = block_algebra((2, 2), 4)
-    dec = split_decomposition(A, parts=2)
+    dec = split_decomposition(A)
     up = dec.ups[1]
     # overwrite one upward map with a non-order-zero one (all images equal)
     flat = up.map.images[0]
@@ -185,7 +165,7 @@ def test_verify_decomposition_names_broken_invariant():
 
 
 def test_hat_decomposition_interpolation_defect():
-    A, dec, X = hat_decomposition(9, 2)
+    A, dec, X = hat_decomposition(9)
     assert dec.n == 1
     assert 0.0 < dec.defect < 0.1
     cert = verify_nucdim_decomposition(A, X, dec.defect + 1e-12, dec)
@@ -198,7 +178,7 @@ def test_hat_decomposition_interpolation_defect():
 
 def test_nucdim_transfer_exact_identity():
     A = block_algebra((2, 1, 1), 4)
-    dec = split_decomposition(A, parts=2)
+    dec = split_decomposition(A)
     X = [b / max(opnorm(b), 1e-300) for b in A.basis]
     phi, cert = nucdim_cpc_transfer(A, dec, X, A, 0.0)
     assert cert.verdict == "pass"
@@ -207,7 +187,7 @@ def test_nucdim_transfer_exact_identity():
 
 
 def test_nucdim_transfer_rotated_target():
-    A, dec, X = hat_decomposition(9, 2)
+    A, dec, X = hat_decomposition(9)
     u = small_rotation(9, 1e-5, 3)
     B = A.conjugated(u)
     gamma = 2.0 * opnorm(u - np.eye(9))
@@ -229,56 +209,6 @@ def test_near_embed_nucdim_one_color():
     for b in A.basis:
         xn = b / opnorm(b)
         assert A0.residual(theta(xn)) < 1e-8
-
-
-# ---------------------------------------------------------------------------
-# heuristic projection back to an order-zero map
-# ---------------------------------------------------------------------------
-
-def test_order_zero_projection_recovers_noisy_map():
-    oz = random_order_zero((2,), 4, seed=14)
-    rng = rng_for(14, "oz-noise")
-    noisy = []
-    for img in oz.map.images:
-        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        noisy.append(img + 1e-9 * g / opnorm(g))
-    psi = LinMap(oz.fd, 4, tuple(noisy))
-    fit, cert = order_zero_projection(psi, gamma=1e-8)
-    assert cert.verdict == "heuristic"
-    assert fit.verify()["ok"]
-    worst = max(opnorm(fit.map.images[i] - oz.map.images[i])
-                for i in range(len(noisy)))
-    assert worst < 1e-6
-
-
-@pytest.mark.parametrize("eps", [1e-7, 1e-9, 1e-12])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("sizes", [(2,), (3,), (2, 1), (1, 1), (2, 2), (3, 1), (2, 1, 1)])
-def test_order_zero_projection_fits_noisy_maps(sizes, seed, eps):
-    # complex Gaussian noise of operator norm eps on each image of a random
-    # order-zero map into M_{d+1}; multi-block domains included.  At eps =
-    # 1e-7 the noise puts eigenvalues up to 7e-8 on h0's kernel, above a
-    # relative cut of 1e-8: the fit cuts at the gap above the noise instead
-    N = sum(sizes) + 1
-    oz = random_order_zero(sizes, N, seed=seed)
-    rng = rng_for(seed, "oz-noise")
-    g = (rng.standard_normal(oz.map.images.shape)
-         + 1j * rng.standard_normal(oz.map.images.shape))
-    g /= np.linalg.norm(g, 2, axis=(1, 2))[:, None, None]
-    psi = LinMap(oz.fd, N, oz.map.images + eps * g)
-    fit, cert = order_zero_projection(psi, gamma=1e-8)
-    assert fit.verify()["ok"]
-    assert np.linalg.norm(fit.map.images - oz.map.images, 2, axis=(1, 2)).max() < 10 * eps
-
-
-def test_order_zero_projection_needs_a_gap_above_the_noise():
-    # psi(1) = diag(1, 1e-2, 1e-4, 1e-6) plus an anti-Hermitian part of norm
-    # 1e-7, the noise level: its spectrum runs down into the noise, and no
-    # ratio of consecutive eigenvalues reaches the 1e3 gap the fit asks
-    image = np.diag([1.0, 1e-2, 1e-4, 1e-6]).astype(complex)
-    image[0, 1], image[1, 0] = 1e-7, -1e-7
-    with pytest.raises(SpectralGapError):
-        order_zero_projection(LinMap(FDAlgebra((1,)), 4, image[None]))
 
 
 # ---------------------------------------------------------------------------

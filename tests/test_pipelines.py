@@ -53,8 +53,8 @@ def test_pipeline_runs_green(pipeline):
 
 
 def test_iso_run_loads_no_scipy():
-    # scipy takes about 0.2 s and 20 MB to import; only choi and
-    # principal_log_unitary use it, and they import it when called
+    # scipy takes about 0.2 s and 20 MB to import; the package imports none
+    # of it, and its runtime dependency is numpy alone
     code = ("import sys, cstarlab\n"
             "from cstarlab.instances import gen_instance\n"
             "from cstarlab.pipelines import run_pipeline\n"

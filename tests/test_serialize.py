@@ -79,7 +79,7 @@ def test_order_zero_map_round_trip():
 
 def test_decomposition_round_trip():
     A = block_algebra((2, 1, 1), 4)
-    dec = split_decomposition(A, parts=2)
+    dec = split_decomposition(A)
     back = loads(dumps(dec))
     assert back.n == dec.n
     assert back.pieces == dec.pieces
