@@ -26,8 +26,9 @@ from .intertwine import (IsoResult, StageRecord, close_isomorphism,
 from .orderzero import (NucDimDecomposition, OrderZeroMap,
                         identity_decomposition, is_order_zero,
                         near_embed_nucdim, nucdim_cpc_transfer,
-                        perturb_order_zero, split_decomposition,
-                        structure_decompose, verify_nucdim_decomposition)
+                        order_zero_projection, perturb_order_zero,
+                        split_decomposition, structure_decompose,
+                        verify_nucdim_decomposition)
 from .pipelines import Report, conjugation_iso, render_report, run_pipeline
 from .serialize import dumps, load, loads, save
 
@@ -48,9 +49,10 @@ __all__ = [
     "improve_multiplicativity", "intertwining_iso", "intertwining_unitary",
     "is_order_zero", "kk_distance", "kraus_operators", "load", "loads",
     "near_embed_nucdim", "near_embedding_nuclear", "nearest_in_span",
-    "nucdim_cpc_transfer", "perturb_order_zero", "polar_unitary",
-    "projection_conjugator", "provenance_stamp", "random_order_zero",
-    "render_report", "run_pipeline", "save", "split_decomposition",
-    "stinespring", "structure_decompose", "tensor_lift", "ucp_extension",
-    "verify_nucdim_decomposition", "wedderburn_decompose",
+    "nucdim_cpc_transfer", "order_zero_projection", "perturb_order_zero",
+    "polar_unitary", "projection_conjugator", "provenance_stamp",
+    "random_order_zero", "render_report", "run_pipeline", "save",
+    "split_decomposition", "stinespring", "structure_decompose",
+    "tensor_lift", "ucp_extension", "verify_nucdim_decomposition",
+    "wedderburn_decompose",
 ]

@@ -62,6 +62,7 @@ WINDOW_DEFECT_REPAIR = 1.0 / 17.0        # multiplicativity repair input defect
 WINDOW_INTERTWINE = 13.0 / 150.0         # one-sided gap feeding the intertwiner
 WINDOW_ISO_ETA = 1.0 / 210000.0          # per-stage closeness for the iso chain
 WINDOW_ISO_GAMMA = 1.0 / 420000.0        # distance for the two-sided isomorphism
+WINDOW_OZ_PROJECTION = 1e-7              # order-zero projection heuristic
 WINDOW_ISO_MU = 1.0 / 2000.0             # drift budget parameter
 
 

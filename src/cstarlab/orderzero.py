@@ -1,14 +1,16 @@
 """Order-zero map calculus: structure decomposition through the commuting
 pair (pi, h), the constructive perturbation of order-zero maps into a nearby
 algebra, nuclear-dimension decompositions with their verifier and cpc
-transfer, and the finite-nuclear-dimension near-embedding driver.
+transfer, the finite-nuclear-dimension near-embedding driver, and a labeled
+heuristic projection back onto order-zero maps.
 
 Everything reads the (d, N, N) image stacks of the maps, block by block
 (``FDAlgebra.unit_blocks``).  The perturbation's partial isometry s_k =
 sum_ij pi(e_ij) (x) f_ji is a transpose of block k's pi images,
 s_k[(a, p), (b, q)] = pi(e_qp)[a, b] zero-padded to M_m, and the perturbed
 map is a corner of the lifted witness w: psi(e_ij) = W_i W_j* with W_i[a, c]
-= w[(a, 0), (k, c, i)].
+= w[(a, 0), (k, c, i)].  The order-zero fit rounds the Choi blocks of its
+candidate representation and reads the images back by the inverse reshape.
 """
 
 from __future__ import annotations
@@ -18,12 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import ConcreteAlgebra, FDAlgebra
-from .certs import (TOL_ALG, TOL_EXACT, Certificate, ContradictionError, ToleranceBudget,
-                    DEFAULT_BUDGET, WINDOW_ISO_ETA, provenance_stamp)
-from .cpmaps import LinMap, cb_bracket, classify, worst_move
+from .certs import (TOL_ALG, TOL_EXACT, TOL_RANK, Certificate, ContradictionError,
+                    SpectralGapError, ToleranceBudget, DEFAULT_BUDGET, WINDOW_ISO_ETA,
+                    WINDOW_OZ_PROJECTION, provenance_stamp)
+from .averaging import _canonical_index, canonical_average
+from .cpmaps import LinMap, _from_choi_blocks, cb_bracket, choi_blocks, classify, worst_move
 from .geometry import tensor_lift
 from .intertwine import intertwining_iso
-from .linalg import dagger, herm, opnorm, opnorm_max, psd_pinv, psd_sqrt
+from .linalg import (clip_spectrum, dagger, herm, opnorm, opnorm_max, psd_pinv,
+                     psd_sqrt)
 
 __all__ = [
     "OrderZeroMap",
@@ -36,6 +41,7 @@ __all__ = [
     "verify_nucdim_decomposition",
     "nucdim_cpc_transfer",
     "near_embed_nucdim",
+    "order_zero_projection",
 ]
 
 
@@ -419,3 +425,110 @@ def near_embed_nucdim(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma: float,
                  "transfer_ok": cert_t.passed},
         provenance=provenance_stamp())
     return res.map, cert
+
+
+# ---------------------------------------------------------------------------
+# heuristic projection back onto order-zero maps
+# ---------------------------------------------------------------------------
+
+# the fit's rounded pi meets the matrix-unit relations to _FIT_TOL + _FIT_NOISE
+# times the noise carried into pi; h0's kept spectrum clears the noise by _FIT_GAP
+_FIT_TOL, _FIT_NOISE, _FIT_GAP = 1e-8, 10.0, 1e3
+
+
+def order_zero_projection(psi: LinMap, gamma: float | None = None
+                          ) -> tuple[OrderZeroMap, Certificate]:
+    """Nearest-order-zero fit for a cp map that is close to one; an explicitly
+    labeled heuristic, verified a posteriori.
+
+    Alternating fit: h0 is psi(1) clipped to a positive contraction, and
+    the noise level f is max(||psi(1) - h0||, TOL_RANK lam_1) for h0's
+    eigenvalues lam_1 >= lam_2 >= ...  A candidate representation pi =
+    psi(.) h0^+ inverts lam_1 ... lam_r for the largest r with lam_r >=
+    _FIT_GAP max(lam_{r+1}, f) (lam_{N+1} = 0), none when every lam is at
+    most f; a spectrum above f with no such gap raises SpectralGapError.  pi
+    is polished by rounding: the spectrum of each Choi block C_k / n_k is
+    cut at 1/2, n_k times the cut projection is read back as the images, and
+    these are symmetrised under e_ij -> e_ji.  The rounded pi must satisfy
+    the matrix-unit relations to tol = _FIT_TOL + _FIT_NOISE ||psi(1) - h0||
+    / lam_r (its residual is the certificate's ``pi_defect``); exact matrix
+    units are then read off it by a polar decomposition, and h is h0 twirled
+    over them, sum_k (1/n_k) sum_ij pi(e_ji) h0 pi(e_ij), which commutes
+    with pi exactly.  The certificate reports the cb bracket of psi minus
+    the fit, compared against 493 gamma^{1/2} when gamma is supplied.
+    """
+    fd = psi.domain
+    if not isinstance(fd, FDAlgebra):
+        raise ValueError("the fit needs a block domain")
+    if gamma is not None:
+        DEFAULT_BUDGET.require_window("order-zero-projection", gamma,
+                                      WINDOW_OZ_PROJECTION)
+    N = psi.codomain_dim
+    psi1 = psi(fd.unit())
+    h0 = clip_spectrum(herm(psi1), 0.0, 1.0)
+    noise = opnorm(psi1 - h0)
+    vals, vecs = np.linalg.eigh(herm(h0))  # as psd_pinv had it: the same bits where it cut
+    lam = vals[::-1]
+    floor = max(noise, TOL_RANK * max(float(lam[0]), 1e-300))
+    gaps = np.flatnonzero(lam >= _FIT_GAP * np.maximum(np.append(lam[1:], 0.0), floor))
+    if lam[0] > floor and not gaps.size:
+        raise SpectralGapError(f"no gap of {_FIT_GAP:.0e} above the noise level {floor:.3g} "
+                               f"in the spectrum {lam} of psi(1)")
+    keep = np.arange(N) >= N - (gaps[-1] + 1 if gaps.size else 0)
+    inv = np.where(keep, 1.0 / np.where(keep, vals, 1.0), 0.0)
+    pi = LinMap(fd, N, psi.images @ ((vecs * inv) @ dagger(vecs)))
+    flip = _canonical_index(fd.block_sizes)[1]
+
+    rounds = []
+    for _ in range(3):
+        cut = []
+        for n, C in zip(fd.block_sizes, choi_blocks(pi)):
+            vals, vecs = np.linalg.eigh(herm(C / n))
+            keep = vecs[:, vals >= 0.5]
+            cut.append(n * (keep @ dagger(keep)))
+        new = _from_choi_blocks(fd, N, cut).images
+        drift = opnorm_max(new - pi.images)
+        pi = LinMap(fd, N, (new + dagger(new[flip])) / 2.0)
+        rounds.append(float(drift))
+        if drift < TOL_EXACT:
+            break
+
+    pi_defect = fd.relation_residual(pi.images)
+    tol = _FIT_TOL + _FIT_NOISE * noise * float(inv.max(initial=0.0))
+    if pi_defect > tol:
+        raise ContradictionError(
+            f"fit residual {pi_defect:.3g} above {tol:.3g}; "
+            "the input is not close enough to an order-zero map")
+    # exact matrix units from the rounded ones.  Per block, X_k is an
+    # orthonormal basis of the range of pi(e_11^(k)) and pi(e_i1^(k)) X_k its
+    # image under e_i1; the columns of every block are made orthonormal
+    # together by the polar part W of their row, and pi(e_ij^(k)) = W_ki
+    # W_kj*.  h0 twirled over exact matrix units commutes with them exactly
+    cols = []
+    for E in fd.unit_blocks(pi.images):
+        vals, vecs = np.linalg.eigh(herm(E[0, 0]))
+        cols.append((E[:, 0] @ vecs[:, vals >= 0.5]).swapaxes(0, 1))  # (N, n_k, r_k)
+    u, _, vh = np.linalg.svd(np.concatenate([c.reshape(N, -1) for c in cols], axis=1),
+                             full_matrices=False)
+    W = np.split(u @ vh, np.cumsum([c[0].size for c in cols])[:-1], axis=1)
+    pi = LinMap(fd, N, np.concatenate([_unit_images(w.reshape(c.shape).swapaxes(0, 1))
+                                       for w, c in zip(W, cols)]))
+    h = canonical_average(fd.block_sizes, pi.images @ h0, pi.images)
+    fit = OrderZeroMap.from_pair(pi, clip_spectrum(herm(h), 0.0, 1.0), tol=100 * _FIT_TOL,
+                                 codomain_algebra=psi.codomain_algebra)
+
+    lo, hi = cb_bracket(psi - fit.map)
+    ceiling = 493.0 * np.sqrt(gamma) if gamma is not None else np.inf
+    cert = Certificate.build(
+        name="order-zero-projection",
+        formula="cb distance from the fitted order-zero map, compared "
+                "against 493 gamma^{1/2}",
+        inputs={"gamma": gamma, "tol": tol, "noise": noise},
+        ceiling=float(ceiling), achieved=float(hi),
+        heuristic=True,
+        details={"cb_lo": float(lo), "pi_defect": float(pi_defect),
+                 "rounding_drift": rounds,
+                 "structure_residual": _structure_residual(
+                     fit.map.images, fit.pi.images, fit.h)},
+        provenance=provenance_stamp())
+    return fit, cert

@@ -9,7 +9,8 @@ import cstarlab
 from cstarlab.certs import (DEFAULT_BUDGET, PAPER_BUDGET, Certificate,
                             ToleranceBudget, WindowError, provenance_stamp,
                             WINDOW_DEFECT_REPAIR, WINDOW_INTERTWINE,
-                            WINDOW_ISO_ETA, WINDOW_ISO_GAMMA)
+                            WINDOW_ISO_ETA, WINDOW_ISO_GAMMA,
+                            WINDOW_OZ_PROJECTION)
 
 
 def test_frozen_window_constants():
@@ -18,6 +19,7 @@ def test_frozen_window_constants():
     assert WINDOW_INTERTWINE == 13.0 / 150.0
     assert WINDOW_ISO_ETA == 1.0 / 210000.0
     assert WINDOW_ISO_GAMMA == 1.0 / 420000.0
+    assert WINDOW_OZ_PROJECTION == 1e-7
 
 
 def test_verdict_pass_iff_within_slack():

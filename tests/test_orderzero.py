@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import expm
 
 from cstarlab.algebra import FDAlgebra
-from cstarlab.certs import ContradictionError
+from cstarlab.certs import ContradictionError, SpectralGapError
 from cstarlab.cpmaps import LinMap, classify
 from cstarlab.instances import block_algebra, hat_decomposition, random_order_zero
 from cstarlab import orderzero
@@ -21,6 +21,7 @@ from cstarlab.orderzero import (
     is_order_zero,
     near_embed_nucdim,
     nucdim_cpc_transfer,
+    order_zero_projection,
     perturb_order_zero,
     split_decomposition,
     structure_decompose,
@@ -209,6 +210,56 @@ def test_near_embed_nucdim_one_color():
     for b in A.basis:
         xn = b / opnorm(b)
         assert A0.residual(theta(xn)) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# heuristic projection back to an order-zero map
+# ---------------------------------------------------------------------------
+
+def test_order_zero_projection_recovers_noisy_map():
+    oz = random_order_zero((2,), 4, seed=14)
+    rng = rng_for(14, "oz-noise")
+    noisy = []
+    for img in oz.map.images:
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        noisy.append(img + 1e-9 * g / opnorm(g))
+    psi = LinMap(oz.fd, 4, tuple(noisy))
+    fit, cert = order_zero_projection(psi, gamma=1e-8)
+    assert cert.verdict == "heuristic"
+    assert verify_order_zero(fit)["ok"]
+    worst = max(opnorm(fit.map.images[i] - oz.map.images[i])
+                for i in range(len(noisy)))
+    assert worst < 1e-6
+
+
+@pytest.mark.parametrize("eps", [1e-7, 1e-9, 1e-12])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("sizes", [(2,), (3,), (2, 1), (1, 1), (2, 2), (3, 1), (2, 1, 1)])
+def test_order_zero_projection_fits_noisy_maps(sizes, seed, eps):
+    # complex Gaussian noise of operator norm eps on each image of a random
+    # order-zero map into M_{d+1}; multi-block domains included.  At eps =
+    # 1e-7 the noise puts eigenvalues up to 7e-8 on h0's kernel, above a
+    # relative cut of 1e-8: the fit cuts at the gap above the noise instead
+    N = sum(sizes) + 1
+    oz = random_order_zero(sizes, N, seed=seed)
+    rng = rng_for(seed, "oz-noise")
+    g = (rng.standard_normal(oz.map.images.shape)
+         + 1j * rng.standard_normal(oz.map.images.shape))
+    g /= np.linalg.norm(g, 2, axis=(1, 2))[:, None, None]
+    psi = LinMap(oz.fd, N, oz.map.images + eps * g)
+    fit, cert = order_zero_projection(psi, gamma=1e-8)
+    assert verify_order_zero(fit)["ok"]
+    assert np.linalg.norm(fit.map.images - oz.map.images, 2, axis=(1, 2)).max() < 10 * eps
+
+
+def test_order_zero_projection_needs_a_gap_above_the_noise():
+    # psi(1) = diag(1, 1e-2, 1e-4, 1e-6) plus an anti-Hermitian part of norm
+    # 1e-7, the noise level: its spectrum runs down into the noise, and no
+    # ratio of consecutive eigenvalues reaches the 1e3 gap the fit asks
+    image = np.diag([1.0, 1e-2, 1e-4, 1e-6]).astype(complex)
+    image[0, 1], image[1, 0] = 1e-7, -1e-7
+    with pytest.raises(SpectralGapError):
+        order_zero_projection(LinMap(FDAlgebra((1,)), 4, image[None]))
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 REACH = ROOT / "tools" / "reach.py"
 
-# the definitions that wait for the ROADMAP items that wire them: the
-# near-inclusion embedding (item 12) and the half-flip producer (item 10)
+# the definitions that wait for the ROADMAP items that wire or retire them:
+# the near-inclusion embedding (item 12), the half-flip producer (item 10)
+# and the heuristic order-zero fit (item 7)
 ALLOWED = {"intertwine.near_embedding_nuclear", "intertwine.half_flip_cpc",
-           "intertwine._projection_near_unit"}
+           "intertwine._projection_near_unit", "orderzero.order_zero_projection"}
 
 
 def reach(src) -> list[str]:
