@@ -307,7 +307,7 @@ class ConcreteAlgebra:
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def from_basis(cls, mats, ambient_dim: int | None = None) -> "ConcreteAlgebra":
+    def from_basis(cls, mats, ambient_dim: int) -> "ConcreteAlgebra":
         """Build from a spanning set of an (assumed) *-closed, product-closed
         span.  The set is orthonormalized; closure is not enforced here, use
         generate_algebra for that."""
@@ -315,10 +315,9 @@ class ConcreteAlgebra:
         if not mats:
             raise ValueError("empty basis")
         require_finite(mats, "spanning set")
-        N = ambient_dim or mats[0].shape[0]
         basis = orthonormalize(mats)
-        supp = support_projection(basis, N)
-        return cls(ambient_dim=N, basis=basis, support=supp)
+        return cls(ambient_dim=ambient_dim, basis=basis,
+                   support=support_projection(basis, ambient_dim))
 
     @classmethod
     def full(cls, N: int) -> "ConcreteAlgebra":
@@ -443,8 +442,9 @@ def support_projection(basis, N: int) -> np.ndarray:
     return range_projection(m)
 
 
-def generate_algebra(generators, ambient_dim: int | None = None) -> ConcreteAlgebra:
-    """Smallest *-subalgebra of M_N containing the generators.
+def generate_algebra(generators, ambient_dim: int) -> ConcreteAlgebra:
+    """Smallest *-subalgebra of M_N, N = ambient_dim, containing the
+    generators.
 
     Span growth: start from the *-closed span of the generators, repeatedly
     adjoin pairwise products, and stop when the dimension stabilises.  The
@@ -453,7 +453,7 @@ def generate_algebra(generators, ambient_dim: int | None = None) -> ConcreteAlge
     gens = [np.asarray(g, dtype=complex) for g in generators]
     if not gens:
         raise ValueError("no generators")
-    N = ambient_dim or gens[0].shape[0]
+    N = ambient_dim
     for g in gens:
         if g.shape != (N, N):
             raise ValueError("generators must be square matrices of the ambient dimension")
@@ -627,8 +627,10 @@ class BlockModel:
     """*-isomorphism between a concrete algebra and its abstract block model.
 
     to_abstract squashes multiplicities (trace-normalised matrix-unit
-    coefficients); to_concrete re-expands them.  Both directions are exact
-    *-homomorphisms up to the accuracy of the matrix units.
+    coefficients); the way back sends the matrix units of fd to the
+    structure's (``struct.matrix_units``, in the same order).  Both
+    directions are exact *-homomorphisms up to the accuracy of the matrix
+    units.
     """
 
     def __init__(self, A: ConcreteAlgebra, struct: BlockStructure):
@@ -643,7 +645,3 @@ class BlockModel:
         flat = self._units.reshape(len(self._units), -1)
         c = (y.reshape(y.shape[:-2] + (-1,)) @ flat.conj().T) / self._mults
         return self.fd.from_coeffs(c)
-
-    def to_concrete(self, m: np.ndarray) -> np.ndarray:
-        """Concrete element of m, or of each matrix of a stack (..., d, d)."""
-        return _combine(self.fd.coeffs(m), self._units)

@@ -23,11 +23,11 @@ rounded outward, so each is a proven upper bound (||.|| <= ||.||_cb).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import ConcreteAlgebra, FDAlgebra
+from .algebra import FDAlgebra
 from .certs import (TOL_ALG, TOL_EXACT, Certificate, SpectralGapError,
                     ToleranceBudget, DEFAULT_BUDGET, WINDOW_DEFECT_REPAIR,
                     WINDOW_INTERTWINE, provenance_stamp)
@@ -92,26 +92,23 @@ def canonical_average(block_sizes, left: np.ndarray, right: np.ndarray) -> np.nd
 class AveragingSet:
     """Weighted unitary family with the exact-diagonal property.
 
-    terms[t] are unitaries of the algebra (relative to its unit), weights sum
-    to one, and sum_t weights[t] * (terms[t] (x) terms[t]*) equals the
-    canonical separability element sum_k (1/n_k) sum_ij e_ij (x) e_ji, whose
-    matrix units are units[p] in (k, i, j) order.  Averages linear in
-    u (x) u* are ``canonical_average`` on the units, not sums over the terms.
+    terms[t] are unitaries of the block algebra, weights sum to one, and
+    sum_t weights[t] * (terms[t] (x) terms[t]*) equals the canonical
+    separability element sum_k (1/n_k) sum_ij e_ij (x) e_ji.  Averages
+    linear in u (x) u* are ``canonical_average`` on the matrix units, not
+    sums over the terms.
     """
 
     weights: np.ndarray
     terms: np.ndarray
-    unit: np.ndarray
-    block_sizes: tuple[int, ...]
-    units: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.terms)
 
 
-def exact_diagonal(A: FDAlgebra | ConcreteAlgebra) -> AveragingSet:
-    """Averaging family of A whose tensor average is exactly the canonical
-    separability element.
+def exact_diagonal(A: FDAlgebra) -> AveragingSet:
+    """Averaging family of the block algebra A whose tensor average is
+    exactly the canonical separability element.
 
     With r blocks, L = lcm(n_k^2) and omega = exp(2 pi i / r), cut [0, L) at
     every multiple of L / n_k^2 for every k.  Each interval [s, e) and c in
@@ -125,11 +122,7 @@ def exact_diagonal(A: FDAlgebra | ConcreteAlgebra) -> AveragingSet:
     where every n_k^2 is 1 or L they are the r L terms of weight 1/(rL)
     u_{c,t} = (+)_k omega^{ck} W_k(t mod n_k^2), t in Z_L.
     """
-    if isinstance(A, ConcreteAlgebra):
-        struct = A.structure()
-        block_sizes, units, unit = struct.block_sizes, struct.matrix_units, A.support
-    else:
-        block_sizes, units, unit = tuple(A.block_sizes), A.units(), A.unit()
+    block_sizes = A.block_sizes
     r = len(block_sizes)
     L = math.lcm(*(n * n for n in block_sizes))
     cuts = np.array(sorted({a * L // (n * n) for n in block_sizes for a in range(n * n)} | {L}))
@@ -140,11 +133,9 @@ def exact_diagonal(A: FDAlgebra | ConcreteAlgebra) -> AveragingSet:
         [np.exp(2j * np.pi * (c * k % r) / r)
          * np.array(weyl_unitaries(n)).reshape(n * n, n * n)[start * (n * n) // L]
          for k, n in enumerate(block_sizes)], axis=2).reshape(r * len(start), -1)
-    m = units.shape[-1]
-    terms = (coeffs @ units.reshape(len(units), m * m)).reshape(-1, m, m)
+    terms = (coeffs @ A.units().reshape(A.dim_linear, -1)).reshape(-1, A.d, A.d)
     weights = np.tile(np.diff(cuts) / (r * L), r)
-    return AveragingSet(weights=weights, terms=terms, unit=np.asarray(unit, dtype=complex),
-                        block_sizes=block_sizes, units=units)
+    return AveragingSet(weights=weights, terms=terms)
 
 
 # ---------------------------------------------------------------------------

@@ -148,7 +148,7 @@ class LinMap:
         if isinstance(self.domain, FDAlgebra):
             return self, None  # already abstract
         bm = self.domain.block_model()
-        return LinMap(bm.fd, self.codomain_dim, self(bm.to_concrete(bm.fd.units())),
+        return LinMap(bm.fd, self.codomain_dim, self(bm.struct.matrix_units),
                       codomain_algebra=self.codomain_algebra), bm
 
 
@@ -218,7 +218,7 @@ def classify(phi: LinMap) -> Ternary:
                    norm_of_unit=nrm1, unit_defect=unit_defect)
 
 
-def kraus_operators(phi: LinMap, tol_psd: float = TOL_PSD) -> list[np.ndarray]:
+def kraus_operators(phi: LinMap, tol_psd: float) -> list[np.ndarray]:
     """Per-block Kraus operators of a cp map, one (r_k, N, n_k) stack per
     block, from the eigendecomposition of its Choi blocks (eigenvalues below
     tol_psd are discarded): K e_j = sqrt(lam) v[(j, :)] for each kept
@@ -462,7 +462,8 @@ def cb_bracket(phi: LinMap) -> tuple[float, float]:
         blocks = choi_blocks(work)
         neg = -sum(v[v < -2.0 * len(v) * _EPS * np.abs(v).max()].sum()
                    for v in map(np.linalg.eigvalsh, map(herm, blocks)))
-        hi = cls.norm_of_unit + 2.0 * neg + d * d * max(opnorm(C - dagger(C)) for C in blocks)
+        skew = np.max([opnorm(C - dagger(C)) for C in blocks])  # keeps a nan; max() drops it
+        hi = cls.norm_of_unit + 2.0 * neg + d * d * skew
         margin = 2.0 * (d + 2 * N + 2) * N * _EPS
         return float(cls.norm_of_unit * (1.0 - margin)), float(hi * (1.0 + margin))
 

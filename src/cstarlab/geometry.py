@@ -47,10 +47,10 @@ __all__ = [
 class SampleSpec:
     """How to sample the unit ball of an algebra."""
 
-    seed: int = 0
-    n_selfadjoint: int = 64
-    n_unitary: int = 64
-    iters: int = 500
+    seed: int
+    n_selfadjoint: int
+    n_unitary: int
+    iters: int
 
     def to_dict(self) -> dict:
         return {"kind": "sample_spec", "schema_version": 1, "seed": self.seed,
@@ -70,8 +70,8 @@ class Witness:
     b: np.ndarray
     ub: float
     lb: float
-    stop: str = ""
-    iters: int = 0
+    stop: str
+    iters: int
 
 
 @dataclass
@@ -82,9 +82,9 @@ class NearInclusionCert:
     gamma_lo: float
     witnesses: list[Witness]
     sample_spec: SampleSpec
-    direction: str = ""
-    n_samples: int = 0
-    lo_witness: np.ndarray | None = None  # the sample attaining gamma_lo
+    direction: str
+    n_samples: int
+    lo_witness: np.ndarray  # the sample attaining gamma_lo
 
     def __post_init__(self):
         if self.gamma_lo > self.gamma_hi + 1e-12:
@@ -97,10 +97,10 @@ class DistanceInterval:
 
     lo: float
     hi: float
-    lo_witness: np.ndarray | None
+    lo_witness: np.ndarray
     hi_assignment: dict
-    cert_ab: NearInclusionCert | None = None
-    cert_ba: NearInclusionCert | None = None
+    cert_ab: NearInclusionCert
+    cert_ba: NearInclusionCert
 
     def __post_init__(self):
         if not (0.0 <= self.lo <= self.hi + 1e-12 and self.hi <= 2.0 + 1e-9):
@@ -115,18 +115,16 @@ def _shrink(z: np.ndarray, t: np.ndarray | None) -> np.ndarray:
     """Shrink the singular values s of each matrix of a stack z to
     max(s - theta, 0), with s read from one eigensolve of its smaller Gram
     matrix (z* z for tall or square z, z z* for wide z).  theta is the shift
-    that projects s onto the l1 unit ball (read off the cumulative sums of s,
-    which the eigensolve sorts), so z goes to its projection onto the
+    that projects s onto the l1 unit ball, the largest of the candidates
+    (s_1 + ... + s_j - 1) / j over the sorted s_1 >= s_2 >= ... (which the
+    eigensolve gives) and 0, so z goes to its projection onto the
     trace-norm unit ball and a matrix with sum(s) <= 1 is kept as is; where
     the (S,) array t is not nan, theta is t instead, the prox of t ||.||_1."""
     wide = z.shape[-2] < z.shape[-1]
     lam, w = np.linalg.eigh(z @ dagger(z) if wide else dagger(z) @ z)
     s = np.sqrt(np.maximum(lam, 0.0))
-    desc = s[:, ::-1]
-    excess = np.cumsum(desc, axis=1) - 1.0
-    rank = np.arange(1, s.shape[1] + 1)
-    rho = (desc * rank > excess).sum(axis=1)  # the largest j with s_j > theta_j
-    theta = np.maximum(excess[np.arange(len(s)), rho - 1] / rho, 0.0)
+    excess = np.cumsum(s[:, ::-1], axis=1) - 1.0
+    theta = np.maximum((excess / np.arange(1, s.shape[1] + 1)).max(axis=1), 0.0)
     keep = excess[:, -1] <= 0.0
     if t is not None:
         theta, keep = np.where(np.isnan(t), theta, t), keep & np.isnan(t)
@@ -402,7 +400,7 @@ def _near_inclusions(pairs, spec: SampleSpec, ball: bool) -> list[NearInclusionC
 
 
 def kk_distance(A: ConcreteAlgebra, B: ConcreteAlgebra,
-                spec: SampleSpec | None = None) -> DistanceInterval:
+                spec: SampleSpec) -> DistanceInterval:
     """Two-sided bracket for the Hausdorff distance between unit balls.
 
     Witnesses are constrained to the unit ball of the target algebra, one
@@ -411,7 +409,6 @@ def kk_distance(A: ConcreteAlgebra, B: ConcreteAlgebra,
     One ``_near_inclusions`` call solves both, each as a call on its pair alone
     would.
     """
-    spec = spec or SampleSpec()
     cert_ab, cert_ba = _near_inclusions([(A, B), (B, A)], spec, ball=True)
     cert_ba.direction = "B->A"
     hi = max(cert_ab.gamma_hi, cert_ba.gamma_hi)
@@ -437,7 +434,7 @@ class _TensorSpan:
     r n^2 N x N slices (fixed slot and i, j), a reshape and a transpose away.
     """
 
-    def __init__(self, B: ConcreteAlgebra, n: int, r: int = 1):
+    def __init__(self, B: ConcreteAlgebra, n: int, r: int):
         self.B, self.n, self.r = B, n, r
 
     def project(self, m: np.ndarray) -> np.ndarray:
@@ -447,8 +444,12 @@ class _TensorSpan:
         return self.B.project(slices).transpose(0, 4, 1, 2, 5, 3).reshape(m.shape)
 
 
-def tensor_lift(X, B: ConcreteAlgebra, n: int, gamma: float,
-                iters: int = 500) -> tuple[list[np.ndarray], Certificate]:
+# the iteration budget of each tensor-lift witness solve
+_LIFT_ITERS = 400
+
+
+def tensor_lift(X, B: ConcreteAlgebra, n: int, gamma: float
+                ) -> tuple[list[np.ndarray], Certificate]:
     """Witnesses in span(B) (x) M_n for elements of the unit ball of
     A (x) M_n (rectangular block rows allowed), certified against the
     amplification-stable ceiling 2*gamma + gamma^2 valid for A subset_gamma B.
@@ -473,7 +474,7 @@ def tensor_lift(X, B: ConcreteAlgebra, n: int, gamma: float,
         idx = [i for i, x in enumerate(X) if x.shape[1] == cols]
         bs, vals, at, why = nearest_in_span(np.array([X[i] for i in idx]),
                                             _TensorSpan(B, n, cols // (N * n)),
-                                            iters=iters, tol=1e-13)
+                                            iters=_LIFT_ITERS, tol=1e-13)
         for i, b, k, w in zip(idx, bs, at, why):
             witnesses[i], its[i], stops[i] = b, int(k), str(w)
         worst = max(worst, float(vals.max()))

@@ -70,16 +70,16 @@ class Instance:
                 else matrix_to_json(self.true_unitary)}
 
 
-def block_algebra(sizes, ambient: int | None = None) -> ConcreteAlgebra:
-    """Blocks of the given sizes placed consecutively on the diagonal; the
-    basis is the corner matrix units, HS-orthonormal as they are."""
-    fd = FDAlgebra(tuple(int(n) for n in sizes))
-    N = ambient if ambient is not None else fd.d
-    units = fd.corner_units(N)
-    return ConcreteAlgebra(ambient_dim=N, basis=units, support=support_projection(units, N))
+def block_algebra(sizes, ambient: int) -> ConcreteAlgebra:
+    """Blocks of the given sizes placed consecutively on the diagonal of
+    M_ambient; the basis is the corner matrix units, HS-orthonormal as they
+    are."""
+    units = FDAlgebra(tuple(int(n) for n in sizes)).corner_units(ambient)
+    return ConcreteAlgebra(ambient_dim=ambient, basis=units,
+                           support=support_projection(units, ambient))
 
 
-def base_algebra(name, ambient: int | None = None) -> ConcreteAlgebra:
+def base_algebra(name, ambient: int) -> ConcreteAlgebra:
     """Resolve a named profile ("M2", "M2+M1", "diag3", ...) or a size tuple
     into a concrete block algebra."""
     if isinstance(name, ConcreteAlgebra):
@@ -90,7 +90,7 @@ def base_algebra(name, ambient: int | None = None) -> ConcreteAlgebra:
         return block_algebra(_NAMED[name], ambient)
     if name.startswith("full"):
         n = int(name[4:])
-        if ambient is not None and ambient != n:
+        if ambient != n:
             return block_algebra((n,), ambient)
         return ConcreteAlgebra.full(n)
     parts = name.split(",")
@@ -147,8 +147,8 @@ def gen_instance(recipe: str, params: dict, seed: int = 0) -> Instance:
                         true_unitary=u, seed=seed)
 
     # choi-noise
-    bm = A.block_model()
-    psi = perturb_choi(LinMap(bm.fd, N, bm.to_concrete(bm.fd.units())), eps, rng)
+    struct = A.structure()
+    psi = perturb_choi(LinMap(struct.fd_model(), N, struct.matrix_units), eps, rng)
     B = generate_algebra(list(psi.images), N)
     return Instance(A=A, B=B, recipe=recipe, params=params,
                     true_unitary=None, seed=seed)

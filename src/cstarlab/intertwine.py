@@ -91,10 +91,9 @@ class IsoResult:
 # the intertwining
 # ---------------------------------------------------------------------------
 
-def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
-                     X_A=None, mu: float = 1e-4,
-                     surjectivity_delta: float | None = None,
-                     budget: ToleranceBudget = DEFAULT_BUDGET) -> IsoResult:
+def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float, X_A,
+                     mu: float, budget: ToleranceBudget,
+                     surjectivity_delta: float | None = None) -> IsoResult:
     """Injective *-homomorphism alpha: A -> B with ||alpha(x) - x|| <=
     8 sqrt(6) eta^{1/2} + eta + mu for x in X_A, for A within eta/2 of B.
 
@@ -112,11 +111,7 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
     budget.require_window("iso-eta", eta, WINDOW_ISO_ETA)
     budget.require_window("iso-mu", mu, WINDOW_ISO_MU)
     nu = mu / 2.0
-    norm_basis = A.normalized_basis
-    if X_A is None:
-        X_A = list(norm_basis)
-    else:
-        X_A = [np.asarray(x, dtype=complex) for x in X_A]
+    X_A = [np.asarray(x, dtype=complex) for x in X_A]
     bound_main = 8.0 * np.sqrt(6.0) * np.sqrt(eta) + eta + mu
     bound_nu = 8.0 * np.sqrt(6.0) * np.sqrt(eta) + eta + nu
 
@@ -139,8 +134,8 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
                          phi_defect=phi_defect)]
 
     # final map: re-project theta into the codomain span
-    worst_membership = max(B.membership_residual(theta_raw.images),
-                           B.membership_residual(theta.images))
+    worst_membership = np.maximum(B.membership_residual(theta_raw.images),
+                                  B.membership_residual(theta.images))
     alpha = LinMap(A, A.ambient_dim, B.project(theta.images), codomain_algebra=B)
 
     # the ceilings below vanish with eta and mu: a rounding slack keeps the
@@ -166,7 +161,7 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
     action = B.coeffs(alpha.images).T
     svals = np.linalg.svd(action, compute_uv=False)
     sigma_min = float(svals[-1]) if svals.size else 0.0
-    margins = np.maximum(0.0, 1.0 - opnorms(alpha(norm_basis)))
+    margins = np.maximum(0.0, 1.0 - opnorms(alpha(A.normalized_basis)))
     cert_inj = Certificate.build(
         name="injectivity",
         formula="||alpha(x)|| >= ||x|| - (8 sqrt(6) eta^{1/2} + eta + nu)",
@@ -206,10 +201,10 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float,
 # ---------------------------------------------------------------------------
 
 def close_isomorphism(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma: float,
-                      X=None, budget: ToleranceBudget = DEFAULT_BUDGET) -> IsoResult:
+                      budget: ToleranceBudget = DEFAULT_BUDGET) -> IsoResult:
     """Surjective *-isomorphism theta: A -> B from a two-sided distance bound
     d(A, B) <= gamma, with ||theta(x) - x|| and ||theta^{-1}(y) - y|| at most
-    28 gamma^{1/2} for x in X and A's basis and for y in B's basis.
+    28 gamma^{1/2} for x in A's basis and for y in B's basis.
 
     Runs intertwining_iso with eta = 2 gamma, mu = min(gamma^{1/2}, 1/4000)
     and surjectivity_delta = gamma, so that B's basis is pulled back into A's
@@ -224,8 +219,7 @@ def close_isomorphism(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma: float,
         raise ContradictionError(
             f"distance certificate {gamma:.3g} < 1 between algebras of "
             f"different dimensions {A.dim} != {B.dim}")
-    X = [np.asarray(x, dtype=complex) for x in ([] if X is None else X)]
-    res = intertwining_iso(A, B, eta=2.0 * gamma, X_A=X + list(A.normalized_basis),
+    res = intertwining_iso(A, B, eta=2.0 * gamma, X_A=A.normalized_basis,
                            mu=min(np.sqrt(gamma), 1.0 / 4000.0),
                            surjectivity_delta=gamma, budget=budget)
     theta, close = res.map, res.certificates["closeness"]
@@ -407,8 +401,8 @@ def implement_unitarily(theta: LinMap, budget: ToleranceBudget = DEFAULT_BUDGET
     conj = u @ A.basis @ dagger(u)
     worst_conj = (opnorms(conj - theta(A.basis)) / A.basis_norms).max()
     unitary_defect = opnorm(dagger(u) @ u - np.eye(N))
-    subspace = 0.0 if B is None else max(B.membership_residual(conj),
-                                         A.membership_residual(dagger(u) @ B.basis @ u))
+    subspace = 0.0 if B is None else np.maximum(B.membership_residual(conj),
+                                                A.membership_residual(dagger(u) @ B.basis @ u))
     cert = Certificate.build(
         name="unitary-implementation",
         formula="u x u* = alpha(x) on the basis; ||u - 1|| <= 2 sqrt(2) gamma "

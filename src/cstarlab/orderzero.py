@@ -71,8 +71,8 @@ class OrderZeroMap:
         return self.map(x)
 
     @classmethod
-    def from_pair(cls, pi: LinMap, h: np.ndarray, tol: float = TOL_ALG,
-                  codomain_algebra=None) -> "OrderZeroMap":
+    def from_pair(cls, pi: LinMap, h: np.ndarray, codomain_algebra,
+                  tol: float = TOL_ALG) -> "OrderZeroMap":
         """Build phi(x) = pi(x) h from a representation and a commuting
         positive contraction; h is stored compressed to the support of pi."""
         fd = pi.domain
@@ -90,8 +90,8 @@ class OrderZeroMap:
 
 def _structure_residual(images, pi_images, h) -> float:
     """Residual of phi(x) = pi(x) h = h pi(x) on the basis images."""
-    return float(max(opnorm_max(images - pi_images @ h),
-                     opnorm_max(h @ pi_images - pi_images @ h)))
+    return float(np.maximum(opnorm_max(images - pi_images @ h),
+                            opnorm_max(h @ pi_images - pi_images @ h)))
 
 
 def structure_decompose(phi: LinMap, tol: float = TOL_ALG) -> tuple[LinMap, np.ndarray]:
@@ -108,9 +108,9 @@ def structure_decompose(phi: LinMap, tol: float = TOL_ALG) -> tuple[LinMap, np.n
     h = herm(phi(fd.unit()))
     hp = psd_pinv(h)
     pi = LinMap(fd, phi.codomain_dim, phi.images @ hp)
-    worst = max(fd.relation_residual(pi.images),
-                _structure_residual(phi.images, pi.images, h))
-    if worst > tol:
+    worst = np.maximum(fd.relation_residual(pi.images),
+                       _structure_residual(phi.images, pi.images, h))
+    if not worst <= tol:  # a nan residual certifies nothing either
         raise ValueError(
             f"not order zero: structural residual {worst:.3g} exceeds {tol:.3g}")
     return pi, h
@@ -187,7 +187,7 @@ def perturb_order_zero(oz: OrderZeroMap, B: ConcreteAlgebra,
     t = t.reshape(N * m, len(kept) * N * m)
     t_norm = float(opnorm(t))
 
-    witnesses, lift_cert = tensor_lift([t], B, m, gamma, iters=400)
+    witnesses, lift_cert = tensor_lift([t], B, m, gamma)
     u = witnesses[0]
     mu = 2.0 * gamma + gamma ** 2
     dist = lift_cert.achieved
@@ -283,7 +283,7 @@ def identity_decomposition(A: ConcreteAlgebra) -> NucDimDecomposition:
     bm = A.block_model()
     fd = bm.fd
     down = LinMap(A, fd.d, bm.to_abstract(A.basis))
-    up_map = LinMap(fd, A.ambient_dim, bm.to_concrete(fd.units()), codomain_algebra=A)
+    up_map = LinMap(fd, A.ambient_dim, A.structure().matrix_units, codomain_algebra=A)
     up = OrderZeroMap(map=up_map, pi=up_map, h=np.array(A.support))
     defect = worst_move(lambda x: up(down(x)), A.basis)
     return NucDimDecomposition(F=fd, pieces=(tuple(range(len(fd.block_sizes))),),
@@ -306,7 +306,7 @@ def split_decomposition(A: ConcreteAlgebra) -> NucDimDecomposition:
     groups = tuple(tuple(k for k in range(r) if k % _SPLIT_COLORS == i)
                    for i in range(_SPLIT_COLORS))
     down = LinMap(A, fd.d, bm.to_abstract(A.basis))
-    blocks = fd.unit_blocks(bm.to_concrete(fd.units()))
+    blocks = fd.unit_blocks(A.structure().matrix_units)
     ups = []
     for group in groups:
         sub = FDAlgebra(tuple(fd.block_sizes[k] for k in group))

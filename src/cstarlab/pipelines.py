@@ -125,9 +125,8 @@ def run_pipeline(instance: Instance, pipeline: str,
                       certificates=certs, notes=notes)
 
     if pipeline == "oz-perturb":
-        bm = A.block_model()
-        fd = bm.fd
-        pi = LinMap(fd, A.ambient_dim, bm.to_concrete(fd.units()), codomain_algebra=A)
+        struct = A.structure()
+        pi = LinMap(struct.fd_model(), A.ambient_dim, struct.matrix_units, codomain_algebra=A)
         h = damping(pi, rng_for(seed, "oz-damping"))
         oz = OrderZeroMap.from_pair(pi, h, codomain_algebra=A)
         psi, cert = perturb_order_zero(oz, B, gamma)

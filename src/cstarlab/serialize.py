@@ -1,10 +1,16 @@
-"""JSON persistence for every value the laboratory produces.
+"""JSON persistence for the laboratory's files: reports and instances.
 
 Matrices are stored densely as parallel row-major real and imaginary lists,
 so a round trip is bit-exact at double precision (Python emits
 shortest-round-trip decimal literals).  Every composite object carries a
 "kind" tag and a "schema_version"; the loader dispatches on the tag and
 reports schema violations with the JSON path of the offending field.
+
+The kinds a file carries: "report" (a pipeline's output, read back as a
+plain dict), "instance" (with its two "concrete_algebra" values), and inside
+them "certificate" and "matrix", around plain numbers, strings and lists.
+"fd_algebra" and "lin_map" round-trip too; any other value with a
+``to_dict`` is written through it and read back as a plain dict.
 """
 
 from __future__ import annotations
@@ -16,8 +22,6 @@ import numpy as np
 from .algebra import ConcreteAlgebra, FDAlgebra
 from .certs import Certificate, SchemaError, require_finite
 from .cpmaps import LinMap
-from .geometry import DistanceInterval, NearInclusionCert, SampleSpec
-from .orderzero import NucDimDecomposition, OrderZeroMap
 
 __all__ = [
     "SchemaError",
@@ -48,7 +52,7 @@ def matrix_to_json(m: np.ndarray) -> dict:
             "im": [float(v) for v in m.imag.reshape(-1)]}
 
 
-def matrix_from_json(d: dict, path: str = "$") -> np.ndarray:
+def matrix_from_json(d: dict, path: str) -> np.ndarray:
     rows, cols = _need(d, "rows", path), _need(d, "cols", path)
     re, im = _need(d, "re", path), _need(d, "im", path)
     if not (isinstance(rows, int) and isinstance(cols, int)
@@ -88,8 +92,6 @@ def to_jsonable(obj):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, Certificate):
         return to_jsonable(obj.to_dict())
-    if isinstance(obj, SampleSpec):
-        return obj.to_dict()
     if isinstance(obj, FDAlgebra):
         return {"kind": "fd_algebra", "schema_version": 1,
                 "block_sizes": list(obj.block_sizes)}
@@ -104,29 +106,6 @@ def to_jsonable(obj):
                 "codomain_dim": obj.codomain_dim,
                 "images": [matrix_to_json(m) for m in obj.images],
                 "codomain_algebra": to_jsonable(obj.codomain_algebra)}
-    if isinstance(obj, OrderZeroMap):
-        return {"kind": "order_zero_map", "schema_version": 1,
-                "map": to_jsonable(obj.map), "pi": to_jsonable(obj.pi),
-                "h": matrix_to_json(obj.h)}
-    if isinstance(obj, NucDimDecomposition):
-        return {"kind": "nucdim_decomposition", "schema_version": 1,
-                "F": to_jsonable(obj.F),
-                "pieces": [list(g) for g in obj.pieces],
-                "down": to_jsonable(obj.down),
-                "ups": [to_jsonable(u) for u in obj.ups],
-                "defect": float(obj.defect),
-                "composite_cpc": bool(obj.composite_cpc)}
-    if isinstance(obj, NearInclusionCert):
-        return {"kind": "near_inclusion", "schema_version": 1,
-                "gamma_hi": obj.gamma_hi, "gamma_lo": obj.gamma_lo,
-                "direction": obj.direction,
-                "n_witnesses": len(obj.witnesses),
-                "sample_spec": obj.sample_spec.to_dict()}
-    if isinstance(obj, DistanceInterval):
-        return {"kind": "distance_interval", "schema_version": 1,
-                "lo": obj.lo, "hi": obj.hi,
-                "cert_ab": to_jsonable(obj.cert_ab),
-                "cert_ba": to_jsonable(obj.cert_ba)}
     if hasattr(obj, "to_dict"):
         return to_jsonable(obj.to_dict())
     raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -164,20 +143,6 @@ def from_jsonable(d, path: str = "$"):
         cod = from_jsonable(d.get("codomain_algebra"), f"{path}.codomain_algebra")
         return LinMap(dom, int(_need(d, "codomain_dim", path)), tuple(images),
                       codomain_algebra=cod)
-    if kind == "order_zero_map":
-        return OrderZeroMap(
-            map=from_jsonable(_need(d, "map", path), f"{path}.map"),
-            pi=from_jsonable(_need(d, "pi", path), f"{path}.pi"),
-            h=matrix_from_json(_need(d, "h", path), f"{path}.h"))
-    if kind == "nucdim_decomposition":
-        return NucDimDecomposition(
-            F=from_jsonable(_need(d, "F", path), f"{path}.F"),
-            pieces=tuple(tuple(int(k) for k in g) for g in _need(d, "pieces", path)),
-            down=from_jsonable(_need(d, "down", path), f"{path}.down"),
-            ups=tuple(from_jsonable(u, f"{path}.ups[{i}]")
-                      for i, u in enumerate(_need(d, "ups", path))),
-            defect=float(_need(d, "defect", path)),
-            composite_cpc=bool(d.get("composite_cpc", True)))
     if kind == "certificate":
         return Certificate.from_dict(d)
     if kind == "instance":

@@ -4,7 +4,7 @@ oracles that tests of the package's run paths compare against."""
 import numpy as np
 import scipy.linalg
 
-from cstarlab.algebra import ConcreteAlgebra, FDAlgebra
+from cstarlab.algebra import BlockModel, ConcreteAlgebra, FDAlgebra, _combine
 from cstarlab.averaging import AveragingSet, _canonical_index
 from cstarlab.certs import TOL_ALG, TOL_CONV, Certificate, provenance_stamp
 from cstarlab.cpmaps import LinMap, _from_choi_blocks, choi_blocks, classify
@@ -106,41 +106,53 @@ def conditional_expectation(A: ConcreteAlgebra) -> LinMap:
     return LinMap(fd, N, A.project(fd.units()), codomain_algebra=A)
 
 
+# the unit-ball sample of the near-inclusion tests that set none of their own
+SPEC = SampleSpec(seed=0, n_selfadjoint=64, n_unitary=64, iters=500)
+
+
 def near_inclusion(A: ConcreteAlgebra, B: ConcreteAlgebra,
-                   spec: SampleSpec | None = None, ball: bool = False) -> NearInclusionCert:
+                   spec: SampleSpec = SPEC, ball: bool = False) -> NearInclusionCert:
     """The sampled near-inclusion certificate of A in B alone: one pair of
     ``geometry._near_inclusions``, unconstrained witnesses unless ball."""
-    return _near_inclusions([(A, B)], spec or SampleSpec(), ball)[0]
+    return _near_inclusions([(A, B)], spec, ball)[0]
 
 
-def canonical_residual(avg: AveragingSet) -> float:
-    """Distance of sum lambda u (x) u* from the canonical element."""
-    m = avg.unit.shape[0]
+def to_concrete(bm: BlockModel, m: np.ndarray) -> np.ndarray:
+    """The inverse of ``bm.to_abstract``: the concrete element of m, or of
+    each matrix of a stack (..., d, d), over the structure's matrix units."""
+    return _combine(bm.fd.coeffs(m), bm.struct.matrix_units)
+
+
+def canonical_residual(fd: FDAlgebra, avg: AveragingSet) -> float:
+    """Distance of sum lambda u (x) u* from the canonical element of the
+    block algebra fd."""
+    m, units = fd.d, fd.units()
 
     def tensor_average(w, left, right):
         return np.einsum("t,tab,tcd->acbd", w, left, right).reshape(m * m, m * m)
 
-    scale, flip = _canonical_index(avg.block_sizes)
+    scale, flip = _canonical_index(fd.block_sizes)
     W = tensor_average(avg.weights, avg.terms, avg.terms.conj().transpose(0, 2, 1))
-    C = tensor_average(scale, avg.units, avg.units[flip])
+    C = tensor_average(scale, units, units[flip])
     return opnorm(W - C)
 
 
-def verify_averaging_set(avg: AveragingSet) -> Certificate:
-    """Certify the defining properties: weights sum to one, every term is
-    a unitary of the algebra, and the averaged tensor is exactly the
-    canonical separability element (hence exactly central)."""
+def verify_averaging_set(fd: FDAlgebra, avg: AveragingSet) -> Certificate:
+    """Certify the defining properties of an averaging family of the block
+    algebra fd: weights sum to one, every term is a unitary of fd, and the
+    averaged tensor is exactly the canonical separability element (hence
+    exactly central)."""
     uu = avg.terms @ dagger(avg.terms)
     worst = max(abs(float(np.sum(avg.weights)) - 1.0),
                 opnorm_max(np.concatenate([dagger(avg.terms) @ avg.terms, uu])
-                           - avg.unit))
+                           - fd.unit()))
     mw = sum(lam * p for lam, p in zip(avg.weights, uu))
-    worst = max(worst, opnorm(mw - avg.unit))
-    worst = max(worst, canonical_residual(avg))
+    worst = max(worst, opnorm(mw - fd.unit()))
+    worst = max(worst, canonical_residual(fd, avg))
     return Certificate.build(
         name="averaging-set",
         formula="max(|sum(w)-1|, ||u*u - 1||, ||sum w u(x)u* - canonical||) <= tol",
-        inputs={"n_terms": len(avg.terms), "block_sizes": list(avg.block_sizes)},
+        inputs={"n_terms": len(avg.terms), "block_sizes": list(fd.block_sizes)},
         ceiling=TOL_CONV, achieved=float(worst), provenance=provenance_stamp())
 
 

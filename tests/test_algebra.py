@@ -17,7 +17,8 @@ import cstarlab
 from cstarlab.linalg import (dagger, expm_i, opnorm, opnorm_max, random_complex,
                              random_hermitian, random_unitary, rng_for)
 from cstarlab import algebra
-from helpers import hs_inner, matrix_unit, relation_residual_by_rows, verify_algebra
+from helpers import (hs_inner, matrix_unit, relation_residual_by_rows, to_concrete,
+                     verify_algebra)
 
 PROFILES = [(2,), (1, 1), (2, 1), (3,), (2, 2), (1, 1, 1)]
 
@@ -109,7 +110,7 @@ def test_generate_algebra_closure():
     u = random_unitary(rng, 4)
     g = np.zeros((4, 4), dtype=complex)
     g[:2, :2] = random_hermitian(rng, 2)
-    A = generate_algebra([u @ g @ dagger(u)])
+    A = generate_algebra([u @ g @ dagger(u)], 4)
     cert = verify_algebra(A)
     assert cert.passed
     for a in A.basis:
@@ -225,9 +226,9 @@ def test_wedderburn_with_multiplicities(summands, N, seed):
     assert [round(np.trace(p).real) for p in P] == [n * m for n, m in st.summands]
     assert st.fd_model().relation_residual(st.matrix_units) <= 1e-9
     bm = BlockModel(A, st)
-    assert opnorm_max(bm.to_concrete(bm.to_abstract(basis)) - basis) < 1e-9
+    assert opnorm_max(to_concrete(bm, bm.to_abstract(basis)) - basis) < 1e-9
     x = bm.fd.random_elements(rng_for(seed, "mult-model"), 3)
-    assert opnorm_max(bm.to_abstract(bm.to_concrete(x)) - x) < 1e-9
+    assert opnorm_max(bm.to_abstract(to_concrete(bm, x)) - x) < 1e-9
 def unit_images(units, w) -> np.ndarray:
     """Images of the matrix units of M_3 + C: E[i, j] (x) 1_2 and a
     one-dimensional summand, in M_7 and conjugated by w, as one stack in
@@ -419,12 +420,12 @@ def test_block_model_round_trip():
     bm = A.block_model()
     for b in A.basis:
         x = bm.to_abstract(b)
-        back = bm.to_concrete(x)
+        back = to_concrete(bm, x)
         assert opnorm(back - b) < 1e-10
     # multiplicativity of the model
     rng = rng_for(1, "bm")
     x, y = bm.fd.random_elements(rng, 2)
-    assert opnorm(bm.to_concrete(x @ y) - bm.to_concrete(x) @ bm.to_concrete(y)) < 1e-10
+    assert opnorm(to_concrete(bm, x @ y) - to_concrete(bm, x) @ to_concrete(bm, y)) < 1e-10
 
 
 def test_support_projection():
@@ -473,9 +474,9 @@ def test_non_finite_algebra_data_is_a_schema_error(bad):
     with pytest.raises(SchemaError):
         ConcreteAlgebra(ambient_dim=2, basis=(np.eye(2),), support=x)
     with pytest.raises(SchemaError):
-        ConcreteAlgebra.from_basis([np.eye(2), x])
+        ConcreteAlgebra.from_basis([np.eye(2), x], 2)
     with pytest.raises(SchemaError):
-        generate_algebra([x])
+        generate_algebra([x], 2)
 
 
 def conjugated_blocks(sizes=(2, 1), N=5, seed=9):

@@ -67,7 +67,7 @@ def test_exact_diagonal_verifies(sizes):
     cuts = {a * L // (n * n) for n in sizes for a in range(n * n)}
     assert len(avg) == len(sizes) * len(cuts) <= len(sizes) * (sum(n * n for n in sizes)
                                                                - len(sizes) + 1)
-    cert = verify_averaging_set(avg)
+    cert = verify_averaging_set(fd, avg)
     assert cert.verdict == "pass"
 
 
@@ -93,11 +93,12 @@ def test_twirl_is_commutant_projection(sizes):
     rng = rng_for(11, "twirl-oracle", *sizes)
     A = block_algebra(sizes, N).conjugated(random_unitary(rng, N))
     P = commutant_projection(A)
-    avg = exact_diagonal(A)
+    struct = A.structure()
+    E = struct.matrix_units
     for _ in range(3):
         y = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
         expect = (P @ y.reshape(-1)).reshape(N, N)
-        twirl = canonical_average(avg.block_sizes, avg.units @ y, avg.units)
+        twirl = canonical_average(struct.block_sizes, E @ y, E)
         assert opnorm(twirl - expect) < 1e-12
 
 
@@ -138,15 +139,15 @@ def test_repair_twirl_matches_phase_family_sum():
 
 def test_twirl_lands_in_commutant():
     A = block_algebra((2, 1), 4)
-    avg = exact_diagonal(A)
+    struct = A.structure()
     rng = rng_for(3, "twirl")
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    E = avg.units
-    t = canonical_average(avg.block_sizes, E @ g, E)
+    E = struct.matrix_units
+    t = canonical_average(struct.block_sizes, E @ g, E)
     for b in A.basis:
         assert opnorm(t @ b - b @ t) < 1e-11
     # expectation property: twirling twice changes nothing
-    assert opnorm(canonical_average(avg.block_sizes, E @ t, E) - t) < 1e-11
+    assert opnorm(canonical_average(struct.block_sizes, E @ t, E) - t) < 1e-11
 
 
 def test_pair_of_inclusion_is_unit():

@@ -199,7 +199,7 @@ def test_stinespring_isometry_for_ucp():
 def test_kraus_operators_sum():
     fd = FDAlgebra((2,))
     phi = random_ucp(fd, 3, seed=7)
-    ops = kraus_operators(phi)
+    ops = kraus_operators(phi, TOL_PSD)
     # completeness: sum_t K_t 1 K_t* recovers phi(1) blockwise
     total = np.zeros((3, 3), dtype=complex)
     for block in ops:
@@ -337,6 +337,25 @@ def test_cb_bracket_cp_is_exact():
     r = 104.0 * np.finfo(float).eps
     assert lo <= hi <= lo * (1.0 + r) / (1.0 - r)
     assert abs(hi - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("slot", [0, 1])
+def test_cb_bracket_keeps_a_nan_skew_part(monkeypatch, slot):
+    # the cp branch adds d^2 times the largest skew part of the Choi blocks;
+    # Python's max over the blocks drops a nan after the first, np.max keeps
+    # it, so hi is nan and proves nothing
+    phi = random_ucp(FDAlgebra((2, 1)), 4, seed=4)
+    classify = cpmaps.classify
+
+    def classify_then_nan_skews(work):
+        cls = classify(work)  # the skew parts are the cp branch's only opnorm calls
+        skews = iter(np.roll([float("nan"), 0.0], slot))
+        monkeypatch.setattr(cpmaps, "opnorm", lambda m: next(skews))
+        return cls
+
+    monkeypatch.setattr(cpmaps, "classify", classify_then_nan_skews)
+    lo, hi = cb_bracket(phi)
+    assert abs(lo - 1.0) < 1e-10 and np.isnan(hi)
 
 
 def test_pinched_choi_and_reshuffle_are_copies():

@@ -23,7 +23,7 @@ from cstarlab.geometry import (
 from cstarlab.instances import block_algebra, gen_instance
 from cstarlab.linalg import clip_spectrum, opnorms, random_unitary, rng_for
 from cstarlab.pipelines import run_pipeline
-from helpers import near_inclusion
+from helpers import SPEC, near_inclusion
 
 
 def small_rotation(N: int, eps: float, seed: int) -> np.ndarray:
@@ -209,7 +209,7 @@ def test_stacked_witnesses_are_feasible_and_exact(ball):
     A = block_algebra((2, 1), 4)
     B = A.conjugated(small_rotation(4, 0.3, 23))
     rng = rng_for(23, "feasible")
-    spec = SampleSpec(seed=23, n_selfadjoint=3, n_unitary=3)
+    spec = SampleSpec(seed=23, n_selfadjoint=3, n_unitary=3, iters=500)
     X = np.concatenate([sample_unit_ball(A, spec), 2.0 * rng.standard_normal((3, 4, 4))])
     bs, vals, *_ = nearest_in_span(X, B, ball=ball, iters=100)
     for x, b, v in zip(X, bs, vals):
@@ -245,7 +245,7 @@ def conjugation_pair(profile: str, N: int, seed: int = 3):
 
 
 def unit_ball_stack(A, n: int = 16, seed: int = 3) -> np.ndarray:
-    spec = SampleSpec(seed=seed, n_selfadjoint=n, n_unitary=n)
+    spec = SampleSpec(seed=seed, n_selfadjoint=n, n_unitary=n, iters=500)
     return sample_unit_ball(A, spec)
 
 
@@ -534,7 +534,7 @@ def test_stack_reports_each_stop_reason():
 
 def test_sample_unit_ball_contractions():
     A = block_algebra((2, 1), 4)
-    spec = SampleSpec(seed=4, n_selfadjoint=5, n_unitary=5)
+    spec = SampleSpec(seed=4, n_selfadjoint=5, n_unitary=5, iters=500)
     samples = sample_unit_ball(A, spec)
     assert samples.shape == (A.dim + 10, 4, 4)
     assert opnorms(samples).max() <= 1.0 + 1e-9
@@ -546,7 +546,7 @@ def test_sample_unit_ball_equals_the_per_sample_loop(profile, N):
     # normalised basis, then clipped self-adjoint draws, then unitaries
     # exp(i pi/2 h / ||h||), one sample at a time from the same stream
     B = conjugation_pair(profile, N)[1]
-    spec = SampleSpec(seed=5, n_selfadjoint=6, n_unitary=6)
+    spec = SampleSpec(seed=5, n_selfadjoint=6, n_unitary=6, iters=500)
     rng = rng_for(spec.seed, "unit-ball", B.ambient_dim, B.dim)
     want = [b / opnorm(b) for b in B.basis]
     want += [clip_spectrum(B.random_selfadjoints(rng, 1)[0], -1.0, 1.0) for _ in range(6)]
@@ -566,7 +566,7 @@ def test_sample_unit_ball_equals_the_per_sample_loop(profile, N):
 
 def test_sample_unit_ball_deterministic():
     A = block_algebra((2,), 3)
-    spec = SampleSpec(seed=7)
+    spec = SampleSpec(seed=7, n_selfadjoint=64, n_unitary=64, iters=500)
     s1 = sample_unit_ball(A, spec)
     s2 = sample_unit_ball(A, spec)
     assert s1.shape == (A.dim + 128, 3, 3)
@@ -580,7 +580,7 @@ def test_sample_unit_ball_without_unitaries_exponentiates_nothing(monkeypatch):
     calls, expm_i = [], algebra.expm_i
     monkeypatch.setattr(algebra, "expm_i", lambda h: calls.append(len(h)) or expm_i(h))
     A = conjugation_pair("M2+M1", 4)[1]
-    spec = SampleSpec(seed=5, n_selfadjoint=6, n_unitary=0)
+    spec = SampleSpec(seed=5, n_selfadjoint=6, n_unitary=0, iters=500)
     got = sample_unit_ball(A, spec)
     assert calls == []
     rng = rng_for(spec.seed, "unit-ball", A.ambient_dim, A.dim)
@@ -588,7 +588,7 @@ def test_sample_unit_ball_without_unitaries_exponentiates_nothing(monkeypatch):
     want += list(clip_spectrum(A.random_selfadjoints(rng, 6), -1.0, 1.0))
     assert len(got) == len(want) == A.dim + 6
     assert got.tobytes() == np.array(want).tobytes()
-    sample_unit_ball(A, SampleSpec(seed=5, n_selfadjoint=6, n_unitary=2))
+    sample_unit_ball(A, SampleSpec(seed=5, n_selfadjoint=6, n_unitary=2, iters=500))
     assert calls == [2]
 
 
@@ -618,7 +618,7 @@ def test_unit_ball_draws_go_through_sample_unit_ball():
 
 def test_kk_distance_self_is_zero():
     A = block_algebra((2, 1), 4)
-    iv = kk_distance(A, A)
+    iv = kk_distance(A, A, spec=SPEC)
     assert iv.lo <= iv.hi
     assert iv.hi < 1e-9
 
@@ -630,7 +630,8 @@ def test_kk_distance_conjugation_bound(seed):
     A = block_algebra((2, 1), 3)
     u = small_rotation(3, 5e-3, seed)
     B = A.conjugated(u)
-    iv = kk_distance(A, B, spec=SampleSpec(seed=seed, n_selfadjoint=4, n_unitary=4))
+    iv = kk_distance(A, B, spec=SampleSpec(seed=seed, n_selfadjoint=4, n_unitary=4,
+                                                  iters=500))
     assert iv.lo <= iv.hi + 1e-12
     assert iv.hi <= 2.0 * opnorm(u - np.eye(3)) + 1e-9
     # the sample setting each direction's sup closes its duality gap at the
@@ -669,11 +670,12 @@ def test_ball_witness_values_do_not_hinge_on_the_summation_order(profile, N):
     for seed in range(3000, 3005):
         A, B = conjugation_pair(profile, N, seed)
         for src, dst in ((A, B), (B, A)):
-            X = sample_unit_ball(src, SampleSpec(seed=seed, n_selfadjoint=32, n_unitary=32))
+            spec = SampleSpec(seed=seed, n_selfadjoint=32, n_unitary=32, iters=200)
+            X = sample_unit_ball(src, spec)
             floor = span_distance_lower(X, dst).max()
             rev = ConcreteAlgebra(ambient_dim=dst.ambient_dim, basis=dst.basis[::-1],
                                   support=dst.support)
-            vals = [nearest_in_span(X, S, ball=True, iters=200, floor=floor)[1]
+            vals = [nearest_in_span(X, S, ball=True, iters=spec.iters, floor=floor)[1]
                     for S in (dst, rev)]
             assert np.all(np.abs(vals[1] - vals[0]) <= 1e-8 * vals[0])
             assert abs(vals[1].max() - vals[0].max()) <= 1e-9 * vals[0].max()
@@ -797,7 +799,7 @@ def test_primal_dual_solve_meets_the_tensor_oracle(monkeypatch):
     lam, vecs = np.linalg.eigh(h)
     exact = (lam[:, -1] - lam[:, 0]) / 2.0
     X = np.array([np.kron(a, np.eye(n)) for a in h])
-    span = _TensorSpan(scalars(N), n)
+    span = _TensorSpan(scalars(N), n, 1)
     top, bottom = vecs[:, :, -1:], vecs[:, :, :1]
     Y = np.array([np.kron(p, np.eye(n) / n) / 2.0
                   for p in top @ dagger(top) - bottom @ dagger(bottom)])

@@ -37,10 +37,10 @@ def test_base_algebra_named_profiles():
     assert base_algebra("M2", 4).dim == 4
     assert base_algebra("M2+M1", 4).dim == 5
     assert base_algebra("diag3", 4).dim == 3
-    assert base_algebra("full3").ambient_dim == 3
+    assert base_algebra("full3", 3).ambient_dim == 3
     assert base_algebra((2, 2), 4).dim == 8
     with pytest.raises(ValueError):
-        base_algebra("M17")
+        base_algebra("M17", 4)
 
 
 def test_unknown_recipe_rejected():

@@ -8,6 +8,7 @@ from scipy.linalg import expm
 
 from cstarlab import intertwine
 from cstarlab.certs import (
+    DEFAULT_BUDGET,
     PAPER_BUDGET,
     TOL_ALG,
     ContradictionError,
@@ -66,19 +67,6 @@ def test_close_isomorphism_conjugated_pair():
         assert res.certificates[key].passed, key
 
 
-def test_close_isomorphism_takes_a_stack():
-    # X may be a (k, N, N) array, as for near_embedding_nuclear and
-    # half_flip_cpc, and gives the result of the same matrices as a list
-    A, B, u = conjugated_pair((2, 1), 3, 1e-5, 4)
-    gamma = 2.0 * opnorm(u - np.eye(3))
-    X = np.array([b / opnorm(b) for b in A.basis[:2]])
-    stacked = close_isomorphism(A, B, gamma, X=X)
-    listed = close_isomorphism(A, B, gamma, X=list(X))
-    assert np.array_equal(stacked.map.images, listed.map.images)
-    assert {k: c.achieved for k, c in stacked.certificates.items()} == \
-        {k: c.achieved for k, c in listed.certificates.items()}
-
-
 def test_close_isomorphism_inverse_round_trip():
     A, B, u = conjugated_pair((2,), 3, 1e-6, 9)
     gamma = 2.0 * opnorm(u - np.eye(3))
@@ -121,7 +109,8 @@ def _assert_empty_closeness(cert):
 
 def test_intertwining_iso_on_no_points():
     A, B, u = conjugated_pair((2, 1), 3, 1e-5, 4)
-    res = intertwine.intertwining_iso(A, B, 2.0 * opnorm(u - np.eye(3)), X_A=[])
+    res = intertwine.intertwining_iso(A, B, 2.0 * opnorm(u - np.eye(3)), X_A=[],
+                                      mu=1e-4, budget=DEFAULT_BUDGET)
     _assert_empty_closeness(res.certificates["closeness"])
 
 
@@ -131,8 +120,8 @@ def test_intertwining_iso_ignores_repeated_points():
     A, B, u = conjugated_pair((2, 1), 3, 1e-5, 4)
     gamma = 2.0 * opnorm(u - np.eye(3))
     X_A = [A.random_selfadjoints(rng_for(5, "repeat"), 1)[0] / 2.0, *A.basis]
-    runs = [intertwine.intertwining_iso(A, B, 2.0 * gamma, X_A=X,
-                                        surjectivity_delta=gamma)
+    runs = [intertwine.intertwining_iso(A, B, 2.0 * gamma, X_A=X, mu=1e-4,
+                                        budget=DEFAULT_BUDGET, surjectivity_delta=gamma)
             for X in (X_A, X_A + X_A)]
     certs = [{k: c.to_dict() for k, c in r.certificates.items()} for r in runs]
     # closeness also covers the B.dim codomain witnesses the pull-back accepts
@@ -221,7 +210,8 @@ def test_repair_gamma_keeps_a_nan_defect(monkeypatch):
     monkeypatch.setattr(intertwine, "hom_defect", lambda phi: float("nan"))
     monkeypatch.setattr(intertwine, "improve_multiplicativity", repair)
     with pytest.raises(SpectralGapError):
-        intertwine.intertwining_iso(A, B, 2.0 * opnorm(u - np.eye(3)))
+        intertwine.intertwining_iso(A, B, 2.0 * opnorm(u - np.eye(3)),
+                                    X_A=A.normalized_basis, mu=1e-4, budget=DEFAULT_BUDGET)
     assert len(gammas) == 1 and np.isnan(gammas[0])
 
 
@@ -273,7 +263,8 @@ def test_surjectivity_is_the_dimension_count():
     # fails on the dimension count, although the density margin it reports
     # (and does not check) is below 1
     A, B = block_algebra((2,), 4), block_algebra((2, 2), 4)
-    res = intertwine.intertwining_iso(A, B, 1e-7, surjectivity_delta=1e-7)
+    res = intertwine.intertwining_iso(A, B, 1e-7, X_A=A.normalized_basis, mu=1e-4,
+                                      budget=DEFAULT_BUDGET, surjectivity_delta=1e-7)
     cert = res.certificates["surjectivity"]
     assert res.certificates["injectivity"].details["action_sigma_min"] > TOL_ALG
     assert not cert.passed and not res.surjective
@@ -413,3 +404,28 @@ def test_implement_unitarily_rejects_a_nan_defect(monkeypatch):
     with pytest.raises(ValueError, match="not a homomorphism"):
         implement_unitarily(theta)
 
+
+@pytest.mark.parametrize("slot", [0, 1])
+def test_subspace_residual_keeps_a_nan_membership(monkeypatch, slot):
+    # u A u* = B is measured as the larger of two membership residuals;
+    # Python's max drops a nan in its second slot, np.maximum keeps it
+    A = block_algebra((2, 1), 3)
+    theta = LinMap(A, 3, A.basis, codomain_algebra=A)
+    residuals = iter(np.roll([float("nan"), 0.0], slot))
+    monkeypatch.setattr(A, "membership_residual", lambda x: next(residuals))
+    _, cert = implement_unitarily(theta)
+    assert np.isnan(cert.details["subspace_residual"])
+
+
+@pytest.mark.parametrize("slot", [0, 1])
+def test_image_membership_keeps_a_nan_residual(monkeypatch, slot):
+    # the membership certificate reads the larger residual of the repaired
+    # images and of their projection into B; a nan in either slot fails it
+    A, B, u = conjugated_pair((2, 1), 3, 1e-5, 4)
+    gamma = 2.0 * opnorm(u - np.eye(3))
+    residuals = iter(np.roll([float("nan"), 0.0], slot))
+    monkeypatch.setattr(B, "membership_residual", lambda x: next(residuals))
+    res = intertwine.intertwining_iso(A, B, 2.0 * gamma, X_A=A.normalized_basis,
+                                      mu=1e-4, budget=DEFAULT_BUDGET)
+    cert = res.certificates["image-membership"]
+    assert np.isnan(cert.achieved) and not cert.passed

@@ -54,7 +54,7 @@ def test_from_pair_rejects_noncommuting_h():
     g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     h_bad = oz.h + 0.3 * (g + dagger(g)) / opnorm(g + dagger(g))
     with pytest.raises(ValueError):
-        OrderZeroMap.from_pair(oz.pi, h_bad)
+        OrderZeroMap.from_pair(oz.pi, h_bad, codomain_algebra=oz.map.codomain_algebra)
 
 
 def test_structure_decompose_round_trip():
@@ -65,6 +65,24 @@ def test_structure_decompose_round_trip():
     for x in fd.random_elements(rng, 4):
         assert opnorm(pi(x) @ h - oz(x)) < 1e-9
         assert opnorm(h @ pi(x) - pi(x) @ h) < 1e-9
+
+
+@pytest.mark.parametrize("slot", [0, 1])
+def test_structure_decompose_rejects_a_nan_residual(monkeypatch, slot):
+    # the structural check takes the larger of pi's relation residual and the
+    # structure residual, which is itself the larger of two norms; Python's
+    # max drops a nan in its second slot, np.maximum keeps it, and the check
+    # rejects it
+    oz = random_order_zero((2, 1), 5, seed=6)
+    structure_decompose(oz.map)
+    with monkeypatch.context() as m:
+        norms = iter(np.roll([float("nan"), 0.0], slot))
+        m.setattr(orderzero, "opnorm_max", lambda stack: next(norms))
+        assert np.isnan(orderzero._structure_residual(oz.map.images, oz.pi.images, oz.h))
+    with monkeypatch.context() as m:
+        m.setattr(orderzero, "_structure_residual", lambda *args: float("nan"))
+        with pytest.raises(ValueError, match="not order zero"):
+            structure_decompose(oz.map)
 
 
 def test_is_order_zero_rejects_generic_cp_map():

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cstarlab.averaging import exact_diagonal
+from cstarlab.algebra import ConcreteAlgebra
 from cstarlab.cpmaps import LinMap
 from cstarlab.instances import gen_instance
 from cstarlab.pipelines import PIPELINES, Report, render_report, run_pipeline
@@ -27,7 +27,7 @@ def _block_model_map(A):
 @pytest.mark.parametrize("pipeline", ["iso", "oz-perturb"])
 def test_reports_do_not_depend_on_which_caller_asks_for_the_structure_first(pipeline):
     # the Wedderburn structure is a function of the algebra alone: on fresh
-    # copies of one instance, asking for it through exact_diagonal before
+    # copies of one instance, asking for it through A.structure() before
     # to_block_model, the reverse, or not at all before the pipeline (which
     # asks with its own seed, 3) gives the same report bytes
     def report(first):
@@ -37,7 +37,8 @@ def test_reports_do_not_depend_on_which_caller_asks_for_the_structure_first(pipe
             ask(inst.B)
         return dumps(run_pipeline(inst, pipeline, seed=3))
 
-    orders = ((), (exact_diagonal, _block_model_map), (_block_model_map, exact_diagonal))
+    structure = ConcreteAlgebra.structure
+    orders = ((), (structure, _block_model_map), (_block_model_map, structure))
     assert len({report(first) for first in orders}) == 1
 
 

@@ -7,12 +7,19 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 REACH = ROOT / "tools" / "reach.py"
+KNOB_COUNT = ROOT / "tools" / "knob_count.py"
 
 # the definitions that wait for the ROADMAP items that wire or retire them:
 # the near-inclusion embedding (item 12), the half-flip producer (item 10)
 # and the heuristic order-zero fit (item 7)
 ALLOWED = {"intertwine.near_embedding_nuclear", "intertwine.half_flip_cpc",
            "intertwine._projection_near_unit", "orderzero.order_zero_projection"}
+
+
+# the defaulted parameters and dataclass fields of the package, as
+# tools/knob_count.py counts them: a new default moves this pin, with the
+# run path that sets it to a second value named where the pin moves
+KNOBS = 44
 
 
 def reach(src) -> list[str]:
@@ -23,6 +30,12 @@ def reach(src) -> list[str]:
 
 def test_only_the_allowed_definitions_are_unreached():
     assert set(reach(ROOT / "src" / "cstarlab")) == ALLOWED
+
+
+def test_no_default_is_added_unseen():
+    out = subprocess.run([sys.executable, str(KNOB_COUNT), str(ROOT / "src" / "cstarlab")],
+                         check=True, capture_output=True, text=True, timeout=60).stdout
+    assert out.splitlines()[-1] == f"total: {KNOBS}", out
 
 
 def test_reach_follows_names_modules_methods_and_import_chains(tmp_path):
