@@ -4,7 +4,7 @@ constructive machinery relating close algebras (averaging, intertwining,
 order-zero perturbation), every quantitative bound backed by a Certificate.
 """
 
-from .algebra import (BlockModel, BlockStructure, ConcreteAlgebra, FDAlgebra,
+from .algebra import (BlockStructure, ConcreteAlgebra, FDAlgebra,
                       generate_algebra, wedderburn_decompose)
 from .averaging import (AveragingSet, IntertwinerResult, RepairResult,
                         exact_diagonal, improve_multiplicativity,
@@ -35,7 +35,7 @@ from .serialize import dumps, load, loads, save
 __version__ = "0.1.0"
 
 __all__ = [
-    "AveragingSet", "BlockModel", "BlockStructure", "Certificate",
+    "AveragingSet", "BlockStructure", "Certificate",
     "ConcreteAlgebra", "ContradictionError", "DEFAULT_BUDGET",
     "DistanceInterval", "FDAlgebra", "Instance", "IntertwinerResult",
     "IsoResult", "LinMap", "NearInclusionCert", "NucDimDecomposition",

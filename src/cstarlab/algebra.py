@@ -15,7 +15,8 @@ as A ∩ {h_0, h_1}' for two generic self-adjoint elements of A, which
 generate A as h_0 + i h_1: one 2N^2 x dim commutator operator, with no
 products over pairs of basis elements.  The result is a
 :class:`BlockStructure` whose matrix units are one (dim_linear, N, N) stack
-in the order of ``FDAlgebra.unit_labels()``.
+in the order of ``FDAlgebra.unit_labels()``, and whose ``to_abstract`` maps
+A onto its block model, the one model of the algebra.
 
 :class:`FDAlgebra` is the abstract model: a direct sum of full matrix
 algebras, realised concretely as block-diagonal matrices of size sum(n_k) so
@@ -54,7 +55,6 @@ __all__ = [
     "wedderburn_decompose",
     "support_projection",
     "orthonormalize",
-    "BlockModel",
 ]
 
 
@@ -266,6 +266,17 @@ class BlockStructure:
     def fd_model(self) -> FDAlgebra:
         return FDAlgebra(self.block_sizes)
 
+    def to_abstract(self, y: np.ndarray) -> np.ndarray:
+        """Element of ``fd_model()`` of y in the algebra, or of each matrix of
+        a stack (..., N, N): its coefficient over each matrix unit divided by
+        the unit's multiplicity m_k, which squashes the multiplicities.  The
+        way back sends the units of ``fd_model()`` to ``matrix_units``; both
+        are *-homomorphisms up to the accuracy of the units."""
+        fd = self.fd_model()
+        mults = np.array([self.summands[k][1] for (k, _, _) in fd.unit_labels()])
+        flat = self.matrix_units.reshape(len(self.matrix_units), -1)
+        return fd.from_coeffs((y.reshape(y.shape[:-2] + (-1,)) @ flat.conj().T) / mults)
+
 
 # ---------------------------------------------------------------------------
 # concrete algebras
@@ -413,9 +424,6 @@ class ConcreteAlgebra:
         """The Wedderburn structure, a function of the algebra alone, computed
         once and cached: no caller's order changes it."""
         return self._structure
-
-    def block_model(self) -> "BlockModel":
-        return BlockModel(self, self.structure())
 
     def conjugated(self, u: np.ndarray) -> "ConcreteAlgebra":
         """u A u* as a new algebra (u unitary); the conjugated basis is again
@@ -618,30 +626,3 @@ def _units_from_diagonal(qs, sub, rng, m_k):
     f = np.array(f)
     return (dagger(f)[:, None] @ f[None]).reshape((-1,) + f.shape[1:])
 
-
-# ---------------------------------------------------------------------------
-# abstract model of a concrete algebra
-# ---------------------------------------------------------------------------
-
-class BlockModel:
-    """*-isomorphism between a concrete algebra and its abstract block model.
-
-    to_abstract squashes multiplicities (trace-normalised matrix-unit
-    coefficients); the way back sends the matrix units of fd to the
-    structure's (``struct.matrix_units``, in the same order).  Both
-    directions are exact *-homomorphisms up to the accuracy of the matrix
-    units.
-    """
-
-    def __init__(self, A: ConcreteAlgebra, struct: BlockStructure):
-        self.A = A
-        self.struct = struct
-        self.fd = struct.fd_model()
-        self._units = struct.matrix_units
-        self._mults = np.array([struct.summands[k][1] for (k, _, _) in self.fd.unit_labels()])
-
-    def to_abstract(self, y: np.ndarray) -> np.ndarray:
-        """Block model of y, or of each matrix of a stack (..., N, N)."""
-        flat = self._units.reshape(len(self._units), -1)
-        c = (y.reshape(y.shape[:-2] + (-1,)) @ flat.conj().T) / self._mults
-        return self.fd.from_coeffs(c)

@@ -30,7 +30,7 @@ import numpy as np
 from .algebra import FDAlgebra
 from .certs import (TOL_ALG, TOL_EXACT, Certificate, SpectralGapError,
                     ToleranceBudget, DEFAULT_BUDGET, WINDOW_DEFECT_REPAIR,
-                    WINDOW_INTERTWINE, provenance_stamp)
+                    WINDOW_INTERTWINE)
 from .cpmaps import LinMap, cb_bracket, classify, hom_defect, stinespring, ucp_extension
 from .linalg import dagger, herm, opnorm, opnorm_max, opnorms, polar_factor, psd_sqrt
 
@@ -102,9 +102,6 @@ class AveragingSet:
     weights: np.ndarray
     terms: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.terms)
-
 
 def exact_diagonal(A: FDAlgebra) -> AveragingSet:
     """Averaging family of the block algebra A whose tensor average is
@@ -154,8 +151,7 @@ def polar_unitary(t: np.ndarray) -> tuple[np.ndarray, Certificate]:
         name="polar-unitary",
         formula="||u - 1|| <= sqrt(2) * ||t - 1||   (||t - 1|| < 1; else <= 2)",
         inputs={"beta": beta},
-        ceiling=float(ceiling), achieved=float(achieved), slack=TOL_EXACT,
-        provenance=provenance_stamp())
+        ceiling=float(ceiling), achieved=float(achieved), slack=TOL_EXACT)
     return u, cert
 
 
@@ -184,8 +180,7 @@ def projection_conjugator(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, Cer
         formula="||w - 1|| <= sqrt(2) * ||p - q||, w p w* = q",
         inputs={"beta": beta},
         ceiling=float(np.sqrt(2.0) * beta), achieved=float(achieved), slack=TOL_EXACT,
-        details={"conjugation_defect": float(conj_defect)},
-        provenance=provenance_stamp())
+        details={"conjugation_defect": float(conj_defect)})
     if conj_defect > 1e-8:
         raise SpectralGapError(
             f"conjugation defect {conj_defect:.3g}; the intertwining matrix is "
@@ -204,13 +199,13 @@ class RepairResult:
     psi is the repaired map on the original domain, exactly multiplicative up
     to floating point, with ||phi - psi|| <= 8 sqrt(2) gamma^{1/2} on the
     unit ball.  certificates: drift (twirled projection), conjugator,
-    distance (headline), multiplicativity (output defect).
+    distance (headline), multiplicativity (output defect).  dilation is the
+    Stinespring dilation of the unitized map that the repair compressed.
     """
 
     psi: LinMap
     gamma: float
     certificates: dict
-    conjugator: np.ndarray
     dilation: object
 
     @property
@@ -237,7 +232,7 @@ def improve_multiplicativity(phi: LinMap, gamma: float | None = None,
     ``cb_bracket(phi - psi)``, a proven bound on sup ||phi(x) - psi(x)|| over
     the unit ball; the bracket's lo is in its details as ``cb_lo``.
     """
-    abstract, model = phi.to_block_model()
+    abstract = phi.to_block_model()
     cls = classify(abstract)
     if not cls.cpc:
         raise ValueError(
@@ -267,8 +262,7 @@ def improve_multiplicativity(phi: LinMap, gamma: float | None = None,
         formula="||p0 - p|| <= 2 * gamma^{1/2}",
         inputs={"gamma": gamma},
         ceiling=2.0 * root, achieved=float(drift), slack=TOL_ALG,
-        details={"commutant_residual": float(comm)},
-        provenance=provenance_stamp())
+        details={"commutant_residual": float(comm)})
 
     vals, vecs = np.linalg.eigh(p0)
     lo, hi = GAP_WINDOW
@@ -298,45 +292,40 @@ def improve_multiplicativity(phi: LinMap, gamma: float | None = None,
         formula="sup_{||x||<=1} ||phi(x) - psi(x)|| <= 8 sqrt(2) gamma^{1/2}",
         inputs={"gamma": gamma},
         ceiling=8.0 * np.sqrt(2.0) * root, achieved=cb_hi,
-        slack=TOL_ALG, details={"cb_lo": cb_lo}, provenance=provenance_stamp())
+        slack=TOL_ALG, details={"cb_lo": cb_lo})
 
     cert_mult = Certificate.build(
         name="repaired-multiplicativity",
         formula="psi is a *-homomorphism: matrix-unit relation residual <= tol_alg",
-        inputs={}, ceiling=TOL_ALG, achieved=hom_defect(psi_abs),
-        provenance=provenance_stamp())
+        inputs={}, ceiling=TOL_ALG, achieved=hom_defect(psi_abs))
 
-    if model is not None:
-        conc = phi.domain
-        images_c = psi_abs(model.to_abstract(conc.basis))
-        psi = LinMap(conc, phi.codomain_dim, images_c,
+    psi = psi_abs
+    if abstract is not phi:  # back to the concrete domain, through its block model
+        A = phi.domain
+        psi = LinMap(A, phi.codomain_dim, psi_abs(A.structure().to_abstract(A.basis)),
                      codomain_algebra=phi.codomain_algebra)
-    else:
-        psi = psi_abs
 
     certs = {"drift": cert_drift,
              "conjugator": cert_conj,
              "distance": cert_dist,
              "multiplicativity": cert_mult}
-    return RepairResult(psi=psi, gamma=float(gamma), certificates=certs,
-                        conjugator=w, dilation=dil)
+    return RepairResult(psi=psi, gamma=float(gamma), certificates=certs, dilation=dil)
 
 
 # ---------------------------------------------------------------------------
 # intertwining unitaries
 # ---------------------------------------------------------------------------
 
-def _paired_block_maps(phi1: LinMap, phi2: LinMap):
+def _paired_block_maps(phi1: LinMap, phi2: LinMap) -> tuple[LinMap, LinMap]:
     """Convert both maps to a common block domain (same model)."""
     if isinstance(phi1.domain, FDAlgebra) and isinstance(phi2.domain, FDAlgebra):
         if tuple(phi1.domain.block_sizes) != tuple(phi2.domain.block_sizes):
             raise ValueError("the two maps have different block domains")
-        return phi1, phi2, None
+        return phi1, phi2
     if phi1.domain is not phi2.domain:
         raise ValueError("concrete domains must be the same algebra object")
-    a1, model = phi1.to_block_model()
-    a2 = a1 if phi2 is phi1 else phi2.to_block_model()[0]
-    return a1, a2, model
+    a1 = phi1.to_block_model()
+    return a1, a1 if phi2 is phi1 else phi2.to_block_model()
 
 
 @dataclass
@@ -370,7 +359,7 @@ def intertwining_unitary(phi1: LinMap, phi2: LinMap,
     conjugation residual is certified against the measured chain bound
     (||phi1(x) s - s phi2(x)|| + ||[|s|, phi2(x)]||) * |||s|^{-1}||.
     """
-    a1, a2, _ = _paired_block_maps(phi1, phi2)
+    a1, a2 = _paired_block_maps(phi1, phi2)
     fd: FDAlgebra = a1.domain
     if a1.codomain_dim != a2.codomain_dim:
         raise ValueError("codomain mismatch")
@@ -399,7 +388,7 @@ def intertwining_unitary(phi1: LinMap, phi2: LinMap,
         formula="||u - 1|| <= 2 sqrt(2) gamma + 5 sqrt(2) delta",
         inputs={"gamma": gamma, "delta": delta},
         ceiling=float(ceiling_u), achieved=float(opnorm(u - np.eye(K))),
-        slack=TOL_ALG, provenance=provenance_stamp())
+        slack=TOL_ALG)
 
     abs_s = psd_sqrt(dagger(s) @ s)
     inv_norm = float(1.0 / sing[-1])
@@ -414,6 +403,6 @@ def intertwining_unitary(phi1: LinMap, phi2: LinMap,
                 "(||phi1(x)s - s phi2(x)|| + ||[|s|, phi2(x)]||) * |||s|^{-1}||",
         inputs={"s_min": float(sing[-1])},
         ceiling=float(worst_chain), achieved=float(worst_res),
-        slack=TOL_ALG, provenance=provenance_stamp())
+        slack=TOL_ALG)
     return IntertwinerResult(u=u, s=s, gamma=float(gamma), delta=float(delta),
                              certificates={"norm": cert_u, "residual": cert_res})

@@ -72,7 +72,8 @@ class Certificate:
 
     verdict is "pass" iff achieved <= ceiling + slack, "heuristic" when the
     producing routine has no constructive guarantee and the bound was only
-    checked a posteriori, else "fail".
+    checked a posteriori, else "fail".  ``build`` stamps ``provenance_stamp()``
+    when it is given no provenance.
     """
 
     name: str
@@ -97,7 +98,7 @@ class Certificate:
                    inputs={k: _plain(v) for k, v in inputs.items()},
                    ceiling=float(ceiling), achieved=float(achieved),
                    verdict=verdict, slack=float(slack),
-                   provenance=dict(provenance or {}),
+                   provenance=provenance_stamp() if provenance is None else dict(provenance),
                    details=dict(details or {}))
 
     @property
@@ -155,10 +156,10 @@ DEFAULT_BUDGET = ToleranceBudget()
 PAPER_BUDGET = ToleranceBudget(track="paper")
 
 
-def provenance_stamp(seed=None, **extra) -> dict:
-    """Uniform provenance payload for certificates (no timestamps)."""
+def provenance_stamp(seed=None) -> dict:
+    """Uniform provenance payload for certificates (no timestamps); the one
+    ``Certificate.build`` stamps when it is given none."""
     out = {"package": "cstarlab-0.1.0", "numpy": np.__version__}
     if seed is not None:
         out["seed"] = int(seed)
-    out.update(extra)
     return out

@@ -23,12 +23,12 @@ on a block or a concrete domain alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import BlockModel, ConcreteAlgebra, FDAlgebra, _combine
-from .certs import TOL_ALG, TOL_PSD, Certificate, provenance_stamp, require_finite
+from .algebra import ConcreteAlgebra, FDAlgebra, _combine
+from .certs import TOL_ALG, TOL_PSD, Certificate, require_finite
 from .linalg import (_BATCH_BYTES, dagger, herm, hs_norm, opnorm, opnorm_max, opnorms,
                      psd_part, random_hermitian)
 
@@ -77,7 +77,6 @@ class LinMap:
     codomain_dim: int
     images: np.ndarray
     codomain_algebra: ConcreteAlgebra | None = None
-    _choi: list[np.ndarray] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         N = self.codomain_dim
@@ -121,10 +120,6 @@ class LinMap:
         self._same_domain(other)
         return LinMap(self.domain, self.codomain_dim, self.images - other.images)
 
-    def __add__(self, other: "LinMap") -> "LinMap":
-        self._same_domain(other)
-        return LinMap(self.domain, self.codomain_dim, self.images + other.images)
-
     def scaled(self, c: float) -> "LinMap":
         return LinMap(self.domain, self.codomain_dim, c * self.images,
                       codomain_algebra=self.codomain_algebra)
@@ -143,13 +138,15 @@ class LinMap:
 
     # -- block model ----------------------------------------------------------
 
-    def to_block_model(self) -> tuple["LinMap", BlockModel]:
-        """Equivalent map with FDAlgebra domain (multiplicities squashed)."""
+    def to_block_model(self) -> "LinMap":
+        """The map on the block model of its domain (multiplicities squashed):
+        its values on the matrix units of the domain's ``structure()``, on
+        ``fd_model()``; the map itself when its domain is a block algebra."""
         if isinstance(self.domain, FDAlgebra):
-            return self, None  # already abstract
-        bm = self.domain.block_model()
-        return LinMap(bm.fd, self.codomain_dim, self(bm.struct.matrix_units),
-                      codomain_algebra=self.codomain_algebra), bm
+            return self
+        struct = self.domain.structure()
+        return LinMap(struct.fd_model(), self.codomain_dim, self(struct.matrix_units),
+                      codomain_algebra=self.codomain_algebra)
 
 
 # ---------------------------------------------------------------------------
@@ -164,13 +161,12 @@ def _require_fd(phi: LinMap) -> FDAlgebra:
 
 
 def choi_blocks(phi: LinMap) -> list[np.ndarray]:
-    """Per-summand Choi matrices C_k = sum_ij e_ij (x) phi(e_ij^(k))."""
-    if phi._choi is None:
-        fd, N = _require_fd(phi), phi.codomain_dim
-        # block (i, j) of C_k is the image of e_ij
-        phi._choi = [E.transpose(0, 2, 1, 3).reshape(n * N, n * N)
-                     for n, E in zip(fd.block_sizes, fd.unit_blocks(phi.images))]
-    return phi._choi
+    """Per-summand Choi matrices C_k = sum_ij e_ij (x) phi(e_ij^(k)), a
+    reshape of the images on each call."""
+    fd, N = _require_fd(phi), phi.codomain_dim
+    # block (i, j) of C_k is the image of e_ij
+    return [E.transpose(0, 2, 1, 3).reshape(n * N, n * N)
+            for n, E in zip(fd.block_sizes, fd.unit_blocks(phi.images))]
 
 
 def _from_choi_blocks(fd: FDAlgebra, N: int, blocks) -> LinMap:
@@ -196,18 +192,16 @@ def classify(phi: LinMap) -> Ternary:
     """cp iff the Choi blocks are Hermitian psd up to TOL_PSD; cpc adds
     ||phi(1)|| <= 1 + TOL_PSD; ucp instead requires phi(1) to equal the
     codomain unit up to TOL_ALG."""
-    work = phi.to_block_model()[0]
-    blocks = choi_blocks(work)
+    blocks = choi_blocks(phi.to_block_model())
     min_eig = np.inf
     herm_resid = 0.0
     # one stack per block size: batched SVDs and eigensolves give each block
-    # the values its own call would
+    # the values its own call would; blocks are never empty, so min_eig is
+    # finite unless an eigenvalue is nan, which np.minimum keeps
     for size in sorted({len(C) for C in blocks}):
         Cs = np.stack([C for C in blocks if len(C) == size])
         herm_resid = np.maximum(herm_resid, opnorm_max(Cs - dagger(Cs)))
-        min_eig = min(min_eig, float(np.linalg.eigvalsh(herm(Cs)).min(initial=np.inf)))
-    if not np.isfinite(min_eig):
-        min_eig = 0.0
+        min_eig = float(np.minimum(min_eig, np.linalg.eigvalsh(herm(Cs)).min()))
     unit_img = phi.value_on_unit()
     nrm1 = opnorm(unit_img)
     unit_defect = opnorm(unit_img - phi.codomain_unit())
@@ -327,7 +321,7 @@ def hom_defect(phi: LinMap) -> float:
     Zero exactly when phi is a *-homomorphism.  Otherwise it is phi's defect
     at those units, a deterministic lower estimate of the unit-ball defect,
     not a bound."""
-    work = phi.to_block_model()[0]
+    work = phi.to_block_model()
     return work.domain.relation_residual(work.images)
 
 
@@ -358,7 +352,7 @@ def arveson_restrict(A: ConcreteAlgebra, B: ConcreteAlgebra, X,
         name="expectation-restriction",
         formula="||phi(x) - x|| <= 2*gamma + tol_alg on X",
         inputs={"gamma": gamma, "n_points": len(X)}, ceiling=2.0 * gamma + TOL_ALG,
-        achieved=worst_move(phi, X), provenance=provenance_stamp())
+        achieved=worst_move(phi, X))
 
 
 def ucp_extension(phi: LinMap) -> LinMap:
@@ -366,7 +360,7 @@ def ucp_extension(phi: LinMap) -> LinMap:
     a one-dimensional block and the new block's unit is sent to (codomain
     unit) - phi(1), which is always ucp for cpc phi.
     """
-    work = phi.to_block_model()[0]
+    work = phi.to_block_model()
     cls = classify(work)
     if not cls.cpc:
         raise ValueError(
@@ -455,7 +449,7 @@ def cb_bracket(phi: LinMap) -> tuple[float, float]:
     transpose of the pinched images, so only its SVD rounds, and lo is
     rounded down by twice that SVD's backward error, 4 N d eps.
     """
-    work = phi.to_block_model()[0]
+    work = phi.to_block_model()
     d, N = work.domain.d, work.codomain_dim
     cls = classify(work)
     if cls.cp:

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import ConcreteAlgebra
-from .certs import TOL_ALG, Certificate, provenance_stamp
 # opnorm has no caller here; it stays bound because perfbench's tracer test
 # reads geometry.opnorm to check that wrappers reach names a module rebinds
 from .linalg import clip_spectrum, dagger, opnorm, opnorms, rng_for  # noqa: F401
@@ -51,11 +50,6 @@ class SampleSpec:
     n_selfadjoint: int
     n_unitary: int
     iters: int
-
-    def to_dict(self) -> dict:
-        return {"kind": "sample_spec", "schema_version": 1, "seed": self.seed,
-                "n_selfadjoint": self.n_selfadjoint, "n_unitary": self.n_unitary,
-                "iters": self.iters}
 
 
 @dataclass
@@ -98,7 +92,6 @@ class DistanceInterval:
     lo: float
     hi: float
     lo_witness: np.ndarray
-    hi_assignment: dict
     cert_ab: NearInclusionCert
     cert_ba: NearInclusionCert
 
@@ -413,14 +406,8 @@ def kk_distance(A: ConcreteAlgebra, B: ConcreteAlgebra,
     cert_ba.direction = "B->A"
     hi = max(cert_ab.gamma_hi, cert_ba.gamma_hi)
     lo_cert = cert_ab if cert_ab.gamma_lo >= cert_ba.gamma_lo else cert_ba
-    assignment = {
-        "direction_hi": "A->B" if cert_ab.gamma_hi >= cert_ba.gamma_hi else "B->A",
-        "n_samples_per_direction": cert_ab.n_samples,
-        "sample_spec": spec.to_dict(),
-    }
     return DistanceInterval(lo=float(min(lo_cert.gamma_lo, hi)), hi=float(hi),
-                            lo_witness=lo_cert.lo_witness,
-                            hi_assignment=assignment, cert_ab=cert_ab, cert_ba=cert_ba)
+                            lo_witness=lo_cert.lo_witness, cert_ab=cert_ab, cert_ba=cert_ba)
 
 
 # ---------------------------------------------------------------------------
@@ -448,42 +435,17 @@ class _TensorSpan:
 _LIFT_ITERS = 400
 
 
-def tensor_lift(X, B: ConcreteAlgebra, n: int, gamma: float
-                ) -> tuple[list[np.ndarray], Certificate]:
-    """Witnesses in span(B) (x) M_n for elements of the unit ball of
-    A (x) M_n (rectangular block rows allowed), certified against the
-    amplification-stable ceiling 2*gamma + gamma^2 valid for A subset_gamma B.
-
-    Returns the witnesses and a certificate with the worst achieved distance;
-    its details give each witness's solver iterations and stop reason (see
-    ``nearest_in_span``), so a distance proven to 1e-6 shows as ``gap`` and
-    one left at the iteration budget as ``cap``.
+def tensor_lift(x: np.ndarray, B: ConcreteAlgebra, n: int) -> tuple:
+    """Witness in span(B) (x) M_n for an element x of the unit ball of
+    A (x) M_n, an Nn x rNn block row of r slots: ``nearest_in_span``'s four
+    values for x, the witness, its distance ||x - b||, the iteration it
+    stopped at and its stop reason, so a distance proven to 1e-6 shows as
+    ``gap`` and one left at the iteration budget as ``cap``.  The distance is
+    at most 2 gamma + gamma^2 when A is within gamma of B.
     """
-    X = [np.asarray(x, dtype=complex) for x in X]
-    if not X:
-        raise ValueError("empty witness request")
+    x = np.asarray(x, dtype=complex)
     N = B.ambient_dim
-    for x in X:
-        rows, cols = x.shape
-        if rows != N * n or cols % (N * n):
-            raise ValueError("element shape incompatible with the amplification")
-    witnesses: list = [None] * len(X)
-    its, stops = [0] * len(X), [""] * len(X)
-    worst = 0.0
-    for cols in {x.shape[1] for x in X}:
-        idx = [i for i, x in enumerate(X) if x.shape[1] == cols]
-        bs, vals, at, why = nearest_in_span(np.array([X[i] for i in idx]),
-                                            _TensorSpan(B, n, cols // (N * n)),
-                                            iters=_LIFT_ITERS, tol=1e-13)
-        for i, b, k, w in zip(idx, bs, at, why):
-            witnesses[i], its[i], stops[i] = b, int(k), str(w)
-        worst = max(worst, float(vals.max()))
-    ceiling = 2.0 * gamma + gamma * gamma
-    cert = Certificate.build(
-        name="tensor-amplified-witnesses",
-        formula="dist(x, B (x) M_n) <= 2*gamma + gamma^2 on the unit ball",
-        inputs={"gamma": gamma, "n": n, "count": len(X)},
-        ceiling=ceiling + TOL_ALG, achieved=worst,
-        details={"iters": its, "stops": stops},
-        provenance=provenance_stamp())
-    return witnesses, cert
+    rows, cols = x.shape
+    if rows != N * n or cols % (N * n):
+        raise ValueError("element shape incompatible with the amplification")
+    return nearest_in_span(x, _TensorSpan(B, n, cols // (N * n)), iters=_LIFT_ITERS, tol=1e-13)

@@ -20,8 +20,7 @@ import numpy as np
 from .algebra import ConcreteAlgebra, _combine, support_projection
 from .certs import (TOL_ALG, TOL_EXACT, Certificate, ContradictionError,
                     SpectralGapError, ToleranceBudget, DEFAULT_BUDGET,
-                    WINDOW_ISO_ETA, WINDOW_ISO_GAMMA, WINDOW_ISO_MU,
-                    provenance_stamp)
+                    WINDOW_ISO_ETA, WINDOW_ISO_GAMMA, WINDOW_ISO_MU)
 from .cpmaps import LinMap, arveson_restrict, classify, hom_defect, worst_move
 from .averaging import (improve_multiplicativity, intertwining_unitary,
                         projection_conjugator)
@@ -52,9 +51,6 @@ class StageRecord:
     phi_closeness: float
     phi_defect: float
 
-    def to_dict(self) -> dict:
-        return {"kind": "stage_record", "schema_version": 1, **self.__dict__}
-
 
 @dataclass
 class IsoResult:
@@ -78,13 +74,6 @@ class IsoResult:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.certificates.values())
-
-    def to_dict(self) -> dict:
-        return {"kind": "iso_result", "schema_version": 1,
-                "eta": self.eta, "mu": self.mu, "nu": self.nu,
-                "surjective": self.surjective,
-                "trace": [r.to_dict() for r in self.trace],
-                "certificates": {k: c.to_dict() for k, c in self.certificates.items()}}
 
 
 # ---------------------------------------------------------------------------
@@ -145,18 +134,15 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float, X_A,
         name="iso-closeness",
         formula="||alpha(x) - x|| <= 8 sqrt(6) eta^{1/2} + eta + mu on X_A",
         inputs={"eta": eta, "mu": mu, "n_points": len(X_close)},
-        ceiling=float(bound_main), achieved=float(achieved), slack=TOL_EXACT,
-        provenance=provenance_stamp())
+        ceiling=float(bound_main), achieved=float(achieved), slack=TOL_EXACT)
     cert_hom = Certificate.build(
         name="homomorphism",
         formula="matrix-unit relation residual <= tol_alg",
-        inputs={}, ceiling=TOL_ALG, achieved=hom_defect(alpha),
-        provenance=provenance_stamp())
+        inputs={}, ceiling=TOL_ALG, achieved=hom_defect(alpha))
     cert_member = Certificate.build(
         name="image-membership",
         formula="relative HS residual of images in span(B) <= tol_alg before snapping",
-        inputs={}, ceiling=TOL_ALG, achieved=float(worst_membership),
-        provenance=provenance_stamp())
+        inputs={}, ceiling=TOL_ALG, achieved=float(worst_membership))
 
     action = B.coeffs(alpha.images).T
     svals = np.linalg.svd(action, compute_uv=False)
@@ -167,8 +153,7 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float, X_A,
         formula="||alpha(x)|| >= ||x|| - (8 sqrt(6) eta^{1/2} + eta + nu)",
         inputs={"eta": eta, "nu": nu},
         ceiling=float(bound_nu), achieved=float(max(margins)), slack=TOL_EXACT,
-        details={"action_sigma_min": sigma_min},
-        provenance=provenance_stamp())
+        details={"action_sigma_min": sigma_min})
     certs = {"closeness": cert_close, "homomorphism": cert_hom,
              "image-membership": cert_member, "injectivity": cert_inj}
 
@@ -188,8 +173,7 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float, X_A,
                     "2 delta, the paper's window quantity) is not checked",
             inputs={"delta": surjectivity_delta, "dim_A": A.dim, "dim_B": B.dim},
             ceiling=0.0, achieved=0.0 if surjective else 1.0,
-            details={"density_margin": float(margin), **pull_details},
-            provenance=provenance_stamp())
+            details={"density_margin": float(margin), **pull_details})
 
     return IsoResult(map=alpha, inverse=inverse, trace=trace, certificates=certs,
                      eta=float(eta), mu=float(mu), nu=float(nu),
@@ -228,8 +212,7 @@ def close_isomorphism(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma: float,
         name="forward-closeness",
         formula="||theta(x) - x|| <= 28 gamma^{1/2} on X",
         inputs={"gamma": gamma, "n_points": close.inputs["n_points"]},
-        ceiling=float(ceiling), achieved=close.achieved, slack=TOL_EXACT,
-        provenance=provenance_stamp())
+        ceiling=float(ceiling), achieved=close.achieved, slack=TOL_EXACT)
     if res.inverse is None:
         raise SpectralGapError("constructed map is not invertible; "
                                "cannot certify the reverse bound")
@@ -241,8 +224,7 @@ def close_isomorphism(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma: float,
                 "<= 28 gamma^{1/2} on Y",
         inputs={"gamma": gamma, "n_points": len(Y)},
         ceiling=float(ceiling), achieved=float(worst_move(res.inverse, Y)),
-        slack=TOL_EXACT, details={"chain_bound": float(chain_worst)},
-        provenance=provenance_stamp())
+        slack=TOL_EXACT, details={"chain_bound": float(chain_worst)})
     return res
 
 
@@ -266,7 +248,7 @@ def near_embedding_nuclear(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma: float,
         inputs={"gamma": gamma, "n_points": len(X),
                 "sigma_min": res.certificates["injectivity"].details["action_sigma_min"]},
         ceiling=float(28.0 * np.sqrt(gamma)), achieved=res.certificates["closeness"].achieved,
-        slack=TOL_EXACT, provenance=provenance_stamp())
+        slack=TOL_EXACT)
     return res.map, cert
 
 
@@ -356,8 +338,7 @@ def half_flip_cpc(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma: float,
                  "projection_distance": float(opnorm(p - e)),
                  "conjugator_norm": cert_u.achieved,
                  "image_residual": float(member),
-                 "cpc": bool(cls.cpc)},
-        provenance=provenance_stamp())
+                 "cpc": bool(cls.cpc)})
     return phi, cert
 
 
@@ -413,7 +394,6 @@ def implement_unitarily(theta: LinMap, budget: ToleranceBudget = DEFAULT_BUDGET
                  "u_norm_ceiling": res.certificates["norm"].ceiling,
                  "unitary_defect": float(unitary_defect),
                  "subspace_residual": float(subspace),
-                 "subspace_ceiling": 10.0 * TOL_ALG},
-        provenance=provenance_stamp())
+                 "subspace_ceiling": 10.0 * TOL_ALG})
     return u, cert
 

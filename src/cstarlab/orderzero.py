@@ -22,7 +22,7 @@ import numpy as np
 from .algebra import ConcreteAlgebra, FDAlgebra
 from .certs import (TOL_ALG, TOL_EXACT, TOL_RANK, Certificate, ContradictionError,
                     SpectralGapError, ToleranceBudget, DEFAULT_BUDGET, WINDOW_ISO_ETA,
-                    WINDOW_OZ_PROJECTION, provenance_stamp)
+                    WINDOW_OZ_PROJECTION)
 from .averaging import _canonical_index, canonical_average
 from .cpmaps import LinMap, _from_choi_blocks, cb_bracket, choi_blocks, classify, worst_move
 from .geometry import tensor_lift
@@ -80,7 +80,7 @@ class OrderZeroMap:
             raise ValueError("the structure pair needs a block domain")
         h_eff = herm(pi(fd.unit()) @ np.asarray(h, dtype=complex))
         worst = opnorm_max(h_eff @ pi.images - pi.images @ h_eff)
-        if worst > tol:
+        if not worst <= tol:  # a nan residual certifies nothing either
             raise ValueError(
                 f"h does not commute with the representation (residual {worst:.3g})")
         m = LinMap(fd, pi.codomain_dim, pi.images @ h_eff,
@@ -171,7 +171,7 @@ def perturb_order_zero(oz: OrderZeroMap, B: ConcreteAlgebra,
             formula="||phi - psi||_cb <= (2 gamma + gamma^2)(2 + 2 gamma + gamma^2)",
             inputs={"gamma": gamma, "blocks_kept": 0},
             ceiling=(2 * gamma + gamma ** 2) * (2 + 2 * gamma + gamma ** 2),
-            achieved=0.0, provenance=provenance_stamp())
+            achieved=0.0)
         return psi, cert
 
     sizes = [fd.block_sizes[k] for k in kept]
@@ -187,10 +187,8 @@ def perturb_order_zero(oz: OrderZeroMap, B: ConcreteAlgebra,
     t = t.reshape(N * m, len(kept) * N * m)
     t_norm = float(opnorm(t))
 
-    witnesses, lift_cert = tensor_lift([t], B, m, gamma)
-    u = witnesses[0]
+    u, dist, lift_iters, lift_stop = tensor_lift(t, B, m)
     mu = 2.0 * gamma + gamma ** 2
-    dist = lift_cert.achieved
     if dist > mu + 100 * TOL_ALG:
         raise ContradictionError(
             f"no witness within 2*gamma + gamma^2 = {mu:.3g} of the row "
@@ -225,11 +223,9 @@ def perturb_order_zero(oz: OrderZeroMap, B: ConcreteAlgebra,
         details={"cb_lo": float(lo), "cb_hi": float(hi),
                  "structural_bound": float(structural),
                  "witness_distance": float(dist),
-                 "witness_stop": lift_cert.details["stops"][0],
-                 "witness_iters": lift_cert.details["iters"][0], "t_norm": t_norm,
+                 "witness_stop": lift_stop, "witness_iters": lift_iters, "t_norm": t_norm,
                  "reconstruction_residual": float(recon),
-                 "membership_residual": float(member), "cp": bool(cls.cp)},
-        provenance=provenance_stamp())
+                 "membership_residual": float(member), "cp": bool(cls.cp)})
     return psi, cert
 
 
@@ -248,7 +244,6 @@ class NucDimDecomposition:
     down: LinMap
     ups: tuple
     defect: float
-    composite_cpc: bool = True
 
     def __post_init__(self):
         if len(self.pieces) != len(self.ups):
@@ -280,10 +275,10 @@ class NucDimDecomposition:
 def identity_decomposition(A: ConcreteAlgebra) -> NucDimDecomposition:
     """The exact single-color decomposition of a block algebra through its
     own block model (finite-dimensional algebras need no colors)."""
-    bm = A.block_model()
-    fd = bm.fd
-    down = LinMap(A, fd.d, bm.to_abstract(A.basis))
-    up_map = LinMap(fd, A.ambient_dim, A.structure().matrix_units, codomain_algebra=A)
+    struct = A.structure()
+    fd = struct.fd_model()
+    down = LinMap(A, fd.d, struct.to_abstract(A.basis))
+    up_map = LinMap(fd, A.ambient_dim, struct.matrix_units, codomain_algebra=A)
     up = OrderZeroMap(map=up_map, pi=up_map, h=np.array(A.support))
     defect = worst_move(lambda x: up(down(x)), A.basis)
     return NucDimDecomposition(F=fd, pieces=(tuple(range(len(fd.block_sizes))),),
@@ -298,15 +293,15 @@ def split_decomposition(A: ConcreteAlgebra) -> NucDimDecomposition:
     """Exact decomposition with the blocks of A dealt round-robin into
     _SPLIT_COLORS colors; a forced n = _SPLIT_COLORS - 1 presentation of a
     finite-dimensional algebra."""
-    bm = A.block_model()
-    fd = bm.fd
+    struct = A.structure()
+    fd = struct.fd_model()
     r = len(fd.block_sizes)
     if r < _SPLIT_COLORS:
         raise ValueError(f"cannot split {r} blocks into {_SPLIT_COLORS} nonempty colors")
     groups = tuple(tuple(k for k in range(r) if k % _SPLIT_COLORS == i)
                    for i in range(_SPLIT_COLORS))
-    down = LinMap(A, fd.d, bm.to_abstract(A.basis))
-    blocks = fd.unit_blocks(A.structure().matrix_units)
+    down = LinMap(A, fd.d, struct.to_abstract(A.basis))
+    blocks = fd.unit_blocks(struct.matrix_units)
     ups = []
     for group in groups:
         sub = FDAlgebra(tuple(fd.block_sizes[k] for k in group))
@@ -331,7 +326,7 @@ def verify_nucdim_decomposition(A: ConcreteAlgebra, X, eps: float,
         if not ok:
             failures.append(f"up-{i}-not-order-zero")
     comp = LinMap(A, dec.ups[0].codomain_dim, dec.compose(A.basis))
-    if dec.composite_cpc and not classify(comp).cpc:
+    if not classify(comp).cpc:
         failures.append("composite-not-cpc")
     defect = worst_move(dec.compose, X)
     cert = Certificate.build(
@@ -341,8 +336,7 @@ def verify_nucdim_decomposition(A: ConcreteAlgebra, X, eps: float,
         inputs={"eps": eps, "n": dec.n, "n_points": len(X)},
         ceiling=float(eps), achieved=float(defect),
         details={"failed_invariant": failures[0] if failures else None,
-                 "failures": failures, "claimed_defect": dec.defect},
-        provenance=provenance_stamp())
+                 "failures": failures, "claimed_defect": dec.defect})
     if failures:
         cert.verdict = "fail"
     return cert
@@ -387,8 +381,7 @@ def nucdim_cpc_transfer(D: ConcreteAlgebra, dec: NucDimDecomposition,
         details={"rescale": float(scale), "cb_bracket": [float(lo), float(hi)],
                  "cpc": bool(cls.cpc),
                  "summand_achieved": [c.achieved for c in summand_certs],
-                 "summand_ceiling": summand_certs[0].ceiling if summand_certs else 0.0},
-        provenance=provenance_stamp())
+                 "summand_ceiling": summand_certs[0].ceiling if summand_certs else 0.0})
     return phi, cert
 
 
@@ -422,8 +415,7 @@ def near_embed_nucdim(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma: float,
         details={"sigma_min": res.certificates["injectivity"].details["action_sigma_min"],
                  "transfer_achieved": cert_t.achieved,
                  "transfer_ceiling": cert_t.ceiling,
-                 "transfer_ok": cert_t.passed},
-        provenance=provenance_stamp())
+                 "transfer_ok": cert_t.passed})
     return res.map, cert
 
 
@@ -529,6 +521,5 @@ def order_zero_projection(psi: LinMap, gamma: float | None = None
         details={"cb_lo": float(lo), "pi_defect": float(pi_defect),
                  "rounding_drift": rounds,
                  "structure_residual": _structure_residual(
-                     fit.map.images, fit.pi.images, fit.h)},
-        provenance=provenance_stamp())
+                     fit.map.images, fit.pi.images, fit.h)})
     return fit, cert

@@ -4,7 +4,7 @@ order on a generated instance and collect every certificate into one report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,7 @@ class Report:
     seed: int
     recipe: str
     certificates: dict
-    notes: dict = field(default_factory=dict)
+    notes: dict
 
     @property
     def ok(self) -> bool:

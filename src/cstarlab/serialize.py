@@ -42,6 +42,26 @@ def _need(d: dict, key: str, path: str):
     return d[key]
 
 
+# the fields of a stored certificate: those it must carry, then the rest
+_CERT_REQUIRED = ("name", "formula", "inputs", "ceiling", "achieved", "verdict")
+_CERT_FIELDS = set(_CERT_REQUIRED) | {"slack", "provenance", "details", "kind", "schema_version"}
+
+
+def _certificate_from_json(d: dict, path: str) -> Certificate:
+    """A certificate, after checking that it carries every required field, no
+    unknown one, and numbers for its ceiling, achieved value and slack."""
+    for key in _CERT_REQUIRED:
+        _need(d, key, path)
+    unknown = sorted(set(d) - _CERT_FIELDS)
+    if unknown:
+        raise SchemaError(f"unknown field {path}.{unknown[0]}")
+    for key in ("ceiling", "achieved", "slack"):
+        v = d.get(key, 0.0)
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise SchemaError(f"{path}.{key} is {v!r}, not a number")
+    return Certificate.from_dict(d)
+
+
 def matrix_to_json(m: np.ndarray) -> dict:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2:
@@ -144,7 +164,7 @@ def from_jsonable(d, path: str = "$"):
         return LinMap(dom, int(_need(d, "codomain_dim", path)), tuple(images),
                       codomain_algebra=cod)
     if kind == "certificate":
-        return Certificate.from_dict(d)
+        return _certificate_from_json(d, path)
     if kind == "instance":
         from .instances import Instance
         tu = d.get("true_unitary")

@@ -4,7 +4,7 @@ oracles that tests of the package's run paths compare against."""
 import numpy as np
 import scipy.linalg
 
-from cstarlab.algebra import BlockModel, ConcreteAlgebra, FDAlgebra, _combine
+from cstarlab.algebra import BlockStructure, ConcreteAlgebra, FDAlgebra, _combine
 from cstarlab.averaging import AveragingSet, _canonical_index
 from cstarlab.certs import TOL_ALG, TOL_CONV, Certificate, provenance_stamp
 from cstarlab.cpmaps import LinMap, _from_choi_blocks, choi_blocks, classify
@@ -117,10 +117,10 @@ def near_inclusion(A: ConcreteAlgebra, B: ConcreteAlgebra,
     return _near_inclusions([(A, B)], spec, ball)[0]
 
 
-def to_concrete(bm: BlockModel, m: np.ndarray) -> np.ndarray:
-    """The inverse of ``bm.to_abstract``: the concrete element of m, or of
-    each matrix of a stack (..., d, d), over the structure's matrix units."""
-    return _combine(bm.fd.coeffs(m), bm.struct.matrix_units)
+def to_concrete(struct: BlockStructure, m: np.ndarray) -> np.ndarray:
+    """The inverse of ``struct.to_abstract``: the concrete element of m, or
+    of each matrix of a stack (..., d, d), over the structure's matrix units."""
+    return _combine(struct.fd_model().coeffs(m), struct.matrix_units)
 
 
 def canonical_residual(fd: FDAlgebra, avg: AveragingSet) -> float:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cstarlab.algebra import (BlockModel, ConcreteAlgebra, FDAlgebra,
+from cstarlab.algebra import (ConcreteAlgebra, FDAlgebra,
                               generate_algebra, orthonormalize, support_projection,
                               wedderburn_decompose)
 from cstarlab.instances import block_algebra, gen_instance
@@ -225,10 +225,9 @@ def test_wedderburn_with_multiplicities(summands, N, seed):
     assert opnorm_max(P[:, None] @ basis[None] - basis[None] @ P[:, None]) < 1e-9
     assert [round(np.trace(p).real) for p in P] == [n * m for n, m in st.summands]
     assert st.fd_model().relation_residual(st.matrix_units) <= 1e-9
-    bm = BlockModel(A, st)
-    assert opnorm_max(to_concrete(bm, bm.to_abstract(basis)) - basis) < 1e-9
-    x = bm.fd.random_elements(rng_for(seed, "mult-model"), 3)
-    assert opnorm_max(bm.to_abstract(to_concrete(bm, x)) - x) < 1e-9
+    assert opnorm_max(to_concrete(st, st.to_abstract(basis)) - basis) < 1e-9
+    x = st.fd_model().random_elements(rng_for(seed, "mult-model"), 3)
+    assert opnorm_max(st.to_abstract(to_concrete(st, x)) - x) < 1e-9
 def unit_images(units, w) -> np.ndarray:
     """Images of the matrix units of M_3 + C: E[i, j] (x) 1_2 and a
     one-dimensional summand, in M_7 and conjugated by w, as one stack in
@@ -417,15 +416,15 @@ def test_project_matches_a_fresh_orthonormalisation(kind, profile, N):
 
 def test_block_model_round_trip():
     A = block_algebra((2, 1), 4)
-    bm = A.block_model()
+    struct = A.structure()
     for b in A.basis:
-        x = bm.to_abstract(b)
-        back = to_concrete(bm, x)
+        x = struct.to_abstract(b)
+        back = to_concrete(struct, x)
         assert opnorm(back - b) < 1e-10
     # multiplicativity of the model
     rng = rng_for(1, "bm")
-    x, y = bm.fd.random_elements(rng, 2)
-    assert opnorm(to_concrete(bm, x @ y) - to_concrete(bm, x) @ to_concrete(bm, y)) < 1e-10
+    x, y = struct.fd_model().random_elements(rng, 2)
+    assert opnorm(to_concrete(struct, x @ y) - to_concrete(struct, x) @ to_concrete(struct, y)) < 1e-10
 
 
 def test_support_projection():

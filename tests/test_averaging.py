@@ -65,7 +65,7 @@ def test_exact_diagonal_verifies(sizes):
     # L / n_k^2 in [0, L), L = lcm(n_k^2)
     L = math.lcm(*(n * n for n in sizes))
     cuts = {a * L // (n * n) for n in sizes for a in range(n * n)}
-    assert len(avg) == len(sizes) * len(cuts) <= len(sizes) * (sum(n * n for n in sizes)
+    assert len(avg.terms) == len(sizes) * len(cuts) <= len(sizes) * (sum(n * n for n in sizes)
                                                                - len(sizes) + 1)
     cert = verify_averaging_set(fd, avg)
     assert cert.verdict == "pass"
@@ -311,9 +311,10 @@ def test_intertwining_window_enforced_on_paper_track():
 
 @pytest.mark.parametrize("algebra,ambient", [("M2+M1", 4), ("3,3", 8), ("2,2,2", 8)])
 def test_repair_and_self_intertwiner_depend_on_the_map_alone(algebra, ambient):
-    # the staged intertwining keeps a stage's repair, and the unitary of that
-    # repair with itself, when the next stage produces the same map; that is
-    # only sound while neither result depends on the gamma given
+    # the repair and the self-pairing depend on the map alone: the repair is
+    # the same for any gamma passed, and the intertwiner of a map with itself
+    # (which reuses its block model and extension) equals the intertwiner
+    # with an equal copy
     inst = gen_instance("conjugation", {"algebra": algebra, "ambient": ambient,
                                         "eps": 1e-6}, seed=7)
     A, B = inst.A, inst.B

@@ -91,6 +91,24 @@ def test_report_rerenders_saved_report(tmp_path, capsys):
     assert out.splitlines()[0] == "certificate,verdict,achieved,ceiling,slack"
 
 
+@pytest.mark.parametrize("edit", [lambda c: c.pop("achieved"), lambda c: c.update(extra=1),
+                                  lambda c: c.update(ceiling="x")],
+                         ids=["missing-achieved", "extra-key", "text-ceiling"])
+def test_report_with_a_malformed_certificate_exits_2(edit, tmp_path, capsys):
+    # a certificate the loader cannot read is a malformed input file (2), not
+    # a failed paper-track certificate (1)
+    rep_path = tmp_path / "report.json"
+    assert main(["unitary", "--seed", "4", "--eps", "1e-5",
+                 "--format", "json", "--out", str(rep_path)]) == 0
+    data = json.loads(rep_path.read_text())
+    edit(data["certificates"]["unitary-implementation"])
+    rep_path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["report", str(rep_path)]) == 2
+    err = capsys.readouterr().err
+    assert "SchemaError" in err and "$.certificates.unitary-implementation." in err
+
+
 def test_report_rejects_instance_file(tmp_path, capsys):
     inst_path = tmp_path / "inst.json"
     assert main(["gen", "--seed", "1", "--out", str(inst_path)]) == 0

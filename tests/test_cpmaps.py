@@ -168,6 +168,17 @@ def test_classify_reads_a_nan_hermitian_residual_as_not_cp(monkeypatch):
     assert not (cls.cp or cls.cpc or cls.ucp)
 
 
+def test_classify_reads_a_nan_eigenvalue_as_not_cp(monkeypatch):
+    # a Choi eigenvalue that is not a number certifies nothing: Python's min
+    # drops it, and a minimum read as 0.0 would pass the blocks as psd
+    A = block_algebra((2, 1), 3)
+    phi = LinMap(A, 3, A.basis, codomain_algebra=A)
+    assert classify(phi).ucp
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: np.full(m.shape[:-1], np.nan))
+    cls = classify(phi)
+    assert np.isnan(cls.choi_min_eig) and not (cls.cp or cls.cpc or cls.ucp)
+
+
 # ---------------------------------------------------------------------------
 # Stinespring dilation
 # ---------------------------------------------------------------------------

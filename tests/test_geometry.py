@@ -751,13 +751,15 @@ def test_tensor_lift_certifies_amplified_distance():
     gamma = 2.0 * opnorm(u - np.eye(3))
     n = 2
     rng = rng_for(6, "tensor")
-    X = []
+    # each witness lies in span(B) (x) M_n within the amplification-stable
+    # 2 gamma + gamma^2 of its element, at the distance it reports
     for x in A.random_selfadjoints(rng, 3):
         amp = np.kron(x, np.eye(n))
-        X.append(amp / max(opnorm(amp), 1e-12))
-    wits, cert = tensor_lift(X, B, n, gamma)
-    assert cert.verdict == "pass"
-    assert len(wits) == 3
+        amp = amp / max(opnorm(amp), 1e-12)
+        b, dist, _, _ = tensor_lift(amp, B, n)
+        assert dist <= 2.0 * gamma + gamma * gamma
+        assert dist == opnorm(amp - b)
+        assert opnorm(_TensorSpan(B, n, 1).project(b[None])[0] - b) < 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -857,4 +859,4 @@ def test_tensor_lift_witness_distance_is_reproducible(monkeypatch):
 def test_tensor_lift_rejects_bad_shape():
     A = block_algebra((2,), 3)
     with pytest.raises(ValueError):
-        tensor_lift([np.eye(5)], A, 2, 0.1)
+        tensor_lift(np.eye(5), A, 2)

@@ -85,6 +85,16 @@ def test_structure_decompose_rejects_a_nan_residual(monkeypatch, slot):
             structure_decompose(oz.map)
 
 
+def test_from_pair_rejects_a_nan_residual(monkeypatch):
+    # a commutation residual that is not a number certifies nothing: nan > tol
+    # is False, so the check reads not residual <= tol
+    oz = random_order_zero((2, 1), 5, seed=6)
+    OrderZeroMap.from_pair(oz.pi, oz.h, codomain_algebra=oz.map.codomain_algebra)
+    monkeypatch.setattr(orderzero, "opnorm_max", lambda stack: float("nan"))
+    with pytest.raises(ValueError, match="does not commute"):
+        OrderZeroMap.from_pair(oz.pi, oz.h, codomain_algebra=oz.map.codomain_algebra)
+
+
 def test_is_order_zero_rejects_generic_cp_map():
     # sum of two incompatible compressions is cp but not order zero
     fd = FDAlgebra((2,))
@@ -293,10 +303,10 @@ def test_perturb_order_zero_matches_the_kronecker_construction(monkeypatch):
     B = oz.map.codomain_algebra.conjugated(u)
     seen = {}
 
-    def spy(X, *args, **kwargs):
-        witnesses, cert = tensor_lift(X, *args, **kwargs)
-        seen["t"], seen["w"] = X[0], witnesses[0]
-        return witnesses, cert
+    def spy(x, *args):
+        lifted = tensor_lift(x, *args)
+        seen["t"], seen["w"] = x, lifted[0]
+        return lifted
 
     monkeypatch.setattr(orderzero, "tensor_lift", spy)
     psi, cert = perturb_order_zero(oz, B, 2.0 * opnorm(u - np.eye(4)))

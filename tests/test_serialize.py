@@ -158,3 +158,39 @@ def test_schema_error_is_one_class_everywhere():
     from cstarlab import certs
     assert SchemaError is certs.SchemaError is cstarlab.SchemaError
     assert issubclass(SchemaError, ValueError)
+
+
+def _certificate_report(edit) -> str:
+    """A report-shaped document whose one certificate is edited in place."""
+    import json
+    cert = json.loads(dumps(Certificate.build(name="c", formula="a <= b", inputs={},
+                                              ceiling=1.0, achieved=0.5)))
+    edit(cert)
+    return json.dumps({"kind": "report", "certificates": {"c": cert}})
+
+
+@pytest.mark.parametrize("field", ["name", "formula", "inputs", "ceiling", "achieved", "verdict"])
+def test_certificate_missing_field_names_path(field):
+    with pytest.raises(SchemaError, match=rf"missing field \$\.certificates\.c\.{field}$"):
+        loads(_certificate_report(lambda d: d.pop(field)))
+
+
+def test_certificate_unknown_field_names_path():
+    with pytest.raises(SchemaError, match=r"unknown field \$\.certificates\.c\.extra$"):
+        loads(_certificate_report(lambda d: d.update(extra=1)))
+
+
+@pytest.mark.parametrize("field", ["ceiling", "achieved", "slack"])
+@pytest.mark.parametrize("value", ["x", None, True, [1.0]])
+def test_certificate_non_numeric_value_names_path(field, value):
+    with pytest.raises(SchemaError, match=rf"\$\.certificates\.c\.{field} is .*not a number"):
+        loads(_certificate_report(lambda d: d.update({field: value})))
+
+
+def test_certificate_numbers_load_as_written():
+    # integers, infinities and the optional fields' defaults all load
+    back = loads(_certificate_report(lambda d: d.update(ceiling=float("inf"), achieved=0)))
+    cert = back["certificates"]["c"]
+    assert cert.ceiling == float("inf") and cert.achieved == 0 and cert.passed
+    text = _certificate_report(lambda d: [d.pop(k) for k in ("slack", "provenance", "details")])
+    assert loads(text)["certificates"]["c"].slack == 0.0
