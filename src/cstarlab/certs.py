@@ -62,7 +62,6 @@ WINDOW_DEFECT_REPAIR = 1.0 / 17.0        # multiplicativity repair input defect
 WINDOW_INTERTWINE = 13.0 / 150.0         # one-sided gap feeding the intertwiner
 WINDOW_ISO_ETA = 1.0 / 210000.0          # per-stage closeness for the iso chain
 WINDOW_ISO_GAMMA = 1.0 / 420000.0        # distance for the two-sided isomorphism
-WINDOW_OZ_PROJECTION = 1e-7              # order-zero projection heuristic
 WINDOW_ISO_MU = 1.0 / 2000.0             # drift budget parameter
 
 
@@ -70,10 +69,10 @@ WINDOW_ISO_MU = 1.0 / 2000.0             # drift budget parameter
 class Certificate:
     """One certified quantitative claim.
 
-    verdict is "pass" iff achieved <= ceiling + slack, "heuristic" when the
-    producing routine has no constructive guarantee and the bound was only
-    checked a posteriori, else "fail".  ``build`` stamps ``provenance_stamp()``
-    when it is given no provenance.
+    verdict is "pass" iff achieved <= ceiling + slack, else "fail"; a
+    verifier may also set "fail" on a certificate within its ceiling when an
+    invariant it checks fails.  ``build`` stamps ``provenance_stamp()`` when it
+    is given no provenance.
     """
 
     name: str
@@ -88,22 +87,19 @@ class Certificate:
 
     @classmethod
     def build(cls, name: str, formula: str, inputs: dict, ceiling: float,
-              achieved: float, slack: float = 0.0, heuristic: bool = False,
+              achieved: float, slack: float = 0.0,
               provenance: dict | None = None, details: dict | None = None) -> "Certificate":
-        ok = achieved <= ceiling + slack
-        verdict = "heuristic" if heuristic else ("pass" if ok else "fail")
-        if heuristic and not ok:
-            verdict = "fail"
         return cls(name=name, formula=formula,
                    inputs={k: _plain(v) for k, v in inputs.items()},
                    ceiling=float(ceiling), achieved=float(achieved),
-                   verdict=verdict, slack=float(slack),
+                   verdict="pass" if achieved <= ceiling + slack else "fail",
+                   slack=float(slack),
                    provenance=provenance_stamp() if provenance is None else dict(provenance),
                    details=dict(details or {}))
 
     @property
     def passed(self) -> bool:
-        return self.verdict in ("pass", "heuristic")
+        return self.verdict == "pass"
 
     def to_dict(self) -> dict:
         d = asdict(self)

@@ -9,8 +9,9 @@ reports schema violations with the JSON path of the offending field.
 The kinds a file carries: "report" (a pipeline's output, read back as a
 plain dict), "instance" (with its two "concrete_algebra" values), and inside
 them "certificate" and "matrix", around plain numbers, strings and lists.
-"fd_algebra" and "lin_map" round-trip too; any other value with a
-``to_dict`` is written through it and read back as a plain dict.
+Any other value with a ``to_dict`` is written through it and read back as a
+plain dict, and any value without one (a ``LinMap``, an ``FDAlgebra``)
+raises TypeError.
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ import json
 
 import numpy as np
 
-from .algebra import ConcreteAlgebra, FDAlgebra
+from .algebra import ConcreteAlgebra
 from .certs import Certificate, SchemaError, require_finite
-from .cpmaps import LinMap
 
 __all__ = [
     "SchemaError",
@@ -49,7 +49,10 @@ _CERT_FIELDS = set(_CERT_REQUIRED) | {"slack", "provenance", "details", "kind", 
 
 def _certificate_from_json(d: dict, path: str) -> Certificate:
     """A certificate, after checking that it carries every required field, no
-    unknown one, and numbers for its ceiling, achieved value and slack."""
+    unknown one, numbers for its ceiling, achieved value and slack, and a
+    verdict its numbers allow: "pass" only when achieved <= ceiling + slack,
+    the rule of ``Certificate.build``; "fail" at any value, since a verifier
+    fails a certificate within its ceiling when an invariant fails."""
     for key in _CERT_REQUIRED:
         _need(d, key, path)
     unknown = sorted(set(d) - _CERT_FIELDS)
@@ -59,6 +62,13 @@ def _certificate_from_json(d: dict, path: str) -> Certificate:
         v = d.get(key, 0.0)
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise SchemaError(f"{path}.{key} is {v!r}, not a number")
+    verdict, achieved, ceiling, slack = (d["verdict"], d["achieved"], d["ceiling"],
+                                         d.get("slack", 0.0))
+    if verdict not in ("pass", "fail"):
+        raise SchemaError(f"{path}.verdict is {verdict!r}, not 'pass' or 'fail'")
+    if verdict == "pass" and not achieved <= ceiling + slack:
+        raise SchemaError(f"{path}.verdict is 'pass' but achieved {achieved!r} exceeds "
+                          f"ceiling {ceiling!r} + slack {slack!r}")
     return Certificate.from_dict(d)
 
 
@@ -112,20 +122,11 @@ def to_jsonable(obj):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, Certificate):
         return to_jsonable(obj.to_dict())
-    if isinstance(obj, FDAlgebra):
-        return {"kind": "fd_algebra", "schema_version": 1,
-                "block_sizes": list(obj.block_sizes)}
     if isinstance(obj, ConcreteAlgebra):
         return {"kind": "concrete_algebra", "schema_version": 1,
                 "ambient_dim": obj.ambient_dim,
                 "basis": [matrix_to_json(b) for b in obj.basis],
                 "support": matrix_to_json(obj.support)}
-    if isinstance(obj, LinMap):
-        return {"kind": "lin_map", "schema_version": 1,
-                "domain": to_jsonable(obj.domain),
-                "codomain_dim": obj.codomain_dim,
-                "images": [matrix_to_json(m) for m in obj.images],
-                "codomain_algebra": to_jsonable(obj.codomain_algebra)}
     if hasattr(obj, "to_dict"):
         return to_jsonable(obj.to_dict())
     raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -147,22 +148,12 @@ def from_jsonable(d, path: str = "$"):
         return {k: from_jsonable(v, f"{path}.{k}") for k, v in d.items()}
     if kind == "matrix":
         return matrix_from_json(d, path)
-    if kind == "fd_algebra":
-        sizes = _need(d, "block_sizes", path)
-        return FDAlgebra(tuple(int(n) for n in sizes))
     if kind == "concrete_algebra":
         basis = [matrix_from_json(b, f"{path}.basis[{i}]")
                  for i, b in enumerate(_need(d, "basis", path))]
         support = matrix_from_json(_need(d, "support", path), f"{path}.support")
         return ConcreteAlgebra(ambient_dim=int(_need(d, "ambient_dim", path)),
                                basis=tuple(basis), support=support)
-    if kind == "lin_map":
-        dom = from_jsonable(_need(d, "domain", path), f"{path}.domain")
-        images = [matrix_from_json(m, f"{path}.images[{i}]")
-                  for i, m in enumerate(_need(d, "images", path))]
-        cod = from_jsonable(d.get("codomain_algebra"), f"{path}.codomain_algebra")
-        return LinMap(dom, int(_need(d, "codomain_dim", path)), tuple(images),
-                      codomain_algebra=cod)
     if kind == "certificate":
         return _certificate_from_json(d, path)
     if kind == "instance":

@@ -9,8 +9,7 @@ import cstarlab
 from cstarlab.certs import (DEFAULT_BUDGET, PAPER_BUDGET, Certificate,
                             ToleranceBudget, WindowError, provenance_stamp,
                             WINDOW_DEFECT_REPAIR, WINDOW_INTERTWINE,
-                            WINDOW_ISO_ETA, WINDOW_ISO_GAMMA,
-                            WINDOW_OZ_PROJECTION)
+                            WINDOW_ISO_ETA, WINDOW_ISO_GAMMA)
 
 
 def test_frozen_window_constants():
@@ -19,7 +18,6 @@ def test_frozen_window_constants():
     assert WINDOW_INTERTWINE == 13.0 / 150.0
     assert WINDOW_ISO_ETA == 1.0 / 210000.0
     assert WINDOW_ISO_GAMMA == 1.0 / 420000.0
-    assert WINDOW_OZ_PROJECTION == 1e-7
 
 
 def test_verdict_pass_iff_within_slack():
@@ -34,17 +32,6 @@ def test_verdict_pass_iff_within_slack():
                            achieved=1.1, slack=1e-9,
                            provenance=provenance_stamp())
     assert c3.verdict == "fail" and not c3.passed
-
-
-def test_heuristic_verdicts():
-    ok = Certificate.build(name="h", formula="", inputs={}, ceiling=1.0,
-                           achieved=0.5, heuristic=True,
-                           provenance=provenance_stamp())
-    assert ok.verdict == "heuristic" and ok.passed
-    bad = Certificate.build(name="h", formula="", inputs={}, ceiling=1.0,
-                            achieved=2.0, heuristic=True,
-                            provenance=provenance_stamp())
-    assert bad.verdict == "fail"
 
 
 def test_budget_tracks():

@@ -92,11 +92,15 @@ def test_report_rerenders_saved_report(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("edit", [lambda c: c.pop("achieved"), lambda c: c.update(extra=1),
-                                  lambda c: c.update(ceiling="x")],
-                         ids=["missing-achieved", "extra-key", "text-ceiling"])
+                                  lambda c: c.update(ceiling="x"),
+                                  lambda c: c.update(verdict="bogus"),
+                                  lambda c: c.update(achieved=10 * c["ceiling"])],
+                         ids=["missing-achieved", "extra-key", "text-ceiling",
+                              "bogus-verdict", "pass-above-ceiling"])
 def test_report_with_a_malformed_certificate_exits_2(edit, tmp_path, capsys):
-    # a certificate the loader cannot read is a malformed input file (2), not
-    # a failed paper-track certificate (1)
+    # a certificate the loader cannot read, or whose verdict its numbers
+    # contradict, is a malformed input file (2), not a failed paper-track
+    # certificate (1)
     rep_path = tmp_path / "report.json"
     assert main(["unitary", "--seed", "4", "--eps", "1e-5",
                  "--format", "json", "--out", str(rep_path)]) == 0

@@ -5,21 +5,23 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 REACH = ROOT / "tools" / "reach.py"
 KNOB_COUNT = ROOT / "tools" / "knob_count.py"
+REPORT_DIGEST = ROOT / "tools" / "report_digest.py"
 
 # the definitions that wait for the ROADMAP items that wire or retire them:
-# the near-inclusion embedding (item 12), the half-flip producer (item 10)
-# and the heuristic order-zero fit (item 7)
+# the near-inclusion embedding (item 12) and the half-flip producer (item 10)
 ALLOWED = {"intertwine.near_embedding_nuclear", "intertwine.half_flip_cpc",
-           "intertwine._projection_near_unit", "orderzero.order_zero_projection"}
+           "intertwine._projection_near_unit"}
 
 
 # the defaulted parameters and dataclass fields of the package, as
 # tools/knob_count.py counts them: a new default moves this pin, with the
 # run path that sets it to a second value named where the pin moves
-KNOBS = 41
+KNOBS = 39
 
 
 def reach(src) -> list[str]:
@@ -36,6 +38,20 @@ def test_no_default_is_added_unseen():
     out = subprocess.run([sys.executable, str(KNOB_COUNT), str(ROOT / "src" / "cstarlab")],
                          check=True, capture_output=True, text=True, timeout=60).stdout
     assert out.splitlines()[-1] == f"total: {KNOBS}", out
+
+
+@pytest.mark.parametrize("tool,src,expects", [
+    (REACH, ROOT / "src", "package directory"),
+    (KNOB_COUNT, ROOT / "src", "package directory"),
+    (REPORT_DIGEST, ROOT / "src" / "cstarlab", "parent directory of the cstarlab package"),
+], ids=["reach", "knob_count", "report_digest"])
+def test_a_tool_given_the_other_layout_exits_2(tool, src, expects):
+    # reach.py and knob_count.py read the package directory, report_digest.py
+    # its parent; handed the other one, each names the layout it expects
+    out = subprocess.run([sys.executable, str(tool), str(src)],
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 2 and out.stdout == ""
+    assert len(out.stderr.splitlines()) == 1 and expects in out.stderr, out.stderr
 
 
 def test_reach_follows_names_modules_methods_and_import_chains(tmp_path):

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cstarlab.algebra import FDAlgebra
 from cstarlab.certs import Certificate, provenance_stamp
 from cstarlab.cpmaps import LinMap
-from cstarlab.instances import block_algebra, gen_instance
+from cstarlab.instances import RECIPES, block_algebra, gen_instance
+from cstarlab.pipelines import PIPELINES, run_pipeline
 from cstarlab.serialize import (
     SchemaError,
     dumps,
@@ -38,13 +38,6 @@ def test_matrix_round_trip_special_values():
     assert np.array_equal(back, m)
 
 
-def test_fd_algebra_round_trip():
-    fd = FDAlgebra((2, 1, 3))
-    back = loads(dumps(fd))
-    assert isinstance(back, FDAlgebra)
-    assert back.block_sizes == (2, 1, 3)
-
-
 def test_concrete_algebra_round_trip():
     A = block_algebra((2, 1), 4)
     back = loads(dumps(A))
@@ -53,17 +46,6 @@ def test_concrete_algebra_round_trip():
     for b1, b2 in zip(A.basis, back.basis):
         assert np.array_equal(b1, b2)
     assert np.array_equal(A.support, back.support)
-
-
-def test_lin_map_round_trip():
-    A = block_algebra((2,), 3)
-    phi = LinMap(A, 3, tuple(A.basis), codomain_algebra=A)
-    back = loads(dumps(phi))
-    assert isinstance(back, LinMap)
-    assert back.codomain_dim == 3
-    for m1, m2 in zip(phi.images, back.images):
-        assert np.array_equal(m1, m2)
-    assert back.codomain_algebra is not None
 
 
 def test_certificate_round_trip():
@@ -137,6 +119,9 @@ def test_nested_path_in_error():
 def test_unserializable_type_rejected():
     with pytest.raises(TypeError):
         dumps(object())
+    A = block_algebra((2,), 3)
+    with pytest.raises(TypeError, match="cannot serialize LinMap"):
+        dumps(LinMap(A, 3, tuple(A.basis), codomain_algebra=A))
 
 
 @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
@@ -194,3 +179,46 @@ def test_certificate_numbers_load_as_written():
     assert cert.ceiling == float("inf") and cert.achieved == 0 and cert.passed
     text = _certificate_report(lambda d: [d.pop(k) for k in ("slack", "provenance", "details")])
     assert loads(text)["certificates"]["c"].slack == 0.0
+    # a pass at ceiling + slack, and a fail within its ceiling, as a verifier
+    # sets one when an invariant fails
+    edge = loads(_certificate_report(lambda d: d.update(achieved=1.5, slack=0.5)))
+    assert edge["certificates"]["c"].passed
+    failed = loads(_certificate_report(lambda d: d.update(verdict="fail")))
+    assert failed["certificates"]["c"].verdict == "fail"
+
+
+@pytest.mark.parametrize("edit,message", [
+    ({"verdict": "bogus"}, "'bogus', not 'pass' or 'fail'"),
+    ({"verdict": "heuristic"}, "'heuristic', not 'pass' or 'fail'"),
+    ({"verdict": None}, "None, not 'pass' or 'fail'"),
+    ({"achieved": 10.0}, "'pass' but achieved 10.0 exceeds ceiling 1.0 + slack 0.0"),
+], ids=["bogus", "heuristic", "null", "pass-above-ceiling"])
+def test_certificate_verdict_its_numbers_contradict_names_path(edit, message):
+    # a stored verdict is "pass" or "fail", and "pass" only where
+    # Certificate.build gives it: achieved <= ceiling + slack
+    with pytest.raises(SchemaError) as err:
+        loads(_certificate_report(lambda d: d.update(edit)))
+    assert str(err.value) == f"$.certificates.c.verdict is {message}"
+
+
+def test_files_carry_only_the_known_kinds():
+    # one report per pipeline and one instance per recipe: every kind tag in
+    # them is one the loader reads
+    import json
+    found = set()
+
+    def collect(node):
+        if isinstance(node, dict):
+            found.add(node.get("kind"))
+            node = list(node.values())
+        if isinstance(node, list):
+            for child in node:
+                collect(child)
+
+    for recipe in RECIPES:
+        inst = gen_instance(recipe, {"algebra": "M2+M1", "eps": 1e-5, "ambient": 4}, seed=3)
+        collect(json.loads(dumps(inst)))
+    for pipeline in PIPELINES:
+        collect(json.loads(dumps(run_pipeline(inst, pipeline, seed=3))))
+    assert found - {None} <= {"report", "instance", "concrete_algebra", "certificate", "matrix"}
+    assert {"report", "instance"} <= found

@@ -3,10 +3,11 @@
 
     python3 tools/knob_count.py SRC
 
-SRC is a package directory (for example ``src/cstarlab``).  For each module,
-and in total, the script lists every parameter that has a default value in a
-``def`` (positional and keyword-only, nested functions included) and every
-annotated field with a default in a ``@dataclass`` class.  A value that no
+SRC is a package directory, one with an ``__init__.py`` (for example
+``src/cstarlab``); any other directory exits 2.  For each module, and in
+total, the script lists every parameter that has a default value in a ``def``
+(positional and keyword-only, nested functions included) and every annotated
+field with a default in a ``@dataclass`` class.  A value that no
 caller ever sets to a second value is a constant in disguise; the count shows
 how many such places a reader has to check.
 """
@@ -44,8 +45,10 @@ def knobs(tree: ast.AST) -> list[str]:
 
 
 def main(src: str) -> None:
-    if not Path(src).is_dir():
-        sys.exit(f"{src} is not a directory")
+    if not (Path(src) / "__init__.py").is_file():
+        print(f"knob_count.py: {src} is not a package directory with an __init__.py "
+              "(for example src/cstarlab)", file=sys.stderr)
+        sys.exit(2)
     total = 0
     for path in sorted(Path(src).glob("*.py")):
         found = knobs(ast.parse(path.read_text(), filename=str(path)))

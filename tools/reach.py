@@ -3,7 +3,8 @@
 
     python3 tools/reach.py SRC
 
-SRC is a package directory (for example ``src/cstarlab``).  The script reads
+SRC is a package directory (for example ``src/cstarlab``) holding the
+modules of the run paths below; any other directory exits 2.  The script reads
 every module's syntax tree, builds a call graph and walks it from the run
 paths: ``pipelines.run_pipeline``, the CLI (``cli.main`` and its commands),
 the selftest (``acceptance.run_all`` and its criteria) and the persistence
@@ -173,8 +174,11 @@ def unreached(src: str) -> list[str]:
 
 
 def main(src: str) -> None:
-    if not Path(src).is_dir():
-        sys.exit(f"{src} is not a directory")
+    files = sorted({f"{root.split('.')[0]}.py" for root in ROOTS})
+    if not all((Path(src) / f).is_file() for f in files):
+        print(f"reach.py: {src} is not a package directory with {', '.join(files)} "
+              "(for example src/cstarlab)", file=sys.stderr)
+        sys.exit(2)
     for name in unreached(src):
         print(name)
 

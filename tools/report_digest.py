@@ -3,7 +3,8 @@
 
     python3 tools/report_digest.py SRC
 
-SRC is the ``src`` directory of the tree to test.  The op lists and instance
+SRC is the ``src`` directory of the tree to test, the parent of its
+``cstarlab`` package; any other directory exits 2.  The op lists and instance
 seeds come from this repository's ``perfbench/workloads.py``; every op of the
 three workloads runs once, at workload seed 3000 and pass 0.  Diff the output
 of two trees to see which reports a change moves.
@@ -38,6 +39,10 @@ def reports(src):
 
 
 if __name__ == "__main__":
+    if not (Path(sys.argv[1]) / "cstarlab" / "__init__.py").is_file():
+        print(f"report_digest.py: {sys.argv[1]} is not the parent directory of the "
+              "cstarlab package (for example src)", file=sys.stderr)
+        sys.exit(2)
     for label, text, error in reports(sys.argv[1]):
         digest = f"raised {error}" if text is None else hashlib.sha256(text.encode()).hexdigest()
         print(f"{label}: {digest}")
