@@ -180,6 +180,11 @@ def _cmd_report(args, cfg) -> int:
                         notes=report.get("notes", {}))
     if not isinstance(report, Report):
         raise SchemaError(f"{args.path} does not contain a pipeline report")
+    # a stored "pass" holds only where Certificate.build gives it
+    for key, c in report.certificates.items():
+        if c.passed and not c.achieved <= c.ceiling + c.slack:
+            raise SchemaError(f"$.certificates.{key}.verdict is 'pass' but achieved "
+                              f"{c.achieved!r} exceeds ceiling {c.ceiling!r} + slack {c.slack!r}")
     _emit(render_report(report, _setting("format", args, cfg)),
           _setting("out", args, cfg))
     return 0

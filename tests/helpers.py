@@ -1,6 +1,8 @@
 """Constructions the tests share that the package itself does not need: the
 oracles that tests of the package's run paths compare against."""
 
+import json
+
 import numpy as np
 import scipy.linalg
 
@@ -11,6 +13,24 @@ from cstarlab.cpmaps import LinMap, _from_choi_blocks, choi_blocks, classify
 from cstarlab.geometry import NearInclusionCert, SampleSpec, _near_inclusions
 from cstarlab.linalg import dagger, opnorm, opnorm_max
 from cstarlab.orderzero import OrderZeroMap, _structure_residual
+from cstarlab.serialize import dumps
+
+# the kind tags the loader reads; a report or an instance carries no other
+FILE_KINDS = {"report", "instance", "concrete_algebra", "certificate", "matrix"}
+
+
+def file_kinds(obj) -> set:
+    """The kind tags of every object in the JSON dump of obj."""
+    found, todo = set(), [json.loads(dumps(obj))]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, dict):
+            if "kind" in node:
+                found.add(node["kind"])
+            node = list(node.values())
+        if isinstance(node, list):
+            todo.extend(node)
+    return found
 
 
 def matrix_unit(fd, k: int, i: int, j: int) -> np.ndarray:

@@ -15,7 +15,7 @@ from cstarlab.instances import (
 )
 from cstarlab.linalg import opnorm
 from cstarlab.serialize import dumps
-from helpers import verify_algebra, verify_order_zero
+from helpers import FILE_KINDS, file_kinds, verify_algebra, verify_order_zero
 
 
 def test_recipes_enumerated():
@@ -84,6 +84,7 @@ def test_instance_regeneration_is_bit_identical(recipe):
     i1 = gen_instance(recipe, dict(params), seed=11)
     i2 = gen_instance(recipe, dict(params), seed=11)
     assert dumps(i1) == dumps(i2)
+    assert "instance" in file_kinds(i1) <= FILE_KINDS
 
 
 def test_different_seed_differs():

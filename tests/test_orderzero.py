@@ -1,6 +1,7 @@
 """Order-zero maps, their perturbations, and decomposition transfer."""
 
 import ast
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -56,35 +57,34 @@ def test_from_pair_rejects_noncommuting_h():
         OrderZeroMap.from_pair(oz.pi, h_bad, codomain_algebra=oz.map.codomain_algebra)
 
 
+# random order-zero maps into M_{d+1}, on single and multi-block domains
+OZ_PROFILES = [(2,), (3,), (2, 1), (1, 1), (2, 2), (3, 1), (2, 1, 1)]
+
+
 def test_structure_decompose_round_trip():
-    oz = random_order_zero((2, 1), 5, seed=6)
-    pi, h = structure_decompose(oz.map)
-    fd = oz.fd
-    rng = rng_for(6, "oz-decomp")
-    for x in fd.random_elements(rng, 4):
-        assert opnorm(pi(x) @ h - oz(x)) < 1e-9
-        assert opnorm(h @ pi(x) - pi(x) @ h) < 1e-9
+    # noiseless, structure_decompose gives back the generator's pi and h
+    for sizes, seed in itertools.product(OZ_PROFILES, [0, 1, 2]):
+        oz = random_order_zero(sizes, sum(sizes) + 1, seed=seed)
+        pi, h = structure_decompose(oz.map)
+        assert np.linalg.norm(pi.images - oz.pi.images, 2, axis=(1, 2)).max() < 1e-12
+        assert opnorm(h - oz.h) < 1e-12
 
 
 @pytest.mark.parametrize("eps", [1e-7, 1e-9, 1e-12])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("sizes", [(2,), (3,), (2, 1), (1, 1), (2, 2), (3, 1), (2, 1, 1)])
+@pytest.mark.parametrize("sizes", OZ_PROFILES)
 def test_order_zero_projection_fits_noisy_maps(sizes, seed, eps):
-    # the order-zero projection is structure_decompose followed by
-    # OrderZeroMap.from_pair, on a random order-zero map into M_{d+1} with
-    # single and multi-block domains.  Noiseless, the decomposition gives
-    # back the generator's pi and h.  With complex Gaussian noise of operator
-    # norm eps on each image its structural residual is 1.3 to 3.7 eps, so
-    # at TOL_ALG and at the 100 TOL_ALG that nucdim_cpc_transfer passes it
-    # refuses when the tolerance is eps (up to rounding) or less, and accepts
-    # when it is 100 eps or more.  The accepted fit lies within 10 eps of the
-    # generator and is cp up to 10 eps: nothing repairs pi, which stays eps
-    # from a homomorphism, so at eps = 1e-9 the fit misses TOL_PSD
+    # the noisy half of the structure_decompose round trip, kept under the
+    # name and case ids this grid had when it checked the retired heuristic
+    # fit.  With complex Gaussian noise of operator norm eps on each image
+    # the structural residual is 1.3 to 3.7 eps, so at TOL_ALG and at the
+    # 100 TOL_ALG that nucdim_cpc_transfer passes, structure_decompose
+    # refuses when the tolerance is eps (up to rounding) or less; when it is
+    # 100 eps or more it accepts, with phi(x) = pi(x) h = h pi(x) to the
+    # tolerance and pi and h within 10 eps of the generator's (at most
+    # 2.9 eps on these cases)
     N = sum(sizes) + 1
     oz = random_order_zero(sizes, N, seed=seed)
-    pi, h = structure_decompose(oz.map)
-    assert np.linalg.norm(pi.images - oz.pi.images, 2, axis=(1, 2)).max() < 1e-12
-    assert opnorm(h - oz.h) < 1e-12
     rng = rng_for(seed, "oz-noise")
     g = (rng.standard_normal(oz.map.images.shape)
          + 1j * rng.standard_normal(oz.map.images.shape))
@@ -96,12 +96,10 @@ def test_order_zero_projection_fits_noisy_maps(sizes, seed, eps):
                 structure_decompose(psi, tol=tol)
             continue
         pi, h = structure_decompose(psi, tol=tol)
-        fit = OrderZeroMap.from_pair(pi, h, codomain_algebra=oz.map.codomain_algebra,
-                                     tol=tol)
-        report = verify_order_zero(fit)
-        assert max(report["structure_residual"], report["pi_defect"]) <= tol
-        assert classify(fit.map).choi_min_eig >= -10 * eps
-        assert np.linalg.norm(fit.map.images - oz.map.images, 2, axis=(1, 2)).max() < 10 * eps
+        for product in (pi.images @ h, h @ pi.images):
+            assert np.linalg.norm(product - psi.images, 2, axis=(1, 2)).max() <= tol
+        assert np.linalg.norm(pi.images - oz.pi.images, 2, axis=(1, 2)).max() < 10 * eps
+        assert opnorm(h - oz.h) < 10 * eps
 
 
 @pytest.mark.parametrize("slot", [0, 1])

@@ -13,6 +13,7 @@ from cstarlab.cpmaps import LinMap
 from cstarlab.instances import gen_instance
 from cstarlab.pipelines import PIPELINES, Report, render_report, run_pipeline
 from cstarlab.serialize import dumps, loads
+from helpers import FILE_KINDS, file_kinds
 
 
 def make_instance(seed=7, eps=1e-5, algebra="M2+M1"):
@@ -51,6 +52,7 @@ def test_pipeline_runs_green(pipeline):
     assert report.ok, {k: c.verdict for k, c in report.certificates.items()
                        if not c.passed}
     assert report.certificates
+    assert "report" in file_kinds(report) <= FILE_KINDS
 
 
 def test_iso_run_loads_no_scipy():

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from cstarlab.certs import Certificate, provenance_stamp
 from cstarlab.cpmaps import LinMap
-from cstarlab.instances import RECIPES, block_algebra, gen_instance
-from cstarlab.pipelines import PIPELINES, run_pipeline
+from cstarlab.instances import block_algebra, gen_instance
 from cstarlab.serialize import (
     SchemaError,
     dumps,
@@ -185,40 +184,19 @@ def test_certificate_numbers_load_as_written():
     assert edge["certificates"]["c"].passed
     failed = loads(_certificate_report(lambda d: d.update(verdict="fail")))
     assert failed["certificates"]["c"].verdict == "fail"
+    # a "pass" above its ceiling loads too: the readers of a file judge it
+    # (`cstarlab report` exits 2, the benchmark's report check names it)
+    over = loads(_certificate_report(lambda d: d.update(achieved=10.0)))
+    assert over["certificates"]["c"].verdict == "pass"
 
 
 @pytest.mark.parametrize("edit,message", [
     ({"verdict": "bogus"}, "'bogus', not 'pass' or 'fail'"),
     ({"verdict": "heuristic"}, "'heuristic', not 'pass' or 'fail'"),
     ({"verdict": None}, "None, not 'pass' or 'fail'"),
-    ({"achieved": 10.0}, "'pass' but achieved 10.0 exceeds ceiling 1.0 + slack 0.0"),
-], ids=["bogus", "heuristic", "null", "pass-above-ceiling"])
-def test_certificate_verdict_its_numbers_contradict_names_path(edit, message):
-    # a stored verdict is "pass" or "fail", and "pass" only where
-    # Certificate.build gives it: achieved <= ceiling + slack
+], ids=["bogus", "heuristic", "null"])
+def test_certificate_unknown_verdict_names_path(edit, message):
+    # a stored verdict is "pass" or "fail", the two Certificate.build gives
     with pytest.raises(SchemaError) as err:
         loads(_certificate_report(lambda d: d.update(edit)))
     assert str(err.value) == f"$.certificates.c.verdict is {message}"
-
-
-def test_files_carry_only_the_known_kinds():
-    # one report per pipeline and one instance per recipe: every kind tag in
-    # them is one the loader reads
-    import json
-    found = set()
-
-    def collect(node):
-        if isinstance(node, dict):
-            found.add(node.get("kind"))
-            node = list(node.values())
-        if isinstance(node, list):
-            for child in node:
-                collect(child)
-
-    for recipe in RECIPES:
-        inst = gen_instance(recipe, {"algebra": "M2+M1", "eps": 1e-5, "ambient": 4}, seed=3)
-        collect(json.loads(dumps(inst)))
-    for pipeline in PIPELINES:
-        collect(json.loads(dumps(run_pipeline(inst, pipeline, seed=3))))
-    assert found - {None} <= {"report", "instance", "concrete_algebra", "certificate", "matrix"}
-    assert {"report", "instance"} <= found
