@@ -10,9 +10,8 @@ from .averaging import (AveragingSet, IntertwinerResult, RepairResult,
                         exact_diagonal, improve_multiplicativity,
                         intertwining_unitary, polar_unitary,
                         projection_conjugator)
-from .certs import (DEFAULT_BUDGET, PAPER_BUDGET, Certificate,
-                    ContradictionError, SchemaError, SpectralGapError, ToleranceBudget,
-                    WindowError, provenance_stamp)
+from .certs import (BOUNDS, Certificate, ContradictionError, SchemaError,
+                    SpectralGapError, WindowError, on_track, provenance_stamp)
 from .cpmaps import (LinMap, StinespringDilation, Ternary, arveson_restrict,
                      cb_bracket, choi_blocks, classify, kraus_operators,
                      stinespring, ucp_extension)
@@ -34,13 +33,13 @@ from .serialize import dumps, load, loads, save
 __version__ = "0.1.0"
 
 __all__ = [
-    "AveragingSet", "BlockStructure", "Certificate",
-    "ConcreteAlgebra", "ContradictionError", "DEFAULT_BUDGET",
+    "AveragingSet", "BlockStructure", "BOUNDS", "Certificate",
+    "ConcreteAlgebra", "ContradictionError",
     "DistanceInterval", "FDAlgebra", "Instance", "IntertwinerResult",
     "IsoResult", "LinMap", "NearInclusionCert", "NucDimDecomposition",
-    "OrderZeroMap", "PAPER_BUDGET", "RepairResult", "Report", "SampleSpec",
+    "OrderZeroMap", "RepairResult", "Report", "SampleSpec",
     "SchemaError", "SpectralGapError", "StageRecord", "StinespringDilation",
-    "Ternary", "ToleranceBudget", "WindowError", "arveson_restrict",
+    "Ternary", "WindowError", "arveson_restrict",
     "block_algebra", "cb_bracket", "choi_blocks", "classify",
     "close_isomorphism", "conjugation_iso", "dumps", "exact_diagonal",
     "gen_instance", "generate_algebra", "half_flip_cpc", "hat_decomposition",
@@ -48,7 +47,7 @@ __all__ = [
     "improve_multiplicativity", "intertwining_iso", "intertwining_unitary",
     "is_order_zero", "kk_distance", "kraus_operators", "load", "loads",
     "near_embed_nucdim", "near_embedding_nuclear", "nearest_in_span",
-    "nucdim_cpc_transfer", "perturb_order_zero",
+    "nucdim_cpc_transfer", "on_track", "perturb_order_zero",
     "polar_unitary", "projection_conjugator", "provenance_stamp",
     "random_order_zero", "render_report", "run_pipeline", "save",
     "split_decomposition", "stinespring", "structure_decompose",

@@ -17,7 +17,7 @@ from .algebra import FDAlgebra
 from .averaging import (canonical_average, exact_diagonal, improve_multiplicativity,
                         intertwining_unitary, polar_unitary,
                         projection_conjugator)
-from .certs import PAPER_BUDGET, WindowError
+from .certs import WindowError, on_track
 from .cpmaps import LinMap, classify, perturb_choi, stinespring
 from .instances import (_rotated_embedding, gen_instance, hat_decomposition,
                         random_order_zero)
@@ -420,7 +420,8 @@ def criterion_10() -> CriterionResult:
     rng = rng_for(0, "acceptance-10")
     phi = _noisy_cpc_hom((2,), 3, 1e-3, rng)
     try:
-        improve_multiplicativity(phi, gamma=0.07, budget=PAPER_BUDGET)
+        with on_track("paper"):
+            improve_multiplicativity(phi, gamma=0.07)
         checks.append(("window 1/17 enforced", False))
     except WindowError:
         checks.append(("window 1/17 enforced", True))

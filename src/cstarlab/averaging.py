@@ -28,9 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import FDAlgebra
-from .certs import (TOL_ALG, TOL_EXACT, Certificate, SpectralGapError,
-                    ToleranceBudget, DEFAULT_BUDGET, WINDOW_DEFECT_REPAIR,
-                    WINDOW_INTERTWINE)
+from . import certs
+from .certs import Certificate, SpectralGapError
 from .cpmaps import LinMap, cb_bracket, classify, hom_defect, stinespring, ucp_extension
 from .linalg import dagger, herm, opnorm, opnorm_max, opnorms, polar_factor, psd_sqrt
 
@@ -146,13 +145,7 @@ def polar_unitary(t: np.ndarray) -> tuple[np.ndarray, Certificate]:
     beta = opnorm(t - np.eye(t.shape[0]))
     u = polar_factor(t)
     achieved = opnorm(u - np.eye(t.shape[0]))
-    ceiling = np.sqrt(2.0) * beta if beta < 1.0 else 2.0
-    cert = Certificate.build(
-        name="polar-unitary",
-        formula="||u - 1|| <= sqrt(2) * ||t - 1||   (||t - 1|| < 1; else <= 2)",
-        inputs={"beta": beta},
-        ceiling=float(ceiling), achieved=float(achieved), slack=TOL_EXACT)
-    return u, cert
+    return u, Certificate.build("polar-unitary", {"beta": beta}, achieved)
 
 
 def projection_conjugator(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, Certificate]:
@@ -175,12 +168,8 @@ def projection_conjugator(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, Cer
     w = polar_factor(x)
     conj_defect = opnorm(w @ p @ dagger(w) - q)
     achieved = opnorm(w - eye)
-    cert = Certificate.build(
-        name="projection-conjugator",
-        formula="||w - 1|| <= sqrt(2) * ||p - q||, w p w* = q",
-        inputs={"beta": beta},
-        ceiling=float(np.sqrt(2.0) * beta), achieved=float(achieved), slack=TOL_EXACT,
-        details={"conjugation_defect": float(conj_defect)})
+    cert = Certificate.build("projection-conjugator", {"beta": beta}, achieved,
+                             details={"conjugation_defect": float(conj_defect)})
     if conj_defect > 1e-8:
         raise SpectralGapError(
             f"conjugation defect {conj_defect:.3g}; the intertwining matrix is "
@@ -213,8 +202,7 @@ class RepairResult:
         return all(c.passed for c in self.certificates.values())
 
 
-def improve_multiplicativity(phi: LinMap, gamma: float | None = None,
-                             budget: ToleranceBudget = DEFAULT_BUDGET) -> RepairResult:
+def improve_multiplicativity(phi: LinMap, gamma: float | None = None) -> RepairResult:
     """Repair a nearly multiplicative cpc map into an exact homomorphism.
 
     Given cpc phi: A -> M_K with multiplicativity defect gamma on the unit
@@ -240,8 +228,7 @@ def improve_multiplicativity(phi: LinMap, gamma: float | None = None,
             f"choi min eig {cls.choi_min_eig:.2e})")
     if gamma is None:
         gamma = hom_defect(abstract)
-    budget.require_window("multiplicativity-repair", gamma, WINDOW_DEFECT_REPAIR)
-    root = float(np.sqrt(max(gamma, 0.0)))
+    certs.require_window("multiplicativity-repair", gamma=gamma)
 
     ext = ucp_extension(abstract)
     fd_ext: FDAlgebra = ext.domain
@@ -257,12 +244,8 @@ def improve_multiplicativity(phi: LinMap, gamma: float | None = None,
     p0 = herm(canonical_average(fd_ext.block_sizes, rep_units @ p, rep_units))
     comm = opnorm_max(rep_units @ p0 - p0 @ rep_units)
     drift = opnorm(p0 - p)
-    cert_drift = Certificate.build(
-        name="twirled-projection-drift",
-        formula="||p0 - p|| <= 2 * gamma^{1/2}",
-        inputs={"gamma": gamma},
-        ceiling=2.0 * root, achieved=float(drift), slack=TOL_ALG,
-        details={"commutant_residual": float(comm)})
+    cert_drift = Certificate.build("twirled-projection-drift", {"gamma": gamma}, drift,
+                                   details={"commutant_residual": float(comm)})
 
     vals, vecs = np.linalg.eigh(p0)
     lo, hi = GAP_WINDOW
@@ -287,17 +270,9 @@ def improve_multiplicativity(phi: LinMap, gamma: float | None = None,
 
     # ||phi - psi|| <= ||phi - psi||_cb, so the bracket's hi bounds the sup
     cb_lo, cb_hi = cb_bracket(abstract - psi_abs)
-    cert_dist = Certificate.build(
-        name="multiplicativity-repair",
-        formula="sup_{||x||<=1} ||phi(x) - psi(x)|| <= 8 sqrt(2) gamma^{1/2}",
-        inputs={"gamma": gamma},
-        ceiling=8.0 * np.sqrt(2.0) * root, achieved=cb_hi,
-        slack=TOL_ALG, details={"cb_lo": cb_lo})
-
-    cert_mult = Certificate.build(
-        name="repaired-multiplicativity",
-        formula="psi is a *-homomorphism: matrix-unit relation residual <= tol_alg",
-        inputs={}, ceiling=TOL_ALG, achieved=hom_defect(psi_abs))
+    cert_dist = Certificate.build("multiplicativity-repair", {"gamma": gamma}, cb_hi,
+                                  details={"cb_lo": cb_lo})
+    cert_mult = Certificate.build("repaired-multiplicativity", {}, hom_defect(psi_abs))
 
     psi = psi_abs
     if abstract is not phi:  # back to the concrete domain, through its block model
@@ -305,11 +280,9 @@ def improve_multiplicativity(phi: LinMap, gamma: float | None = None,
         psi = LinMap(A, phi.codomain_dim, psi_abs(A.structure().to_abstract(A.basis)),
                      codomain_algebra=phi.codomain_algebra)
 
-    certs = {"drift": cert_drift,
-             "conjugator": cert_conj,
-             "distance": cert_dist,
-             "multiplicativity": cert_mult}
-    return RepairResult(psi=psi, gamma=float(gamma), certificates=certs, dilation=dil)
+    return RepairResult(psi=psi, gamma=float(gamma), dilation=dil,
+                        certificates={"drift": cert_drift, "conjugator": cert_conj,
+                                      "distance": cert_dist, "multiplicativity": cert_mult})
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +318,7 @@ class IntertwinerResult:
 
 def intertwining_unitary(phi1: LinMap, phi2: LinMap,
                          gamma: float | None = None,
-                         delta: float | None = None,
-                         budget: ToleranceBudget = DEFAULT_BUDGET) -> IntertwinerResult:
+                         delta: float | None = None) -> IntertwinerResult:
     """Unitary u close to 1 with u phi2(x) u* ~ phi1(x).
 
     For *-homomorphisms phi1, phi2 at unit-ball distance gamma the averaged
@@ -367,7 +339,7 @@ def intertwining_unitary(phi1: LinMap, phi2: LinMap,
         delta = float(np.maximum(hom_defect(a1), hom_defect(a2) if a2 is not a1 else 0.0))
     if gamma is None:
         gamma = cb_bracket(a1 - a2)[1]
-    budget.require_window("intertwining", gamma, WINDOW_INTERTWINE)
+    certs.require_window("intertwiner-norm", gamma=gamma)
 
     # extend against the ambient unit: the averaged s must be invertible on
     # the whole ambient space, not just under the codomain support
@@ -382,13 +354,8 @@ def intertwining_unitary(phi1: LinMap, phi2: LinMap,
             f"averaged intertwiner nearly singular (s_min = {sing[-1]:.3g}); "
             "the maps are too far apart to intertwine")
     u = polar_factor(s)
-    ceiling_u = 2.0 * np.sqrt(2.0) * gamma + 5.0 * np.sqrt(2.0) * delta
-    cert_u = Certificate.build(
-        name="intertwiner-norm",
-        formula="||u - 1|| <= 2 sqrt(2) gamma + 5 sqrt(2) delta",
-        inputs={"gamma": gamma, "delta": delta},
-        ceiling=float(ceiling_u), achieved=float(opnorm(u - np.eye(K))),
-        slack=TOL_ALG)
+    cert_u = Certificate.build("intertwiner-norm", {"gamma": gamma, "delta": delta},
+                               opnorm(u - np.eye(K)))
 
     abs_s = psd_sqrt(dagger(s) @ s)
     inv_norm = float(1.0 / sing[-1])
@@ -397,12 +364,8 @@ def intertwining_unitary(phi1: LinMap, phi2: LinMap,
     worst_res = opnorm_max(u @ x2 @ dagger(u) - x1)
     worst_chain = ((opnorms(x1 @ s - s @ x2) + opnorms(abs_s @ x2 - x2 @ abs_s))
                    * inv_norm).max()
-    cert_res = Certificate.build(
-        name="intertwining-residual",
-        formula="||u phi2(x) u* - phi1(x)|| <= "
-                "(||phi1(x)s - s phi2(x)|| + ||[|s|, phi2(x)]||) * |||s|^{-1}||",
-        inputs={"s_min": float(sing[-1])},
-        ceiling=float(worst_chain), achieved=float(worst_res),
-        slack=TOL_ALG)
+    cert_res = Certificate.build("intertwining-residual",
+                                 {"s_min": float(sing[-1]), "chain_bound": float(worst_chain)},
+                                 worst_res)
     return IntertwinerResult(u=u, s=s, gamma=float(gamma), delta=float(delta),
                              certificates={"norm": cert_u, "residual": cert_res})

@@ -1,4 +1,4 @@
-"""Machine-checkable certificates and tolerance tracking.
+"""Machine-checkable certificates, the paper's bounds and the track.
 
 Every quantitative claim produced by this package is wrapped in a
 :class:`Certificate`: the ceiling formula as text, its numeric inputs, the
@@ -6,18 +6,25 @@ ceiling value, the achieved value recomputed from the returned objects, and a
 verdict.  Certificates are plain data and serialize to JSON; they carry no
 timestamps so reruns from the same seed are byte-identical.
 
-The numeric tolerances are the module constants below (TOL_ALG, TOL_EXACT,
-TOL_PSD, TOL_RANK, TOL_CONV, CLUSTER_REL), which the routines read directly.
-:class:`ToleranceBudget` is only the certification track.  The ``paper``
-track raises :class:`WindowError` when a quantity leaves a hypothesis window
-under which the underlying theorems are stated; the ``experimental`` track
-neither enforces nor records the windows (recording them is ROADMAP item
-10), and still verifies every output bound a posteriori.
+:data:`BOUNDS` is the one table of the paper's bounds: per certificate name,
+the formula text, the ceiling as a function of the ``inputs``, the slack and
+the hypothesis windows.  ``Certificate.build`` looks them up, so a stored
+ceiling can be recomputed from its inputs (``cstarlab report`` does).
+
+The numeric tolerances are the constants below, which the routines read
+directly.  The certification track is one run-level setting, :data:`TRACK`,
+set with :func:`on_track`.  On the ``paper`` track :func:`require_window`
+raises :class:`WindowError` when an input leaves its window; the
+``experimental`` track neither enforces nor records the windows (ROADMAP
+item 10), and still verifies every output bound a posteriori.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field, asdict
+from typing import Callable
 
 import numpy as np
 
@@ -65,14 +72,140 @@ WINDOW_ISO_GAMMA = 1.0 / 420000.0        # distance for the two-sided isomorphis
 WINDOW_ISO_MU = 1.0 / 2000.0             # drift budget parameter
 
 
+@dataclass(frozen=True)
+class Bound:
+    """One bound of the table: the formula a certificate states, its ceiling
+    from the certificate's inputs, the slack its verdict allows, and the
+    hypothesis windows {input name: WINDOW_*} the paper track enforces."""
+
+    formula: str
+    ceiling: Callable[[dict], float]
+    slack: float
+    windows: dict
+
+
+def _mu(gamma: float) -> float:
+    """2 gamma + gamma^2, the order-zero witness distance."""
+    return 2.0 * gamma + gamma ** 2
+
+
+# every certificate the package builds, by name; the ceilings that vanish
+# with their inputs take a rounding slack
+BOUNDS = {
+    "expectation-restriction": Bound(
+        "||phi(x) - x|| <= 2*gamma + tol_alg on X",
+        lambda i: 2.0 * i["gamma"] + TOL_ALG, 0.0, {}),
+    "polar-unitary": Bound(
+        "||u - 1|| <= sqrt(2) * ||t - 1||   (||t - 1|| < 1; else <= 2)",
+        lambda i: np.sqrt(2.0) * i["beta"] if i["beta"] < 1.0 else 2.0, TOL_EXACT, {}),
+    "projection-conjugator": Bound(
+        "||w - 1|| <= sqrt(2) * ||p - q||, w p w* = q",
+        lambda i: np.sqrt(2.0) * i["beta"], TOL_EXACT, {}),
+    "twirled-projection-drift": Bound(
+        "||p0 - p|| <= 2 * gamma^{1/2}",
+        lambda i: 2.0 * float(np.sqrt(max(i["gamma"], 0.0))), TOL_ALG, {}),
+    "multiplicativity-repair": Bound(
+        "sup_{||x||<=1} ||phi(x) - psi(x)|| <= 8 sqrt(2) gamma^{1/2}",
+        lambda i: 8.0 * np.sqrt(2.0) * float(np.sqrt(max(i["gamma"], 0.0))), TOL_ALG,
+        {"gamma": WINDOW_DEFECT_REPAIR}),
+    "repaired-multiplicativity": Bound(
+        "psi is a *-homomorphism: matrix-unit relation residual <= tol_alg",
+        lambda i: TOL_ALG, 0.0, {}),
+    "intertwiner-norm": Bound(
+        "||u - 1|| <= 2 sqrt(2) gamma + 5 sqrt(2) delta",
+        lambda i: 2.0 * np.sqrt(2.0) * i["gamma"] + 5.0 * np.sqrt(2.0) * i["delta"],
+        TOL_ALG, {"gamma": WINDOW_INTERTWINE}),
+    "intertwining-residual": Bound(
+        "||u phi2(x) u* - phi1(x)|| <= "
+        "(||phi1(x)s - s phi2(x)|| + ||[|s|, phi2(x)]||) * |||s|^{-1}||",
+        lambda i: i["chain_bound"], TOL_ALG, {}),
+    "iso-closeness": Bound(
+        "||alpha(x) - x|| <= 8 sqrt(6) eta^{1/2} + eta + mu on X_A",
+        lambda i: 8.0 * np.sqrt(6.0) * np.sqrt(i["eta"]) + i["eta"] + i["mu"], TOL_EXACT,
+        {"eta": WINDOW_ISO_ETA, "mu": WINDOW_ISO_MU}),
+    "homomorphism": Bound("matrix-unit relation residual <= tol_alg", lambda i: TOL_ALG, 0.0, {}),
+    "image-membership": Bound(
+        "relative HS residual of images in span(B) <= tol_alg before snapping",
+        lambda i: TOL_ALG, 0.0, {}),
+    "injectivity": Bound(
+        "||alpha(x)|| >= ||x|| - (8 sqrt(6) eta^{1/2} + eta + nu)",
+        lambda i: 8.0 * np.sqrt(6.0) * np.sqrt(i["eta"]) + i["eta"] + i["nu"], TOL_EXACT, {}),
+    "surjectivity": Bound(
+        "sigma_min(alpha) > tol_alg and dim A = dim B with alpha(A) in B, "
+        "so alpha is onto B; density_margin (8 sqrt(2) b + 2 nu + b + "
+        "2 delta, the paper's window quantity) is not checked", lambda i: 0.0, 0.0, {}),
+    "forward-closeness": Bound(
+        "||theta(x) - x|| <= 28 gamma^{1/2} on X",
+        lambda i: 28.0 * np.sqrt(i["gamma"]), TOL_EXACT, {"gamma": WINDOW_ISO_GAMMA}),
+    "backward-closeness": Bound(
+        "||theta^{-1}(y) - y|| <= 2 ||x - y|| + ||theta(x) - y|| <= 28 gamma^{1/2} on Y",
+        lambda i: 28.0 * np.sqrt(i["gamma"]), TOL_EXACT, {}),
+    "near-embedding": Bound(
+        "||theta(x) - x|| <= 28 gamma^{1/2} on X",
+        lambda i: 28.0 * np.sqrt(i["gamma"]), TOL_EXACT, {"gamma": WINDOW_ISO_GAMMA}),
+    "half-flip-transport": Bound(
+        "||phi(x) - x|| <= 8 alpha + 4 alpha^2 + 4 sqrt(2) gamma, "
+        "alpha = (4 sqrt(2) + 1) gamma + 4 sqrt(2) gamma^2",
+        lambda i: 8.0 * i["alpha"] + 4.0 * i["alpha"] ** 2 + 4.0 * np.sqrt(2.0) * i["gamma"],
+        0.0, {}),
+    "unitary-implementation": Bound(
+        "u x u* = alpha(x) on the basis; ||u - 1|| <= 2 sqrt(2) gamma "
+        "+ 5 sqrt(2) delta; u A u* = B as subspaces", lambda i: TOL_ALG, 0.0, {}),
+    "order-zero-perturbation": Bound(
+        "||phi - psi||_cb <= (2 gamma + gamma^2)(2 + 2 gamma + gamma^2)",
+        lambda i: _mu(i["gamma"]) * (2.0 + _mu(i["gamma"])), TOL_ALG, {}),
+    "nucdim-decomposition": Bound(
+        "sup_X ||psi(phi(x)) - x|| <= eps; down cpc, ups order zero, composite cpc",
+        lambda i: i["eps"], 0.0, {}),
+    "nucdim-transfer": Bound(
+        "||phi(x) - x|| <= 2 (n+1) (2 gamma + gamma^2)(2 + 2 gamma + gamma^2) + eps on X",
+        lambda i: 2.0 * (i["n"] + 1) * _mu(i["gamma"]) * (2.0 + _mu(i["gamma"])) + i["eps"],
+        TOL_ALG, {}),
+    "nucdim-near-embedding": Bound(
+        "||theta(x) - x|| <= 20 eta^{1/2}, "
+        "eta = 2 (n+1) (2 gamma + gamma^2)(2 + 2 gamma + gamma^2)",
+        lambda i: 20.0 * np.sqrt(i["eta"]), TOL_EXACT, {"eta": WINDOW_ISO_ETA}),
+    "distance-interval": Bound(
+        "sampled d(A, B) within the constructive recipe bound",
+        lambda i: i["recipe_bound"], TOL_ALG, {}),
+}
+
+
+# the certification track of the run: "paper" enforces the windows of
+# BOUNDS, "experimental" does not; set only through on_track
+TRACK: ContextVar[str] = ContextVar("track", default="experimental")
+
+
+@contextmanager
+def on_track(track: str):
+    """Run the body of a ``with`` block on the given track."""
+    if track not in ("paper", "experimental"):
+        raise ValueError(f"unknown track {track!r}")
+    token = TRACK.set(track)
+    try:
+        yield
+    finally:
+        TRACK.reset(token)
+
+
+def require_window(name: str, **values: float) -> None:
+    """On the paper track, demand each input that ``BOUNDS[name]`` windows
+    within its window; every windowed input must be given, on either track."""
+    for key, window in BOUNDS[name].windows.items():
+        if values[key] > window and TRACK.get() == "paper":
+            raise WindowError(f"{name}: {key} = {values[key]:.6g} exceeds the "
+                              f"paper-track window {window:.6g}")
+
+
 @dataclass
 class Certificate:
     """One certified quantitative claim.
 
     verdict is "pass" iff achieved <= ceiling + slack, else "fail"; a
     verifier may also set "fail" on a certificate within its ceiling when an
-    invariant it checks fails.  ``build`` stamps ``provenance_stamp()`` when it
-    is given no provenance.
+    invariant it checks fails.  ``build`` takes the formula, ceiling and
+    slack from ``BOUNDS`` and stamps ``provenance_stamp()`` when it is given
+    no provenance.
     """
 
     name: str
@@ -86,14 +219,14 @@ class Certificate:
     details: dict = field(default_factory=dict)
 
     @classmethod
-    def build(cls, name: str, formula: str, inputs: dict, ceiling: float,
-              achieved: float, slack: float = 0.0,
-              provenance: dict | None = None, details: dict | None = None) -> "Certificate":
-        return cls(name=name, formula=formula,
-                   inputs={k: _plain(v) for k, v in inputs.items()},
-                   ceiling=float(ceiling), achieved=float(achieved),
-                   verdict="pass" if achieved <= ceiling + slack else "fail",
-                   slack=float(slack),
+    def build(cls, name: str, inputs: dict, achieved: float,
+              details: dict | None = None, provenance: dict | None = None) -> "Certificate":
+        bound = BOUNDS[name]
+        inputs = {k: _plain(v) for k, v in inputs.items()}
+        ceiling = float(bound.ceiling(inputs))
+        return cls(name=name, formula=bound.formula, inputs=inputs, ceiling=ceiling,
+                   achieved=float(achieved), slack=float(bound.slack),
+                   verdict="pass" if achieved <= ceiling + bound.slack else "fail",
                    provenance=provenance_stamp() if provenance is None else dict(provenance),
                    details=dict(details or {}))
 
@@ -116,40 +249,8 @@ class Certificate:
 
 
 def _plain(v):
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.bool_,)):
-        return bool(v)
-    return v
-
-
-@dataclass(frozen=True)
-class ToleranceBudget:
-    """The certification track; the tolerances are the module constants.
-
-    track "paper": hypothesis windows are enforced and violations raise
-    :class:`WindowError`.  track "experimental": windows are neither enforced
-    nor recorded (``require_window`` does nothing; see ROADMAP item 10), and
-    all output bounds are still certified a posteriori.
-    """
-
-    track: str = "experimental"
-
-    def __post_init__(self):
-        if self.track not in ("paper", "experimental"):
-            raise ValueError(f"unknown track {self.track!r}")
-
-    def require_window(self, name: str, value: float, window: float) -> None:
-        """On the paper track, demand value <= window; always no-op otherwise."""
-        if self.track == "paper" and value > window:
-            raise WindowError(
-                f"{name}: value {value:.6g} exceeds the paper-track window {window:.6g}")
-
-
-DEFAULT_BUDGET = ToleranceBudget()
-PAPER_BUDGET = ToleranceBudget(track="paper")
+    """A numpy scalar as the Python number it holds; anything else as is."""
+    return v.item() if isinstance(v, np.generic) else v
 
 
 def provenance_stamp(seed=None) -> dict:

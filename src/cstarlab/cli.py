@@ -20,8 +20,8 @@ import os
 import sys
 
 from . import acceptance
-from .certs import (DEFAULT_BUDGET, PAPER_BUDGET, ContradictionError,
-                    SpectralGapError, WindowError)
+from .certs import (BOUNDS, Certificate, ContradictionError, SpectralGapError,
+                    WindowError, on_track)
 from .instances import RECIPES, Instance, gen_instance
 from .pipelines import PIPELINES, Report, render_report, run_pipeline
 from .serialize import SchemaError, load, save
@@ -160,10 +160,9 @@ def _cmd_pipeline(args, cfg) -> int:
     else:
         inst = _instance_from_settings(args, cfg)
     track, fmt = _setting("track", args, cfg), _setting("format", args, cfg)
-    budget = PAPER_BUDGET if track == "paper" else DEFAULT_BUDGET
-    report = run_pipeline(inst, args.command, budget=budget,
-                          seed=_setting("seed", args, cfg),
-                          samples=_setting("samples", args, cfg))
+    with on_track(track):
+        report = run_pipeline(inst, args.command, seed=_setting("seed", args, cfg),
+                              samples=_setting("samples", args, cfg))
     _emit(render_report(report, fmt), _setting("out", args, cfg))
     if track == "paper" and not report.ok:
         return 1
@@ -180,14 +179,37 @@ def _cmd_report(args, cfg) -> int:
                         notes=report.get("notes", {}))
     if not isinstance(report, Report):
         raise SchemaError(f"{args.path} does not contain a pipeline report")
-    # a stored "pass" holds only where Certificate.build gives it
+    if not isinstance(report.certificates, dict):
+        raise SchemaError("$.certificates is not an object")
     for key, c in report.certificates.items():
-        if c.passed and not c.achieved <= c.ceiling + c.slack:
-            raise SchemaError(f"$.certificates.{key}.verdict is 'pass' but achieved "
-                              f"{c.achieved!r} exceeds ceiling {c.ceiling!r} + slack {c.slack!r}")
+        _check_certificate(c, f"$.certificates.{key}")
     _emit(render_report(report, _setting("format", args, cfg)),
           _setting("out", args, cfg))
     return 0
+
+
+def _check_certificate(c, path: str) -> None:
+    """Refuse a stored certificate that Certificate.build would not give: one
+    whose name is not in BOUNDS, whose formula, slack or ceiling differs from
+    the table's for its inputs, or whose "pass" lies above ceiling + slack."""
+    if not isinstance(c, Certificate):
+        raise SchemaError(f"{path}.kind is not 'certificate'")
+    if (bound := BOUNDS.get(c.name)) is None:
+        raise SchemaError(f"{path}.name is {c.name!r}, not a certificate of certs.BOUNDS")
+    if c.formula != bound.formula:
+        raise SchemaError(f"{path}.formula is {c.formula!r}, not {bound.formula!r}")
+    if c.slack != bound.slack:
+        raise SchemaError(f"{path}.slack is {c.slack!r}, not {bound.slack!r}")
+    try:
+        ceiling = float(bound.ceiling(c.inputs))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}.inputs do not give the ceiling of {c.name!r} "
+                          f"({type(exc).__name__}: {exc})") from exc
+    if c.ceiling != ceiling:
+        raise SchemaError(f"{path}.ceiling is {c.ceiling!r}, but its inputs give {ceiling!r}")
+    if c.passed and not c.achieved <= c.ceiling + c.slack:
+        raise SchemaError(f"{path}.verdict is 'pass' but achieved {c.achieved!r} "
+                          f"exceeds ceiling {c.ceiling!r} + slack {c.slack!r}")
 
 
 def _cmd_selftest(args, cfg) -> int:

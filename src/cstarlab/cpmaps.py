@@ -348,11 +348,8 @@ def arveson_restrict(A: ConcreteAlgebra, B: ConcreteAlgebra, X,
     are B.project(A.basis): the expectation is never formed on all of M_N.
     """
     phi = LinMap(A, A.ambient_dim, B.project(A.basis), codomain_algebra=B)
-    return phi, Certificate.build(
-        name="expectation-restriction",
-        formula="||phi(x) - x|| <= 2*gamma + tol_alg on X",
-        inputs={"gamma": gamma, "n_points": len(X)}, ceiling=2.0 * gamma + TOL_ALG,
-        achieved=worst_move(phi, X))
+    return phi, Certificate.build("expectation-restriction",
+                                  {"gamma": gamma, "n_points": len(X)}, worst_move(phi, X))
 
 
 def ucp_extension(phi: LinMap) -> LinMap:

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import ConcreteAlgebra, _combine, support_projection
-from .certs import (TOL_ALG, TOL_EXACT, Certificate, ContradictionError,
-                    SpectralGapError, ToleranceBudget, DEFAULT_BUDGET,
-                    WINDOW_ISO_ETA, WINDOW_ISO_GAMMA, WINDOW_ISO_MU)
+from . import certs
+from .certs import TOL_ALG, Certificate, ContradictionError, SpectralGapError
 from .cpmaps import LinMap, arveson_restrict, classify, hom_defect, worst_move
 from .averaging import (improve_multiplicativity, intertwining_unitary,
                         projection_conjugator)
@@ -81,8 +80,7 @@ class IsoResult:
 # ---------------------------------------------------------------------------
 
 def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float, X_A,
-                     mu: float, budget: ToleranceBudget,
-                     surjectivity_delta: float | None = None) -> IsoResult:
+                     mu: float, surjectivity_delta: float | None = None) -> IsoResult:
     """Injective *-homomorphism alpha: A -> B with ||alpha(x) - x|| <=
     8 sqrt(6) eta^{1/2} + eta + mu for x in X_A, for A within eta/2 of B.
 
@@ -97,12 +95,9 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float, X_A,
     onto; the paper's density margin is reported, not checked).  A failed
     ``expectation-restriction`` certificate raises ContradictionError.
     """
-    budget.require_window("iso-eta", eta, WINDOW_ISO_ETA)
-    budget.require_window("iso-mu", mu, WINDOW_ISO_MU)
+    certs.require_window("iso-closeness", eta=eta, mu=mu)
     nu = mu / 2.0
     X_A = [np.asarray(x, dtype=complex) for x in X_A]
-    bound_main = 8.0 * np.sqrt(6.0) * np.sqrt(eta) + eta + mu
-    bound_nu = 8.0 * np.sqrt(6.0) * np.sqrt(eta) + eta + nu
 
     pull_back, X_close, pull_details = None, X_A, {}
     if surjectivity_delta is not None:
@@ -117,7 +112,7 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float, X_A,
         raise ContradictionError(f"E_B moves X by {cert_phi.achieved:.3g}: d(A, B) > eta/2")
     phi_defect = hom_defect(phi)
     repair_gamma = float(np.maximum(3.0 * eta, phi_defect))  # a nan defect stays nan
-    theta_raw = improve_multiplicativity(phi, gamma=repair_gamma, budget=budget).psi
+    theta_raw = improve_multiplicativity(phi, gamma=repair_gamma).psi
     theta = LinMap(A, A.ambient_dim, B.project(theta_raw.images), codomain_algebra=B)
     trace = [StageRecord(n_Z=len(X_close), phi_closeness=cert_phi.achieved,
                          phi_defect=phi_defect)]
@@ -127,35 +122,20 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float, X_A,
                                   B.membership_residual(theta.images))
     alpha = LinMap(A, A.ambient_dim, B.project(theta.images), codomain_algebra=B)
 
-    # the ceilings below vanish with eta and mu: a rounding slack keeps the
-    # exact case, eta = mu = 0, passing
-    achieved = worst_move(alpha, X_close)
-    cert_close = Certificate.build(
-        name="iso-closeness",
-        formula="||alpha(x) - x|| <= 8 sqrt(6) eta^{1/2} + eta + mu on X_A",
-        inputs={"eta": eta, "mu": mu, "n_points": len(X_close)},
-        ceiling=float(bound_main), achieved=float(achieved), slack=TOL_EXACT)
-    cert_hom = Certificate.build(
-        name="homomorphism",
-        formula="matrix-unit relation residual <= tol_alg",
-        inputs={}, ceiling=TOL_ALG, achieved=hom_defect(alpha))
-    cert_member = Certificate.build(
-        name="image-membership",
-        formula="relative HS residual of images in span(B) <= tol_alg before snapping",
-        inputs={}, ceiling=TOL_ALG, achieved=float(worst_membership))
+    cert_close = Certificate.build("iso-closeness",
+                                   {"eta": eta, "mu": mu, "n_points": len(X_close)},
+                                   worst_move(alpha, X_close))
+    cert_hom = Certificate.build("homomorphism", {}, hom_defect(alpha))
+    cert_member = Certificate.build("image-membership", {}, worst_membership)
 
     action = B.coeffs(alpha.images).T
     svals = np.linalg.svd(action, compute_uv=False)
     sigma_min = float(svals[-1]) if svals.size else 0.0
     margins = np.maximum(0.0, 1.0 - opnorms(alpha(A.normalized_basis)))
-    cert_inj = Certificate.build(
-        name="injectivity",
-        formula="||alpha(x)|| >= ||x|| - (8 sqrt(6) eta^{1/2} + eta + nu)",
-        inputs={"eta": eta, "nu": nu},
-        ceiling=float(bound_nu), achieved=float(max(margins)), slack=TOL_EXACT,
-        details={"action_sigma_min": sigma_min})
-    certs = {"closeness": cert_close, "homomorphism": cert_hom,
-             "image-membership": cert_member, "injectivity": cert_inj}
+    cert_inj = Certificate.build("injectivity", {"eta": eta, "nu": nu}, max(margins),
+                                 details={"action_sigma_min": sigma_min})
+    out = {"closeness": cert_close, "homomorphism": cert_hom,
+           "image-membership": cert_member, "injectivity": cert_inj}
 
     surjective = False
     inverse = None
@@ -164,18 +144,14 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float, X_A,
         inv_images = _combine(np.linalg.inv(action).T, A.basis)
         inverse = LinMap(B, B.ambient_dim, inv_images, codomain_algebra=A)
     if surjectivity_delta is not None:
-        margin = (8.0 * np.sqrt(2.0) * bound_nu + 2.0 * nu + bound_nu
-                  + 2.0 * surjectivity_delta)
-        certs["surjectivity"] = Certificate.build(
-            name="surjectivity",
-            formula="sigma_min(alpha) > tol_alg and dim A = dim B with alpha(A) in B, "
-                    "so alpha is onto B; density_margin (8 sqrt(2) b + 2 nu + b + "
-                    "2 delta, the paper's window quantity) is not checked",
-            inputs={"delta": surjectivity_delta, "dim_A": A.dim, "dim_B": B.dim},
-            ceiling=0.0, achieved=0.0 if surjective else 1.0,
+        b = cert_inj.ceiling
+        margin = 8.0 * np.sqrt(2.0) * b + 2.0 * nu + b + 2.0 * surjectivity_delta
+        out["surjectivity"] = Certificate.build(
+            "surjectivity", {"delta": surjectivity_delta, "dim_A": A.dim, "dim_B": B.dim},
+            0.0 if surjective else 1.0,
             details={"density_margin": float(margin), **pull_details})
 
-    return IsoResult(map=alpha, inverse=inverse, trace=trace, certificates=certs,
+    return IsoResult(map=alpha, inverse=inverse, trace=trace, certificates=out,
                      eta=float(eta), mu=float(mu), nu=float(nu),
                      surjective=surjective, pull_back=pull_back)
 
@@ -184,8 +160,7 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float, X_A,
 # two-sided driver
 # ---------------------------------------------------------------------------
 
-def close_isomorphism(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma: float,
-                      budget: ToleranceBudget = DEFAULT_BUDGET) -> IsoResult:
+def close_isomorphism(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma: float) -> IsoResult:
     """Surjective *-isomorphism theta: A -> B from a two-sided distance bound
     d(A, B) <= gamma, with ||theta(x) - x|| and ||theta^{-1}(y) - y|| at most
     28 gamma^{1/2} for x in A's basis and for y in B's basis.
@@ -198,57 +173,47 @@ def close_isomorphism(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma: float,
     ||theta(x) - y|| over those witnesses.  The ceilings vanish with gamma
     and take a rounding slack.
     """
-    budget.require_window("close-isomorphism", gamma, WINDOW_ISO_GAMMA)
+    certs.require_window("forward-closeness", gamma=gamma)
     if A.dim != B.dim:
         raise ContradictionError(
             f"distance certificate {gamma:.3g} < 1 between algebras of "
             f"different dimensions {A.dim} != {B.dim}")
     res = intertwining_iso(A, B, eta=2.0 * gamma, X_A=A.normalized_basis,
                            mu=min(np.sqrt(gamma), 1.0 / 4000.0),
-                           surjectivity_delta=gamma, budget=budget)
+                           surjectivity_delta=gamma)
     theta, close = res.map, res.certificates["closeness"]
-    ceiling = 28.0 * np.sqrt(gamma)
     res.certificates["forward-closeness"] = Certificate.build(
-        name="forward-closeness",
-        formula="||theta(x) - x|| <= 28 gamma^{1/2} on X",
-        inputs={"gamma": gamma, "n_points": close.inputs["n_points"]},
-        ceiling=float(ceiling), achieved=close.achieved, slack=TOL_EXACT)
+        "forward-closeness", {"gamma": gamma, "n_points": close.inputs["n_points"]},
+        close.achieved)
     if res.inverse is None:
         raise SpectralGapError("constructed map is not invertible; "
                                "cannot certify the reverse bound")
     Y, (Xs, dists) = B.normalized_basis, res.pull_back
     chain_worst = (2.0 * dists + opnorms(theta(Xs) - Y)).max()
     res.certificates["backward-closeness"] = Certificate.build(
-        name="backward-closeness",
-        formula="||theta^{-1}(y) - y|| <= 2 ||x - y|| + ||theta(x) - y|| "
-                "<= 28 gamma^{1/2} on Y",
-        inputs={"gamma": gamma, "n_points": len(Y)},
-        ceiling=float(ceiling), achieved=float(worst_move(res.inverse, Y)),
-        slack=TOL_EXACT, details={"chain_bound": float(chain_worst)})
+        "backward-closeness", {"gamma": gamma, "n_points": len(Y)},
+        worst_move(res.inverse, Y), details={"chain_bound": float(chain_worst)})
     return res
 
 
 def near_embedding_nuclear(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma: float,
-                           X=None, budget: ToleranceBudget = DEFAULT_BUDGET
-                           ) -> tuple[LinMap, Certificate]:
+                           X=None) -> tuple[LinMap, Certificate]:
     """Injective *-homomorphism theta: A -> B with ||theta(x) - x|| <=
     28 gamma^{1/2} on X, from a one-sided near inclusion A in B at gamma;
     intertwining_iso runs with eta = 2 gamma and mu = min(gamma^{1/2},
     1/4000)."""
-    budget.require_window("near-embedding", gamma, WINDOW_ISO_GAMMA)
+    certs.require_window("near-embedding", gamma=gamma)
     mu = min(np.sqrt(gamma), 1.0 / 4000.0)
     if X is None:
         X = list(A.normalized_basis)
     else:
         X = [np.asarray(x, dtype=complex) for x in X]
-    res = intertwining_iso(A, B, eta=2.0 * gamma, X_A=X, mu=mu, budget=budget)
+    res = intertwining_iso(A, B, eta=2.0 * gamma, X_A=X, mu=mu)
     cert = Certificate.build(
-        name="near-embedding",
-        formula="||theta(x) - x|| <= 28 gamma^{1/2} on X",
-        inputs={"gamma": gamma, "n_points": len(X),
-                "sigma_min": res.certificates["injectivity"].details["action_sigma_min"]},
-        ceiling=float(28.0 * np.sqrt(gamma)), achieved=res.certificates["closeness"].achieved,
-        slack=TOL_EXACT)
+        "near-embedding",
+        {"gamma": gamma, "n_points": len(X),
+         "sigma_min": res.certificates["injectivity"].details["action_sigma_min"]},
+        res.certificates["closeness"].achieved)
     return res.map, cert
 
 
@@ -325,20 +290,13 @@ def half_flip_cpc(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma: float,
 
     worst = worst_move(phi, X)
     member = B.membership_residual(phi.images)
-    ceiling = 8.0 * alpha + 4.0 * alpha ** 2 + 4.0 * np.sqrt(2.0) * gamma
     cls = classify(phi)
     cert = Certificate.build(
-        name="half-flip-transport",
-        formula="||phi(x) - x|| <= 8 alpha + 4 alpha^2 + 4 sqrt(2) gamma, "
-                "alpha = (4 sqrt(2) + 1) gamma + 4 sqrt(2) gamma^2",
-        inputs={"gamma": gamma, "alpha": float(alpha), "n_points": len(X)},
-        ceiling=float(ceiling), achieved=float(worst),
-        details={"witness_distance": float(wdist),
-                 "witness_ceiling": float(w_ceiling),
-                 "projection_distance": float(opnorm(p - e)),
-                 "conjugator_norm": cert_u.achieved,
-                 "image_residual": float(member),
-                 "cpc": bool(cls.cpc)})
+        "half-flip-transport", {"gamma": gamma, "alpha": float(alpha), "n_points": len(X)},
+        worst, details={"witness_distance": float(wdist), "witness_ceiling": float(w_ceiling),
+                        "projection_distance": float(opnorm(p - e)),
+                        "conjugator_norm": cert_u.achieved, "image_residual": float(member),
+                        "cpc": bool(cls.cpc)})
     return phi, cert
 
 
@@ -346,8 +304,7 @@ def half_flip_cpc(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma: float,
 # unitary implementation
 # ---------------------------------------------------------------------------
 
-def implement_unitarily(theta: LinMap, budget: ToleranceBudget = DEFAULT_BUDGET
-                        ) -> tuple[np.ndarray, Certificate]:
+def implement_unitarily(theta: LinMap) -> tuple[np.ndarray, Certificate]:
     """Unitary u with u x u* = theta(x) for all x in the domain, so the
     domain algebra is carried onto its image as a subspace.
 
@@ -371,7 +328,7 @@ def implement_unitarily(theta: LinMap, budget: ToleranceBudget = DEFAULT_BUDGET
     gamma_basis = theta.basis_distance(inclusion)
     try:
         res = intertwining_unitary(theta, inclusion, gamma=gamma_basis,
-                                   delta=defect, budget=budget)
+                                   delta=defect)
     except SpectralGapError as exc:
         sizes = A.structure().block_sizes
         raise SpectralGapError(
@@ -385,15 +342,11 @@ def implement_unitarily(theta: LinMap, budget: ToleranceBudget = DEFAULT_BUDGET
     subspace = 0.0 if B is None else np.maximum(B.membership_residual(conj),
                                                 A.membership_residual(dagger(u) @ B.basis @ u))
     cert = Certificate.build(
-        name="unitary-implementation",
-        formula="u x u* = alpha(x) on the basis; ||u - 1|| <= 2 sqrt(2) gamma "
-                "+ 5 sqrt(2) delta; u A u* = B as subspaces",
-        inputs={"gamma_basis": float(gamma_basis), "defect": float(defect)},
-        ceiling=TOL_ALG, achieved=float(worst_conj),
-        details={"u_norm": float(opnorm(u - np.eye(N))),
-                 "u_norm_ceiling": res.certificates["norm"].ceiling,
-                 "unitary_defect": float(unitary_defect),
-                 "subspace_residual": float(subspace),
-                 "subspace_ceiling": 10.0 * TOL_ALG})
+        "unitary-implementation", {"gamma_basis": float(gamma_basis), "defect": float(defect)},
+        worst_conj, details={"u_norm": float(opnorm(u - np.eye(N))),
+                             "u_norm_ceiling": res.certificates["norm"].ceiling,
+                             "unitary_defect": float(unitary_defect),
+                             "subspace_residual": float(subspace),
+                             "subspace_ceiling": 10.0 * TOL_ALG})
     return u, cert
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import ConcreteAlgebra, FDAlgebra
-from .certs import (TOL_ALG, TOL_EXACT, Certificate, ContradictionError,
-                    ToleranceBudget, DEFAULT_BUDGET, WINDOW_ISO_ETA)
+from . import certs
+from .certs import TOL_ALG, Certificate, ContradictionError
 from .cpmaps import LinMap, cb_bracket, classify, worst_move
 from .geometry import tensor_lift
 from .intertwine import intertwining_iso
@@ -158,15 +158,11 @@ def perturb_order_zero(oz: OrderZeroMap, B: ConcreteAlgebra,
         raise ValueError("B must live on the same space as the image of phi")
     kept = [k for k, E in enumerate(fd.unit_blocks(oz.map.images))
             if opnorm_max(E) > TOL_ALG]
+    mu = 2.0 * gamma + gamma ** 2
     if not kept:
         psi = LinMap(fd, N, np.zeros((fd.dim_linear, N, N)), codomain_algebra=B)
-        cert = Certificate.build(
-            name="order-zero-perturbation",
-            formula="||phi - psi||_cb <= (2 gamma + gamma^2)(2 + 2 gamma + gamma^2)",
-            inputs={"gamma": gamma, "blocks_kept": 0},
-            ceiling=(2 * gamma + gamma ** 2) * (2 + 2 * gamma + gamma ** 2),
-            achieved=0.0)
-        return psi, cert
+        return psi, Certificate.build("order-zero-perturbation",
+                                      {"gamma": gamma, "mu": mu, "blocks_kept": 0}, 0.0)
 
     sizes = [fd.block_sizes[k] for k in kept]
     m = max(sizes)
@@ -182,7 +178,6 @@ def perturb_order_zero(oz: OrderZeroMap, B: ConcreteAlgebra,
     t_norm = float(opnorm(t))
 
     u, dist, lift_iters, lift_stop = tensor_lift(t, B, m)
-    mu = 2.0 * gamma + gamma ** 2
     if dist > mu + 100 * TOL_ALG:
         raise ContradictionError(
             f"no witness within 2*gamma + gamma^2 = {mu:.3g} of the row "
@@ -205,18 +200,11 @@ def perturb_order_zero(oz: OrderZeroMap, B: ConcreteAlgebra,
     cls = classify(psi)
     lo, hi = cb_bracket(oz.map - psi)
     structural = dist * (t_norm + opnorm(u))
-    achieved = min(hi, structural)
-    ceiling = mu * (2.0 + mu)
     cert = Certificate.build(
-        name="order-zero-perturbation",
-        formula="||phi - psi||_cb <= (2 gamma + gamma^2)(2 + 2 gamma + gamma^2)",
-        inputs={"gamma": gamma, "mu": float(mu), "m": m,
-                "blocks_kept": len(kept)},
-        ceiling=float(ceiling), achieved=float(achieved),
-        slack=TOL_ALG,
+        "order-zero-perturbation", {"gamma": gamma, "mu": mu, "m": m, "blocks_kept": len(kept)},
+        min(hi, structural),
         details={"cb_lo": float(lo), "cb_hi": float(hi),
-                 "structural_bound": float(structural),
-                 "witness_distance": float(dist),
+                 "structural_bound": float(structural), "witness_distance": float(dist),
                  "witness_stop": lift_stop, "witness_iters": lift_iters, "t_norm": t_norm,
                  "reconstruction_residual": float(recon),
                  "membership_residual": float(member), "cp": bool(cls.cp)})
@@ -324,11 +312,7 @@ def verify_nucdim_decomposition(A: ConcreteAlgebra, X, eps: float,
         failures.append("composite-not-cpc")
     defect = worst_move(dec.compose, X)
     cert = Certificate.build(
-        name="nucdim-decomposition",
-        formula="sup_X ||psi(phi(x)) - x|| <= eps; down cpc, ups order zero, "
-                "composite cpc",
-        inputs={"eps": eps, "n": dec.n, "n_points": len(X)},
-        ceiling=float(eps), achieved=float(defect),
+        "nucdim-decomposition", {"eps": eps, "n": dec.n, "n_points": len(X)}, defect,
         details={"failed_invariant": failures[0] if failures else None,
                  "failures": failures, "claimed_defect": dec.defect})
     if failures:
@@ -360,35 +344,23 @@ def nucdim_cpc_transfer(D: ConcreteAlgebra, dec: NucDimDecomposition,
     scale = max(1.0, hi)
     phi = raw.scaled(1.0 / scale) if scale > 1.0 else raw
 
-    achieved = worst_move(phi, X)
-    mu = 2.0 * gamma + gamma ** 2
-    ceiling = 2.0 * (dec.n + 1) * mu * (2.0 + mu) + eps
     cls = classify(phi)
     cert = Certificate.build(
-        name="nucdim-transfer",
-        formula="||phi(x) - x|| <= 2 (n+1) (2 gamma + gamma^2)"
-                "(2 + 2 gamma + gamma^2) + eps on X",
-        inputs={"gamma": gamma, "n": dec.n, "eps": float(eps),
-                "n_points": len(X)},
-        ceiling=float(ceiling), achieved=float(achieved),
-        slack=TOL_ALG,
+        "nucdim-transfer", {"gamma": gamma, "n": dec.n, "eps": float(eps), "n_points": len(X)},
+        worst_move(phi, X),
         details={"rescale": float(scale), "cb_bracket": [float(lo), float(hi)],
-                 "cpc": bool(cls.cpc),
-                 "summand_achieved": [c.achieved for c in summand_certs],
+                 "cpc": bool(cls.cpc), "summand_achieved": [c.achieved for c in summand_certs],
                  "summand_ceiling": summand_certs[0].ceiling if summand_certs else 0.0})
     return phi, cert
 
 
 def near_embed_nucdim(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma: float,
-                      dec: NucDimDecomposition, X=None,
-                      budget: ToleranceBudget = DEFAULT_BUDGET
-                      ) -> tuple[LinMap, Certificate]:
+                      dec: NucDimDecomposition, X=None) -> tuple[LinMap, Certificate]:
     """Injective *-homomorphism theta: A -> B with ||theta(x) - x|| <=
     20 eta^{1/2} on X, where eta = 2 (n+1) (2g + g^2)(2 + 2g + g^2) comes
     from transferring the decomposition of A into B."""
-    mu = 2.0 * gamma + gamma ** 2
-    eta = 2.0 * (dec.n + 1) * mu * (2.0 + mu) + dec.defect
-    budget.require_window("nucdim-embedding", eta, WINDOW_ISO_ETA)
+    eta = certs.BOUNDS["nucdim-transfer"].ceiling({"gamma": gamma, "n": dec.n, "eps": dec.defect})
+    certs.require_window("nucdim-near-embedding", eta=eta)
     X = A.normalized_basis if X is None else np.array(X, dtype=complex)
 
     # route the decomposition evidence through the transfer certificate; the
@@ -397,17 +369,11 @@ def near_embed_nucdim(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma: float,
     # only on X, so it cannot drive the repair)
     _, cert_t = nucdim_cpc_transfer(A, dec, X, B, gamma)
     res = intertwining_iso(A, B, eta=eta, X_A=X,
-                           mu=min(0.2 * np.sqrt(eta), 1.0 / 4000.0), budget=budget)
+                           mu=min(0.2 * np.sqrt(eta), 1.0 / 4000.0))
     cert = Certificate.build(
-        name="nucdim-near-embedding",
-        formula="||theta(x) - x|| <= 20 eta^{1/2}, "
-                "eta = 2 (n+1) (2 gamma + gamma^2)(2 + 2 gamma + gamma^2)",
-        inputs={"gamma": gamma, "eta": float(eta), "n": dec.n,
-                "n_points": len(X)},
-        ceiling=float(20.0 * np.sqrt(eta)), achieved=res.certificates["closeness"].achieved,
-        slack=TOL_EXACT,
+        "nucdim-near-embedding", {"gamma": gamma, "eta": eta, "n": dec.n, "n_points": len(X)},
+        res.certificates["closeness"].achieved,
         details={"sigma_min": res.certificates["injectivity"].details["action_sigma_min"],
-                 "transfer_achieved": cert_t.achieved,
-                 "transfer_ceiling": cert_t.ceiling,
+                 "transfer_achieved": cert_t.achieved, "transfer_ceiling": cert_t.ceiling,
                  "transfer_ok": cert_t.passed})
     return res.map, cert

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certs import TOL_ALG, Certificate, ToleranceBudget, DEFAULT_BUDGET, provenance_stamp
+from .certs import Certificate, provenance_stamp
 from .cpmaps import LinMap
 from .geometry import SampleSpec, kk_distance
 from .instances import Instance, damping
@@ -65,8 +65,7 @@ def _gamma_source(instance: Instance, seed: int, samples: int,
     return float(kk_distance(instance.A, instance.B, spec=spec).hi)
 
 
-def run_pipeline(instance: Instance, pipeline: str,
-                 budget: ToleranceBudget = DEFAULT_BUDGET, seed: int = 0,
+def run_pipeline(instance: Instance, pipeline: str, seed: int = 0,
                  samples: int = 32) -> Report:
     """Run one named pipeline on an instance and collect its certificates.
 
@@ -87,17 +86,12 @@ def run_pipeline(instance: Instance, pipeline: str,
                           iters=200)
         interval = kk_distance(A, B, spec=spec)
         hint = instance.dist_hint()
-        ceiling = hint if hint is not None else 2.0
         certs["distance-interval"] = Certificate.build(
-            name="distance-interval",
-            formula="sampled d(A, B) within the constructive recipe bound",
-            inputs={"samples": samples},
-            ceiling=float(ceiling), achieved=float(interval.hi),
-            slack=TOL_ALG,
+            "distance-interval",
+            {"samples": samples, "recipe_bound": float(hint if hint is not None else 2.0)},
+            interval.hi, provenance=provenance_stamp(seed),
             details={"lo": interval.lo, "hi": interval.hi,
-                     "gamma_ab": interval.cert_ab.gamma_hi,
-                     "gamma_ba": interval.cert_ba.gamma_hi},
-            provenance=provenance_stamp(seed))
+                     "gamma_ab": interval.cert_ab.gamma_hi, "gamma_ba": interval.cert_ba.gamma_hi})
         notes["interval"] = {"lo": interval.lo, "hi": interval.hi}
         return Report(pipeline=pipeline, seed=seed, recipe=instance.recipe,
                       certificates=certs, notes=notes)
@@ -105,7 +99,7 @@ def run_pipeline(instance: Instance, pipeline: str,
     gamma = _gamma_source(instance, seed, samples, notes)
 
     if pipeline == "iso":
-        res = close_isomorphism(A, B, gamma, budget=budget)
+        res = close_isomorphism(A, B, gamma)
         certs.update(res.certificates)
         notes["eta"], notes["mu"], notes["nu"] = res.eta, res.mu, res.nu
         return Report(pipeline=pipeline, seed=seed, recipe=instance.recipe,
@@ -115,10 +109,10 @@ def run_pipeline(instance: Instance, pipeline: str,
         if instance.true_unitary is not None:
             theta = conjugation_iso(instance)
         else:
-            res = close_isomorphism(A, B, gamma, budget=budget)
+            res = close_isomorphism(A, B, gamma)
             certs.update(res.certificates)
             theta = res.map
-        u, cert = implement_unitarily(theta, budget=budget)
+        u, cert = implement_unitarily(theta)
         certs["unitary-implementation"] = cert
         notes["u_norm"] = float(opnorm(u - np.eye(A.ambient_dim)))
         return Report(pipeline=pipeline, seed=seed, recipe=instance.recipe,
@@ -137,7 +131,7 @@ def run_pipeline(instance: Instance, pipeline: str,
 
     # oz-embed
     dec = identity_decomposition(A)
-    theta, cert = near_embed_nucdim(A, B, gamma, dec, budget=budget)
+    theta, cert = near_embed_nucdim(A, B, gamma, dec)
     certs["nucdim-near-embedding"] = cert
     notes["n_colors"] = dec.n + 1
     return Report(pipeline=pipeline, seed=seed, recipe=instance.recipe,
@@ -166,7 +160,7 @@ def render_report(report: Report, fmt: str = "table") -> str:
         lines = [header, "-" * len(header)]
         width = max([len(r[0]) for r in rows], default=10)
         for key, verdict, achieved, ceiling, slack in rows:
-            lines.append(f"{key:<{width}}  {verdict:<9}  "
+            lines.append(f"{key:<{width}}  {verdict:<4}  "
                          f"achieved {achieved:.6g}  ceiling {ceiling:.6g}")
         return "\n".join(lines)
     raise ValueError(f"unknown format {fmt!r}; choose json, csv or table")

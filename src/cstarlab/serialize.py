@@ -49,10 +49,11 @@ _CERT_FIELDS = set(_CERT_REQUIRED) | {"slack", "provenance", "details", "kind", 
 
 def _certificate_from_json(d: dict, path: str) -> Certificate:
     """A certificate, after checking that it carries every required field, no
-    unknown one, numbers for its ceiling, achieved value and slack, and a
-    verdict of "pass" or "fail".  Whether a "pass" lies within its ceiling is
-    left to the reader of the file (``cstarlab report`` refuses one that
-    does not)."""
+    unknown one, numbers for its ceiling, achieved value and slack, objects
+    for its inputs, provenance and details, and a verdict of "pass" or
+    "fail".  Whether its ceiling is the one its inputs give, and whether a
+    "pass" lies within it, is left to the reader of the file (``cstarlab
+    report`` refuses a certificate on either count)."""
     for key in _CERT_REQUIRED:
         _need(d, key, path)
     unknown = sorted(set(d) - _CERT_FIELDS)
@@ -62,6 +63,9 @@ def _certificate_from_json(d: dict, path: str) -> Certificate:
         v = d.get(key, 0.0)
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise SchemaError(f"{path}.{key} is {v!r}, not a number")
+    for key in ("inputs", "provenance", "details"):
+        if not isinstance(d.get(key, {}), dict):
+            raise SchemaError(f"{path}.{key} is {d[key]!r}, not an object")
     if d["verdict"] not in ("pass", "fail"):
         raise SchemaError(f"{path}.verdict is {d['verdict']!r}, not 'pass' or 'fail'")
     return Certificate.from_dict(d)

@@ -83,6 +83,14 @@ def is_projection_residual(p: np.ndarray) -> float:
     return max(opnorm(p @ p - p), opnorm(p - dagger(p)))
 
 
+def _test_certificate(name, formula, inputs, ceiling, achieved) -> Certificate:
+    """A certificate of a test oracle, whose bound is not in certs.BOUNDS."""
+    return Certificate(name=name, formula=formula, inputs=inputs, ceiling=ceiling,
+                       achieved=float(achieved),
+                       verdict="pass" if achieved <= ceiling else "fail",
+                       provenance=provenance_stamp())
+
+
 def verify_algebra(A: ConcreteAlgebra) -> Certificate:
     """Check orthonormality, *-closure, product closure, and the support
     projection identities.  Returns a certificate with the worst residual."""
@@ -93,12 +101,10 @@ def verify_algebra(A: ConcreteAlgebra) -> Certificate:
                 opnorm_max(e @ A.basis - A.basis), opnorm_max(A.basis @ e - A.basis))
     for b in A.basis:  # the products b c, one row at a time
         worst = max(worst, A.residual(b @ A.basis).max())
-    return Certificate.build(
-        name="algebra-invariants",
-        formula="max residual of orthonormality, *-closure, product closure, support identities",
-        inputs={"dim": A.dim, "ambient_dim": A.ambient_dim},
-        ceiling=TOL_ALG, achieved=worst,
-        provenance=provenance_stamp())
+    return _test_certificate(
+        "algebra-invariants",
+        "max residual of orthonormality, *-closure, product closure, support identities",
+        {"dim": A.dim, "ambient_dim": A.ambient_dim}, TOL_ALG, worst)
 
 
 def choi(phi: LinMap) -> np.ndarray:
@@ -169,11 +175,10 @@ def verify_averaging_set(fd: FDAlgebra, avg: AveragingSet) -> Certificate:
     mw = sum(lam * p for lam, p in zip(avg.weights, uu))
     worst = max(worst, opnorm(mw - fd.unit()))
     worst = max(worst, canonical_residual(fd, avg))
-    return Certificate.build(
-        name="averaging-set",
-        formula="max(|sum(w)-1|, ||u*u - 1||, ||sum w u(x)u* - canonical||) <= tol",
-        inputs={"n_terms": len(avg.terms), "block_sizes": list(fd.block_sizes)},
-        ceiling=TOL_CONV, achieved=float(worst), provenance=provenance_stamp())
+    return _test_certificate(
+        "averaging-set",
+        "max(|sum(w)-1|, ||u*u - 1||, ||sum w u(x)u* - canonical||) <= tol",
+        {"n_terms": len(avg.terms), "block_sizes": list(fd.block_sizes)}, TOL_CONV, worst)
 
 
 def orthogonality_residual(oz: OrderZeroMap) -> float:

@@ -18,7 +18,7 @@ from cstarlab.averaging import (
     projection_conjugator,
     weyl_unitaries,
 )
-from cstarlab.certs import PAPER_BUDGET, SpectralGapError, WindowError
+from cstarlab.certs import SpectralGapError, WindowError, on_track
 from cstarlab.cpmaps import LinMap, arveson_restrict, hom_defect
 from cstarlab.instances import _rotated_embedding, block_algebra, gen_instance
 from cstarlab.linalg import random_unitary, rng_for
@@ -242,8 +242,8 @@ def test_repair_of_a_scaled_homomorphism_has_its_closed_form(profile, t):
 def test_repair_window_enforced_on_paper_track():
     fd = FDAlgebra((2,))
     phi = embedded(fd, 3)
-    with pytest.raises(WindowError):
-        improve_multiplicativity(phi, gamma=0.07, budget=PAPER_BUDGET)
+    with on_track("paper"), pytest.raises(WindowError):
+        improve_multiplicativity(phi, gamma=0.07)
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +304,8 @@ def test_default_intertwiner_delta_keeps_a_nan_defect(monkeypatch):
 def test_intertwining_window_enforced_on_paper_track():
     fd = FDAlgebra((2,))
     phi = embedded(fd, 3)
-    with pytest.raises(WindowError):
-        intertwining_unitary(phi, phi, gamma=0.1, delta=0.0,
-                             budget=PAPER_BUDGET)
+    with on_track("paper"), pytest.raises(WindowError):
+        intertwining_unitary(phi, phi, gamma=0.1, delta=0.0)
 
 
 @pytest.mark.parametrize("algebra,ambient", [("M2+M1", 4), ("3,3", 8), ("2,2,2", 8)])

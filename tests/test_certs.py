@@ -1,13 +1,14 @@
 import ast
-import dataclasses
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cstarlab
 
-from cstarlab.certs import (DEFAULT_BUDGET, PAPER_BUDGET, Certificate,
-                            ToleranceBudget, WindowError, provenance_stamp,
+from cstarlab.certs import (BOUNDS, TOL_ALG, TOL_EXACT, TRACK, Certificate, WindowError,
+                            on_track, provenance_stamp, require_window,
                             WINDOW_DEFECT_REPAIR, WINDOW_INTERTWINE,
                             WINDOW_ISO_ETA, WINDOW_ISO_GAMMA)
 
@@ -21,31 +22,91 @@ def test_frozen_window_constants():
 
 
 def test_verdict_pass_iff_within_slack():
-    c = Certificate.build(name="t", formula="a <= c", inputs={}, ceiling=1.0,
-                          achieved=1.0, provenance=provenance_stamp())
+    # forward-closeness: 28 gamma^{1/2} = 0.028 at gamma = 1e-6, slack TOL_EXACT
+    def build(achieved):
+        return Certificate.build("forward-closeness", {"gamma": 1e-6, "n_points": 1}, achieved)
+
+    c = build(0.028)
     assert c.verdict == "pass" and c.passed
-    c2 = Certificate.build(name="t", formula="a <= c", inputs={}, ceiling=1.0,
-                           achieved=1.0 + 1e-12, slack=1e-9,
-                           provenance=provenance_stamp())
-    assert c2.verdict == "pass"
-    c3 = Certificate.build(name="t", formula="a <= c", inputs={}, ceiling=1.0,
-                           achieved=1.1, slack=1e-9,
-                           provenance=provenance_stamp())
+    assert c.slack == TOL_EXACT and c.formula == BOUNDS["forward-closeness"].formula
+    assert build(0.028 + TOL_EXACT / 2).verdict == "pass"
+    c3 = build(0.028 + 2 * TOL_EXACT)
     assert c3.verdict == "fail" and not c3.passed
 
 
-def test_budget_tracks():
-    assert DEFAULT_BUDGET.track == "experimental"
-    assert PAPER_BUDGET.track == "paper"
-    # the experimental track neither raises nor records (ROADMAP item 10)
-    DEFAULT_BUDGET.require_window("x", 10.0, 1.0)
-    with pytest.raises(WindowError):
-        PAPER_BUDGET.require_window("x", 10.0, 1.0)
-    PAPER_BUDGET.require_window("x", 0.5, 1.0)
+# one hand-picked input per bound, with its ceiling worked out by hand and its
+# slack: the ceilings that vanish with their inputs take a rounding slack
+ORACLES = {
+    "expectation-restriction": ({"gamma": 0.25, "n_points": 2}, 0.5 + 1e-9, 0.0),
+    "polar-unitary": ({"beta": 0.5}, math.sqrt(0.5), TOL_EXACT),
+    "projection-conjugator": ({"beta": 0.5}, math.sqrt(0.5), TOL_EXACT),
+    "twirled-projection-drift": ({"gamma": 0.04}, 0.4, TOL_ALG),
+    "multiplicativity-repair": ({"gamma": 0.04}, 1.6 * math.sqrt(2), TOL_ALG),
+    "repaired-multiplicativity": ({}, 1e-9, 0.0),
+    # 2 sqrt(2) gamma + 5 sqrt(2) delta = sqrt(2) (0.2 + 0.05)
+    "intertwiner-norm": ({"gamma": 0.1, "delta": 0.01}, 0.25 * math.sqrt(2), TOL_ALG),
+    "intertwining-residual": ({"s_min": 0.9, "chain_bound": 0.3}, 0.3, TOL_ALG),
+    # 8 sqrt(6) eta^{1/2} = 8 sqrt(6/24) = 4 at eta = 1/24
+    "iso-closeness": ({"eta": 1 / 24, "mu": 1e-3, "n_points": 2}, 4 + 1 / 24 + 1e-3, TOL_EXACT),
+    "homomorphism": ({}, 1e-9, 0.0),
+    "image-membership": ({}, 1e-9, 0.0),
+    "injectivity": ({"eta": 1 / 24, "nu": 5e-4}, 4 + 1 / 24 + 5e-4, TOL_EXACT),
+    "surjectivity": ({"delta": 1e-6, "dim_A": 4, "dim_B": 4}, 0.0, 0.0),
+    "forward-closeness": ({"gamma": 1e-6, "n_points": 2}, 0.028, TOL_EXACT),
+    "backward-closeness": ({"gamma": 1e-6, "n_points": 2}, 0.028, TOL_EXACT),
+    "near-embedding": ({"gamma": 1e-6, "n_points": 2, "sigma_min": 1.0}, 0.028, TOL_EXACT),
+    # 8 alpha + 4 alpha^2 + 4 sqrt(2) gamma at alpha = 0.1, gamma = 0.01
+    "half-flip-transport": ({"gamma": 0.01, "alpha": 0.1, "n_points": 2},
+                            0.84 + 0.04 * math.sqrt(2), 0.0),
+    "unitary-implementation": ({"gamma_basis": 1e-6, "defect": 0.0}, 1e-9, 0.0),
+    # (2 gamma + gamma^2)(2 + 2 gamma + gamma^2) = 0.21 * 2.21 at gamma = 0.1
+    "order-zero-perturbation": ({"gamma": 0.1, "mu": 0.21, "m": 2, "blocks_kept": 1},
+                                0.4641, TOL_ALG),
+    "nucdim-decomposition": ({"eps": 3e-3, "n": 0, "n_points": 2}, 3e-3, 0.0),
+    "nucdim-transfer": ({"gamma": 0.1, "n": 1, "eps": 3e-3, "n_points": 2},
+                        2 * 2 * 0.4641 + 3e-3, TOL_ALG),
+    "nucdim-near-embedding": ({"gamma": 1e-7, "eta": 4e-4, "n": 0, "n_points": 2}, 0.4, TOL_EXACT),
+    "distance-interval": ({"samples": 32, "recipe_bound": 0.07}, 0.07, TOL_ALG),
+}
 
 
-def test_budget_is_only_the_track():
-    assert tuple(f.name for f in dataclasses.fields(ToleranceBudget)) == ("track",)
+def test_every_bound_has_a_closed_form_oracle():
+    assert set(ORACLES) == set(BOUNDS)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLES))
+def test_bound_meets_its_closed_form(name):
+    inputs, ceiling, slack = ORACLES[name]
+    c = Certificate.build(name, inputs, 0.0)
+    assert c.ceiling == pytest.approx(ceiling, rel=1e-12, abs=0.0)
+    assert c.slack == slack and c.inputs == inputs and c.formula == BOUNDS[name].formula
+
+
+def test_polar_unitary_bound_is_two_past_distance_one():
+    assert Certificate.build("polar-unitary", {"beta": 1.5}, 0.0).ceiling == 2.0
+
+
+def test_track_enforces_windows_on_the_paper_track_only():
+    assert TRACK.get() == "experimental"
+    windowed = [(name, key, window) for name, bound in BOUNDS.items()
+                for key, window in bound.windows.items()]
+    assert len(windowed) == 7
+    for name, key, window in windowed:
+        zeros = dict.fromkeys(BOUNDS[name].windows, 0.0)
+        require_window(name, **{**zeros, key: 1e6 * window})  # experimental: no check
+        with on_track("paper"):
+            require_window(name, **{**zeros, key: window})
+            with pytest.raises(WindowError, match=rf"{name}: {key} = .* window {window:.6g}$"):
+                require_window(name, **{**zeros, key: window * (1 + 1e-9)})
+    assert TRACK.get() == "experimental"
+
+
+def test_on_track_resets_the_track_and_knows_two_tracks():
+    with pytest.raises(WindowError), on_track("paper"):
+        require_window("forward-closeness", gamma=1.0)
+    assert TRACK.get() == "experimental"
+    with pytest.raises(ValueError, match="unknown track"), on_track("strict"):
+        pass
 
 
 PACKAGE = {path.stem: ast.parse(path.read_text())
@@ -53,34 +114,43 @@ PACKAGE = {path.stem: ast.parse(path.read_text())
 
 
 def test_no_tolerance_is_read_from_a_budget():
-    # the tolerances are the certs constants; a budget carries no tolerance
+    # the tolerances are the certs constants, read directly, never as the
+    # attribute of a settings object
     reads = [f"{module}:{node.lineno} .{node.attr}" for module, tree in PACKAGE.items()
              for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr.startswith("tol_")]
     assert reads == []
 
 
-def test_every_budget_parameter_is_used_for_a_window():
-    # a function that takes a budget checks a window with it, or hands it to
-    # a call that may
-    def uses_budget(fn) -> bool:
-        for node in ast.walk(fn):
-            if not isinstance(node, ast.Call):
-                continue
-            f = node.func
-            if (isinstance(f, ast.Attribute) and f.attr == "require_window"
-                    and isinstance(f.value, ast.Name) and f.value.id == "budget"):
-                return True
-            if any(isinstance(a, ast.Name) and a.id == "budget"
-                   for a in node.args + [k.value for k in node.keywords]):
-                return True
-        return False
+def _calls(attr: str):
+    """(module, call) for every call of a function or method named attr."""
+    return [(module, node) for module, tree in PACKAGE.items() for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == attr]
 
-    takers = [(module, fn) for module, tree in PACKAGE.items() for fn in ast.walk(tree)
-              if isinstance(fn, ast.FunctionDef)
-              and "budget" in [a.arg for a in fn.args.args + fn.args.kwonlyargs]]
-    assert len(takers) >= 5
-    assert [f"{module}.{fn.name}" for module, fn in takers if not uses_budget(fn)] == []
+
+def test_every_build_names_a_bound_and_passes_no_bound():
+    # the formula, ceiling and slack of a certificate come from BOUNDS alone,
+    # and every entry of the table is built somewhere
+    names = []
+    for module, call in _calls("build"):
+        if getattr(call.func.value, "id", None) != "Certificate":
+            continue
+        (name,) = call.args[:1] or [k.value for k in call.keywords if k.arg == "name"]
+        assert isinstance(name, ast.Constant) and name.value in BOUNDS, f"{module}:{call.lineno}"
+        assert not {"formula", "ceiling", "slack"} & {k.arg for k in call.keywords}
+        names.append(name.value)
+    assert len(names) == 24 and set(names) == set(BOUNDS)
+
+
+def test_every_window_is_required_by_name():
+    # each bound with windows is asked for all of them at one call; the
+    # seven windows of the paper track sit on six bounds
+    required = {}
+    for module, call in _calls("require_window"):
+        assert isinstance(call.args[0], ast.Constant), f"{module}:{call.lineno}"
+        required[call.args[0].value] = {k.arg for k in call.keywords}
+    assert required == {name: set(b.windows) for name, b in BOUNDS.items() if b.windows}
 
 
 def test_every_seed_parameter_reaches_a_draw():
@@ -144,11 +214,6 @@ def test_every_seed_changes_an_output():
     assert [name for name, out in outputs.items() if out(0) == out(1)] == []
 
 
-def test_budget_frozen():
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        DEFAULT_BUDGET.track = "paper"
-
-
 def test_provenance_has_no_timestamp():
     s = provenance_stamp(3)
     assert "time" not in {k.lower()[:4] for k in s}
@@ -156,10 +221,9 @@ def test_provenance_has_no_timestamp():
 
 
 def test_certificate_to_dict_plain():
-    c = Certificate.build(name="t", formula="f", inputs={"g": 0.5},
-                          ceiling=1.0, achieved=0.1,
-                          provenance=provenance_stamp())
+    c = Certificate.build("twirled-projection-drift", {"gamma": np.float64(0.25)},
+                          np.float64(0.1), provenance=provenance_stamp())
     d = c.to_dict()
     assert d["kind"] == "certificate"
     assert d["verdict"] == "pass"
-    assert isinstance(d["inputs"]["g"], float)
+    assert type(d["inputs"]["gamma"]) is float and type(d["ceiling"]) is float

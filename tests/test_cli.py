@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -91,16 +92,23 @@ def test_report_rerenders_saved_report(tmp_path, capsys):
     assert out.splitlines()[0] == "certificate,verdict,achieved,ceiling,slack"
 
 
-@pytest.mark.parametrize("edit", [lambda c: c.pop("achieved"), lambda c: c.update(extra=1),
-                                  lambda c: c.update(ceiling="x"),
-                                  lambda c: c.update(verdict="bogus"),
-                                  lambda c: c.update(achieved=10 * c["ceiling"])],
-                         ids=["missing-achieved", "extra-key", "text-ceiling",
-                              "bogus-verdict", "pass-above-ceiling"])
-def test_report_with_a_malformed_certificate_exits_2(edit, tmp_path, capsys):
-    # a certificate the loader cannot read, or whose verdict its numbers
-    # contradict, is a malformed input file (2), not a failed paper-track
-    # certificate (1)
+@pytest.mark.parametrize("edit,field", [
+    (lambda c: c.pop("achieved"), "achieved"), (lambda c: c.update(extra=1), "extra"),
+    (lambda c: c.update(ceiling="x"), "ceiling"),
+    (lambda c: c.update(verdict="bogus"), "verdict"),
+    (lambda c: c.update(achieved=10 * c["ceiling"]), "verdict"),
+    (lambda c: c.pop("kind"), "kind"), (lambda c: c.update(inputs=5), "inputs"),
+    (lambda c: c.update(ceiling=c["ceiling"] * 1e6), "ceiling"),
+    (lambda c: c.update(formula=c["formula"] + " on all of A"), "formula"),
+    (lambda c: c.update(name="unitary-conjugation"), "name"),
+], ids=["missing-achieved", "extra-key", "text-ceiling", "bogus-verdict", "pass-above-ceiling",
+        "kind-removed", "inputs-not-object", "ceiling-times-1e6", "formula-edited",
+        "unknown-name"])
+def test_report_with_a_malformed_certificate_exits_2(edit, field, tmp_path, capsys):
+    # a certificate the loader cannot read, one that Certificate.build would
+    # not give (its name, formula or ceiling differs from certs.BOUNDS), or
+    # one whose verdict its numbers contradict, is a malformed input file
+    # (2), not a failed paper-track certificate (1)
     rep_path = tmp_path / "report.json"
     assert main(["unitary", "--seed", "4", "--eps", "1e-5",
                  "--format", "json", "--out", str(rep_path)]) == 0
@@ -110,7 +118,30 @@ def test_report_with_a_malformed_certificate_exits_2(edit, tmp_path, capsys):
     capsys.readouterr()
     assert main(["report", str(rep_path)]) == 2
     err = capsys.readouterr().err
-    assert "SchemaError" in err and "$.certificates.unitary-implementation." in err
+    path = re.escape(f"$.certificates.unitary-implementation.{field}")
+    assert "SchemaError" in err and re.search(path + r"(\s|$)", err), err
+
+
+def test_report_with_a_list_of_certificates_exits_2(tmp_path, capsys):
+    rep_path = tmp_path / "report.json"
+    assert main(["unitary", "--seed", "4", "--eps", "1e-5",
+                 "--format", "json", "--out", str(rep_path)]) == 0
+    data = json.loads(rep_path.read_text())
+    data["certificates"] = list(data["certificates"].values())
+    rep_path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["report", str(rep_path)]) == 2
+    assert "SchemaError: $.certificates is not an object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pipeline", ["dist", "iso", "unitary", "oz-perturb", "oz-embed"])
+def test_every_pipeline_report_passes_the_report_check(pipeline, tmp_path, capsys):
+    # every ceiling a pipeline writes is the one its inputs give
+    rep_path = tmp_path / "report.json"
+    assert main([pipeline, "--seed", "1", "--eps", "1e-6", "--algebra", "M2+M1",
+                 "--format", "json", "--out", str(rep_path)]) == 0
+    assert main(["report", str(rep_path)]) == 0
+    assert "OK" in capsys.readouterr().out
 
 
 def test_report_rejects_instance_file(tmp_path, capsys):

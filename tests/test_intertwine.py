@@ -6,15 +6,13 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from cstarlab import intertwine
+from cstarlab import certs, intertwine
 from cstarlab.certs import (
-    DEFAULT_BUDGET,
-    PAPER_BUDGET,
     TOL_ALG,
     ContradictionError,
     SpectralGapError,
-    ToleranceBudget,
     WindowError,
+    on_track,
 )
 from cstarlab.cpmaps import LinMap, hom_defect, worst_move
 from cstarlab.instances import block_algebra, gen_instance
@@ -98,8 +96,8 @@ def test_close_isomorphism_rejects_a_gamma_far_below_the_distance():
 
 def test_close_isomorphism_window_on_paper_track():
     A, B, _ = conjugated_pair((2,), 3, 1e-4, 1)
-    with pytest.raises(WindowError):
-        close_isomorphism(A, B, 1e-3, budget=PAPER_BUDGET)
+    with on_track("paper"), pytest.raises(WindowError):
+        close_isomorphism(A, B, 1e-3)
 
 
 def _assert_empty_closeness(cert):
@@ -110,7 +108,7 @@ def _assert_empty_closeness(cert):
 def test_intertwining_iso_on_no_points():
     A, B, u = conjugated_pair((2, 1), 3, 1e-5, 4)
     res = intertwine.intertwining_iso(A, B, 2.0 * opnorm(u - np.eye(3)), X_A=[],
-                                      mu=1e-4, budget=DEFAULT_BUDGET)
+                                      mu=1e-4)
     _assert_empty_closeness(res.certificates["closeness"])
 
 
@@ -120,8 +118,7 @@ def test_intertwining_iso_ignores_repeated_points():
     A, B, u = conjugated_pair((2, 1), 3, 1e-5, 4)
     gamma = 2.0 * opnorm(u - np.eye(3))
     X_A = [A.random_selfadjoints(rng_for(5, "repeat"), 1)[0] / 2.0, *A.basis]
-    runs = [intertwine.intertwining_iso(A, B, 2.0 * gamma, X_A=X, mu=1e-4,
-                                        budget=DEFAULT_BUDGET, surjectivity_delta=gamma)
+    runs = [intertwine.intertwining_iso(A, B, 2.0 * gamma, X_A=X, mu=1e-4, surjectivity_delta=gamma)
             for X in (X_A, X_A + X_A)]
     certs = [{k: c.to_dict() for k, c in r.certificates.items()} for r in runs]
     # closeness also covers the B.dim codomain witnesses the pull-back accepts
@@ -153,18 +150,19 @@ def _recorded_runs(monkeypatch):
             _log.append((args, kwargs))
             return _fn(*args, **kwargs)
         monkeypatch.setattr(intertwine, name, recorded)
-    windows, require = [], ToleranceBudget.require_window
+    windows, require = [], certs.require_window
 
-    def recorded_window(budget, name, value, window):
+    def recorded_window(name, **values):
         if name == "multiplicativity-repair":
-            windows.append(value)
-        return require(budget, name, value, window)
+            windows.append(values["gamma"])
+        return require(name, **values)
 
-    monkeypatch.setattr(ToleranceBudget, "require_window", recorded_window)
+    monkeypatch.setattr(certs, "require_window", recorded_window)
     runs = []
     for algebra, ambient in [("M2+M1", 4), ("3,3", 8)]:
         A, B, gamma = conjugation_instance(algebra, ambient)
-        res = close_isomorphism(A, B, gamma, budget=PAPER_BUDGET)
+        with on_track("paper"):
+            res = close_isomorphism(A, B, gamma)
         assert res.passed
         runs.append((A, B, res, {k: list(v) for k, v in calls.items()}, list(windows)))
         for log in (*calls.values(), windows):
@@ -203,7 +201,7 @@ def test_repair_gamma_keeps_a_nan_defect(monkeypatch):
     A, B, u = conjugated_pair((2, 1), 3, 1e-5, 4)
     gammas = []
 
-    def repair(phi, gamma, budget):
+    def repair(phi, gamma):
         gammas.append(gamma)
         raise SpectralGapError("stop after the repair's inputs")
 
@@ -211,7 +209,7 @@ def test_repair_gamma_keeps_a_nan_defect(monkeypatch):
     monkeypatch.setattr(intertwine, "improve_multiplicativity", repair)
     with pytest.raises(SpectralGapError):
         intertwine.intertwining_iso(A, B, 2.0 * opnorm(u - np.eye(3)),
-                                    X_A=A.normalized_basis, mu=1e-4, budget=DEFAULT_BUDGET)
+                                    X_A=A.normalized_basis, mu=1e-4)
     assert len(gammas) == 1 and np.isnan(gammas[0])
 
 
@@ -263,8 +261,7 @@ def test_surjectivity_is_the_dimension_count():
     # fails on the dimension count, although the density margin it reports
     # (and does not check) is below 1
     A, B = block_algebra((2,), 4), block_algebra((2, 2), 4)
-    res = intertwine.intertwining_iso(A, B, 1e-7, X_A=A.normalized_basis, mu=1e-4,
-                                      budget=DEFAULT_BUDGET, surjectivity_delta=1e-7)
+    res = intertwine.intertwining_iso(A, B, 1e-7, X_A=A.normalized_basis, mu=1e-4, surjectivity_delta=1e-7)
     cert = res.certificates["surjectivity"]
     assert res.certificates["injectivity"].details["action_sigma_min"] > TOL_ALG
     assert not cert.passed and not res.surjective
@@ -426,6 +423,6 @@ def test_image_membership_keeps_a_nan_residual(monkeypatch, slot):
     residuals = iter(np.roll([float("nan"), 0.0], slot))
     monkeypatch.setattr(B, "membership_residual", lambda x: next(residuals))
     res = intertwine.intertwining_iso(A, B, 2.0 * gamma, X_A=A.normalized_basis,
-                                      mu=1e-4, budget=DEFAULT_BUDGET)
+                                      mu=1e-4)
     cert = res.certificates["image-membership"]
     assert np.isnan(cert.achieved) and not cert.passed

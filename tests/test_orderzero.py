@@ -175,6 +175,21 @@ def test_perturb_order_zero_small_rotation():
         assert B.residual(x) < 2.0 * gamma  # sanity on the instance itself
 
 
+def test_perturb_order_zero_zero_map_has_the_nonzero_ceiling_and_slack():
+    # the zero map keeps no block, and its certificate states the same bound,
+    # with the same ceiling and slack, as a nonzero map at the same gamma
+    oz = random_order_zero((2, 1), 4, seed=2)
+    carrier = oz.map.codomain_algebra
+    zero = OrderZeroMap.from_pair(oz.pi, np.zeros((4, 4)), codomain_algebra=carrier)
+    gamma = 1e-3
+    psi0, cert0 = perturb_order_zero(zero, carrier, gamma)
+    _, cert = perturb_order_zero(oz, carrier, gamma)
+    assert cert0.inputs["blocks_kept"] == 0 and not psi0.images.any()
+    assert cert0.achieved == 0.0 and cert0.passed
+    assert (cert0.ceiling, cert0.slack) == (cert.ceiling, cert.slack)
+    assert cert0.inputs["mu"] == cert.inputs["mu"]
+
+
 def test_perturb_order_zero_contradiction_on_understated_gamma():
     oz = random_order_zero((2,), 4, seed=10)
     carrier = oz.map.codomain_algebra

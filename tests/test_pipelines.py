@@ -101,7 +101,10 @@ def test_render_table():
     out = render_report(report, "table")
     assert "pipeline dist" in out
     assert "OK" in out
-    assert "distance-interval" in out
+    # the verdict column is as wide as "pass" and "fail"
+    c = report.certificates["distance-interval"]
+    assert out.splitlines()[2] == (f"distance-interval  pass  achieved {c.achieved:.6g}  "
+                                   f"ceiling {c.ceiling:.6g}")
 
 
 def test_render_csv():

@@ -48,10 +48,8 @@ def test_concrete_algebra_round_trip():
 
 
 def test_certificate_round_trip():
-    cert = Certificate.build(
-        name="round-trip", formula="a <= b",
-        inputs={"gamma": 0.25}, ceiling=1.0, achieved=0.5,
-        details={"note": [1, 2.5]}, provenance=provenance_stamp(3))
+    cert = Certificate.build("forward-closeness", {"gamma": 0.25, "n_points": 3}, 0.5,
+                             details={"note": [1, 2.5]}, provenance=provenance_stamp(3))
     back = loads(dumps(cert))
     assert isinstance(back, Certificate)
     assert back.name == cert.name
@@ -147,8 +145,8 @@ def test_schema_error_is_one_class_everywhere():
 def _certificate_report(edit) -> str:
     """A report-shaped document whose one certificate is edited in place."""
     import json
-    cert = json.loads(dumps(Certificate.build(name="c", formula="a <= b", inputs={},
-                                              ceiling=1.0, achieved=0.5)))
+    cert = json.loads(dumps(Certificate(name="c", formula="a <= b", inputs={},
+                                        ceiling=1.0, achieved=0.5, verdict="pass")))
     edit(cert)
     return json.dumps({"kind": "report", "certificates": {"c": cert}})
 
