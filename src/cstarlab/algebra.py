@@ -15,8 +15,10 @@ as A ∩ {h_0, h_1}' for two generic self-adjoint elements of A, which
 generate A as h_0 + i h_1: one 2N^2 x dim commutator operator, with no
 products over pairs of basis elements.  The result is a
 :class:`BlockStructure` whose matrix units are one (dim_linear, N, N) stack
-in the order of ``FDAlgebra.unit_labels()``, and whose ``to_abstract`` maps
-A onto its block model, the one model of the algebra.
+in the order of ``FDAlgebra.unit_labels()``, and whose ``coeffs`` reads an
+element of A as its coefficients over them.  A map on A is stored as its
+values on these units (``cpmaps.LinMap``), so the block model
+``fd_model()`` is the one model of the algebra.
 
 :class:`FDAlgebra` is the abstract model: a direct sum of full matrix
 algebras, realised concretely as block-diagonal matrices of size sum(n_k) so
@@ -263,19 +265,25 @@ class BlockStructure:
     def block_sizes(self) -> tuple[int, ...]:
         return tuple(n for n, _ in self.summands)
 
-    def fd_model(self) -> FDAlgebra:
+    @cached_property
+    def _model(self) -> FDAlgebra:  # one model per structure, so its index tables are built once
         return FDAlgebra(self.block_sizes)
 
-    def to_abstract(self, y: np.ndarray) -> np.ndarray:
-        """Element of ``fd_model()`` of y in the algebra, or of each matrix of
-        a stack (..., N, N): its coefficient over each matrix unit divided by
-        the unit's multiplicity m_k, which squashes the multiplicities.  The
-        way back sends the units of ``fd_model()`` to ``matrix_units``; both
-        are *-homomorphisms up to the accuracy of the units."""
-        fd = self.fd_model()
-        mults = np.array([self.summands[k][1] for (k, _, _) in fd.unit_labels()])
-        flat = self.matrix_units.reshape(len(self.matrix_units), -1)
-        return fd.from_coeffs((y.reshape(y.shape[:-2] + (-1,)) @ flat.conj().T) / mults)
+    def fd_model(self) -> FDAlgebra:
+        return self._model
+
+    @cached_property
+    def _dual(self) -> np.ndarray:  # the flattened units over m_k, conjugate transposed
+        mults = np.repeat([m for _, m in self.summands], [n * n for n, _ in self.summands])
+        return _frozen(self.matrix_units.reshape(len(mults), -1).conj().T / mults)
+
+    def coeffs(self, y: np.ndarray) -> np.ndarray:
+        """Coefficients (..., dim_linear) over the matrix units of y in the
+        algebra, or of each matrix of a stack (..., N, N): <e_ij, y>_HS / m_k
+        for the unit e_ij of summand k, whose squared HS norm is m_k, so that
+        y = sum_ij c_ij e_ij.  One GEMM against the flattened units."""
+        n2 = y.shape[-2] * y.shape[-1]
+        return (y.reshape(-1, n2) @ self._dual).reshape(y.shape[:-2] + (len(self.matrix_units),))
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .algebra import FDAlgebra
 from . import certs
 from .certs import Certificate, SpectralGapError
 from .cpmaps import LinMap, cb_bracket, classify, hom_defect, stinespring, ucp_extension
-from .linalg import dagger, herm, opnorm, opnorm_max, opnorms, polar_factor, psd_sqrt
+from .linalg import _BATCH_BYTES, dagger, herm, opnorm, opnorm_max, opnorms, polar_factor, psd_sqrt
 
 __all__ = [
     "AveragingSet",
@@ -77,14 +77,23 @@ def _canonical_index(block_sizes) -> tuple[np.ndarray, np.ndarray]:
     return np.array(scale), np.array(flip, dtype=int)
 
 
+def _unit_slices(stack: np.ndarray) -> list[slice]:
+    """Slices of a stack's leading axis in the batches of ``worst_move``."""
+    step = max(32, _BATCH_BYTES // 4 // max(stack[:1].nbytes, 1))
+    return [slice(s, s + step) for s in range(0, len(stack), step)]
+
+
 def canonical_average(block_sizes, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """sum_k (1/n_k) sum_ij left[e_ij] @ right[e_ji] over two stacks indexed
     by the matrix units e_ij of (+)_k M_{n_k} in (k, i, j) order: the
     canonical separability element evaluated on left (x) right.  The twirl of
     y over unit images E, sum_k (1/n_k) sum_ij E_ij y E_ji, is
-    canonical_average(block_sizes, E @ y, E)."""
+    canonical_average(block_sizes, E @ y, E).  Each slice of units
+    (``_unit_slices``) is one contraction over the unit and inner axes, so no
+    stack of the products is formed."""
     scale, flip = _canonical_index(block_sizes)
-    return np.matmul(scale[:, None, None] * left, right[flip]).sum(axis=0)
+    return sum(np.tensordot(scale[s, None, None] * left[s], right[flip[s]], axes=([0, 2], [0, 1]))
+               for s in _unit_slices(left))
 
 
 @dataclass
@@ -220,17 +229,16 @@ def improve_multiplicativity(phi: LinMap, gamma: float | None = None) -> RepairR
     ``cb_bracket(phi - psi)``, a proven bound on sup ||phi(x) - psi(x)|| over
     the unit ball; the bracket's lo is in its details as ``cb_lo``.
     """
-    abstract = phi.to_block_model()
-    cls = classify(abstract)
+    cls = classify(phi)
     if not cls.cpc:
         raise ValueError(
             f"repair requires a cpc map (||phi(1)|| = {cls.norm_of_unit:.6g}, "
             f"choi min eig {cls.choi_min_eig:.2e})")
     if gamma is None:
-        gamma = hom_defect(abstract)
+        gamma = hom_defect(phi)
     certs.require_window("multiplicativity-repair", gamma=gamma)
 
-    ext = ucp_extension(abstract)
+    ext = ucp_extension(phi)
     fd_ext: FDAlgebra = ext.domain
     # cut the Kraus rank at rounding scale, not at the cp-validation slack:
     # discarded Choi mass reappears verbatim as homomorphism defect of psi
@@ -242,7 +250,7 @@ def improve_multiplicativity(phi: LinMap, gamma: float | None = None) -> RepairR
     # represented matrix units
     rep_units = dil.rep_images
     p0 = herm(canonical_average(fd_ext.block_sizes, rep_units @ p, rep_units))
-    comm = opnorm_max(rep_units @ p0 - p0 @ rep_units)
+    comm = opnorm_max(rep_units[s] @ p0 - p0 @ rep_units[s] for s in _unit_slices(rep_units))
     drift = opnorm(p0 - p)
     cert_drift = Certificate.build("twirled-projection-drift", {"gamma": gamma}, drift,
                                    details={"commutant_residual": float(comm)})
@@ -258,27 +266,19 @@ def improve_multiplicativity(phi: LinMap, gamma: float | None = None) -> RepairR
     q = (vecs[:, keep] @ dagger(vecs[:, keep])) if keep.any() else np.zeros((K, K), dtype=complex)
 
     w, cert_conj = projection_conjugator(p, q)
-    # psi: compress the conjugated representation, restricted to the original
-    # block domain, whose matrix units come first in the extended order
+    # psi: compress the conjugated representation, restricted to phi's matrix
+    # units, which come first in the extended order
     V = dil.isometry
     E = dil.embed
-    fd0: FDAlgebra = abstract.domain
-    rep0 = dil.rep_images[:fd0.dim_linear]
+    rep0 = dil.rep_images[:phi.fd.dim_linear]
     images = E @ (dagger(V) @ dagger(w) @ rep0 @ w @ V) @ dagger(E)
-    psi_abs = LinMap(fd0, abstract.codomain_dim, images,
-                     codomain_algebra=abstract.codomain_algebra)
+    psi = LinMap(phi.domain, phi.codomain_dim, images, codomain_algebra=phi.codomain_algebra)
 
     # ||phi - psi|| <= ||phi - psi||_cb, so the bracket's hi bounds the sup
-    cb_lo, cb_hi = cb_bracket(abstract - psi_abs)
+    cb_lo, cb_hi = cb_bracket(phi - psi)
     cert_dist = Certificate.build("multiplicativity-repair", {"gamma": gamma}, cb_hi,
                                   details={"cb_lo": cb_lo})
-    cert_mult = Certificate.build("repaired-multiplicativity", {}, hom_defect(psi_abs))
-
-    psi = psi_abs
-    if abstract is not phi:  # back to the concrete domain, through its block model
-        A = phi.domain
-        psi = LinMap(A, phi.codomain_dim, psi_abs(A.structure().to_abstract(A.basis)),
-                     codomain_algebra=phi.codomain_algebra)
+    cert_mult = Certificate.build("repaired-multiplicativity", {}, hom_defect(psi))
 
     return RepairResult(psi=psi, gamma=float(gamma), dilation=dil,
                         certificates={"drift": cert_drift, "conjugator": cert_conj,
@@ -288,18 +288,6 @@ def improve_multiplicativity(phi: LinMap, gamma: float | None = None) -> RepairR
 # ---------------------------------------------------------------------------
 # intertwining unitaries
 # ---------------------------------------------------------------------------
-
-def _paired_block_maps(phi1: LinMap, phi2: LinMap) -> tuple[LinMap, LinMap]:
-    """Convert both maps to a common block domain (same model)."""
-    if isinstance(phi1.domain, FDAlgebra) and isinstance(phi2.domain, FDAlgebra):
-        if tuple(phi1.domain.block_sizes) != tuple(phi2.domain.block_sizes):
-            raise ValueError("the two maps have different block domains")
-        return phi1, phi2
-    if phi1.domain is not phi2.domain:
-        raise ValueError("concrete domains must be the same algebra object")
-    a1 = phi1.to_block_model()
-    return a1, a1 if phi2 is phi1 else phi2.to_block_model()
-
 
 @dataclass
 class IntertwinerResult:
@@ -331,23 +319,24 @@ def intertwining_unitary(phi1: LinMap, phi2: LinMap,
     conjugation residual is certified against the measured chain bound
     (||phi1(x) s - s phi2(x)|| + ||[|s|, phi2(x)]||) * |||s|^{-1}||.
     """
-    a1, a2 = _paired_block_maps(phi1, phi2)
-    fd: FDAlgebra = a1.domain
-    if a1.codomain_dim != a2.codomain_dim:
+    # an FDAlgebra compares by its block sizes, a ConcreteAlgebra by identity
+    if phi1.domain != phi2.domain:
+        raise ValueError("the two maps have different domains")
+    if phi1.codomain_dim != phi2.codomain_dim:
         raise ValueError("codomain mismatch")
     if delta is None:
-        delta = float(np.maximum(hom_defect(a1), hom_defect(a2) if a2 is not a1 else 0.0))
+        delta = float(np.maximum(hom_defect(phi1), hom_defect(phi2) if phi2 is not phi1 else 0.0))
     if gamma is None:
-        gamma = cb_bracket(a1 - a2)[1]
+        gamma = cb_bracket(phi1 - phi2)[1]
     certs.require_window("intertwiner-norm", gamma=gamma)
 
     # extend against the ambient unit: the averaged s must be invertible on
     # the whole ambient space, not just under the codomain support
-    e1 = ucp_extension(LinMap(a1.domain, a1.codomain_dim, a1.images))
-    e2 = e1 if a2 is a1 else ucp_extension(LinMap(a2.domain, a2.codomain_dim, a2.images))
+    e1 = ucp_extension(LinMap(phi1.domain, phi1.codomain_dim, phi1.images))
+    e2 = e1 if phi2 is phi1 else ucp_extension(LinMap(phi2.domain, phi2.codomain_dim, phi2.images))
     # s = sum_k (1/n_k) sum_ij e1(e_ij) e2(e_ji), paired on the stored images
     s = canonical_average(e1.domain.block_sizes, e1.images, e2.images)
-    K = a1.codomain_dim
+    K = phi1.codomain_dim
     sing = np.linalg.svd(s, compute_uv=False)
     if sing[-1] <= 1e-6:
         raise SpectralGapError(
@@ -359,8 +348,7 @@ def intertwining_unitary(phi1: LinMap, phi2: LinMap,
 
     abs_s = psd_sqrt(dagger(s) @ s)
     inv_norm = float(1.0 / sing[-1])
-    units = fd.units()
-    x1, x2 = a1(units), a2(units)
+    x1, x2 = phi1.images, phi2.images  # the values on the matrix units
     worst_res = opnorm_max(u @ x2 @ dagger(u) - x1)
     worst_chain = ((opnorms(x1 @ s - s @ x2) + opnorms(abs_s @ x2 - x2 @ abs_s))
                    * inv_norm).max()

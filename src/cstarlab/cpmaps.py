@@ -2,23 +2,24 @@
 Kraus and Stinespring forms, defects, restricted expectations, and cb-norm
 brackets.
 
-Conventions.  A :class:`LinMap` stores the images of the canonical basis of
-its domain as one (d, N, N) array: matrix units (lexicographic in (block,
-row, column)) for an :class:`~cstarlab.algebra.FDAlgebra` domain, the
-HS-orthonormal basis for a :class:`~cstarlab.algebra.ConcreteAlgebra`
-domain.  A map evaluates by one contraction of the domain coefficients with
-that array, on one element or on a stack (S, n, n) of them.  A map with
-block domain has one Choi block per summand, C_k = sum_ij e_ij (x)
-phi(e_ij^(k)), an (n_k N) x (n_k N) matrix; the map is completely positive
-iff every block is positive semidefinite.  Choi blocks and the reshuffle are
-reshapes and transposes of the image array, and so are the constructions
-read off them: the Kraus operators of a block are its Choi eigenvectors
-reshaped, the Stinespring isometry stacks those, and the Choi noise of
-``perturb_choi`` reads its noisy blocks back by the inverse reshape.
+Conventions.  A :class:`LinMap` stores its values on the matrix units
+e_ij^(k), lexicographic in (block, row, column), of its block model ``fd`` as
+one (d, N, N) array: the units of an :class:`~cstarlab.algebra.FDAlgebra`
+domain, or those of the Wedderburn structure of a
+:class:`~cstarlab.algebra.ConcreteAlgebra` domain.  A map evaluates by one
+contraction of the coefficients over those units with that array, on one
+element or on a stack (S, n, n) of them.  A map has one Choi block per
+summand, C_k = sum_ij e_ij (x) phi(e_ij^(k)), an (n_k N) x (n_k N) matrix;
+it is completely positive iff every block is positive semidefinite.  Choi
+blocks and the reshuffle are reshapes and transposes of the image array, and
+so are the constructions read off them: the Kraus operators of a block are
+its Choi eigenvectors reshaped, the Stinespring isometry stacks those, and
+the Choi noise of ``perturb_choi`` reads its noisy blocks back by the
+inverse reshape.
 
 A map is tested for being a homomorphism one way: ``hom_defect`` reads
-``FDAlgebra.relation_residual`` on its images of the domain's matrix units,
-on a block or a concrete domain alike.
+``FDAlgebra.relation_residual`` on its images, on a block or a concrete
+domain alike.
 """
 
 from __future__ import annotations
@@ -66,11 +67,11 @@ class LinMap:
 
     domain: FDAlgebra (abstract blocks) or ConcreteAlgebra (subalgebra of an
     ambient matrix algebra).  images is a (d, N, N) array whose i-th matrix
-    is the value on the i-th canonical basis element; iterating over it
-    yields the N x N images.  phi(x) takes one domain element or a stack
-    (S, n, n) and returns phi of each.  codomain_algebra, when set, declares
-    that images are expected to lie in that subalgebra; certificates can
-    then measure the residual.
+    is the value on the i-th matrix unit of ``fd``, the domain's block model;
+    iterating over it yields the N x N images.  phi(x) takes one domain
+    element or a stack (S, n, n) and returns phi of each.
+    codomain_algebra, when set, declares that images are expected to lie in
+    that subalgebra; certificates can then measure the residual.
     """
 
     domain: FDAlgebra | ConcreteAlgebra
@@ -92,13 +93,20 @@ class LinMap:
 
     # -- evaluation ----------------------------------------------------------
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return _combine(self.domain.coeffs(x), self.images)
-
-    def domain_unit(self) -> np.ndarray:
+    @property
+    def fd(self) -> FDAlgebra:
+        """The block model whose matrix units the images are the values on:
+        the domain, or the ``fd_model()`` of a concrete domain's structure."""
         if isinstance(self.domain, FDAlgebra):
-            return self.domain.unit()
-        return self.domain.unit
+            return self.domain
+        return self.domain.structure().fd_model()
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """x's coefficients over the matrix units (the structure's ``coeffs``
+        on a concrete domain) against the images."""
+        domain = self.domain
+        units = domain if isinstance(domain, FDAlgebra) else domain.structure()
+        return _combine(units.coeffs(x), self.images)
 
     def codomain_unit(self) -> np.ndarray:
         if self.codomain_algebra is not None:
@@ -106,7 +114,9 @@ class LinMap:
         return np.eye(self.codomain_dim, dtype=complex)
 
     def value_on_unit(self) -> np.ndarray:
-        return self(self.domain_unit())
+        """phi(1), the sum of the images of the diagonal units."""
+        fd = self.fd
+        return _combine(fd.coeffs(fd.unit()), self.images)
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -128,42 +138,15 @@ class LinMap:
         """Ad(u) composed after the map."""
         return LinMap(self.domain, self.codomain_dim, u @ self.images @ dagger(u))
 
-    def basis_distance(self, other: "LinMap") -> float:
-        """max over canonical basis elements b of ||phi(b) - psi(b)||, with b
-        rescaled to operator norm one."""
-        self._same_domain(other)
-        scale = (np.maximum(opnorms(self.domain.units()), 1e-300)
-                 if isinstance(self.domain, FDAlgebra) else self.domain.basis_norms)
-        return float(np.max(opnorms(self.images - other.images) / scale))
-
-    # -- block model ----------------------------------------------------------
-
-    def to_block_model(self) -> "LinMap":
-        """The map on the block model of its domain (multiplicities squashed):
-        its values on the matrix units of the domain's ``structure()``, on
-        ``fd_model()``; the map itself when its domain is a block algebra."""
-        if isinstance(self.domain, FDAlgebra):
-            return self
-        struct = self.domain.structure()
-        return LinMap(struct.fd_model(), self.codomain_dim, self(struct.matrix_units),
-                      codomain_algebra=self.codomain_algebra)
-
 
 # ---------------------------------------------------------------------------
 # Choi matrices
 # ---------------------------------------------------------------------------
 
-def _require_fd(phi: LinMap) -> FDAlgebra:
-    if not isinstance(phi.domain, FDAlgebra):
-        raise ValueError("operation requires a matrix-algebra (block) domain; "
-                         "convert with to_block_model first")
-    return phi.domain
-
-
 def choi_blocks(phi: LinMap) -> list[np.ndarray]:
     """Per-summand Choi matrices C_k = sum_ij e_ij (x) phi(e_ij^(k)), a
     reshape of the images on each call."""
-    fd, N = _require_fd(phi), phi.codomain_dim
+    fd, N = phi.fd, phi.codomain_dim
     # block (i, j) of C_k is the image of e_ij
     return [E.transpose(0, 2, 1, 3).reshape(n * N, n * N)
             for n, E in zip(fd.block_sizes, fd.unit_blocks(phi.images))]
@@ -180,19 +163,18 @@ def perturb_choi(phi: LinMap, eps: float, rng: np.random.Generator) -> LinMap:
     """The cp map whose Choi blocks are the psd parts of C_k + eps g_k /
     ||g_k||_HS, C_k those of phi and g_k = random_hermitian(rng, n_k N) drawn
     summand by summand; its norm is not controlled."""
-    fd = _require_fd(phi)
     noisy = []
     for C in choi_blocks(phi):
         g = random_hermitian(rng, C.shape[0])
         noisy.append(psd_part(C + (eps / max(hs_norm(g), 1e-300)) * g))
-    return _from_choi_blocks(fd, phi.codomain_dim, noisy)
+    return _from_choi_blocks(phi.fd, phi.codomain_dim, noisy)
 
 
 def classify(phi: LinMap) -> Ternary:
     """cp iff the Choi blocks are Hermitian psd up to TOL_PSD; cpc adds
     ||phi(1)|| <= 1 + TOL_PSD; ucp instead requires phi(1) to equal the
     codomain unit up to TOL_ALG."""
-    blocks = choi_blocks(phi.to_block_model())
+    blocks = choi_blocks(phi)
     min_eig = np.inf
     herm_resid = 0.0
     # one stack per block size: batched SVDs and eigensolves give each block
@@ -217,9 +199,8 @@ def kraus_operators(phi: LinMap, tol_psd: float) -> list[np.ndarray]:
     block, from the eigendecomposition of its Choi blocks (eigenvalues below
     tol_psd are discarded): K e_j = sqrt(lam) v[(j, :)] for each kept
     eigenpair (lam, v)."""
-    fd = _require_fd(phi)
     out = []
-    for n, C in zip(fd.block_sizes, choi_blocks(phi)):
+    for n, C in zip(phi.fd.block_sizes, choi_blocks(phi)):
         vals, vecs = np.linalg.eigh(herm(C))
         keep = vals >= tol_psd
         out.append(_kraus_stack(np.sqrt(vals[keep]) * vecs[:, keep], n, phi.codomain_dim))
@@ -275,13 +256,13 @@ class StinespringDilation:
 
 
 def stinespring(phi: LinMap, tol_psd: float = TOL_PSD) -> StinespringDilation:
-    """Minimal Stinespring dilation of a ucp map with block domain.
+    """Minimal Stinespring dilation of a ucp map, on its block model ``fd``.
 
     When phi(1) is a proper support projection e, the codomain is first
     compressed to the corner e M_N e; the returned embed isometry undoes the
     compression.
     """
-    fd = _require_fd(phi)
+    fd = phi.fd
     cls = classify(phi)
     if not cls.ucp:
         raise ValueError(
@@ -317,12 +298,11 @@ def stinespring(phi: LinMap, tol_psd: float = TOL_PSD) -> StinespringDilation:
 def hom_defect(phi: LinMap) -> float:
     """Homomorphism defect of phi, on a block or a concrete domain: the
     generating matrix-unit relation residual (``FDAlgebra.relation_residual``)
-    of its images of the domain's matrix units, through ``to_block_model``.
-    Zero exactly when phi is a *-homomorphism.  Otherwise it is phi's defect
-    at those units, a deterministic lower estimate of the unit-ball defect,
-    not a bound."""
-    work = phi.to_block_model()
-    return work.domain.relation_residual(work.images)
+    of its images, its values on the matrix units of ``phi.fd``.  Zero exactly
+    when phi is a *-homomorphism.  Otherwise it is phi's defect at those
+    units, a deterministic lower estimate of the unit-ball defect, not a
+    bound."""
+    return phi.fd.relation_residual(phi.images)
 
 
 def worst_move(f, X) -> float:
@@ -345,9 +325,10 @@ def arveson_restrict(A: ConcreteAlgebra, B: ConcreteAlgebra, X,
     Produces a cpc map phi: A -> B with ||phi(x) - x|| <= 2 gamma + TOL_ALG for
     every x in X, valid whenever each x in X lies within gamma of B in
     operator norm (the expectation is a contraction fixing B).  Its images
-    are B.project(A.basis): the expectation is never formed on all of M_N.
+    are B.project of A's matrix units: the expectation is never formed on all
+    of M_N.
     """
-    phi = LinMap(A, A.ambient_dim, B.project(A.basis), codomain_algebra=B)
+    phi = LinMap(A, A.ambient_dim, B.project(A.structure().matrix_units), codomain_algebra=B)
     return phi, Certificate.build("expectation-restriction",
                                   {"gamma": gamma, "n_points": len(X)}, worst_move(phi, X))
 
@@ -355,19 +336,18 @@ def arveson_restrict(A: ConcreteAlgebra, B: ConcreteAlgebra, X,
 def ucp_extension(phi: LinMap) -> LinMap:
     """Extend a cpc map to a ucp map on the unitized domain: the domain gains
     a one-dimensional block and the new block's unit is sent to (codomain
-    unit) - phi(1), which is always ucp for cpc phi.
+    unit) - phi(1), which is always ucp for cpc phi.  The extension's domain
+    is the block algebra ``phi.fd`` plus that block.
     """
-    work = phi.to_block_model()
-    cls = classify(work)
+    cls = classify(phi)
     if not cls.cpc:
         raise ValueError(
             f"ucp_extension requires a cpc map (||phi(1)|| = {cls.norm_of_unit:.6g}, "
             f"choi min eig {cls.choi_min_eig:.2e})")
-    fd = work.domain
-    fd2 = FDAlgebra(tuple(fd.block_sizes) + (1,))
-    slack = work.codomain_unit() - work.value_on_unit()
-    return LinMap(fd2, work.codomain_dim, np.concatenate([work.images, slack[None]]),
-                  codomain_algebra=work.codomain_algebra)
+    fd2 = FDAlgebra(tuple(phi.fd.block_sizes) + (1,))
+    slack = phi.codomain_unit() - phi.value_on_unit()
+    return LinMap(fd2, phi.codomain_dim, np.concatenate([phi.images, slack[None]]),
+                  codomain_algebra=phi.codomain_algebra)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +363,7 @@ def _pinched_images(phi: LinMap) -> np.ndarray:
     matrix C[(i,a),(j,b)] and the reshuffle R[(a,i),(j,b)], both equal to
     phi(e_ij)[a,b], are transposes of F.
     """
-    fd, N = phi.domain, phi.codomain_dim
+    fd, N = phi.fd, phi.codomain_dim
     F = np.zeros((fd.d * fd.d, N, N), dtype=complex)
     F[fd.unit_positions] = phi.images
     return F.reshape(fd.d, fd.d, N, N)
@@ -446,11 +426,10 @@ def cb_bracket(phi: LinMap) -> tuple[float, float]:
     transpose of the pinched images, so only its SVD rounds, and lo is
     rounded down by twice that SVD's backward error, 4 N d eps.
     """
-    work = phi.to_block_model()
-    d, N = work.domain.d, work.codomain_dim
-    cls = classify(work)
+    d, N = phi.fd.d, phi.codomain_dim
+    cls = classify(phi)
     if cls.cp:
-        blocks = choi_blocks(work)
+        blocks = choi_blocks(phi)
         neg = -sum(v[v < -2.0 * len(v) * _EPS * np.abs(v).max()].sum()
                    for v in map(np.linalg.eigvalsh, map(herm, blocks)))
         skew = np.max([opnorm(C - dagger(C)) for C in blocks])  # keeps a nan; max() drops it
@@ -460,7 +439,7 @@ def cb_bracket(phi: LinMap) -> tuple[float, float]:
 
     # upper bounds from factorizations of the pinched-domain Choi
     factors = []
-    F = _pinched_images(work)
+    F = _pinched_images(phi)
     Cfull, R = _choi_and_reshuffle(F)
     # (1) Hermitian eigendecomposition when the Choi is Hermitian:
     # A = sign(lam) K, B = K* with K the Kraus-type operator of (lam, v)

@@ -205,10 +205,8 @@ def hat_decomposition(n_grid: int):
         return np.diag(vals.astype(complex))
 
     fd = FDAlgebra((1,) * len(nodes))
-    down = LinMap(A, fd.d, tuple(
-        np.diag(np.array([1.0 + 0j if nodes[m] == j else 0.0
-                          for m in range(len(nodes))]))
-        for j in range(n_grid)))
+    units = A.structure().matrix_units  # down sends each unit to its values at the nodes
+    down = LinMap(A, fd.d, fd.from_coeffs(units[:, nodes, nodes]))
     pieces = (tuple(m for m in range(len(nodes)) if m % 2 == 0),
               tuple(m for m in range(len(nodes)) if m % 2 == 1))
     ups = []

@@ -14,6 +14,7 @@ close_isomorphism reads B's witnesses and its forward closeness from it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -55,13 +56,15 @@ class StageRecord:
 class IsoResult:
     """A constructed *-homomorphism with its provenance.
 
-    map sends the domain algebra into the codomain algebra; inverse is set
-    when the map is a bijection onto the codomain.  trace holds the one stage
+    map sends the domain algebra into the codomain algebra; inverse, set
+    when the map is a bijection onto the codomain, is y -> map^{-1}(y) on the
+    codomain, read from y's coefficients over the codomain's basis (so the
+    codomain's structure is never computed).  trace holds the one stage
     record; certificates hold the quantitative claims.
     """
 
     map: LinMap
-    inverse: LinMap | None
+    inverse: Callable[[np.ndarray], np.ndarray] | None
     trace: list[StageRecord]
     certificates: dict
     eta: float
@@ -128,7 +131,7 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float, X_A,
     cert_hom = Certificate.build("homomorphism", {}, hom_defect(alpha))
     cert_member = Certificate.build("image-membership", {}, worst_membership)
 
-    action = B.coeffs(alpha.images).T
+    action = B.coeffs(alpha(A.basis)).T  # from A's HS-orthonormal basis onto B's
     svals = np.linalg.svd(action, compute_uv=False)
     sigma_min = float(svals[-1]) if svals.size else 0.0
     margins = np.maximum(0.0, 1.0 - opnorms(alpha(A.normalized_basis)))
@@ -141,8 +144,10 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float, X_A,
     inverse = None
     if sigma_min > TOL_ALG and A.dim == B.dim:
         surjective = True
-        inv_images = _combine(np.linalg.inv(action).T, A.basis)
-        inverse = LinMap(B, B.ambient_dim, inv_images, codomain_algebra=A)
+        inv_images = _combine(np.linalg.inv(action).T, A.basis)  # alpha^{-1} of B's basis
+
+        def inverse(y):
+            return _combine(B.coeffs(y), inv_images)
     if surjectivity_delta is not None:
         b = cert_inj.ceiling
         margin = 8.0 * np.sqrt(2.0) * b + 2.0 * nu + b + 2.0 * surjectivity_delta
@@ -282,9 +287,10 @@ def half_flip_cpc(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma: float,
     vals, vecs = np.linalg.eigh(e)
     xi = vecs[:, vals > 0.5][:, 0]
 
-    # phi(b) = u* R(w (e (x) b) w*) u for each basis element b, with R the
+    # phi(b) = u* R(w (e (x) b) w*) u for each matrix unit b, with R the
     # slice by the vector state of xi
-    mid = w @ np.einsum("ij,bkl->bikjl", e, A.basis).reshape(-1, N * N, N * N) @ dagger(w)
+    lifted = np.einsum("ij,bkl->bikjl", e, struct.matrix_units).reshape(-1, N * N, N * N)
+    mid = w @ lifted @ dagger(w)
     images = np.einsum("bikjl,k,l->bij", mid.reshape(-1, N, N, N, N), xi.conj(), xi)
     phi = LinMap(A, N, dagger(u) @ images @ u, codomain_algebra=B)
 
@@ -310,8 +316,8 @@ def implement_unitarily(theta: LinMap) -> tuple[np.ndarray, Certificate]:
 
     Uses the averaged intertwiner between the inclusion and the map, both
     exact homomorphisms, so the conjugation identity holds to machine
-    precision; ||u - I|| <= 2 sqrt(2) gamma where gamma is the measured basis
-    deviation of the map from the inclusion.
+    precision; ||u - I|| <= 2 sqrt(2) gamma where gamma is the measured
+    deviation of the map from the inclusion on A's normalised basis.
     """
     A = theta.domain
     if not isinstance(A, ConcreteAlgebra):
@@ -324,8 +330,8 @@ def implement_unitarily(theta: LinMap) -> tuple[np.ndarray, Certificate]:
         raise ValueError(
             f"map is not a homomorphism to tol_alg (defect {defect:.3g}); "
             "repair it before implementing unitarily")
-    inclusion = LinMap(A, A.ambient_dim, A.basis, codomain_algebra=A)
-    gamma_basis = theta.basis_distance(inclusion)
+    inclusion = LinMap(A, A.ambient_dim, A.structure().matrix_units, codomain_algebra=A)
+    gamma_basis = worst_move(theta, A.normalized_basis)
     try:
         res = intertwining_unitary(theta, inclusion, gamma=gamma_basis,
                                    delta=defect)

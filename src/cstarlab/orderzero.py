@@ -259,7 +259,7 @@ def identity_decomposition(A: ConcreteAlgebra) -> NucDimDecomposition:
     own block model (finite-dimensional algebras need no colors)."""
     struct = A.structure()
     fd = struct.fd_model()
-    down = LinMap(A, fd.d, struct.to_abstract(A.basis))
+    down = LinMap(A, fd.d, fd.units())
     up_map = LinMap(fd, A.ambient_dim, struct.matrix_units, codomain_algebra=A)
     up = OrderZeroMap(map=up_map, pi=up_map, h=np.array(A.support))
     defect = worst_move(lambda x: up(down(x)), A.basis)
@@ -282,7 +282,7 @@ def split_decomposition(A: ConcreteAlgebra) -> NucDimDecomposition:
         raise ValueError(f"cannot split {r} blocks into {_SPLIT_COLORS} nonempty colors")
     groups = tuple(tuple(k for k in range(r) if k % _SPLIT_COLORS == i)
                    for i in range(_SPLIT_COLORS))
-    down = LinMap(A, fd.d, struct.to_abstract(A.basis))
+    down = LinMap(A, fd.d, fd.units())
     blocks = fd.unit_blocks(struct.matrix_units)
     ups = []
     for group in groups:
@@ -307,7 +307,7 @@ def verify_nucdim_decomposition(A: ConcreteAlgebra, X, eps: float,
         ok, _ = is_order_zero(up.map)
         if not ok:
             failures.append(f"up-{i}-not-order-zero")
-    comp = LinMap(A, dec.ups[0].codomain_dim, dec.compose(A.basis))
+    comp = LinMap(A, dec.ups[0].codomain_dim, dec.compose(A.structure().matrix_units))
     if not classify(comp).cpc:
         failures.append("composite-not-cpc")
     defect = worst_move(dec.compose, X)
@@ -337,7 +337,7 @@ def nucdim_cpc_transfer(D: ConcreteAlgebra, dec: NucDimDecomposition,
         perturbed.append(psi_i)
         summand_certs.append(cert_i)
 
-    y = dec.down(D.basis)
+    y = dec.down(D.structure().matrix_units)
     images = sum(psi_i(dec.restrict(i, y)) for i, psi_i in enumerate(perturbed))
     raw = LinMap(D, N, images, codomain_algebra=B)
     lo, hi = cb_bracket(raw)

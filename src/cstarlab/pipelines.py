@@ -50,7 +50,8 @@ def conjugation_iso(instance: Instance) -> LinMap:
     if u is None:
         raise ValueError("instance carries no generating unitary")
     A = instance.A
-    return LinMap(A, A.ambient_dim, u @ A.basis @ dagger(u), codomain_algebra=instance.B)
+    units = A.structure().matrix_units
+    return LinMap(A, A.ambient_dim, u @ units @ dagger(u), codomain_algebra=instance.B)
 
 
 def _gamma_source(instance: Instance, seed: int, samples: int,

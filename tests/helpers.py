@@ -11,7 +11,7 @@ from cstarlab.averaging import AveragingSet, _canonical_index
 from cstarlab.certs import TOL_ALG, TOL_CONV, Certificate, provenance_stamp
 from cstarlab.cpmaps import LinMap, _from_choi_blocks, choi_blocks, classify
 from cstarlab.geometry import NearInclusionCert, SampleSpec, _near_inclusions
-from cstarlab.linalg import dagger, opnorm, opnorm_max
+from cstarlab.linalg import dagger, opnorm, opnorm_max, random_unitary, rng_for
 from cstarlab.orderzero import OrderZeroMap, _structure_residual
 from cstarlab.serialize import dumps
 
@@ -143,9 +143,28 @@ def near_inclusion(A: ConcreteAlgebra, B: ConcreteAlgebra,
     return _near_inclusions([(A, B)], spec, ball)[0]
 
 
+# (summands, N) of the maps on M_n (x) 1_m domains: one summand with
+# multiplicity 2, three summands with one of them amplified, and M_3 (x) 1_2
+MULTIPLICITY_CASES = [(((2, 2),), 5), (((1, 2), (1, 1), (2, 1)), 6), (((3, 2),), 7)]
+
+
+def multiplicity_algebra(summands, N, seed):
+    """(+)_k M_{n_k} (x) 1_{m_k} on consecutive diagonal blocks of M_N,
+    conjugated by a random unitary w: the algebra and its unit."""
+    units, o = [], 0
+    for n, m in summands:
+        amp = np.kron(FDAlgebra((n,)).units(), np.eye(m))
+        units.append(np.pad(amp, ((0, 0), (o, N - o - n * m), (o, N - o - n * m))))
+        o += n * m
+    w = random_unitary(rng_for(seed, "mult-units"), N)
+    unit = w @ np.diag([1.0] * o + [0.0] * (N - o)) @ dagger(w)
+    return ConcreteAlgebra.from_basis(list(w @ np.concatenate(units) @ dagger(w)), N), unit
+
+
 def to_concrete(struct: BlockStructure, m: np.ndarray) -> np.ndarray:
-    """The inverse of ``struct.to_abstract``: the concrete element of m, or
-    of each matrix of a stack (..., d, d), over the structure's matrix units."""
+    """The concrete element of m in ``struct.fd_model()``, or of each matrix
+    of a stack (..., d, d), over the structure's matrix units: the inverse of
+    ``fd_model().from_coeffs(struct.coeffs(y))``."""
     return _combine(struct.fd_model().coeffs(m), struct.matrix_units)
 
 

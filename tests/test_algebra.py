@@ -17,8 +17,8 @@ import cstarlab
 from cstarlab.linalg import (dagger, expm_i, opnorm, opnorm_max, random_complex,
                              random_hermitian, random_unitary, rng_for)
 from cstarlab import algebra
-from helpers import (hs_inner, matrix_unit, relation_residual_by_rows, to_concrete,
-                     verify_algebra)
+from helpers import (hs_inner, matrix_unit, multiplicity_algebra, relation_residual_by_rows,
+                     to_concrete, verify_algebra)
 
 PROFILES = [(2,), (1, 1), (2, 1), (3,), (2, 2), (1, 1, 1)]
 
@@ -191,19 +191,6 @@ def test_wedderburn_retries_a_draw_that_is_not_generic(monkeypatch):
         wedderburn_decompose(A)
 
 
-def multiplicity_algebra(summands, N, seed):
-    """(+)_k M_{n_k} (x) 1_{m_k} on consecutive diagonal blocks of M_N,
-    conjugated by a random unitary w: the algebra and its unit."""
-    units, o = [], 0
-    for n, m in summands:
-        amp = np.kron(FDAlgebra((n,)).units(), np.eye(m))
-        units.append(np.pad(amp, ((0, 0), (o, N - o - n * m), (o, N - o - n * m))))
-        o += n * m
-    w = random_unitary(rng_for(seed, "mult-units"), N)
-    unit = w @ np.diag([1.0] * o + [0.0] * (N - o)) @ dagger(w)
-    return ConcreteAlgebra.from_basis(list(w @ np.concatenate(units) @ dagger(w)), N), unit
-
-
 @pytest.mark.parametrize("summands, N", [
     (((2, 2), (1, 1)), 6),
     (((2, 1), (2, 2)), 7),
@@ -214,7 +201,8 @@ def multiplicity_algebra(summands, N, seed):
 def test_wedderburn_with_multiplicities(summands, N, seed):
     # the summands are known by construction; the projections must add up to
     # the unit and commute with A, the units must satisfy the matrix-unit
-    # relations, and the block model must invert on A and on its blocks
+    # relations, and the coefficients over the units must invert on A and on
+    # its block model
     A, unit = multiplicity_algebra(summands, N, seed)
     st = wedderburn_decompose(A)
     assert sorted(st.summands) == sorted(summands)
@@ -225,9 +213,10 @@ def test_wedderburn_with_multiplicities(summands, N, seed):
     assert opnorm_max(P[:, None] @ basis[None] - basis[None] @ P[:, None]) < 1e-9
     assert [round(np.trace(p).real) for p in P] == [n * m for n, m in st.summands]
     assert st.fd_model().relation_residual(st.matrix_units) <= 1e-9
-    assert opnorm_max(to_concrete(st, st.to_abstract(basis)) - basis) < 1e-9
-    x = st.fd_model().random_elements(rng_for(seed, "mult-model"), 3)
-    assert opnorm_max(st.to_abstract(to_concrete(st, x)) - x) < 1e-9
+    fd = st.fd_model()
+    assert opnorm_max(to_concrete(st, fd.from_coeffs(st.coeffs(basis))) - basis) < 1e-9
+    x = fd.random_elements(rng_for(seed, "mult-model"), 3)
+    assert opnorm_max(fd.from_coeffs(st.coeffs(to_concrete(st, x))) - x) < 1e-9
 def unit_images(units, w) -> np.ndarray:
     """Images of the matrix units of M_3 + C: E[i, j] (x) 1_2 and a
     one-dimensional summand, in M_7 and conjugated by w, as one stack in
@@ -418,7 +407,7 @@ def test_block_model_round_trip():
     A = block_algebra((2, 1), 4)
     struct = A.structure()
     for b in A.basis:
-        x = struct.to_abstract(b)
+        x = struct.fd_model().from_coeffs(struct.coeffs(b))
         back = to_concrete(struct, x)
         assert opnorm(back - b) < 1e-10
     # multiplicativity of the model

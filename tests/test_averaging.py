@@ -19,18 +19,13 @@ from cstarlab.averaging import (
     weyl_unitaries,
 )
 from cstarlab.certs import SpectralGapError, WindowError, on_track
-from cstarlab.cpmaps import LinMap, arveson_restrict, hom_defect
+from cstarlab.cpmaps import LinMap, arveson_restrict, hom_defect, worst_move
 from cstarlab.instances import _rotated_embedding, block_algebra, gen_instance
-from cstarlab.linalg import random_unitary, rng_for
-from helpers import hs_inner, matrix_unit, verify_averaging_set
+from cstarlab.linalg import expm_i, random_hermitian, random_unitary, rng_for
+from helpers import (MULTIPLICITY_CASES, hs_inner, matrix_unit, multiplicity_algebra,
+                     verify_averaging_set)
 
 PROFILES = [(1,), (2,), (1, 1), (2, 1), (3,), (2, 2), (2, 1, 1), (2, 3, 1)]
-
-
-def inclusion_map(sizes, N: int) -> LinMap:
-    A = block_algebra(sizes, N)
-    fd = A.structure().fd if hasattr(A, "structure") else None
-    return LinMap(A, N, tuple(A.basis), codomain_algebra=A)
 
 
 def embedded(fd: FDAlgebra, N: int) -> LinMap:
@@ -220,6 +215,22 @@ def test_repair_certificates_reported():
     for key in ("drift", "conjugator", "distance", "multiplicativity"):
         assert key in rep.certificates
         assert rep.certificates[key].passed
+
+
+@pytest.mark.parametrize("summands, N", MULTIPLICITY_CASES)
+def test_repair_on_a_domain_with_multiplicity_keeps_the_domain(summands, N):
+    # the expectation onto a copy of M_n (x) 1_m conjugated at 1e-6,
+    # restricted to it, repairs to a homomorphism psi on the same concrete
+    # domain, stored on the same matrix units, that moves A's normalised
+    # basis by no more than the conjugation does
+    A, _ = multiplicity_algebra(summands, N, seed=8)
+    h = random_hermitian(rng_for(8, "test-mult-repair"), N)
+    B = A.conjugated(expm_i(1e-6 * h / opnorm(h)))
+    phi, _ = arveson_restrict(A, B, [], gamma=0.0)
+    rep = improve_multiplicativity(phi)
+    assert rep.passed and rep.psi.domain is A
+    assert hom_defect(rep.psi) <= 1e-12
+    assert worst_move(rep.psi, A.normalized_basis) <= 1e-5
 
 
 @pytest.mark.parametrize("profile", [(2,), (2, 1), (1, 1, 1), (3,)])

@@ -26,7 +26,8 @@ from cstarlab.cpmaps import (
 )
 from cstarlab.instances import block_algebra, gen_instance
 from cstarlab.linalg import herm, opnorm_max, opnorms, random_complex, random_unitary, rng_for
-from helpers import choi, conditional_expectation, from_choi, matrix_unit, mult_defects
+from helpers import (MULTIPLICITY_CASES, choi, conditional_expectation, from_choi, matrix_unit,
+                     mult_defects, multiplicity_algebra)
 
 
 def random_ucp(fd: FDAlgebra, N: int, seed: int = 0) -> LinMap:
@@ -172,7 +173,7 @@ def test_classify_reads_a_nan_eigenvalue_as_not_cp(monkeypatch):
     # a Choi eigenvalue that is not a number certifies nothing: Python's min
     # drops it, and a minimum read as 0.0 would pass the blocks as psd
     A = block_algebra((2, 1), 3)
-    phi = LinMap(A, 3, A.basis, codomain_algebra=A)
+    phi = LinMap(A, 3, A.structure().matrix_units, codomain_algebra=A)
     assert classify(phi).ucp
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: np.full(m.shape[:-1], np.nan))
     cls = classify(phi)
@@ -246,6 +247,15 @@ def test_stacked_evaluation_block_domain(profile):
         assert opnorm(y - oracle) < 1e-13
 
 
+def _unit_oracle(phi: LinMap, x: np.ndarray) -> np.ndarray:
+    """phi(x) = sum over the domain's matrix units e_ij of summand k of
+    <e_ij, x>_HS / m_k times the stored image, one unit at a time."""
+    struct = phi.domain.structure()
+    mults = [struct.summands[k][1] for k, _, _ in phi.fd.unit_labels()]
+    return sum(np.vdot(e, x) / m * img
+               for e, m, img in zip(struct.matrix_units, mults, phi.images))
+
+
 def test_stacked_evaluation_concrete_domain():
     A = block_algebra((2, 1), 4).conjugated(random_unitary(rng_for(2, "test-u"), 4))
     phi = _random_map(A, 3, A.dim, seed=3)
@@ -255,8 +265,22 @@ def test_stacked_evaluation_concrete_domain():
     stacked = phi(X)
     for x, y in zip(X, stacked):
         assert opnorm(y - phi(x)) < 1e-13
-        oracle = sum(np.vdot(b, x) * img for b, img in zip(A.basis, phi.images))
-        assert opnorm(y - oracle) < 1e-13
+        assert opnorm(y - _unit_oracle(phi, x)) < 1e-13
+
+
+@pytest.mark.parametrize("summands, N", MULTIPLICITY_CASES)
+def test_evaluation_on_a_domain_with_multiplicity(summands, N):
+    # on M_n (x) 1_m the unit e_ij has <e_ij, e_ij>_HS = m, so a coefficient
+    # is the HS inner product over m: phi(e_ij) comes back as the image of
+    # e_ij, and phi(x) matches the one-unit-at-a-time oracle
+    A, _ = multiplicity_algebra(summands, N, seed=5)
+    phi = _random_map(A, 3, A.dim, seed=6)
+    units = A.structure().matrix_units
+    assert opnorm_max(phi(units) - phi.images) <= 1e-13 * opnorm_max(phi.images)
+    h = A.random_selfadjoints(rng_for(7, "test-mult-x"), 8)
+    X = h[0::2] + 1j * h[1::2]
+    for x, y in zip(X, phi(X)):
+        assert opnorm(y - _unit_oracle(phi, x)) <= 1e-13 * opnorm(x) * opnorm_max(phi.images)
 
 
 def test_linmap_rejects_bad_images():
@@ -303,7 +327,7 @@ def test_hom_defect_of_a_scaled_identity(domain, t):
         phi = LinMap(fd, fd.d, t * fd.units())
     else:
         A = block_algebra((2, 1), 4)
-        phi = LinMap(A, 4, t * np.array(A.basis))
+        phi = LinMap(A, 4, t * A.structure().matrix_units)
     assert abs(hom_defect(phi) - t * (1.0 - t)) <= 1e-14
 
 
@@ -311,17 +335,17 @@ def test_hom_defect_of_a_scaled_identity(domain, t):
 def test_hom_defect_of_the_transpose_on_m2_is_one(domain):
     # e_01 e_10 = e_00 goes to e_10 e_01 = e_11, which misses e_00 by 1; the
     # transpose keeps the adjoint relations and the diagonal units' products.
-    # In a conjugated copy v M2 v* the map is x -> v (v* x v)^T v*, and any
-    # system of matrix units of the copy is sent to a swapped one, so the
-    # value is 1 again
+    # In a conjugated copy v M2 v* the map is x -> v (v* x v)^T v*, which
+    # sends the system of matrix units of the copy's structure to a swapped
+    # one, so the value is 1 again
     if domain.startswith("block"):
         fd = FDAlgebra((2,))
         phi = LinMap(fd, 2, fd.units().swapaxes(1, 2))
     else:
         v = random_unitary(rng_for(22, "test-u"), 2)
         A = block_algebra((2,), 2).conjugated(v)
-        basis = np.array(A.basis)
-        phi = LinMap(A, 2, v @ (dagger(v) @ basis @ v).swapaxes(1, 2) @ dagger(v))
+        units = A.structure().matrix_units
+        phi = LinMap(A, 2, v @ (dagger(v) @ units @ v).swapaxes(1, 2) @ dagger(v))
     assert abs(hom_defect(phi) - 1.0) <= 1e-14
 
 
@@ -330,7 +354,7 @@ def test_hom_defect_of_an_overflowing_map_is_nan():
     # to inf, and to inf + nan i in the complex products: the defect is nan,
     # with no SVD of the non-finite products to raise LinAlgError
     A = block_algebra((2, 1), 3)
-    phi = LinMap(A, 3, np.diag([1.0, 1.0, 1e200]) @ A.basis)
+    phi = LinMap(A, 3, np.diag([1.0, 1.0, 1e200]) @ A.structure().matrix_units)
     with np.errstate(over="ignore", invalid="ignore"):
         assert np.isnan(hom_defect(phi))
 
@@ -525,11 +549,11 @@ def test_arveson_restrict_close_on_window():
 @pytest.mark.parametrize("profile, N", [("M2", 4), ("M2+M1", 4), ("diag3", 4), ("M2+M2", 6),
                                         ("3,3", 8), ("2,2,2", 8)])
 def test_arveson_restrict_is_the_expectation_on_a(profile, N):
-    # the images B.project(A.basis) are the expectation onto B, formed on
-    # all of M_N, applied to A's basis, to rounding
+    # the images B.project of A's matrix units are the expectation onto B,
+    # formed on all of M_N, applied to those units, to rounding
     inst = gen_instance("conjugation", {"algebra": profile, "ambient": N, "eps": 1e-6}, seed=3)
     phi = arveson_restrict(inst.A, inst.B, [], gamma=0.0)[0]
-    want = conditional_expectation(inst.B)(inst.A.basis)
+    want = conditional_expectation(inst.B)(inst.A.structure().matrix_units)
     err = np.linalg.norm(phi.images - want, axis=(1, 2))
     assert (err <= 1e-14 * np.linalg.norm(want, axis=(1, 2))).all()
 
@@ -540,7 +564,7 @@ def test_ucp_extension_unital():
     phi = random_ucp(fd, 3, seed=9).scaled(0.7)
     ext = ucp_extension(phi)
     assert ext.domain.block_sizes == (2, 1)
-    val = ext(ext.domain_unit())
+    val = ext(ext.domain.unit())
     assert opnorm(val - np.eye(3)) < 1e-10
     cls = classify(ext)
     assert cls.ucp

@@ -27,7 +27,7 @@ from cstarlab.orderzero import identity_decomposition, near_embed_nucdim
 from helpers import near_inclusion
 from cstarlab.pipelines import run_pipeline
 from cstarlab.serialize import dumps
-from helpers import mult_defects
+from helpers import MULTIPLICITY_CASES, mult_defects, multiplicity_algebra
 
 
 def small_rotation(N: int, eps: float, seed: int) -> np.ndarray:
@@ -46,6 +46,19 @@ def conjugated_pair(sizes, N, eps, seed):
 # ---------------------------------------------------------------------------
 # close isomorphisms
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("summands, N", MULTIPLICITY_CASES)
+def test_close_isomorphism_and_implementation_on_a_domain_with_multiplicity(summands, N):
+    # M_n (x) 1_m conjugated at 1e-6: the isomorphism onto the copy and its
+    # unitary implementation pass every certificate
+    A, _ = multiplicity_algebra(summands, N, seed=9)
+    u0 = small_rotation(N, 1e-6, 9)
+    res = close_isomorphism(A, A.conjugated(u0), 2.0 * opnorm(u0 - np.eye(N)))
+    assert res.passed, {k: c.achieved for k, c in res.certificates.items() if not c.passed}
+    assert res.map.domain is A
+    _, cert = implement_unitarily(res.map)
+    assert cert.verdict == "pass", cert.achieved
+
 
 def test_close_isomorphism_conjugated_pair():
     A, B, u = conjugated_pair((2, 1), 3, 1e-5, 4)
@@ -176,7 +189,7 @@ def test_expectation_producer_builds_its_map_once(monkeypatch):
     for A, B, res, calls, _ in _recorded_runs(monkeypatch):
         assert len(calls["arveson_restrict"]) == 1
         (phi,), _ = calls["improve_multiplicativity"][0]
-        assert np.array_equal(phi.images, B.project(A.basis))
+        assert np.array_equal(phi.images, B.project(A.structure().matrix_units))
         (row,) = res.trace
         Xs, dists = res.pull_back
         X = list(A.normalized_basis) + list(Xs[dists <= 2.0 / 5.0 + TOL_ALG])
@@ -368,9 +381,9 @@ def test_implement_unitarily_rejects_ambient_mismatch():
     A = block_algebra((2,), 3)
     B = block_algebra((2,), 4)
     images = []
-    for b in A.basis:
+    for e in A.structure().matrix_units:
         m = np.zeros((4, 4), dtype=complex)
-        m[:3, :3] = b
+        m[:3, :3] = e
         images.append(m)
     theta = LinMap(A, 4, tuple(images), codomain_algebra=B)
     with pytest.raises(ValueError):
@@ -381,9 +394,9 @@ def test_implement_unitarily_rejects_non_homomorphism():
     A = block_algebra((2,), 3)
     rng = rng_for(2, "non-hom")
     images = []
-    for b in A.basis:
+    for e in A.structure().matrix_units:
         g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        images.append(b + 0.05 * g / opnorm(g))
+        images.append(e + 0.05 * g / opnorm(g))
     theta = LinMap(A, 3, tuple(images), codomain_algebra=A)
     defect = opnorm_max(mult_defects(theta, list(A.basis)))
     assert defect > 1e-3  # the perturbation really breaks multiplicativity
@@ -395,7 +408,7 @@ def test_implement_unitarily_rejects_a_nan_defect(monkeypatch):
     # a defect that is not a number, as from products that overflow, does
     # not show the map is a homomorphism; the inclusion itself would pass
     A = block_algebra((2, 1), 3)
-    theta = LinMap(A, 3, A.basis, codomain_algebra=A)
+    theta = LinMap(A, 3, A.structure().matrix_units, codomain_algebra=A)
     assert implement_unitarily(theta)[1].verdict == "pass"
     monkeypatch.setattr(intertwine, "hom_defect", lambda phi: float("nan"))
     with pytest.raises(ValueError, match="not a homomorphism"):
@@ -407,7 +420,7 @@ def test_subspace_residual_keeps_a_nan_membership(monkeypatch, slot):
     # u A u* = B is measured as the larger of two membership residuals;
     # Python's max drops a nan in its second slot, np.maximum keeps it
     A = block_algebra((2, 1), 3)
-    theta = LinMap(A, 3, A.basis, codomain_algebra=A)
+    theta = LinMap(A, 3, A.structure().matrix_units, codomain_algebra=A)
     residuals = iter(np.roll([float("nan"), 0.0], slot))
     monkeypatch.setattr(A, "membership_residual", lambda x: next(residuals))
     _, cert = implement_unitarily(theta)

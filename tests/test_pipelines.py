@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from cstarlab import algebra
 from cstarlab.algebra import ConcreteAlgebra
 from cstarlab.cpmaps import LinMap
 from cstarlab.instances import gen_instance
@@ -21,16 +22,17 @@ def make_instance(seed=7, eps=1e-5, algebra="M2+M1"):
                         seed=seed)
 
 
-def _block_model_map(A):
-    return LinMap(A, A.ambient_dim, A.basis).to_block_model()
+def _evaluate_a_map_on(A):
+    return LinMap(A, A.ambient_dim, 0.0 * A.basis)(A.basis)
 
 
 @pytest.mark.parametrize("pipeline", ["iso", "oz-perturb"])
 def test_reports_do_not_depend_on_which_caller_asks_for_the_structure_first(pipeline):
     # the Wedderburn structure is a function of the algebra alone: on fresh
-    # copies of one instance, asking for it through A.structure() before
-    # to_block_model, the reverse, or not at all before the pipeline (which
-    # asks with its own seed, 3) gives the same report bytes
+    # copies of one instance, asking for it through A.structure() before a
+    # map on the algebra is evaluated (which asks for it too), the reverse,
+    # or not at all before the pipeline (which asks with its own seed, 3)
+    # gives the same report bytes
     def report(first):
         inst = make_instance(seed=3, eps=1e-6)
         for ask in first:
@@ -39,8 +41,23 @@ def test_reports_do_not_depend_on_which_caller_asks_for_the_structure_first(pipe
         return dumps(run_pipeline(inst, pipeline, seed=3))
 
     structure = ConcreteAlgebra.structure
-    orders = ((), (structure, _block_model_map), (_block_model_map, structure))
+    orders = ((), (structure, _evaluate_a_map_on), (_evaluate_a_map_on, structure))
     assert len({report(first) for first in orders}) == 1
+
+
+@pytest.mark.parametrize("profile, ambient", [("M2+M1", 4), ("3,3", 8)])
+@pytest.mark.parametrize("pipeline", PIPELINES)
+def test_one_wedderburn_decomposition_per_op(monkeypatch, pipeline, profile, ambient):
+    # every map on A is stored on A's matrix units, so an op decomposes A
+    # once; B's structure is never computed (the inverse of the isomorphism
+    # reads B's basis coefficients), and dist decomposes nothing
+    calls, decompose = [], algebra.wedderburn_decompose
+    monkeypatch.setattr(algebra, "wedderburn_decompose",
+                        lambda A: calls.append(A) or decompose(A))
+    inst = gen_instance("conjugation", {"algebra": profile, "ambient": ambient, "eps": 1e-6},
+                        seed=3)
+    run_pipeline(inst, pipeline, seed=3)
+    assert calls == ([] if pipeline == "dist" else [inst.A])
 
 
 @pytest.mark.parametrize("pipeline", PIPELINES)
