@@ -15,8 +15,8 @@ from .certs import (BOUNDS, Certificate, ContradictionError, SchemaError,
 from .cpmaps import (LinMap, StinespringDilation, Ternary, arveson_restrict,
                      cb_bracket, choi_blocks, classify, kraus_operators,
                      stinespring, ucp_extension)
-from .geometry import (DistanceInterval, NearInclusionCert, SampleSpec,
-                       kk_distance, nearest_in_span, tensor_lift)
+from .geometry import (DistanceInterval, kk_distance, nearest_in_span,
+                       tensor_lift)
 from .instances import (Instance, block_algebra, gen_instance,
                         hat_decomposition, random_order_zero)
 from .intertwine import (IsoResult, StageRecord, close_isomorphism,
@@ -36,8 +36,8 @@ __all__ = [
     "AveragingSet", "BlockStructure", "BOUNDS", "Certificate",
     "ConcreteAlgebra", "ContradictionError",
     "DistanceInterval", "FDAlgebra", "Instance", "IntertwinerResult",
-    "IsoResult", "LinMap", "NearInclusionCert", "NucDimDecomposition",
-    "OrderZeroMap", "RepairResult", "Report", "SampleSpec",
+    "IsoResult", "LinMap", "NucDimDecomposition",
+    "OrderZeroMap", "RepairResult", "Report",
     "SchemaError", "SpectralGapError", "StageRecord", "StinespringDilation",
     "Ternary", "WindowError", "arveson_restrict",
     "block_algebra", "cb_bracket", "choi_blocks", "classify",

@@ -30,8 +30,8 @@ import numpy as np
 
 from .algebra import ConcreteAlgebra, FDAlgebra, _combine
 from .certs import TOL_ALG, TOL_PSD, Certificate, require_finite
-from .linalg import (_BATCH_BYTES, dagger, herm, hs_norm, opnorm, opnorm_max, opnorms,
-                     psd_part, random_hermitian)
+from .linalg import (_BATCH_BYTES, _HS_ABS_SLACK, _HS_REL_SLACK, dagger, herm, hs_norm,
+                     opnorm, opnorm_max, opnorms, psd_part, random_hermitian)
 
 __all__ = [
     "LinMap",
@@ -179,10 +179,17 @@ def classify(phi: LinMap) -> Ternary:
     herm_resid = 0.0
     # one stack per block size: batched SVDs and eigensolves give each block
     # the values its own call would; blocks are never empty, so min_eig is
-    # finite unless an eigenvalue is nan, which np.minimum keeps
+    # finite unless an eigenvalue is nan, which np.minimum keeps.  The skew
+    # part's HS norm, with opnorm_max's slack, bounds its operator norm: at
+    # or below TOL_PSD no SVD can move the verdict; an overflowing (inf) or
+    # nan bound takes the SVD, and opnorm_max reads that stack as nan
     for size in sorted({len(C) for C in blocks}):
         Cs = np.stack([C for C in blocks if len(C) == size])
-        herm_resid = np.maximum(herm_resid, opnorm_max(Cs - dagger(Cs)))
+        skew = Cs - dagger(Cs)
+        with np.errstate(over="ignore"):
+            bound = hs_norm(skew) * (1.0 + _HS_REL_SLACK) + _HS_ABS_SLACK
+        if not bound <= TOL_PSD:
+            herm_resid = np.maximum(herm_resid, opnorm_max(skew))
         min_eig = float(np.minimum(min_eig, np.linalg.eigvalsh(herm(Cs)).min()))
     unit_img = phi.value_on_unit()
     nrm1 = opnorm(unit_img)

@@ -1,5 +1,5 @@
-"""Operator-norm geometry between subalgebras: near inclusions, the
-Hausdorff distance between unit balls, and tensor-amplified witness lifts.
+"""Operator-norm geometry between subalgebras: the Hausdorff distance
+between unit balls and tensor-amplified witness lifts.
 
 The distance between unit balls is estimated from both sides.  Upper bounds
 come from explicit witnesses of the convex problem min ||x - b|| over b in a
@@ -8,14 +8,13 @@ trace-norm dual certificates, all read by one function, ``_trace_dual``.  One
 solver, ``nearest_in_span``, serves every witness search: one Chambolle-Pock
 primal-dual iteration that advances a stack of targets together by batched
 eigensolves of small Gram matrices, each target leaving with its stop reason.
-A near inclusion solves its samples in one call, and ``kk_distance`` both
-directions: as two families, with their own warm starts, spans and floors,
-that share one stack, one eigensolve per iteration and the checkpoints, so
-each direction's witnesses are its near inclusion's, bit for bit.  Suprema
-over the unit ball are sampled by ``sample_unit_ball``, the only unit-ball
-sampler, so the reported gamma_hi is an honest sampled estimate with stored
-witnesses, not a proof of the supremum (the unit-ball suprema of
-``averaging`` are proven by ``cpmaps.cb_bracket`` instead).
+``kk_distance`` solves both directions in one call, as two families with
+their own warm starts, spans and floors that share one stack, one eigensolve
+per iteration and the checkpoints, and returns four numbers: the bracket and
+the two one-sided constants.  Suprema over the unit ball are sampled by
+``sample_unit_ball``, the only unit-ball sampler, so the reported hi is an
+honest sampled estimate, not a proof of the supremum (the unit-ball suprema
+of ``averaging`` are proven by ``cpmaps.cb_bracket`` instead).
 """
 
 from __future__ import annotations
@@ -30,9 +29,6 @@ from .algebra import ConcreteAlgebra
 from .linalg import clip_spectrum, dagger, opnorm, opnorms, rng_for  # noqa: F401
 
 __all__ = [
-    "SampleSpec",
-    "Witness",
-    "NearInclusionCert",
     "DistanceInterval",
     "nearest_in_span",
     "span_distance_lower",
@@ -42,58 +38,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SampleSpec:
-    """How to sample the unit ball of an algebra."""
-
-    seed: int
-    n_selfadjoint: int
-    n_unitary: int
-    iters: int
-
-
-@dataclass
-class Witness:
-    """Sample x (index into the ``sample_unit_ball`` stack), point b of the
-    target, achieved ub = ||x - b|| and dual lb, with the solver's iterations
-    and stop reason (see ``nearest_in_span``).  A witness stopped on the floor
-    may have ub below the supremum; its ub is still an achieved distance."""
-
-    index: int
-    x: np.ndarray
-    b: np.ndarray
-    ub: float
-    lb: float
-    stop: str
-    iters: int
-
-
-@dataclass
-class NearInclusionCert:
-    """Sampled certificate for A subset_gamma B."""
-
-    gamma_hi: float
-    gamma_lo: float
-    witnesses: list[Witness]
-    sample_spec: SampleSpec
-    direction: str
-    n_samples: int
-    lo_witness: np.ndarray  # the sample attaining gamma_lo
-
-    def __post_init__(self):
-        if self.gamma_lo > self.gamma_hi + 1e-12:
-            raise ValueError("inconsistent bracket: gamma_lo > gamma_hi")
-
-
 @dataclass
 class DistanceInterval:
-    """Two-sided bracket for the unit-ball Hausdorff distance d(A, B)."""
+    """Two-sided bracket for the unit-ball Hausdorff distance d(A, B), with
+    the sampled one-sided constants gamma_ab (A in B) and gamma_ba (B in A)."""
 
     lo: float
     hi: float
-    lo_witness: np.ndarray
-    cert_ab: NearInclusionCert
-    cert_ba: NearInclusionCert
+    gamma_ab: float
+    gamma_ba: float
 
     def __post_init__(self):
         if not (0.0 <= self.lo <= self.hi + 1e-12 and self.hi <= 2.0 + 1e-9):
@@ -192,8 +145,8 @@ _PD_BALL = (0.85, 0.14)
 
 
 def nearest_in_span(x: np.ndarray, span: ConcreteAlgebra | _TensorSpan,
-                    ball: bool = False, iters: int = 500, tol: float = 1e-12,
-                    *, floor: float | None = None) -> tuple:
+                    ball: bool = False, *, iters: int, tol: float = 1e-12,
+                    floor: float | None = None) -> tuple:
     """Minimize ||x - b||_op over b in the given subspace (intersected with
     the operator-norm unit ball when requested).
 
@@ -344,70 +297,53 @@ def span_distance_lower(x: np.ndarray, span: ConcreteAlgebra | _TensorSpan
 # sampling
 # ---------------------------------------------------------------------------
 
-def sample_unit_ball(A: ConcreteAlgebra, spec: SampleSpec) -> np.ndarray:
+def sample_unit_ball(A: ConcreteAlgebra, seed: int, count: int) -> np.ndarray:
     """Deterministic sample of the unit ball of a concrete algebra A, the
-    points of the sampled distance brackets (``_near_inclusions``), as one
+    points of the sampled distance brackets (``kk_distance``), as one
     (S, N, N) stack in this order: the dim operator-normalised basis
-    elements, spec.n_selfadjoint random self-adjoint contractions (spectral
-    clipping), and spec.n_unitary random unitaries exp(i h) of A (relative to
-    its support), exponentiated only when there are any."""
+    elements, count random self-adjoint contractions (spectral clipping),
+    and count random unitaries exp(i h) of A (relative to its support),
+    exponentiated only when there are any."""
     # one draw, in stream order the self-adjoint samples and then the
     # generators of the unitaries
-    h = A.random_selfadjoints(rng_for(spec.seed, "unit-ball", A.ambient_dim, A.dim),
-                              spec.n_selfadjoint + spec.n_unitary)
-    sa, h = h[:spec.n_selfadjoint], h[spec.n_selfadjoint:]
+    h = A.random_selfadjoints(rng_for(seed, "unit-ball", A.ambient_dim, A.dim), 2 * count)
+    sa, h = h[:count], h[count:]
     parts = [A.normalized_basis, clip_spectrum(sa, -1.0, 1.0)]
-    if spec.n_unitary:
+    if count:
         nrm = opnorms(h)[:, None, None]
         parts.append(A.unitary_from(np.pi * 0.5 * (h / np.where(nrm > 1e-14, nrm, 1.0))))
     return np.concatenate(parts)
 
 
 # ---------------------------------------------------------------------------
-# near inclusions and distance
+# distance
 # ---------------------------------------------------------------------------
 
-def _near_inclusions(pairs, spec: SampleSpec, ball: bool) -> list[NearInclusionCert]:
-    """Sampled estimates of the one-sided constants sup dist(x, B) over the
-    unit ball of A, for the pairs (A, B): all their samples solved in one
-    ``nearest_in_span`` call, one family per pair, with unit-ball witnesses
-    when ball is set.  The HS dual bounds come first and gamma_lo is the
-    solve's ``floor``: samples proven below the supremum stop early, so
-    gamma_hi is decided by the samples that can set it.  Each certificate
-    keeps copies of the 8 witnesses of largest distance, with their stop
-    reasons and iterations, not the stacks."""
-    X = [sample_unit_ball(A, spec) for A, _ in pairs]
-    lbs = [span_distance_lower(x, B) for x, (_, B) in zip(X, pairs)]
-    solved = nearest_in_span(tuple(X), tuple(B for _, B in pairs), ball=ball, iters=spec.iters,
-                             floor=tuple(float(lb.max()) for lb in lbs))
-    certs = []
-    for x, lb, (bs, ubs, its, stops) in zip(X, lbs, solved):
-        lo = int(np.argmax(lb))
-        wits = [Witness(index=int(i), x=x[i].copy(), b=bs[i].copy(), ub=float(ubs[i]),
-                        lb=float(lb[i]), stop=str(stops[i]), iters=int(its[i]))
-                for i in np.argsort(-ubs, kind="stable")[:8]]
-        certs.append(NearInclusionCert(gamma_hi=float(ubs.max()), gamma_lo=float(lb[lo]),
-                                       witnesses=wits, sample_spec=spec, direction="A->B",
-                                       n_samples=len(x), lo_witness=x[lo].copy()))
-    return certs
+# the iteration budget of each sampled distance bracket's ball solves
+_DIST_ITERS = 200
 
 
-def kk_distance(A: ConcreteAlgebra, B: ConcreteAlgebra,
-                spec: SampleSpec) -> DistanceInterval:
+def kk_distance(A: ConcreteAlgebra, B: ConcreteAlgebra, seed: int,
+                samples: int) -> DistanceInterval:
     """Two-sided bracket for the Hausdorff distance between unit balls.
 
-    Witnesses are constrained to the unit ball of the target algebra, one
-    sampled sup per direction; lo is the best dual lower bound over all
-    samples, attained by lo_witness, hi the worst achieved witness distance.
-    One ``_near_inclusions`` call solves both, each as a call on its pair alone
-    would.
+    Each direction draws ``sample_unit_ball(source, seed, samples)`` and
+    solves each sample's distance to the target's unit ball: both directions
+    in one ``nearest_in_span`` call, one family each, each solved as a call
+    on its family alone would be.  A family's floor is the largest of its
+    samples' HS dual bounds (``span_distance_lower``), so samples proven
+    below the supremum stop early.  Each one-sided constant is its family's
+    largest witness distance, hi the larger constant and lo the larger
+    floor, capped at hi.
     """
-    cert_ab, cert_ba = _near_inclusions([(A, B), (B, A)], spec, ball=True)
-    cert_ba.direction = "B->A"
-    hi = max(cert_ab.gamma_hi, cert_ba.gamma_hi)
-    lo_cert = cert_ab if cert_ab.gamma_lo >= cert_ba.gamma_lo else cert_ba
-    return DistanceInterval(lo=float(min(lo_cert.gamma_lo, hi)), hi=float(hi),
-                            lo_witness=lo_cert.lo_witness, cert_ab=cert_ab, cert_ba=cert_ba)
+    if samples < 0:
+        raise ValueError(f"samples must be at least 0, not {samples}")
+    X = sample_unit_ball(A, seed, samples), sample_unit_ball(B, seed, samples)
+    floors = float(span_distance_lower(X[0], B).max()), float(span_distance_lower(X[1], A).max())
+    solved = nearest_in_span(X, (B, A), ball=True, iters=_DIST_ITERS, floor=floors)
+    gamma_ab, gamma_ba = (float(ubs.max()) for _, ubs, _, _ in solved)
+    hi = max(gamma_ab, gamma_ba)
+    return DistanceInterval(lo=min(max(floors), hi), hi=hi, gamma_ab=gamma_ab, gamma_ba=gamma_ba)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +372,7 @@ _LIFT_ITERS = 400
 
 
 def tensor_lift(x: np.ndarray, B: ConcreteAlgebra, n: int) -> tuple:
-    """Witness in span(B) (x) M_n for an element x of the unit ball of
+    """A witness in span(B) (x) M_n for an element x of the unit ball of
     A (x) M_n, an Nn x rNn block row of r slots: ``nearest_in_span``'s four
     values for x, the witness, its distance ||x - b||, the iteration it
     stopped at and its stop reason, so a distance proven to 1e-6 shows as

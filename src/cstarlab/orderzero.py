@@ -65,8 +65,7 @@ class OrderZeroMap:
         return self.map(x)
 
     @classmethod
-    def from_pair(cls, pi: LinMap, h: np.ndarray, codomain_algebra,
-                  tol: float = TOL_ALG) -> "OrderZeroMap":
+    def from_pair(cls, pi: LinMap, h: np.ndarray, codomain_algebra) -> "OrderZeroMap":
         """Build phi(x) = pi(x) h from a representation and a commuting
         positive contraction; h is stored compressed to the support of pi."""
         fd = pi.domain
@@ -74,7 +73,7 @@ class OrderZeroMap:
             raise ValueError("the structure pair needs a block domain")
         h_eff = herm(pi(fd.unit()) @ np.asarray(h, dtype=complex))
         worst = opnorm_max(h_eff @ pi.images - pi.images @ h_eff)
-        if not worst <= tol:  # a nan residual certifies nothing either
+        if not worst <= TOL_ALG:  # a nan residual certifies nothing either
             raise ValueError(
                 f"h does not commute with the representation (residual {worst:.3g})")
         m = LinMap(fd, pi.codomain_dim, pi.images @ h_eff,

@@ -10,7 +10,7 @@ import numpy as np
 
 from .certs import Certificate, provenance_stamp
 from .cpmaps import LinMap
-from .geometry import SampleSpec, kk_distance
+from .geometry import kk_distance
 from .instances import Instance, damping
 from .intertwine import close_isomorphism, implement_unitarily
 from .linalg import dagger, opnorm, rng_for
@@ -60,10 +60,8 @@ def _gamma_source(instance: Instance, seed: int, samples: int,
     if hint is not None:
         notes["gamma_source"] = "conjugation-bound"
         return hint
-    spec = SampleSpec(seed=seed, n_selfadjoint=samples, n_unitary=samples,
-                      iters=200)
     notes["gamma_source"] = "sampled-distance"
-    return float(kk_distance(instance.A, instance.B, spec=spec).hi)
+    return kk_distance(instance.A, instance.B, seed, samples).hi
 
 
 def run_pipeline(instance: Instance, pipeline: str, seed: int = 0,
@@ -83,16 +81,14 @@ def run_pipeline(instance: Instance, pipeline: str, seed: int = 0,
     certs: dict = {}
 
     if pipeline == "dist":
-        spec = SampleSpec(seed=seed, n_selfadjoint=samples, n_unitary=samples,
-                          iters=200)
-        interval = kk_distance(A, B, spec=spec)
+        interval = kk_distance(A, B, seed, samples)
         hint = instance.dist_hint()
         certs["distance-interval"] = Certificate.build(
             "distance-interval",
             {"samples": samples, "recipe_bound": float(hint if hint is not None else 2.0)},
             interval.hi, provenance=provenance_stamp(seed),
             details={"lo": interval.lo, "hi": interval.hi,
-                     "gamma_ab": interval.cert_ab.gamma_hi, "gamma_ba": interval.cert_ba.gamma_hi})
+                     "gamma_ab": interval.gamma_ab, "gamma_ba": interval.gamma_ba})
         notes["interval"] = {"lo": interval.lo, "hi": interval.hi}
         return Report(pipeline=pipeline, seed=seed, recipe=instance.recipe,
                       certificates=certs, notes=notes)

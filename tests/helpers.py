@@ -10,7 +10,6 @@ from cstarlab.algebra import BlockStructure, ConcreteAlgebra, FDAlgebra, _combin
 from cstarlab.averaging import AveragingSet, _canonical_index
 from cstarlab.certs import TOL_ALG, TOL_CONV, Certificate, provenance_stamp
 from cstarlab.cpmaps import LinMap, _from_choi_blocks, choi_blocks, classify
-from cstarlab.geometry import NearInclusionCert, SampleSpec, _near_inclusions
 from cstarlab.linalg import dagger, opnorm, opnorm_max, random_unitary, rng_for
 from cstarlab.orderzero import OrderZeroMap, _structure_residual
 from cstarlab.serialize import dumps
@@ -130,17 +129,6 @@ def conditional_expectation(A: ConcreteAlgebra) -> LinMap:
     N = A.ambient_dim
     fd = FDAlgebra((N,))
     return LinMap(fd, N, A.project(fd.units()), codomain_algebra=A)
-
-
-# the unit-ball sample of the near-inclusion tests that set none of their own
-SPEC = SampleSpec(seed=0, n_selfadjoint=64, n_unitary=64, iters=500)
-
-
-def near_inclusion(A: ConcreteAlgebra, B: ConcreteAlgebra,
-                   spec: SampleSpec = SPEC, ball: bool = False) -> NearInclusionCert:
-    """The sampled near-inclusion certificate of A in B alone: one pair of
-    ``geometry._near_inclusions``, unconstrained witnesses unless ball."""
-    return _near_inclusions([(A, B)], spec, ball)[0]
 
 
 # (summands, N) of the maps on M_n (x) 1_m domains: one summand with

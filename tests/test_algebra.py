@@ -40,6 +40,8 @@ def test_random_elements_equal_the_per_block_draws(sizes):
     assert rng.standard_normal() == ref.standard_normal()
 
 
+# summation order: a stacked GEMM meets single calls or an oracle to a rounding bound
+@pytest.mark.summation_order
 @pytest.mark.parametrize("case", ["M2+M1/4", "3,3/8", "full M3"])
 def test_random_selfadjoints_equal_the_per_sample_draws(case):
     # one draw for the stack reads the stream of one random_complex(rng, dim,
@@ -276,6 +278,8 @@ def _assert_generators_bound_every_pair(fd, E):
     return eps, oracle
 
 
+# summation order: the generators' residual bounds the all-pairs oracle under either order
+@pytest.mark.summation_order
 @pytest.mark.parametrize("sizes", [(1,), (3, 1), (2, 2, 1), (4,)])
 def test_relation_residual_bounds_every_pair_through_the_generators(sizes):
     # noisy rotated matrix units: the generating residual is at most the
@@ -303,6 +307,8 @@ def test_relation_residual_bounds_cross_block_products_through_the_diagonal():
     assert eps > 0.25 and oracle > eps
 
 
+# summation order: bits equal to separate calls, whatever the BLAS thread count
+@pytest.mark.summation_order
 @pytest.mark.parametrize("noise", [0.0, 1e-3])
 @pytest.mark.parametrize("sizes", [(1,), (1, 1), (3, 1), (2, 2, 1), (4,), (2, 2, 2, 2), (7, 5, 3)])
 def test_relation_residual_equals_the_row_at_a_time_oracle(sizes, noise, monkeypatch):
@@ -351,6 +357,8 @@ def test_relation_residual_reads_both_products_of_distinct_diagonal_units():
     assert abs(fd.relation_residual(E[::-1]) - want) <= 1e-15
 
 
+# summation order: an overflowing product gives nan under either summation order
+@pytest.mark.summation_order
 @pytest.mark.parametrize("batch", [None, 1])
 @pytest.mark.parametrize("sizes", [(2, 1), (1, 2)])
 def test_relation_residual_of_overflowing_products_is_nan(sizes, batch, monkeypatch):
@@ -388,6 +396,8 @@ def oracle_algebra(kind, profile, N):
     return conjugated_blocks(profile, N, seed=3)[0]
 
 
+# summation order: a stacked GEMM meets single calls or an oracle to a rounding bound
+@pytest.mark.summation_order
 @pytest.mark.parametrize("kind, profile, N", ORACLE_CASES)
 def test_project_matches_a_fresh_orthonormalisation(kind, profile, N):
     # oracle: the projection onto the column space of a fresh QR of the
@@ -473,6 +483,8 @@ def conjugated_blocks(sizes=(2, 1), N=5, seed=9):
     return block_algebra(sizes, N).conjugated(v), v
 
 
+# summation order: a stacked GEMM meets single calls or an oracle to a rounding bound
+@pytest.mark.summation_order
 def test_membership_residual_closed_form():
     # x = a + r with a in A and r off the blocks, so r is HS-orthogonal to A
     # (conjugation keeps HS inner products): the residual is ||r|| / ||x||

@@ -82,6 +82,8 @@ def commutant_projection(A) -> np.ndarray:
     return Q @ dagger(Q)
 
 
+# summation order: canonical_average's twirls and pairings meet their oracles
+@pytest.mark.summation_order
 @pytest.mark.parametrize("sizes", [(2, 1), (2, 2, 1), (3, 3)])
 def test_twirl_is_commutant_projection(sizes):
     N = sum(sizes) + 2
@@ -102,6 +104,8 @@ def random_map(fd: FDAlgebra, N: int, rng) -> LinMap:
                                for _ in range(fd.dim_linear)))
 
 
+# summation order: canonical_average's twirls and pairings meet their oracles
+@pytest.mark.summation_order
 @pytest.mark.parametrize("sizes", [(2, 1), (2, 2, 1), (2, 3, 1)])
 def test_pair_matches_phase_family_sum(sizes):
     fd = FDAlgebra(sizes)
@@ -112,6 +116,8 @@ def test_pair_matches_phase_family_sum(sizes):
     assert opnorm(canonical_average(sizes, f.images, g.images) - explicit) < 1e-13
 
 
+# summation order: canonical_average's twirls and pairings meet their oracles
+@pytest.mark.summation_order
 def test_repair_twirl_matches_phase_family_sum():
     fd = FDAlgebra((2, 1))
     hom = embedded(fd, 4)
@@ -132,6 +138,8 @@ def test_repair_twirl_matches_phase_family_sum():
     assert abs(drift - opnorm(explicit - p)) < 1e-13
 
 
+# summation order: canonical_average's twirls and pairings meet their oracles
+@pytest.mark.summation_order
 def test_twirl_lands_in_commutant():
     A = block_algebra((2, 1), 4)
     struct = A.structure()
@@ -145,6 +153,8 @@ def test_twirl_lands_in_commutant():
     assert opnorm(canonical_average(struct.block_sizes, E @ t, E) - t) < 1e-11
 
 
+# summation order: canonical_average's twirls and pairings meet their oracles
+@pytest.mark.summation_order
 def test_pair_of_inclusion_is_unit():
     fd = FDAlgebra((2, 1))
     phi = embedded(fd, 3)
@@ -217,6 +227,8 @@ def test_repair_certificates_reported():
         assert rep.certificates[key].passed
 
 
+# summation order: a concrete-domain map evaluates by one GEMM against the matrix units
+@pytest.mark.summation_order
 @pytest.mark.parametrize("summands, N", MULTIPLICITY_CASES)
 def test_repair_on_a_domain_with_multiplicity_keeps_the_domain(summands, N):
     # the expectation onto a copy of M_n (x) 1_m conjugated at 1e-6,
@@ -233,6 +245,8 @@ def test_repair_on_a_domain_with_multiplicity_keeps_the_domain(summands, N):
     assert worst_move(rep.psi, A.normalized_basis) <= 1e-5
 
 
+# summation order: cb_bracket's rounded ends, the repair's distance, meet the closed form t
+@pytest.mark.summation_order
 @pytest.mark.parametrize("profile", [(2,), (2, 1), (1, 1, 1), (3,)])
 @pytest.mark.parametrize("t", [1e-3, 1e-2])
 def test_repair_of_a_scaled_homomorphism_has_its_closed_form(profile, t):

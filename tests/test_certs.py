@@ -191,6 +191,7 @@ def test_every_seed_changes_an_output():
     # function that takes a seed gives a different output at seeds 0 and 1.
     # The list is the set of seed-taking functions in the package, so a new
     # seed parameter must join it
+    from cstarlab.geometry import kk_distance, sample_unit_ball
     from cstarlab.instances import gen_instance, random_order_zero
     from cstarlab.linalg import rng_for
     from cstarlab.pipelines import _gamma_source, run_pipeline
@@ -206,6 +207,8 @@ def test_every_seed_changes_an_output():
         "run_pipeline": lambda s: run_pipeline(conj, "dist", seed=s)
         .certificates["distance-interval"].details,
         "_gamma_source": lambda s: _gamma_source(noisy, s, 32, {}),
+        "sample_unit_ball": lambda s: sample_unit_ball(conj.A, s, 2).tobytes(),
+        "kk_distance": lambda s: kk_distance(conj.A, conj.B, s, 32),
     }
     takers = {fn.name for tree in PACKAGE.values() for fn in ast.walk(tree)
               if isinstance(fn, ast.FunctionDef) and fn.name != "provenance_stamp"

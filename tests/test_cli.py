@@ -221,6 +221,14 @@ def test_bad_choice_from_env_or_config_exits_2(name, value, tmp_path, monkeypatc
     assert calls == []
 
 
+def test_negative_sample_count_exits_2_naming_samples(capsys):
+    # refused by name before any draw, not by numpy's array constructor
+    rc = main(["dist", "--samples", "-1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "ValueError" in err and "samples" in err and "-1" in err
+
+
 @pytest.mark.parametrize("eps", ["nan", "inf", "-inf"])
 def test_non_finite_eps_exits_2(eps, capsys):
     rc = main(["dist", f"--eps={eps}"])

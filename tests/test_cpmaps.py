@@ -159,13 +159,23 @@ def test_classify_cp_not_contractive():
     assert cls.cp and not cls.cpc and not cls.ucp
 
 
-def test_classify_reads_a_nan_hermitian_residual_as_not_cp(monkeypatch):
+def test_classify_reads_a_nan_hermitian_residual_as_not_cp():
     # a Choi block's skew residual that is not a number certifies nothing:
-    # Python's max(0.0, nan) is 0.0 and would pass it as Hermitian
-    phi = random_ucp(FDAlgebra((2, 1)), 3, seed=5)
+    # Python's max(0.0, nan) is 0.0 and would pass it as Hermitian.  i t 1
+    # on each phi(e_ii) adds i t 1 to every Choi block and leaves their
+    # Hermitian parts psd; at t = 1e200 the skew part's HS norm overflows,
+    # so its operator norm reads nan
+    fd = FDAlgebra((2, 1))
+    phi = random_ucp(fd, 3, seed=5)
     assert classify(phi).cp
-    monkeypatch.setattr(cpmaps, "opnorm_max", lambda stack: float("nan"))
-    cls = classify(phi)
+    images = phi.images.copy()
+    for pos, (k, i, j) in enumerate(fd.unit_labels()):
+        if i == j:
+            images[pos] += 1e200j * np.eye(3)
+    skewed = LinMap(fd, 3, images)
+    assert all(np.isnan(opnorm_max(C - dagger(C))) for C in choi_blocks(skewed))
+    cls = classify(skewed)
+    assert cls.choi_min_eig >= -TOL_PSD
     assert not (cls.cp or cls.cpc or cls.ucp)
 
 
@@ -256,6 +266,8 @@ def _unit_oracle(phi: LinMap, x: np.ndarray) -> np.ndarray:
                for e, m, img in zip(struct.matrix_units, mults, phi.images))
 
 
+# summation order: a concrete-domain map evaluates by one GEMM against the matrix units
+@pytest.mark.summation_order
 def test_stacked_evaluation_concrete_domain():
     A = block_algebra((2, 1), 4).conjugated(random_unitary(rng_for(2, "test-u"), 4))
     phi = _random_map(A, 3, A.dim, seed=3)
@@ -268,6 +280,8 @@ def test_stacked_evaluation_concrete_domain():
         assert opnorm(y - _unit_oracle(phi, x)) < 1e-13
 
 
+# summation order: a concrete-domain map evaluates by one GEMM against the matrix units
+@pytest.mark.summation_order
 @pytest.mark.parametrize("summands, N", MULTIPLICITY_CASES)
 def test_evaluation_on_a_domain_with_multiplicity(summands, N):
     # on M_n (x) 1_m the unit e_ij has <e_ij, e_ij>_HS = m, so a coefficient
@@ -363,6 +377,8 @@ def test_hom_defect_of_an_overflowing_map_is_nan():
 # cb norm bracket
 # ---------------------------------------------------------------------------
 
+# summation order: both ends of cb_bracket stay rounded outward under the SVD's order
+@pytest.mark.summation_order
 def test_cb_bracket_cp_is_exact():
     fd = FDAlgebra((2, 1))
     phi = random_ucp(fd, 4, seed=4)
@@ -374,6 +390,8 @@ def test_cb_bracket_cp_is_exact():
     assert abs(hi - 1.0) < 1e-10
 
 
+# summation order: both ends of cb_bracket stay rounded outward under the SVD's order
+@pytest.mark.summation_order
 @pytest.mark.parametrize("slot", [0, 1])
 def test_cb_bracket_keeps_a_nan_skew_part(monkeypatch, slot):
     # the cp branch adds d^2 times the largest skew part of the Choi blocks;
@@ -410,6 +428,8 @@ def test_pinched_choi_and_reshuffle_are_copies():
     assert np.array_equal(R, R_ref)
 
 
+# summation order: both ends of cb_bracket stay rounded outward under the SVD's order
+@pytest.mark.summation_order
 def test_cb_bracket_transpose():
     # cb norm of the transpose on M_2 equals 2; both ends are rounded
     # outward, so the bracket holds it with no slack, and the swap witness
@@ -422,6 +442,8 @@ def test_cb_bracket_transpose():
     assert lo >= 2.0 * (1.0 - 1e-12)
 
 
+# summation order: both ends of cb_bracket stay rounded outward under the SVD's order
+@pytest.mark.summation_order
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_cb_bracket_of_a_two_sided_multiplication(seed):
     # phi(x) = a x b from M_3 into M_4 has cb norm ||a|| ||b|| (one factor
@@ -438,6 +460,8 @@ def test_cb_bracket_of_a_two_sided_multiplication(seed):
     assert lo <= hi
 
 
+# summation order: both ends of cb_bracket stay rounded outward under the SVD's order
+@pytest.mark.summation_order
 def test_cb_bracket_of_the_transpose_on_m3_contains_three():
     # the transpose on M_n has cb norm n.  The factor bound is rounded
     # outward, so hi holds n with no slack (unrounded it was
@@ -449,6 +473,8 @@ def test_cb_bracket_of_the_transpose_on_m3_contains_three():
     assert lo >= 1.0
 
 
+# summation order: both ends of cb_bracket stay rounded outward under the SVD's order
+@pytest.mark.summation_order
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("c", [1.0, 1e-6, 1e-10, 1e-15])
 def test_cb_bracket_of_a_scaled_transpose_contains_n_c(n, c):
@@ -459,6 +485,8 @@ def test_cb_bracket_of_a_scaled_transpose_contains_n_c(n, c):
     assert lo <= n * c <= hi
 
 
+# summation order: both ends of cb_bracket stay rounded outward under the SVD's order
+@pytest.mark.summation_order
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("c", [1.0, 1.0 / 3.0, 1e-6])
 def test_cb_bracket_swap_witness_attains_a_scaled_transpose(n, c):
@@ -472,6 +500,8 @@ def test_cb_bracket_swap_witness_attains_a_scaled_transpose(n, c):
     assert lo >= (1.0 - 1e-12) * n * c
 
 
+# summation order: both ends of cb_bracket stay rounded outward under the SVD's order
+@pytest.mark.summation_order
 @pytest.mark.parametrize("c", [1.0, 1e-9, 1e-12, 1e-15])
 def test_cb_bracket_of_a_scaled_transpose_minus_identity(c):
     # c (T - id) on M_2 sends 1 to 0 and e_12 to c (e_21 - e_12), of norm c,
@@ -515,6 +545,8 @@ def test_conditional_expectation_idempotent():
     assert cls.cp and cls.ucp
 
 
+# summation order: opnorm_max over chunks is the one-stack maximum, bit for bit
+@pytest.mark.summation_order
 def test_worst_move_equals_the_one_stack_maximum(monkeypatch):
     # 70 points in one batch and, with the smallest batch bytes, in batches
     # of 32: the largest ||f(x) - x|| has the bits of the one-stack maximum

@@ -12,7 +12,6 @@ from scipy.linalg import expm
 from cstarlab import geometry
 from cstarlab.algebra import ConcreteAlgebra, dagger, opnorm
 from cstarlab.geometry import (
-    SampleSpec,
     _TensorSpan,
     kk_distance,
     nearest_in_span,
@@ -23,7 +22,6 @@ from cstarlab.geometry import (
 from cstarlab.instances import block_algebra, gen_instance
 from cstarlab.linalg import clip_spectrum, opnorms, random_unitary, rng_for
 from cstarlab.pipelines import run_pipeline
-from helpers import SPEC, near_inclusion
 
 
 def small_rotation(N: int, eps: float, seed: int) -> np.ndarray:
@@ -41,7 +39,7 @@ def test_nearest_in_span_member_is_exact():
     A = block_algebra((2, 1), 4)
     rng = rng_for(5, "member")
     x = A.random_selfadjoints(rng, 1)[0]
-    b, d, *_ = nearest_in_span(x, A)
+    b, d, *_ = nearest_in_span(x, A, iters=500)
     assert d < 1e-10
     assert opnorm(b - x) < 1e-10
 
@@ -52,7 +50,7 @@ def test_nearest_in_span_beats_hs_projection():
     rng = rng_for(8, "warmstart")
     g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     y0 = A.project(g)
-    _, d, *_ = nearest_in_span(g, A)
+    _, d, *_ = nearest_in_span(g, A, iters=500)
     assert d <= opnorm(g - y0) + 1e-12
 
 
@@ -60,7 +58,7 @@ def test_nearest_in_ball_respects_norm():
     A = block_algebra((2,), 3)
     rng = rng_for(9, "ball")
     g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    b, d, *_ = nearest_in_span(3.0 * g / opnorm(g), A, ball=True)
+    b, d, *_ = nearest_in_span(3.0 * g / opnorm(g), A, ball=True, iters=500)
     assert opnorm(b) <= 1.0 + 1e-9
     assert d >= 2.0 - 1e-6  # the target has norm 3, the ball caps at 1
 
@@ -152,6 +150,8 @@ def dyad_stack(kind: str) -> np.ndarray:
     }[kind]()
 
 
+# summation order: the shrink meets its SVD oracle under either Gram summation order
+@pytest.mark.summation_order
 @pytest.mark.parametrize("kind", ["tall", "square", "wide", "degenerate",
                                   "rank-one", "tiny"])
 def test_shrink_matches_svd(kind, monkeypatch):
@@ -209,8 +209,7 @@ def test_stacked_witnesses_are_feasible_and_exact(ball):
     A = block_algebra((2, 1), 4)
     B = A.conjugated(small_rotation(4, 0.3, 23))
     rng = rng_for(23, "feasible")
-    spec = SampleSpec(seed=23, n_selfadjoint=3, n_unitary=3, iters=500)
-    X = np.concatenate([sample_unit_ball(A, spec), 2.0 * rng.standard_normal((3, 4, 4))])
+    X = np.concatenate([sample_unit_ball(A, 23, 3), 2.0 * rng.standard_normal((3, 4, 4))])
     bs, vals, *_ = nearest_in_span(X, B, ball=ball, iters=100)
     for x, b, v in zip(X, bs, vals):
         assert B.residual(b) <= 1e-12
@@ -227,7 +226,7 @@ def test_span_distance_lower_is_lower():
     for _ in range(6):
         g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         lb = span_distance_lower(g, A)
-        _, ub, *_ = nearest_in_span(g, A)
+        _, ub, *_ = nearest_in_span(g, A, iters=500)
         assert lb <= ub + 1e-10
 
 
@@ -245,8 +244,7 @@ def conjugation_pair(profile: str, N: int, seed: int = 3):
 
 
 def unit_ball_stack(A, n: int = 16, seed: int = 3) -> np.ndarray:
-    spec = SampleSpec(seed=seed, n_selfadjoint=n, n_unitary=n, iters=500)
-    return sample_unit_ball(A, spec)
+    return sample_unit_ball(A, seed, n)
 
 
 def record_duals(monkeypatch) -> list:
@@ -275,14 +273,13 @@ def record_duals(monkeypatch) -> list:
 @pytest.mark.parametrize("profile, N", PAIRS)
 def test_floor_keeps_the_supremum(profile, N, ball, monkeypatch):
     A, B = conjugation_pair(profile, N)
-    spec = SampleSpec(seed=3, n_selfadjoint=16, n_unitary=16, iters=200)
     X = unit_ball_stack(A)
     _, full, *_ = nearest_in_span(X, B, ball=ball, iters=200)
     lbs = span_distance_lower(X, B)
-    cert = near_inclusion(A, B, spec=spec, ball=ball)
-    assert cert.gamma_hi == full.max() and cert.gamma_lo == lbs.max()
     duals = record_duals(monkeypatch)
     _, vals, *_ = nearest_in_span(X, B, ball=ball, iters=200, floor=lbs.max())
+    # the floored solve keeps the unfloored one's supremum, bit for bit
+    assert vals.max() == full.max()
     floor = max([lbs.max()] + [lo.max() for _, lo in duals])
     assert duals and floor > lbs.max()
     top = vals >= floor
@@ -308,6 +305,8 @@ def scalar_ball_distance(X: np.ndarray) -> np.ndarray:
     return np.maximum(lam[:, -1] - c, c - lam[:, 0])
 
 
+# summation order: a solve that stops on a closed duality gap must not hinge on it
+@pytest.mark.summation_order
 def test_ball_duals_are_below_the_scalar_ball_distance(monkeypatch):
     # hermitian targets shifted by multiples of 1, so that the ball binds on
     # some (the midpoint of the spectrum outside [-1, 1]) and not on others:
@@ -435,6 +434,8 @@ def test_gap_stop_is_within_the_margin_of_the_scalar_distance(monkeypatch):
         assert np.array_equal(hi - lo <= 1e-6 * hi, at[at >= k] == k)
 
 
+# summation order: a solve that stops on a closed duality gap must not hinge on it
+@pytest.mark.summation_order
 def test_ball_solve_never_stops_on_the_unconstrained_gap():
     # x = 3 e_11 in M_2 against C 1: the ball optimum is b = 1 at distance 2,
     # the unconstrained one b = 3/2 at 3/2, so the span's duals (at most 3/2)
@@ -534,26 +535,26 @@ def test_stack_reports_each_stop_reason():
 
 def test_sample_unit_ball_contractions():
     A = block_algebra((2, 1), 4)
-    spec = SampleSpec(seed=4, n_selfadjoint=5, n_unitary=5, iters=500)
-    samples = sample_unit_ball(A, spec)
+    samples = sample_unit_ball(A, 4, 5)
     assert samples.shape == (A.dim + 10, 4, 4)
     assert opnorms(samples).max() <= 1.0 + 1e-9
     assert A.residual(samples).max() < 1e-10
 
 
+# summation order: a stacked GEMM meets single calls or an oracle to a rounding bound
+@pytest.mark.summation_order
 @pytest.mark.parametrize("profile, N", PAIRS[1:3])
 def test_sample_unit_ball_equals_the_per_sample_loop(profile, N):
     # normalised basis, then clipped self-adjoint draws, then unitaries
     # exp(i pi/2 h / ||h||), one sample at a time from the same stream
     B = conjugation_pair(profile, N)[1]
-    spec = SampleSpec(seed=5, n_selfadjoint=6, n_unitary=6, iters=500)
-    rng = rng_for(spec.seed, "unit-ball", B.ambient_dim, B.dim)
+    rng = rng_for(5, "unit-ball", B.ambient_dim, B.dim)
     want = [b / opnorm(b) for b in B.basis]
     want += [clip_spectrum(B.random_selfadjoints(rng, 1)[0], -1.0, 1.0) for _ in range(6)]
     for _ in range(6):
         h = B.random_selfadjoints(rng, 1)[0]
         want.append(B.unitary_from(np.pi * 0.5 * (h / opnorm(h))))
-    got = sample_unit_ball(B, spec)
+    got = sample_unit_ball(B, 5, 6)
     assert got.shape == (B.dim + 12, N, N)
     # the basis part is the per-element quotient, bit for bit; the drawn part
     # reads the same stream, but the stacked draw sums its basis combination
@@ -566,29 +567,25 @@ def test_sample_unit_ball_equals_the_per_sample_loop(profile, N):
 
 def test_sample_unit_ball_deterministic():
     A = block_algebra((2,), 3)
-    spec = SampleSpec(seed=7, n_selfadjoint=64, n_unitary=64, iters=500)
-    s1 = sample_unit_ball(A, spec)
-    s2 = sample_unit_ball(A, spec)
+    s1 = sample_unit_ball(A, 7, 64)
+    s2 = sample_unit_ball(A, 7, 64)
     assert s1.shape == (A.dim + 128, 3, 3)
     assert s1.tobytes() == s2.tobytes()
 
 
 def test_sample_unit_ball_without_unitaries_exponentiates_nothing(monkeypatch):
-    # n_unitary = 0 (a sample spec with self-adjoint draws only) calls no
-    # expm_i, and the points are those of the per-sample loop
+    # count = 0 (no random draws) calls no expm_i, and the points are the
+    # normalised basis, the per-element quotient, bit for bit
     from cstarlab import algebra
     calls, expm_i = [], algebra.expm_i
     monkeypatch.setattr(algebra, "expm_i", lambda h: calls.append(len(h)) or expm_i(h))
     A = conjugation_pair("M2+M1", 4)[1]
-    spec = SampleSpec(seed=5, n_selfadjoint=6, n_unitary=0, iters=500)
-    got = sample_unit_ball(A, spec)
+    got = sample_unit_ball(A, 5, 0)
     assert calls == []
-    rng = rng_for(spec.seed, "unit-ball", A.ambient_dim, A.dim)
     want = [b / opnorm(b) for b in A.basis]
-    want += list(clip_spectrum(A.random_selfadjoints(rng, 6), -1.0, 1.0))
-    assert len(got) == len(want) == A.dim + 6
+    assert len(got) == len(want) == A.dim
     assert got.tobytes() == np.array(want).tobytes()
-    sample_unit_ball(A, SampleSpec(seed=5, n_selfadjoint=6, n_unitary=2, iters=500))
+    sample_unit_ball(A, 5, 2)
     assert calls == [2]
 
 
@@ -618,7 +615,7 @@ def test_unit_ball_draws_go_through_sample_unit_ball():
 
 def test_kk_distance_self_is_zero():
     A = block_algebra((2, 1), 4)
-    iv = kk_distance(A, A, spec=SPEC)
+    iv = kk_distance(A, A, 0, 64)
     assert iv.lo <= iv.hi
     assert iv.hi < 1e-9
 
@@ -630,52 +627,66 @@ def test_kk_distance_conjugation_bound(seed):
     A = block_algebra((2, 1), 3)
     u = small_rotation(3, 5e-3, seed)
     B = A.conjugated(u)
-    iv = kk_distance(A, B, spec=SampleSpec(seed=seed, n_selfadjoint=4, n_unitary=4,
-                                                  iters=500))
+    iv = kk_distance(A, B, seed, 4)
     assert iv.lo <= iv.hi + 1e-12
     assert iv.hi <= 2.0 * opnorm(u - np.eye(3)) + 1e-9
-    # the sample setting each direction's sup closes its duality gap at the
-    # warm start, k = 0 (so in both directions of every seed from 0 to 10^4);
-    # it is never dropped by the floor, which only drops samples below the sup
-    for cert in (iv.cert_ab, iv.cert_ba):
-        top = cert.witnesses[0]
-        assert (top.stop, top.iters) == ("gap", 0) and top.ub == cert.gamma_hi
-        for w in cert.witnesses:
-            assert w.stop in ("gap", "floor", "cap")
-            assert w.iters <= 500 and (w.stop != "cap" or w.iters == 500)
-            assert w.stop != "gap" or w.iters in (0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 500)
-            assert w.stop != "floor" or w.ub < top.ub
+    # kk_distance's two-family solve on its samples and floors, at 500
+    # iterations: the sample setting each direction's sup closes its duality
+    # gap at the warm start, k = 0 (so in both directions of every seed from
+    # 0 to 10^4); it is never dropped by the floor, which only drops samples
+    # below the sup; so do the other 7 samples of largest distance
+    X = sample_unit_ball(A, seed, 4), sample_unit_ball(B, seed, 4)
+    floors = span_distance_lower(X[0], B).max(), span_distance_lower(X[1], A).max()
+    for _, ubs, its, stops in nearest_in_span(X, (B, A), ball=True, iters=500, floor=floors):
+        order = np.argsort(-ubs, kind="stable")[:8]
+        top = order[0]
+        assert (stops[top], its[top]) == ("gap", 0)
+        for i in order:
+            assert stops[i] in ("gap", "floor", "cap")
+            assert its[i] <= 500 and (stops[i] != "cap" or its[i] == 500)
+            assert stops[i] != "gap" or its[i] in (0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 500)
+            assert stops[i] != "floor" or ubs[i] < ubs[top]
 
 
+# summation order: a stacked GEMM meets single calls or an oracle to a rounding bound
+@pytest.mark.summation_order
 @pytest.mark.parametrize("profile, N", PAIRS[:3])
-def test_kk_distance_lo_witness_attains_lo(profile, N):
+def test_kk_distance_lo_is_the_largest_sample_floor(profile, N):
+    # lo is the largest HS dual bound over both directions' samples, capped
+    # at hi; the sample attaining it, projected alone, gives the same bound
     for seed in range(6):
         A, B = conjugation_pair(profile, N, seed)
-        iv = kk_distance(A, B, spec=SampleSpec(seed=seed, n_selfadjoint=32,
-                                               n_unitary=32, iters=20))
-        target = B if iv.cert_ab.gamma_lo >= iv.cert_ba.gamma_lo else A
-        lb = span_distance_lower(iv.lo_witness, target)
+        iv = kk_distance(A, B, seed, 32)
+        best = []
+        for src, dst in ((A, B), (B, A)):
+            X = sample_unit_ball(src, seed, 32)
+            lb = span_distance_lower(X, dst)
+            best.append((lb.max(), X[np.argmax(lb)], dst))
+        top, x, target = max(best, key=lambda b: b[0])
+        assert iv.lo == min(top, iv.hi)
         # the stacked and the single projection may sum in different orders,
         # and r = x - P(x) cancels, so the bound is absolute in ||x||_HS
-        assert abs(lb - iv.lo) <= 1e-13 * np.linalg.norm(iv.lo_witness)
+        assert abs(span_distance_lower(x, target) - iv.lo) <= 1e-13 * np.linalg.norm(x)
 
 
+# summation order: a solve that stops on a closed duality gap must not hinge on it
+@pytest.mark.summation_order
 @pytest.mark.parametrize("profile, N", PAIRS)
 def test_ball_witness_values_do_not_hinge_on_the_summation_order(profile, N):
     # the dist pipeline's ball solves (32 + 32 samples, 200 iterations, the
-    # floor of near_inclusion), both directions, at instance seeds 3000-3004:
+    # floor of kk_distance), both directions, at instance seeds 3000-3004:
     # reversing the order of the target's basis keeps its projection but
     # sums it in another order, and no solved value moves by more than 1e-8
-    # relative, nor the largest, near_inclusion's gamma_hi, by more than 1e-9
+    # relative, nor the largest, the direction's one-sided constant, by more
+    # than 1e-9
     for seed in range(3000, 3005):
         A, B = conjugation_pair(profile, N, seed)
         for src, dst in ((A, B), (B, A)):
-            spec = SampleSpec(seed=seed, n_selfadjoint=32, n_unitary=32, iters=200)
-            X = sample_unit_ball(src, spec)
+            X = sample_unit_ball(src, seed, 32)
             floor = span_distance_lower(X, dst).max()
             rev = ConcreteAlgebra(ambient_dim=dst.ambient_dim, basis=dst.basis[::-1],
                                   support=dst.support)
-            vals = [nearest_in_span(X, S, ball=True, iters=spec.iters, floor=floor)[1]
+            vals = [nearest_in_span(X, S, ball=True, iters=200, floor=floor)[1]
                     for S in (dst, rev)]
             assert np.all(np.abs(vals[1] - vals[0]) <= 1e-8 * vals[0])
             assert abs(vals[1].max() - vals[0].max()) <= 1e-9 * vals[0].max()
@@ -689,8 +700,9 @@ def near_inclusion_plus_a_corner():
 
 
 # (pair, sample seed, iterations, the largest iterations among each
-# direction's kept witnesses: A->B, B->A); the M2+M1/4 instance seed is one
-# whose B->A targets all leave the shared stack by 128 while A->B caps at 200
+# direction's 8 samples of largest distance: A->B, B->A); the M2+M1/4
+# instance seed is one whose B->A targets all leave the shared stack by 128
+# while A->B caps at 200
 KK_CASES = {
     "M2+M1/4": (lambda: conjugation_pair("M2+M1", 4, 620566276), 620566276, 200, (200, 128)),
     "3,3/8": (lambda: conjugation_pair("3,3", 8), 3, 200, (32, 200)),
@@ -699,45 +711,35 @@ KK_CASES = {
 }
 
 
+# summation order: bits equal to separate calls, whatever the BLAS thread count
+@pytest.mark.summation_order
 @pytest.mark.parametrize("case", list(KK_CASES))
-def test_kk_distance_equals_two_near_inclusions(case):
-    # kk_distance solves both directions in one call, as two families; each
-    # certificate is the one near_inclusion(..., ball=True) gives alone,
-    # field by field and witness by witness, bit for bit
+def test_kk_distance_equals_two_one_family_solves(case):
+    # the two-family solve of kk_distance's samples and floors gives each
+    # direction what its one-family solve gives alone: witnesses, values,
+    # iterations and stops, bit for bit, at the case's iterations; and
+    # kk_distance's (lo, hi, gamma_ab, gamma_ba) are the one-family solves'
+    # numbers at its 200 iterations, bit for bit
     pair, seed, iters, last = KK_CASES[case]
     A, B = pair()
-    spec = SampleSpec(seed=seed, n_selfadjoint=32, n_unitary=32, iters=iters)
-    iv = kk_distance(A, B, spec=spec)
-    alone = near_inclusion(A, B, spec=spec, ball=True), near_inclusion(B, A, spec=spec, ball=True)
-    for got, want, direction in zip((iv.cert_ab, iv.cert_ba), alone, ("A->B", "B->A")):
-        assert got.direction == direction
-        assert (got.gamma_hi, got.gamma_lo, got.n_samples, got.sample_spec) == \
-            (want.gamma_hi, want.gamma_lo, want.n_samples, want.sample_spec)
-        assert got.lo_witness.tobytes() == want.lo_witness.tobytes()
-        assert len(got.witnesses) == len(want.witnesses) == 8
-        for g, w in zip(got.witnesses, want.witnesses):
-            assert (g.index, g.ub, g.lb, g.stop, g.iters) == (w.index, w.ub, w.lb, w.stop, w.iters)
-            assert g.x.tobytes() == w.x.tobytes() and g.b.tobytes() == w.b.tobytes()
-    assert tuple(max(w.iters for w in c.witnesses) for c in alone) == last
-    assert iv.hi == max(c.gamma_hi for c in alone) and iv.lo == max(c.gamma_lo for c in alone)
+    X = sample_unit_ball(A, seed, 32), sample_unit_ball(B, seed, 32)
+    floors = span_distance_lower(X[0], B).max(), span_distance_lower(X[1], A).max()
 
+    def alone(k):
+        return [nearest_in_span(x, S, ball=True, iters=k, floor=f)
+                for x, S, f in zip(X, (B, A), floors)]
 
-def test_near_inclusion_direction_tag():
-    A = block_algebra((2,), 3)
-    u = small_rotation(3, 1e-3, 2)
-    cert = near_inclusion(A, A.conjugated(u))
-    assert cert.direction == "A->B"
-    assert cert.gamma_lo <= cert.gamma_hi + 1e-12
-    assert cert.witnesses
-    # each stored ub is the distance of its stored points, recomputed
-    assert all(opnorm(w.x - w.b) == w.ub for w in cert.witnesses)
-    # each witness names its sample by its index in the sampler's stack, and
-    # the 8 kept are those of largest distance, largest first
-    X = sample_unit_ball(A, cert.sample_spec)
-    assert cert.n_samples == len(X) and len(cert.witnesses) == 8
-    assert all(np.array_equal(w.x, X[w.index]) for w in cert.witnesses)
-    ubs = [w.ub for w in cert.witnesses]
-    assert ubs == sorted(ubs, reverse=True) and ubs[0] == cert.gamma_hi
+    solved = alone(iters)
+    both = nearest_in_span(X, (B, A), ball=True, iters=iters, floor=floors)
+    for got, want in zip(both, solved):
+        assert got[0].tobytes() == want[0].tobytes()
+        assert all(np.array_equal(g, w) for g, w in zip(got[1:], want[1:]))
+    assert tuple(int(its[np.argsort(-ubs, kind="stable")[:8]].max())
+                 for _, ubs, its, _ in solved) == last
+    gamma = tuple(float(ubs.max()) for _, ubs, _, _ in (solved if iters == 200 else alone(200)))
+    iv = kk_distance(A, B, seed, 32)
+    assert (iv.gamma_ab, iv.gamma_ba) == gamma and iv.hi == max(gamma)
+    assert iv.lo == min(max(floors), iv.hi)
 
 
 # ---------------------------------------------------------------------------
@@ -792,6 +794,8 @@ def test_tensor_span_projection_matches_kronecker_basis(n, r):
         assert abs(np.vdot(px, y) - np.vdot(x, py)) < 1e-13
 
 
+# summation order: a solve that stops on a closed duality gap must not hinge on it
+@pytest.mark.summation_order
 def test_primal_dual_solve_meets_the_tensor_oracle(monkeypatch):
     # x = h (x) 1_n, h hermitian, is at distance (lambda_max - lambda_min) / 2
     # from C 1_N (x) M_n: b = mid 1 attains it, and Y = (P_max - P_min) / 2
@@ -821,6 +825,8 @@ def test_primal_dual_solve_meets_the_tensor_oracle(monkeypatch):
         assert abs(v1 - v) <= 1e-12 and opnorm(b1 - b) <= 1e-12
 
 
+# summation order: a solve that stops on a closed duality gap must not hinge on it
+@pytest.mark.summation_order
 def test_tensor_lift_witness_distance_is_reproducible(monkeypatch):
     # the ladder benchmark's op "oz-perturb conjugation 2,2,2/8" of workload
     # seed 7373, pass 0, whose instance seed is 145953875: reversing the

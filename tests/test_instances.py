@@ -22,6 +22,8 @@ def test_recipes_enumerated():
     assert set(RECIPES) == {"conjugation", "choi-noise", "block-rotation"}
 
 
+# summation order: bits equal to separate calls, whatever the BLAS thread count
+@pytest.mark.summation_order
 @pytest.mark.parametrize("sizes, N", [(s, N) for s in _NAMED.values() for N in (sum(s), 6)]
                          + [((12, 12), 24), ((8, 8, 8, 8), 32)])
 def test_block_algebra_equals_the_gram_schmidt_basis(sizes, N):

@@ -15,6 +15,7 @@ from cstarlab.certs import (
     on_track,
 )
 from cstarlab.cpmaps import LinMap, hom_defect, worst_move
+from cstarlab.geometry import kk_distance
 from cstarlab.instances import block_algebra, gen_instance
 from cstarlab.intertwine import (
     close_isomorphism,
@@ -24,7 +25,6 @@ from cstarlab.intertwine import (
 )
 from cstarlab.linalg import dagger, opnorm, opnorm_max, opnorms, rng_for
 from cstarlab.orderzero import identity_decomposition, near_embed_nucdim
-from helpers import near_inclusion
 from cstarlab.pipelines import run_pipeline
 from cstarlab.serialize import dumps
 from helpers import MULTIPLICITY_CASES, mult_defects, multiplicity_algebra
@@ -47,6 +47,8 @@ def conjugated_pair(sizes, N, eps, seed):
 # close isomorphisms
 # ---------------------------------------------------------------------------
 
+# summation order: a concrete-domain map evaluates by one GEMM against the matrix units
+@pytest.mark.summation_order
 @pytest.mark.parametrize("summands, N", MULTIPLICITY_CASES)
 def test_close_isomorphism_and_implementation_on_a_domain_with_multiplicity(summands, N):
     # M_n (x) 1_m conjugated at 1e-6: the isomorphism onto the copy and its
@@ -304,8 +306,7 @@ def test_near_embedding_into_larger_algebra():
     A0 = block_algebra((2,), 4)
     u = small_rotation(4, 1e-6, 7)
     A = A0.conjugated(u)
-    cert_inc = near_inclusion(A, B)
-    theta, cert = near_embedding_nuclear(A, B, cert_inc.gamma_hi)
+    theta, cert = near_embedding_nuclear(A, B, kk_distance(A, B, 0, 64).gamma_ab)
     assert cert.verdict == "pass"
     for x in A.basis:
         xn = x / opnorm(x)
@@ -316,7 +317,7 @@ def test_near_embedding_into_larger_algebra():
 def test_near_embedding_on_no_points():
     B = block_algebra((2, 2), 4)
     A = block_algebra((2,), 4).conjugated(small_rotation(4, 1e-6, 7))
-    _, cert = near_embedding_nuclear(A, B, near_inclusion(A, B).gamma_hi, X=[])
+    _, cert = near_embedding_nuclear(A, B, kk_distance(A, B, 0, 64).gamma_ab, X=[])
     _assert_empty_closeness(cert)
 
 

@@ -183,6 +183,8 @@ def test_opnorm_max_on_special_stacks():
     assert np.isnan(opnorm_max(S))
 
 
+# summation order: opnorm_max over chunks is the one-stack maximum, bit for bit
+@pytest.mark.summation_order
 @given(sizes=st.lists(st.integers(min_value=0, max_value=8), max_size=5), n=DIMS,
        rows=DIMS, seed=SEEDS)
 @settings(max_examples=200, deadline=None)
@@ -200,6 +202,8 @@ def test_opnorm_max_of_a_stream_equals_the_concatenated_maximum(sizes, n, rows, 
     assert opnorm_max(list(S)) == want
 
 
+# summation order: an overflowing product gives nan under either summation order
+@pytest.mark.summation_order
 def test_opnorm_max_of_a_stream_with_a_non_finite_stack():
     # whichever stack of the stream holds it, an infinite or a NaN entry
     # gives nan

@@ -23,7 +23,7 @@ ALLOWED = {"intertwine.near_embedding_nuclear", "intertwine.half_flip_cpc",
 # run path that sets it to a second value named where the pin moves.  The
 # certification track is a context variable (certs.TRACK), which the count
 # does not see
-KNOBS = 30
+KNOBS = 28
 
 
 def reach(src) -> list[str]:

@@ -5,19 +5,22 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
-STEP = "- name: Witness solver and stack tests with two BLAS threads"
+STEP = "- name: Summation-order tests with two BLAS threads"
 
 
 def test_two_thread_step_selects_a_test_with_every_name():
-    # pytest -k keeps a test whose name contains the expression's name, case
-    # aside; a name that matches no test in the step's files selects nothing,
-    # so a renamed test would silently leave the two-thread run
+    # the step selects by marker: each marker name in its -m expression is
+    # registered in pyproject.toml, which runs pytest with --strict-markers,
+    # so a misspelled mark fails collection instead of silently leaving its
+    # test out of the two-thread run, and each name marks at least one test
     text = WORKFLOW.read_text()
     step = text[text.index(STEP):]
     step = step[:step.index("\n      - name:")]
-    files = re.findall(r"tests/\w+\.py", step)
-    names = re.split(r"\s+or\s+", re.search(r'-k "([^"]*)"', step).group(1).strip())
-    defined = [name.lower() for f in files
-               for name in re.findall(r"^\s*def (test_\w+)", (ROOT / f).read_text(), re.M)]
-    assert files and names
-    assert [n for n in names if not any(n.lower() in d for d in defined)] == []
+    assert "OPENBLAS_NUM_THREADS=2" in step
+    names = re.split(r"\s+or\s+", re.search(r"-m (\w+(?:\s+or\s+\w+)*) tests/", step).group(1))
+    config = (ROOT / "pyproject.toml").read_text()
+    assert '"--strict-markers"' in config
+    tests = [f.read_text() for f in sorted((ROOT / "tests").glob("test_*.py"))]
+    for name in names:
+        assert f'"{name}: ' in config, name
+        assert any(re.search(rf"^@pytest\.mark\.{name}$", t, re.M) for t in tests), name
