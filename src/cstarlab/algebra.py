@@ -167,17 +167,6 @@ class FDAlgebra:
         x[..., self.unit_positions] = c
         return x.reshape(c.shape[:-1] + (self.d, self.d))
 
-    def blocks_of(self, x: np.ndarray) -> list[np.ndarray]:
-        """Diagonal blocks of x, or of each matrix of a stack (..., d, d)."""
-        return [x[..., o:o + n, o:o + n] for o, n in zip(self.offsets, self.block_sizes)]
-
-    def embed_blocks(self, blocks) -> np.ndarray:
-        """Block-diagonal matrix (or stack) with the given diagonal blocks."""
-        x = np.zeros(np.shape(blocks[0])[:-2] + (self.d, self.d), dtype=complex)
-        for o, n, b in zip(self.offsets, self.block_sizes, blocks):
-            x[..., o:o + n, o:o + n] = b
-        return x
-
     def corner_units(self, N: int) -> np.ndarray:
         """The matrix units placed in the upper-left d x d corner of M_N, as a
         (dim_linear, N, N) stack: the block embedding of the algebra into
@@ -193,12 +182,9 @@ class FDAlgebra:
         ``linalg.random_complex`` call per block and sample."""
         sq = [n * n for n in self.block_sizes]
         g = rng.standard_normal((count, 2 * sum(sq)))
-        blocks, pos = [], 0
-        for n, m in zip(self.block_sizes, sq):
-            re, im = g[:, pos:pos + m], g[:, pos + m:pos + 2 * m]
-            blocks.append(((re + 1j * im) / np.sqrt(2.0)).reshape(count, n, n))
-            pos += 2 * m
-        return self.embed_blocks(blocks)
+        parts = np.split(g, np.cumsum(np.repeat(sq, 2))[:-1], axis=1)  # re, im per block
+        return self.from_coeffs(np.concatenate(
+            [(re + 1j * im) / np.sqrt(2.0) for re, im in zip(parts[::2], parts[1::2])], axis=1))
 
     def relation_residual(self, images: np.ndarray) -> float:
         """Worst residual eps of the generating matrix-unit relations on

@@ -294,7 +294,6 @@ class IntertwinerResult:
     """Unitary u with Ad(u) . phi2 ~ phi1, plus its certificates."""
 
     u: np.ndarray
-    s: np.ndarray
     gamma: float
     delta: float
     certificates: dict
@@ -355,5 +354,5 @@ def intertwining_unitary(phi1: LinMap, phi2: LinMap,
     cert_res = Certificate.build("intertwining-residual",
                                  {"s_min": float(sing[-1]), "chain_bound": float(worst_chain)},
                                  worst_res)
-    return IntertwinerResult(u=u, s=s, gamma=float(gamma), delta=float(delta),
+    return IntertwinerResult(u=u, gamma=float(gamma), delta=float(delta),
                              certificates={"norm": cert_u, "residual": cert_res})

@@ -14,7 +14,7 @@ import numpy as np
 
 from .algebra import ConcreteAlgebra, FDAlgebra, generate_algebra, support_projection
 from .certs import SchemaError, require_finite
-from .cpmaps import LinMap, perturb_choi, worst_move
+from .cpmaps import LinMap, perturb_choi
 from .linalg import dagger, expm_i, herm, opnorm, random_hermitian, random_unitary, rng_for
 from .orderzero import NucDimDecomposition, OrderZeroMap
 from .serialize import matrix_to_json, to_jsonable
@@ -204,24 +204,13 @@ def hat_decomposition(n_grid: int):
         vals = np.maximum(0.0, 1.0 - np.abs(np.arange(n_grid) - center) / _HAT_STEP)
         return np.diag(vals.astype(complex))
 
-    fd = FDAlgebra((1,) * len(nodes))
-    units = A.structure().matrix_units  # down sends each unit to its values at the nodes
-    down = LinMap(A, fd.d, fd.from_coeffs(units[:, nodes, nodes]))
-    pieces = (tuple(m for m in range(len(nodes)) if m % 2 == 0),
-              tuple(m for m in range(len(nodes)) if m % 2 == 1))
-    ups = []
-    for group in pieces:
-        sub = FDAlgebra((1,) * len(group))
-        hats = [hat(nodes[m]) for m in group]
-        supports = [np.diag((np.diag(h_m).real > 1e-12).astype(complex))
-                    for h_m in hats]
-        up_map = LinMap(sub, n_grid, tuple(hats), codomain_algebra=A)
-        pi = LinMap(sub, n_grid, tuple(supports))
-        ups.append(OrderZeroMap(map=up_map, pi=pi, h=herm(sum(hats))))
-    dec = NucDimDecomposition(F=fd, pieces=pieces, down=down, ups=tuple(ups),
-                              defect=0.0)
+    units = A.structure().matrix_units  # a color's down sends each unit to its values at its nodes
+    downs, ups = [], []
+    for color in (nodes[0::2], nodes[1::2]):
+        sub = FDAlgebra((1,) * len(color))
+        downs.append(LinMap(A, sub.d, sub.from_coeffs(units[:, color, color])))
+        ups.append(LinMap(sub, n_grid, tuple(hat(c) for c in color), codomain_algebra=A))
     X = [np.diag(grid.astype(complex)),
          np.diag((grid ** 2).astype(complex)),
          np.diag((grid * (1.0 - grid)).astype(complex))]
-    dec.defect = worst_move(dec.compose, X)
-    return A, dec, X
+    return A, NucDimDecomposition.measured(downs, ups, X), X

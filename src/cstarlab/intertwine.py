@@ -7,8 +7,8 @@ because a cpc map is close to the inclusion only on finite sets.  Here A is
 finite-dimensional and the expectation onto B, restricted to A, is close to
 the inclusion on A's whole unit ball, so the exhaustion stops at its first
 stage: that one map is repaired to a homomorphism once and projected into B.
-The codomain basis is pulled back into A once per call (``pull_back``), and
-close_isomorphism reads B's witnesses and its forward closeness from it.
+close_isomorphism pulls the codomain basis back into A once per call, and
+reads B's witnesses and its forward closeness from that pull-back.
 """
 
 from __future__ import annotations
@@ -70,8 +70,6 @@ class IsoResult:
     eta: float
     mu: float
     nu: float
-    surjective: bool
-    pull_back: tuple | None  # the codomain witnesses and distances, or None
 
     @property
     def passed(self) -> bool:
@@ -83,32 +81,20 @@ class IsoResult:
 # ---------------------------------------------------------------------------
 
 def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float, X_A,
-                     mu: float, surjectivity_delta: float | None = None) -> IsoResult:
+                     mu: float) -> IsoResult:
     """Injective *-homomorphism alpha: A -> B with ||alpha(x) - x|| <=
     8 sqrt(6) eta^{1/2} + eta + mu for x in X_A, for A within eta/2 of B.
 
     phi, the expectation onto B restricted to A (``arveson_restrict``), is
     eta-close to the inclusion on A's unit ball and has defect at most 3 eta;
     it is repaired to a homomorphism at gamma = max(3 eta, hom_defect(phi))
-    and projected into B.  When surjectivity_delta is given (B inside A to
-    that level; the paper's window is at most 1/5), B's normalised basis is
-    pulled back into A's unit ball once, at 200 iterations (pull_back),
-    closeness covers the accepted witnesses too, and the result is certified
-    onto B by dimension count (an injective alpha into B with dim A = dim B is
-    onto; the paper's density margin is reported, not checked).  A failed
-    ``expectation-restriction`` certificate raises ContradictionError.
+    and projected into B.  The result has an inverse when alpha is onto B,
+    which for an injective alpha is the dimension count dim A = dim B.  A
+    failed ``expectation-restriction`` certificate raises ContradictionError.
     """
     certs.require_window("iso-closeness", eta=eta, mu=mu)
     nu = mu / 2.0
-    X_A = [np.asarray(x, dtype=complex) for x in X_A]
-
-    pull_back, X_close, pull_details = None, X_A, {}
-    if surjectivity_delta is not None:
-        xs, dists = nearest_in_span(B.normalized_basis, A, ball=True, iters=200)[:2]
-        accepted = dists <= 2.0 / 5.0 + TOL_ALG
-        pull_back, X_close = (xs, dists), X_A + list(xs[accepted])
-        pull_details = {"pullback_worst": float(dists.max()),
-                        "tracking_ok": bool(accepted.all())}
+    X_close = [np.asarray(x, dtype=complex) for x in X_A]
 
     phi, cert_phi = arveson_restrict(A, B, X_close, gamma=eta / 2.0)
     if not cert_phi.passed:
@@ -140,25 +126,15 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float, X_A,
     out = {"closeness": cert_close, "homomorphism": cert_hom,
            "image-membership": cert_member, "injectivity": cert_inj}
 
-    surjective = False
     inverse = None
     if sigma_min > TOL_ALG and A.dim == B.dim:
-        surjective = True
         inv_images = _combine(np.linalg.inv(action).T, A.basis)  # alpha^{-1} of B's basis
 
         def inverse(y):
             return _combine(B.coeffs(y), inv_images)
-    if surjectivity_delta is not None:
-        b = cert_inj.ceiling
-        margin = 8.0 * np.sqrt(2.0) * b + 2.0 * nu + b + 2.0 * surjectivity_delta
-        out["surjectivity"] = Certificate.build(
-            "surjectivity", {"delta": surjectivity_delta, "dim_A": A.dim, "dim_B": B.dim},
-            0.0 if surjective else 1.0,
-            details={"density_margin": float(margin), **pull_details})
 
     return IsoResult(map=alpha, inverse=inverse, trace=trace, certificates=out,
-                     eta=float(eta), mu=float(mu), nu=float(nu),
-                     surjective=surjective, pull_back=pull_back)
+                     eta=float(eta), mu=float(mu), nu=float(nu))
 
 
 # ---------------------------------------------------------------------------
@@ -170,12 +146,15 @@ def close_isomorphism(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma: float) -> I
     d(A, B) <= gamma, with ||theta(x) - x|| and ||theta^{-1}(y) - y|| at most
     28 gamma^{1/2} for x in A's basis and for y in B's basis.
 
-    Runs intertwining_iso with eta = 2 gamma, mu = min(gamma^{1/2}, 1/4000)
-    and surjectivity_delta = gamma, so that B's basis is pulled back into A's
-    unit ball (pull_back) and forward closeness, read from its closeness
-    certificate, covers the accepted witnesses too; certifies the reverse
+    B's normalised basis is pulled back into A's unit ball once, at 200
+    iterations, and intertwining_iso runs with eta = 2 gamma and mu =
+    min(gamma^{1/2}, 1/4000) on A's normalised basis and the accepted
+    witnesses (distance at most 2/5), so forward closeness, read from its
+    closeness certificate, covers them too.  The map is certified onto B by
+    the dimension count (an injective map into B with dim A = dim B is onto;
+    the paper's density margin is reported, not checked), and the reverse
     direction through the chain ||theta^{-1}(y) - y|| <= 2 ||x - y|| +
-    ||theta(x) - y|| over those witnesses.  The ceilings vanish with gamma
+    ||theta(x) - y|| over the witnesses.  The ceilings vanish with gamma
     and take a rounding slack.
     """
     certs.require_window("forward-closeness", gamma=gamma)
@@ -183,17 +162,25 @@ def close_isomorphism(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma: float) -> I
         raise ContradictionError(
             f"distance certificate {gamma:.3g} < 1 between algebras of "
             f"different dimensions {A.dim} != {B.dim}")
-    res = intertwining_iso(A, B, eta=2.0 * gamma, X_A=A.normalized_basis,
-                           mu=min(np.sqrt(gamma), 1.0 / 4000.0),
-                           surjectivity_delta=gamma)
-    theta, close = res.map, res.certificates["closeness"]
-    res.certificates["forward-closeness"] = Certificate.build(
-        "forward-closeness", {"gamma": gamma, "n_points": close.inputs["n_points"]},
-        close.achieved)
+    Xs, dists = nearest_in_span(B.normalized_basis, A, ball=True, iters=200)[:2]
+    accepted = dists <= 2.0 / 5.0 + TOL_ALG
+    res = intertwining_iso(A, B, eta=2.0 * gamma,
+                           X_A=list(A.normalized_basis) + list(Xs[accepted]),
+                           mu=min(np.sqrt(gamma), 1.0 / 4000.0))
     if res.inverse is None:
         raise SpectralGapError("constructed map is not invertible; "
                                "cannot certify the reverse bound")
-    Y, (Xs, dists) = B.normalized_basis, res.pull_back
+    theta, close = res.map, res.certificates["closeness"]
+    b = res.certificates["injectivity"].ceiling
+    margin = 8.0 * np.sqrt(2.0) * b + 2.0 * res.nu + b + 2.0 * gamma
+    res.certificates["surjectivity"] = Certificate.build(  # onto: it has an inverse
+        "surjectivity", {"delta": gamma, "dim_A": A.dim, "dim_B": B.dim}, 0.0,
+        details={"density_margin": float(margin), "pullback_worst": float(dists.max()),
+                 "tracking_ok": bool(accepted.all())})
+    res.certificates["forward-closeness"] = Certificate.build(
+        "forward-closeness", {"gamma": gamma, "n_points": close.inputs["n_points"]},
+        close.achieved)
+    Y = B.normalized_basis
     chain_worst = (2.0 * dists + opnorms(theta(Xs) - Y)).max()
     res.certificates["backward-closeness"] = Certificate.build(
         "backward-closeness", {"gamma": gamma, "n_points": len(Y)},

@@ -143,8 +143,11 @@ def rng_for(seed: int, *tags) -> np.random.Generator:
     """Counter-based generator for (seed, purpose-tags).
 
     Distinct tag tuples give statistically independent, reproducible streams;
-    the same tuple always replays the same stream on every platform.
+    the same tuple always replays the same stream on every platform.  A
+    negative seed is refused by name.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, not {seed}")
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(_tag_to_int(t) for t in tags))
     return np.random.Generator(np.random.Philox(ss))
 

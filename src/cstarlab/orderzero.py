@@ -43,26 +43,16 @@ __all__ = [
 # the structure pair
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class OrderZeroMap:
     """An orthogonality-preserving cpc map phi together with its structural
     pair: a *-homomorphism pi on the same block domain and h = phi(1), with
-    phi(x) = pi(x) h = h pi(x)."""
+    phi(x) = pi(x) h = h pi(x).  Made only by its two checked constructors:
+    ``from_pair`` (pair to map) and ``structure_decompose`` (map to pair)."""
 
     map: LinMap
     pi: LinMap
     h: np.ndarray
-
-    @property
-    def fd(self) -> FDAlgebra:
-        return self.map.domain
-
-    @property
-    def codomain_dim(self) -> int:
-        return self.map.codomain_dim
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.map(x)
 
     @classmethod
     def from_pair(cls, pi: LinMap, h: np.ndarray, codomain_algebra) -> "OrderZeroMap":
@@ -87,38 +77,36 @@ def _structure_residual(images, pi_images, h) -> float:
                             opnorm_max(h @ pi_images - pi_images @ h)))
 
 
-def structure_decompose(phi: LinMap, tol: float = TOL_ALG) -> tuple[LinMap, np.ndarray]:
-    """Extract the commuting pair (pi, h) of an order-zero map.
+def structure_decompose(phi: LinMap) -> OrderZeroMap:
+    """phi with the commuting pair (pi, h) of an order-zero map.
 
     h = phi(1); pi(x) = phi(x) h^+ with the spectral pseudoinverse cut at
     tol_rank relative to ||h||, which vanishes off the range of h.  Raises
-    when the recovered pi fails the homomorphism or commuting identities,
-    which is the finite check that phi was not order zero.
+    when the recovered pi fails the homomorphism or commuting identities to
+    TOL_ALG, which is the finite check that phi was not order zero.
     """
     fd = phi.domain
     if not isinstance(fd, FDAlgebra):
         raise ValueError("structure decomposition needs a block domain")
     h = herm(phi(fd.unit()))
-    hp = psd_pinv(h)
-    pi = LinMap(fd, phi.codomain_dim, phi.images @ hp)
+    pi = LinMap(fd, phi.codomain_dim, phi.images @ psd_pinv(h))
     worst = np.maximum(fd.relation_residual(pi.images),
                        _structure_residual(phi.images, pi.images, h))
-    if not worst <= tol:  # a nan residual certifies nothing either
+    if not worst <= TOL_ALG:  # a nan residual certifies nothing either
         raise ValueError(
-            f"not order zero: structural residual {worst:.3g} exceeds {tol:.3g}")
-    return pi, h
+            f"not order zero: structural residual {worst:.3g} exceeds {TOL_ALG:.3g}")
+    return OrderZeroMap(map=phi, pi=pi, h=h)
 
 
-def is_order_zero(phi: LinMap):
-    """(True, (pi, h)) when phi is cpc and the structure identities hold to
-    TOL_ALG, else (False, None)."""
+def is_order_zero(phi: LinMap) -> bool:
+    """Whether phi is cpc and the structure identities hold to TOL_ALG."""
     if not classify(phi).cpc:
-        return False, None
+        return False
     try:
-        pi, h = structure_decompose(phi)
+        structure_decompose(phi)
     except ValueError:
-        return False, None
-    return True, (pi, h)
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +139,7 @@ def perturb_order_zero(oz: OrderZeroMap, B: ConcreteAlgebra,
     distance with its solver stop reason and iterations (``witness_stop``,
     ``witness_iters``): ``gap`` proves it optimal to 1e-6 relative.
     """
-    fd = oz.fd
-    N = oz.codomain_dim
+    fd, N = oz.map.domain, oz.map.codomain_dim
     if B.ambient_dim != N:
         raise ValueError("B must live on the same space as the image of phi")
     kept = [k for k, E in enumerate(fd.unit_blocks(oz.map.images))
@@ -214,56 +201,60 @@ def perturb_order_zero(oz: OrderZeroMap, B: ConcreteAlgebra,
 # nuclear-dimension decompositions
 # ---------------------------------------------------------------------------
 
-@dataclass
-class NucDimDecomposition:
-    """A (n+1)-colored factorization of the identity of A through a block
-    algebra F = F_0 + ... + F_n: a cpc map down: A -> F and order-zero maps
-    ups[i]: F_i -> A whose sum approximately recovers the identity on X."""
+def _compose(downs, ups, x: np.ndarray) -> np.ndarray:
+    return sum(up(down(x)) for down, up in zip(downs, ups))
 
-    F: FDAlgebra
-    pieces: tuple          # block-index groups, one per summand F_i
-    down: LinMap
+
+@dataclass(frozen=True)
+class NucDimDecomposition:
+    """A (n+1)-colored factorization of the identity of A: per color i a cpc
+    map downs[i]: A -> F_i into a block algebra and an order-zero map
+    ups[i]: F_i -> A, whose composite sum_i ups[i](downs[i](x)) recovers x on
+    a finite set to within the defect."""
+
+    downs: tuple
     ups: tuple
     defect: float
 
     def __post_init__(self):
-        if len(self.pieces) != len(self.ups):
-            raise ValueError("one order-zero map per piece is required")
-        for group, up in zip(self.pieces, self.ups):
-            sizes = tuple(self.F.block_sizes[k] for k in group)
-            if up.fd.block_sizes != sizes:
-                raise ValueError(
-                    f"piece {group} has sizes {sizes} but the map has domain "
-                    f"{up.fd.block_sizes}")
+        if not self.ups or [f.codomain_dim for f in self.downs] != [g.domain.d for g in self.ups]:
+            raise ValueError("each color's down map must land in M_d of its up map's domain")
+
+    @classmethod
+    def measured(cls, downs, ups, X) -> "NucDimDecomposition":
+        """The decomposition with its defect sup_X ||compose(x) - x||."""
+        return cls(tuple(downs), tuple(ups), worst_move(lambda x: _compose(downs, ups, x), X))
 
     @property
     def n(self) -> int:
         return len(self.ups) - 1
 
-    def piece_algebra(self, i: int) -> FDAlgebra:
-        return self.ups[i].fd
-
-    def restrict(self, i: int, y: np.ndarray) -> np.ndarray:
-        blocks = self.F.blocks_of(y)
-        return self.piece_algebra(i).embed_blocks([blocks[k] for k in self.pieces[i]])
-
     def compose(self, x: np.ndarray) -> np.ndarray:
-        """sum_i ups[i](down(x) restricted to F_i), for one x or a stack."""
-        y = self.down(x)
-        return sum(up(self.restrict(i, y)) for i, up in enumerate(self.ups))
+        """sum_i ups[i](downs[i](x)), for one x or a stack."""
+        return _compose(self.downs, self.ups, x)
+
+
+def _block_colors(A: ConcreteAlgebra, groups) -> NucDimDecomposition:
+    """The exact decomposition of A through its block model with the blocks
+    dealt into colors: color i's down map keeps the blocks in groups[i], and
+    its up map sends their matrix units to A's."""
+    struct = A.structure()
+    fd = struct.fd_model()
+    units, blocks = fd.units(), fd.unit_blocks(struct.matrix_units)
+    downs, ups = [], []
+    for group in groups:
+        sub = FDAlgebra(tuple(fd.block_sizes[k] for k in group))
+        rows = np.concatenate([fd.offsets[k] + np.arange(fd.block_sizes[k]) for k in group])
+        downs.append(LinMap(A, sub.d, units[:, rows][:, :, rows]))
+        images = np.concatenate([blocks[k].reshape((-1,) + blocks[k].shape[2:]) for k in group])
+        ups.append(LinMap(sub, A.ambient_dim, images, codomain_algebra=A))
+    return NucDimDecomposition.measured(downs, ups, A.basis)
 
 
 def identity_decomposition(A: ConcreteAlgebra) -> NucDimDecomposition:
     """The exact single-color decomposition of a block algebra through its
     own block model (finite-dimensional algebras need no colors)."""
-    struct = A.structure()
-    fd = struct.fd_model()
-    down = LinMap(A, fd.d, fd.units())
-    up_map = LinMap(fd, A.ambient_dim, struct.matrix_units, codomain_algebra=A)
-    up = OrderZeroMap(map=up_map, pi=up_map, h=np.array(A.support))
-    defect = worst_move(lambda x: up(down(x)), A.basis)
-    return NucDimDecomposition(F=fd, pieces=(tuple(range(len(fd.block_sizes))),),
-                               down=down, ups=(up,), defect=defect)
+    return _block_colors(A, [range(len(A.structure().summands))])
 
 
 # the colors split_decomposition deals the blocks into
@@ -274,38 +265,20 @@ def split_decomposition(A: ConcreteAlgebra) -> NucDimDecomposition:
     """Exact decomposition with the blocks of A dealt round-robin into
     _SPLIT_COLORS colors; a forced n = _SPLIT_COLORS - 1 presentation of a
     finite-dimensional algebra."""
-    struct = A.structure()
-    fd = struct.fd_model()
-    r = len(fd.block_sizes)
+    r = len(A.structure().summands)
     if r < _SPLIT_COLORS:
         raise ValueError(f"cannot split {r} blocks into {_SPLIT_COLORS} nonempty colors")
-    groups = tuple(tuple(k for k in range(r) if k % _SPLIT_COLORS == i)
-                   for i in range(_SPLIT_COLORS))
-    down = LinMap(A, fd.d, fd.units())
-    blocks = fd.unit_blocks(struct.matrix_units)
-    ups = []
-    for group in groups:
-        sub = FDAlgebra(tuple(fd.block_sizes[k] for k in group))
-        images = np.concatenate([blocks[k].reshape((-1,) + blocks[k].shape[2:]) for k in group])
-        up_map = LinMap(sub, A.ambient_dim, images, codomain_algebra=A)
-        ups.append(OrderZeroMap(map=up_map, pi=up_map, h=herm(up_map.value_on_unit())))
-    dec = NucDimDecomposition(F=fd, pieces=groups, down=down, ups=tuple(ups),
-                              defect=0.0)
-    dec.defect = worst_move(dec.compose, A.basis)
-    return dec
+    return _block_colors(A, [range(i, r, _SPLIT_COLORS) for i in range(_SPLIT_COLORS)])
 
 
 def verify_nucdim_decomposition(A: ConcreteAlgebra, X, eps: float,
                                 dec: NucDimDecomposition) -> Certificate:
     """Check every invariant of the decomposition and the defect claim
     sup_X ||psi(phi(x)) - x|| <= eps; failures are named in the details."""
-    failures = []
-    if not classify(dec.down).cpc:
-        failures.append("down-not-cpc")
-    for i, up in enumerate(dec.ups):
-        ok, _ = is_order_zero(up.map)
-        if not ok:
-            failures.append(f"up-{i}-not-order-zero")
+    failures = [f"down-{i}-not-cpc" for i, down in enumerate(dec.downs)
+                if not classify(down).cpc]
+    failures += [f"up-{i}-not-order-zero" for i, up in enumerate(dec.ups)
+                 if not is_order_zero(up)]
     comp = LinMap(A, dec.ups[0].codomain_dim, dec.compose(A.structure().matrix_units))
     if not classify(comp).cpc:
         failures.append("composite-not-cpc")
@@ -326,19 +299,10 @@ def nucdim_cpc_transfer(D: ConcreteAlgebra, dec: NucDimDecomposition,
     defect, by perturbing each colored summand of the decomposition into B
     and rescaling the sum by its cb norm when that exceeds one."""
     eps = dec.defect
-    N = B.ambient_dim
-    summand_certs = []
-    perturbed = []
-    for up in dec.ups:
-        pi_i, h_i = structure_decompose(up.map, tol=100 * TOL_ALG)
-        oz_i = OrderZeroMap(map=up.map, pi=pi_i, h=h_i)
-        psi_i, cert_i = perturb_order_zero(oz_i, B, gamma)
-        perturbed.append(psi_i)
-        summand_certs.append(cert_i)
-
-    y = dec.down(D.structure().matrix_units)
-    images = sum(psi_i(dec.restrict(i, y)) for i, psi_i in enumerate(perturbed))
-    raw = LinMap(D, N, images, codomain_algebra=B)
+    perturbed, summand_certs = zip(*(perturb_order_zero(structure_decompose(up), B, gamma)
+                                     for up in dec.ups))
+    raw = LinMap(D, B.ambient_dim, _compose(dec.downs, perturbed, D.structure().matrix_units),
+                 codomain_algebra=B)
     lo, hi = cb_bracket(raw)
     scale = max(1.0, hi)
     phi = raw.scaled(1.0 / scale) if scale > 1.0 else raw
@@ -349,7 +313,7 @@ def nucdim_cpc_transfer(D: ConcreteAlgebra, dec: NucDimDecomposition,
         worst_move(phi, X),
         details={"rescale": float(scale), "cb_bracket": [float(lo), float(hi)],
                  "cpc": bool(cls.cpc), "summand_achieved": [c.achieved for c in summand_certs],
-                 "summand_ceiling": summand_certs[0].ceiling if summand_certs else 0.0})
+                 "summand_ceiling": summand_certs[0].ceiling})
     return phi, cert
 
 

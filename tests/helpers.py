@@ -191,7 +191,7 @@ def verify_averaging_set(fd: FDAlgebra, avg: AveragingSet) -> Certificate:
 def orthogonality_residual(oz: OrderZeroMap) -> float:
     """Largest ||phi(e) phi(f)|| over orthogonal diagonal matrix units."""
     diag = np.concatenate([E[np.arange(len(E)), np.arange(len(E))]
-                           for E in oz.fd.unit_blocks(oz.map.images)])
+                           for E in oz.map.domain.unit_blocks(oz.map.images)])
     first, second = np.triu_indices(len(diag), 1)
     return opnorm_max(diag[first] @ diag[second])
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import block_diag, expm
 
 from cstarlab import averaging
 from cstarlab.algebra import FDAlgebra
@@ -302,7 +302,7 @@ def test_default_intertwiner_gamma_bounds_every_drawn_distance(profile):
     phi1 = _rotated_embedding(fd, N, rng)
     g = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
     phi2 = phi1.conjugated(expm(1j * 1e-2 * (g + dagger(g)) / opnorm(g + dagger(g))))
-    X = np.concatenate([fd.units(), [fd.embed_blocks([random_unitary(rng, n) for n in profile])
+    X = np.concatenate([fd.units(), [block_diag(*[random_unitary(rng, n) for n in profile])
                                      for _ in range(32)]])
     res = intertwining_unitary(phi1, phi2)
     assert res.gamma >= opnorm_max(phi1(X) - phi2(X)) > 0.0
@@ -351,6 +351,8 @@ def test_repair_and_self_intertwiner_depend_on_the_map_alone(algebra, ambient):
     # pairing theta with itself gives what pairing it with an equal copy gives
     copy = LinMap(A, ambient, theta.images.copy(), codomain_algebra=B)
     other = intertwining_unitary(theta, copy)
-    for key in ("u", "s"):
-        assert getattr(other, key).tobytes() == getattr(unit, key).tobytes()
+    assert other.u.tobytes() == unit.u.tobytes()
     assert (other.gamma, other.delta) == (unit.gamma, unit.delta)
+    # the residual certificate carries s's smallest singular value and chain bound
+    assert ({k: c.to_dict() for k, c in other.certificates.items()}
+            == {k: c.to_dict() for k, c in unit.certificates.items()})

@@ -229,6 +229,18 @@ def test_negative_sample_count_exits_2_naming_samples(capsys):
     assert "ValueError" in err and "samples" in err and "-1" in err
 
 
+@pytest.mark.parametrize("argv", [["iso", "--seed", "-1"], ["gen", "--seed", "-2"]],
+                         ids=["iso", "gen"])
+def test_negative_seed_exits_2_naming_the_seed(argv, tmp_path, monkeypatch, capsys):
+    # refused by name where the seed's stream is made, not by numpy's
+    # "expected non-negative integer"
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "ValueError" in err and "seed must be at least 0" in err and argv[-1] in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("eps", ["nan", "inf", "-inf"])
 def test_non_finite_eps_exits_2(eps, capsys):
     rc = main(["dist", f"--eps={eps}"])

@@ -15,7 +15,7 @@ from cstarlab.certs import (
     on_track,
 )
 from cstarlab.cpmaps import LinMap, hom_defect, worst_move
-from cstarlab.geometry import kk_distance
+from cstarlab.geometry import kk_distance, nearest_in_span
 from cstarlab.instances import block_algebra, gen_instance
 from cstarlab.intertwine import (
     close_isomorphism,
@@ -66,7 +66,7 @@ def test_close_isomorphism_conjugated_pair():
     A, B, u = conjugated_pair((2, 1), 3, 1e-5, 4)
     gamma = 2.0 * opnorm(u - np.eye(3))
     res = close_isomorphism(A, B, gamma)
-    assert res.surjective and res.passed
+    assert res.inverse is not None and res.passed
     theta = res.map
     rng = rng_for(4, "iso-check")
     for _ in range(4):
@@ -133,11 +133,10 @@ def test_intertwining_iso_ignores_repeated_points():
     A, B, u = conjugated_pair((2, 1), 3, 1e-5, 4)
     gamma = 2.0 * opnorm(u - np.eye(3))
     X_A = [A.random_selfadjoints(rng_for(5, "repeat"), 1)[0] / 2.0, *A.basis]
-    runs = [intertwine.intertwining_iso(A, B, 2.0 * gamma, X_A=X, mu=1e-4, surjectivity_delta=gamma)
+    runs = [intertwine.intertwining_iso(A, B, 2.0 * gamma, X_A=X, mu=1e-4)
             for X in (X_A, X_A + X_A)]
     certs = [{k: c.to_dict() for k, c in r.certificates.items()} for r in runs]
-    # closeness also covers the B.dim codomain witnesses the pull-back accepts
-    assert [c["closeness"]["inputs"].pop("n_points") for c in certs] == [6 + B.dim, 12 + B.dim]
+    assert [c["closeness"]["inputs"].pop("n_points") for c in certs] == [6, 12]
     assert certs[0] == certs[1]
     assert runs[0].map.images.tobytes() == runs[1].map.images.tobytes()
 
@@ -145,6 +144,14 @@ def test_intertwining_iso_ignores_repeated_points():
 # ---------------------------------------------------------------------------
 # the one repair
 # ---------------------------------------------------------------------------
+
+def pulled_back_points(A, B):
+    """A's normalised basis and the witnesses of B's that close_isomorphism
+    accepts from its pull-back (distance at most 2/5), with the pull-back's
+    witnesses and distances."""
+    Xs, dists = nearest_in_span(B.normalized_basis, A, ball=True, iters=200)[:2]
+    return list(A.normalized_basis) + list(Xs[dists <= 2.0 / 5.0 + TOL_ALG]), Xs, dists
+
 
 def conjugation_instance(algebra, ambient):
     inst = gen_instance("conjugation", {"algebra": algebra, "ambient": ambient,
@@ -193,8 +200,7 @@ def test_expectation_producer_builds_its_map_once(monkeypatch):
         (phi,), _ = calls["improve_multiplicativity"][0]
         assert np.array_equal(phi.images, B.project(A.structure().matrix_units))
         (row,) = res.trace
-        Xs, dists = res.pull_back
-        X = list(A.normalized_basis) + list(Xs[dists <= 2.0 / 5.0 + TOL_ALG])
+        X = pulled_back_points(A, B)[0]
         assert row.n_Z == len(X) == res.certificates["closeness"].inputs["n_points"]
         assert row.phi_closeness == worst_move(phi, X)
         assert row.phi_defect == hom_defect(phi)
@@ -243,8 +249,7 @@ def test_close_isomorphism_reads_its_closeness():
     # intertwining's closeness; it equals a fresh measurement on the same points
     A, B, gamma = conjugation_instance("3,3", 8)
     res = close_isomorphism(A, B, gamma)
-    Xs, dists = res.pull_back
-    X = list(A.normalized_basis) + list(Xs[dists <= 2.0 / 5.0 + TOL_ALG])
+    X = pulled_back_points(A, B)[0]
     fwd = res.certificates["forward-closeness"]
     assert fwd.achieved == worst_move(res.map, X)
     assert fwd.achieved == res.certificates["closeness"].achieved
@@ -266,22 +271,30 @@ def test_iso_past_one_fifth_passes_every_certificate():
     assert report.ok and report.certificates["surjectivity"].passed
     res = close_isomorphism(inst.A, inst.B, gamma)
     assert dumps(report.certificates) == dumps(res.certificates)
-    Xs, dists = res.pull_back
+    _, Xs, dists = pulled_back_points(inst.A, inst.B)
     chain = (2.0 * dists + opnorms(res.map(Xs) - inst.B.normalized_basis)).max()
     assert res.certificates["backward-closeness"].details["chain_bound"] == chain
 
 
 def test_surjectivity_is_the_dimension_count():
-    # M2 embeds injectively into M2 + M2, but not onto it: the certificate
-    # fails on the dimension count, although the density margin it reports
-    # (and does not check) is below 1
+    # M2 embeds injectively into M2 + M2, but not onto it: the intertwining
+    # gives no inverse, and close_isomorphism refuses the pair on the
+    # dimension count.  On a conjugated pair of equal dimension the map is
+    # onto, and the surjectivity certificate reports (and does not check) the
+    # paper's density margin 8 sqrt(2) b + 2 nu + b + 2 gamma, b the
+    # injectivity ceiling
     A, B = block_algebra((2,), 4), block_algebra((2, 2), 4)
-    res = intertwine.intertwining_iso(A, B, 1e-7, X_A=A.normalized_basis, mu=1e-4, surjectivity_delta=1e-7)
-    cert = res.certificates["surjectivity"]
+    res = intertwine.intertwining_iso(A, B, 1e-7, X_A=A.normalized_basis, mu=1e-4)
     assert res.certificates["injectivity"].details["action_sigma_min"] > TOL_ALG
-    assert not cert.passed and not res.surjective
-    assert cert.details["density_margin"] < 1.0
-    assert cert.inputs["dim_A"] == 4 and cert.inputs["dim_B"] == 8
+    assert res.inverse is None and "surjectivity" not in res.certificates
+    with pytest.raises(ContradictionError, match="different dimensions 4 != 8"):
+        close_isomorphism(A, B, 1e-7)
+    A, B, u = conjugated_pair((2, 1), 3, 1e-5, 4)
+    gamma = 2.0 * opnorm(u - np.eye(3))
+    res = close_isomorphism(A, B, gamma)
+    cert, b = res.certificates["surjectivity"], res.certificates["injectivity"].ceiling
+    assert cert.passed and cert.inputs["dim_A"] == cert.inputs["dim_B"] == 5
+    assert cert.details["density_margin"] == 8.0 * np.sqrt(2.0) * b + 2.0 * res.nu + b + 2.0 * gamma
 
 
 def test_close_isomorphism_memory_on_block_rotation():

@@ -27,6 +27,11 @@ def test_rng_determinism():
     assert not np.array_equal(a, c)
 
 
+def test_rng_refuses_a_negative_seed_by_name():
+    with pytest.raises(ValueError, match="seed must be at least 0, not -1"):
+        rng_for(-1, "tag")
+
+
 @given(n=DIMS, seed=SEEDS)
 @settings(max_examples=40, deadline=None)
 def test_random_unitary_is_unitary(n, seed):

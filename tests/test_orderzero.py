@@ -2,6 +2,7 @@
 
 import ast
 import itertools
+import re
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from cstarlab.geometry import tensor_lift
 from cstarlab.linalg import dagger, herm, opnorm, psd_sqrt, rng_for
 from helpers import matrix_unit, verify_order_zero
 from cstarlab.orderzero import (
+    NucDimDecomposition,
     OrderZeroMap,
     identity_decomposition,
     is_order_zero,
@@ -65,9 +67,10 @@ def test_structure_decompose_round_trip():
     # noiseless, structure_decompose gives back the generator's pi and h
     for sizes, seed in itertools.product(OZ_PROFILES, [0, 1, 2]):
         oz = random_order_zero(sizes, sum(sizes) + 1, seed=seed)
-        pi, h = structure_decompose(oz.map)
-        assert np.linalg.norm(pi.images - oz.pi.images, 2, axis=(1, 2)).max() < 1e-12
-        assert opnorm(h - oz.h) < 1e-12
+        got = structure_decompose(oz.map)
+        assert got.map is oz.map
+        assert np.linalg.norm(got.pi.images - oz.pi.images, 2, axis=(1, 2)).max() < 1e-12
+        assert opnorm(got.h - oz.h) < 1e-12
 
 
 @pytest.mark.parametrize("eps", [1e-7, 1e-9, 1e-12])
@@ -77,29 +80,26 @@ def test_order_zero_projection_fits_noisy_maps(sizes, seed, eps):
     # the noisy half of the structure_decompose round trip, kept under the
     # name and case ids this grid had when it checked the retired heuristic
     # fit.  With complex Gaussian noise of operator norm eps on each image
-    # the structural residual is 1.3 to 3.7 eps, so at TOL_ALG and at the
-    # 100 TOL_ALG that nucdim_cpc_transfer passes, structure_decompose
-    # refuses when the tolerance is eps (up to rounding) or less; when it is
-    # 100 eps or more it accepts, with phi(x) = pi(x) h = h pi(x) to the
-    # tolerance and pi and h within 10 eps of the generator's (at most
-    # 2.9 eps on these cases)
+    # the structural residual is 1.3 to 3.7 eps, so at TOL_ALG
+    # structure_decompose refuses eps = 1e-7 and 1e-9 and accepts 1e-12,
+    # with phi(x) = pi(x) h = h pi(x) to TOL_ALG and pi and h within 10 eps
+    # of the generator's (at most 2.9 eps on these cases)
     N = sum(sizes) + 1
     oz = random_order_zero(sizes, N, seed=seed)
     rng = rng_for(seed, "oz-noise")
     g = (rng.standard_normal(oz.map.images.shape)
          + 1j * rng.standard_normal(oz.map.images.shape))
     g /= np.linalg.norm(g, 2, axis=(1, 2))[:, None, None]
-    psi = LinMap(oz.fd, N, oz.map.images + eps * g)
-    for tol in (TOL_ALG, 100 * TOL_ALG):
-        if tol < 10 * eps:
-            with pytest.raises(ValueError, match="not order zero"):
-                structure_decompose(psi, tol=tol)
-            continue
-        pi, h = structure_decompose(psi, tol=tol)
-        for product in (pi.images @ h, h @ pi.images):
-            assert np.linalg.norm(product - psi.images, 2, axis=(1, 2)).max() <= tol
-        assert np.linalg.norm(pi.images - oz.pi.images, 2, axis=(1, 2)).max() < 10 * eps
-        assert opnorm(h - oz.h) < 10 * eps
+    psi = LinMap(oz.map.domain, N, oz.map.images + eps * g)
+    if TOL_ALG < 10 * eps:
+        with pytest.raises(ValueError, match="not order zero"):
+            structure_decompose(psi)
+        return
+    got = structure_decompose(psi)
+    for product in (got.pi.images @ got.h, got.h @ got.pi.images):
+        assert np.linalg.norm(product - psi.images, 2, axis=(1, 2)).max() <= TOL_ALG
+    assert np.linalg.norm(got.pi.images - oz.pi.images, 2, axis=(1, 2)).max() < 10 * eps
+    assert opnorm(got.h - oz.h) < 10 * eps
 
 
 @pytest.mark.parametrize("slot", [0, 1])
@@ -143,8 +143,43 @@ def test_is_order_zero_rejects_generic_cp_map():
                    for (k, i, j) in fd.unit_labels())
     phi = LinMap(fd, 4, images)
     assert classify(phi).cpc
-    ok, _ = is_order_zero(phi)
-    assert not ok
+    assert is_order_zero(phi) is False
+
+
+class _Constructions(ast.NodeVisitor):
+    """The innermost enclosing function of every call that builds an
+    OrderZeroMap: by its name, by ``cls`` inside the class, or through
+    ``type(x)(...)``, whose class the syntax does not tell."""
+
+    def __init__(self):
+        self.scope, self.found = [], []
+
+    def visit_ClassDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_FunctionDef = visit_ClassDef
+
+    def visit_Call(self, node):
+        f = node.func
+        if ((isinstance(f, ast.Name) and (f.id == "OrderZeroMap" or
+                                          (f.id == "cls" and "OrderZeroMap" in self.scope)))
+                or (isinstance(f, ast.Call) and getattr(f.func, "id", "") == "type")):
+            self.found.append(self.scope[-1] if self.scope else "<module>")
+        self.generic_visit(node)
+
+
+def test_order_zero_maps_are_made_only_by_the_checked_constructors():
+    # an OrderZeroMap comes from from_pair (pair to map) or from
+    # structure_decompose (map to pair), each of which checks the structure
+    # identities; no other code in the package builds one
+    found = set()
+    for path in Path(orderzero.__file__).parent.glob("*.py"):
+        visitor = _Constructions()
+        visitor.visit(ast.parse(path.read_text(), filename=str(path)))
+        found |= {f"{path.stem}.{where}" for where in visitor.found}
+    assert sorted(found) == ["orderzero.from_pair", "orderzero.structure_decompose"]
 
 
 # ---------------------------------------------------------------------------
@@ -156,10 +191,9 @@ def test_perturb_order_zero_exact_inclusion():
     carrier = oz.map.codomain_algebra
     psi, cert = perturb_order_zero(oz, carrier, 0.0)
     assert cert.verdict == "pass"
-    fd = oz.fd
     rng = rng_for(2, "oz-exact")
-    for x in fd.random_elements(rng, 4):
-        assert opnorm(psi(x) - oz(x)) < 1e-10
+    for x in oz.map.domain.random_elements(rng, 4):
+        assert opnorm(psi(x) - oz.map(x)) < 1e-10
 
 
 def test_perturb_order_zero_small_rotation():
@@ -232,15 +266,34 @@ def test_verify_decomposition_names_broken_invariant():
     A = block_algebra((2, 2), 4)
     dec = split_decomposition(A)
     up = dec.ups[1]
-    # overwrite one upward map with a non-order-zero one (all images equal)
-    flat = up.map.images[0]
-    broken_map = LinMap(up.fd, up.map.codomain_dim,
-                        tuple(flat for _ in up.map.images))
-    dec.ups = (dec.ups[0],
-               OrderZeroMap(map=broken_map, pi=up.pi, h=up.h))
-    cert = verify_nucdim_decomposition(A, list(A.basis), 1e-10, dec)
+    # replace one upward map with a non-order-zero one (all images equal)
+    broken_map = LinMap(up.domain, up.codomain_dim, tuple(up.images[0] for _ in up.images))
+    broken = NucDimDecomposition(dec.downs, (dec.ups[0], broken_map), dec.defect)
+    cert = verify_nucdim_decomposition(A, list(A.basis), 1e-10, broken)
     assert cert.verdict == "fail"
     assert "up-1-not-order-zero" in cert.details["failures"]
+
+
+def test_verify_decomposition_names_the_color_of_a_broken_down_map():
+    # a down map into F_0 + F_1 is cpc exactly when each color's is, so the
+    # verifier names the color: doubling color 0's down map breaks only it
+    A = block_algebra((2, 2), 4)
+    dec = split_decomposition(A)
+    broken = NucDimDecomposition((dec.downs[0].scaled(2.0), dec.downs[1]), dec.ups, dec.defect)
+    cert = verify_nucdim_decomposition(A, list(A.basis), 1e-10, broken)
+    assert cert.verdict == "fail"
+    assert cert.details["failures"][0] == "down-0-not-cpc"
+    assert "down-1-not-cpc" not in cert.details["failures"]
+
+
+def test_decomposition_colors_must_match():
+    # each color's down map lands in M_d of its up map's domain, and there
+    # is at least one color
+    dec = split_decomposition(block_algebra((2, 1, 1), 4))
+    with pytest.raises(ValueError, match="M_d"):
+        NucDimDecomposition(dec.downs[::-1], dec.ups, dec.defect)
+    with pytest.raises(ValueError, match="M_d"):
+        NucDimDecomposition((), (), 0.0)
 
 
 def test_hat_decomposition_interpolation_defect():
@@ -263,6 +316,24 @@ def test_nucdim_transfer_exact_identity():
     assert cert.verdict == "pass"
     assert cert.details["cpc"]
     assert cert.achieved < 1e-9
+
+
+def test_nucdim_transfer_refuses_a_color_past_tol_alg():
+    # each color is decomposed at TOL_ALG: noise of norm 10 TOL_ALG on one
+    # color's images leaves a structural residual above TOL_ALG but below the
+    # 100 TOL_ALG the transfer once allowed, and the transfer refuses it
+    A = block_algebra((2, 1, 1), 4)
+    dec = split_decomposition(A)
+    up = dec.ups[1]
+    rng = rng_for(0, "oz-transfer-noise")
+    g = rng.standard_normal(up.images.shape) + 1j * rng.standard_normal(up.images.shape)
+    g /= np.linalg.norm(g, 2, axis=(1, 2))[:, None, None]
+    noisy = LinMap(up.domain, 4, up.images + 10 * TOL_ALG * g, codomain_algebra=A)
+    with pytest.raises(ValueError, match="not order zero") as exc:
+        nucdim_cpc_transfer(A, NucDimDecomposition(dec.downs, (dec.ups[0], noisy), dec.defect),
+                            list(A.basis), A, 0.0)
+    residual = float(re.search(r"residual (\S+)", str(exc.value)).group(1))
+    assert TOL_ALG < residual < 100 * TOL_ALG
 
 
 def test_nucdim_transfer_rotated_target():
@@ -310,7 +381,7 @@ def test_perturb_order_zero_matches_the_kronecker_construction(monkeypatch):
 
     monkeypatch.setattr(orderzero, "tensor_lift", spy)
     psi, cert = perturb_order_zero(oz, B, 2.0 * opnorm(u - np.eye(4)))
-    fd, N, m, slots = oz.fd, 4, 2, 2
+    fd, N, m, slots = oz.map.domain, 4, 2, 2
 
     def f(i, j):
         e = np.zeros((m, m))

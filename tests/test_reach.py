@@ -18,12 +18,12 @@ ALLOWED = {"intertwine.near_embedding_nuclear", "intertwine.half_flip_cpc",
            "intertwine._projection_near_unit"}
 
 
-# the defaulted parameters and dataclass fields of the package, as
-# tools/knob_count.py counts them: a new default moves this pin, with the
-# run path that sets it to a second value named where the pin moves.  The
-# certification track is a context variable (certs.TRACK), which the count
-# does not see
-KNOBS = 28
+# the defaulted parameters, dataclass fields and module-level context
+# variables of the package, as tools/knob_count.py counts them: a new default
+# moves this pin, with the run path that sets it to a second value named where
+# the pin moves.  The 27 are 26 defaults and the certification track
+# (certs.TRACK)
+KNOBS = 27
 
 
 def reach(src) -> list[str]:
@@ -107,3 +107,30 @@ def test_reach_follows_names_modules_methods_and_import_chains(tmp_path):
     for name, text in files.items():
         (tmp_path / name).write_text(textwrap.dedent(text))
     assert reach(tmp_path) == ["linalg.Box.grow", "linalg.Unused", "linalg.orphan"]
+
+
+def test_knob_count_sees_defaults_fields_and_context_variables(tmp_path):
+    # a toy package: one defaulted parameter, one defaulted dataclass field
+    # and one module-level context variable are knobs; a required parameter,
+    # a field without a default and a context variable made in a function
+    # are not
+    (tmp_path / "__init__.py").write_text("")
+    (tmp_path / "mod.py").write_text(textwrap.dedent("""
+        from contextvars import ContextVar
+        import contextvars
+        from dataclasses import dataclass
+
+        MODE: ContextVar[str] = ContextVar("mode", default="a")
+        LEVEL = contextvars.ContextVar("level")
+
+        def f(x, y=1):
+            return ContextVar("local")
+
+        @dataclass
+        class R:
+            a: int
+            b: int = 0
+        """))
+    out = subprocess.run([sys.executable, str(KNOB_COUNT), str(tmp_path)], check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.splitlines() == ["__init__: 0", "mod: 4  MODE LEVEL f(y) R.b", "total: 4"]

@@ -6,8 +6,9 @@
 SRC is a package directory, one with an ``__init__.py`` (for example
 ``src/cstarlab``); any other directory exits 2.  For each module, and in
 total, the script lists every parameter that has a default value in a ``def``
-(positional and keyword-only, nested functions included) and every annotated
-field with a default in a ``@dataclass`` class.  A value that no
+(positional and keyword-only, nested functions included), every annotated
+field with a default in a ``@dataclass`` class, and every module-level
+``ContextVar(...)``, a run-level setting such as ``certs.TRACK``.  A value that no
 caller ever sets to a second value is a constant in disguise; the count shows
 how many such places a reader has to check.
 """
@@ -26,10 +27,22 @@ def _is_dataclass(cls: ast.ClassDef) -> bool:
     return False
 
 
-def knobs(tree: ast.AST) -> list[str]:
-    """Names "owner(parameter)" of the defaulted parameters and the
-    defaulted dataclass fields in a module's syntax tree."""
+def _is_context_var(stmt: ast.stmt) -> bool:
+    call = stmt.value if isinstance(stmt, (ast.Assign, ast.AnnAssign)) else None
+    if not isinstance(call, ast.Call):
+        return False
+    f = call.func
+    return (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", "")) == "ContextVar"
+
+
+def knobs(tree: ast.Module) -> list[str]:
+    """Names "owner(parameter)" of the defaulted parameters, "Class.field" of
+    the defaulted dataclass fields and the names of the module-level context
+    variables in a module's syntax tree."""
     out = []
+    for stmt in filter(_is_context_var, tree.body):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        out += [t.id for t in targets if isinstance(t, ast.Name)]
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             args = node.args
