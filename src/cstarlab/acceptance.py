@@ -21,13 +21,12 @@ from .certs import WindowError, on_track
 from .cpmaps import LinMap, classify, perturb_choi, stinespring
 from .instances import (_rotated_embedding, gen_instance, hat_decomposition,
                         random_order_zero)
-from .intertwine import close_isomorphism, implement_unitarily
 from .linalg import (dagger, expm_i, opnorm, opnorm_max, random_complex,
                      random_hermitian, rng_for)
 from .orderzero import (NucDimDecomposition, identity_decomposition, near_embed_nucdim,
                         nucdim_cpc_transfer, perturb_order_zero,
                         split_decomposition, verify_nucdim_decomposition)
-from .pipelines import conjugation_iso, run_pipeline
+from .pipelines import run_pipeline
 from .serialize import dumps
 
 __all__ = ["CriterionResult", "run_all", "CRITERIA"]
@@ -274,13 +273,13 @@ def criterion_6() -> CriterionResult:
             inst = gen_instance("conjugation",
                                 {"algebra": alg, "ambient": 4, "eps": eps},
                                 seed=s)
-            res = close_isomorphism(inst.A, inst.B, inst.dist_hint())
+            report = run_pipeline(inst, "iso", seed=s)
             runs += 1
             for key in ("forward-closeness", "backward-closeness"):
-                c = res.certificates[key]
+                c = report.certificates[key]
                 worst_ratio = max(worst_ratio, c.achieved / c.ceiling)
-            worst_hom = max(worst_hom, res.certificates["homomorphism"].achieved)
-            all_ok = all_ok and res.passed
+            worst_hom = max(worst_hom, report.certificates["homomorphism"].achieved)
+            all_ok = all_ok and report.ok
     ok = all_ok and worst_hom <= 1e-9
     detail = (f"{runs} runs over {len(ISO_GRID)} (eps, algebra) pairs, "
               f"homomorphism defect {worst_hom:.2e}, closeness at most "
@@ -304,7 +303,7 @@ def criterion_7() -> CriterionResult:
             inst = gen_instance("conjugation",
                                 {"algebra": alg, "ambient": 4, "eps": eps},
                                 seed=s)
-            u, cert = implement_unitarily(conjugation_iso(inst))
+            cert = run_pipeline(inst, "unitary", seed=s).certificates["unitary-implementation"]
             runs += 1
             worst_conj = max(worst_conj, cert.achieved)
             worst_sub = max(worst_sub, cert.details["subspace_residual"])

@@ -301,11 +301,17 @@ class ConcreteAlgebra:
     support: np.ndarray
 
     def __post_init__(self):
+        # each refusal names its field first, so a loader can prefix its path
         N = self.ambient_dim
-        if any(np.shape(b) != (N, N) for b in self.basis):
-            raise ValueError("basis element has wrong shape")
+        if not len(self.basis):
+            raise ValueError("basis is empty")
+        for i, b in enumerate(self.basis):
+            if np.shape(b) != (N, N):
+                raise ValueError(f"basis[{i}] has shape {np.shape(b)}, not {(N, N)}")
+        if np.shape(self.support) != (N, N):
+            raise ValueError(f"support has shape {np.shape(self.support)}, not {(N, N)}")
         self.basis = _frozen(self.basis).reshape(-1, N, N)
-        require_finite(self.basis, "basis element")
+        require_finite(self.basis, "basis")
         self.support = _frozen(self.support)
         require_finite(self.support, "support")
 
@@ -317,8 +323,6 @@ class ConcreteAlgebra:
         span.  The set is orthonormalized; closure is not enforced here, use
         generate_algebra for that."""
         mats = [np.asarray(m, dtype=complex) for m in mats]
-        if not mats:
-            raise ValueError("empty basis")
         require_finite(mats, "spanning set")
         basis = orthonormalize(mats)
         return cls(ambient_dim=ambient_dim, basis=basis,

@@ -61,7 +61,6 @@ TOL_ALG = 1e-9          # *-algebra / homomorphism residuals
 TOL_EXACT = 1e-12       # exactness claims (diagonals, units, round trips)
 TOL_PSD = 1e-9          # Choi positivity slack
 TOL_RANK = 1e-8         # relative rank / pseudoinverse cutoff
-TOL_CONV = 1e-11        # averaging-set exactness (weights, unitaries, tensor)
 CLUSTER_REL = 1e-6      # relative eigenvalue clustering gap
 
 # hypothesis windows of the quantitative lemmas (paper track)

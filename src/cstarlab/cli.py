@@ -1,15 +1,17 @@
 """Command-line surface: instance generation, the five pipelines, report
 rendering, and the acceptance selftest.
 
-Settings resolve in precedence order: explicit CLI flag, then a CSTARLAB_*
-environment variable mirroring the flag, then the [lab] section of an INI
-config file (--config or CSTARLAB_CONFIG), then the built-in default; a
-variable or key takes only the values its flag takes.  Exit status is 0 on
-success, 1 when a paper-track certificate fails (or the selftest fails), 2
-on a structural error such as a violated hypothesis window, a malformed
-input file or a setting outside its choices, and 141 (128 + SIGPIPE, what
-a shell reports for a writer stopped by a closed pipe) when the reader of
-standard output closes it early, as ``| head`` does.
+Each subcommand takes only the settings it reads (``_TAKES``), and each
+setting resolves once, in precedence order: explicit CLI flag, then a
+CSTARLAB_* environment variable mirroring the flag, then the [lab] section
+of an INI config file (--config or CSTARLAB_CONFIG), then the built-in
+default; a variable or key takes only the values its flag takes.  A
+pipeline given a saved instance refuses the flags that generate one.  Exit
+status is 0 on success, 1 when a paper-track certificate fails (or the
+selftest fails), 2 on a structural error such as a violated hypothesis
+window, a malformed input file or a setting outside its choices, and 141
+(128 + SIGPIPE, what a shell reports for a writer stopped by a closed pipe)
+when the reader of standard output closes it early, as ``| head`` does.
 """
 
 from __future__ import annotations
@@ -18,82 +20,82 @@ import argparse
 import configparser
 import os
 import sys
+from typing import NamedTuple
 
 from . import acceptance
-from .certs import (BOUNDS, Certificate, ContradictionError, SpectralGapError,
-                    WindowError, on_track)
+from .certs import BOUNDS, Certificate, SpectralGapError, on_track
 from .instances import RECIPES, Instance, gen_instance
 from .pipelines import PIPELINES, Report, render_report, run_pipeline
 from .serialize import SchemaError, load, save
 
-_DEFAULTS = {
-    "seed": 0,
-    "dim": 4,
-    "recipe": "conjugation",
-    "eps": 1e-4,
-    "track": "experimental",
-    "samples": 32,
-    "out": None,
-    "format": "table",
-    "algebra": "M2",
-    "block": 0,
-}
 
-_CASTS = {"seed": int, "dim": int, "eps": float, "samples": int, "block": int}
-# the values a flag, its environment variable and its config key may take
-_CHOICES = {"recipe": RECIPES, "track": ("paper", "experimental"),
-            "format": ("table", "json", "csv")}
+class _Setting(NamedTuple):
+    type: type
+    default: object
+    choices: tuple | None
+    help: str
+
+
+# each setting once; a CSTARLAB_<NAME> variable or [lab] key takes only the
+# values its flag takes
+_SETTINGS = {
+    "seed": _Setting(int, 0, None, "seed of the generated instance and of the run's draws"),
+    "dim": _Setting(int, 4, None, "ambient matrix dimension for generated instances"),
+    "recipe": _Setting(str, "conjugation", RECIPES, "how the instance's B is made from A"),
+    "eps": _Setting(float, 1e-4, None, "perturbation scale for generated instances"),
+    "algebra": _Setting(str, "M2", None, "base algebra: M2, M3, M2+M1, M2+M2, diag2..diag4, "
+                                         "fullN, or comma-separated block sizes"),
+    "block": _Setting(int, 0, None, "block index for the block-rotation recipe"),
+    "track": _Setting(str, "experimental", ("paper", "experimental"),
+                      "paper enforces the hypothesis windows"),
+    "samples": _Setting(int, 32, None, "sample count for distance estimation"),
+    "format": _Setting(str, "table", ("table", "json", "csv"), "report format"),
+    "out": _Setting(str, None, None, "write output to this path"),
+}
+# the settings that make an instance; a saved instance refuses them
+_GENERATION = ("dim", "recipe", "eps", "algebra", "block")
+_GEN = ("seed",) + _GENERATION + ("out",)
+# the settings each subcommand reads
+_TAKES = {"gen": _GEN, **dict.fromkeys(PIPELINES, _GEN + ("track", "samples", "format")),
+          "report": ("format", "out"), "selftest": ()}
 
 
 def _read_config(path: str | None) -> dict:
-    if path is None:
-        path = os.environ.get("CSTARLAB_CONFIG")
+    path = os.environ.get("CSTARLAB_CONFIG") if path is None else path
     if path is None:
         return {}
     parser = configparser.ConfigParser()
     if not parser.read(path):
         raise FileNotFoundError(f"config file not found: {path}")
-    if parser.has_section("lab"):
-        return dict(parser.items("lab"))
-    return {}
+    return dict(parser.items("lab")) if parser.has_section("lab") else {}
 
 
-def _setting(name: str, args: argparse.Namespace, cfg: dict):
-    """CLI flag > CSTARLAB_<NAME> env var > config file > default.  An
+def _resolve(args: argparse.Namespace) -> None:
+    """Set each setting the subcommand takes, by the precedence above; an
     environment or config value outside its flag's choices raises
-    ``SchemaError`` naming the variable or key."""
-    cast = _CASTS.get(name, str)
-    val = getattr(args, name, None)
-    if val is not None:
-        return cast(val)
-    env, key = "CSTARLAB_" + name.upper(), f"config key [lab] {name}"
-    for source, val in ((env, os.environ.get(env)), (key, cfg.get(name))):
-        if val is None:
+    ``SchemaError`` naming its variable or key.  A saved instance refuses
+    the generation flags, and their other sources go unread."""
+    names = _TAKES[args.command]
+    if getattr(args, "instance", None) is not None:
+        given = [f"--{n}" for n in _GENERATION if getattr(args, n) is not None]
+        if given:
+            raise ValueError(f"{args.instance} is a saved instance, which sets its own "
+                             f"{', '.join(given)}; drop them or omit the instance")
+        names = tuple(n for n in names if n not in _GENERATION)
+    cfg = _read_config(args.config) if names else {}
+    for name in names:
+        if getattr(args, name) is not None:
             continue
-        if name in _CHOICES and val not in _CHOICES[name]:
-            raise SchemaError(f"{source} = {val!r}; choose one of {_CHOICES[name]}")
-        return cast(val)
-    return _DEFAULTS[name]
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--dim", type=int, default=None,
-                   help="ambient matrix dimension for generated instances")
-    p.add_argument("--recipe", choices=_CHOICES["recipe"], default=None)
-    p.add_argument("--eps", type=float, default=None,
-                   help="perturbation scale for generated instances")
-    p.add_argument("--track", choices=_CHOICES["track"], default=None)
-    p.add_argument("--samples", type=int, default=None,
-                   help="sample count for distance estimation")
-    p.add_argument("--out", default=None, help="write output to this path")
-    p.add_argument("--format", choices=_CHOICES["format"], default=None)
-    p.add_argument("--algebra", default=None,
-                   help="base algebra: M2, M3, M2+M1, M2+M2, diag2..diag4, "
-                        "fullN, or comma-separated block sizes")
-    p.add_argument("--block", type=int, default=None,
-                   help="block index for the block-rotation recipe")
-    p.add_argument("--config", default=None, help="INI config file")
+        spec = _SETTINGS[name]
+        val, env = spec.default, "CSTARLAB_" + name.upper()
+        for source, raw in ((env, os.environ.get(env)),
+                            (f"config key [lab] {name}", cfg.get(name))):
+            if raw is not None:
+                if spec.choices and raw not in spec.choices:
+                    raise SchemaError(f"{source} = {raw!r}; choose one of {spec.choices}")
+                val = spec.type(raw)
+                break
+        setattr(args, name, val)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -101,36 +103,29 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="cstarlab",
         description="finite-dimensional laboratory for close C*-algebras")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_gen = sub.add_parser("gen", help="generate an instance and save it")
-    _add_common(p_gen)
-
+    subs = {"gen": sub.add_parser("gen", help="generate an instance and save it")}
     for name in PIPELINES:
-        p_run = sub.add_parser(name, help=f"run the {name} pipeline")
-        p_run.add_argument("instance", nargs="?", default=None,
-                           help="instance JSON path (generated when omitted)")
-        _add_common(p_run)
-
-    p_rep = sub.add_parser("report", help="re-render a saved report")
-    p_rep.add_argument("path", help="report JSON path")
-    _add_common(p_rep)
-
-    p_self = sub.add_parser("selftest", help="run the acceptance suite")
-    p_self.add_argument("--criteria", default=None,
-                        help="comma-separated criterion numbers (default all)")
-    _add_common(p_self)
+        subs[name] = sub.add_parser(name, help=f"run the {name} pipeline")
+        subs[name].add_argument("instance", nargs="?", default=None,
+                                help="instance JSON path (generated when omitted)")
+    subs["report"] = sub.add_parser("report", help="re-render a saved report")
+    subs["report"].add_argument("path", help="report JSON path")
+    subs["selftest"] = sub.add_parser("selftest", help="run the acceptance suite")
+    subs["selftest"].add_argument("--criteria", default=None,
+                                  help="comma-separated criterion numbers (default all)")
+    for command, names in _TAKES.items():
+        for name in names:
+            spec = _SETTINGS[name]
+            subs[command].add_argument(f"--{name}", type=spec.type, choices=spec.choices,
+                                       help=spec.help)
+        if names:
+            subs[command].add_argument("--config", default=None, help="INI config file")
     return parser
 
 
-def _instance_from_settings(args, cfg) -> Instance:
-    params = {
-        "algebra": _setting("algebra", args, cfg),
-        "ambient": _setting("dim", args, cfg),
-        "eps": _setting("eps", args, cfg),
-        "block": _setting("block", args, cfg),
-    }
-    return gen_instance(_setting("recipe", args, cfg), params,
-                        seed=_setting("seed", args, cfg))
+def _instance_from_settings(args) -> Instance:
+    params = {"algebra": args.algebra, "ambient": args.dim, "eps": args.eps, "block": args.block}
+    return gen_instance(args.recipe, params, seed=args.seed)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -141,35 +136,29 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text if text.endswith("\n") else text + "\n")
 
 
-def _cmd_gen(args, cfg) -> int:
-    inst = _instance_from_settings(args, cfg)
-    out = _setting("out", args, cfg)
-    if out is None:
-        out = f"instance-{inst.recipe}-{inst.seed}.json"
+def _cmd_gen(args) -> int:
+    inst = _instance_from_settings(args)
+    out = args.out or f"instance-{inst.recipe}-{inst.seed}.json"
     save(inst, out)
     print(f"wrote {out} (recipe {inst.recipe}, ambient {inst.A.ambient_dim}, "
           f"dim {inst.A.dim})")
     return 0
 
 
-def _cmd_pipeline(args, cfg) -> int:
+def _cmd_pipeline(args) -> int:
     if args.instance is not None:
         inst = load(args.instance)
         if not isinstance(inst, Instance):
             raise SchemaError(f"{args.instance} does not contain an instance")
     else:
-        inst = _instance_from_settings(args, cfg)
-    track, fmt = _setting("track", args, cfg), _setting("format", args, cfg)
-    with on_track(track):
-        report = run_pipeline(inst, args.command, seed=_setting("seed", args, cfg),
-                              samples=_setting("samples", args, cfg))
-    _emit(render_report(report, fmt), _setting("out", args, cfg))
-    if track == "paper" and not report.ok:
-        return 1
-    return 0
+        inst = _instance_from_settings(args)
+    with on_track(args.track):
+        report = run_pipeline(inst, args.command, seed=args.seed, samples=args.samples)
+    _emit(render_report(report, args.format), args.out)
+    return 1 if args.track == "paper" and not report.ok else 0
 
 
-def _cmd_report(args, cfg) -> int:
+def _cmd_report(args) -> int:
     report = load(args.path)
     if isinstance(report, dict) and "certificates" in report:
         report = Report(pipeline=report.get("pipeline", "?"),
@@ -183,8 +172,7 @@ def _cmd_report(args, cfg) -> int:
         raise SchemaError("$.certificates is not an object")
     for key, c in report.certificates.items():
         _check_certificate(c, f"$.certificates.{key}")
-    _emit(render_report(report, _setting("format", args, cfg)),
-          _setting("out", args, cfg))
+    _emit(render_report(report, args.format), args.out)
     return 0
 
 
@@ -212,10 +200,9 @@ def _check_certificate(c, path: str) -> None:
                           f"exceeds ceiling {c.ceiling!r} + slack {c.slack!r}")
 
 
-def _cmd_selftest(args, cfg) -> int:
-    numbers = None
-    if args.criteria:
-        numbers = [int(tok) for tok in args.criteria.split(",") if tok.strip()]
+def _cmd_selftest(args) -> int:
+    # no numbers, from no --criteria or an empty one, runs every criterion
+    numbers = [int(tok) for tok in (args.criteria or "").split(",") if tok.strip()]
     results = acceptance.run_all(numbers)
     return 0 if all(r.passed for r in results) else 1
 
@@ -223,16 +210,11 @@ def _cmd_selftest(args, cfg) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _read_config(getattr(args, "config", None))
-        if args.command == "gen":
-            return _cmd_gen(args, cfg)
-        if args.command in PIPELINES:
-            return _cmd_pipeline(args, cfg)
-        if args.command == "report":
-            return _cmd_report(args, cfg)
-        return _cmd_selftest(args, cfg)
-    except (WindowError, SpectralGapError, ContradictionError, SchemaError,
-            FileNotFoundError, ValueError) as exc:
+        _resolve(args)
+        run = _cmd_pipeline if args.command in PIPELINES else {
+            "gen": _cmd_gen, "report": _cmd_report, "selftest": _cmd_selftest}[args.command]
+        return run(args)
+    except (SpectralGapError, FileNotFoundError, ValueError) as exc:
         print(f"cstarlab: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

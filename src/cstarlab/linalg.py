@@ -261,13 +261,9 @@ def cluster_values(vals: np.ndarray) -> list[np.ndarray]:
     vals = np.asarray(vals, dtype=float)
     order = np.argsort(vals)
     sv = vals[order]
-    spread = max(float(sv[-1] - sv[0]), 1e-300) if len(sv) else 0.0
-    thresh = CLUSTER_REL * max(spread, 1.0)
-    groups: list[list[int]] = []
-    for pos, idx in enumerate(order):
-        if groups and sv[pos] - vals[groups[-1][-1]] <= thresh:
-            groups[-1].append(int(idx))
-        else:
-            groups.append([int(idx)])
-    return [np.array(g) for g in groups]
+    if not len(sv):
+        return []
+    thresh = CLUSTER_REL * max(float(sv[-1] - sv[0]), 1.0)
+    # a gap that is not at most thresh, a nan gap included, starts a cluster
+    return np.split(order, np.flatnonzero(~(np.diff(sv) <= thresh)) + 1)
 

@@ -148,11 +148,14 @@ def from_jsonable(d, path: str = "$"):
     if kind == "matrix":
         return matrix_from_json(d, path)
     if kind == "concrete_algebra":
+        N = int(_need(d, "ambient_dim", path))
         basis = [matrix_from_json(b, f"{path}.basis[{i}]")
                  for i, b in enumerate(_need(d, "basis", path))]
         support = matrix_from_json(_need(d, "support", path), f"{path}.support")
-        return ConcreteAlgebra(ambient_dim=int(_need(d, "ambient_dim", path)),
-                               basis=tuple(basis), support=support)
+        try:
+            return ConcreteAlgebra(ambient_dim=N, basis=tuple(basis), support=support)
+        except ValueError as exc:  # its message opens with the field it refuses
+            raise SchemaError(f"{path}.{exc}") from exc
     if kind == "certificate":
         return _certificate_from_json(d, path)
     if kind == "instance":

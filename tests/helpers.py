@@ -8,11 +8,14 @@ import scipy.linalg
 
 from cstarlab.algebra import BlockStructure, ConcreteAlgebra, FDAlgebra, _combine
 from cstarlab.averaging import AveragingSet, _canonical_index
-from cstarlab.certs import TOL_ALG, TOL_CONV, Certificate, provenance_stamp
+from cstarlab.certs import CLUSTER_REL, TOL_ALG, Certificate, provenance_stamp
 from cstarlab.cpmaps import LinMap, _from_choi_blocks, choi_blocks, classify
 from cstarlab.linalg import dagger, opnorm, opnorm_max, random_unitary, rng_for
 from cstarlab.orderzero import OrderZeroMap, _structure_residual
 from cstarlab.serialize import dumps
+
+# the tolerance of the averaging-set check: weights, unitaries, tensor
+TOL_CONV = 1e-11
 
 # the kind tags the loader reads; a report or an instance carries no other
 FILE_KINDS = {"report", "instance", "concrete_algebra", "certificate", "matrix"}
@@ -207,3 +210,21 @@ def verify_order_zero(oz: OrderZeroMap) -> dict:
             "orthogonality_residual": orthogonality_residual(oz),
             "pi_defect": pi_defect,
             "ok": bool(cpc and structure <= TOL_ALG and pi_defect <= TOL_ALG)}
+
+
+def cluster_values_loop(vals) -> list[np.ndarray]:
+    """The per-value loop that linalg.cluster_values replaced: walk the
+    sorted values and start a group wherever the step from the previous one
+    is not at most CLUSTER_REL times max(spread, 1)."""
+    vals = np.asarray(vals, dtype=float)
+    order = np.argsort(vals)
+    sv = vals[order]
+    spread = max(float(sv[-1] - sv[0]), 1e-300) if len(sv) else 0.0
+    thresh = CLUSTER_REL * max(spread, 1.0)
+    groups: list[list[int]] = []
+    for pos, idx in enumerate(order):
+        if groups and sv[pos] - vals[groups[-1][-1]] <= thresh:
+            groups[-1].append(int(idx))
+        else:
+            groups.append([int(idx)])
+    return [np.array(g) for g in groups]

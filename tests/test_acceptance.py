@@ -5,6 +5,7 @@ and prints one pass/fail line.  Run with -s to see the lines as they finish.
 import pytest
 
 from cstarlab import acceptance
+from cstarlab.pipelines import run_pipeline
 
 
 def run(number: int) -> acceptance.CriterionResult:
@@ -56,3 +57,20 @@ def test_criterion_10_negative_controls():
 
 def test_criterion_11_deterministic_serialization():
     run(11)
+
+
+@pytest.mark.parametrize("number,pipeline", [(6, "iso"), (7, "unitary")])
+def test_criteria_6_and_7_read_the_pipeline_reports(number, pipeline, monkeypatch):
+    # one wiring per pipeline: the criterion reads run_pipeline's report, so a
+    # change to the pipeline reaches the selftest with no edit here
+    calls = []
+
+    def spy(inst, name, seed=0, samples=32):
+        calls.append((name, seed))
+        return run_pipeline(inst, name, seed=seed, samples=samples)
+
+    monkeypatch.setattr(acceptance, "ISO_GRID", acceptance.ISO_GRID[:1])
+    monkeypatch.setattr(acceptance, "run_pipeline", spy)
+    res = run(number)
+    assert calls == [(pipeline, s) for s in range(20)]
+    assert res.detail.startswith("20 runs")

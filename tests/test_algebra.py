@@ -477,6 +477,19 @@ def test_non_finite_algebra_data_is_a_schema_error(bad):
         generate_algebra([x], 2)
 
 
+@pytest.mark.parametrize("basis,support,message", [
+    ((), np.eye(2), "basis is empty"),
+    ((np.eye(2), np.eye(3)), np.eye(2), r"basis\[1\] has shape \(3, 3\), not \(2, 2\)"),
+    ((np.eye(2),), np.eye(3), r"support has shape \(3, 3\), not \(2, 2\)"),
+    ((np.eye(2),), np.ones(4), r"support has shape \(4,\), not \(2, 2\)"),
+], ids=["empty-basis", "basis-element-3x3", "support-3x3", "support-flat"])
+def test_malformed_algebra_data_is_refused_by_field(basis, support, message):
+    # refused at the constructor, each message opening with its field, before
+    # a reshape or a spectral cut meets the data
+    with pytest.raises(ValueError, match="^" + message):
+        ConcreteAlgebra(ambient_dim=2, basis=basis, support=support)
+
+
 def conjugated_blocks(sizes=(2, 1), N=5, seed=9):
     """A block algebra in M_N conjugated by a random unitary v, with v."""
     v = random_unitary(rng_for(seed, "blocks-conj"), N)

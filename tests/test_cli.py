@@ -7,19 +7,53 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cstarlab
 from cstarlab.cli import main
 from cstarlab.instances import Instance, base_algebra
-from cstarlab.serialize import load
+from cstarlab.pipelines import PIPELINES
+from cstarlab.serialize import load, matrix_to_json
 
 
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch):
     for var in ("CSTARLAB_SEED", "CSTARLAB_EPS", "CSTARLAB_ALGEBRA", "CSTARLAB_CONFIG",
-                "CSTARLAB_FORMAT", "CSTARLAB_TRACK", "CSTARLAB_RECIPE"):
+                "CSTARLAB_FORMAT", "CSTARLAB_TRACK", "CSTARLAB_RECIPE", "CSTARLAB_DIM",
+                "CSTARLAB_BLOCK", "CSTARLAB_SAMPLES", "CSTARLAB_OUT"):
         monkeypatch.delenv(var, raising=False)
+
+
+# the options each subcommand takes: the settings it reads, and --config
+# wherever it reads one
+GEN = {"--seed", "--dim", "--recipe", "--eps", "--algebra", "--block", "--out", "--config"}
+OPTIONS = {"gen": GEN, **dict.fromkeys(PIPELINES, GEN | {"--track", "--samples", "--format"}),
+           "report": {"--format", "--out", "--config"}, "selftest": {"--criteria"}}
+
+
+@pytest.mark.parametrize("command", list(OPTIONS))
+def test_each_subcommand_takes_only_the_settings_it_reads(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    options = set(re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.M))
+    assert options - {"--help"} == OPTIONS[command]
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "r.json", "--seed", "1"], ["report", "r.json", "--track", "paper"],
+    ["report", "r.json", "--samples", "-3"], ["report", "r.json", "--algebra", "nonsense"],
+    ["selftest", "--eps", "1"], ["selftest", "--criteria", "3", "--eps", "nan"],
+    ["selftest", "--config", "lab.ini"], ["gen", "--track", "paper"], ["gen", "--format", "json"],
+], ids=["report-seed", "report-track", "report-samples", "report-algebra", "selftest-eps",
+        "selftest-criteria-eps", "selftest-config", "gen-track", "gen-format"])
+def test_a_setting_the_subcommand_does_not_read_exits_2(argv, capsys):
+    # a flag that would parse and change nothing is refused by the parser
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
 
 def test_algebra_comma_sizes():
@@ -71,6 +105,63 @@ def test_pipeline_accepts_saved_instance(tmp_path):
                "--format", "json", "--out", str(rep_path)])
     assert rc == 0
     assert json.loads(rep_path.read_text())["ok"] is True
+
+
+def test_saved_instance_refuses_the_generation_flags(tmp_path, capsys):
+    # the file fixes the algebra, the ambient dimension, the recipe, eps and
+    # the block; a flag for any of them would be silently ignored, so each
+    # given one is named and the run does not start
+    inst_path = tmp_path / "pair.json"
+    assert main(["gen", "--seed", "5", "--eps", "1e-3", "--out", str(inst_path)]) == 0
+    assert main(["iso", str(inst_path), "--eps", "1e-6"]) == 2
+    err = capsys.readouterr().err
+    assert "ValueError" in err and "--eps" in err and "saved instance" in err
+    flags = ["--dim", "8", "--recipe", "block-rotation", "--eps", "1e-6",
+             "--algebra", "M3", "--block", "1"]
+    assert main(["dist", str(inst_path), "--seed", "2", *flags]) == 2
+    err = capsys.readouterr().err
+    assert all(flag in err for flag in flags[::2]), err
+    assert list(tmp_path.iterdir()) == [inst_path]
+
+
+def test_saved_instance_reads_no_generation_setting_from_env_or_config(
+        tmp_path, monkeypatch, capsys):
+    # a generation value from the environment or the config file does not
+    # apply to a saved instance, so it is not read (an out-of-choice recipe
+    # there would otherwise exit 2); --seed still seeds the run
+    inst_path, rep_path = tmp_path / "pair.json", tmp_path / "report.json"
+    assert main(["gen", "--seed", "5", "--eps", "1e-5", "--out", str(inst_path)]) == 0
+    cfg = tmp_path / "lab.ini"
+    cfg.write_text("[lab]\neps = 1e-3\ndim = 8\nalgebra = M17\nseed = 4\n")
+    monkeypatch.setenv("CSTARLAB_RECIPE", "rotation")
+    monkeypatch.setenv("CSTARLAB_DIM", "x")
+    assert main(["dist", str(inst_path), "--config", str(cfg),
+                 "--format", "json", "--out", str(rep_path)]) == 0
+    report = json.loads(rep_path.read_text())
+    assert report["seed"] == 4
+
+
+@pytest.mark.parametrize("edit,path", [
+    (lambda d: d["A"].update(basis=[]), "$.A.basis is empty"),
+    (lambda d: d["A"].update(support=matrix_to_json(np.eye(3))), "$.A.support has shape"),
+    (lambda d: d["A"]["basis"].__setitem__(0, matrix_to_json(np.eye(3))),
+     "$.A.basis[0] has shape (3, 3)"),
+], ids=["empty-basis", "support-3x3", "basis-element-3x3"])
+@pytest.mark.parametrize("pipeline", ["iso", "dist"])
+def test_pipeline_on_a_malformed_saved_algebra_exits_2_naming_its_path(
+        pipeline, edit, path, tmp_path, capsys):
+    # at the loader, as a SchemaError with the JSON path, not as numpy's
+    # reshape error, a broadcast error or a misleading SpectralGapError
+    inst_path = tmp_path / "pair.json"
+    assert main(["gen", "--seed", "1", "--eps", "1e-5", "--algebra", "M2+M1",
+                 "--out", str(inst_path)]) == 0
+    d = json.loads(inst_path.read_text())
+    edit(d)
+    inst_path.write_text(json.dumps(d))
+    capsys.readouterr()
+    assert main([pipeline, str(inst_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"SchemaError: {path}" in err, err
 
 
 def test_pipeline_rejects_report_as_instance(tmp_path, capsys):

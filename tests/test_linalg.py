@@ -13,7 +13,7 @@ from cstarlab.linalg import (clip_spectrum, cluster_values, dagger, eigh_fun,
                              partial_isometry_polar, polar_factor, psd_part, psd_pinv,
                              psd_sqrt, random_complex, random_hermitian, random_unitary,
                              range_projection, rng_for)
-from helpers import is_projection_residual
+from helpers import cluster_values_loop, is_projection_residual
 
 DIMS = st.integers(min_value=1, max_value=6)
 SEEDS = st.integers(min_value=0, max_value=10_000)
@@ -115,6 +115,31 @@ def test_partial_isometry_polar():
 def test_cluster_values_groups():
     groups = cluster_values(np.array([0.0, 1e-9, 1.0, 1.0 + 1e-9, 2.0]))
     assert [len(g) for g in groups] == [2, 2, 1]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_cluster_values_matches_the_per_value_loop(seed):
+    # random spectra with exact ties, sub-threshold gaps and, on odd seeds, a
+    # nan (its gap splits, as the loop's failed comparison did); the groups
+    # and their index order equal the loop's
+    rng = rng_for(seed, "cluster-values")
+    base = rng.choice(rng.normal(size=4) * 10.0 ** rng.integers(-3, 4), size=12)
+    vals = base + rng.choice([0.0, 1e-9, 1e-3], size=12) * rng.integers(0, 2, size=12)
+    if seed % 2:
+        vals[rng.integers(12)] = np.nan
+    got, want = cluster_values(vals), cluster_values_loop(vals)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.tolist() == w.tolist()
+
+
+@pytest.mark.parametrize("vals", [[], [np.nan], [np.nan, np.nan], [1.0, np.nan, 1.0],
+                                  [-np.inf, np.inf], [3.0, 3.0]],
+                         ids=["empty", "nan", "two-nans", "nan-between-ties", "infinities",
+                              "tie"])
+def test_cluster_values_edge_cases_match_the_loop(vals):
+    got, want = cluster_values(np.array(vals)), cluster_values_loop(np.array(vals))
+    assert [g.tolist() for g in got] == [w.tolist() for w in want]
 
 
 def test_hs_norm_vs_singular_values():

@@ -47,6 +47,23 @@ def test_concrete_algebra_round_trip():
     assert np.array_equal(A.support, back.support)
 
 
+@pytest.mark.parametrize("edit,path", [
+    (lambda d: d["A"].update(basis=[]), "$.A.basis is empty"),
+    (lambda d: d["A"].update(support=matrix_to_json(np.eye(3))), "$.A.support has shape"),
+    (lambda d: d["B"]["basis"].__setitem__(1, matrix_to_json(np.eye(2))),
+     "$.B.basis[1] has shape (2, 2), not (4, 4)"),
+], ids=["empty-basis", "support-3x3", "basis-element-2x2"])
+def test_malformed_instance_algebra_names_its_json_path(edit, path):
+    # the loader names the field, not numpy's reshape or broadcast error
+    import json
+    d = json.loads(dumps(gen_instance("conjugation", {"algebra": "M2+M1", "ambient": 4,
+                                                      "eps": 1e-5}, seed=1)))
+    edit(d)
+    with pytest.raises(SchemaError) as err:
+        loads(json.dumps(d))
+    assert str(err.value).startswith(path), err.value
+
+
 def test_certificate_round_trip():
     cert = Certificate.build("forward-closeness", {"gamma": 0.25, "n_points": 3}, 0.5,
                              details={"note": [1, 2.5]}, provenance=provenance_stamp(3))
