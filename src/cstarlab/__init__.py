@@ -6,9 +6,8 @@ order-zero perturbation), every quantitative bound backed by a Certificate.
 
 from .algebra import (BlockStructure, ConcreteAlgebra, FDAlgebra,
                       generate_algebra, wedderburn_decompose)
-from .averaging import (AveragingSet, IntertwinerResult, RepairResult,
-                        exact_diagonal, improve_multiplicativity,
-                        intertwining_unitary, polar_unitary,
+from .averaging import (IntertwinerResult, RepairResult, canonical_average,
+                        improve_multiplicativity, intertwining_unitary,
                         projection_conjugator)
 from .certs import (BOUNDS, Certificate, ContradictionError, SchemaError,
                     SpectralGapError, WindowError, on_track, provenance_stamp)
@@ -33,22 +32,22 @@ from .serialize import dumps, load, loads, save
 __version__ = "0.1.0"
 
 __all__ = [
-    "AveragingSet", "BlockStructure", "BOUNDS", "Certificate",
+    "BlockStructure", "BOUNDS", "Certificate",
     "ConcreteAlgebra", "ContradictionError",
     "DistanceInterval", "FDAlgebra", "Instance", "IntertwinerResult",
     "IsoResult", "LinMap", "NucDimDecomposition",
     "OrderZeroMap", "RepairResult", "Report",
     "SchemaError", "SpectralGapError", "StageRecord", "StinespringDilation",
     "Ternary", "WindowError", "arveson_restrict",
-    "block_algebra", "cb_bracket", "choi_blocks", "classify",
-    "close_isomorphism", "conjugation_iso", "dumps", "exact_diagonal",
+    "block_algebra", "canonical_average", "cb_bracket", "choi_blocks", "classify",
+    "close_isomorphism", "conjugation_iso", "dumps",
     "gen_instance", "generate_algebra", "half_flip_cpc", "hat_decomposition",
     "identity_decomposition", "implement_unitarily",
     "improve_multiplicativity", "intertwining_iso", "intertwining_unitary",
     "is_order_zero", "kk_distance", "kraus_operators", "load", "loads",
     "near_embed_nucdim", "near_embedding_nuclear", "nearest_in_span",
     "nucdim_cpc_transfer", "on_track", "perturb_order_zero",
-    "polar_unitary", "projection_conjugator", "provenance_stamp",
+    "projection_conjugator", "provenance_stamp",
     "random_order_zero", "render_report", "run_pipeline", "save",
     "split_decomposition", "stinespring", "structure_decompose",
     "tensor_lift", "ucp_extension", "verify_nucdim_decomposition",

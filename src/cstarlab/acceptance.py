@@ -14,15 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import FDAlgebra
-from .averaging import (canonical_average, exact_diagonal, improve_multiplicativity,
-                        intertwining_unitary, polar_unitary,
-                        projection_conjugator)
+from .averaging import (canonical_average, improve_multiplicativity,
+                        intertwining_unitary, projection_conjugator)
 from .certs import WindowError, on_track
 from .cpmaps import LinMap, classify, perturb_choi, stinespring
 from .instances import (_rotated_embedding, gen_instance, hat_decomposition,
                         random_order_zero)
-from .linalg import (dagger, expm_i, opnorm, opnorm_max, random_complex,
-                     random_hermitian, rng_for)
+from .linalg import (dagger, expm_i, opnorm, opnorm_max, opnorms, polar_factor,
+                     random_complex, random_hermitian, rng_for)
 from .orderzero import (NucDimDecomposition, identity_decomposition, near_embed_nucdim,
                         nucdim_cpc_transfer, perturb_order_zero,
                         split_decomposition, verify_nucdim_decomposition)
@@ -69,7 +68,7 @@ def criterion_1() -> CriterionResult:
             g = random_complex(rng, n)
             c = float(rng.uniform(0.0, 0.5))
             t = np.eye(n) + (c / max(opnorm(g), 1e-300)) * g
-            u, _ = polar_unitary(t)
+            u = polar_factor(t)
             worst_polar = max(worst_polar,
                               opnorm(u - np.eye(n)) - SQ2 * opnorm(t - np.eye(n)))
         else:
@@ -100,15 +99,12 @@ def _random_ucp(fd: FDAlgebra, N: int, rng) -> LinMap:
     D = N * fd.d
     m = random_complex(rng, D)[:, :N]
     v, _ = np.linalg.qr(m)
-
-    def rep(x):
-        return np.kron(x, np.eye(N))
-
-    images = tuple(dagger(v) @ rep(u) @ v for u in fd.units())
-    return LinMap(fd, N, images)
+    return LinMap(fd, N, tuple(dagger(v) @ np.kron(u, np.eye(N)) @ v for u in fd.units()))
 
 
 def criterion_2() -> CriterionResult:
+    # from the dilation's fields: phi(e_ij) = E V* pi(e_ij) V E*, and with
+    # p = V V* phi(aa*) - phi(a) phi(a*) = E V* pi(a) (1 - p) pi(a)* V E*
     t0 = time.perf_counter()
     per_profile = 100
     profiles = [(2,), (1, 1), (2, 1), (3,)]
@@ -119,12 +115,16 @@ def criterion_2() -> CriterionResult:
         for _ in range(per_profile):
             phi = _random_ucp(fd, 4, rng)
             dil = stinespring(phi)
-            worst_recon = max(worst_recon, opnorm_max(np.array(
-                [dil.reconstruct(u) for u in fd.units()]) - phi.images))
-            for a in fd.random_elements(rng, 3):
-                a = a / max(opnorm(a), 1e-300)
-                worst_defect = max(worst_defect,
-                                   dil.defect_identity_residual(phi, a))
+            V, E = dil.isometry, dil.embed
+            worst_recon = max(worst_recon, opnorm_max(
+                E @ dagger(V) @ dil.rep_images @ V @ dagger(E) - phi.images))
+            a = fd.random_elements(rng, 3)
+            a = a / np.maximum(opnorms(a), 1e-300)[:, None, None]
+            pa = LinMap(fd, dil.dilation_dim, dil.rep_images)(a)
+            gap = np.eye(dil.dilation_dim) - dil.compression
+            rhs = E @ dagger(V) @ pa @ gap @ dagger(pa) @ V @ dagger(E)
+            lhs = phi(a @ dagger(a)) - phi(a) @ phi(dagger(a))
+            worst_defect = max(worst_defect, opnorm_max(lhs - rhs))
     ok = worst_recon <= 1e-10 and worst_defect <= 1e-10
     detail = (f"{per_profile} maps x {len(profiles)} profiles, reconstruction "
               f"{worst_recon:.2e}, defect identity {worst_defect:.2e}")
@@ -155,11 +155,10 @@ def criterion_3() -> CriterionResult:
     for total in range(1, 7):
         for profile in _partitions(total):
             fd = FDAlgebra(profile)
-            avg = exact_diagonal(fd)
-            m_img = sum(w * (dagger(u) @ u) for w, u in zip(avg.weights, avg.terms))
-            mult_defects.append(opnorm(m_img - fd.unit()))
-            rng = rng_for(0, "acceptance-3", *profile)
             units = fd.units()
+            # the multiplication image of the canonical element is the unit
+            mult_defects.append(opnorm(canonical_average(profile, units, units) - fd.unit()))
+            rng = rng_for(0, "acceptance-3", *profile)
             for x in fd.random_elements(rng, 3):
                 x = x / max(opnorm(x), 1e-300)
                 tw = canonical_average(profile, units @ x, units)

@@ -1,17 +1,16 @@
-"""Exact averaging over finite unitary families and the constructions built
-on it: twirls onto commutants, polar/projection conjugation unitaries, the
+"""The amenability average of a block algebra and the constructions built on
+it: twirls onto commutants, projection conjugation unitaries, the
 multiplicativity repair of nearly multiplicative cpc maps, and intertwining
 unitaries between close nearly multiplicative maps.
 
 The central object is the canonical separability element
 w = sum_k (1/n_k) sum_ij e_ij (x) e_ji of A = (+)_k M_{n_k}, the amenability
-average (Johnson 1988).  Every average below is linear in u (x) u* over a
-unitary family averaging to w, so it is ``canonical_average`` on the
-sum_k n_k^2 matrix units: the twirl sum_k (1/n_k) sum_ij e_ij y e_ji, the
-averaged intertwiner sum_k (1/n_k) sum_ij f(e_ij) g(e_ji), the repair's
-twirled compression.  Where actual unitaries are needed, ``exact_diagonal``
-gives at most r (sum n_k^2 - r + 1) unitaries averaging to w exactly.  Twirled
-projections thus commute with the representation to machine precision, and
+average (Johnson 1988).  Every average below is linear in w, so it is
+``canonical_average`` on the sum_k n_k^2 matrix units, with no unitary
+family formed: the twirl sum_k (1/n_k) sum_ij e_ij y e_ji, the averaged
+intertwiner sum_k (1/n_k) sum_ij f(e_ij) g(e_ji), the repair's twirled
+compression.  The multiplication image of w is the unit, so twirled
+projections commute with the representation to machine precision, and
 intertwiners of exact homomorphisms intertwine exactly.
 
 The averaging layer draws no samples.  The two suprema over the unit ball
@@ -22,7 +21,6 @@ rounded outward, so each is a proven upper bound (||.|| <= ||.||_cb).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,11 +32,7 @@ from .cpmaps import LinMap, cb_bracket, classify, hom_defect, stinespring, ucp_e
 from .linalg import _BATCH_BYTES, dagger, herm, opnorm, opnorm_max, opnorms, polar_factor, psd_sqrt
 
 __all__ = [
-    "AveragingSet",
     "canonical_average",
-    "weyl_unitaries",
-    "exact_diagonal",
-    "polar_unitary",
     "projection_conjugator",
     "RepairResult",
     "improve_multiplicativity",
@@ -52,19 +46,8 @@ GAP_WINDOW = (0.496, 0.504)
 
 
 # ---------------------------------------------------------------------------
-# averaging families
+# the canonical average
 # ---------------------------------------------------------------------------
-
-def weyl_unitaries(n: int) -> list[np.ndarray]:
-    """The n^2 shift-and-phase unitaries S^a D^b of M_n.
-
-    S is the cyclic shift, D the diagonal of n-th roots of unity; the family
-    is an HS-orthogonal unitary basis of M_n.
-    """
-    S = np.roll(np.eye(n, dtype=complex), 1, axis=0)
-    return [np.linalg.matrix_power(S, a) @ np.diag(np.exp(2j * np.pi * b * np.arange(n) / n))
-            for a in range(n) for b in range(n)]
-
 
 def _canonical_index(block_sizes) -> tuple[np.ndarray, np.ndarray]:
     """For the matrix units e_ij of block k in (k, i, j) order: the weight
@@ -96,66 +79,9 @@ def canonical_average(block_sizes, left: np.ndarray, right: np.ndarray) -> np.nd
                for s in _unit_slices(left))
 
 
-@dataclass
-class AveragingSet:
-    """Weighted unitary family with the exact-diagonal property.
-
-    terms[t] are unitaries of the block algebra, weights sum to one, and
-    sum_t weights[t] * (terms[t] (x) terms[t]*) equals the canonical
-    separability element sum_k (1/n_k) sum_ij e_ij (x) e_ji.  Averages
-    linear in u (x) u* are ``canonical_average`` on the matrix units, not
-    sums over the terms.
-    """
-
-    weights: np.ndarray
-    terms: np.ndarray
-
-
-def exact_diagonal(A: FDAlgebra) -> AveragingSet:
-    """Averaging family of the block algebra A whose tensor average is
-    exactly the canonical separability element.
-
-    With r blocks, L = lcm(n_k^2) and omega = exp(2 pi i / r), cut [0, L) at
-    every multiple of L / n_k^2 for every k.  Each interval [s, e) and c in
-    Z_r give the term u_{c,s} = (+)_k omega^{ck} W_k(floor(s n_k^2 / L)) of
-    weight (e - s) / (rL), where W_k(a) is the a-th shift-and-phase unitary
-    of block k: the comonotone coupling of the uniform laws on the Z_{n_k^2}.
-    The phase sum over c cancels every cross-block term of sum u (x) u*;
-    inside block k every index a carries weight 1/n_k^2, so the block
-    averages the HS-orthogonal basis W_k to (1/n_k) times the flip, its
-    canonical element.  So at most r (sum n_k^2 - r + 1) terms are exact;
-    where every n_k^2 is 1 or L they are the r L terms of weight 1/(rL)
-    u_{c,t} = (+)_k omega^{ck} W_k(t mod n_k^2), t in Z_L.
-    """
-    block_sizes = A.block_sizes
-    r = len(block_sizes)
-    L = math.lcm(*(n * n for n in block_sizes))
-    cuts = np.array(sorted({a * L // (n * n) for n in block_sizes for a in range(n * n)} | {L}))
-    start = cuts[:-1]
-    c = np.arange(r)[:, None, None]
-    # coefficient of the unit e_ij of block k in the term (c, s)
-    coeffs = np.concatenate(
-        [np.exp(2j * np.pi * (c * k % r) / r)
-         * np.array(weyl_unitaries(n)).reshape(n * n, n * n)[start * (n * n) // L]
-         for k, n in enumerate(block_sizes)], axis=2).reshape(r * len(start), -1)
-    terms = (coeffs @ A.units().reshape(A.dim_linear, -1)).reshape(-1, A.d, A.d)
-    weights = np.tile(np.diff(cuts) / (r * L), r)
-    return AveragingSet(weights=weights, terms=terms)
-
-
 # ---------------------------------------------------------------------------
-# polar and projection conjugators
+# projection conjugators
 # ---------------------------------------------------------------------------
-
-def polar_unitary(t: np.ndarray) -> tuple[np.ndarray, Certificate]:
-    """Unitary polar part u of t with the closeness certificate
-    ||u - 1|| <= sqrt(2) ||t - 1||, valid when ||t - 1|| < 1."""
-    t = np.asarray(t, dtype=complex)
-    beta = opnorm(t - np.eye(t.shape[0]))
-    u = polar_factor(t)
-    achieved = opnorm(u - np.eye(t.shape[0]))
-    return u, Certificate.build("polar-unitary", {"beta": beta}, achieved)
-
 
 def projection_conjugator(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, Certificate]:
     """Unitary w with w p w* = q and ||w - 1|| <= sqrt(2) ||p - q||.

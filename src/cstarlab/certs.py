@@ -94,9 +94,6 @@ BOUNDS = {
     "expectation-restriction": Bound(
         "||phi(x) - x|| <= 2*gamma + tol_alg on X",
         lambda i: 2.0 * i["gamma"] + TOL_ALG, 0.0, {}),
-    "polar-unitary": Bound(
-        "||u - 1|| <= sqrt(2) * ||t - 1||   (||t - 1|| < 1; else <= 2)",
-        lambda i: np.sqrt(2.0) * i["beta"] if i["beta"] < 1.0 else 2.0, TOL_EXACT, {}),
     "projection-conjugator": Bound(
         "||w - 1|| <= sqrt(2) * ||p - q||, w p w* = q",
         lambda i: np.sqrt(2.0) * i["beta"], TOL_EXACT, {}),

@@ -5,13 +5,14 @@ Each subcommand takes only the settings it reads (``_TAKES``), and each
 setting resolves once, in precedence order: explicit CLI flag, then a
 CSTARLAB_* environment variable mirroring the flag, then the [lab] section
 of an INI config file (--config or CSTARLAB_CONFIG), then the built-in
-default; a variable or key takes only the values its flag takes.  A
-pipeline given a saved instance refuses the flags that generate one.  Exit
-status is 0 on success, 1 when a paper-track certificate fails (or the
-selftest fails), 2 on a structural error such as a violated hypothesis
-window, a malformed input file or a setting outside its choices, and 141
-(128 + SIGPIPE, what a shell reports for a writer stopped by a closed pipe)
-when the reader of standard output closes it early, as ``| head`` does.
+default; a variable or key takes only the values its flag takes, and a
+[lab] key must name a setting.  A pipeline given a saved instance refuses
+the flags that generate one.  Exit status is 0 on success, 1 when a
+paper-track certificate fails (or the selftest fails), 2 on a structural
+error such as a violated hypothesis window, a malformed input file or a
+setting outside its type or choices, and 141 (128 + SIGPIPE, what a shell
+reports for a writer stopped by a closed pipe) when the reader of standard
+output closes it early, as ``| head`` does.
 """
 
 from __future__ import annotations
@@ -67,14 +68,19 @@ def _read_config(path: str | None) -> dict:
     parser = configparser.ConfigParser()
     if not parser.read(path):
         raise FileNotFoundError(f"config file not found: {path}")
-    return dict(parser.items("lab")) if parser.has_section("lab") else {}
+    cfg = dict(parser.items("lab")) if parser.has_section("lab") else {}
+    if unknown := sorted(set(cfg) - set(_SETTINGS)):
+        raise SchemaError(f"{path}: config key [lab] {', '.join(unknown)} names no "
+                          f"setting; the settings are {', '.join(_SETTINGS)}")
+    return cfg
 
 
 def _resolve(args: argparse.Namespace) -> None:
     """Set each setting the subcommand takes, by the precedence above; an
-    environment or config value outside its flag's choices raises
-    ``SchemaError`` naming its variable or key.  A saved instance refuses
-    the generation flags, and their other sources go unread."""
+    environment or config value outside its flag's type or choices raises
+    ``SchemaError`` naming its variable or key, as does a config key that
+    names no setting.  A saved instance refuses the generation flags, and
+    their other sources go unread."""
     names = _TAKES[args.command]
     if getattr(args, "instance", None) is not None:
         given = [f"--{n}" for n in _GENERATION if getattr(args, n) is not None]
@@ -92,8 +98,12 @@ def _resolve(args: argparse.Namespace) -> None:
                             (f"config key [lab] {name}", cfg.get(name))):
             if raw is not None:
                 if spec.choices and raw not in spec.choices:
-                    raise SchemaError(f"{source} = {raw!r}; choose one of {spec.choices}")
-                val = spec.type(raw)
+                    raise SchemaError(f"{source} = {raw!r}; --{name} takes one of {spec.choices}")
+                try:
+                    val = spec.type(raw)
+                except ValueError:
+                    raise SchemaError(f"{source} = {raw!r}; --{name} takes "
+                                      f"{spec.type.__name__} values") from None
                 break
         setattr(args, name, val)
 

@@ -231,7 +231,8 @@ class StinespringDilation:
     pi is a unital *-representation of the block domain on C^K given by its
     values on matrix units; V: C^{d'} -> C^K is an isometry; E: C^{d'} -> C^N
     embeds the support corner of the codomain (E = identity when phi(1) = 1).
-    p = V V* is the compression projection.
+    So phi's images are E V* rep_images V E*, and p = V V* is the
+    compression projection.
     """
 
     fd: FDAlgebra
@@ -240,26 +241,9 @@ class StinespringDilation:
     isometry: np.ndarray        # K x d'
     embed: np.ndarray           # N x d'
 
-    def rep(self, x: np.ndarray) -> np.ndarray:
-        return _combine(self.fd.coeffs(x), self.rep_images)
-
     @property
     def compression(self) -> np.ndarray:
         return self.isometry @ dagger(self.isometry)
-
-    def reconstruct(self, x: np.ndarray) -> np.ndarray:
-        V, E = self.isometry, self.embed
-        return E @ (dagger(V) @ self.rep(x) @ V) @ dagger(E)
-
-    def defect_identity_residual(self, phi: LinMap, a: np.ndarray) -> float:
-        """Residual of phi(aa*) - phi(a)phi(a*) = p pi(a)(1-p) pi(a)* p read
-        through the embedding."""
-        V, E = self.isometry, self.embed
-        pa = self.rep(a)
-        lhs = phi(a @ dagger(a)) - phi(a) @ phi(dagger(a))
-        inner = dagger(V) @ pa @ (np.eye(self.dilation_dim) - self.compression) @ dagger(pa) @ V
-        rhs = E @ inner @ dagger(E)
-        return opnorm(lhs - rhs)
 
 
 def stinespring(phi: LinMap, tol_psd: float = TOL_PSD) -> StinespringDilation:

@@ -169,10 +169,11 @@ def nearest_in_span(x: np.ndarray, span: ConcreteAlgebra | _TensorSpan,
     each with its own steps and best point.  The subspace is a concrete
     algebra or a ``_TensorSpan``, whose ``project`` maps a stack (S, R, C) to
     its HS-orthogonal projections.  Tuples x, span and floor solve families
-    of one matrix shape, one entry each: each takes its own warm start,
-    then all live targets share one stack, eigensolve and checkpoints, each
-    family projected by its own span and floored by its own duals, so each
-    result is bit for bit that of the family's own call.
+    of one matrix shape, one entry each (floor None floors none of them):
+    each takes its own warm start, then all live targets share one stack,
+    eigensolve and checkpoints, each family projected by its own span and
+    floored by its own duals, so each result is bit for bit that of the
+    family's own call.
 
     A target leaves the stack on the first of these that holds:
       tol    its residual fell to tol;
@@ -203,6 +204,7 @@ def nearest_in_span(x: np.ndarray, span: ConcreteAlgebra | _TensorSpan,
     """
     families = isinstance(x, tuple)
     xs, spans, floors = (x, span, floor) if families else ((x,), (span,), (floor,))
+    floors = (None,) * len(xs) if floors is None else floors
     xs, floors = [np.reshape(v, (-1,) + np.shape(v)[-2:]) for v in xs], np.array(floors, float)
     cuts = np.cumsum([0] + [len(X) for X in xs])
     fam = np.repeat(np.arange(len(xs)), np.diff(cuts))  # each target's family

@@ -2,12 +2,13 @@
 oracles that tests of the package's run paths compare against."""
 
 import json
+import math
 
 import numpy as np
 import scipy.linalg
 
 from cstarlab.algebra import BlockStructure, ConcreteAlgebra, FDAlgebra, _combine
-from cstarlab.averaging import AveragingSet, _canonical_index
+from cstarlab.averaging import _canonical_index
 from cstarlab.certs import CLUSTER_REL, TOL_ALG, Certificate, provenance_stamp
 from cstarlab.cpmaps import LinMap, _from_choi_blocks, choi_blocks, classify
 from cstarlab.linalg import dagger, opnorm, opnorm_max, random_unitary, rng_for
@@ -159,7 +160,49 @@ def to_concrete(struct: BlockStructure, m: np.ndarray) -> np.ndarray:
     return _combine(struct.fd_model().coeffs(m), struct.matrix_units)
 
 
-def canonical_residual(fd: FDAlgebra, avg: AveragingSet) -> float:
+def weyl_unitaries(n: int) -> list[np.ndarray]:
+    """The n^2 shift-and-phase unitaries S^a D^b of M_n.
+
+    S is the cyclic shift, D the diagonal of n-th roots of unity; the family
+    is an HS-orthogonal unitary basis of M_n.
+    """
+    S = np.roll(np.eye(n, dtype=complex), 1, axis=0)
+    return [np.linalg.matrix_power(S, a) @ np.diag(np.exp(2j * np.pi * b * np.arange(n) / n))
+            for a in range(n) for b in range(n)]
+
+
+def phase_family(fd: FDAlgebra) -> tuple[np.ndarray, np.ndarray]:
+    """Weights and unitaries of the block algebra fd whose tensor average
+    sum_t weights[t] terms[t] (x) terms[t]* is exactly the canonical
+    separability element: an explicit unitary family for the tests that
+    check ``canonical_average`` against a sum over unitaries.
+
+    With r blocks, L = lcm(n_k^2) and omega = exp(2 pi i / r), cut [0, L) at
+    every multiple of L / n_k^2 for every k.  Each interval [s, e) and c in
+    Z_r give the term u_{c,s} = (+)_k omega^{ck} W_k(floor(s n_k^2 / L)) of
+    weight (e - s) / (rL), where W_k(a) is the a-th shift-and-phase unitary
+    of block k: the comonotone coupling of the uniform laws on the Z_{n_k^2}.
+    The phase sum over c cancels every cross-block term of sum u (x) u*;
+    inside block k every index a carries weight 1/n_k^2, so the block
+    averages the HS-orthogonal basis W_k to (1/n_k) times the flip, its
+    canonical element.  So at most r (sum n_k^2 - r + 1) terms are exact.
+    """
+    block_sizes = fd.block_sizes
+    r = len(block_sizes)
+    L = math.lcm(*(n * n for n in block_sizes))
+    cuts = np.array(sorted({a * L // (n * n) for n in block_sizes for a in range(n * n)} | {L}))
+    start = cuts[:-1]
+    c = np.arange(r)[:, None, None]
+    # coefficient of the unit e_ij of block k in the term (c, s)
+    coeffs = np.concatenate(
+        [np.exp(2j * np.pi * (c * k % r) / r)
+         * np.array(weyl_unitaries(n)).reshape(n * n, n * n)[start * (n * n) // L]
+         for k, n in enumerate(block_sizes)], axis=2).reshape(r * len(start), -1)
+    terms = (coeffs @ fd.units().reshape(fd.dim_linear, -1)).reshape(-1, fd.d, fd.d)
+    return np.tile(np.diff(cuts) / (r * L), r), terms
+
+
+def canonical_residual(fd: FDAlgebra, weights: np.ndarray, terms: np.ndarray) -> float:
     """Distance of sum lambda u (x) u* from the canonical element of the
     block algebra fd."""
     m, units = fd.d, fd.units()
@@ -168,27 +211,26 @@ def canonical_residual(fd: FDAlgebra, avg: AveragingSet) -> float:
         return np.einsum("t,tab,tcd->acbd", w, left, right).reshape(m * m, m * m)
 
     scale, flip = _canonical_index(fd.block_sizes)
-    W = tensor_average(avg.weights, avg.terms, avg.terms.conj().transpose(0, 2, 1))
+    W = tensor_average(weights, terms, terms.conj().transpose(0, 2, 1))
     C = tensor_average(scale, units, units[flip])
     return opnorm(W - C)
 
 
-def verify_averaging_set(fd: FDAlgebra, avg: AveragingSet) -> Certificate:
+def verify_averaging_set(fd: FDAlgebra, weights: np.ndarray, terms: np.ndarray) -> Certificate:
     """Certify the defining properties of an averaging family of the block
     algebra fd: weights sum to one, every term is a unitary of fd, and the
     averaged tensor is exactly the canonical separability element (hence
     exactly central)."""
-    uu = avg.terms @ dagger(avg.terms)
-    worst = max(abs(float(np.sum(avg.weights)) - 1.0),
-                opnorm_max(np.concatenate([dagger(avg.terms) @ avg.terms, uu])
-                           - fd.unit()))
-    mw = sum(lam * p for lam, p in zip(avg.weights, uu))
+    uu = terms @ dagger(terms)
+    worst = max(abs(float(np.sum(weights)) - 1.0),
+                opnorm_max(np.concatenate([dagger(terms) @ terms, uu]) - fd.unit()))
+    mw = sum(lam * p for lam, p in zip(weights, uu))
     worst = max(worst, opnorm(mw - fd.unit()))
-    worst = max(worst, canonical_residual(fd, avg))
+    worst = max(worst, canonical_residual(fd, weights, terms))
     return _test_certificate(
         "averaging-set",
         "max(|sum(w)-1|, ||u*u - 1||, ||sum w u(x)u* - canonical||) <= tol",
-        {"n_terms": len(avg.terms), "block_sizes": list(fd.block_sizes)}, TOL_CONV, worst)
+        {"n_terms": len(terms), "block_sizes": list(fd.block_sizes)}, TOL_CONV, worst)
 
 
 def orthogonality_residual(oz: OrderZeroMap) -> float:

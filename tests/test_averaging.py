@@ -1,4 +1,4 @@
-"""Exact averaging families and the constructions built on them."""
+"""The canonical average and the constructions built on it."""
 
 import math
 
@@ -11,19 +11,16 @@ from cstarlab.algebra import FDAlgebra
 from cstarlab.linalg import dagger, opnorm, opnorm_max
 from cstarlab.averaging import (
     canonical_average,
-    exact_diagonal,
     improve_multiplicativity,
     intertwining_unitary,
-    polar_unitary,
     projection_conjugator,
-    weyl_unitaries,
 )
 from cstarlab.certs import SpectralGapError, WindowError, on_track
 from cstarlab.cpmaps import LinMap, arveson_restrict, hom_defect, worst_move
 from cstarlab.instances import _rotated_embedding, block_algebra, gen_instance
 from cstarlab.linalg import expm_i, random_hermitian, random_unitary, rng_for
 from helpers import (MULTIPLICITY_CASES, hs_inner, matrix_unit, multiplicity_algebra,
-                     verify_averaging_set)
+                     phase_family, verify_averaging_set, weyl_unitaries)
 
 PROFILES = [(1,), (2,), (1, 1), (2, 1), (3,), (2, 2), (2, 1, 1), (2, 3, 1)]
 
@@ -39,7 +36,7 @@ def embedded(fd: FDAlgebra, N: int) -> LinMap:
 
 
 # ---------------------------------------------------------------------------
-# unitary families
+# the explicit unitary family the averages are checked against
 # ---------------------------------------------------------------------------
 
 def test_weyl_unitaries_orthogonal_basis():
@@ -54,15 +51,16 @@ def test_weyl_unitaries_orthogonal_basis():
 
 @pytest.mark.parametrize("sizes", PROFILES + [(3, 2), (3, 2, 1), (7, 5, 3)])
 def test_exact_diagonal_verifies(sizes):
+    # the oracle family: its tensor average is exactly the canonical element
     fd = FDAlgebra(sizes)
-    avg = exact_diagonal(fd)
+    weights, terms = phase_family(fd)
     # r phases times the intervals between the distinct multiples of
     # L / n_k^2 in [0, L), L = lcm(n_k^2)
     L = math.lcm(*(n * n for n in sizes))
     cuts = {a * L // (n * n) for n in sizes for a in range(n * n)}
-    assert len(avg.terms) == len(sizes) * len(cuts) <= len(sizes) * (sum(n * n for n in sizes)
-                                                               - len(sizes) + 1)
-    cert = verify_averaging_set(fd, avg)
+    assert len(terms) == len(sizes) * len(cuts) <= len(sizes) * (sum(n * n for n in sizes)
+                                                           - len(sizes) + 1)
+    cert = verify_averaging_set(fd, weights, terms)
     assert cert.verdict == "pass"
 
 
@@ -111,8 +109,7 @@ def test_pair_matches_phase_family_sum(sizes):
     fd = FDAlgebra(sizes)
     rng = rng_for(12, "pair-family", *sizes)
     f, g = random_map(fd, 3, rng), random_map(fd, 3, rng)
-    avg = exact_diagonal(fd)
-    explicit = sum(w * (f(dagger(u)) @ g(u)) for w, u in zip(avg.weights, avg.terms))
+    explicit = sum(w * (f(dagger(u)) @ g(u)) for w, u in zip(*phase_family(fd)))
     assert opnorm(canonical_average(sizes, f.images, g.images) - explicit) < 1e-13
 
 
@@ -126,9 +123,10 @@ def test_repair_twirl_matches_phase_family_sum():
     rep = improve_multiplicativity(phi)
     dil = rep.dilation
     p = dil.compression
-    avg = exact_diagonal(dil.fd)
-    explicit = sum(w * (dagger(dil.rep(u)) @ p @ dil.rep(u))
-                   for w, u in zip(avg.weights, avg.terms))
+    # pi at each unitary of the family, as the LinMap of pi's unit images
+    weights, terms = phase_family(dil.fd)
+    pi = LinMap(dil.fd, dil.dilation_dim, dil.rep_images)(terms)
+    explicit = sum(w * (dagger(pu) @ p @ pu) for w, pu in zip(weights, pi))
     R = np.array(dil.rep_images)
     p0 = canonical_average(dil.fd.block_sizes, R @ p, R)
     assert opnorm(p0 - explicit) < 1e-13
@@ -163,18 +161,8 @@ def test_pair_of_inclusion_is_unit():
 
 
 # ---------------------------------------------------------------------------
-# polar constructions
+# projection conjugators
 # ---------------------------------------------------------------------------
-
-def test_polar_unitary_bound():
-    rng = rng_for(1, "polar")
-    for t in range(20):
-        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        m = np.eye(4) + 0.4 * g / opnorm(g)
-        u, cert = polar_unitary(m)
-        assert cert.verdict == "pass"
-        assert opnorm(dagger(u) @ u - np.eye(4)) < 1e-12
-
 
 def test_projection_conjugator_exact():
     rng = rng_for(2, "projconj")

@@ -38,7 +38,6 @@ def test_verdict_pass_iff_within_slack():
 # slack: the ceilings that vanish with their inputs take a rounding slack
 ORACLES = {
     "expectation-restriction": ({"gamma": 0.25, "n_points": 2}, 0.5 + 1e-9, 0.0),
-    "polar-unitary": ({"beta": 0.5}, math.sqrt(0.5), TOL_EXACT),
     "projection-conjugator": ({"beta": 0.5}, math.sqrt(0.5), TOL_EXACT),
     "twirled-projection-drift": ({"gamma": 0.04}, 0.4, TOL_ALG),
     "multiplicativity-repair": ({"gamma": 0.04}, 1.6 * math.sqrt(2), TOL_ALG),
@@ -80,10 +79,6 @@ def test_bound_meets_its_closed_form(name):
     c = Certificate.build(name, inputs, 0.0)
     assert c.ceiling == pytest.approx(ceiling, rel=1e-12, abs=0.0)
     assert c.slack == slack and c.inputs == inputs and c.formula == BOUNDS[name].formula
-
-
-def test_polar_unitary_bound_is_two_past_distance_one():
-    assert Certificate.build("polar-unitary", {"beta": 1.5}, 0.0).ceiling == 2.0
 
 
 def test_track_enforces_windows_on_the_paper_track_only():
@@ -140,7 +135,7 @@ def test_every_build_names_a_bound_and_passes_no_bound():
         assert isinstance(name, ast.Constant) and name.value in BOUNDS, f"{module}:{call.lineno}"
         assert not {"formula", "ceiling", "slack"} & {k.arg for k in call.keywords}
         names.append(name.value)
-    assert len(names) == 24 and set(names) == set(BOUNDS)
+    assert len(names) == 23 and set(names) == set(BOUNDS)
 
 
 def test_every_window_is_required_by_name():

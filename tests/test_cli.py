@@ -293,10 +293,13 @@ def test_paper_track_window_violation_exits_2(capsys):
 
 
 @pytest.mark.parametrize("name, value", [("track", "Paper"), ("format", "xml"),
-                                         ("recipe", "rotation")])
+                                         ("recipe", "rotation"), ("samples", "x"),
+                                         ("seed", "1.5"), ("dim", "4.0")])
 def test_bad_choice_from_env_or_config_exits_2(name, value, tmp_path, monkeypatch, capsys):
-    # the choices of --track, --format and --recipe hold for the environment
-    # variable and the config key too, and fail before any pipeline runs
+    # the choices of --track, --format and --recipe, and the type of every
+    # flag, hold for the environment variable and the config key too: the
+    # error names the variable or key and the flag, and comes before any
+    # pipeline runs
     calls = []
     monkeypatch.setattr("cstarlab.cli.run_pipeline", lambda *a, **k: calls.append(a))
     var, cfg = f"CSTARLAB_{name.upper()}", tmp_path / "lab.ini"
@@ -304,12 +307,23 @@ def test_bad_choice_from_env_or_config_exits_2(name, value, tmp_path, monkeypatc
     monkeypatch.setenv(var, value)
     assert main(["iso", "--eps", "1e-3"]) == 2
     err = capsys.readouterr().err
-    assert "SchemaError" in err and var in err and repr(value) in err
+    assert "SchemaError" in err and var in err and f"--{name}" in err and repr(value) in err
     monkeypatch.delenv(var)
     assert main(["iso", "--eps", "1e-3", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert "SchemaError" in err and f"[lab] {name}" in err and repr(value) in err
+    assert "SchemaError" in err and f"[lab] {name}" in err and f"--{name}" in err
+    assert repr(value) in err
     assert calls == []
+
+
+def test_config_key_that_names_no_setting_exits_2(tmp_path, capsys):
+    # a misspelt key is refused by name, not read as nothing
+    cfg = tmp_path / "lab.ini"
+    cfg.write_text("[lab]\nsead = 5\n")
+    assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "i.json")]) == 2
+    err = capsys.readouterr().err
+    assert "SchemaError" in err and "[lab] sead" in err
+    assert not (tmp_path / "i.json").exists()
 
 
 def test_negative_sample_count_exits_2_naming_samples(capsys):

@@ -199,13 +199,16 @@ def test_stinespring_reconstructs(sizes):
     fd = FDAlgebra(sizes)
     phi = random_ucp(fd, 4, seed=sum(sizes))
     dil = stinespring(phi)
+    V, E = dil.isometry, dil.embed
+    # phi = E V* pi(.) V E*, with pi(x) the LinMap of pi's unit images at x
+    pi = LinMap(fd, dil.dilation_dim, dil.rep_images)
     rng = rng_for(99, "stinespring-check")
     for x in fd.random_elements(rng, 4):
-        assert opnorm(dil.reconstruct(x) - phi(x)) < 1e-10
+        assert opnorm(E @ dagger(V) @ pi(x) @ V @ dagger(E) - phi(x)) < 1e-10
     # pi is a unital *-representation: exact matrix-unit relations, and the
     # diagonal units sum to the identity of the dilation space
     assert fd.relation_residual(dil.rep_images) < 1e-10
-    assert opnorm(dil.rep(fd.unit()) - np.eye(dil.dilation_dim)) < 1e-10
+    assert opnorm(pi(fd.unit()) - np.eye(dil.dilation_dim)) < 1e-10
 
 
 def test_stinespring_isometry_for_ucp():

@@ -742,6 +742,21 @@ def test_kk_distance_equals_two_one_family_solves(case):
     assert iv.lo == min(max(floors), iv.hi)
 
 
+# summation order: bits equal to separate calls, whatever the BLAS thread count
+@pytest.mark.summation_order
+@pytest.mark.parametrize("ball", [False, True])
+def test_families_without_a_floor_equal_their_one_family_solves(ball):
+    # floor None floors no family, as floor (None, None) does: the two-family
+    # solve gives each family what its one-family solve gives alone, bit for bit
+    A, B = conjugation_pair("3,3", 8)
+    X = sample_unit_ball(A, 3, 8)
+    both = nearest_in_span((X, X), (B, A), ball=ball, iters=4)
+    for got, S in zip(both, (B, A)):
+        want = nearest_in_span(X, S, ball=ball, iters=4)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert all(np.array_equal(g, w) for g, w in zip(got[1:], want[1:]))
+
+
 # ---------------------------------------------------------------------------
 # amplification and equality
 # ---------------------------------------------------------------------------

@@ -10,7 +10,10 @@ paths: ``pipelines.run_pipeline``, the CLI (``cli.main`` and its commands),
 the selftest (``acceptance.run_all`` and its criteria) and the persistence
 entry points ``serialize.dumps``/``loads``/``save``/``load``.  It prints, one
 per line and sorted, every top-level function, class and method that the walk
-never reaches, as ``module.name`` or ``module.Class.method``.
+never reaches, as ``module.name`` or ``module.Class.method``.  From Python,
+``unreached(src, skip)`` walks without entering the modules or definitions
+that skip names, as ``unreached(src, ("acceptance",))`` walks the run paths
+without the selftest.
 
 The graph is built without running anything, and it errs toward "reached":
 - a name read in a definition (not in an annotation) links to the module's
@@ -115,9 +118,11 @@ class _Module:
             self.reported.append(key)
 
 
-def unreached(src: str) -> list[str]:
+def unreached(src: str, skip=()) -> list[str]:
     """The sorted dotted names of the functions, classes and methods of the
-    package at src that no root reaches."""
+    package at src that no root reaches.  skip holds dotted names of modules
+    or definitions (``acceptance``, ``acceptance.run_all``) that the walk
+    does not enter; their definitions are not listed either."""
     modules = {}
     for path in sorted(Path(src).glob("*.py")):
         if path.stem != "__init__":
@@ -136,8 +141,11 @@ def unreached(src: str) -> list[str]:
 
     reached, todo, attrs = set(), [], set()
 
+    def skipped(dotted):
+        return any(dotted == s or dotted.startswith(s + ".") for s in skip)
+
     def reach(node):
-        if node is not None and node not in reached:
+        if node is not None and node not in reached and not skipped(".".join(node)):
             reached.add(node)
             todo.append(node)
 
@@ -159,7 +167,7 @@ def unreached(src: str) -> list[str]:
         mod, name = root.split(".")
         reach((mod, name))
     for m in modules.values():
-        for refs in m.roots:
+        for refs in m.roots if not skipped(m.name) else ():
             follow(m.name, refs)
     while todo:
         mod, key = todo.pop()
@@ -169,8 +177,8 @@ def unreached(src: str) -> list[str]:
         for meth in m.classes.get(key, ()):
             if meth in attrs or meth.startswith("__") and meth.endswith("__"):
                 reach((mod, f"{key}.{meth}"))
-    return sorted(f"{m.name}.{key}" for m in modules.values()
-                  for key in m.reported if (m.name, key) not in reached)
+    return sorted(f"{m.name}.{key}" for m in modules.values() for key in m.reported
+                  if (m.name, key) not in reached and not skipped(f"{m.name}.{key}"))
 
 
 def main(src: str) -> None:
