@@ -4,8 +4,7 @@ constructive machinery relating close algebras (averaging, intertwining,
 order-zero perturbation), every quantitative bound backed by a Certificate.
 """
 
-from .algebra import (BlockStructure, ConcreteAlgebra, FDAlgebra,
-                      generate_algebra, wedderburn_decompose)
+from .algebra import BlockStructure, ConcreteAlgebra, FDAlgebra, wedderburn_decompose
 from .averaging import (IntertwinerResult, RepairResult, canonical_average,
                         improve_multiplicativity, intertwining_unitary,
                         projection_conjugator)
@@ -41,7 +40,7 @@ __all__ = [
     "Ternary", "WindowError", "arveson_restrict",
     "block_algebra", "canonical_average", "cb_bracket", "choi_blocks", "classify",
     "close_isomorphism", "conjugation_iso", "dumps",
-    "gen_instance", "generate_algebra", "half_flip_cpc", "hat_decomposition",
+    "gen_instance", "half_flip_cpc", "hat_decomposition",
     "identity_decomposition", "implement_unitarily",
     "improve_multiplicativity", "intertwining_iso", "intertwining_unitary",
     "is_order_zero", "kk_distance", "kraus_operators", "load", "loads",

@@ -17,7 +17,7 @@ from .algebra import FDAlgebra
 from .averaging import (canonical_average, improve_multiplicativity,
                         intertwining_unitary, projection_conjugator)
 from .certs import WindowError, on_track
-from .cpmaps import LinMap, classify, perturb_choi, stinespring
+from .cpmaps import LinMap, classify, dilation_images, perturb_choi, stinespring
 from .instances import (_rotated_embedding, gen_instance, hat_decomposition,
                         random_order_zero)
 from .linalg import (dagger, expm_i, opnorm, opnorm_max, opnorms, polar_factor,
@@ -103,8 +103,10 @@ def _random_ucp(fd: FDAlgebra, N: int, rng) -> LinMap:
 
 
 def criterion_2() -> CriterionResult:
-    # from the dilation's fields: phi(e_ij) = E V* pi(e_ij) V E*, and with
-    # p = V V* phi(aa*) - phi(a) phi(a*) = E V* pi(a) (1 - p) pi(a)* V E*
+    # from the dilation's fields, pi(e_ij) = e_ij (x) 1_{r_k} on block k:
+    # phi(e_ij) = M_{k,i}* M_{k,j} for M = V E*, and with p = V V*
+    # phi(aa*) - phi(a) phi(a*) = Y* (1 - p) Y for Y = pi(a*) M, whose rows
+    # (i, alpha) of block k are sum_j (a*)_ij M_{k,j}
     t0 = time.perf_counter()
     per_profile = 100
     profiles = [(2,), (1, 1), (2, 1), (3,)]
@@ -115,14 +117,16 @@ def criterion_2() -> CriterionResult:
         for _ in range(per_profile):
             phi = _random_ucp(fd, 4, rng)
             dil = stinespring(phi)
-            V, E = dil.isometry, dil.embed
+            V, M = dil.isometry, dil.isometry @ dagger(dil.embed)
             worst_recon = max(worst_recon, opnorm_max(
-                E @ dagger(V) @ dil.rep_images @ V @ dagger(E) - phi.images))
+                dilation_images(profile, dil.ranks, M) - phi.images))
             a = fd.random_elements(rng, 3)
             a = a / np.maximum(opnorms(a), 1e-300)[:, None, None]
-            pa = LinMap(fd, dil.dilation_dim, dil.rep_images)(a)
-            gap = np.eye(dil.dilation_dim) - dil.compression
-            rhs = E @ dagger(V) @ pa @ gap @ dagger(pa) @ V @ dagger(E)
+            cuts = np.cumsum([0] + [n * r for n, r in zip(profile, dil.ranks)])
+            Y = np.concatenate([(dagger(a)[:, o:o + n, o:o + n] @ M[c:e].reshape(n, -1))
+                                .reshape(len(a), -1, M.shape[1])
+                                for o, n, c, e in zip(fd.offsets, profile, cuts, cuts[1:])], axis=1)
+            rhs = dagger(Y) @ Y - dagger(dagger(V) @ Y) @ (dagger(V) @ Y)
             lhs = phi(a @ dagger(a)) - phi(a) @ phi(dagger(a))
             worst_defect = max(worst_defect, opnorm_max(lhs - rhs))
     ok = worst_recon <= 1e-10 and worst_defect <= 1e-10

@@ -53,7 +53,6 @@ __all__ = [
     "FDAlgebra",
     "BlockStructure",
     "ConcreteAlgebra",
-    "generate_algebra",
     "wedderburn_decompose",
     "support_projection",
     "orthonormalize",
@@ -320,8 +319,7 @@ class ConcreteAlgebra:
     @classmethod
     def from_basis(cls, mats, ambient_dim: int) -> "ConcreteAlgebra":
         """Build from a spanning set of an (assumed) *-closed, product-closed
-        span.  The set is orthonormalized; closure is not enforced here, use
-        generate_algebra for that."""
+        span.  The set is orthonormalized; closure is not checked."""
         mats = [np.asarray(m, dtype=complex) for m in mats]
         require_finite(mats, "spanning set")
         basis = orthonormalize(mats)
@@ -446,35 +444,6 @@ def support_projection(basis, N: int) -> np.ndarray:
     if opnorm(m) < 1e-300:
         raise ValueError("zero algebra has no support projection")
     return range_projection(m)
-
-
-def generate_algebra(generators, ambient_dim: int) -> ConcreteAlgebra:
-    """Smallest *-subalgebra of M_N, N = ambient_dim, containing the
-    generators.
-
-    Span growth: start from the *-closed span of the generators, repeatedly
-    adjoin pairwise products, and stop when the dimension stabilises.  The
-    dimension grows strictly each round, so at most N^2 rounds occur.
-    """
-    gens = [np.asarray(g, dtype=complex) for g in generators]
-    if not gens:
-        raise ValueError("no generators")
-    N = ambient_dim
-    for g in gens:
-        if g.shape != (N, N):
-            raise ValueError("generators must be square matrices of the ambient dimension")
-    require_finite(gens, "generators")
-    basis = orthonormalize(gens + [dagger(g) for g in gens])
-    if not basis:
-        raise ValueError("generators span only zero")
-    for _ in range(N * N + 1):
-        dim0 = len(basis)
-        products = [a @ b for a in basis for b in basis]
-        basis = orthonormalize(basis + products)
-        if len(basis) == dim0:
-            supp = support_projection(basis, N)
-            return ConcreteAlgebra(ambient_dim=N, basis=basis, support=supp)
-    raise RuntimeError("span growth failed to stabilise")
 
 
 # ---------------------------------------------------------------------------

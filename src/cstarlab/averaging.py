@@ -7,11 +7,13 @@ The central object is the canonical separability element
 w = sum_k (1/n_k) sum_ij e_ij (x) e_ji of A = (+)_k M_{n_k}, the amenability
 average (Johnson 1988).  Every average below is linear in w, so it is
 ``canonical_average`` on the sum_k n_k^2 matrix units, with no unitary
-family formed: the twirl sum_k (1/n_k) sum_ij e_ij y e_ji, the averaged
-intertwiner sum_k (1/n_k) sum_ij f(e_ij) g(e_ji), the repair's twirled
-compression.  The multiplication image of w is the unit, so twirled
-projections commute with the representation to machine precision, and
-intertwiners of exact homomorphisms intertwine exactly.
+family formed: the twirl sum_k (1/n_k) sum_ij e_ij y e_ji and the averaged
+intertwiner sum_k (1/n_k) sum_ij f(e_ij) g(e_ji).  On the repair's
+representation e_ij (x) 1_{r_k} the twirl has a closed form, a partial
+trace per block, so the repair forms neither the representation nor a
+product with it.  The multiplication image of w is the unit, so twirled
+projections commute with the representation exactly, and intertwiners of
+exact homomorphisms intertwine exactly.
 
 The averaging layer draws no samples.  The two suprema over the unit ball
 that it certifies, the repair's ||phi - psi|| and the intertwiner's default
@@ -25,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import FDAlgebra
 from . import certs
 from .certs import Certificate, SpectralGapError
-from .cpmaps import LinMap, cb_bracket, classify, hom_defect, stinespring, ucp_extension
+from .cpmaps import (LinMap, cb_bracket, classify, dilation_images, hom_defect, stinespring,
+                     ucp_extension)
 from .linalg import _BATCH_BYTES, dagger, herm, opnorm, opnorm_max, opnorms, polar_factor, psd_sqrt
 
 __all__ = [
@@ -60,23 +62,18 @@ def _canonical_index(block_sizes) -> tuple[np.ndarray, np.ndarray]:
     return np.array(scale), np.array(flip, dtype=int)
 
 
-def _unit_slices(stack: np.ndarray) -> list[slice]:
-    """Slices of a stack's leading axis in the batches of ``worst_move``."""
-    step = max(32, _BATCH_BYTES // 4 // max(stack[:1].nbytes, 1))
-    return [slice(s, s + step) for s in range(0, len(stack), step)]
-
-
 def canonical_average(block_sizes, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """sum_k (1/n_k) sum_ij left[e_ij] @ right[e_ji] over two stacks indexed
     by the matrix units e_ij of (+)_k M_{n_k} in (k, i, j) order: the
     canonical separability element evaluated on left (x) right.  The twirl of
     y over unit images E, sum_k (1/n_k) sum_ij E_ij y E_ji, is
-    canonical_average(block_sizes, E @ y, E).  Each slice of units
-    (``_unit_slices``) is one contraction over the unit and inner axes, so no
-    stack of the products is formed."""
+    canonical_average(block_sizes, E @ y, E).  Each slice of 32 units or
+    _BATCH_BYTES / 4 of them, whichever is more, is one contraction over the
+    unit and inner axes, so no stack of the products is formed."""
     scale, flip = _canonical_index(block_sizes)
+    step = max(32, _BATCH_BYTES // 4 // max(left[:1].nbytes, 1))
     return sum(np.tensordot(scale[s, None, None] * left[s], right[flip[s]], axes=([0, 2], [0, 1]))
-               for s in _unit_slices(left))
+               for s in (slice(a, a + step) for a in range(0, len(left), step)))
 
 
 # ---------------------------------------------------------------------------
@@ -123,14 +120,12 @@ class RepairResult:
     psi is the repaired map on the original domain, exactly multiplicative up
     to floating point, with ||phi - psi|| <= 8 sqrt(2) gamma^{1/2} on the
     unit ball.  certificates: drift (twirled projection), conjugator,
-    distance (headline), multiplicativity (output defect).  dilation is the
-    Stinespring dilation of the unitized map that the repair compressed.
+    distance (headline), multiplicativity (output defect).
     """
 
     psi: LinMap
     gamma: float
     certificates: dict
-    dilation: object
 
     @property
     def passed(self) -> bool:
@@ -149,7 +144,11 @@ def improve_multiplicativity(phi: LinMap, gamma: float | None = None) -> RepairR
     the compression projection p over the represented matrix units (the twirl
     p0 then commutes with the representation exactly and ||p0 - p|| <=
     2 gamma^{1/2}), cut at the spectral gap around 1/2, conjugate p onto the
-    resulting commutant projection q, and compress the representation.
+    resulting commutant projection q, and compress the representation.  As
+    the representation is e_ij (x) 1_{r_k} on block k, p0 is 1_{n_k} (x)
+    tr_{n_k}(p_kk) / n_k there (tr_{n_k} the partial trace over M_{n_k} of
+    p's diagonal block), the gap check and the cut run on the r_k x r_k
+    blocks, and psi(e_ij) = M_{k,i}* M_{k,j} for M = w V E*.
 
     The ``multiplicativity-repair`` certificate's achieved value is the hi of
     ``cb_bracket(phi - psi)``, a proven bound on sup ||phi(x) - psi(x)|| over
@@ -165,39 +164,35 @@ def improve_multiplicativity(phi: LinMap, gamma: float | None = None) -> RepairR
     certs.require_window("multiplicativity-repair", gamma=gamma)
 
     ext = ucp_extension(phi)
-    fd_ext: FDAlgebra = ext.domain
     # cut the Kraus rank at rounding scale, not at the cp-validation slack:
     # discarded Choi mass reappears verbatim as homomorphism defect of psi
     dil = stinespring(ext, tol_psd=1e-13)
-    K = dil.dilation_dim
-    p = dil.compression
+    V = dil.isometry
+    p = V @ dagger(V)
 
-    # p0 = sum_k (1/n_k) sum_ij pi(e_ij) p pi(e_ji), the twirl of p over the
-    # represented matrix units
-    rep_units = dil.rep_images
-    p0 = herm(canonical_average(fd_ext.block_sizes, rep_units @ p, rep_units))
-    comm = opnorm_max(rep_units[s] @ p0 - p0 @ rep_units[s] for s in _unit_slices(rep_units))
-    drift = opnorm(p0 - p)
-    cert_drift = Certificate.build("twirled-projection-drift", {"gamma": gamma}, drift,
-                                   details={"commutant_residual": float(comm)})
-
-    vals, vecs = np.linalg.eigh(p0)
+    # on block k, p0 = 1_{n_k} (x) t and q = 1_{n_k} (x) (t's projection above the gap)
+    p0, q = np.zeros_like(p), np.zeros_like(p)
     lo, hi = GAP_WINDOW
-    inside = (vals > lo) & (vals < hi)
-    if inside.any():
-        raise SpectralGapError(
-            f"twirled compression has spectrum in ({lo}, {hi}): "
-            f"{vals[inside]}; the repair window is violated")
-    keep = vals >= hi
-    q = (vecs[:, keep] @ dagger(vecs[:, keep])) if keep.any() else np.zeros((K, K), dtype=complex)
+    off = 0
+    for n, r in zip(ext.domain.block_sizes, dil.ranks):
+        at = slice(off, off + n * r)
+        t = herm(np.trace(p[at, at].reshape(n, r, n, r), axis1=0, axis2=2) / n)
+        vals, vecs = np.linalg.eigh(t)
+        inside = (vals > lo) & (vals < hi)
+        if inside.any():
+            raise SpectralGapError(
+                f"twirled compression has spectrum in ({lo}, {hi}): "
+                f"{vals[inside]}; the repair window is violated")
+        keep = vecs[:, vals >= hi]
+        p0[at, at] = np.kron(np.eye(n), t)
+        q[at, at] = np.kron(np.eye(n), keep @ dagger(keep))
+        off += n * r
+    cert_drift = Certificate.build("twirled-projection-drift", {"gamma": gamma}, opnorm(p0 - p))
 
     w, cert_conj = projection_conjugator(p, q)
-    # psi: compress the conjugated representation, restricted to phi's matrix
-    # units, which come first in the extended order
-    V = dil.isometry
-    E = dil.embed
-    rep0 = dil.rep_images[:phi.fd.dim_linear]
-    images = E @ (dagger(V) @ dagger(w) @ rep0 @ w @ V) @ dagger(E)
+    # psi: compress the conjugated representation on phi's blocks, which come
+    # before the extension's block
+    images = dilation_images(phi.fd.block_sizes, dil.ranks, w @ V @ dagger(dil.embed))
     psi = LinMap(phi.domain, phi.codomain_dim, images, codomain_algebra=phi.codomain_algebra)
 
     # ||phi - psi|| <= ||phi - psi||_cb, so the bracket's hi bounds the sup
@@ -206,7 +201,7 @@ def improve_multiplicativity(phi: LinMap, gamma: float | None = None) -> RepairR
                                   details={"cb_lo": cb_lo})
     cert_mult = Certificate.build("repaired-multiplicativity", {}, hom_defect(psi))
 
-    return RepairResult(psi=psi, gamma=float(gamma), dilation=dil,
+    return RepairResult(psi=psi, gamma=float(gamma),
                         certificates={"drift": cert_drift, "conjugator": cert_conj,
                                       "distance": cert_dist, "multiplicativity": cert_mult})
 

@@ -15,7 +15,9 @@ blocks and the reshuffle are reshapes and transposes of the image array, and
 so are the constructions read off them: the Kraus operators of a block are
 its Choi eigenvectors reshaped, the Stinespring isometry stacks those, and
 the Choi noise of ``perturb_choi`` reads its noisy blocks back by the
-inverse reshape.
+inverse reshape.  The dilation's representation e_ij (x) 1_{r_k} is never
+formed: a compression M* pi(e_ij) M is the product M_{k,i}* M_{k,j} of two
+r_k-row slices of M (``dilation_images``).
 
 A map is tested for being a homomorphism one way: ``hom_defect`` reads
 ``FDAlgebra.relation_residual`` on its images, on a block or a concrete
@@ -41,6 +43,7 @@ __all__ = [
     "kraus_operators",
     "StinespringDilation",
     "stinespring",
+    "dilation_images",
     "hom_defect",
     "worst_move",
     "arveson_restrict",
@@ -226,24 +229,16 @@ def _kraus_stack(vecs: np.ndarray, n: int, N: int) -> np.ndarray:
 
 @dataclass
 class StinespringDilation:
-    """Minimal dilation phi(x) = E (V* pi(x) V) E* of a ucp map.
+    """Minimal dilation phi(x) = E V* pi(x) V E* of a ucp map on a block
+    domain (+)_k M_{n_k}, with pi(e_ij) = e_ij (x) 1_{r_k} on block k, r_k the
+    block's Kraus rank, on C^K, K = sum_k n_k r_k, basis ordered (k, i,
+    alpha); pi is never stored.  V: C^{d'} -> C^K is an isometry; E: C^{d'}
+    -> C^N embeds the support corner of the codomain (E = identity when
+    phi(1) = 1).  So phi's images are ``dilation_images`` of M = V E*."""
 
-    pi is a unital *-representation of the block domain on C^K given by its
-    values on matrix units; V: C^{d'} -> C^K is an isometry; E: C^{d'} -> C^N
-    embeds the support corner of the codomain (E = identity when phi(1) = 1).
-    So phi's images are E V* rep_images V E*, and p = V V* is the
-    compression projection.
-    """
-
-    fd: FDAlgebra
-    dilation_dim: int
-    rep_images: np.ndarray      # (dim_linear, K, K)
     isometry: np.ndarray        # K x d'
     embed: np.ndarray           # N x d'
-
-    @property
-    def compression(self) -> np.ndarray:
-        return self.isometry @ dagger(self.isometry)
+    ranks: tuple[int, ...]      # r_k per block
 
 
 def stinespring(phi: LinMap, tol_psd: float = TOL_PSD) -> StinespringDilation:
@@ -253,7 +248,6 @@ def stinespring(phi: LinMap, tol_psd: float = TOL_PSD) -> StinespringDilation:
     compressed to the corner e M_N e; the returned embed isometry undoes the
     compression.
     """
-    fd = phi.fd
     cls = classify(phi)
     if not cls.ucp:
         raise ValueError(
@@ -264,22 +258,31 @@ def stinespring(phi: LinMap, tol_psd: float = TOL_PSD) -> StinespringDilation:
 
     # compressed Kraus stacks (r_k, d', n_k)
     ops = [dagger(E) @ K for K in kraus_operators(phi, tol_psd=tol_psd)]
-    K_total = sum(n * len(K) for n, K in zip(fd.block_sizes, ops))
-    if K_total == 0:
+    if not any(len(K) for K in ops):
         raise ValueError("zero map cannot be ucp")
     # V_k xi = sum_alpha (K_alpha^H xi) tensor e_alpha, K ordering (i, alpha):
     # row (i, alpha) of V_k is row i of K_alpha^H
     V = np.concatenate([dagger(K).swapaxes(0, 1).reshape(-1, E.shape[1]) for K in ops])
-    rep_images = np.zeros((fd.dim_linear, K_total, K_total), dtype=complex)
-    off = 0
-    for n, K, rep in zip(fd.block_sizes, ops, fd.unit_blocks(rep_images)):
-        # pi(e_ij) = e_ij (x) 1_r on the block: ones at [i, j, (i, a), (j, a)]
-        r = len(K)
-        i, j, a = np.ogrid[:n, :n, :r]
-        rep[i, j, off + i * r + a, off + j * r + a] = 1.0
+    return StinespringDilation(isometry=V, embed=E, ranks=tuple(len(K) for K in ops))
+
+
+def _unit_images(W: np.ndarray) -> np.ndarray:
+    """The (n^2, N, N) stack of W_i W_j* in (i, j) order for a stack W of n
+    N x r matrices; matrix units of M_n when the columns of all the W_i are
+    orthonormal together."""
+    return (W[:, None] @ dagger(W[None])).reshape(-1, W.shape[1], W.shape[1])
+
+
+def dilation_images(block_sizes, ranks, M: np.ndarray) -> np.ndarray:
+    """M* pi(e_ij) M over the matrix units in (k, i, j) order, for pi(e_ij) =
+    e_ij (x) 1_{r_k} on block k (``StinespringDilation``) and a K x N matrix
+    M: M_{k,i}* M_{k,j}, M_{k,i} the r_k rows of M at block k and index i.
+    Blocks past the shorter of block_sizes and ranks are left out."""
+    out, off = [], 0
+    for n, r in zip(block_sizes, ranks):
+        out.append(_unit_images(dagger(M[off:off + n * r].reshape(n, r, M.shape[1]))))
         off += n * r
-    return StinespringDilation(fd=fd, dilation_dim=K_total, rep_images=rep_images,
-                               isometry=V, embed=E)
+    return np.concatenate(out)
 
 
 # ---------------------------------------------------------------------------

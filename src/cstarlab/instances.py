@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import ConcreteAlgebra, FDAlgebra, generate_algebra, support_projection
+from .algebra import ConcreteAlgebra, FDAlgebra, support_projection
+from .averaging import improve_multiplicativity
 from .certs import SchemaError, require_finite
 from .cpmaps import LinMap, perturb_choi
 from .linalg import dagger, expm_i, herm, opnorm, random_hermitian, random_unitary, rng_for
@@ -104,8 +105,10 @@ def gen_instance(recipe: str, params: dict, seed: int = 0) -> Instance:
 
     conjugation: B = e^{i eps h} A e^{-i eps h}, h a random ambient
     self-adjoint with ||h|| = 1.  choi-noise: perturb the block embedding's
-    Choi blocks by Hermitian HS noise of size eps, clip back to psd, and
-    generate B from the perturbed images.  block-rotation: conjugation with a
+    Choi blocks by Hermitian HS noise of size eps, clip back to psd, scale
+    the map by 1 / (||phi(1)|| (1 + 1e-12)) into a cpc map, repair it
+    (``improve_multiplicativity``), and take B as the span of the repaired
+    images, so dim B = dim A.  block-rotation: conjugation with a
     generator supported on one structural block of A, so the other blocks do
     not move.  The params keys are PARAMS; any other key is a SchemaError.
     """
@@ -146,10 +149,12 @@ def gen_instance(recipe: str, params: dict, seed: int = 0) -> Instance:
         return Instance(A=A, B=B, recipe=recipe, params=params,
                         true_unitary=u, seed=seed)
 
-    # choi-noise
+    # choi-noise: the noisy map, scaled to a contraction, repairs to a
+    # *-homomorphism whose image is B
     struct = A.structure()
-    psi = perturb_choi(LinMap(struct.fd_model(), N, struct.matrix_units), eps, rng)
-    B = generate_algebra(list(psi.images), N)
+    noisy = perturb_choi(LinMap(struct.fd_model(), N, struct.matrix_units), eps, rng)
+    noisy = noisy.scaled(1.0 / (opnorm(noisy.value_on_unit()) * (1.0 + 1e-12)))
+    B = ConcreteAlgebra.from_basis(improve_multiplicativity(noisy).psi.images, N)
     return Instance(A=A, B=B, recipe=recipe, params=params,
                     true_unitary=None, seed=seed)
 

@@ -101,21 +101,19 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float, X_A,
         raise ContradictionError(f"E_B moves X by {cert_phi.achieved:.3g}: d(A, B) > eta/2")
     phi_defect = hom_defect(phi)
     repair_gamma = float(np.maximum(3.0 * eta, phi_defect))  # a nan defect stays nan
-    theta_raw = improve_multiplicativity(phi, gamma=repair_gamma).psi
-    theta = LinMap(A, A.ambient_dim, B.project(theta_raw.images), codomain_algebra=B)
+    theta = improve_multiplicativity(phi, gamma=repair_gamma).psi
     trace = [StageRecord(n_Z=len(X_close), phi_closeness=cert_phi.achieved,
                          phi_defect=phi_defect)]
 
-    # final map: re-project theta into the codomain span
-    worst_membership = np.maximum(B.membership_residual(theta_raw.images),
-                                  B.membership_residual(theta.images))
+    # final map: snap the repaired images into B's span, after measuring
+    # how far they are from it
+    cert_member = Certificate.build("image-membership", {}, B.membership_residual(theta.images))
     alpha = LinMap(A, A.ambient_dim, B.project(theta.images), codomain_algebra=B)
 
     cert_close = Certificate.build("iso-closeness",
                                    {"eta": eta, "mu": mu, "n_points": len(X_close)},
                                    worst_move(alpha, X_close))
     cert_hom = Certificate.build("homomorphism", {}, hom_defect(alpha))
-    cert_member = Certificate.build("image-membership", {}, worst_membership)
 
     action = B.coeffs(alpha(A.basis)).T  # from A's HS-orthonormal basis onto B's
     svals = np.linalg.svd(action, compute_uv=False)

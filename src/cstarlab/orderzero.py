@@ -20,10 +20,10 @@ import numpy as np
 from .algebra import ConcreteAlgebra, FDAlgebra
 from . import certs
 from .certs import TOL_ALG, Certificate, ContradictionError
-from .cpmaps import LinMap, cb_bracket, classify, worst_move
+from .cpmaps import LinMap, _unit_images, cb_bracket, classify, worst_move
 from .geometry import tensor_lift
 from .intertwine import intertwining_iso
-from .linalg import dagger, herm, opnorm, opnorm_max, psd_pinv, psd_sqrt
+from .linalg import herm, opnorm, opnorm_max, psd_pinv, psd_sqrt
 
 __all__ = [
     "OrderZeroMap",
@@ -112,13 +112,6 @@ def is_order_zero(phi: LinMap) -> bool:
 # ---------------------------------------------------------------------------
 # perturbation into a nearby algebra
 # ---------------------------------------------------------------------------
-
-def _unit_images(W: np.ndarray) -> np.ndarray:
-    """The (n^2, N, N) stack of W_i W_j* in (i, j) order for a stack W of n
-    N x r matrices; matrix units of M_n when the columns of all the W_i are
-    orthonormal together."""
-    return (W[:, None] @ dagger(W[None])).reshape(-1, W.shape[1], W.shape[1])
-
 
 def perturb_order_zero(oz: OrderZeroMap, B: ConcreteAlgebra,
                        gamma: float) -> tuple[LinMap, Certificate]:

@@ -160,6 +160,23 @@ def to_concrete(struct: BlockStructure, m: np.ndarray) -> np.ndarray:
     return _combine(struct.fd_model().coeffs(m), struct.matrix_units)
 
 
+def dilation_representation(block_sizes, ranks) -> np.ndarray:
+    """The representation of a Stinespring dilation built entry by entry:
+    the (dim_linear, K, K) stack of pi(e_ij) = e_ij (x) 1_{r_k} on block k,
+    K = sum_k n_k r_k, with the basis ordered (k, i, alpha)."""
+    K = sum(n * r for n, r in zip(block_sizes, ranks))
+    out, off = [], 0
+    for n, r in zip(block_sizes, ranks):
+        for i in range(n):
+            for j in range(n):
+                m = np.zeros((K, K), dtype=complex)
+                for a in range(r):
+                    m[off + i * r + a, off + j * r + a] = 1.0
+                out.append(m)
+        off += n * r
+    return np.array(out)
+
+
 def weyl_unitaries(n: int) -> list[np.ndarray]:
     """The n^2 shift-and-phase unitaries S^a D^b of M_n.
 

@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cstarlab.algebra import (ConcreteAlgebra, FDAlgebra,
-                              generate_algebra, orthonormalize, support_projection,
+from cstarlab.algebra import (ConcreteAlgebra, FDAlgebra, orthonormalize, support_projection,
                               wedderburn_decompose)
 from cstarlab.instances import block_algebra, gen_instance
 import cstarlab
@@ -105,20 +104,6 @@ def test_fd_coeffs_round_trip_pinches(profile):
 def test_fd_unit_is_identity():
     fd = FDAlgebra((2, 2))
     assert np.allclose(fd.unit(), np.eye(4))
-
-
-def test_generate_algebra_closure():
-    rng = rng_for(0, "gen")
-    u = random_unitary(rng, 4)
-    g = np.zeros((4, 4), dtype=complex)
-    g[:2, :2] = random_hermitian(rng, 2)
-    A = generate_algebra([u @ g @ dagger(u)], 4)
-    cert = verify_algebra(A)
-    assert cert.passed
-    for a in A.basis:
-        for b in A.basis:
-            assert A.residual(a @ b) < 1e-9
-            assert A.residual(dagger(a)) < 1e-9
 
 
 def test_basis_hs_orthonormal():
@@ -473,8 +458,6 @@ def test_non_finite_algebra_data_is_a_schema_error(bad):
         ConcreteAlgebra(ambient_dim=2, basis=(np.eye(2),), support=x)
     with pytest.raises(SchemaError):
         ConcreteAlgebra.from_basis([np.eye(2), x], 2)
-    with pytest.raises(SchemaError):
-        generate_algebra([x], 2)
 
 
 @pytest.mark.parametrize("basis,support,message", [

@@ -7,8 +7,8 @@ import pytest
 from scipy.linalg import block_diag, expm
 
 from cstarlab import averaging
-from cstarlab.algebra import FDAlgebra
-from cstarlab.linalg import dagger, opnorm, opnorm_max
+from cstarlab.algebra import ConcreteAlgebra, FDAlgebra
+from cstarlab.linalg import dagger, herm, opnorm, opnorm_max
 from cstarlab.averaging import (
     canonical_average,
     improve_multiplicativity,
@@ -16,11 +16,12 @@ from cstarlab.averaging import (
     projection_conjugator,
 )
 from cstarlab.certs import SpectralGapError, WindowError, on_track
-from cstarlab.cpmaps import LinMap, arveson_restrict, hom_defect, worst_move
+from cstarlab.cpmaps import (LinMap, arveson_restrict, hom_defect, stinespring, ucp_extension,
+                             worst_move)
 from cstarlab.instances import _rotated_embedding, block_algebra, gen_instance
 from cstarlab.linalg import expm_i, random_hermitian, random_unitary, rng_for
-from helpers import (MULTIPLICITY_CASES, hs_inner, matrix_unit, multiplicity_algebra,
-                     phase_family, verify_averaging_set, weyl_unitaries)
+from helpers import (MULTIPLICITY_CASES, dilation_representation, hs_inner, matrix_unit,
+                     multiplicity_algebra, phase_family, verify_averaging_set, weyl_unitaries)
 
 PROFILES = [(1,), (2,), (1, 1), (2, 1), (3,), (2, 2), (2, 1, 1), (2, 3, 1)]
 
@@ -113,27 +114,123 @@ def test_pair_matches_phase_family_sum(sizes):
     assert opnorm(canonical_average(sizes, f.images, g.images) - explicit) < 1e-13
 
 
+def nearly_multiplicative(fd: FDAlgebra, N: int, diag) -> LinMap:
+    """The average of the block embedding of fd into M_N and its conjugate
+    by exp(0.05 i diag(diag)): a cpc map with a small multiplicativity
+    defect."""
+    hom = embedded(fd, N)
+    v = expm(1j * 0.05 * np.diag(diag))
+    return LinMap(fd, N, tuple(0.5 * a + 0.5 * (v @ a @ dagger(v)) for a in hom.images))
+
+
+def explicit_repair(phi: LinMap):
+    """The repair through the explicit representation e_ij (x) 1_{r_k} of its
+    dilation: p0 the canonical average over that stack, q the cut of p0's
+    full eigendecomposition at the gap, and psi(e_ij) = E V* w* pi(e_ij) w V
+    E*.  Returns the dilation, psi's images and the drift ||p0 - p||."""
+    ext = ucp_extension(phi)
+    dil = stinespring(ext, tol_psd=1e-13)
+    V = dil.isometry
+    R = dilation_representation(ext.domain.block_sizes, dil.ranks)
+    p = V @ dagger(V)
+    p0 = herm(canonical_average(ext.domain.block_sizes, R @ p, R))
+    vals, vecs = np.linalg.eigh(p0)
+    keep = vecs[:, vals >= averaging.GAP_WINDOW[1]]
+    w, _ = projection_conjugator(p, keep @ dagger(keep))
+    M = w @ V @ dagger(dil.embed)
+    return dil, dagger(M) @ R[:phi.fd.dim_linear] @ M, opnorm(p0 - p)
+
+
 # summation order: canonical_average's twirls and pairings meet their oracles
 @pytest.mark.summation_order
 def test_repair_twirl_matches_phase_family_sum():
     fd = FDAlgebra((2, 1))
-    hom = embedded(fd, 4)
-    v = expm(1j * 0.05 * np.diag([0.0, 1.0, 0.0, -1.0]))
-    phi = LinMap(fd, 4, tuple(0.5 * a + 0.5 * (v @ a @ dagger(v)) for a in hom.images))
+    phi = nearly_multiplicative(fd, 4, [0.0, 1.0, 0.0, -1.0])
     rep = improve_multiplicativity(phi)
-    dil = rep.dilation
-    p = dil.compression
+    ext = ucp_extension(phi)
+    dil = stinespring(ext, tol_psd=1e-13)
+    p = dil.isometry @ dagger(dil.isometry)
     # pi at each unitary of the family, as the LinMap of pi's unit images
-    weights, terms = phase_family(dil.fd)
-    pi = LinMap(dil.fd, dil.dilation_dim, dil.rep_images)(terms)
+    R = dilation_representation(ext.domain.block_sizes, dil.ranks)
+    weights, terms = phase_family(ext.domain)
+    pi = LinMap(ext.domain, len(p), R)(terms)
     explicit = sum(w * (dagger(pu) @ p @ pu) for w, pu in zip(weights, pi))
-    R = np.array(dil.rep_images)
-    p0 = canonical_average(dil.fd.block_sizes, R @ p, R)
+    p0 = canonical_average(ext.domain.block_sizes, R @ p, R)
     assert opnorm(p0 - explicit) < 1e-13
     # the repair's drift certificate measures the same twirled projection
     drift = rep.certificates["drift"].achieved
     assert drift > 1e-3
     assert abs(drift - opnorm(explicit - p)) < 1e-13
+
+
+def _vanishing_on_a_block() -> LinMap:
+    # block 0 of (2, 1) nearly multiplicative, block 1 sent to zero
+    phi = nearly_multiplicative(FDAlgebra((2, 1)), 4, [0.0, 1.0, 0.0, -1.0])
+    return LinMap(phi.domain, 4, np.concatenate([phi.images[:4], np.zeros((1, 4, 4))]))
+
+
+def _on_a_multiplicity_domain() -> LinMap:
+    # the expectation onto a conjugate of M_2 (x) 1_3, restricted to it
+    A, _ = multiplicity_algebra(((2, 3),), 6, seed=5)
+    h = random_hermitian(rng_for(5, "test-explicit-repair"), 6)
+    return arveson_restrict(A, A.conjugated(expm_i(0.05 * h / opnorm(h))), [], gamma=0.0)[0]
+
+
+# summation order: the closed-form repair meets the explicit twirl and compression
+@pytest.mark.summation_order
+@pytest.mark.parametrize("make, rank_checks", [
+    (lambda: nearly_multiplicative(FDAlgebra((2, 1)), 4, [0.0, 1.0, 0.0, -1.0]),
+     {-1: lambda r: r > 0}),
+    (lambda: nearly_multiplicative(FDAlgebra((2, 2)), 4, [0.0, 1.0, 0.5, -1.0]),
+     {-1: lambda r: r == 0}),
+    (_on_a_multiplicity_domain, {}),
+    (_vanishing_on_a_block, {1: lambda r: r == 0}),
+], ids=["non-unital-2,1/4", "unital-2,2/4", "M2x1_3/6", "vanishing-block"])
+def test_repair_matches_the_explicit_representation(make, rank_checks):
+    # the closed form (partial traces on r_k x r_k blocks, psi through
+    # dilation_images) against the twirl over the explicit e_ij (x) 1_r
+    # stack and the compression of that stack
+    phi = make()
+    rep = improve_multiplicativity(phi)
+    dil, images, drift = explicit_repair(phi)
+    assert all(check(dil.ranks[k]) for k, check in rank_checks.items())
+    assert opnorm_max(rep.psi.images - images) <= 1e-13
+    assert abs(rep.certificates["drift"].achieved - drift) <= 1e-13
+    assert rep.passed and drift > 0.0
+
+
+# summation order: canonical_average's twirls and pairings meet their oracles
+@pytest.mark.summation_order
+@pytest.mark.parametrize("sizes, ranks", [((2, 1), (3, 2)), ((2, 2, 1), (1, 0, 2)), ((3,), (2,))])
+def test_twirl_over_dilation_units_is_a_partial_trace(sizes, ranks):
+    # over pi(e_ij) = e_ij (x) 1_{r_k}, the canonical average of y is
+    # 1_{n_k} (x) tr_{n_k}(y_kk) / n_k on block k and zero off the blocks
+    R = dilation_representation(sizes, ranks)
+    K = R.shape[1]
+    rng = rng_for(13, "twirl-partial-trace", *sizes)
+    y = rng.standard_normal((K, K)) + 1j * rng.standard_normal((K, K))
+    expect, off = np.zeros((K, K), dtype=complex), 0
+    for n, r in zip(sizes, ranks):
+        block = y[off:off + n * r, off:off + n * r].reshape(n, r, n, r)
+        expect[off:off + n * r, off:off + n * r] = np.kron(
+            np.eye(n), sum(block[i, :, i, :] for i in range(n)) / n)
+        off += n * r
+    assert opnorm(canonical_average(sizes, R @ y, R) - expect) < 1e-13
+
+
+# summation order: canonical_average's twirls and pairings meet their oracles
+@pytest.mark.summation_order
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_twirl_closed_forms(n):
+    # the twirl over A's matrix units in closed form: diag(h) on D_n,
+    # tr(h)/n 1 on unital M_n, and h itself on C 1
+    h = random_hermitian(rng_for(14, "twirl-closed-forms", n), n)
+    for A, want in ((ConcreteAlgebra.diagonal(n), np.diag(np.diag(h))),
+                    (ConcreteAlgebra.full(n), np.trace(h) / n * np.eye(n)),
+                    (ConcreteAlgebra.from_basis([np.eye(n)], n), h)):
+        struct = A.structure()
+        E = struct.matrix_units
+        assert opnorm(canonical_average(struct.block_sizes, E @ h, E) - want) < 1e-12
 
 
 # summation order: canonical_average's twirls and pairings meet their oracles

@@ -17,6 +17,7 @@ from cstarlab.cpmaps import (
     cb_bracket,
     choi_blocks,
     classify,
+    dilation_images,
     hom_defect,
     kraus_operators,
     perturb_choi,
@@ -26,8 +27,8 @@ from cstarlab.cpmaps import (
 )
 from cstarlab.instances import block_algebra, gen_instance
 from cstarlab.linalg import herm, opnorm_max, opnorms, random_complex, random_unitary, rng_for
-from helpers import (MULTIPLICITY_CASES, choi, conditional_expectation, from_choi, matrix_unit,
-                     mult_defects, multiplicity_algebra)
+from helpers import (MULTIPLICITY_CASES, choi, conditional_expectation, dilation_representation,
+                     from_choi, matrix_unit, mult_defects, multiplicity_algebra)
 
 
 def random_ucp(fd: FDAlgebra, N: int, seed: int = 0) -> LinMap:
@@ -200,15 +201,19 @@ def test_stinespring_reconstructs(sizes):
     phi = random_ucp(fd, 4, seed=sum(sizes))
     dil = stinespring(phi)
     V, E = dil.isometry, dil.embed
-    # phi = E V* pi(.) V E*, with pi(x) the LinMap of pi's unit images at x
-    pi = LinMap(fd, dil.dilation_dim, dil.rep_images)
+    # phi = E V* pi(.) V E* for pi(e_ij) = e_ij (x) 1_{r_k}, built entry by
+    # entry from the ranks, and dilation_images reads the same compression
+    R = dilation_representation(sizes, dil.ranks)
+    assert len(V) == sum(n * r for n, r in zip(sizes, dil.ranks))
+    pi = LinMap(fd, len(V), R)
     rng = rng_for(99, "stinespring-check")
     for x in fd.random_elements(rng, 4):
         assert opnorm(E @ dagger(V) @ pi(x) @ V @ dagger(E) - phi(x)) < 1e-10
-    # pi is a unital *-representation: exact matrix-unit relations, and the
-    # diagonal units sum to the identity of the dilation space
-    assert fd.relation_residual(dil.rep_images) < 1e-10
-    assert opnorm(pi(fd.unit()) - np.eye(dil.dilation_dim)) < 1e-10
+    assert opnorm_max(dilation_images(sizes, dil.ranks, V @ dagger(E)) - phi.images) < 1e-10
+    # the explicit pi is a unital *-representation: exact matrix-unit
+    # relations, and the diagonal units sum to the identity of the dilation
+    assert fd.relation_residual(R) == 0.0
+    assert opnorm(pi(fd.unit()) - np.eye(len(V))) == 0.0
 
 
 def test_stinespring_isometry_for_ucp():
@@ -217,7 +222,9 @@ def test_stinespring_isometry_for_ucp():
     dil = stinespring(phi)
     v = dil.isometry
     assert opnorm(dagger(v) @ v - np.eye(v.shape[1])) < 1e-10
-    p = dil.compression
+    # the ranks are the Kraus ranks, the numbers of kept Choi eigenvalues
+    assert dil.ranks == tuple(len(K) for K in kraus_operators(phi, TOL_PSD))
+    p = v @ dagger(v)
     assert opnorm(p @ p - p) < 1e-10
 
 

@@ -134,12 +134,21 @@ def test_block_rotation_index_validated():
         gen_instance("block-rotation", {"algebra": "M2", "block": 3}, seed=0)
 
 
+# the block profiles of the benchmark ladder, with their ambient sizes
+LADDER = [("M2", 4), ("M2+M1", 4), ("diag3", 4), ("M2+M2", 6), ("3,3", 8), ("2,2,2", 8)]
+
+
 def test_choi_noise_yields_algebra():
-    inst = gen_instance("choi-noise", {"algebra": "M2+M1", "eps": 1e-4}, seed=9)
-    assert inst.true_unitary is None
-    cert = verify_algebra(inst.B)
-    assert cert.verdict == "pass"
-    assert inst.dist_hint() is None
+    # the repaired noisy embedding is a *-homomorphism, so its image B is a
+    # *-algebra of A's dimension on every ladder profile, at small and at
+    # larger noise
+    for algebra, ambient in LADDER:
+        for eps in (1e-6, 1e-2):
+            inst = gen_instance("choi-noise", {"algebra": algebra, "ambient": ambient,
+                                               "eps": eps}, seed=9)
+            assert inst.true_unitary is None and inst.dist_hint() is None
+            assert inst.B.dim == inst.A.dim, (algebra, eps)
+            assert verify_algebra(inst.B).verdict == "pass", (algebra, eps)
 
 
 def test_random_order_zero_embeds():

@@ -443,13 +443,16 @@ def test_subspace_residual_keeps_a_nan_membership(monkeypatch, slot):
 
 @pytest.mark.parametrize("slot", [0, 1])
 def test_image_membership_keeps_a_nan_residual(monkeypatch, slot):
-    # the membership certificate reads the larger residual of the repaired
-    # images and of their projection into B; a nan in either slot fails it
+    # the membership certificate reads one residual, that of the repaired
+    # images before they are snapped into B: a nan there (slot 0) fails it,
+    # and no later residual is read (slot 1 puts the nan second)
     A, B, u = conjugated_pair((2, 1), 3, 1e-5, 4)
     gamma = 2.0 * opnorm(u - np.eye(3))
     residuals = iter(np.roll([float("nan"), 0.0], slot))
-    monkeypatch.setattr(B, "membership_residual", lambda x: next(residuals))
+    seen = []
+    monkeypatch.setattr(B, "membership_residual", lambda x: seen.append(x) or next(residuals))
     res = intertwine.intertwining_iso(A, B, 2.0 * gamma, X_A=A.normalized_basis,
                                       mu=1e-4)
     cert = res.certificates["image-membership"]
-    assert np.isnan(cert.achieved) and not cert.passed
+    assert len(seen) == 1 and B.residual(seen[0]).max() > 0.0
+    assert np.isnan(cert.achieved) != cert.passed and np.isnan(cert.achieved) == (slot == 0)

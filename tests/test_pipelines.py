@@ -155,6 +155,22 @@ def test_render_unknown_format_rejected():
 def test_choi_noise_instance_through_dist():
     inst = gen_instance("choi-noise", {"algebra": "M2", "eps": 1e-6}, seed=2)
     report = run_pipeline(inst, "dist", seed=2)
-    # no constructive hint: the ceiling falls back to the trivial bound
+    # no constructive hint: the ceiling falls back to the trivial bound; B
+    # is the repaired image, of A's dimension, and the sampled bracket puts
+    # it within eps of A (the sampled hi is an estimate, not a bound)
     assert report.ok
     assert report.certificates["distance-interval"].ceiling == 2.0
+    assert report.notes["dim_B"] == report.notes["dim_A"] == 4
+    assert 0.0 < report.notes["interval"]["hi"] <= 1e-6
+
+
+@pytest.mark.parametrize("algebra, ambient", [("M2", 4), ("3,3", 8)])
+@pytest.mark.parametrize("pipeline", PIPELINES)
+def test_every_pipeline_passes_on_choi_noise(pipeline, algebra, ambient):
+    # a choi-noise pair has dim B = dim A, so the isomorphism pipelines run
+    # on it from the sampled distance, with no generating unitary
+    inst = gen_instance("choi-noise", {"algebra": algebra, "ambient": ambient, "eps": 1e-6},
+                        seed=2)
+    report = run_pipeline(inst, pipeline, seed=2)
+    assert report.ok, {k: c.verdict for k, c in report.certificates.items()}
+    assert report.notes.get("gamma_source", "sampled-distance") == "sampled-distance"

@@ -30,7 +30,7 @@ KNOBS = 27
 # the walk that does not enter the selftest also leaves the selftest's data
 # generators and the decomposition verifiers that item 23 wires into oz-embed
 SELFTEST_ONLY = {
-    "algebra.ConcreteAlgebra.from_basis", "algebra.FDAlgebra.random_elements",
+    "algebra.FDAlgebra.random_elements",
     "instances._rotated_embedding", "instances.hat_decomposition",
     "instances.random_order_zero", "linalg.random_unitary",
     "orderzero.split_decomposition",

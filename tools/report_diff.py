@@ -11,8 +11,10 @@ more than 1e-9 relative, every verdict that changed, every certificate that
 one tree has and the other lacks, and every op that raised on one side only,
 and counts those lines.  Below that count it prints every scalar ``details``
 value that moved by more than 1e-9 relative and every formula whose text
-changed, with a count of its own.  It exits 0 whatever it finds; it fails
-only when a tree cannot be run.
+changed, with a count of its own.  An achieved or details line whose value
+moved by at most 1e-13 absolute ends in ``(rounding)``, and each count gives
+how many of its lines do.  It exits 0 whatever it finds; it fails only when a
+tree cannot be run.
 """
 
 import json
@@ -20,6 +22,8 @@ import subprocess
 import sys
 
 REL = 1e-9
+# a move of at most this much, absolute, is marked as rounding
+ROUNDING = 1e-13
 
 
 def run(src):
@@ -50,7 +54,12 @@ def moved(a, b) -> bool:
 
 
 def shift(a, b) -> str:
-    return f"{a!r} -> {b!r} ({(b - a) / max(abs(a), abs(b)):+.3g})"
+    tag = " (rounding)" if abs(b - a) <= ROUNDING else ""
+    return f"{a!r} -> {b!r} ({(b - a) / max(abs(a), abs(b)):+.3g}){tag}"
+
+
+def rounding(lines) -> int:
+    return sum(line.endswith(" (rounding)") for line in lines)
 
 
 def diff(parent, change):
@@ -87,9 +96,11 @@ def main(argv):
     parent_src, change_src = argv
     lines, more = diff(run(parent_src), run(change_src))
     print("\n".join(lines + [f"{len(lines)} certificate differences "
-                             f"(achieved by more than {REL:g} relative, or verdicts)"]
+                             f"(achieved by more than {REL:g} relative, or verdicts), "
+                             f"{rounding(lines)} of them rounding (at most {ROUNDING:g} absolute)"]
                     + more + [f"{len(more)} details and formula differences "
-                              f"(scalar details by more than {REL:g} relative, or formula text)"]))
+                              f"(scalar details by more than {REL:g} relative, or formula text), "
+                              f"{rounding(more)} of them rounding (at most {ROUNDING:g} absolute)"]))
 
 
 if __name__ == "__main__":
