@@ -9,7 +9,7 @@ from .averaging import (IntertwinerResult, RepairResult, canonical_average,
                         improve_multiplicativity, intertwining_unitary,
                         projection_conjugator)
 from .certs import (BOUNDS, Certificate, ContradictionError, SchemaError,
-                    SpectralGapError, WindowError, on_track, provenance_stamp)
+                    SpectralGapError, WindowError, on_track)
 from .cpmaps import (LinMap, StinespringDilation, Ternary, arveson_restrict,
                      cb_bracket, choi_blocks, classify, kraus_operators,
                      stinespring, ucp_extension)
@@ -46,7 +46,7 @@ __all__ = [
     "is_order_zero", "kk_distance", "kraus_operators", "load", "loads",
     "near_embed_nucdim", "near_embedding_nuclear", "nearest_in_span",
     "nucdim_cpc_transfer", "on_track", "perturb_order_zero",
-    "projection_conjugator", "provenance_stamp",
+    "projection_conjugator",
     "random_order_zero", "render_report", "run_pipeline", "save",
     "split_decomposition", "stinespring", "structure_decompose",
     "tensor_lift", "ucp_extension", "verify_nucdim_decomposition",

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import certs
 from .certs import Certificate, SpectralGapError
-from .cpmaps import (LinMap, cb_bracket, classify, dilation_images, hom_defect, stinespring,
+from .cpmaps import (LinMap, cb_bracket, dilation_images, hom_defect, stinespring,
                      ucp_extension)
 from .linalg import _BATCH_BYTES, dagger, herm, opnorm, opnorm_max, opnorms, polar_factor, psd_sqrt
 
@@ -154,16 +154,11 @@ def improve_multiplicativity(phi: LinMap, gamma: float | None = None) -> RepairR
     ``cb_bracket(phi - psi)``, a proven bound on sup ||phi(x) - psi(x)|| over
     the unit ball; the bracket's lo is in its details as ``cb_lo``.
     """
-    cls = classify(phi)
-    if not cls.cpc:
-        raise ValueError(
-            f"repair requires a cpc map (||phi(1)|| = {cls.norm_of_unit:.6g}, "
-            f"choi min eig {cls.choi_min_eig:.2e})")
+    ext = ucp_extension(phi)  # raises ValueError unless phi is cpc
     if gamma is None:
         gamma = hom_defect(phi)
     certs.require_window("multiplicativity-repair", gamma=gamma)
 
-    ext = ucp_extension(phi)
     # cut the Kraus rank at rounding scale, not at the cp-validation slack:
     # discarded Choi mass reappears verbatim as homomorphism defect of psi
     dil = stinespring(ext, tol_psd=1e-13)

@@ -8,8 +8,9 @@ timestamps so reruns from the same seed are byte-identical.
 
 :data:`BOUNDS` is the one table of the paper's bounds: per certificate name,
 the formula text, the ceiling as a function of the ``inputs``, the slack and
-the hypothesis windows.  ``Certificate.build`` looks them up, so a stored
-ceiling can be recomputed from its inputs (``cstarlab report`` does).
+the hypothesis windows.  ``Certificate.build`` looks them up, and
+``Certificate.from_dict`` rebuilds every stored certificate through it, so a
+file whose formula, slack or ceiling is not the table's does not load.
 
 The numeric tolerances are the constants below, which the routines read
 directly.  The certification track is one run-level setting, :data:`TRACK`,
@@ -200,8 +201,8 @@ class Certificate:
     verdict is "pass" iff achieved <= ceiling + slack, else "fail"; a
     verifier may also set "fail" on a certificate within its ceiling when an
     invariant it checks fails.  ``build`` takes the formula, ceiling and
-    slack from ``BOUNDS`` and stamps ``provenance_stamp()`` when it is given
-    no provenance.
+    slack from ``BOUNDS``, and ``from_dict`` rebuilds a stored certificate
+    through it.  The run's provenance is the report's, not the certificate's.
     """
 
     name: str
@@ -211,19 +212,17 @@ class Certificate:
     achieved: float
     verdict: str
     slack: float = 0.0
-    provenance: dict = field(default_factory=dict)
     details: dict = field(default_factory=dict)
 
     @classmethod
     def build(cls, name: str, inputs: dict, achieved: float,
-              details: dict | None = None, provenance: dict | None = None) -> "Certificate":
+              details: dict | None = None) -> "Certificate":
         bound = BOUNDS[name]
         inputs = {k: _plain(v) for k, v in inputs.items()}
         ceiling = float(bound.ceiling(inputs))
         return cls(name=name, formula=bound.formula, inputs=inputs, ceiling=ceiling,
                    achieved=float(achieved), slack=float(bound.slack),
                    verdict="pass" if achieved <= ceiling + bound.slack else "fail",
-                   provenance=provenance_stamp() if provenance is None else dict(provenance),
                    details=dict(details or {}))
 
     @property
@@ -233,26 +232,57 @@ class Certificate:
     def to_dict(self) -> dict:
         d = asdict(self)
         d["kind"] = "certificate"
-        d["schema_version"] = 1
+        d["schema_version"] = 2
         return d
 
     @classmethod
-    def from_dict(cls, d: dict) -> "Certificate":
-        d = dict(d)
-        d.pop("kind", None)
-        d.pop("schema_version", None)
-        return cls(**d)
+    def from_dict(cls, d: dict, path: str) -> "Certificate":
+        """The stored certificate d at JSON path ``path``, rebuilt with
+        ``build`` from its name, inputs, achieved value and details.
+
+        Raises SchemaError naming ``<path>.<field>`` for a missing required
+        field, an unknown field, a ceiling, achieved value or slack that is
+        not a number, inputs or details that are not an object, a verdict
+        other than "pass" or "fail", a name that is not in BOUNDS, inputs
+        its ceiling cannot be computed from, and a stored formula, slack or
+        ceiling that differs from the rebuilt one.  The stored verdict is
+        kept: a "pass" above ceiling + slack loads, and its readers judge
+        it.
+        """
+        for key in _REQUIRED:
+            if key not in d:
+                raise SchemaError(f"missing field {path}.{key}")
+        if unknown := sorted(set(d) - _FIELDS):
+            raise SchemaError(f"unknown field {path}.{unknown[0]}")
+        for key in ("ceiling", "achieved", "slack"):
+            v = d.get(key, 0.0)
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise SchemaError(f"{path}.{key} is {v!r}, not a number")
+        for key in ("inputs", "details"):
+            if not isinstance(d.get(key, {}), dict):
+                raise SchemaError(f"{path}.{key} is {d[key]!r}, not an object")
+        if d["verdict"] not in ("pass", "fail"):
+            raise SchemaError(f"{path}.verdict is {d['verdict']!r}, not 'pass' or 'fail'")
+        if not isinstance(d["name"], str) or d["name"] not in BOUNDS:
+            raise SchemaError(f"{path}.name is {d['name']!r}, not a certificate of certs.BOUNDS")
+        try:
+            cert = cls.build(d["name"], d["inputs"], d["achieved"], d.get("details"))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(f"{path}.inputs do not give the ceiling of {d['name']!r} "
+                              f"({type(exc).__name__}: {exc})") from exc
+        for key in ("formula", "slack", "ceiling"):
+            if key in d and d[key] != getattr(cert, key):
+                raise SchemaError(f"{path}.{key} is {d[key]!r}, but BOUNDS gives "
+                                  f"{getattr(cert, key)!r} for its inputs")
+        cert.verdict = d["verdict"]
+        return cert
+
+
+# the fields of a stored certificate: those it must carry, then the rest
+_REQUIRED = ("name", "formula", "inputs", "ceiling", "achieved", "verdict")
+_FIELDS = set(_REQUIRED) | {"slack", "details", "kind", "schema_version"}
 
 
 def _plain(v):
     """A numpy scalar as the Python number it holds; anything else as is."""
     return v.item() if isinstance(v, np.generic) else v
-
-
-def provenance_stamp(seed=None) -> dict:
-    """Uniform provenance payload for certificates (no timestamps); the one
-    ``Certificate.build`` stamps when it is given none."""
-    out = {"package": "cstarlab-0.1.0", "numpy": np.__version__}
-    if seed is not None:
-        out["seed"] = int(seed)
-    return out

@@ -208,19 +208,14 @@ def kraus_operators(phi: LinMap, tol_psd: float) -> list[np.ndarray]:
     """Per-block Kraus operators of a cp map, one (r_k, N, n_k) stack per
     block, from the eigendecomposition of its Choi blocks (eigenvalues below
     tol_psd are discarded): K e_j = sqrt(lam) v[(j, :)] for each kept
-    eigenpair (lam, v)."""
+    eigenpair (lam, v), its column read as an n_k x N matrix and transposed."""
     out = []
     for n, C in zip(phi.fd.block_sizes, choi_blocks(phi)):
         vals, vecs = np.linalg.eigh(herm(C))
         keep = vals >= tol_psd
-        out.append(_kraus_stack(np.sqrt(vals[keep]) * vecs[:, keep], n, phi.codomain_dim))
+        K = (np.sqrt(vals[keep]) * vecs[:, keep]).T
+        out.append(K.reshape(len(K), n, phi.codomain_dim).swapaxes(1, 2))
     return out
-
-
-def _kraus_stack(vecs: np.ndarray, n: int, N: int) -> np.ndarray:
-    """The (r, N, n) stack of the columns of an (n N, r) matrix, each read
-    as an n x N matrix (rows indexed by the domain block) and transposed."""
-    return vecs.T.reshape(vecs.shape[1], n, N).swapaxes(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -412,13 +407,12 @@ def cb_bracket(phi: LinMap) -> tuple[float, float]:
     TOL_PSD lets through; eigenvalues within 2 n eps ||C|| of zero are
     rounding), both rounded outward by one margin: the sum of d positive
     images errs by at most (d + 2) N eps ||phi(1)||, the SVD by 2 N eps
-    ||phi(1)||, and the margin doubles both.  Otherwise hi is the best
-    factorization bound (``_factor_bound``) over Kraus-type decompositions
-    from the Choi eigendecomposition and the reshuffled SVD, and lo is the
-    swap witness ||(phi (x) id_d)(W)||, W = sum_ij e_ij (x) e_ji a unitary of
-    M_d (x) M_d (exact for the transpose, whose cb norm is d); its image is a
-    transpose of the pinched images, so only its SVD rounds, and lo is
-    rounded down by twice that SVD's backward error, 4 N d eps.
+    ||phi(1)||, and the margin doubles both.  Otherwise hi is the
+    factorization bound (``_factor_bound``) from the reshuffle's SVD, and lo
+    is the swap witness ||(phi (x) id_d)(W)||, W = sum_ij e_ij (x) e_ji a
+    unitary of M_d (x) M_d (exact for the transpose, whose cb norm is d); its
+    image is a transpose of the pinched images, so only its SVD rounds, and
+    lo is rounded down by twice that SVD's backward error, 4 N d eps.
     """
     d, N = phi.fd.d, phi.codomain_dim
     cls = classify(phi)
@@ -431,24 +425,15 @@ def cb_bracket(phi: LinMap) -> tuple[float, float]:
         margin = 2.0 * (d + 2 * N + 2) * N * _EPS
         return float(cls.norm_of_unit * (1.0 - margin)), float(hi * (1.0 + margin))
 
-    # upper bounds from factorizations of the pinched-domain Choi
-    factors = []
+    # upper bound from the SVD of the pinched-domain reshuffle:
+    # A = sqrt(s) u reshaped, B = sqrt(s) v* reshaped
     F = _pinched_images(phi)
     Cfull, R = _choi_and_reshuffle(F)
-    # (1) Hermitian eigendecomposition when the Choi is Hermitian:
-    # A = sign(lam) K, B = K* with K the Kraus-type operator of (lam, v)
-    if opnorm(Cfull - dagger(Cfull)) <= 1e-10 * max(opnorm(Cfull), 1.0):
-        vals, vecs = np.linalg.eigh(herm(Cfull))
-        keep = np.abs(vals) >= 1e-14
-        K = _kraus_stack(np.sqrt(np.abs(vals[keep])) * vecs[:, keep], d, N)
-        factors.append((np.sign(vals[keep])[:, None, None] * K, dagger(K)))
-    # (2) SVD of the reshuffle: A = sqrt(s) u reshaped, B = sqrt(s) v* reshaped
     u, s, vh = np.linalg.svd(R)
     keep = s >= 1e-14
     root = np.sqrt(s[keep])
-    factors.append(((root * u[:, keep]).T.reshape(len(root), N, d),
-                    (root[:, None] * vh[keep]).reshape(len(root), d, N)))
-    hi = min(_factor_bound(As, Bs, Cfull) for As, Bs in factors)
+    hi = _factor_bound((root * u[:, keep]).T.reshape(len(root), N, d),
+                       (root[:, None] * vh[keep]).reshape(len(root), d, N), Cfull)
 
     # lower bound: the swap witness, (phi (x) id_d)(W)[(a, p), (b, q)] = phi(e_qp)[a, b]
     lo = opnorm(F.transpose(2, 1, 3, 0).reshape(N * d, N * d)) * (1.0 - 4.0 * N * d * _EPS)

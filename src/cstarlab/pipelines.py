@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certs import Certificate, provenance_stamp
+from .certs import Certificate
 from .cpmaps import LinMap
 from .geometry import kk_distance
 from .instances import Instance, damping
@@ -25,11 +25,16 @@ PIPELINES = ("dist", "iso", "unitary", "oz-perturb", "oz-embed")
 
 @dataclass
 class Report:
+    """One pipeline run: its certificates, its notes, and the provenance
+    (package and numpy versions) of every value in it; the seed is the
+    run's ``seed``."""
+
     pipeline: str
     seed: int
     recipe: str
     certificates: dict
     notes: dict
+    provenance: dict
 
     @property
     def ok(self) -> bool:
@@ -37,9 +42,10 @@ class Report:
 
     def to_dict(self) -> dict:
         from .serialize import to_jsonable
-        return {"kind": "report", "schema_version": 1,
+        return {"kind": "report", "schema_version": 2,
                 "pipeline": self.pipeline, "seed": self.seed,
                 "recipe": self.recipe, "ok": self.ok,
+                "provenance": self.provenance,
                 "certificates": {k: c.to_dict() for k, c in self.certificates.items()},
                 "notes": to_jsonable(self.notes)}
 
@@ -78,42 +84,46 @@ def run_pipeline(instance: Instance, pipeline: str, seed: int = 0,
         raise ValueError(f"unknown pipeline {pipeline!r}; choose one of {PIPELINES}")
     A, B = instance.A, instance.B
     notes: dict = {"ambient_dim": A.ambient_dim, "dim_A": A.dim, "dim_B": B.dim}
-    certs: dict = {}
+    certs = _certify(instance, pipeline, seed, samples, notes)
+    return Report(pipeline=pipeline, seed=seed, recipe=instance.recipe,
+                  certificates=certs, notes=notes,
+                  provenance={"package": "cstarlab-0.1.0", "numpy": np.__version__})
 
+
+def _certify(instance: Instance, pipeline: str, seed: int, samples: int,
+             notes: dict) -> dict:
+    """The certificates of one pipeline run, by name; its notes go into
+    ``notes``."""
+    A, B = instance.A, instance.B
     if pipeline == "dist":
         interval = kk_distance(A, B, seed, samples)
         hint = instance.dist_hint()
-        certs["distance-interval"] = Certificate.build(
+        notes["interval"] = {"lo": interval.lo, "hi": interval.hi}
+        return {"distance-interval": Certificate.build(
             "distance-interval",
             {"samples": samples, "recipe_bound": float(hint if hint is not None else 2.0)},
-            interval.hi, provenance=provenance_stamp(seed),
+            interval.hi,
             details={"lo": interval.lo, "hi": interval.hi,
-                     "gamma_ab": interval.gamma_ab, "gamma_ba": interval.gamma_ba})
-        notes["interval"] = {"lo": interval.lo, "hi": interval.hi}
-        return Report(pipeline=pipeline, seed=seed, recipe=instance.recipe,
-                      certificates=certs, notes=notes)
+                     "gamma_ab": interval.gamma_ab, "gamma_ba": interval.gamma_ba})}
 
     gamma = _gamma_source(instance, seed, samples, notes)
 
     if pipeline == "iso":
         res = close_isomorphism(A, B, gamma)
-        certs.update(res.certificates)
         notes["eta"], notes["mu"], notes["nu"] = res.eta, res.mu, res.nu
-        return Report(pipeline=pipeline, seed=seed, recipe=instance.recipe,
-                      certificates=certs, notes=notes)
+        return res.certificates
 
     if pipeline == "unitary":
+        certs: dict = {}
         if instance.true_unitary is not None:
             theta = conjugation_iso(instance)
         else:
             res = close_isomorphism(A, B, gamma)
             certs.update(res.certificates)
             theta = res.map
-        u, cert = implement_unitarily(theta)
-        certs["unitary-implementation"] = cert
+        u, certs["unitary-implementation"] = implement_unitarily(theta)
         notes["u_norm"] = float(opnorm(u - np.eye(A.ambient_dim)))
-        return Report(pipeline=pipeline, seed=seed, recipe=instance.recipe,
-                      certificates=certs, notes=notes)
+        return certs
 
     if pipeline == "oz-perturb":
         struct = A.structure()
@@ -121,18 +131,14 @@ def run_pipeline(instance: Instance, pipeline: str, seed: int = 0,
         h = damping(pi, rng_for(seed, "oz-damping"))
         oz = OrderZeroMap.from_pair(pi, h, codomain_algebra=A)
         psi, cert = perturb_order_zero(oz, B, gamma)
-        certs["order-zero-perturbation"] = cert
         notes["cb_achieved"] = cert.achieved
-        return Report(pipeline=pipeline, seed=seed, recipe=instance.recipe,
-                      certificates=certs, notes=notes)
+        return {"order-zero-perturbation": cert}
 
     # oz-embed
     dec = identity_decomposition(A)
     theta, cert = near_embed_nucdim(A, B, gamma, dec)
-    certs["nucdim-near-embedding"] = cert
     notes["n_colors"] = dec.n + 1
-    return Report(pipeline=pipeline, seed=seed, recipe=instance.recipe,
-                  certificates=certs, notes=notes)
+    return {"nucdim-near-embedding": cert}
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,11 @@ reports schema violations with the JSON path of the offending field.
 The kinds a file carries: "report" (a pipeline's output, read back as a
 plain dict), "instance" (with its two "concrete_algebra" values), and inside
 them "certificate" and "matrix", around plain numbers, strings and lists.
-Any other value with a ``to_dict`` is written through it and read back as a
-plain dict, and any value without one (a ``LinMap``, an ``FDAlgebra``)
-raises TypeError.
+A certificate loads through ``Certificate.from_dict``, which rebuilds it
+from ``certs.BOUNDS`` and refuses one the table would not give.  Any other
+value with a ``to_dict`` is written through it and read back as a plain
+dict, and any value without one (a ``LinMap``, an ``FDAlgebra``) raises
+TypeError.
 """
 
 from __future__ import annotations
@@ -40,35 +42,6 @@ def _need(d: dict, key: str, path: str):
     if key not in d:
         raise SchemaError(f"missing field {path}.{key}")
     return d[key]
-
-
-# the fields of a stored certificate: those it must carry, then the rest
-_CERT_REQUIRED = ("name", "formula", "inputs", "ceiling", "achieved", "verdict")
-_CERT_FIELDS = set(_CERT_REQUIRED) | {"slack", "provenance", "details", "kind", "schema_version"}
-
-
-def _certificate_from_json(d: dict, path: str) -> Certificate:
-    """A certificate, after checking that it carries every required field, no
-    unknown one, numbers for its ceiling, achieved value and slack, objects
-    for its inputs, provenance and details, and a verdict of "pass" or
-    "fail".  Whether its ceiling is the one its inputs give, and whether a
-    "pass" lies within it, is left to the reader of the file (``cstarlab
-    report`` refuses a certificate on either count)."""
-    for key in _CERT_REQUIRED:
-        _need(d, key, path)
-    unknown = sorted(set(d) - _CERT_FIELDS)
-    if unknown:
-        raise SchemaError(f"unknown field {path}.{unknown[0]}")
-    for key in ("ceiling", "achieved", "slack"):
-        v = d.get(key, 0.0)
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise SchemaError(f"{path}.{key} is {v!r}, not a number")
-    for key in ("inputs", "provenance", "details"):
-        if not isinstance(d.get(key, {}), dict):
-            raise SchemaError(f"{path}.{key} is {d[key]!r}, not an object")
-    if d["verdict"] not in ("pass", "fail"):
-        raise SchemaError(f"{path}.verdict is {d['verdict']!r}, not 'pass' or 'fail'")
-    return Certificate.from_dict(d)
 
 
 def matrix_to_json(m: np.ndarray) -> dict:
@@ -119,8 +92,6 @@ def to_jsonable(obj):
         return [to_jsonable(v) for v in obj]
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, Certificate):
-        return to_jsonable(obj.to_dict())
     if isinstance(obj, ConcreteAlgebra):
         return {"kind": "concrete_algebra", "schema_version": 1,
                 "ambient_dim": obj.ambient_dim,
@@ -157,7 +128,7 @@ def from_jsonable(d, path: str = "$"):
         except ValueError as exc:  # its message opens with the field it refuses
             raise SchemaError(f"{path}.{exc}") from exc
     if kind == "certificate":
-        return _certificate_from_json(d, path)
+        return Certificate.from_dict(d, path)
     if kind == "instance":
         from .instances import Instance
         tu = d.get("true_unitary")

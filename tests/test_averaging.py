@@ -141,6 +141,25 @@ def explicit_repair(phi: LinMap):
     return dil, dagger(M) @ R[:phi.fd.dim_linear] @ M, opnorm(p0 - p)
 
 
+@pytest.mark.parametrize("scale,transpose,numbers", [
+    (1.5, False, "||phi(1)|| = 1.5, choi min eig "),
+    (1.0, True, "||phi(1)|| = 1, choi min eig -1.00e+00"),
+], ids=["norm-above-one", "transpose"])
+def test_repair_refuses_a_map_that_is_not_cpc(scale, transpose, numbers):
+    # phi is checked once, before its defect and window: a map with
+    # ||phi(1)|| > 1, or the transpose (not cp), raises ValueError naming
+    # ||phi(1)|| and the Choi matrix's least eigenvalue, also on the paper
+    # track with a gamma outside the window
+    fd = FDAlgebra((2,))
+    images = embedded(fd, 2).images
+    phi = LinMap(fd, 2, scale * (images.swapaxes(1, 2) if transpose else images))
+    for track in ("experimental", "paper"):
+        with on_track(track), pytest.raises(ValueError) as err:
+            improve_multiplicativity(phi, gamma=1.0)
+        assert not isinstance(err.value, WindowError)
+        assert numbers in str(err.value), err.value
+
+
 # summation order: canonical_average's twirls and pairings meet their oracles
 @pytest.mark.summation_order
 def test_repair_twirl_matches_phase_family_sum():

@@ -7,8 +7,8 @@ import pytest
 
 import cstarlab
 
-from cstarlab.certs import (BOUNDS, TOL_ALG, TOL_EXACT, TRACK, Certificate, WindowError,
-                            on_track, provenance_stamp, require_window,
+from cstarlab.certs import (BOUNDS, TOL_ALG, TOL_EXACT, TRACK, Certificate, SchemaError,
+                            WindowError, on_track, require_window,
                             WINDOW_DEFECT_REPAIR, WINDOW_INTERTWINE,
                             WINDOW_ISO_ETA, WINDOW_ISO_GAMMA)
 
@@ -149,10 +149,9 @@ def test_every_window_is_required_by_name():
 
 
 def test_every_seed_parameter_reaches_a_draw():
-    # a seed that only labels provenance changes no value.  Every function
-    # that takes one hands it, alone or in an expression, to a call other
-    # than provenance_stamp, and not only to functions whose own seed is
-    # idle in this sense
+    # a seed that only labels a result changes no value.  Every function
+    # that takes one hands it, alone or in an expression, to a call, and not
+    # only to functions whose own seed is idle in this sense
     def callee(call) -> str:
         f = call.func
         return f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", "")
@@ -172,10 +171,10 @@ def test_every_seed_parameter_reaches_a_draw():
 
     takers = [(f"{module}.{fn.name}", fn.name, seed_callees(fn))
               for module, tree in PACKAGE.items() for fn in ast.walk(tree)
-              if isinstance(fn, ast.FunctionDef) and fn.name != "provenance_stamp"
+              if isinstance(fn, ast.FunctionDef)
               and "seed" in [a.arg for a in fn.args.args + fn.args.kwonlyargs]]
     assert len(takers) >= 5
-    idle = {"provenance_stamp"}
+    idle: set = set()
     while more := {name for _, name, callees in takers if callees <= idle} - idle:
         idle |= more
     assert [label for label, name, _ in takers if name in idle] == []
@@ -189,7 +188,7 @@ def test_every_seed_changes_an_output():
     from cstarlab.geometry import kk_distance, sample_unit_ball
     from cstarlab.instances import gen_instance, random_order_zero
     from cstarlab.linalg import rng_for
-    from cstarlab.pipelines import _gamma_source, run_pipeline
+    from cstarlab.pipelines import _certify, _gamma_source, run_pipeline
 
     params = {"algebra": "M2+M1", "ambient": 4, "eps": 1e-5}
     conj = gen_instance("conjugation", params, seed=3)
@@ -201,27 +200,65 @@ def test_every_seed_changes_an_output():
         # the interval's values, not the report, which also records the seed
         "run_pipeline": lambda s: run_pipeline(conj, "dist", seed=s)
         .certificates["distance-interval"].details,
+        "_certify": lambda s: _certify(conj, "dist", s, 32, {})["distance-interval"].details,
         "_gamma_source": lambda s: _gamma_source(noisy, s, 32, {}),
         "sample_unit_ball": lambda s: sample_unit_ball(conj.A, s, 2).tobytes(),
         "kk_distance": lambda s: kk_distance(conj.A, conj.B, s, 32),
     }
     takers = {fn.name for tree in PACKAGE.values() for fn in ast.walk(tree)
-              if isinstance(fn, ast.FunctionDef) and fn.name != "provenance_stamp"
+              if isinstance(fn, ast.FunctionDef)
               and "seed" in [a.arg for a in fn.args.args + fn.args.kwonlyargs]}
     assert set(outputs) == takers
     assert [name for name, out in outputs.items() if out(0) == out(1)] == []
 
 
 def test_provenance_has_no_timestamp():
-    s = provenance_stamp(3)
+    # a report states its run's provenance once, with no timestamp, so a
+    # rerun gives the same one
+    from cstarlab.instances import gen_instance
+    from cstarlab.pipelines import run_pipeline
+    inst = gen_instance("conjugation", {"algebra": "M2", "eps": 1e-5}, seed=3)
+    s = run_pipeline(inst, "dist", seed=3).provenance
     assert "time" not in {k.lower()[:4] for k in s}
-    assert s == provenance_stamp(3)
+    assert s == run_pipeline(inst, "dist", seed=3).provenance
 
 
 def test_certificate_to_dict_plain():
     c = Certificate.build("twirled-projection-drift", {"gamma": np.float64(0.25)},
-                          np.float64(0.1), provenance=provenance_stamp())
+                          np.float64(0.1))
     d = c.to_dict()
-    assert d["kind"] == "certificate"
-    assert d["verdict"] == "pass"
+    assert d["kind"] == "certificate" and d["schema_version"] == 2
+    assert d["verdict"] == "pass" and "provenance" not in d
     assert type(d["inputs"]["gamma"]) is float and type(d["ceiling"]) is float
+
+
+def _oracle_certificate(name) -> Certificate:
+    inputs, ceiling, slack = ORACLES[name]
+    return Certificate.build(name, inputs, ceiling / 2, details={"note": [1, 2.5]})
+
+
+@pytest.mark.parametrize("name", sorted(ORACLES))
+def test_every_bound_round_trips_unchanged(name):
+    from cstarlab.serialize import dumps, loads
+    cert = _oracle_certificate(name)
+    back = loads(dumps(cert))
+    assert back == cert and dumps(back) == dumps(cert)
+
+
+@pytest.mark.parametrize("field,tamper", [
+    ("formula", lambda v: v + " on all of A"),
+    ("slack", lambda v: v + 1e-3),
+    ("ceiling", lambda v: 2.0 * v + 1.0),
+])
+@pytest.mark.parametrize("name", sorted(ORACLES))
+def test_every_bound_refuses_a_tampered_field(name, field, tamper):
+    # the loader rebuilds each certificate from its inputs and refuses a
+    # stored formula, slack or ceiling that BOUNDS would not give, naming
+    # the field, the stored value and the rebuilt one
+    from cstarlab.serialize import from_jsonable, to_jsonable
+    d = to_jsonable(_oracle_certificate(name))
+    rebuilt, d[field] = d[field], tamper(d[field])
+    with pytest.raises(SchemaError) as err:
+        from_jsonable({"kind": "report", "certificates": {name: d}})
+    assert str(err.value) == (f"$.certificates.{name}.{field} is {d[field]!r}, "
+                              f"but BOUNDS gives {rebuilt!r} for its inputs")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cstarlab.certs import Certificate, provenance_stamp
+from cstarlab.certs import BOUNDS, Certificate
 from cstarlab.cpmaps import LinMap
 from cstarlab.instances import block_algebra, gen_instance
 from cstarlab.serialize import (
@@ -66,12 +66,10 @@ def test_malformed_instance_algebra_names_its_json_path(edit, path):
 
 def test_certificate_round_trip():
     cert = Certificate.build("forward-closeness", {"gamma": 0.25, "n_points": 3}, 0.5,
-                             details={"note": [1, 2.5]}, provenance=provenance_stamp(3))
+                             details={"note": [1, 2.5]})
     back = loads(dumps(cert))
     assert isinstance(back, Certificate)
-    assert back.name == cert.name
-    assert back.verdict == cert.verdict
-    assert back.achieved == cert.achieved
+    assert back == cert
     assert dumps(back) == dumps(cert)
 
 
@@ -160,10 +158,11 @@ def test_schema_error_is_one_class_everywhere():
 
 
 def _certificate_report(edit) -> str:
-    """A report-shaped document whose one certificate is edited in place."""
+    """A report-shaped document whose one certificate, a forward-closeness
+    with ceiling 0.028 and slack TOL_EXACT, is edited in place."""
     import json
-    cert = json.loads(dumps(Certificate(name="c", formula="a <= b", inputs={},
-                                        ceiling=1.0, achieved=0.5, verdict="pass")))
+    cert = json.loads(dumps(Certificate.build(
+        "forward-closeness", {"gamma": 1e-6, "n_points": 2}, 0.01)))
     edit(cert)
     return json.dumps({"kind": "report", "certificates": {"c": cert}})
 
@@ -188,14 +187,15 @@ def test_certificate_non_numeric_value_names_path(field, value):
 
 def test_certificate_numbers_load_as_written():
     # integers, infinities and the optional fields' defaults all load
-    back = loads(_certificate_report(lambda d: d.update(ceiling=float("inf"), achieved=0)))
+    back = loads(_certificate_report(lambda d: d.update(
+        inputs={"gamma": float("inf"), "n_points": 2}, ceiling=float("inf"), achieved=0)))
     cert = back["certificates"]["c"]
     assert cert.ceiling == float("inf") and cert.achieved == 0 and cert.passed
-    text = _certificate_report(lambda d: [d.pop(k) for k in ("slack", "provenance", "details")])
-    assert loads(text)["certificates"]["c"].slack == 0.0
+    text = _certificate_report(lambda d: [d.pop(k) for k in ("slack", "details")])
+    assert loads(text)["certificates"]["c"].slack == BOUNDS["forward-closeness"].slack
     # a pass at ceiling + slack, and a fail within its ceiling, as a verifier
     # sets one when an invariant fails
-    edge = loads(_certificate_report(lambda d: d.update(achieved=1.5, slack=0.5)))
+    edge = loads(_certificate_report(lambda d: d.update(achieved=d["ceiling"] + d["slack"])))
     assert edge["certificates"]["c"].passed
     failed = loads(_certificate_report(lambda d: d.update(verdict="fail")))
     assert failed["certificates"]["c"].verdict == "fail"
@@ -215,3 +215,73 @@ def test_certificate_unknown_verdict_names_path(edit, message):
     with pytest.raises(SchemaError) as err:
         loads(_certificate_report(lambda d: d.update(edit)))
     assert str(err.value) == f"$.certificates.c.verdict is {message}"
+
+
+def test_certificate_inputs_must_give_the_ceiling():
+    with pytest.raises(SchemaError, match=r"^\$\.certificates\.c\.inputs do not give the "
+                                          r"ceiling of 'forward-closeness' \(KeyError"):
+        loads(_certificate_report(lambda d: d.update(inputs={"eta": 1e-6})))
+
+
+def test_certificate_provenance_is_the_reports():
+    # the run's provenance is stated once, in the report; a certificate
+    # that carries its own, as schema_version 1 did, is refused
+    with pytest.raises(SchemaError, match=r"^unknown field \$\.certificates\.c\.provenance$"):
+        loads(_certificate_report(lambda d: d.update(
+            schema_version=1, provenance={"package": "cstarlab-0.1.0", "seed": 3})))
+
+
+@pytest.mark.parametrize("pipeline", ["dist", "iso"])
+def test_report_states_its_provenance_once(pipeline):
+    # one top-level provenance per report, and none in a certificate
+    import json
+    from cstarlab.pipelines import run_pipeline
+    inst = gen_instance("conjugation", {"algebra": "M2", "eps": 1e-5}, seed=3)
+    data = json.loads(dumps(run_pipeline(inst, pipeline, seed=3)))
+    assert data["schema_version"] == 2
+    assert data["provenance"] == {"package": "cstarlab-0.1.0", "numpy": np.__version__}
+    assert data["certificates"] and all(
+        c["schema_version"] == 2 and "provenance" not in c for c in data["certificates"].values())
+
+
+def _perfbench_runner(monkeypatch):
+    """perfbench/runner.py as a module, as the benchmark runs it."""
+    import importlib.util
+    import sys
+    from pathlib import Path
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    spec = importlib.util.spec_from_file_location("perfbench_runner", bench / "runner.py")
+    runner = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, runner)  # its dataclasses look it up
+    spec.loader.exec_module(runner)
+    return runner
+
+
+def test_a_ceiling_times_a_million_is_refused_on_load(monkeypatch):
+    # the iso M2/4 report at seed 2 with its forward-closeness ceiling
+    # multiplied by 1e6: serialize.loads refuses it, naming the field and
+    # both values, so the benchmark's report check (which loads it) refuses
+    # it too; a "pass" above its ceiling still loads, and that check names it
+    import json
+    runner = _perfbench_runner(monkeypatch)
+    op = runner.Op("conjugation", "M2", 4, "iso")
+    res = runner.run_op(op, 2)
+    assert res.error is None
+    inst = gen_instance(op.recipe, op.params, seed=2)
+    data = json.loads(res.report)
+    cert = data["certificates"]["forward-closeness"]
+    ceiling, cert["ceiling"] = cert["ceiling"], cert["ceiling"] * 1e6
+    tampered = json.dumps(data, indent=2, sort_keys=True)
+    message = (f"$.certificates.forward-closeness.ceiling is {cert['ceiling']!r}, "
+               f"but BOUNDS gives {ceiling!r} for its inputs")
+    with pytest.raises(SchemaError) as err:
+        loads(tampered)
+    assert str(err.value) == message
+    with pytest.raises(SchemaError) as err:
+        runner.check_report(tampered, inst, op)
+    assert str(err.value) == message
+    cert["ceiling"], cert["achieved"] = ceiling, 2.0 * ceiling
+    over = json.dumps(data, indent=2, sort_keys=True)
+    assert loads(over)["certificates"]["forward-closeness"].verdict == "pass"
+    assert "forward-closeness: verdict pass" in runner.check_report(over, inst, op)[0]
