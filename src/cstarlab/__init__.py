@@ -4,6 +4,8 @@ constructive machinery relating close algebras (averaging, intertwining,
 order-zero perturbation), every quantitative bound backed by a Certificate.
 """
 
+from types import ModuleType as _ModuleType
+
 from .algebra import BlockStructure, ConcreteAlgebra, FDAlgebra, wedderburn_decompose
 from .averaging import (IntertwinerResult, RepairResult, canonical_average,
                         improve_multiplicativity, intertwining_unitary,
@@ -30,25 +32,6 @@ from .serialize import dumps, load, loads, save
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlockStructure", "BOUNDS", "Certificate",
-    "ConcreteAlgebra", "ContradictionError",
-    "DistanceInterval", "FDAlgebra", "Instance", "IntertwinerResult",
-    "IsoResult", "LinMap", "NucDimDecomposition",
-    "OrderZeroMap", "RepairResult", "Report",
-    "SchemaError", "SpectralGapError", "StageRecord", "StinespringDilation",
-    "Ternary", "WindowError", "arveson_restrict",
-    "block_algebra", "canonical_average", "cb_bracket", "choi_blocks", "classify",
-    "close_isomorphism", "conjugation_iso", "dumps",
-    "gen_instance", "half_flip_cpc", "hat_decomposition",
-    "identity_decomposition", "implement_unitarily",
-    "improve_multiplicativity", "intertwining_iso", "intertwining_unitary",
-    "is_order_zero", "kk_distance", "kraus_operators", "load", "loads",
-    "near_embed_nucdim", "near_embedding_nuclear", "nearest_in_span",
-    "nucdim_cpc_transfer", "on_track", "perturb_order_zero",
-    "projection_conjugator",
-    "random_order_zero", "render_report", "run_pipeline", "save",
-    "split_decomposition", "stinespring", "structure_decompose",
-    "tensor_lift", "ucp_extension", "verify_nucdim_decomposition",
-    "wedderburn_decompose",
-]
+# the public names are the ones imported above, stated once there
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

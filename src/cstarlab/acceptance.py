@@ -99,7 +99,7 @@ def _random_ucp(fd: FDAlgebra, N: int, rng) -> LinMap:
     D = N * fd.d
     m = random_complex(rng, D)[:, :N]
     v, _ = np.linalg.qr(m)
-    return LinMap(fd, N, tuple(dagger(v) @ np.kron(u, np.eye(N)) @ v for u in fd.units()))
+    return LinMap(fd, tuple(dagger(v) @ np.kron(u, np.eye(N)) @ v for u in fd.units()))
 
 
 def criterion_2() -> CriterionResult:
@@ -247,7 +247,7 @@ def criterion_5() -> CriterionResult:
         noisy = _noisy_cpc_hom(profile, sum(profile) + 1,
                                float(rng.uniform(1e-4, 1e-3)), rng)
         mix = 0.98 * np.asarray(phi1.images) + 0.02 * np.asarray(noisy.images)
-        phi1n = LinMap(phi1.domain, phi1.codomain_dim, tuple(mix))
+        phi1n = LinMap(phi1.domain, tuple(mix))
         res = intertwining_unitary(phi1n, phi2)
         all_ok = all_ok and res.certificates["norm"].passed
     ok = all_ok and worst_resid <= 1e-10
@@ -400,14 +400,14 @@ def criterion_10() -> CriterionResult:
     t0 = time.perf_counter()
     checks = []
     fd = FDAlgebra((2,))
-    transpose = LinMap(fd, 2, tuple(u.T.copy() for u in fd.units()))
+    transpose = LinMap(fd, tuple(u.T.copy() for u in fd.units()))
     checks.append(("transpose flagged non-cp", not classify(transpose).cp))
 
     from .instances import block_algebra
     A = block_algebra((2, 2), 4)
     dec = split_decomposition(A)
     up = dec.ups[1]  # replaced by a map with every image equal, not order zero
-    bad_up = LinMap(up.domain, 4, np.repeat(up.images[:1], len(up.images), axis=0))
+    bad_up = LinMap(up.domain, np.repeat(up.images[:1], len(up.images), axis=0))
     broken = NucDimDecomposition(dec.downs, (dec.ups[0], bad_up), dec.defect)
     X = A.normalized_basis
     cert = verify_nucdim_decomposition(A, X, 1e-9, broken)
@@ -458,7 +458,9 @@ CRITERIA = {1: criterion_1, 2: criterion_2, 3: criterion_3, 4: criterion_4,
             9: criterion_9, 10: criterion_10, 11: criterion_11}
 
 
-def run_all(numbers=None) -> list[CriterionResult]:
+def run_all(numbers) -> list[CriterionResult]:
+    """Run the criteria of the given numbers, every criterion for none, and
+    print each result's line."""
     numbers = sorted(numbers or CRITERIA)
     unknown = [k for k in numbers if k not in CRITERIA]
     if unknown:

@@ -389,16 +389,11 @@ class ConcreteAlgebra:
         stack, cached: each element is b / opnorm(b) bit for bit."""
         return _frozen(self.basis / self.basis_norms[:, None, None])
 
-    @property
-    def unit(self) -> np.ndarray:
-        """Unit of A as an algebra (= support projection)."""
-        return self.support
-
     def random_selfadjoints(self, rng, count: int) -> np.ndarray:
         """Stack (count, N, N) of Hermitian parts of standard complex Gaussian
-        combinations of the basis: the stream of ``count`` calls of
-        ``linalg.random_complex(rng, dim, 1)``, combined in one array
-        operation per stack (``_combine``)."""
+        combinations of the basis: per sample, dim real parts and then dim
+        imaginary parts from rng, combined in one array operation per stack
+        (``_combine``)."""
         g = rng.standard_normal((count, 2, self.dim))
         return herm(_combine((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0), self.basis))
 

@@ -188,7 +188,7 @@ def improve_multiplicativity(phi: LinMap, gamma: float | None = None) -> RepairR
     # psi: compress the conjugated representation on phi's blocks, which come
     # before the extension's block
     images = dilation_images(phi.fd.block_sizes, dil.ranks, w @ V @ dagger(dil.embed))
-    psi = LinMap(phi.domain, phi.codomain_dim, images, codomain_algebra=phi.codomain_algebra)
+    psi = LinMap(phi.domain, images, codomain_algebra=phi.codomain_algebra)
 
     # ||phi - psi|| <= ||phi - psi||_cb, so the bracket's hi bounds the sup
     cb_lo, cb_hi = cb_bracket(phi - psi)
@@ -247,8 +247,8 @@ def intertwining_unitary(phi1: LinMap, phi2: LinMap,
 
     # extend against the ambient unit: the averaged s must be invertible on
     # the whole ambient space, not just under the codomain support
-    e1 = ucp_extension(LinMap(phi1.domain, phi1.codomain_dim, phi1.images))
-    e2 = e1 if phi2 is phi1 else ucp_extension(LinMap(phi2.domain, phi2.codomain_dim, phi2.images))
+    e1 = ucp_extension(LinMap(phi1.domain, phi1.images))
+    e2 = e1 if phi2 is phi1 else ucp_extension(LinMap(phi2.domain, phi2.images))
     # s = sum_k (1/n_k) sum_ij e1(e_ij) e2(e_ji), paired on the stored images
     s = canonical_average(e1.domain.block_sizes, e1.images, e2.images)
     K = phi1.codomain_dim

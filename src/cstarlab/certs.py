@@ -1,16 +1,17 @@
 """Machine-checkable certificates, the paper's bounds and the track.
 
 Every quantitative claim produced by this package is wrapped in a
-:class:`Certificate`: the ceiling formula as text, its numeric inputs, the
-ceiling value, the achieved value recomputed from the returned objects, and a
-verdict.  Certificates are plain data and serialize to JSON; they carry no
-timestamps so reruns from the same seed are byte-identical.
+:class:`Certificate`, which stores its name, its numeric inputs, the achieved
+value recomputed from the returned objects, a verdict and details.
+Certificates are plain data and serialize to JSON; they carry no timestamps
+so reruns from the same seed are byte-identical.
 
 :data:`BOUNDS` is the one table of the paper's bounds: per certificate name,
 the formula text, the ceiling as a function of the ``inputs``, the slack and
-the hypothesis windows.  ``Certificate.build`` looks them up, and
-``Certificate.from_dict`` rebuilds every stored certificate through it, so a
-file whose formula, slack or ceiling is not the table's does not load.
+the hypothesis windows.  A certificate reads its formula, ceiling and slack
+from its row, and its JSON states all three; ``Certificate.from_dict``
+rebuilds every stored certificate through ``build``, so a file whose formula,
+slack or ceiling is not the table's does not load.
 
 The numeric tolerances are the constants below, which the routines read
 directly.  The certification track is one run-level setting, :data:`TRACK`,
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from typing import Callable
 
 import numpy as np
@@ -55,6 +56,24 @@ def require_finite(x, what: str) -> None:
     where matrix data enters the package."""
     if not np.isfinite(x).all():
         raise SchemaError(f"{what} has a NaN or infinite entry")
+
+
+# the JSON types a loaded field may be required to have; an integer is a JSON
+# integer, not a bool or a fraction
+JSON_TYPES = {"an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+              "a number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+              "a string": lambda v: isinstance(v, str), "a list": lambda v: isinstance(v, list),
+              "an object": lambda v: isinstance(v, dict)}
+
+
+def require_field(d: dict, key: str, path: str, kind: str):
+    """d[key]; SchemaError naming ``<path>.<key>`` when it is missing or is
+    not of the JSON type ``kind``, one of JSON_TYPES."""
+    if key not in d:
+        raise SchemaError(f"missing field {path}.{key}")
+    if not JSON_TYPES[kind](d[key]):
+        raise SchemaError(f"{path}.{key} is {d[key]!r}, not {kind}")
+    return d[key]
 
 
 # numeric tolerances
@@ -196,44 +215,49 @@ def require_window(name: str, **values: float) -> None:
 
 @dataclass
 class Certificate:
-    """One certified quantitative claim.
-
-    verdict is "pass" iff achieved <= ceiling + slack, else "fail"; a
-    verifier may also set "fail" on a certificate within its ceiling when an
-    invariant it checks fails.  ``build`` takes the formula, ceiling and
-    slack from ``BOUNDS``, and ``from_dict`` rebuilds a stored certificate
-    through it.  The run's provenance is the report's, not the certificate's.
+    """One certified quantitative claim: its name, inputs, achieved value,
+    verdict and details.  Its formula, ceiling and slack are read from
+    ``BOUNDS[name]`` and its inputs.  verdict is "pass" iff achieved <=
+    ceiling + slack, else "fail"; a verifier may also set "fail" on a
+    certificate within its ceiling when an invariant it checks fails.
+    ``from_dict`` rebuilds a stored certificate through ``build``.  The
+    run's provenance is the report's, not the certificate's.
     """
 
     name: str
-    formula: str
     inputs: dict
-    ceiling: float
     achieved: float
     verdict: str
-    slack: float = 0.0
-    details: dict = field(default_factory=dict)
+    details: dict
 
     @classmethod
     def build(cls, name: str, inputs: dict, achieved: float,
               details: dict | None = None) -> "Certificate":
         bound = BOUNDS[name]
         inputs = {k: _plain(v) for k, v in inputs.items()}
-        ceiling = float(bound.ceiling(inputs))
-        return cls(name=name, formula=bound.formula, inputs=inputs, ceiling=ceiling,
-                   achieved=float(achieved), slack=float(bound.slack),
-                   verdict="pass" if achieved <= ceiling + bound.slack else "fail",
-                   details=dict(details or {}))
+        passed = achieved <= float(bound.ceiling(inputs)) + bound.slack
+        return cls(name=name, inputs=inputs, achieved=float(achieved),
+                   verdict="pass" if passed else "fail", details=dict(details or {}))
+
+    @property
+    def formula(self) -> str:
+        return BOUNDS[self.name].formula
+
+    @property
+    def ceiling(self) -> float:
+        return float(BOUNDS[self.name].ceiling(self.inputs))
+
+    @property
+    def slack(self) -> float:
+        return float(BOUNDS[self.name].slack)
 
     @property
     def passed(self) -> bool:
         return self.verdict == "pass"
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["kind"] = "certificate"
-        d["schema_version"] = 2
-        return d
+        return {**asdict(self), "formula": self.formula, "ceiling": self.ceiling,
+                "slack": self.slack, "kind": "certificate", "schema_version": 2}
 
     @classmethod
     def from_dict(cls, d: dict, path: str) -> "Certificate":
@@ -254,13 +278,10 @@ class Certificate:
                 raise SchemaError(f"missing field {path}.{key}")
         if unknown := sorted(set(d) - _FIELDS):
             raise SchemaError(f"unknown field {path}.{unknown[0]}")
-        for key in ("ceiling", "achieved", "slack"):
-            v = d.get(key, 0.0)
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise SchemaError(f"{path}.{key} is {v!r}, not a number")
-        for key in ("inputs", "details"):
-            if not isinstance(d.get(key, {}), dict):
-                raise SchemaError(f"{path}.{key} is {d[key]!r}, not an object")
+        for key, kind in (("ceiling", "a number"), ("achieved", "a number"), ("slack", "a number"),
+                          ("inputs", "an object"), ("details", "an object")):
+            if key in d:
+                require_field(d, key, path, kind)
         if d["verdict"] not in ("pass", "fail"):
             raise SchemaError(f"{path}.verdict is {d['verdict']!r}, not 'pass' or 'fail'")
         if not isinstance(d["name"], str) or d["name"] not in BOUNDS:

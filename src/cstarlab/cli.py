@@ -173,16 +173,12 @@ def _cmd_report(args) -> int:
     certs.BOUNDS (``Certificate.from_dict``); this command also refuses a
     "pass" above ceiling + slack, which loads so that its readers can name
     it."""
-    report = load(args.path)
-    if isinstance(report, dict) and "certificates" in report:
-        report = Report(pipeline=report.get("pipeline", "?"),
-                        seed=int(report.get("seed", 0)),
-                        recipe=report.get("recipe", "?"),
-                        certificates=report["certificates"],
-                        notes=report.get("notes", {}),
-                        provenance=report.get("provenance", {}))
-    if not isinstance(report, Report):
+    data = load(args.path)
+    if not isinstance(data, dict) or "certificates" not in data:
         raise SchemaError(f"{args.path} does not contain a pipeline report")
+    report = Report(pipeline=data.get("pipeline", "?"), seed=int(data.get("seed", 0)),
+                    recipe=data.get("recipe", "?"), certificates=data["certificates"],
+                    notes=data.get("notes", {}), provenance=data.get("provenance", {}))
     if not isinstance(report.certificates, dict):
         raise SchemaError("$.certificates is not an object")
     for key, c in report.certificates.items():

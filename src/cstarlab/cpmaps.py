@@ -2,13 +2,16 @@
 Kraus and Stinespring forms, defects, restricted expectations, and cb-norm
 brackets.
 
-Conventions.  A :class:`LinMap` stores its values on the matrix units
-e_ij^(k), lexicographic in (block, row, column), of its block model ``fd`` as
-one (d, N, N) array: the units of an :class:`~cstarlab.algebra.FDAlgebra`
-domain, or those of the Wedderburn structure of a
-:class:`~cstarlab.algebra.ConcreteAlgebra` domain.  A map evaluates by one
-contraction of the coefficients over those units with that array, on one
-element or on a stack (S, n, n) of them.  A map has one Choi block per
+Conventions.  A :class:`LinMap` stores its domain, an optional codomain
+algebra and its values on the matrix units e_ij^(k), lexicographic in
+(block, row, column), of its block model ``fd`` as one (d, N, N) array: the
+units of an :class:`~cstarlab.algebra.FDAlgebra` domain, or those of the
+Wedderburn structure of a :class:`~cstarlab.algebra.ConcreteAlgebra` domain;
+N is read off that array.  The certificates built here store their name,
+inputs, achieved value, verdict and details, and read the rest from
+``certs.BOUNDS``.  A map evaluates by one contraction of the coefficients
+over those units with that array, on one element or on a stack (S, n, n) of
+them.  A map has one Choi block per
 summand, C_k = sum_ij e_ij (x) phi(e_ij^(k)), an (n_k N) x (n_k N) matrix;
 it is completely positive iff every block is positive semidefinite.  Choi
 blocks and the reshuffle are reshapes and transposes of the image array, and
@@ -54,14 +57,21 @@ __all__ = [
 
 @dataclass
 class Ternary:
-    """Positivity classification: each flag is True/False with a residual."""
+    """Positivity classification: cp with its residual; cpc and ucp follow
+    from cp, ||phi(1)|| and the unit defect (see ``classify``)."""
 
     cp: bool
-    cpc: bool
-    ucp: bool
     choi_min_eig: float
     norm_of_unit: float
     unit_defect: float
+
+    @property
+    def cpc(self) -> bool:
+        return self.cp and self.norm_of_unit <= 1.0 + TOL_PSD
+
+    @property
+    def ucp(self) -> bool:
+        return self.cp and self.unit_defect <= TOL_ALG
 
 
 @dataclass
@@ -71,28 +81,30 @@ class LinMap:
     domain: FDAlgebra (abstract blocks) or ConcreteAlgebra (subalgebra of an
     ambient matrix algebra).  images is a (d, N, N) array whose i-th matrix
     is the value on the i-th matrix unit of ``fd``, the domain's block model;
-    iterating over it yields the N x N images.  phi(x) takes one domain
-    element or a stack (S, n, n) and returns phi of each.
-    codomain_algebra, when set, declares that images are expected to lie in
-    that subalgebra; certificates can then measure the residual.
+    iterating over it yields the N x N images, and N is ``codomain_dim``.
+    phi(x) takes one domain element or a stack (S, n, n) and returns phi of
+    each.  codomain_algebra, when set, declares that images are expected to
+    lie in that subalgebra; certificates can then measure the residual.
     """
 
     domain: FDAlgebra | ConcreteAlgebra
-    codomain_dim: int
     images: np.ndarray
     codomain_algebra: ConcreteAlgebra | None = None
 
     def __post_init__(self):
-        N = self.codomain_dim
         imgs = np.asarray(self.images, dtype=complex)
-        if imgs.ndim != 3 or imgs.shape[1:] != (N, N):
-            raise ValueError("image has wrong codomain shape")
+        if imgs.ndim != 3 or imgs.shape[1] != imgs.shape[2]:
+            raise ValueError(f"images have shape {imgs.shape}, not (d, N, N)")
         n_basis = (self.domain.dim_linear if isinstance(self.domain, FDAlgebra)
                    else self.domain.dim)
         if len(imgs) != n_basis:
             raise ValueError("action matrix shape does not match the domain dimension")
         require_finite(imgs, "map images")
         self.images = imgs
+
+    @property
+    def codomain_dim(self) -> int:
+        return self.images.shape[1]
 
     # -- evaluation ----------------------------------------------------------
 
@@ -123,23 +135,17 @@ class LinMap:
 
     # -- arithmetic -----------------------------------------------------------
 
-    def _same_domain(self, other: "LinMap"):
-        if self.codomain_dim != other.codomain_dim:
-            raise ValueError("codomain mismatch")
-        if len(self.images) != len(other.images):
-            raise ValueError("domain mismatch")
-
     def __sub__(self, other: "LinMap") -> "LinMap":
-        self._same_domain(other)
-        return LinMap(self.domain, self.codomain_dim, self.images - other.images)
+        if self.images.shape != other.images.shape:
+            raise ValueError(f"maps of shapes {self.images.shape} and {other.images.shape}")
+        return LinMap(self.domain, self.images - other.images)
 
     def scaled(self, c: float) -> "LinMap":
-        return LinMap(self.domain, self.codomain_dim, c * self.images,
-                      codomain_algebra=self.codomain_algebra)
+        return LinMap(self.domain, c * self.images, codomain_algebra=self.codomain_algebra)
 
     def conjugated(self, u: np.ndarray) -> "LinMap":
         """Ad(u) composed after the map."""
-        return LinMap(self.domain, self.codomain_dim, u @ self.images @ dagger(u))
+        return LinMap(self.domain, u @ self.images @ dagger(u))
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +161,11 @@ def choi_blocks(phi: LinMap) -> list[np.ndarray]:
             for n, E in zip(fd.block_sizes, fd.unit_blocks(phi.images))]
 
 
-def _from_choi_blocks(fd: FDAlgebra, N: int, blocks) -> LinMap:
-    """The map into M_N whose per-summand Choi blocks are ``blocks``."""
-    return LinMap(fd, N, np.concatenate([
-        C.reshape(n, N, n, N).transpose(0, 2, 1, 3).reshape(n * n, N, N)
+def _from_choi_blocks(fd: FDAlgebra, blocks) -> LinMap:
+    """The map whose per-summand Choi blocks are ``blocks``, (n_k N) x (n_k N)
+    blocks of a map into M_N."""
+    return LinMap(fd, np.concatenate([
+        C.reshape(n, len(C) // n, n, -1).transpose(0, 2, 1, 3).reshape(n * n, len(C) // n, -1)
         for n, C in zip(fd.block_sizes, blocks)]))
 
 
@@ -170,7 +177,7 @@ def perturb_choi(phi: LinMap, eps: float, rng: np.random.Generator) -> LinMap:
     for C in choi_blocks(phi):
         g = random_hermitian(rng, C.shape[0])
         noisy.append(psd_part(C + (eps / max(hs_norm(g), 1e-300)) * g))
-    return _from_choi_blocks(phi.fd, phi.codomain_dim, noisy)
+    return _from_choi_blocks(phi.fd, noisy)
 
 
 def classify(phi: LinMap) -> Ternary:
@@ -195,13 +202,9 @@ def classify(phi: LinMap) -> Ternary:
             herm_resid = np.maximum(herm_resid, opnorm_max(skew))
         min_eig = float(np.minimum(min_eig, np.linalg.eigvalsh(herm(Cs)).min()))
     unit_img = phi.value_on_unit()
-    nrm1 = opnorm(unit_img)
-    unit_defect = opnorm(unit_img - phi.codomain_unit())
-    cp = (herm_resid <= TOL_PSD) and (min_eig >= -TOL_PSD)
-    cpc = cp and nrm1 <= 1.0 + TOL_PSD
-    ucp = cp and unit_defect <= TOL_ALG
-    return Ternary(cp=cp, cpc=cpc, ucp=ucp, choi_min_eig=min_eig,
-                   norm_of_unit=nrm1, unit_defect=unit_defect)
+    return Ternary(cp=(herm_resid <= TOL_PSD) and (min_eig >= -TOL_PSD), choi_min_eig=min_eig,
+                   norm_of_unit=opnorm(unit_img),
+                   unit_defect=opnorm(unit_img - phi.codomain_unit()))
 
 
 def kraus_operators(phi: LinMap, tol_psd: float) -> list[np.ndarray]:
@@ -317,7 +320,7 @@ def arveson_restrict(A: ConcreteAlgebra, B: ConcreteAlgebra, X,
     are B.project of A's matrix units: the expectation is never formed on all
     of M_N.
     """
-    phi = LinMap(A, A.ambient_dim, B.project(A.structure().matrix_units), codomain_algebra=B)
+    phi = LinMap(A, B.project(A.structure().matrix_units), codomain_algebra=B)
     return phi, Certificate.build("expectation-restriction",
                                   {"gamma": gamma, "n_points": len(X)}, worst_move(phi, X))
 
@@ -335,7 +338,7 @@ def ucp_extension(phi: LinMap) -> LinMap:
             f"choi min eig {cls.choi_min_eig:.2e})")
     fd2 = FDAlgebra(tuple(phi.fd.block_sizes) + (1,))
     slack = phi.codomain_unit() - phi.value_on_unit()
-    return LinMap(fd2, phi.codomain_dim, np.concatenate([phi.images, slack[None]]),
+    return LinMap(fd2, np.concatenate([phi.images, slack[None]]),
                   codomain_algebra=phi.codomain_algebra)
 
 

@@ -41,12 +41,16 @@ __all__ = [
 @dataclass
 class DistanceInterval:
     """Two-sided bracket for the unit-ball Hausdorff distance d(A, B), with
-    the sampled one-sided constants gamma_ab (A in B) and gamma_ba (B in A)."""
+    the sampled one-sided constants gamma_ab (A in B) and gamma_ba (B in A);
+    hi is the larger constant."""
 
     lo: float
-    hi: float
     gamma_ab: float
     gamma_ba: float
+
+    @property
+    def hi(self) -> float:
+        return max(self.gamma_ab, self.gamma_ba)
 
     def __post_init__(self):
         if not (0.0 <= self.lo <= self.hi + 1e-12 and self.hi <= 2.0 + 1e-9):
@@ -345,7 +349,7 @@ def kk_distance(A: ConcreteAlgebra, B: ConcreteAlgebra, seed: int,
     solved = nearest_in_span(X, (B, A), ball=True, iters=_DIST_ITERS, floor=floors)
     gamma_ab, gamma_ba = (float(ubs.max()) for _, ubs, _, _ in solved)
     hi = max(gamma_ab, gamma_ba)
-    return DistanceInterval(lo=min(max(floors), hi), hi=hi, gamma_ab=gamma_ab, gamma_ba=gamma_ba)
+    return DistanceInterval(lo=min(max(floors), hi), gamma_ab=gamma_ab, gamma_ba=gamma_ba)
 
 
 # ---------------------------------------------------------------------------

@@ -100,7 +100,7 @@ def base_algebra(name, ambient: int) -> ConcreteAlgebra:
     raise ValueError(f"unknown algebra profile {name!r}")
 
 
-def gen_instance(recipe: str, params: dict, seed: int = 0) -> Instance:
+def gen_instance(recipe: str, params: dict, seed: int) -> Instance:
     """Generate a pair of close algebras.
 
     conjugation: B = e^{i eps h} A e^{-i eps h}, h a random ambient
@@ -128,31 +128,25 @@ def gen_instance(recipe: str, params: dict, seed: int = 0) -> Instance:
     N = A.ambient_dim
     rng = rng_for(seed, "instance", recipe)
 
-    if recipe == "conjugation":
-        h = random_hermitian(rng, N)
+    if recipe in ("conjugation", "block-rotation"):
+        if recipe == "conjugation":
+            h = random_hermitian(rng, N)
+        else:
+            struct = A.structure()
+            k = int(params.get("block", 0))
+            if not 0 <= k < len(struct.summands):
+                raise ValueError(f"block index {k} out of range")
+            z = struct.central_projections[k]
+            h = herm(z @ random_hermitian(rng, N) @ z)
         h = h / max(opnorm(h), 1e-300)
         u = expm_i(eps * h)
-        B = A.conjugated(u)
-        return Instance(A=A, B=B, recipe=recipe, params=params,
-                        true_unitary=u, seed=seed)
-
-    if recipe == "block-rotation":
-        struct = A.structure()
-        k = int(params.get("block", 0))
-        if not 0 <= k < len(struct.summands):
-            raise ValueError(f"block index {k} out of range")
-        z = struct.central_projections[k]
-        h = herm(z @ random_hermitian(rng, N) @ z)
-        h = h / max(opnorm(h), 1e-300)
-        u = expm_i(eps * h)
-        B = A.conjugated(u)
-        return Instance(A=A, B=B, recipe=recipe, params=params,
+        return Instance(A=A, B=A.conjugated(u), recipe=recipe, params=params,
                         true_unitary=u, seed=seed)
 
     # choi-noise: the noisy map, scaled to a contraction, repairs to a
     # *-homomorphism whose image is B
     struct = A.structure()
-    noisy = perturb_choi(LinMap(struct.fd_model(), N, struct.matrix_units), eps, rng)
+    noisy = perturb_choi(LinMap(struct.fd_model(), struct.matrix_units), eps, rng)
     noisy = noisy.scaled(1.0 / (opnorm(noisy.value_on_unit()) * (1.0 + 1e-12)))
     B = ConcreteAlgebra.from_basis(improve_multiplicativity(noisy).psi.images, N)
     return Instance(A=A, B=B, recipe=recipe, params=params,
@@ -163,10 +157,10 @@ def _rotated_embedding(fd: FDAlgebra, N: int, rng) -> LinMap:
     """The block embedding of fd into the corner of M_N conjugated by a
     unitary v drawn from rng: the exact *-homomorphism x -> v x v*."""
     v = random_unitary(rng, N)
-    return LinMap(fd, N, v @ fd.corner_units(N) @ dagger(v))
+    return LinMap(fd, v @ fd.corner_units(N) @ dagger(v))
 
 
-def random_order_zero(sizes, N: int, seed: int = 0) -> OrderZeroMap:
+def random_order_zero(sizes, N: int, seed: int) -> OrderZeroMap:
     """Random order-zero map from the block algebra of the given sizes into
     M_N: a conjugated block embedding pi damped by ``damping(pi, rng)``."""
     fd = FDAlgebra(tuple(int(n) for n in sizes))
@@ -213,8 +207,8 @@ def hat_decomposition(n_grid: int):
     downs, ups = [], []
     for color in (nodes[0::2], nodes[1::2]):
         sub = FDAlgebra((1,) * len(color))
-        downs.append(LinMap(A, sub.d, sub.from_coeffs(units[:, color, color])))
-        ups.append(LinMap(sub, n_grid, tuple(hat(c) for c in color), codomain_algebra=A))
+        downs.append(LinMap(A, sub.from_coeffs(units[:, color, color])))
+        ups.append(LinMap(sub, tuple(hat(c) for c in color), codomain_algebra=A))
     X = [np.diag(grid.astype(complex)),
          np.diag((grid ** 2).astype(complex)),
          np.diag((grid * (1.0 - grid)).astype(complex))]

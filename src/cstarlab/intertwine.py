@@ -60,7 +60,8 @@ class IsoResult:
     when the map is a bijection onto the codomain, is y -> map^{-1}(y) on the
     codomain, read from y's coefficients over the codomain's basis (so the
     codomain's structure is never computed).  trace holds the one stage
-    record; certificates hold the quantitative claims.
+    record; certificates hold the quantitative claims.  eta and mu are the
+    closeness and drift budget the map was built at, and nu = mu / 2.
     """
 
     map: LinMap
@@ -69,11 +70,10 @@ class IsoResult:
     certificates: dict
     eta: float
     mu: float
-    nu: float
 
     @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.certificates.values())
+    def nu(self) -> float:
+        return self.mu / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +93,6 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float, X_A,
     failed ``expectation-restriction`` certificate raises ContradictionError.
     """
     certs.require_window("iso-closeness", eta=eta, mu=mu)
-    nu = mu / 2.0
     X_close = [np.asarray(x, dtype=complex) for x in X_A]
 
     phi, cert_phi = arveson_restrict(A, B, X_close, gamma=eta / 2.0)
@@ -108,7 +107,7 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float, X_A,
     # final map: snap the repaired images into B's span, after measuring
     # how far they are from it
     cert_member = Certificate.build("image-membership", {}, B.membership_residual(theta.images))
-    alpha = LinMap(A, A.ambient_dim, B.project(theta.images), codomain_algebra=B)
+    alpha = LinMap(A, B.project(theta.images), codomain_algebra=B)
 
     cert_close = Certificate.build("iso-closeness",
                                    {"eta": eta, "mu": mu, "n_points": len(X_close)},
@@ -119,7 +118,7 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float, X_A,
     svals = np.linalg.svd(action, compute_uv=False)
     sigma_min = float(svals[-1]) if svals.size else 0.0
     margins = np.maximum(0.0, 1.0 - opnorms(alpha(A.normalized_basis)))
-    cert_inj = Certificate.build("injectivity", {"eta": eta, "nu": nu}, max(margins),
+    cert_inj = Certificate.build("injectivity", {"eta": eta, "nu": mu / 2.0}, max(margins),
                                  details={"action_sigma_min": sigma_min})
     out = {"closeness": cert_close, "homomorphism": cert_hom,
            "image-membership": cert_member, "injectivity": cert_inj}
@@ -132,7 +131,7 @@ def intertwining_iso(A: ConcreteAlgebra, B: ConcreteAlgebra, eta: float, X_A,
             return _combine(B.coeffs(y), inv_images)
 
     return IsoResult(map=alpha, inverse=inverse, trace=trace, certificates=out,
-                     eta=float(eta), mu=float(mu), nu=float(nu))
+                     eta=float(eta), mu=float(mu))
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +276,7 @@ def half_flip_cpc(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma: float,
     lifted = np.einsum("ij,bkl->bikjl", e, struct.matrix_units).reshape(-1, N * N, N * N)
     mid = w @ lifted @ dagger(w)
     images = np.einsum("bikjl,k,l->bij", mid.reshape(-1, N, N, N, N), xi.conj(), xi)
-    phi = LinMap(A, N, dagger(u) @ images @ u, codomain_algebra=B)
+    phi = LinMap(A, dagger(u) @ images @ u, codomain_algebra=B)
 
     worst = worst_move(phi, X)
     member = B.membership_residual(phi.images)
@@ -315,7 +314,7 @@ def implement_unitarily(theta: LinMap) -> tuple[np.ndarray, Certificate]:
         raise ValueError(
             f"map is not a homomorphism to tol_alg (defect {defect:.3g}); "
             "repair it before implementing unitarily")
-    inclusion = LinMap(A, A.ambient_dim, A.structure().matrix_units, codomain_algebra=A)
+    inclusion = LinMap(A, A.structure().matrix_units, codomain_algebra=A)
     gamma_basis = worst_move(theta, A.normalized_basis)
     try:
         res = intertwining_unitary(theta, inclusion, gamma=gamma_basis,

@@ -152,10 +152,10 @@ def rng_for(seed: int, *tags) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def random_complex(rng: np.random.Generator, rows: int, cols: int | None = None) -> np.ndarray:
-    """Standard complex Gaussian matrix."""
-    cols = rows if cols is None else cols
-    return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
+def random_complex(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Standard complex Gaussian n x n matrix: n^2 real parts, then n^2
+    imaginary parts from rng."""
+    return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
 
 
 def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:

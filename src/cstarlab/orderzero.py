@@ -66,8 +66,7 @@ class OrderZeroMap:
         if not worst <= TOL_ALG:  # a nan residual certifies nothing either
             raise ValueError(
                 f"h does not commute with the representation (residual {worst:.3g})")
-        m = LinMap(fd, pi.codomain_dim, pi.images @ h_eff,
-                   codomain_algebra=codomain_algebra)
+        m = LinMap(fd, pi.images @ h_eff, codomain_algebra=codomain_algebra)
         return cls(map=m, pi=pi, h=h_eff)
 
 
@@ -89,7 +88,7 @@ def structure_decompose(phi: LinMap) -> OrderZeroMap:
     if not isinstance(fd, FDAlgebra):
         raise ValueError("structure decomposition needs a block domain")
     h = herm(phi(fd.unit()))
-    pi = LinMap(fd, phi.codomain_dim, phi.images @ psd_pinv(h))
+    pi = LinMap(fd, phi.images @ psd_pinv(h))
     worst = np.maximum(fd.relation_residual(pi.images),
                        _structure_residual(phi.images, pi.images, h))
     if not worst <= TOL_ALG:  # a nan residual certifies nothing either
@@ -139,7 +138,7 @@ def perturb_order_zero(oz: OrderZeroMap, B: ConcreteAlgebra,
             if opnorm_max(E) > TOL_ALG]
     mu = 2.0 * gamma + gamma ** 2
     if not kept:
-        psi = LinMap(fd, N, np.zeros((fd.dim_linear, N, N)), codomain_algebra=B)
+        psi = LinMap(fd, np.zeros((fd.dim_linear, N, N)), codomain_algebra=B)
         return psi, Certificate.build("order-zero-perturbation",
                                       {"gamma": gamma, "mu": mu, "blocks_kept": 0}, 0.0)
 
@@ -173,7 +172,7 @@ def perturb_order_zero(oz: OrderZeroMap, B: ConcreteAlgebra,
     images = np.zeros((fd.dim_linear, N, N), dtype=complex)
     images[at] = corners(u)
     recon = opnorm_max(corners(t) - oz.map.images[at])
-    psi = LinMap(fd, N, images, codomain_algebra=B)
+    psi = LinMap(fd, images, codomain_algebra=B)
 
     member = B.membership_residual(psi.images)
     cls = classify(psi)
@@ -238,9 +237,9 @@ def _block_colors(A: ConcreteAlgebra, groups) -> NucDimDecomposition:
     for group in groups:
         sub = FDAlgebra(tuple(fd.block_sizes[k] for k in group))
         rows = np.concatenate([fd.offsets[k] + np.arange(fd.block_sizes[k]) for k in group])
-        downs.append(LinMap(A, sub.d, units[:, rows][:, :, rows]))
+        downs.append(LinMap(A, units[:, rows][:, :, rows]))
         images = np.concatenate([blocks[k].reshape((-1,) + blocks[k].shape[2:]) for k in group])
-        ups.append(LinMap(sub, A.ambient_dim, images, codomain_algebra=A))
+        ups.append(LinMap(sub, images, codomain_algebra=A))
     return NucDimDecomposition.measured(downs, ups, A.basis)
 
 
@@ -272,7 +271,7 @@ def verify_nucdim_decomposition(A: ConcreteAlgebra, X, eps: float,
                 if not classify(down).cpc]
     failures += [f"up-{i}-not-order-zero" for i, up in enumerate(dec.ups)
                  if not is_order_zero(up)]
-    comp = LinMap(A, dec.ups[0].codomain_dim, dec.compose(A.structure().matrix_units))
+    comp = LinMap(A, dec.compose(A.structure().matrix_units))
     if not classify(comp).cpc:
         failures.append("composite-not-cpc")
     defect = worst_move(dec.compose, X)
@@ -294,8 +293,7 @@ def nucdim_cpc_transfer(D: ConcreteAlgebra, dec: NucDimDecomposition,
     eps = dec.defect
     perturbed, summand_certs = zip(*(perturb_order_zero(structure_decompose(up), B, gamma)
                                      for up in dec.ups))
-    raw = LinMap(D, B.ambient_dim, _compose(dec.downs, perturbed, D.structure().matrix_units),
-                 codomain_algebra=B)
+    raw = LinMap(D, _compose(dec.downs, perturbed, D.structure().matrix_units), codomain_algebra=B)
     lo, hi = cb_bracket(raw)
     scale = max(1.0, hi)
     phi = raw.scaled(1.0 / scale) if scale > 1.0 else raw

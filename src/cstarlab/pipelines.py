@@ -57,7 +57,7 @@ def conjugation_iso(instance: Instance) -> LinMap:
         raise ValueError("instance carries no generating unitary")
     A = instance.A
     units = A.structure().matrix_units
-    return LinMap(A, A.ambient_dim, u @ units @ dagger(u), codomain_algebra=instance.B)
+    return LinMap(A, u @ units @ dagger(u), codomain_algebra=instance.B)
 
 
 def _gamma_source(instance: Instance, seed: int, samples: int,
@@ -70,7 +70,7 @@ def _gamma_source(instance: Instance, seed: int, samples: int,
     return kk_distance(instance.A, instance.B, seed, samples).hi
 
 
-def run_pipeline(instance: Instance, pipeline: str, seed: int = 0,
+def run_pipeline(instance: Instance, pipeline: str, seed: int,
                  samples: int = 32) -> Report:
     """Run one named pipeline on an instance and collect its certificates.
 
@@ -127,7 +127,7 @@ def _certify(instance: Instance, pipeline: str, seed: int, samples: int,
 
     if pipeline == "oz-perturb":
         struct = A.structure()
-        pi = LinMap(struct.fd_model(), A.ambient_dim, struct.matrix_units, codomain_algebra=A)
+        pi = LinMap(struct.fd_model(), struct.matrix_units, codomain_algebra=A)
         h = damping(pi, rng_for(seed, "oz-damping"))
         oz = OrderZeroMap.from_pair(pi, h, codomain_algebra=A)
         psi, cert = perturb_order_zero(oz, B, gamma)
@@ -145,7 +145,7 @@ def _certify(instance: Instance, pipeline: str, seed: int, samples: int,
 # rendering
 # ---------------------------------------------------------------------------
 
-def render_report(report: Report, fmt: str = "table") -> str:
+def render_report(report: Report, fmt: str) -> str:
     """Render a report as json, csv, or a human-readable table."""
     if fmt == "json":
         from .serialize import dumps

@@ -23,7 +23,7 @@ import json
 import numpy as np
 
 from .algebra import ConcreteAlgebra
-from .certs import Certificate, SchemaError, require_finite
+from .certs import JSON_TYPES, Certificate, SchemaError, require_field, require_finite
 
 __all__ = [
     "SchemaError",
@@ -38,12 +38,6 @@ __all__ = [
 ]
 
 
-def _need(d: dict, key: str, path: str):
-    if key not in d:
-        raise SchemaError(f"missing field {path}.{key}")
-    return d[key]
-
-
 def matrix_to_json(m: np.ndarray) -> dict:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2:
@@ -55,19 +49,22 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 
 def matrix_from_json(d: dict, path: str) -> np.ndarray:
-    rows, cols = _need(d, "rows", path), _need(d, "cols", path)
-    re, im = _need(d, "re", path), _need(d, "im", path)
-    if not (isinstance(rows, int) and isinstance(cols, int)
-            and rows >= 0 and cols >= 0):
+    if not isinstance(d, dict):
+        raise SchemaError(f"{path} is {d!r}, not a matrix")
+    rows, cols = (require_field(d, key, path, "an integer") for key in ("rows", "cols"))
+    if rows < 0 or cols < 0:
         raise SchemaError(f"invalid shape at {path}.rows/cols")
-    if len(re) != rows * cols:
-        raise SchemaError(f"{path}.re has {len(re)} entries, expected {rows * cols}")
-    if len(im) != rows * cols:
-        raise SchemaError(f"{path}.im has {len(im)} entries, expected {rows * cols}")
-    re, im = np.array(re, dtype=float), np.array(im, dtype=float)
-    require_finite(re, f"{path}.re")
-    require_finite(im, f"{path}.im")
-    return (re + 1j * im).reshape(rows, cols)
+    parts = []
+    for key in ("re", "im"):
+        v = require_field(d, key, path, "a list")
+        if len(v) != rows * cols:
+            raise SchemaError(f"{path}.{key} has {len(v)} entries, expected {rows * cols}")
+        for i, x in enumerate(v):
+            if not JSON_TYPES["a number"](x):
+                raise SchemaError(f"{path}.{key}[{i}] is {x!r}, not a number")
+        parts.append(np.array(v, dtype=float))
+        require_finite(parts[-1], f"{path}.{key}")
+    return (parts[0] + 1j * parts[1]).reshape(rows, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -76,16 +73,10 @@ def matrix_from_json(d: dict, path: str) -> np.ndarray:
 
 def to_jsonable(obj):
     """Convert a laboratory value into plain JSON-ready data."""
-    if obj is None or isinstance(obj, (bool, int, str)):
+    if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
-    if isinstance(obj, float):
-        return obj
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):  # as the Python value it holds
+        return obj.item()
     if isinstance(obj, np.ndarray):
         return matrix_to_json(obj)
     if isinstance(obj, (list, tuple)):
@@ -119,10 +110,11 @@ def from_jsonable(d, path: str = "$"):
     if kind == "matrix":
         return matrix_from_json(d, path)
     if kind == "concrete_algebra":
-        N = int(_need(d, "ambient_dim", path))
+        N = require_field(d, "ambient_dim", path, "an integer")
         basis = [matrix_from_json(b, f"{path}.basis[{i}]")
-                 for i, b in enumerate(_need(d, "basis", path))]
-        support = matrix_from_json(_need(d, "support", path), f"{path}.support")
+                 for i, b in enumerate(require_field(d, "basis", path, "a list"))]
+        support = matrix_from_json(require_field(d, "support", path, "an object"),
+                                   f"{path}.support")
         try:
             return ConcreteAlgebra(ambient_dim=N, basis=tuple(basis), support=support)
         except ValueError as exc:  # its message opens with the field it refuses
@@ -131,14 +123,16 @@ def from_jsonable(d, path: str = "$"):
         return Certificate.from_dict(d, path)
     if kind == "instance":
         from .instances import Instance
+        A, B = (from_jsonable(require_field(d, key, path, "an object"), f"{path}.{key}")
+                for key in "AB")
+        if bad := [key for key, v in zip("AB", (A, B)) if not isinstance(v, ConcreteAlgebra)]:
+            raise SchemaError(f"{path}.{bad[0]} is not a concrete_algebra")
         tu = d.get("true_unitary")
         return Instance(
-            A=from_jsonable(_need(d, "A", path), f"{path}.A"),
-            B=from_jsonable(_need(d, "B", path), f"{path}.B"),
-            recipe=str(_need(d, "recipe", path)),
-            params=from_jsonable(_need(d, "params", path), f"{path}.params"),
+            A=A, B=B, recipe=require_field(d, "recipe", path, "a string"),
+            params=from_jsonable(require_field(d, "params", path, "an object"), f"{path}.params"),
             true_unitary=None if tu is None else matrix_from_json(tu, f"{path}.true_unitary"),
-            seed=int(_need(d, "seed", path)))
+            seed=require_field(d, "seed", path, "an integer"))
     # reports and other tagged summaries come back as plain dicts
     return {k: from_jsonable(v, f"{path}.{k}") for k, v in d.items()}
 

@@ -3,13 +3,14 @@ oracles that tests of the package's run paths compare against."""
 
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from cstarlab.algebra import BlockStructure, ConcreteAlgebra, FDAlgebra, _combine
 from cstarlab.averaging import _canonical_index
-from cstarlab.certs import CLUSTER_REL, TOL_ALG, Certificate
+from cstarlab.certs import CLUSTER_REL, TOL_ALG
 from cstarlab.cpmaps import LinMap, _from_choi_blocks, choi_blocks, classify
 from cstarlab.linalg import dagger, opnorm, opnorm_max, random_unitary, rng_for
 from cstarlab.orderzero import OrderZeroMap, _structure_residual
@@ -86,16 +87,36 @@ def is_projection_residual(p: np.ndarray) -> float:
     return max(opnorm(p @ p - p), opnorm(p - dagger(p)))
 
 
-def _test_certificate(name, formula, inputs, ceiling, achieved) -> Certificate:
-    """A certificate of a test oracle, whose bound is not in certs.BOUNDS."""
-    return Certificate(name=name, formula=formula, inputs=inputs, ceiling=ceiling,
-                       achieved=float(achieved),
-                       verdict="pass" if achieved <= ceiling else "fail")
+@dataclass
+class OracleCheck:
+    """The verdict of a test oracle, whose bound is not in certs.BOUNDS, so
+    it is no ``Certificate``: "pass" iff achieved <= ceiling."""
+
+    name: str
+    formula: str
+    inputs: dict
+    ceiling: float
+    achieved: float
+
+    @property
+    def verdict(self) -> str:
+        return "pass" if self.achieved <= self.ceiling else "fail"
+
+    @property
+    def passed(self) -> bool:
+        return self.verdict == "pass"
 
 
-def verify_algebra(A: ConcreteAlgebra) -> Certificate:
+def complex_gaussian(rng, rows: int, cols: int) -> np.ndarray:
+    """A rows x cols standard complex Gaussian matrix, in the stream order of
+    ``linalg.random_complex``: the real parts, then the imaginary parts."""
+    re, im = rng.standard_normal((rows, cols)), rng.standard_normal((rows, cols))
+    return (re + 1j * im) / np.sqrt(2.0)
+
+
+def verify_algebra(A: ConcreteAlgebra) -> OracleCheck:
     """Check orthonormality, *-closure, product closure, and the support
-    projection identities.  Returns a certificate with the worst residual."""
+    projection identities.  Returns the check of the worst residual."""
     Q, e = A.basis.reshape(A.dim, -1), A.support
     worst = max(float(np.abs(Q.conj() @ Q.T - np.eye(A.dim)).max(initial=0.0)),
                 A.residual(dagger(A.basis)).max(initial=0.0),
@@ -103,7 +124,7 @@ def verify_algebra(A: ConcreteAlgebra) -> Certificate:
                 opnorm_max(e @ A.basis - A.basis), opnorm_max(A.basis @ e - A.basis))
     for b in A.basis:  # the products b c, one row at a time
         worst = max(worst, A.residual(b @ A.basis).max())
-    return _test_certificate(
+    return OracleCheck(
         "algebra-invariants",
         "max residual of orthonormality, *-closure, product closure, support identities",
         {"dim": A.dim, "ambient_dim": A.ambient_dim}, TOL_ALG, worst)
@@ -118,7 +139,7 @@ def from_choi(C: np.ndarray, block_sizes, codomain_dim: int) -> LinMap:
     """Inverse of :func:`choi` for the given block sizes."""
     fd, N = FDAlgebra(tuple(block_sizes)), codomain_dim
     cuts = np.cumsum([0] + [n * N for n in fd.block_sizes])
-    return _from_choi_blocks(fd, N, [C[a:b, a:b] for a, b in zip(cuts, cuts[1:])])
+    return _from_choi_blocks(fd, [C[a:b, a:b] for a, b in zip(cuts, cuts[1:])])
 
 
 def conditional_expectation(A: ConcreteAlgebra) -> LinMap:
@@ -131,7 +152,7 @@ def conditional_expectation(A: ConcreteAlgebra) -> LinMap:
     """
     N = A.ambient_dim
     fd = FDAlgebra((N,))
-    return LinMap(fd, N, A.project(fd.units()), codomain_algebra=A)
+    return LinMap(fd, A.project(fd.units()), codomain_algebra=A)
 
 
 # (summands, N) of the maps on M_n (x) 1_m domains: one summand with
@@ -232,7 +253,7 @@ def canonical_residual(fd: FDAlgebra, weights: np.ndarray, terms: np.ndarray) ->
     return opnorm(W - C)
 
 
-def verify_averaging_set(fd: FDAlgebra, weights: np.ndarray, terms: np.ndarray) -> Certificate:
+def verify_averaging_set(fd: FDAlgebra, weights: np.ndarray, terms: np.ndarray) -> OracleCheck:
     """Certify the defining properties of an averaging family of the block
     algebra fd: weights sum to one, every term is a unitary of fd, and the
     averaged tensor is exactly the canonical separability element (hence
@@ -243,7 +264,7 @@ def verify_averaging_set(fd: FDAlgebra, weights: np.ndarray, terms: np.ndarray) 
     mw = sum(lam * p for lam, p in zip(weights, uu))
     worst = max(worst, opnorm(mw - fd.unit()))
     worst = max(worst, canonical_residual(fd, weights, terms))
-    return _test_certificate(
+    return OracleCheck(
         "averaging-set",
         "max(|sum(w)-1|, ||u*u - 1||, ||sum w u(x)u* - canonical||) <= tol",
         {"n_terms": len(terms), "block_sizes": list(fd.block_sizes)}, TOL_CONV, worst)

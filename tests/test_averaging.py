@@ -33,7 +33,7 @@ def embedded(fd: FDAlgebra, N: int) -> LinMap:
         m = np.zeros((N, N), dtype=complex)
         m[:fd.d, :fd.d] = matrix_unit(fd, k, i, j)
         images.append(m)
-    return LinMap(fd, N, tuple(images))
+    return LinMap(fd, tuple(images))
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +99,7 @@ def test_twirl_is_commutant_projection(sizes):
 
 
 def random_map(fd: FDAlgebra, N: int, rng) -> LinMap:
-    return LinMap(fd, N, tuple(rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    return LinMap(fd, tuple(rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
                                for _ in range(fd.dim_linear)))
 
 
@@ -120,7 +120,7 @@ def nearly_multiplicative(fd: FDAlgebra, N: int, diag) -> LinMap:
     defect."""
     hom = embedded(fd, N)
     v = expm(1j * 0.05 * np.diag(diag))
-    return LinMap(fd, N, tuple(0.5 * a + 0.5 * (v @ a @ dagger(v)) for a in hom.images))
+    return LinMap(fd, tuple(0.5 * a + 0.5 * (v @ a @ dagger(v)) for a in hom.images))
 
 
 def explicit_repair(phi: LinMap):
@@ -152,7 +152,7 @@ def test_repair_refuses_a_map_that_is_not_cpc(scale, transpose, numbers):
     # track with a gamma outside the window
     fd = FDAlgebra((2,))
     images = embedded(fd, 2).images
-    phi = LinMap(fd, 2, scale * (images.swapaxes(1, 2) if transpose else images))
+    phi = LinMap(fd, scale * (images.swapaxes(1, 2) if transpose else images))
     for track in ("experimental", "paper"):
         with on_track(track), pytest.raises(ValueError) as err:
             improve_multiplicativity(phi, gamma=1.0)
@@ -172,7 +172,7 @@ def test_repair_twirl_matches_phase_family_sum():
     # pi at each unitary of the family, as the LinMap of pi's unit images
     R = dilation_representation(ext.domain.block_sizes, dil.ranks)
     weights, terms = phase_family(ext.domain)
-    pi = LinMap(ext.domain, len(p), R)(terms)
+    pi = LinMap(ext.domain, R)(terms)
     explicit = sum(w * (dagger(pu) @ p @ pu) for w, pu in zip(weights, pi))
     p0 = canonical_average(ext.domain.block_sizes, R @ p, R)
     assert opnorm(p0 - explicit) < 1e-13
@@ -185,7 +185,7 @@ def test_repair_twirl_matches_phase_family_sum():
 def _vanishing_on_a_block() -> LinMap:
     # block 0 of (2, 1) nearly multiplicative, block 1 sent to zero
     phi = nearly_multiplicative(FDAlgebra((2, 1)), 4, [0.0, 1.0, 0.0, -1.0])
-    return LinMap(phi.domain, 4, np.concatenate([phi.images[:4], np.zeros((1, 4, 4))]))
+    return LinMap(phi.domain, np.concatenate([phi.images[:4], np.zeros((1, 4, 4))]))
 
 
 def _on_a_multiplicity_domain() -> LinMap:
@@ -450,10 +450,10 @@ def test_repair_and_self_intertwiner_depend_on_the_map_alone(algebra, ambient):
     phi, _ = arveson_restrict(A, B, A.normalized_basis, gamma=eta / 2.0)
     repairs = [improve_multiplicativity(phi, gamma=g).psi for g in (3.0 * eta, 1e-3)]
     assert len({psi.images.tobytes() for psi in repairs}) == 1
-    theta = LinMap(A, ambient, B.project(repairs[0].images), codomain_algebra=B)
+    theta = LinMap(A, B.project(repairs[0].images), codomain_algebra=B)
     unit = intertwining_unitary(theta, theta)
     # pairing theta with itself gives what pairing it with an equal copy gives
-    copy = LinMap(A, ambient, theta.images.copy(), codomain_algebra=B)
+    copy = LinMap(A, theta.images.copy(), codomain_algebra=B)
     other = intertwining_unitary(theta, copy)
     assert other.u.tobytes() == unit.u.tobytes()
     assert (other.gamma, other.delta) == (unit.gamma, unit.delta)

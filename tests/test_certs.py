@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 from pathlib import Path
 
@@ -230,6 +231,18 @@ def test_certificate_to_dict_plain():
     assert d["kind"] == "certificate" and d["schema_version"] == 2
     assert d["verdict"] == "pass" and "provenance" not in d
     assert type(d["inputs"]["gamma"]) is float and type(d["ceiling"]) is float
+
+
+def test_a_certificate_stores_each_value_once():
+    # the formula, ceiling and slack are read from its BOUNDS row and its
+    # inputs, so a certificate does not store them; its JSON states them all
+    assert [f.name for f in dataclasses.fields(Certificate)] == [
+        "name", "inputs", "achieved", "verdict", "details"]
+    d = Certificate.build("forward-closeness", {"gamma": 1e-6, "n_points": 1}, 0.01).to_dict()
+    assert set(d) == {"name", "formula", "inputs", "ceiling", "achieved", "verdict", "slack",
+                      "details", "kind", "schema_version"}
+    assert (d["formula"], d["ceiling"], d["slack"]) == (
+        BOUNDS["forward-closeness"].formula, 28.0 * math.sqrt(1e-6), TOL_EXACT)
 
 
 def _oracle_certificate(name) -> Certificate:

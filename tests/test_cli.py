@@ -164,6 +164,34 @@ def test_pipeline_on_a_malformed_saved_algebra_exits_2_naming_its_path(
     assert f"SchemaError: {path}" in err, err
 
 
+@pytest.mark.parametrize("edit,path", [
+    (lambda d: d["A"]["basis"][0].update(re=5), "$.A.basis[0].re is 5, not a list"),
+    (lambda d: d["A"].update(basis=5), "$.A.basis is 5, not a list"),
+    (lambda d: d["A"]["basis"].__setitem__(0, 5), "$.A.basis[0] is 5, not a matrix"),
+    (lambda d: d["A"]["basis"][0]["re"].__setitem__(1, "x"),
+     "$.A.basis[0].re[1] is 'x', not a number"),
+    (lambda d: d["A"].update(ambient_dim="4"), "$.A.ambient_dim is '4', not an integer"),
+    (lambda d: d.update(seed="1"), "$.seed is '1', not an integer"),
+    (lambda d: d.update(params=[1, 2]), "$.params is [1, 2], not an object"),
+    # an integer is a JSON integer, not a bool or a fraction
+    (lambda d: d["A"]["basis"][0].update(rows=True), "$.A.basis[0].rows is True, not an integer"),
+    (lambda d: d["A"].update(ambient_dim=4.0), "$.A.ambient_dim is 4.0, not an integer"),
+], ids=["re-number", "basis-number", "basis-entry-number", "re-string-entry",
+        "ambient-dim-string", "seed-string", "params-list", "rows-bool", "ambient-dim-float"])
+def test_a_saved_field_of_the_wrong_json_type_exits_2_naming_its_path(
+        edit, path, tmp_path, capsys):
+    # a malformed input file is a SchemaError that names the field, not a
+    # TypeError traceback, a bare ValueError or a silent run
+    inst_path = tmp_path / "pair.json"
+    assert main(["gen", "--seed", "1", "--eps", "1e-5", "--out", str(inst_path)]) == 0
+    d = json.loads(inst_path.read_text())
+    edit(d)
+    inst_path.write_text(json.dumps(d))
+    capsys.readouterr()
+    assert main(["iso", str(inst_path)]) == 2
+    assert f"cstarlab: SchemaError: {path}\n" in capsys.readouterr().err
+
+
 def test_pipeline_rejects_report_as_instance(tmp_path, capsys):
     rep_path = tmp_path / "report.json"
     assert main(["dist", "--seed", "1", "--eps", "1e-5",

@@ -27,8 +27,9 @@ from cstarlab.cpmaps import (
 )
 from cstarlab.instances import block_algebra, gen_instance
 from cstarlab.linalg import herm, opnorm_max, opnorms, random_complex, random_unitary, rng_for
-from helpers import (MULTIPLICITY_CASES, choi, conditional_expectation, dilation_representation,
-                     from_choi, matrix_unit, mult_defects, multiplicity_algebra)
+from helpers import (MULTIPLICITY_CASES, choi, complex_gaussian, conditional_expectation,
+                     dilation_representation, from_choi, matrix_unit, mult_defects,
+                     multiplicity_algebra)
 
 
 def random_ucp(fd: FDAlgebra, N: int, seed: int = 0) -> LinMap:
@@ -39,7 +40,7 @@ def random_ucp(fd: FDAlgebra, N: int, seed: int = 0) -> LinMap:
     v, _ = np.linalg.qr(g)
     images = tuple(dagger(v) @ np.kron(matrix_unit(fd, k, i, j), np.eye(N)) @ v
                    for (k, i, j) in fd.unit_labels())
-    return LinMap(fd, N, images)
+    return LinMap(fd, images)
 
 
 def random_selfadjoint_map(fd: FDAlgebra, N: int, seed: int = 0) -> LinMap:
@@ -48,7 +49,7 @@ def random_selfadjoint_map(fd: FDAlgebra, N: int, seed: int = 0) -> LinMap:
     for _ in range(fd.dim_linear):
         g = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
         images.append(0.1 * (g + dagger(g)))
-    return LinMap(fd, N, tuple(images))
+    return LinMap(fd, tuple(images))
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +118,7 @@ def test_classify_transpose_not_cp():
     # the transpose map on M_2 is positive but not completely positive
     fd = FDAlgebra((2,))
     images = tuple(matrix_unit(fd, k, i, j).T for (k, i, j) in fd.unit_labels())
-    phi = LinMap(fd, 2, images)
+    phi = LinMap(fd, images)
     cls = classify(phi)
     assert not cls.cp
     assert cls.choi_min_eig < -0.5
@@ -129,15 +130,15 @@ def test_classify_equals_the_per_block_loop(sizes):
     fd, N = FDAlgebra(sizes), 3
     ucp = random_ucp(fd, N, seed=2)
     rng = rng_for(2, "test-classify-blocks")
-    skew = random_complex(rng, N * fd.dim_linear, N).reshape(fd.dim_linear, N, N)
+    skew = complex_gaussian(rng, N * fd.dim_linear, N).reshape(fd.dim_linear, N, N)
     # i 1e-6 on phi(e_ii) of the last block adds an anti-Hermitian part to
     # that Choi block alone and leaves its Hermitian part psd
     last = ucp.images.copy()
     for pos, (k, i, j) in enumerate(fd.unit_labels()):
         if k == len(sizes) - 1 and i == j:
             last[pos] += 1e-6j * np.eye(N)
-    maps = [ucp, ucp.scaled(1.5), random_selfadjoint_map(fd, N, seed=2), LinMap(fd, N, last),
-            LinMap(fd, N, ucp.images + 1e-12 * skew), LinMap(fd, N, ucp.images + 1e-3 * skew)]
+    maps = [ucp, ucp.scaled(1.5), random_selfadjoint_map(fd, N, seed=2), LinMap(fd, last),
+            LinMap(fd, ucp.images + 1e-12 * skew), LinMap(fd, ucp.images + 1e-3 * skew)]
     verdicts = set()
     for phi in maps:
         herm_resid, min_eig = 0.0, np.inf
@@ -173,7 +174,7 @@ def test_classify_reads_a_nan_hermitian_residual_as_not_cp():
     for pos, (k, i, j) in enumerate(fd.unit_labels()):
         if i == j:
             images[pos] += 1e200j * np.eye(3)
-    skewed = LinMap(fd, 3, images)
+    skewed = LinMap(fd, images)
     assert all(np.isnan(opnorm_max(C - dagger(C))) for C in choi_blocks(skewed))
     cls = classify(skewed)
     assert cls.choi_min_eig >= -TOL_PSD
@@ -184,7 +185,7 @@ def test_classify_reads_a_nan_eigenvalue_as_not_cp(monkeypatch):
     # a Choi eigenvalue that is not a number certifies nothing: Python's min
     # drops it, and a minimum read as 0.0 would pass the blocks as psd
     A = block_algebra((2, 1), 3)
-    phi = LinMap(A, 3, A.structure().matrix_units, codomain_algebra=A)
+    phi = LinMap(A, A.structure().matrix_units, codomain_algebra=A)
     assert classify(phi).ucp
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: np.full(m.shape[:-1], np.nan))
     cls = classify(phi)
@@ -205,7 +206,7 @@ def test_stinespring_reconstructs(sizes):
     # entry from the ranks, and dilation_images reads the same compression
     R = dilation_representation(sizes, dil.ranks)
     assert len(V) == sum(n * r for n, r in zip(sizes, dil.ranks))
-    pi = LinMap(fd, len(V), R)
+    pi = LinMap(fd, R)
     rng = rng_for(99, "stinespring-check")
     for x in fd.random_elements(rng, 4):
         assert opnorm(E @ dagger(V) @ pi(x) @ V @ dagger(E) - phi(x)) < 1e-10
@@ -246,7 +247,7 @@ def test_kraus_operators_sum():
 
 def _random_map(domain, N: int, dim: int, seed: int) -> LinMap:
     rng = rng_for(seed, "test-stack-map")
-    return LinMap(domain, N, np.array([random_complex(rng, N) for _ in range(dim)]))
+    return LinMap(domain, np.array([random_complex(rng, N) for _ in range(dim)]))
 
 
 @pytest.mark.parametrize("profile", [(2, 1), (3, 3), (2, 3, 1)])
@@ -308,13 +309,15 @@ def test_evaluation_on_a_domain_with_multiplicity(summands, N):
 
 
 def test_linmap_rejects_bad_images():
+    # N is read off the images: a (d, N, N) stack of any N is a map into M_N,
+    # and a stack that is not one, or not one image per matrix unit, is refused
     fd = FDAlgebra((2,))
+    assert LinMap(fd, np.zeros((4, 3, 3))).codomain_dim == 3
+    for images in (np.zeros((4, 2, 3)), np.zeros((4, 4)), np.zeros((3, 3, 3))):
+        with pytest.raises(ValueError):
+            LinMap(fd, images)
     with pytest.raises(ValueError):
-        LinMap(fd, 3, np.zeros((4, 2, 2)))
-    with pytest.raises(ValueError):
-        LinMap(fd, 3, np.zeros((3, 3, 3)))
-    with pytest.raises(ValueError):
-        LinMap(ConcreteAlgebra.full(2), 2, np.zeros((3, 2, 2)))
+        LinMap(ConcreteAlgebra.full(2), np.zeros((3, 2, 2)))
 
 
 def test_mult_defect_table_order():
@@ -333,7 +336,7 @@ def test_mult_defect_table_order():
 def test_mult_defect_zero_for_hom():
     fd = FDAlgebra((2,))
     images = tuple(matrix_unit(fd, k, i, j) for (k, i, j) in fd.unit_labels())
-    phi = LinMap(fd, 2, images)
+    phi = LinMap(fd, images)
     rng = rng_for(0, "defect")
     X = fd.random_elements(rng, 4)
     defects = mult_defects(phi, X)
@@ -348,10 +351,10 @@ def test_hom_defect_of_a_scaled_identity(domain, t):
     # the adjoint terms and the products of distinct diagonal units vanish
     if domain.startswith("block"):
         fd = FDAlgebra((2, 1))
-        phi = LinMap(fd, fd.d, t * fd.units())
+        phi = LinMap(fd, t * fd.units())
     else:
         A = block_algebra((2, 1), 4)
-        phi = LinMap(A, 4, t * A.structure().matrix_units)
+        phi = LinMap(A, t * A.structure().matrix_units)
     assert abs(hom_defect(phi) - t * (1.0 - t)) <= 1e-14
 
 
@@ -364,12 +367,12 @@ def test_hom_defect_of_the_transpose_on_m2_is_one(domain):
     # one, so the value is 1 again
     if domain.startswith("block"):
         fd = FDAlgebra((2,))
-        phi = LinMap(fd, 2, fd.units().swapaxes(1, 2))
+        phi = LinMap(fd, fd.units().swapaxes(1, 2))
     else:
         v = random_unitary(rng_for(22, "test-u"), 2)
         A = block_algebra((2,), 2).conjugated(v)
         units = A.structure().matrix_units
-        phi = LinMap(A, 2, v @ (dagger(v) @ units @ v).swapaxes(1, 2) @ dagger(v))
+        phi = LinMap(A, v @ (dagger(v) @ units @ v).swapaxes(1, 2) @ dagger(v))
     assert abs(hom_defect(phi) - 1.0) <= 1e-14
 
 
@@ -378,7 +381,7 @@ def test_hom_defect_of_an_overflowing_map_is_nan():
     # to inf, and to inf + nan i in the complex products: the defect is nan,
     # with no SVD of the non-finite products to raise LinAlgError
     A = block_algebra((2, 1), 3)
-    phi = LinMap(A, 3, np.diag([1.0, 1.0, 1e200]) @ A.structure().matrix_units)
+    phi = LinMap(A, np.diag([1.0, 1.0, 1e200]) @ A.structure().matrix_units)
     with np.errstate(over="ignore", invalid="ignore"):
         assert np.isnan(hom_defect(phi))
 
@@ -446,7 +449,7 @@ def test_cb_bracket_transpose():
     # attains it
     fd = FDAlgebra((2,))
     images = tuple(matrix_unit(fd, k, i, j).T for (k, i, j) in fd.unit_labels())
-    phi = LinMap(fd, 2, images)
+    phi = LinMap(fd, images)
     lo, hi = cb_bracket(phi)
     assert lo <= 2.0 <= hi
     assert lo >= 2.0 * (1.0 - 1e-12)
@@ -460,9 +463,9 @@ def test_cb_bracket_of_a_two_sided_multiplication(seed):
     # term); its Choi matrix is rank one and not Hermitian, so the bound comes
     # from the reshuffle SVD
     rng = rng_for(seed, "test-cb-axb")
-    a, b = random_complex(rng, 4, 3), random_complex(rng, 3, 4)
+    a, b = complex_gaussian(rng, 4, 3), complex_gaussian(rng, 3, 4)
     fd = FDAlgebra((3,))
-    phi = LinMap(fd, 4, a @ fd.units() @ b)
+    phi = LinMap(fd, a @ fd.units() @ b)
     lo, hi = cb_bracket(phi)
     exact = opnorm(a) * opnorm(b)
     assert abs(hi - exact) <= 1e-12 * exact
@@ -477,7 +480,7 @@ def test_cb_bracket_of_the_transpose_on_m3_contains_three():
     # outward, so hi holds n with no slack (unrounded it was
     # 2.9999999999999996, one unit in the last place below 3)
     fd = FDAlgebra((3,))
-    phi = LinMap(fd, 3, fd.units().swapaxes(1, 2))
+    phi = LinMap(fd, fd.units().swapaxes(1, 2))
     lo, hi = cb_bracket(phi)
     assert lo <= 3.0 <= hi
     assert lo >= 1.0
@@ -491,7 +494,7 @@ def test_cb_bracket_of_a_scaled_transpose_contains_n_c(n, c):
     # c T on M_n has cb norm n c.  For c <= 1e-10 its Choi eigenvalues -c
     # pass classify's TOL_PSD, so the cp branch must add what it let through
     fd = FDAlgebra((n,))
-    lo, hi = cb_bracket(LinMap(fd, n, c * fd.units().swapaxes(1, 2)))
+    lo, hi = cb_bracket(LinMap(fd, c * fd.units().swapaxes(1, 2)))
     assert lo <= n * c <= hi
 
 
@@ -505,7 +508,7 @@ def test_cb_bracket_swap_witness_attains_a_scaled_transpose(n, c):
     # returns more than n c on some of these (n = 5 at c = 1, n = 4 at
     # c = 1e-6), so lo <= n c checks the rounding too
     fd = FDAlgebra((n,))
-    lo, hi = cb_bracket(LinMap(fd, n, c * fd.units().swapaxes(1, 2)))
+    lo, hi = cb_bracket(LinMap(fd, c * fd.units().swapaxes(1, 2)))
     assert lo <= n * c <= hi
     assert lo >= (1.0 - 1e-12) * n * c
 
@@ -517,7 +520,7 @@ def test_cb_bracket_of_a_scaled_transpose_minus_identity(c):
     # c (T - id) on M_2 sends 1 to 0 and e_12 to c (e_21 - e_12), of norm c,
     # so its cb norm is at least c; the cp branch read ||phi(1)|| = 0 as hi
     fd = FDAlgebra((2,))
-    lo, hi = cb_bracket(LinMap(fd, 2, c * (fd.units().swapaxes(1, 2) - fd.units())))
+    lo, hi = cb_bracket(LinMap(fd, c * (fd.units().swapaxes(1, 2) - fd.units())))
     assert lo <= hi and hi >= c > 0
 
 
@@ -527,9 +530,9 @@ def test_factor_bound_adds_the_terms_it_misses(seed):
     # map, or all of it, must add the miss sum_ij ||a e_ij b||_F =
     # (sum_i ||a_i||) (sum_j ||b_j||) over a's columns and b's rows
     rng = rng_for(seed, "test-cb-miss")
-    a, b = random_complex(rng, 4, 3), random_complex(rng, 3, 4)
+    a, b = complex_gaussian(rng, 4, 3), complex_gaussian(rng, 3, 4)
     fd = FDAlgebra((3,))
-    C = _choi_and_reshuffle(_pinched_images(LinMap(fd, 4, a @ fd.units() @ b)))[0]
+    C = _choi_and_reshuffle(_pinched_images(LinMap(fd, a @ fd.units() @ b)))[0]
     exact = opnorm(a) * opnorm(b)
     miss = np.linalg.norm(a, axis=0).sum() * np.linalg.norm(b, axis=1).sum()
     full = _factor_bound(a[None], b[None], C)
@@ -562,7 +565,7 @@ def test_worst_move_equals_the_one_stack_maximum(monkeypatch):
     # of 32: the largest ||f(x) - x|| has the bits of the one-stack maximum
     rng = rng_for(5, "worst-move")
     u = random_unitary(rng, 3)
-    X = random_complex(rng, 70 * 3, 3).reshape(70, 3, 3)
+    X = complex_gaussian(rng, 70 * 3, 3).reshape(70, 3, 3)
     want = opnorms(u @ X @ dagger(u) - X).max()
     assert worst_move(lambda x: u @ x @ dagger(u), X) == want
     monkeypatch.setattr(cpmaps, "_BATCH_BYTES", 1)
@@ -619,4 +622,4 @@ def test_non_finite_images_are_a_schema_error(bad):
     images = fd.units()
     images[3, 0, 0] = bad
     with pytest.raises(SchemaError):
-        LinMap(fd, fd.d, images)
+        LinMap(fd, images)

@@ -13,7 +13,7 @@ from cstarlab.linalg import (clip_spectrum, cluster_values, dagger, eigh_fun,
                              partial_isometry_polar, polar_factor, psd_part, psd_pinv,
                              psd_sqrt, random_complex, random_hermitian, random_unitary,
                              range_projection, rng_for)
-from helpers import cluster_values_loop, is_projection_residual
+from helpers import cluster_values_loop, complex_gaussian, is_projection_residual
 
 DIMS = st.integers(min_value=1, max_value=6)
 SEEDS = st.integers(min_value=0, max_value=10_000)
@@ -168,7 +168,7 @@ def _hs_order_differs(rng, k: int, n: int, rows: int | None = None) -> np.ndarra
     mats = np.zeros((k, rows, n), dtype=complex)
     for i, kind in enumerate(kinds):
         if kind == 0:
-            u, v = random_complex(rng, rows, 1), random_complex(rng, n, 1)
+            u, v = complex_gaussian(rng, rows, 1), complex_gaussian(rng, n, 1)
             mats[i] = rng.uniform(0.5, 2.0) * u @ dagger(v)
         elif kind == 1:
             mats[i, :min(rows, n), :min(rows, n)] = rng.uniform(0.5, 2.0) * np.eye(min(rows, n))
@@ -252,7 +252,7 @@ def test_opnorm_max_of_a_stream_with_a_non_finite_stack():
 
 
 def test_opnorm_max_of_diagonal_matrices_is_the_largest_entry():
-    d = random_complex(rng_for(7, "opnorm-max-diag"), 40, 5)
+    d = complex_gaussian(rng_for(7, "opnorm-max-diag"), 40, 5)
     S = np.einsum("ki,ij->kij", d, np.eye(5))
     assert abs(opnorm_max(S) - np.abs(d).max()) <= 4 * np.finfo(float).eps * np.abs(d).max()
 
@@ -263,7 +263,7 @@ def test_opnorm_max_bound_covers_rounding():
     # time; behind diag(h, 1e-7 h), whose HS norm is larger and whose
     # operator norm is h, r can only be skipped by a bound without slack
     rng = rng_for(9, "opnorm-max-rounding")
-    u, v = random_complex(rng, 60 * 4, 2).reshape(2, 60, 4, 1)
+    u, v = complex_gaussian(rng, 60 * 4, 2).reshape(2, 60, 4, 1)
     r = u @ dagger(v)
     h = np.linalg.norm(r, axis=(1, 2))
     assert (opnorms(r) > h).sum() >= 5

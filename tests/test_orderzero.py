@@ -90,7 +90,7 @@ def test_order_zero_projection_fits_noisy_maps(sizes, seed, eps):
     g = (rng.standard_normal(oz.map.images.shape)
          + 1j * rng.standard_normal(oz.map.images.shape))
     g /= np.linalg.norm(g, 2, axis=(1, 2))[:, None, None]
-    psi = LinMap(oz.map.domain, N, oz.map.images + eps * g)
+    psi = LinMap(oz.map.domain, oz.map.images + eps * g)
     if TOL_ALG < 10 * eps:
         with pytest.raises(ValueError, match="not order zero"):
             structure_decompose(psi)
@@ -141,7 +141,7 @@ def test_is_order_zero_rejects_generic_cp_map():
     images = tuple(0.5 * (v1 @ matrix_unit(fd, k, i, j) @ dagger(v1)
                           + v2 @ matrix_unit(fd, k, i, j) @ dagger(v2))
                    for (k, i, j) in fd.unit_labels())
-    phi = LinMap(fd, 4, images)
+    phi = LinMap(fd, images)
     assert classify(phi).cpc
     assert is_order_zero(phi) is False
 
@@ -267,7 +267,7 @@ def test_verify_decomposition_names_broken_invariant():
     dec = split_decomposition(A)
     up = dec.ups[1]
     # replace one upward map with a non-order-zero one (all images equal)
-    broken_map = LinMap(up.domain, up.codomain_dim, tuple(up.images[0] for _ in up.images))
+    broken_map = LinMap(up.domain, tuple(up.images[0] for _ in up.images))
     broken = NucDimDecomposition(dec.downs, (dec.ups[0], broken_map), dec.defect)
     cert = verify_nucdim_decomposition(A, list(A.basis), 1e-10, broken)
     assert cert.verdict == "fail"
@@ -328,7 +328,7 @@ def test_nucdim_transfer_refuses_a_color_past_tol_alg():
     rng = rng_for(0, "oz-transfer-noise")
     g = rng.standard_normal(up.images.shape) + 1j * rng.standard_normal(up.images.shape)
     g /= np.linalg.norm(g, 2, axis=(1, 2))[:, None, None]
-    noisy = LinMap(up.domain, 4, up.images + 10 * TOL_ALG * g, codomain_algebra=A)
+    noisy = LinMap(up.domain, up.images + 10 * TOL_ALG * g, codomain_algebra=A)
     with pytest.raises(ValueError, match="not order zero") as exc:
         nucdim_cpc_transfer(A, NucDimDecomposition(dec.downs, (dec.ups[0], noisy), dec.defect),
                             list(A.basis), A, 0.0)

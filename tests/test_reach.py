@@ -11,7 +11,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 REACH = ROOT / "tools" / "reach.py"
 KNOB_COUNT = ROOT / "tools" / "knob_count.py"
-REPORT_DIGEST = ROOT / "tools" / "report_digest.py"
+REPORT_DIFF = ROOT / "tools" / "report_diff.py"
 
 # the definitions that wait for the ROADMAP items that wire or retire them:
 # the near-inclusion embedding (item 12) and the half-flip producer (item 10)
@@ -22,9 +22,14 @@ ALLOWED = {"intertwine.near_embedding_nuclear", "intertwine.half_flip_cpc",
 # the defaulted parameters, dataclass fields and module-level context
 # variables of the package, as tools/knob_count.py counts them: a new default
 # moves this pin, with the run path that sets it to a second value named where
-# the pin moves.  The 24 are 23 defaults and the certification track
-# (certs.TRACK)
-KNOBS = 24
+# the pin moves.  The 16 are the certification track (certs.TRACK) and 15
+# defaults: averaging 3 (improve_multiplicativity gamma, intertwining_unitary
+# gamma and delta), certs 2 (TRACK, build details), cli 1 (main argv), cpmaps 2
+# (LinMap.codomain_algebra, stinespring tol_psd), geometry 3 (nearest_in_span
+# ball, tol, floor), intertwine 2 (near_embedding_nuclear X, half_flip_cpc X),
+# orderzero 1 (near_embed_nucdim X), pipelines 1 (run_pipeline samples),
+# serialize 1 (from_jsonable path)
+KNOBS = 16
 
 
 # the walk that does not enter the selftest also leaves the selftest's data
@@ -72,15 +77,17 @@ def test_no_default_is_added_unseen():
     assert out.splitlines()[-1] == f"total: {KNOBS}", out
 
 
-@pytest.mark.parametrize("tool,src,expects", [
-    (REACH, ROOT / "src", "package directory"),
-    (KNOB_COUNT, ROOT / "src", "package directory"),
-    (REPORT_DIGEST, ROOT / "src" / "cstarlab", "parent directory of the cstarlab package"),
-], ids=["reach", "knob_count", "report_digest"])
-def test_a_tool_given_the_other_layout_exits_2(tool, src, expects):
-    # reach.py and knob_count.py read the package directory, report_digest.py
-    # its parent; handed the other one, each names the layout it expects
-    out = subprocess.run([sys.executable, str(tool), str(src)],
+@pytest.mark.parametrize("tool,dirs,expects", [
+    (REACH, [ROOT / "src"], "package directory"),
+    (KNOB_COUNT, [ROOT / "src"], "package directory"),
+    (REPORT_DIFF, [ROOT / "src", ROOT / "src" / "cstarlab"],
+     "src/cstarlab is not the parent directory of the cstarlab package"),
+], ids=["reach", "knob_count", "report_diff"])
+def test_a_tool_given_the_other_layout_exits_2(tool, dirs, expects):
+    # reach.py and knob_count.py read the package directory, report_diff.py
+    # its parent in both trees, checked before it runs either; handed the
+    # other one, each names the layout it expects
+    out = subprocess.run([sys.executable, str(tool), *map(str, dirs)],
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 2 and out.stdout == ""
     assert len(out.stderr.splitlines()) == 1 and expects in out.stderr, out.stderr

@@ -133,7 +133,7 @@ def test_unserializable_type_rejected():
         dumps(object())
     A = block_algebra((2,), 3)
     with pytest.raises(TypeError, match="cannot serialize LinMap"):
-        dumps(LinMap(A, 3, tuple(A.basis), codomain_algebra=A))
+        dumps(LinMap(A, tuple(A.basis), codomain_algebra=A))
 
 
 @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
