@@ -76,6 +76,17 @@ def require_field(d: dict, key: str, path: str, kind: str):
     return d[key]
 
 
+# the schema_version each kind writes; a file that omits it still loads
+SCHEMA_VERSIONS = dict(report=2, certificate=2, instance=1, concrete_algebra=1, matrix=1)
+
+
+def require_version(d: dict, kind: str, path: str) -> None:
+    """SchemaError naming ``<path>.schema_version`` unless d states kind's or none."""
+    want = SCHEMA_VERSIONS[kind]
+    if "schema_version" in d and require_field(d, "schema_version", path, "an integer") != want:
+        raise SchemaError(f"{path}.schema_version is {d['schema_version']}, not {want}")
+
+
 # numeric tolerances
 TOL_ALG = 1e-9          # *-algebra / homomorphism residuals
 TOL_EXACT = 1e-12       # exactness claims (diagonals, units, round trips)
@@ -234,7 +245,8 @@ class Certificate:
     def build(cls, name: str, inputs: dict, achieved: float,
               details: dict | None = None) -> "Certificate":
         bound = BOUNDS[name]
-        inputs = {k: _plain(v) for k, v in inputs.items()}
+        # a numpy scalar as the Python number it holds
+        inputs = {k: v.item() if isinstance(v, np.generic) else v for k, v in inputs.items()}
         passed = achieved <= float(bound.ceiling(inputs)) + bound.slack
         return cls(name=name, inputs=inputs, achieved=float(achieved),
                    verdict="pass" if passed else "fail", details=dict(details or {}))
@@ -257,7 +269,8 @@ class Certificate:
 
     def to_dict(self) -> dict:
         return {**asdict(self), "formula": self.formula, "ceiling": self.ceiling,
-                "slack": self.slack, "kind": "certificate", "schema_version": 2}
+                "slack": self.slack, "kind": "certificate",
+                "schema_version": SCHEMA_VERSIONS["certificate"]}
 
     @classmethod
     def from_dict(cls, d: dict, path: str) -> "Certificate":
@@ -265,19 +278,20 @@ class Certificate:
         ``build`` from its name, inputs, achieved value and details.
 
         Raises SchemaError naming ``<path>.<field>`` for a missing required
-        field, an unknown field, a ceiling, achieved value or slack that is
-        not a number, inputs or details that are not an object, a verdict
-        other than "pass" or "fail", a name that is not in BOUNDS, inputs
-        its ceiling cannot be computed from, and a stored formula, slack or
-        ceiling that differs from the rebuilt one.  The stored verdict is
-        kept: a "pass" above ceiling + slack loads, and its readers judge
-        it.
+        field, an unknown field, a schema_version other than 2, a ceiling,
+        achieved value or slack that is not a number, inputs or details that
+        are not an object, a verdict other than "pass" or "fail", a name that
+        is not in BOUNDS, inputs its ceiling cannot be computed from, and a
+        stored formula, slack or ceiling that differs from the rebuilt one.
+        The stored verdict is kept: a "pass" above ceiling + slack loads, and
+        its readers judge it.
         """
         for key in _REQUIRED:
             if key not in d:
                 raise SchemaError(f"missing field {path}.{key}")
         if unknown := sorted(set(d) - _FIELDS):
             raise SchemaError(f"unknown field {path}.{unknown[0]}")
+        require_version(d, "certificate", path)
         for key, kind in (("ceiling", "a number"), ("achieved", "a number"), ("slack", "a number"),
                           ("inputs", "an object"), ("details", "an object")):
             if key in d:
@@ -302,8 +316,3 @@ class Certificate:
 # the fields of a stored certificate: those it must carry, then the rest
 _REQUIRED = ("name", "formula", "inputs", "ceiling", "achieved", "verdict")
 _FIELDS = set(_REQUIRED) | {"slack", "details", "kind", "schema_version"}
-
-
-def _plain(v):
-    """A numpy scalar as the Python number it holds; anything else as is."""
-    return v.item() if isinstance(v, np.generic) else v

@@ -24,7 +24,7 @@ import sys
 from typing import NamedTuple
 
 from . import acceptance
-from .certs import Certificate, SpectralGapError, on_track
+from .certs import Certificate, SpectralGapError, on_track, require_field
 from .instances import RECIPES, Instance, gen_instance
 from .pipelines import PIPELINES, Report, render_report, run_pipeline
 from .serialize import SchemaError, load, save
@@ -176,8 +176,10 @@ def _cmd_report(args) -> int:
     data = load(args.path)
     if not isinstance(data, dict) or "certificates" not in data:
         raise SchemaError(f"{args.path} does not contain a pipeline report")
-    report = Report(pipeline=data.get("pipeline", "?"), seed=int(data.get("seed", 0)),
-                    recipe=data.get("recipe", "?"), certificates=data["certificates"],
+    report = Report(pipeline=require_field(data, "pipeline", "$", "a string"),
+                    seed=require_field(data, "seed", "$", "an integer"),
+                    recipe=require_field(data, "recipe", "$", "a string"),
+                    certificates=data["certificates"],
                     notes=data.get("notes", {}), provenance=data.get("provenance", {}))
     if not isinstance(report.certificates, dict):
         raise SchemaError("$.certificates is not an object")
@@ -194,8 +196,10 @@ def _cmd_report(args) -> int:
 
 def _cmd_selftest(args) -> int:
     # no numbers, from no --criteria or an empty one, runs every criterion
-    numbers = [int(tok) for tok in (args.criteria or "").split(",") if tok.strip()]
-    results = acceptance.run_all(numbers)
+    tokens = [tok.strip() for tok in (args.criteria or "").split(",") if tok.strip()]
+    if not all(tok.isdecimal() for tok in tokens):
+        raise SchemaError(f"--criteria is {args.criteria!r}, not comma-separated integers")
+    results = acceptance.run_all([int(tok) for tok in tokens])
     return 0 if all(r.passed for r in results) else 1
 
 

@@ -7,20 +7,16 @@ algebra and its values on the matrix units e_ij^(k), lexicographic in
 (block, row, column), of its block model ``fd`` as one (d, N, N) array: the
 units of an :class:`~cstarlab.algebra.FDAlgebra` domain, or those of the
 Wedderburn structure of a :class:`~cstarlab.algebra.ConcreteAlgebra` domain;
-N is read off that array.  The certificates built here store their name,
-inputs, achieved value, verdict and details, and read the rest from
-``certs.BOUNDS``.  A map evaluates by one contraction of the coefficients
-over those units with that array, on one element or on a stack (S, n, n) of
-them.  A map has one Choi block per
-summand, C_k = sum_ij e_ij (x) phi(e_ij^(k)), an (n_k N) x (n_k N) matrix;
-it is completely positive iff every block is positive semidefinite.  Choi
-blocks and the reshuffle are reshapes and transposes of the image array, and
-so are the constructions read off them: the Kraus operators of a block are
-its Choi eigenvectors reshaped, the Stinespring isometry stacks those, and
-the Choi noise of ``perturb_choi`` reads its noisy blocks back by the
-inverse reshape.  The dilation's representation e_ij (x) 1_{r_k} is never
-formed: a compression M* pi(e_ij) M is the product M_{k,i}* M_{k,j} of two
-r_k-row slices of M (``dilation_images``).
+N is read off that array.  A map evaluates by one contraction of the
+coefficients over those units with that array, on one element or on a stack
+(S, n, n) of them.  A map has one Choi block per summand, C_k = sum_ij e_ij
+(x) phi(e_ij^(k)), an (n_k N) x (n_k N) matrix; it is completely positive
+iff every block is positive semidefinite.  Each summand's Choi block and
+reshuffle are reshapes and transposes of its images, and so is everything
+read off them: the Kraus operators of a block are its Choi eigenvectors
+reshaped, the Stinespring isometry stacks those, the Choi noise of
+``perturb_choi`` reads its noisy blocks back by the inverse reshape, and
+``cb_bracket`` reads both ends summand by summand.
 
 A map is tested for being a homomorphism one way: ``hom_defect`` reads
 ``FDAlgebra.relation_residual`` on its images, on a block or a concrete
@@ -29,6 +25,7 @@ domain alike.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -346,60 +343,45 @@ def ucp_extension(phi: LinMap) -> LinMap:
 # completely bounded norm brackets
 # ---------------------------------------------------------------------------
 
-def _pinched_images(phi: LinMap) -> np.ndarray:
-    """(d, d, N, N) array F with F[i, j] = phi(e_ij) for the matrix units e_ij
-    of M_d: the map composed with the block pinching (zero off the blocks).
-
-    Composing with the pinching is a complete isometry for the cb norm, so
-    the bracket may be computed on the full matrix algebra M_d.  The Choi
-    matrix C[(i,a),(j,b)] and the reshuffle R[(a,i),(j,b)], both equal to
-    phi(e_ij)[a,b], are transposes of F.
-    """
-    fd, N = phi.fd, phi.codomain_dim
-    F = np.zeros((fd.d * fd.d, N, N), dtype=complex)
-    F[fd.unit_positions] = phi.images
-    return F.reshape(fd.d, fd.d, N, N)
-
-
-def _choi_and_reshuffle(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Choi matrix and reshuffle from the pinched images F (see
-    _pinched_images)."""
-    d, N = F.shape[0], F.shape[2]
-    return (F.transpose(0, 2, 1, 3).reshape(d * N, d * N),
-            F.transpose(2, 0, 1, 3).reshape(N * d, d * N))
-
-
 _EPS = float(np.finfo(float).eps)
 
 
-def _gram_norm_up(F: np.ndarray) -> float:
-    """||sum_t F_t F_t*|| for a (T, n, k) stack, rounded up: the sums of
-    m = T k products err by at most (m + 2) eps ||F||_F^2 in norm, the SVD by
-    2 n eps ||F||_F^2 (its backward error), and the margin doubles both."""
-    m, n = F.shape[0] * F.shape[2], F.shape[1]
-    margin = 2.0 * (m + 2 * n + 2) * _EPS * float(np.sum(np.abs(F) ** 2))
-    return opnorm(np.matmul(F, dagger(F)).sum(axis=0)) + margin
+def _gram_norm_up(Fs) -> float:
+    """||sum_t F_t F_t*|| over the terms of a list of (T_k, n, m_k) stacks,
+    rounded up: the sums of m = sum_k T_k m_k products err by at most (m + 2)
+    eps ||F||_F^2 in norm, the SVD by 2 n eps ||F||_F^2 (its backward error),
+    and the margin doubles both."""
+    m, n = sum(F.shape[0] * F.shape[2] for F in Fs), Fs[0].shape[1]
+    margin = 2.0 * (m + 2 * n + 2) * _EPS * sum(float(np.sum(np.abs(F) ** 2)) for F in Fs)
+    return opnorm(sum(np.matmul(F, dagger(F)).sum(axis=0) for F in Fs)) + margin
 
 
-def _factor_bound(As: np.ndarray, Bs: np.ndarray, C: np.ndarray) -> float:
+def _factor_bound(As, Bs, blocks) -> float:
     """||sum A A*||^{1/2} ||sum B* B||^{1/2} over the factor terms phi(x) ~
-    sum_t A_t x B_t, after rescaling each term to ||A_t|| = ||B_t|| where that
-    moves its scale by more than 1e-3, plus their miss sum_ij ||phi(e_ij) -
-    sum_t A_t e_ij B_t||_F against phi's Choi matrix C.  A balanced term stays
-    balanced, so one pass settles every term.  Rounded outward: both norms by
-    ``_gram_norm_up``, their product and root by 4 eps, and the miss for its
-    sums and the factors' T-term Choi matrix (2 (T + 2) eps d ||A||_F ||B||_F)."""
-    na, nb = opnorms(As), opnorms(Bs)
-    live = (na >= 1e-300) & (nb >= 1e-300)
-    s = np.sqrt(np.divide(na, nb, out=np.ones_like(na), where=live))
-    s[np.abs(s - 1.0) <= 1e-3] = 1.0
-    As, Bs = As / s[:, None, None], Bs * s[:, None, None]
-    T, N, d = As.shape
-    G = As.transpose(0, 2, 1).reshape(T, d * N).T @ Bs.reshape(T, d * N)
-    miss = np.sqrt((np.abs(C - G) ** 2).reshape(d, N, d, N).sum(axis=(1, 3))).sum()
-    miss = (miss * (1.0 + 2.0 * (N * N + d * d + 2) * _EPS)
-            + 2.0 * (T + 2) * _EPS * d * np.linalg.norm(As) * np.linalg.norm(Bs))
-    return float(np.sqrt(_gram_norm_up(As) * _gram_norm_up(dagger(Bs))) * (1.0 + 4.0 * _EPS) + miss)
+    sum_t A_t x B_t on block k, As[k] a (T_k, N, n_k) and Bs[k] a (T_k, n_k,
+    N) stack, after rescaling each term to ||A_t|| = ||B_t|| where that moves
+    its scale by more than 1e-3 (a balanced term stays balanced, so one pass
+    settles every term), plus their miss sum_ij ||phi(e_ij) - sum_t A_t e_ij
+    B_t||_F against phi's Choi blocks.  Rounded outward: both norms by
+    ``_gram_norm_up``, their product and root by 4 eps, and the miss of block
+    k for its sums and the factors' T_k-term Choi block (2 (T_k + 2) eps n_k
+    ||A_k||_F ||B_k||_F); the blocks' misses add exactly rounded (fsum)."""
+    balanced, misses = [], []
+    for A, B, C in zip(As, Bs, blocks):
+        na, nb = opnorms(A), opnorms(B)
+        live = (na >= 1e-300) & (nb >= 1e-300)
+        s = np.sqrt(np.divide(na, nb, out=np.ones_like(na), where=live))
+        s[np.abs(s - 1.0) <= 1e-3] = 1.0
+        A, B = A / s[:, None, None], B * s[:, None, None]
+        T, N, n = A.shape
+        G = A.transpose(0, 2, 1).reshape(T, n * N).T @ B.reshape(T, n * N)
+        miss = np.sqrt((np.abs(C - G) ** 2).reshape(n, N, n, N).sum(axis=(1, 3))).sum()
+        misses.append(miss * (1.0 + 2.0 * (N * N + n * n + 2) * _EPS)
+                      + 2.0 * (T + 2) * _EPS * n * np.linalg.norm(A) * np.linalg.norm(B))
+        balanced.append((A, dagger(B)))
+    As, Bs = zip(*balanced)
+    return float(np.sqrt(_gram_norm_up(As) * _gram_norm_up(Bs)) * (1.0 + 4.0 * _EPS)
+                 + math.fsum(misses))
 
 
 def cb_bracket(phi: LinMap) -> tuple[float, float]:
@@ -410,12 +392,16 @@ def cb_bracket(phi: LinMap) -> tuple[float, float]:
     TOL_PSD lets through; eigenvalues within 2 n eps ||C|| of zero are
     rounding), both rounded outward by one margin: the sum of d positive
     images errs by at most (d + 2) N eps ||phi(1)||, the SVD by 2 N eps
-    ||phi(1)||, and the margin doubles both.  Otherwise hi is the
-    factorization bound (``_factor_bound``) from the reshuffle's SVD, and lo
-    is the swap witness ||(phi (x) id_d)(W)||, W = sum_ij e_ij (x) e_ji a
-    unitary of M_d (x) M_d (exact for the transpose, whose cb norm is d); its
-    image is a transpose of the pinched images, so only its SVD rounds, and
-    lo is rounded down by twice that SVD's backward error, 4 N d eps.
+    ||phi(1)||, and the margin doubles both.
+
+    Otherwise both ends are those of phi composed with the block pinching,
+    a complete isometry for the cb norm, read summand by summand, as both
+    split by summand: hi is the factorization bound (``_factor_bound``) from
+    the SVD of each reshuffle R_k[(a, i), (j, b)] = phi(e_ij^(k))[a, b], and
+    lo the largest swap witness ||sum_ij phi(e_ij^(k)) (x) e_ji||, of a
+    unitary of M_{n_k} (x) M_{n_k} (exact for the transpose on M_n, of cb
+    norm n).  A witness is a transpose of the images, so only its SVD rounds,
+    and it is rounded down by twice that SVD's backward error, 4 N n_k eps.
     """
     d, N = phi.fd.d, phi.codomain_dim
     cls = classify(phi)
@@ -428,16 +414,15 @@ def cb_bracket(phi: LinMap) -> tuple[float, float]:
         margin = 2.0 * (d + 2 * N + 2) * N * _EPS
         return float(cls.norm_of_unit * (1.0 - margin)), float(hi * (1.0 + margin))
 
-    # upper bound from the SVD of the pinched-domain reshuffle:
-    # A = sqrt(s) u reshaped, B = sqrt(s) v* reshaped
-    F = _pinched_images(phi)
-    Cfull, R = _choi_and_reshuffle(F)
-    u, s, vh = np.linalg.svd(R)
-    keep = s >= 1e-14
-    root = np.sqrt(s[keep])
-    hi = _factor_bound((root * u[:, keep]).T.reshape(len(root), N, d),
-                       (root[:, None] * vh[keep]).reshape(len(root), d, N), Cfull)
-
-    # lower bound: the swap witness, (phi (x) id_d)(W)[(a, p), (b, q)] = phi(e_qp)[a, b]
-    lo = opnorm(F.transpose(2, 1, 3, 0).reshape(N * d, N * d)) * (1.0 - 4.0 * N * d * _EPS)
-    return float(lo), float(hi)
+    # on block k, E[i, j] = phi(e_ij): A = sqrt(s) u and B = sqrt(s) v*
+    # reshaped, and the witness at [(a, p), (b, q)] is E[q, p][a, b]
+    As, Bs, lo = [], [], 0.0
+    for n, E in zip(phi.fd.block_sizes, phi.fd.unit_blocks(phi.images)):
+        u, s, vh = np.linalg.svd(E.transpose(2, 0, 1, 3).reshape(N * n, n * N))
+        keep = s >= 1e-14
+        root = np.sqrt(s[keep])
+        As.append((root * u[:, keep]).T.reshape(len(root), N, n))
+        Bs.append((root[:, None] * vh[keep]).reshape(len(root), n, N))
+        lo = np.maximum(lo, opnorm(E.transpose(2, 1, 3, 0).reshape(N * n, N * n))
+                        * (1.0 - 4.0 * N * n * _EPS))  # keeps a nan
+    return float(lo), _factor_bound(As, Bs, choi_blocks(phi))

@@ -14,7 +14,7 @@ import numpy as np
 
 from .algebra import ConcreteAlgebra, FDAlgebra, support_projection
 from .averaging import improve_multiplicativity
-from .certs import SchemaError, require_finite
+from .certs import SCHEMA_VERSIONS, SchemaError, require_finite
 from .cpmaps import LinMap, perturb_choi
 from .linalg import dagger, expm_i, herm, opnorm, random_hermitian, random_unitary, rng_for
 from .orderzero import NucDimDecomposition, OrderZeroMap
@@ -63,7 +63,7 @@ class Instance:
         return float(min(2.0 * opnorm(self.true_unitary - np.eye(self.A.ambient_dim)), 2.0))
 
     def to_dict(self) -> dict:
-        return {"kind": "instance", "schema_version": 1,
+        return {"kind": "instance", "schema_version": SCHEMA_VERSIONS["instance"],
                 "recipe": self.recipe, "seed": self.seed,
                 "params": to_jsonable(self.params),
                 "A": to_jsonable(self.A), "B": to_jsonable(self.B),
@@ -89,7 +89,7 @@ def base_algebra(name, ambient: int) -> ConcreteAlgebra:
         return block_algebra(name, ambient)
     if name in _NAMED:
         return block_algebra(_NAMED[name], ambient)
-    if name.startswith("full"):
+    if name.startswith("full") and name[4:].isdigit():
         n = int(name[4:])
         if ambient != n:
             return block_algebra((n,), ambient)
@@ -97,7 +97,7 @@ def base_algebra(name, ambient: int) -> ConcreteAlgebra:
     parts = name.split(",")
     if all(p.strip().isdigit() and int(p) > 0 for p in parts):
         return block_algebra(tuple(int(p) for p in parts), ambient)
-    raise ValueError(f"unknown algebra profile {name!r}")
+    raise SchemaError(f"unknown algebra profile {name!r} (--algebra)")
 
 
 def gen_instance(recipe: str, params: dict, seed: int) -> Instance:

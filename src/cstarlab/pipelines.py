@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certs import Certificate
+from .certs import SCHEMA_VERSIONS, Certificate
 from .cpmaps import LinMap
 from .geometry import kk_distance
 from .instances import Instance, damping
@@ -42,7 +42,7 @@ class Report:
 
     def to_dict(self) -> dict:
         from .serialize import to_jsonable
-        return {"kind": "report", "schema_version": 2,
+        return {"kind": "report", "schema_version": SCHEMA_VERSIONS["report"],
                 "pipeline": self.pipeline, "seed": self.seed,
                 "recipe": self.recipe, "ok": self.ok,
                 "provenance": self.provenance,
@@ -153,10 +153,8 @@ def render_report(report: Report, fmt: str) -> str:
     rows = [(key, c.verdict, c.achieved, c.ceiling, c.slack)
             for key, c in sorted(report.certificates.items())]
     if fmt == "csv":
-        lines = ["certificate,verdict,achieved,ceiling,slack"]
-        for key, verdict, achieved, ceiling, slack in rows:
-            lines.append(f"{key},{verdict},{achieved!r},{ceiling!r},{slack!r}")
-        return "\n".join(lines)
+        return "\n".join(["certificate,verdict,achieved,ceiling,slack"]
+                         + [f"{k},{v},{a!r},{c!r},{s!r}" for k, v, a, c, s in rows])
     if fmt == "table":
         header = (f"pipeline {report.pipeline} | recipe {report.recipe} | "
                   f"seed {report.seed} | {'OK' if report.ok else 'FAIL'}")

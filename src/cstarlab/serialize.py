@@ -3,8 +3,8 @@
 Matrices are stored densely as parallel row-major real and imaginary lists,
 so a round trip is bit-exact at double precision (Python emits
 shortest-round-trip decimal literals).  Every composite object carries a
-"kind" tag and a "schema_version"; the loader dispatches on the tag and
-reports schema violations with the JSON path of the offending field.
+"kind" tag and its kind's "schema_version"; the loader dispatches on the tag,
+refuses another version, and names the JSON path of each schema violation.
 
 The kinds a file carries: "report" (a pipeline's output, read back as a
 plain dict), "instance" (with its two "concrete_algebra" values), and inside
@@ -23,7 +23,8 @@ import json
 import numpy as np
 
 from .algebra import ConcreteAlgebra
-from .certs import JSON_TYPES, Certificate, SchemaError, require_field, require_finite
+from .certs import (JSON_TYPES, SCHEMA_VERSIONS, Certificate, SchemaError, require_field,
+                    require_finite, require_version)
 
 __all__ = [
     "SchemaError",
@@ -42,7 +43,7 @@ def matrix_to_json(m: np.ndarray) -> dict:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2:
         raise ValueError("only two-dimensional arrays are stored")
-    return {"kind": "matrix", "schema_version": 1,
+    return {"kind": "matrix", "schema_version": SCHEMA_VERSIONS["matrix"],
             "rows": m.shape[0], "cols": m.shape[1],
             "re": [float(v) for v in m.real.reshape(-1)],
             "im": [float(v) for v in m.imag.reshape(-1)]}
@@ -51,6 +52,7 @@ def matrix_to_json(m: np.ndarray) -> dict:
 def matrix_from_json(d: dict, path: str) -> np.ndarray:
     if not isinstance(d, dict):
         raise SchemaError(f"{path} is {d!r}, not a matrix")
+    require_version(d, "matrix", path)
     rows, cols = (require_field(d, key, path, "an integer") for key in ("rows", "cols"))
     if rows < 0 or cols < 0:
         raise SchemaError(f"invalid shape at {path}.rows/cols")
@@ -84,7 +86,7 @@ def to_jsonable(obj):
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, ConcreteAlgebra):
-        return {"kind": "concrete_algebra", "schema_version": 1,
+        return {"kind": "concrete_algebra", "schema_version": SCHEMA_VERSIONS["concrete_algebra"],
                 "ambient_dim": obj.ambient_dim,
                 "basis": [matrix_to_json(b) for b in obj.basis],
                 "support": matrix_to_json(obj.support)}
@@ -109,6 +111,8 @@ def from_jsonable(d, path: str = "$"):
         return {k: from_jsonable(v, f"{path}.{k}") for k, v in d.items()}
     if kind == "matrix":
         return matrix_from_json(d, path)
+    if kind in ("concrete_algebra", "instance", "report"):
+        require_version(d, kind, path)
     if kind == "concrete_algebra":
         N = require_field(d, "ambient_dim", path, "an integer")
         basis = [matrix_from_json(b, f"{path}.basis[{i}]")

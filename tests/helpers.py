@@ -11,7 +11,7 @@ import scipy.linalg
 from cstarlab.algebra import BlockStructure, ConcreteAlgebra, FDAlgebra, _combine
 from cstarlab.averaging import _canonical_index
 from cstarlab.certs import CLUSTER_REL, TOL_ALG
-from cstarlab.cpmaps import LinMap, _from_choi_blocks, choi_blocks, classify
+from cstarlab.cpmaps import _EPS, LinMap, _factor_bound, _from_choi_blocks, choi_blocks, classify
 from cstarlab.linalg import dagger, opnorm, opnorm_max, random_unitary, rng_for
 from cstarlab.orderzero import OrderZeroMap, _structure_residual
 from cstarlab.serialize import dumps
@@ -140,6 +140,30 @@ def from_choi(C: np.ndarray, block_sizes, codomain_dim: int) -> LinMap:
     fd, N = FDAlgebra(tuple(block_sizes)), codomain_dim
     cuts = np.cumsum([0] + [n * N for n in fd.block_sizes])
     return _from_choi_blocks(fd, [C[a:b, a:b] for a, b in zip(cuts, cuts[1:])])
+
+
+def pinched_cb_bracket(phi: LinMap) -> tuple[float, float]:
+    """The non-cp bracket of ``cpmaps.cb_bracket`` read on M_d, d the size
+    of phi's block model: phi composed with the block pinching (zero off the
+    blocks) is a complete isometry for the cb norm with one summand, M_d.
+    F[i, j] = phi(e_ij) over M_d's units; its (d N) x (d N) Choi matrix
+    C[(i, a), (j, b)] and reshuffle R[(a, i), (j, b)] are both F[i, j][a, b].
+    hi is the factorization bound from R's SVD (``_factor_bound`` on the one
+    summand) and lo the swap witness on M_d (x) M_d, rounded down by 4 N d
+    eps."""
+    fd, N = phi.fd, phi.codomain_dim
+    d = fd.d
+    F = np.zeros((d * d, N, N), dtype=complex)
+    F[fd.unit_positions] = phi.images
+    F = F.reshape(d, d, N, N)
+    u, s, vh = np.linalg.svd(F.transpose(2, 0, 1, 3).reshape(N * d, d * N))
+    keep = s >= 1e-14
+    root = np.sqrt(s[keep])
+    hi = _factor_bound([(root * u[:, keep]).T.reshape(len(root), N, d)],
+                       [(root[:, None] * vh[keep]).reshape(len(root), d, N)],
+                       [F.transpose(0, 2, 1, 3).reshape(d * N, d * N)])
+    lo = opnorm(F.transpose(2, 1, 3, 0).reshape(N * d, N * d)) * (1.0 - 4.0 * N * d * _EPS)
+    return float(lo), hi
 
 
 def conditional_expectation(A: ConcreteAlgebra) -> LinMap:

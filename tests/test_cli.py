@@ -263,6 +263,50 @@ def test_every_pipeline_report_passes_the_report_check(pipeline, tmp_path, capsy
     assert "OK" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("field,value,kind", [
+    ("seed", "x", "an integer"), ("seed", 2.7, "an integer"), ("seed", None, "an integer"),
+    ("pipeline", 3, "a string"), ("recipe", ["conjugation"], "a string"),
+], ids=["seed-text", "seed-fraction", "seed-null", "pipeline-number", "recipe-list"])
+def test_report_with_a_malformed_header_field_exits_2(field, value, kind, tmp_path, capsys):
+    # the report's own fields are read as the loader reads an instance's:
+    # a seed of 2.7 is refused, not re-rendered at seed 2
+    rep_path = tmp_path / "report.json"
+    assert main(["dist", "--seed", "1", "--eps", "1e-5",
+                 "--format", "json", "--out", str(rep_path)]) == 0
+    data = json.loads(rep_path.read_text())
+    data[field] = value
+    rep_path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["report", str(rep_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"SchemaError: $.{field} is {value!r}, not {kind}" in err, err
+
+
+def test_report_of_a_future_schema_version_exits_2(tmp_path, capsys):
+    rep_path = tmp_path / "report.json"
+    assert main(["dist", "--seed", "1", "--eps", "1e-5",
+                 "--format", "json", "--out", str(rep_path)]) == 0
+    data = json.loads(rep_path.read_text())
+    data["schema_version"] = 99
+    rep_path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["report", str(rep_path)]) == 2
+    assert "SchemaError: $.schema_version is 99, not 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["selftest", "--criteria", "x"], "--criteria"),
+    (["selftest", "--criteria", "3,2.5"], "--criteria"),
+    (["iso", "--algebra", "fullx"], "--algebra"),
+    (["gen", "--algebra", "full"], "--algebra"),
+], ids=["criteria-text", "criteria-fraction", "algebra-fullx", "algebra-full"])
+def test_a_flag_that_is_not_a_number_is_named(argv, flag, capsys):
+    # not Python's "invalid literal for int() with base 10", which names no flag
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "SchemaError" in err and flag in err and "invalid literal" not in err, err
+
+
 def test_report_rejects_instance_file(tmp_path, capsys):
     inst_path = tmp_path / "inst.json"
     assert main(["gen", "--seed", "1", "--out", str(inst_path)]) == 0

@@ -10,9 +10,7 @@ from cstarlab.algebra import ConcreteAlgebra, FDAlgebra, dagger, opnorm
 from cstarlab.certs import TOL_ALG, TOL_PSD
 from cstarlab.cpmaps import (
     LinMap,
-    _choi_and_reshuffle,
     _factor_bound,
-    _pinched_images,
     arveson_restrict,
     cb_bracket,
     choi_blocks,
@@ -29,7 +27,7 @@ from cstarlab.instances import block_algebra, gen_instance
 from cstarlab.linalg import herm, opnorm_max, opnorms, random_complex, random_unitary, rng_for
 from helpers import (MULTIPLICITY_CASES, choi, complex_gaussian, conditional_expectation,
                      dilation_representation, from_choi, matrix_unit, mult_defects,
-                     multiplicity_algebra)
+                     multiplicity_algebra, pinched_cb_bracket)
 
 
 def random_ucp(fd: FDAlgebra, N: int, seed: int = 0) -> LinMap:
@@ -424,23 +422,6 @@ def test_cb_bracket_keeps_a_nan_skew_part(monkeypatch, slot):
     assert abs(lo - 1.0) < 1e-10 and np.isnan(hi)
 
 
-def test_pinched_choi_and_reshuffle_are_copies():
-    # reference: the index loops over the matrix units at global offsets
-    fd = FDAlgebra((2, 1, 3))
-    N, d = 2, fd.d
-    phi = random_selfadjoint_map(fd, N, seed=12)
-    C, R = _choi_and_reshuffle(_pinched_images(phi))
-    C_ref = np.zeros((d * N, d * N), dtype=complex)
-    R_ref = np.zeros((N * d, d * N), dtype=complex)
-    for (k, i, j), img in zip(fd.unit_labels(), phi.images):
-        gi, gj = fd.offsets[k] + i, fd.offsets[k] + j
-        C_ref[gi * N:(gi + 1) * N, gj * N:(gj + 1) * N] = img
-        for a in range(N):
-            R_ref[a * d + gi, gj * N:(gj + 1) * N] = img[a, :]
-    assert np.array_equal(C, C_ref)
-    assert np.array_equal(R, R_ref)
-
-
 # summation order: both ends of cb_bracket stay rounded outward under the SVD's order
 @pytest.mark.summation_order
 def test_cb_bracket_transpose():
@@ -524,6 +505,42 @@ def test_cb_bracket_of_a_scaled_transpose_minus_identity(c):
     assert lo <= hi and hi >= c > 0
 
 
+# summation order: both ends of cb_bracket stay rounded outward under the SVD's order
+@pytest.mark.summation_order
+def test_cb_bracket_of_the_transposes_on_two_summands_contains_three():
+    # T_2 (+) T_3, the transposes on M_2 (+) M_3 in M_5, has cb norm
+    # max(2, 3) = 3, which the larger summand's swap witness attains
+    fd = FDAlgebra((2, 3))
+    lo, hi = cb_bracket(LinMap(fd, fd.units().swapaxes(1, 2)))
+    assert lo <= 3.0 <= hi
+    assert lo >= 3.0 * (1.0 - 1e-12)
+
+
+# summation order: both ends of cb_bracket stay rounded outward under the SVD's order
+@pytest.mark.summation_order
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("algebra,N", [("M2+M1", 4), ("diag3", 4), ("2,2,2", 8),
+                                       ("1,1,1,1,1,1,1,1", 8)])
+def test_cb_bracket_per_summand_against_the_pinched_one(algebra, N, seed):
+    # theta - iota for a conjugation pair, against the same bracket read on
+    # the pinched map on M_d: the per-summand swap witnesses round less, so
+    # lo may only rise, by rounding.  The reshuffle of Ad(u) - id on a
+    # summand has rank 2 and two singular values equal to about 1e-9
+    # relative, so each SVD returns its own rotation of that pair, and the
+    # balanced factor bound moves with it: equivalent SVDs of one summand (of
+    # R_k, of R_k^T, of R_k with its rows permuted) give his up to 7e-9 apart
+    # on M2+M1/4 seed 1.  Within that, hi is the pinched map's
+    inst = gen_instance("conjugation", {"algebra": algebra, "ambient": N, "eps": 1e-6,
+                                        "block": 0}, seed=seed)
+    units = inst.A.structure().matrix_units
+    u = inst.true_unitary
+    phi = LinMap(inst.A, u @ units @ dagger(u)) - LinMap(inst.A, units)
+    lo, hi = cb_bracket(phi)
+    ref_lo, ref_hi = pinched_cb_bracket(phi)
+    assert ref_lo * (1.0 - 1e-12) <= lo <= ref_lo * (1.0 + 1e-12)
+    assert ref_hi * (1.0 - 1e-8) <= hi <= ref_hi * (1.0 + 1e-8)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_factor_bound_adds_the_terms_it_misses(seed):
     # phi(x) = a x b has cb norm ||a|| ||b||.  Factors that miss part of the
@@ -532,14 +549,24 @@ def test_factor_bound_adds_the_terms_it_misses(seed):
     rng = rng_for(seed, "test-cb-miss")
     a, b = complex_gaussian(rng, 4, 3), complex_gaussian(rng, 3, 4)
     fd = FDAlgebra((3,))
-    C = _choi_and_reshuffle(_pinched_images(LinMap(fd, a @ fd.units() @ b)))[0]
+    C = choi_blocks(LinMap(fd, a @ fd.units() @ b))
     exact = opnorm(a) * opnorm(b)
     miss = np.linalg.norm(a, axis=0).sum() * np.linalg.norm(b, axis=1).sum()
-    full = _factor_bound(a[None], b[None], C)
+    full = _factor_bound([a[None]], [b[None]], C)
     assert exact <= full <= exact * (1.0 + 1e-12)
-    assert _factor_bound(a[None] / 2.0, b[None], C) >= max(exact, exact / 2.0 + miss / 2.0)
-    none = _factor_bound(np.zeros((0, 4, 3)), np.zeros((0, 3, 4)), C)
+    assert _factor_bound([a[None] / 2.0], [b[None]], C) >= max(exact, exact / 2.0 + miss / 2.0)
+    none = _factor_bound([np.zeros((0, 4, 3))], [np.zeros((0, 3, 4))], C)
     assert miss <= none <= miss * (1.0 + 1e-12) and none >= exact
+
+
+def test_factor_bound_adds_the_miss_of_every_summand():
+    # with no factor terms the bound is the whole miss: T_2 (+) T_3 into M_5
+    # sends each of its 4 + 9 units to a unit of Frobenius norm 1
+    fd = FDAlgebra((2, 3))
+    C = choi_blocks(LinMap(fd, fd.units().swapaxes(1, 2)))
+    none = _factor_bound([np.zeros((0, 5, 2)), np.zeros((0, 5, 3))],
+                         [np.zeros((0, 2, 5)), np.zeros((0, 3, 5))], C)
+    assert 13.0 <= none <= 13.0 * (1.0 + 1e-12)
 
 
 # ---------------------------------------------------------------------------

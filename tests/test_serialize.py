@@ -1,5 +1,8 @@
 """JSON persistence: exact round trips and schema diagnostics."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -160,7 +163,6 @@ def test_schema_error_is_one_class_everywhere():
 def _certificate_report(edit) -> str:
     """A report-shaped document whose one certificate, a forward-closeness
     with ceiling 0.028 and slack TOL_EXACT, is edited in place."""
-    import json
     cert = json.loads(dumps(Certificate.build(
         "forward-closeness", {"gamma": 1e-6, "n_points": 2}, 0.01)))
     edit(cert)
@@ -223,6 +225,38 @@ def test_certificate_inputs_must_give_the_ceiling():
         loads(_certificate_report(lambda d: d.update(inputs={"eta": 1e-6})))
 
 
+def test_a_stated_schema_version_must_be_the_kinds():
+    # a report of version 99 holding a certificate of version "banana" was
+    # read as version 2; the report's own version is read first
+    bad = json.loads(_certificate_report(lambda d: d.update(schema_version="banana")))
+    with pytest.raises(SchemaError, match=r"^\$\.schema_version is 99, not 2$"):
+        loads(json.dumps({**bad, "schema_version": 99}))
+    with pytest.raises(SchemaError, match=r"^\$\.certificates\.c\.schema_version is 'banana', "
+                                          r"not an integer$"):
+        loads(json.dumps(bad))
+    with pytest.raises(SchemaError, match=r"^\$\.certificates\.c\.schema_version is 3, not 2$"):
+        loads(_certificate_report(lambda d: d.update(schema_version=3)))
+    # a file that states no version loads, as the reports built here do
+    assert loads(_certificate_report(lambda d: d.pop("schema_version")))["certificates"]["c"]
+
+
+@pytest.mark.parametrize("kind,path", [
+    ("instance", "$"), ("concrete_algebra", "$.A"), ("matrix", "$.A.support"),
+    ("matrix", "$.A.basis[0]"), ("matrix", "$.true_unitary"),
+])
+def test_an_instance_of_another_schema_version_names_its_path(kind, path):
+    d = json.loads(dumps(gen_instance("conjugation", {"algebra": "M2", "eps": 1e-5}, seed=1)))
+    node = d
+    for key in re.findall(r"\.(\w+)|\[(\d+)\]", path):
+        node = node[key[0]] if key[0] else node[int(key[1])]
+    assert node["kind"] == kind
+    node["schema_version"] = 2
+    with pytest.raises(SchemaError, match=rf"^{re.escape(path)}\.schema_version is 2, not 1$"):
+        loads(json.dumps(d))
+    del node["schema_version"]
+    assert loads(json.dumps(d)).A.dim == 4
+
+
 def test_certificate_provenance_is_the_reports():
     # the run's provenance is stated once, in the report; a certificate
     # that carries its own, as schema_version 1 did, is refused
@@ -234,7 +268,6 @@ def test_certificate_provenance_is_the_reports():
 @pytest.mark.parametrize("pipeline", ["dist", "iso"])
 def test_report_states_its_provenance_once(pipeline):
     # one top-level provenance per report, and none in a certificate
-    import json
     from cstarlab.pipelines import run_pipeline
     inst = gen_instance("conjugation", {"algebra": "M2", "eps": 1e-5}, seed=3)
     data = json.loads(dumps(run_pipeline(inst, pipeline, seed=3)))
