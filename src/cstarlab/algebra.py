@@ -258,6 +258,12 @@ class BlockStructure:
         return self._model
 
     @cached_property
+    def residual(self) -> float:
+        """The matrix units' relation residual (``FDAlgebra.relation_residual``),
+        taken once per structure."""
+        return self._model.relation_residual(self.matrix_units)
+
+    @cached_property
     def _dual(self) -> np.ndarray:  # the flattened units over m_k, conjugate transposed
         mults = np.repeat([m for _, m in self.summands], [n * n for n, _ in self.summands])
         return _frozen(self.matrix_units.reshape(len(mults), -1).conj().T / mults)
@@ -520,9 +526,8 @@ def wedderburn_decompose(A: ConcreteAlgebra) -> BlockStructure:
             struct = BlockStructure(summands=summands,
                                     central_projections=np.array(projections),
                                     matrix_units=np.concatenate(units))
-            resid = struct.fd_model().relation_residual(struct.matrix_units)
-            if resid > 1e-7:
-                raise SpectralGapError(f"matrix unit relations residual {resid:.2e}")
+            if struct.residual > 1e-7:
+                raise SpectralGapError(f"matrix unit relations residual {struct.residual:.2e}")
             return struct
         except SpectralGapError as err:  # fresh random draw
             last_err = err

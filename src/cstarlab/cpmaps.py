@@ -55,12 +55,14 @@ __all__ = [
 @dataclass
 class Ternary:
     """Positivity classification: cp with its residual; cpc and ucp follow
-    from cp, ||phi(1)|| and the unit defect (see ``classify``)."""
+    from cp, ||phi(1)|| and the unit defect (see ``classify``).  spectra holds
+    the eigenvalues of each Hermitian part of a Choi block, in block order."""
 
     cp: bool
     choi_min_eig: float
     norm_of_unit: float
     unit_defect: float
+    spectra: list
 
     @property
     def cpc(self) -> bool:
@@ -182,26 +184,29 @@ def classify(phi: LinMap) -> Ternary:
     ||phi(1)|| <= 1 + TOL_PSD; ucp instead requires phi(1) to equal the
     codomain unit up to TOL_ALG."""
     blocks = choi_blocks(phi)
-    min_eig = np.inf
     herm_resid = 0.0
+    spectra = [None] * len(blocks)
     # one stack per block size: batched SVDs and eigensolves give each block
     # the values its own call would; blocks are never empty, so min_eig is
-    # finite unless an eigenvalue is nan, which np.minimum keeps.  The skew
-    # part's HS norm, with opnorm_max's slack, bounds its operator norm: at
-    # or below TOL_PSD no SVD can move the verdict; an overflowing (inf) or
-    # nan bound takes the SVD, and opnorm_max reads that stack as nan
+    # finite unless an eigenvalue is nan, which the array's min keeps.  The
+    # skew part's HS norm, with opnorm_max's slack, bounds its operator norm:
+    # at or below TOL_PSD no SVD can move the verdict; an overflowing (inf)
+    # or nan bound takes the SVD, and opnorm_max reads that stack as nan
     for size in sorted({len(C) for C in blocks}):
-        Cs = np.stack([C for C in blocks if len(C) == size])
+        at = [i for i, C in enumerate(blocks) if len(C) == size]
+        Cs = np.stack([blocks[i] for i in at])
         skew = Cs - dagger(Cs)
         with np.errstate(over="ignore"):
             bound = hs_norm(skew) * (1.0 + _HS_REL_SLACK) + _HS_ABS_SLACK
         if not bound <= TOL_PSD:
             herm_resid = np.maximum(herm_resid, opnorm_max(skew))
-        min_eig = float(np.minimum(min_eig, np.linalg.eigvalsh(herm(Cs)).min()))
+        for i, v in zip(at, np.linalg.eigvalsh(herm(Cs))):
+            spectra[i] = v
+    min_eig = float(np.concatenate(spectra).min())
     unit_img = phi.value_on_unit()
     return Ternary(cp=(herm_resid <= TOL_PSD) and (min_eig >= -TOL_PSD), choi_min_eig=min_eig,
                    norm_of_unit=opnorm(unit_img),
-                   unit_defect=opnorm(unit_img - phi.codomain_unit()))
+                   unit_defect=opnorm(unit_img - phi.codomain_unit()), spectra=spectra)
 
 
 def kraus_operators(phi: LinMap, tol_psd: float) -> list[np.ndarray]:
@@ -389,10 +394,10 @@ def cb_bracket(phi: LinMap) -> tuple[float, float]:
 
     Maps that pass as cp have lo = ||phi(1)|| and hi = ||phi(1)|| + 2 tr H- +
     2 d^2 ||K|| for the Choi matrix H+ - H- + K, K skew (what classify's
-    TOL_PSD lets through; eigenvalues within 2 n eps ||C|| of zero are
-    rounding), both rounded outward by one margin: the sum of d positive
-    images errs by at most (d + 2) N eps ||phi(1)||, the SVD by 2 N eps
-    ||phi(1)||, and the margin doubles both.
+    TOL_PSD lets through, from classify's spectra; eigenvalues within
+    2 n eps ||C|| of zero are rounding), both rounded outward by one margin:
+    the sum of d positive images errs by at most (d + 2) N eps ||phi(1)||,
+    the SVD by 2 N eps ||phi(1)||, and the margin doubles both.
 
     Otherwise both ends are those of phi composed with the block pinching,
     a complete isometry for the cb norm, read summand by summand, as both
@@ -406,10 +411,9 @@ def cb_bracket(phi: LinMap) -> tuple[float, float]:
     d, N = phi.fd.d, phi.codomain_dim
     cls = classify(phi)
     if cls.cp:
-        blocks = choi_blocks(phi)
-        neg = -sum(v[v < -2.0 * len(v) * _EPS * np.abs(v).max()].sum()
-                   for v in map(np.linalg.eigvalsh, map(herm, blocks)))
-        skew = np.max([opnorm(C - dagger(C)) for C in blocks])  # keeps a nan; max() drops it
+        neg = -sum(v[v < -2.0 * len(v) * _EPS * np.abs(v).max()].sum() for v in cls.spectra)
+        # np.max keeps a nan; max() drops it
+        skew = np.max([opnorm(C - dagger(C)) for C in choi_blocks(phi)])
         hi = cls.norm_of_unit + 2.0 * neg + d * d * skew
         margin = 2.0 * (d + 2 * N + 2) * N * _EPS
         return float(cls.norm_of_unit * (1.0 - margin)), float(hi * (1.0 + margin))

@@ -1,20 +1,18 @@
 """Operator-norm geometry between subalgebras: the Hausdorff distance
 between unit balls and tensor-amplified witness lifts.
 
-The distance between unit balls is estimated from both sides.  Upper bounds
-come from explicit witnesses of the convex problem min ||x - b|| over b in a
-subspace (optionally intersected with the unit ball); lower bounds come from
-trace-norm dual certificates, all read by one function, ``_trace_dual``.  One
-solver, ``nearest_in_span``, serves every witness search: one Chambolle-Pock
+The distance between unit balls is bracketed from both sides.  The upper
+end is proven: each one-sided constant is at most the cb norm of id - E_B on
+A, E_B the HS projection onto B, which ``cpmaps.cb_bracket`` bounds from
+above (``one_sided_bound``).  The lower end is sampled: trace-norm dual
+certificates, all read by one function, ``_trace_dual``, at the points
+``sample_unit_ball`` draws, the only unit-ball sampler, so lo is a proven
+lower bound at those points, not the supremum over the ball.  One solver,
+``nearest_in_span``, serves every witness search: one Chambolle-Pock
 primal-dual iteration that advances a stack of targets together by batched
-eigensolves of small Gram matrices, each target leaving with its stop reason.
-``kk_distance`` solves both directions in one call, as two families with
-their own warm starts, spans and floors that share one stack, one eigensolve
-per iteration and the checkpoints, and returns four numbers: the bracket and
-the two one-sided constants.  Suprema over the unit ball are sampled by
-``sample_unit_ball``, the only unit-ball sampler, so the reported hi is an
-honest sampled estimate, not a proof of the supremum (the unit-ball suprema
-of ``averaging`` are proven by ``cpmaps.cb_bracket`` instead).
+eigensolves of small Gram matrices, each target leaving with its stop
+reason.  ``kk_distance`` returns four numbers: the bracket and the two
+one-sided constants.
 """
 
 from __future__ import annotations
@@ -24,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import ConcreteAlgebra
+from .cpmaps import _EPS, LinMap, cb_bracket
 # opnorm has no caller here; it stays bound because perfbench's tracer test
 # reads geometry.opnorm to check that wrappers reach names a module rebinds
 from .linalg import clip_spectrum, dagger, opnorm, opnorms, rng_for  # noqa: F401
@@ -33,6 +32,7 @@ __all__ = [
     "nearest_in_span",
     "span_distance_lower",
     "kk_distance",
+    "one_sided_bound",
     "tensor_lift",
     "sample_unit_ball",
 ]
@@ -40,9 +40,9 @@ __all__ = [
 
 @dataclass
 class DistanceInterval:
-    """Two-sided bracket for the unit-ball Hausdorff distance d(A, B), with
-    the sampled one-sided constants gamma_ab (A in B) and gamma_ba (B in A);
-    hi is the larger constant."""
+    """Two-sided bracket for the unit-ball Hausdorff distance d(A, B): lo is
+    sampled, and the one-sided constants gamma_ab (A in B) and gamma_ba (B in
+    A) are proven upper bounds of at most 1; hi is the larger constant."""
 
     lo: float
     gamma_ab: float
@@ -53,8 +53,8 @@ class DistanceInterval:
         return max(self.gamma_ab, self.gamma_ba)
 
     def __post_init__(self):
-        if not (0.0 <= self.lo <= self.hi + 1e-12 and self.hi <= 2.0 + 1e-9):
-            raise ValueError("distance interval must satisfy 0 <= lo <= hi <= 2")
+        if not (0.0 <= self.lo <= self.hi + 1e-12 and self.hi <= 1.0):
+            raise ValueError("distance interval must satisfy 0 <= lo <= hi <= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -135,10 +135,10 @@ def _best_point_dual(R: np.ndarray, project) -> np.ndarray:
     return _trace_dual(G, R)
 
 
-# relative margin of the stopping rules: a target leaves once its best value
-# is within it of a proven lower bound (gap) or below a floor by more than it
+# relative margin of the stopping rule: a target leaves once its best value
+# is within it of a proven lower bound (gap)
 _MARGIN = 1e-6
-_STOPS = ("tol", "gap", "floor", "cap")
+_STOPS = ("tol", "gap", "cap")
 # span solves measure their iterates every _PD_CHECK steps, ball solves at
 # k = 1, 2, 4, 8, ...; the steps are tau = c and sigma = _PD_STEP / c, or
 # sigma_Y = 0.85 / c and sigma_Z = 0.14 / c with the ball: tau times the sum
@@ -149,8 +149,7 @@ _PD_BALL = (0.85, 0.14)
 
 
 def nearest_in_span(x: np.ndarray, span: ConcreteAlgebra | _TensorSpan,
-                    ball: bool = False, *, iters: int, tol: float = 1e-12,
-                    floor: float | None = None) -> tuple:
+                    ball: bool = False, *, iters: int, tol: float = 1e-12) -> tuple:
     """Minimize ||x - b||_op over b in the given subspace (intersected with
     the operator-norm unit ball when requested).
 
@@ -170,14 +169,10 @@ def nearest_in_span(x: np.ndarray, span: ConcreteAlgebra | _TensorSpan,
     k = 1, 2, 4, 8, ... for ball solves, and at the last iteration.
 
     x is one (R, C) matrix or a stack (S, R, C) of targets solved at once,
-    each with its own steps and best point.  The subspace is a concrete
-    algebra or a ``_TensorSpan``, whose ``project`` maps a stack (S, R, C) to
-    its HS-orthogonal projections.  Tuples x, span and floor solve families
-    of one matrix shape, one entry each (floor None floors none of them):
-    each takes its own warm start, then all live targets share one stack,
-    eigensolve and checkpoints, each family projected by its own span and
-    floored by its own duals, so each result is bit for bit that of the
-    family's own call.
+    each with its own steps and best point, so each result is that of the
+    target's own call.  The subspace is a concrete algebra or a
+    ``_TensorSpan``, whose ``project`` maps a stack (S, R, C) to its
+    HS-orthogonal projections.
 
     A target leaves the stack on the first of these that holds:
       tol    its residual fell to tol;
@@ -189,57 +184,30 @@ def nearest_in_span(x: np.ndarray, span: ConcreteAlgebra | _TensorSpan,
              (``_ball_dual``).  The first two bound the distance to the span,
              so also to its unit ball, the third the distance to the ball
              itself: a ball solve whose constraint binds closes its gap too;
-      floor  its best value is below floor (1 - 1e-6), where ``floor`` is a
-             proven lower bound for the largest distance, raised to the
-             largest lo at each checkpoint, k = 0 included: only the maximum
-             is asked for, and the target setting the floor has best >=
-             distance >= floor;
       cap    it ran all iters iterations.
-    The duals feed only these stops and the floor, never a returned value.
+    The duals feed only these stops, never a returned value.
 
     Returns the witnesses (shaped like x), the distances ||x - b||, the
     iteration each target stopped at and its stop reason: floats, ints and
-    strings for one matrix, (S,) arrays for a stack; for families, a tuple of
-    these per family.  The iteration is 0 when the warm start decided it (its
-    residual was within tol, or the k = 0 dual closed its gap or put it below
-    the floor), and then no iteration ran for it.  Each distance is the
-    values-only SVD of x - b for the returned b, as ``opnorm`` takes it, so
-    opnorm(x - b) reproduces it bit for bit.
+    strings for one matrix, (S,) arrays for a stack.  The iteration is 0
+    when the warm start decided it (its residual was within tol, or the
+    k = 0 dual closed its gap), and then no iteration ran for it.  Each
+    distance is the values-only SVD of x - b for the returned b, as
+    ``opnorm`` takes it, so opnorm(x - b) reproduces it bit for bit.
     """
-    families = isinstance(x, tuple)
-    xs, spans, floors = (x, span, floor) if families else ((x,), (span,), (floor,))
-    floors = (None,) * len(xs) if floors is None else floors
-    xs, floors = [np.reshape(v, (-1,) + np.shape(v)[-2:]) for v in xs], np.array(floors, float)
-    cuts = np.cumsum([0] + [len(X) for X in xs])
-    fam = np.repeat(np.arange(len(xs)), np.diff(cuts))  # each target's family
+    X, project = np.reshape(x, (-1,) + np.shape(x)[-2:]), span.project
 
-    def stops(s, best_s, lo, f):
-        """Index into _STOPS of each live target's stop, 3 where it goes on; lo,
-        the checkpoint's dual bound, raises the floor of each target's family f."""
-        has = ~np.isnan(floors[f])
-        np.maximum.at(floors, f[has], lo[has])
-        below = best_s < floors[f] * (1.0 - _MARGIN)
-        return np.where(s <= tol, 0, np.where(best_s - lo <= _MARGIN * best_s, 1,
-                                              np.where(below, 2, 3)))
+    def stops(s, best_s, lo):
+        """Index into _STOPS of each live target's stop, 2 where it goes on."""
+        return np.where(s <= tol, 0, np.where(best_s - lo <= _MARGIN * best_s, 1, 2))
 
-    def grouped(f):  # the projection of a stack of the (sorted) families f, by family
-        e = np.searchsorted(f, np.arange(len(spans) + 1))
-        ps = [(S.project, a, b) for S, a, b in zip(spans, e, e[1:]) if b > a]
-        return ps[0][0] if len(ps) == 1 else lambda m: np.concatenate([p(m[a:b]) for p, a, b in ps])
-
-    best = np.empty((cuts[-1],) + xs[0].shape[1:], dtype=complex)
-    best_val, stop = np.empty(cuts[-1]), np.empty(cuts[-1], dtype=int)
-    for f, X in enumerate(xs):  # each family's warm start, k = 0
-        part, project = slice(cuts[f], cuts[f + 1]), spans[f].project
-        best[part] = _into_ball(project(X)) if ball else project(X)
-        best_val[part] = np.linalg.svd(X - best[part], compute_uv=False)[:, 0]
-        stop[part] = stops(best_val[part], best_val[part],
-                           _best_point_dual(X - best[part], project), fam[part])
+    best = _into_ball(project(X)) if ball else project(X)  # k = 0, the warm start
+    best_val = np.linalg.svd(X - best, compute_uv=False)[:, 0]
+    stop = stops(best_val, best_val, _best_point_dual(X - best, project))
     c = np.maximum(best_val, 10 * tol)
-    at = np.where(stop < 3, 0, iters)
-    live = np.flatnonzero(stop == 3)
-    Xl = np.concatenate([X[stop[a:b] == 3] for X, a, b in zip(xs, cuts, cuts[1:])])
-    cl, y, project = c[live], best[live], grouped(fam[live])
+    at = np.where(stop < 2, 0, iters)
+    live = np.flatnonzero(stop == 2)
+    Xl, cl, y = X[live], c[live], best[live]
     YZ = np.zeros(((1 + ball) * len(Xl),) + Xl.shape[1:], complex)  # Y, over Z with the ball
     y_bar, check = y, 1 if ball else _PD_CHECK
     for k in range(1, iters + 1):
@@ -268,18 +236,16 @@ def nearest_in_span(x: np.ndarray, span: ConcreteAlgebra | _TensorSpan,
         if ball:
             lo = np.maximum(lo, _ball_dual(Y, project(Y - Z) + Z, Xl))
         lo = np.maximum(lo, _best_point_dual(Xl - best[live], project))
-        why = stops(s, best_val[live], lo, fam[live])
-        keep = why == 3
+        why = stops(s, best_val[live], lo)
+        keep = why == 2
         if not keep.all():
             stop[live[~keep]], at[live[~keep]] = why[~keep], k
             live, Xl, cl, y, y_bar = live[keep], Xl[keep], cl[keep], y[keep], y_bar[keep]
             YZ = YZ[np.tile(keep, len(YZ) // n)]
-            project = grouped(fam[live]) if live.size else None
     stop = np.array(_STOPS)[stop]
-    out = [(best[a:b], best_val[a:b], at[a:b], stop[a:b]) if np.ndim(v) == 3
-           else (best[a], float(best_val[a]), int(at[a]), str(stop[a]))
-           for v, a, b in zip(x if families else (x,), cuts, cuts[1:])]
-    return tuple(out) if families else out[0]
+    if np.ndim(x) == 3:
+        return best, best_val, at, stop
+    return best[0], float(best_val[0]), int(at[0]), str(stop[0])
 
 
 def span_distance_lower(x: np.ndarray, span: ConcreteAlgebra | _TensorSpan
@@ -305,7 +271,7 @@ def span_distance_lower(x: np.ndarray, span: ConcreteAlgebra | _TensorSpan
 
 def sample_unit_ball(A: ConcreteAlgebra, seed: int, count: int) -> np.ndarray:
     """Deterministic sample of the unit ball of a concrete algebra A, the
-    points of the sampled distance brackets (``kk_distance``), as one
+    points of the sampled lower end of ``kk_distance``, as one
     (S, N, N) stack in this order: the dim operator-normalised basis
     elements, count random self-adjoint contractions (spectral clipping),
     and count random unitaries exp(i h) of A (relative to its support),
@@ -325,31 +291,53 @@ def sample_unit_ball(A: ConcreteAlgebra, seed: int, count: int) -> np.ndarray:
 # distance
 # ---------------------------------------------------------------------------
 
-# the iteration budget of each sampled distance bracket's ball solves
-_DIST_ITERS = 200
+def one_sided_bound(A: ConcreteAlgebra, B: ConcreteAlgebra) -> float:
+    """Proven upper bound for the one-sided constant sup_{x in A_1} d(x, B_1).
+
+    E_B, the HS projection onto B, is cpc and fixes B, so it maps A's unit
+    ball into B's, and d(x, B_1) <= ||x - E_B(x)||: the constant is at most
+    ||(id - E_B)|_A||_cb, and at most 1, since 0 lies in B_1.  That cb norm
+    is ``cb_bracket``'s outward-rounded hi of the map on A's matrix units U
+    (``A.structure()``), e_ij -> U_ij - B.project(U_ij), plus two margins:
+      - project's rounding: an image's coefficients and combination err by
+        at most (N^2 + dim B) eps sqrt(dim B) ||U_ij||_HS, its subtraction by
+        eps ||U_ij||_HS, a cb norm moves by at most the sum over the images,
+        and the margin doubles it: 2 (N^2 + dim B + 2) eps sqrt(dim B)
+        sum_ij ||U_ij||_HS;
+      - the units: cb_bracket reads U as exact matrix units of A.  To first
+        order, d units with relation residual delta (``BlockStructure.
+        residual``) that lie within r of A (their largest HS residual) are
+        each within kappa = 2 (delta + r) in norm of exact units pi(e_ij) of
+        A.  pi is a complete isometry onto A, so the cb norm sought is that
+        of (id - E_B) pi, which differs from the bracketed map by
+        (id - E_B) (pi - U), of cb norm at most 2 d kappa = 4 d (delta + r),
+        as ||id - E_B||_cb <= 2.
+    """
+    struct = A.structure()
+    U = struct.matrix_units
+    units = 4.0 * len(U) * (struct.residual + float(A.residual(U).max()))
+    rounding = 2.0 * (A.ambient_dim ** 2 + B.dim + 2) * _EPS * np.sqrt(B.dim)
+    return min(1.0, cb_bracket(LinMap(A, U - B.project(U)))[1] + units
+               + float(rounding * np.linalg.norm(U, axis=(1, 2)).sum()))
 
 
 def kk_distance(A: ConcreteAlgebra, B: ConcreteAlgebra, seed: int,
                 samples: int) -> DistanceInterval:
     """Two-sided bracket for the Hausdorff distance between unit balls.
 
-    Each direction draws ``sample_unit_ball(source, seed, samples)`` and
-    solves each sample's distance to the target's unit ball: both directions
-    in one ``nearest_in_span`` call, one family each, each solved as a call
-    on its family alone would be.  A family's floor is the largest of its
-    samples' HS dual bounds (``span_distance_lower``), so samples proven
-    below the supremum stop early.  Each one-sided constant is its family's
-    largest witness distance, hi the larger constant and lo the larger
-    floor, capped at hi.
+    hi is proven: the one-sided constants are ``one_sided_bound`` of (A, B)
+    and of (B, A).  lo is sampled: each direction draws
+    ``sample_unit_ball(source, seed, samples)``, lo is the largest HS dual
+    bound (``span_distance_lower``) of those points against the other
+    algebra, over both directions, capped at hi.
     """
     if samples < 0:
         raise ValueError(f"samples must be at least 0, not {samples}")
-    X = sample_unit_ball(A, seed, samples), sample_unit_ball(B, seed, samples)
-    floors = float(span_distance_lower(X[0], B).max()), float(span_distance_lower(X[1], A).max())
-    solved = nearest_in_span(X, (B, A), ball=True, iters=_DIST_ITERS, floor=floors)
-    gamma_ab, gamma_ba = (float(ubs.max()) for _, ubs, _, _ in solved)
-    hi = max(gamma_ab, gamma_ba)
-    return DistanceInterval(lo=min(max(floors), hi), gamma_ab=gamma_ab, gamma_ba=gamma_ba)
+    lo = max(float(span_distance_lower(sample_unit_ball(S, seed, samples), T).max())
+             for S, T in ((A, B), (B, A)))
+    gamma_ab, gamma_ba = one_sided_bound(A, B), one_sided_bound(B, A)
+    return DistanceInterval(lo=min(lo, max(gamma_ab, gamma_ba)), gamma_ab=gamma_ab,
+                            gamma_ba=gamma_ba)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import numpy as np
 
 from .certs import SCHEMA_VERSIONS, Certificate
 from .cpmaps import LinMap
-from .geometry import kk_distance
+from .geometry import kk_distance, one_sided_bound
 from .instances import Instance, damping
 from .intertwine import close_isomorphism, implement_unitarily
 from .linalg import dagger, opnorm, rng_for
@@ -60,25 +60,27 @@ def conjugation_iso(instance: Instance) -> LinMap:
     return LinMap(A, u @ units @ dagger(u), codomain_algebra=instance.B)
 
 
-def _gamma_source(instance: Instance, seed: int, samples: int,
-                  notes: dict) -> float:
+def _gamma_source(instance: Instance, notes: dict) -> float:
+    """The instance's conjugation bound where it has one, else the proven
+    distance bound, the larger ``one_sided_bound`` of the two directions."""
     hint = instance.dist_hint()
     if hint is not None:
         notes["gamma_source"] = "conjugation-bound"
         return hint
-    notes["gamma_source"] = "sampled-distance"
-    return kk_distance(instance.A, instance.B, seed, samples).hi
+    notes["gamma_source"] = "proven-distance"
+    return max(one_sided_bound(instance.A, instance.B), one_sided_bound(instance.B, instance.A))
 
 
 def run_pipeline(instance: Instance, pipeline: str, seed: int,
                  samples: int = 32) -> Report:
     """Run one named pipeline on an instance and collect its certificates.
 
-    dist: two-sided distance interval against the constructive bound when
-    available.  iso: two-sided close isomorphism.  unitary: exact unitary
-    implementation of the instance isomorphism.  oz-perturb: perturb a damped
-    block embedding of A into B.  oz-embed: transfer the trivial
-    decomposition of A into an embedding into B.
+    dist: two-sided distance interval, its sampled lo checked against the
+    constructive bound when available (2 otherwise), its hi proven.  iso:
+    two-sided close isomorphism.  unitary: exact unitary implementation of
+    the instance isomorphism.  oz-perturb: perturb a damped block embedding
+    of A into B.  oz-embed: transfer the trivial decomposition of A into an
+    embedding into B.
     """
     if pipeline not in PIPELINES:
         raise ValueError(f"unknown pipeline {pipeline!r}; choose one of {PIPELINES}")
@@ -102,11 +104,11 @@ def _certify(instance: Instance, pipeline: str, seed: int, samples: int,
         return {"distance-interval": Certificate.build(
             "distance-interval",
             {"samples": samples, "recipe_bound": float(hint if hint is not None else 2.0)},
-            interval.hi,
+            interval.lo,
             details={"lo": interval.lo, "hi": interval.hi,
                      "gamma_ab": interval.gamma_ab, "gamma_ba": interval.gamma_ba})}
 
-    gamma = _gamma_source(instance, seed, samples, notes)
+    gamma = _gamma_source(instance, notes)
 
     if pipeline == "iso":
         res = close_isomorphism(A, B, gamma)

@@ -189,11 +189,10 @@ def test_every_seed_changes_an_output():
     from cstarlab.geometry import kk_distance, sample_unit_ball
     from cstarlab.instances import gen_instance, random_order_zero
     from cstarlab.linalg import rng_for
-    from cstarlab.pipelines import _certify, _gamma_source, run_pipeline
+    from cstarlab.pipelines import _certify, run_pipeline
 
     params = {"algebra": "M2+M1", "ambient": 4, "eps": 1e-5}
     conj = gen_instance("conjugation", params, seed=3)
-    noisy = gen_instance("choi-noise", {"algebra": "M2", "eps": 1e-6}, seed=2)
     outputs = {
         "rng_for": lambda s: rng_for(s, "seed-test").standard_normal(),
         "gen_instance": lambda s: gen_instance("conjugation", params, seed=s).B.basis.tobytes(),
@@ -202,7 +201,6 @@ def test_every_seed_changes_an_output():
         "run_pipeline": lambda s: run_pipeline(conj, "dist", seed=s)
         .certificates["distance-interval"].details,
         "_certify": lambda s: _certify(conj, "dist", s, 32, {})["distance-interval"].details,
-        "_gamma_source": lambda s: _gamma_source(noisy, s, 32, {}),
         "sample_unit_ball": lambda s: sample_unit_ball(conj.A, s, 2).tobytes(),
         "kk_distance": lambda s: kk_distance(conj.A, conj.B, s, 32),
     }

@@ -124,7 +124,8 @@ def test_classify_transpose_not_cp():
 
 @pytest.mark.parametrize("sizes", [(2, 1), (3, 3), (2, 3, 1)])
 def test_classify_equals_the_per_block_loop(sizes):
-    # reference: one operator norm and one eigensolve per Choi block
+    # reference: one operator norm and one eigensolve per Choi block, whose
+    # spectra classify returns in block order, bit for bit
     fd, N = FDAlgebra(sizes), 3
     ucp = random_ucp(fd, N, seed=2)
     rng = rng_for(2, "test-classify-blocks")
@@ -139,13 +140,15 @@ def test_classify_equals_the_per_block_loop(sizes):
             LinMap(fd, ucp.images + 1e-12 * skew), LinMap(fd, ucp.images + 1e-3 * skew)]
     verdicts = set()
     for phi in maps:
-        herm_resid, min_eig = 0.0, np.inf
+        herm_resid, min_eig, spectra = 0.0, np.inf, []
         for C in choi_blocks(phi):
             herm_resid = max(herm_resid, opnorm(C - dagger(C)))
-            min_eig = min(min_eig, float(np.linalg.eigvalsh(herm(C)).min()))
+            spectra.append(np.linalg.eigvalsh(herm(C)))
+            min_eig = min(min_eig, float(spectra[-1].min()))
         cp = herm_resid <= TOL_PSD and min_eig >= -TOL_PSD
         cls = classify(phi)
         assert cls.choi_min_eig == min_eig
+        assert [v.tobytes() for v in cls.spectra] == [v.tobytes() for v in spectra]
         assert (cls.cp, cls.cpc, cls.ucp) == (
             cp, cp and cls.norm_of_unit <= 1.0 + TOL_PSD, cp and cls.unit_defect <= TOL_ALG)
         verdicts.add((cls.cp, cls.cpc, cls.ucp))

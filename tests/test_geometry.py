@@ -231,7 +231,7 @@ def test_span_distance_lower_is_lower():
 
 
 # ---------------------------------------------------------------------------
-# the floor: solving only for the supremum
+# checkpoint duals
 # ---------------------------------------------------------------------------
 
 PAIRS = [("M2", 4), ("M2+M1", 4), ("3,3", 8), ("2,2,2", 8)]
@@ -271,30 +271,20 @@ def record_duals(monkeypatch) -> list:
 
 @pytest.mark.parametrize("ball", [False, True])
 @pytest.mark.parametrize("profile, N", PAIRS)
-def test_floor_keeps_the_supremum(profile, N, ball, monkeypatch):
+def test_checkpoint_duals_are_below_the_solved_distances(profile, N, ball, monkeypatch):
+    # each checkpoint's dual bound lies below its target's solved distance; a
+    # residual R = x - b, b in span(B), is matched to x by the HS residual of
+    # x - R
     A, B = conjugation_pair(profile, N)
     X = unit_ball_stack(A)
-    _, full, *_ = nearest_in_span(X, B, ball=ball, iters=200)
-    lbs = span_distance_lower(X, B)
     duals = record_duals(monkeypatch)
-    _, vals, *_ = nearest_in_span(X, B, ball=ball, iters=200, floor=lbs.max())
-    # the floored solve keeps the unfloored one's supremum, bit for bit
-    assert vals.max() == full.max()
-    floor = max([lbs.max()] + [lo.max() for _, lo in duals])
-    assert duals and floor > lbs.max()
-    top = vals >= floor
-    # targets that can reach the supremum ran the full solve, bit for bit;
-    # the others stopped below the floor, at a best iterate of the same path
-    assert top.any() and not top.all()
-    assert np.array_equal(vals[top], full[top])
-    assert np.all(vals[~top] < floor) and np.all(vals >= full)
-    # each dual bound lies below its target's achieved distance; a residual
-    # R = x - b, b in span(B), is matched to x by the HS residual of x - R
+    _, vals, *_ = nearest_in_span(X, B, ball=ball, iters=200)
+    assert duals
     project = B.project
     for R, lo in duals:
         Z = (X[None] - R[:, None]).reshape((-1,) + X.shape[1:])
         off = np.linalg.norm(Z - project(Z), axis=(1, 2)).reshape(len(R), len(X))
-        assert np.all(lo <= full[off.argmin(axis=1)] * (1.0 + 1e-13))
+        assert np.all(lo <= vals[off.argmin(axis=1)] * (1.0 + 1e-13))
 
 
 def scalar_ball_distance(X: np.ndarray) -> np.ndarray:
@@ -327,22 +317,21 @@ def test_ball_duals_are_below_the_scalar_ball_distance(monkeypatch):
         assert np.all(lo <= exact[at >= k] * (1.0 + 1e-14))
 
 
-# targets of unit_ball_stack that leave at k = 0 on the gap and on the floor,
-# with or without the ball; on M2/4 every warm start is proven optimal there
-EARLY = {("M2", 4): (36, 0), ("M2+M1", 4): (5, 22), ("3,3", 8): (18, 14),
-         ("2,2,2", 8): (10, 12)}
-# targets of the ball solves of unit_ball_stack that run all 130 iterations
-CAPPED = {("M2+M1", 4): 1, ("3,3", 8): 1, ("2,2,2", 8): 1}
+# targets of unit_ball_stack that leave at k = 0 on the gap in its ball
+# solve; on M2/4 every warm start is proven optimal there
+EARLY = {("M2", 4): 36, ("M2+M1", 4): 5, ("3,3", 8): 18, ("2,2,2", 8): 10}
+# targets of the ball solves of unit_ball_stack that end on the cap at 130
+# iterations
+CAPPED = {("M2+M1", 4): 19, ("3,3", 8): 21, ("2,2,2", 8): 25}
 
 
-def test_floor_drops_exactly_the_targets_below_it(monkeypatch):
-    # replay the stop rules of a ball solve from the points it measures at
+def test_ball_solve_stops_exactly_on_a_closed_gap(monkeypatch):
+    # replay the stop rule of a ball solve from the points it measures at
     # its checkpoints, k = 0 (the warm start), 1, 2, 4, ..., 128 and the last
     # one, each divided by its norm where that exceeds one: the stack of
     # checkpoint k holds the targets stopped at k or later, in order; a target
     # leaves on the gap exactly when the checkpoint's dual proves
-    # best - lo <= 1e-6 best, else on the floor exactly when its best value is
-    # below (1 - 1e-6) times the floor then
+    # best - lo <= 1e-6 best
     points, into_ball = [], geometry._into_ball
 
     def recorded(y):
@@ -355,62 +344,30 @@ def test_floor_drops_exactly_the_targets_below_it(monkeypatch):
     for profile, N in PAIRS:
         A, B = conjugation_pair(profile, N)
         X = unit_ball_stack(A)
-        K, floor0 = 130, span_distance_lower(X, B).max()
+        K = 130
         points.clear()
         duals.clear()
-        _, vals, at, stop = nearest_in_span(X, B, ball=True, iters=K, floor=floor0)
-        gaps, floors = EARLY[profile, N]
-        assert (stop[at == 0] == "gap").sum() == gaps
-        assert (stop[at == 0] == "floor").sum() == floors
+        _, vals, at, stop = nearest_in_span(X, B, ball=True, iters=K)
+        assert (stop[at == 0] == "gap").sum() == EARLY[profile, N]
         checks = [0, 1, 2, 4, 8, 16, 32, 64, 128, K]
-        if gaps == len(X):
+        if EARLY[profile, N] == len(X):
             # decided at the warm start: one checkpoint, no iteration
             assert len(points) == len(duals) == 1
         else:
-            # some targets run to the cap, past every checkpoint; the others
-            # stop on the floor, some of them after k = 0
+            # some targets run to the cap, past every checkpoint; others close
+            # their gaps after k = 0
             assert len(points) == len(duals) == len(checks)
-            assert list(stop[at == K]) == ["cap"] * CAPPED[profile, N]
-            assert "floor" in stop[(at > 0) & (at < K)]
-        best, floor = np.full(len(X), np.inf), floor0
+            assert (stop == "cap").sum() == CAPPED[profile, N] and np.all(at[stop == "cap"] == K)
+            assert "gap" in stop[(at > 0) & (at < K)]
+        best = np.full(len(X), np.inf)
         for k, point, (_, lo) in zip(checks, points, duals):
             live = np.flatnonzero(at >= k)
             best[live] = np.minimum(best[live], opnorms(X[live] - point))
             gap = best[live] - lo <= 1e-6 * best[live]
-            floor = max(floor, lo.max())
-            below = ~gap & (best[live] < floor * (1.0 - 1e-6))
-            assert np.all(at[live[gap | below]] == k)
-            assert np.all(stop[live[gap]] == "gap") and np.all(stop[live[below]] == "floor")
-            assert np.all(at[live[~gap & ~below]] > k) or k == K
+            assert np.all(at[live[gap]] == k) and np.all(stop[live[gap]] == "gap")
+            assert np.all(at[live[~gap]] > k) or k == K
         # the returned values are the tracked best ones, and a gap stop's too
         assert np.all(np.abs(vals - best) <= 1e-15 * best)
-        assert np.all(vals[stop == "floor"] < floor * (1.0 - 1e-6))
-
-
-def test_floor_never_drops_the_target_that_sets_it(monkeypatch):
-    # x = diag(1, -1, 0, 0) is at distance 1 from C 1 and the warm start
-    # b = 0 attains it; its top singular cluster {1, 1} has the dyads e_11
-    # and -e_22, whose average (e_11 - e_22) / 2 has trace 0 and gives the
-    # dual bound 1 at k = 0: the floor rises to 1 there, and the one target
-    # leaves on its closed gap, not on the floor it set, before any iteration
-    x = np.diag([1.0, -1.0, 0.0, 0.0]).astype(complex)
-    calls, shrink = [], geometry._shrink
-    monkeypatch.setattr(geometry, "_shrink", lambda z, t: calls.append(1) or shrink(z, t))
-    duals = record_duals(monkeypatch)
-    _, d, at, stop = nearest_in_span(x, scalars(4), iters=40, floor=0.0)
-    assert d == 1.0 and (at, stop) == (0, "gap") and len(calls) == 0
-    assert len(duals) == 1 and abs(duals[0][1][0] - 1.0) <= 1e-15
-
-
-def test_a_closed_gap_stops_before_the_floor():
-    # diag(1, -1, 0, 0) and 0.9 times it both close their gaps at k = 0,
-    # where the floor rises from 0.5 to 1: the second is then below the
-    # floor too, and its stop is the proven one, the gap
-    x = np.diag([1.0, -1.0, 0.0, 0.0]).astype(complex)
-    _, vals, at, stop = nearest_in_span(np.array([x, 0.9 * x]), scalars(4),
-                                        iters=40, floor=0.5)
-    assert list(vals) == [1.0, 0.9] and list(at) == [0, 0]
-    assert list(stop) == ["gap", "gap"]
 
 
 def test_gap_stop_is_within_the_margin_of_the_scalar_distance(monkeypatch):
@@ -623,38 +580,68 @@ def test_kk_distance_self_is_zero():
 @given(seed=st.integers(min_value=0, max_value=10 ** 4))
 @settings(max_examples=15, deadline=None)
 def test_kk_distance_conjugation_bound(seed):
-    # d(A, uAu*) <= 2 ||u - 1|| for any unitary u
+    # d(A, uAu*) <= 2 ||u - 1|| for any unitary u, so the sampled lo is at
+    # most that; the proven hi is at most 4 ||u - 1||, as (id - E_B)(a) =
+    # (id - E_B)(a - u a u*) and ||id - E_B||_cb <= 2; and it bounds every
+    # ball distance a solve proves to 1e-6 from the sampled points
     A = block_algebra((2, 1), 3)
     u = small_rotation(3, 5e-3, seed)
     B = A.conjugated(u)
     iv = kk_distance(A, B, seed, 4)
-    assert iv.lo <= iv.hi + 1e-12
-    assert iv.hi <= 2.0 * opnorm(u - np.eye(3)) + 1e-9
-    # kk_distance's two-family solve on its samples and floors, at 500
-    # iterations: the sample setting each direction's sup closes its duality
-    # gap at the warm start, k = 0 (so in both directions of every seed from
-    # 0 to 10^4); it is never dropped by the floor, which only drops samples
-    # below the sup; so do the other 7 samples of largest distance
-    X = sample_unit_ball(A, seed, 4), sample_unit_ball(B, seed, 4)
-    floors = span_distance_lower(X[0], B).max(), span_distance_lower(X[1], A).max()
-    for _, ubs, its, stops in nearest_in_span(X, (B, A), ball=True, iters=500, floor=floors):
-        order = np.argsort(-ubs, kind="stable")[:8]
-        top = order[0]
-        assert (stops[top], its[top]) == ("gap", 0)
-        for i in order:
-            assert stops[i] in ("gap", "floor", "cap")
-            assert its[i] <= 500 and (stops[i] != "cap" or its[i] == 500)
-            assert stops[i] != "gap" or its[i] in (0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 500)
-            assert stops[i] != "floor" or ubs[i] < ubs[top]
+    move = opnorm(u - np.eye(3))
+    assert iv.lo <= iv.hi and iv.lo <= 2.0 * move + 1e-12
+    assert iv.hi <= 4.0 * move * (1.0 + 1e-9)
+    for src, dst, gamma in ((A, B, iv.gamma_ab), (B, A, iv.gamma_ba)):
+        _, vals, _, stop = nearest_in_span(sample_unit_ball(src, seed, 4), dst, ball=True,
+                                           iters=500)
+        assert "gap" in stop
+        assert np.all(vals[stop == "gap"] * (1.0 - 1e-6) <= gamma)
+
+
+def test_kk_distance_closed_forms():
+    # d(D_2, C 1) = d(M_2, D_2) = 1, both attained one way; the other way the
+    # smaller algebra lies inside the larger, at distance 0.  The proven hi
+    # meets 1 from above and lo stays below it
+    scalars2, D2, M2 = scalars(2), ConcreteAlgebra.diagonal(2), ConcreteAlgebra.full(2)
+    for A, B in ((D2, scalars2), (M2, D2)):
+        iv = kk_distance(A, B, 0, 32)
+        assert 1.0 <= iv.gamma_ab <= 1.0 + 1e-12 and iv.hi == iv.gamma_ab
+        assert iv.gamma_ba <= 1e-12 and iv.lo <= 1.0
+
+
+def test_kk_distance_of_a_near_inclusion():
+    # A = M_2 in M_4 lies within 2 ||u - 1|| of B = u (A + C (1 - e)) u*, so
+    # gamma_ab is at most twice that, while B's corner u (1 - e) u* is at
+    # distance 1 from A: gamma_ba is 1, and the sampled lo comes close to it
+    A, B = near_inclusion_plus_a_corner()
+    iv = kk_distance(A, B, 5, 32)
+    assert iv.gamma_ab <= 4.0 * opnorm(small_rotation(4, 1e-3, 7) - np.eye(4))
+    assert iv.gamma_ba == iv.hi == 1.0 and 0.99 <= iv.lo <= 1.0
+
+
+# the conjugation profiles of the benchmark's ladder and dist op lists
+TIER1 = [("M2", 4), ("M2+M1", 4), ("diag3", 4), ("M2+M2", 6), ("3,3", 8), ("2,2,2", 8)]
+
+
+@pytest.mark.parametrize("profile, N", TIER1)
+def test_kk_distance_brackets_the_conjugation_bound(profile, N):
+    # on conjugation instances, hint = 2 ||u - 1|| bounds d(A, B): lo lies
+    # below it, and the proven hi lies within twice it (4 ||u - 1||, as in
+    # test_kk_distance_conjugation_bound), at instance seeds 3000-3009
+    for seed in range(3000, 3010):
+        inst = gen_instance("conjugation", {"algebra": profile, "ambient": N, "eps": 1e-6},
+                            seed=seed)
+        iv, hint = kk_distance(inst.A, inst.B, seed, 32), inst.dist_hint()
+        assert iv.lo <= hint and iv.lo <= iv.hi <= 2.0 * hint
 
 
 # summation order: a stacked GEMM meets single calls or an oracle to a rounding bound
 @pytest.mark.summation_order
-@pytest.mark.parametrize("profile, N", PAIRS[:3])
+@pytest.mark.parametrize("profile, N", PAIRS)
 def test_kk_distance_lo_is_the_largest_sample_floor(profile, N):
     # lo is the largest HS dual bound over both directions' samples, capped
     # at hi; the sample attaining it, projected alone, gives the same bound
-    for seed in range(6):
+    for seed in range(3000, 3010):
         A, B = conjugation_pair(profile, N, seed)
         iv = kk_distance(A, B, seed, 32)
         best = []
@@ -673,21 +660,18 @@ def test_kk_distance_lo_is_the_largest_sample_floor(profile, N):
 @pytest.mark.summation_order
 @pytest.mark.parametrize("profile, N", PAIRS)
 def test_ball_witness_values_do_not_hinge_on_the_summation_order(profile, N):
-    # the dist pipeline's ball solves (32 + 32 samples, 200 iterations, the
-    # floor of kk_distance), both directions, at instance seeds 3000-3004:
-    # reversing the order of the target's basis keeps its projection but
-    # sums it in another order, and no solved value moves by more than 1e-8
-    # relative, nor the largest, the direction's one-sided constant, by more
-    # than 1e-9
+    # ball solves of 8 + 8 unit-ball samples and the basis at 200
+    # iterations, both directions, at instance seeds 3000-3004, many of which
+    # end on the cap: reversing the order of the target's basis keeps its
+    # projection but sums it in another order, and no solved value moves by
+    # more than 1e-8 relative, nor the largest by more than 1e-9
     for seed in range(3000, 3005):
         A, B = conjugation_pair(profile, N, seed)
         for src, dst in ((A, B), (B, A)):
-            X = sample_unit_ball(src, seed, 32)
-            floor = span_distance_lower(X, dst).max()
+            X = sample_unit_ball(src, seed, 8)
             rev = ConcreteAlgebra(ambient_dim=dst.ambient_dim, basis=dst.basis[::-1],
                                   support=dst.support)
-            vals = [nearest_in_span(X, S, ball=True, iters=200, floor=floor)[1]
-                    for S in (dst, rev)]
+            vals = [nearest_in_span(X, S, ball=True, iters=200)[1] for S in (dst, rev)]
             assert np.all(np.abs(vals[1] - vals[0]) <= 1e-8 * vals[0])
             assert abs(vals[1].max() - vals[0].max()) <= 1e-9 * vals[0].max()
 
@@ -697,64 +681,6 @@ def near_inclusion_plus_a_corner():
     A = block_algebra((2,), 4)
     B = ConcreteAlgebra.from_basis(list(A.basis) + [np.eye(4) - A.support], 4)
     return A, B.conjugated(small_rotation(4, 1e-3, 7))
-
-
-# (pair, sample seed, iterations, the largest iterations among each
-# direction's 8 samples of largest distance: A->B, B->A); the M2+M1/4
-# instance seed is one whose B->A targets all leave the shared stack by 128
-# while A->B caps at 200
-KK_CASES = {
-    "M2+M1/4": (lambda: conjugation_pair("M2+M1", 4, 620566276), 620566276, 200, (200, 128)),
-    "3,3/8": (lambda: conjugation_pair("3,3", 8), 3, 200, (32, 200)),
-    "M2/4 in M2+C/4": (near_inclusion_plus_a_corner, 5, 200, (16, 0)),
-    "3,3/8 capped": (lambda: conjugation_pair("3,3", 8), 3, 4, (4, 4)),
-}
-
-
-# summation order: bits equal to separate calls, whatever the BLAS thread count
-@pytest.mark.summation_order
-@pytest.mark.parametrize("case", list(KK_CASES))
-def test_kk_distance_equals_two_one_family_solves(case):
-    # the two-family solve of kk_distance's samples and floors gives each
-    # direction what its one-family solve gives alone: witnesses, values,
-    # iterations and stops, bit for bit, at the case's iterations; and
-    # kk_distance's (lo, hi, gamma_ab, gamma_ba) are the one-family solves'
-    # numbers at its 200 iterations, bit for bit
-    pair, seed, iters, last = KK_CASES[case]
-    A, B = pair()
-    X = sample_unit_ball(A, seed, 32), sample_unit_ball(B, seed, 32)
-    floors = span_distance_lower(X[0], B).max(), span_distance_lower(X[1], A).max()
-
-    def alone(k):
-        return [nearest_in_span(x, S, ball=True, iters=k, floor=f)
-                for x, S, f in zip(X, (B, A), floors)]
-
-    solved = alone(iters)
-    both = nearest_in_span(X, (B, A), ball=True, iters=iters, floor=floors)
-    for got, want in zip(both, solved):
-        assert got[0].tobytes() == want[0].tobytes()
-        assert all(np.array_equal(g, w) for g, w in zip(got[1:], want[1:]))
-    assert tuple(int(its[np.argsort(-ubs, kind="stable")[:8]].max())
-                 for _, ubs, its, _ in solved) == last
-    gamma = tuple(float(ubs.max()) for _, ubs, _, _ in (solved if iters == 200 else alone(200)))
-    iv = kk_distance(A, B, seed, 32)
-    assert (iv.gamma_ab, iv.gamma_ba) == gamma and iv.hi == max(gamma)
-    assert iv.lo == min(max(floors), iv.hi)
-
-
-# summation order: bits equal to separate calls, whatever the BLAS thread count
-@pytest.mark.summation_order
-@pytest.mark.parametrize("ball", [False, True])
-def test_families_without_a_floor_equal_their_one_family_solves(ball):
-    # floor None floors no family, as floor (None, None) does: the two-family
-    # solve gives each family what its one-family solve gives alone, bit for bit
-    A, B = conjugation_pair("3,3", 8)
-    X = sample_unit_ball(A, 3, 8)
-    both = nearest_in_span((X, X), (B, A), ball=ball, iters=4)
-    for got, S in zip(both, (B, A)):
-        want = nearest_in_span(X, S, ball=ball, iters=4)
-        assert got[0].tobytes() == want[0].tobytes()
-        assert all(np.array_equal(g, w) for g, w in zip(got[1:], want[1:]))
 
 
 # ---------------------------------------------------------------------------

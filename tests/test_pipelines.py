@@ -50,14 +50,15 @@ def test_reports_do_not_depend_on_which_caller_asks_for_the_structure_first(pipe
 def test_one_wedderburn_decomposition_per_op(monkeypatch, pipeline, profile, ambient):
     # every map on A is stored on A's matrix units, so an op decomposes A
     # once; B's structure is never computed (the inverse of the isomorphism
-    # reads B's basis coefficients), and dist decomposes nothing
+    # reads B's basis coefficients), except by dist, whose proven hi reads
+    # the cb norms of id - E_B on A and of id - E_A on B
     calls, decompose = [], algebra.wedderburn_decompose
     monkeypatch.setattr(algebra, "wedderburn_decompose",
                         lambda A: calls.append(A) or decompose(A))
     inst = gen_instance("conjugation", {"algebra": profile, "ambient": ambient, "eps": 1e-6},
                         seed=3)
     run_pipeline(inst, pipeline, seed=3)
-    assert calls == ([] if pipeline == "dist" else [inst.A])
+    assert calls == ([inst.A, inst.B] if pipeline == "dist" else [inst.A])
 
 
 @pytest.mark.parametrize("pipeline", PIPELINES)
@@ -156,8 +157,8 @@ def test_choi_noise_instance_through_dist():
     inst = gen_instance("choi-noise", {"algebra": "M2", "eps": 1e-6}, seed=2)
     report = run_pipeline(inst, "dist", seed=2)
     # no constructive hint: the ceiling falls back to the trivial bound; B
-    # is the repaired image, of A's dimension, and the sampled bracket puts
-    # it within eps of A (the sampled hi is an estimate, not a bound)
+    # is the repaired image, of A's dimension, and the proven hi puts it
+    # within eps of A
     assert report.ok
     assert report.certificates["distance-interval"].ceiling == 2.0
     assert report.notes["dim_B"] == report.notes["dim_A"] == 4
@@ -168,9 +169,9 @@ def test_choi_noise_instance_through_dist():
 @pytest.mark.parametrize("pipeline", PIPELINES)
 def test_every_pipeline_passes_on_choi_noise(pipeline, algebra, ambient):
     # a choi-noise pair has dim B = dim A, so the isomorphism pipelines run
-    # on it from the sampled distance, with no generating unitary
+    # on it from the proven distance bound, with no generating unitary
     inst = gen_instance("choi-noise", {"algebra": algebra, "ambient": ambient, "eps": 1e-6},
                         seed=2)
     report = run_pipeline(inst, pipeline, seed=2)
     assert report.ok, {k: c.verdict for k, c in report.certificates.items()}
-    assert report.notes.get("gamma_source", "sampled-distance") == "sampled-distance"
+    assert report.notes.get("gamma_source", "proven-distance") == "proven-distance"

@@ -77,7 +77,7 @@ def test_an_edited_formula_moves_the_reports_that_state_it(tmp_path):
     shutil.copytree(ROOT / "src" / "cstarlab", tmp_path / "src" / "cstarlab",
                     ignore=shutil.ignore_patterns("__pycache__"))
     certs = tmp_path / "src" / "cstarlab" / "certs.py"
-    formula = '"sampled d(A, B) within the constructive recipe bound"'
+    formula = '"sampled lo <= d(A, B) within the constructive recipe bound; hi proven"'
     certs.write_text(certs.read_text().replace(formula, formula[:-1] + ' (edited)"'))
     out = subprocess.run([sys.executable, str(TOOL), str(ROOT / "src"), str(tmp_path / "src")],
                          check=True, capture_output=True, text=True, timeout=600).stdout
