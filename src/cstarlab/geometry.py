@@ -8,11 +8,13 @@ above (``one_sided_bound``).  The lower end is sampled: trace-norm dual
 certificates, all read by one function, ``_trace_dual``, at the points
 ``sample_unit_ball`` draws, the only unit-ball sampler, so lo is a proven
 lower bound at those points, not the supremum over the ball.  One solver,
-``nearest_in_span``, serves every witness search: one Chambolle-Pock
-primal-dual iteration that advances a stack of targets together by batched
-eigensolves of small Gram matrices, each target leaving with its stop
-reason.  ``kk_distance`` returns four numbers: the bracket and the two
-one-sided constants.
+``nearest_in_span``, serves the witness search of ``tensor_lift``: one
+Chambolle-Pock primal-dual iteration over a span that advances a stack of
+targets together by batched eigensolves of small Gram matrices, each target
+leaving with its stop reason.  A witness in a unit ball needs no solve: the
+HS projection onto a C*-subalgebra is its conditional expectation, which is
+cpc, so it maps the unit ball into the subalgebra's.  ``kk_distance``
+returns four numbers: the bracket and the two one-sided constants.
 """
 
 from __future__ import annotations
@@ -61,37 +63,26 @@ class DistanceInterval:
 # convex witness search
 # ---------------------------------------------------------------------------
 
-def _shrink(z: np.ndarray, t: np.ndarray | None) -> np.ndarray:
-    """Shrink the singular values s of each matrix of a stack z to
-    max(s - theta, 0), with s read from one eigensolve of its smaller Gram
-    matrix (z* z for tall or square z, z z* for wide z).  theta is the shift
-    that projects s onto the l1 unit ball, the largest of the candidates
-    (s_1 + ... + s_j - 1) / j over the sorted s_1 >= s_2 >= ... (which the
-    eigensolve gives) and 0, so z goes to its projection onto the
-    trace-norm unit ball and a matrix with sum(s) <= 1 is kept as is; where
-    the (S,) array t is not nan, theta is t instead, the prox of t ||.||_1."""
+def _shrink(z: np.ndarray) -> np.ndarray:
+    """Project each matrix of a stack z onto the trace-norm unit ball: its
+    singular values s, read from one eigensolve of its smaller Gram matrix
+    (z* z for tall or square z, z z* for wide z), go to max(s - theta, 0),
+    theta the shift that projects s onto the l1 unit ball, the largest of
+    the candidates (s_1 + ... + s_j - 1) / j over the sorted s_1 >= s_2 >= ...
+    (which the eigensolve gives) and 0, and a matrix with sum(s) <= 1 is kept
+    as is."""
     wide = z.shape[-2] < z.shape[-1]
     lam, w = np.linalg.eigh(z @ dagger(z) if wide else dagger(z) @ z)
     s = np.sqrt(np.maximum(lam, 0.0))
     excess = np.cumsum(s[:, ::-1], axis=1) - 1.0
     theta = np.maximum((excess / np.arange(1, s.shape[1] + 1)).max(axis=1), 0.0)
     keep = excess[:, -1] <= 0.0
-    if t is not None:
-        theta, keep = np.where(np.isnan(t), theta, t), keep & np.isnan(t)
     f = np.maximum(1.0 - theta[:, None] / np.where(s > 0.0, s, 1.0), 0.0)
     m = dagger(w)  # w*, then w diag(f) w*: w is scaled in place and freed
     w *= f[:, None, :]  # early, so that few stacks are alive at the peak
     m = w @ m
     del w
     return np.where(keep[:, None, None], z, m @ z if wide else z @ m)
-
-
-def _into_ball(y: np.ndarray) -> np.ndarray:
-    """Each matrix of a stack divided by its operator norm where that
-    exceeds one (read from eigvalsh(y* y))."""
-    gram = y.conj().swapaxes(1, 2) @ y
-    nrm = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
-    return y / np.maximum(nrm, 1.0)[:, None, None]
 
 
 def _span_dual(Y: np.ndarray, R: np.ndarray, project) -> np.ndarray:
@@ -101,15 +92,6 @@ def _span_dual(Y: np.ndarray, R: np.ndarray, project) -> np.ndarray:
     lo = Re<Y - P(Y), R> / ||Y - P(Y)||_1 (0 where it vanishes).  R rather
     than x keeps the rounding relative to the distance."""
     return _trace_dual(Y - project(Y), R)
-
-
-def _ball_dual(Y: np.ndarray, W: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Lower bounds for dist(x, span ∩ unit ball) from ||Y||_1 <= 1 and
-    W = P(Y - Z) + Z for any Z: for b' in the span with ||b'|| <= 1,
-    Re<Y, b'> = Re<P(Y), b'> = Re<W, b'> <= ||W||_1, as Z - P(Z) vanishes on
-    the span, so ||x - b'|| >= Re<Y, x - b'> >= Re<Y, x> - ||W||_1."""
-    inner = np.einsum("sij,sij->s", Y.conj(), X).real
-    return inner - np.linalg.svd(W, compute_uv=False).sum(axis=1)
 
 
 def _trace_dual(Y: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -139,34 +121,26 @@ def _best_point_dual(R: np.ndarray, project) -> np.ndarray:
 # is within it of a proven lower bound (gap)
 _MARGIN = 1e-6
 _STOPS = ("tol", "gap", "cap")
-# span solves measure their iterates every _PD_CHECK steps, ball solves at
-# k = 1, 2, 4, 8, ...; the steps are tau = c and sigma = _PD_STEP / c, or
-# sigma_Y = 0.85 / c and sigma_Z = 0.14 / c with the ball: tau times the sum
-# of the sigmas below one keeps the iteration convergent, P having norm one
+# the iterates are measured every _PD_CHECK steps; the steps are tau = c and
+# sigma = _PD_STEP / c: tau sigma below one keeps the iteration convergent,
+# P having norm one
 _PD_CHECK = 16
 _PD_STEP = 0.99
-_PD_BALL = (0.85, 0.14)
 
 
-def nearest_in_span(x: np.ndarray, span: ConcreteAlgebra | _TensorSpan,
-                    ball: bool = False, *, iters: int, tol: float = 1e-12) -> tuple:
-    """Minimize ||x - b||_op over b in the given subspace (intersected with
-    the operator-norm unit ball when requested).
+def nearest_in_span(x: np.ndarray, span: ConcreteAlgebra | _TensorSpan, *, iters: int,
+                    tol: float = 1e-12) -> tuple:
+    """Minimize ||x - b||_op over b in the given subspace.
 
     A Chambolle-Pock primal-dual iteration on the saddle problem
     min_{b in S} max_{||Y||_1 <= 1} Re<Y, x - b>, warm started at the HS
-    projection of x (rescaled into the ball), with dual Y = 0: Y <- the
-    trace-norm ball projection of Y + sigma (x - b'), then
-    b <- b + tau P(Y) and b' = 2 b_new - b_old.  The step tau is the target's
-    warm-start distance c (at least 10 tol) and sigma = 0.99 / c.  The ball
-    ||b|| <= 1 adds a second dual Z, which starts at 0: Z <- Z + sigma_Z b'
-    with its singular values shrunk by sigma_Z, and b <- b + tau P(Y - Z),
-    with sigma_Y = 0.85 / c and sigma_Z = 0.14 / c.  Both shrinks come from
-    one batched eigensolve of small Gram matrices (``_shrink``).  The iterates
-    are measured at the checkpoints by the values-only SVD of x - b, after
-    dividing b by its norm where that exceeds one in a ball solve, and the
-    best point is tracked: every 16 iterations for span solves, at
-    k = 1, 2, 4, 8, ... for ball solves, and at the last iteration.
+    projection of x, with dual Y = 0: Y <- the trace-norm ball projection of
+    Y + sigma (x - b') (``_shrink``, one batched eigensolve of small Gram
+    matrices), then b <- b + tau P(Y) and b' = 2 b_new - b_old.  The step tau
+    is the target's warm-start distance c (at least 10 tol) and
+    sigma = 0.99 / c.  The iterates are measured every 16 iterations and at
+    the last one by the values-only SVD of x - b, and the best point is
+    tracked.
 
     x is one (R, C) matrix or a stack (S, R, C) of targets solved at once,
     each with its own steps and best point, so each result is that of the
@@ -178,12 +152,8 @@ def nearest_in_span(x: np.ndarray, span: ConcreteAlgebra | _TensorSpan,
       tol    its residual fell to tol;
       gap    a checkpoint's dual bound lo gives best - lo <= 1e-6 best.  At
              k = 0 (the warm start) lo is the ``_best_point_dual`` of the
-             residuals x - best.  At the later checkpoints it is the largest
-             of that, the ``_span_dual`` of the dual iterate Y and, with the
-             ball, the ball bound Re<Y, x> - ||P(Y - Z) + Z||_1
-             (``_ball_dual``).  The first two bound the distance to the span,
-             so also to its unit ball, the third the distance to the ball
-             itself: a ball solve whose constraint binds closes its gap too;
+             residuals x - best.  At the later checkpoints it is the larger
+             of that and the ``_span_dual`` of the dual iterate Y;
       cap    it ran all iters iterations.
     The duals feed only these stops, never a returned value.
 
@@ -201,47 +171,35 @@ def nearest_in_span(x: np.ndarray, span: ConcreteAlgebra | _TensorSpan,
         """Index into _STOPS of each live target's stop, 2 where it goes on."""
         return np.where(s <= tol, 0, np.where(best_s - lo <= _MARGIN * best_s, 1, 2))
 
-    best = _into_ball(project(X)) if ball else project(X)  # k = 0, the warm start
+    best = project(X)  # k = 0, the warm start
     best_val = np.linalg.svd(X - best, compute_uv=False)[:, 0]
     stop = stops(best_val, best_val, _best_point_dual(X - best, project))
     c = np.maximum(best_val, 10 * tol)
     at = np.where(stop < 2, 0, iters)
     live = np.flatnonzero(stop == 2)
     Xl, cl, y = X[live], c[live], best[live]
-    YZ = np.zeros(((1 + ball) * len(Xl),) + Xl.shape[1:], complex)  # Y, over Z with the ball
-    y_bar, check = y, 1 if ball else _PD_CHECK
+    Y = np.zeros(Xl.shape, complex)
+    y_bar = y
     for k in range(1, iters + 1):
-        if not (n := len(live)):
+        if not len(live):
             break
-        if ball:  # Y and Z from one eigensolve; nan asks for Y's projection
-            sy, sz = (f / cl for f in _PD_BALL)
-            YZ[:n] += sy[:, None, None] * (Xl - y_bar)
-            YZ[n:] += sz[:, None, None] * y_bar
-            YZ = _shrink(YZ, np.concatenate([np.full(n, np.nan), sz]))
-            Y, Z = YZ[:n], YZ[n:]
-        else:
-            YZ += (_PD_STEP / cl)[:, None, None] * (Xl - y_bar)
-            Y = YZ = _shrink(YZ, None)
-        y_new = y + cl[:, None, None] * project(Y - Z if ball else Y)
+        Y += (_PD_STEP / cl)[:, None, None] * (Xl - y_bar)
+        Y = _shrink(Y)
+        y_new = y + cl[:, None, None] * project(Y)
         y_bar, y = 2.0 * y_new - y, y_new
-        if k != check and k != iters:
+        if k % _PD_CHECK and k != iters:
             continue
-        check = 2 * check if ball else check + _PD_CHECK
-        point = _into_ball(y) if ball else y
-        s = np.linalg.svd(Xl - point, compute_uv=False)[:, 0]
+        s = np.linalg.svd(Xl - y, compute_uv=False)[:, 0]
         better = s < best_val[live]
-        best[live[better]], best_val[live[better]] = point[better], s[better]
-        del point  # freed before the duals, for a lower peak memory
+        best[live[better]], best_val[live[better]] = y[better], s[better]
         lo = _span_dual(Y, Xl - best[live], project)
-        if ball:
-            lo = np.maximum(lo, _ball_dual(Y, project(Y - Z) + Z, Xl))
         lo = np.maximum(lo, _best_point_dual(Xl - best[live], project))
         why = stops(s, best_val[live], lo)
         keep = why == 2
         if not keep.all():
             stop[live[~keep]], at[live[~keep]] = why[~keep], k
-            live, Xl, cl, y, y_bar = live[keep], Xl[keep], cl[keep], y[keep], y_bar[keep]
-            YZ = YZ[np.tile(keep, len(YZ) // n)]
+            live, Xl, cl, y, y_bar, Y = (live[keep], Xl[keep], cl[keep], y[keep],
+                                         y_bar[keep], Y[keep])
     stop = np.array(_STOPS)[stop]
     if np.ndim(x) == 3:
         return best, best_val, at, stop

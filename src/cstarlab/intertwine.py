@@ -9,6 +9,12 @@ the inclusion on A's whole unit ball, so the exhaustion stops at its first
 stage: that one map is repaired to a homomorphism once and projected into B.
 close_isomorphism pulls the codomain basis back into A once per call, and
 reads B's witnesses and its forward closeness from that pull-back.
+
+Every unit-ball witness is a projection, not a solve: the HS projection onto
+a C*-subalgebra of M_N is its conditional expectation, which is cpc
+(Umegaki; Tomiyama), so E_A(y) lies in A's unit ball for y in B's, within
+2 d(y, A_1) of y.  The pull-back, the approximate unit that the half flip
+cuts and the half flip's tensor witness are such projections.
 """
 
 from __future__ import annotations
@@ -24,7 +30,6 @@ from .certs import TOL_ALG, Certificate, ContradictionError, SpectralGapError
 from .cpmaps import LinMap, arveson_restrict, classify, hom_defect, worst_move
 from .averaging import (improve_multiplicativity, intertwining_unitary,
                         projection_conjugator)
-from .geometry import nearest_in_span
 from .linalg import dagger, opnorm, opnorms
 
 __all__ = [
@@ -143,23 +148,24 @@ def close_isomorphism(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma: float) -> I
     d(A, B) <= gamma, with ||theta(x) - x|| and ||theta^{-1}(y) - y|| at most
     28 gamma^{1/2} for x in A's basis and for y in B's basis.
 
-    B's normalised basis is pulled back into A's unit ball once, at 200
-    iterations, and intertwining_iso runs with eta = 2 gamma and mu =
+    B's normalised basis is pulled back into A's unit ball once, by the
+    projection E_A (cpc, so each witness x = E_A(y) is within 2 d(y, A_1) of
+    y), and intertwining_iso runs with eta = 2 gamma and mu =
     min(gamma^{1/2}, 1/4000) on A's normalised basis and the accepted
     witnesses (distance at most 2/5), so forward closeness, read from its
     closeness certificate, covers them too.  The map is certified onto B by
-    the dimension count (an injective map into B with dim A = dim B is onto;
-    the paper's density margin is reported, not checked), and the reverse
-    direction through the chain ||theta^{-1}(y) - y|| <= 2 ||x - y|| +
-    ||theta(x) - y|| over the witnesses.  The ceilings vanish with gamma
-    and take a rounding slack.
+    the dimension count (an injective map into B with dim A = dim B is
+    onto), and the reverse direction through the chain ||theta^{-1}(y) - y||
+    <= 2 ||x - y|| + ||theta(x) - y|| over the witnesses.  The ceilings
+    vanish with gamma and take a rounding slack.
     """
     certs.require_window("forward-closeness", gamma=gamma)
     if A.dim != B.dim:
         raise ContradictionError(
             f"distance certificate {gamma:.3g} < 1 between algebras of "
             f"different dimensions {A.dim} != {B.dim}")
-    Xs, dists = nearest_in_span(B.normalized_basis, A, ball=True, iters=200)[:2]
+    Xs = A.project(B.normalized_basis)
+    dists = opnorms(B.normalized_basis - Xs)
     accepted = dists <= 2.0 / 5.0 + TOL_ALG
     res = intertwining_iso(A, B, eta=2.0 * gamma,
                            X_A=list(A.normalized_basis) + list(Xs[accepted]),
@@ -168,12 +174,9 @@ def close_isomorphism(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma: float) -> I
         raise SpectralGapError("constructed map is not invertible; "
                                "cannot certify the reverse bound")
     theta, close = res.map, res.certificates["closeness"]
-    b = res.certificates["injectivity"].ceiling
-    margin = 8.0 * np.sqrt(2.0) * b + 2.0 * res.nu + b + 2.0 * gamma
     res.certificates["surjectivity"] = Certificate.build(  # onto: it has an inverse
         "surjectivity", {"delta": gamma, "dim_A": A.dim, "dim_B": B.dim}, 0.0,
-        details={"density_margin": float(margin), "pullback_worst": float(dists.max()),
-                 "tracking_ok": bool(accepted.all())})
+        details={"pullback_worst": float(dists.max()), "tracking_ok": bool(accepted.all())})
     res.certificates["forward-closeness"] = Certificate.build(
         "forward-closeness", {"gamma": gamma, "n_points": close.inputs["n_points"]},
         close.achieved)
@@ -212,8 +215,9 @@ def near_embedding_nuclear(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma: float,
 
 def _projection_near_unit(e: np.ndarray, B: ConcreteAlgebra, gamma: float) -> np.ndarray:
     """Projection p in B with ||p - e|| <= 2 gamma, from the spectral cut of
-    a hermitian near-best approximant of the support projection e."""
-    y = nearest_in_span(e, B, ball=True, iters=300)[0]
+    the hermitian part of E_B(e), the projection of the support projection e
+    into B's unit ball."""
+    y = B.project(e)
     h = (y + dagger(y)) / 2.0
     vals, vecs = np.linalg.eigh(h)
     if np.any((vals > 0.45) & (vals < 0.55)):
@@ -236,8 +240,8 @@ def half_flip_cpc(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma: float,
 
     Steps: cut a projection p in B near the unit of A, conjugate it onto the
     unit by a unitary u with ||u - I|| <= sqrt(2) ||p - 1_A||, compress B to
-    B0 = 1_A u B u* 1_A, lift the exact flip v in A (x) A to a unit-ball
-    witness w in span(B0 (x) A), and slice with a vector state:
+    B0 = 1_A u B u* 1_A, project the exact flip v in A (x) A to the unit-ball
+    witness w = E(v) in span(B0 (x) A), and slice with a vector state:
     phi(x) = u* R(w (1 (x) x) w*) u.  Certified ceiling
     8 alpha + 4 alpha^2 + 4 sqrt(2) gamma with
     alpha = (4 sqrt(2) + 1) gamma + 4 sqrt(2) gamma^2.
@@ -263,7 +267,8 @@ def half_flip_cpc(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma: float,
     pairs = np.einsum("bij,akl->baikjl", B0.basis, A.basis).reshape(-1, N * N, N * N)
     tensor_span = ConcreteAlgebra(ambient_dim=N * N, basis=pairs,
                                   support=support_projection(pairs, N * N))
-    w, wdist, _, _ = nearest_in_span(v, tensor_span, ball=True, iters=300)
+    w = tensor_span.project(v)
+    wdist = opnorm(v - w)
     alpha = (4.0 * np.sqrt(2.0) + 1.0) * gamma + 4.0 * np.sqrt(2.0) * gamma ** 2
     alpha_prime = gamma + 4.0 * np.sqrt(2.0) * gamma * (1.0 + gamma)
     w_ceiling = 2.0 * (2.0 * alpha_prime + alpha_prime ** 2)
