@@ -38,7 +38,6 @@ from .linalg import (
     _BATCH_BYTES,
     cluster_values,
     dagger,
-    expm_i,
     herm,
     hs_norm,
     opnorm,
@@ -402,14 +401,6 @@ class ConcreteAlgebra:
         (``_combine``)."""
         g = rng.standard_normal((count, 2, self.dim))
         return herm(_combine((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0), self.basis))
-
-    def unitary_from(self, h: np.ndarray) -> np.ndarray:
-        """exp(i h) computed inside A for self-adjoint h in A (or a stack).
-
-        Returns u in A with u*u = uu* = support; equals exp(i h) minus the
-        identity on the ambient kernel of A.
-        """
-        return expm_i(h) - (np.eye(self.ambient_dim) - self.support)
 
     # -- structure -----------------------------------------------------------
 

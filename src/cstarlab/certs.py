@@ -192,7 +192,7 @@ BOUNDS = {
         "eta = 2 (n+1) (2 gamma + gamma^2)(2 + 2 gamma + gamma^2)",
         lambda i: 20.0 * np.sqrt(i["eta"]), TOL_EXACT, {"eta": WINDOW_ISO_ETA}),
     "distance-interval": Bound(
-        "sampled lo <= d(A, B) within the constructive recipe bound; hi proven",
+        "proven lo <= d(A, B) within the constructive recipe bound; hi proven",
         lambda i: i["recipe_bound"], TOL_ALG, {}),
 }
 

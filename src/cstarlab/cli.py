@@ -49,7 +49,6 @@ _SETTINGS = {
     "block": _Setting(int, 0, None, "block index for the block-rotation recipe"),
     "track": _Setting(str, "experimental", ("paper", "experimental"),
                       "paper enforces the hypothesis windows"),
-    "samples": _Setting(int, 32, None, "sample count for distance estimation"),
     "format": _Setting(str, "table", ("table", "json", "csv"), "report format"),
     "out": _Setting(str, None, None, "write output to this path"),
 }
@@ -57,7 +56,7 @@ _SETTINGS = {
 _GENERATION = ("dim", "recipe", "eps", "algebra", "block")
 _GEN = ("seed",) + _GENERATION + ("out",)
 # the settings each subcommand reads
-_TAKES = {"gen": _GEN, **dict.fromkeys(PIPELINES, _GEN + ("track", "samples", "format")),
+_TAKES = {"gen": _GEN, **dict.fromkeys(PIPELINES, _GEN + ("track", "format")),
           "report": ("format", "out"), "selftest": ()}
 
 
@@ -163,7 +162,7 @@ def _cmd_pipeline(args) -> int:
     else:
         inst = _instance_from_settings(args)
     with on_track(args.track):
-        report = run_pipeline(inst, args.command, seed=args.seed, samples=args.samples)
+        report = run_pipeline(inst, args.command, seed=args.seed)
     _emit(render_report(report, args.format), args.out)
     return 1 if args.track == "paper" and not report.ok else 0
 

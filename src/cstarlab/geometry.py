@@ -1,20 +1,19 @@
 """Operator-norm geometry between subalgebras: the Hausdorff distance
 between unit balls and tensor-amplified witness lifts.
 
-The distance between unit balls is bracketed from both sides.  The upper
-end is proven: each one-sided constant is at most the cb norm of id - E_B on
+The distance between unit balls is bracketed from both sides, and both ends
+are proven.  Each one-sided constant is at most the cb norm of id - E_B on
 A, E_B the HS projection onto B, which ``cpmaps.cb_bracket`` bounds from
-above (``one_sided_bound``).  The lower end is sampled: trace-norm dual
-certificates, all read by one function, ``_trace_dual``, at the points
-``sample_unit_ball`` draws, the only unit-ball sampler, so lo is a proven
-lower bound at those points, not the supremum over the ball.  One solver,
-``nearest_in_span``, serves the witness search of ``tensor_lift``: one
-Chambolle-Pock primal-dual iteration over a span that advances a stack of
-targets together by batched eigensolves of small Gram matrices, each target
-leaving with its stop reason.  A witness in a unit ball needs no solve: the
-HS projection onto a C*-subalgebra is its conditional expectation, which is
-cpc, so it maps the unit ball into the subalgebra's.  ``kk_distance``
-returns four numbers: the bracket and the two one-sided constants.
+above (``one_sided_bound``), and at least the trace-norm duality bound
+Re<Y, x> - ||E_B Y||_1 at any ||Y||_1 <= 1 and x in A's unit ball, which
+``trace_dual_lower`` reads at a few deterministic points.  One solver,
+``nearest_in_span``, serves the witness search of ``tensor_lift``: a
+Chambolle-Pock primal-dual iteration over a span by eigensolves of small
+Gram matrices, which returns its stop reason.  A witness in a unit ball
+needs no solve: the HS projection onto a C*-subalgebra is its conditional
+expectation, which is cpc, so it maps the unit ball into the subalgebra's.
+``kk_distance`` returns four numbers: the bracket and the two one-sided
+constants.
 """
 
 from __future__ import annotations
@@ -27,24 +26,24 @@ from .algebra import ConcreteAlgebra
 from .cpmaps import _EPS, LinMap, cb_bracket
 # opnorm has no caller here; it stays bound because perfbench's tracer test
 # reads geometry.opnorm to check that wrappers reach names a module rebinds
-from .linalg import clip_spectrum, dagger, opnorm, opnorms, rng_for  # noqa: F401
+from .linalg import dagger, opnorm, opnorms, partial_isometry_polar  # noqa: F401
 
 __all__ = [
     "DistanceInterval",
     "nearest_in_span",
-    "span_distance_lower",
     "kk_distance",
     "one_sided_bound",
+    "trace_dual_lower",
     "tensor_lift",
-    "sample_unit_ball",
 ]
 
 
 @dataclass
 class DistanceInterval:
     """Two-sided bracket for the unit-ball Hausdorff distance d(A, B): lo is
-    sampled, and the one-sided constants gamma_ab (A in B) and gamma_ba (B in
-    A) are proven upper bounds of at most 1; hi is the larger constant."""
+    a proven lower bound, and the one-sided constants gamma_ab (A in B) and
+    gamma_ba (B in A) are proven upper bounds of at most 1; hi is the larger
+    constant."""
 
     lo: float
     gamma_ab: float
@@ -117,10 +116,11 @@ def _best_point_dual(R: np.ndarray, project) -> np.ndarray:
     return _trace_dual(G, R)
 
 
-# relative margin of the stopping rule: a target leaves once its best value
+# relative margin of the stopping rule: the solve stops once its best value
 # is within it of a proven lower bound (gap)
 _MARGIN = 1e-6
-_STOPS = ("tol", "gap", "cap")
+# the residual at which the solve stops (tol)
+_TOL = 1e-13
 # the iterates are measured every _PD_CHECK steps; the steps are tau = c and
 # sigma = _PD_STEP / c: tau sigma below one keeps the iteration convergent,
 # P having norm one
@@ -128,121 +128,68 @@ _PD_CHECK = 16
 _PD_STEP = 0.99
 
 
-def nearest_in_span(x: np.ndarray, span: ConcreteAlgebra | _TensorSpan, *, iters: int,
-                    tol: float = 1e-12) -> tuple:
+def nearest_in_span(x: np.ndarray, span: ConcreteAlgebra | _TensorSpan, *, iters: int) -> tuple:
     """Minimize ||x - b||_op over b in the given subspace.
 
     A Chambolle-Pock primal-dual iteration on the saddle problem
     min_{b in S} max_{||Y||_1 <= 1} Re<Y, x - b>, warm started at the HS
     projection of x, with dual Y = 0: Y <- the trace-norm ball projection of
-    Y + sigma (x - b') (``_shrink``, one batched eigensolve of small Gram
-    matrices), then b <- b + tau P(Y) and b' = 2 b_new - b_old.  The step tau
-    is the target's warm-start distance c (at least 10 tol) and
-    sigma = 0.99 / c.  The iterates are measured every 16 iterations and at
-    the last one by the values-only SVD of x - b, and the best point is
-    tracked.
+    Y + sigma (x - b') (``_shrink``, one eigensolve of a small Gram matrix),
+    then b <- b + tau P(Y) and b' = 2 b_new - b_old.  The step tau is the
+    warm-start distance c (at least 10 _TOL) and sigma = 0.99 / c.  The
+    iterates are measured every 16 iterations and at the last one by the
+    values-only SVD of x - b, and the best point is tracked.
 
-    x is one (R, C) matrix or a stack (S, R, C) of targets solved at once,
-    each with its own steps and best point, so each result is that of the
-    target's own call.  The subspace is a concrete algebra or a
-    ``_TensorSpan``, whose ``project`` maps a stack (S, R, C) to its
-    HS-orthogonal projections.
+    x is one (R, C) matrix, solved as a (1, R, C) stack.  The subspace is a
+    concrete algebra or a ``_TensorSpan``, whose ``project`` maps a stack
+    (S, R, C) to its HS-orthogonal projections.
 
-    A target leaves the stack on the first of these that holds:
-      tol    its residual fell to tol;
+    The solve stops on the first of these that holds:
+      tol    the residual fell to _TOL = 1e-13;
       gap    a checkpoint's dual bound lo gives best - lo <= 1e-6 best.  At
              k = 0 (the warm start) lo is the ``_best_point_dual`` of the
-             residuals x - best.  At the later checkpoints it is the larger
+             residual x - best.  At the later checkpoints it is the larger
              of that and the ``_span_dual`` of the dual iterate Y;
       cap    it ran all iters iterations.
     The duals feed only these stops, never a returned value.
 
-    Returns the witnesses (shaped like x), the distances ||x - b||, the
-    iteration each target stopped at and its stop reason: floats, ints and
-    strings for one matrix, (S,) arrays for a stack.  The iteration is 0
-    when the warm start decided it (its residual was within tol, or the
-    k = 0 dual closed its gap), and then no iteration ran for it.  Each
-    distance is the values-only SVD of x - b for the returned b, as
-    ``opnorm`` takes it, so opnorm(x - b) reproduces it bit for bit.
+    Returns the witness, its distance ||x - b||, the iteration the solve
+    stopped at and its stop reason.  The iteration is 0 when the warm start
+    decided it (its residual was within _TOL, or the k = 0 dual closed its
+    gap), and then no iteration ran.  The distance is the values-only SVD of
+    x - b for the returned b, as ``opnorm`` takes it, so opnorm(x - b)
+    reproduces it bit for bit.
     """
-    X, project = np.reshape(x, (-1,) + np.shape(x)[-2:]), span.project
+    X, project = np.asarray(x)[None], span.project
 
-    def stops(s, best_s, lo):
-        """Index into _STOPS of each live target's stop, 2 where it goes on."""
-        return np.where(s <= tol, 0, np.where(best_s - lo <= _MARGIN * best_s, 1, 2))
+    def stop(s, best_val, lo):
+        """The stop reason, None where the solve goes on."""
+        return "tol" if s <= _TOL else "gap" if best_val - lo <= _MARGIN * best_val else None
 
     best = project(X)  # k = 0, the warm start
-    best_val = np.linalg.svd(X - best, compute_uv=False)[:, 0]
-    stop = stops(best_val, best_val, _best_point_dual(X - best, project))
-    c = np.maximum(best_val, 10 * tol)
-    at = np.where(stop < 2, 0, iters)
-    live = np.flatnonzero(stop == 2)
-    Xl, cl, y = X[live], c[live], best[live]
-    Y = np.zeros(Xl.shape, complex)
-    y_bar = y
+    best_val = float(np.linalg.svd(X - best, compute_uv=False)[0, 0])
+    why = stop(best_val, best_val, float(_best_point_dual(X - best, project)[0]))
+    if why:
+        return best[0], best_val, 0, why
+    c = max(best_val, 10 * _TOL)
+    y = y_bar = best
+    Y = np.zeros(X.shape, complex)
     for k in range(1, iters + 1):
-        if not len(live):
-            break
-        Y += (_PD_STEP / cl)[:, None, None] * (Xl - y_bar)
+        Y += _PD_STEP / c * (X - y_bar)
         Y = _shrink(Y)
-        y_new = y + cl[:, None, None] * project(Y)
+        y_new = y + c * project(Y)
         y_bar, y = 2.0 * y_new - y, y_new
         if k % _PD_CHECK and k != iters:
             continue
-        s = np.linalg.svd(Xl - y, compute_uv=False)[:, 0]
-        better = s < best_val[live]
-        best[live[better]], best_val[live[better]] = y[better], s[better]
-        lo = _span_dual(Y, Xl - best[live], project)
-        lo = np.maximum(lo, _best_point_dual(Xl - best[live], project))
-        why = stops(s, best_val[live], lo)
-        keep = why == 2
-        if not keep.all():
-            stop[live[~keep]], at[live[~keep]] = why[~keep], k
-            live, Xl, cl, y, y_bar, Y = (live[keep], Xl[keep], cl[keep], y[keep],
-                                         y_bar[keep], Y[keep])
-    stop = np.array(_STOPS)[stop]
-    if np.ndim(x) == 3:
-        return best, best_val, at, stop
-    return best[0], float(best_val[0]), int(at[0]), str(stop[0])
-
-
-def span_distance_lower(x: np.ndarray, span: ConcreteAlgebra | _TensorSpan
-                        ) -> float | np.ndarray:
-    """Certified lower bound for dist_op(x, span) by trace-norm duality,
-    for a concrete algebra or a ``_TensorSpan`` (through its ``project``).
-
-    The HS-orthogonal residual r = x - P(x) vanishes on the subspace, so it
-    is the dual Y of ``_span_dual`` with R = r: lo = ||r||_HS^2 / ||r||_1
-    (``_trace_dual(r, r)``).  x is one matrix (a float is returned) or a
-    stack (S, R, C) (an (S,) array): one projection and one batched
-    values-only SVD for the trace norms.
-    """
-    X = np.reshape(x, (-1,) + np.shape(x)[-2:])
-    r = X - span.project(X)
-    lb = _trace_dual(r, r)
-    return float(lb[0]) if np.ndim(x) == 2 else lb
-
-
-# ---------------------------------------------------------------------------
-# sampling
-# ---------------------------------------------------------------------------
-
-def sample_unit_ball(A: ConcreteAlgebra, seed: int, count: int) -> np.ndarray:
-    """Deterministic sample of the unit ball of a concrete algebra A, the
-    points of the sampled lower end of ``kk_distance``, as one
-    (S, N, N) stack in this order: the dim operator-normalised basis
-    elements, count random self-adjoint contractions (spectral clipping),
-    and count random unitaries exp(i h) of A (relative to its support),
-    exponentiated only when there are any."""
-    # one draw, in stream order the self-adjoint samples and then the
-    # generators of the unitaries
-    h = A.random_selfadjoints(rng_for(seed, "unit-ball", A.ambient_dim, A.dim), 2 * count)
-    sa, h = h[:count], h[count:]
-    parts = [A.normalized_basis, clip_spectrum(sa, -1.0, 1.0)]
-    if count:
-        nrm = opnorms(h)[:, None, None]
-        parts.append(A.unitary_from(np.pi * 0.5 * (h / np.where(nrm > 1e-14, nrm, 1.0))))
-    return np.concatenate(parts)
+        s = float(np.linalg.svd(X - y, compute_uv=False)[0, 0])
+        if s < best_val:
+            best, best_val = y, s
+        lo = max(float(_span_dual(Y, X - best, project)[0]),
+                 float(_best_point_dual(X - best, project)[0]))
+        why = stop(s, best_val, lo)
+        if why:
+            return best[0], best_val, k, why
+    return best[0], best_val, iters, "cap"
 
 
 # ---------------------------------------------------------------------------
@@ -279,20 +226,68 @@ def one_sided_bound(A: ConcreteAlgebra, B: ConcreteAlgebra) -> float:
                + float(rounding * np.linalg.norm(U, axis=(1, 2)).sum()))
 
 
-def kk_distance(A: ConcreteAlgebra, B: ConcreteAlgebra, seed: int,
-                samples: int) -> DistanceInterval:
-    """Two-sided bracket for the Hausdorff distance between unit balls.
+# the trace-dual lo: its starts along the directions id - E_T stretches most,
+# the duals each step keeps, and its steps
+_DUAL_DIRECTIONS = 8
+_DUAL_KEEP = 8
+_DUAL_STEPS = 2
 
-    hi is proven: the one-sided constants are ``one_sided_bound`` of (A, B)
-    and of (B, A).  lo is sampled: each direction draws
-    ``sample_unit_ball(source, seed, samples)``, lo is the largest HS dual
-    bound (``span_distance_lower``) of those points against the other
-    algebra, over both directions, capped at hi.
+
+def trace_dual_lower(S: ConcreteAlgebra, T: ConcreteAlgebra) -> float:
+    """Proven lower bound for sup_{x in S_1} d(x, T_1) by trace-norm duality:
+    for ||Y||_1 <= 1 and b in T_1, ||x - b|| >= Re<Y, x - b> >= Re<Y, x> -
+    sqrt(N) ||E_T Y||_HS, E_T the HS projection onto T, N the ambient size.
+    Each x is a combination of S's basis of norm at most 1, so the bound
+    reads nothing of S but its span.
+
+    The starts are S's normalised basis and the combinations of S's basis Q
+    along the top 8 eigenvectors of the Gram matrix of R = Q - E_T Q (the
+    right singular directions of id - E_T on S), scaled to norm 1.  Each of
+    two steps sets Y = r / ||r||_1 for r = x - E_T x, keeps the 8 Y with the
+    largest ||E_S Y||_1, and certifies the next x = E_S(W), W the partial
+    isometry of E_S Y (``partial_isometry_polar``), scaled to norm at most
+    1, so that Re<Y, x> is ||E_S Y||_1 = sup Re<Y, S_1> up to the singular
+    values W drops.  The largest value less a margin, floored at 0, is
+    returned.  The margin, eps the machine epsilon, is twice the sum of
+    project's rounding as in ``one_sided_bound`` ((N^2 + dim S) eps
+    sqrt(dim S) sqrt(N) on x, twice, as it moves the norm that scales x,
+    and (N^2 + dim T) eps sqrt(dim T) on E_T Y, times sqrt(N)), the
+    trace-norm SVD's backward error (2 N eps ||r||_HS per singular value,
+    so ||Y||_1 <= 1 + (3 N + 1) sqrt(N) eps, and (2 N + 1) sqrt(N) eps on
+    the norm that scales x) and the errors of the inner product and the HS
+    norm (N^(5/2) eps each).
     """
-    if samples < 0:
-        raise ValueError(f"samples must be at least 0, not {samples}")
-    lo = max(float(span_distance_lower(sample_unit_ball(S, seed, samples), T).max())
-             for S, T in ((A, B), (B, A)))
+    Q, N = S.basis, S.ambient_dim
+    R = Q - T.project(Q)
+    Rf = R.reshape(S.dim, -1)
+    C = np.linalg.eigh(Rf.conj() @ Rf.T)[1][:, ::-1][:, :_DUAL_DIRECTIONS].T
+    X = (C @ Q.reshape(S.dim, -1)).reshape(-1, N, N)
+    r = np.concatenate([R / S.basis_norms[:, None, None],
+                        (C @ Rf).reshape(-1, N, N) / opnorms(X)[:, None, None]])
+    best = 0.0
+    for _ in range(_DUAL_STEPS):
+        nrm = np.linalg.svd(r, compute_uv=False).sum(axis=1)
+        Y = r / np.where(nrm > 0.0, nrm, 1.0)[:, None, None]
+        P = S.project(Y)
+        keep = np.argsort(-np.linalg.svd(P, compute_uv=False).sum(axis=1),
+                          kind="stable")[:_DUAL_KEEP]
+        Y, x = Y[keep], S.project(np.array([partial_isometry_polar(p) for p in P[keep]]))
+        x /= np.maximum(opnorms(x), 1.0)[:, None, None]
+        value = (np.einsum("sij,sij->s", Y.conj(), x).real
+                 - np.sqrt(N) * np.linalg.norm(T.project(Y), axis=(1, 2)))
+        best = max(best, float(value.max()))
+        r = x - T.project(x)
+    margin = 2.0 * _EPS * np.sqrt(N) * (2.0 * (N * N + S.dim) * np.sqrt(S.dim)
+                                        + (N * N + T.dim) * np.sqrt(T.dim) + 2 * N * N + 5 * N + 2)
+    return max(0.0, best - float(margin))
+
+
+def kk_distance(A: ConcreteAlgebra, B: ConcreteAlgebra) -> DistanceInterval:
+    """Two-sided bracket for the Hausdorff distance between unit balls, both
+    ends proven: the one-sided constants are ``one_sided_bound`` of (A, B)
+    and of (B, A), and lo is the larger ``trace_dual_lower`` of the two
+    directions, capped at hi."""
+    lo = max(trace_dual_lower(A, B), trace_dual_lower(B, A))
     gamma_ab, gamma_ba = one_sided_bound(A, B), one_sided_bound(B, A)
     return DistanceInterval(lo=min(lo, max(gamma_ab, gamma_ba)), gamma_ab=gamma_ab,
                             gamma_ba=gamma_ba)
@@ -336,4 +331,4 @@ def tensor_lift(x: np.ndarray, B: ConcreteAlgebra, n: int) -> tuple:
     rows, cols = x.shape
     if rows != N * n or cols % (N * n):
         raise ValueError("element shape incompatible with the amplification")
-    return nearest_in_span(x, _TensorSpan(B, n, cols // (N * n)), iters=_LIFT_ITERS, tol=1e-13)
+    return nearest_in_span(x, _TensorSpan(B, n, cols // (N * n)), iters=_LIFT_ITERS)

@@ -37,7 +37,6 @@ __all__ = [
     "psd_pinv",
     "psd_part",
     "range_projection",
-    "clip_spectrum",
     "expm_i",
     "polar_factor",
     "partial_isometry_polar",
@@ -214,15 +213,6 @@ def range_projection(h: np.ndarray) -> np.ndarray:
     keep = vals > cut
     v = vecs[:, keep]
     return v @ dagger(v)
-
-
-def clip_spectrum(h: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Spectral clipping of a Hermitian matrix (or a stack) into [lo, hi].
-
-    The clipping function fixes 0, so elements of a non-unital subalgebra
-    stay inside it.
-    """
-    return eigh_fun(h, lambda t: np.clip(t, lo, hi))
 
 
 def expm_i(h: np.ndarray) -> np.ndarray:

@@ -71,39 +71,37 @@ def _gamma_source(instance: Instance, notes: dict) -> float:
     return max(one_sided_bound(instance.A, instance.B), one_sided_bound(instance.B, instance.A))
 
 
-def run_pipeline(instance: Instance, pipeline: str, seed: int,
-                 samples: int = 32) -> Report:
+def run_pipeline(instance: Instance, pipeline: str, seed: int) -> Report:
     """Run one named pipeline on an instance and collect its certificates.
 
-    dist: two-sided distance interval, its sampled lo checked against the
-    constructive bound when available (2 otherwise), its hi proven.  iso:
-    two-sided close isomorphism.  unitary: exact unitary implementation of
-    the instance isomorphism.  oz-perturb: perturb a damped block embedding
-    of A into B.  oz-embed: transfer the trivial decomposition of A into an
-    embedding into B.
+    dist: two-sided distance interval, both ends proven and no seed read,
+    its lo checked against the constructive bound when available (2
+    otherwise).  iso: two-sided close isomorphism.  unitary: exact unitary
+    implementation of the instance isomorphism.  oz-perturb: perturb a
+    damped block embedding of A into B.  oz-embed: transfer the trivial
+    decomposition of A into an embedding into B.
     """
     if pipeline not in PIPELINES:
         raise ValueError(f"unknown pipeline {pipeline!r}; choose one of {PIPELINES}")
     A, B = instance.A, instance.B
     notes: dict = {"ambient_dim": A.ambient_dim, "dim_A": A.dim, "dim_B": B.dim}
-    certs = _certify(instance, pipeline, seed, samples, notes)
+    certs = _certify(instance, pipeline, seed, notes)
     return Report(pipeline=pipeline, seed=seed, recipe=instance.recipe,
                   certificates=certs, notes=notes,
                   provenance={"package": "cstarlab-0.1.0", "numpy": np.__version__})
 
 
-def _certify(instance: Instance, pipeline: str, seed: int, samples: int,
-             notes: dict) -> dict:
+def _certify(instance: Instance, pipeline: str, seed: int, notes: dict) -> dict:
     """The certificates of one pipeline run, by name; its notes go into
     ``notes``."""
     A, B = instance.A, instance.B
     if pipeline == "dist":
-        interval = kk_distance(A, B, seed, samples)
+        interval = kk_distance(A, B)
         hint = instance.dist_hint()
         notes["interval"] = {"lo": interval.lo, "hi": interval.hi}
         return {"distance-interval": Certificate.build(
             "distance-interval",
-            {"samples": samples, "recipe_bound": float(hint if hint is not None else 2.0)},
+            {"recipe_bound": float(hint if hint is not None else 2.0)},
             interval.lo,
             details={"lo": interval.lo, "hi": interval.hi,
                      "gamma_ab": interval.gamma_ab, "gamma_ba": interval.gamma_ba})}

@@ -12,7 +12,7 @@ from cstarlab.algebra import BlockStructure, ConcreteAlgebra, FDAlgebra, _combin
 from cstarlab.averaging import _canonical_index
 from cstarlab.certs import CLUSTER_REL, TOL_ALG
 from cstarlab.cpmaps import _EPS, LinMap, _factor_bound, _from_choi_blocks, choi_blocks, classify
-from cstarlab.linalg import dagger, opnorm, opnorm_max, random_unitary, rng_for
+from cstarlab.linalg import dagger, opnorm, opnorm_max, opnorms, random_unitary, rng_for
 from cstarlab.orderzero import OrderZeroMap, _structure_residual
 from cstarlab.serialize import dumps
 
@@ -112,6 +112,14 @@ def complex_gaussian(rng, rows: int, cols: int) -> np.ndarray:
     ``linalg.random_complex``: the real parts, then the imaginary parts."""
     re, im = rng.standard_normal((rows, cols)), rng.standard_normal((rows, cols))
     return (re + 1j * im) / np.sqrt(2.0)
+
+
+def contractions(A: ConcreteAlgebra, seed: int, count: int) -> np.ndarray:
+    """count points of A's unit ball, a (count, N, N) stack: standard complex
+    Gaussian combinations of A's basis, each scaled to operator norm one."""
+    rng = rng_for(seed, "contractions", A.ambient_dim, A.dim)
+    x = _combine(complex_gaussian(rng, count, A.dim), A.basis)
+    return x / opnorms(x)[:, None, None]
 
 
 def verify_algebra(A: ConcreteAlgebra) -> OracleCheck:

@@ -65,9 +65,9 @@ def test_criteria_6_and_7_read_the_pipeline_reports(number, pipeline, monkeypatc
     # change to the pipeline reaches the selftest with no edit here
     calls = []
 
-    def spy(inst, name, seed=0, samples=32):
+    def spy(inst, name, seed=0):
         calls.append((name, seed))
-        return run_pipeline(inst, name, seed=seed, samples=samples)
+        return run_pipeline(inst, name, seed=seed)
 
     monkeypatch.setattr(acceptance, "ISO_GRID", acceptance.ISO_GRID[:1])
     monkeypatch.setattr(acceptance, "run_pipeline", spy)

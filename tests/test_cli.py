@@ -28,7 +28,7 @@ def clean_env(monkeypatch):
 # the options each subcommand takes: the settings it reads, and --config
 # wherever it reads one
 GEN = {"--seed", "--dim", "--recipe", "--eps", "--algebra", "--block", "--out", "--config"}
-OPTIONS = {"gen": GEN, **dict.fromkeys(PIPELINES, GEN | {"--track", "--samples", "--format"}),
+OPTIONS = {"gen": GEN, **dict.fromkeys(PIPELINES, GEN | {"--track", "--format"}),
            "report": {"--format", "--out", "--config"}, "selftest": {"--criteria"}}
 
 
@@ -365,7 +365,7 @@ def test_paper_track_window_violation_exits_2(capsys):
 
 
 @pytest.mark.parametrize("name, value", [("track", "Paper"), ("format", "xml"),
-                                         ("recipe", "rotation"), ("samples", "x"),
+                                         ("recipe", "rotation"), ("block", "x"),
                                          ("seed", "1.5"), ("dim", "4.0")])
 def test_bad_choice_from_env_or_config_exits_2(name, value, tmp_path, monkeypatch, capsys):
     # the choices of --track, --format and --recipe, and the type of every
@@ -398,12 +398,19 @@ def test_config_key_that_names_no_setting_exits_2(tmp_path, capsys):
     assert not (tmp_path / "i.json").exists()
 
 
-def test_negative_sample_count_exits_2_naming_samples(capsys):
-    # refused by name before any draw, not by numpy's array constructor
-    rc = main(["dist", "--samples", "-1"])
-    assert rc == 2
+def test_dist_takes_no_sample_count(tmp_path, capsys):
+    # both ends of the distance bracket are proven, so no setting sizes a
+    # sample: --samples is an unknown flag, and a [lab] samples key names no
+    # setting
+    with pytest.raises(SystemExit) as exc:
+        main(["dist", "--samples", "4"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --samples" in capsys.readouterr().err
+    cfg = tmp_path / "lab.ini"
+    cfg.write_text("[lab]\nsamples = 4\n")
+    assert main(["dist", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert "ValueError" in err and "samples" in err and "-1" in err
+    assert "SchemaError" in err and "[lab] samples" in err
 
 
 @pytest.mark.parametrize("argv", [["iso", "--seed", "-1"], ["gen", "--seed", "-2"]],

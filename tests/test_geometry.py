@@ -1,7 +1,6 @@
 """Distance between subalgebras: witnesses, near inclusions, brackets."""
 
-import ast
-from pathlib import Path
+import json
 
 import numpy as np
 import pytest
@@ -11,17 +10,18 @@ from scipy.linalg import expm
 
 from cstarlab import geometry
 from cstarlab.algebra import ConcreteAlgebra, dagger, opnorm
+from cstarlab.cli import main
 from cstarlab.geometry import (
     _TensorSpan,
     kk_distance,
     nearest_in_span,
-    sample_unit_ball,
-    span_distance_lower,
     tensor_lift,
+    trace_dual_lower,
 )
 from cstarlab.instances import block_algebra, gen_instance
-from cstarlab.linalg import clip_spectrum, opnorms, random_unitary, rng_for
+from cstarlab.linalg import opnorms, random_unitary, rng_for
 from cstarlab.pipelines import run_pipeline
+from helpers import contractions
 
 
 def small_rotation(N: int, eps: float, seed: int) -> np.ndarray:
@@ -67,39 +67,25 @@ def l1_ball(y: np.ndarray) -> np.ndarray:
     return np.sign(y) * np.maximum(np.abs(y) - theta, 0.0)
 
 
-def test_stacked_targets_match_single_solves():
-    # a member (done at the warm start), a target stopping on tol partway
-    # and ordinary ones of different sizes, so that each has its own step
-    # scale c, solved together
-    S, tol = scalars(4), 0.6
-    rng = rng_for(21, "stack")
-    stopper = np.diag([0.0, 0.0, 0.0, 1.0]).astype(complex)
-    X = np.array([0.3 * np.eye(4), stopper]
-                 + [scale * (rng.standard_normal((4, 4))
-                             + 1j * rng.standard_normal((4, 4)))
-                    for scale in (10.0, 20.0, 40.0, 80.0)])
-    bs, vals, at, stop = nearest_in_span(X, S, iters=200, tol=tol)
-    assert bs.shape == X.shape and vals.shape == (len(X),)
-    # the stopper's iterates are m_k 1 with residual max(|m_k|, |1 - m_k|),
-    # from m_0 = 1/4 with step scale c = 10 tol
-    m, k, c = 0.25, 0, 10 * tol
+def test_span_solve_meets_the_scalar_iteration():
+    # x = e_44 against C 1: the iterates are m_k 1 with residual
+    # max(|m_k|, |1 - m_k|), from m_0 = 1/4 with step scale c = 3/4, the
+    # warm start's residual; at iters = 16 the solve measures its iterate
+    # once, at k = 16, and returns the better of it and the warm start
+    x = np.diag([0.0, 0.0, 0.0, 1.0]).astype(complex)
+    m, c = 0.25, 0.75
     d, m_bar, y = np.array([0.0, 0.0, 0.0, 1.0]), m, np.zeros(4)
     # the primal-dual steps keep the dual iterate Y_k a real diagonal matrix
     # y, whose trace-norm ball is the l1 ball of y: tau = c, sigma = 0.99 / c,
-    # P(Y) = mean(y) 1, and the residual is measured every 16 iterations
-    while k % 16 or max(abs(m), abs(1.0 - m)) > tol:
-        k += 1
+    # P(Y) = mean(y) 1
+    for _ in range(16):
         y = l1_ball(y + 0.99 / c * (d - m_bar))
         m_new = m + c * y.mean()
         m_bar, m = 2.0 * m_new - m, m_new
-    assert vals[0] < 1e-12 and abs(vals[1] - max(abs(m), abs(1.0 - m))) < 1e-12 and k > 1
-    assert (at[1], stop[1]) == (k, "tol")
-    assert np.all(vals[2:] > 10 * tol)
-    for x, b, v in zip(X, bs, vals):
-        b1, v1, *_ = nearest_in_span(x, S, iters=200, tol=tol)
-        assert isinstance(v1, float)
-        assert abs(v1 - v) <= 1e-12
-        assert opnorm(b1 - b) <= 1e-12
+    b, v, at, stop = nearest_in_span(x, scalars(4), iters=16)
+    assert at == 16 and stop in ("gap", "cap")
+    assert abs(v - min(0.75, max(abs(m), abs(1.0 - m)))) < 1e-12 and v < 0.75
+    assert opnorm(x - b) == v and scalars(4).residual(b) < 1e-15
 
 
 def dyad_stack(kind: str) -> np.ndarray:
@@ -154,7 +140,7 @@ def test_nearest_in_span_scalar_distance_closed_form():
         g = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         X.append(g + dagger(g))
     X = np.array(X)
-    _, vals, *_ = nearest_in_span(X, scalars(5), iters=200)
+    vals = np.array([nearest_in_span(x, scalars(5), iters=200)[1] for x in X])
     lam = np.linalg.eigvalsh(X)
     exact = (lam[:, -1] - lam[:, 0]) / 2.0
     assert np.all(vals >= exact - 1e-12)
@@ -165,23 +151,24 @@ def test_stacked_witnesses_are_feasible_and_exact():
     A = block_algebra((2, 1), 4)
     B = A.conjugated(small_rotation(4, 0.3, 23))
     rng = rng_for(23, "feasible")
-    X = np.concatenate([sample_unit_ball(A, 23, 3), 2.0 * rng.standard_normal((3, 4, 4))])
-    bs, vals, *_ = nearest_in_span(X, B, iters=100)
-    for x, b, v in zip(X, bs, vals):
-        assert B.residual(b) <= 1e-12
-        # each distance is the SVD of the x - b bytes returned, single or stacked
-        b1, v1, *_ = nearest_in_span(x, B, iters=100)
-        assert opnorm(x - b) == v and opnorm(x - b1) == v1
+    X = np.concatenate([contractions(A, 23, 3), 2.0 * rng.standard_normal((3, 4, 4))])
+    for x in X:
+        b, v, *_ = nearest_in_span(x, B, iters=100)
+        # each distance is the SVD of the x - b bytes returned
+        assert B.residual(b) <= 1e-12 and opnorm(x - b) == v
 
 
-def test_span_distance_lower_is_lower():
+def test_hs_residual_dual_is_lower():
+    # the HS residual r = x - P(x) vanishes on the span, so it is a dual of
+    # ``_span_dual`` with R = r: ||r||_HS^2 / ||r||_1 <= dist(x, span)
     A = block_algebra((2, 1), 4)
     rng = rng_for(12, "duality")
     for _ in range(6):
-        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        lb = span_distance_lower(g, A)
-        _, ub, *_ = nearest_in_span(g, A, iters=500)
-        assert lb <= ub + 1e-10
+        g = rng.standard_normal((1, 4, 4)) + 1j * rng.standard_normal((1, 4, 4))
+        r = g - A.project(g)
+        lb = geometry._span_dual(r, r, A.project)[0]
+        _, ub, *_ = nearest_in_span(g[0], A, iters=500)
+        assert 0.0 < lb <= ub + 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +182,6 @@ def conjugation_pair(profile: str, N: int, seed: int = 3):
     inst = gen_instance("conjugation", {"algebra": profile, "ambient": N,
                                         "eps": 1e-6}, seed=seed)
     return inst.A, inst.B
-
-
-def unit_ball_stack(A, n: int = 16, seed: int = 3) -> np.ndarray:
-    return sample_unit_ball(A, seed, n)
 
 
 def record_duals(monkeypatch) -> list:
@@ -225,19 +208,13 @@ def record_duals(monkeypatch) -> list:
 
 @pytest.mark.parametrize("profile, N", PAIRS)
 def test_checkpoint_duals_are_below_the_solved_distances(profile, N, monkeypatch):
-    # each checkpoint's dual bound lies below its target's solved distance; a
-    # residual R = x - b, b in span(B), is matched to x by the HS residual of
-    # x - R
+    # each checkpoint's dual bound lies below the solved distance
     A, B = conjugation_pair(profile, N)
-    X = unit_ball_stack(A)
     duals = record_duals(monkeypatch)
-    _, vals, *_ = nearest_in_span(X, B, iters=200)
-    assert duals
-    project = B.project
-    for R, lo in duals:
-        Z = (X[None] - R[:, None]).reshape((-1,) + X.shape[1:])
-        off = np.linalg.norm(Z - project(Z), axis=(1, 2)).reshape(len(R), len(X))
-        assert np.all(lo <= vals[off.argmin(axis=1)] * (1.0 + 1e-13))
+    for x in contractions(A, 3, 16):
+        duals.clear()
+        _, val, *_ = nearest_in_span(x, B, iters=200)
+        assert duals and all(lo[0] <= val * (1.0 + 1e-13) for _, lo in duals)
 
 
 def test_gap_stop_is_within_the_margin_of_the_scalar_distance(monkeypatch):
@@ -246,19 +223,20 @@ def test_gap_stop_is_within_the_margin_of_the_scalar_distance(monkeypatch):
     rng = rng_for(22, "scalar-oracle")
     g = rng.standard_normal((8, 5, 5)) + 1j * rng.standard_normal((8, 5, 5))
     X = g + dagger(g)
-    duals = record_duals(monkeypatch)
-    _, vals, at, stop = nearest_in_span(X, scalars(5), iters=1000)
     lam = np.linalg.eigvalsh(X)
-    exact = (lam[:, -1] - lam[:, 0]) / 2.0
-    assert np.all(stop == "gap") and np.all(at < 1000)
-    assert np.all(vals >= exact * (1.0 - 1e-14))
-    assert np.all(vals <= exact / (1.0 - 1e-6))
-    # each target left at the first checkpoint k = 0, 16, 32, 48, ... whose
-    # dual closed its gap against the best value then, ||R|| for R = x - best
-    assert at.max() % 16 == 0 and len(duals) == at.max() // 16 + 1
-    for k, (R, lo) in zip(range(0, 1000, 16), duals):
-        hi = np.linalg.svd(R, compute_uv=False)[:, 0]
-        assert np.array_equal(hi - lo <= 1e-6 * hi, at[at >= k] == k)
+    duals = record_duals(monkeypatch)
+    for x, exact in zip(X, (lam[:, -1] - lam[:, 0]) / 2.0):
+        duals.clear()
+        _, val, at, stop = nearest_in_span(x, scalars(5), iters=1000)
+        assert stop == "gap" and at < 1000
+        assert exact * (1.0 - 1e-14) <= val <= exact / (1.0 - 1e-6)
+        # the solve left at the first checkpoint k = 0, 16, 32, 48, ... whose
+        # dual closed its gap against the best value then, ||R|| for
+        # R = x - best
+        assert at % 16 == 0 and len(duals) == at // 16 + 1
+        for k, (R, lo) in zip(range(0, 1000, 16), duals):
+            hi = np.linalg.svd(R, compute_uv=False)[0, 0]
+            assert (hi - lo[0] <= 1e-6 * hi) == (k == at)
 
 
 def hermitian_stack(seed: int, N: int = 5, count: int = 8) -> np.ndarray:
@@ -297,163 +275,77 @@ def test_optimal_warm_start_leaves_before_any_iteration(monkeypatch):
     assert (d, at, stop) == (1.0, 0, "gap") and not calls and not b.any()
 
 
-def test_stack_with_warm_start_stops_matches_single_solves():
-    # targets decided at k = 0 (diag(1, -1, 0, 0) and 0.9 times it) leave a
-    # stack whose other targets, hermitian and not, then go on: each target's
-    # witness, value, iterations and stop are those of its own solve, bit for
-    # bit
-    x = np.diag([1.0, -1.0, 0.0, 0.0]).astype(complex)
-    rng = rng_for(26, "mixed-stack")
-    X = np.concatenate([[x, 0.9 * x, 3.0 * np.diag([1.0, 0, 0, 0])],
-                        hermitian_stack(26, 4, 3) / 4.0,
-                        rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))])
-    bs, vals, at, stop = nearest_in_span(X, scalars(4), iters=150)
-    assert list(at[:2]) == [0, 0] and list(stop[:2]) == ["gap", "gap"] and at.max() > 16
-    for x, b, v, k, why in zip(X, bs, vals, at, stop):
-        b1, v1, k1, why1 = nearest_in_span(x, scalars(4), iters=150)
-        assert (k1, why1) == (k, why) and v1 == v and np.array_equal(b1, b)
-
-
 def test_stack_reports_each_stop_reason():
-    # in C 1 with tol 0.6: 0.3 * 1 is a member (tol at the warm start),
-    # diag(1, -1, 0, 0) closes its gap at 1 at the warm start, 3 e_11 closes
-    # it within the margin of its distance 3/2 partway, e_44 falls to tol partway, and a random
-    # target needs more than the 100 iterations (cap): given 200 it closes
-    # its gap after 100
+    # in C 1: 0.3 * 1 is a member (tol at the warm start), diag(1, -1, 0, 0)
+    # closes its gap at 1 at the warm start, 3 e_11 and e_44 close it within
+    # the margin of their distances 3/2 and 1/2 partway, and a random target
+    # needs more than the 50 iterations (cap): given 100 it closes its gap
+    # after 50
     rng = rng_for(29, "stop-reasons")
     g = rng.standard_normal((6, 4, 4)) + 1j * rng.standard_normal((6, 4, 4))
     e11, e44 = np.diag([3.0, 0, 0, 0]), np.diag([0, 0, 0, 1.0])
     X = np.array([0.3 * np.eye(4), np.diag([1.0, -1.0, 0, 0]), e11, e44, g[4]], dtype=complex)
-    _, vals, at, stop = nearest_in_span(X, scalars(4), iters=100, tol=0.6)
-    assert list(stop) == ["tol", "gap", "gap", "tol", "cap"]
-    assert at[0] == at[1] == 0 and 0 < at[2] < 100 and 0 < at[3] < 100 and at[4] == 100
-    assert vals[0] < 1e-15 and vals[1] == 1.0 and vals[3] <= 0.6
-    assert 1.5 <= vals[2] <= 1.5 / (1.0 - 1e-6)
-    _, _, k, why = nearest_in_span(g[4], scalars(4), iters=200, tol=0.6)
-    assert why == "gap" and 100 < k < 200
+    _, vals, at, stop = zip(*(nearest_in_span(x, scalars(4), iters=50) for x in X))
+    assert list(stop) == ["tol", "gap", "gap", "gap", "cap"]
+    assert at[0] == at[1] == 0 and 0 < at[2] < 50 and 0 < at[3] < 50 and at[4] == 50
+    assert vals[0] < 1e-15 and vals[1] == 1.0
+    assert 1.5 <= vals[2] <= 1.5 / (1.0 - 1e-6) and 0.5 <= vals[3] <= 0.5 / (1.0 - 1e-6)
+    _, _, k, why = nearest_in_span(g[4], scalars(4), iters=100)
+    assert why == "gap" and 50 < k < 100
 
 
 # ---------------------------------------------------------------------------
-# sampling and two-sided distance
+# two-sided distance
 # ---------------------------------------------------------------------------
-
-def test_sample_unit_ball_contractions():
-    A = block_algebra((2, 1), 4)
-    samples = sample_unit_ball(A, 4, 5)
-    assert samples.shape == (A.dim + 10, 4, 4)
-    assert opnorms(samples).max() <= 1.0 + 1e-9
-    assert A.residual(samples).max() < 1e-10
-
-
-# summation order: a stacked GEMM meets single calls or an oracle to a rounding bound
-@pytest.mark.summation_order
-@pytest.mark.parametrize("profile, N", PAIRS[1:3])
-def test_sample_unit_ball_equals_the_per_sample_loop(profile, N):
-    # normalised basis, then clipped self-adjoint draws, then unitaries
-    # exp(i pi/2 h / ||h||), one sample at a time from the same stream
-    B = conjugation_pair(profile, N)[1]
-    rng = rng_for(5, "unit-ball", B.ambient_dim, B.dim)
-    want = [b / opnorm(b) for b in B.basis]
-    want += [clip_spectrum(B.random_selfadjoints(rng, 1)[0], -1.0, 1.0) for _ in range(6)]
-    for _ in range(6):
-        h = B.random_selfadjoints(rng, 1)[0]
-        want.append(B.unitary_from(np.pi * 0.5 * (h / opnorm(h))))
-    got = sample_unit_ball(B, 5, 6)
-    assert got.shape == (B.dim + 12, N, N)
-    # the basis part is the per-element quotient, bit for bit; the drawn part
-    # reads the same stream, but the stacked draw sums its basis combination
-    # in one GEMM, so it matches the loop to a rounding of that sum (about
-    # dim eps), which the spectral clip and the exponential carry to at most
-    # 1e-13 in operator norm
-    assert got[:B.dim].tobytes() == np.array(want[:B.dim]).tobytes()
-    assert opnorms(got[B.dim:] - np.array(want[B.dim:])).max() <= 1e-13
-
-
-def test_sample_unit_ball_deterministic():
-    A = block_algebra((2,), 3)
-    s1 = sample_unit_ball(A, 7, 64)
-    s2 = sample_unit_ball(A, 7, 64)
-    assert s1.shape == (A.dim + 128, 3, 3)
-    assert s1.tobytes() == s2.tobytes()
-
-
-def test_sample_unit_ball_without_unitaries_exponentiates_nothing(monkeypatch):
-    # count = 0 (no random draws) calls no expm_i, and the points are the
-    # normalised basis, the per-element quotient, bit for bit
-    from cstarlab import algebra
-    calls, expm_i = [], algebra.expm_i
-    monkeypatch.setattr(algebra, "expm_i", lambda h: calls.append(len(h)) or expm_i(h))
-    A = conjugation_pair("M2+M1", 4)[1]
-    got = sample_unit_ball(A, 5, 0)
-    assert calls == []
-    want = [b / opnorm(b) for b in A.basis]
-    assert len(got) == len(want) == A.dim
-    assert got.tobytes() == np.array(want).tobytes()
-    sample_unit_ball(A, 5, 2)
-    assert calls == [2]
-
-
-def test_unit_ball_draws_go_through_sample_unit_ball():
-    # one unit-ball sampler: a self-adjoint contraction drawn as
-    # clip_spectrum(h, -1.0, 1.0) anywhere but in sample_unit_ball's own body
-    # fails
-    def literal(node):
-        try:
-            return ast.literal_eval(node)
-        except ValueError:
-            return None
-
-    found = []
-    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "cstarlab").glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for top in tree.body:
-            if path.name == "geometry.py" and getattr(top, "name", None) == "sample_unit_ball":
-                continue
-            found += [f"{path.name}:{node.lineno}" for node in ast.walk(top)
-                      if isinstance(node, ast.Call)
-                      and getattr(node.func, "id", getattr(node.func, "attr", None))
-                      == "clip_spectrum"
-                      and [literal(a) for a in node.args[1:3]] == [-1.0, 1.0]]
-    assert not found, f"draw unit-ball points with sample_unit_ball, not at {found}"
-
 
 def test_kk_distance_self_is_zero():
+    # B = A: every residual is rounding, which the margin takes lo below.
+    # With A rotated and its basis reversed in B, the projections sum in
+    # another order, so the residuals are not 0 and the duals are rounding
+    # noise, which E_S and E_T see alike
     A = block_algebra((2, 1), 4)
-    iv = kk_distance(A, A, 0, 64)
-    assert iv.lo <= iv.hi
-    assert iv.hi < 1e-9
+    iv = kk_distance(A, A)
+    assert iv.lo == 0.0 and iv.hi < 1e-9
+    A = A.conjugated(small_rotation(4, 0.7, 11))
+    B = ConcreteAlgebra(ambient_dim=4, basis=A.basis[::-1], support=A.support)
+    assert np.abs(A.project(A.basis) - B.project(A.basis)).max() > 0.0
+    assert trace_dual_lower(A, B) == trace_dual_lower(B, A) == 0.0
 
 
 @given(seed=st.integers(min_value=0, max_value=10 ** 4))
 @settings(max_examples=15, deadline=None)
 def test_kk_distance_conjugation_bound(seed):
-    # d(A, uAu*) <= 2 ||u - 1|| for any unitary u, so the sampled lo is at
+    # d(A, uAu*) <= 2 ||u - 1|| for any unitary u, so the proven lo is at
     # most that; the proven hi is at most 4 ||u - 1||, as (id - E_B)(a) =
     # (id - E_B)(a - u a u*) and ||id - E_B||_cb <= 2; and each gamma lies
-    # above the duality bound on d(x, B_1) at every sampled point x
+    # above the duality bound on d(x, B_1) at the normalised basis and at
+    # random contractions x
     A = block_algebra((2, 1), 3)
     u = small_rotation(3, 5e-3, seed)
     B = A.conjugated(u)
-    iv = kk_distance(A, B, seed, 4)
+    iv = kk_distance(A, B)
     move = opnorm(u - np.eye(3))
     assert iv.lo <= iv.hi and iv.lo <= 2.0 * move + 1e-12
     assert iv.hi <= 4.0 * move * (1.0 + 1e-9)
     for src, dst, gamma in ((A, B, iv.gamma_ab), (B, A, iv.gamma_ba)):
-        lb = ball_distance_lower(sample_unit_ball(src, seed, 4), dst)
+        X = np.concatenate([src.normalized_basis, contractions(src, seed, 8)])
+        lb = ball_distance_lower(X, dst)
         assert np.all(lb <= gamma) and lb.max() > 0.0
+
+
+def qr_projection(B: ConcreteAlgebra):
+    """E_B as the projection onto the column space of a fresh QR of B's
+    flattened basis, for stacks (S, N, N)."""
+    Q, _ = np.linalg.qr(B.basis.reshape(B.dim, -1).T)
+    return lambda Z: (Q @ (Q.conj().T @ Z.reshape(len(Z), -1).T)).T.reshape(Z.shape)
 
 
 def ball_distance_lower(X: np.ndarray, B: ConcreteAlgebra) -> np.ndarray:
     """Duality lower bounds for d(x, B_1): for ||Y||_1 <= 1 and b in B_1,
     ||x - b|| >= Re<Y, x - b> and Re<Y, b> = Re<E_B Y, b> <= ||E_B Y||_1, so
     d(x, B_1) >= Re<Y, x> - ||E_B Y||_1.  Y is the top singular dyad of
-    x - E_B x, and E_B the projection onto the column space of a fresh QR of
-    B's flattened basis."""
-    Q, _ = np.linalg.qr(B.basis.reshape(B.dim, -1).T)
-
-    def expect(Z):
-        return (Q @ (Q.conj().T @ Z.reshape(len(Z), -1).T)).T.reshape(Z.shape)
-
+    x - E_B x, and E_B the ``qr_projection``."""
+    expect = qr_projection(B)
     U, _, Vh = np.linalg.svd(X - expect(X))
     Y = U[:, :, :1] @ Vh[:, :1, :]
     inner = np.einsum("sij,sij->s", Y.conj(), X).real
@@ -463,20 +355,22 @@ def ball_distance_lower(X: np.ndarray, B: ConcreteAlgebra) -> np.ndarray:
 def test_kk_distance_closed_forms():
     # d(D_2, C 1) = d(M_2, D_2) = 1, both attained one way; the other way the
     # smaller algebra lies inside the larger, at distance 0.  The proven hi
-    # meets 1 from above and lo stays below it
+    # meets 1 from above, and the proven lo meets it from below within 1e-12
+    # in the attained direction and is 0 in the other
     scalars2, D2, M2 = scalars(2), ConcreteAlgebra.diagonal(2), ConcreteAlgebra.full(2)
     for A, B in ((D2, scalars2), (M2, D2)):
-        iv = kk_distance(A, B, 0, 32)
+        iv = kk_distance(A, B)
         assert 1.0 <= iv.gamma_ab <= 1.0 + 1e-12 and iv.hi == iv.gamma_ab
-        assert iv.gamma_ba <= 1e-12 and iv.lo <= 1.0
+        assert iv.gamma_ba <= 1e-12 and 1.0 - 1e-12 <= iv.lo <= 1.0
+        assert trace_dual_lower(A, B) == iv.lo and trace_dual_lower(B, A) == 0.0
 
 
 def test_kk_distance_of_a_near_inclusion():
     # A = M_2 in M_4 lies within 2 ||u - 1|| of B = u (A + C (1 - e)) u*, so
     # gamma_ab is at most twice that, while B's corner u (1 - e) u* is at
-    # distance 1 from A: gamma_ba is 1, and the sampled lo comes close to it
+    # distance 1 from A: gamma_ba is 1, and the proven lo comes close to it
     A, B = near_inclusion_plus_a_corner()
-    iv = kk_distance(A, B, 5, 32)
+    iv = kk_distance(A, B)
     assert iv.gamma_ab <= 4.0 * opnorm(small_rotation(4, 1e-3, 7) - np.eye(4))
     assert iv.gamma_ba == iv.hi == 1.0 and 0.99 <= iv.lo <= 1.0
 
@@ -488,34 +382,67 @@ TIER1 = [("M2", 4), ("M2+M1", 4), ("diag3", 4), ("M2+M2", 6), ("3,3", 8), ("2,2,
 @pytest.mark.parametrize("profile, N", TIER1)
 def test_kk_distance_brackets_the_conjugation_bound(profile, N):
     # on conjugation instances, hint = 2 ||u - 1|| bounds d(A, B): lo lies
-    # below it, and the proven hi lies within twice it (4 ||u - 1||, as in
-    # test_kk_distance_conjugation_bound), at instance seeds 3000-3009
-    for seed in range(3000, 3010):
-        inst = gen_instance("conjugation", {"algebra": profile, "ambient": N, "eps": 1e-6},
-                            seed=seed)
-        iv, hint = kk_distance(inst.A, inst.B, seed, 32), inst.dist_hint()
-        assert iv.lo <= hint and iv.lo <= iv.hi <= 2.0 * hint
+    # below it, each direction's proven lower bound lies below its proven
+    # one-sided constant, and hi lies within twice the hint (4 ||u - 1||, as
+    # in test_kk_distance_conjugation_bound), at instance seeds 3000-3009 and
+    # eps 1e-6, 1e-3 and 0.1
+    for eps in (1e-6, 1e-3, 0.1):
+        for seed in range(3000, 3010):
+            inst = gen_instance("conjugation", {"algebra": profile, "ambient": N, "eps": eps},
+                                seed=seed)
+            A, B, hint = inst.A, inst.B, inst.dist_hint()
+            iv = kk_distance(A, B)
+            assert iv.lo <= hint and iv.lo <= iv.hi <= 2.0 * hint
+            assert trace_dual_lower(A, B) <= iv.gamma_ab and trace_dual_lower(B, A) <= iv.gamma_ba
 
 
-# summation order: a stacked GEMM meets single calls or an oracle to a rounding bound
-@pytest.mark.summation_order
-@pytest.mark.parametrize("profile, N", PAIRS)
-def test_kk_distance_lo_is_the_largest_sample_floor(profile, N):
-    # lo is the largest HS dual bound over both directions' samples, capped
-    # at hi; the sample attaining it, projected alone, gives the same bound
-    for seed in range(3000, 3010):
-        A, B = conjugation_pair(profile, N, seed)
-        iv = kk_distance(A, B, seed, 32)
-        best = []
-        for src, dst in ((A, B), (B, A)):
-            X = sample_unit_ball(src, seed, 32)
-            lb = span_distance_lower(X, dst)
-            best.append((lb.max(), X[np.argmax(lb)], dst))
-        top, x, target = max(best, key=lambda b: b[0])
-        assert iv.lo == min(top, iv.hi)
-        # the stacked and the single projection may sum in different orders,
-        # and r = x - P(x) cancels, so the bound is absolute in ||x||_HS
-        assert abs(span_distance_lower(x, target) - iv.lo) <= 1e-13 * np.linalg.norm(x)
+def test_trace_dual_lower_recomputes_from_its_certificates():
+    # E_T is spied on to read, at each of the two steps, the kept duals Y and
+    # the points x they certify.  With E_S and E_T from a fresh QR and trace
+    # norms from separate SVDs: each x lies in S's span and unit ball, each
+    # ||Y||_1 <= 1, the largest Re<Y, x> - sqrt(N) ||E_T Y||_HS meets the
+    # returned lo from above within the margin, and the largest
+    # Re<Y, x> - ||E_T Y||_1, the lower bound for d(x, T_1) it relaxes, lies
+    # above it, below each ||x - E_T x|| and below the proven one-sided
+    # constant
+    S, T = conjugation_pair("3,3", 8)
+    calls, project = [], T.project
+    T.project = lambda m: calls.append(m.copy()) or project(m)
+    lo = trace_dual_lower(S, T)
+    # R = Q - E_T Q, then per step E_T Y for the value and E_T x for the next step
+    assert len(calls) == 5
+    on_S, on_T = qr_projection(S), qr_projection(T)
+    relaxed, bound = [], []
+    for Y, x in (calls[1:3], calls[3:5]):
+        assert len(Y) == len(x) == 8
+        assert np.linalg.svd(Y, compute_uv=False).sum(axis=1).max() <= 1.0 + 1e-13
+        assert opnorms(x).max() <= 1.0 + 1e-13
+        assert np.linalg.norm(x - on_S(x), axis=(1, 2)).max() <= 1e-13
+        inner = np.einsum("sij,sij->s", Y.conj(), x).real
+        relaxed.append(inner - np.sqrt(8) * np.linalg.norm(on_T(Y), axis=(1, 2)))
+        bound.append(inner - np.linalg.svd(on_T(Y), compute_uv=False).sum(axis=1))
+        # E_T x lies in T's unit ball, so ||x - E_T x|| is an upper end of d(x, T_1)
+        assert np.all(opnorms(x - on_T(x)) >= bound[-1])
+    assert 0.0 < lo <= np.max(relaxed) <= lo + 1e-11
+    assert np.max(relaxed) <= np.max(bound) <= geometry.one_sided_bound(S, T)
+
+
+def test_dist_reads_no_seed(tmp_path):
+    # both ends of the bracket are proven and draw nothing: two dist runs of
+    # one saved instance at --seed 1 and --seed 2 give the same certificates
+    # and notes
+    inst = tmp_path / "instance.json"
+    assert main(["gen", "--algebra", "M2+M1", "--eps", "1e-6", "--seed", "5",
+                 "--out", str(inst)]) == 0
+    runs = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"dist-{seed}.json"
+        assert main(["dist", str(inst), "--seed", seed, "--format", "json",
+                     "--out", str(out)]) == 0
+        runs.append(json.loads(out.read_text()))
+    assert [run["seed"] for run in runs] == [1, 2]
+    assert runs[0]["certificates"] == runs[1]["certificates"]
+    assert runs[0]["notes"] == runs[1]["notes"]
 
 
 def near_inclusion_plus_a_corner():
@@ -593,19 +520,16 @@ def test_primal_dual_solve_meets_the_tensor_oracle(monkeypatch):
     Y = np.array([np.kron(p, np.eye(n) / n) / 2.0
                   for p in top @ dagger(top) - bottom @ dagger(bottom)])
     assert np.all(np.abs(geometry._span_dual(Y, X, span.project) - exact) <= 1e-14 * exact)
-    # the span solve closes its gap on every target, and no checkpoint dual
-    # exceeds the distance: the stack at checkpoint k = 0, 16, 32, ... holds
-    # the targets stopped at k or later
+    # the span solve closes its gap on every target, and no dual of its
+    # checkpoints k = 0, 16, 32, ... exceeds the distance
     duals = record_duals(monkeypatch)
-    bs, vals, at, stop = nearest_in_span(X, span, iters=400)
-    assert np.all(stop == "gap") and np.all((at > 0) & (at < 400))
-    assert np.all(vals >= exact * (1.0 - 1e-14)) and np.all(vals <= exact / (1.0 - 1e-6))
-    assert len(duals) == at.max() // 16 + 1
-    for k, (R, lo) in zip(range(0, 400, 16), duals):
-        assert np.all(lo <= exact[at >= k] * (1.0 + 1e-14))
-    for x, b, v in zip(X, bs, vals):
-        b1, v1, *_ = nearest_in_span(x, span, iters=400)
-        assert abs(v1 - v) <= 1e-12 and opnorm(b1 - b) <= 1e-12
+    for x, d in zip(X, exact):
+        duals.clear()
+        _, val, at, stop = nearest_in_span(x, span, iters=400)
+        assert stop == "gap" and 0 < at < 400
+        assert d * (1.0 - 1e-14) <= val <= d / (1.0 - 1e-6)
+        assert len(duals) == at // 16 + 1
+        assert all(lo[0] <= d * (1.0 + 1e-14) for _, lo in duals)
 
 
 # summation order: a solve that stops on a closed duality gap must not hinge on it

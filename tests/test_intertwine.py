@@ -333,7 +333,7 @@ def test_near_embedding_into_larger_algebra():
     A0 = block_algebra((2,), 4)
     u = small_rotation(4, 1e-6, 7)
     A = A0.conjugated(u)
-    theta, cert = near_embedding_nuclear(A, B, kk_distance(A, B, 0, 64).gamma_ab)
+    theta, cert = near_embedding_nuclear(A, B, kk_distance(A, B).gamma_ab)
     assert cert.verdict == "pass"
     for x in A.basis:
         xn = x / opnorm(x)
@@ -344,7 +344,7 @@ def test_near_embedding_into_larger_algebra():
 def test_near_embedding_on_no_points():
     B = block_algebra((2, 2), 4)
     A = block_algebra((2,), 4).conjugated(small_rotation(4, 1e-6, 7))
-    _, cert = near_embedding_nuclear(A, B, kk_distance(A, B, 0, 64).gamma_ab, X=[])
+    _, cert = near_embedding_nuclear(A, B, kk_distance(A, B).gamma_ab, X=[])
     _assert_empty_closeness(cert)
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cstarlab import linalg
-from cstarlab.linalg import (clip_spectrum, cluster_values, dagger, eigh_fun,
+from cstarlab.linalg import (cluster_values, dagger, eigh_fun,
                              expm_i, hs_norm, opnorm, opnorm_max, opnorms,
                              partial_isometry_polar, polar_factor, psd_part, psd_pinv,
                              psd_sqrt, random_complex, random_hermitian, random_unitary,
@@ -74,15 +74,6 @@ def test_expm_i_small_angle_norm():
     h = np.diag([0.3, -0.1])
     u = expm_i(h)
     assert abs(opnorm(u - np.eye(2)) - 2 * np.sin(0.15)) < 1e-12
-
-
-@given(n=DIMS, seed=SEEDS)
-@settings(max_examples=40, deadline=None)
-def test_clip_spectrum_bounds(n, seed):
-    h = 3.0 * random_hermitian(rng_for(seed, "cl"), n)
-    c = clip_spectrum(h, -1.0, 1.0)
-    vals = np.linalg.eigvalsh(c)
-    assert vals.min() >= -1.0 - 1e-12 and vals.max() <= 1.0 + 1e-12
 
 
 def test_psd_pinv_on_singular():

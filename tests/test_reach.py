@@ -22,14 +22,13 @@ ALLOWED = {"intertwine.near_embedding_nuclear", "intertwine.half_flip_cpc",
 # the defaulted parameters, dataclass fields and module-level context
 # variables of the package, as tools/knob_count.py counts them: a new default
 # moves this pin, with the run path that sets it to a second value named where
-# the pin moves.  The 14 are the certification track (certs.TRACK) and 13
+# the pin moves.  The 12 are the certification track (certs.TRACK) and 11
 # defaults: averaging 3 (improve_multiplicativity gamma, intertwining_unitary
 # gamma and delta), certs 2 (TRACK, build details), cli 1 (main argv), cpmaps 2
-# (LinMap.codomain_algebra, stinespring tol_psd), geometry 1 (nearest_in_span
-# tol), intertwine 2 (near_embedding_nuclear X, half_flip_cpc X), orderzero 1
-# (near_embed_nucdim X), pipelines 1 (run_pipeline samples), serialize 1
-# (from_jsonable path)
-KNOBS = 14
+# (LinMap.codomain_algebra, stinespring tol_psd), intertwine 2
+# (near_embedding_nuclear X, half_flip_cpc X), orderzero 1 (near_embed_nucdim
+# X), serialize 1 (from_jsonable path)
+KNOBS = 12
 
 
 # the walk that does not enter the selftest also leaves the selftest's data

@@ -26,9 +26,9 @@ def cert(achieved, verdict="pass", formula="f", **details):
 def test_diff_marks_rounding_moves_and_keeps_every_line():
     tool = report_diff()
     parent = {
-        "iso #0": {"closeness": cert(1e-7, cb_lo=2e-16, sigma=0.5),
+        "iso #0": {"closeness": cert(1e-7, cb_lo=2e-16, sigma=0.5, density_margin=0.3),
                    "homomorphism": cert(3e-15),
-                   "injectivity": cert(0.25, formula="old")},
+                   "injectivity": cert(0.25, formula="old", witness_stop="gap")},
         "iso #1": "raised SpectralGapError",
         "dist #0": {"distance-interval": cert(1e-6)},
         "dist #1": {"distance-interval": cert(1e-6)},
@@ -36,7 +36,7 @@ def test_diff_marks_rounding_moves_and_keeps_every_line():
     change = {
         "iso #0": {"closeness": cert(1.0000005e-07, cb_lo=3e-16, sigma=0.500001),
                    "homomorphism": cert(4e-15, verdict="fail"),
-                   "injectivity": cert(0.25, formula="new"),
+                   "injectivity": cert(0.25, formula="new", witness_stop="cap"),
                    "surjectivity": cert(0.0)},
         "iso #1": {"closeness": cert(1e-7)},
         "dist #0": {"distance-interval": cert(1e-6 * (1 + 1e-12))},
@@ -53,9 +53,13 @@ def test_diff_marks_rounding_moves_and_keeps_every_line():
         "iso #0 surjectivity: only in change",
         "iso #1: raised SpectralGapError -> {'closeness': " + repr(cert(1e-7)) + "}",
     ])
+    # a details key that one tree lacks is a line, and a string detail is
+    # compared by equality
     assert more == sorted([
         "iso #0 closeness: details.cb_lo 2e-16 -> 3e-16 (+0.333) (rounding)",
+        "iso #0 closeness: details.density_margin only in parent",
         "iso #0 closeness: details.sigma 0.5 -> 0.500001 (+2e-06)",
+        "iso #0 injectivity: details.witness_stop 'gap' -> 'cap'",
         "iso #0 injectivity: formula 'old' -> 'new'",
     ])
     assert tool.rounding(lines) == 2 and tool.rounding(more) == 1
@@ -77,7 +81,7 @@ def test_an_edited_formula_moves_the_reports_that_state_it(tmp_path):
     shutil.copytree(ROOT / "src" / "cstarlab", tmp_path / "src" / "cstarlab",
                     ignore=shutil.ignore_patterns("__pycache__"))
     certs = tmp_path / "src" / "cstarlab" / "certs.py"
-    formula = '"sampled lo <= d(A, B) within the constructive recipe bound; hi proven"'
+    formula = '"proven lo <= d(A, B) within the constructive recipe bound; hi proven"'
     certs.write_text(certs.read_text().replace(formula, formula[:-1] + ' (edited)"'))
     out = subprocess.run([sys.executable, str(TOOL), str(ROOT / "src"), str(tmp_path / "src")],
                          check=True, capture_output=True, text=True, timeout=600).stdout

@@ -13,8 +13,9 @@ report moved, with the sha256 of both reports, and counts those lines.
 Below that, for each op and certificate, it prints every achieved value that
 moved by more than 1e-9 relative, every verdict that changed, every
 certificate that one tree has and the other lacks, and every op that raised
-on one side only, and counts those lines.  Last come every scalar
-``details`` value that moved by more than 1e-9 relative and every formula
+on one side only, and counts those lines.  Last come every numeric
+``details`` value that moved by more than 1e-9 relative, every other details
+value that changed, every details key that one tree lacks and every formula
 whose text changed, with a count of their own.  An achieved or details line
 whose value moved by at most 1e-13 absolute ends in ``(rounding)``, and each
 count gives how many of its lines do.  It exits 0 whatever it finds; it
@@ -68,7 +69,7 @@ def dump(src):
                 digest = hashlib.sha256(text.encode()).hexdigest()
                 certs = {k: {"achieved": c["achieved"], "verdict": c["verdict"],
                              "formula": c["formula"],
-                             "details": {n: v for n, v in c["details"].items() if scalar(v)}}
+                             "details": c["details"]}
                          for k, c in json.loads(text)["certificates"].items()}
             print(json.dumps([f"{name} #{i} {op.label}", digest, certs]), flush=True)
 
@@ -112,10 +113,17 @@ def diff(parent, change):
                 lines.append(f"{label} {key}: verdict {a['verdict']} -> {b['verdict']}")
             if moved(a["achieved"], b["achieved"]):
                 lines.append(f"{label} {key}: achieved {shift(a['achieved'], b['achieved'])}")
-            for name in sorted(a["details"].keys() & b["details"].keys()):
+            for name in sorted(a["details"].keys() | b["details"].keys()):
+                if name not in a["details"] or name not in b["details"]:
+                    side = "change" if name in b["details"] else "parent"
+                    more.append(f"{label} {key}: details.{name} only in {side}")
+                    continue
                 x, y = a["details"][name], b["details"][name]
-                if moved(x, y):
-                    more.append(f"{label} {key}: details.{name} {shift(x, y)}")
+                if scalar(x) and scalar(y):
+                    if moved(x, y):
+                        more.append(f"{label} {key}: details.{name} {shift(x, y)}")
+                elif x != y:
+                    more.append(f"{label} {key}: details.{name} {x!r} -> {y!r}")
             if a["formula"] != b["formula"]:
                 more.append(f"{label} {key}: formula {a['formula']!r} -> {b['formula']!r}")
     return sorted(lines), sorted(more)
@@ -140,7 +148,8 @@ def main(argv):
                                f"(achieved by more than {REL:g} relative, or verdicts), "
                                f"{rounding(lines)} of them rounding (at most {ROUNDING:g} absolute)"]
                     + more + [f"{len(more)} details and formula differences "
-                              f"(scalar details by more than {REL:g} relative, or formula text), "
+                              f"(numeric details by more than {REL:g} relative, other details "
+                              "changed, details in one tree only, or formula text), "
                               f"{rounding(more)} of them rounding (at most {ROUNDING:g} absolute)"]))
 
 
