@@ -10,10 +10,12 @@ stack, not the bits of single calls.  Every
 finite-dimensional C*-algebra is a direct sum of full matrix blocks with
 multiplicities; :func:`wedderburn_decompose` recovers that structure
 numerically (minimal central projections, block sizes, multiplicities, and a
-full system of matrix units) from the algebra alone.  It finds the centre
-as A ∩ {h_0, h_1}' for two generic self-adjoint elements of A, which
-generate A as h_0 + i h_1: one 2N^2 x dim commutator operator, with no
-products over pairs of basis elements.  The result is a
+full system of matrix units) from the algebra alone.  It reads one
+eigendecomposition of a generic self-adjoint h in A, whose eigenvalue
+clusters off zero are minimal projections, and one product V* a V with a
+second generic a, whose nonzero blocks group the clusters into summands and
+whose polar parts link them; the eigenvectors' phases cancel, so the units
+are a well-conditioned function of the basis.  The result is a
 :class:`BlockStructure` whose matrix units are one (dim_linear, N, N) stack
 in the order of ``FDAlgebra.unit_labels()``, and whose ``coeffs`` reads an
 element of A as its coefficients over them.  A map on A is stored as its
@@ -28,7 +30,7 @@ that elements can be multiplied directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain
 
 import numpy as np
@@ -43,7 +45,6 @@ from .linalg import (
     opnorm,
     opnorm_max,
     opnorms,
-    partial_isometry_polar,
     range_projection,
     rng_for,
 )
@@ -198,26 +199,39 @@ class FDAlgebra:
         ||delta_jk E_il - E_ij E_kl|| is at most (M^2 + 2M) eps + 3 eps^2 for
         M = max ||E||.  For images that are not a homomorphism the value is
         the defect at the units, a lower estimate of the unit-ball defect,
-        not a bound.  The sum n_k^3 + d (d - 1) products are gathered by index
-        into E and measured in chunks, each at most ``linalg._BATCH_BYTES``
-        with its operands."""
+        not a bound.  The dim_linear adjoint residuals and the sum n_k^3 +
+        d (d - 1) products are gathered by index into E and measured in
+        chunks, each at most ``linalg._BATCH_BYTES`` with its operands."""
         E = np.asarray(images)
-        index = self.unit_blocks(np.arange(self.dim_linear))  # that of E_ij at [i, j]
-        triples = []
-        for n, u in zip(self.block_sizes, index):
-            i, j, l = np.indices((n, n, n)).reshape(3, -1)
-            triples.append((u[i, j], u[j, l], u[i, l]))  # E_ij E_jl - E_il
-        d = np.concatenate([np.diagonal(u) for u in index])
-        a, b = np.nonzero(~np.eye(len(d), dtype=bool))
-        triples.append((d[a], d[b], np.full(len(a), -1)))  # E_ii E_jj, nothing subtracted
-        left, right, minus = (np.concatenate(t) for t in zip(*triples))
+        swap, left, right, minus = _relation_index(tuple(self.block_sizes))
         step = max(1, _BATCH_BYTES // 4 // max(E[:1].nbytes, 1))  # with 3 gathered operands
 
         def products(s):  # one chunk; where minus is -1 nothing is subtracted
             prod, sub = E[left[s:s + step]] @ E[right[s:s + step]], minus[s:s + step]
             return np.subtract(prod, E[sub], out=prod, where=(sub >= 0)[:, None, None])
-        adjoints = (block.swapaxes(0, 1) - dagger(block) for block in self.unit_blocks(E))
+        adjoints = (E[swap[s:s + step]] - dagger(E[s:s + step]) for s in range(0, len(E), step))
         return opnorm_max(chain(adjoints, map(products, range(0, len(left), step))))
+
+
+@lru_cache(maxsize=16)
+def _relation_index(block_sizes: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """The unit indices ``FDAlgebra.relation_residual`` gathers, built once per
+    tuple of block sizes: swap, that of E_ji at that of E_ij, and left, right
+    and minus of each product E_left E_right - E_minus (minus -1: nothing
+    subtracted)."""
+    fd = FDAlgebra(block_sizes)
+    index = fd.unit_blocks(np.arange(fd.dim_linear))  # that of E_ij at [i, j]
+    triples = []
+    for n, u in zip(block_sizes, index):
+        i, j, l = np.indices((n, n, n)).reshape(3, -1)
+        triples.append((u[i, j], u[j, l], u[i, l]))  # E_ij E_jl - E_il
+    d = np.concatenate([np.diagonal(u) for u in index])
+    a, b = np.nonzero(~np.eye(len(d), dtype=bool))
+    triples.append((d[a], d[b], np.full(len(a), -1)))  # E_ii E_jj, nothing subtracted
+    tables = [np.concatenate([u.T.ravel() for u in index])] + [np.concatenate(t) for t in zip(*triples)]
+    for t in tables:
+        t.flags.writeable = False
+    return tuple(tables)
 
 
 # ---------------------------------------------------------------------------
@@ -446,23 +460,6 @@ def support_projection(basis, N: int) -> np.ndarray:
 _RETRIES = 3
 
 
-def _center_basis(A: ConcreteAlgebra, h: np.ndarray) -> np.ndarray:
-    """A basis of A ∩ {h_0, h_1}' as an (r, N, N) stack, for a pair h of
-    self-adjoint elements of A: the centre Z(A) when h_0 + i h_1 generates A.
-    c -> ([sum_i c_i b_i, h_0], [.., h_1]) is one batched commutator per h_k,
-    a 2N^2 x dim operator whose null space holds the coefficients."""
-    Q = A.basis
-    op = (Q[None] @ h[:, None] - h[:, None] @ Q[None]).transpose(0, 2, 3, 1).reshape(-1, A.dim)
-    _, s, vh = np.linalg.svd(op, full_matrices=False)
-    rank = int(np.sum(s > max(len(op) * np.finfo(float).eps * s[0], 1e-12)))
-    return _combine(vh[rank:].conj(), Q)
-
-
-def _spectral_projection(vecs, idx) -> np.ndarray:
-    v = vecs[:, idx]
-    return v @ dagger(v)
-
-
 def _clusters_off_zero(vals):
     """Eigenvalue clusters of a self-adjoint element, split into those away
     from 0 and those at 0 (relative gap CLUSTER_REL)."""
@@ -473,114 +470,82 @@ def _clusters_off_zero(vals):
 
 
 def wedderburn_decompose(A: ConcreteAlgebra) -> BlockStructure:
-    """Recover summands, multiplicities, central projections and matrix units.
+    """Recover summands, multiplicities, central projections and matrix units
+    from one eigendecomposition.
 
-    Each attempt draws two self-adjoint elements h_0, h_1 of A; the centre is
-    A ∩ {h_0, h_1}', which is Z(A) when they are generic (h_0 + i h_1 then
-    generates A).  The minimal central projections are the spectral
-    projections of a generic self-adjoint central element, grouped by
-    eigenvalue clusters; inside each summand a generic self-adjoint element
-    yields the diagonal matrix units and polar parts of compressions give the
-    off-diagonal partial isometries.  Attempt t draws from the one stream
-    keyed on (N, dim, t); a draw that is not generic fails a dimension or
-    relation check and is retried on the next stream, up to _RETRIES
-    attempts.
+    Each attempt draws two self-adjoint elements h, a of A.  For generic h
+    the eigenvalue clusters of h off zero give its minimal projections q_c =
+    V_c V_c*, one per eigenvalue of each block, of rank the summand's
+    multiplicity, and the clusters at zero add up to the kernel of A.  For
+    generic a, clusters c and c' lie in one summand iff q_c a q_c' is
+    nonzero, read as the block V_c* a V_c' of the one product V* a V.  In a
+    summand with clusters 0, ..., n - 1, f_j = V_0 polar(V_0* a V_j) V_j* is
+    a partial isometry from q_j onto q_0 (f_0 = q_0), e_ij = f_i* f_j, and
+    the central projection is sum_j q_j.  The eigenvectors' phases, and any
+    rotation inside a cluster, cancel in f_j, so the units are a
+    well-conditioned function of the basis and the draw.  Attempt t draws
+    from the one stream keyed on (N, dim, t); a draw that is not generic
+    fails a size, dimension, rank, membership or relation check and is
+    retried on the next stream, up to _RETRIES attempts.
     """
     N = A.ambient_dim
     kernel_rank = N - int(round(float(np.real(np.trace(A.support)))))
-    last_err = None
     for attempt in range(_RETRIES):
-        rng = rng_for(0, "wedderburn", N, A.dim, attempt)
-        center = _center_basis(A, A.random_selfadjoints(rng, 2))
-        r = len(center)
-        if r == 0:
-            raise ValueError("algebra has zero center (is the basis a *-algebra?)")
-        z = herm(_combine(rng.standard_normal(r), center))
-        vals, vecs = np.linalg.eigh(z)
-        nonzero, zero = _clusters_off_zero(vals)
-        if len(nonzero) != r or sum(len(c) for c in zero) != kernel_rank:
-            last_err = SpectralGapError(
-                "central element eigenvalues failed to separate; retrying")
-            continue
+        h, a = A.random_selfadjoints(rng_for(0, "wedderburn", N, A.dim, attempt), 2)
         try:
-            parts = []
-            for c in nonzero:
-                p = _spectral_projection(vecs, c)
-                if A.residual(p) > 1e-7:
-                    raise SpectralGapError("spectral projection left the algebra span")
-                n_k, m_k, units = _matrix_units_in_summand(A, p, rng)
-                parts.append(((n_k, m_k), p, units))
-            summands, projections, units = zip(
-                *sorted(parts, key=lambda part: (-part[0][0], -part[0][1])))
-            if sum(n * n for n, _ in summands) != A.dim:
-                raise SpectralGapError("block dimensions do not add up to dim(A)")
-            struct = BlockStructure(summands=summands,
-                                    central_projections=np.array(projections),
-                                    matrix_units=np.concatenate(units))
-            if struct.residual > 1e-7:
-                raise SpectralGapError(f"matrix unit relations residual {struct.residual:.2e}")
-            return struct
+            return _structure_from_draw(A, h, a, kernel_rank)
         except SpectralGapError as err:  # fresh random draw
             last_err = err
     raise last_err
 
 
-def _matrix_units_in_summand(A: ConcreteAlgebra, p: np.ndarray, rng):
-    """Matrix units of the summand pAp (a full block with multiplicity), as
-    (n_k, m_k, (n_k^2, N, N) stack in (i, j) order)."""
-    # b -> pbp is the HS-orthogonal projection of A onto pAp (p is central),
-    # so the compressed basis has singular values 1 (dim pAp times) and 0
-    comp = (p @ A.basis @ p).reshape(A.dim, -1)
-    _, s, vh = np.linalg.svd(comp, full_matrices=False)
-    sub = vh[:int(np.sum(s > 1e-9 * max(float(s[0]), 1.0)))].reshape(-1, *p.shape)
-    dim_k = len(sub)
-    n_k = int(round(np.sqrt(dim_k)))
-    if n_k * n_k != dim_k:
-        raise SpectralGapError("summand dimension is not a perfect square")
-    rank_p = int(round(float(np.real(np.trace(p)))))
-    if rank_p % n_k:
-        raise SpectralGapError("summand rank incompatible with block size")
-    m_k = rank_p // n_k
-
-    if n_k == 1:
-        return 1, m_k, p[None]
-
-    # diagonal units from a generic self-adjoint element of the summand; the
-    # eigenvalue 0 of multiplicity N - rank(p) belongs to the ambient kernel
-    for _ in range(4):
-        g = herm(_combine(rng.standard_normal(dim_k) + 1j * rng.standard_normal(dim_k), sub))
-        vals, vecs = np.linalg.eigh(g)
-        live, _ = _clusters_off_zero(vals)
-        if len(live) != n_k or any(len(c) != m_k for c in live):
-            continue
-        qs = [_spectral_projection(vecs, c) for c in live]
-        # q = p q p, so its distance to A is its distance to pAp
-        if (A.residual(np.array(qs)) > 1e-7).any():
-            continue
-        units = _units_from_diagonal(qs, sub, rng, m_k)
-        if units is not None:
-            return n_k, m_k, units
-    raise SpectralGapError("failed to extract matrix units in a summand")
-
-
-def _units_from_diagonal(qs, sub, rng, m_k):
-    """Matrix units e_ij = f_i* f_j, an (n^2, N, N) stack, from diagonal
-    units q_j and partial isometries f_j from q_j onto q_0 (f_0 = q_0), or
-    None when a compression q_0 a q_j is not of rank m_k."""
-    f = [qs[0]]
-    for q in qs[1:]:
-        for _ in range(4):
-            a = _combine(rng.standard_normal(len(sub)) + 1j * rng.standard_normal(len(sub)), sub)
-            w = qs[0] @ a @ q
-            s = np.linalg.svd(w, compute_uv=False)
-            if np.sum(s > 1e-8 * max(float(s.max(initial=0.0)), 1e-300)) != m_k:
-                continue
-            v = partial_isometry_polar(w)
-            if opnorm(dagger(v) @ v - q) < 1e-7 and opnorm(v @ dagger(v) - qs[0]) < 1e-7:
-                f.append(v)
-                break
-        else:
-            return None
-    f = np.array(f)
-    return (dagger(f)[:, None] @ f[None]).reshape((-1,) + f.shape[1:])
-
+def _structure_from_draw(A: ConcreteAlgebra, h, a, kernel_rank: int) -> BlockStructure:
+    """The BlockStructure read off one draw h, a (``wedderburn_decompose``),
+    or a SpectralGapError naming the check the draw fails."""
+    N = A.ambient_dim
+    vals, vecs = np.linalg.eigh(h)
+    live, zero = _clusters_off_zero(vals)
+    if sum(len(c) for c in zero) != kernel_rank:
+        raise SpectralGapError("the eigenvalue 0 of h is not the kernel of A")
+    sizes = np.array([len(c) for c in live])
+    starts = np.cumsum(sizes) - sizes
+    V = vecs[:, np.concatenate(live)]
+    M = dagger(V) @ a @ V
+    peak = np.maximum.reduceat(np.maximum.reduceat(np.abs(M), starts, axis=0), starts, axis=1)
+    linked = (peak > 1e-8 * peak.max()) | np.eye(len(live), dtype=bool)
+    first = linked.argmax(axis=1)  # each cluster's first linked one, the first of its summand
+    if not np.array_equal(linked, first[:, None] == first[None, :]):
+        raise SpectralGapError("the links between eigenvalue clusters are not a partition")
+    if (sizes != sizes[first]).any():
+        raise SpectralGapError("the clusters of one summand differ in size")
+    heads = np.flatnonzero(first == np.arange(len(first)))
+    counts = np.bincount(first)[heads]
+    if (counts ** 2).sum() != A.dim:
+        raise SpectralGapError("block dimensions do not add up to dim(A)")
+    # T_c = V_c polar(V_0* a V_c)* for the first cluster 0 of c's summand, and
+    # T_0 = V_0, so that f_c = V_0 T_c* and e_cc' = T_c T_c'*: one batched SVD
+    # per cluster size
+    T = {}
+    for m in set(sizes.tolist()):
+        cs = np.flatnonzero(sizes == m)
+        rows, cols = starts[first[cs], None] + np.arange(m), starts[cs, None] + np.arange(m)
+        u, s, vh = np.linalg.svd(M[rows[:, :, None], cols[:, None, :]])
+        if (s[:, -1] <= 1e-8 * s[:, 0]).any():
+            raise SpectralGapError("a compression q_0 a q_c is not of full rank")
+        W = dagger(u @ vh)
+        W[first[cs] == cs] = np.eye(m)
+        T.update(zip(cs, V[:, cols].transpose(1, 0, 2) @ W))
+    parts = []
+    for head, n in zip(heads, counts):
+        Tk = np.concatenate([T[c] for c in np.flatnonzero(first == head)])  # (n N, m)
+        E = (Tk @ dagger(Tk)).reshape(n, N, n, N).transpose(0, 2, 1, 3)  # E[i, j] = e_ij
+        parts.append(((int(n), int(sizes[head])), np.einsum("iiab->ab", E), E.reshape(n * n, N, N)))
+    summands, projections, units = zip(*sorted(parts, key=lambda part: (-part[0][0], -part[0][1])))
+    projections = np.array(projections)
+    if (A.residual(projections) > 1e-7).any():
+        raise SpectralGapError("a central projection left the algebra span")
+    struct = BlockStructure(summands=summands, central_projections=projections,
+                            matrix_units=np.concatenate(units))
+    if struct.residual > 1e-7:
+        raise SpectralGapError(f"matrix unit relations residual {struct.residual:.2e}")
+    return struct

@@ -126,8 +126,9 @@ def test_wedderburn_recovers_block_sizes(profile):
 
 
 def test_wedderburn_full_block_in_large_ambient():
-    # M_8 in M_16: the commutator operator of the center search is 16384 x 64,
-    # whose full left singular factor alone would take about 4.3 GB
+    # M_8 in M_16: the eight eigenvalue clusters of h off zero must all be
+    # linked into one summand, and the cluster at zero, of multiplicity 8, is
+    # the kernel of A
     inst = gen_instance("block-rotation", {"algebra": "8", "ambient": 16,
                                            "eps": 1e-6}, seed=0)
     B = inst.B
@@ -141,8 +142,9 @@ def test_wedderburn_full_block_in_large_ambient():
 
 
 def test_wedderburn_of_two_large_blocks_stays_in_bounded_memory():
-    # M12 + M12 in M24, dim 288, under a 1 GiB address-space cap: the centre
-    # search may not stack commutators over pairs of basis elements, whose
+    # M12 + M12 in M24, dim 288, under a 1 GiB address-space cap: the
+    # decomposition reads one N x N eigendecomposition and the product V* a V,
+    # and may not stack commutators over pairs of basis elements, whose
     # (dim N^2) x dim operator alone takes 729 MiB
     code = ("import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
             "from cstarlab.instances import block_algebra; "
@@ -158,9 +160,9 @@ def test_wedderburn_of_two_large_blocks_stays_in_bounded_memory():
 
 
 def test_wedderburn_retries_a_draw_that_is_not_generic(monkeypatch):
-    # h_0 = h_1 = 0 commute with all of A, so that draw's "centre" is A itself
-    # and fails the cluster count: the next attempt draws afresh, and a run
-    # of such draws ends in a typed error
+    # h = a = 0 has the one eigenvalue 0, on all of C^N and not only on the
+    # kernel of A, so the kernel check refuses that draw: the next attempt
+    # draws afresh, and a run of such draws ends in a typed error
     from cstarlab.certs import SpectralGapError
     A = block_algebra((2, 1), 4)
     draws, real = [], ConcreteAlgebra.random_selfadjoints
@@ -175,6 +177,29 @@ def test_wedderburn_retries_a_draw_that_is_not_generic(monkeypatch):
     monkeypatch.setattr(ConcreteAlgebra, "random_selfadjoints",
                         lambda self, rng, count: 0.0 * real(self, rng, count))
     with pytest.raises(SpectralGapError):
+        wedderburn_decompose(A)
+
+
+def test_wedderburn_refuses_a_draw_that_links_no_clusters(monkeypatch):
+    # a = 0 links no two eigenvalue clusters of h, so each cluster reads as a
+    # summand M_1 of its own: M_2 + M_1 reads as three of them, of dimension
+    # 3 and not 5, which the dimension check refuses.  The next stream
+    # decomposes A, and a run of such draws ends in that check's typed error
+    from cstarlab.certs import SpectralGapError
+    A = block_algebra((2, 1), 4)
+    draws, real = [], ConcreteAlgebra.random_selfadjoints
+
+    def a_zero_first(self, rng, count):
+        draws.append(real(self, rng, count))
+        return draws[-1] * np.array([1.0, 0.0 if len(draws) == 1 else 1.0])[:, None, None]
+
+    monkeypatch.setattr(ConcreteAlgebra, "random_selfadjoints", a_zero_first)
+    assert wedderburn_decompose(A).summands == ((2, 1), (1, 1))
+    assert len(draws) == 2
+    monkeypatch.setattr(ConcreteAlgebra, "random_selfadjoints",
+                        lambda self, rng, count: real(self, rng, count)
+                        * np.array([1.0, 0.0])[:, None, None])
+    with pytest.raises(SpectralGapError, match="block dimensions do not add up"):
         wedderburn_decompose(A)
 
 
@@ -396,6 +421,57 @@ def test_project_matches_a_fresh_orthonormalisation(kind, profile, N):
     scale = np.linalg.norm(X, axis=(1, 2))
     assert np.all(np.linalg.norm(A.project(X) - want, axis=(1, 2)) <= 1e-13 * scale)
     assert np.linalg.norm(A.project(X[0]) - want[0]) <= 1e-13 * scale[0]
+
+
+def with_basis_noise(A, draw):
+    """A with seeded complex noise of 1e-15 per entry added to its basis."""
+    z = rng_for(draw, "basis-noise", A.ambient_dim, A.dim).standard_normal((2,) + A.basis.shape)
+    return ConcreteAlgebra(ambient_dim=A.ambient_dim, basis=A.basis + 1e-15 * (z[0] + 1j * z[1]),
+                           support=A.support)
+
+
+# summation order: another summation order is rounding-level noise on the
+# inputs, which the matrix units must absorb
+@pytest.mark.summation_order
+@pytest.mark.parametrize("kind, profile, N", [
+    ("conjugation", "M2+M1", 4), ("conjugation", "3,3", 8), ("conjugation", "2,2,2", 8),
+    ("multiplicity", ((2, 1), (2, 2)), 7)])
+def test_matrix_units_are_stable_under_rounding_noise_on_the_basis(kind, profile, N):
+    # the units are a well-conditioned function of the basis and the draw:
+    # the eigenvalue clusters of h are separated, and the eigenvectors'
+    # phases, free inside a cluster, cancel in f_j.  Noise of 1e-15 moves
+    # them by about 1e-13
+    A = oracle_algebra(kind, profile, N)
+    want = A.structure()
+    for draw in range(3):
+        got = with_basis_noise(A, draw).structure()
+        assert got.summands == want.summands
+        assert np.abs(got.matrix_units - want.matrix_units).max() <= 1e-10
+
+
+# summation order: another summation order is rounding-level noise on the
+# inputs, which the certificates must absorb
+@pytest.mark.summation_order
+@pytest.mark.parametrize("pipeline", ["oz-perturb", "oz-embed"])
+@pytest.mark.parametrize("profile, N", [("M2+M1", 4), ("M2+M2", 6), ("3,3", 8), ("2,2,2", 8)])
+def test_order_zero_values_are_stable_under_rounding_noise_on_a(profile, N, pipeline):
+    # oz-perturb's order-zero-perturbation and oz-embed's transfer_achieved
+    # read A through its matrix units, so they are functions of the algebra
+    # only if the units are: 1e-15 noise on A's basis moves them by about
+    # 1e-7 relative at most
+    from dataclasses import replace
+    from cstarlab.pipelines import run_pipeline
+    inst = gen_instance("conjugation", {"algebra": profile, "ambient": N, "eps": 1e-6}, seed=3)
+
+    def value(instance):
+        certs = run_pipeline(instance, pipeline, 3).certificates
+        if pipeline == "oz-perturb":
+            return certs["order-zero-perturbation"].achieved
+        return certs["nucdim-near-embedding"].details["transfer_achieved"]
+
+    want = value(inst)
+    for draw in range(3):
+        assert abs(value(replace(inst, A=with_basis_noise(inst.A, draw))) - want) <= 1e-6 * want
 
 
 def test_block_model_round_trip():

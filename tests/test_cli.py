@@ -43,10 +43,10 @@ def test_each_subcommand_takes_only_the_settings_it_reads(command, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["report", "r.json", "--seed", "1"], ["report", "r.json", "--track", "paper"],
-    ["report", "r.json", "--samples", "-3"], ["report", "r.json", "--algebra", "nonsense"],
+    ["report", "r.json", "--eps", "1e-6"], ["report", "r.json", "--algebra", "nonsense"],
     ["selftest", "--eps", "1"], ["selftest", "--criteria", "3", "--eps", "nan"],
     ["selftest", "--config", "lab.ini"], ["gen", "--track", "paper"], ["gen", "--format", "json"],
-], ids=["report-seed", "report-track", "report-samples", "report-algebra", "selftest-eps",
+], ids=["report-seed", "report-track", "report-eps", "report-algebra", "selftest-eps",
         "selftest-criteria-eps", "selftest-config", "gen-track", "gen-format"])
 def test_a_setting_the_subcommand_does_not_read_exits_2(argv, capsys):
     # a flag that would parse and change nothing is refused by the parser

@@ -535,12 +535,13 @@ def test_primal_dual_solve_meets_the_tensor_oracle(monkeypatch):
 # summation order: a solve that stops on a closed duality gap must not hinge on it
 @pytest.mark.summation_order
 def test_tensor_lift_witness_distance_is_reproducible(monkeypatch):
-    # the ladder benchmark's op "oz-perturb conjugation 2,2,2/8" of workload
-    # seed 7373, pass 0, whose instance seed is 145953875: reversing the
-    # order of B's orthonormal basis keeps _TensorSpan's projection but sums
-    # it in another order, and the lift's witness distance, proven by its
-    # gap, moves by no more than the gap's margin
-    seed = 145953875
+    # the ladder benchmark's op "oz-perturb conjugation 2,2,2/8", pass 0, of
+    # the first workload seed from 7373 on whose lift closes its gap: 7374,
+    # whose instance seed is 492943329 (7373's, 145953875, ends at the cap).
+    # Reversing the order of B's orthonormal basis keeps _TensorSpan's
+    # projection but sums it in another order, and the lift's witness
+    # distance, proven by its gap, moves by no more than the gap's margin
+    seed = 492943329
 
     def witness() -> dict:
         inst = gen_instance("conjugation", {"algebra": "2,2,2", "ambient": 8,
