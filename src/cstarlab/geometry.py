@@ -244,18 +244,19 @@ def trace_dual_lower(S: ConcreteAlgebra, T: ConcreteAlgebra) -> float:
     along the top 8 eigenvectors of the Gram matrix of R = Q - E_T Q (the
     right singular directions of id - E_T on S), scaled to norm 1.  Each of
     two steps sets Y = r / ||r||_1 for r = x - E_T x, keeps the 8 Y with the
-    largest ||E_S Y||_1, and certifies the next x = E_S(W), W the partial
-    isometry of E_S Y (``partial_isometry_polar``), scaled to norm at most
-    1, so that Re<Y, x> is ||E_S Y||_1 = sup Re<Y, S_1> up to the singular
-    values W drops.  The largest value less a margin, floored at 0, is
-    returned.  The margin, eps the machine epsilon, is twice the sum of
-    project's rounding as in ``one_sided_bound`` ((N^2 + dim S) eps
-    sqrt(dim S) sqrt(N) on x, twice, as it moves the norm that scales x,
-    and (N^2 + dim T) eps sqrt(dim T) on E_T Y, times sqrt(N)), the
-    trace-norm SVD's backward error (2 N eps ||r||_HS per singular value,
-    so ||Y||_1 <= 1 + (3 N + 1) sqrt(N) eps, and (2 N + 1) sqrt(N) eps on
-    the norm that scales x) and the errors of the inner product and the HS
-    norm (N^(5/2) eps each).
+    largest ||E_S Y||_1 (ranked only where there are more than 8, as at the
+    first step), and certifies the next x = E_S(W), W the partial isometry
+    of E_S Y, all kept ones from one batched SVD (``partial_isometry_polar``),
+    scaled to norm at most 1, so that Re<Y, x> is ||E_S Y||_1 = sup Re<Y, S_1>
+    up to the singular values W drops.  The largest value less a margin,
+    floored at 0, is returned.  The margin, eps the machine epsilon, is
+    twice the sum of project's rounding as in ``one_sided_bound`` ((N^2 +
+    dim S) eps sqrt(dim S) sqrt(N) on x, twice, as it moves the norm that
+    scales x, and (N^2 + dim T) eps sqrt(dim T) on E_T Y, times sqrt(N)),
+    the trace-norm SVD's backward error (2 N eps ||r||_HS per singular
+    value, so ||Y||_1 <= 1 + (3 N + 1) sqrt(N) eps, and (2 N + 1) sqrt(N)
+    eps on the norm that scales x) and the errors of the inner product and
+    the HS norm (N^(5/2) eps each).
     """
     Q, N = S.basis, S.ambient_dim
     R = Q - T.project(Q)
@@ -269,9 +270,11 @@ def trace_dual_lower(S: ConcreteAlgebra, T: ConcreteAlgebra) -> float:
         nrm = np.linalg.svd(r, compute_uv=False).sum(axis=1)
         Y = r / np.where(nrm > 0.0, nrm, 1.0)[:, None, None]
         P = S.project(Y)
-        keep = np.argsort(-np.linalg.svd(P, compute_uv=False).sum(axis=1),
-                          kind="stable")[:_DUAL_KEEP]
-        Y, x = Y[keep], S.project(np.array([partial_isometry_polar(p) for p in P[keep]]))
+        if len(P) > _DUAL_KEEP:
+            keep = np.argsort(-np.linalg.svd(P, compute_uv=False).sum(axis=1),
+                              kind="stable")[:_DUAL_KEEP]
+            Y, P = Y[keep], P[keep]
+        x = S.project(partial_isometry_polar(P))
         x /= np.maximum(opnorms(x), 1.0)[:, None, None]
         value = (np.einsum("sij,sij->s", Y.conj(), x).real
                  - np.sqrt(N) * np.linalg.norm(T.project(Y), axis=(1, 2)))

@@ -1,12 +1,12 @@
 """Dense complex linear algebra helpers shared by all modules.
 
 Matrices are numpy complex128 arrays; ``dagger``, ``herm``, ``opnorms``,
-``opnorm_max`` and the functional calculus also take stacks (S, n, n).  Norm
-conventions: ``opnorm`` is the operator (spectral) norm, ``hs_norm`` the
-Hilbert-Schmidt one.  The largest operator norm in a stack or a stream of
-stacks is ``opnorm_max``, equal bit for bit to
-``opnorms(stack).max(initial=0.0)`` on stacks of finite HS norm: every matrix
-that could hold the maximum gets its own values-only SVD; those the
+``opnorm_max``, ``partial_isometry_polar`` and the functional calculus also
+take stacks (S, n, n).  Norm conventions: ``opnorm`` is the operator
+(spectral) norm, ``hs_norm`` the Hilbert-Schmidt one.  The largest operator
+norm in a stack or a stream of stacks is ``opnorm_max``, equal bit for bit
+to ``opnorms(stack).max(initial=0.0)`` on stacks of finite HS norm: every
+matrix that could hold the maximum gets its own values-only SVD; those the
 Hilbert-Schmidt bound rules out are skipped.  All randomness flows through
 counter-based Philox generators derived from explicit integer seeds, so every
 computation in the package replays bit-identically from its seed.
@@ -233,12 +233,12 @@ def polar_factor(x: np.ndarray) -> np.ndarray:
 
 
 def partial_isometry_polar(x: np.ndarray) -> np.ndarray:
-    """Partial isometry part of x: singular vectors with singular value above
-    TOL_RANK times the largest are kept, the rest are zeroed."""
-    u, s, vh = np.linalg.svd(x)
-    top = float(s.max(initial=0.0))
-    keep = s > TOL_RANK * max(top, 1e-300)
-    return u[:, keep] @ vh[keep, :]
+    """Partial isometry part of x, or of each matrix of a stack (..., R, C),
+    from one thin SVD: singular vectors with singular value above TOL_RANK
+    times that matrix's own largest are kept, the rest are zeroed."""
+    u, s, vh = np.linalg.svd(x, full_matrices=False)
+    keep = s > TOL_RANK * s.max(axis=-1, keepdims=True, initial=1e-300)
+    return (u * keep[..., None, :]) @ vh
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ import scipy.linalg
 
 from cstarlab.algebra import BlockStructure, ConcreteAlgebra, FDAlgebra, _combine
 from cstarlab.averaging import _canonical_index
-from cstarlab.certs import CLUSTER_REL, TOL_ALG
+from cstarlab.certs import CLUSTER_REL, TOL_ALG, TOL_RANK
 from cstarlab.cpmaps import _EPS, LinMap, _factor_bound, _from_choi_blocks, choi_blocks, classify
+from cstarlab.geometry import _DUAL_DIRECTIONS, _DUAL_KEEP, _DUAL_STEPS
 from cstarlab.linalg import dagger, opnorm, opnorm_max, opnorms, random_unitary, rng_for
 from cstarlab.orderzero import OrderZeroMap, _structure_residual
 from cstarlab.serialize import dumps
@@ -339,3 +340,42 @@ def cluster_values_loop(vals) -> list[np.ndarray]:
         else:
             groups.append([int(idx)])
     return [np.array(g) for g in groups]
+
+
+def partial_isometry_polar_loop(x: np.ndarray) -> np.ndarray:
+    """The square-matrix partial isometry that linalg.partial_isometry_polar
+    replaced: one full SVD, its kept columns and rows multiplied."""
+    u, s, vh = np.linalg.svd(x)
+    top = float(s.max(initial=0.0))
+    keep = s > TOL_RANK * max(top, 1e-300)
+    return u[:, keep] @ vh[keep, :]
+
+
+def trace_dual_lower_loop(S: ConcreteAlgebra, T: ConcreteAlgebra) -> float:
+    """The trace-dual lower bound as geometry.trace_dual_lower computed it
+    before its steps took one batched SVD: every step ranks its duals by
+    ||E_S Y||_1, the second step's 8 included, and takes the partial
+    isometry of each kept E_S Y with a separate full SVD."""
+    Q, N = S.basis, S.ambient_dim
+    R = Q - T.project(Q)
+    Rf = R.reshape(S.dim, -1)
+    C = np.linalg.eigh(Rf.conj() @ Rf.T)[1][:, ::-1][:, :_DUAL_DIRECTIONS].T
+    X = (C @ Q.reshape(S.dim, -1)).reshape(-1, N, N)
+    r = np.concatenate([R / S.basis_norms[:, None, None],
+                        (C @ Rf).reshape(-1, N, N) / opnorms(X)[:, None, None]])
+    best = 0.0
+    for _ in range(_DUAL_STEPS):
+        nrm = np.linalg.svd(r, compute_uv=False).sum(axis=1)
+        Y = r / np.where(nrm > 0.0, nrm, 1.0)[:, None, None]
+        P = S.project(Y)
+        keep = np.argsort(-np.linalg.svd(P, compute_uv=False).sum(axis=1),
+                          kind="stable")[:_DUAL_KEEP]
+        Y, x = Y[keep], S.project(np.array([partial_isometry_polar_loop(p) for p in P[keep]]))
+        x /= np.maximum(opnorms(x), 1.0)[:, None, None]
+        value = (np.einsum("sij,sij->s", Y.conj(), x).real
+                 - np.sqrt(N) * np.linalg.norm(T.project(Y), axis=(1, 2)))
+        best = max(best, float(value.max()))
+        r = x - T.project(x)
+    margin = 2.0 * _EPS * np.sqrt(N) * (2.0 * (N * N + S.dim) * np.sqrt(S.dim)
+                                        + (N * N + T.dim) * np.sqrt(T.dim) + 2 * N * N + 5 * N + 2)
+    return max(0.0, best - float(margin))

@@ -21,7 +21,7 @@ from cstarlab.geometry import (
 from cstarlab.instances import block_algebra, gen_instance
 from cstarlab.linalg import opnorms, random_unitary, rng_for
 from cstarlab.pipelines import run_pipeline
-from helpers import contractions
+from helpers import contractions, trace_dual_lower_loop
 
 
 def small_rotation(N: int, eps: float, seed: int) -> np.ndarray:
@@ -394,6 +394,25 @@ def test_kk_distance_brackets_the_conjugation_bound(profile, N):
             iv = kk_distance(A, B)
             assert iv.lo <= hint and iv.lo <= iv.hi <= 2.0 * hint
             assert trace_dual_lower(A, B) <= iv.gamma_ab and trace_dual_lower(B, A) <= iv.gamma_ba
+
+
+def test_trace_dual_lower_equals_the_per_matrix_loop():
+    # one batched partial isometry per step, and no ranking where a step
+    # keeps every dual, move no bit of lo: on the conjugation profiles at
+    # instance seeds 3000-3009 and eps 1e-6 and 1e-3, and on the closed-form
+    # pairs of test_kk_distance_closed_forms, both directions equal the
+    # per-matrix loop with ==
+    pairs = [(scalars(2), ConcreteAlgebra.diagonal(2)),
+             (ConcreteAlgebra.diagonal(2), ConcreteAlgebra.full(2))]
+    for profile, N in TIER1:
+        for eps in (1e-6, 1e-3):
+            for seed in range(3000, 3010):
+                inst = gen_instance("conjugation", {"algebra": profile, "ambient": N, "eps": eps},
+                                    seed=seed)
+                pairs.append((inst.A, inst.B))
+    for A, B in pairs:
+        assert trace_dual_lower(A, B) == trace_dual_lower_loop(A, B)
+        assert trace_dual_lower(B, A) == trace_dual_lower_loop(B, A)
 
 
 def test_trace_dual_lower_recomputes_from_its_certificates():

@@ -103,6 +103,43 @@ def test_partial_isometry_polar():
     assert abs(opnorm(v) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("shape, rank", [((3, 2), 2), ((2, 3), 2), ((5, 3), 1), ((3, 5), 2)])
+def test_partial_isometry_polar_of_a_rectangular_matrix(shape, rank):
+    # tall and wide, of full and of lower rank: v v* v = v, ||v|| = 1 and
+    # v* v is the range projection of x* x, onto the row space of x
+    rng = rng_for(sum(shape) + rank, "partial-isometry-rectangular")
+    x = complex_gaussian(rng, shape[0], rank) @ complex_gaussian(rng, rank, shape[1])
+    v = partial_isometry_polar(x)
+    assert v.shape == shape
+    assert opnorm(v @ dagger(v) @ v - v) < 1e-12
+    assert abs(opnorm(v) - 1.0) < 1e-12
+    assert opnorm(dagger(v) @ v - range_projection(dagger(x) @ x)) < 1e-12
+
+
+@pytest.mark.summation_order
+def test_partial_isometry_polar_of_a_stack_equals_the_separate_calls():
+    # one stack with entries from 1e-300 to 1e3, a zero matrix (its partial
+    # isometry is zero), complex entries and a rank-deficient matrix whose
+    # 1e-12 singular value falls under the cut: each matrix is cut against
+    # its own largest singular value, so the stacked call equals the
+    # separate calls bit for bit, with a leading stack axis or two; a cut
+    # against the stack's largest value would zero the small matrices.  The
+    # batched SVD and product make one LAPACK and one GEMM call per matrix,
+    # the calls a single matrix makes, so equality holds at any BLAS thread
+    # count
+    rng = rng_for(3, "partial-isometry-stack")
+    x = np.array([complex_gaussian(rng, 4, 4) * scale
+                  for scale in (1e-300, 1e-150, 1e-8, 1.0, 1e3, 0.0)])
+    u, w = random_unitary(rng, 4), random_unitary(rng, 4)
+    x = np.concatenate([x, [u @ np.diag([1.0, 0.5, 1e-12, 0.0]) @ w, x[3] @ x[4]]])
+    v = partial_isometry_polar(x)
+    assert np.array_equal(v, np.array([partial_isometry_polar(m) for m in x]))
+    assert np.array_equal(partial_isometry_polar(x.reshape(2, 4, 4, 4)), v.reshape(2, 4, 4, 4))
+    assert not v[5].any()
+    assert np.allclose(np.linalg.svd(v[6], compute_uv=False), [1.0, 1.0, 0.0, 0.0], atol=1e-12)
+    assert np.all(np.abs(np.linalg.svd(v[:5], compute_uv=False) - 1.0) < 1e-12)
+
+
 def test_cluster_values_groups():
     groups = cluster_values(np.array([0.0, 1e-9, 1.0, 1.0 + 1e-9, 2.0]))
     assert [len(g) for g in groups] == [2, 2, 1]
