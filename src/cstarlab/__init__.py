@@ -20,7 +20,7 @@ from .geometry import (DistanceInterval, kk_distance, nearest_in_span,
 from .instances import (Instance, block_algebra, gen_instance,
                         hat_decomposition, random_order_zero)
 from .intertwine import (IsoResult, StageRecord, close_isomorphism,
-                         half_flip_cpc, implement_unitarily, intertwining_iso,
+                         implement_unitarily, intertwining_iso,
                          near_embedding_nuclear)
 from .orderzero import (NucDimDecomposition, OrderZeroMap,
                         identity_decomposition, is_order_zero,

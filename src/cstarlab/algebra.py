@@ -30,7 +30,7 @@ that elements can be multiplied directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -188,22 +188,37 @@ class FDAlgebra:
     def relation_residual(self, images: np.ndarray) -> float:
         """Worst residual eps of the generating matrix-unit relations on
         images E of the matrix units, a (dim_linear, N, N) stack in (k, i, j)
-        order: ||E_ji - E_ij*|| and ||E_ij E_jl - E_il|| inside each block,
-        and ||E_ii E_jj|| over ordered pairs of distinct diagonal units of all
-        blocks.  Zero exactly when the images define a *-homomorphism; the
-        package's one homomorphism check.
+        order: (a) ||E_i1 E_1j - E_ij|| inside each block, (b) ||E_1i^k
+        E_j1^k' - delta_kk' delta_ij E_11^k|| over the d^2 pairs of a first
+        row unit and a first column unit of any blocks, which covers
+        orthogonality inside and between blocks, and (c) ||E_ji - E_ij*||.
+        Zero exactly when the images define a *-homomorphism; the package's
+        one homomorphism check.
 
-        These imply the rest.  With r1 = E_ij E_jj - E_ij and r2 = E_kk E_kl -
-        E_kl, any other product (j != k, any blocks) is E_ij E_kl =
-        E_ij (E_jj E_kk) E_kl - E_ij E_jj r2 - r1 E_kk E_kl + r1 r2, so every
-        ||delta_jk E_il - E_ij E_kl|| is at most (M^2 + 2M) eps + 3 eps^2 for
-        M = max ||E||.  For images that are not a homomorphism the value is
-        the defect at the units, a lower estimate of the unit-ball defect,
-        not a bound.  The dim_linear adjoint residuals and the sum n_k^3 +
-        d (d - 1) products are gathered by index into E and measured in
-        chunks, each at most ``linalg._BATCH_BYTES`` with its operands."""
-        E = np.asarray(images)
-        swap, left, right, minus = _relation_index(tuple(self.block_sizes))
+        These imply the rest.  Write f_i = E_i1 and g_j = E_1j in the block of
+        each unit, and delta = 1 when E_ij and E_kl lie in one block with j =
+        k, else 0.  Family (a) gives r1 = E_ij - f_i g_j, r2 = E_kl - f_k g_l,
+        r3 = E_il - f_i g_l and, at j = 1, t = f_i E_11 - f_i, and family (b)
+        gives s = g_j f_k - delta E_11, each of norm at most eps.  Then E_ij
+        E_kl = delta (E_il - r3 + t g_l) + f_i s g_l + (E_ij - r1) r2 + r1
+        E_kl, so every ||delta E_il - E_ij E_kl|| is at most (1 + M) eps +
+        M^2 eps + (M + eps) eps + M eps = (M^2 + 3M + 1) eps + eps^2 for M =
+        max ||E||.  For images that are not a homomorphism the value is the
+        defect at the units, a lower estimate of the unit-ball defect, not a
+        bound.  The dim_linear adjoint residuals and the sum n_k^2 + d^2
+        products are gathered by index into E and measured in chunks, each at
+        most ``linalg._BATCH_BYTES`` with its operands."""
+        E, d = np.asarray(images), self.d
+        index = self.unit_blocks(np.arange(self.dim_linear))  # that of E_ij at [i, j]
+        rows = np.concatenate([u[0] for u in index])  # that of E_1j at off_k + j
+        cols = np.concatenate([u[:, 0] for u in index])  # that of E_i1 at off_k + i
+        at = np.divmod(self.unit_positions, d)  # each unit's row and column in the model
+        heads = np.full(d * d, -1)  # E_11 of the block on the pairs E_1i E_i1
+        heads[::d + 1] = np.repeat(cols[list(self.offsets)], self.block_sizes)
+        left = np.concatenate([cols[at[0]], np.repeat(rows, d)])  # (a), then (b)
+        right = np.concatenate([rows[at[1]], np.tile(cols, d)])
+        minus = np.concatenate([np.arange(self.dim_linear), heads])
+        swap = np.concatenate([u.T.ravel() for u in index])  # that of E_ji at that of E_ij
         step = max(1, _BATCH_BYTES // 4 // max(E[:1].nbytes, 1))  # with 3 gathered operands
 
         def products(s):  # one chunk; where minus is -1 nothing is subtracted
@@ -211,27 +226,6 @@ class FDAlgebra:
             return np.subtract(prod, E[sub], out=prod, where=(sub >= 0)[:, None, None])
         adjoints = (E[swap[s:s + step]] - dagger(E[s:s + step]) for s in range(0, len(E), step))
         return opnorm_max(chain(adjoints, map(products, range(0, len(left), step))))
-
-
-@lru_cache(maxsize=16)
-def _relation_index(block_sizes: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """The unit indices ``FDAlgebra.relation_residual`` gathers, built once per
-    tuple of block sizes: swap, that of E_ji at that of E_ij, and left, right
-    and minus of each product E_left E_right - E_minus (minus -1: nothing
-    subtracted)."""
-    fd = FDAlgebra(block_sizes)
-    index = fd.unit_blocks(np.arange(fd.dim_linear))  # that of E_ij at [i, j]
-    triples = []
-    for n, u in zip(block_sizes, index):
-        i, j, l = np.indices((n, n, n)).reshape(3, -1)
-        triples.append((u[i, j], u[j, l], u[i, l]))  # E_ij E_jl - E_il
-    d = np.concatenate([np.diagonal(u) for u in index])
-    a, b = np.nonzero(~np.eye(len(d), dtype=bool))
-    triples.append((d[a], d[b], np.full(len(a), -1)))  # E_ii E_jj, nothing subtracted
-    tables = [np.concatenate([u.T.ravel() for u in index])] + [np.concatenate(t) for t in zip(*triples)]
-    for t in tables:
-        t.flags.writeable = False
-    return tuple(tables)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +258,7 @@ class BlockStructure:
         return tuple(n for n, _ in self.summands)
 
     @cached_property
-    def _model(self) -> FDAlgebra:  # one model per structure, so its index tables are built once
+    def _model(self) -> FDAlgebra:  # one model per structure, so its unit positions are built once
         return FDAlgebra(self.block_sizes)
 
     def fd_model(self) -> FDAlgebra:

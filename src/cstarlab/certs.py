@@ -169,11 +169,6 @@ BOUNDS = {
     "near-embedding": Bound(
         "||theta(x) - x|| <= 28 gamma^{1/2} on X",
         lambda i: 28.0 * np.sqrt(i["gamma"]), TOL_EXACT, {"gamma": WINDOW_ISO_GAMMA}),
-    "half-flip-transport": Bound(
-        "||phi(x) - x|| <= 8 alpha + 4 alpha^2 + 4 sqrt(2) gamma, "
-        "alpha = (4 sqrt(2) + 1) gamma + 4 sqrt(2) gamma^2",
-        lambda i: 8.0 * i["alpha"] + 4.0 * i["alpha"] ** 2 + 4.0 * np.sqrt(2.0) * i["gamma"],
-        0.0, {}),
     "unitary-implementation": Bound(
         "u x u* = alpha(x) on the basis; ||u - 1|| <= 2 sqrt(2) gamma "
         "+ 5 sqrt(2) delta; u A u* = B as subspaces", lambda i: TOL_ALG, 0.0, {}),

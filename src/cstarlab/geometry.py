@@ -266,7 +266,9 @@ def trace_dual_lower(S: ConcreteAlgebra, T: ConcreteAlgebra) -> float:
     r = np.concatenate([R / S.basis_norms[:, None, None],
                         (C @ Rf).reshape(-1, N, N) / opnorms(X)[:, None, None]])
     best = 0.0
-    for _ in range(_DUAL_STEPS):
+    for step in range(_DUAL_STEPS):
+        if step:  # the residuals of the points the last step certified
+            r = x - T.project(x)
         nrm = np.linalg.svd(r, compute_uv=False).sum(axis=1)
         Y = r / np.where(nrm > 0.0, nrm, 1.0)[:, None, None]
         P = S.project(Y)
@@ -279,7 +281,6 @@ def trace_dual_lower(S: ConcreteAlgebra, T: ConcreteAlgebra) -> float:
         value = (np.einsum("sij,sij->s", Y.conj(), x).real
                  - np.sqrt(N) * np.linalg.norm(T.project(Y), axis=(1, 2)))
         best = max(best, float(value.max()))
-        r = x - T.project(x)
     margin = 2.0 * _EPS * np.sqrt(N) * (2.0 * (N * N + S.dim) * np.sqrt(S.dim)
                                         + (N * N + T.dim) * np.sqrt(T.dim) + 2 * N * N + 5 * N + 2)
     return max(0.0, best - float(margin))

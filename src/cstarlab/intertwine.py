@@ -1,6 +1,6 @@
 """Intertwining between close algebras: a *-isomorphism from the expectation
 onto the codomain, the two-sided close-isomorphism driver, near embeddings,
-half-flip transport maps, and exact unitary implementation of isomorphisms.
+and exact unitary implementation of isomorphisms.
 
 The paper's staged intertwining exhausts a nuclear A by growing finite sets,
 because a cpc map is close to the inclusion only on finite sets.  Here A is
@@ -13,8 +13,7 @@ reads B's witnesses and its forward closeness from that pull-back.
 Every unit-ball witness is a projection, not a solve: the HS projection onto
 a C*-subalgebra of M_N is its conditional expectation, which is cpc
 (Umegaki; Tomiyama), so E_A(y) lies in A's unit ball for y in B's, within
-2 d(y, A_1) of y.  The pull-back, the approximate unit that the half flip
-cuts and the half flip's tensor witness are such projections.
+2 d(y, A_1) of y.  The pull-back is such a projection.
 """
 
 from __future__ import annotations
@@ -24,12 +23,11 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import ConcreteAlgebra, _combine, support_projection
+from .algebra import ConcreteAlgebra, _combine
 from . import certs
 from .certs import TOL_ALG, Certificate, ContradictionError, SpectralGapError
-from .cpmaps import LinMap, arveson_restrict, classify, hom_defect, worst_move
-from .averaging import (improve_multiplicativity, intertwining_unitary,
-                        projection_conjugator)
+from .cpmaps import LinMap, arveson_restrict, hom_defect, worst_move
+from .averaging import improve_multiplicativity, intertwining_unitary
 from .linalg import dagger, opnorm, opnorms
 
 __all__ = [
@@ -38,7 +36,6 @@ __all__ = [
     "intertwining_iso",
     "close_isomorphism",
     "near_embedding_nuclear",
-    "half_flip_cpc",
     "implement_unitarily",
 ]
 
@@ -207,92 +204,6 @@ def near_embedding_nuclear(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma: float,
          "sigma_min": res.certificates["injectivity"].details["action_sigma_min"]},
         res.certificates["closeness"].achieved)
     return res.map, cert
-
-
-# ---------------------------------------------------------------------------
-# half flip transport
-# ---------------------------------------------------------------------------
-
-def _projection_near_unit(e: np.ndarray, B: ConcreteAlgebra, gamma: float) -> np.ndarray:
-    """Projection p in B with ||p - e|| <= 2 gamma, from the spectral cut of
-    the hermitian part of E_B(e), the projection of the support projection e
-    into B's unit ball."""
-    y = B.project(e)
-    h = (y + dagger(y)) / 2.0
-    vals, vecs = np.linalg.eigh(h)
-    if np.any((vals > 0.45) & (vals < 0.55)):
-        raise SpectralGapError(
-            "no spectral gap at 1/2 when cutting the approximate unit; "
-            "the near-inclusion certificate looks invalid")
-    keep = vals >= 0.55
-    p = vecs[:, keep] @ dagger(vecs[:, keep])
-    if opnorm(p - e) > 2.0 * gamma + 10 * TOL_ALG:
-        raise SpectralGapError(
-            f"no projection within 2*gamma = {2 * gamma:.3g} of the unit "
-            f"(got {opnorm(p - e):.3g}); the certificate looks invalid")
-    return p
-
-
-def half_flip_cpc(A: ConcreteAlgebra, B: ConcreteAlgebra, gamma: float,
-                  X=None) -> tuple[LinMap, Certificate]:
-    """Transport cpc map phi: A -> B for a single full matrix block A near B,
-    built through the exact tensor flip of A.
-
-    Steps: cut a projection p in B near the unit of A, conjugate it onto the
-    unit by a unitary u with ||u - I|| <= sqrt(2) ||p - 1_A||, compress B to
-    B0 = 1_A u B u* 1_A, project the exact flip v in A (x) A to the unit-ball
-    witness w = E(v) in span(B0 (x) A), and slice with a vector state:
-    phi(x) = u* R(w (1 (x) x) w*) u.  Certified ceiling
-    8 alpha + 4 alpha^2 + 4 sqrt(2) gamma with
-    alpha = (4 sqrt(2) + 1) gamma + 4 sqrt(2) gamma^2.
-    """
-    struct = A.structure()
-    if len(struct.summands) != 1:
-        raise ValueError("the flip construction needs a single full matrix block")
-    n_blk = struct.summands[0][0]
-    N = A.ambient_dim
-    e = A.support
-    X = A.normalized_basis if X is None else np.array(X, dtype=complex)
-
-    p = _projection_near_unit(e, B, gamma)
-    u, cert_u = projection_conjugator(p, e)
-    B0 = ConcreteAlgebra.from_basis(e @ (u @ B.basis @ dagger(u)) @ e, N)
-
-    # v = sum_ij e_ij (x) e_ji
-    units = struct.matrix_units.reshape(n_blk, n_blk, N, N)
-    v = np.einsum("ijac,jibd->abcd", units, units).reshape(N * N, N * N)
-
-    # witness for the flip inside span(B0) (x) span(A): the Kronecker
-    # products of two HS-orthonormal bases are HS-orthonormal already
-    pairs = np.einsum("bij,akl->baikjl", B0.basis, A.basis).reshape(-1, N * N, N * N)
-    tensor_span = ConcreteAlgebra(ambient_dim=N * N, basis=pairs,
-                                  support=support_projection(pairs, N * N))
-    w = tensor_span.project(v)
-    wdist = opnorm(v - w)
-    alpha = (4.0 * np.sqrt(2.0) + 1.0) * gamma + 4.0 * np.sqrt(2.0) * gamma ** 2
-    alpha_prime = gamma + 4.0 * np.sqrt(2.0) * gamma * (1.0 + gamma)
-    w_ceiling = 2.0 * (2.0 * alpha_prime + alpha_prime ** 2)
-
-    vals, vecs = np.linalg.eigh(e)
-    xi = vecs[:, vals > 0.5][:, 0]
-
-    # phi(b) = u* R(w (e (x) b) w*) u for each matrix unit b, with R the
-    # slice by the vector state of xi
-    lifted = np.einsum("ij,bkl->bikjl", e, struct.matrix_units).reshape(-1, N * N, N * N)
-    mid = w @ lifted @ dagger(w)
-    images = np.einsum("bikjl,k,l->bij", mid.reshape(-1, N, N, N, N), xi.conj(), xi)
-    phi = LinMap(A, dagger(u) @ images @ u, codomain_algebra=B)
-
-    worst = worst_move(phi, X)
-    member = B.membership_residual(phi.images)
-    cls = classify(phi)
-    cert = Certificate.build(
-        "half-flip-transport", {"gamma": gamma, "alpha": float(alpha), "n_points": len(X)},
-        worst, details={"witness_distance": float(wdist), "witness_ceiling": float(w_ceiling),
-                        "projection_distance": float(opnorm(p - e)),
-                        "conjugator_norm": cert_u.achieved, "image_residual": float(member),
-                        "cpc": bool(cls.cpc)})
-    return phi, cert
 
 
 # ---------------------------------------------------------------------------

@@ -60,12 +60,13 @@ def mult_defects(phi, X) -> np.ndarray:
     return defects.reshape((-1,) + defects.shape[2:])
 
 
-def relation_residual_by_rows(fd, E) -> float:
-    """The generating relation residual of ``FDAlgebra.relation_residual``
-    taken one row at a time: ||E_ji - E_ij*|| per block, ||E_ij E_jl - E_il||
-    as one stack per row i of a block, and ||E_ii E_jj|| as one stack per
-    diagonal unit against every other, each stack measured by its own
-    ``opnorm_max`` call."""
+def triple_relation_residual(fd, E) -> float:
+    """The matrix-unit relation residual over every triple: ||E_ji - E_ij*||
+    per block, ||E_ij E_jl - E_il|| as one stack per row i of a block, and
+    ||E_ii E_jj|| as one stack per diagonal unit against every other, each
+    stack measured by its own ``opnorm_max`` call.  Sum n_k^3 + d (d - 1)
+    products, which bound every other product of two units by (M^2 + 2M) eps
+    + 3 eps^2."""
     worst, diagonal = 0.0, []
     for n, block in zip(fd.block_sizes, fd.unit_blocks(E)):  # E_ij at [i, j]
         worst = max(worst, opnorm_max(block.swapaxes(0, 1) - dagger(block)))
@@ -75,6 +76,27 @@ def relation_residual_by_rows(fd, E) -> float:
     diagonal = np.concatenate(diagonal)
     for a, e in enumerate(diagonal):
         worst = max(worst, opnorm_max(e @ np.delete(diagonal, a, axis=0)))
+    return float(worst)
+
+
+def generator_residual_by_rows(fd, E) -> float:
+    """The generating relation residual of ``FDAlgebra.relation_residual``
+    taken one row at a time: ||E_ji - E_ij*|| per block, ||E_i1 E_1j - E_ij||
+    as one stack per row i of a block, and ||E_1i^k E_j1^k' - delta E_11^k||
+    as one stack per first-row unit E_1i^k against the first-column units of
+    all blocks, each stack measured by its own ``opnorm_max`` call."""
+    worst, firsts, heads = 0.0, [], []
+    for block in fd.unit_blocks(E):  # E_ij at [i, j]
+        worst = max(worst, opnorm_max(block.swapaxes(0, 1) - dagger(block)))
+        for row in block:  # E_ij at [j]; E_i1 E_1j - E_ij at [j]
+            worst = max(worst, opnorm_max(row[0] @ block[0] - row))
+        firsts.append((block[0], block[:, 0]))
+        heads += [block[0, 0]] * len(block)
+    rows, cols = (np.concatenate(f) for f in zip(*firsts))
+    for a, (g, head) in enumerate(zip(rows, heads)):  # E_1i^k E_j1^k' at [b]
+        prod = g @ cols
+        prod[a] -= head
+        worst = max(worst, opnorm_max(prod))
     return float(worst)
 
 

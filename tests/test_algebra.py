@@ -13,11 +13,12 @@ from cstarlab.algebra import (ConcreteAlgebra, FDAlgebra, orthonormalize, suppor
                               wedderburn_decompose)
 from cstarlab.instances import block_algebra, gen_instance
 import cstarlab
-from cstarlab.linalg import (dagger, expm_i, opnorm, opnorm_max, random_complex,
+from cstarlab.linalg import (dagger, expm_i, opnorm, opnorm_max, opnorms, random_complex,
                              random_hermitian, random_unitary, rng_for)
 from cstarlab import algebra
-from helpers import (complex_gaussian, hs_inner, matrix_unit, multiplicity_algebra,
-                     relation_residual_by_rows, to_concrete, verify_algebra)
+from helpers import (complex_gaussian, generator_residual_by_rows, hs_inner, matrix_unit,
+                     multiplicity_algebra, to_concrete, triple_relation_residual,
+                     verify_algebra)
 
 PROFILES = [(2,), (1, 1), (2, 1), (3,), (2, 2), (1, 1, 1)]
 
@@ -279,12 +280,12 @@ def _relation_residual_by_rows(fd, E):
 
 
 def _assert_generators_bound_every_pair(fd, E):
-    # the generating relations are some of the pairs, and with r1 = E_ij E_jj
-    # - E_ij, r2 = E_kk E_kl - E_kl they bound every other product by
-    # (M^2 + 2M) eps + 3 eps^2
+    # the generating relations are some of the pairs, and through f_i = E_i1
+    # and g_j = E_1j they bound every other product by (M^2 + 3M + 1) eps +
+    # eps^2, the bound of relation_residual's docstring
     eps, oracle = fd.relation_residual(E), _relation_residual_by_rows(fd, E)
     M = float(np.linalg.norm(E, ord=2, axis=(-2, -1)).max())
-    assert eps <= oracle <= (M * M + 2.0 * M) * eps + 3.0 * eps * eps + 1e-13
+    assert eps <= oracle <= (M * M + 3.0 * M + 1.0) * eps + eps * eps + 1e-13
     return eps, oracle
 
 
@@ -323,14 +324,15 @@ def test_relation_residual_bounds_cross_block_products_through_the_diagonal():
 @pytest.mark.parametrize("sizes", [(1,), (1, 1), (3, 1), (2, 2, 1), (4,), (2, 2, 2, 2), (7, 5, 3)])
 def test_relation_residual_equals_the_row_at_a_time_oracle(sizes, noise, monkeypatch):
     # rotated matrix units, exact (a rounding-level residual) and noisy: the
-    # gathered products are the row-at-a-time ones, so the largest norm has
-    # the oracle's bits, in the default chunks and in chunks of one product
+    # gathered products of families (a)-(c) are the row-at-a-time ones, so
+    # the largest norm has the oracle's bits, in the default chunks and in
+    # chunks of one product
     fd = FDAlgebra(sizes)
     rng = rng_for(47, "units", *sizes)
     w = random_unitary(rng, fd.d + 1)
     E = np.pad(fd.units(), ((0, 0), (0, 1), (0, 1)))
     E = w @ (E + noise * random_complex(rng, fd.d + 1)) @ dagger(w)
-    want = relation_residual_by_rows(fd, E)
+    want = generator_residual_by_rows(fd, E)
     assert fd.relation_residual(E) == want
     monkeypatch.setattr(algebra, "_BATCH_BYTES", 1)
     assert fd.relation_residual(E) == want
@@ -421,6 +423,28 @@ def test_project_matches_a_fresh_orthonormalisation(kind, profile, N):
     scale = np.linalg.norm(X, axis=(1, 2))
     assert np.all(np.linalg.norm(A.project(X) - want, axis=(1, 2)) <= 1e-13 * scale)
     assert np.linalg.norm(A.project(X[0]) - want[0]) <= 1e-13 * scale[0]
+
+
+# summation order: both residuals are maxima of rounded norms, and the
+# implication bounds hold between them with a rounding-level slack
+@pytest.mark.summation_order
+@pytest.mark.parametrize("kind, profile, N", ORACLE_CASES)
+def test_relation_residual_and_the_triple_check_bound_each_other(kind, profile, N):
+    # the generators' residual eps and the check over every triple, old, on
+    # the algebra's matrix units, exact and with noise: each is at most the
+    # other's implication bound, eps <= (M^2 + 2M) old + 3 old^2 and old <=
+    # (M^2 + 3M + 1) eps + eps^2; and the noise is seen
+    st = oracle_algebra(kind, profile, N).structure()
+    fd = st.fd_model()
+    rng = rng_for(48, "unit-noise", kind, N)
+    z = rng.standard_normal((2,) + st.matrix_units.shape)
+    for noise in (0.0, 1e-12, 1e-9, 1e-6, 1e-3):
+        E = st.matrix_units + noise * (z[0] + 1j * z[1])
+        eps, old = fd.relation_residual(E), triple_relation_residual(fd, E)
+        M = float(opnorms(E).max())
+        assert eps <= (M * M + 2.0 * M) * old + 3.0 * old * old + 1e-13
+        assert old <= (M * M + 3.0 * M + 1.0) * eps + eps * eps + 1e-13
+        assert noise == 0.0 or eps >= 0.1 * noise
 
 
 def with_basis_noise(A, draw):

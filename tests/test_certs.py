@@ -55,9 +55,6 @@ ORACLES = {
     "forward-closeness": ({"gamma": 1e-6, "n_points": 2}, 0.028, TOL_EXACT),
     "backward-closeness": ({"gamma": 1e-6, "n_points": 2}, 0.028, TOL_EXACT),
     "near-embedding": ({"gamma": 1e-6, "n_points": 2, "sigma_min": 1.0}, 0.028, TOL_EXACT),
-    # 8 alpha + 4 alpha^2 + 4 sqrt(2) gamma at alpha = 0.1, gamma = 0.01
-    "half-flip-transport": ({"gamma": 0.01, "alpha": 0.1, "n_points": 2},
-                            0.84 + 0.04 * math.sqrt(2), 0.0),
     "unitary-implementation": ({"gamma_basis": 1e-6, "defect": 0.0}, 1e-9, 0.0),
     # (2 gamma + gamma^2)(2 + 2 gamma + gamma^2) = 0.21 * 2.21 at gamma = 0.1
     "order-zero-perturbation": ({"gamma": 0.1, "mu": 0.21, "m": 2, "blocks_kept": 1},
@@ -136,7 +133,7 @@ def test_every_build_names_a_bound_and_passes_no_bound():
         assert isinstance(name, ast.Constant) and name.value in BOUNDS, f"{module}:{call.lineno}"
         assert not {"formula", "ceiling", "slack"} & {k.arg for k in call.keywords}
         names.append(name.value)
-    assert len(names) == 23 and set(names) == set(BOUNDS)
+    assert len(names) == 22 and set(names) == set(BOUNDS)
 
 
 def test_every_window_is_required_by_name():

@@ -416,23 +416,27 @@ def test_trace_dual_lower_equals_the_per_matrix_loop():
 
 
 def test_trace_dual_lower_recomputes_from_its_certificates():
-    # E_T is spied on to read, at each of the two steps, the kept duals Y and
-    # the points x they certify.  With E_S and E_T from a fresh QR and trace
-    # norms from separate SVDs: each x lies in S's span and unit ball, each
-    # ||Y||_1 <= 1, the largest Re<Y, x> - sqrt(N) ||E_T Y||_HS meets the
-    # returned lo from above within the margin, and the largest
+    # E_T is spied on to read the kept duals Y of each of the two steps, and
+    # E_S to read the points x they certify: the arrays E_S returns for them,
+    # which the step scales in place.  With E_S and E_T from a fresh QR and
+    # trace norms from separate SVDs: each x lies in S's span and unit ball,
+    # each ||Y||_1 <= 1, the largest Re<Y, x> - sqrt(N) ||E_T Y||_HS meets
+    # the returned lo from above within the margin, and the largest
     # Re<Y, x> - ||E_T Y||_1, the lower bound for d(x, T_1) it relaxes, lies
     # above it, below each ||x - E_T x|| and below the proven one-sided
     # constant
     S, T = conjugation_pair("3,3", 8)
     calls, project = [], T.project
     T.project = lambda m: calls.append(m.copy()) or project(m)
+    outs, project_S = [], S.project
+    S.project = lambda m: outs.append(project_S(m)) or outs[-1]
     lo = trace_dual_lower(S, T)
-    # R = Q - E_T Q, then per step E_T Y for the value and E_T x for the next step
-    assert len(calls) == 5
+    # E_T: R = Q - E_T Q, step 1's E_T Y, then step 1's E_T x and step 2's
+    # E_T Y, with no E_T x after the last step; E_S: per step E_S Y, then x
+    assert len(calls) == 4 and len(outs) == 4
     on_S, on_T = qr_projection(S), qr_projection(T)
     relaxed, bound = [], []
-    for Y, x in (calls[1:3], calls[3:5]):
+    for Y, x in ((calls[1], outs[1]), (calls[3], outs[3])):
         assert len(Y) == len(x) == 8
         assert np.linalg.svd(Y, compute_uv=False).sum(axis=1).max() <= 1.0 + 1e-13
         assert opnorms(x).max() <= 1.0 + 1e-13

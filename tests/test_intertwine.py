@@ -7,7 +7,6 @@ import pytest
 from scipy.linalg import expm
 
 from cstarlab import certs, intertwine
-from cstarlab.algebra import ConcreteAlgebra
 from cstarlab.certs import (
     TOL_ALG,
     ContradictionError,
@@ -20,7 +19,6 @@ from cstarlab.geometry import kk_distance
 from cstarlab.instances import block_algebra, gen_instance
 from cstarlab.intertwine import (
     close_isomorphism,
-    half_flip_cpc,
     implement_unitarily,
     near_embedding_nuclear,
 )
@@ -346,48 +344,6 @@ def test_near_embedding_on_no_points():
     A = block_algebra((2,), 4).conjugated(small_rotation(4, 1e-6, 7))
     _, cert = near_embedding_nuclear(A, B, kk_distance(A, B).gamma_ab, X=[])
     _assert_empty_closeness(cert)
-
-
-# ---------------------------------------------------------------------------
-# half flip transport
-# ---------------------------------------------------------------------------
-
-def test_half_flip_cpc_close_to_identity():
-    A, B, u = conjugated_pair((2,), 3, 1e-4, 11)
-    gamma = 2.0 * opnorm(u - np.eye(3))
-    phi, cert = half_flip_cpc(A, B, gamma)
-    assert cert.verdict == "pass"
-    for x in A.basis:
-        xn = x / opnorm(x)
-        assert opnorm(phi(xn) - xn) <= cert.ceiling + 1e-12
-
-
-def test_half_flip_tensor_basis_is_orthonormal_without_gram_schmidt(monkeypatch):
-    # the Kronecker products of the HS-orthonormal bases of B0 and A, taken
-    # as they are, are HS-orthonormal: their Gram matrix is the identity; the
-    # tensor span is the one algebra on C^3 (x) C^3 that the flip is
-    # projected onto
-    spans, project = [], ConcreteAlgebra.project
-    monkeypatch.setattr(ConcreteAlgebra, "project",
-                        lambda self, x: spans.append(self) or project(self, x))
-    A, B, u = conjugated_pair((2,), 3, 1e-4, 11)
-    half_flip_cpc(A, B, 2.0 * opnorm(u - np.eye(3)))
-    (span,) = {id(S): S for S in spans if S.ambient_dim == 9}.values()
-    Q = span.basis.reshape(span.dim, -1)
-    assert span.dim % A.dim == 0
-    assert np.abs(Q.conj() @ Q.T - np.eye(span.dim)).max() <= 1e-13
-
-
-def test_half_flip_cpc_on_no_points():
-    A, B, u = conjugated_pair((2,), 3, 1e-4, 11)
-    _, cert = half_flip_cpc(A, B, 2.0 * opnorm(u - np.eye(3)), X=[])
-    _assert_empty_closeness(cert)
-
-
-def test_half_flip_needs_single_block():
-    A = block_algebra((2, 1), 3)
-    with pytest.raises(ValueError):
-        half_flip_cpc(A, A, 1e-4)
 
 
 # ---------------------------------------------------------------------------

@@ -13,28 +13,28 @@ REACH = ROOT / "tools" / "reach.py"
 KNOB_COUNT = ROOT / "tools" / "knob_count.py"
 REPORT_DIFF = ROOT / "tools" / "report_diff.py"
 
-# the definitions that wait for the ROADMAP items that wire or retire them:
-# the near-inclusion embedding (item 12) and the half-flip producer (item 10)
-ALLOWED = {"intertwine.near_embedding_nuclear", "intertwine.half_flip_cpc",
-           "intertwine._projection_near_unit"}
+# the definition that waits for the ROADMAP item that wires it: the
+# near-inclusion embedding (item 12)
+ALLOWED = {"intertwine.near_embedding_nuclear"}
 
 
 # the defaulted parameters, dataclass fields and module-level context
 # variables of the package, as tools/knob_count.py counts them: a new default
 # moves this pin, with the run path that sets it to a second value named where
-# the pin moves.  The 12 are the certification track (certs.TRACK) and 11
+# the pin moves.  The 11 are the certification track (certs.TRACK) and 10
 # defaults: averaging 3 (improve_multiplicativity gamma, intertwining_unitary
 # gamma and delta), certs 2 (TRACK, build details), cli 1 (main argv), cpmaps 2
-# (LinMap.codomain_algebra, stinespring tol_psd), intertwine 2
-# (near_embedding_nuclear X, half_flip_cpc X), orderzero 1 (near_embed_nucdim
-# X), serialize 1 (from_jsonable path)
-KNOBS = 12
+# (LinMap.codomain_algebra, stinespring tol_psd), intertwine 1
+# (near_embedding_nuclear X), orderzero 1 (near_embed_nucdim X), serialize 1
+# (from_jsonable path)
+KNOBS = 11
 
 
 # the walk that does not enter the selftest also leaves the selftest's data
-# generators and the decomposition verifiers that item 23 wires into oz-embed
+# generators, the diagonal algebra the hat decomposition lives on, and the
+# decomposition verifiers that item 23 wires into oz-embed
 SELFTEST_ONLY = {
-    "algebra.FDAlgebra.random_elements",
+    "algebra.ConcreteAlgebra.diagonal", "algebra.FDAlgebra.random_elements",
     "instances._rotated_embedding", "instances.hat_decomposition",
     "instances.random_order_zero", "linalg.random_unitary",
     "orderzero.split_decomposition",
