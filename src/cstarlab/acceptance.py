@@ -161,11 +161,11 @@ def criterion_3() -> CriterionResult:
             fd = FDAlgebra(profile)
             units = fd.units()
             # the multiplication image of the canonical element is the unit
-            mult_defects.append(opnorm(canonical_average(profile, units, units) - fd.unit()))
+            mult_defects.append(opnorm(canonical_average(fd, units, units) - fd.unit()))
             rng = rng_for(0, "acceptance-3", *profile)
             for x in fd.random_elements(rng, 3):
                 x = x / max(opnorm(x), 1e-300)
-                tw = canonical_average(profile, units @ x, units)
+                tw = canonical_average(fd, units @ x, units)
                 worst_central = max(worst_central, opnorm_max(tw @ units - units @ tw))
     n_profiles, worst_mult = len(mult_defects), max(mult_defects)
     ok = worst_mult <= 1e-12 and worst_central <= 1e-11

@@ -31,13 +31,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 
 from .certs import CLUSTER_REL, SpectralGapError, require_finite
 from .linalg import (
-    _BATCH_BYTES,
+    chunk_length,
     cluster_values,
     dagger,
     herm,
@@ -125,9 +125,36 @@ class FDAlgebra:
     @cached_property
     def unit_positions(self) -> np.ndarray:
         """Flat index into a d x d matrix of each matrix unit, in (k, i, j)
-        order."""
-        return np.array([(self.offsets[k] + i) * self.d + self.offsets[k] + j
-                         for (k, i, j) in self.unit_labels()])
+        order.  Like the tables below, read-only: every caller shares it."""
+        return _read_only(np.array([(self.offsets[k] + i) * self.d + self.offsets[k] + j
+                                    for (k, i, j) in self.unit_labels()]))
+
+    @cached_property
+    def unit_spans(self) -> tuple[slice, ...]:
+        """The rows of each block's units in a (dim_linear, ...) stack."""
+        ends = accumulate(n * n for n in self.block_sizes)
+        return tuple(slice(e - n * n, e) for n, e in zip(self.block_sizes, ends))
+
+    @cached_property
+    def unit_transpose(self) -> np.ndarray:
+        """The position of e_ji at that of each e_ij."""
+        index = self.unit_blocks(np.arange(self.dim_linear))  # that of e_ij at [i, j]
+        return _read_only(np.concatenate([u.T.ravel() for u in index]))
+
+    @cached_property
+    def generator_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``relation_residual``'s products, family (a) and then family (b),
+        as three position lists: the left factor, the right factor and the
+        unit the product should equal, -1 where it should be 0."""
+        d, index = self.d, self.unit_blocks(np.arange(self.dim_linear))  # that of E_ij at [i, j]
+        rows = np.concatenate([u[0] for u in index])  # that of E_1j at off_k + j
+        cols = np.concatenate([u[:, 0] for u in index])  # that of E_i1 at off_k + i
+        at = np.divmod(self.unit_positions, d)  # each unit's row and column in the model
+        heads = np.full(d * d, -1)  # E_11 of the block on the pairs E_1i E_i1
+        heads[::d + 1] = np.repeat(cols[list(self.offsets)], self.block_sizes)
+        return (_read_only(np.concatenate([cols[at[0]], np.repeat(rows, d)])),
+                _read_only(np.concatenate([rows[at[1]], np.tile(cols, d)])),
+                _read_only(np.concatenate([np.arange(self.dim_linear), heads])))
 
     def unit(self) -> np.ndarray:
         return np.eye(self.d, dtype=complex)
@@ -150,9 +177,8 @@ class FDAlgebra:
     def unit_blocks(self, stack: np.ndarray) -> list[np.ndarray]:
         """Views of a (dim_linear, ...) stack in (k, i, j) order, one per
         block k, shaped (n_k, n_k, ...): [i, j] is the entry of e_ij^(k)."""
-        cuts = np.cumsum([n * n for n in self.block_sizes])[:-1]
-        return [part.reshape((n, n) + part.shape[1:])
-                for n, part in zip(self.block_sizes, np.split(stack, cuts))]
+        return [stack[at].reshape((n, n) + stack.shape[1:])
+                for n, at in zip(self.block_sizes, self.unit_spans)]
 
     def coeffs(self, x: np.ndarray) -> np.ndarray:
         """Coefficients of x, or of each matrix of a stack (..., d, d), over
@@ -179,11 +205,10 @@ class FDAlgebra:
         draw, sliced per sample and block as real then imaginary n_k^2
         values: the stream order, and the bits, of one
         ``linalg.random_complex`` call per block and sample."""
-        sq = [n * n for n in self.block_sizes]
-        g = rng.standard_normal((count, 2 * sum(sq)))
-        parts = np.split(g, np.cumsum(np.repeat(sq, 2))[:-1], axis=1)  # re, im per block
+        g = rng.standard_normal((count, 2 * self.dim_linear))  # block k's at twice its span
         return self.from_coeffs(np.concatenate(
-            [(re + 1j * im) / np.sqrt(2.0) for re, im in zip(parts[::2], parts[1::2])], axis=1))
+            [(g[:, 2 * s.start:s.start + s.stop] + 1j * g[:, s.start + s.stop:2 * s.stop])
+             / np.sqrt(2.0) for s in self.unit_spans], axis=1))
 
     def relation_residual(self, images: np.ndarray) -> float:
         """Worst residual eps of the generating matrix-unit relations on
@@ -206,20 +231,11 @@ class FDAlgebra:
         max ||E||.  For images that are not a homomorphism the value is the
         defect at the units, a lower estimate of the unit-ball defect, not a
         bound.  The dim_linear adjoint residuals and the sum n_k^2 + d^2
-        products are gathered by index into E and measured in chunks, each at
-        most ``linalg._BATCH_BYTES`` with its operands."""
-        E, d = np.asarray(images), self.d
-        index = self.unit_blocks(np.arange(self.dim_linear))  # that of E_ij at [i, j]
-        rows = np.concatenate([u[0] for u in index])  # that of E_1j at off_k + j
-        cols = np.concatenate([u[:, 0] for u in index])  # that of E_i1 at off_k + i
-        at = np.divmod(self.unit_positions, d)  # each unit's row and column in the model
-        heads = np.full(d * d, -1)  # E_11 of the block on the pairs E_1i E_i1
-        heads[::d + 1] = np.repeat(cols[list(self.offsets)], self.block_sizes)
-        left = np.concatenate([cols[at[0]], np.repeat(rows, d)])  # (a), then (b)
-        right = np.concatenate([rows[at[1]], np.tile(cols, d)])
-        minus = np.concatenate([np.arange(self.dim_linear), heads])
-        swap = np.concatenate([u.T.ravel() for u in index])  # that of E_ji at that of E_ij
-        step = max(1, _BATCH_BYTES // 4 // max(E[:1].nbytes, 1))  # with 3 gathered operands
+        products are gathered from E at ``unit_transpose`` and
+        ``generator_pairs`` and measured in chunks of ``linalg.chunk_length``."""
+        E, swap = np.asarray(images), self.unit_transpose
+        left, right, minus = self.generator_pairs
+        step = chunk_length(E[:1].nbytes, 4)  # a product and its 3 gathered operands
 
         def products(s):  # one chunk; where minus is -1 nothing is subtracted
             prod, sub = E[left[s:s + step]] @ E[right[s:s + step]], minus[s:s + step]
@@ -290,7 +306,11 @@ class BlockStructure:
 
 def _frozen(x) -> np.ndarray:
     """A write-protected complex copy of x."""
-    x = np.array(x, dtype=complex)
+    return _read_only(np.array(x, dtype=complex))
+
+
+def _read_only(x: np.ndarray) -> np.ndarray:
+    """x, write-protected."""
     x.flags.writeable = False
     return x
 

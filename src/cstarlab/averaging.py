@@ -28,10 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import certs
+from .algebra import FDAlgebra
 from .certs import Certificate, SpectralGapError
 from .cpmaps import (LinMap, cb_bracket, dilation_images, hom_defect, stinespring,
                      ucp_extension)
-from .linalg import _BATCH_BYTES, dagger, herm, opnorm, opnorm_max, opnorms, polar_factor, psd_sqrt
+from .linalg import (chunk_length, dagger, herm, opnorm, opnorm_max, opnorms, polar_factor,
+                     psd_sqrt)
 
 __all__ = [
     "canonical_average",
@@ -51,27 +53,16 @@ GAP_WINDOW = (0.496, 0.504)
 # the canonical average
 # ---------------------------------------------------------------------------
 
-def _canonical_index(block_sizes) -> tuple[np.ndarray, np.ndarray]:
-    """For the matrix units e_ij of block k in (k, i, j) order: the weight
-    1/n_k of each, and the position of its transpose e_ji."""
-    scale, flip, pos = [], [], 0
-    for n in block_sizes:
-        scale += [1.0 / n] * (n * n)
-        flip += list(pos + np.arange(n * n).reshape(n, n).T.reshape(-1))
-        pos += n * n
-    return np.array(scale), np.array(flip, dtype=int)
-
-
-def canonical_average(block_sizes, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+def canonical_average(fd: FDAlgebra, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """sum_k (1/n_k) sum_ij left[e_ij] @ right[e_ji] over two stacks indexed
-    by the matrix units e_ij of (+)_k M_{n_k} in (k, i, j) order: the
+    by the matrix units e_ij of fd = (+)_k M_{n_k} in (k, i, j) order: the
     canonical separability element evaluated on left (x) right.  The twirl of
     y over unit images E, sum_k (1/n_k) sum_ij E_ij y E_ji, is
-    canonical_average(block_sizes, E @ y, E).  Each slice of 32 units or
-    _BATCH_BYTES / 4 of them, whichever is more, is one contraction over the
-    unit and inner axes, so no stack of the products is formed."""
-    scale, flip = _canonical_index(block_sizes)
-    step = max(32, _BATCH_BYTES // 4 // max(left[:1].nbytes, 1))
+    canonical_average(fd, E @ y, E).  Each slice of ``linalg.chunk_length``
+    units is one contraction over the unit and inner axes, so no stack of the
+    products is formed."""
+    scale = 1.0 / np.repeat(fd.block_sizes, [n * n for n in fd.block_sizes])
+    step, flip = chunk_length(left[:1].nbytes, 4), fd.unit_transpose
     return sum(np.tensordot(scale[s, None, None] * left[s], right[flip[s]], axes=([0, 2], [0, 1]))
                for s in (slice(a, a + step) for a in range(0, len(left), step)))
 
@@ -250,7 +241,7 @@ def intertwining_unitary(phi1: LinMap, phi2: LinMap,
     e1 = ucp_extension(LinMap(phi1.domain, phi1.images))
     e2 = e1 if phi2 is phi1 else ucp_extension(LinMap(phi2.domain, phi2.images))
     # s = sum_k (1/n_k) sum_ij e1(e_ij) e2(e_ji), paired on the stored images
-    s = canonical_average(e1.domain.block_sizes, e1.images, e2.images)
+    s = canonical_average(e1.fd, e1.images, e2.images)
     K = phi1.codomain_dim
     sing = np.linalg.svd(s, compute_uv=False)
     if sing[-1] <= 1e-6:

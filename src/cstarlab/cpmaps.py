@@ -32,7 +32,7 @@ import numpy as np
 
 from .algebra import ConcreteAlgebra, FDAlgebra, _combine
 from .certs import TOL_ALG, TOL_PSD, Certificate, require_finite
-from .linalg import (_BATCH_BYTES, _HS_ABS_SLACK, _HS_REL_SLACK, dagger, herm, hs_norm,
+from .linalg import (_HS_ABS_SLACK, _HS_REL_SLACK, chunk_length, dagger, herm, hs_norm,
                      opnorm, opnorm_max, opnorms, psd_part, random_hermitian)
 
 __all__ = [
@@ -301,9 +301,9 @@ def hom_defect(phi: LinMap) -> float:
 
 def worst_move(f, X) -> float:
     """max over x in X of ||f(x) - x||, 0.0 for no X, for an f that maps each
-    matrix of a stack on its own: ``opnorm_max`` of f on 32 points of X or
-    _BATCH_BYTES / 4 of them at a time, whichever is more."""
-    batch = max(32, _BATCH_BYTES // 4 // max(np.asarray(X[:1]).nbytes, 1))
+    matrix of a stack on its own: ``opnorm_max`` of f on ``chunk_length``
+    points of X at a time."""
+    batch = chunk_length(np.asarray(X[:1]).nbytes, 4)
     points = (np.asarray(X[i:i + batch], dtype=complex) for i in range(0, len(X), batch))
     return opnorm_max(f(x) - x for x in points)
 

@@ -28,6 +28,7 @@ __all__ = [
     "opnorms",
     "opnorm_max",
     "hs_norm",
+    "chunk_length",
     "rng_for",
     "random_complex",
     "random_hermitian",
@@ -78,9 +79,16 @@ def opnorms(stack: np.ndarray) -> np.ndarray:
 # absolute part the squares that underflow below the smallest normal number.
 _HS_REL_SLACK = 1e-8
 _HS_ABS_SLACK = 1e-150
-# Largest gathered batch in opnorm_max, 4 times cpmaps.worst_move's: a copy
+# The bytes a chunk of gathered operands may hold (``chunk_length``): a copy
 # or images of a whole large stack would raise the peak memory.
 _BATCH_BYTES = 1 << 18
+
+
+def chunk_length(item_bytes: int, operands: int) -> int:
+    """Items per chunk of a stack whose items take item_bytes each, when
+    operands such chunks are held at once: _BATCH_BYTES / operands bytes'
+    worth, and at least 32.  The package's one chunk rule."""
+    return max(32, _BATCH_BYTES // operands // max(item_bytes, 1))
 
 
 def opnorm_max(stacks) -> float:
@@ -91,9 +99,9 @@ def opnorm_max(stacks) -> float:
 
     The HS norm bounds the operator norm from above; each stack's HS norms
     are taken once.  Its matrices of largest HS norm are SVD'd first, unless
-    their bound is at or below the norm found so far; then, in batches of at
-    most _BATCH_BYTES, every other matrix whose bound exceeds the norm found
-    so far.  Each matrix taken gets its own values-only SVD, as in
+    their bound is at or below the norm found so far; then, in batches of
+    ``chunk_length`` matrices, every other matrix whose bound exceeds the
+    norm found so far.  Each matrix taken gets its own values-only SVD, as in
     ``opnorms``.  A stack with a non-finite HS norm (an infinite or NaN
     entry, or entries whose squares overflow) makes the result nan, with no
     SVD.
@@ -115,7 +123,7 @@ def opnorm_max(stacks) -> float:
         top = hs == largest
         best = max(best, float(opnorms(mats[top]).max(initial=0.0)))
         rest = np.flatnonzero((bound > best) & ~top)
-        batch = max(1, _BATCH_BYTES // max(mats[:1].nbytes, 1))
+        batch = chunk_length(mats[:1].nbytes, 1)
         for start in range(0, len(rest), batch):
             take = rest[start:start + batch]
             take = take[bound[take] > best]  # the norm found so far may rule out more
@@ -192,11 +200,10 @@ def psd_part(h: np.ndarray) -> np.ndarray:
 def psd_pinv(h: np.ndarray) -> np.ndarray:
     """Spectral pseudoinverse of a psd matrix, zeroing eigenvalues below
     TOL_RANK times the largest."""
-    vals, vecs = np.linalg.eigh(herm(h))
-    top = float(vals.max(initial=0.0))
-    cut = TOL_RANK * max(top, 1e-300)
-    inv = np.where(vals > cut, 1.0 / np.where(vals > cut, vals, 1.0), 0.0)
-    return (vecs * inv) @ dagger(vecs)
+    def inverse(t):
+        cut = TOL_RANK * max(float(t.max(initial=0.0)), 1e-300)
+        return np.where(t > cut, 1.0 / np.where(t > cut, t, 1.0), 0.0)
+    return eigh_fun(h, inverse)
 
 
 # relative eigenvalue cutoff of range_projection: the support of an algebra
@@ -207,6 +214,8 @@ _RANGE_REL_CUTOFF = 1e-10
 def range_projection(h: np.ndarray) -> np.ndarray:
     """Projection onto the span of eigenvectors with eigenvalue above
     _RANGE_REL_CUTOFF times the largest (h psd)."""
+    # the kept columns, not eigh_fun with a 0/1 weight, whose longer inner
+    # dimension would change the rounding of every instance's support
     vals, vecs = np.linalg.eigh(herm(h))
     top = float(vals.max(initial=0.0))
     cut = _RANGE_REL_CUTOFF * max(top, 1e-300)
@@ -218,8 +227,7 @@ def range_projection(h: np.ndarray) -> np.ndarray:
 def expm_i(h: np.ndarray) -> np.ndarray:
     """exp(i h) for Hermitian h (or a stack), exactly unitary up to eigh
     accuracy."""
-    vals, vecs = np.linalg.eigh(herm(h))
-    return (vecs * np.exp(1j * vals)[..., None, :]) @ dagger(vecs)
+    return eigh_fun(h, lambda t: np.exp(1j * t))
 
 
 # ---------------------------------------------------------------------------

@@ -167,8 +167,7 @@ def perturb_order_zero(oz: OrderZeroMap, B: ConcreteAlgebra,
         W = x.reshape(N, m, len(kept), N, m)[:, 0].transpose(1, 3, 0, 2)  # [k, i, a, c]
         return np.concatenate([_unit_images(W[slot, :n]) for slot, n in enumerate(sizes)])
 
-    # positions of the kept blocks' units in the (k, i, j) order
-    at = np.concatenate([fd.unit_blocks(np.arange(fd.dim_linear))[k].ravel() for k in kept])
+    at = np.r_[tuple(fd.unit_spans[k] for k in kept)]  # the kept blocks' unit rows
     images = np.zeros((fd.dim_linear, N, N), dtype=complex)
     images[at] = corners(u)
     recon = opnorm_max(corners(t) - oz.map.images[at])

@@ -9,7 +9,6 @@ import numpy as np
 import scipy.linalg
 
 from cstarlab.algebra import BlockStructure, ConcreteAlgebra, FDAlgebra, _combine
-from cstarlab.averaging import _canonical_index
 from cstarlab.certs import CLUSTER_REL, TOL_ALG, TOL_RANK
 from cstarlab.cpmaps import _EPS, LinMap, _factor_bound, _from_choi_blocks, choi_blocks, classify
 from cstarlab.geometry import _DUAL_DIRECTIONS, _DUAL_KEEP, _DUAL_STEPS
@@ -58,6 +57,54 @@ def mult_defects(phi, X) -> np.ndarray:
     defects = defects @ defects[:, ::-1]
     defects -= phi(Y @ Y[:, ::-1])
     return defects.reshape((-1,) + defects.shape[2:])
+
+
+def unit_blocks_by_split(fd, stack) -> list[np.ndarray]:
+    """``FDAlgebra.unit_blocks`` as an np.split at the cumulative block
+    dimensions, each part reshaped to (n_k, n_k, ...)."""
+    cuts = np.cumsum([n * n for n in fd.block_sizes])[:-1]
+    return [part.reshape((n, n) + part.shape[1:])
+            for n, part in zip(fd.block_sizes, np.split(stack, cuts))]
+
+
+def canonical_index(block_sizes) -> tuple[np.ndarray, np.ndarray]:
+    """For the matrix units e_ij of block k in (k, i, j) order: the weight
+    1/n_k of each, and the position of its transpose e_ji, built block by
+    block."""
+    scale, flip, pos = [], [], 0
+    for n in block_sizes:
+        scale += [1.0 / n] * (n * n)
+        flip += list(pos + np.arange(n * n).reshape(n, n).T.reshape(-1))
+        pos += n * n
+    return np.array(scale), np.array(flip, dtype=int)
+
+
+def canonical_average_by_slices(block_sizes, left, right) -> np.ndarray:
+    """``averaging.canonical_average`` over the weights and transposes of
+    ``canonical_index``, in slices of 32 units or 2^16 bytes' worth of left's
+    matrices, whichever is more: the same contractions in the same order."""
+    scale, flip = canonical_index(block_sizes)
+    step = max(32, (1 << 16) // max(left[:1].nbytes, 1))
+    return sum(np.tensordot(scale[s, None, None] * left[s], right[flip[s]], axes=([0, 2], [0, 1]))
+               for s in (slice(a, a + step) for a in range(0, len(left), step)))
+
+
+def generator_index(fd) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The position lists of ``FDAlgebra.relation_residual`` built from
+    ``unit_blocks_by_split`` views of the unit positions: the left and right
+    factors of families (a) and (b), the unit each product should equal (-1
+    for 0) and the transpose of each unit."""
+    d, index = fd.d, unit_blocks_by_split(fd, np.arange(fd.dim_linear))
+    rows = np.concatenate([u[0] for u in index])
+    cols = np.concatenate([u[:, 0] for u in index])
+    at = np.divmod(fd.unit_positions, d)
+    heads = np.full(d * d, -1)
+    heads[::d + 1] = np.repeat(cols[list(fd.offsets)], fd.block_sizes)
+    left = np.concatenate([cols[at[0]], np.repeat(rows, d)])
+    right = np.concatenate([rows[at[1]], np.tile(cols, d)])
+    minus = np.concatenate([np.arange(fd.dim_linear), heads])
+    swap = np.concatenate([u.T.ravel() for u in index])
+    return left, right, minus, swap
 
 
 def triple_relation_residual(fd, E) -> float:
@@ -302,7 +349,7 @@ def canonical_residual(fd: FDAlgebra, weights: np.ndarray, terms: np.ndarray) ->
     def tensor_average(w, left, right):
         return np.einsum("t,tab,tcd->acbd", w, left, right).reshape(m * m, m * m)
 
-    scale, flip = _canonical_index(fd.block_sizes)
+    scale, flip = canonical_index(fd.block_sizes)
     W = tensor_average(weights, terms, terms.conj().transpose(0, 2, 1))
     C = tensor_average(scale, units, units[flip])
     return opnorm(W - C)
@@ -362,6 +409,23 @@ def cluster_values_loop(vals) -> list[np.ndarray]:
         else:
             groups.append([int(idx)])
     return [np.array(g) for g in groups]
+
+
+def expm_i_by_eigh(h: np.ndarray) -> np.ndarray:
+    """exp(i h) from its own eigh of the Hermitian part of h: the
+    eigenvectors scaled by exp(i lambda) times their adjoint."""
+    vals, vecs = np.linalg.eigh(0.5 * (h + dagger(h)))
+    return (vecs * np.exp(1j * vals)[..., None, :]) @ dagger(vecs)
+
+
+def psd_pinv_by_eigh(h: np.ndarray) -> np.ndarray:
+    """The spectral pseudoinverse from its own eigh of the Hermitian part of
+    h: eigenvalues at or below TOL_RANK times the largest are zeroed, the
+    rest inverted."""
+    vals, vecs = np.linalg.eigh(0.5 * (h + dagger(h)))
+    cut = TOL_RANK * max(float(vals.max(initial=0.0)), 1e-300)
+    inv = np.where(vals > cut, 1.0 / np.where(vals > cut, vals, 1.0), 0.0)
+    return (vecs * inv) @ dagger(vecs)
 
 
 def partial_isometry_polar_loop(x: np.ndarray) -> np.ndarray:

@@ -15,10 +15,10 @@ from cstarlab.instances import block_algebra, gen_instance
 import cstarlab
 from cstarlab.linalg import (dagger, expm_i, opnorm, opnorm_max, opnorms, random_complex,
                              random_hermitian, random_unitary, rng_for)
-from cstarlab import algebra
-from helpers import (complex_gaussian, generator_residual_by_rows, hs_inner, matrix_unit,
-                     multiplicity_algebra, to_concrete, triple_relation_residual,
-                     verify_algebra)
+from cstarlab import algebra, linalg
+from helpers import (canonical_index, complex_gaussian, generator_index,
+                     generator_residual_by_rows, hs_inner, matrix_unit, multiplicity_algebra,
+                     to_concrete, triple_relation_residual, unit_blocks_by_split, verify_algebra)
 
 PROFILES = [(2,), (1, 1), (2, 1), (3,), (2, 2), (1, 1, 1)]
 
@@ -326,7 +326,7 @@ def test_relation_residual_equals_the_row_at_a_time_oracle(sizes, noise, monkeyp
     # rotated matrix units, exact (a rounding-level residual) and noisy: the
     # gathered products of families (a)-(c) are the row-at-a-time ones, so
     # the largest norm has the oracle's bits, in the default chunks and in
-    # chunks of one product
+    # the smallest, 32 products
     fd = FDAlgebra(sizes)
     rng = rng_for(47, "units", *sizes)
     w = random_unitary(rng, fd.d + 1)
@@ -334,7 +334,7 @@ def test_relation_residual_equals_the_row_at_a_time_oracle(sizes, noise, monkeyp
     E = w @ (E + noise * random_complex(rng, fd.d + 1)) @ dagger(w)
     want = generator_residual_by_rows(fd, E)
     assert fd.relation_residual(E) == want
-    monkeypatch.setattr(algebra, "_BATCH_BYTES", 1)
+    monkeypatch.setattr(linalg, "_BATCH_BYTES", 1)
     assert fd.relation_residual(E) == want
 
 
@@ -372,19 +372,19 @@ def test_relation_residual_reads_both_products_of_distinct_diagonal_units():
 # summation order: an overflowing product gives nan under either summation order
 @pytest.mark.summation_order
 @pytest.mark.parametrize("batch", [None, 1])
-@pytest.mark.parametrize("sizes", [(2, 1), (1, 2)])
+@pytest.mark.parametrize("sizes", [(2, 1), (1, 2), (6, 1)])
 def test_relation_residual_of_overflowing_products_is_nan(sizes, batch, monkeypatch):
     # the one-dimensional summand's unit sent to 1e200 times itself squares
     # to inf, so no finite residual certifies the relations, whether its
     # product comes after the finite ones, (2, 1), or before them, (1, 2),
-    # and in one chunk or one product per chunk
+    # and in one chunk or in the smallest chunks, 32 products, where (6, 1)
+    # puts it in the second chunk, after 32 finite products
     fd = FDAlgebra(sizes)
-    index = fd.unit_blocks(np.arange(fd.dim_linear))
-    E = fd.corner_units(3)
-    E[index[sizes.index(1)][0, 0]] *= 1e200
-    E[index[sizes.index(2)][0, 0]] *= 1.0 + 1e-3  # a finite residual of 1e-3
+    E = fd.corner_units(fd.d)
+    E[fd.unit_spans[sizes.index(1)].start] *= 1e200
+    E[fd.unit_spans[sizes.index(max(sizes))].start] *= 1.0 + 1e-3  # a finite residual of 1e-3
     if batch is not None:
-        monkeypatch.setattr(algebra, "_BATCH_BYTES", batch)
+        monkeypatch.setattr(linalg, "_BATCH_BYTES", batch)
     with np.errstate(over="ignore", invalid="ignore"):
         assert np.isnan(fd.relation_residual(E))
 
@@ -445,6 +445,70 @@ def test_relation_residual_and_the_triple_check_bound_each_other(kind, profile, 
         assert eps <= (M * M + 2.0 * M) * old + 3.0 * old * old + 1e-13
         assert old <= (M * M + 3.0 * M + 1.0) * eps + eps * eps + 1e-13
         assert noise == 0.0 or eps >= 0.1 * noise
+
+
+UNIT_TABLES = ("unit_spans", "unit_transpose", "generator_pairs")
+
+
+@pytest.mark.parametrize("kind, profile, N", ORACLE_CASES)
+def test_the_models_unit_tables_equal_their_per_call_oracles(kind, profile, N):
+    # the spans (through unit_blocks), the transpose and the generator pairs
+    # of a structure's model equal the index arrays built per call from an
+    # np.split, and a second read returns the same read-only object
+    fd = oracle_algebra(kind, profile, N).structure().fd_model()
+    index = np.arange(fd.dim_linear)
+    got, want = fd.unit_blocks(index), unit_blocks_by_split(fd, index)
+    assert len(got) == len(want) and all(map(np.array_equal, got, want))
+    *pairs, swap = generator_index(fd)
+    assert np.array_equal(fd.unit_transpose, swap)
+    assert np.array_equal(fd.unit_transpose, canonical_index(fd.block_sizes)[1])
+    assert all(map(np.array_equal, fd.generator_pairs, pairs))
+    for name in UNIT_TABLES:
+        assert getattr(fd, name) is getattr(fd, name)
+    for table in (fd.unit_positions, fd.unit_transpose, *fd.generator_pairs):
+        assert not table.flags.writeable
+
+
+def test_the_unit_tables_are_built_on_first_use():
+    # a new model holds none of the tables until a call reads them
+    fd = FDAlgebra((3, 1))
+    assert not set(UNIT_TABLES) & vars(fd).keys()
+    fd.relation_residual(fd.units())
+    assert set(UNIT_TABLES) <= vars(fd).keys()
+
+
+def test_unit_blocks_are_views_that_write_through():
+    # a write to a block's [i, j] lands on the stack row of e_ij of that block
+    fd = FDAlgebra((2, 1, 3))
+    stack = np.zeros((fd.dim_linear, 2, 2))
+    blocks = fd.unit_blocks(stack)
+    assert [b.shape for b in blocks] == [(2, 2, 2, 2), (1, 1, 2, 2), (3, 3, 2, 2)]
+    blocks[2][1, 2] = 7.0
+    want = np.zeros_like(stack)
+    want[4 + 1 + 1 * 3 + 2] = 7.0
+    assert np.array_equal(stack, want)
+
+
+# summation order: the gathered products are the row-at-a-time ones, whatever
+# the BLAS thread count, so the largest norm has the oracle's bits
+@pytest.mark.summation_order
+def test_relation_residual_on_a_large_ambient_gathers_full_chunks(monkeypatch):
+    # 24,24/48: each chunk of the stream holds 32 matrices but the last, and
+    # the value on the corner units plus 1e-9 noise is the oracle's
+    fd = FDAlgebra((24, 24))
+    noise = rng_for(49, "units", 48).standard_normal((2, fd.dim_linear, 48, 48))
+    E = fd.corner_units(48) + 1e-9 * (noise[0] + 1j * noise[1])
+    del noise
+    lengths, stream_max = [], algebra.opnorm_max
+
+    def measured(stacks):
+        return stream_max(lengths.append(len(s)) or s for s in stacks)
+
+    monkeypatch.setattr(algebra, "opnorm_max", measured)
+    got = fd.relation_residual(E)
+    adjoints, products = lengths[:36], lengths[36:]  # 1,152 units, then 1,152 + 2,304 products
+    assert adjoints == [32] * 36 and products == [32] * 108
+    assert got == generator_residual_by_rows(fd, E)
 
 
 def with_basis_noise(A, draw):

@@ -20,8 +20,10 @@ from cstarlab.cpmaps import (LinMap, arveson_restrict, hom_defect, stinespring, 
                              worst_move)
 from cstarlab.instances import _rotated_embedding, block_algebra, gen_instance
 from cstarlab.linalg import expm_i, random_hermitian, random_unitary, rng_for
-from helpers import (MULTIPLICITY_CASES, dilation_representation, hs_inner, matrix_unit,
-                     multiplicity_algebra, phase_family, verify_averaging_set, weyl_unitaries)
+from cstarlab.acceptance import _partitions
+from helpers import (MULTIPLICITY_CASES, canonical_average_by_slices, dilation_representation,
+                     hs_inner, matrix_unit, multiplicity_algebra, phase_family,
+                     verify_averaging_set, weyl_unitaries)
 
 PROFILES = [(1,), (2,), (1, 1), (2, 1), (3,), (2, 2), (2, 1, 1), (2, 3, 1)]
 
@@ -94,8 +96,29 @@ def test_twirl_is_commutant_projection(sizes):
     for _ in range(3):
         y = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
         expect = (P @ y.reshape(-1)).reshape(N, N)
-        twirl = canonical_average(struct.block_sizes, E @ y, E)
+        twirl = canonical_average(struct.fd_model(), E @ y, E)
         assert opnorm(twirl - expect) < 1e-12
+
+
+# summation order: both sides run the same contractions in the same order
+@pytest.mark.summation_order
+@pytest.mark.parametrize("total", range(1, 7))
+def test_canonical_average_equals_the_per_call_index_formula(total):
+    # over criterion 3's partitions, on their units as criterion 3 pairs
+    # them, and over the ucp extensions' domains (one more one-dimensional
+    # block) on random stacks in M_13, where 32 units fill a slice: the bits
+    # of the weights and transposes built per call
+    for sizes in _partitions(total):
+        fd, ext = FDAlgebra(sizes), FDAlgebra(sizes + (1,))
+        units = fd.units()
+        x = fd.random_elements(rng_for(0, "acceptance-3", *sizes), 1)[0]
+        for left, right in ((units, units), (units @ x, units)):
+            assert np.array_equal(canonical_average(fd, left, right),
+                                  canonical_average_by_slices(sizes, left, right))
+        g = rng_for(15, "extension-average", *sizes).standard_normal((4, ext.dim_linear, 13, 13))
+        left, right = g[0] + 1j * g[1], g[2] + 1j * g[3]
+        assert np.array_equal(canonical_average(ext, left, right),
+                              canonical_average_by_slices(ext.block_sizes, left, right))
 
 
 def random_map(fd: FDAlgebra, N: int, rng) -> LinMap:
@@ -111,7 +134,7 @@ def test_pair_matches_phase_family_sum(sizes):
     rng = rng_for(12, "pair-family", *sizes)
     f, g = random_map(fd, 3, rng), random_map(fd, 3, rng)
     explicit = sum(w * (f(dagger(u)) @ g(u)) for w, u in zip(*phase_family(fd)))
-    assert opnorm(canonical_average(sizes, f.images, g.images) - explicit) < 1e-13
+    assert opnorm(canonical_average(fd, f.images, g.images) - explicit) < 1e-13
 
 
 def nearly_multiplicative(fd: FDAlgebra, N: int, diag) -> LinMap:
@@ -133,7 +156,7 @@ def explicit_repair(phi: LinMap):
     V = dil.isometry
     R = dilation_representation(ext.domain.block_sizes, dil.ranks)
     p = V @ dagger(V)
-    p0 = herm(canonical_average(ext.domain.block_sizes, R @ p, R))
+    p0 = herm(canonical_average(ext.fd, R @ p, R))
     vals, vecs = np.linalg.eigh(p0)
     keep = vecs[:, vals >= averaging.GAP_WINDOW[1]]
     w, _ = projection_conjugator(p, keep @ dagger(keep))
@@ -174,7 +197,7 @@ def test_repair_twirl_matches_phase_family_sum():
     weights, terms = phase_family(ext.domain)
     pi = LinMap(ext.domain, R)(terms)
     explicit = sum(w * (dagger(pu) @ p @ pu) for w, pu in zip(weights, pi))
-    p0 = canonical_average(ext.domain.block_sizes, R @ p, R)
+    p0 = canonical_average(ext.fd, R @ p, R)
     assert opnorm(p0 - explicit) < 1e-13
     # the repair's drift certificate measures the same twirled projection
     drift = rep.certificates["drift"].achieved
@@ -234,7 +257,7 @@ def test_twirl_over_dilation_units_is_a_partial_trace(sizes, ranks):
         expect[off:off + n * r, off:off + n * r] = np.kron(
             np.eye(n), sum(block[i, :, i, :] for i in range(n)) / n)
         off += n * r
-    assert opnorm(canonical_average(sizes, R @ y, R) - expect) < 1e-13
+    assert opnorm(canonical_average(FDAlgebra(sizes), R @ y, R) - expect) < 1e-13
 
 
 # summation order: canonical_average's twirls and pairings meet their oracles
@@ -249,7 +272,7 @@ def test_twirl_closed_forms(n):
                     (ConcreteAlgebra.from_basis([np.eye(n)], n), h)):
         struct = A.structure()
         E = struct.matrix_units
-        assert opnorm(canonical_average(struct.block_sizes, E @ h, E) - want) < 1e-12
+        assert opnorm(canonical_average(struct.fd_model(), E @ h, E) - want) < 1e-12
 
 
 # summation order: canonical_average's twirls and pairings meet their oracles
@@ -260,11 +283,11 @@ def test_twirl_lands_in_commutant():
     rng = rng_for(3, "twirl")
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     E = struct.matrix_units
-    t = canonical_average(struct.block_sizes, E @ g, E)
+    t = canonical_average(struct.fd_model(), E @ g, E)
     for b in A.basis:
         assert opnorm(t @ b - b @ t) < 1e-11
     # expectation property: twirling twice changes nothing
-    assert opnorm(canonical_average(struct.block_sizes, E @ t, E) - t) < 1e-11
+    assert opnorm(canonical_average(struct.fd_model(), E @ t, E) - t) < 1e-11
 
 
 # summation order: canonical_average's twirls and pairings meet their oracles
@@ -272,7 +295,7 @@ def test_twirl_lands_in_commutant():
 def test_pair_of_inclusion_is_unit():
     fd = FDAlgebra((2, 1))
     phi = embedded(fd, 3)
-    s = canonical_average(fd.block_sizes, phi.images, phi.images)
+    s = canonical_average(fd, phi.images, phi.images)
     assert opnorm(s - phi(fd.unit())) < 1e-11
 
 

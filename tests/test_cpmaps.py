@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cstarlab import cpmaps
+from cstarlab import cpmaps, linalg
 from cstarlab.algebra import ConcreteAlgebra, FDAlgebra, dagger, opnorm
 from cstarlab.certs import TOL_ALG, TOL_PSD
 from cstarlab.cpmaps import (
@@ -631,7 +631,7 @@ def test_worst_move_equals_the_one_stack_maximum(monkeypatch):
     X = complex_gaussian(rng, 70 * 3, 3).reshape(70, 3, 3)
     want = opnorms(u @ X @ dagger(u) - X).max()
     assert worst_move(lambda x: u @ x @ dagger(u), X) == want
-    monkeypatch.setattr(cpmaps, "_BATCH_BYTES", 1)
+    monkeypatch.setattr(linalg, "_BATCH_BYTES", 1)
     assert worst_move(lambda x: u @ x @ dagger(u), list(X)) == want
     assert worst_move(lambda x: u @ x @ dagger(u), []) == 0.0
 

@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cstarlab import linalg
-from cstarlab.linalg import (cluster_values, dagger, eigh_fun,
+from cstarlab.linalg import (chunk_length, cluster_values, dagger, eigh_fun,
                              expm_i, hs_norm, opnorm, opnorm_max, opnorms,
                              partial_isometry_polar, polar_factor, psd_part, psd_pinv,
                              psd_sqrt, random_complex, random_hermitian, random_unitary,
                              range_projection, rng_for)
-from helpers import cluster_values_loop, complex_gaussian, is_projection_residual
+from helpers import (cluster_values_loop, complex_gaussian, expm_i_by_eigh, is_projection_residual,
+                     psd_pinv_by_eigh)
 
 DIMS = st.integers(min_value=1, max_value=6)
 SEEDS = st.integers(min_value=0, max_value=10_000)
@@ -74,6 +75,30 @@ def test_expm_i_small_angle_norm():
     h = np.diag([0.3, -0.1])
     u = expm_i(h)
     assert abs(opnorm(u - np.eye(2)) - 2 * np.sin(0.15)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_expm_i_and_psd_pinv_equal_their_own_eigendecompositions(n):
+    # eigh_fun with exp(i t), on a matrix and on a stack, and with the cut
+    # inverse, on a singular psd matrix: the bits of the bodies that ran
+    # their own eigh
+    rng = rng_for(31, "calculus", n)
+    h, stack = random_hermitian(rng, n), np.stack([random_hermitian(rng, n) for _ in range(3)])
+    assert np.array_equal(expm_i(h), expm_i_by_eigh(h))
+    assert np.array_equal(expm_i(stack), expm_i_by_eigh(stack))
+    g = complex_gaussian(rng, n, max(n - 2, 1))
+    for p in (g @ dagger(g), np.diag(np.arange(n) * 0.5)):
+        assert np.array_equal(psd_pinv(p), psd_pinv_by_eigh(p))
+
+
+@pytest.mark.parametrize("N, one_operand, four_operands", [
+    (4, 1024, 256), (12, 113, 32), (32, 32, 32), (48, 32, 32)])
+def test_chunk_length_of_complex_matrices(N, one_operand, four_operands):
+    # 2^18 bytes over the operands held at once, in items of N x N complex
+    # matrices, and never fewer than 32
+    item = np.zeros((1, N, N), dtype=complex).nbytes
+    assert chunk_length(item, 1) == one_operand
+    assert chunk_length(item, 4) == four_operands
 
 
 def test_psd_pinv_on_singular():
@@ -319,13 +344,16 @@ def test_opnorm_max_skips_what_the_hs_bound_rules_out(monkeypatch):
     small /= 2.0 * np.linalg.norm(small, axis=(1, 2), keepdims=True)
     S = np.concatenate([small[:9], 2.0 * np.outer(np.eye(4)[0], np.eye(4)[2])[None], small[9:]])
     assert opnorm_max(S) == 2.0 and taken == [1]
-    # one matrix per batch: the rank-one matrix's norm 1 rules out 0.45 * 1_4
-    # (HS norm 0.9), which the first matrix's norm 0.6 did not
+    # the smallest batches, 32 matrices: in the first, the rank-one matrix's
+    # norm 1 rules out 0.45 * 1_4 (HS norm 0.9) in the second, which the
+    # first matrix's norm 0.6 did not; the 31 copies of 0.35 * 1_4 (HS norm
+    # 0.7) in between are taken
     monkeypatch.setattr(linalg, "_BATCH_BYTES", 1)
     taken.clear()
     e = np.eye(4)
-    assert opnorm_max(np.stack([0.6 * e, np.outer(e[0], e[1]), 0.45 * e])) == 1.0
-    assert taken == [1, 1]
+    S = np.stack([0.6 * e, np.outer(e[0], e[1])] + [0.35 * e] * 31 + [0.45 * e])
+    assert opnorm_max(S) == 1.0
+    assert taken == [1, 32]
 
 
 def test_opnorm_max_stops_when_the_norm_found_equals_the_bound(monkeypatch):
